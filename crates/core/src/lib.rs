@@ -39,8 +39,5 @@ pub use metrics::LatencyMetric;
 pub use problem::{
     CommGraph, CostBuilder, CostError, CostMatrix, Deployment, NodeDeployment, NodeId,
 };
-pub use redeploy::{
-    redeploy, redeploy_with_history, try_redeploy_with_history, LinkHistory, RedeployDecision,
-    RedeployPolicy,
-};
+pub use redeploy::{redeploy, try_redeploy, RedeployDecision, RedeployPolicy};
 pub use search::{PrunedSolve, SearchStrategy, SolveHint};

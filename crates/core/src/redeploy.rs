@@ -9,119 +9,18 @@
 //!
 //! * the paper's iterations carry no information about unused links, so
 //!   every round re-measures from scratch. [`redeploy`] reproduces that
-//!   batch behaviour; [`redeploy_with_history`] removes the caveat when an
-//!   online store has accumulated [`LinkHistory`] across rounds — fresh
-//!   samples are blended with the history by observation weight, and
-//!   links the (possibly budget-limited) fresh round missed fall back to
-//!   their historical estimate instead of a blank;
+//!   batch behaviour; cross-round memory lives in the online loop
+//!   (`cloudia-online`'s store), not here;
 //! * moving an application node carries a migration cost, so the advisor
 //!   only recommends switching when the expected gain clears a
 //!   user-supplied threshold — without VM live migration, switching plans
 //!   means application-level state transfer for every moved node.
 
-use cloudia_measure::PairwiseStats;
 use cloudia_netsim::Network;
 
 use crate::advisor::{Advisor, AdvisorOutcome};
-use crate::metrics::LatencyMetric;
-use crate::problem::{CommGraph, CostMatrix, Deployment};
+use crate::problem::{CommGraph, Deployment};
 use crate::search::SolveHint;
-
-/// Accumulated per-link latency history, as maintained by an online
-/// measurement store across re-deployment rounds.
-///
-/// The history is metric-agnostic raw material: a mean estimate plus an
-/// effective observation weight per ordered pair. Links never observed
-/// have weight 0.
-#[derive(Debug, Clone)]
-pub struct LinkHistory {
-    n: usize,
-    means: Vec<f64>,
-    weights: Vec<f64>,
-}
-
-impl LinkHistory {
-    /// Empty history over `n` instances.
-    pub fn new(n: usize) -> Self {
-        Self { n, means: vec![0.0; n * n], weights: vec![0.0; n * n] }
-    }
-
-    /// Number of instances covered.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if sized for zero instances.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Sets the accumulated estimate of one directed link.
-    pub fn set(&mut self, src: usize, dst: usize, mean: f64, weight: f64) {
-        debug_assert_ne!(src, dst);
-        self.means[src * self.n + dst] = mean;
-        self.weights[src * self.n + dst] = weight;
-    }
-
-    /// The accumulated `(mean, weight)` of one directed link, if any.
-    pub fn get(&self, src: usize, dst: usize) -> Option<(f64, f64)> {
-        let w = self.weights[src * self.n + dst];
-        (w > 0.0).then(|| (self.means[src * self.n + dst], w))
-    }
-
-    /// Number of directed links with accumulated history.
-    pub fn covered_links(&self) -> usize {
-        self.weights.iter().filter(|&&w| w > 0.0).count()
-    }
-
-    /// Combines fresh measurements with the accumulated history into a
-    /// search cost matrix:
-    ///
-    /// * a link covered by both blends fresh and historical **means** by
-    ///   observation weight (for the mean metric; the tail metrics use the
-    ///   fresh value, since history tracks means only);
-    /// * a link the fresh round missed uses its historical estimate — the
-    ///   whole point of keeping history across rounds;
-    /// * a link neither covers stays 0, as a fresh-only round would leave
-    ///   it.
-    pub fn blended_costs(&self, fresh: &PairwiseStats, metric: LatencyMetric) -> CostMatrix {
-        self.try_blended_costs(fresh, metric).expect("measurement produced an invalid cost matrix")
-    }
-
-    /// [`LinkHistory::blended_costs`], reporting corrupt estimates
-    /// (NaN/negative metric values) as an error instead of aborting —
-    /// the same contract as [`LatencyMetric::try_cost_matrix`].
-    pub fn try_blended_costs(
-        &self,
-        fresh: &PairwiseStats,
-        metric: LatencyMetric,
-    ) -> Result<CostMatrix, crate::problem::CostError> {
-        assert_eq!(fresh.len(), self.n, "history and measurement cover different networks");
-        let mut b = CostMatrix::builder(self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i == j {
-                    continue;
-                }
-                let link = fresh.link(i, j);
-                let fresh_count = link.count() as f64;
-                let blended = match (fresh_count > 0.0, self.get(i, j)) {
-                    (true, Some((hist_mean, w))) => match metric {
-                        LatencyMetric::Mean => {
-                            (fresh_count * link.mean() + w * hist_mean) / (fresh_count + w)
-                        }
-                        _ => metric.link_value(link),
-                    },
-                    (true, None) => metric.link_value(link),
-                    (false, Some((hist_mean, _))) => hist_mean,
-                    (false, None) => 0.0,
-                };
-                b.set(i, j, blended);
-            }
-        }
-        b.freeze()
-    }
-}
 
 /// Policy for deciding whether a new plan is worth a migration.
 #[derive(Debug, Clone, Copy)]
@@ -170,7 +69,7 @@ impl RedeployDecision {
 ///
 /// # Panics
 /// Panics if the measurement produces an invalid cost matrix; use
-/// [`try_redeploy_with_history`] to handle that as an error.
+/// [`try_redeploy`] to handle that as an error.
 pub fn redeploy(
     advisor: &Advisor,
     network: &Network,
@@ -179,51 +78,25 @@ pub fn redeploy(
     policy: RedeployPolicy,
     seed: u64,
 ) -> RedeployDecision {
-    redeploy_with_history(advisor, network, graph, current, policy, seed, None)
-}
-
-/// Like [`redeploy`], but blending the fresh measurement round with
-/// accumulated [`LinkHistory`] when one is supplied — the online advisor's
-/// round shape. With history present the fresh round may be much cheaper
-/// (fewer sweeps / tighter duration cap): links it misses keep their
-/// historical estimates rather than falling back to zero, removing the
-/// paper's "re-measure from scratch" caveat. The search always warm-starts
-/// from the incumbent plan and never returns a worse one.
-///
-/// # Panics
-/// Panics if the measurement produces an invalid cost matrix; use
-/// [`try_redeploy_with_history`] to handle that as an error.
-pub fn redeploy_with_history(
-    advisor: &Advisor,
-    network: &Network,
-    graph: &CommGraph,
-    current: &Deployment,
-    policy: RedeployPolicy,
-    seed: u64,
-    history: Option<&LinkHistory>,
-) -> RedeployDecision {
-    try_redeploy_with_history(advisor, network, graph, current, policy, seed, history)
+    try_redeploy(advisor, network, graph, current, policy, seed)
         .expect("measurement produced an invalid cost matrix")
 }
 
-/// [`redeploy_with_history`], reporting corrupt measurement data as an
-/// error instead of aborting — the redeployment counterpart of
-/// [`Advisor::try_run_on_network`].
-pub fn try_redeploy_with_history(
+/// [`redeploy`], reporting corrupt measurement data as an error instead
+/// of aborting — the redeployment counterpart of
+/// [`Advisor::try_run_on_network`]. The search always warm-starts from the
+/// incumbent plan and never returns a worse one.
+pub fn try_redeploy(
     advisor: &Advisor,
     network: &Network,
     graph: &CommGraph,
     current: &Deployment,
     policy: RedeployPolicy,
     seed: u64,
-    history: Option<&LinkHistory>,
 ) -> Result<RedeployDecision, crate::problem::CostError> {
     let objective = advisor.config().objective;
     let report = advisor.measure(network, seed);
-    let costs = match history {
-        Some(h) => h.try_blended_costs(&report.stats, advisor.config().metric)?,
-        None => advisor.config().metric.try_cost_matrix(&report.stats)?,
-    };
+    let costs = advisor.config().metric.try_cost_matrix(&report.stats)?;
     let hint = SolveHint::warm(current.clone());
     let mut outcome = advisor.search_with_costs(network, graph, costs, &hint);
     outcome.measurement_ms = report.elapsed_ms;
@@ -317,73 +190,6 @@ mod tests {
             6,
         );
         assert!(!decision.migrate);
-    }
-
-    #[test]
-    fn blended_costs_fall_back_to_history_for_unmeasured_links() {
-        let mut history = LinkHistory::new(3);
-        history.set(0, 1, 2.0, 10.0);
-        history.set(1, 0, 4.0, 10.0);
-        let mut fresh = PairwiseStats::new(3);
-        // Only (0,1) measured this round, and it disagrees with history.
-        for _ in 0..10 {
-            fresh.record(0, 1, 4.0);
-        }
-        let costs = history.blended_costs(&fresh, crate::metrics::LatencyMetric::Mean);
-        // (0,1): equal-weight blend of fresh 4.0 and history 2.0.
-        assert!((costs.get(0, 1) - 3.0).abs() < 1e-12);
-        // (1,0): unmeasured this round -> history.
-        assert_eq!(costs.get(1, 0), 4.0);
-        // (0,2): no information at all -> 0 (as fresh-only would be).
-        assert_eq!(costs.get(0, 2), 0.0);
-        assert_eq!(history.covered_links(), 2);
-    }
-
-    #[test]
-    fn history_makes_cheap_rounds_viable() {
-        // A budget-limited fresh round misses many links; with history all
-        // links keep usable estimates and the decision never degrades the
-        // plan.
-        let (net, graph, advisor) = setup();
-        let first = advisor.run_on_network(&net, &graph, 1);
-
-        // Build full-coverage history from the ground truth of the first
-        // round's network (what an online store would have accumulated).
-        let mut history = LinkHistory::new(net.len());
-        for i in 0..net.len() {
-            for j in 0..net.len() {
-                if i != j {
-                    let m = net.mean_rtt(
-                        cloudia_netsim::InstanceId::from_index(i),
-                        cloudia_netsim::InstanceId::from_index(j),
-                    );
-                    history.set(i, j, m, 20.0);
-                }
-            }
-        }
-
-        let mut rng = StdRng::seed_from_u64(13);
-        let drifted = net.drifted(24.0, &mut rng);
-        // A deliberately tiny fresh round: one sweep, 1 probe per pair,
-        // hard duration cap.
-        let mut cheap = advisor.config().clone();
-        cheap.measurement.ks = 1;
-        cheap.measurement.sweeps = 1;
-        cheap.measurement.config.max_duration_ms = Some(5.0);
-        let cheap_advisor = Advisor::new(cheap);
-        let decision = redeploy_with_history(
-            &cheap_advisor,
-            &drifted,
-            &graph,
-            &first.deployment,
-            RedeployPolicy::default(),
-            7,
-            Some(&history),
-        );
-        let problem = graph.problem(drifted.mean_matrix());
-        let chosen_cost =
-            problem.cost(advisor.config().objective, decision.plan(&first.deployment));
-        assert!(chosen_cost <= decision.keep_cost + 1e-9);
     }
 
     #[test]

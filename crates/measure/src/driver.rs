@@ -18,7 +18,8 @@
 //! drop that pair's remaining probes while the sweep is still in flight
 //! via [`SweepDriver::retain_pairs`]. The [`PruneRule`] trait packages
 //! that decision, and [`run_pruned`] is the standard loop: evaluate the
-//! rule between stages, drop what it condemns, keep stepping. Rules must
+//! rule between stages, drop what it condemns, keep stepping
+//! ([`run_anytime`] adds a [`StopRule`] to the same loop). Rules must
 //! never condemn incumbent/pinned/deployed pairs — the concrete rule in
 //! `cloudia-solver` (`CandidatePruneRule`) enforces this with an explicit
 //! protected set.
@@ -122,41 +123,9 @@ pub fn run_pruned<S: Scheme + ?Sized>(
     stats: PairwiseStats,
     rule: &dyn PruneRule,
 ) -> PrunedReport {
-    let mut driver = scheme.driver(net, cfg, stats);
-    let mut dropped: HashSet<(u32, u32)> = HashSet::new();
-    let mut saved_round_trips = 0u64;
-    loop {
-        // Between stages (and before the first one, when accumulated
-        // history is available), let the rule inspect the partial
-        // statistics.
-        if driver.stats().total_samples() > 0 {
-            let remaining = driver.remaining_pairs();
-            if !remaining.is_empty() {
-                let condemned = rule.prune(driver.stats(), &remaining);
-                if !condemned.is_empty() {
-                    let drop: HashSet<(u32, u32)> =
-                        condemned.into_iter().map(|(a, b)| norm_pair(a, b)).collect();
-                    let saved = driver.retain_pairs(&mut |a, b| !drop.contains(&norm_pair(a, b)));
-                    saved_round_trips += saved;
-                    let before = dropped.len();
-                    dropped.extend(
-                        remaining
-                            .iter()
-                            .map(|&(a, b)| norm_pair(a, b))
-                            .filter(|key| drop.contains(key)),
-                    );
-                    cloudia_obs::counters(&[
-                        ("sweep.prune.dropped_pairs", (dropped.len() - before) as u64),
-                        ("sweep.prune.saved_round_trips", saved),
-                    ]);
-                }
-            }
-        }
-        if !driver.step() {
-            break;
-        }
-    }
-    PrunedReport { report: driver.finish(), dropped_pairs: dropped.len(), saved_round_trips }
+    let AnytimeReport { report, dropped_pairs, saved_round_trips, .. } =
+        run_with_rules(scheme, net, cfg, stats, Some(rule), None);
+    PrunedReport { report, dropped_pairs, saved_round_trips }
 }
 
 /// An anytime stopping policy, evaluated between stages by
@@ -177,8 +146,9 @@ pub trait StopRule {
     /// rule's confidence level.
     fn stable(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> bool;
 
-    /// Pairs that must keep probing even after stability fires (e.g.
-    /// deployed links that feed change detectors). Default: none.
+    /// Whether the unordered pair `{a, b}` must keep probing even after
+    /// stability fires (e.g. deployed links that feed change detectors).
+    /// Default: none.
     fn must_keep(&self, a: u32, b: u32) -> bool {
         let _ = (a, b);
         false
@@ -215,52 +185,76 @@ pub fn run_anytime<S: Scheme + ?Sized>(
     rule: &dyn PruneRule,
     stop: &dyn StopRule,
 ) -> AnytimeReport {
+    run_with_rules(scheme, net, cfg, stats, Some(rule), Some(stop))
+}
+
+/// The one between-stage loop behind [`run_pruned`] and [`run_anytime`]
+/// (and, with neither rule, [`Scheme::run_onto`] — the driver is stepped
+/// to completion and the schedule is never inspected). Before every stage
+/// with samples on record, `stop` is consulted first — once it fires, all
+/// remaining pairs except its [`StopRule::must_keep`] ones are dropped and
+/// no rule is evaluated again — and otherwise `rule`'s condemned pairs are
+/// dropped. Callers holding the rules as options (the online stream's
+/// epoch entry) call this directly.
+pub fn run_with_rules<S: Scheme + ?Sized>(
+    scheme: &S,
+    net: &Network,
+    cfg: &MeasureConfig,
+    stats: PairwiseStats,
+    rule: Option<&dyn PruneRule>,
+    stop: Option<&dyn StopRule>,
+) -> AnytimeReport {
     let mut driver = scheme.driver(net, cfg, stats);
     let mut dropped: HashSet<(u32, u32)> = HashSet::new();
     let mut saved_round_trips = 0u64;
     let mut stopped_early = false;
+    let ruled = rule.is_some() || stop.is_some();
     loop {
-        if !stopped_early && driver.stats().total_samples() > 0 {
-            let remaining = driver.remaining_pairs();
-            if !remaining.is_empty() {
-                if stop.stable(driver.stats(), &remaining) {
-                    // Stability: every verdict is settled. Drop all
-                    // non-essential probing and run out the skeleton.
-                    stopped_early = true;
-                    let saved = driver.retain_pairs(&mut |a, b| stop.must_keep(a, b));
-                    saved_round_trips += saved;
-                    let before = dropped.len();
-                    dropped.extend(
-                        remaining
-                            .iter()
-                            .map(|&(a, b)| norm_pair(a, b))
-                            .filter(|&(a, b)| !stop.must_keep(a, b)),
-                    );
+        let remaining = if ruled && !stopped_early && driver.stats().total_samples() > 0 {
+            driver.remaining_pairs()
+        } else {
+            Vec::new()
+        };
+        if !remaining.is_empty() {
+            stopped_early = stop.is_some_and(|stop| stop.stable(driver.stats(), &remaining));
+            // The (normalized) remaining pairs whose future probes go.
+            let condemned: HashSet<(u32, u32)> = match (stop, rule) {
+                // Stability: every verdict is settled. Drop all
+                // non-essential probing and run out the skeleton.
+                (Some(stop), _) if stopped_early => remaining
+                    .iter()
+                    .map(|&(a, b)| norm_pair(a, b))
+                    .filter(|&(a, b)| !stop.must_keep(a, b))
+                    .collect(),
+                (_, Some(rule)) => rule
+                    .prune(driver.stats(), &remaining)
+                    .into_iter()
+                    .map(|(a, b)| norm_pair(a, b))
+                    .collect(),
+                (_, None) => HashSet::new(),
+            };
+            if stopped_early || !condemned.is_empty() {
+                let saved = driver.retain_pairs(&mut |a, b| !condemned.contains(&norm_pair(a, b)));
+                saved_round_trips += saved;
+                let before = dropped.len();
+                dropped.extend(
+                    remaining
+                        .iter()
+                        .map(|&(a, b)| norm_pair(a, b))
+                        .filter(|key| condemned.contains(key)),
+                );
+                let newly_dropped = (dropped.len() - before) as u64;
+                if stopped_early {
                     cloudia_obs::counters(&[
                         ("sweep.anytime.stopped_early", 1),
-                        ("sweep.anytime.dropped_pairs", (dropped.len() - before) as u64),
+                        ("sweep.anytime.dropped_pairs", newly_dropped),
                         ("sweep.anytime.saved_round_trips", saved),
                     ]);
                 } else {
-                    let condemned = rule.prune(driver.stats(), &remaining);
-                    if !condemned.is_empty() {
-                        let drop: HashSet<(u32, u32)> =
-                            condemned.into_iter().map(|(a, b)| norm_pair(a, b)).collect();
-                        let saved =
-                            driver.retain_pairs(&mut |a, b| !drop.contains(&norm_pair(a, b)));
-                        saved_round_trips += saved;
-                        let before = dropped.len();
-                        dropped.extend(
-                            remaining
-                                .iter()
-                                .map(|&(a, b)| norm_pair(a, b))
-                                .filter(|key| drop.contains(key)),
-                        );
-                        cloudia_obs::counters(&[
-                            ("sweep.prune.dropped_pairs", (dropped.len() - before) as u64),
-                            ("sweep.prune.saved_round_trips", saved),
-                        ]);
-                    }
+                    cloudia_obs::counters(&[
+                        ("sweep.prune.dropped_pairs", newly_dropped),
+                        ("sweep.prune.saved_round_trips", saved),
+                    ]);
                 }
             }
         }

@@ -60,7 +60,8 @@ pub mod uncoordinated;
 
 pub use ci::{t_critical, LinkCi};
 pub use driver::{
-    run_anytime, run_pruned, AnytimeReport, PruneRule, PrunedReport, StopRule, SweepDriver,
+    run_anytime, run_pruned, run_with_rules, AnytimeReport, PruneRule, PrunedReport, StopRule,
+    SweepDriver,
 };
 pub use focused::{FocusedScheme, ProbePlan};
 pub use pool::{PoolStats, SweepPool};

@@ -13,13 +13,12 @@
 //! log, and the ground-truth cost of the active plan is tracked as a cost
 //! curve.
 
-use cloudia_core::{CommGraph, CostMatrix, Deployment, Objective, RedeployPolicy};
-use cloudia_measure::{FocusedScheme, ProbePlan, PruneRule, Scheme};
+use cloudia_core::{CommGraph, CostMatrix, Deployment, NodeDeployment, Objective, RedeployPolicy};
+use cloudia_measure::{FocusedScheme, ProbePlan, PruneRule, Scheme, StopRule};
 use cloudia_netsim::Network;
 use cloudia_obs::{RingLog, RunRecorder};
 use cloudia_solver::{
-    AdaptivePool, CandidateConfig, CandidatePruneRule, CandidateSet, CiPruneRule, CiStopRule,
-    PoolPolicy,
+    AdaptivePool, CandidateConfig, CandidatePruneRule, CandidateSet, CiStopRule, PoolPolicy,
 };
 
 use crate::detect::{DetectorConfig, Drift};
@@ -114,8 +113,10 @@ pub struct OnlineAdvisorConfig {
     /// [`OnlineAdvisor::step_stream`]/[`OnlineAdvisor::run`] execute
     /// stage by stage on the streaming driver
     /// ([`cloudia_measure::SweepDriver`]), and between stages a
-    /// [`CandidatePruneRule`] drops pairs whose measured quantiles
-    /// already prove both endpoints outside every node's candidate pool.
+    /// [`CandidatePruneRule`] drops pairs with an endpoint the partial
+    /// statistics already place outside every node's candidate pool — by
+    /// point quantiles, or by interval separation when `confidence` is
+    /// set.
     /// Deployed links, detector-flagged links, and links owed a
     /// staleness refresh are never pruned; under-measured instances
     /// cannot be proven out. Works under both probe policies, and
@@ -168,10 +169,11 @@ pub struct OnlineAdvisorConfig {
     /// (`None` disables it — the default, preserving the point-estimate
     /// loop bit for bit). When set, three decision sites start consuming
     /// confidence intervals instead of point estimates:
-    /// mid-sweep pruning swaps the quantile-threshold
-    /// [`CandidatePruneRule`] for a [`cloudia_solver::CiPruneRule`] that
-    /// condemns a pair only when its CI *lower* bound sits provably
-    /// outside every candidate pool; detector alarms must clear the
+    /// the mid-sweep [`CandidatePruneRule`] runs at this confidence
+    /// ([`CandidatePruneRule::with_confidence`], indifference margin
+    /// `1 − confidence`) and condemns a pair only when an endpoint's CI
+    /// *lower*-bound score sits provably outside every candidate pool;
+    /// detector alarms must clear the
     /// link's CI half-width ([`OnlineStore::mean_half_width`]) before
     /// they count as degradations/opportunities (unseparated alarms are
     /// still logged and still focus probes — they just cannot trigger
@@ -182,8 +184,8 @@ pub struct OnlineAdvisorConfig {
     /// Anytime sweeps (requires `confidence` and `prune_during_sweep`):
     /// epoch sweeps stop a stage early once every remaining prune/pool
     /// decision is CI-stable — each instance provably in or provably out
-    /// of every pool at the configured confidence (see
-    /// [`cloudia_solver::CiStopRule`] and
+    /// of every pool at the configured confidence (a [`CiStopRule`]
+    /// around the epoch's [`CandidatePruneRule`]; see
     /// [`cloudia_measure::run_anytime`]). Rounds saved land in the same
     /// `saved_round_trips` ledger pruning uses. Off by default.
     pub anytime: bool,
@@ -411,6 +413,37 @@ impl<S: MeasurementStream> SpotProber for StreamProber<'_, S> {
     fn loss(&mut self, src: u32, dst: u32) -> Option<(u64, u64)> {
         self.stream.spot_check_loss(src, dst, self.probes)
     }
+}
+
+/// What the triage phase concluded from one epoch's alarms.
+#[derive(Debug, Clone, Copy, Default)]
+struct Alarms {
+    /// A confirmed, CI-separated upward shift on a deployed link.
+    degradation: bool,
+    /// A CI-separated downward shift on an unused link.
+    opportunity: bool,
+}
+
+/// Why the repair phase runs.
+#[derive(Debug)]
+enum Trigger {
+    /// Free and re-place the nodes on these presumed-dark instances.
+    Evacuate(Vec<u32>),
+    /// A degradation or opportunity alarm past the cooldown.
+    Alarm,
+}
+
+/// What the repair phase did.
+#[derive(Debug, Default)]
+struct Repaired {
+    /// A re-solve ran (alarm-triggered or evacuation).
+    triggered: bool,
+    /// The re-solve was an evacuation.
+    evacuated: bool,
+    /// Nodes migrated (0 when nothing ran or the repair was declined).
+    moved: usize,
+    /// The re-solve found no improving move inside the candidate pool.
+    unanswered: bool,
 }
 
 /// The continuous deployment advisor.
@@ -692,12 +725,24 @@ impl OnlineAdvisor {
             .map(|plan| FocusedScheme::new(plan, self.config.probe_ks, self.config.probe_sweeps))
     }
 
+    /// The instance links the active plan occupies, one `(src, dst)` per
+    /// communication edge.
+    fn deployed_links(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.graph
+            .edges()
+            .iter()
+            .map(|&(a, b)| (self.deployment[a as usize], self.deployment[b as usize]))
+    }
+
     /// The prune rule the next [`OnlineAdvisor::step_stream`] epoch will
     /// evaluate between measurement stages, or `None` when
-    /// `prune_during_sweep` is off. The rule condemns pairs proven
-    /// outside every node's candidate pool by the partial quantiles, and
-    /// protects the deployed links, everything the detectors just
-    /// flagged, and every pair owed a staleness refresh.
+    /// `prune_during_sweep` is off. The rule condemns pairs with an
+    /// endpoint outside every node's candidate pool — on the partial
+    /// quantiles, or, with a `confidence` level configured, only on CI
+    /// separation at that level (a one-sample or dark link has an
+    /// unbounded interval and can never be condemned) — and protects the
+    /// deployed links, everything the detectors just flagged, and every
+    /// pair owed a staleness refresh.
     pub fn sweep_prune_rule(&self) -> Option<CandidatePruneRule> {
         if !self.config.prune_during_sweep {
             return None;
@@ -707,10 +752,17 @@ impl OnlineAdvisor {
             .unwrap_or_else(|| CandidateConfig::fixed(2 * self.graph.num_nodes()));
         let mut rule = CandidatePruneRule::new(self.graph.num_nodes(), pool_config)
             .with_incumbent(&self.deployment);
+        if let Some(confidence) = self.config.confidence {
+            // The indifference margin mirrors the anytime error bound: an
+            // ε-tie at the pool boundary costs at most what the contract
+            // already concedes, so it may be settled rather than probed
+            // forever.
+            rule = rule.with_confidence(confidence).with_tolerance(1.0 - confidence);
+        }
         // Deployed links are candidates by force-inclusion already, but
         // the never-pruned guarantee should not hinge on that.
-        for &(a, b) in self.graph.edges() {
-            rule.protect_pair(self.deployment[a as usize], self.deployment[b as usize]);
+        for (a, b) in self.deployed_links() {
+            rule.protect_pair(a, b);
         }
         for &(src, dst) in &self.recent_flags {
             rule.protect_pair(src, dst);
@@ -725,43 +777,11 @@ impl OnlineAdvisor {
         Some(rule)
     }
 
-    /// The CI-backed prune rule for the next epoch, or `None` unless
-    /// both `prune_during_sweep` and `confidence` are set. Same
-    /// protections as [`OnlineAdvisor::sweep_prune_rule`] (deployed
-    /// links, fresh detector flags, staleness refreshes), but condemns
-    /// only pairs whose CI *upper/lower bounds* — not point quantiles —
-    /// prove both endpoints outside every candidate pool. A one-sample
-    /// or dark link has an unbounded interval and can never be
-    /// condemned.
-    pub fn sweep_ci_prune_rule(&self) -> Option<CiPruneRule> {
-        if !self.config.prune_during_sweep {
-            return None;
-        }
-        let confidence = self.config.confidence?;
-        let pool_config = self
-            .effective_candidates()
-            .unwrap_or_else(|| CandidateConfig::fixed(2 * self.graph.num_nodes()));
-        // The indifference margin mirrors the anytime error bound: an
-        // ε-tie at the pool boundary costs at most what the contract
-        // already concedes, so it may be settled rather than probed
-        // forever.
-        let mut rule = CiPruneRule::new(self.graph.num_nodes(), pool_config, confidence)
-            .with_tolerance(1.0 - confidence)
-            .with_incumbent(&self.deployment);
-        for &(a, b) in self.graph.edges() {
-            rule.protect_pair(self.deployment[a as usize], self.deployment[b as usize]);
-        }
-        for &(src, dst) in &self.recent_flags {
-            rule.protect_pair(src, dst);
-        }
-        let horizon = match self.config.probe_policy {
-            ProbePolicy::Focused { refresh_every, .. } => refresh_every,
-            ProbePolicy::Uniform => self.config.prune_refresh_every.max(1),
-        };
-        for (a, b) in self.store.stale_pairs(self.planning_epoch, horizon) {
-            rule.protect_pair(a, b);
-        }
-        Some(rule)
+    /// [`OnlineAdvisor::sweep_prune_rule`] when it demands CI evidence —
+    /// `None` unless both `prune_during_sweep` and `confidence` are set.
+    pub fn sweep_ci_prune_rule(&self) -> Option<CandidatePruneRule> {
+        self.config.confidence?;
+        self.sweep_prune_rule()
     }
 
     /// The anytime stop rule for the next epoch, or `None` unless
@@ -780,13 +800,7 @@ impl OnlineAdvisor {
             return None;
         }
         let rule = self.sweep_ci_prune_rule()?;
-        let mut keep: Vec<(u32, u32)> = self
-            .graph
-            .edges()
-            .iter()
-            .map(|&(a, b)| (self.deployment[a as usize], self.deployment[b as usize]))
-            .collect();
-        keep.extend(self.recent_flags.iter().copied());
+        let keep = self.deployed_links().chain(self.recent_flags.iter().copied());
         Some(CiStopRule::new(rule).with_must_keep(keep))
     }
 
@@ -956,305 +970,318 @@ impl OnlineAdvisor {
         self.step_core(m, net.effective_mean_matrix(self.config.timeout_ms), None)
     }
 
-    /// The control loop proper: `truth_costs` is the ground-truth cost
+    /// The control loop proper, as its phase sequence: ingest → triage →
+    /// decide → repair → account. `truth_costs` is the ground-truth cost
     /// matrix (cost curve and event log only), `spot` the optional
     /// single-link confirmation prober (RTT and loss trials).
     fn step_core(
         &mut self,
         m: &EpochMeasurement,
         truth_costs: CostMatrix,
-        mut spot: Option<&mut dyn SpotProber>,
+        spot: Option<&mut dyn SpotProber>,
     ) -> EpochSummary {
         let epoch = m.epoch;
         let mut span = cloudia_obs::span!("online.step", epoch = epoch);
-        self.probe_round_trips += m.round_trips;
-        self.planning_epoch = epoch + 1;
-        self.last_saved_round_trips = m.saved_round_trips;
-        self.saved_round_trips_total += m.saved_round_trips;
-        if m.pruned_pairs > 0 || m.saved_round_trips > 0 {
-            self.push_event(OnlineEvent::SweepPruned {
-                epoch,
-                dropped_pairs: m.pruned_pairs,
-                saved_round_trips: m.saved_round_trips,
-            });
-        }
-        let changes = self.store.observe_epoch(m);
-
-        // Which directed instance links does the active plan occupy?
-        let deployed: std::collections::HashSet<(u32, u32)> = self
-            .graph
-            .edges()
-            .iter()
-            .map(|&(a, b)| (self.deployment[a as usize], self.deployment[b as usize]))
-            .collect();
-
-        let mut degradation = false;
-        let mut opportunity = false;
-        for c in &changes {
-            let on_deployed = deployed.contains(&(c.src, c.dst));
-            if c.dark {
-                if !self.config.loss_aware {
-                    // Loss-blind baseline: the pre-loss loop had no
-                    // darkness concept — log the change and move on.
-                    self.push_event(OnlineEvent::Change {
-                        epoch,
-                        change: *c,
-                        on_deployed_link: on_deployed,
-                    });
-                    continue;
-                }
-                // Darkness triage: the link swallowed every probe, so the
-                // latency economics below do not apply — confirm the
-                // blackout with fresh loss trials (a transient may have
-                // lifted already) and leave the repair decision to the
-                // dark-instance evacuation pass after this loop. A
-                // refuted alarm clears the store's flag, re-arming the
-                // triage for the next sampleless epoch.
-                let confirmed = match spot.as_deref_mut() {
-                    Some(probe) if self.config.spot_check_probes > 0 => {
-                        match probe.loss(c.src, c.dst) {
-                            Some((successes, attempts)) => {
-                                self.probe_round_trips += attempts;
-                                successes * 2 <= attempts
-                            }
-                            // The stream cannot probe single links: trust
-                            // the store's triage.
-                            None => true,
-                        }
-                    }
-                    _ => true,
-                };
-                if !confirmed {
-                    self.store.clear_dark(c.src as usize, c.dst as usize);
-                }
-                self.push_event(OnlineEvent::LinkDark {
-                    epoch,
-                    src: c.src,
-                    dst: c.dst,
-                    loss_rate: c.loss_rate,
-                    confirmed,
-                });
-                self.push_event(OnlineEvent::Change {
-                    epoch,
-                    change: *c,
-                    on_deployed_link: on_deployed,
-                });
-                continue;
-            }
-            // CI gating: with a confidence level set, an alarm whose
-            // shift sits inside the link's own interval is
-            // indistinguishable from sampling noise — log it (and let it
-            // focus next epoch's probes via `recent_flags`), but do not
-            // let it reach the redeployment economics. More data either
-            // separates the shift (a later alarm fires gated-through) or
-            // the EWMA absorbs it.
-            let separated = self.config.confidence.is_none_or(|conf| {
-                (c.mean - c.baseline).abs()
-                    > self.store.mean_half_width(c.src as usize, c.dst as usize, conf)
-            });
-            match c.drift {
-                Drift::Up if on_deployed && separated => {
-                    // Spot-check path: confirm the suspicious link with a
-                    // handful of fresh probes before letting it trigger a
-                    // repair. The shift is confirmed when the fresh mean
-                    // still sits at least halfway from the pre-alarm
-                    // baseline to the alarm level. Once one alarm has
-                    // confirmed, the epoch's trigger verdict is settled —
-                    // further alarms skip the probes instead of spending
-                    // budget on a question already answered.
-                    let confirmed = match spot.as_deref_mut() {
-                        Some(probe) if self.config.spot_check_probes > 0 && !degradation => {
-                            match probe.latency(c.src, c.dst) {
-                                Some(mean) => {
-                                    self.probe_round_trips += self.config.spot_check_probes as u64;
-                                    let confirmed = mean >= 0.5 * (c.baseline + c.mean);
-                                    self.push_event(OnlineEvent::SpotCheck {
-                                        epoch,
-                                        src: c.src,
-                                        dst: c.dst,
-                                        mean,
-                                        confirmed,
-                                    });
-                                    confirmed
-                                }
-                                // The stream cannot probe single links:
-                                // fall back to trusting the detector.
-                                None => true,
-                            }
-                        }
-                        _ => true,
-                    };
-                    if confirmed {
-                        degradation = true;
-                    }
-                }
-                Drift::Down if !on_deployed && separated => opportunity = true,
-                _ => {}
-            }
-            self.push_event(OnlineEvent::Change {
-                epoch,
-                change: *c,
-                on_deployed_link: on_deployed,
-            });
-        }
-        // Everything flagged this step must be probed next epoch.
-        self.recent_flags = changes.iter().map(|c| (c.src, c.dst)).collect();
+        let changes = self.ingest(m);
+        let alarms = self.triage(epoch, &changes, spot);
         let probe_escalated = matches!(
             self.config.probe_policy,
             ProbePolicy::Focused { max_flagged, .. } if changes.len() > max_flagged
         );
 
-        let cooled =
-            self.last_resolve.is_none_or(|last| epoch >= last + self.config.cooldown_epochs.max(1));
-
         let problem = self.graph.problem(self.search_costs());
         // One ground-truth problem per epoch (one flat-arena build),
         // shared by the migration event and the epoch accounting below.
         let truth_problem = self.graph.problem(truth_costs);
-        let mut moved = 0usize;
-        let mut repair_unanswered = false;
+        let trigger = self.decide(epoch, alarms);
+        let repaired = self.repair(epoch, trigger, &problem, &truth_problem);
+        let summary = self.account(m, probe_escalated, &repaired, &problem, &truth_problem);
 
-        // Dark-instance evacuation: when the triage localizes a fault to
-        // an instance the plan occupies, free exactly its nodes and
-        // re-place them — no cooldown, no gain threshold. Darkness is an
-        // availability event: waiting an epoch or demanding a margin over
-        // a plan whose links already price at ~99 timeouts would be
-        // pretending the economics still apply. The ordinary latency
-        // repair is skipped this epoch (its trigger verdicts were formed
-        // on the same, now-evacuated plan).
-        let dark_instances =
-            if self.config.loss_aware { self.dark_instances() } else { Vec::new() };
-        let evacuating = !dark_instances.is_empty()
-            && self.deployment.iter().any(|j| dark_instances.contains(j));
-        if evacuating {
-            self.last_resolve = Some(epoch);
-            let repair_config = RepairConfig {
-                migration_budget: self.config.migration_budget,
-                solve_seconds: self.config.solve_seconds,
-                threads: self.config.threads,
-                seed: self.config.seed ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                candidates: self.effective_candidates(),
-            };
-            let repair = evacuate_resolve(
-                &problem,
-                self.config.objective,
-                &self.deployment,
-                &dark_instances,
-                &repair_config,
-            );
-            cloudia_obs::observe("online.resolve_seconds", repair.solve_seconds);
-            let accepted = repair.moved > 0;
-            repair_unanswered = repair.moved == 0;
-            self.push_event(OnlineEvent::Resolve {
-                epoch,
-                freed: repair.freed.clone(),
-                moved: repair.moved,
-                est_gain: repair.incumbent_cost - repair.cost,
-                solve_seconds: repair.solve_seconds,
-                accepted,
-            });
-            if accepted {
-                let before = truth_problem.cost(self.config.objective, &self.deployment);
-                let after = truth_problem.cost(self.config.objective, &repair.deployment);
-                self.deployment = repair.deployment;
-                moved = repair.moved;
-                self.moved_total += moved as u64;
-                self.migration_cost_paid +=
-                    self.config.policy.migration_cost_per_node * moved as f64;
-                self.push_event(OnlineEvent::Migrate {
-                    epoch,
-                    moved,
-                    true_cost_before: before,
-                    true_cost_after: after,
-                });
-            }
-            self.push_event(OnlineEvent::Evacuate { epoch, instances: dark_instances, moved });
+        // Control-loop telemetry at epoch grain: one span plus a handful
+        // of counter bumps per step, nothing in the per-link loops.
+        if cloudia_obs::enabled() {
+            cloudia_obs::counter("online.steps", 1);
+            cloudia_obs::counter("online.detector_fires", changes.len() as u64);
+            cloudia_obs::counter("online.resolves", u64::from(summary.triggered));
+            cloudia_obs::counter("online.migrations", u64::from(summary.moved > 0));
+            cloudia_obs::counter("online.evacuations", u64::from(repaired.evacuated));
+            cloudia_obs::counter("online.nodes_moved", summary.moved as u64);
+            span.attr("fires", changes.len());
+            span.attr("triggered", u64::from(summary.triggered));
+            span.attr("moved", summary.moved);
+            span.attr("true_cost", summary.true_cost);
         }
-
-        let triggered = (degradation || opportunity) && cooled && !evacuating;
-        if triggered {
-            self.last_resolve = Some(epoch);
-            if self.config.record_triggers {
-                self.triggers.push(TriggerInstance {
-                    epoch,
-                    costs: problem.costs.clone(),
-                    incumbent: self.deployment.clone(),
-                });
-            }
-            let repair_config = RepairConfig {
-                migration_budget: self.config.migration_budget,
-                solve_seconds: self.config.solve_seconds,
-                threads: self.config.threads,
-                seed: self.config.seed ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                candidates: self.effective_candidates(),
-            };
-            let repair = incremental_resolve(
-                &problem,
-                self.config.objective,
-                &self.deployment,
-                &repair_config,
-            );
-            cloudia_obs::observe("online.resolve_seconds", repair.solve_seconds);
-            let est_gain = repair.incumbent_cost - repair.cost;
-            let amortized = self.config.policy.migration_cost_per_node * repair.moved as f64;
-            // With a confidence level set, the estimated gain must also
-            // clear the widest deployed-link CI half-width: a migration
-            // is never bought with a gain the measurement error on the
-            // links being abandoned could explain. 0 when disabled.
-            let margin = self.deployed_ci_margin();
-            let accepted = repair.moved > 0
-                && est_gain
-                    >= self.config.policy.min_gain * repair.incumbent_cost.max(f64::MIN_POSITIVE)
-                        + margin
-                && est_gain > amortized;
-            // A trigger the pool-restricted repair could not answer with
-            // any improving move: either the incumbent is genuinely
-            // locally optimal (pool fine) or every better destination sits
-            // outside the pool (pool too tight) — the adaptive controller
-            // reads a persistent pattern of these as "grow". Repairs that
-            // found a gain but were declined by the migration economics
-            // are answered triggers: the pool did its job.
-            repair_unanswered = repair.moved == 0;
-            self.push_event(OnlineEvent::Resolve {
-                epoch,
-                freed: repair.freed.clone(),
-                moved: repair.moved,
-                est_gain,
-                solve_seconds: repair.solve_seconds,
-                accepted,
-            });
-            if accepted {
-                let before = truth_problem.cost(self.config.objective, &self.deployment);
-                let after = truth_problem.cost(self.config.objective, &repair.deployment);
-                self.deployment = repair.deployment;
-                moved = repair.moved;
-                self.moved_total += moved as u64;
-                self.migration_cost_paid += amortized;
-                self.push_event(OnlineEvent::Migrate {
-                    epoch,
-                    moved,
-                    true_cost_before: before,
-                    true_cost_after: after,
-                });
-            }
+        drop(span);
+        if let Some(rec) = &mut self.recorder {
+            rec.record("epoch", trace::epoch_summary_to_json(&summary));
         }
+        summary
+    }
 
-        // Adaptive pool bookkeeping: an epoch counts as an escalation when
-        // the probe plan had to fall back to a full sweep (the detectors
-        // fired too broadly for the pool to contain the shift) or a
-        // triggered repair went unanswered inside the pool; quiet and
-        // profitably-repaired epochs are evidence the pool suffices.
+    /// Ingest: charge the epoch's probe budget, log the pruning ledger,
+    /// and fold the deltas into the store. Returns the links whose
+    /// detectors or dark triage fired.
+    fn ingest(&mut self, m: &EpochMeasurement) -> Vec<LinkChange> {
+        self.probe_round_trips += m.round_trips;
+        self.planning_epoch = m.epoch + 1;
+        self.last_saved_round_trips = m.saved_round_trips;
+        self.saved_round_trips_total += m.saved_round_trips;
+        if m.pruned_pairs > 0 || m.saved_round_trips > 0 {
+            self.push_event(OnlineEvent::SweepPruned {
+                epoch: m.epoch,
+                dropped_pairs: m.pruned_pairs,
+                saved_round_trips: m.saved_round_trips,
+            });
+        }
+        self.store.observe_epoch(m)
+    }
+
+    /// Triage: sort the epoch's alarms into darkness (confirmed with
+    /// fresh loss trials; the repair decision is left to the
+    /// dark-instance evacuation in [`Self::decide`]), degradations on
+    /// deployed links (spot-checked before they may trigger) and
+    /// opportunities on unused ones, log every one of them, and make
+    /// them next epoch's must-probe set.
+    fn triage(
+        &mut self,
+        epoch: u64,
+        changes: &[LinkChange],
+        mut spot: Option<&mut dyn SpotProber>,
+    ) -> Alarms {
+        let deployed: std::collections::HashSet<(u32, u32)> = self.deployed_links().collect();
+        let mut alarms = Alarms::default();
+        for c in changes {
+            let on_deployed_link = deployed.contains(&(c.src, c.dst));
+            if c.dark {
+                // Darkness triage: the link swallowed every probe, so the
+                // latency economics below do not apply. A refuted alarm
+                // clears the store's flag, re-arming the triage for the
+                // next sampleless epoch. The loss-blind baseline has no
+                // darkness concept — it logs the change and moves on.
+                if self.config.loss_aware {
+                    let confirmed = self.confirm(epoch, c, spot.as_deref_mut());
+                    if !confirmed {
+                        self.store.clear_dark(c.src as usize, c.dst as usize);
+                    }
+                    self.push_event(OnlineEvent::LinkDark {
+                        epoch,
+                        src: c.src,
+                        dst: c.dst,
+                        loss_rate: c.loss_rate,
+                        confirmed,
+                    });
+                }
+            } else {
+                // CI gating: with a confidence level set, an alarm whose
+                // shift sits inside the link's own interval is
+                // indistinguishable from sampling noise — log it (and let
+                // it focus next epoch's probes via `recent_flags`), but
+                // do not let it reach the redeployment economics. More
+                // data either separates the shift (a later alarm fires
+                // gated-through) or the EWMA absorbs it.
+                let separated = self.config.confidence.is_none_or(|conf| {
+                    (c.mean - c.baseline).abs()
+                        > self.store.mean_half_width(c.src as usize, c.dst as usize, conf)
+                });
+                match c.drift {
+                    // Once one alarm has confirmed, the epoch's trigger
+                    // verdict is settled — further alarms skip the spot
+                    // probes instead of spending budget on a question
+                    // already answered.
+                    Drift::Up if on_deployed_link && separated => {
+                        alarms.degradation =
+                            alarms.degradation || self.confirm(epoch, c, spot.as_deref_mut());
+                    }
+                    Drift::Down if !on_deployed_link && separated => alarms.opportunity = true,
+                    _ => {}
+                }
+            }
+            self.push_event(OnlineEvent::Change { epoch, change: *c, on_deployed_link });
+        }
+        // Everything flagged this step must be probed next epoch.
+        self.recent_flags = changes.iter().map(|c| (c.src, c.dst)).collect();
+        alarms
+    }
+
+    /// Spot-check confirmation of one alarm with a handful of fresh
+    /// single-link probes, charged to the probe budget: a darkness alarm
+    /// is re-attempted *now* (a transient may have lifted already) and
+    /// confirmed when at most half the trials get through; a degradation
+    /// alarm is confirmed (and logged as a [`OnlineEvent::SpotCheck`])
+    /// when the fresh mean still sits at least halfway from the
+    /// pre-alarm baseline to the alarm level. Without a prober, with
+    /// `spot_check_probes == 0`, or on a stream that cannot probe single
+    /// links, the detector/store verdict is trusted.
+    fn confirm(
+        &mut self,
+        epoch: u64,
+        c: &LinkChange,
+        spot: Option<&mut (dyn SpotProber + '_)>,
+    ) -> bool {
+        let Some(probe) = spot.filter(|_| self.config.spot_check_probes > 0) else {
+            return true;
+        };
+        if c.dark {
+            let Some((successes, attempts)) = probe.loss(c.src, c.dst) else {
+                return true;
+            };
+            self.probe_round_trips += attempts;
+            successes * 2 <= attempts
+        } else {
+            let Some(mean) = probe.latency(c.src, c.dst) else {
+                return true;
+            };
+            self.probe_round_trips += self.config.spot_check_probes as u64;
+            let confirmed = mean >= 0.5 * (c.baseline + c.mean);
+            self.push_event(OnlineEvent::SpotCheck {
+                epoch,
+                src: c.src,
+                dst: c.dst,
+                mean,
+                confirmed,
+            });
+            confirmed
+        }
+    }
+
+    /// Decide: which repair, if any, this epoch runs.
+    ///
+    /// Dark-instance evacuation comes first: when the triage localizes a
+    /// fault to an instance the plan occupies, exactly its nodes are
+    /// freed and re-placed — no cooldown, no gain threshold. Darkness is
+    /// an availability event: waiting an epoch or demanding a margin
+    /// over a plan whose links already price at ~99 timeouts would be
+    /// pretending the economics still apply. The ordinary latency repair
+    /// is skipped on such an epoch (its trigger verdicts were formed on
+    /// the same, now-evacuated plan); otherwise it runs when an alarm
+    /// triggered and the cooldown has passed.
+    fn decide(&self, epoch: u64, alarms: Alarms) -> Option<Trigger> {
+        let dark = if self.config.loss_aware { self.dark_instances() } else { Vec::new() };
+        if self.deployment.iter().any(|j| dark.contains(j)) {
+            return Some(Trigger::Evacuate(dark));
+        }
+        let cooled =
+            self.last_resolve.is_none_or(|last| epoch >= last + self.config.cooldown_epochs.max(1));
+        ((alarms.degradation || alarms.opportunity) && cooled).then_some(Trigger::Alarm)
+    }
+
+    /// Repair: run the triggered re-solve, log it, and migrate when it is
+    /// accepted — always for an evacuation that moved anything, on the
+    /// [`RedeployPolicy`] economics for an alarm-triggered repair.
+    fn repair(
+        &mut self,
+        epoch: u64,
+        trigger: Option<Trigger>,
+        problem: &NodeDeployment,
+        truth_problem: &NodeDeployment,
+    ) -> Repaired {
+        let Some(trigger) = trigger else {
+            return Repaired::default();
+        };
+        self.last_resolve = Some(epoch);
+        let repair_config = RepairConfig {
+            migration_budget: self.config.migration_budget,
+            solve_seconds: self.config.solve_seconds,
+            threads: self.config.threads,
+            seed: self.config.seed ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            candidates: self.effective_candidates(),
+        };
+        let objective = self.config.objective;
+        let repair = match &trigger {
+            Trigger::Evacuate(dark) => {
+                evacuate_resolve(problem, objective, &self.deployment, dark, &repair_config)
+            }
+            Trigger::Alarm => {
+                if self.config.record_triggers {
+                    self.triggers.push(TriggerInstance {
+                        epoch,
+                        costs: problem.costs.clone(),
+                        incumbent: self.deployment.clone(),
+                    });
+                }
+                incremental_resolve(problem, objective, &self.deployment, &repair_config)
+            }
+        };
+        cloudia_obs::observe("online.resolve_seconds", repair.solve_seconds);
+        let est_gain = repair.incumbent_cost - repair.cost;
+        let amortized = self.config.policy.migration_cost_per_node * repair.moved as f64;
+        let accepted = repair.moved > 0
+            && match trigger {
+                Trigger::Evacuate(_) => true,
+                // With a confidence level set, the estimated gain must
+                // also clear the widest deployed-link CI half-width: a
+                // migration is never bought with a gain the measurement
+                // error on the links being abandoned could explain. 0
+                // when disabled.
+                Trigger::Alarm => {
+                    est_gain
+                        >= self.config.policy.min_gain
+                            * repair.incumbent_cost.max(f64::MIN_POSITIVE)
+                            + self.deployed_ci_margin()
+                        && est_gain > amortized
+                }
+            };
+        self.push_event(OnlineEvent::Resolve {
+            epoch,
+            freed: repair.freed.clone(),
+            moved: repair.moved,
+            est_gain,
+            solve_seconds: repair.solve_seconds,
+            accepted,
+        });
+        let mut moved = 0;
+        if accepted {
+            let before = truth_problem.cost(objective, &self.deployment);
+            let after = truth_problem.cost(objective, &repair.deployment);
+            self.deployment = repair.deployment;
+            moved = repair.moved;
+            self.moved_total += moved as u64;
+            self.migration_cost_paid += amortized;
+            self.push_event(OnlineEvent::Migrate {
+                epoch,
+                moved,
+                true_cost_before: before,
+                true_cost_after: after,
+            });
+        }
+        let evacuated = matches!(trigger, Trigger::Evacuate(_));
+        if let Trigger::Evacuate(instances) = trigger {
+            self.push_event(OnlineEvent::Evacuate { epoch, instances, moved });
+        }
+        // A trigger the pool-restricted repair could not answer with any
+        // improving move: either the incumbent is genuinely locally
+        // optimal (pool fine) or every better destination sits outside
+        // the pool (pool too tight) — the adaptive controller reads a
+        // persistent pattern of these as "grow". Repairs that found a
+        // gain but were declined by the migration economics are answered
+        // triggers: the pool did its job.
+        Repaired { triggered: true, evacuated, moved, unanswered: repair.moved == 0 }
+    }
+
+    /// Account: feed the adaptive pool controller, then book the epoch
+    /// under the plan that is active *after* any migration this epoch.
+    fn account(
+        &mut self,
+        m: &EpochMeasurement,
+        probe_escalated: bool,
+        repaired: &Repaired,
+        problem: &NodeDeployment,
+        truth_problem: &NodeDeployment,
+    ) -> EpochSummary {
+        let epoch = m.epoch;
+        // An epoch counts as an escalation when the probe plan had to
+        // fall back to a full sweep (the detectors fired too broadly for
+        // the pool to contain the shift) or a triggered repair went
+        // unanswered inside the pool; quiet and profitably-repaired
+        // epochs are evidence the pool suffices.
         if let Some(pool) = &mut self.adaptive {
             let before = pool.k();
-            let after = pool.observe(probe_escalated || repair_unanswered);
+            let after = pool.observe(probe_escalated || repaired.unanswered);
             let rate = pool.escalation_rate();
             if after != before {
                 self.push_event(OnlineEvent::PoolResize { epoch, from: before, to: after, rate });
             }
         }
-
-        // Account the epoch under the plan that is active *after* any
-        // migration this epoch.
         let est_cost = problem.cost(self.config.objective, &self.deployment);
         let true_cost = truth_problem.cost(self.config.objective, &self.deployment);
         self.total_true_cost += true_cost;
@@ -1267,37 +1294,16 @@ impl OnlineAdvisor {
             true_cost,
         });
         self.epoch += 1;
-
-        // Control-loop telemetry at epoch grain: one span plus a handful
-        // of counter bumps per step, nothing in the per-link loops above.
-        if cloudia_obs::enabled() {
-            cloudia_obs::counter("online.steps", 1);
-            cloudia_obs::counter("online.detector_fires", changes.len() as u64);
-            cloudia_obs::counter("online.resolves", u64::from(triggered || evacuating));
-            cloudia_obs::counter("online.migrations", u64::from(moved > 0));
-            cloudia_obs::counter("online.evacuations", u64::from(evacuating));
-            cloudia_obs::counter("online.nodes_moved", moved as u64);
-            span.attr("fires", changes.len());
-            span.attr("triggered", u64::from(triggered || evacuating));
-            span.attr("moved", moved);
-            span.attr("true_cost", true_cost);
-        }
-        drop(span);
-
-        let summary = EpochSummary {
+        EpochSummary {
             epoch,
             at_hours: m.at_hours,
             est_cost,
             true_cost,
-            triggered: triggered || evacuating,
-            moved,
+            triggered: repaired.triggered,
+            moved: repaired.moved,
             round_trips: m.round_trips,
             saved_round_trips: m.saved_round_trips,
-        };
-        if let Some(rec) = &mut self.recorder {
-            rec.record("epoch", trace::epoch_summary_to_json(&summary));
         }
-        summary
     }
 
     /// Runs one epoch against a stream, measuring under the configured
@@ -1310,21 +1316,13 @@ impl OnlineAdvisor {
     ///
     /// With `prune_during_sweep` the epoch executes on the streaming
     /// driver with [`OnlineAdvisor::sweep_prune_rule`] evaluated between
-    /// stages — or [`OnlineAdvisor::sweep_ci_prune_rule`] when a
-    /// confidence level is configured, plus
+    /// stages (at the configured `confidence`, if any), plus
     /// [`OnlineAdvisor::sweep_stop_rule`]'s anytime early stop when
     /// `anytime` is on; with `spot_check_probes > 0` degradation alarms
     /// are confirmed against fresh single-link probes before they may
     /// trigger.
     pub fn step_stream<S: MeasurementStream>(&mut self, stream: &mut S) -> EpochSummary {
-        // With a confidence level the CI rule replaces the quantile
-        // rule wholesale: same protections, but condemnation requires
-        // interval separation, not point-estimate separation.
-        let rule: Option<Box<dyn PruneRule>> = if self.config.confidence.is_some() {
-            self.sweep_ci_prune_rule().map(|r| Box::new(r) as Box<dyn PruneRule>)
-        } else {
-            self.sweep_prune_rule().map(|r| Box::new(r) as Box<dyn PruneRule>)
-        };
+        let rule = self.sweep_prune_rule();
         let stop = self.sweep_stop_rule();
         let mut scheme = self.next_probe_scheme();
         if let (Some(s), true) = (scheme.as_mut(), self.config.prune_during_sweep) {
@@ -1338,14 +1336,11 @@ impl OnlineAdvisor {
             Some(s) if s.plan.is_full() && s.deep_extra_round_trips() == 0 => None,
             other => other.as_ref().map(|s| s as &dyn Scheme),
         };
-        let m = match (&rule, &stop) {
-            (None, _) => match scheme_ref {
-                None => stream.next_epoch(),
-                Some(s) => stream.next_epoch_with(s),
-            },
-            (Some(rule), None) => stream.next_epoch_pruned(scheme_ref, rule.as_ref()),
-            (Some(rule), Some(stop)) => stream.next_epoch_anytime(scheme_ref, rule.as_ref(), stop),
-        };
+        let m = stream.epoch(
+            scheme_ref,
+            rule.as_ref().map(|r| r as &dyn PruneRule),
+            stop.as_ref().map(|s| s as &dyn StopRule),
+        );
         let truth = stream.network().effective_mean_matrix(self.config.timeout_ms);
         let probes = self.config.spot_check_probes;
         if probes == 0 {
@@ -1566,19 +1561,22 @@ mod tests {
         let mut config = fast_config();
         config.prune_during_sweep = true;
         let advisor = OnlineAdvisor::new(graph.clone(), 10, initial.clone(), config.clone());
-        assert!(advisor.sweep_prune_rule().is_some());
+        let quantile = advisor.sweep_prune_rule().expect("pruning is on");
+        assert_eq!(quantile.confidence(), None, "no confidence: point quantiles");
         assert!(advisor.sweep_ci_prune_rule().is_none(), "no confidence: quantile rule only");
         assert!(advisor.sweep_stop_rule().is_none());
 
         config.confidence = Some(0.95);
         let advisor = OnlineAdvisor::new(graph.clone(), 10, initial.clone(), config.clone());
         let rule = advisor.sweep_ci_prune_rule().expect("confidence + pruning yields the CI rule");
-        assert_eq!(rule.confidence(), 0.95);
-        // The CI rule inherits the quantile rule's protections verbatim
-        // (deployed links, flags, staleness refreshes).
-        let quantile = advisor.sweep_prune_rule().expect("pruning is on");
+        assert_eq!(rule.confidence(), Some(0.95));
+        assert_eq!(rule.tolerance(), 1.0 - 0.95);
+        // Confidence changes the evidence the rule demands, not what it
+        // protects (deployed links, flags, staleness refreshes) — and it
+        // is the rule the epoch evaluates.
         assert_eq!(rule.protected_pairs(), quantile.protected_pairs());
         assert!(rule.protected_pairs() >= graph.edges().len());
+        assert_eq!(advisor.sweep_prune_rule().unwrap().confidence(), Some(0.95));
         assert!(advisor.sweep_stop_rule().is_none(), "anytime off: no stop rule");
 
         config.anytime = true;
@@ -1699,18 +1697,16 @@ mod tests {
         fn cumulative(&self) -> &cloudia_measure::PairwiseStats {
             &self.cumulative
         }
-        fn next_epoch(&mut self) -> EpochMeasurement {
-            self.epochs.pop_front().expect("script exhausted")
-        }
-        fn next_epoch_with(&mut self, _: &dyn cloudia_measure::Scheme) -> EpochMeasurement {
-            self.next_epoch()
-        }
-        fn next_epoch_pruned(
+        // The one required entry point: pruned and anytime epochs reach
+        // the script through the trait's provided `next_epoch*` wrappers
+        // and `step_stream` alike.
+        fn epoch(
             &mut self,
-            _: Option<&dyn cloudia_measure::Scheme>,
-            _: &dyn cloudia_measure::PruneRule,
+            _: Option<&dyn Scheme>,
+            _: Option<&dyn PruneRule>,
+            _: Option<&dyn StopRule>,
         ) -> EpochMeasurement {
-            self.next_epoch()
+            self.epochs.pop_front().expect("script exhausted")
         }
         fn spot_check(&mut self, _src: u32, _dst: u32, _probes: usize) -> Option<f64> {
             self.spot_calls += 1;
@@ -1844,36 +1840,42 @@ mod tests {
     fn pruning_savings_fund_deeper_flagged_sampling() {
         // Scripted epochs with full coverage (so the plan is never full),
         // reported savings, and a detector-flagging jump: the next
-        // focused round must deepen the flagged pair.
-        let m = 8;
-        let (_, net, _) = setup(4, m, 33);
-        let mut script = spike_script(m, 12);
-        for e in &mut script {
-            e.saved_round_trips = 60;
-            e.pruned_pairs = 4;
+        // focused round must deepen the flagged pair — on the pruned
+        // entry point and on the anytime one alike.
+        for (confidence, anytime) in [(None, false), (Some(0.95), true)] {
+            let m = 8;
+            let (_, net, _) = setup(4, m, 33);
+            let mut script = spike_script(m, 12);
+            for e in &mut script {
+                e.saved_round_trips = 60;
+                e.pruned_pairs = 4;
+            }
+            let mut stream = ScriptedStream::new(net, script, None);
+            let graph = CommGraph::ring(4);
+            let config = OnlineAdvisorConfig {
+                solve_seconds: 0.05,
+                candidates: Some(cloudia_solver::CandidateConfig::fixed(4)),
+                probe_policy: ProbePolicy::Focused { refresh_every: 40, max_flagged: 50 },
+                prune_during_sweep: true,
+                confidence,
+                anytime,
+                policy: RedeployPolicy { min_gain: 1e9, migration_cost_per_node: 1e9 },
+                detector: DetectorConfig { warmup: 3, threshold: 4.0, ..Default::default() },
+                ..Default::default()
+            };
+            let mut advisor = OnlineAdvisor::new(graph, m, (0..4).collect(), config);
+            assert_eq!(advisor.sweep_stop_rule().is_some(), anytime);
+            for _ in 0..12 {
+                advisor.step_stream(&mut stream);
+            }
+            assert!(
+                advisor.deep_probe_round_trips() > 0,
+                "savings were banked instead of deepening flagged links"
+            );
+            assert!(advisor.events().iter().any(
+                |e| matches!(e, OnlineEvent::DeepProbe { pairs, ks, .. } if *pairs > 0 && *ks > 3)
+            ));
         }
-        let mut stream = ScriptedStream::new(net, script, None);
-        let graph = CommGraph::ring(4);
-        let config = OnlineAdvisorConfig {
-            solve_seconds: 0.05,
-            candidates: Some(cloudia_solver::CandidateConfig::fixed(4)),
-            probe_policy: ProbePolicy::Focused { refresh_every: 40, max_flagged: 50 },
-            prune_during_sweep: true,
-            policy: RedeployPolicy { min_gain: 1e9, migration_cost_per_node: 1e9 },
-            detector: DetectorConfig { warmup: 3, threshold: 4.0, ..Default::default() },
-            ..Default::default()
-        };
-        let mut advisor = OnlineAdvisor::new(graph, m, (0..4).collect(), config);
-        for _ in 0..12 {
-            advisor.step_stream(&mut stream);
-        }
-        assert!(
-            advisor.deep_probe_round_trips() > 0,
-            "savings were banked instead of deepening flagged links"
-        );
-        assert!(advisor.events().iter().any(
-            |e| matches!(e, OnlineEvent::DeepProbe { pairs, ks, .. } if *pairs > 0 && *ks > 3)
-        ));
     }
 
     /// Full-coverage healthy epochs, then instance `dark` goes silent

@@ -32,10 +32,11 @@
 //!   `prune_during_sweep` epochs run on the stage-streaming measurement
 //!   driver ([`cloudia_measure::SweepDriver`]) and a
 //!   [`cloudia_solver::CandidatePruneRule`] drops pairs **mid-sweep**
-//!   once the measured quantiles prove them outside every node's
-//!   candidate pool; saved round trips fund deeper sampling of flagged
-//!   links, and `spot_check_probes` confirms degradation alarms with a
-//!   handful of fresh single-link probes before any repair runs.
+//!   once the measured quantiles (with `confidence`, the measured
+//!   intervals) prove them outside every node's candidate pool; saved
+//!   round trips fund deeper sampling of flagged links, and
+//!   `spot_check_probes` confirms degradation alarms with a handful of
+//!   fresh single-link probes before any repair runs.
 //!
 //! ```
 //! use cloudia_core::CommGraph;

@@ -85,9 +85,7 @@ pub fn select_free_nodes(problem: &NodeDeployment, incumbent: &[u32], k: usize) 
         score[b as usize] = score[b as usize].max(c);
     }
     let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| {
-        score[b as usize].partial_cmp(&score[a as usize]).unwrap().then(a.cmp(&b))
-    });
+    order.sort_by(|&a, &b| score[b as usize].total_cmp(&score[a as usize]).then(a.cmp(&b)));
     order.truncate(k.min(n));
     order.sort_unstable();
     order
@@ -211,7 +209,7 @@ mod tests {
             .max_by(|&&(a, b), &&(c, e)| {
                 let ca = p.costs.get(d[a as usize] as usize, d[b as usize] as usize);
                 let cb = p.costs.get(d[c as usize] as usize, d[e as usize] as usize);
-                ca.partial_cmp(&cb).unwrap()
+                ca.total_cmp(&cb)
             })
             .unwrap();
         assert!(

@@ -9,7 +9,6 @@
 
 use crate::detect::{ChangeDetector, DetectorConfig, Drift};
 use crate::stream::EpochMeasurement;
-use cloudia_core::{CostMatrix, LinkHistory};
 use cloudia_measure::{t_critical, PairwiseStats};
 
 /// Exponentially weighted mean/variance of a scalar stream.
@@ -304,7 +303,8 @@ impl OnlineStore {
     /// [`cloudia_solver::CandidateSet::build_partial`] consumes, so the
     /// advisor can form candidate pools from measured quantiles even
     /// while sweeps are being pruned and coverage is partial — without
-    /// the worst-case fill [`OnlineStore::cost_matrix`] applies.
+    /// the worst-seen-mean fill the advisor's repair search costs give
+    /// never-observed links.
     pub fn partial_stats(&self) -> PairwiseStats {
         let mut stats = PairwiseStats::new(self.n);
         for i in 0..self.n {
@@ -358,39 +358,6 @@ impl OnlineStore {
             }
         }
         out
-    }
-
-    /// Current cost matrix of EWMA means (0 for never-observed links),
-    /// written straight into the shared flat arena.
-    pub fn cost_matrix(&self) -> CostMatrix {
-        let mut b = CostMatrix::builder(self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i != j {
-                    b.set(i, j, self.link(i, j).ewma.mean());
-                }
-            }
-        }
-        b.freeze().expect("EWMA means are finite and non-negative")
-    }
-
-    /// Exports the store as re-deployment [`LinkHistory`]: EWMA mean per
-    /// link, weighted by the number of *epochs* observed (an EWMA is worth
-    /// its epoch count, not its raw sample count, when blended against a
-    /// fresh round).
-    pub fn history(&self) -> LinkHistory {
-        let mut h = LinkHistory::new(self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i != j {
-                    let l = self.link(i, j);
-                    if l.ewma.count() > 0 {
-                        h.set(i, j, l.ewma.mean(), l.ewma.count() as f64);
-                    }
-                }
-            }
-        }
-        h
     }
 }
 
@@ -478,12 +445,9 @@ mod tests {
         assert_eq!(store.covered_links(), 2);
         assert_eq!(store.link(0, 1).samples, 50);
         assert!((store.link(0, 1).ewma.mean() - 2.0).abs() < 1e-9);
-        let costs = store.cost_matrix();
-        assert!((costs.get(1, 0) - 3.0).abs() < 1e-9);
-        assert_eq!(costs.get(2, 0), 0.0);
-        let h = store.history();
-        assert_eq!(h.covered_links(), 2);
-        assert_eq!(h.get(0, 1).unwrap().1, 5.0);
+        assert!((store.link(1, 0).ewma.mean() - 3.0).abs() < 1e-9);
+        assert_eq!(store.link(0, 1).ewma.count(), 5);
+        assert_eq!(store.link(2, 0).ewma.count(), 0);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! (budget-limited) measurement round *into* the cumulative
 //! [`PairwiseStats`] via the incremental [`Scheme::run_onto`] API, and
 //! reports the per-epoch deltas — the mean of exactly the samples this
-//! epoch contributed per link. Cumulative history feeds
-//! [`cloudia_core::LinkHistory`] (so re-solves know about links a cheap
-//! round missed); the deltas feed the EWMA/change-point store.
+//! epoch contributed per link. The deltas feed the EWMA/change-point
+//! store ([`crate::OnlineStore`]), the loop's cross-round memory.
 //!
 //! Two implementations:
 //!
@@ -21,12 +20,8 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 
-use cloudia_measure::{
-    run_anytime, run_pruned, MeasureConfig, PairwiseStats, PruneRule, Scheme, StopRule,
-};
+use cloudia_measure::{run_with_rules, MeasureConfig, PairwiseStats, PruneRule, Scheme, StopRule};
 use cloudia_netsim::{DriftingNetwork, FaultParams, InstanceId, Network};
-
-use cloudia_core::LinkHistory;
 
 /// One link's contribution from a single epoch: the mean of the samples
 /// recorded this epoch only.
@@ -60,7 +55,9 @@ pub struct EpochMeasurement {
     pub elapsed_ms: f64,
     /// Round trips this epoch collected.
     pub round_trips: u64,
-    /// Per-link epoch means (only links that got samples this epoch).
+    /// One delta per link *attempted* this epoch: links that got samples
+    /// carry their epoch mean, attempted-but-sampleless (dark) links are
+    /// emitted too, with `count == 0` (see [`LinkDelta::mean`]).
     pub deltas: Vec<LinkDelta>,
     /// Distinct pairs dropped by mid-sweep pruning (0 on unpruned
     /// epochs).
@@ -88,47 +85,62 @@ pub trait MeasurementStream {
     /// The statistics accumulated over every epoch so far.
     fn cumulative(&self) -> &PairwiseStats;
 
-    /// Advances time and runs one measurement epoch with the stream's own
-    /// scheme (the uniform full sweep).
-    fn next_epoch(&mut self) -> EpochMeasurement;
+    /// Advances time and runs one measurement epoch — the one entry
+    /// point every stream implements; the `next_epoch*` methods below
+    /// are its named special cases.
+    ///
+    /// * `scheme` overrides the stream's own scheme (the uniform full
+    ///   sweep) for this epoch — the focused-probing path: the online
+    ///   advisor passes a [`cloudia_measure::FocusedScheme`] built from
+    ///   its current probe plan, and the round accumulates into the same
+    ///   cumulative statistics as every uniform round;
+    /// * `rule` is evaluated between stages on the stage-streaming
+    ///   driver (mid-sweep tournament pruning; see
+    ///   [`cloudia_measure::run_pruned`]), and the returned measurement
+    ///   carries the pruning ledger in `pruned_pairs`/`saved_round_trips`;
+    /// * `stop` additionally ends the sweep early once it declares every
+    ///   remaining prune/pool decision CI-stable (the anytime mode; see
+    ///   [`cloudia_measure::run_anytime`]); round trips it saves are
+    ///   folded into `saved_round_trips` alongside pruning's.
+    ///
+    /// A stream without stage streaming may ignore `rule` and `stop` — it
+    /// loses only the savings, never correctness.
+    fn epoch(
+        &mut self,
+        scheme: Option<&dyn Scheme>,
+        rule: Option<&dyn PruneRule>,
+        stop: Option<&dyn StopRule>,
+    ) -> EpochMeasurement;
 
-    /// Advances time and runs one measurement epoch with a caller-chosen
-    /// scheme instead of the stream's own — the focused-probing entry
-    /// point: the online advisor passes a
-    /// [`cloudia_measure::FocusedScheme`] built from its current probe
-    /// plan, and the round accumulates into the same cumulative statistics
-    /// as every uniform round.
-    fn next_epoch_with(&mut self, scheme: &dyn Scheme) -> EpochMeasurement;
+    /// One epoch with the stream's own scheme (the uniform full sweep).
+    fn next_epoch(&mut self) -> EpochMeasurement {
+        self.epoch(None, None, None)
+    }
 
-    /// Advances time and runs one epoch through the stage-streaming
-    /// driver with `rule` evaluated between stages (mid-sweep tournament
-    /// pruning; see [`cloudia_measure::run_pruned`]). `scheme` overrides
-    /// the stream's own scheme as in
-    /// [`MeasurementStream::next_epoch_with`]; `None` prunes the
-    /// stream's own sweep. The returned measurement carries the pruning
-    /// ledger in `pruned_pairs`/`saved_round_trips`.
+    /// One epoch with a caller-chosen scheme instead of the stream's own.
+    fn next_epoch_with(&mut self, scheme: &dyn Scheme) -> EpochMeasurement {
+        self.epoch(Some(scheme), None, None)
+    }
+
+    /// One epoch with `rule` evaluated between stages; `scheme: None`
+    /// prunes the stream's own sweep.
     fn next_epoch_pruned(
         &mut self,
         scheme: Option<&dyn Scheme>,
         rule: &dyn PruneRule,
-    ) -> EpochMeasurement;
+    ) -> EpochMeasurement {
+        self.epoch(scheme, Some(rule), None)
+    }
 
     /// Like [`MeasurementStream::next_epoch_pruned`], additionally
-    /// ending the epoch's sweep early once `stop` declares every
-    /// remaining prune/pool decision CI-stable (the anytime mode; see
-    /// [`cloudia_measure::run_anytime`]). Round trips saved by the stop
-    /// are folded into `saved_round_trips` alongside pruning's. The
-    /// default implementation ignores `stop` and measures the full
-    /// pruned epoch — a stream without stage streaming loses only the
-    /// savings, never correctness.
+    /// ending the epoch's sweep early once `stop` fires.
     fn next_epoch_anytime(
         &mut self,
         scheme: Option<&dyn Scheme>,
         rule: &dyn PruneRule,
         stop: &dyn StopRule,
     ) -> EpochMeasurement {
-        let _ = stop;
-        self.next_epoch_pruned(scheme, rule)
+        self.epoch(scheme, Some(rule), Some(stop))
     }
 
     /// Draws `probes` fresh RTT samples of the directed link
@@ -155,31 +167,12 @@ pub trait MeasurementStream {
         let _ = (src, dst, probes);
         None
     }
-
-    /// The cumulative statistics as re-deployment [`LinkHistory`]
-    /// (mean + observation count per covered link).
-    fn history(&self) -> LinkHistory {
-        let stats = self.cumulative();
-        let n = stats.len();
-        let mut h = LinkHistory::new(n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let link = stats.link(i, j);
-                    if link.count() > 0 {
-                        h.set(i, j, link.mean(), link.count() as f64);
-                    }
-                }
-            }
-        }
-        h
-    }
 }
 
 /// Runs one incremental measurement round and extracts the per-epoch
-/// deltas by differencing the cumulative statistics around it. With a
-/// prune rule the round runs through the stage-streaming driver and the
-/// rule is evaluated between stages.
+/// deltas by differencing the cumulative statistics around it. The round
+/// runs on the stage-streaming driver, with `rule` and `stop` (when given)
+/// evaluated between stages.
 #[allow(clippy::too_many_arguments)]
 fn measure_epoch<S: Scheme + ?Sized>(
     net: &Network,
@@ -205,17 +198,8 @@ fn measure_epoch<S: Scheme + ?Sized>(
     let mut epoch_cfg = cfg.clone();
     epoch_cfg.seed = cfg.seed ^ (epoch + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let taken = std::mem::replace(cumulative, PairwiseStats::new(n));
-    let (report, pruned_pairs, saved_round_trips) = match (rule, stop) {
-        (None, _) => (scheme.run_onto(net, &epoch_cfg, taken), 0, 0),
-        (Some(rule), None) => {
-            let pruned = run_pruned(scheme, net, &epoch_cfg, taken, rule);
-            (pruned.report, pruned.dropped_pairs, pruned.saved_round_trips)
-        }
-        (Some(rule), Some(stop)) => {
-            let anytime = run_anytime(scheme, net, &epoch_cfg, taken, rule, stop);
-            (anytime.report, anytime.dropped_pairs, anytime.saved_round_trips)
-        }
-    };
+    let swept = run_with_rules(scheme, net, &epoch_cfg, taken, rule, stop);
+    let report = swept.report;
 
     let mut deltas = Vec::new();
     for i in 0..n {
@@ -252,8 +236,8 @@ fn measure_epoch<S: Scheme + ?Sized>(
         elapsed_ms: report.elapsed_ms,
         round_trips: report.round_trips,
         deltas,
-        pruned_pairs,
-        saved_round_trips,
+        pruned_pairs: swept.dropped_pairs,
+        saved_round_trips: swept.saved_round_trips,
     }
 }
 
@@ -356,18 +340,8 @@ impl<S: Scheme> SimStream<S> {
         faults: FaultParams,
         fault_seed: u64,
     ) -> Self {
-        assert!(epoch_hours > 0.0, "epoch_hours must be positive");
-        let n = net.len();
-        let spot_rng = StdRng::seed_from_u64(config.seed ^ drift_seed ^ 0x5b07_c4ec);
-        Self {
-            drifting: DriftingNetwork::new(net, drift_seed).with_faults(faults, fault_seed),
-            scheme,
-            config,
-            epoch_hours,
-            cumulative: PairwiseStats::new(n),
-            epoch: 0,
-            spot_rng,
-        }
+        let plain = Self::new(net, scheme, config, epoch_hours, drift_seed);
+        Self { drifting: plain.drifting.with_faults(faults, fault_seed), ..plain }
     }
 
     /// Scripted fault injection: blacks out every link of `instance` for
@@ -379,29 +353,6 @@ impl<S: Scheme> SimStream<S> {
     /// ([`SimStream::with_faults`]).
     pub fn force_instance_dark(&mut self, instance: u32, hours: f64) {
         self.drifting.force_instance_dark(InstanceId(instance), hours);
-    }
-}
-
-impl<S: Scheme> SimStream<S> {
-    /// One epoch: advance the drift, then measure with `external` (or the
-    /// stream's own scheme when `None`), pruning mid-sweep when `rule`
-    /// is given and stopping early when `stop` additionally declares
-    /// the sweep CI-stable.
-    fn epoch_with(
-        &mut self,
-        external: Option<&dyn Scheme>,
-        rule: Option<&dyn PruneRule>,
-        stop: Option<&dyn StopRule>,
-    ) -> EpochMeasurement {
-        self.drifting.step(self.epoch_hours);
-        let epoch = self.epoch;
-        self.epoch += 1;
-        let at_hours = self.drifting.hours();
-        // Borrow dance: measure against a clone-free reference by
-        // splitting the struct fields.
-        let Self { drifting, scheme, config, cumulative, .. } = self;
-        let chosen: &dyn Scheme = external.unwrap_or(scheme);
-        measure_epoch(drifting.network(), chosen, rule, stop, config, epoch, at_hours, cumulative)
     }
 }
 
@@ -418,29 +369,22 @@ impl<S: Scheme> MeasurementStream for SimStream<S> {
         &self.cumulative
     }
 
-    fn next_epoch(&mut self) -> EpochMeasurement {
-        self.epoch_with(None, None, None)
-    }
-
-    fn next_epoch_with(&mut self, scheme: &dyn Scheme) -> EpochMeasurement {
-        self.epoch_with(Some(scheme), None, None)
-    }
-
-    fn next_epoch_pruned(
+    /// Advances the drift, then measures the drifted state.
+    fn epoch(
         &mut self,
-        scheme: Option<&dyn Scheme>,
-        rule: &dyn PruneRule,
+        external: Option<&dyn Scheme>,
+        rule: Option<&dyn PruneRule>,
+        stop: Option<&dyn StopRule>,
     ) -> EpochMeasurement {
-        self.epoch_with(scheme, Some(rule), None)
-    }
-
-    fn next_epoch_anytime(
-        &mut self,
-        scheme: Option<&dyn Scheme>,
-        rule: &dyn PruneRule,
-        stop: &dyn StopRule,
-    ) -> EpochMeasurement {
-        self.epoch_with(scheme, Some(rule), Some(stop))
+        self.drifting.step(self.epoch_hours);
+        let epoch = self.epoch;
+        self.epoch += 1;
+        let at_hours = self.drifting.hours();
+        // Borrow dance: measure against a clone-free reference by
+        // splitting the struct fields.
+        let Self { drifting, scheme, config, cumulative, .. } = self;
+        let chosen: &dyn Scheme = external.unwrap_or(scheme);
+        measure_epoch(drifting.network(), chosen, rule, stop, config, epoch, at_hours, cumulative)
     }
 
     fn spot_check(&mut self, src: u32, dst: u32, probes: usize) -> Option<f64> {
@@ -541,12 +485,22 @@ impl<S: Scheme> ReplayStream<S> {
     }
 }
 
-impl<S: Scheme> ReplayStream<S> {
-    /// One epoch: consume the next snapshot, measuring with `external`
-    /// (or the stream's own scheme when `None`), pruning mid-sweep when
-    /// `rule` is given and stopping early when `stop` additionally
-    /// declares the sweep CI-stable.
-    fn epoch_with(
+impl<S: Scheme> MeasurementStream for ReplayStream<S> {
+    fn len(&self) -> usize {
+        self.cumulative.len()
+    }
+
+    fn network(&self) -> &Network {
+        let last = (self.epoch as usize).min(self.snapshots.len()).saturating_sub(1);
+        &self.snapshots[last]
+    }
+
+    fn cumulative(&self) -> &PairwiseStats {
+        &self.cumulative
+    }
+
+    /// Consumes the next snapshot and measures it.
+    fn epoch(
         &mut self,
         external: Option<&dyn Scheme>,
         rule: Option<&dyn PruneRule>,
@@ -568,46 +522,6 @@ impl<S: Scheme> ReplayStream<S> {
             at_hours,
             cumulative,
         )
-    }
-}
-
-impl<S: Scheme> MeasurementStream for ReplayStream<S> {
-    fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    fn network(&self) -> &Network {
-        let last = (self.epoch as usize).min(self.snapshots.len()).saturating_sub(1);
-        &self.snapshots[last]
-    }
-
-    fn cumulative(&self) -> &PairwiseStats {
-        &self.cumulative
-    }
-
-    fn next_epoch(&mut self) -> EpochMeasurement {
-        self.epoch_with(None, None, None)
-    }
-
-    fn next_epoch_with(&mut self, scheme: &dyn Scheme) -> EpochMeasurement {
-        self.epoch_with(Some(scheme), None, None)
-    }
-
-    fn next_epoch_pruned(
-        &mut self,
-        scheme: Option<&dyn Scheme>,
-        rule: &dyn PruneRule,
-    ) -> EpochMeasurement {
-        self.epoch_with(scheme, Some(rule), None)
-    }
-
-    fn next_epoch_anytime(
-        &mut self,
-        scheme: Option<&dyn Scheme>,
-        rule: &dyn PruneRule,
-        stop: &dyn StopRule,
-    ) -> EpochMeasurement {
-        self.epoch_with(scheme, Some(rule), Some(stop))
     }
 
     fn spot_check(&mut self, src: u32, dst: u32, probes: usize) -> Option<f64> {
@@ -843,17 +757,5 @@ mod tests {
         let (ok, tries) = stream.spot_check_loss(1, 2, 8).unwrap();
         assert_eq!(tries, 8);
         assert!(ok > 0, "healthy pair lost all 8 probes at 30% loss");
-    }
-
-    #[test]
-    fn history_exports_cumulative_means() {
-        let mut stream =
-            SimStream::new(network(4, 4), Staged::new(3, 2), MeasureConfig::default(), 1.0, 5);
-        stream.next_epoch();
-        let h = stream.history();
-        assert_eq!(h.covered_links(), 4 * 3);
-        let (mean, weight) = h.get(0, 1).unwrap();
-        assert_eq!(mean, stream.cumulative().link(0, 1).mean());
-        assert_eq!(weight, stream.cumulative().link(0, 1).count() as f64);
     }
 }

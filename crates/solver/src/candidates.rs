@@ -374,63 +374,26 @@ impl CandidateSet {
         let pool: Vec<u32> = if pool_size >= m {
             (0..m as u32).collect()
         } else {
-            // The m ≥ 10k hot loop: one contiguous row-major sweep over
-            // the flat count/mean/attempt columns collects every
-            // observed directed link exactly once — no LinkEstimate
-            // views, and crucially no strided per-instance column walk
-            // (a stride-m pass over three 100M-entry columns is
-            // cache-hostile enough to eat the whole refactor). Each hit
-            // prices its link — an attempted-but-answerless direction (a
-            // dark link under packet loss) *is* evidence, not a coverage
-            // gap, and prices as unboundedly expensive so a dark
-            // instance is scored out of the pool instead of
-            // force-included as "unmeasured" — and feeds both endpoints'
-            // incident lists, laid out CSR-style in one flat scratch
-            // buffer. Incident order differs from the per-link view walk
-            // (which the retained `build_partial_reference` still does),
-            // which is invisible: the quantile and the coverage fraction
-            // are order-independent.
-            let count = stats.count_column();
+            // One price lane: an observed direction prices at its mean,
+            // an attempted-but-answerless one (a dark link under packet
+            // loss) *is* evidence, not a coverage gap, and prices as
+            // unboundedly expensive — so a dark instance is scored out of
+            // the pool instead of force-included as "unmeasured".
+            // Incident order differs from the per-link view walk (which
+            // the retained `build_partial_reference` still does), which
+            // is invisible: the quantile and the coverage fraction are
+            // order-independent.
             let mean = stats.mean_column();
-            let attempts = stats.attempts_column();
-            let mut deg = vec![0u32; m];
-            let mut hits: Vec<(u32, u32, f64)> = Vec::new();
-            for src in 0..m {
-                let row = src * m;
-                let (row_count, row_mean, row_att) =
-                    (&count[row..row + m], &mean[row..row + m], &attempts[row..row + m]);
-                crate::kernels::scan_row_evidence(row_count, row_att, |dst, observed| {
-                    let price = if observed { row_mean[dst] } else { f64::INFINITY };
-                    hits.push((src as u32, dst as u32, price));
-                    deg[src] += 1;
-                    deg[dst] += 1;
-                });
-            }
-            let mut off = vec![0usize; m + 1];
-            for j in 0..m {
-                off[j + 1] = off[j] + deg[j] as usize;
-            }
-            let mut cursor = off.clone();
-            let mut flat = vec![0.0f64; off[m]];
-            for &(src, dst, price) in &hits {
-                let (src, dst) = (src as usize, dst as usize);
-                flat[cursor[src]] = price;
-                cursor[src] += 1;
-                flat[cursor[dst]] = price;
-                cursor[dst] += 1;
-            }
+            let mut incident = IncidentPrices::scan(stats, |src, dst, observed| {
+                [if observed { mean[src * m + dst] } else { f64::INFINITY }]
+            });
             let mut forced: Vec<u32> = Vec::new();
             let mut scored: Vec<(f64, u32)> = Vec::new();
             for j in 0..m {
-                let incident = &mut flat[off[j]..off[j + 1]];
-                let coverage = incident.len() as f64 / (2 * (m - 1)) as f64;
-                if incident.is_empty() || coverage < min_coverage {
+                match incident.scores(j, config.quantile, min_coverage) {
                     // Not enough evidence to exclude this instance.
-                    forced.push(j as u32);
-                } else {
-                    let idx = ((incident.len() - 1) as f64 * config.quantile).round() as usize;
-                    let (_, q, _) = incident.select_nth_unstable_by(idx, f64::total_cmp);
-                    scored.push((*q, j as u32));
+                    None => forced.push(j as u32),
+                    Some([score]) => scored.push((score, j as u32)),
                 }
             }
             scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -634,30 +597,126 @@ impl PrunedProblem {
     }
 }
 
+/// The incident evidence of every instance, CSR-style in flat scratch
+/// buffers: `L` parallel price lanes (one for the point pool, two for the
+/// CI lower/upper bounds) over one shared offset table — the single
+/// transcription of the evidence pass behind
+/// [`CandidateSet::build_partial`] and the interval verdicts.
+struct IncidentPrices<const L: usize> {
+    /// `off[j]..off[j + 1]` indexes instance `j`'s incident prices.
+    off: Vec<usize>,
+    lanes: [Vec<f64>; L],
+}
+
+impl<const L: usize> IncidentPrices<L> {
+    /// The m ≥ 10k hot loop: one contiguous row-major sweep over the flat
+    /// count/attempt columns collects every observed (or attempted)
+    /// directed link exactly once — no `LinkEstimate` views, and
+    /// crucially no strided per-instance column walk (a stride-m pass
+    /// over 100M-entry columns is cache-hostile enough to eat the whole
+    /// columnar layout's gain). Each hit is priced by
+    /// `price(src, dst, observed)` and feeds both endpoints' incident
+    /// lists.
+    fn scan(stats: &PairwiseStats, mut price: impl FnMut(usize, usize, bool) -> [f64; L]) -> Self {
+        let m = stats.len();
+        let count = stats.count_column();
+        let attempts = stats.attempts_column();
+        let mut deg = vec![0u32; m];
+        let mut hits: Vec<(u32, u32, [f64; L])> = Vec::new();
+        for src in 0..m {
+            let row = src * m;
+            crate::kernels::scan_row_evidence(
+                &count[row..row + m],
+                &attempts[row..row + m],
+                |dst, observed| {
+                    hits.push((src as u32, dst as u32, price(src, dst, observed)));
+                    deg[src] += 1;
+                    deg[dst] += 1;
+                },
+            );
+        }
+        let mut off = vec![0usize; m + 1];
+        for j in 0..m {
+            off[j + 1] = off[j] + deg[j] as usize;
+        }
+        let mut cursor = off.clone();
+        let mut lanes: [Vec<f64>; L] = std::array::from_fn(|_| vec![0.0f64; off[m]]);
+        for &(src, dst, prices) in &hits {
+            for end in [src as usize, dst as usize] {
+                for (lane, &p) in lanes.iter_mut().zip(&prices) {
+                    lane[cursor[end]] = p;
+                }
+                cursor[end] += 1;
+            }
+        }
+        Self { off, lanes }
+    }
+
+    /// Instance `j`'s score per lane — the `quantile` of its incident
+    /// prices — or `None` when its incident coverage (fraction of its
+    /// `2(m−1)` directed links with evidence) is below `min_coverage`:
+    /// not enough evidence to rank it either way. Reorders the lanes in
+    /// place (selection, not sort).
+    fn scores(&mut self, j: usize, quantile: f64, min_coverage: f64) -> Option<[f64; L]> {
+        let m = self.off.len() - 1;
+        let (start, end) = (self.off[j], self.off[j + 1]);
+        let len = end - start;
+        if len == 0 || (len as f64 / (2 * (m - 1)) as f64) < min_coverage {
+            return None;
+        }
+        let idx = ((len - 1) as f64 * quantile).round() as usize;
+        Some(std::array::from_fn(|l| {
+            *self.lanes[l][start..end].select_nth_unstable_by(idx, f64::total_cmp).1
+        }))
+    }
+}
+
 /// The mid-sweep tournament prune rule (implements
-/// [`cloudia_measure::PruneRule`]): between measurement stages it builds
-/// a [`CandidateSet`] from the **partial** statistics
-/// ([`CandidateSet::build_partial`]) and condemns every remaining pair
-/// with an endpoint already proven outside the candidate union — those
-/// links can never carry a deployment, so their remaining probes are
-/// wasted budget.
+/// [`cloudia_measure::PruneRule`]): between measurement stages it decides
+/// from the **partial** statistics which instances are already out of
+/// every node's candidate pool, and condemns every remaining pair with
+/// such an endpoint — those links can never carry a deployment, so their
+/// remaining probes are wasted budget.
 ///
-/// Safety rails, in line with the candidate layer's contract:
+/// One rule, with the evidence it demands as a parameter
+/// ([`CandidatePruneRule::with_confidence`]):
 ///
-/// * **incumbent and pinned instances** are force-included in the union,
-///   so no pair among them (in particular no *deployed* link) is ever
-///   condemned;
+/// * **no confidence level** (the default) — the point-estimate pool: an
+///   instance is out when it falls outside the candidate union
+///   [`CandidateSet::build_partial`] forms from the measured quantiles
+///   (boundary ties resolved by instance index);
+/// * **confidence `c`** — the error-bounded verdict: an instance is out
+///   only when it is **provably** outside every pool at level `c` — even
+///   the quantile of its incident CI *lower* bounds exceeds the
+///   `pool_size`-th smallest quantile of rival CI *upper* bounds. A link
+///   with fewer than two samples has an unbounded interval, so a 1-sample
+///   endpoint can never be proven out — exactly the overconfidence the
+///   zero-variance `Welford::variance()` would otherwise smuggle in.
+///   [`CandidatePruneRule::with_tolerance`] additionally treats scores
+///   within a relative margin of the pool boundary as ties, so clustered
+///   topologies (where whole racks score near-identically) can still be
+///   resolved: an ε-tie for the last pool slot is condemnable because
+///   keeping either side changes the achievable cost by at most the
+///   margin.
+///
+/// Safety rails, in line with the candidate layer's contract, at either
+/// setting:
+///
+/// * **incumbent and pinned instances** are never out, so no pair among
+///   them (in particular no *deployed* link) is ever condemned;
 /// * **explicitly protected pairs** ([`CandidatePruneRule::protect_pair`]
 ///   — detector-flagged links, links owed a staleness refresh) survive
-///   even when an endpoint leaves the union;
+///   even when an endpoint is out;
 /// * **under-covered instances** (incident coverage below
-///   `min_coverage`) cannot be proven out and stay in the union, so
-///   early sweeps prune nothing they might regret.
+///   `min_coverage`) cannot be proven out, so early sweeps prune nothing
+///   they might regret.
 #[derive(Debug, Clone)]
 pub struct CandidatePruneRule {
     num_nodes: usize,
     config: CandidateConfig,
     min_coverage: f64,
+    confidence: Option<f64>,
+    tolerance: f64,
     incumbent: Option<Vec<u32>>,
     fixed: Option<Vec<Option<u32>>>,
     protected: HashSet<(u32, u32)>,
@@ -671,8 +730,8 @@ impl CandidatePruneRule {
     /// evidence threshold.
     pub const DEFAULT_MIN_COVERAGE: f64 = 0.5;
 
-    /// A rule for problems with `num_nodes` application nodes, sizing
-    /// pools by `config` and requiring
+    /// A point-estimate rule for problems with `num_nodes` application
+    /// nodes, sizing pools by `config` and requiring
     /// [`CandidatePruneRule::DEFAULT_MIN_COVERAGE`] incident coverage
     /// before an instance may be proven out.
     pub fn new(num_nodes: usize, config: CandidateConfig) -> Self {
@@ -680,10 +739,44 @@ impl CandidatePruneRule {
             num_nodes,
             config,
             min_coverage: Self::DEFAULT_MIN_COVERAGE,
+            confidence: None,
+            tolerance: 0.0,
             incumbent: None,
             fixed: None,
             protected: HashSet::new(),
         }
+    }
+
+    /// Demands CI separation at `confidence` (strictly in `(0, 1)`)
+    /// before condemning anything, instead of point-quantile rank.
+    ///
+    /// # Panics
+    /// Panics if `confidence` is outside `(0, 1)`.
+    pub fn with_confidence(mut self, confidence: f64) -> Self {
+        assert!(
+            confidence > 0.0 && confidence < 1.0,
+            "confidence must be in (0,1), got {confidence}"
+        );
+        self.confidence = Some(confidence);
+        self
+    }
+
+    /// Sets the relative indifference margin of the interval verdicts
+    /// (default 0; unused without a confidence level): scores within
+    /// `tolerance` of the pool boundary count as ties, so ε-tied
+    /// instances can be settled (in *or* out) instead of blocking every
+    /// decision forever. Choosing among ε-tied instances changes a
+    /// pool-restricted deployment cost by at most `tolerance` relative —
+    /// the anytime contract sets this to `1 - confidence`, the same
+    /// slack its realized-error bound concedes. 0 demands strict
+    /// interval separation.
+    ///
+    /// # Panics
+    /// Panics if `tolerance` is outside `[0, 1)`.
+    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
+        assert!((0.0..1.0).contains(&tolerance), "tolerance must be in [0, 1)");
+        self.tolerance = tolerance;
+        self
     }
 
     /// Overrides the coverage threshold below which an instance cannot be
@@ -697,17 +790,16 @@ impl CandidatePruneRule {
         self
     }
 
-    /// Registers the incumbent deployment: its instances are
-    /// force-included in every mid-sweep pool, so deployed links are
-    /// never condemned.
+    /// Registers the incumbent deployment: its instances are never
+    /// proven out, so deployed links are never condemned.
     pub fn with_incumbent(mut self, incumbent: &[u32]) -> Self {
         assert_eq!(incumbent.len(), self.num_nodes, "incumbent must cover every node");
         self.incumbent = Some(incumbent.to_vec());
         self
     }
 
-    /// Registers pinned assignments; pinned instances are force-included
-    /// like incumbents.
+    /// Registers pinned assignments; pinned instances are protected like
+    /// incumbents.
     pub fn with_fixed(mut self, fixed: &[Option<u32>]) -> Self {
         assert_eq!(fixed.len(), self.num_nodes, "fixed assignments must cover every node");
         self.fixed = Some(fixed.to_vec());
@@ -727,6 +819,43 @@ impl CandidatePruneRule {
     pub fn protected_pairs(&self) -> usize {
         self.protected.len()
     }
+
+    /// The confidence level separations are demanded at (`None`: the
+    /// point-estimate pool).
+    pub fn confidence(&self) -> Option<f64> {
+        self.confidence
+    }
+
+    /// The relative indifference margin (0 unless overridden).
+    pub fn tolerance(&self) -> f64 {
+        self.tolerance
+    }
+
+    /// Per-instance verdict: `true` where the instance is out of every
+    /// candidate pool on the evidence this rule demands.
+    fn out_of_pool(&self, stats: &PairwiseStats) -> Vec<bool> {
+        match self.confidence {
+            None => {
+                let set = CandidateSet::build_partial(
+                    self.num_nodes,
+                    stats,
+                    &self.config,
+                    self.incumbent.as_deref(),
+                    self.fixed.as_deref(),
+                    self.min_coverage,
+                );
+                let mut out = vec![true; stats.len()];
+                for &j in set.union() {
+                    out[j as usize] = false;
+                }
+                out
+            }
+            Some(_) => {
+                let scores = CiScores::build(self, stats);
+                (0..stats.len()).map(|j| scores.provably_out(j)).collect()
+            }
+        }
+    }
 }
 
 impl PruneRule for CandidatePruneRule {
@@ -734,35 +863,21 @@ impl PruneRule for CandidatePruneRule {
         if stats.total_samples() == 0 {
             return Vec::new();
         }
-        let set = CandidateSet::build_partial(
-            self.num_nodes,
-            stats,
-            &self.config,
-            self.incumbent.as_deref(),
-            self.fixed.as_deref(),
-            self.min_coverage,
-        );
-        if set.is_exact() {
-            return Vec::new();
-        }
-        let mut member = vec![false; stats.len()];
-        for &j in set.union() {
-            member[j as usize] = true;
-        }
+        let out = self.out_of_pool(stats);
         remaining
             .iter()
             .copied()
             .filter(|&(a, b)| {
-                !self.protected.contains(&(a.min(b), a.max(b)))
-                    && (!member[a as usize] || !member[b as usize])
+                (out[a as usize] || out[b as usize])
+                    && !self.protected.contains(&(a.min(b), a.max(b)))
             })
             .collect()
     }
 }
 
 /// Per-instance candidate-pool score *intervals*, derived from the
-/// per-link confidence intervals of the partial statistics — the shared
-/// evidence engine behind [`CiPruneRule`] and [`CiStopRule`].
+/// per-link confidence intervals of the partial statistics — the evidence
+/// behind [`CandidatePruneRule`]'s interval verdicts and [`CiStopRule`].
 ///
 /// Where the point-estimate pool scores an instance by the quantile of
 /// its incident mean costs, this scores it twice: once from the incident
@@ -807,87 +922,40 @@ struct CiScores {
 }
 
 impl CiScores {
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        num_nodes: usize,
-        stats: &PairwiseStats,
-        config: &CandidateConfig,
-        confidence: f64,
-        min_coverage: f64,
-        tolerance: f64,
-        incumbent: Option<&[u32]>,
-        fixed: Option<&[Option<u32>]>,
-    ) -> Self {
+    fn build(rule: &CandidatePruneRule, stats: &PairwiseStats) -> Self {
+        let confidence = rule.confidence.expect("interval verdicts need a confidence level");
         let m = stats.len();
-        let pool_size = config.pool_size(num_nodes, m);
+        let pool_size = rule.config.pool_size(rule.num_nodes, m);
         let mut forced = vec![false; m];
-        for &j in incumbent.into_iter().flatten() {
+        for &j in rule.incumbent.iter().flatten() {
             forced[j as usize] = true;
         }
-        for &j in fixed.into_iter().flatten().flatten() {
+        for &j in rule.fixed.iter().flatten().flatten() {
             forced[j as usize] = true;
         }
 
-        // Incident CI bounds per instance, CSR-style like
-        // `build_partial`: one row-major pass over the columns, each
-        // observed (or attempted) directed link contributing its interval
-        // to both endpoints. A dark direction (attempted, never answered)
-        // is certain evidence of unreachability: `[+∞, +∞]`.
-        let count = stats.count_column();
-        let attempts = stats.attempts_column();
-        let mut deg = vec![0u32; m];
-        let mut hits: Vec<(u32, u32, f64, f64)> = Vec::new();
-        for src in 0..m {
-            let row = src * m;
-            crate::kernels::scan_row_evidence(
-                &count[row..row + m],
-                &attempts[row..row + m],
-                |dst, observed| {
-                    let (lo, hi) = if observed {
-                        let ci = stats.ci(src, dst, confidence);
-                        (ci.lower(), ci.upper())
-                    } else {
-                        (f64::INFINITY, f64::INFINITY)
-                    };
-                    hits.push((src as u32, dst as u32, lo, hi));
-                    deg[src] += 1;
-                    deg[dst] += 1;
-                },
-            );
-        }
-        let mut off = vec![0usize; m + 1];
-        for j in 0..m {
-            off[j + 1] = off[j] + deg[j] as usize;
-        }
-        let mut cursor = off.clone();
-        let mut flat_lo = vec![0.0f64; off[m]];
-        let mut flat_hi = vec![0.0f64; off[m]];
-        for &(src, dst, lo, hi) in &hits {
-            for end in [src as usize, dst as usize] {
-                flat_lo[cursor[end]] = lo;
-                flat_hi[cursor[end]] = hi;
-                cursor[end] += 1;
+        // Two price lanes: each observed directed link contributes its
+        // interval to both endpoints. A dark direction (attempted, never
+        // answered) is certain evidence of unreachability: `[+∞, +∞]`.
+        let mut incident = IncidentPrices::scan(stats, |src, dst, observed| {
+            if observed {
+                let ci = stats.ci(src, dst, confidence);
+                [ci.lower(), ci.upper()]
+            } else {
+                [f64::INFINITY; 2]
             }
-        }
+        });
 
         let mut lo = vec![0.0f64; m];
         let mut hi = vec![f64::INFINITY; m];
         let mut undercovered = vec![false; m];
         for j in 0..m {
-            let incident_lo = &mut flat_lo[off[j]..off[j + 1]];
-            let coverage = incident_lo.len() as f64 / (2 * (m - 1)) as f64;
-            if incident_lo.is_empty() || coverage < min_coverage {
+            match incident.scores(j, rule.config.quantile, rule.min_coverage) {
                 // Not enough evidence either way: optimistic 0 (never
                 // provably out), pessimistic ∞ (displaces nobody).
-                undercovered[j] = true;
-                continue;
+                None => undercovered[j] = true,
+                Some([q_lo, q_hi]) => (lo[j], hi[j]) = (q_lo, q_hi),
             }
-            let idx = ((incident_lo.len() - 1) as f64 * config.quantile).round() as usize;
-            let (_, q_lo, _) = incident_lo.select_nth_unstable_by(idx, f64::total_cmp);
-            lo[j] = *q_lo;
-            let incident_hi = &mut flat_hi[off[j]..off[j + 1]];
-            let (_, q_hi, _) = incident_hi.select_nth_unstable_by(idx, f64::total_cmp);
-            hi[j] = *q_hi;
         }
 
         let mut hi_sorted = hi.clone();
@@ -896,6 +964,7 @@ impl CiScores {
             if pool_size == 0 || pool_size > m { f64::INFINITY } else { hi_sorted[pool_size - 1] };
         let mut lo_sorted = lo.clone();
         lo_sorted.sort_by(f64::total_cmp);
+        let tolerance = rule.tolerance;
         Self { lo, hi, forced, undercovered, pool_size, out_threshold, lo_sorted, tolerance }
     }
 
@@ -931,159 +1000,6 @@ impl CiScores {
     }
 }
 
-/// The CI-evidence mid-sweep prune rule (implements
-/// [`cloudia_measure::PruneRule`]) — the error-bounded replacement for
-/// [`CandidatePruneRule`]'s point-quantile condemnation. A pair is
-/// condemned only when one of its endpoints is **provably** outside every
-/// candidate pool at the rule's confidence level: even the quantile of
-/// its incident CI *lower* bounds exceeds the `pool_size`-th smallest
-/// quantile of rival CI *upper* bounds. A link with fewer than two
-/// samples has an unbounded interval, so a 1-sample endpoint can never be
-/// proven out — exactly the overconfidence the zero-variance
-/// `Welford::variance()` would otherwise smuggle in.
-///
-/// [`CiPruneRule::with_tolerance`] additionally treats scores within a
-/// relative margin of the pool boundary as ties, so clustered topologies
-/// (where whole racks score near-identically) can still be resolved: an
-/// ε-tie for the last pool slot is condemnable because keeping either
-/// side changes the achievable cost by at most the margin.
-///
-/// The same safety rails as [`CandidatePruneRule`] apply: incumbent and
-/// pinned instances are never condemned, explicitly protected pairs
-/// survive regardless of evidence, and under-covered instances stay.
-#[derive(Debug, Clone)]
-pub struct CiPruneRule {
-    num_nodes: usize,
-    config: CandidateConfig,
-    confidence: f64,
-    min_coverage: f64,
-    tolerance: f64,
-    incumbent: Option<Vec<u32>>,
-    fixed: Option<Vec<Option<u32>>>,
-    protected: HashSet<(u32, u32)>,
-}
-
-impl CiPruneRule {
-    /// A rule for problems with `num_nodes` application nodes, sizing
-    /// pools by `config` and demanding CI separation at `confidence`
-    /// (strictly in `(0, 1)`) before condemning anything.
-    ///
-    /// # Panics
-    /// Panics if `confidence` is outside `(0, 1)`.
-    pub fn new(num_nodes: usize, config: CandidateConfig, confidence: f64) -> Self {
-        assert!(
-            confidence > 0.0 && confidence < 1.0,
-            "confidence must be in (0,1), got {confidence}"
-        );
-        Self {
-            num_nodes,
-            config,
-            confidence,
-            min_coverage: CandidatePruneRule::DEFAULT_MIN_COVERAGE,
-            tolerance: 0.0,
-            incumbent: None,
-            fixed: None,
-            protected: HashSet::new(),
-        }
-    }
-
-    /// Sets the relative indifference margin (default 0): scores within
-    /// `tolerance` of the pool boundary count as ties, so ε-tied
-    /// instances can be settled (in *or* out) instead of blocking every
-    /// decision forever. Choosing among ε-tied instances changes a
-    /// pool-restricted deployment cost by at most `tolerance` relative —
-    /// the anytime contract sets this to `1 - confidence`, the same
-    /// slack its realized-error bound concedes. 0 demands strict
-    /// interval separation.
-    ///
-    /// # Panics
-    /// Panics if `tolerance` is outside `[0, 1)`.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        assert!((0.0..1.0).contains(&tolerance), "tolerance must be in [0, 1)");
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Overrides the coverage threshold below which an instance cannot
-    /// be proven uncompetitive.
-    ///
-    /// # Panics
-    /// Panics if outside `[0, 1]`.
-    pub fn with_min_coverage(mut self, min_coverage: f64) -> Self {
-        assert!((0.0..=1.0).contains(&min_coverage), "min_coverage must be in [0, 1]");
-        self.min_coverage = min_coverage;
-        self
-    }
-
-    /// Registers the incumbent deployment; its instances are never
-    /// proven out, so deployed links are never condemned.
-    pub fn with_incumbent(mut self, incumbent: &[u32]) -> Self {
-        assert_eq!(incumbent.len(), self.num_nodes, "incumbent must cover every node");
-        self.incumbent = Some(incumbent.to_vec());
-        self
-    }
-
-    /// Registers pinned assignments; pinned instances are protected like
-    /// incumbents.
-    pub fn with_fixed(mut self, fixed: &[Option<u32>]) -> Self {
-        assert_eq!(fixed.len(), self.num_nodes, "fixed assignments must cover every node");
-        self.fixed = Some(fixed.to_vec());
-        self
-    }
-
-    /// Marks the unordered pair `{a, b}` as never prunable.
-    pub fn protect_pair(&mut self, a: u32, b: u32) {
-        if a != b {
-            self.protected.insert((a.min(b), a.max(b)));
-        }
-    }
-
-    /// Number of explicitly protected pairs.
-    pub fn protected_pairs(&self) -> usize {
-        self.protected.len()
-    }
-
-    /// The confidence level separations are demanded at.
-    pub fn confidence(&self) -> f64 {
-        self.confidence
-    }
-
-    /// The relative indifference margin (0 unless overridden).
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
-    fn scores(&self, stats: &PairwiseStats) -> CiScores {
-        CiScores::build(
-            self.num_nodes,
-            stats,
-            &self.config,
-            self.confidence,
-            self.min_coverage,
-            self.tolerance,
-            self.incumbent.as_deref(),
-            self.fixed.as_deref(),
-        )
-    }
-}
-
-impl PruneRule for CiPruneRule {
-    fn prune(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> Vec<(u32, u32)> {
-        if stats.total_samples() == 0 {
-            return Vec::new();
-        }
-        let scores = self.scores(stats);
-        remaining
-            .iter()
-            .copied()
-            .filter(|&(a, b)| {
-                !self.protected.contains(&(a.min(b), a.max(b)))
-                    && (scores.provably_out(a as usize) || scores.provably_out(b as usize))
-            })
-            .collect()
-    }
-}
-
 /// The anytime stopping rule (implements [`cloudia_measure::StopRule`]):
 /// declares a sweep stable once every remaining prune/pool decision is
 /// CI-stable, on either of two criteria:
@@ -1111,8 +1027,9 @@ impl PruneRule for CiPruneRule {
 /// `OnlineAdvisor` does each epoch) so one sweep's trajectory never
 /// leaks into the next.
 ///
-/// Wraps a [`CiPruneRule`], sharing its pool sizing, confidence,
-/// indifference margin, and protections; by default the rule's
+/// Wraps a [`CandidatePruneRule`] that carries a confidence level,
+/// sharing its pool sizing, confidence, indifference margin, and
+/// protections; by default the rule's
 /// protected pairs are reported via
 /// [`cloudia_measure::StopRule::must_keep`] so deployed/flagged links
 /// keep probing even after the stop fires.
@@ -1123,7 +1040,7 @@ impl PruneRule for CiPruneRule {
 /// landed.
 #[derive(Debug, Clone)]
 pub struct CiStopRule {
-    rule: CiPruneRule,
+    rule: CandidatePruneRule,
     /// Unordered pairs that keep probing after the stop fires.
     keep: HashSet<(u32, u32)>,
     /// `(verdict fingerprint, total samples)` at the last plateau
@@ -1138,7 +1055,13 @@ impl CiStopRule {
     /// Wraps `rule`; stability is judged with the rule's own pool
     /// configuration, confidence, and indifference margin, and the
     /// rule's protected pairs keep probing after the stop fires.
-    pub fn new(rule: CiPruneRule) -> Self {
+    ///
+    /// # Panics
+    /// Panics if `rule` has no confidence level
+    /// ([`CandidatePruneRule::with_confidence`]): stability is an
+    /// interval verdict.
+    pub fn new(rule: CandidatePruneRule) -> Self {
+        assert!(rule.confidence.is_some(), "a stop rule needs a confidence level");
         let keep = rule.protected.clone();
         Self { rule, keep, checkpoint: std::cell::Cell::new(None) }
     }
@@ -1161,7 +1084,7 @@ impl cloudia_measure::StopRule for CiStopRule {
         if stats.total_samples() == 0 || remaining.is_empty() {
             return false;
         }
-        let scores = self.rule.scores(stats);
+        let scores = CiScores::build(&self.rule, stats);
         let mut all_settled = true;
         let mut any_earned = false;
         let mut undercovered = false;
@@ -1468,42 +1391,6 @@ mod tests {
         assert!(cs.is_exact(), "an unmeasured sweep must not prune anything");
     }
 
-    #[test]
-    fn prune_rule_condemns_only_out_of_union_unprotected_pairs() {
-        // Pool of 11 over 12 instances: exactly the congested instance 7
-        // is proven out.
-        let stats = full_stats(12, 7);
-        let incumbent: Vec<u32> = vec![0, 1, 2, 3];
-        let mut rule =
-            CandidatePruneRule::new(4, CandidateConfig::fixed(11)).with_incumbent(&incumbent);
-        rule.protect_pair(7, 9); // flagged: survives despite 7 being out
-        let remaining: Vec<(u32, u32)> =
-            (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
-        let condemned = rule.prune(&stats, &remaining);
-        assert!(!condemned.is_empty());
-        for &(a, b) in &condemned {
-            assert!(a == 7 || b == 7, "({a},{b}) condemned but both endpoints are candidates");
-            assert!((a.min(b), a.max(b)) != (7, 9), "protected pair condemned");
-        }
-        // Deployed pairs (incumbent instances) never condemned.
-        for &(a, b) in &condemned {
-            assert!(
-                !(incumbent.contains(&a) && incumbent.contains(&b)),
-                "incumbent link ({a},{b}) condemned"
-            );
-        }
-    }
-
-    #[test]
-    fn prune_rule_is_silent_without_samples_or_with_exact_union() {
-        let rule = CandidatePruneRule::new(3, CandidateConfig::fixed(6));
-        let remaining = vec![(0u32, 1u32), (1, 2)];
-        assert!(rule.prune(&PairwiseStats::new(8), &remaining).is_empty());
-        // Pool >= m: exact union, nothing prunable.
-        let exact = CandidatePruneRule::new(3, CandidateConfig::fixed(100));
-        assert!(exact.prune(&full_stats(8, 2), &remaining).is_empty());
-    }
-
     /// Fully measured stats with `samples` zero-jitter observations per
     /// direction: every CI is bounded (and zero-width), so separations
     /// are exact and deterministic.
@@ -1520,26 +1407,44 @@ mod tests {
     }
 
     #[test]
-    fn ci_rule_condemns_only_provably_out_unprotected_pairs() {
-        let stats = full_stats_ci(12, 7, 5);
+    fn prune_rule_condemns_only_out_of_pool_unprotected_pairs() {
+        // Point pool of 11 over 12 instances, or CI verdicts for a pool
+        // of 6 on zero-jitter samples: either way exactly the congested
+        // instance 7 is proven out.
         let incumbent: Vec<u32> = vec![0, 1, 2, 3];
-        let mut rule =
-            CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95).with_incumbent(&incumbent);
-        rule.protect_pair(7, 9);
-        assert_eq!(rule.protected_pairs(), 1);
-        assert_eq!(rule.confidence(), 0.95);
-        let remaining: Vec<(u32, u32)> =
-            (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
-        let condemned = rule.prune(&stats, &remaining);
-        assert!(!condemned.is_empty(), "separated intervals must allow condemnation");
-        for &(a, b) in &condemned {
-            assert!(a == 7 || b == 7, "({a},{b}) condemned but both endpoints are candidates");
-            assert!((a.min(b), a.max(b)) != (7, 9), "protected pair condemned");
-            assert!(
-                !(incumbent.contains(&a) && incumbent.contains(&b)),
-                "incumbent link ({a},{b}) condemned"
-            );
+        let point = CandidatePruneRule::new(4, CandidateConfig::fixed(11));
+        let ci = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
+        assert_eq!((point.confidence(), ci.confidence()), (None, Some(0.95)));
+        for (rule, stats) in [(point, full_stats(12, 7)), (ci, full_stats_ci(12, 7, 5))] {
+            let mut rule = rule.with_incumbent(&incumbent);
+            rule.protect_pair(7, 9); // flagged: survives despite 7 being out
+            assert_eq!(rule.protected_pairs(), 1);
+            let remaining: Vec<(u32, u32)> =
+                (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
+            let condemned = rule.prune(&stats, &remaining);
+            assert!(!condemned.is_empty(), "{:?}: nothing condemned", rule.confidence());
+            for &(a, b) in &condemned {
+                assert!(a == 7 || b == 7, "({a},{b}) condemned but both endpoints are candidates");
+                assert!((a.min(b), a.max(b)) != (7, 9), "protected pair condemned");
+                // Deployed pairs (incumbent instances) never condemned.
+                assert!(
+                    !(incumbent.contains(&a) && incumbent.contains(&b)),
+                    "incumbent link ({a},{b}) condemned"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn prune_rule_is_silent_without_samples_or_with_exact_union() {
+        let remaining = vec![(0u32, 1u32), (1, 2)];
+        let rule = CandidatePruneRule::new(3, CandidateConfig::fixed(6));
+        for rule in [rule.clone(), rule.with_confidence(0.95)] {
+            assert!(rule.prune(&PairwiseStats::new(8), &remaining).is_empty());
+        }
+        // Pool >= m: exact union, nothing prunable.
+        let exact = CandidatePruneRule::new(3, CandidateConfig::fixed(100));
+        assert!(exact.prune(&full_stats(8, 2), &remaining).is_empty());
     }
 
     #[test]
@@ -1562,7 +1467,7 @@ mod tests {
                 }
             }
         }
-        let rule = CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95);
+        let rule = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
         assert!(
@@ -1576,17 +1481,11 @@ mod tests {
     }
 
     #[test]
-    fn ci_rule_is_silent_without_samples() {
-        let rule = CiPruneRule::new(3, CandidateConfig::fixed(6), 0.95);
-        assert!(rule.prune(&PairwiseStats::new(8), &[(0, 1), (1, 2)]).is_empty());
-    }
-
-    #[test]
     fn ci_stop_rule_stabilizes_only_on_bounded_separated_intervals() {
         use cloudia_measure::StopRule as _;
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
-        let mut inner = CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95);
+        let mut inner = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
         inner.protect_pair(2, 3);
         let stop = CiStopRule::new(inner);
         // No samples: never stable.
@@ -1620,7 +1519,9 @@ mod tests {
         for _ in 0..5 {
             stats.record(7, 0, 50.0);
         }
-        let stop = CiStopRule::new(CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95));
+        let stop = CiStopRule::new(
+            CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95),
+        );
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
         assert!(!stop.stable(&stats, &remaining), "under-covered instance declared settled");
@@ -1656,7 +1557,7 @@ mod tests {
         // Strict separation: the tied cluster's intervals overlap the
         // pool boundary, so nothing is condemnable and the membership
         // question never settles.
-        let strict = CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95);
+        let strict = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
         assert_eq!(strict.tolerance(), 0.0);
         assert!(strict.prune(&stats, &remaining).is_empty(), "strict rule condemned a near-tie");
         // With the 5% indifference margin the whole cluster is at best
@@ -1681,7 +1582,9 @@ mod tests {
         // Strict rule: cheap instances are provably in (earned
         // verdicts), the tied cluster stays undecided forever — only the
         // plateau criterion can ever fire.
-        let stop = CiStopRule::new(CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95));
+        let stop = CiStopRule::new(
+            CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95),
+        );
         let stats = tied_boundary_stats(2);
         assert!(!stop.stable(&stats, &remaining), "stable with no checkpoint to compare against");
         assert!(!stop.stable(&stats, &remaining), "stable without any fresh evidence");
@@ -1691,7 +1594,9 @@ mod tests {
         assert!(stop.stable(&more, &remaining), "plateau after an unchanged sweep missed");
 
         // A verdict flip between checkpoints re-arms the rule instead.
-        let stop = CiStopRule::new(CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95));
+        let stop = CiStopRule::new(
+            CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95),
+        );
         assert!(!stop.stable(&stats, &remaining));
         let mut flipped = tied_boundary_stats(3);
         for j in 0..11usize {
@@ -1703,7 +1608,7 @@ mod tests {
 
         // `with_must_keep` narrows the post-stop survivors away from the
         // prune protections.
-        let mut rule = CiPruneRule::new(4, CandidateConfig::fixed(6), 0.95);
+        let mut rule = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
         rule.protect_pair(0, 1);
         let stop = CiStopRule::new(rule.clone()).with_must_keep([(2u32, 3u32)]);
         assert!(stop.must_keep(2, 3) && stop.must_keep(3, 2));

@@ -264,8 +264,10 @@ proptest! {
 // Satellite (PR 5): the mid-sweep prune rule's safety contract. Whatever
 // partial statistics a sweep has accumulated, the rule never condemns a
 // protected pair (deployed links, flagged links, staleness refreshes),
-// never condemns a pair among incumbent/pinned instances, and only
-// condemns pairs with an endpoint provably outside the candidate union.
+// never condemns a pair among incumbent/pinned instances, and — without a
+// confidence level — condemns exactly the unprotected pairs with an
+// endpoint outside the `build_partial` candidate union, which chains the
+// rule to the AoS-pinned oracle below.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -277,7 +279,7 @@ proptest! {
         coverage in 0.0f64..1.0,
     ) {
         use cloudia_measure::{PairwiseStats, PruneRule};
-        use cloudia_solver::{CandidateConfig, CandidatePruneRule, CandidateSet, CiPruneRule};
+        use cloudia_solver::{CandidateConfig, CandidatePruneRule, CandidateSet};
         use rand::{rngs::StdRng, Rng, SeedableRng};
 
         let n = 5usize;
@@ -342,16 +344,19 @@ proptest! {
             Some(&fixed),
             0.5,
         );
+        let expected: Vec<(u32, u32)> = remaining
+            .iter()
+            .copied()
+            .filter(|&(a, b)| {
+                !protected.contains(&(a.min(b), a.max(b)))
+                    && (!cs.union().contains(&a) || !cs.union().contains(&b))
+            })
+            .collect();
+        prop_assert_eq!(&condemned, &expected, "point rule diverged from the build_partial union");
         for &(a, b) in &condemned {
-            let key = (a.min(b), a.max(b));
-            prop_assert!(!protected.contains(&key), "protected pair {key:?} condemned");
             prop_assert!(
                 !(incumbent.contains(&a) && incumbent.contains(&b)),
                 "incumbent pair ({a},{b}) condemned"
-            );
-            prop_assert!(
-                !cs.union().contains(&a) || !cs.union().contains(&b),
-                "pair ({a},{b}) condemned although both endpoints are candidates"
             );
         }
         // Incumbents and pins are always candidates, whatever the stats.
@@ -359,18 +364,12 @@ proptest! {
             prop_assert!(cs.union().contains(&j), "incumbent {j} fell out of the union");
         }
 
-        // The CI-evidence rule under the same protections — at any
-        // confidence, with or without the indifference margin — obeys
-        // the identical contract: protected pairs and incumbent/pinned
-        // endpoints are never condemned, whatever the partial evidence.
+        // The same rule with a confidence level — with or without the
+        // indifference margin — obeys the identical safety contract:
+        // protected pairs and incumbent/pinned endpoints are never
+        // condemned, whatever the partial evidence.
         let tolerance = if rng.random::<bool>() { 0.05 } else { 0.0 };
-        let mut ci_rule = CiPruneRule::new(n, CandidateConfig::fixed(pool_k), 0.95)
-            .with_tolerance(tolerance)
-            .with_incumbent(&incumbent)
-            .with_fixed(&fixed);
-        for &(a, b) in &protected {
-            ci_rule.protect_pair(a, b);
-        }
+        let ci_rule = rule.with_confidence(0.95).with_tolerance(tolerance);
         for &(a, b) in &ci_rule.prune(&stats, &remaining) {
             let key = (a.min(b), a.max(b));
             prop_assert!(!protected.contains(&key), "protected pair {key:?} CI-condemned");
@@ -388,7 +387,7 @@ proptest! {
     ) {
         use cloudia_measure::{run_anytime, MeasureConfig, PairwiseStats, PruneRule, Scheme, Staged};
         use cloudia_netsim::{Cloud, Provider};
-        use cloudia_solver::{CandidateConfig, CandidatePruneRule, CiPruneRule, CiStopRule};
+        use cloudia_solver::{CandidateConfig, CandidatePruneRule, CiStopRule};
 
         // Isolate the *early stop*: pruning is disabled, so the only way
         // the anytime run differs from the full run is the stop cutting
@@ -412,7 +411,8 @@ proptest! {
         // min_coverage 1.0: the stop may not fire until every incident
         // direction of every instance is measured; the indifference
         // margin lets near-tied clusters settle so it can actually fire.
-        let ci = CiPruneRule::new(nodes, pool, 0.95)
+        let ci = CandidatePruneRule::new(nodes, pool)
+            .with_confidence(0.95)
             .with_min_coverage(1.0)
             .with_tolerance(0.05);
         let stop = CiStopRule::new(ci);
