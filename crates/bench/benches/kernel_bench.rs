@@ -5,11 +5,20 @@
 //! row shape (m = 10000, ~8 hits per row). The assertion keeps the
 //! kernel honest across PRs — a refactor that quietly re-introduces the
 //! per-element branches fails the bench run, not just a profile.
+//!
+//! A second race, `pool_index`, holds the delta-maintained rule evidence
+//! to its claim: at m = 400 on fully covered statistics, syncing a
+//! [`PoolIndex`] from one stage's touch-log delta and reading every
+//! instance's score must beat rebuilding it from the evidence scan by
+//! ≥ 3×, on both lane counts, with bit-identical scores — an index that
+//! silently falls back to rebuilding every stage fails here.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
+use cloudia_measure::{LinkBatch, PairwiseStats, Staged};
+use cloudia_solver::candidates::PoolIndex;
 use cloudia_solver::kernels::scan_row_evidence;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -123,13 +132,84 @@ fn assert_kernel_wins() {
     );
 }
 
+/// One stage of the round-robin tournament over `m` instances as merge
+/// batches: `m / 2` endpoint-disjoint links, three samples each.
+fn stage_batches(m: usize, round: usize, rng: &mut StdRng) -> Vec<LinkBatch> {
+    Staged::circle_pairs(m, round)
+        .into_iter()
+        .map(|(src, dst)| LinkBatch {
+            src,
+            dst,
+            attempts: 3,
+            timeouts: 0,
+            rtts: (0..3).map(|_| rng.random_range(0.5..5.0)).collect(),
+        })
+        .collect()
+}
+
+/// Races a long-lived index (`sync`: touch-log delta) against a fresh one
+/// per stage (bulk build from the evidence scan) over 60 stages at
+/// m = 400, every instance's score read after each; asserts the scores
+/// agree bit for bit and the delta sync wins by ≥ 3×.
+fn assert_pool_index_wins<const L: usize>(
+    lanes: &str,
+    sync: impl Fn(&mut PoolIndex<L>, &PairwiseStats),
+) {
+    let (m, stages) = (400usize, 60usize);
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut stats = PairwiseStats::new(m);
+    for round in 0..2 * (m - 1) {
+        let mut batches = stage_batches(m, round % (m - 1), &mut rng);
+        if round >= m - 1 {
+            batches.iter_mut().for_each(|b| std::mem::swap(&mut b.src, &mut b.dst));
+        }
+        stats.merge_batches(batches, 1);
+    }
+    assert_eq!(stats.covered_links(), m * (m - 1), "the race runs on full coverage");
+    let scores = |index: &PoolIndex<L>| -> Vec<[u64; L]> {
+        (0..m).map(|j| index.scores(j, 0.5, 0.5).expect("covered").map(f64::to_bits)).collect()
+    };
+    let mut kept = PoolIndex::<L>::default();
+    sync(&mut kept, &stats);
+    let (mut sync_s, mut rebuild_s) = (0.0f64, 0.0f64);
+    for round in 0..stages {
+        stats.merge_batches(stage_batches(m, round, &mut rng), 1);
+        let t0 = Instant::now();
+        sync(&mut kept, &stats);
+        let synced = black_box(scores(&kept));
+        sync_s += t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        let mut fresh = PoolIndex::<L>::default();
+        sync(&mut fresh, &stats);
+        let rebuilt = black_box(scores(&fresh));
+        rebuild_s += t0.elapsed().as_secs_f64();
+        assert_eq!(
+            synced, rebuilt,
+            "{lanes}: synced scores diverged from a rebuild at stage {round}"
+        );
+    }
+    assert_eq!(kept.rebuilds(), 1, "{lanes}: the long-lived index rebuilt mid-sweep");
+    let speedup = rebuild_s / sync_s.max(1e-12);
+    println!(
+        "# pool_index race, {lanes}: rebuild {rebuild_s:.4}s, sync {sync_s:.4}s, speedup {speedup:.1}x"
+    );
+    assert!(
+        speedup >= 3.0,
+        "{lanes}: pool_index sync must beat rebuild-from-scan by >= 3x, got {speedup:.2}x"
+    );
+}
+
 fn main() {
     // `cargo bench` passes `--bench`; `cargo test` passes `--test` (the
     // criterion shim then runs each body exactly once). The timed
-    // assertion only runs under a real bench invocation — a single-shot
+    // assertions only run under a real bench invocation — a single-shot
     // test-mode sample is too noisy to gate on.
     kernels();
     if std::env::args().any(|a| a == "--bench") {
         assert_kernel_wins();
+        assert_pool_index_wins::<1>("1 lane (mean)", PoolIndex::sync_means);
+        assert_pool_index_wins::<2>("2 lanes (ci)", |index, stats| {
+            index.sync_intervals(stats, 0.95)
+        });
     }
 }

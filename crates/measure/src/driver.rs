@@ -283,7 +283,8 @@ pub(crate) struct StageDriver<'n> {
     cfg: MeasureConfig,
     stats: PairwiseStats,
     tracker: SnapshotTracker,
-    /// One sweep's schedule: unordered pairs with per-pair round trips.
+    /// One sweep's schedule: unordered pairs with per-pair round trips,
+    /// each pair in exactly one stage.
     stages: Vec<Vec<(u32, u32, usize)>>,
     sweeps: usize,
     coord_overhead_ms: f64,
@@ -376,6 +377,13 @@ impl<'n> StageDriver<'n> {
         let n = net.len();
         assert!(n >= 2, "need at least two instances to measure");
         assert_eq!(stats.len(), n, "stats sized for {} instances, network has {n}", stats.len());
+        debug_assert!(
+            {
+                let mut seen = HashSet::new();
+                stages.iter().flatten().all(|&(a, b, _)| seen.insert(norm_pair(a, b)))
+            },
+            "a pair sits in two stages: `remaining_pairs` relies on one stage per pair"
+        );
         // Auto mode (stage_workers = 0) only fans out when a stage is
         // wide enough to amortize thread spawns; an explicit width is
         // honoured as given (the determinism contract makes any width
@@ -418,15 +426,21 @@ impl<'n> StageDriver<'n> {
         }
     }
 
-    /// Iterates the remaining `(sweep, stage)` positions' pair lists.
-    fn remaining_stages(&self) -> impl Iterator<Item = &[(u32, u32, usize)]> {
-        let end = if self.done { self.sweep } else { self.sweeps };
-        (self.sweep..end)
-            .flat_map(move |s| {
-                let start = if s == self.sweep { self.stage } else { 0 };
-                self.stages[start..].iter()
-            })
-            .map(Vec::as_slice)
+    /// The sweep index the remaining schedule ends before.
+    fn end_sweep(&self) -> usize {
+        if self.done {
+            self.sweep
+        } else {
+            self.sweeps
+        }
+    }
+
+    /// How many more times the stage at index `stage` of `stages` runs:
+    /// once per remaining sweep, minus the current sweep's pass if that
+    /// already went by it.
+    fn runs_left(&self, stage: usize) -> u64 {
+        let sweeps = self.end_sweep() - self.sweep;
+        (sweeps - usize::from(sweeps > 0 && stage < self.stage)) as u64
     }
 }
 
@@ -557,28 +571,39 @@ impl SweepDriver for StageDriver<'_> {
     }
 
     fn remaining_pairs(&self) -> Vec<(u32, u32)> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for stage in self.remaining_stages() {
-            for &(a, b, _) in stage {
-                if seen.insert((a, b)) {
-                    out.push((a, b));
-                }
-            }
-        }
-        out
+        // Every sweep re-walks the same `stages` and a pair sits in
+        // exactly one stage of it, so the distinct pairs of the remaining
+        // schedule, in first-seen order, are the current sweep's tail
+        // followed — if another sweep remains — by its head.
+        let end = self.end_sweep();
+        let tail = if self.sweep < end { &self.stages[self.stage..] } else { &[] };
+        let head = if self.sweep + 1 < end { &self.stages[..self.stage] } else { &[] };
+        tail.iter().chain(head).flatten().map(|&(a, b, _)| (a, b)).collect()
     }
 
     fn planned_remaining(&self) -> u64 {
-        self.remaining_stages().flat_map(|stage| stage.iter()).map(|&(_, _, k)| k as u64).sum()
+        self.stages
+            .iter()
+            .enumerate()
+            .map(|(s, stage)| {
+                self.runs_left(s) * stage.iter().map(|&(_, _, k)| k as u64).sum::<u64>()
+            })
+            .sum()
     }
 
     fn retain_pairs(&mut self, keep: &mut dyn FnMut(u32, u32) -> bool) -> u64 {
-        let before = self.planned_remaining();
-        for stage in &mut self.stages {
-            stage.retain(|&(a, b, _)| keep(a, b));
+        let mut saved = 0u64;
+        for s in 0..self.stages.len() {
+            let runs = self.runs_left(s);
+            self.stages[s].retain(|&(a, b, k)| {
+                let kept = keep(a, b);
+                if !kept {
+                    saved += runs * k as u64;
+                }
+                kept
+            });
         }
-        before - self.planned_remaining()
+        saved
     }
 
     fn finish(self: Box<Self>) -> MeasurementReport {
@@ -686,6 +711,118 @@ mod tests {
         let report = driver.finish();
         assert_eq!(report.stats.link(0, 1).count() + report.stats.link(1, 0).count(), 0);
         assert!(report.stats.link(0, 2).count() > 0);
+    }
+
+    /// The walk `remaining_pairs`/`planned_remaining` replaced: every
+    /// remaining `(sweep, stage)` position, pairs deduplicated in
+    /// first-seen order through a hash set.
+    fn hashed_remaining(d: &StageDriver<'_>) -> (Vec<(u32, u32)>, u64) {
+        let end = if d.done { d.sweep } else { d.sweeps };
+        let (mut seen, mut pairs, mut planned) = (HashSet::new(), Vec::new(), 0u64);
+        for sweep in d.sweep..end {
+            let start = if sweep == d.sweep { d.stage } else { 0 };
+            for &(a, b, k) in d.stages[start..].iter().flatten() {
+                planned += k as u64;
+                if seen.insert((a, b)) {
+                    pairs.push((a, b));
+                }
+            }
+        }
+        (pairs, planned)
+    }
+
+    /// Steps `d` to exhaustion, comparing the schedule accessors with the
+    /// hashed walk at every position, and dropping the pairs `drop`
+    /// selects once `retain_at` stages have run.
+    fn walk_against_hashed(mut d: StageDriver<'_>, retain_at: usize, drop: fn(u32, u32) -> bool) {
+        let check = |d: &StageDriver<'_>| {
+            let (pairs, planned) = hashed_remaining(d);
+            assert_eq!(d.remaining_pairs(), pairs, "sweep {} stage {}", d.sweep, d.stage);
+            assert_eq!(d.planned_remaining(), planned, "sweep {} stage {}", d.sweep, d.stage);
+            planned
+        };
+        let mut steps = 0;
+        loop {
+            let before = check(&d);
+            if steps == retain_at {
+                let saved = d.retain_pairs(&mut |a, b| !drop(a, b));
+                assert_eq!(saved, before - check(&d), "retain_pairs miscounted its saving");
+            }
+            if !d.step() {
+                break;
+            }
+            steps += 1;
+        }
+        assert!(steps > retain_at, "schedule too short to exercise retain_pairs");
+        assert_eq!(check(&d), 0);
+        assert!(d.remaining_pairs().is_empty());
+    }
+
+    #[test]
+    fn schedule_accessors_match_the_hashed_walk_at_every_position() {
+        let cfg = MeasureConfig::default();
+        for (n, sweeps) in [(6usize, 1usize), (7, 2), (8, 3)] {
+            let net = network(n, n as u64);
+            let rounds = (n + n % 2) - 1;
+            let staged: Vec<Vec<(u32, u32, usize)>> = (0..rounds)
+                .map(|r| {
+                    let pairs = Staged::circle_pairs(n, r).into_iter();
+                    pairs.map(|(a, b)| (a as u32, b as u32, 2)).collect()
+                })
+                .collect();
+            let mut plan = ProbePlan::new(n);
+            plan.add_clique(&[0, 1, 2, 4]);
+            plan.add_pair(3, 5);
+            plan.add_pair(1, 5);
+            let focused: Vec<Vec<(u32, u32, usize)>> = plan
+                .stages()
+                .into_iter()
+                .map(|stage| {
+                    stage.into_iter().map(|(a, b)| (a, b, 1 + (a + b) as usize % 3)).collect()
+                })
+                .collect();
+            for stages in [staged, focused] {
+                // A retain on the first sweep, on the last sweep, and —
+                // dropping whole stages — one that leaves empty stages to skip.
+                for retain_at in [0, 1, stages.len() * (sweeps - 1) + 1] {
+                    for drop in [(|a, _| a == 1) as fn(u32, u32) -> bool, |a, b| (a + b) % 2 == 1] {
+                        let stats = PairwiseStats::new(n);
+                        let d =
+                            StageDriver::new("t", &net, &cfg, stats, stages.clone(), sweeps, 0.3);
+                        walk_against_hashed(d, retain_at, drop);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_accessors_match_the_hashed_walk_after_a_dark_strike() {
+        use cloudia_netsim::{InstanceId, LossPlane};
+        let n = 6;
+        let mut net = network(n, 9);
+        let mut loss = LossPlane::clear(n);
+        for j in 1..n as u32 {
+            loss.set_drop_prob(InstanceId(0), InstanceId(j), 1.0);
+            loss.set_drop_prob(InstanceId(j), InstanceId(0), 1.0);
+        }
+        net.set_loss(loss);
+        let cfg = MeasureConfig::default();
+        let stages: Vec<Vec<(u32, u32, usize)>> = (0..n - 1)
+            .map(|r| {
+                let pairs = Staged::circle_pairs(n, r).into_iter();
+                pairs.map(|(a, b)| (a as u32, b as u32, 2)).collect()
+            })
+            .collect();
+        let driver =
+            || StageDriver::new("t", &net, &cfg, PairwiseStats::new(n), stages.clone(), 3, 0.3);
+        // The strike happens: instance 0's first-stage pair leaves the
+        // schedule although two more sweeps would have repeated it.
+        let mut d = driver();
+        let struck = *d.stages[0].iter().find(|&&(a, b, _)| a == 0 || b == 0).unwrap();
+        assert!(d.step());
+        assert!(!d.remaining_pairs().contains(&(struck.0, struck.1)));
+        walk_against_hashed(driver(), 2, |a, b| a + b == 7);
     }
 
     struct NeverStable;

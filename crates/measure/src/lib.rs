@@ -67,6 +67,6 @@ pub use focused::{FocusedScheme, ProbePlan};
 pub use pool::{PoolStats, SweepPool};
 pub use scheme::{MeasureConfig, MeasurementReport, Scheme, Snapshot};
 pub use staged::Staged;
-pub use stats::{LinkBatch, LinkEstimate, P2Quantile, PairwiseStats, Welford};
+pub use stats::{LinkBatch, LinkEstimate, P2Quantile, PairwiseStats, TouchCursor, Welford};
 pub use token::TokenPassing;
 pub use uncoordinated::Uncoordinated;

@@ -50,6 +50,18 @@
 //! materialised footprint (touched column pages + live sketch table)
 //! that spilling actually bounds; `memory_bytes` stays the logical
 //! capacity view.
+//!
+//! ## Touch log
+//!
+//! Readers that maintain state derived from the columns (the solver's
+//! pool index) do not rescan them: every mutator appends the link indices
+//! it changes to a bounded, append-only log, and a reader holding a
+//! [`TouchCursor`] asks [`PairwiseStats::touched_since`] for exactly the
+//! links that moved since its last look. The log keeps only its last
+//! [`TOUCH_LOG_PER_INSTANCE`]` · n` entries — a few stages' worth — and
+//! answers `None`, "rebuild from the columns", to a cursor that fell off
+//! that tail or that was taken on another history: a `Clone` starts a new
+//! lineage (the clone and its source diverge from there), a move keeps it.
 
 use cloudia_netsim::cost::{CostError, CostMatrix};
 
@@ -143,6 +155,68 @@ pub struct LinkBatch {
     pub timeouts: u64,
     /// Completed round-trip times, time-ordered.
     pub rtts: Vec<f64>,
+}
+
+/// Touch-log entries retained per instance: the log holds the last
+/// `TOUCH_LOG_PER_INSTANCE · n` touched link indices. A stage of an
+/// endpoint-disjoint schedule touches at most `n / 2` links, so a reader
+/// that looks once per stage stays on the tail with room to spare, while
+/// the log stays O(n) however long the sweep runs.
+pub const TOUCH_LOG_PER_INSTANCE: usize = 4;
+
+/// Source of touch-log lineage ids, one per [`PairwiseStats`] history.
+static NEXT_LINEAGE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// A reader's position in one [`PairwiseStats`] history's touch log —
+/// see [`PairwiseStats::touch_cursor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TouchCursor {
+    lineage: u64,
+    at: u64,
+}
+
+/// The bounded tail of link indices the mutators changed, in order.
+#[derive(Debug)]
+struct TouchLog {
+    /// Identifies this history; cursors of another lineage are rejected.
+    lineage: u64,
+    /// Entry `p` (counted from the start of the history) lives at
+    /// `p % cap` while `head - p <= cap`. Allocated on first touch.
+    ring: Vec<usize>,
+    cap: usize,
+    /// Entries appended over the whole history.
+    head: u64,
+}
+
+impl TouchLog {
+    /// An empty log of a new lineage holding at most `cap` entries.
+    fn with_capacity(cap: usize) -> Self {
+        // Relaxed: the id is only ever compared for equality.
+        let lineage = NEXT_LINEAGE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Self { lineage, ring: Vec::new(), cap, head: 0 }
+    }
+
+    #[inline]
+    fn push(&mut self, idx: usize) {
+        if self.ring.len() < self.cap {
+            if self.ring.is_empty() {
+                self.ring.reserve_exact(self.cap);
+            }
+            self.ring.push(idx);
+        } else {
+            self.ring[(self.head % self.cap as u64) as usize] = idx;
+        }
+        self.head += 1;
+    }
+}
+
+/// A clone diverges from its source, so it starts a history of its own:
+/// a fresh lineage and an empty log. Every cursor taken on the source is
+/// thereby invalid on the clone (and the other way round).
+impl Clone for TouchLog {
+    fn clone(&self) -> Self {
+        Self::with_capacity(self.cap)
+    }
 }
 
 /// Links per 4 KB page of an 8-byte column — the granularity of the
@@ -268,6 +342,7 @@ pub struct PairwiseStats {
     timeouts_total: u64,
     covered: usize,
     attempted: usize,
+    touch_log: TouchLog,
 }
 
 impl PairwiseStats {
@@ -293,6 +368,7 @@ impl PairwiseStats {
             timeouts_total: 0,
             covered: 0,
             attempted: 0,
+            touch_log: TouchLog::with_capacity(TOUCH_LOG_PER_INSTANCE * n),
         }
     }
 
@@ -350,6 +426,7 @@ impl PairwiseStats {
     pub fn record(&mut self, src: usize, dst: usize, rtt: f64) {
         let idx = self.idx(src, dst);
         self.touch_page(idx);
+        self.touch_log.push(idx);
         if self.count[idx] == 0 {
             self.covered += 1;
         }
@@ -386,6 +463,7 @@ impl PairwiseStats {
         }
         let idx = self.idx(src, dst);
         self.touch_page(idx);
+        self.touch_log.push(idx);
         if self.attempts[idx] == 0 {
             self.attempted += 1;
         }
@@ -400,6 +478,7 @@ impl PairwiseStats {
         }
         let idx = self.idx(src, dst);
         self.touch_page(idx);
+        self.touch_log.push(idx);
         self.timeouts[idx] += k;
         self.timeouts_total += k;
     }
@@ -427,7 +506,7 @@ impl PairwiseStats {
         // shard cuts fall on batch boundaries.
         batches.sort_by_key(|b| b.src * n + b.dst);
         // Main-thread pre-pass, in link-index order: aggregates, page
-        // tracking, and sketch slot allocation.
+        // tracking, the touch log, and sketch slot allocation.
         let mut slots: Vec<Option<u32>> = Vec::with_capacity(batches.len());
         let mut prev = usize::MAX;
         for b in &batches {
@@ -436,6 +515,7 @@ impl PairwiseStats {
             assert_ne!(idx, prev, "link {}→{} appears in two batches", b.src, b.dst);
             prev = idx;
             self.touch_page(idx);
+            self.touch_log.push(idx);
             if !b.rtts.is_empty() && self.count[idx] == 0 {
                 self.covered += 1;
             }
@@ -552,6 +632,30 @@ impl PairwiseStats {
         self.tick += 1;
     }
 
+    /// The current end of this history's touch log: hand it back to
+    /// [`PairwiseStats::touched_since`] later to learn which links
+    /// changed in between.
+    pub fn touch_cursor(&self) -> TouchCursor {
+        TouchCursor { lineage: self.touch_log.lineage, at: self.touch_log.head }
+    }
+
+    /// The link indices (`src * n + dst`, oldest first, repeats
+    /// included) whose count/mean/M2/attempt/timeout cells changed since
+    /// `cursor` was taken — or `None` when that cannot be answered and
+    /// the reader must rebuild from the columns: the cursor belongs to
+    /// another history (a different store, or the other side of a
+    /// `clone`), or more than [`TOUCH_LOG_PER_INSTANCE`]` · n` touches
+    /// have been logged since and the oldest fell off the tail.
+    pub fn touched_since(&self, cursor: TouchCursor) -> Option<impl Iterator<Item = usize> + '_> {
+        let log = &self.touch_log;
+        let cap = log.cap as u64;
+        // Within one lineage `head` only grows, so `at <= head`.
+        if cursor.lineage != log.lineage || log.head - cursor.at > cap {
+            return None;
+        }
+        Some((cursor.at..log.head).map(move |p| log.ring[(p % cap) as usize]))
+    }
+
     /// Spills every P² sketch whose link has not recorded a sample for
     /// at least `horizon` ticks (clamped to ≥ 1, so a sketch touched
     /// this tick never spills), returning the number spilled. Spilled
@@ -664,6 +768,7 @@ impl PairwiseStats {
             + self.sketch_seen.capacity() * size_of::<u64>()
             + self.free_slots.capacity() * size_of::<u32>()
             + self.touched_pages.capacity() * size_of::<u64>()
+            + self.touch_log.ring.capacity() * size_of::<usize>()
     }
 
     /// Estimated bytes actually *materialised* by this store: column
@@ -685,6 +790,7 @@ impl PairwiseStats {
             + self.sketch_seen.len() * size_of::<u64>()
             + self.free_slots.capacity() * size_of::<u32>()
             + self.touched_pages.capacity() * size_of::<u64>()
+            + self.touch_log.ring.len() * size_of::<usize>()
     }
 
     /// Flattened vector of mean estimates over all ordered pairs (i ≠ j),
@@ -1311,6 +1417,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn touched(s: &PairwiseStats, cursor: TouchCursor) -> Option<Vec<usize>> {
+        s.touched_since(cursor).map(Iterator::collect)
+    }
+
+    #[test]
+    fn touch_log_reports_the_links_every_mutator_changed_since_the_cursor() {
+        let mut s = PairwiseStats::new(4);
+        let c0 = s.touch_cursor();
+        s.record(0, 1, 1.0);
+        s.record_attempts(2, 3, 2);
+        s.record_timeouts(2, 3, 1);
+        s.record_attempts(1, 0, 0); // k = 0 changes nothing, logs nothing
+        let c1 = s.touch_cursor();
+        let batch =
+            |src, dst, rtts: Vec<f64>| LinkBatch { src, dst, attempts: 1, timeouts: 0, rtts };
+        let idle = LinkBatch { src: 0, dst: 2, ..LinkBatch::default() };
+        s.merge_batches(vec![batch(3, 0, vec![2.0]), idle, batch(1, 2, vec![])], 1);
+        // The merge logs its (non-empty) batches in link-index order.
+        assert_eq!(touched(&s, c0).unwrap(), [1, 11, 11, 6, 12]);
+        assert_eq!(touched(&s, c1).unwrap(), [6, 12]);
+        assert_eq!(touched(&s, s.touch_cursor()).unwrap(), []);
+    }
+
+    #[test]
+    fn touch_log_is_bounded_and_rejects_overrun_or_foreign_cursors() {
+        let n = 5;
+        let cap = TOUCH_LOG_PER_INSTANCE * n;
+        let mut s = PairwiseStats::new(n);
+        let start = s.touch_cursor();
+        for i in 0..cap {
+            s.record(0, 1 + i % 4, 1.0);
+        }
+        assert_eq!(touched(&s, start).unwrap().len(), cap, "the whole tail is still on the log");
+        let mid = s.touch_cursor();
+        s.record(1, 0, 1.0);
+        assert!(touched(&s, start).is_none(), "the oldest entry fell off: rebuild");
+        assert_eq!(touched(&s, mid).unwrap(), [n]);
+        // O(n) entries however long the history grows.
+        let bytes = s.memory_bytes();
+        for _ in 0..10 * cap {
+            s.record(1, 0, 1.0);
+        }
+        assert_eq!(s.memory_bytes(), bytes);
+        // A clone starts a history of its own; a move keeps the old one.
+        let cursor = s.touch_cursor();
+        let clone = s.clone();
+        assert!(touched(&clone, cursor).is_none());
+        assert!(touched(&s, clone.touch_cursor()).is_none());
+        assert!(touched(&PairwiseStats::new(n), cursor).is_none());
+        let moved = s;
+        assert_eq!(touched(&moved, cursor).unwrap(), []);
     }
 
     #[test]

@@ -796,12 +796,23 @@ impl OnlineAdvisor {
     /// sweep-equivalent of fresh samples — their refresh included — has
     /// already landed.
     pub fn sweep_stop_rule(&self) -> Option<CiStopRule> {
+        // Checked here too: no stop rule, no reason to assemble a rule.
         if !self.config.anytime {
             return None;
         }
-        let rule = self.sweep_ci_prune_rule()?;
+        self.stop_rule_around(&self.sweep_ci_prune_rule()?)
+    }
+
+    /// [`OnlineAdvisor::sweep_stop_rule`] around a clone of the epoch's
+    /// already-built prune rule — the protections are assembled once, and
+    /// the pair shares one pool index. `None` unless `anytime` is on and
+    /// the rule carries a confidence level.
+    fn stop_rule_around(&self, rule: &CandidatePruneRule) -> Option<CiStopRule> {
+        if !self.config.anytime || rule.confidence().is_none() {
+            return None;
+        }
         let keep = self.deployed_links().chain(self.recent_flags.iter().copied());
-        Some(CiStopRule::new(rule).with_must_keep(keep))
+        Some(CiStopRule::new(rule.clone()).with_must_keep(keep))
     }
 
     /// The widest *finite* CI half-width across the links the current
@@ -1323,7 +1334,7 @@ impl OnlineAdvisor {
     /// trigger.
     pub fn step_stream<S: MeasurementStream>(&mut self, stream: &mut S) -> EpochSummary {
         let rule = self.sweep_prune_rule();
-        let stop = self.sweep_stop_rule();
+        let stop = rule.as_ref().and_then(|rule| self.stop_rule_around(rule));
         let mut scheme = self.next_probe_scheme();
         if let (Some(s), true) = (scheme.as_mut(), self.config.prune_during_sweep) {
             if !s.plan.is_full() {

@@ -41,8 +41,9 @@
 //! that still answers correctly.
 
 use std::collections::HashSet;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use cloudia_measure::{PairwiseStats, PruneRule};
+use cloudia_measure::{PairwiseStats, PruneRule, TouchCursor};
 
 use crate::problem::{CostMatrix, NodeDeployment};
 
@@ -374,34 +375,12 @@ impl CandidateSet {
         let pool: Vec<u32> = if pool_size >= m {
             (0..m as u32).collect()
         } else {
-            // One price lane: an observed direction prices at its mean,
-            // an attempted-but-answerless one (a dark link under packet
-            // loss) *is* evidence, not a coverage gap, and prices as
-            // unboundedly expensive — so a dark instance is scored out of
-            // the pool instead of force-included as "unmeasured".
             // Incident order differs from the per-link view walk (which
             // the retained `build_partial_reference` still does), which
             // is invisible: the quantile and the coverage fraction are
             // order-independent.
-            let mean = stats.mean_column();
-            let mut incident = IncidentPrices::scan(stats, |src, dst, observed| {
-                [if observed { mean[src * m + dst] } else { f64::INFINITY }]
-            });
-            let mut forced: Vec<u32> = Vec::new();
-            let mut scored: Vec<(f64, u32)> = Vec::new();
-            for j in 0..m {
-                match incident.scores(j, config.quantile, min_coverage) {
-                    // Not enough evidence to exclude this instance.
-                    None => forced.push(j as u32),
-                    Some([score]) => scored.push((score, j as u32)),
-                }
-            }
-            scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let take = pool_size.min(scored.len());
-            let mut pool = forced;
-            pool.extend(scored[..take].iter().map(|&(_, j)| j));
-            pool.sort_unstable();
-            pool
+            let mut incident = IncidentPrices::scan(stats, mean_price(stats));
+            Self::ranked_pool(m, pool_size, |j| incident.scores(j, config.quantile, min_coverage))
         };
 
         Self::assemble(m, n, pool, incumbent, fixed)
@@ -464,6 +443,30 @@ impl CandidateSet {
         };
 
         Self::assemble(m, n, pool, incumbent, fixed)
+    }
+
+    /// The shared pool under per-instance point scores: every instance
+    /// `score` cannot rank (`None`: not enough evidence to exclude it)
+    /// plus the `pool_size` cheapest ranked ones, boundary ties resolved
+    /// by instance index. Sorted by instance id.
+    fn ranked_pool(
+        m: usize,
+        pool_size: usize,
+        mut score: impl FnMut(usize) -> Option<[f64; 1]>,
+    ) -> Vec<u32> {
+        let mut pool: Vec<u32> = Vec::new();
+        let mut scored: Vec<(f64, u32)> = Vec::new();
+        for j in 0..m {
+            match score(j) {
+                None => pool.push(j as u32),
+                Some([score]) => scored.push((score, j as u32)),
+            }
+        }
+        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let take = pool_size.min(scored.len());
+        pool.extend(scored[..take].iter().map(|&(_, j)| j));
+        pool.sort_unstable();
+        pool
     }
 
     /// Shared tail of the builders: per-node lists (pool + incumbent/pin
@@ -597,11 +600,50 @@ impl PrunedProblem {
     }
 }
 
+/// The point pool's one price lane: an observed direction prices at its
+/// mean; an attempted-but-answerless one (a dark link under packet loss)
+/// *is* evidence, not a coverage gap, and prices as unboundedly expensive
+/// — so a dark instance is scored out of the pool instead of
+/// force-included as "unmeasured".
+fn mean_price(stats: &PairwiseStats) -> impl Fn(usize, usize, bool) -> [f64; 1] + '_ {
+    let (m, mean) = (stats.len(), stats.mean_column());
+    move |src, dst, observed| [if observed { mean[src * m + dst] } else { f64::INFINITY }]
+}
+
+/// The interval verdicts' two price lanes: an observed direction
+/// contributes its CI `[lower, upper]` at `confidence`; a dark direction
+/// is certain evidence of unreachability, `[+∞, +∞]`.
+fn interval_price(
+    stats: &PairwiseStats,
+    confidence: f64,
+) -> impl Fn(usize, usize, bool) -> [f64; 2] + '_ {
+    move |src, dst, observed| {
+        if observed {
+            let ci = stats.ci(src, dst, confidence);
+            [ci.lower(), ci.upper()]
+        } else {
+            [f64::INFINITY; 2]
+        }
+    }
+}
+
+/// Where the `quantile` sits among `len` ascending incident prices of one
+/// of `m` instances — or `None` when the instance's incident coverage
+/// (fraction of its `2(m−1)` directed links with evidence) is below
+/// `min_coverage`: not enough evidence to rank it either way.
+fn quantile_rank(len: usize, m: usize, quantile: f64, min_coverage: f64) -> Option<usize> {
+    if len == 0 || (len as f64 / (2 * (m - 1)) as f64) < min_coverage {
+        return None;
+    }
+    Some(((len - 1) as f64 * quantile).round() as usize)
+}
+
 /// The incident evidence of every instance, CSR-style in flat scratch
 /// buffers: `L` parallel price lanes (one for the point pool, two for the
 /// CI lower/upper bounds) over one shared offset table — the single
-/// transcription of the evidence pass behind
-/// [`CandidateSet::build_partial`] and the interval verdicts.
+/// transcription of the evidence pass, behind the one-shot
+/// [`CandidateSet::build_partial`] and the bulk build of the rules'
+/// [`PoolIndex`].
 struct IncidentPrices<const L: usize> {
     /// `off[j]..off[j + 1]` indexes instance `j`'s incident prices.
     off: Vec<usize>,
@@ -653,22 +695,211 @@ impl<const L: usize> IncidentPrices<L> {
     }
 
     /// Instance `j`'s score per lane — the `quantile` of its incident
-    /// prices — or `None` when its incident coverage (fraction of its
-    /// `2(m−1)` directed links with evidence) is below `min_coverage`:
-    /// not enough evidence to rank it either way. Reorders the lanes in
-    /// place (selection, not sort).
+    /// prices — or `None` when it is under-covered (see
+    /// [`quantile_rank`]). Reorders the lanes in place (selection, not
+    /// sort).
     fn scores(&mut self, j: usize, quantile: f64, min_coverage: f64) -> Option<[f64; L]> {
         let m = self.off.len() - 1;
         let (start, end) = (self.off[j], self.off[j + 1]);
-        let len = end - start;
-        if len == 0 || (len as f64 / (2 * (m - 1)) as f64) < min_coverage {
-            return None;
-        }
-        let idx = ((len - 1) as f64 * quantile).round() as usize;
+        let rank = quantile_rank(end - start, m, quantile, min_coverage)?;
         Some(std::array::from_fn(|l| {
-            *self.lanes[l][start..end].select_nth_unstable_by(idx, f64::total_cmp).1
+            *self.lanes[l][start..end].select_nth_unstable_by(rank, f64::total_cmp).1
         }))
     }
+}
+
+/// The rules' evidence, maintained instead of rescanned: every
+/// instance's incident prices **sorted** per lane, next to the price each
+/// directed link currently contributes. A rule is evaluated between
+/// every two stages of a sweep, and a stage changes at most `m / 2`
+/// links — so after one bulk build from the evidence pass,
+/// [`PoolIndex::sync_means`] / [`PoolIndex::sync_intervals`] re-price
+/// only the links the statistics' touch log names
+/// ([`PairwiseStats::touched_since`]) and move their entries in both
+/// endpoints' lists; a score is then a read at the quantile's rank.
+/// Scores are bit-identical to a from-scratch evidence pass over the same
+/// statistics: the lists hold exactly the prices the pass would collect,
+/// and a selection returns the element a sort puts at that rank.
+///
+/// An index follows one statistics *history*: handed statistics of
+/// another lineage (a clone, another store) or ones whose log has
+/// overrun since the last sync, it rebuilds.
+///
+/// Public for the `kernel_bench` race only; not part of the API.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct PoolIndex<const L: usize> {
+    /// How far along the statistics' touch log the index is current;
+    /// `None` before the first build.
+    cursor: Option<TouchCursor>,
+    m: usize,
+    /// The lanes' price of directed link `src * m + dst` as it sits on
+    /// both endpoints' lists; `None` = no evidence, on no list.
+    price: Vec<Option<[f64; L]>>,
+    /// `lists[l][j]`: instance `j`'s incident prices on lane `l`,
+    /// ascending under `f64::total_cmp`.
+    lists: [Vec<Vec<f64>>; L],
+    rebuilds: u64,
+    synced_links: u64,
+}
+
+impl<const L: usize> Default for PoolIndex<L> {
+    fn default() -> Self {
+        Self {
+            cursor: None,
+            m: 0,
+            price: Vec::new(),
+            lists: std::array::from_fn(|_| Vec::new()),
+            rebuilds: 0,
+            synced_links: 0,
+        }
+    }
+}
+
+impl PoolIndex<1> {
+    /// Brings the point-pool index (lane: [`mean_price`]) up to `stats`.
+    pub fn sync_means(&mut self, stats: &PairwiseStats) {
+        self.sync(stats, mean_price(stats));
+    }
+}
+
+impl PoolIndex<2> {
+    /// Brings the interval index (lanes: [`interval_price`] at
+    /// `confidence`) up to `stats`. One index, one confidence level.
+    pub fn sync_intervals(&mut self, stats: &PairwiseStats, confidence: f64) {
+        self.sync(stats, interval_price(stats, confidence));
+    }
+}
+
+impl<const L: usize> PoolIndex<L> {
+    /// Times the index was built from the evidence pass instead of
+    /// synced from the touch log.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
+    }
+
+    fn sync(&mut self, stats: &PairwiseStats, price: impl Fn(usize, usize, bool) -> [f64; L]) {
+        match self.cursor.and_then(|cursor| stats.touched_since(cursor)) {
+            Some(touched) => {
+                let (count, attempts) = (stats.count_column(), stats.attempts_column());
+                for idx in touched {
+                    // The evidence test of `scan_row_evidence`.
+                    let observed = count[idx] > 0;
+                    let evidence = observed || attempts[idx] > 0;
+                    self.reprice(
+                        idx,
+                        evidence.then(|| price(idx / self.m, idx % self.m, observed)),
+                    );
+                }
+            }
+            None => self.rebuild(stats, price),
+        }
+        self.cursor = Some(stats.touch_cursor());
+    }
+
+    fn rebuild(&mut self, stats: &PairwiseStats, price: impl Fn(usize, usize, bool) -> [f64; L]) {
+        let m = stats.len();
+        self.m = m;
+        self.rebuilds += 1;
+        self.price.clear();
+        self.price.resize(m * m, None);
+        let cache = &mut self.price;
+        let incident = IncidentPrices::scan(stats, |src, dst, observed| {
+            let prices = price(src, dst, observed);
+            cache[src * m + dst] = Some(prices);
+            prices
+        });
+        self.lists = incident.lanes.map(|lane| {
+            incident
+                .off
+                .windows(2)
+                .map(|w| {
+                    let mut list = lane[w[0]..w[1]].to_vec();
+                    list.sort_unstable_by(f64::total_cmp);
+                    list
+                })
+                .collect()
+        });
+    }
+
+    /// Replaces what directed link `idx` contributes to its endpoints'
+    /// lists with `new`.
+    fn reprice(&mut self, idx: usize, new: Option<[f64; L]>) {
+        self.synced_links += 1;
+        let old = std::mem::replace(&mut self.price[idx], new);
+        let bits = |p: Option<[f64; L]>| p.map(|p| p.map(f64::to_bits));
+        if bits(old) == bits(new) {
+            return;
+        }
+        for end in [idx / self.m, idx % self.m] {
+            for (l, lists) in self.lists.iter_mut().enumerate() {
+                let list = &mut lists[end];
+                let from = old.map(|old| {
+                    list.binary_search_by(|p| p.total_cmp(&old[l]))
+                        .expect("a cached price sits on both endpoints' lists")
+                });
+                let to =
+                    new.map(|new| (list.partition_point(|p| p.total_cmp(&new[l]).is_lt()), new[l]));
+                match (from, to) {
+                    // A price usually moves a little: slide the entries
+                    // between its old and new rank instead of closing
+                    // one gap and opening another.
+                    (Some(from), Some((to, price))) if to > from => {
+                        list.copy_within(from + 1..to, from);
+                        list[to - 1] = price;
+                    }
+                    (Some(from), Some((to, price))) => {
+                        list.copy_within(to..from, to + 1);
+                        list[to] = price;
+                    }
+                    (Some(from), None) => drop(list.remove(from)),
+                    (None, Some((to, price))) => list.insert(to, price),
+                    (None, None) => {}
+                }
+            }
+        }
+    }
+
+    /// Instance `j`'s score per lane — the `quantile` of its incident
+    /// prices — or `None` when it is under-covered (see
+    /// [`quantile_rank`]).
+    pub fn scores(&self, j: usize, quantile: f64, min_coverage: f64) -> Option<[f64; L]> {
+        let rank = quantile_rank(self.lists[0][j].len(), self.m, quantile, min_coverage)?;
+        Some(std::array::from_fn(|l| self.lists[l][j][rank]))
+    }
+}
+
+/// Flushed once per index lifetime — a rule lives for one sweep, so once
+/// per sweep, like the driver's stage tally. A healthy sweep shows one
+/// rebuild per index; more means it silently fell back to rescanning.
+impl<const L: usize> Drop for PoolIndex<L> {
+    fn drop(&mut self) {
+        if self.rebuilds > 0 {
+            cloudia_obs::counters(&[
+                ("sweep.rule.index_rebuilds", self.rebuilds),
+                ("sweep.rule.synced_links", self.synced_links),
+            ]);
+        }
+    }
+}
+
+/// An index shared by a rule and its clones, so the anytime pair — the
+/// prune rule and the [`CiStopRule`] around its clone — syncs once per
+/// stage, not twice.
+type SharedIndex<const L: usize> = Arc<Mutex<PoolIndex<L>>>;
+
+fn lock<const L: usize>(index: &SharedIndex<L>) -> MutexGuard<'_, PoolIndex<L>> {
+    index.lock().expect("a pool index sync panicked")
+}
+
+/// The evidence a [`CandidatePruneRule`] demands, with the index that
+/// maintains it.
+#[derive(Debug, Clone)]
+enum Evidence {
+    /// Point-quantile rank.
+    Point(SharedIndex<1>),
+    /// CI separation at `confidence`.
+    Interval { confidence: f64, index: SharedIndex<2> },
 }
 
 /// The mid-sweep tournament prune rule (implements
@@ -710,12 +941,20 @@ impl<const L: usize> IncidentPrices<L> {
 /// * **under-covered instances** (incident coverage below
 ///   `min_coverage`) cannot be proven out, so early sweeps prune nothing
 ///   they might regret.
+///
+/// Evaluation is incremental: the rule keeps a [`PoolIndex`] of the
+/// evidence behind interior mutability, bulk-built on the first
+/// evaluation and from then on re-priced only for the links the
+/// statistics' touch log says moved since the last one — O(touched
+/// links) per between-stage call instead of a pass over all m² columns,
+/// with the same verdicts. Evaluated on other statistics (a clone,
+/// another store) the index rebuilds. Clones of a rule share its index.
 #[derive(Debug, Clone)]
 pub struct CandidatePruneRule {
     num_nodes: usize,
     config: CandidateConfig,
     min_coverage: f64,
-    confidence: Option<f64>,
+    evidence: Evidence,
     tolerance: f64,
     incumbent: Option<Vec<u32>>,
     fixed: Option<Vec<Option<u32>>>,
@@ -734,12 +973,16 @@ impl CandidatePruneRule {
     /// nodes, sizing pools by `config` and requiring
     /// [`CandidatePruneRule::DEFAULT_MIN_COVERAGE`] incident coverage
     /// before an instance may be proven out.
+    ///
+    /// # Panics
+    /// Panics if the config's quantile is outside `[0, 1]`.
     pub fn new(num_nodes: usize, config: CandidateConfig) -> Self {
+        assert!((0.0..=1.0).contains(&config.quantile), "quantile must be in [0, 1]");
         Self {
             num_nodes,
             config,
             min_coverage: Self::DEFAULT_MIN_COVERAGE,
-            confidence: None,
+            evidence: Evidence::Point(SharedIndex::default()),
             tolerance: 0.0,
             incumbent: None,
             fixed: None,
@@ -757,7 +1000,7 @@ impl CandidatePruneRule {
             confidence > 0.0 && confidence < 1.0,
             "confidence must be in (0,1), got {confidence}"
         );
-        self.confidence = Some(confidence);
+        self.evidence = Evidence::Interval { confidence, index: SharedIndex::default() };
         self
     }
 
@@ -823,7 +1066,10 @@ impl CandidatePruneRule {
     /// The confidence level separations are demanded at (`None`: the
     /// point-estimate pool).
     pub fn confidence(&self) -> Option<f64> {
-        self.confidence
+        match self.evidence {
+            Evidence::Point(_) => None,
+            Evidence::Interval { confidence, .. } => Some(confidence),
+        }
     }
 
     /// The relative indifference margin (0 unless overridden).
@@ -834,27 +1080,47 @@ impl CandidatePruneRule {
     /// Per-instance verdict: `true` where the instance is out of every
     /// candidate pool on the evidence this rule demands.
     fn out_of_pool(&self, stats: &PairwiseStats) -> Vec<bool> {
-        match self.confidence {
-            None => {
-                let set = CandidateSet::build_partial(
-                    self.num_nodes,
-                    stats,
-                    &self.config,
-                    self.incumbent.as_deref(),
-                    self.fixed.as_deref(),
-                    self.min_coverage,
-                );
-                let mut out = vec![true; stats.len()];
-                for &j in set.union() {
-                    out[j as usize] = false;
-                }
-                out
+        let m = stats.len();
+        let index = match &self.evidence {
+            Evidence::Point(index) => index,
+            Evidence::Interval { .. } => {
+                let scores = self.interval_scores(stats);
+                return (0..m).map(|j| scores.provably_out(j)).collect();
             }
-            Some(_) => {
-                let scores = CiScores::build(self, stats);
-                (0..stats.len()).map(|j| scores.provably_out(j)).collect()
-            }
+        };
+        // Out = outside the candidate union `CandidateSet::build_partial`
+        // forms from these statistics: the ranked pool plus the
+        // incumbent and pinned instances.
+        let pool_size = self.config.pool_size(self.num_nodes, m);
+        if pool_size >= m {
+            return vec![false; m];
         }
+        let mut index = lock(index);
+        index.sync_means(stats);
+        let pool = CandidateSet::ranked_pool(m, pool_size, |j| {
+            index.scores(j, self.config.quantile, self.min_coverage)
+        });
+        let mut out = vec![true; m];
+        let kept = self.incumbent.iter().flatten().chain(self.fixed.iter().flatten().flatten());
+        for &j in pool.iter().chain(kept) {
+            out[j as usize] = false;
+        }
+        out
+    }
+
+    /// The interval scores of `stats`, off the synced index.
+    ///
+    /// # Panics
+    /// Panics without a confidence level.
+    fn interval_scores(&self, stats: &PairwiseStats) -> CiScores {
+        let Evidence::Interval { confidence, index } = &self.evidence else {
+            panic!("interval verdicts need a confidence level");
+        };
+        let mut index = lock(index);
+        index.sync_intervals(stats, *confidence);
+        CiScores::build(self, stats.len(), |j| {
+            index.scores(j, self.config.quantile, self.min_coverage)
+        })
     }
 }
 
@@ -922,9 +1188,14 @@ struct CiScores {
 }
 
 impl CiScores {
-    fn build(rule: &CandidatePruneRule, stats: &PairwiseStats) -> Self {
-        let confidence = rule.confidence.expect("interval verdicts need a confidence level");
-        let m = stats.len();
+    /// Scores `m` instances for `rule`; `score(j)` is instance `j`'s
+    /// quantile of incident CI lower and upper bounds, `None` when it is
+    /// under-covered.
+    fn build(
+        rule: &CandidatePruneRule,
+        m: usize,
+        score: impl Fn(usize) -> Option<[f64; 2]>,
+    ) -> Self {
         let pool_size = rule.config.pool_size(rule.num_nodes, m);
         let mut forced = vec![false; m];
         for &j in rule.incumbent.iter().flatten() {
@@ -934,23 +1205,11 @@ impl CiScores {
             forced[j as usize] = true;
         }
 
-        // Two price lanes: each observed directed link contributes its
-        // interval to both endpoints. A dark direction (attempted, never
-        // answered) is certain evidence of unreachability: `[+∞, +∞]`.
-        let mut incident = IncidentPrices::scan(stats, |src, dst, observed| {
-            if observed {
-                let ci = stats.ci(src, dst, confidence);
-                [ci.lower(), ci.upper()]
-            } else {
-                [f64::INFINITY; 2]
-            }
-        });
-
         let mut lo = vec![0.0f64; m];
         let mut hi = vec![f64::INFINITY; m];
         let mut undercovered = vec![false; m];
         for j in 0..m {
-            match incident.scores(j, rule.config.quantile, rule.min_coverage) {
+            match score(j) {
                 // Not enough evidence either way: optimistic 0 (never
                 // provably out), pessimistic ∞ (displaces nobody).
                 None => undercovered[j] = true,
@@ -1061,7 +1320,7 @@ impl CiStopRule {
     /// ([`CandidatePruneRule::with_confidence`]): stability is an
     /// interval verdict.
     pub fn new(rule: CandidatePruneRule) -> Self {
-        assert!(rule.confidence.is_some(), "a stop rule needs a confidence level");
+        assert!(rule.confidence().is_some(), "a stop rule needs a confidence level");
         let keep = rule.protected.clone();
         Self { rule, keep, checkpoint: std::cell::Cell::new(None) }
     }
@@ -1084,7 +1343,7 @@ impl cloudia_measure::StopRule for CiStopRule {
         if stats.total_samples() == 0 || remaining.is_empty() {
             return false;
         }
-        let scores = CiScores::build(&self.rule, stats);
+        let scores = self.rule.interval_scores(stats);
         let mut all_settled = true;
         let mut any_earned = false;
         let mut undercovered = false;

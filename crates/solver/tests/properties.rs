@@ -497,3 +497,255 @@ proptest! {
         }
     }
 }
+
+// --- Delta-maintained pool index: the rules' evidence is synced from the
+// statistics' touch log between evaluations, and must never answer from
+// stale prices. Every evaluation of a long-lived rule is compared with
+// the same rule evaluated from scratch (a twin handed a *clone* of the
+// statistics, which is another lineage and therefore a rebuild), and the
+// index's scores with a per-link recomputation that shares no code with
+// the evidence pass.
+mod pool_index {
+    use cloudia_measure::{LinkBatch, PairwiseStats, PruneRule, StopRule};
+    use cloudia_solver::candidates::PoolIndex;
+    use cloudia_solver::{CandidateConfig, CandidatePruneRule, CiStopRule};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    const CONFIDENCE: f64 = 0.9;
+    const QUANTILE: f64 = 0.5;
+
+    /// Instance `j`'s score per lane, recomputed link by link.
+    fn naive_scores(
+        stats: &PairwiseStats,
+        j: usize,
+        confidence: Option<f64>,
+        min_coverage: f64,
+    ) -> Option<Vec<u64>> {
+        let m = stats.len();
+        let mut lanes: Vec<Vec<f64>> = vec![Vec::new(); if confidence.is_some() { 2 } else { 1 }];
+        for l in (0..m).filter(|&l| l != j) {
+            for (src, dst) in [(j, l), (l, j)] {
+                let link = stats.link(src, dst);
+                let prices = match (link.count() > 0, link.attempts() > 0, confidence) {
+                    (true, _, None) => vec![link.mean()],
+                    (true, _, Some(c)) => {
+                        let ci = stats.ci(src, dst, c);
+                        vec![ci.lower(), ci.upper()]
+                    }
+                    (false, true, _) => vec![f64::INFINITY; lanes.len()],
+                    (false, false, _) => continue,
+                };
+                for (lane, p) in lanes.iter_mut().zip(prices) {
+                    lane.push(p);
+                }
+            }
+        }
+        let len = lanes[0].len();
+        if len == 0 || (len as f64 / (2 * (m - 1)) as f64) < min_coverage {
+            return None;
+        }
+        let rank = ((len - 1) as f64 * QUANTILE).round() as usize;
+        Some(
+            lanes
+                .iter_mut()
+                .map(|lane| {
+                    lane.sort_by(f64::total_cmp);
+                    lane[rank].to_bits()
+                })
+                .collect(),
+        )
+    }
+
+    /// One random mutation of `stats`. Instance 0 never answers (its
+    /// links only ever collect attempts: dark), and the top two instances
+    /// are touched rarely, so they stay below the coverage threshold for
+    /// long stretches.
+    fn mutate(stats: &mut PairwiseStats, rng: &mut StdRng) {
+        let m = stats.len();
+        let link = |rng: &mut StdRng| loop {
+            let (a, b) = (rng.random_range(0..m), rng.random_range(0..m));
+            let rare = a.max(b) >= m - 2 && rng.random::<f64>() < 0.8;
+            if a != b && !rare {
+                return (a, b);
+            }
+        };
+        let rtt = |rng: &mut StdRng| rng.random_range(0.5..5.0);
+        match rng.random_range(0..4u32) {
+            0 => {
+                let (a, b) = link(rng);
+                if a.min(b) == 0 {
+                    stats.record_attempts(a, b, 1);
+                } else {
+                    stats.record(a, b, rtt(rng));
+                }
+            }
+            1 => {
+                let (a, b) = link(rng);
+                stats.record_attempts(a, b, rng.random_range(0..3));
+            }
+            2 => {
+                let (a, b) = link(rng);
+                stats.record_timeouts(a, b, rng.random_range(0..3));
+            }
+            _ => {
+                // A stage: endpoint-disjoint pairs, one direction each.
+                let mut ids: Vec<usize> = (0..m).collect();
+                for i in (1..m).rev() {
+                    ids.swap(i, rng.random_range(0..=i));
+                }
+                let batches = ids
+                    .chunks_exact(2)
+                    .take(rng.random_range(1..=m / 2))
+                    .map(|pair| {
+                        let (src, dst) = (pair[0], pair[1]);
+                        let dark = src.min(dst) == 0;
+                        let samples = if dark { 0 } else { rng.random_range(0..4usize) };
+                        LinkBatch {
+                            src,
+                            dst,
+                            attempts: rng.random_range(0..4),
+                            timeouts: rng.random_range(0..2),
+                            rtts: (0..samples).map(|_| rtt(rng)).collect(),
+                        }
+                    })
+                    .collect();
+                stats.merge_batches(batches, 1);
+            }
+        }
+    }
+
+    /// A long-lived rule set next to the from-scratch twin it must agree
+    /// with, plus a bare index per lane count.
+    struct Harness {
+        point: [CandidatePruneRule; 2],
+        interval: [CandidatePruneRule; 2],
+        stop: [CiStopRule; 2],
+        means: PoolIndex<1>,
+        intervals: PoolIndex<2>,
+        min_coverage: f64,
+        remaining: Vec<(u32, u32)>,
+    }
+
+    impl Harness {
+        fn new(m: usize, rng: &mut StdRng) -> Self {
+            let min_coverage = [0.2, 0.5, 0.8][rng.random_range(0..3usize)];
+            let pool = CandidateConfig::fixed(rng.random_range(3..m));
+            let tolerance = if rng.random::<bool>() { 0.05 } else { 0.0 };
+            // Built twice, not cloned: clones share an index, and the
+            // twin must not drag the long-lived rule onto its lineage.
+            let point = || {
+                CandidatePruneRule::new(3, pool)
+                    .with_min_coverage(min_coverage)
+                    .with_incumbent(&[1, 2, 3])
+            };
+            let interval = || point().with_confidence(CONFIDENCE).with_tolerance(tolerance);
+            // The long-lived stop rule wraps a clone of the long-lived
+            // interval rule and so shares its index, as the online
+            // advisor's pair does.
+            let long_lived = interval();
+            Self {
+                stop: [CiStopRule::new(long_lived.clone()), CiStopRule::new(interval())],
+                point: [point(), point()],
+                interval: [long_lived, interval()],
+                means: PoolIndex::default(),
+                intervals: PoolIndex::default(),
+                min_coverage,
+                remaining: (0..m as u32)
+                    .flat_map(|a| (a + 1..m as u32).map(move |b| (a, b)))
+                    .collect(),
+            }
+        }
+
+        /// Evaluates everything on `stats` and on a from-scratch basis.
+        fn check(&mut self, stats: &PairwiseStats) {
+            let scratch = stats.clone();
+            let rem = &self.remaining;
+            assert_eq!(self.point[0].prune(stats, rem), self.point[1].prune(&scratch, rem));
+            assert_eq!(self.interval[0].prune(stats, rem), self.interval[1].prune(&scratch, rem));
+            // Both stop rules see every evaluation, so their plateau
+            // checkpoints move in step.
+            assert_eq!(self.stop[0].stable(stats, rem), self.stop[1].stable(&scratch, rem));
+            self.means.sync_means(stats);
+            self.intervals.sync_intervals(stats, CONFIDENCE);
+            let bits = |s: Option<[f64; 2]>| s.map(|s| s.map(f64::to_bits).to_vec());
+            for j in 0..stats.len() {
+                assert_eq!(
+                    self.means.scores(j, QUANTILE, self.min_coverage).map(|[s]| vec![s.to_bits()]),
+                    naive_scores(stats, j, None, self.min_coverage),
+                    "mean score of instance {}",
+                    j
+                );
+                assert_eq!(
+                    bits(self.intervals.scores(j, QUANTILE, self.min_coverage)),
+                    naive_scores(stats, j, Some(CONFIDENCE), self.min_coverage),
+                    "interval score of instance {}",
+                    j
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn indexed_rules_equal_from_scratch_evaluation_under_any_interleaving(
+            seed in 0u64..10_000,
+            m in 6usize..13,
+            ops in 20usize..120,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stats = PairwiseStats::new(m);
+            let mut h = Harness::new(m, &mut rng);
+            for _ in 0..ops {
+                mutate(&mut stats, &mut rng);
+                if rng.random::<f64>() < 0.4 {
+                    h.check(&stats);
+                }
+            }
+            h.check(&stats);
+            // One history, evaluated often enough to stay on the log's
+            // tail: each index was built once and synced ever after.
+            prop_assert!(h.means.rebuilds() <= 1 + ops as u64 / (4 * m as u64));
+        }
+
+        #[test]
+        fn a_diverged_clone_or_an_overrun_log_rebuilds_the_index(
+            seed in 0u64..10_000,
+            m in 6usize..13,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stats = PairwiseStats::new(m);
+            let mut h = Harness::new(m, &mut rng);
+            for _ in 0..3 * m {
+                mutate(&mut stats, &mut rng);
+            }
+            h.check(&stats);
+            prop_assert_eq!((h.means.rebuilds(), h.intervals.rebuilds()), (1, 1));
+
+            // The same rules on a clone that then diverges…
+            let mut fork = stats.clone();
+            for _ in 0..m {
+                mutate(&mut fork, &mut rng);
+            }
+            h.check(&fork);
+            prop_assert_eq!((h.means.rebuilds(), h.intervals.rebuilds()), (2, 2));
+            // …and back on the original, which moved on meanwhile.
+            mutate(&mut stats, &mut rng);
+            h.check(&stats);
+            prop_assert_eq!((h.means.rebuilds(), h.intervals.rebuilds()), (3, 3));
+            mutate(&mut stats, &mut rng);
+            h.check(&stats);
+            prop_assert_eq!(h.means.rebuilds(), 3, "same history, short delta: a sync");
+
+            // More touches than the log retains between two evaluations.
+            let cursor = stats.touch_cursor();
+            while stats.touched_since(cursor).is_some() {
+                mutate(&mut stats, &mut rng);
+            }
+            h.check(&stats);
+            prop_assert_eq!((h.means.rebuilds(), h.intervals.rebuilds()), (4, 4));
+        }
+    }
+}

@@ -1,0 +1,37 @@
+//! The pool index reports how it kept up with a sweep. One test, in a
+//! process of its own: the counters live in the global registry, where a
+//! concurrently evaluated rule would move them.
+
+use cloudia_measure::{run_anytime, MeasureConfig, PairwiseStats, Staged};
+use cloudia_netsim::{Cloud, Provider};
+use cloudia_solver::{CandidateConfig, CandidatePruneRule, CiStopRule};
+
+#[test]
+fn a_healthy_sweep_rebuilds_each_index_once_and_syncs_the_rest() {
+    let m = 12;
+    let mut cloud = Cloud::boot(Provider::ec2_like(), 3);
+    let alloc = cloud.allocate(m);
+    let net = cloud.network(&alloc);
+    let cfg = MeasureConfig::default();
+    let scheme = Staged::new(3, 2);
+    let counter = |name: &str| cloudia_obs::metrics().counter_value(name);
+    let rule = || CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
+
+    // The advisor's pair: the stop rule wraps a clone of the prune rule,
+    // so the two share one index.
+    let prune = rule();
+    let stop = CiStopRule::new(prune.clone());
+    run_anytime(&scheme, &net, &cfg, PairwiseStats::new(m), &prune, &stop);
+    assert_eq!(counter("sweep.rule.index_rebuilds"), 0, "flushed when the index drops, not before");
+    drop((prune, stop));
+    assert_eq!(counter("sweep.rule.index_rebuilds"), 1);
+    let synced = counter("sweep.rule.synced_links");
+    assert!(synced > 0, "every stage after the first evaluation is a delta sync");
+
+    // Separately built rules keep an index each.
+    let (prune, stop) = (rule(), CiStopRule::new(rule()));
+    run_anytime(&scheme, &net, &cfg, PairwiseStats::new(m), &prune, &stop);
+    drop((prune, stop));
+    assert_eq!(counter("sweep.rule.index_rebuilds"), 3);
+    assert!(counter("sweep.rule.synced_links") > synced);
+}
