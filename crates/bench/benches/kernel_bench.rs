@@ -163,7 +163,7 @@ fn assert_pool_index_wins<const L: usize>(
         if round >= m - 1 {
             batches.iter_mut().for_each(|b| std::mem::swap(&mut b.src, &mut b.dst));
         }
-        stats.merge_batches(batches, 1);
+        stats.merge_batches(batches);
     }
     assert_eq!(stats.covered_links(), m * (m - 1), "the race runs on full coverage");
     let scores = |index: &PoolIndex<L>| -> Vec<[u64; L]> {
@@ -173,7 +173,7 @@ fn assert_pool_index_wins<const L: usize>(
     sync(&mut kept, &stats);
     let (mut sync_s, mut rebuild_s) = (0.0f64, 0.0f64);
     for round in 0..stages {
-        stats.merge_batches(stage_batches(m, round, &mut rng), 1);
+        stats.merge_batches(stage_batches(m, round, &mut rng));
         let t0 = Instant::now();
         sync(&mut kept, &stats);
         let synced = black_box(scores(&kept));

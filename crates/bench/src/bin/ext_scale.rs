@@ -35,31 +35,20 @@
 //!   array-of-structs walk (`build_partial_reference`) by ≥ 5× while
 //!   producing the identical candidate pool.
 //!
-//! Three **sustained-throughput** arms then cover the sweep hot path:
-//!
-//! * sharded merge at m = 5000 — one stage's worth of per-link batches
-//!   merged serially vs across the sweep pool; smoke asserts the
-//!   parallel merge is ≥ 2× the serial one (skipped on one core) and
-//!   that both produce identical statistics;
-//! * adaptive sketch spilling at m = 20000 with 2048 neighbours per
-//!   instance — smoke asserts the materialised footprint
-//!   ([`PairwiseStats::resident_bytes`]) stays ≤ 5 GB with spilling on,
-//!   where keeping every sketch would pin ~8 GB of P² state alone;
-//! * pool reuse — two seeded staged drivers back to back; smoke asserts
-//!   the second driver spawns zero new threads, and the spawn/task/park
-//!   tallies land in the JSON so the reuse trajectory is visible across
-//!   PRs.
+//! A third section covers **adaptive sketch spilling** at m = 20000 with
+//! 2048 neighbours per instance: it asserts the materialised footprint
+//! ([`PairwiseStats::resident_bytes`]) stays ≤ 5 GB with spilling on,
+//! where keeping every sketch would pin ~8 GB of P² state alone.
 //!
 //! The machine-readable race results always land in
 //! `BENCH_ext_scale.json`.
 
 use std::time::Instant;
 
-use cloudia_bench::{header, row, standard_network, write_bench_json, ExtArgs};
+use cloudia_bench::{header, row, write_bench_json, ExtArgs};
 use cloudia_core::{CommGraph, CostMatrix, PrunedSolve, SearchStrategy, SolveHint};
 use cloudia_measure::stats::aos;
-use cloudia_measure::{LinkBatch, MeasureConfig, PairwiseStats, Scheme, Staged, SweepPool};
-use cloudia_netsim::Provider;
+use cloudia_measure::PairwiseStats;
 use cloudia_obs::Json;
 use cloudia_solver::{Budget, CandidateConfig, CandidateSet, CpConfig, Objective, PortfolioConfig};
 
@@ -267,69 +256,6 @@ fn main() {
         );
     }
 
-    // --- Sharded merge throughput at m = 5000 --------------------------
-    //
-    // The same ring-of-8 coverage, but delivered the way `run_stage` now
-    // delivers it: one stage's worth of per-link batches (64 rtts per
-    // link, ~2.6 M samples total) replayed through
-    // `PairwiseStats::merge_batches`, once serially and once sharded
-    // across the sweep pool. The sharded merge is pinned bit-identical
-    // to the serial one by proptest; here the race measures what that
-    // determinism costs (nothing) and what the fan-out buys.
-    let merge_m = 5_000usize;
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let make_batches = || {
-        let mut batches = Vec::with_capacity(merge_m * 8);
-        for j in 0..merge_m {
-            for d in 1..=8usize {
-                let dst = (j + d) % merge_m;
-                let rtts: Vec<f64> =
-                    (0..64).map(|s| 0.3 + ((j + d + s) % 17) as f64 * 0.05).collect();
-                batches.push(LinkBatch { src: j, dst, attempts: 65, timeouts: 1, rtts });
-            }
-        }
-        batches
-    };
-    let t0 = Instant::now();
-    let mut serial_stats = PairwiseStats::new(merge_m);
-    serial_stats.merge_batches(make_batches(), 1);
-    let serial_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let mut sharded_stats = PairwiseStats::new(merge_m);
-    sharded_stats.merge_batches(make_batches(), cores);
-    let parallel_s = t0.elapsed().as_secs_f64();
-    let merge_speedup = serial_s / parallel_s.max(1e-9);
-    if sharded_stats.total_samples() != serial_stats.total_samples()
-        || sharded_stats.mean_vector() != serial_stats.mean_vector()
-    {
-        failures.push(format!("merge@m={merge_m}: sharded merge diverged from the serial replay"));
-    }
-    println!();
-    println!("merge_m\tcores\tserial_s\tparallel_s\tspeedup");
-    row(&[
-        format!("{merge_m}"),
-        format!("{cores}"),
-        format!("{serial_s:.3}"),
-        format!("{parallel_s:.3}"),
-        format!("{merge_speedup:.1}x"),
-    ]);
-    if smoke {
-        if cores == 1 {
-            println!("# merge-throughput gate skipped: single-core machine, nothing to fan out");
-        } else if merge_speedup < 2.0 {
-            failures.push(format!(
-                "merge@m={merge_m}: parallel merge speedup {merge_speedup:.1}x < 2x on \
-                 {cores} cores (serial {serial_s:.3}s, parallel {parallel_s:.3}s)"
-            ));
-        }
-    }
-    let merge_json = Json::obj()
-        .field("m", merge_m)
-        .field("cores", cores)
-        .field("serial_s", serial_s)
-        .field("parallel_s", parallel_s)
-        .field("speedup", merge_speedup);
-
     // --- Adaptive sketch spilling at m = 20000 -------------------------
     //
     // 2048 neighbours per instance is ~41 M covered links; keeping a P²
@@ -388,57 +314,12 @@ fn main() {
         .field("live_sketches", spill_stats.live_sketches())
         .field("spilled", spilled_total);
 
-    // --- Worker-pool reuse across drivers ------------------------------
-    //
-    // Two staged drivers back to back with an explicit fan-out. The pool
-    // is spawned at most once per process lifetime; the second driver
-    // must reuse the same threads (zero new spawn events), and the
-    // spawn/task/park tallies land in the JSON so the reuse trajectory
-    // stays visible across PRs.
-    let pool_net = standard_network(Provider::ec2_like(), 64, 11);
-    let pool_mcfg = MeasureConfig { stage_workers: 2, ..MeasureConfig::default() };
-    let scheme = Staged::new(2, 2);
-    let before = SweepPool::global().stats();
-    scheme.run(&pool_net, &pool_mcfg);
-    let warm = SweepPool::global().stats();
-    scheme.run(&pool_net, &pool_mcfg);
-    let after = SweepPool::global().stats();
-    let second_spawns = after.spawn_events - warm.spawn_events;
-    println!();
-    println!("pool_threads\tspawn_events\tthreads_spawned\tstage_tasks\tparks\tpark_ratio");
-    row(&[
-        format!("{}", after.threads),
-        format!("{}", after.spawn_events - before.spawn_events),
-        format!("{}", after.threads_spawned - before.threads_spawned),
-        format!("{}", after.tasks - before.tasks),
-        format!("{}", after.parks - before.parks),
-        format!("{:.2}", after.park_ratio()),
-    ]);
-    if second_spawns != 0 {
-        failures.push(format!(
-            "pool: second driver triggered {second_spawns} spawn event(s); expected the \
-             warm pool to be reused"
-        ));
-    }
-    if after.tasks <= warm.tasks {
-        failures.push("pool: second driver submitted no stage tasks to the pool".to_string());
-    }
-    let pool_json = Json::obj()
-        .field("threads", after.threads)
-        .field("spawn_events", after.spawn_events - before.spawn_events)
-        .field("threads_spawned", after.threads_spawned - before.threads_spawned)
-        .field("stage_tasks", after.tasks - before.tasks)
-        .field("parks", after.parks - before.parks)
-        .field("park_ratio", after.park_ratio());
-
     match write_bench_json(
         "ext_scale",
         Json::obj()
             .field("races", races)
             .field("stats_plane", stat_arms)
-            .field("merge", merge_json)
-            .field("spill", spill_json)
-            .field("pool", pool_json),
+            .field("spill", spill_json),
     ) {
         Ok(path) => println!("# wrote {}", path.display()),
         Err(e) => {
@@ -458,10 +339,6 @@ fn main() {
         println!(
             "# smoke OK: stats plane <= 6 GB at m = 10000, columnar build_partial >= 5x at m = 5000"
         );
-        if cores > 1 {
-            println!("# smoke OK: sharded merge >= 2x serial at m = 5000 on {cores} cores");
-        }
         println!("# smoke OK: resident footprint <= 5 GB at m = 20000 with spilling on");
-        println!("# smoke OK: sweep pool reused across drivers (zero re-spawns)");
     }
 }

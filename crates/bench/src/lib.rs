@@ -13,7 +13,7 @@
 //! instances, multi-minute solver budgets).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 use cloudia_core::{Advisor, AdvisorConfig, CommGraph, CostMatrix, LatencyMetric};
 use cloudia_measure::{MeasureConfig, Scheme, Staged};

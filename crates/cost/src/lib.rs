@@ -22,7 +22,7 @@
 //! other just to agree on the type.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 use std::sync::Arc;
 

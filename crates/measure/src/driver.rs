@@ -294,8 +294,6 @@ pub(crate) struct StageDriver<'n> {
     /// Simulated clock (ms); stages start here and leave it at their end
     /// plus the coordination round.
     now: f64,
-    /// Resolved stage fan-out width (1 = serial).
-    workers: usize,
     done: bool,
     tally: StageTally,
 }
@@ -315,20 +313,8 @@ struct StageTally {
     delivered: u64,
     lost: u64,
     dark: u64,
-    /// Stages that fanned out over more than one worker thread.
-    parallel_stages: u64,
-    /// Widest per-stage fan-out seen this run.
-    fanout_width_max: u64,
     /// Wall nanoseconds spent merging per-pair outcomes into the stats.
     merge_ns: u64,
-    /// Per-stage merge latencies (ms) of stages that fanned out over
-    /// more than one worker, flushed into the `sweep.stage_merge_ms`
-    /// histogram in one batch at drop — unlike the summed `merge_ns`
-    /// counter, the histogram keeps the shape of the sharded merge.
-    /// Serial stages are excluded: small sweeps run thousands of them
-    /// and per-stage samples would dominate the telemetry budget, while
-    /// the histogram exists to watch the parallel merge specifically.
-    merge_ms: Vec<f64>,
     /// P² sketches spilled by the quiet-link horizon this run.
     spilled: u64,
     /// Wall-time span from the first executed stage to driver drop;
@@ -344,7 +330,6 @@ impl Drop for StageTally {
             span.attr("sent", self.sent);
             span.attr("lost", self.lost);
             span.attr("dark_pairs", self.dark);
-            span.attr("fanout_width_max", self.fanout_width_max);
             span.attr("merge_ns", self.merge_ns);
         }
         if self.stages > 0 {
@@ -355,11 +340,9 @@ impl Drop for StageTally {
                 ("sweep.messages_delivered", self.delivered),
                 ("sweep.messages_lost", self.lost),
                 ("sweep.dark_pairs", self.dark),
-                ("sweep.parallel.stages", self.parallel_stages),
-                ("sweep.parallel.merge_ns", self.merge_ns),
+                ("sweep.merge_ns", self.merge_ns),
                 ("sweep.sketch_spills", self.spilled),
             ]);
-            cloudia_obs::observe_many("sweep.stage_merge_ms", &self.merge_ms);
         }
     }
 }
@@ -384,21 +367,6 @@ impl<'n> StageDriver<'n> {
             },
             "a pair sits in two stages: `remaining_pairs` relies on one stage per pair"
         );
-        // Auto mode (stage_workers = 0) only fans out when a stage is
-        // wide enough to amortize thread spawns; an explicit width is
-        // honoured as given (the determinism contract makes any width
-        // safe, so tests pin small-stage parallel runs explicitly).
-        let workers = match cfg.stage_workers {
-            0 => {
-                let widest = stages.iter().map(Vec::len).max().unwrap_or(0);
-                if widest < 64 {
-                    1
-                } else {
-                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-                }
-            }
-            w => w,
-        };
         Self {
             name,
             net,
@@ -412,7 +380,6 @@ impl<'n> StageDriver<'n> {
             stage: 0,
             round_trips: 0,
             now: 0.0,
-            workers,
             done: false,
             tally: StageTally::default(),
         }
@@ -489,8 +456,7 @@ impl SweepDriver for StageDriver<'_> {
         // identity rather than drawn from a shared stream: a surviving
         // pair's timeline is the same no matter which *other* pairs a
         // prune rule or dark strike removed from the stage — common
-        // random numbers across pruned and unpruned arms, and
-        // byte-identical seeded traces at every worker count.
+        // random numbers across pruned and unpruned arms.
         let (sweep, stage) = (self.sweep, self.stage);
         let seeds: Vec<u64> = directed
             .iter()
@@ -503,7 +469,6 @@ impl SweepDriver for StageDriver<'_> {
             &directed,
             &ks,
             &seeds,
-            self.workers,
             &mut self.stats,
             &mut self.tracker,
         );
@@ -520,12 +485,7 @@ impl SweepDriver for StageDriver<'_> {
             self.tally.delivered += outcome.delivered;
             self.tally.lost += outcome.lost;
             self.tally.dark += outcome.dark.len() as u64;
-            self.tally.fanout_width_max = self.tally.fanout_width_max.max(outcome.workers as u64);
             self.tally.merge_ns += outcome.merge_ns;
-            if outcome.workers > 1 {
-                self.tally.parallel_stages += 1;
-                self.tally.merge_ms.push(outcome.merge_ns as f64 / 1e6);
-            }
         }
         // Age the stats plane's quiet-time clock — one tick per completed
         // stage — and spill idle sketches if a horizon is configured.

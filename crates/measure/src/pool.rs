@@ -1,373 +1,28 @@
-//! Persistent worker pool for the sweep hot path.
-//!
-//! The staged/focused schemes execute hundreds of stages per sweep, and
-//! before this module every stage paid a full `std::thread::scope`
-//! spawn/join barrier for its worker fan-out — at m ≥ 10k that is
-//! thousands of thread creations per measurement run, and the online
-//! advisor repeats the whole run every epoch. [`SweepPool`] replaces the
-//! per-stage scope with a **process-global pool of long-lived threads**:
-//! workers park on a condition variable when the task queue is empty and
-//! are woken only when a stage submits work, so an idle pool costs
-//! nothing and a busy one never re-spawns. Stage tasks borrow the
-//! caller's stack (the network, the stage's pair slices, the outcome
-//! slots) exactly like scoped threads do; [`SweepPool::run`] blocks until
-//! every submitted task has completed, which is what makes the borrow
-//! sound — see the safety argument on [`SweepPool::run`].
-//!
-//! Determinism is unaffected by pooling: stage tasks write disjoint
-//! outcome slots (or disjoint column shards, for the parallel stats
-//! merge) and every per-pair RNG substream is derived from schedule
-//! identity, so *which* pool thread runs a task is invisible in the
-//! results. The property suite pins seeded traces byte-identical at
-//! every worker count.
-//!
-//! The pool exposes its lifetime counters through [`SweepPool::stats`]
-//! (thread spawns, executed tasks, parks) and emits a
-//! `sweep.pool_spawns` telemetry counter each time a submission actually
-//! had to grow the pool — after warm-up that counter stays flat across
-//! stages, sweeps, drivers, and online epochs, which is the whole point.
+//! Compile shim for `loopbench`, which reads `measure.pool_tasks` /
+//! `measure.pool_parks` from here. Stages run serially, so both are
+//! always 0; the module goes when those metrics do.
 
-// The one contained unsafe block in this crate: the lifetime erasure
-// that lets pool threads run stack-borrowing tasks (see `erase`). The
-// crate root keeps `deny(unsafe_code)`; this module opts out locally.
-#![allow(unsafe_code)]
-
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-/// A boxed stage task after lifetime erasure (see [`erase`]).
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Completion latch for one [`SweepPool::run`] submission: the caller
-/// blocks until every task of the batch has run (or panicked).
-struct Latch {
-    state: Mutex<(usize, bool)>,
-    done: Condvar,
-}
-
-impl Latch {
-    fn new(pending: usize) -> Self {
-        Self { state: Mutex::new((pending, false)), done: Condvar::new() }
-    }
-
-    /// Blocks until all tasks have completed; returns true if any
-    /// panicked.
-    fn wait(&self) -> bool {
-        let mut state = self.state.lock().expect("sweep pool latch poisoned");
-        while state.0 > 0 {
-            state = self.done.wait(state).expect("sweep pool latch poisoned");
-        }
-        state.1
-    }
-}
-
-/// Decrements the latch when dropped — **including during unwinding**,
-/// so a panicking task can never leave the submitting thread blocked.
-struct LatchGuard(Arc<Latch>);
-
-impl Drop for LatchGuard {
-    fn drop(&mut self) {
-        let mut state = self.0.state.lock().expect("sweep pool latch poisoned");
-        state.0 -= 1;
-        if std::thread::panicking() {
-            state.1 = true;
-        }
-        if state.0 == 0 {
-            self.0.done.notify_all();
-        }
-    }
-}
-
-/// Shared pool state: the task queue workers park on, plus the lifetime
-/// counters.
-struct Inner {
-    queue: Mutex<VecDeque<Task>>,
-    wake: Condvar,
-    /// Threads spawned so far (grows on demand, never shrinks).
-    threads: Mutex<usize>,
-    spawn_events: AtomicU64,
-    threads_spawned: AtomicU64,
-    tasks: AtomicU64,
-    parks: AtomicU64,
-}
-
-/// Snapshot of a pool's lifetime counters ([`SweepPool::stats`]).
+/// Stage fan-out counters ([`SweepPool::stats`]); always zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Live worker threads.
-    pub threads: u64,
-    /// Submissions that actually had to spawn threads (1 after warm-up,
-    /// however many stages, drivers, and epochs run at the same width).
-    pub spawn_events: u64,
-    /// Individual threads created over the pool's lifetime.
-    pub threads_spawned: u64,
-    /// Stage tasks executed.
+    /// Always 0.
     pub tasks: u64,
-    /// Times a worker parked on an empty queue.
+    /// Always 0.
     pub parks: u64,
 }
 
-impl PoolStats {
-    /// Parks per executed task — a reuse-quality signal: a pool that
-    /// parks once per task is thrashing the condvar; one that parks
-    /// rarely is staying saturated across stages.
-    pub fn park_ratio(&self) -> f64 {
-        if self.tasks == 0 {
-            0.0
-        } else {
-            self.parks as f64 / self.tasks as f64
-        }
-    }
-}
-
-/// A pool of long-lived worker threads for stage execution and the
-/// sharded stats merge. See the module docs; almost all callers want
-/// [`SweepPool::global`].
-pub struct SweepPool {
-    inner: Arc<Inner>,
-}
-
-impl std::fmt::Debug for SweepPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepPool").field("stats", &self.stats()).finish()
-    }
-}
-
-/// Erases a stack-borrowing task's lifetime so it can cross into the
-/// long-lived workers. Sound only because [`SweepPool::run`] does not
-/// return until the task has completed (enforced by the latch, panics
-/// included) — the borrowed environment provably outlives every use.
-fn erase<'env>(task: Box<dyn FnOnce() + Send + 'env>) -> Task {
-    // SAFETY: `Box<dyn FnOnce() + Send>` has the same layout for any
-    // lifetime parameter; the only thing the transmute changes is the
-    // borrow checker's view. `SweepPool::run` blocks on the completion
-    // latch until the task (and thus every borrow it holds) is finished
-    // before returning control to the scope that owns the borrowed data,
-    // and the latch decrement sits in a drop guard so unwinding cannot
-    // skip it.
-    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Task>(task) }
-}
-
-fn worker(inner: Arc<Inner>) {
-    loop {
-        let task = {
-            let mut queue = inner.queue.lock().expect("sweep pool queue poisoned");
-            loop {
-                if let Some(task) = queue.pop_front() {
-                    break task;
-                }
-                inner.parks.fetch_add(1, Ordering::Relaxed);
-                queue = inner.wake.wait(queue).expect("sweep pool queue poisoned");
-            }
-        };
-        inner.tasks.fetch_add(1, Ordering::Relaxed);
-        // A panicking task must not kill the (process-global) worker:
-        // the latch guard inside the task records the panic and the
-        // submitting thread re-raises it.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-    }
-}
+/// Handle `loopbench` asks for the counters through.
+#[derive(Debug)]
+pub struct SweepPool(());
 
 impl SweepPool {
-    /// Creates a private pool with no threads yet (they spawn on first
-    /// use). Tests use this; production code shares [`SweepPool::global`].
-    pub fn new() -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                queue: Mutex::new(VecDeque::new()),
-                wake: Condvar::new(),
-                threads: Mutex::new(0),
-                spawn_events: AtomicU64::new(0),
-                threads_spawned: AtomicU64::new(0),
-                tasks: AtomicU64::new(0),
-                parks: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// The process-global pool every sweep driver shares — the reuse
-    /// across stages, drivers, and online epochs falls out of this being
-    /// a single long-lived instance.
+    /// The one process-wide instance.
     pub fn global() -> &'static SweepPool {
-        static GLOBAL: OnceLock<SweepPool> = OnceLock::new();
-        GLOBAL.get_or_init(SweepPool::new)
+        &SweepPool(())
     }
 
-    /// Grows the pool to at least `want` threads; counts a spawn event
-    /// if anything was actually created.
-    fn ensure_threads(&self, want: usize) {
-        let mut threads = self.inner.threads.lock().expect("sweep pool thread count poisoned");
-        if *threads >= want {
-            return;
-        }
-        let add = want - *threads;
-        for _ in 0..add {
-            let inner = Arc::clone(&self.inner);
-            std::thread::Builder::new()
-                .name("cloudia-sweep".into())
-                .spawn(move || worker(inner))
-                .expect("failed to spawn sweep pool worker");
-        }
-        *threads = want;
-        self.inner.spawn_events.fetch_add(1, Ordering::Relaxed);
-        self.inner.threads_spawned.fetch_add(add as u64, Ordering::Relaxed);
-        cloudia_obs::counter("sweep.pool_spawns", 1);
-    }
-
-    /// Runs a batch of tasks to completion on the pool, blocking the
-    /// caller until every task has finished. Tasks may borrow from the
-    /// caller's stack (`'env`), exactly like `std::thread::scope` spawns
-    /// — the blocking wait is what keeps those borrows alive long
-    /// enough. A batch of zero or one tasks executes inline.
-    ///
-    /// # Panics
-    /// Re-raises (as a fresh panic) if any task panicked; the pool
-    /// itself survives.
-    pub fn run<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        match tasks.len() {
-            0 => return,
-            1 => {
-                for task in tasks {
-                    task();
-                }
-                return;
-            }
-            _ => {}
-        }
-        self.ensure_threads(tasks.len());
-        let latch = Arc::new(Latch::new(tasks.len()));
-        {
-            let mut queue = self.inner.queue.lock().expect("sweep pool queue poisoned");
-            for task in tasks {
-                let guard_latch = Arc::clone(&latch);
-                let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                    // Drop order: the task body (and everything it
-                    // borrows) finishes before the guard decrements.
-                    let _guard = LatchGuard(guard_latch);
-                    task();
-                });
-                queue.push_back(erase(wrapped));
-            }
-        }
-        self.inner.wake.notify_all();
-        if latch.wait() {
-            panic!("sweep pool task panicked");
-        }
-    }
-
-    /// Lifetime counters of this pool.
+    /// Always zeros: no stage task is ever handed to another thread.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            threads: *self.inner.threads.lock().expect("sweep pool thread count poisoned") as u64,
-            spawn_events: self.inner.spawn_events.load(Ordering::Relaxed),
-            threads_spawned: self.inner.threads_spawned.load(Ordering::Relaxed),
-            tasks: self.inner.tasks.load(Ordering::Relaxed),
-            parks: self.inner.parks.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Default for SweepPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn tasks_run_to_completion_and_borrow_the_stack() {
-        let pool = SweepPool::new();
-        let mut slots = vec![0u64; 8];
-        {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .chunks_mut(2)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    Box::new(move || {
-                        for (j, slot) in chunk.iter_mut().enumerate() {
-                            *slot = (i * 2 + j) as u64 + 1;
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run(tasks);
-        }
-        assert_eq!(slots, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-    }
-
-    #[test]
-    fn threads_spawn_once_and_are_reused_across_batches() {
-        let pool = SweepPool::new();
-        let hits = AtomicUsize::new(0);
-        for _ in 0..5 {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..3)
-                .map(|_| {
-                    Box::new(|| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run(tasks);
-        }
-        assert_eq!(hits.load(Ordering::Relaxed), 15);
-        let stats = pool.stats();
-        assert_eq!(stats.threads, 3, "pool width is the widest batch");
-        assert_eq!(stats.spawn_events, 1, "only the first batch spawned");
-        assert_eq!(stats.threads_spawned, 3);
-        assert_eq!(stats.tasks, 15);
-        assert!(stats.park_ratio() >= 0.0);
-    }
-
-    #[test]
-    fn wider_batch_grows_the_pool_without_respawning_existing_threads() {
-        let pool = SweepPool::new();
-        let run_width = |w: usize| {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
-                (0..w).map(|_| Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>).collect();
-            pool.run(tasks);
-        };
-        run_width(2);
-        run_width(4);
-        run_width(3);
-        let stats = pool.stats();
-        assert_eq!(stats.threads, 4);
-        assert_eq!(stats.spawn_events, 2, "grow-to-4 is the only extra spawn event");
-        assert_eq!(stats.threads_spawned, 4);
-    }
-
-    #[test]
-    fn single_task_batches_run_inline_without_threads() {
-        let pool = SweepPool::new();
-        let mut out = 0u64;
-        pool.run(vec![Box::new(|| out = 7) as Box<dyn FnOnce() + Send + '_>]);
-        assert_eq!(out, 7);
-        assert_eq!(pool.stats().threads, 0, "inline fast path spawns nothing");
-    }
-
-    #[test]
-    fn panicking_task_propagates_but_leaves_the_pool_alive() {
-        let pool = SweepPool::new();
-        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(vec![
-                Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>,
-                Box::new(|| panic!("stage task failed")) as Box<dyn FnOnce() + Send + '_>,
-            ]);
-        }));
-        assert!(boom.is_err(), "the submitting thread re-raises the panic");
-        // The pool still works.
-        let mut out = [0u64; 2];
-        {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-                .chunks_mut(1)
-                .map(|c| Box::new(move || c[0] = 9) as Box<dyn FnOnce() + Send + '_>)
-                .collect();
-            pool.run(tasks);
-        }
-        assert_eq!(out, [9, 9]);
+        PoolStats { tasks: 0, parks: 0 }
     }
 }

@@ -11,7 +11,6 @@
 use cloudia_netsim::{Network, NicParams};
 
 use crate::driver::SweepDriver;
-use crate::pool::SweepPool;
 use crate::stats::{LinkBatch, PairwiseStats};
 
 /// Message kinds used by all schemes.
@@ -30,13 +29,10 @@ pub struct MeasureConfig {
     pub nic: NicParams,
     /// RNG seed (probe jitter, destination choice).
     pub seed: u64,
-    /// Worker threads for stage execution in the staged/focused schemes.
-    /// The pairs of a stage are endpoint-disjoint by construction, so
-    /// their probe timelines are independent and fan out across threads;
-    /// results are merged deterministically, making every worker count
-    /// (including 1) byte-identical. `0` (the default) auto-sizes from
-    /// the machine and stays serial for small stages; an explicit
-    /// value > 1 always fans out.
+    /// Ignored: every stage is simulated serially on the calling thread
+    /// (README *Scale* has the race that decided it). Kept, with
+    /// `--stage-workers`, only because `loopbench` sets it; goes when a
+    /// benchmark PR stops doing so.
     pub stage_workers: usize,
     /// If set, record a snapshot of the mean-estimate vector every this
     /// many simulated milliseconds (used by the Fig. 5 convergence study).
@@ -167,11 +163,10 @@ pub trait Scheme {
 ///
 /// Keying on identity instead of drawing sequentially from a master
 /// stream means a pair's seed does not depend on which *other* pairs the
-/// stage still holds: mid-sweep pruning, dark-pair strikes, and thread
-/// fan-out all leave a surviving pair's measured timeline untouched
-/// (common random numbers across pruned and unpruned arms — cost
-/// differentials measure the probes actually forgone, not a noise
-/// re-roll), and seeded traces are byte-identical at every worker count.
+/// stage still holds: mid-sweep pruning and dark-pair strikes leave a
+/// surviving pair's measured timeline untouched (common random numbers
+/// across pruned and unpruned arms — cost differentials measure the
+/// probes actually forgone, not a noise re-roll).
 /// The property suite pins the derivation via a transcribed copy.
 pub(crate) fn substream_seed(seed: u64, sweep: usize, stage: usize, src: usize, dst: usize) -> u64 {
     fn mix(mut z: u64) -> u64 {
@@ -205,8 +200,6 @@ pub(crate) struct StageOutcome {
     pub(crate) sent: u64,
     pub(crate) delivered: u64,
     pub(crate) lost: u64,
-    /// Worker threads the stage actually fanned out over (1 = serial).
-    pub(crate) workers: usize,
     /// Wall nanoseconds spent merging per-pair outcomes into the stats.
     pub(crate) merge_ns: u64,
 }
@@ -236,8 +229,7 @@ struct PairOutcome {
 /// is delivered at `s + 2·busy + one_way` (serialize at the source,
 /// propagate, handle at the destination). Each pair draws jitter and
 /// fault decisions from its own seeded substreams, which is what makes
-/// stage execution order — and thus thread fan-out — irrelevant to the
-/// result.
+/// stage execution order irrelevant to the result.
 ///
 /// Loss handling matches the engine protocol: every probe issuance is an
 /// attempt; a lost probe or reply counts a timeout and triggers a
@@ -336,57 +328,6 @@ fn simulate_pair(
     out
 }
 
-/// Simulates every pair of a stage, fanning out across `workers` tasks
-/// on the persistent [`SweepPool`] when asked to (each task owns a
-/// contiguous chunk of the pair list; per-pair RNG substreams make the
-/// split invisible in the results). The pool's threads are long-lived —
-/// stages and epochs reuse them instead of paying a spawn/join barrier
-/// per stage.
-#[allow(clippy::too_many_arguments)]
-fn simulate_stage(
-    net: &Network,
-    cfg: &MeasureConfig,
-    limit: f64,
-    t0: f64,
-    directed: &[(usize, usize)],
-    ks: &[usize],
-    seeds: &[u64],
-    workers: usize,
-) -> Vec<PairOutcome> {
-    let workers = workers.clamp(1, directed.len());
-    if workers == 1 {
-        return directed
-            .iter()
-            .zip(ks)
-            .zip(seeds)
-            .map(|((&pair, &k), &seed)| simulate_pair(net, cfg, limit, t0, pair, k, seed))
-            .collect();
-    }
-    let mut out: Vec<PairOutcome> = Vec::new();
-    out.resize_with(directed.len(), PairOutcome::default);
-    let chunk = directed.len().div_ceil(workers);
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(workers);
-    let mut slots = out.as_mut_slice();
-    let (mut directed, mut ks, mut seeds) = (directed, ks, seeds);
-    while !slots.is_empty() {
-        let take = chunk.min(slots.len());
-        let (slot_chunk, slot_rest) = slots.split_at_mut(take);
-        let (pair_chunk, pair_rest) = directed.split_at(take);
-        let (ks_chunk, ks_rest) = ks.split_at(take);
-        let (seed_chunk, seed_rest) = seeds.split_at(take);
-        (slots, directed, ks, seeds) = (slot_rest, pair_rest, ks_rest, seed_rest);
-        tasks.push(Box::new(move || {
-            for (slot, ((&pair, &k), &seed)) in
-                slot_chunk.iter_mut().zip(pair_chunk.iter().zip(ks_chunk).zip(seed_chunk))
-            {
-                *slot = simulate_pair(net, cfg, limit, t0, pair, k, seed);
-            }
-        }));
-    }
-    SweepPool::global().run(tasks);
-    out
-}
-
 /// Executes one stage of endpoint-disjoint directed probe pairs: every
 /// pair gets one outstanding probe, a reply triggers the pair's next
 /// probe until its per-pair quota `ks[pid]` of round trips is done, and
@@ -394,12 +335,9 @@ fn simulate_stage(
 /// focused schemes — the stage protocol is identical, only the pair
 /// schedule (and per-pair sampling depth) differs.
 ///
-/// `seeds` carries one pre-drawn RNG substream seed per pair — the
-/// driver draws them sequentially in pair order up front, so seeded
-/// traces are byte-identical for every `workers` value: the pairs
-/// simulate independently (possibly across threads, see
-/// [`simulate_stage`]) and their outcomes merge in deterministic
-/// `(completion_time, pair_id)` order.
+/// `seeds` carries one RNG substream seed per pair, derived by the driver
+/// from the pair's schedule identity ([`substream_seed`]): the pairs
+/// simulate independently and their outcomes merge in link-index order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_stage(
     net: &Network,
@@ -408,18 +346,21 @@ pub(crate) fn run_stage(
     directed: &[(usize, usize)],
     ks: &[usize],
     seeds: &[u64],
-    workers: usize,
     stats: &mut PairwiseStats,
     tracker: &mut SnapshotTracker,
 ) -> StageOutcome {
     debug_assert_eq!(directed.len(), ks.len());
     debug_assert_eq!(directed.len(), seeds.len());
     let limit = cfg.max_duration_ms.unwrap_or(f64::INFINITY);
-    let workers = workers.clamp(1, directed.len().max(1));
-    let outcomes = simulate_stage(net, cfg, limit, t0, directed, ks, seeds, workers);
+    let outcomes: Vec<PairOutcome> = directed
+        .iter()
+        .zip(ks)
+        .zip(seeds)
+        .map(|((&pair, &k), &seed)| simulate_pair(net, cfg, limit, t0, pair, k, seed))
+        .collect();
 
     let merge_start = std::time::Instant::now();
-    let mut outcome = StageOutcome { end: t0, workers, ..StageOutcome::default() };
+    let mut outcome = StageOutcome { end: t0, ..StageOutcome::default() };
     for (pid, o) in outcomes.iter().enumerate() {
         outcome.round_trips += o.samples.len() as u64;
         outcome.sent += o.sent;
@@ -451,8 +392,7 @@ pub(crate) fn run_stage(
         }
     } else {
         // Hot path: one batch per directed link (a stage's pairs are
-        // endpoint-disjoint, so links are unique), sharded across the
-        // pool by `merge_batches` — no serial per-sample loop.
+        // endpoint-disjoint, so links are unique).
         let batches: Vec<LinkBatch> = outcomes
             .into_iter()
             .zip(directed)
@@ -464,7 +404,7 @@ pub(crate) fn run_stage(
                 rtts: o.samples.into_iter().map(|(_, rtt)| rtt).collect(),
             })
             .collect();
-        stats.merge_batches(batches, workers);
+        stats.merge_batches(batches);
     }
     outcome.merge_ns = merge_start.elapsed().as_nanos() as u64;
     outcome

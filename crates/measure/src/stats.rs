@@ -23,17 +23,16 @@
 //! The pre-refactor array-of-structs implementation is retained verbatim
 //! in [`aos`] as a differential-test oracle and bench baseline.
 //!
-//! ## Sharded parallel merge
+//! ## Batched merge
 //!
 //! A stage's per-pair outcomes land here through
 //! [`PairwiseStats::merge_batches`]: one [`LinkBatch`] per directed link,
-//! replayed into the columns by disjoint link-index shards across the
-//! sweep worker pool. Because the columns are per-link accumulators and
-//! a batch carries its link's samples already time-ordered, the sharded
-//! replay is **bit-identical** to calling
-//! `record`/`record_attempt`/`record_timeout` serially, at any worker
-//! count — the property suite pins every column (count/mean/M2/attempts/
-//! timeouts) and the P² sketches.
+//! replayed into the columns in link-index order. Because the columns are
+//! per-link accumulators and a batch carries its link's samples already
+//! time-ordered, the replay is **bit-identical** to calling
+//! `record`/`record_attempt`/`record_timeout` serially — the property
+//! suite pins every column (count/mean/M2/attempts/timeouts) and the P²
+//! sketches.
 //!
 //! ## Adaptive sketch spilling
 //!
@@ -66,7 +65,6 @@
 use cloudia_netsim::cost::{CostError, CostMatrix};
 
 use crate::ci::LinkCi;
-use crate::pool::SweepPool;
 
 // The Welford and P² sketches moved to `cloudia-obs` (the telemetry
 // plane reuses them for histogram snapshots); re-exported here so the
@@ -141,7 +139,7 @@ impl LinkEstimate<'_> {
 
 /// One directed link's complete outcome batch from a measurement stage:
 /// the probe ledger plus the link's round-trip samples in completion
-/// order. The unit of the sharded parallel merge
+/// order. The unit of the batched merge
 /// ([`PairwiseStats::merge_batches`]).
 #[derive(Debug, Clone, Default)]
 pub struct LinkBatch {
@@ -226,7 +224,7 @@ const LINKS_PER_PAGE: usize = 512;
 /// Replays one batch into one link's column cells and (optional) sketch
 /// — the exact arithmetic sequence of the serial
 /// `record_attempt`/`record_timeout`/`record` loops, which is what makes
-/// the sharded merge bit-identical to the serial one.
+/// the batched merge bit-identical to the serial one.
 fn apply_batch(
     batch: &LinkBatch,
     count: &mut u64,
@@ -248,58 +246,6 @@ fn apply_batch(
         sketch.record(rtt);
     }
     (*count, *mean, *m2) = w.parts();
-}
-
-/// Splits `rest` — the suffix of a column starting at absolute link
-/// index `consumed` — into the cells `[lo, hi)` (returned) and the tail
-/// after `hi` (written back to `rest`).
-fn carve<'a, T>(rest: &mut &'a mut [T], consumed: usize, lo: usize, hi: usize) -> &'a mut [T] {
-    let tail = std::mem::take(rest);
-    let (_, tail) = tail.split_at_mut(lo - consumed);
-    let (head, tail) = tail.split_at_mut(hi - lo);
-    *rest = tail;
-    head
-}
-
-/// One worker's share of a sharded merge: a contiguous link-index
-/// interval's column slices, the batches that fall in it, and the moved
-/// sketches of those batches' links.
-struct MergeShard<'a> {
-    /// Link index of the first cell in the slices.
-    base: usize,
-    count: &'a mut [u64],
-    mean: &'a mut [f64],
-    m2: &'a mut [f64],
-    attempts: &'a mut [u64],
-    timeouts: &'a mut [u64],
-    batches: &'a [LinkBatch],
-    /// `(position in batches, slot id, sketch moved out of the store)`,
-    /// ascending by position; at most one entry per batch.
-    sketches: Vec<(usize, u32, P2Quantile)>,
-}
-
-impl MergeShard<'_> {
-    fn run(&mut self, n: usize) {
-        let mut sk = 0;
-        for (bi, batch) in self.batches.iter().enumerate() {
-            let off = batch.src * n + batch.dst - self.base;
-            let sketch = if sk < self.sketches.len() && self.sketches[sk].0 == bi {
-                sk += 1;
-                Some(&mut self.sketches[sk - 1].2)
-            } else {
-                None
-            };
-            apply_batch(
-                batch,
-                &mut self.count[off],
-                &mut self.mean[off],
-                &mut self.m2[off],
-                &mut self.attempts[off],
-                &mut self.timeouts[off],
-                sketch,
-            );
-        }
-    }
 }
 
 /// Pairwise link summaries for `n` instances (diagonal unused), stored
@@ -483,37 +429,37 @@ impl PairwiseStats {
         self.timeouts_total += k;
     }
 
-    /// Merges one stage's per-link outcome batches, sharding the column
-    /// replay across the global [`SweepPool`] when `workers > 1`.
+    /// Merges one stage's per-link outcome batches into the columns.
     ///
     /// Requirements: each directed link appears in at most one batch
     /// (stage schedules are endpoint-disjoint, so this is free for sweep
     /// callers) and each batch's `rtts` are in completion order. Under
     /// those, the result is **bit-identical** to replaying every batch
     /// serially through `record_attempts`/`record_timeouts`/`record`:
-    /// each worker owns a disjoint contiguous `src * n + dst` interval
-    /// of every column, per-link arithmetic only ever sees its own
-    /// link's samples in order, and the running aggregates plus sketch
-    /// slot numbering are assigned in a main-thread pre-pass over the
-    /// index-sorted batches that does not depend on the worker count.
-    pub fn merge_batches(&mut self, mut batches: Vec<LinkBatch>, workers: usize) {
+    /// per-link arithmetic only ever sees its own link's samples in
+    /// order, and the batches replay in link-index order, which fixes
+    /// sketch slot numbering and the touch log whatever order the stage
+    /// produced them in.
+    pub fn merge_batches(&mut self, mut batches: Vec<LinkBatch>) {
         let n = self.n;
         batches.retain(|b| b.attempts > 0 || b.timeouts > 0 || !b.rtts.is_empty());
-        if batches.is_empty() {
-            return;
-        }
-        // Deterministic shard layout: batches sort by link index and the
-        // shard cuts fall on batch boundaries.
         batches.sort_by_key(|b| b.src * n + b.dst);
-        // Main-thread pre-pass, in link-index order: aggregates, page
-        // tracking, the touch log, and sketch slot allocation.
-        let mut slots: Vec<Option<u32>> = Vec::with_capacity(batches.len());
-        let mut prev = usize::MAX;
+        // Validate before touching a column: a bad batch panics with the
+        // stats unchanged.
         for b in &batches {
             assert!(b.src < n && b.dst < n && b.src != b.dst, "bad link {}→{}", b.src, b.dst);
+        }
+        for w in batches.windows(2) {
+            let (a, b) = (&w[0], &w[1]);
+            assert!(
+                (a.src, a.dst) != (b.src, b.dst),
+                "link {}→{} appears in two batches",
+                b.src,
+                b.dst
+            );
+        }
+        for b in &batches {
             let idx = b.src * n + b.dst;
-            assert_ne!(idx, prev, "link {}→{} appears in two batches", b.src, b.dst);
-            prev = idx;
             self.touch_page(idx);
             self.touch_log.push(idx);
             if !b.rtts.is_empty() && self.count[idx] == 0 {
@@ -525,7 +471,7 @@ impl PairwiseStats {
             self.samples_total += b.rtts.len() as u64;
             self.attempts_total += b.attempts;
             self.timeouts_total += b.timeouts;
-            slots.push(if b.rtts.is_empty() {
+            let sketch = if b.rtts.is_empty() {
                 None
             } else {
                 let slot = match self.sketch_slot[idx] {
@@ -533,91 +479,17 @@ impl PairwiseStats {
                     s => s as usize - 1,
                 };
                 self.sketch_seen[slot] = self.tick;
-                Some(slot as u32)
-            });
-        }
-        let workers = workers.clamp(1, batches.len());
-        if workers == 1 {
-            for (b, slot) in batches.iter().zip(&slots) {
-                let idx = b.src * n + b.dst;
-                let sketch = match slot {
-                    Some(s) => Some(&mut self.sketches[*s as usize]),
-                    None => None,
-                };
-                apply_batch(
-                    b,
-                    &mut self.count[idx],
-                    &mut self.mean[idx],
-                    &mut self.m2[idx],
-                    &mut self.attempts[idx],
-                    &mut self.timeouts[idx],
-                    sketch,
-                );
-            }
-            return;
-        }
-        // Weighted cuts: balance shards by replay work (samples dominate;
-        // the +1 keeps sample-free batches from collapsing into one shard).
-        let total: u64 = batches.iter().map(|b| b.rtts.len() as u64 + 1).sum();
-        let target = total.div_ceil(workers as u64);
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(workers);
-        let (mut start, mut acc) = (0usize, 0u64);
-        for (i, b) in batches.iter().enumerate() {
-            acc += b.rtts.len() as u64 + 1;
-            if acc >= target {
-                ranges.push(start..i + 1);
-                start = i + 1;
-                acc = 0;
-            }
-        }
-        if start < batches.len() {
-            ranges.push(start..batches.len());
-        }
-        // Progressively split the five columns at the shard boundaries —
-        // each worker gets exclusive slices of its link-index interval —
-        // and move the touched sketches out beside them.
-        let mut shards: Vec<MergeShard<'_>> = Vec::with_capacity(ranges.len());
-        let mut count_rest = self.count.as_mut_slice();
-        let mut mean_rest = self.mean.as_mut_slice();
-        let mut m2_rest = self.m2.as_mut_slice();
-        let mut att_rest = self.attempts.as_mut_slice();
-        let mut to_rest = self.timeouts.as_mut_slice();
-        let mut consumed = 0usize;
-        for r in ranges {
-            let lo = batches[r.start].src * n + batches[r.start].dst;
-            let hi = batches[r.end - 1].src * n + batches[r.end - 1].dst + 1;
-            let mut moved: Vec<(usize, u32, P2Quantile)> = Vec::new();
-            for (bi, slot) in slots[r.clone()].iter().enumerate() {
-                if let Some(s) = slot {
-                    moved.push((
-                        bi,
-                        *s,
-                        std::mem::replace(&mut self.sketches[*s as usize], P2Quantile::new(0.99)),
-                    ));
-                }
-            }
-            shards.push(MergeShard {
-                base: lo,
-                count: carve(&mut count_rest, consumed, lo, hi),
-                mean: carve(&mut mean_rest, consumed, lo, hi),
-                m2: carve(&mut m2_rest, consumed, lo, hi),
-                attempts: carve(&mut att_rest, consumed, lo, hi),
-                timeouts: carve(&mut to_rest, consumed, lo, hi),
-                batches: &batches[r],
-                sketches: moved,
-            });
-            consumed = hi;
-        }
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = shards
-            .iter_mut()
-            .map(|shard| Box::new(move || shard.run(n)) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
-        SweepPool::global().run(tasks);
-        // Shuttle the replayed sketches back into their slots.
-        for shard in shards {
-            for (_, slot, sketch) in shard.sketches {
-                self.sketches[slot as usize] = sketch;
-            }
+                Some(&mut self.sketches[slot])
+            };
+            apply_batch(
+                b,
+                &mut self.count[idx],
+                &mut self.mean[idx],
+                &mut self.m2[idx],
+                &mut self.attempts[idx],
+                &mut self.timeouts[idx],
+                sketch,
+            );
         }
     }
 
@@ -1359,61 +1231,58 @@ mod tests {
     }
 
     #[test]
-    fn merge_batches_matches_serial_replay_at_any_worker_count() {
+    fn merge_batches_matches_serial_replay() {
         let n = 8;
-        for workers in [1usize, 2, 3, 5, 8] {
-            let mut rng = StdRng::seed_from_u64(42);
-            let mut serial = PairwiseStats::new(n);
-            let mut batches = Vec::new();
-            for src in 0..n {
-                for dst in 0..n {
-                    if src == dst || rng.random::<f64>() < 0.3 {
-                        continue;
-                    }
-                    let attempts = rng.random_range(0..6u64);
-                    let timeouts = rng.random_range(0..=attempts.min(2));
-                    let rtts: Vec<f64> = (0..rng.random_range(0..20usize))
-                        .map(|_| rng.random::<f64>() * 10.0)
-                        .collect();
-                    // Serial oracle replays in the same per-link order the
-                    // merge contract promises: attempts, timeouts, samples.
-                    for _ in 0..attempts {
-                        serial.record_attempt(src, dst);
-                    }
-                    for _ in 0..timeouts {
-                        serial.record_timeout(src, dst);
-                    }
-                    for &r in &rtts {
-                        serial.record(src, dst, r);
-                    }
-                    batches.push(LinkBatch { src, dst, attempts, timeouts, rtts });
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut serial = PairwiseStats::new(n);
+        let mut batches = Vec::new();
+        for src in 0..n {
+            for dst in 0..n {
+                if src == dst || rng.random::<f64>() < 0.3 {
+                    continue;
                 }
+                let attempts = rng.random_range(0..6u64);
+                let timeouts = rng.random_range(0..=attempts.min(2));
+                let rtts: Vec<f64> =
+                    (0..rng.random_range(0..20usize)).map(|_| rng.random::<f64>() * 10.0).collect();
+                // Serial oracle replays in the same per-link order the
+                // merge contract promises: attempts, timeouts, samples.
+                for _ in 0..attempts {
+                    serial.record_attempt(src, dst);
+                }
+                for _ in 0..timeouts {
+                    serial.record_timeout(src, dst);
+                }
+                for &r in &rtts {
+                    serial.record(src, dst, r);
+                }
+                batches.push(LinkBatch { src, dst, attempts, timeouts, rtts });
             }
-            let mut merged = PairwiseStats::new(n);
-            merged.merge_batches(batches, workers);
-            // Every column bit-for-bit, plus the running aggregates
-            // (whose getters debug-assert against a full column scan).
-            assert_eq!(merged.count, serial.count, "workers {workers}");
-            assert_eq!(merged.attempts, serial.attempts);
-            assert_eq!(merged.timeouts, serial.timeouts);
-            for idx in 0..n * n {
-                assert_eq!(merged.mean[idx].to_bits(), serial.mean[idx].to_bits());
-                assert_eq!(merged.m2[idx].to_bits(), serial.m2[idx].to_bits());
-            }
-            assert_eq!(merged.total_samples(), serial.total_samples());
-            assert_eq!(merged.total_attempts(), serial.total_attempts());
-            assert_eq!(merged.total_timeouts(), serial.total_timeouts());
-            assert_eq!(merged.covered_links(), serial.covered_links());
-            assert_eq!(merged.attempted_links(), serial.attempted_links());
-            for src in 0..n {
-                for dst in 0..n {
-                    if src != dst {
-                        assert_eq!(
-                            merged.link(src, dst).p99().to_bits(),
-                            serial.link(src, dst).p99().to_bits(),
-                            "p99 {src}→{dst} workers {workers}"
-                        );
-                    }
+        }
+        let mut merged = PairwiseStats::new(n);
+        merged.merge_batches(batches);
+        // Every column bit-for-bit, plus the running aggregates
+        // (whose getters debug-assert against a full column scan).
+        assert_eq!(merged.count, serial.count);
+        assert_eq!(merged.attempts, serial.attempts);
+        assert_eq!(merged.timeouts, serial.timeouts);
+        for idx in 0..n * n {
+            assert_eq!(merged.mean[idx].to_bits(), serial.mean[idx].to_bits());
+            assert_eq!(merged.m2[idx].to_bits(), serial.m2[idx].to_bits());
+        }
+        assert_eq!(merged.total_samples(), serial.total_samples());
+        assert_eq!(merged.total_attempts(), serial.total_attempts());
+        assert_eq!(merged.total_timeouts(), serial.total_timeouts());
+        assert_eq!(merged.covered_links(), serial.covered_links());
+        assert_eq!(merged.attempted_links(), serial.attempted_links());
+        for src in 0..n {
+            for dst in 0..n {
+                if src != dst {
+                    assert_eq!(
+                        merged.link(src, dst).p99().to_bits(),
+                        serial.link(src, dst).p99().to_bits(),
+                        "p99 {src}→{dst}"
+                    );
                 }
             }
         }
@@ -1435,7 +1304,7 @@ mod tests {
         let batch =
             |src, dst, rtts: Vec<f64>| LinkBatch { src, dst, attempts: 1, timeouts: 0, rtts };
         let idle = LinkBatch { src: 0, dst: 2, ..LinkBatch::default() };
-        s.merge_batches(vec![batch(3, 0, vec![2.0]), idle, batch(1, 2, vec![])], 1);
+        s.merge_batches(vec![batch(3, 0, vec![2.0]), idle, batch(1, 2, vec![])]);
         // The merge logs its (non-empty) batches in link-index order.
         assert_eq!(touched(&s, c0).unwrap(), [1, 11, 11, 6, 12]);
         assert_eq!(touched(&s, c1).unwrap(), [6, 12]);

@@ -815,7 +815,7 @@ proptest! {
     }
 
     #[test]
-    fn sharded_merge_is_bit_identical_to_serial_records(
+    fn merge_batches_is_bit_identical_to_serial_records(
         n in 2usize..8,
         stages in proptest::collection::vec(
             proptest::collection::vec(
@@ -824,14 +824,12 @@ proptest! {
             ),
             1..5,
         ),
-        workers in 1usize..6,
     ) {
-        // The sharded-merge contract: over an arbitrary schedule of
-        // stages, merging each stage's per-link batches through the
-        // worker pool leaves every column — count, mean, M2, attempts,
-        // timeouts — and every P² sketch bit-identical to replaying the
-        // same stages serially through the scalar record APIs, at any
-        // worker count.
+        // The batched-merge contract: over an arbitrary schedule of
+        // stages, merging each stage's per-link batches leaves every
+        // column — count, mean, M2, attempts, timeouts — and every P²
+        // sketch bit-identical to replaying the same stages serially
+        // through the scalar record APIs.
         let mut serial = PairwiseStats::new(n);
         let mut merged = PairwiseStats::new(n);
         for stage in &stages {
@@ -858,7 +856,7 @@ proptest! {
                     src, dst, attempts, timeouts, rtts: rtts.clone(),
                 });
             }
-            merged.merge_batches(batches, workers);
+            merged.merge_batches(batches);
         }
         prop_assert_eq!(merged.total_samples(), serial.total_samples());
         prop_assert_eq!(merged.total_attempts(), serial.total_attempts());

@@ -41,7 +41,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 /// The shared flat cost plane (re-export of the `cloudia-cost` base
 /// crate): ground-truth mean matrices are produced in this type.

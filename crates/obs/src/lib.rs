@@ -34,7 +34,7 @@
 //! can instrument through it.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod json;
 mod metrics;

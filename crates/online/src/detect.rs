@@ -3,42 +3,26 @@
 //! The online advisor must distinguish the paper's benign hour-scale OU
 //! wiggle (Figs. 2/19/21 — links keep their relative order, no action
 //! needed) from genuine regime changes (a re-routed path, a noisy
-//! neighbour moving in) that warrant a re-solve. Both detectors consume
+//! neighbour moving in) that warrant a re-solve. The detector consumes
 //! **standardized residuals** `z = (x − μ̂)/σ̂` of the per-epoch link means
-//! against the link's EWMA baseline, so their thresholds are scale-free
-//! and one configuration serves every link:
+//! against the link's EWMA baseline, so its thresholds are scale-free
+//! and one configuration serves every link.
 //!
-//! * **CUSUM** (two-sided): accumulates `z − k` excursions in each
-//!   direction and fires when a sum exceeds `h`. The classic choice when
-//!   the post-change mean shift is roughly known (`k` ≈ half the shift in
-//!   σ units).
-//! * **Page–Hinkley**: tracks the cumulative residual against its running
-//!   extremum and fires when the gap exceeds `λ`. Slightly more robust
-//!   when the shift magnitude is unknown.
+//! It is a two-sided **CUSUM**: it accumulates `z − k` excursions in each
+//! direction and fires when a sum exceeds `h` (`k` ≈ half the post-change
+//! mean shift in σ units).
 //!
 //! Under stationary drift, standardized residuals are ≈ N(0, 1), so the
 //! false-positive rate is controlled by `threshold` alone; the property
 //! tests pin it empirically.
 
-/// Which detection algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DetectorKind {
-    /// Two-sided CUSUM with slack `k` and threshold `h`.
-    #[default]
-    Cusum,
-    /// Page–Hinkley with tolerance `δ` (the slack) and threshold `λ`.
-    PageHinkley,
-}
-
 /// Detector configuration, shared by every link.
 #[derive(Debug, Clone, Copy)]
 pub struct DetectorConfig {
-    /// Algorithm.
-    pub kind: DetectorKind,
-    /// Slack per observation in σ units (CUSUM's `k`, Page–Hinkley's `δ`):
-    /// drifts smaller than ~2·slack are absorbed.
+    /// Slack per observation in σ units (CUSUM's `k`): drifts smaller
+    /// than ~2·slack are absorbed.
     pub slack: f64,
-    /// Alarm threshold in σ units (CUSUM's `h`, Page–Hinkley's `λ`).
+    /// Alarm threshold in σ units (CUSUM's `h`).
     /// Larger = fewer false positives, slower detection.
     pub threshold: f64,
     /// Observations a link must accumulate before the detector arms —
@@ -48,7 +32,7 @@ pub struct DetectorConfig {
 
 impl Default for DetectorConfig {
     fn default() -> Self {
-        Self { kind: DetectorKind::Cusum, slack: 0.5, threshold: 9.0, warmup: 8 }
+        Self { slack: 0.5, threshold: 9.0, warmup: 8 }
     }
 }
 
@@ -71,16 +55,12 @@ pub struct ChangeDetector {
     // CUSUM sums.
     pos: f64,
     neg: f64,
-    // Page–Hinkley cumulative residual and its extrema.
-    cum: f64,
-    cum_min: f64,
-    cum_max: f64,
 }
 
 impl ChangeDetector {
     /// Fresh detector with the given configuration.
     pub fn new(config: DetectorConfig) -> Self {
-        Self { config, seen: 0, pos: 0.0, neg: 0.0, cum: 0.0, cum_min: 0.0, cum_max: 0.0 }
+        Self { config, seen: 0, pos: 0.0, neg: 0.0 }
     }
 
     /// Feeds one standardized residual; returns the detection verdict.
@@ -99,30 +79,14 @@ impl ChangeDetector {
         if self.seen <= self.config.warmup {
             return Drift::None;
         }
-        let drift = match self.config.kind {
-            DetectorKind::Cusum => {
-                self.pos = (self.pos + z - self.config.slack).max(0.0);
-                self.neg = (self.neg - z - self.config.slack).max(0.0);
-                if self.pos > self.config.threshold {
-                    Drift::Up
-                } else if self.neg > self.config.threshold {
-                    Drift::Down
-                } else {
-                    Drift::None
-                }
-            }
-            DetectorKind::PageHinkley => {
-                self.cum += z - self.config.slack * z.signum();
-                self.cum_min = self.cum_min.min(self.cum);
-                self.cum_max = self.cum_max.max(self.cum);
-                if self.cum - self.cum_min > self.config.threshold {
-                    Drift::Up
-                } else if self.cum_max - self.cum > self.config.threshold {
-                    Drift::Down
-                } else {
-                    Drift::None
-                }
-            }
+        self.pos = (self.pos + z - self.config.slack).max(0.0);
+        self.neg = (self.neg - z - self.config.slack).max(0.0);
+        let drift = if self.pos > self.config.threshold {
+            Drift::Up
+        } else if self.neg > self.config.threshold {
+            Drift::Down
+        } else {
+            Drift::None
         };
         if drift != Drift::None {
             self.reset();
@@ -138,9 +102,6 @@ impl ChangeDetector {
     fn reset(&mut self) {
         self.pos = 0.0;
         self.neg = 0.0;
-        self.cum = 0.0;
-        self.cum_min = 0.0;
-        self.cum_max = 0.0;
     }
 }
 
@@ -154,55 +115,47 @@ mod tests {
 
     #[test]
     fn quiet_stream_never_fires() {
-        for kind in [DetectorKind::Cusum, DetectorKind::PageHinkley] {
-            let mut d = ChangeDetector::new(DetectorConfig { kind, ..Default::default() });
-            // Alternating small residuals, well under the slack.
-            let verdicts = feed(&mut d, (0..500).map(|i| if i % 2 == 0 { 0.3 } else { -0.3 }));
-            assert!(verdicts.iter().all(|&v| v == Drift::None), "{kind:?}");
-        }
+        let mut d = ChangeDetector::new(DetectorConfig::default());
+        // Alternating small residuals, well under the slack.
+        let verdicts = feed(&mut d, (0..500).map(|i| if i % 2 == 0 { 0.3 } else { -0.3 }));
+        assert!(verdicts.iter().all(|&v| v == Drift::None));
     }
 
     #[test]
     fn sustained_shift_fires_up_then_rearms() {
-        for kind in [DetectorKind::Cusum, DetectorKind::PageHinkley] {
-            let mut d = ChangeDetector::new(DetectorConfig { kind, ..Default::default() });
-            // Warmup of zeros, then a +2σ sustained shift.
-            let verdicts = feed(&mut d, (0..8).map(|_| 0.0).chain((0..20).map(|_| 2.0)));
-            let fires = verdicts.iter().filter(|&&v| v == Drift::Up).count();
-            assert!(fires >= 1, "{kind:?} never fired");
-            assert!(verdicts.iter().all(|&v| v != Drift::Down), "{kind:?}");
-            // Reset re-arms: feeding the shift again fires again.
-            let again = feed(&mut d, (0..20).map(|_| 2.0));
-            assert!(again.contains(&Drift::Up), "{kind:?} did not re-arm");
-        }
+        let mut d = ChangeDetector::new(DetectorConfig::default());
+        // Warmup of zeros, then a +2σ sustained shift.
+        let verdicts = feed(&mut d, (0..8).map(|_| 0.0).chain((0..20).map(|_| 2.0)));
+        let fires = verdicts.iter().filter(|&&v| v == Drift::Up).count();
+        assert!(fires >= 1, "never fired");
+        assert!(verdicts.iter().all(|&v| v != Drift::Down));
+        // Reset re-arms: feeding the shift again fires again.
+        let again = feed(&mut d, (0..20).map(|_| 2.0));
+        assert!(again.contains(&Drift::Up), "did not re-arm");
     }
 
     #[test]
     fn downward_shift_fires_down() {
-        for kind in [DetectorKind::Cusum, DetectorKind::PageHinkley] {
-            let mut d = ChangeDetector::new(DetectorConfig { kind, ..Default::default() });
-            let verdicts = feed(&mut d, (0..8).map(|_| 0.0).chain((0..20).map(|_| -2.0)));
-            assert!(verdicts.contains(&Drift::Down), "{kind:?}");
-            assert!(verdicts.iter().all(|&v| v != Drift::Up), "{kind:?}");
-        }
+        let mut d = ChangeDetector::new(DetectorConfig::default());
+        let verdicts = feed(&mut d, (0..8).map(|_| 0.0).chain((0..20).map(|_| -2.0)));
+        assert!(verdicts.contains(&Drift::Down));
+        assert!(verdicts.iter().all(|&v| v != Drift::Up));
     }
 
     #[test]
     fn non_finite_residuals_never_wedge_the_detector() {
-        for kind in [DetectorKind::Cusum, DetectorKind::PageHinkley] {
-            let mut d = ChangeDetector::new(DetectorConfig { kind, ..Default::default() });
-            // A burst of degenerate residuals mid-stream (the z = x/0
-            // shape a zero-variance baseline used to produce) must not
-            // poison the sums: the genuine shift afterwards still fires.
-            let verdicts = feed(
-                &mut d,
-                (0..8)
-                    .map(|_| 0.0)
-                    .chain([f64::NAN, f64::INFINITY, f64::NEG_INFINITY])
-                    .chain((0..20).map(|_| 2.0)),
-            );
-            assert!(verdicts.contains(&Drift::Up), "{kind:?} wedged by non-finite residuals");
-        }
+        let mut d = ChangeDetector::new(DetectorConfig::default());
+        // A burst of degenerate residuals mid-stream (the z = x/0
+        // shape a zero-variance baseline used to produce) must not
+        // poison the sums: the genuine shift afterwards still fires.
+        let verdicts = feed(
+            &mut d,
+            (0..8)
+                .map(|_| 0.0)
+                .chain([f64::NAN, f64::INFINITY, f64::NEG_INFINITY])
+                .chain((0..20).map(|_| 2.0)),
+        );
+        assert!(verdicts.contains(&Drift::Up), "wedged by non-finite residuals");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   cumulative per-link statistics that survive across rounds;
 //! * [`stats`] — [`OnlineStore`]: EWMA mean/variance per link, so even
 //!   links the current plan does not use accumulate usable history;
-//! * [`detect`] — CUSUM / Page–Hinkley change-point detectors on
+//! * [`detect`] — CUSUM change-point detector on
 //!   standardized residuals, separating the benign hour-scale OU wiggle
 //!   (paper Figs. 2/19/21) from genuine regime changes;
 //! * [`repair`] — budgeted incremental re-solve: free the worst `k`
@@ -61,7 +61,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod advisor;
 pub mod detect;
@@ -75,7 +75,7 @@ pub use advisor::{
     EpochSummary, OnlineAdvisor, OnlineAdvisorConfig, OnlineEvent, ProbePolicy, TriggerInstance,
     DEFAULT_EVENT_CAPACITY,
 };
-pub use detect::{ChangeDetector, DetectorConfig, DetectorKind, Drift};
+pub use detect::{ChangeDetector, DetectorConfig, Drift};
 pub use repair::{
     evacuate_resolve, incremental_resolve, select_free_nodes, RepairConfig, RepairOutcome,
 };

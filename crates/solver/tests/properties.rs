@@ -610,7 +610,7 @@ mod pool_index {
                         }
                     })
                     .collect();
-                stats.merge_batches(batches, 1);
+                stats.merge_batches(batches);
             }
         }
     }

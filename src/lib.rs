@@ -26,8 +26,8 @@
 //! * [`core`] — problem definitions, deployment cost functions, latency
 //!   metrics, communication-graph templates, and the advisor pipeline;
 //! * [`online`] — the continuous deployment advisor: streaming
-//!   measurement, EWMA link statistics with CUSUM/Page–Hinkley drift
-//!   detection, and budgeted incremental re-solves
+//!   measurement, EWMA link statistics with CUSUM drift detection, and
+//!   budgeted incremental re-solves
 //!   (`--online --epochs N --migration-budget k` from the CLI);
 //! * [`workloads`] — the evaluation applications: behavioral simulation,
 //!   aggregation query, key-value store.
@@ -53,6 +53,8 @@
 //! );
 //! assert!(outcome.optimized_cost <= outcome.default_cost);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use cloudia_core as core;
 pub use cloudia_measure as measure;

@@ -28,10 +28,8 @@ fn usage() -> ! {
                                                auto = max(4n, 48); adaptive = escalation-driven
                                                pool sizing; omit for the dense search)
                [--search-seconds S]           (default 5)
-               [--stage-workers N]            (worker threads per measurement stage; 0 = auto:
-                                               serial for small stages, all cores for wide ones.
-                                               Deterministic — every value gives byte-identical
-                                               sweeps)
+               [--stage-workers N]            (accepted and ignored: stages are simulated
+                                               serially)
                [--sketch-spill H]             (drop per-link p99 sketches on links quiet for H
                                                consecutive stages; freed slots are recycled, so
                                                long sweeps stop growing the sketch table.
@@ -140,7 +138,6 @@ fn main() {
     let mut trace_path: Option<String> = None;
     let mut print_metrics = false;
     let mut json = false;
-    let mut stage_workers = 0usize;
     let mut sketch_spill: Option<u64> = None;
 
     let mut it = args.iter();
@@ -216,10 +213,10 @@ fn main() {
                 })
             }
             "--stage-workers" => {
-                stage_workers = value().parse().unwrap_or_else(|_| {
+                let _: usize = value().parse().unwrap_or_else(|_| {
                     eprintln!("bad stage worker count");
                     usage();
-                })
+                });
             }
             "--sketch-spill" => {
                 let h: u64 = value().parse().unwrap_or_else(|_| {
@@ -411,7 +408,6 @@ fn main() {
         candidates,
         ..cloudia::core::AdvisorConfig::fast()
     };
-    advisor_cfg.measurement.config.stage_workers = stage_workers;
     advisor_cfg.measurement.config.sketch_spill_horizon = sketch_spill;
     let advisor = Advisor::new(advisor_cfg);
     let outcome = match advisor.try_run(provider, &graph, seed) {
@@ -491,7 +487,7 @@ fn main() {
             candidates,
             seed,
             LossOptions { loss, retries, blackout, blind: loss_blind },
-            SweepOptions { stage_workers, sketch_spill },
+            sketch_spill,
             json,
             recorder,
         );
@@ -528,14 +524,6 @@ struct LossOptions {
     blind: bool,
 }
 
-/// Sweep execution knobs shared by every measurement epoch: worker
-/// fan-out per stage (deterministic at any value) and the sketch-spill
-/// horizon (`None` keeps every per-link p99 sketch forever).
-struct SweepOptions {
-    stage_workers: usize,
-    sketch_spill: Option<u64>,
-}
-
 /// Drives the continuous advisor over the deployed plan: the
 /// over-allocated pool is kept as warm spares, the network drifts
 /// `epoch_hours` between measurement epochs, and every trigger runs a
@@ -558,7 +546,7 @@ fn run_online(
     candidates: Option<cloudia::solver::CandidateConfig>,
     seed: u64,
     loss_opts: LossOptions,
-    sweep_opts: SweepOptions,
+    sketch_spill: Option<u64>,
     json: bool,
     recorder: Option<cloudia::obs::RunRecorder>,
 ) -> (cloudia::obs::Json, Option<cloudia::obs::RunRecorder>) {
@@ -653,8 +641,7 @@ fn run_online(
     }
     let measure_cfg = MeasureConfig {
         retries_per_pair: if loss_opts.blind { 0 } else { loss_opts.retries },
-        stage_workers: sweep_opts.stage_workers,
-        sketch_spill_horizon: sweep_opts.sketch_spill,
+        sketch_spill_horizon: sketch_spill,
         ..MeasureConfig::default()
     };
     let mut stream = if lossy {
