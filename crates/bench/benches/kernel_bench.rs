@@ -17,7 +17,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
-use cloudia_measure::{LinkBatch, PairwiseStats, Staged};
+use cloudia_measure::{PairwiseStats, Staged};
 use cloudia_solver::candidates::PoolIndex;
 use cloudia_solver::kernels::scan_row_evidence;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -132,19 +132,21 @@ fn assert_kernel_wins() {
     );
 }
 
-/// One stage of the round-robin tournament over `m` instances as merge
-/// batches: `m / 2` endpoint-disjoint links, three samples each.
-fn stage_batches(m: usize, round: usize, rng: &mut StdRng) -> Vec<LinkBatch> {
-    Staged::circle_pairs(m, round)
-        .into_iter()
-        .map(|(src, dst)| LinkBatch {
-            src,
-            dst,
-            attempts: 3,
-            timeouts: 0,
-            rtts: (0..3).map(|_| rng.random_range(0.5..5.0)).collect(),
-        })
-        .collect()
+/// Records one stage of the round-robin tournament over `m` instances:
+/// `m / 2` endpoint-disjoint links (`dst → src` when `reversed`), three
+/// samples each.
+fn record_stage(
+    stats: &mut PairwiseStats,
+    m: usize,
+    round: usize,
+    reversed: bool,
+    rng: &mut StdRng,
+) {
+    for (a, b) in Staged::circle_pairs(m, round) {
+        let (src, dst) = if reversed { (b, a) } else { (a, b) };
+        let rtts: [f64; 3] = std::array::from_fn(|_| rng.random_range(0.5..5.0));
+        stats.record_link(src, dst, 3, 0, &rtts);
+    }
 }
 
 /// Races a long-lived index (`sync`: touch-log delta) against a fresh one
@@ -159,11 +161,7 @@ fn assert_pool_index_wins<const L: usize>(
     let mut rng = StdRng::seed_from_u64(13);
     let mut stats = PairwiseStats::new(m);
     for round in 0..2 * (m - 1) {
-        let mut batches = stage_batches(m, round % (m - 1), &mut rng);
-        if round >= m - 1 {
-            batches.iter_mut().for_each(|b| std::mem::swap(&mut b.src, &mut b.dst));
-        }
-        stats.merge_batches(batches);
+        record_stage(&mut stats, m, round % (m - 1), round >= m - 1, &mut rng);
     }
     assert_eq!(stats.covered_links(), m * (m - 1), "the race runs on full coverage");
     let scores = |index: &PoolIndex<L>| -> Vec<[u64; L]> {
@@ -173,7 +171,7 @@ fn assert_pool_index_wins<const L: usize>(
     sync(&mut kept, &stats);
     let (mut sync_s, mut rebuild_s) = (0.0f64, 0.0f64);
     for round in 0..stages {
-        stats.merge_batches(stage_batches(m, round, &mut rng));
+        record_stage(&mut stats, m, round, false, &mut rng);
         let t0 = Instant::now();
         sync(&mut kept, &stats);
         let synced = black_box(scores(&kept));

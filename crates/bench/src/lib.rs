@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use cloudia_core::{Advisor, AdvisorConfig, CommGraph, CostMatrix, LatencyMetric};
+use cloudia_core::{CommGraph, CostMatrix, LatencyMetric};
 use cloudia_measure::{MeasureConfig, Scheme, Staged};
 use cloudia_netsim::{Cloud, Network, Provider};
 use cloudia_obs::{Json, RunRecorder};
@@ -292,11 +292,6 @@ pub fn measured_costs(
             std::process::exit(1);
         }
     }
-}
-
-/// Builds an advisor sized for harness runs.
-pub fn harness_advisor(objective: cloudia_core::Objective, search_s: f64) -> Advisor {
-    Advisor::new(AdvisorConfig { objective, search_time_s: search_s, ..AdvisorConfig::fast() })
 }
 
 /// The three paper workload graphs at a given scale: (behavioral mesh,

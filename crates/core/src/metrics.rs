@@ -67,16 +67,6 @@ impl LatencyMetric {
     pub fn vector(self, stats: &PairwiseStats) -> Vec<f64> {
         self.cost_matrix(stats).off_diagonal()
     }
-
-    /// This metric's value for a single link estimate (a copyable view
-    /// into the columnar stats plane).
-    pub fn link_value(self, link: cloudia_measure::LinkEstimate<'_>) -> f64 {
-        match self {
-            LatencyMetric::Mean => link.mean(),
-            LatencyMetric::MeanPlusSd => link.mean_plus_sd(),
-            LatencyMetric::P99 => link.p99(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use std::collections::HashSet;
 
 use cloudia_netsim::Network;
 
-use crate::scheme::{MeasureConfig, MeasurementReport, Scheme, SnapshotTracker};
+use crate::scheme::{MeasureConfig, MeasurementReport, Scheme};
 use crate::stats::PairwiseStats;
 
 /// Canonical unordered-pair key `(low, high)` — the normalization every
@@ -282,7 +282,8 @@ pub(crate) struct StageDriver<'n> {
     net: &'n Network,
     cfg: MeasureConfig,
     stats: PairwiseStats,
-    tracker: SnapshotTracker,
+    /// One pair's round-trip times, reused by every pair of every stage.
+    rtts: Vec<f64>,
     /// One sweep's schedule: unordered pairs with per-pair round trips,
     /// each pair in exactly one stage.
     stages: Vec<Vec<(u32, u32, usize)>>,
@@ -313,8 +314,6 @@ struct StageTally {
     delivered: u64,
     lost: u64,
     dark: u64,
-    /// Wall nanoseconds spent merging per-pair outcomes into the stats.
-    merge_ns: u64,
     /// P² sketches spilled by the quiet-link horizon this run.
     spilled: u64,
     /// Wall-time span from the first executed stage to driver drop;
@@ -330,7 +329,6 @@ impl Drop for StageTally {
             span.attr("sent", self.sent);
             span.attr("lost", self.lost);
             span.attr("dark_pairs", self.dark);
-            span.attr("merge_ns", self.merge_ns);
         }
         if self.stages > 0 {
             cloudia_obs::counters(&[
@@ -340,7 +338,6 @@ impl Drop for StageTally {
                 ("sweep.messages_delivered", self.delivered),
                 ("sweep.messages_lost", self.lost),
                 ("sweep.dark_pairs", self.dark),
-                ("sweep.merge_ns", self.merge_ns),
                 ("sweep.sketch_spills", self.spilled),
             ]);
         }
@@ -372,7 +369,7 @@ impl<'n> StageDriver<'n> {
             net,
             cfg: cfg.clone(),
             stats,
-            tracker: SnapshotTracker::new(cfg),
+            rtts: Vec::new(),
             stages,
             sweeps,
             coord_overhead_ms,
@@ -435,42 +432,17 @@ impl SweepDriver for StageDriver<'_> {
                 return false;
             }
         }
-        // Directions alternate across sweeps so both directions of every
-        // link get measured.
         if cloudia_obs::enabled() && self.tally.span.is_none() {
             self.tally.span = Some(cloudia_obs::span!("sweep.run", scheme = self.name));
         }
-        let pairs = &self.stages[self.stage];
-        let directed: Vec<(usize, usize)> = pairs
-            .iter()
-            .map(|&(a, b, _)| {
-                if self.sweep.is_multiple_of(2) {
-                    (a as usize, b as usize)
-                } else {
-                    (b as usize, a as usize)
-                }
-            })
-            .collect();
-        let ks: Vec<usize> = pairs.iter().map(|&(_, _, k)| k).collect();
-        // One substream seed per pair, derived from the pair's schedule
-        // identity rather than drawn from a shared stream: a surviving
-        // pair's timeline is the same no matter which *other* pairs a
-        // prune rule or dark strike removed from the stage — common
-        // random numbers across pruned and unpruned arms.
-        let (sweep, stage) = (self.sweep, self.stage);
-        let seeds: Vec<u64> = directed
-            .iter()
-            .map(|&(src, dst)| crate::scheme::substream_seed(self.cfg.seed, sweep, stage, src, dst))
-            .collect();
         let outcome = crate::scheme::run_stage(
             self.net,
             &self.cfg,
             self.now,
-            &directed,
-            &ks,
-            &seeds,
+            (self.sweep, self.stage),
+            &self.stages[self.stage],
             &mut self.stats,
-            &mut self.tracker,
+            &mut self.rtts,
         );
         self.round_trips += outcome.round_trips;
         self.now = outcome.end;
@@ -485,7 +457,6 @@ impl SweepDriver for StageDriver<'_> {
             self.tally.delivered += outcome.delivered;
             self.tally.lost += outcome.lost;
             self.tally.dark += outcome.dark.len() as u64;
-            self.tally.merge_ns += outcome.merge_ns;
         }
         // Age the stats plane's quiet-time clock — one tick per completed
         // stage — and spill idle sketches if a horizon is configured.
@@ -503,11 +474,9 @@ impl SweepDriver for StageDriver<'_> {
         // only work that can still complete. A fresh driver (the next
         // epoch) re-attempts them.
         if !outcome.dark.is_empty() {
-            let dark: HashSet<(u32, u32)> = outcome
-                .dark
-                .iter()
-                .map(|&pid| norm_pair(directed[pid].0 as u32, directed[pid].1 as u32))
-                .collect();
+            let pairs = &self.stages[self.stage];
+            let dark: HashSet<(u32, u32)> =
+                outcome.dark.iter().map(|&pid| norm_pair(pairs[pid].0, pairs[pid].1)).collect();
             for stage in &mut self.stages {
                 stage.retain(|&(a, b, _)| !dark.contains(&norm_pair(a, b)));
             }
@@ -571,7 +540,6 @@ impl SweepDriver for StageDriver<'_> {
             scheme: self.name,
             elapsed_ms: self.now,
             round_trips: self.round_trips,
-            snapshots: self.tracker.snapshots,
             stats: self.stats,
         }
     }

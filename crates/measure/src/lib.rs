@@ -65,8 +65,8 @@ pub use driver::{
 };
 pub use focused::{FocusedScheme, ProbePlan};
 pub use pool::{PoolStats, SweepPool};
-pub use scheme::{MeasureConfig, MeasurementReport, Scheme, Snapshot};
+pub use scheme::{MeasureConfig, MeasurementReport, Scheme};
 pub use staged::Staged;
-pub use stats::{LinkBatch, LinkEstimate, P2Quantile, PairwiseStats, TouchCursor, Welford};
+pub use stats::{LinkEstimate, P2Quantile, PairwiseStats, TouchCursor, Welford};
 pub use token::TokenPassing;
 pub use uncoordinated::Uncoordinated;

@@ -11,7 +11,7 @@
 use cloudia_netsim::{Network, NicParams};
 
 use crate::driver::SweepDriver;
-use crate::stats::{LinkBatch, PairwiseStats};
+use crate::stats::PairwiseStats;
 
 /// Message kinds used by all schemes.
 pub(crate) const KIND_PROBE: u32 = 0;
@@ -34,9 +34,6 @@ pub struct MeasureConfig {
     /// `--stage-workers`, only because `loopbench` sets it; goes when a
     /// benchmark PR stops doing so.
     pub stage_workers: usize,
-    /// If set, record a snapshot of the mean-estimate vector every this
-    /// many simulated milliseconds (used by the Fig. 5 convergence study).
-    pub snapshot_every_ms: Option<f64>,
     /// If set, stop issuing new probes after this much simulated time.
     /// The contract (shared by every scheme, pinned by proptest): no
     /// probe is *issued* at or after the deadline; probes already in
@@ -67,7 +64,6 @@ impl Default for MeasureConfig {
             probe_size_kb: 1.0,
             nic: NicParams::default(),
             seed: 0,
-            snapshot_every_ms: None,
             max_duration_ms: None,
             timeout_ms: cloudia_netsim::DEFAULT_TIMEOUT_MS,
             retries_per_pair: 3,
@@ -75,15 +71,6 @@ impl Default for MeasureConfig {
             sketch_spill_horizon: None,
         }
     }
-}
-
-/// A time-stamped snapshot of the flattened mean-estimate vector.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    /// Simulated time of the snapshot (ms).
-    pub at_ms: f64,
-    /// Mean estimates over all ordered pairs, row-major, diagonal skipped.
-    pub mean_vector: Vec<f64>,
 }
 
 /// The result of one measurement run.
@@ -97,8 +84,6 @@ pub struct MeasurementReport {
     pub elapsed_ms: f64,
     /// Number of completed round-trip observations.
     pub round_trips: u64,
-    /// Mean-vector snapshots (empty unless requested).
-    pub snapshots: Vec<Snapshot>,
 }
 
 impl MeasurementReport {
@@ -190,8 +175,8 @@ pub(crate) fn substream_seed(seed: u64, sweep: usize, stage: usize, src: usize, 
 pub(crate) struct StageOutcome {
     /// Round trips completed this stage.
     pub(crate) round_trips: u64,
-    /// Pair ids (indices into the stage's `directed` slice) that
-    /// exhausted their retry budget with zero successes.
+    /// Pair ids (indices into the stage's `pairs` slice) that exhausted
+    /// their retry budget with zero successes.
     pub(crate) dark: Vec<usize>,
     /// Simulated time the stage finished (the latest pair's last event;
     /// `t0` if the stage issued nothing).
@@ -200,16 +185,12 @@ pub(crate) struct StageOutcome {
     pub(crate) sent: u64,
     pub(crate) delivered: u64,
     pub(crate) lost: u64,
-    /// Wall nanoseconds spent merging per-pair outcomes into the stats.
-    pub(crate) merge_ns: u64,
 }
 
-/// One pair's complete probe timeline within a stage, simulated in
-/// isolation (see [`simulate_pair`]).
+/// One pair's probe ledger within a stage, simulated in isolation (see
+/// [`simulate_pair`], which hands the round-trip times back separately).
 #[derive(Debug, Default)]
 struct PairOutcome {
-    /// `(completion_time, rtt)` per successful round trip, time-ordered.
-    samples: Vec<(f64, f64)>,
     attempts: u64,
     timeouts: u64,
     sent: u64,
@@ -235,20 +216,25 @@ struct PairOutcome {
 /// attempt; a lost probe or reply counts a timeout and triggers a
 /// retransmit while the `cfg.retries_per_pair` budget lasts; a pair that
 /// exhausts the budget without one success is dark. No probe (initial,
-/// follow-up, or retransmit) is issued at or after `limit`.
+/// follow-up, or retransmit) is issued at or after the
+/// `cfg.max_duration_ms` deadline.
+///
+/// `rtts` — the caller's reused buffer — is overwritten with the completed
+/// round-trip times in completion order.
 fn simulate_pair(
     net: &Network,
     cfg: &MeasureConfig,
-    limit: f64,
     t0: f64,
     (src, dst): (usize, usize),
     k: usize,
     seed: u64,
+    rtts: &mut Vec<f64>,
 ) -> PairOutcome {
     use cloudia_netsim::InstanceId;
     use rand::{rngs::StdRng, Rng, SeedableRng};
     debug_assert!(k > 0, "every scheduled pair needs a positive quota");
     let (src_id, dst_id) = (InstanceId::from_index(src), InstanceId::from_index(dst));
+    let limit = cfg.max_duration_ms.unwrap_or(f64::INFINITY);
     let busy = cfg.nic.handle_ms + cfg.nic.serialize_ms_per_kb * cfg.probe_size_kb;
     let (drop_fwd, drop_rev) = (net.drop_prob(src_id, dst_id), net.drop_prob(dst_id, src_id));
     // The same latency/fault RNG split an `Engine` seeded with `seed`
@@ -257,6 +243,7 @@ fn simulate_pair(
     let mut lat = StdRng::seed_from_u64(seed);
     let mut fault = StdRng::seed_from_u64(seed ^ 0x10_55_10_55_10_55_10_55);
 
+    rtts.clear();
     let mut out = PairOutcome { end: t0, ..PairOutcome::default() };
     let mut remaining = k - 1;
     let mut budget = cfg.retries_per_pair;
@@ -315,7 +302,7 @@ fn simulate_pair(
             + busy;
         out.delivered += 1;
         out.end = reply_delivered;
-        out.samples.push((reply_delivered, reply_delivered - send));
+        rtts.push(reply_delivered - send);
         successes += 1;
         if remaining > 0 && reply_delivered < limit {
             remaining -= 1;
@@ -328,41 +315,39 @@ fn simulate_pair(
     out
 }
 
-/// Executes one stage of endpoint-disjoint directed probe pairs: every
-/// pair gets one outstanding probe, a reply triggers the pair's next
-/// probe until its per-pair quota `ks[pid]` of round trips is done, and
-/// each round trip is recorded into `stats`. Shared by the staged and
-/// focused schemes — the stage protocol is identical, only the pair
-/// schedule (and per-pair sampling depth) differs.
+/// Executes one stage — `pairs` is the stage's endpoint-disjoint
+/// `(a, b, round trips)` schedule at position `(sweep, stage)` — as one
+/// loop over its pairs, in schedule order: probe `a → b` on even sweeps and
+/// `b → a` on odd ones (so both directions of every link get measured),
+/// derive the pair's RNG substream seed from its schedule identity
+/// ([`substream_seed`]), simulate its whole timeline ([`simulate_pair`]:
+/// one outstanding probe, a reply triggers the next until the quota is
+/// done), and write the result into `stats` with one
+/// [`PairwiseStats::record_link`]. Shared by the staged and focused
+/// schemes — the stage protocol is identical, only the pair schedule (and
+/// per-pair sampling depth) differs.
 ///
-/// `seeds` carries one RNG substream seed per pair, derived by the driver
-/// from the pair's schedule identity ([`substream_seed`]): the pairs
-/// simulate independently and their outcomes merge in link-index order.
-#[allow(clippy::too_many_arguments)]
+/// Keying the seed on identity rather than drawing from a shared stream
+/// means a surviving pair's timeline is the same no matter which *other*
+/// pairs a prune rule or dark strike removed from the stage — common
+/// random numbers across pruned and unpruned arms.
 pub(crate) fn run_stage(
     net: &Network,
     cfg: &MeasureConfig,
     t0: f64,
-    directed: &[(usize, usize)],
-    ks: &[usize],
-    seeds: &[u64],
+    (sweep, stage): (usize, usize),
+    pairs: &[(u32, u32, usize)],
     stats: &mut PairwiseStats,
-    tracker: &mut SnapshotTracker,
+    rtts: &mut Vec<f64>,
 ) -> StageOutcome {
-    debug_assert_eq!(directed.len(), ks.len());
-    debug_assert_eq!(directed.len(), seeds.len());
-    let limit = cfg.max_duration_ms.unwrap_or(f64::INFINITY);
-    let outcomes: Vec<PairOutcome> = directed
-        .iter()
-        .zip(ks)
-        .zip(seeds)
-        .map(|((&pair, &k), &seed)| simulate_pair(net, cfg, limit, t0, pair, k, seed))
-        .collect();
-
-    let merge_start = std::time::Instant::now();
+    let forward = sweep.is_multiple_of(2);
     let mut outcome = StageOutcome { end: t0, ..StageOutcome::default() };
-    for (pid, o) in outcomes.iter().enumerate() {
-        outcome.round_trips += o.samples.len() as u64;
+    for (pid, &(a, b, k)) in pairs.iter().enumerate() {
+        let (src, dst) = if forward { (a as usize, b as usize) } else { (b as usize, a as usize) };
+        let seed = substream_seed(cfg.seed, sweep, stage, src, dst);
+        let o = simulate_pair(net, cfg, t0, (src, dst), k, seed, rtts);
+        stats.record_link(src, dst, o.attempts, o.timeouts, rtts);
+        outcome.round_trips += rtts.len() as u64;
         outcome.sent += o.sent;
         outcome.delivered += o.delivered;
         outcome.lost += o.lost;
@@ -371,76 +356,7 @@ pub(crate) fn run_stage(
             outcome.dark.push(pid);
         }
     }
-    if tracker.active() {
-        // Snapshotting replays the round trips in global completion
-        // order, exactly as the single event loop would have interleaved
-        // them (ties break by pair id), consulting the tracker after
-        // every sample. Per-link results are identical to the batch path
-        // below — each link only ever sees its own time-ordered samples.
-        let mut events: Vec<(f64, usize, f64)> = Vec::new();
-        for (pid, o) in outcomes.iter().enumerate() {
-            let (src, dst) = directed[pid];
-            stats.record_attempts(src, dst, o.attempts);
-            stats.record_timeouts(src, dst, o.timeouts);
-            events.extend(o.samples.iter().map(|&(at, rtt)| (at, pid, rtt)));
-        }
-        events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times").then(a.1.cmp(&b.1)));
-        for (at, pid, rtt) in events {
-            let (src, dst) = directed[pid];
-            stats.record(src, dst, rtt);
-            tracker.maybe_snapshot(at, stats);
-        }
-    } else {
-        // Hot path: one batch per directed link (a stage's pairs are
-        // endpoint-disjoint, so links are unique).
-        let batches: Vec<LinkBatch> = outcomes
-            .into_iter()
-            .zip(directed)
-            .map(|(o, &(src, dst))| LinkBatch {
-                src,
-                dst,
-                attempts: o.attempts,
-                timeouts: o.timeouts,
-                rtts: o.samples.into_iter().map(|(_, rtt)| rtt).collect(),
-            })
-            .collect();
-        stats.merge_batches(batches);
-    }
-    outcome.merge_ns = merge_start.elapsed().as_nanos() as u64;
     outcome
-}
-
-/// Shared snapshot bookkeeping for scheme implementations.
-pub(crate) struct SnapshotTracker {
-    every: Option<f64>,
-    next_at: f64,
-    pub(crate) snapshots: Vec<Snapshot>,
-}
-
-impl SnapshotTracker {
-    pub(crate) fn new(cfg: &MeasureConfig) -> Self {
-        Self {
-            every: cfg.snapshot_every_ms,
-            next_at: cfg.snapshot_every_ms.unwrap_or(0.0),
-            snapshots: Vec::new(),
-        }
-    }
-
-    /// True when snapshotting was requested — i.e. `run_stage` must
-    /// replay samples serially in global completion order instead of
-    /// taking the batched merge path.
-    pub(crate) fn active(&self) -> bool {
-        self.every.is_some()
-    }
-
-    /// Called after each recorded sample with the current simulated time.
-    pub(crate) fn maybe_snapshot(&mut self, now: f64, stats: &PairwiseStats) {
-        let Some(every) = self.every else { return };
-        while now >= self.next_at {
-            self.snapshots.push(Snapshot { at_ms: self.next_at, mean_vector: stats.mean_vector() });
-            self.next_at += every;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -451,27 +367,5 @@ mod tests {
     fn default_config_is_one_kb() {
         let cfg = MeasureConfig::default();
         assert_eq!(cfg.probe_size_kb, 1.0);
-        assert!(cfg.snapshot_every_ms.is_none());
-    }
-
-    #[test]
-    fn snapshot_tracker_fires_at_intervals() {
-        let cfg = MeasureConfig { snapshot_every_ms: Some(10.0), ..Default::default() };
-        let mut tracker = SnapshotTracker::new(&cfg);
-        let stats = PairwiseStats::new(2);
-        tracker.maybe_snapshot(5.0, &stats);
-        assert!(tracker.snapshots.is_empty());
-        tracker.maybe_snapshot(25.0, &stats);
-        assert_eq!(tracker.snapshots.len(), 2);
-        assert_eq!(tracker.snapshots[0].at_ms, 10.0);
-        assert_eq!(tracker.snapshots[1].at_ms, 20.0);
-    }
-
-    #[test]
-    fn snapshot_tracker_disabled_by_default() {
-        let cfg = MeasureConfig::default();
-        let mut tracker = SnapshotTracker::new(&cfg);
-        tracker.maybe_snapshot(1e9, &PairwiseStats::new(2));
-        assert!(tracker.snapshots.is_empty());
     }
 }

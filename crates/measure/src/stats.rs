@@ -23,17 +23,6 @@
 //! The pre-refactor array-of-structs implementation is retained verbatim
 //! in [`aos`] as a differential-test oracle and bench baseline.
 //!
-//! ## Batched merge
-//!
-//! A stage's per-pair outcomes land here through
-//! [`PairwiseStats::merge_batches`]: one [`LinkBatch`] per directed link,
-//! replayed into the columns in link-index order. Because the columns are
-//! per-link accumulators and a batch carries its link's samples already
-//! time-ordered, the replay is **bit-identical** to calling
-//! `record`/`record_attempt`/`record_timeout` serially — the property
-//! suite pins every column (count/mean/M2/attempts/timeouts) and the P²
-//! sketches.
-//!
 //! ## Adaptive sketch spilling
 //!
 //! The Welford columns are dense and cheap; the P² sketches are the
@@ -53,8 +42,9 @@
 //! ## Touch log
 //!
 //! Readers that maintain state derived from the columns (the solver's
-//! pool index) do not rescan them: every mutator appends the link indices
-//! it changes to a bounded, append-only log, and a reader holding a
+//! pool index) do not rescan them: [`PairwiseStats::record_link`] — the one
+//! write into the columns — appends the index of the link it changes, once
+//! per call, to a bounded, append-only log, and a reader holding a
 //! [`TouchCursor`] asks [`PairwiseStats::touched_since`] for exactly the
 //! links that moved since its last look. The log keeps only its last
 //! [`TOUCH_LOG_PER_INSTANCE`]` · n` entries — a few stages' worth — and
@@ -137,24 +127,6 @@ impl LinkEstimate<'_> {
     }
 }
 
-/// One directed link's complete outcome batch from a measurement stage:
-/// the probe ledger plus the link's round-trip samples in completion
-/// order. The unit of the batched merge
-/// ([`PairwiseStats::merge_batches`]).
-#[derive(Debug, Clone, Default)]
-pub struct LinkBatch {
-    /// Source instance index.
-    pub src: usize,
-    /// Destination instance index (`!= src`).
-    pub dst: usize,
-    /// Probes issued on the link this stage.
-    pub attempts: u64,
-    /// Probes that timed out this stage.
-    pub timeouts: u64,
-    /// Completed round-trip times, time-ordered.
-    pub rtts: Vec<f64>,
-}
-
 /// Touch-log entries retained per instance: the log holds the last
 /// `TOUCH_LOG_PER_INSTANCE · n` touched link indices. A stage of an
 /// endpoint-disjoint schedule touches at most `n / 2` links, so a reader
@@ -173,7 +145,7 @@ pub struct TouchCursor {
     at: u64,
 }
 
-/// The bounded tail of link indices the mutators changed, in order.
+/// The bounded tail of link indices `record_link` changed, in order.
 #[derive(Debug)]
 struct TouchLog {
     /// Identifies this history; cursors of another lineage are rejected.
@@ -220,33 +192,6 @@ impl Clone for TouchLog {
 /// Links per 4 KB page of an 8-byte column — the granularity of the
 /// touched-page ledger behind [`PairwiseStats::resident_bytes`].
 const LINKS_PER_PAGE: usize = 512;
-
-/// Replays one batch into one link's column cells and (optional) sketch
-/// — the exact arithmetic sequence of the serial
-/// `record_attempt`/`record_timeout`/`record` loops, which is what makes
-/// the batched merge bit-identical to the serial one.
-fn apply_batch(
-    batch: &LinkBatch,
-    count: &mut u64,
-    mean: &mut f64,
-    m2: &mut f64,
-    attempts: &mut u64,
-    timeouts: &mut u64,
-    sketch: Option<&mut P2Quantile>,
-) {
-    *attempts += batch.attempts;
-    *timeouts += batch.timeouts;
-    if batch.rtts.is_empty() {
-        return;
-    }
-    let mut w = Welford::from_parts(*count, *mean, *m2);
-    let sketch = sketch.expect("a batch with samples always has a sketch slot");
-    for &rtt in &batch.rtts {
-        w.record(rtt);
-        sketch.record(rtt);
-    }
-    (*count, *mean, *m2) = w.parts();
-}
 
 /// Pairwise link summaries for `n` instances (diagonal unused), stored
 /// as flat per-statistic columns indexed `src * n + dst`.
@@ -367,130 +312,87 @@ impl PairwiseStats {
         slot
     }
 
-    /// Records one RTT observation for the directed link `src → dst`
-    /// (raw indices).
-    pub fn record(&mut self, src: usize, dst: usize, rtt: f64) {
-        let idx = self.idx(src, dst);
+    /// The one write into the columns: adds `attempts` issued probes,
+    /// `timeouts` timed-out probes and the completed round trips `rtts`
+    /// (in completion order) to the directed link `src → dst`. Every other
+    /// mutator is a call into this one. All-empty arguments are a no-op
+    /// (in particular the link is neither marked attempted nor logged);
+    /// otherwise the link gets exactly one touch-log entry however many
+    /// samples `rtts` carries.
+    ///
+    /// # Panics
+    /// Panics if `src` or `dst` is out of range or `src == dst`, with the
+    /// statistics unchanged.
+    pub fn record_link(
+        &mut self,
+        src: usize,
+        dst: usize,
+        attempts: u64,
+        timeouts: u64,
+        rtts: &[f64],
+    ) {
+        let n = self.n;
+        assert!(src < n && dst < n && src != dst, "bad link {src}→{dst}");
+        if attempts == 0 && timeouts == 0 && rtts.is_empty() {
+            return;
+        }
+        let idx = src * n + dst;
         self.touch_page(idx);
         self.touch_log.push(idx);
+        if attempts > 0 && self.attempts[idx] == 0 {
+            self.attempted += 1;
+        }
+        self.attempts[idx] += attempts;
+        self.timeouts[idx] += timeouts;
+        self.attempts_total += attempts;
+        self.timeouts_total += timeouts;
+        if rtts.is_empty() {
+            return;
+        }
         if self.count[idx] == 0 {
             self.covered += 1;
         }
-        // Same update arithmetic as the struct form, bit for bit.
-        let mut w = Welford::from_parts(self.count[idx], self.mean[idx], self.m2[idx]);
-        w.record(rtt);
-        (self.count[idx], self.mean[idx], self.m2[idx]) = w.parts();
-        self.samples_total += 1;
+        self.samples_total += rtts.len() as u64;
         let slot = match self.sketch_slot[idx] {
             0 => self.alloc_sketch(idx),
             s => s as usize - 1,
         };
         self.sketch_seen[slot] = self.tick;
-        self.sketches[slot].record(rtt);
+        let sketch = &mut self.sketches[slot];
+        // Same update arithmetic as the struct form, bit for bit.
+        let mut w = Welford::from_parts(self.count[idx], self.mean[idx], self.m2[idx]);
+        for &rtt in rtts {
+            w.record(rtt);
+            sketch.record(rtt);
+        }
+        (self.count[idx], self.mean[idx], self.m2[idx]) = w.parts();
+    }
+
+    /// Records one RTT observation for the directed link `src → dst`
+    /// (raw indices).
+    pub fn record(&mut self, src: usize, dst: usize, rtt: f64) {
+        self.record_link(src, dst, 0, 0, &[rtt]);
     }
 
     /// Counts one probe issued on the directed link `src → dst`.
     pub fn record_attempt(&mut self, src: usize, dst: usize) {
-        self.record_attempts(src, dst, 1);
+        self.record_link(src, dst, 1, 0, &[]);
     }
 
     /// Counts one timed-out probe on the directed link `src → dst`.
     pub fn record_timeout(&mut self, src: usize, dst: usize) {
-        self.record_timeouts(src, dst, 1);
+        self.record_link(src, dst, 0, 1, &[]);
     }
 
-    /// Counts `k` probes issued on the directed link `src → dst` in one
-    /// call — the bulk form of [`PairwiseStats::record_attempt`] the
-    /// stage merge uses instead of a per-probe loop. `k = 0` is a no-op
-    /// (in particular it does not mark the link attempted).
+    /// Counts `k` probes issued on the directed link `src → dst`; `k = 0`
+    /// is a no-op (in particular it does not mark the link attempted).
     pub fn record_attempts(&mut self, src: usize, dst: usize, k: u64) {
-        if k == 0 {
-            return;
-        }
-        let idx = self.idx(src, dst);
-        self.touch_page(idx);
-        self.touch_log.push(idx);
-        if self.attempts[idx] == 0 {
-            self.attempted += 1;
-        }
-        self.attempts[idx] += k;
-        self.attempts_total += k;
+        self.record_link(src, dst, k, 0, &[]);
     }
 
     /// Counts `k` timed-out probes on the directed link `src → dst`.
     pub fn record_timeouts(&mut self, src: usize, dst: usize, k: u64) {
-        if k == 0 {
-            return;
-        }
-        let idx = self.idx(src, dst);
-        self.touch_page(idx);
-        self.touch_log.push(idx);
-        self.timeouts[idx] += k;
-        self.timeouts_total += k;
-    }
-
-    /// Merges one stage's per-link outcome batches into the columns.
-    ///
-    /// Requirements: each directed link appears in at most one batch
-    /// (stage schedules are endpoint-disjoint, so this is free for sweep
-    /// callers) and each batch's `rtts` are in completion order. Under
-    /// those, the result is **bit-identical** to replaying every batch
-    /// serially through `record_attempts`/`record_timeouts`/`record`:
-    /// per-link arithmetic only ever sees its own link's samples in
-    /// order, and the batches replay in link-index order, which fixes
-    /// sketch slot numbering and the touch log whatever order the stage
-    /// produced them in.
-    pub fn merge_batches(&mut self, mut batches: Vec<LinkBatch>) {
-        let n = self.n;
-        batches.retain(|b| b.attempts > 0 || b.timeouts > 0 || !b.rtts.is_empty());
-        batches.sort_by_key(|b| b.src * n + b.dst);
-        // Validate before touching a column: a bad batch panics with the
-        // stats unchanged.
-        for b in &batches {
-            assert!(b.src < n && b.dst < n && b.src != b.dst, "bad link {}→{}", b.src, b.dst);
-        }
-        for w in batches.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            assert!(
-                (a.src, a.dst) != (b.src, b.dst),
-                "link {}→{} appears in two batches",
-                b.src,
-                b.dst
-            );
-        }
-        for b in &batches {
-            let idx = b.src * n + b.dst;
-            self.touch_page(idx);
-            self.touch_log.push(idx);
-            if !b.rtts.is_empty() && self.count[idx] == 0 {
-                self.covered += 1;
-            }
-            if b.attempts > 0 && self.attempts[idx] == 0 {
-                self.attempted += 1;
-            }
-            self.samples_total += b.rtts.len() as u64;
-            self.attempts_total += b.attempts;
-            self.timeouts_total += b.timeouts;
-            let sketch = if b.rtts.is_empty() {
-                None
-            } else {
-                let slot = match self.sketch_slot[idx] {
-                    0 => self.alloc_sketch(idx),
-                    s => s as usize - 1,
-                };
-                self.sketch_seen[slot] = self.tick;
-                Some(&mut self.sketches[slot])
-            };
-            apply_batch(
-                b,
-                &mut self.count[idx],
-                &mut self.mean[idx],
-                &mut self.m2[idx],
-                &mut self.attempts[idx],
-                &mut self.timeouts[idx],
-                sketch,
-            );
-        }
+        self.record_link(src, dst, 0, k, &[]);
     }
 
     /// Current quiet-time tick (the stage counter spilling ages against).
@@ -1230,12 +1132,31 @@ mod tests {
         assert_eq!(bulk.attempted_links(), 1);
     }
 
+    // `record(0, n, x)` used to land in link 1→0's cells in release builds.
     #[test]
-    fn merge_batches_matches_serial_replay() {
+    #[should_panic(expected = "bad link 0→4")]
+    fn record_rejects_an_out_of_range_destination() {
+        PairwiseStats::new(4).record(0, 4, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad link 2→2")]
+    fn record_attempts_rejects_the_diagonal() {
+        PairwiseStats::new(4).record_attempts(2, 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad link 4→0")]
+    fn record_link_rejects_an_out_of_range_source() {
+        PairwiseStats::new(4).record_link(4, 0, 1, 0, &[1.0]);
+    }
+
+    #[test]
+    fn record_link_matches_serial_replay() {
         let n = 8;
         let mut rng = StdRng::seed_from_u64(42);
         let mut serial = PairwiseStats::new(n);
-        let mut batches = Vec::new();
+        let mut merged = PairwiseStats::new(n);
         for src in 0..n {
             for dst in 0..n {
                 if src == dst || rng.random::<f64>() < 0.3 {
@@ -1245,8 +1166,8 @@ mod tests {
                 let timeouts = rng.random_range(0..=attempts.min(2));
                 let rtts: Vec<f64> =
                     (0..rng.random_range(0..20usize)).map(|_| rng.random::<f64>() * 10.0).collect();
-                // Serial oracle replays in the same per-link order the
-                // merge contract promises: attempts, timeouts, samples.
+                // Serial oracle replays in the per-link order `record_link`
+                // promises: attempts, timeouts, samples.
                 for _ in 0..attempts {
                     serial.record_attempt(src, dst);
                 }
@@ -1256,11 +1177,9 @@ mod tests {
                 for &r in &rtts {
                     serial.record(src, dst, r);
                 }
-                batches.push(LinkBatch { src, dst, attempts, timeouts, rtts });
+                merged.record_link(src, dst, attempts, timeouts, &rtts);
             }
         }
-        let mut merged = PairwiseStats::new(n);
-        merged.merge_batches(batches);
         // Every column bit-for-bit, plus the running aggregates
         // (whose getters debug-assert against a full column scan).
         assert_eq!(merged.count, serial.count);
@@ -1301,11 +1220,10 @@ mod tests {
         s.record_timeouts(2, 3, 1);
         s.record_attempts(1, 0, 0); // k = 0 changes nothing, logs nothing
         let c1 = s.touch_cursor();
-        let batch =
-            |src, dst, rtts: Vec<f64>| LinkBatch { src, dst, attempts: 1, timeouts: 0, rtts };
-        let idle = LinkBatch { src: 0, dst: 2, ..LinkBatch::default() };
-        s.merge_batches(vec![batch(3, 0, vec![2.0]), idle, batch(1, 2, vec![])]);
-        // The merge logs its (non-empty) batches in link-index order.
+        s.record_link(0, 2, 0, 0, &[]); // all-empty changes nothing, logs nothing
+        s.record_link(1, 2, 1, 0, &[]);
+        s.record_link(3, 0, 1, 0, &[2.0, 3.0]);
+        // One entry per call, whatever it carried.
         assert_eq!(touched(&s, c0).unwrap(), [1, 11, 11, 6, 12]);
         assert_eq!(touched(&s, c1).unwrap(), [6, 12]);
         assert_eq!(touched(&s, s.touch_cursor()).unwrap(), []);

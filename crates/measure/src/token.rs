@@ -13,9 +13,7 @@ use std::collections::{HashMap, HashSet};
 use cloudia_netsim::{InstanceId, MessageSpec, Network};
 
 use crate::driver::{norm_pair, SweepDriver};
-use crate::scheme::{
-    MeasureConfig, MeasurementReport, Scheme, SnapshotTracker, KIND_PROBE, KIND_REPLY, KIND_TOKEN,
-};
+use crate::scheme::{MeasureConfig, MeasurementReport, Scheme, KIND_PROBE, KIND_REPLY, KIND_TOKEN};
 use crate::stats::PairwiseStats;
 
 /// The token-passing scheme.
@@ -59,7 +57,6 @@ struct TokenDriver<'n> {
     engine: cloudia_netsim::Engine<'n>,
     cfg: MeasureConfig,
     stats: PairwiseStats,
-    tracker: SnapshotTracker,
     n: usize,
     /// Destination rotation per holder: the c-th visit of holder i
     /// probes the c-th other instance (cyclically).
@@ -102,7 +99,6 @@ impl<'n> TokenDriver<'n> {
             engine,
             cfg: cfg.clone(),
             stats,
-            tracker: SnapshotTracker::new(cfg),
             n,
             cursor: vec![0usize; n],
             visit: 0,
@@ -197,7 +193,6 @@ impl SweepDriver for TokenDriver<'_> {
                 }
                 self.stats.record(holder, dst, reply.delivered_at - sent);
                 self.round_trips += 1;
-                self.tracker.maybe_snapshot(self.engine.now(), &self.stats);
                 break;
             }
 
@@ -288,7 +283,6 @@ impl SweepDriver for TokenDriver<'_> {
             scheme: "token",
             elapsed_ms: self.engine.now(),
             round_trips: self.round_trips,
-            snapshots: self.tracker.snapshots,
             stats: self.stats,
         }
     }
@@ -354,14 +348,5 @@ mod tests {
         let report = TokenPassing::new(100).run(&net, &cfg);
         assert!(report.round_trips < 6 * 5 * 100);
         assert!(report.elapsed_ms < 10.0);
-    }
-
-    #[test]
-    fn snapshots_requested_are_produced() {
-        let net = network(4, 5);
-        let cfg = MeasureConfig { snapshot_every_ms: Some(2.0), ..Default::default() };
-        let report = TokenPassing::new(3).run(&net, &cfg);
-        assert!(!report.snapshots.is_empty());
-        assert_eq!(report.snapshots[0].mean_vector.len(), 4 * 3);
     }
 }

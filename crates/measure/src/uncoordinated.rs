@@ -16,9 +16,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use cloudia_netsim::{InstanceId, MessageSpec, Network};
 
 use crate::driver::{norm_pair, SweepDriver};
-use crate::scheme::{
-    MeasureConfig, MeasurementReport, Scheme, SnapshotTracker, KIND_PROBE, KIND_REPLY,
-};
+use crate::scheme::{MeasureConfig, MeasurementReport, Scheme, KIND_PROBE, KIND_REPLY};
 use crate::stats::PairwiseStats;
 
 /// The uncoordinated scheme.
@@ -64,7 +62,6 @@ struct UncoordinatedDriver<'n> {
     engine: cloudia_netsim::Engine<'n>,
     cfg: MeasureConfig,
     stats: PairwiseStats,
-    tracker: SnapshotTracker,
     rng: StdRng,
     n: usize,
     probes_per_instance: usize,
@@ -102,7 +99,6 @@ impl<'n> UncoordinatedDriver<'n> {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15),
             cfg: cfg.clone(),
             stats,
-            tracker: SnapshotTracker::new(cfg),
             n,
             probes_per_instance,
             probe_sent_at: vec![0.0f64; n],
@@ -207,7 +203,6 @@ impl SweepDriver for UncoordinatedDriver<'_> {
                     );
                     self.round_trips += 1;
                     recorded += 1;
-                    self.tracker.maybe_snapshot(self.engine.now(), &self.stats);
                     if self.issued[src] < self.probes_per_instance && under_limit {
                         self.launch(src);
                     }
@@ -277,7 +272,6 @@ impl SweepDriver for UncoordinatedDriver<'_> {
             scheme: "uncoordinated",
             elapsed_ms: self.engine.now(),
             round_trips: self.round_trips,
-            snapshots: self.tracker.snapshots,
             stats: self.stats,
         }
     }

@@ -815,7 +815,7 @@ proptest! {
     }
 
     #[test]
-    fn merge_batches_is_bit_identical_to_serial_records(
+    fn record_link_is_bit_identical_to_serial_records(
         n in 2usize..8,
         stages in proptest::collection::vec(
             proptest::collection::vec(
@@ -825,21 +825,17 @@ proptest! {
             1..5,
         ),
     ) {
-        // The batched-merge contract: over an arbitrary schedule of
-        // stages, merging each stage's per-link batches leaves every
-        // column — count, mean, M2, attempts, timeouts — and every P²
-        // sketch bit-identical to replaying the same stages serially
-        // through the scalar record APIs.
+        // The `record_link` contract: over an arbitrary schedule of
+        // stages (a link may recur, within a stage or across them), one
+        // call per (link, stage) leaves every column — count, mean, M2,
+        // attempts, timeouts — and every P² sketch bit-identical to
+        // replaying the same stages through the per-sample record APIs.
         let mut serial = PairwiseStats::new(n);
         let mut merged = PairwiseStats::new(n);
         for stage in &stages {
-            let mut batches = Vec::new();
-            let mut taken = std::collections::HashSet::new();
             for &(src, dst, attempts, timeouts, ref rtts) in stage {
                 let (src, dst) = (src % n, dst % n);
-                // merge_batches requires unique links per call, exactly
-                // like a real endpoint-disjoint stage provides.
-                if src == dst || !taken.insert((src, dst)) {
+                if src == dst {
                     continue;
                 }
                 let timeouts = timeouts.min(attempts);
@@ -852,11 +848,8 @@ proptest! {
                 for &rtt in rtts {
                     serial.record(src, dst, rtt);
                 }
-                batches.push(cloudia_measure::LinkBatch {
-                    src, dst, attempts, timeouts, rtts: rtts.clone(),
-                });
+                merged.record_link(src, dst, attempts, timeouts, rtts);
             }
-            merged.merge_batches(batches);
         }
         prop_assert_eq!(merged.total_samples(), serial.total_samples());
         prop_assert_eq!(merged.total_attempts(), serial.total_attempts());

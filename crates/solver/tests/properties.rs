@@ -506,7 +506,7 @@ proptest! {
 // index's scores with a per-link recomputation that shares no code with
 // the evidence pass.
 mod pool_index {
-    use cloudia_measure::{LinkBatch, PairwiseStats, PruneRule, StopRule};
+    use cloudia_measure::{PairwiseStats, PruneRule, StopRule};
     use cloudia_solver::candidates::PoolIndex;
     use cloudia_solver::{CandidateConfig, CandidatePruneRule, CiStopRule};
     use proptest::prelude::*;
@@ -594,23 +594,15 @@ mod pool_index {
                 for i in (1..m).rev() {
                     ids.swap(i, rng.random_range(0..=i));
                 }
-                let batches = ids
-                    .chunks_exact(2)
-                    .take(rng.random_range(1..=m / 2))
-                    .map(|pair| {
-                        let (src, dst) = (pair[0], pair[1]);
-                        let dark = src.min(dst) == 0;
-                        let samples = if dark { 0 } else { rng.random_range(0..4usize) };
-                        LinkBatch {
-                            src,
-                            dst,
-                            attempts: rng.random_range(0..4),
-                            timeouts: rng.random_range(0..2),
-                            rtts: (0..samples).map(|_| rtt(rng)).collect(),
-                        }
-                    })
-                    .collect();
-                stats.merge_batches(batches);
+                let pairs = rng.random_range(1..=m / 2);
+                for pair in ids.chunks_exact(2).take(pairs) {
+                    let (src, dst) = (pair[0], pair[1]);
+                    let dark = src.min(dst) == 0;
+                    let samples = if dark { 0 } else { rng.random_range(0..4usize) };
+                    let (attempts, timeouts) = (rng.random_range(0..4), rng.random_range(0..2));
+                    let rtts: Vec<f64> = (0..samples).map(|_| rtt(rng)).collect();
+                    stats.record_link(src, dst, attempts, timeouts, &rtts);
+                }
             }
         }
     }

@@ -34,4 +34,14 @@ fn a_healthy_sweep_rebuilds_each_index_once_and_syncs_the_rest() {
     drop((prune, stop));
     assert_eq!(counter("sweep.rule.index_rebuilds"), 3);
     assert!(counter("sweep.rule.synced_links") > synced);
+
+    // A stage logs one entry per link whatever its Ks: at the batch
+    // workload's Ks = 10 a per-sample log (over 10 · m/2 entries a stage
+    // against a 4 m tail) would overrun between evaluations and rebuild
+    // every stage.
+    let prune = rule();
+    let stop = CiStopRule::new(prune.clone());
+    run_anytime(&Staged::new(10, 2), &net, &cfg, PairwiseStats::new(m), &prune, &stop);
+    drop((prune, stop));
+    assert_eq!(counter("sweep.rule.index_rebuilds"), 4);
 }

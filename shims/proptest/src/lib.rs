@@ -135,7 +135,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use rand::rngs::StdRng;
 
-    /// Lengths accepted by [`vec`]: a fixed `usize` or a `usize` range.
+    /// Lengths accepted by [`vec()`]: a fixed `usize` or a `usize` range.
     pub trait SizeRange {
         /// Draws a concrete length.
         fn sample_len(&self, rng: &mut StdRng) -> usize;
@@ -165,7 +165,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S, L> {
         element: S,

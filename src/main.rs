@@ -84,30 +84,52 @@ fn parse_dims<const K: usize>(spec: &str) -> [usize; K] {
 }
 
 fn parse_graph(spec: &str) -> CommGraph {
-    match spec.split_once(':') {
+    // The template constructors assert their minimum dimensions; reject
+    // smaller ones here, where they are still user input.
+    let need = |ok: bool, what: &str| {
+        if !ok {
+            eprintln!("bad graph `{spec}`: {what}");
+            usage();
+        }
+    };
+    let graph = match spec.split_once(':') {
         Some(("mesh", dims)) => {
             let [r, c] = parse_dims::<2>(dims);
+            need(r > 0 && c > 0, "mesh dimensions must be positive");
             CommGraph::mesh_2d(r, c)
         }
         Some(("mesh3d", dims)) => {
             let [x, y, z] = parse_dims::<3>(dims);
+            need(x > 0 && y > 0 && z > 0, "mesh dimensions must be positive");
             CommGraph::mesh_3d(x, y, z)
         }
         Some(("tree", dims)) => {
             let [f, l] = parse_dims::<2>(dims);
+            need(f > 0, "tree fanout must be positive");
             CommGraph::aggregation_tree(f, l)
         }
         Some(("bipartite", dims)) => {
             let [f, s] = parse_dims::<2>(dims);
+            need(f > 0 && s > 0, "both bipartite sides must be non-empty");
             CommGraph::bipartite(f, s)
         }
-        Some(("ring", dims)) => CommGraph::ring(parse_dims::<1>(dims)[0]),
-        Some(("star", dims)) => CommGraph::star(parse_dims::<1>(dims)[0]),
+        Some(("ring", dims)) => {
+            let [n] = parse_dims::<1>(dims);
+            need(n >= 3, "a ring needs at least 3 nodes");
+            CommGraph::ring(n)
+        }
+        Some(("star", dims)) => {
+            let [n] = parse_dims::<1>(dims);
+            need(n >= 2, "a star needs at least 2 nodes");
+            CommGraph::star(n)
+        }
         _ => {
             eprintln!("unknown graph spec `{spec}`");
             usage();
         }
-    }
+    };
+    need(graph.num_edges() > 0, "no edges, so no deployment cost to optimize");
+    graph
 }
 
 fn main() {
@@ -198,7 +220,11 @@ fn main() {
                 over_allocation = value().parse().unwrap_or_else(|_| {
                     eprintln!("bad fraction");
                     usage();
-                })
+                });
+                if over_allocation.is_nan() || over_allocation < 0.0 {
+                    eprintln!("over-allocation must be >= 0");
+                    usage();
+                }
             }
             "--search-seconds" => {
                 search_seconds = value().parse().unwrap_or_else(|_| {
@@ -236,7 +262,11 @@ fn main() {
                 epoch_hours = value().parse().unwrap_or_else(|_| {
                     eprintln!("bad epoch hours");
                     usage();
-                })
+                });
+                if !(epoch_hours > 0.0 && epoch_hours.is_finite()) {
+                    eprintln!("epoch hours must be positive");
+                    usage();
+                }
             }
             "--migration-budget" => {
                 migration_budget = value().parse().unwrap_or_else(|_| {
@@ -319,6 +349,20 @@ fn main() {
     };
 
     let graph = parse_graph(&graph_spec);
+    // The region is deterministic in (provider, seed): boot a copy to learn
+    // its free capacity before the advisor's allocation would abort on it.
+    let instances = graph
+        .num_nodes()
+        .saturating_add((graph.num_nodes() as f64 * over_allocation).ceil() as usize);
+    let free = cloudia::netsim::Cloud::boot(provider.clone(), seed).free_slots();
+    if instances > free {
+        eprintln!(
+            "{instances} instances requested ({} nodes at +{over_allocation} over-allocation) \
+             but the {provider_name} region has {free} free slots",
+            graph.num_nodes()
+        );
+        usage();
+    }
     if objective == Objective::LongestPath && !graph.is_dag() {
         eprintln!("graph `{graph_spec}` is not acyclic; longest-path needs a DAG (try tree:FxL)");
         std::process::exit(1);

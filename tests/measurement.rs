@@ -5,7 +5,8 @@
 use cloudia::core::LatencyMetric;
 use cloudia::measure::error::{normalized_relative_errors, quantile};
 use cloudia::measure::{
-    FocusedScheme, MeasureConfig, ProbePlan, Scheme, Staged, TokenPassing, Uncoordinated,
+    FocusedScheme, MeasureConfig, PairwiseStats, ProbePlan, Scheme, Staged, TokenPassing,
+    Uncoordinated,
 };
 use cloudia::netsim::{Cloud, Provider};
 
@@ -143,18 +144,22 @@ fn all_metrics_produce_usable_cost_matrices() {
 fn convergence_snapshots_reduce_rmse_over_time() {
     // Fig. 5 as a regression: RMSE against the final estimate decreases.
     let net = ec2_network(16, 4);
-    let cfg = MeasureConfig {
-        snapshot_every_ms: Some(2_000.0),
-        max_duration_ms: Some(30_000.0),
-        ..MeasureConfig::default()
-    };
-    let report = Staged::new(10, 100_000).run(&net, &cfg);
-    let truth = report.mean_vector();
-    let rmses: Vec<f64> = report
-        .snapshots
+    let cfg = MeasureConfig { max_duration_ms: Some(30_000.0), ..MeasureConfig::default() };
+    let mut driver = Staged::new(10, 100_000).driver(&net, &cfg, PairwiseStats::new(16));
+    // The estimates at the first stage boundary past each 2 s grid point.
+    let mut series = Vec::new();
+    let mut next_at = 2_000.0;
+    while driver.step() {
+        while driver.elapsed_ms() >= next_at {
+            series.push(driver.stats().mean_vector());
+            next_at += 2_000.0;
+        }
+    }
+    let truth = driver.finish().mean_vector();
+    let rmses: Vec<f64> = series
         .iter()
-        .filter(|s| s.mean_vector.iter().all(|&m| m > 0.0))
-        .map(|s| cloudia::measure::error::rmse(&s.mean_vector, &truth))
+        .filter(|v| v.iter().all(|&m| m > 0.0))
+        .map(|v| cloudia::measure::error::rmse(v, &truth))
         .collect();
     assert!(rmses.len() >= 3, "need several usable snapshots, got {}", rmses.len());
     let first = rmses.first().unwrap();

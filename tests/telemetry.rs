@@ -138,3 +138,35 @@ fn cli_json_and_trace_round_trip() {
     assert!(records.iter().any(|r| r.kind == "bench"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Out-of-range flag values are the user's mistake, not a bug: each must
+/// exit 2 with a one-line message and the usage text, never a panic. All
+/// of these are rejected before any measurement starts.
+#[test]
+fn cli_rejects_out_of_range_input_without_panicking() {
+    let cases: [&[&str]; 11] = [
+        &["--graph", "mesh:1x1"],
+        &["--graph", "mesh3d:1x1x1"],
+        &["--graph", "ring:2"],
+        &["--graph", "star:1"],
+        &["--graph", "mesh:0x3"],
+        &["--graph", "tree:0x3"],
+        &["--graph", "bipartite:0x0"],
+        &["--over-allocation", "-0.5"],
+        &["--over-allocation", "1e9"],
+        &["--online", "--epoch-hours", "0"],
+        &["--online", "--epoch-hours", "-3"],
+    ];
+    for args in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cloudia"))
+            .args(args)
+            .output()
+            .expect("cloudia binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        let mut lines = stderr.lines();
+        assert!(lines.next().is_some_and(|msg| !msg.starts_with("usage:")), "{args:?}: {stderr}");
+        assert!(lines.next().is_some_and(|l| l.starts_with("usage:")), "{args:?}: {stderr}");
+    }
+}
