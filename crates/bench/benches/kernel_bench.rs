@@ -12,14 +12,27 @@
 //! instance's score must beat rebuilding it from the evidence scan by
 //! ≥ 3×, on both lane counts, with bit-identical scores — an index that
 //! silently falls back to rebuilding every stage fails here.
+//!
+//! Two more hold the sweep plane's between-stage bookkeeping to O(pairs
+//! that changed): `dark_strike` — an m = 300 `Staged::new(3, 2)` sweep
+//! with one instance forced dark stays within 1.5× of the same sweep on
+//! the clean network (a strike that re-walks every stage per dark pair
+//! reads ~6×) — and `protected_filter` — one `prune` evaluation at
+//! m = 400 with 95 % of pairs protected and 170 instances out beats the
+//! `HashSet<(u32, u32)>` membership filter it replaced by ≥ 5×, same
+//! verdict (it reads 9–12× on the build host; the hash side's cost swings
+//! with how much of its 1.2 MB table the cache holds, so the gate sits
+//! where a return to hashing — 1× — fails and the weather does not).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
-use cloudia_measure::{PairwiseStats, Staged};
+use cloudia_measure::{MeasureConfig, PairwiseStats, PruneRule, Scheme, Staged};
+use cloudia_netsim::{Cloud, InstanceId, LossPlane, Provider};
 use cloudia_solver::candidates::PoolIndex;
 use cloudia_solver::kernels::scan_row_evidence;
+use cloudia_solver::{CandidateConfig, CandidatePruneRule, CandidateSet};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The pre-kernel scalar walk, transcribed from the old `build_partial`
@@ -197,6 +210,115 @@ fn assert_pool_index_wins<const L: usize>(
     );
 }
 
+/// Runs `a` and `b` alternately, `reps` times each after one warm-up, and
+/// returns each side's fastest run in seconds with its last result. The
+/// host's slow swells last longer than a rep, so alternating hands both
+/// sides the same weather and the minima shed it.
+fn race<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> ((f64, A), (f64, B)) {
+    let (mut best_a, mut best_b) = ((f64::INFINITY, a()), (f64::INFINITY, b()));
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let out = black_box(a());
+        best_a = (best_a.0.min(t0.elapsed().as_secs_f64()), out);
+        let t0 = Instant::now();
+        let out = black_box(b());
+        best_b = (best_b.0.min(t0.elapsed().as_secs_f64()), out);
+    }
+    (best_a, best_b)
+}
+
+/// Races a full m = 300 sweep with instance 0 forced dark against the
+/// same sweep on the clean network. Instance 0 meets one partner per
+/// stage, so every stage of the first sweep strikes one dark pair; the
+/// strike must cost what the struck pairs cost, not a walk over the
+/// schedule.
+fn assert_dark_strike_is_local() {
+    let (m, scheme, cfg) = (300usize, Staged::new(3, 2), MeasureConfig::default());
+    let mut cloud = Cloud::boot(Provider::ec2_like(), 3);
+    let alloc = cloud.allocate(m);
+    let clean = cloud.network(&alloc);
+    let mut dark = clean.clone();
+    let mut loss = LossPlane::clear(m);
+    for j in 1..m as u32 {
+        loss.set_drop_prob(InstanceId(0), InstanceId(j), 1.0);
+        loss.set_drop_prob(InstanceId(j), InstanceId(0), 1.0);
+    }
+    dark.set_loss(loss);
+    let ((clean_s, clean_report), (dark_s, dark_report)) =
+        race(8, || scheme.run(&clean, &cfg), || scheme.run(&dark, &cfg));
+    let pairs = (m * (m - 1) / 2) as u64;
+    assert_eq!(clean_report.round_trips, pairs * 6);
+    assert_eq!(dark_report.round_trips, (pairs - (m as u64 - 1)) * 6, "dark pairs re-probed");
+    let ratio = dark_s / clean_s.max(1e-12);
+    println!(
+        "# dark_strike race: clean {clean_s:.4}s, one dark instance {dark_s:.4}s, {ratio:.2}x"
+    );
+    assert!(ratio <= 1.5, "a dark instance must not slow the sweep by > 1.5x, got {ratio:.2}x");
+}
+
+/// Races one `CandidatePruneRule::prune` evaluation — pool verdict plus
+/// the scan of all 79 800 remaining pairs against the rule's protected
+/// `PairSet` — against the scan alone as it was before: the verdict
+/// handed in for free, membership in a `HashSet<(u32, u32)>`. The sides
+/// alternate, so each runs on the cache the other left behind, as a rule
+/// evaluation does between two stages.
+fn assert_protected_filter_wins() {
+    let (m, nodes, pool) = (400usize, 12usize, CandidateConfig::fixed(230));
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut stats = PairwiseStats::new(m);
+    for round in 0..2 * (m - 1) {
+        record_stage(&mut stats, m, round % (m - 1), round >= m - 1, &mut rng);
+    }
+    let remaining: Vec<(u32, u32)> =
+        (0..m as u32).flat_map(|a| (a + 1..m as u32).map(move |b| (a, b))).collect();
+    let mut rule = CandidatePruneRule::new(nodes, pool);
+    let mut hashed = std::collections::HashSet::new();
+    for &(a, b) in &remaining {
+        if rng.random::<f64>() < 0.95 {
+            rule.protect_pair(a, b);
+            hashed.insert((a, b));
+        }
+    }
+    let union = CandidateSet::build_partial(
+        nodes,
+        &stats,
+        &pool,
+        None,
+        None,
+        CandidatePruneRule::DEFAULT_MIN_COVERAGE,
+    );
+    let mut out = vec![true; m];
+    for &j in union.union() {
+        out[j as usize] = false;
+    }
+    assert_eq!(out.iter().filter(|&&o| o).count(), 170);
+    let hash_filter = || {
+        remaining
+            .iter()
+            .copied()
+            .filter(|&(a, b)| {
+                (out[a as usize] || out[b as usize]) && !hashed.contains(&(a.min(b), a.max(b)))
+            })
+            .collect::<Vec<_>>()
+    };
+    let ((set_s, condemned), (hash_s, reference)) =
+        race(60, || rule.prune(&stats, &remaining), hash_filter);
+    assert_eq!(condemned, reference, "the bitset filter reached a different verdict");
+    assert!(!condemned.is_empty());
+    let speedup = hash_s / set_s.max(1e-12);
+    println!(
+        "# protected_filter race: hash filter {:.1}us, prune {:.1}us, speedup {speedup:.1}x ({} condemned)",
+        hash_s * 1e6,
+        set_s * 1e6,
+        condemned.len()
+    );
+    assert!(speedup >= 5.0, "prune must beat the hash-set filter by >= 5x, got {speedup:.2}x");
+}
+
 fn main() {
     // `cargo bench` passes `--bench`; `cargo test` passes `--test` (the
     // criterion shim then runs each body exactly once). The timed
@@ -209,5 +331,7 @@ fn main() {
         assert_pool_index_wins::<2>("2 lanes (ci)", |index, stats| {
             index.sync_intervals(stats, 0.95)
         });
+        assert_dark_strike_is_local();
+        assert_protected_filter_wins();
     }
 }

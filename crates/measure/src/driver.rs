@@ -24,15 +24,14 @@
 //! `cloudia-solver` (`CandidatePruneRule`) enforces this with an explicit
 //! protected set.
 
-use std::collections::HashSet;
-
 use cloudia_netsim::Network;
 
+use crate::pairset::PairSet;
 use crate::scheme::{MeasureConfig, MeasurementReport, Scheme};
 use crate::stats::PairwiseStats;
 
-/// Canonical unordered-pair key `(low, high)` — the normalization every
-/// driver and prune loop agrees on.
+/// Canonical unordered-pair key `(low, high)` — how the drivers that
+/// list pairs by key (token, uncoordinated) spell one.
 pub(crate) fn norm_pair(a: u32, b: u32) -> (u32, u32) {
     (a.min(b), a.max(b))
 }
@@ -205,7 +204,9 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
     stop: Option<&dyn StopRule>,
 ) -> AnytimeReport {
     let mut driver = scheme.driver(net, cfg, stats);
-    let mut dropped: HashSet<(u32, u32)> = HashSet::new();
+    // Every pair dropped so far: its size is the ledger's `dropped_pairs`,
+    // so a pair condemned at several evaluations counts once.
+    let mut dropped = PairSet::new();
     let mut saved_round_trips = 0u64;
     let mut stopped_early = false;
     let ruled = rule.is_some() || stop.is_some();
@@ -217,42 +218,32 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
         };
         if !remaining.is_empty() {
             stopped_early = stop.is_some_and(|stop| stop.stable(driver.stats(), &remaining));
-            // The (normalized) remaining pairs whose future probes go.
-            let condemned: HashSet<(u32, u32)> = match (stop, rule) {
+            // The remaining pairs whose future probes go.
+            let condemned: PairSet = match (stop, rule) {
                 // Stability: every verdict is settled. Drop all
                 // non-essential probing and run out the skeleton.
-                (Some(stop), _) if stopped_early => remaining
-                    .iter()
-                    .map(|&(a, b)| norm_pair(a, b))
-                    .filter(|&(a, b)| !stop.must_keep(a, b))
-                    .collect(),
-                (_, Some(rule)) => rule
-                    .prune(driver.stats(), &remaining)
-                    .into_iter()
-                    .map(|(a, b)| norm_pair(a, b))
-                    .collect(),
-                (_, None) => HashSet::new(),
+                (Some(stop), _) if stopped_early => {
+                    remaining.iter().copied().filter(|&(a, b)| !stop.must_keep(a, b)).collect()
+                }
+                (_, Some(rule)) => rule.prune(driver.stats(), &remaining).into_iter().collect(),
+                (_, None) => PairSet::new(),
             };
             if stopped_early || !condemned.is_empty() {
-                let saved = driver.retain_pairs(&mut |a, b| !condemned.contains(&norm_pair(a, b)));
+                let saved = driver.retain_pairs(&mut |a, b| !condemned.contains(a, b));
                 saved_round_trips += saved;
-                let before = dropped.len();
-                dropped.extend(
-                    remaining
-                        .iter()
-                        .map(|&(a, b)| norm_pair(a, b))
-                        .filter(|key| condemned.contains(key)),
-                );
-                let newly_dropped = (dropped.len() - before) as u64;
+                let newly_dropped = remaining
+                    .iter()
+                    .filter(|&&(a, b)| condemned.contains(a, b) && dropped.insert(a, b))
+                    .count();
                 if stopped_early {
                     cloudia_obs::counters(&[
                         ("sweep.anytime.stopped_early", 1),
-                        ("sweep.anytime.dropped_pairs", newly_dropped),
+                        ("sweep.anytime.dropped_pairs", newly_dropped as u64),
                         ("sweep.anytime.saved_round_trips", saved),
                     ]);
                 } else {
                     cloudia_obs::counters(&[
-                        ("sweep.prune.dropped_pairs", newly_dropped),
+                        ("sweep.prune.dropped_pairs", newly_dropped as u64),
                         ("sweep.prune.saved_round_trips", saved),
                     ]);
                 }
@@ -357,12 +348,12 @@ impl<'n> StageDriver<'n> {
         let n = net.len();
         assert!(n >= 2, "need at least two instances to measure");
         assert_eq!(stats.len(), n, "stats sized for {} instances, network has {n}", stats.len());
-        debug_assert!(
-            {
-                let mut seen = HashSet::new();
-                stages.iter().flatten().all(|&(a, b, _)| seen.insert(norm_pair(a, b)))
-            },
-            "a pair sits in two stages: `remaining_pairs` relies on one stage per pair"
+        // One pass per driver, release builds included: `remaining_pairs`
+        // and the dark strike in `step` both rely on it.
+        let mut seen = PairSet::new();
+        assert!(
+            stages.iter().flatten().all(|&(a, b, _)| seen.insert(a, b)),
+            "a pair sits in two stages (or pairs an instance with itself)"
         );
         Self {
             name,
@@ -468,18 +459,21 @@ impl SweepDriver for StageDriver<'_> {
             }
         }
         // Pairs that went dark (retry budget exhausted without one
-        // success) are struck from every future stage: re-probing a dead
-        // link each sweep would burn the whole retry budget again for
-        // nothing, and `remaining_pairs`/`planned_remaining` must report
-        // only work that can still complete. A fresh driver (the next
-        // epoch) re-attempts them.
+        // success) are struck from the schedule: re-probing a dead link
+        // each sweep would burn the whole retry budget again for nothing,
+        // and `remaining_pairs`/`planned_remaining` must report only work
+        // that can still complete. A pair sits in exactly one stage — the
+        // one that just ran — so the strike is by pair id (ascending, as
+        // `run_stage` reports them) and touches no other stage. A fresh
+        // driver (the next epoch) re-attempts them.
         if !outcome.dark.is_empty() {
-            let pairs = &self.stages[self.stage];
-            let dark: HashSet<(u32, u32)> =
-                outcome.dark.iter().map(|&pid| norm_pair(pairs[pid].0, pairs[pid].1)).collect();
-            for stage in &mut self.stages {
-                stage.retain(|&(a, b, _)| !dark.contains(&norm_pair(a, b)));
-            }
+            let mut dark = outcome.dark.iter().peekable();
+            let mut pid = 0usize;
+            self.stages[self.stage].retain(|_| {
+                let struck = dark.next_if(|&&d| d == pid).is_some();
+                pid += 1;
+                !struck
+            });
         }
         // Coordinator round before the next stage.
         self.now += self.coord_overhead_ms;
@@ -550,11 +544,25 @@ mod tests {
     use super::*;
     use crate::{FocusedScheme, ProbePlan, Staged};
     use cloudia_netsim::{Cloud, Provider};
+    use std::collections::HashSet;
 
     fn network(n: usize, seed: u64) -> Network {
         let mut cloud = Cloud::boot(Provider::test_quiet(), seed);
         let alloc = cloud.allocate(n);
         cloud.network(&alloc)
+    }
+
+    /// `net` with every link of instance 0 dropping every message.
+    fn with_instance_zero_dark(mut net: Network) -> Network {
+        use cloudia_netsim::{InstanceId, LossPlane};
+        let n = net.len();
+        let mut loss = LossPlane::clear(n);
+        for j in 1..n as u32 {
+            loss.set_drop_prob(InstanceId(0), InstanceId(j), 1.0);
+            loss.set_drop_prob(InstanceId(j), InstanceId(0), 1.0);
+        }
+        net.set_loss(loss);
+        net
     }
 
     struct DropAll;
@@ -726,15 +734,8 @@ mod tests {
 
     #[test]
     fn schedule_accessors_match_the_hashed_walk_after_a_dark_strike() {
-        use cloudia_netsim::{InstanceId, LossPlane};
         let n = 6;
-        let mut net = network(n, 9);
-        let mut loss = LossPlane::clear(n);
-        for j in 1..n as u32 {
-            loss.set_drop_prob(InstanceId(0), InstanceId(j), 1.0);
-            loss.set_drop_prob(InstanceId(j), InstanceId(0), 1.0);
-        }
-        net.set_loss(loss);
+        let net = with_instance_zero_dark(network(n, 9));
         let cfg = MeasureConfig::default();
         let stages: Vec<Vec<(u32, u32, usize)>> = (0..n - 1)
             .map(|r| {
@@ -751,6 +752,70 @@ mod tests {
         assert!(d.step());
         assert!(!d.remaining_pairs().contains(&(struck.0, struck.1)));
         walk_against_hashed(driver(), 2, |a, b| a + b == 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "a pair sits in two stages")]
+    fn a_schedule_that_repeats_a_pair_is_rejected_in_every_build() {
+        let net = network(4, 1);
+        let stages = vec![vec![(0, 1, 2), (2, 3, 2)], vec![(1, 0, 2)]];
+        StageDriver::new(
+            "t",
+            &net,
+            &MeasureConfig::default(),
+            PairwiseStats::new(4),
+            stages,
+            2,
+            0.3,
+        );
+    }
+
+    #[test]
+    fn a_dark_instance_is_struck_stage_by_stage_and_never_re_probed() {
+        let (n, ks, sweeps) = (8usize, 2usize, 3usize);
+        let mut cloud = Cloud::boot(Provider::ec2_like(), 17);
+        let alloc = cloud.allocate(n);
+        let net = with_instance_zero_dark(cloud.network(&alloc));
+        let cfg = MeasureConfig { seed: 5, ..MeasureConfig::default() };
+        let mut d = Staged::new(ks, sweeps).driver(&net, &cfg, PairwiseStats::new(n));
+        let of_zero = |d: &dyn SweepDriver| {
+            d.remaining_pairs().iter().filter(|&&(a, b)| a == 0 || b == 0).count()
+        };
+        let pairs = (n * (n - 1) / 2) as u64;
+        assert_eq!(d.planned_remaining(), pairs * (ks * sweeps) as u64);
+        // Instance 0 meets one partner per stage of the first sweep: that
+        // pair is gone — from the pair list and from the plan, its two
+        // later sweeps included — the moment its stage returns.
+        for stage in 1..n {
+            assert!(d.step());
+            assert_eq!(of_zero(&*d), n - 1 - stage, "after stage {stage}");
+            let run = (stage * (n / 2) * ks) as u64;
+            let struck = (stage * ks * (sweeps - 1)) as u64;
+            assert_eq!(d.planned_remaining(), pairs * (ks * sweeps) as u64 - run - struck);
+        }
+        while d.step() {}
+        let report = d.finish();
+        for j in 1..n {
+            let (out, back) = (report.stats.link(0, j), report.stats.link(j, 0));
+            assert_eq!(out.count() + back.count(), 0, "dark link (0,{j}) answered");
+            assert_eq!(
+                out.attempts() + back.attempts(),
+                u64::from(cfg.retries_per_pair) + 1,
+                "dark pair (0,{j}) was probed again after its strike"
+            );
+        }
+        // Bookkeeping only: round trips, clock and every mean are the
+        // parent commit's (the set-based strike over all stages), bit for bit.
+        let digest = report.stats.mean_vector().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(report.round_trips, (pairs - (n as u64 - 1)) * (ks * sweeps) as u64);
+        assert_eq!(
+            (report.elapsed_ms.to_bits(), digest),
+            (0x4096_8794_ef18_caa0, 0x7172_8b8f_df40_933f),
+            "elapsed {:#x} digest {digest:#x}",
+            report.elapsed_ms.to_bits()
+        );
     }
 
     struct NeverStable;

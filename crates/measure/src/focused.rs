@@ -120,7 +120,11 @@ impl ProbePlan {
 
     /// Partitions the plan into stages of endpoint-disjoint pairs. Within
     /// one stage every pair probes concurrently with zero endpoint
-    /// contention, exactly as in the staged tournament.
+    /// contention, exactly as in the staged tournament. Every planned
+    /// pair lands in exactly one stage — the plan is a set of normalized
+    /// pairs ([`ProbePlan::add_pair`] dedupes), and both partitions below
+    /// place each member once — which the stage driver's dark strike and
+    /// schedule accessors rely on, and check once per driver.
     ///
     /// A full plan uses the round-robin tournament (circle method) —
     /// `n_eff − 1` optimal stages computed in O(n²), matching

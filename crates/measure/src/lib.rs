@@ -51,6 +51,7 @@ pub mod ci;
 pub mod driver;
 pub mod error;
 pub mod focused;
+pub mod pairset;
 pub mod pool;
 pub mod scheme;
 pub mod staged;
@@ -64,6 +65,7 @@ pub use driver::{
     SweepDriver,
 };
 pub use focused::{FocusedScheme, ProbePlan};
+pub use pairset::PairSet;
 pub use pool::{PoolStats, SweepPool};
 pub use scheme::{MeasureConfig, MeasurementReport, Scheme};
 pub use staged::Staged;

@@ -85,7 +85,9 @@ impl Scheme for Staged {
         let n = net.len();
         assert!(n >= 2, "need at least two instances to measure");
         // The round-robin tournament: one stage per circle-method round,
-        // every pair sampled `ks` times per stage.
+        // every pair sampled `ks` times per stage. The circle method meets
+        // each unordered pair in exactly one round, which is the
+        // one-stage-per-pair invariant `StageDriver::new` checks.
         let rounds = (n + (n % 2)) - 1;
         let stages = (0..rounds)
             .map(|r| {

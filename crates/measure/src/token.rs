@@ -8,11 +8,12 @@
 //! time is proportional to the number of samples collected, which does not
 //! scale.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use cloudia_netsim::{InstanceId, MessageSpec, Network};
 
 use crate::driver::{norm_pair, SweepDriver};
+use crate::pairset::PairSet;
 use crate::scheme::{MeasureConfig, MeasurementReport, Scheme, KIND_PROBE, KIND_REPLY, KIND_TOKEN};
 use crate::stats::PairwiseStats;
 
@@ -68,7 +69,7 @@ struct TokenDriver<'n> {
     /// their cursor slot), so scheduling queries cost O(pairs) instead
     /// of re-simulating the whole rotation.
     visits_left: HashMap<(u32, u32), u64>,
-    pruned: HashSet<(u32, u32)>,
+    pruned: PairSet,
     round_trips: u64,
     done: bool,
 }
@@ -104,7 +105,7 @@ impl<'n> TokenDriver<'n> {
             visit: 0,
             total_visits,
             visits_left,
-            pruned: HashSet::new(),
+            pruned: PairSet::new(),
             round_trips: 0,
             done: false,
         }
@@ -144,7 +145,7 @@ impl SweepDriver for TokenDriver<'_> {
             if let Some(left) = self.visits_left.get_mut(&pair) {
                 *left -= 1;
             }
-            if self.pruned.contains(&pair) {
+            if self.pruned.contains(pair.0, pair.1) {
                 continue;
             }
 
@@ -244,7 +245,7 @@ impl SweepDriver for TokenDriver<'_> {
         let mut out: Vec<(u32, u32)> = self
             .visits_left
             .iter()
-            .filter(|&(pair, &left)| left > 0 && !self.pruned.contains(pair))
+            .filter(|&(&(a, b), &left)| left > 0 && !self.pruned.contains(a, b))
             .map(|(&pair, _)| pair)
             .collect();
         out.sort_unstable();
@@ -257,7 +258,7 @@ impl SweepDriver for TokenDriver<'_> {
         }
         self.visits_left
             .iter()
-            .filter(|(pair, _)| !self.pruned.contains(pair))
+            .filter(|(&(a, b), _)| !self.pruned.contains(a, b))
             .map(|(_, &left)| left)
             .sum()
     }
@@ -269,9 +270,9 @@ impl SweepDriver for TokenDriver<'_> {
             return 0;
         }
         let mut saved = 0u64;
-        for (&pair, &left) in &self.visits_left {
-            if left > 0 && !self.pruned.contains(&pair) && !keep(pair.0, pair.1) {
-                self.pruned.insert(pair);
+        for (&(a, b), &left) in &self.visits_left {
+            if left > 0 && !self.pruned.contains(a, b) && !keep(a, b) {
+                self.pruned.insert(a, b);
                 saved += left;
             }
         }

@@ -9,13 +9,12 @@
 //! round-trip times of whichever links happened to collide, producing the
 //! long error tail the paper shows in Fig. 4.
 
-use std::collections::HashSet;
-
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use cloudia_netsim::{InstanceId, MessageSpec, Network};
 
 use crate::driver::{norm_pair, SweepDriver};
+use crate::pairset::PairSet;
 use crate::scheme::{MeasureConfig, MeasurementReport, Scheme, KIND_PROBE, KIND_REPLY};
 use crate::stats::PairwiseStats;
 
@@ -74,12 +73,8 @@ struct UncoordinatedDriver<'n> {
     /// `cfg.retries_per_pair` on every fresh destination draw, burned
     /// by timeouts. When it runs out the launch is simply consumed.
     retry_left: Vec<u32>,
-    pruned: HashSet<(u32, u32)>,
+    pruned: PairSet,
     round_trips: u64,
-}
-
-fn norm(a: usize, b: usize) -> (u32, u32) {
-    norm_pair(a as u32, b as u32)
 }
 
 impl<'n> UncoordinatedDriver<'n> {
@@ -105,7 +100,7 @@ impl<'n> UncoordinatedDriver<'n> {
             probe_dst: vec![0usize; n],
             issued: vec![0usize; n],
             retry_left: vec![0u32; n],
-            pruned: HashSet::new(),
+            pruned: PairSet::new(),
             round_trips: 0,
         };
         // Everyone starts probing at t = 0 — the defining property of the
@@ -121,14 +116,12 @@ impl<'n> UncoordinatedDriver<'n> {
         // (the empty-set check keeps the draw sequence bit-identical to
         // the unpruned path); when every destination of `src` is pruned
         // the remaining budget is forfeited.
-        if !self.pruned.is_empty()
-            && (0..self.n).all(|d| d == src || self.pruned.contains(&norm(src, d)))
-        {
+        if !self.pruned.is_empty() && (0..self.n).all(|d| d == src || self.is_pruned(src, d)) {
             return;
         }
         let dst = loop {
             let d = self.rng.random_range(0..self.n);
-            if d != src && !self.pruned.contains(&norm(src, d)) {
+            if d != src && !self.is_pruned(src, d) {
                 break d;
             }
         };
@@ -136,6 +129,10 @@ impl<'n> UncoordinatedDriver<'n> {
         self.issued[src] += 1;
         self.retry_left[src] = self.cfg.retries_per_pair;
         self.send_probe(src);
+    }
+
+    fn is_pruned(&self, a: usize, b: usize) -> bool {
+        self.pruned.contains(a as u32, b as u32)
     }
 
     /// Issues (or re-issues) the probe of `src`'s current launch to the
@@ -229,7 +226,7 @@ impl SweepDriver for UncoordinatedDriver<'_> {
         // Destinations are drawn at random, so "still scheduled" means
         // every unpruned pair one of the budget-holding instances could
         // still draw.
-        let mut seen = HashSet::new();
+        let mut seen = PairSet::new();
         let mut out = Vec::new();
         for src in 0..self.n {
             if self.issued[src] >= self.probes_per_instance {
@@ -239,9 +236,8 @@ impl SweepDriver for UncoordinatedDriver<'_> {
                 if d == src {
                     continue;
                 }
-                let pair = norm(src, d);
-                if !self.pruned.contains(&pair) && seen.insert(pair) {
-                    out.push(pair);
+                if !self.is_pruned(src, d) && seen.insert(src as u32, d as u32) {
+                    out.push(norm_pair(src as u32, d as u32));
                 }
             }
         }
@@ -250,7 +246,7 @@ impl SweepDriver for UncoordinatedDriver<'_> {
 
     fn planned_remaining(&self) -> u64 {
         (0..self.n)
-            .filter(|&src| (0..self.n).any(|d| d != src && !self.pruned.contains(&norm(src, d))))
+            .filter(|&src| (0..self.n).any(|d| d != src && !self.is_pruned(src, d)))
             .map(|src| {
                 (self.probes_per_instance - self.issued[src].min(self.probes_per_instance)) as u64
             })
@@ -261,7 +257,7 @@ impl SweepDriver for UncoordinatedDriver<'_> {
         let before = self.planned_remaining();
         for (a, b) in self.remaining_pairs() {
             if !keep(a, b) {
-                self.pruned.insert((a, b));
+                self.pruned.insert(a, b);
             }
         }
         before - self.planned_remaining()

@@ -11,6 +11,7 @@ use cloudia_measure::{
 };
 use cloudia_netsim::{Cloud, InstanceId, Provider};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn quiet_network(n: usize, seed: u64) -> cloudia_netsim::Network {
     let mut cloud = Cloud::boot(Provider::test_quiet(), seed);
@@ -574,6 +575,133 @@ proptest! {
             assert_eq!(
                 resumed.stats.mean_vector(), uninterrupted.stats.mean_vector(),
                 "{}: resumed means diverged", scheme.name()
+            );
+        }
+    }
+
+    #[test]
+    fn pair_set_matches_a_hash_set_model(
+        ops in proptest::collection::vec((0u32..400, 0u32..400, 0u8..4), 1..300),
+        span in 2u32..400,
+    ) {
+        // Small spans collide densely; large ones grow the triangle (an
+        // empty set holds no words) up to 79 800 bits.
+        let mut set = cloudia_measure::PairSet::new();
+        let mut model: HashSet<(u32, u32)> = HashSet::new();
+        let in_order = |model: &HashSet<(u32, u32)>| {
+            let mut pairs: Vec<(u32, u32)> = model.iter().copied().collect();
+            pairs.sort_unstable_by_key(|&(lo, hi)| (hi, lo));
+            pairs
+        };
+        for (a, b, op) in ops {
+            let (a, b) = (a % span, b % span);
+            let key = (a.min(b), a.max(b));
+            match op {
+                0 | 1 => {
+                    prop_assert_eq!(set.insert(a, b), a != b && model.insert(key), "insert {key:?}")
+                }
+                2 => {
+                    prop_assert_eq!(set.contains(a, b), model.contains(&key), "contains {key:?}");
+                    prop_assert_eq!(set.contains(b, a), model.contains(&key), "flipped {key:?}");
+                }
+                _ => prop_assert_eq!(set.iter().collect::<Vec<_>>(), in_order(&model)),
+            }
+            prop_assert_eq!(set.len(), model.len());
+            prop_assert_eq!(set.is_empty(), model.is_empty());
+        }
+        prop_assert_eq!(set.iter().collect::<Vec<_>>(), in_order(&model));
+        let rebuilt: cloudia_measure::PairSet = model.iter().map(|&(lo, hi)| (hi, lo)).collect();
+        prop_assert_eq!(rebuilt.iter().collect::<Vec<_>>(), in_order(&model));
+    }
+
+    #[test]
+    fn pruning_ledger_counts_like_the_set_based_loop_under_overlapping_verdicts(
+        n in 5usize..10,
+        seed in 0u64..200,
+        share in 0.05f64..0.5,
+    ) {
+        use cloudia_measure::{run_pruned, PruneRule};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        /// Condemns a fresh random `share` of *all* pairs at every
+        /// evaluation — still scheduled or not, in either orientation —
+        /// so verdicts overlap from one evaluation to the next.
+        struct Scatter {
+            n: u32,
+            share: f64,
+            rng: std::cell::RefCell<StdRng>,
+        }
+        impl PruneRule for Scatter {
+            fn prune(&self, _: &PairwiseStats, _: &[(u32, u32)]) -> Vec<(u32, u32)> {
+                let mut rng = self.rng.borrow_mut();
+                (0..self.n)
+                    .flat_map(|a| (a + 1..self.n).map(move |b| (a, b)))
+                    .filter_map(|(a, b)| {
+                        let flip = rng.random::<bool>();
+                        (rng.random::<f64>() < self.share).then_some(if flip { (b, a) } else { (a, b) })
+                    })
+                    .collect()
+            }
+        }
+        let scatter = || Scatter {
+            n: n as u32,
+            share,
+            rng: std::cell::RefCell::new(StdRng::seed_from_u64(seed)),
+        };
+
+        let net = ec2_network(n, seed);
+        let cfg = MeasureConfig { seed, ..MeasureConfig::default() };
+        let mut plan = ProbePlan::new(n);
+        plan.add_clique(&[0, 1, 2, 3]);
+        plan.add_pair(1, n as u32 - 1);
+        let schemes: Vec<Box<dyn Scheme>> = vec![
+            Box::new(Staged::new(2, 3)),
+            Box::new(FocusedScheme::new(plan, 2, 3)),
+            Box::new(TokenPassing::new(3)),
+            Box::new(Uncoordinated::new(6 * (n - 1))),
+        ];
+        for scheme in &schemes {
+            // The ledger `run_with_rules` kept before `PairSet`: a hash
+            // set of normalized condemned pairs per evaluation, and the
+            // size of a per-run hash set of dropped ones.
+            let rule = scatter();
+            let mut driver = scheme.driver(&net, &cfg, PairwiseStats::new(n));
+            let mut dropped: HashSet<(u32, u32)> = HashSet::new();
+            let mut saved = 0u64;
+            loop {
+                if driver.stats().total_samples() > 0 {
+                    let remaining = driver.remaining_pairs();
+                    if !remaining.is_empty() {
+                        let condemned: HashSet<(u32, u32)> = rule
+                            .prune(driver.stats(), &remaining)
+                            .into_iter()
+                            .map(|(a, b)| (a.min(b), a.max(b)))
+                            .collect();
+                        if !condemned.is_empty() {
+                            saved += driver
+                                .retain_pairs(&mut |a, b| !condemned.contains(&(a.min(b), a.max(b))));
+                            dropped.extend(
+                                remaining
+                                    .iter()
+                                    .map(|&(a, b)| (a.min(b), a.max(b)))
+                                    .filter(|key| condemned.contains(key)),
+                            );
+                        }
+                    }
+                }
+                if !driver.step() {
+                    break;
+                }
+            }
+            let oracle = driver.finish();
+
+            let pruned = run_pruned(scheme.as_ref(), &net, &cfg, PairwiseStats::new(n), &scatter());
+            prop_assert_eq!(pruned.dropped_pairs, dropped.len(), "{}: dropped pairs", scheme.name());
+            prop_assert_eq!(pruned.saved_round_trips, saved, "{}: saved round trips", scheme.name());
+            prop_assert_eq!(pruned.report.round_trips, oracle.round_trips, "{}", scheme.name());
+            prop_assert_eq!(pruned.report.elapsed_ms, oracle.elapsed_ms, "{}", scheme.name());
+            prop_assert_eq!(
+                pruned.report.stats.mean_vector(), oracle.stats.mean_vector(), "{}", scheme.name()
             );
         }
     }

@@ -13,7 +13,9 @@
 //! log, and the ground-truth cost of the active plan is tracked as a cost
 //! curve.
 
-use cloudia_core::{CommGraph, CostMatrix, Deployment, NodeDeployment, Objective, RedeployPolicy};
+use cloudia_core::{
+    CommGraph, CostError, CostMatrix, Deployment, NodeDeployment, Objective, RedeployPolicy,
+};
 use cloudia_measure::{FocusedScheme, ProbePlan, PruneRule, Scheme, StopRule};
 use cloudia_netsim::Network;
 use cloudia_obs::{RingLog, RunRecorder};
@@ -350,6 +352,15 @@ pub enum OnlineEvent {
         pairs: usize,
         /// The per-pair round-trip quota they were raised to.
         ks: usize,
+    },
+    /// The epoch was held: the store's estimates could not be turned into
+    /// search costs (a non-finite sample poisoned a link's EWMA), so no
+    /// repair was decided on them and the plan stayed as it was.
+    Held {
+        /// Epoch index.
+        epoch: u64,
+        /// What the cost plane rejected.
+        error: CostError,
     },
 }
 
@@ -702,7 +713,11 @@ impl OnlineAdvisor {
                 CandidatePruneRule::DEFAULT_MIN_COVERAGE,
             )
         } else {
-            let problem = self.graph.problem(self.search_costs());
+            // No usable costs to rank a pool on: measure everything.
+            let Ok(costs) = self.search_costs() else {
+                return Some(ProbePlan::full(m));
+            };
+            let problem = self.graph.problem(costs);
             CandidateSet::build(&problem, &pool_config, Some(&self.deployment), None)
         };
         plan.add_clique(pool.union());
@@ -905,7 +920,11 @@ impl OnlineAdvisor {
     /// ([`select_free_nodes`](crate::repair::select_free_nodes), candidate
     /// pools, the evacuation re-solve) push away from dark instances on
     /// cost alone. Loss-free links are priced exactly as before.
-    fn search_costs(&self) -> CostMatrix {
+    ///
+    /// The means are measurement values: one non-finite sample makes a
+    /// link's EWMA NaN for good, which the cost plane rejects — an
+    /// `Err` the caller holds the epoch on, not a panic.
+    fn search_costs(&self) -> Result<CostMatrix, CostError> {
         let n = self.store.len();
         let mut worst = 0.0f64;
         for i in 0..n {
@@ -936,7 +955,7 @@ impl OnlineAdvisor {
                 }
             }
         }
-        b.freeze().expect("EWMA means are finite and non-negative")
+        b.freeze()
     }
 
     /// Instances presumed dark: unreachable (a dark link in either
@@ -1000,13 +1019,23 @@ impl OnlineAdvisor {
             ProbePolicy::Focused { max_flagged, .. } if changes.len() > max_flagged
         );
 
-        let problem = self.graph.problem(self.search_costs());
+        let problem = self.search_costs().map(|costs| self.graph.problem(costs));
         // One ground-truth problem per epoch (one flat-arena build),
         // shared by the migration event and the epoch accounting below.
         let truth_problem = self.graph.problem(truth_costs);
-        let trigger = self.decide(epoch, alarms);
-        let repaired = self.repair(epoch, trigger, &problem, &truth_problem);
-        let summary = self.account(m, probe_escalated, &repaired, &problem, &truth_problem);
+        let repaired = match &problem {
+            Ok(problem) => {
+                let trigger = self.decide(epoch, alarms);
+                self.repair(epoch, trigger, problem, &truth_problem)
+            }
+            // Nothing to decide or repair on: hold the plan and say why.
+            Err(error) => {
+                self.push_event(OnlineEvent::Held { epoch, error: error.clone() });
+                Repaired::default()
+            }
+        };
+        let summary =
+            self.account(m, probe_escalated, &repaired, problem.as_ref().ok(), &truth_problem);
 
         // Control-loop telemetry at epoch grain: one span plus a handful
         // of counter bumps per step, nothing in the per-link loops.
@@ -1271,12 +1300,13 @@ impl OnlineAdvisor {
 
     /// Account: feed the adaptive pool controller, then book the epoch
     /// under the plan that is active *after* any migration this epoch.
+    /// `problem` is `None` on a held epoch, whose estimated cost is NaN.
     fn account(
         &mut self,
         m: &EpochMeasurement,
         probe_escalated: bool,
         repaired: &Repaired,
-        problem: &NodeDeployment,
+        problem: Option<&NodeDeployment>,
         truth_problem: &NodeDeployment,
     ) -> EpochSummary {
         let epoch = m.epoch;
@@ -1293,7 +1323,8 @@ impl OnlineAdvisor {
                 self.push_event(OnlineEvent::PoolResize { epoch, from: before, to: after, rate });
             }
         }
-        let est_cost = problem.cost(self.config.objective, &self.deployment);
+        let est_cost =
+            problem.map_or(f64::NAN, |p| p.cost(self.config.objective, &self.deployment));
         let true_cost = truth_problem.cost(self.config.objective, &self.deployment);
         self.total_true_cost += true_cost;
         self.cost_curve.push((m.at_hours, true_cost));
@@ -1845,6 +1876,41 @@ mod tests {
             advisor.events().iter().all(|e| !matches!(e, OnlineEvent::SpotCheck { .. })),
             "no spot event without a spot result"
         );
+    }
+
+    #[test]
+    fn a_non_finite_sample_holds_the_epoch_instead_of_panicking() {
+        let epochs = 8;
+        let (_, net, _) = setup(4, 6, 31);
+        let mut script = spike_script(6, epochs);
+        // One NaN round-trip mean on the deployed link 0 → 1, mid-run.
+        let poisoned = script[4].deltas.iter_mut().find(|d| (d.src, d.dst) == (0, 1)).unwrap();
+        poisoned.mean = f64::NAN;
+        let mut stream = ScriptedStream::new(net, script, None);
+        let mut advisor = spot_check_advisor(0);
+        let before = advisor.deployment().clone();
+        let summaries: Vec<_> = (0..epochs).map(|_| advisor.step_stream(&mut stream)).collect();
+        assert!(summaries[..4].iter().all(|s| s.est_cost.is_finite()));
+        // The EWMA never recovers from a NaN: every later epoch is held.
+        for s in &summaries[4..] {
+            assert!(s.est_cost.is_nan() && !s.triggered && s.moved == 0, "epoch {}", s.epoch);
+            assert!(s.true_cost.is_finite(), "the ground-truth booking is unaffected");
+        }
+        let held: Vec<_> = advisor
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                OnlineEvent::Held { epoch, error } => Some((*epoch, error.clone())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(held.iter().map(|h| h.0).collect::<Vec<_>>(), [4, 5, 6, 7]);
+        assert!(
+            matches!(held[0].1, CostError::Value { i: 0, j: 1, value } if value.is_nan()),
+            "{:?}",
+            held[0].1
+        );
+        assert_eq!(advisor.deployment(), &before);
     }
 
     #[test]

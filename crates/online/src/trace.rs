@@ -117,6 +117,10 @@ pub fn event_to_json(event: &OnlineEvent) -> Json {
             .field("epoch", *epoch)
             .field("pairs", *pairs)
             .field("ks", *ks),
+        OnlineEvent::Held { epoch, error } => Json::obj()
+            .field("kind", "held")
+            .field("epoch", *epoch)
+            .field("error", error.to_string()),
     }
 }
 
@@ -177,6 +181,10 @@ mod tests {
             OnlineEvent::Evacuate { epoch: 4, instances: vec![1], moved: 1 },
             OnlineEvent::SpotCheck { epoch: 5, src: 0, dst: 1, mean: 2.2, confirmed: false },
             OnlineEvent::DeepProbe { epoch: 6, pairs: 2, ks: 9 },
+            OnlineEvent::Held {
+                epoch: 7,
+                error: cloudia_core::CostError::Value { i: 0, j: 1, value: f64::NAN },
+            },
         ];
         let mut kinds = Vec::new();
         for e in &events {

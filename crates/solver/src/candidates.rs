@@ -40,10 +40,9 @@
 //! sufficing — so a long stationary stretch converges to the cheapest pool
 //! that still answers correctly.
 
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use cloudia_measure::{PairwiseStats, PruneRule, TouchCursor};
+use cloudia_measure::{PairSet, PairwiseStats, PruneRule, TouchCursor};
 
 use crate::problem::{CostMatrix, NodeDeployment};
 
@@ -739,6 +738,10 @@ pub struct PoolIndex<const L: usize> {
     /// `lists[l][j]`: instance `j`'s incident prices on lane `l`,
     /// ascending under `f64::total_cmp`.
     lists: [Vec<Vec<f64>>; L],
+    /// The interval verdicts last derived from the lists, and where the
+    /// statistics' touch log stood then: the anytime pair asks for them
+    /// twice per stage (`stable`, then `prune`) and builds them once.
+    ci_scores: Option<(TouchCursor, Arc<CiScores>)>,
     rebuilds: u64,
     synced_links: u64,
 }
@@ -750,6 +753,7 @@ impl<const L: usize> Default for PoolIndex<L> {
             m: 0,
             price: Vec::new(),
             lists: std::array::from_fn(|_| Vec::new()),
+            ci_scores: None,
             rebuilds: 0,
             synced_links: 0,
         }
@@ -884,8 +888,8 @@ impl<const L: usize> Drop for PoolIndex<L> {
 }
 
 /// An index shared by a rule and its clones, so the anytime pair — the
-/// prune rule and the [`CiStopRule`] around its clone — syncs once per
-/// stage, not twice.
+/// prune rule and the [`CiStopRule`] around its clone — syncs, and
+/// scores, once per stage, not twice.
 type SharedIndex<const L: usize> = Arc<Mutex<PoolIndex<L>>>;
 
 fn lock<const L: usize>(index: &SharedIndex<L>) -> MutexGuard<'_, PoolIndex<L>> {
@@ -900,6 +904,17 @@ enum Evidence {
     Point(SharedIndex<1>),
     /// CI separation at `confidence`.
     Interval { confidence: f64, index: SharedIndex<2> },
+}
+
+impl Evidence {
+    /// Leaves the clone family: the interval scores cached on a shared
+    /// index are computed from the family's parameters, so a builder that
+    /// changes one continues on an index of its own.
+    fn detach(&mut self) {
+        if let Evidence::Interval { index, .. } = self {
+            *index = SharedIndex::default();
+        }
+    }
 }
 
 /// The mid-sweep tournament prune rule (implements
@@ -948,7 +963,9 @@ enum Evidence {
 /// statistics' touch log says moved since the last one — O(touched
 /// links) per between-stage call instead of a pass over all m² columns,
 /// with the same verdicts. Evaluated on other statistics (a clone,
-/// another store) the index rebuilds. Clones of a rule share its index.
+/// another store) the index rebuilds. Clones of a rule share its index,
+/// and the interval scores last derived from it, until a `with_*` builder
+/// changes what the scores are computed from.
 #[derive(Debug, Clone)]
 pub struct CandidatePruneRule {
     num_nodes: usize,
@@ -958,7 +975,7 @@ pub struct CandidatePruneRule {
     tolerance: f64,
     incumbent: Option<Vec<u32>>,
     fixed: Option<Vec<Option<u32>>>,
-    protected: HashSet<(u32, u32)>,
+    protected: PairSet,
 }
 
 impl CandidatePruneRule {
@@ -986,7 +1003,7 @@ impl CandidatePruneRule {
             tolerance: 0.0,
             incumbent: None,
             fixed: None,
-            protected: HashSet::new(),
+            protected: PairSet::new(),
         }
     }
 
@@ -1019,6 +1036,7 @@ impl CandidatePruneRule {
     pub fn with_tolerance(mut self, tolerance: f64) -> Self {
         assert!((0.0..1.0).contains(&tolerance), "tolerance must be in [0, 1)");
         self.tolerance = tolerance;
+        self.evidence.detach();
         self
     }
 
@@ -1030,6 +1048,7 @@ impl CandidatePruneRule {
     pub fn with_min_coverage(mut self, min_coverage: f64) -> Self {
         assert!((0.0..=1.0).contains(&min_coverage), "min_coverage must be in [0, 1]");
         self.min_coverage = min_coverage;
+        self.evidence.detach();
         self
     }
 
@@ -1038,6 +1057,7 @@ impl CandidatePruneRule {
     pub fn with_incumbent(mut self, incumbent: &[u32]) -> Self {
         assert_eq!(incumbent.len(), self.num_nodes, "incumbent must cover every node");
         self.incumbent = Some(incumbent.to_vec());
+        self.evidence.detach();
         self
     }
 
@@ -1046,6 +1066,7 @@ impl CandidatePruneRule {
     pub fn with_fixed(mut self, fixed: &[Option<u32>]) -> Self {
         assert_eq!(fixed.len(), self.num_nodes, "fixed assignments must cover every node");
         self.fixed = Some(fixed.to_vec());
+        self.evidence.detach();
         self
     }
 
@@ -1053,9 +1074,7 @@ impl CandidatePruneRule {
     /// links, staleness refreshes, anything the caller still owes a
     /// measurement).
     pub fn protect_pair(&mut self, a: u32, b: u32) {
-        if a != b {
-            self.protected.insert((a.min(b), a.max(b)));
-        }
+        self.protected.insert(a, b);
     }
 
     /// Number of explicitly protected pairs.
@@ -1108,19 +1127,26 @@ impl CandidatePruneRule {
         out
     }
 
-    /// The interval scores of `stats`, off the synced index.
+    /// The interval scores of `stats`, off the synced index — built once
+    /// per state of the statistics, however many of the rule's clones ask.
     ///
     /// # Panics
     /// Panics without a confidence level.
-    fn interval_scores(&self, stats: &PairwiseStats) -> CiScores {
+    fn interval_scores(&self, stats: &PairwiseStats) -> Arc<CiScores> {
         let Evidence::Interval { confidence, index } = &self.evidence else {
             panic!("interval verdicts need a confidence level");
         };
         let mut index = lock(index);
         index.sync_intervals(stats, *confidence);
-        CiScores::build(self, stats.len(), |j| {
+        let at = stats.touch_cursor();
+        if let Some((_, scores)) = index.ci_scores.as_ref().filter(|(built, _)| *built == at) {
+            return Arc::clone(scores);
+        }
+        let scores = Arc::new(CiScores::build(self, stats.len(), |j| {
             index.scores(j, self.config.quantile, self.min_coverage)
-        })
+        }));
+        index.ci_scores = Some((at, Arc::clone(&scores)));
+        scores
     }
 }
 
@@ -1130,12 +1156,16 @@ impl PruneRule for CandidatePruneRule {
             return Vec::new();
         }
         let out = self.out_of_pool(stats);
+        // Nobody is out until coverage builds up (every evaluation of a
+        // bootstrap's first ~m/2 stages): nothing to scan for.
+        if !out.contains(&true) {
+            return Vec::new();
+        }
         remaining
             .iter()
             .copied()
             .filter(|&(a, b)| {
-                (out[a as usize] || out[b as usize])
-                    && !self.protected.contains(&(a.min(b), a.max(b)))
+                (out[a as usize] || out[b as usize]) && !self.protected.contains(a, b)
             })
             .collect()
     }
@@ -1301,7 +1331,7 @@ impl CiScores {
 pub struct CiStopRule {
     rule: CandidatePruneRule,
     /// Unordered pairs that keep probing after the stop fires.
-    keep: HashSet<(u32, u32)>,
+    keep: PairSet,
     /// `(verdict fingerprint, total samples)` at the last plateau
     /// checkpoint; `None` before the first evaluation (or after an
     /// under-covered veto reset). A new checkpoint is only compared
@@ -1332,8 +1362,7 @@ impl CiStopRule {
     /// deployed/flagged links feed change detectors every epoch and must
     /// keep their full sample stream.
     pub fn with_must_keep<I: IntoIterator<Item = (u32, u32)>>(mut self, pairs: I) -> Self {
-        self.keep =
-            pairs.into_iter().filter(|&(a, b)| a != b).map(|(a, b)| (a.min(b), a.max(b))).collect();
+        self.keep = pairs.into_iter().collect();
         self
     }
 }
@@ -1395,7 +1424,7 @@ impl cloudia_measure::StopRule for CiStopRule {
     }
 
     fn must_keep(&self, a: u32, b: u32) -> bool {
-        self.keep.contains(&(a.min(b), a.max(b)))
+        self.keep.contains(a, b)
     }
 }
 
@@ -1704,6 +1733,24 @@ mod tests {
         // Pool >= m: exact union, nothing prunable.
         let exact = CandidatePruneRule::new(3, CandidateConfig::fixed(100));
         assert!(exact.prune(&full_stats(8, 2), &remaining).is_empty());
+    }
+
+    #[test]
+    fn a_rule_and_its_clone_build_interval_scores_once_per_state_of_the_statistics() {
+        let mut stats = full_stats_ci(10, 7, 5);
+        let rule = CandidatePruneRule::new(3, CandidateConfig::fixed(4)).with_confidence(0.95);
+        let stop_side = rule.clone();
+        let first = rule.interval_scores(&stats);
+        assert!(Arc::ptr_eq(&first, &stop_side.interval_scores(&stats)), "the clone rebuilt");
+        // A clone whose scores are computed differently leaves the family.
+        let wider = rule.clone().with_tolerance(0.1);
+        assert_eq!(wider.interval_scores(&stats).tolerance, 0.1);
+        assert!(Arc::ptr_eq(&first, &rule.interval_scores(&stats)), "evicted by the stranger");
+        // One more sample anywhere and the scores are stale.
+        record_both(&mut stats, 0, 1, 9.0);
+        let fresh = stop_side.interval_scores(&stats);
+        assert!(!Arc::ptr_eq(&first, &fresh));
+        assert!(Arc::ptr_eq(&fresh, &rule.interval_scores(&stats)));
     }
 
     #[test]
