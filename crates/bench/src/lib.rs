@@ -1,10 +1,19 @@
 //! # cloudia-bench — figure-regeneration harness
 //!
-//! One binary per figure of the paper's evaluation (`src/bin/figNN_*.rs`),
-//! each printing the same series the paper plots as tab-separated columns,
-//! plus Criterion micro-benchmarks (`benches/`). This library holds the
-//! shared plumbing: standard experiment setups, CDF/series printing, and
-//! the scale switch.
+//! Every figure of the paper's evaluation, plus four extension and
+//! ablation studies, is an entry of one table ([`figures::FIGURES`]),
+//! run by id through one binary:
+//!
+//! ```sh
+//! cargo run --release -p cloudia-bench --bin fig -- fig12 [fig04 …]
+//! ```
+//!
+//! Each prints the series the paper plots as tab-separated columns and
+//! writes them to `BENCH_<id>.json`. The gated `ext_*` binaries (CI
+//! smokes with asserted acceptance criteria) and the Criterion
+//! micro-benchmarks (`benches/`) stand apart. This library holds the
+//! shared plumbing: standard experiment setups, the [`Fig`] reporter,
+//! and the scale switch.
 //!
 //! ## Scale
 //!
@@ -15,7 +24,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use cloudia_core::{CommGraph, CostMatrix, LatencyMetric};
+pub mod figures;
+
+use cloudia_core::{CostMatrix, LatencyMetric};
 use cloudia_measure::{MeasureConfig, Scheme, Staged};
 use cloudia_netsim::{Cloud, Network, Provider};
 use cloudia_obs::{Json, RunRecorder};
@@ -137,12 +148,11 @@ pub fn header(fig: &str, caption: &str, scale: Scale) {
     println!("# scale: {scale:?} (set CLOUDIA_SCALE=paper for paper sizes)");
 }
 
-/// Buffering figure reporter: prints exactly what the free-standing
-/// [`header`]/[`row`]/[`print_cdf`] helpers print while accumulating the
-/// same tables and CDFs, then writes them as `BENCH_<name>.json` on
-/// [`Fig::finish`] — so every figure bin leaves a machine-readable
-/// artifact next to its stdout table (the telemetry plane's sink for
-/// cross-run comparisons).
+/// Buffering figure reporter: prints the header, tables and CDFs while
+/// accumulating them, then writes them as `BENCH_<name>.json` on
+/// [`Fig::finish`] — so every figure leaves a machine-readable artifact
+/// next to its stdout table (the telemetry plane's sink for cross-run
+/// comparisons).
 pub struct Fig {
     name: String,
     caption: String,
@@ -160,7 +170,7 @@ impl Fig {
     pub fn new(name: &str, title: &str, caption: &str, scale: Scale) -> Self {
         header(title, caption, scale);
         Self {
-            name: name.replace('-', "_"),
+            name: name.to_string(),
             caption: caption.to_string(),
             scale,
             columns: Vec::new(),
@@ -237,19 +247,6 @@ pub fn row(cells: &[String]) {
     println!("{}", cells.join("\t"));
 }
 
-/// Prints an empirical CDF as (value, cdf) rows, downsampled to at most
-/// `points` rows.
-pub fn print_cdf(label: &str, values: &[f64], points: usize) {
-    let cdf = cloudia_measure::error::empirical_cdf(values);
-    let step = (cdf.len() / points.max(1)).max(1);
-    println!("{label}\tvalue\tcdf");
-    for (i, &(v, p)) in cdf.iter().enumerate() {
-        if i % step == 0 || i == cdf.len() - 1 {
-            row(&[label.to_string(), format!("{v:.4}"), format!("{p:.4}")]);
-        }
-    }
-}
-
 /// Boots a provider, allocates `n` instances, returns the network.
 pub fn standard_network(provider: Provider, n: usize, seed: u64) -> Network {
     let mut cloud = Cloud::boot(provider, seed);
@@ -294,23 +291,6 @@ pub fn measured_costs(
     }
 }
 
-/// The three paper workload graphs at a given scale: (behavioral mesh,
-/// aggregation tree, key-value bipartite).
-pub fn workload_graphs(scale: Scale) -> (CommGraph, CommGraph, CommGraph) {
-    match scale {
-        Scale::Quick => (
-            CommGraph::mesh_2d(6, 6),
-            CommGraph::aggregation_tree(6, 2),
-            CommGraph::bipartite(8, 28),
-        ),
-        Scale::Paper => (
-            CommGraph::mesh_2d(10, 10),
-            CommGraph::aggregation_tree(7, 2),
-            CommGraph::bipartite(20, 80),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,18 +320,6 @@ mod tests {
         let net = standard_network(Provider::test_quiet(), 8, 1);
         assert_eq!(net.len(), 8);
         assert_eq!(true_mean_vector(&net).len(), 8 * 7);
-    }
-
-    #[test]
-    fn workload_graph_sizes() {
-        let (sim, agg, kv) = workload_graphs(Scale::Quick);
-        assert_eq!(sim.num_nodes(), 36);
-        assert_eq!(agg.num_nodes(), 43);
-        assert_eq!(kv.num_nodes(), 36);
-        let (sim, agg, kv) = workload_graphs(Scale::Paper);
-        assert_eq!(sim.num_nodes(), 100);
-        assert_eq!(agg.num_nodes(), 57);
-        assert_eq!(kv.num_nodes(), 100);
     }
 
     #[test]

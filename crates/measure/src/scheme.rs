@@ -30,9 +30,8 @@ pub struct MeasureConfig {
     /// RNG seed (probe jitter, destination choice).
     pub seed: u64,
     /// Ignored: every stage is simulated serially on the calling thread
-    /// (README *Scale* has the race that decided it). Kept, with
-    /// `--stage-workers`, only because `loopbench` sets it; goes when a
-    /// benchmark PR stops doing so.
+    /// (README *Scale* has the race that decided it). Kept only because
+    /// `loopbench` sets it; goes when a benchmark PR stops doing so.
     pub stage_workers: usize,
     /// If set, stop issuing new probes after this much simulated time.
     /// The contract (shared by every scheme, pinned by proptest): no

@@ -83,8 +83,6 @@ pub struct OnlineAdvisorConfig {
     pub solve_seconds: f64,
     /// Worker threads per re-solve (0 = all cores).
     pub threads: usize,
-    /// Minimum epochs between re-solves (alarm damping).
-    pub cooldown_epochs: u64,
     /// Base RNG seed for re-solves.
     pub seed: u64,
     /// Candidate pruning for the incremental re-solves (see
@@ -211,7 +209,6 @@ impl Default for OnlineAdvisorConfig {
             migration_budget: 3,
             solve_seconds: 1.0,
             threads: 1,
-            cooldown_epochs: 1,
             seed: 0,
             candidates: None,
             probe_policy: ProbePolicy::Uniform,
@@ -398,34 +395,6 @@ pub struct EpochSummary {
     pub saved_round_trips: u64,
 }
 
-/// The advisor's per-epoch spot-probe access to its stream: fresh
-/// single-link RTT samples (latency-alarm confirmation) and fresh loss
-/// trials (darkness confirmation). Bundled behind one trait object so
-/// [`OnlineAdvisor::step_stream`] hands `step_core` a *single* mutable
-/// borrow of the stream — two separate closures would each need one.
-trait SpotProber {
-    /// Mean of fresh RTT probes on `src → dst`, or `None` if the stream
-    /// cannot probe single links.
-    fn latency(&mut self, src: u32, dst: u32) -> Option<f64>;
-    /// `(successes, attempts)` of fresh loss trials on `src ⇄ dst`, or
-    /// `None` if the stream cannot probe single links.
-    fn loss(&mut self, src: u32, dst: u32) -> Option<(u64, u64)>;
-}
-
-struct StreamProber<'a, S: MeasurementStream> {
-    stream: &'a mut S,
-    probes: usize,
-}
-
-impl<S: MeasurementStream> SpotProber for StreamProber<'_, S> {
-    fn latency(&mut self, src: u32, dst: u32) -> Option<f64> {
-        self.stream.spot_check(src, dst, self.probes)
-    }
-    fn loss(&mut self, src: u32, dst: u32) -> Option<(u64, u64)> {
-        self.stream.spot_check_loss(src, dst, self.probes)
-    }
-}
-
 /// What the triage phase concluded from one epoch's alarms.
 #[derive(Debug, Clone, Copy, Default)]
 struct Alarms {
@@ -440,7 +409,8 @@ struct Alarms {
 enum Trigger {
     /// Free and re-place the nodes on these presumed-dark instances.
     Evacuate(Vec<u32>),
-    /// A degradation or opportunity alarm past the cooldown.
+    /// A degradation or opportunity alarm (at most one re-solve per
+    /// epoch).
     Alarm,
 }
 
@@ -836,7 +806,7 @@ impl OnlineAdvisor {
     /// clear on top of the relative min-gain bar. 0 when `confidence` is
     /// unset (the legacy point-estimate economics) or when no deployed
     /// link has a bounded interval yet (nothing quantified, nothing to
-    /// charge: the existing cooldown and min-gain bars still apply).
+    /// charge: the min-gain bar still applies).
     fn deployed_ci_margin(&self) -> f64 {
         let Some(conf) = self.config.confidence else {
             return 0.0;
@@ -1002,13 +972,14 @@ impl OnlineAdvisor {
 
     /// The control loop proper, as its phase sequence: ingest → triage →
     /// decide → repair → account. `truth_costs` is the ground-truth cost
-    /// matrix (cost curve and event log only), `spot` the optional
-    /// single-link confirmation prober (RTT and loss trials).
+    /// matrix (cost curve and event log only), `spot` the stream to draw
+    /// single-link confirmation probes (RTT and loss trials) from, if
+    /// spot checks are on.
     fn step_core(
         &mut self,
         m: &EpochMeasurement,
         truth_costs: CostMatrix,
-        spot: Option<&mut dyn SpotProber>,
+        spot: Option<&mut dyn MeasurementStream>,
     ) -> EpochSummary {
         let epoch = m.epoch;
         let mut span = cloudia_obs::span!("online.step", epoch = epoch);
@@ -1086,7 +1057,7 @@ impl OnlineAdvisor {
         &mut self,
         epoch: u64,
         changes: &[LinkChange],
-        mut spot: Option<&mut dyn SpotProber>,
+        mut spot: Option<&mut dyn MeasurementStream>,
     ) -> Alarms {
         let deployed: std::collections::HashSet<(u32, u32)> = self.deployed_links().collect();
         let mut alarms = Alarms::default();
@@ -1149,29 +1120,31 @@ impl OnlineAdvisor {
     /// confirmed when at most half the trials get through; a degradation
     /// alarm is confirmed (and logged as a [`OnlineEvent::SpotCheck`])
     /// when the fresh mean still sits at least halfway from the
-    /// pre-alarm baseline to the alarm level. Without a prober, with
-    /// `spot_check_probes == 0`, or on a stream that cannot probe single
-    /// links, the detector/store verdict is trusted.
+    /// pre-alarm baseline to the alarm level. Without a stream (spot
+    /// checks off: `spot_check_probes == 0`, or no stream access), or on
+    /// a stream that cannot probe single links, the detector/store
+    /// verdict is trusted.
     fn confirm(
         &mut self,
         epoch: u64,
         c: &LinkChange,
-        spot: Option<&mut (dyn SpotProber + '_)>,
+        spot: Option<&mut (dyn MeasurementStream + '_)>,
     ) -> bool {
-        let Some(probe) = spot.filter(|_| self.config.spot_check_probes > 0) else {
+        let Some(stream) = spot else {
             return true;
         };
+        let probes = self.config.spot_check_probes;
         if c.dark {
-            let Some((successes, attempts)) = probe.loss(c.src, c.dst) else {
+            let Some((successes, attempts)) = stream.spot_check_loss(c.src, c.dst, probes) else {
                 return true;
             };
             self.probe_round_trips += attempts;
             successes * 2 <= attempts
         } else {
-            let Some(mean) = probe.latency(c.src, c.dst) else {
+            let Some(mean) = stream.spot_check(c.src, c.dst, probes) else {
                 return true;
             };
-            self.probe_round_trips += self.config.spot_check_probes as u64;
+            self.probe_round_trips += probes as u64;
             let confirmed = mean >= 0.5 * (c.baseline + c.mean);
             self.push_event(OnlineEvent::SpotCheck {
                 epoch,
@@ -1194,14 +1167,13 @@ impl OnlineAdvisor {
     /// pretending the economics still apply. The ordinary latency repair
     /// is skipped on such an epoch (its trigger verdicts were formed on
     /// the same, now-evacuated plan); otherwise it runs when an alarm
-    /// triggered and the cooldown has passed.
+    /// triggered and no re-solve ran this epoch yet.
     fn decide(&self, epoch: u64, alarms: Alarms) -> Option<Trigger> {
         let dark = if self.config.loss_aware { self.dark_instances() } else { Vec::new() };
         if self.deployment.iter().any(|j| dark.contains(j)) {
             return Some(Trigger::Evacuate(dark));
         }
-        let cooled =
-            self.last_resolve.is_none_or(|last| epoch >= last + self.config.cooldown_epochs.max(1));
+        let cooled = self.last_resolve.is_none_or(|last| epoch > last);
         ((alarms.degradation || alarms.opportunity) && cooled).then_some(Trigger::Alarm)
     }
 
@@ -1384,13 +1356,9 @@ impl OnlineAdvisor {
             stop.as_ref().map(|s| s as &dyn StopRule),
         );
         let truth = stream.network().effective_mean_matrix(self.config.timeout_ms);
-        let probes = self.config.spot_check_probes;
-        if probes == 0 {
-            self.step_core(&m, truth, None)
-        } else {
-            let mut prober = StreamProber { stream, probes };
-            self.step_core(&m, truth, Some(&mut prober))
-        }
+        let spot =
+            (self.config.spot_check_probes > 0).then_some(stream as &mut dyn MeasurementStream);
+        self.step_core(&m, truth, spot)
     }
 
     /// Drives the loop for `epochs` epochs of a stream.
@@ -1879,38 +1847,57 @@ mod tests {
     }
 
     #[test]
-    fn a_non_finite_sample_holds_the_epoch_instead_of_panicking() {
+    fn a_non_finite_sample_is_skipped_and_a_negative_one_holds_the_epoch() {
         let epochs = 8;
-        let (_, net, _) = setup(4, 6, 31);
-        let mut script = spike_script(6, epochs);
-        // One NaN round-trip mean on the deployed link 0 → 1, mid-run.
-        let poisoned = script[4].deltas.iter_mut().find(|d| (d.src, d.dst) == (0, 1)).unwrap();
-        poisoned.mean = f64::NAN;
-        let mut stream = ScriptedStream::new(net, script, None);
-        let mut advisor = spot_check_advisor(0);
-        let before = advisor.deployment().clone();
-        let summaries: Vec<_> = (0..epochs).map(|_| advisor.step_stream(&mut stream)).collect();
-        assert!(summaries[..4].iter().all(|s| s.est_cost.is_finite()));
-        // The EWMA never recovers from a NaN: every later epoch is held.
-        for s in &summaries[4..] {
-            assert!(s.est_cost.is_nan() && !s.triggered && s.moved == 0, "epoch {}", s.epoch);
-            assert!(s.true_cost.is_finite(), "the ground-truth booking is unaffected");
-        }
-        let held: Vec<_> = advisor
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                OnlineEvent::Held { epoch, error } => Some((*epoch, error.clone())),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(held.iter().map(|h| h.0).collect::<Vec<_>>(), [4, 5, 6, 7]);
-        assert!(
-            matches!(held[0].1, CostError::Value { i: 0, j: 1, value } if value.is_nan()),
-            "{:?}",
-            held[0].1
-        );
+        let run = |script: Vec<EpochMeasurement>| {
+            let (_, net, _) = setup(4, 6, 31);
+            let mut stream = ScriptedStream::new(net, script, None);
+            let mut advisor = spot_check_advisor(0);
+            let summaries: Vec<_> = (0..epochs).map(|_| advisor.step_stream(&mut stream)).collect();
+            (advisor, summaries)
+        };
+        // The script's spike starts at epoch 12: the 8 epochs run are
+        // flat but for one bad mean on the deployed link 0 → 1.
+        let poisoned = |bad: f64| {
+            let mut script = spike_script(6, 16);
+            script[4].deltas.iter_mut().find(|d| (d.src, d.dst) == (0, 1)).unwrap().mean = bad;
+            script
+        };
+        let held = |advisor: &OnlineAdvisor| -> Vec<(u64, CostError)> {
+            advisor
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    OnlineEvent::Held { epoch, error } => Some((*epoch, error.clone())),
+                    _ => None,
+                })
+                .collect()
+        };
+        let before = spot_check_advisor(0).deployment().clone();
+
+        // A NaN is ingested as sampleless: nothing is held, nothing moves,
+        // and every estimate is the one of a run that never saw the delta.
+        let (advisor, summaries) = run(poisoned(f64::NAN));
+        assert!(summaries.iter().all(|s| s.est_cost.is_finite()));
+        assert!(held(&advisor).is_empty());
         assert_eq!(advisor.deployment(), &before);
+        let mut dropped = spike_script(6, 16);
+        dropped[4].deltas.retain(|d| (d.src, d.dst) != (0, 1));
+        let (_, reference) = run(dropped);
+        for (s, r) in summaries.iter().zip(&reference) {
+            assert_eq!(s.est_cost.to_bits(), r.est_cost.to_bits(), "epoch {}", s.epoch);
+        }
+
+        // A negative mean is finite, so ingest keeps it and the cost
+        // plane rejects it: that epoch is held instead of panicking.
+        let (advisor, summaries) = run(poisoned(-10.0));
+        assert!(summaries[..4].iter().all(|s| s.est_cost.is_finite()));
+        let s = &summaries[4];
+        assert!(s.est_cost.is_nan() && !s.triggered && s.moved == 0);
+        assert!(s.true_cost.is_finite(), "the ground-truth booking is unaffected");
+        let held = held(&advisor);
+        assert_eq!(held[0].0, 4);
+        assert!(matches!(held[0].1, CostError::Value { i: 0, j: 1, .. }), "{:?}", held[0].1);
     }
 
     #[test]

@@ -208,12 +208,14 @@ impl OnlineStore {
     /// *dark* change (once — the flag re-arms after the loss decays).
     /// Every sampled link updates its latency EWMA and runs its change
     /// detector on the standardized residual
-    /// ([`standardized_residual`]). Returns the links whose detectors or
-    /// dark triage fired.
+    /// ([`standardized_residual`]). A delta whose mean is not finite is
+    /// ingested as sampleless: one bad sample must not poison the EWMA
+    /// for good. Returns the links whose detectors or dark triage fired.
     pub fn observe_epoch(&mut self, m: &EpochMeasurement) -> Vec<LinkChange> {
         let mut changes = Vec::new();
         for d in &m.deltas {
             let link = &mut self.links[d.src as usize * self.n + d.dst as usize];
+            let sampleless = d.count == 0 || !d.mean.is_finite();
             if d.attempts > 0 {
                 link.loss.observe(d.timeouts as f64 / d.attempts as f64);
                 link.attempts += d.attempts;
@@ -235,7 +237,7 @@ impl OnlineStore {
                     link.dark_flagged = false;
                 }
             }
-            if d.count == 0 {
+            if sampleless {
                 // A sampleless delta carries no latency information:
                 // leave the EWMA, detector, and staleness age untouched
                 // (the link stays stale, so it keeps being re-attempted).
@@ -597,6 +599,32 @@ mod tests {
         assert_eq!(stats.link(1, 2).count(), 0);
         assert!(stats.link(1, 2).attempts() > 0, "dark link lost its attempted-ness");
         assert_eq!(stats.link(2, 0).attempts(), 0, "untouched link stays unattempted");
+    }
+
+    #[test]
+    fn a_non_finite_mean_is_ingested_as_sampleless() {
+        let mut store = OnlineStore::new(2, 0.3, DetectorConfig::default());
+        store.observe_epoch(&epoch(vec![delta(0, 1, 2.0)], 0));
+        for (e, bad) in [(1, f64::NAN), (2, f64::INFINITY)] {
+            let poisoned = LinkDelta { timeouts: 4, ..delta(0, 1, bad) };
+            assert!(store.observe_epoch(&epoch(vec![poisoned], e)).is_empty());
+        }
+        let link = store.link(0, 1);
+        assert_eq!((link.ewma.count(), link.ewma.mean()), (1, 2.0), "latency EWMA untouched");
+        assert_eq!((link.samples, link.last_epoch), (10, Some(0)), "staleness age untouched");
+        assert_eq!((link.attempts, link.timeouts), (30, 8), "the attempts still count");
+        assert_eq!(link.loss.count(), 3, "the loss EWMA still learns");
+        // The next finite sample folds in as if the bad ones never came.
+        store.observe_epoch(&epoch(vec![delta(0, 1, 2.0)], 3));
+        assert_eq!(store.link(0, 1).ewma.mean(), 2.0);
+        // A lossy link that still returns successes is not dark, even
+        // when the successes' mean is unusable.
+        let mut store = OnlineStore::new(2, 0.3, DetectorConfig::default());
+        for e in 0..8 {
+            let lossy = LinkDelta { count: 1, timeouts: 9, ..delta(0, 1, f64::NAN) };
+            assert!(store.observe_epoch(&epoch(vec![lossy], e)).is_empty());
+        }
+        assert!(store.link(0, 1).loss.mean() > DARK_LOSS_LEVEL);
     }
 
     #[test]

@@ -28,8 +28,6 @@ fn usage() -> ! {
                                                auto = max(4n, 48); adaptive = escalation-driven
                                                pool sizing; omit for the dense search)
                [--search-seconds S]           (default 5)
-               [--stage-workers N]            (accepted and ignored: stages are simulated
-                                               serially)
                [--sketch-spill H]             (drop per-link p99 sketches on links quiet for H
                                                consecutive stages; freed slots are recycled, so
                                                long sweeps stop growing the sketch table.
@@ -237,12 +235,6 @@ fn main() {
                     eprintln!("bad seed");
                     usage();
                 })
-            }
-            "--stage-workers" => {
-                let _: usize = value().parse().unwrap_or_else(|_| {
-                    eprintln!("bad stage worker count");
-                    usage();
-                });
             }
             "--sketch-spill" => {
                 let h: u64 = value().parse().unwrap_or_else(|_| {

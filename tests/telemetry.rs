@@ -144,7 +144,7 @@ fn cli_json_and_trace_round_trip() {
 /// of these are rejected before any measurement starts.
 #[test]
 fn cli_rejects_out_of_range_input_without_panicking() {
-    let cases: [&[&str]; 11] = [
+    let cases: [&[&str]; 12] = [
         &["--graph", "mesh:1x1"],
         &["--graph", "mesh3d:1x1x1"],
         &["--graph", "ring:2"],
@@ -156,6 +156,8 @@ fn cli_rejects_out_of_range_input_without_panicking() {
         &["--over-allocation", "1e9"],
         &["--online", "--epoch-hours", "0"],
         &["--online", "--epoch-hours", "-3"],
+        // Removed flag: stages are simulated serially, so it is unknown.
+        &["--stage-workers", "2"],
     ];
     for args in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cloudia"))
