@@ -23,16 +23,27 @@
 //! verdict (it reads 9–12× on the build host; the hash side's cost swings
 //! with how much of its 1.2 MB table the cache holds, so the gate sits
 //! where a return to hashing — 1× — fails and the weather does not).
+//!
+//! The fifth, `cp_search`, holds the CP search's per-node cost: on the
+//! `batch_paper` shape (a 10×10 mesh over m = 110 EC2-like instances,
+//! k = 20 cost clusters) under one node budget, the trail backend must
+//! explore the copy-domains oracle's exact tree — equal `explored`, equal
+//! deployment — and beat it by ≥ 13×. The eager trail it replaced (every
+//! assignment cleared from n − 1 domains, values found by scanning all m
+//! instances) reads 9.1–9.5× on a shared 2-vCPU Xeon; the
+//! lazy-`alldifferent`, rank-labelled one reads 18.0–18.9×.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
+use cloudia_core::CommGraph;
 use cloudia_measure::{MeasureConfig, PairwiseStats, PruneRule, Scheme, Staged};
 use cloudia_netsim::{Cloud, InstanceId, LossPlane, Provider};
 use cloudia_solver::candidates::PoolIndex;
+use cloudia_solver::cp::{solve_llndp_cp, CpConfig, Propagation};
 use cloudia_solver::kernels::scan_row_evidence;
-use cloudia_solver::{CandidateConfig, CandidatePruneRule, CandidateSet};
+use cloudia_solver::{Budget, CandidateConfig, CandidatePruneRule, CandidateSet};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The pre-kernel scalar walk, transcribed from the old `build_partial`
@@ -319,6 +330,34 @@ fn assert_protected_filter_wins() {
     assert!(speedup >= 5.0, "prune must beat the hash-set filter by >= 5x, got {speedup:.2}x");
 }
 
+/// Races the trail backend against the copy-domains oracle on the
+/// `batch_paper` shape under a 50 k-node budget: same tree, and the trail
+/// wins by ≥ 13×.
+fn assert_cp_search_wins() {
+    let mut cloud = Cloud::boot(Provider::ec2_like(), 7);
+    let alloc = cloud.allocate(110);
+    let problem = CommGraph::mesh_2d(10, 10).problem(cloud.network(&alloc).mean_matrix());
+    let solve = |propagation| {
+        let config = CpConfig {
+            budget: Budget::nodes(50_000),
+            clusters: Some(20),
+            propagation,
+            ..CpConfig::default()
+        };
+        solve_llndp_cp(&problem, &config)
+    };
+    let ((trail_s, trail), (clone_s, clone)) =
+        race(4, || solve(Propagation::Trail), || solve(Propagation::CloneDomains));
+    assert_eq!(trail.explored, clone.explored, "the backends explored different trees");
+    assert_eq!(trail.deployment, clone.deployment, "the backends reached different plans");
+    let speedup = clone_s / trail_s.max(1e-12);
+    println!(
+        "# cp_search race: clone {clone_s:.4}s, trail {trail_s:.4}s over {} nodes, speedup {speedup:.1}x",
+        trail.explored
+    );
+    assert!(speedup >= 13.0, "the trail must beat copy-domains by >= 13x, got {speedup:.2}x");
+}
+
 fn main() {
     // `cargo bench` passes `--bench`; `cargo test` passes `--test` (the
     // criterion shim then runs each body exactly once). The timed
@@ -333,5 +372,6 @@ fn main() {
         });
         assert_dark_strike_is_local();
         assert_protected_filter_wins();
+        assert_cp_search_wins();
     }
 }

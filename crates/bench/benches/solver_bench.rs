@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use cloudia_solver::{
     cluster::CostClusters,
-    cp::{solve_llndp_cp, CpConfig, Propagation},
+    cp::{solve_llndp_cp, CpConfig},
     greedy::{solve_greedy, GreedyVariant},
     lp::{solve as lp_solve, Constraint, Lp, Sense},
     portfolio::{solve_portfolio, PortfolioConfig},
@@ -46,33 +46,6 @@ fn bench_cp(c: &mut Criterion) {
                 })
             },
         );
-    }
-    group.finish();
-}
-
-/// Trail-based vs copy-domains propagation under an identical node budget:
-/// the two backends explore the same search tree, so the per-iteration
-/// time ratio is exactly the nodes/sec speedup of the trail rewrite.
-fn bench_cp_propagation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cp_propagation_50k_nodes");
-    group.sample_size(10);
-    let problem = random_problem(27, 30, 1);
-    for (name, propagation) in
-        [("trail", Propagation::Trail), ("clone_domains", Propagation::CloneDomains)]
-    {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                solve_llndp_cp(
-                    black_box(&problem),
-                    &CpConfig {
-                        budget: Budget::nodes(50_000),
-                        clusters: Some(20),
-                        propagation,
-                        ..CpConfig::default()
-                    },
-                )
-            })
-        });
     }
     group.finish();
 }
@@ -149,7 +122,6 @@ fn bench_lp(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cp,
-    bench_cp_propagation,
     bench_portfolio,
     bench_greedy,
     bench_random,

@@ -15,7 +15,7 @@
 /// mapping function.
 #[derive(Debug, Clone)]
 pub struct CostClusters {
-    /// Sorted distinct input values.
+    /// Sorted distinct finite input values.
     values: Vec<f64>,
     /// `assignment[i]` = cluster index of `values[i]`.
     assignment: Vec<usize>,
@@ -24,9 +24,10 @@ pub struct CostClusters {
 }
 
 impl CostClusters {
-    /// Clusters `costs` into at most `k` clusters after rounding values to
-    /// multiples of `quantum` (pass 0.0 to skip rounding). Exact 1-D
-    /// k-means via DP.
+    /// Clusters the finite `costs` into at most `k` clusters after rounding
+    /// values to multiples of `quantum` (pass 0.0 to skip rounding). Exact
+    /// 1-D k-means via DP. A +∞ (dark-link) cost joins no cluster; if
+    /// every cost is +∞ there are no clusters.
     ///
     /// # Panics
     /// Panics if `k == 0` or `costs` is empty.
@@ -34,12 +35,13 @@ impl CostClusters {
         assert!(k > 0, "k must be positive");
         assert!(!costs.is_empty(), "cannot cluster zero costs");
 
-        // Distinct (rounded) values with multiplicities.
+        // Distinct (rounded) finite values with multiplicities.
         let mut rounded: Vec<f64> = costs
             .iter()
+            .filter(|c| c.is_finite())
             .map(|&c| if quantum > 0.0 { (c / quantum).round() * quantum } else { c })
             .collect();
-        rounded.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        rounded.sort_by(f64::total_cmp);
         let mut values: Vec<f64> = Vec::new();
         let mut weights: Vec<f64> = Vec::new();
         for &v in &rounded {
@@ -51,6 +53,9 @@ impl CostClusters {
             }
         }
         let n = values.len();
+        if n == 0 {
+            return Self { values, assignment: Vec::new(), means: Vec::new() };
+        }
         let k = k.min(n);
 
         // Weighted prefix sums for O(1) within-cluster SSE queries.
@@ -122,7 +127,7 @@ impl CostClusters {
         self.means.len()
     }
 
-    /// True if there are no clusters (cannot happen after `compute`).
+    /// True if there are no clusters (every input cost was +∞).
     pub fn is_empty(&self) -> bool {
         self.means.is_empty()
     }
@@ -134,10 +139,13 @@ impl CostClusters {
 
     /// Maps an arbitrary cost to its cluster's mean (nearest cluster by
     /// value-range membership; values outside the seen range snap to the
-    /// closest end).
+    /// closest end). A non-finite cost — a +∞ dark link — stays as it is.
     pub fn round(&self, cost: f64) -> f64 {
+        if !cost.is_finite() || self.values.is_empty() {
+            return cost;
+        }
         // Binary search the distinct values for the insertion point.
-        let idx = match self.values.binary_search_by(|v| v.partial_cmp(&cost).unwrap()) {
+        let idx = match self.values.binary_search_by(|v| v.total_cmp(&cost)) {
             Ok(i) => i,
             Err(0) => 0,
             Err(i) if i >= self.values.len() => self.values.len() - 1,
@@ -172,6 +180,19 @@ mod tests {
         assert!((c.means()[1] - 10.0).abs() < 1e-9);
         assert!((c.round(1.05) - 1.0).abs() < 1e-9);
         assert!((c.round(9.9) - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn infinite_costs_join_no_cluster() {
+        let inf = f64::INFINITY;
+        let c = CostClusters::compute(&[1.0, 1.1, inf, 10.0, inf], 2, 0.01);
+        assert_eq!(c.len(), 2);
+        assert!((c.means()[0] - 1.05).abs() < 1e-9 && (c.means()[1] - 10.0).abs() < 1e-9);
+        assert_eq!(c.round(inf), inf);
+        assert!(c.within_sse().is_finite());
+        let dark = CostClusters::compute(&[inf, inf], 3, 0.0);
+        assert!(dark.is_empty());
+        assert_eq!(dark.round(inf), inf);
     }
 
     #[test]

@@ -12,27 +12,39 @@
 //! The embedded SIP search is a backtracking constraint solver:
 //!
 //! * domains are bitsets of candidate instances per application node;
-//! * injectivity (`alldifferent`) is enforced by removing an assigned
-//!   instance from all other domains (forward checking);
+//! * injectivity (`alldifferent`) is forward checking: an assigned
+//!   instance leaves every other domain;
 //! * adjacency is enforced by intersecting neighbor domains with the
 //!   assigned instance's allowed-row bitsets;
 //! * domains are pre-filtered by degree compatibility — a node with
 //!   out-degree d can only map to an instance with ≥ d outgoing good links
 //!   (the degree-labeling idea of Zampelli et al. cited by the paper);
 //! * variable order is dynamic most-constrained-first (smallest domain,
-//!   ties broken by higher pattern degree).
+//!   ties broken by higher pattern degree, then lower node id); values are
+//!   tried by descending good-degree, ties by ascending instance id.
 //!
 //! ## Propagation stores
 //!
 //! Two interchangeable propagation backends explore the *identical* search
-//! tree:
+//! tree — the same variables, the same values in the same order, the same
+//! wipeouts and node count:
 //!
-//! * [`Propagation::Trail`] (default) mutates one flat domain array in
-//!   place and records overwritten words on an undo trail, restoring them
-//!   on backtrack — zero allocation per search node;
+//! * [`Propagation::Trail`] (default) keeps one flat domain array and a
+//!   `taken` bitset of assigned instances. `alldifferent` is lazy: the
+//!   live domain of an unassigned node is `domain & !taken`, so assigning
+//!   an instance sets one bit where the oracle below clears it from
+//!   n − 1 domains, and the undo trail records only the words adjacency
+//!   intersections overwrite. A node costs O(degree · words) propagation plus an
+//!   O(n · words) MRV scan, with zero allocation;
 //! * [`Propagation::CloneDomains`] clones every domain bitset at every
-//!   branch (the original implementation, kept for the ablation benchmark
-//!   and as a differential-testing oracle).
+//!   branch and removes assigned instances eagerly (the original
+//!   implementation, kept for the ablation benchmark and as a
+//!   differential-testing oracle).
+//!
+//! Both search in *rank space*: each SIP call renames instance `j` to its
+//! rank in the value order, so trying values in order is walking a
+//! domain's set bits upwards. Candidate lists and pins are mapped in, the
+//! satisfying assignment is mapped back out.
 //!
 //! ## Cooperation
 //!
@@ -195,9 +207,11 @@ pub fn solve_llndp_cp_with(
     let mut curve = vec![(start.elapsed().as_secs_f64(), result_cost)];
     control.offer(&result, result_cost);
 
-    // Distinct search-cost values, ascending.
+    // Distinct finite search-cost values, ascending: a +∞ (dark) link is
+    // never a threshold worth proving.
     let mut distinct: Vec<f64> = search_problem.costs.off_diagonal();
-    distinct.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    distinct.retain(|c| c.is_finite());
+    distinct.sort_by(f64::total_cmp);
     distinct.dedup();
 
     let mut explored = 0u64;
@@ -287,63 +301,70 @@ pub fn solve_llndp_cp_with(
     SolveOutcome { deployment: result, cost: result_cost, curve, proven_optimal, explored }
 }
 
-/// One subgraph-isomorphism satisfaction search at a fixed threshold.
+/// One subgraph-isomorphism satisfaction search at a fixed threshold, in
+/// rank space: instance `instance[r]` is called `r`.
 struct SipSearch {
     n: usize,
     m: usize,
     words: usize,
-    /// Pattern adjacency.
+    /// Pattern adjacency, and each node's degree (MRV tie-break).
     out_adj: Vec<Vec<usize>>,
     in_adj: Vec<Vec<usize>>,
-    /// `row_out[j]`: bitset of instances reachable from j via good links.
+    pattern_degree: Vec<usize>,
+    /// `row_out[r]`: bitset of ranks reachable from rank r via good links.
     row_out: Vec<Vec<u64>>,
     row_in: Vec<Vec<u64>>,
-    /// Static value order (instances by descending good-degree).
-    value_order: Vec<u32>,
+    /// The value order: `instance[r]` is the instance of rank `r`
+    /// (descending good-degree, ties by ascending id); `rank` inverts it.
+    instance: Vec<u32>,
+    rank: Vec<u32>,
     nodes: u64,
 }
 
-/// Mutable search state of the trail-based backend: one flat domain array
-/// plus the undo trail. A trail entry is `(slot, old_word)` where
+/// Mutable search state of the trail-based backend: one flat domain array,
+/// the `taken` bitset of assigned ranks (the lazy `alldifferent`: the live
+/// domain of unassigned node `v` is `domains[v] & !taken`), and the undo
+/// trail. A trail entry is `(slot, old_word)` where
 /// `slot = var * words + word_index`; undoing restores absolute values in
 /// reverse order, so repeated writes to one slot round-trip correctly.
 struct TrailState {
     words: usize,
     domains: Vec<u64>,
-    sizes: Vec<u32>,
+    taken: Vec<u64>,
     trail: Vec<(u32, u64)>,
     assignment: Vec<Option<u32>>,
 }
 
 impl TrailState {
+    /// Word `w` of node `v`'s live domain.
     #[inline]
-    fn slot(&self, v: usize, w: usize) -> usize {
-        v * self.words + w
-    }
-
-    /// Overwrites one domain word, recording the old value on the trail and
-    /// keeping the cached domain size in sync.
-    #[inline]
-    fn write(&mut self, v: usize, w: usize, new: u64) {
-        let slot = self.slot(v, w);
-        let old = self.domains[slot];
-        if old != new {
-            self.trail.push((slot as u32, old));
-            self.domains[slot] = new;
-            self.sizes[v] = self.sizes[v] + new.count_ones() - old.count_ones();
-        }
+    fn live(&self, v: usize, w: usize) -> u64 {
+        self.domains[v * self.words + w] & !self.taken[w]
     }
 
     /// Rolls the domains back to a trail mark.
     fn undo(&mut self, mark: usize) {
-        while self.trail.len() > mark {
-            let (slot, old) = self.trail.pop().expect("len > mark");
-            let slot = slot as usize;
-            let cur = self.domains[slot];
-            self.domains[slot] = old;
-            let v = slot / self.words;
-            self.sizes[v] = self.sizes[v] + old.count_ones() - cur.count_ones();
+        for (slot, old) in self.trail.drain(mark..).rev() {
+            self.domains[slot as usize] = old;
         }
+    }
+
+    /// Intersects `u`'s domain with an adjacency row on the trail; `false`
+    /// if no live value is left.
+    #[inline]
+    fn intersect_row(&mut self, u: usize, row: &[u64]) -> bool {
+        let mut live = 0;
+        for (w, &rw) in row.iter().enumerate() {
+            let slot = u * self.words + w;
+            let cur = self.domains[slot];
+            let next = cur & rw;
+            if next != cur {
+                self.trail.push((slot as u32, cur));
+                self.domains[slot] = next;
+            }
+            live |= next & !self.taken[w];
+        }
+        live != 0
     }
 }
 
@@ -359,34 +380,59 @@ impl SipSearch {
             out_adj[a as usize].push(b as usize);
             in_adj[b as usize].push(a as usize);
         }
+        let pattern_degree = (0..n).map(|v| out_adj[v].len() + in_adj[v].len()).collect();
 
+        // Good links are counted once in instance space for the value
+        // order, then laid down as rank-space rows; both passes are
+        // branch-free, as the first thresholds make half the links good.
+        let good = |j: usize, jp: usize, c: f64| ((j != jp) & (c <= threshold)) as u32;
+        let mut degree = vec![0u32; m];
+        for j in 0..m {
+            let mut out = 0;
+            for (jp, (&c, d)) in problem.costs.row(j).iter().zip(&mut degree).enumerate() {
+                out += good(j, jp, c);
+                *d += good(j, jp, c);
+            }
+            degree[j] += out;
+        }
+        let mut instance: Vec<u32> = (0..m as u32).collect();
+        instance.sort_by_key(|&j| std::cmp::Reverse(degree[j as usize]));
+        let mut rank = vec![0u32; m];
+        for (r, &j) in instance.iter().enumerate() {
+            rank[j as usize] = r as u32;
+        }
         let mut row_out = vec![vec![0u64; words]; m];
         let mut row_in = vec![vec![0u64; words]; m];
         for j in 0..m {
-            for jp in 0..m {
-                if j != jp && problem.costs.get(j, jp) <= threshold {
-                    row_out[j][jp / 64] |= 1u64 << (jp % 64);
-                    row_in[jp][j / 64] |= 1u64 << (j % 64);
-                }
+            let r = rank[j] as usize;
+            for (jp, &c) in problem.costs.row(j).iter().enumerate() {
+                let (rp, g) = (rank[jp] as usize, u64::from(good(j, jp, c)));
+                row_out[r][rp / 64] |= g << (rp % 64);
+                row_in[rp][r / 64] |= g << (r % 64);
             }
         }
 
-        let degree = |j: usize| -> u32 {
-            row_out[j].iter().map(|w| w.count_ones()).sum::<u32>()
-                + row_in[j].iter().map(|w| w.count_ones()).sum::<u32>()
-        };
-        let mut value_order: Vec<u32> = (0..m as u32).collect();
-        value_order.sort_by_key(|&j| std::cmp::Reverse(degree(j as usize)));
-
-        Self { n, m, words, out_adj, in_adj, row_out, row_in, value_order, nodes: 0 }
+        Self {
+            n,
+            m,
+            words,
+            out_adj,
+            in_adj,
+            pattern_degree,
+            row_out,
+            row_in,
+            instance,
+            rank,
+            nodes: 0,
+        }
     }
 
-    /// Initial domains, optionally restricted to per-node candidate lists
-    /// and pre-filtered by degree compatibility; `None` means some
-    /// variable has an empty domain (immediate UNSAT). Fixed assignments
-    /// collapse their node's domain to a singleton (overriding both the
-    /// candidate list and the degree filter — adjacency checks during
-    /// search have the final word on feasibility).
+    /// Initial rank-space domains, optionally restricted to per-node
+    /// candidate lists and pre-filtered by degree compatibility; `None`
+    /// means some variable has an empty domain (immediate UNSAT). Fixed
+    /// assignments collapse their node's domain to a singleton (overriding
+    /// both the candidate list and the degree filter — adjacency checks
+    /// during search have the final word on feasibility).
     fn initial_domains(
         &self,
         degree_filter: bool,
@@ -396,37 +442,23 @@ impl SipSearch {
         let mut domains = vec![vec![0u64; self.words]; self.n];
         for (v, dom) in domains.iter_mut().enumerate() {
             if let Some(j) = fixed.and_then(|f| f[v]) {
-                dom[j as usize / 64] |= 1u64 << (j % 64);
+                let r = self.rank[j as usize] as usize;
+                dom[r / 64] |= 1u64 << (r % 64);
                 continue;
             }
             let need_out = self.out_adj[v].len() as u32;
             let need_in = self.in_adj[v].len() as u32;
-            let compatible = |j: usize| {
-                if degree_filter {
-                    let have_out: u32 = self.row_out[j].iter().map(|w| w.count_ones()).sum();
-                    let have_in: u32 = self.row_in[j].iter().map(|w| w.count_ones()).sum();
-                    have_out >= need_out && have_in >= need_in
-                } else {
-                    true
+            let mut admit = |r: usize| {
+                if !degree_filter
+                    || (bitset_count(&self.row_out[r]) >= need_out
+                        && bitset_count(&self.row_in[r]) >= need_in)
+                {
+                    dom[r / 64] |= 1u64 << (r % 64);
                 }
             };
             match candidates {
-                Some(lists) => {
-                    for &j in &lists[v] {
-                        let j = j as usize;
-                        debug_assert!(j < self.m, "candidate {j} out of range");
-                        if compatible(j) {
-                            dom[j / 64] |= 1u64 << (j % 64);
-                        }
-                    }
-                }
-                None => {
-                    for j in 0..self.m {
-                        if compatible(j) {
-                            dom[j / 64] |= 1u64 << (j % 64);
-                        }
-                    }
-                }
+                Some(lists) => lists[v].iter().for_each(|&j| admit(self.rank[j as usize] as usize)),
+                None => (0..self.m).for_each(admit),
             }
             if bitset_count(dom) == 0 {
                 return None;
@@ -450,47 +482,39 @@ impl SipSearch {
         let Some(domains) = self.initial_domains(degree_filter, fixed, candidates) else {
             return Sip::Unsat;
         };
-        let order = self.value_order.clone();
-        match propagation {
+        let (found, assignment) = match propagation {
             Propagation::Trail => {
-                let sizes: Vec<u32> = domains.iter().map(|d| bitset_count(d)).collect();
                 let mut st = TrailState {
                     words: self.words,
                     domains: domains.concat(),
-                    sizes,
+                    taken: vec![0; self.words],
                     trail: Vec::with_capacity(4 * self.n * self.words),
                     assignment: vec![None; self.n],
                 };
-                match self.search_trail(&order, &mut st, start, deadline_s, node_limit, control) {
-                    Some(true) => Sip::Sat(
-                        st.assignment
-                            .into_iter()
-                            .map(|a| a.expect("complete assignment"))
-                            .collect(),
-                    ),
-                    Some(false) => Sip::Unsat,
-                    None => Sip::Timeout,
-                }
+                (self.search_trail(&mut st, start, deadline_s, node_limit, control), st.assignment)
             }
             Propagation::CloneDomains => {
-                let mut domains = domains;
-                let mut assignment: Vec<Option<u32>> = vec![None; self.n];
-                match self.search_clone(
-                    &order,
+                let (mut domains, mut assignment) = (domains, vec![None; self.n]);
+                let found = self.search_clone(
                     &mut domains,
                     &mut assignment,
                     start,
                     deadline_s,
                     node_limit,
                     control,
-                ) {
-                    Some(true) => Sip::Sat(
-                        assignment.into_iter().map(|a| a.expect("complete assignment")).collect(),
-                    ),
-                    Some(false) => Sip::Unsat,
-                    None => Sip::Timeout,
-                }
+                );
+                (found, assignment)
             }
+        };
+        match found {
+            Some(true) => Sip::Sat(
+                assignment
+                    .into_iter()
+                    .map(|r| self.instance[r.expect("complete assignment") as usize])
+                    .collect(),
+            ),
+            Some(false) => Sip::Unsat,
+            None => Sip::Timeout,
         }
     }
 
@@ -517,20 +541,15 @@ impl SipSearch {
     }
 
     /// Most-constrained unassigned variable: smallest domain, ties broken
-    /// by higher pattern degree. `None` when all are assigned.
+    /// by higher pattern degree, then lower id. `None` when all are
+    /// assigned.
     fn pick_var(&self, sizes: impl Fn(usize) -> u32, assignment: &[Option<u32>]) -> Option<usize> {
         let mut pick: Option<(usize, u32)> = None;
-        for v in 0..self.n {
-            if assignment[v].is_some() {
-                continue;
-            }
+        for v in (0..self.n).filter(|&v| assignment[v].is_none()) {
             let size = sizes(v);
-            let better = match pick {
-                None => true,
-                Some((pv, ps)) => {
-                    size < ps || (size == ps && self.pattern_degree(v) > self.pattern_degree(pv))
-                }
-            };
+            let better = pick.is_none_or(|(pv, ps)| {
+                size < ps || (size == ps && self.pattern_degree[v] > self.pattern_degree[pv])
+            });
             if better {
                 pick = Some((v, size));
             }
@@ -542,115 +561,68 @@ impl SipSearch {
     /// in), Some(false) on UNSAT, None on timeout/cancellation.
     fn search_trail(
         &mut self,
-        order: &[u32],
         st: &mut TrailState,
         start: Instant,
         deadline_s: f64,
         node_limit: u64,
         control: &SearchControl,
     ) -> Option<bool> {
-        let Some(v) = self.pick_var(|v| st.sizes[v], &st.assignment) else {
+        let live_size = |v| (0..st.words).map(|w| st.live(v, w).count_ones()).sum::<u32>();
+        let Some(v) = self.pick_var(live_size, &st.assignment) else {
             return Some(true); // all assigned
         };
         if !self.enter_node(start, deadline_s, node_limit, control) {
             return None;
         }
 
-        for &j in order {
-            let (w, bit) = (j as usize / 64, 1u64 << (j % 64));
-            if st.domains[st.slot(v, w)] & bit == 0 {
-                continue;
-            }
-            let mark = st.trail.len();
-            if self.propagate_trail(st, v, j) {
-                st.assignment[v] = Some(j);
-                match self.search_trail(order, st, start, deadline_s, node_limit, control) {
-                    Some(true) => return Some(true),
-                    Some(false) => {
-                        st.assignment[v] = None;
-                        st.undo(mark);
+        // Ranks are the value order: walk the live bits upwards.
+        for w in 0..self.words {
+            let mut live = st.live(v, w);
+            while live != 0 {
+                let bit = live & live.wrapping_neg();
+                live ^= bit;
+                let j = (w * 64) as u32 + bit.trailing_zeros();
+                let mark = st.trail.len();
+                st.taken[w] |= bit;
+                if self.propagate_trail(st, v, j) {
+                    st.assignment[v] = Some(j);
+                    match self.search_trail(st, start, deadline_s, node_limit, control) {
+                        Some(true) => return Some(true),
+                        Some(false) => st.assignment[v] = None,
+                        None => return None,
                     }
-                    None => return None,
                 }
-            } else {
+                st.taken[w] ^= bit;
                 st.undo(mark);
             }
         }
         Some(false)
     }
 
-    /// Applies the consequences of assigning instance `j` to node `v` on
-    /// the trail: alldifferent, domain fixing, and adjacency forward
-    /// checking. Returns `false` on a detected wipeout (caller undoes).
+    /// Forward-checks adjacency after assigning rank `j` (already marked
+    /// taken) to node `v`. Returns `false` on a detected wipeout (caller
+    /// undoes).
     fn propagate_trail(&self, st: &mut TrailState, v: usize, j: u32) -> bool {
-        let (jw, jbit) = (j as usize / 64, 1u64 << (j % 64));
-        // alldifferent: j is taken.
-        for u in 0..self.n {
-            if u != v && st.assignment[u].is_none() {
-                let cur = st.domains[st.slot(u, jw)];
-                if cur & jbit != 0 {
-                    st.write(u, jw, cur & !jbit);
-                }
-            }
-        }
-        // Fix v's domain to {j}.
-        for w in 0..self.words {
-            let desired = if w == jw { jbit } else { 0 };
-            st.write(v, w, desired);
-        }
-        // Adjacency forward checking.
-        for &u in &self.out_adj[v] {
-            match st.assignment[u] {
-                None => {
-                    if !self.intersect_row(st, u, &self.row_out[j as usize]) {
-                        return false;
-                    }
-                }
-                Some(a) => {
-                    if !bit_test(&self.row_out[j as usize], a) {
-                        return false;
-                    }
-                }
-            }
-        }
-        for &u in &self.in_adj[v] {
-            match st.assignment[u] {
-                None => {
-                    if !self.intersect_row(st, u, &self.row_in[j as usize]) {
-                        return false;
-                    }
-                }
-                Some(a) => {
-                    if !bit_test(&self.row_in[j as usize], a) {
-                        return false;
-                    }
+        for (adj, rows) in [(&self.out_adj[v], &self.row_out), (&self.in_adj[v], &self.row_in)] {
+            let row = &rows[j as usize];
+            for &u in adj {
+                let ok = match st.assignment[u] {
+                    None => st.intersect_row(u, row),
+                    Some(a) => bit_test(row, a),
+                };
+                if !ok {
+                    return false;
                 }
             }
         }
         true
     }
 
-    /// Intersects `u`'s domain with an adjacency row on the trail; `false`
-    /// if the domain wiped out.
-    #[inline]
-    fn intersect_row(&self, st: &mut TrailState, u: usize, row: &[u64]) -> bool {
-        for (w, &rw) in row.iter().enumerate() {
-            let cur = st.domains[st.slot(u, w)];
-            let next = cur & rw;
-            if next != cur {
-                st.write(u, w, next);
-            }
-        }
-        st.sizes[u] != 0
-    }
-
     /// Copy-domains-per-node search (the original implementation). Returns
     /// Some(true) on SAT (assignment filled in), Some(false) on UNSAT,
     /// None on timeout/cancellation.
-    #[allow(clippy::too_many_arguments)]
     fn search_clone(
         &mut self,
-        order: &[u32],
         domains: &mut [Vec<u64>],
         assignment: &mut Vec<Option<u32>>,
         start: Instant,
@@ -665,8 +637,8 @@ impl SipSearch {
             return None;
         }
 
-        // Iterate candidate instances in the static value order.
-        for &j in order {
+        // Iterate candidate ranks in the value order.
+        for j in 0..self.m as u32 {
             let (w, bit) = (j as usize / 64, 1u64 << (j % 64));
             if domains[v][w] & bit == 0 {
                 continue;
@@ -711,9 +683,9 @@ impl SipSearch {
             }
             if ok {
                 assignment[v] = Some(j);
-                match self.search_clone(
-                    order, &mut next, assignment, start, deadline_s, node_limit, control,
-                ) {
+                match self
+                    .search_clone(&mut next, assignment, start, deadline_s, node_limit, control)
+                {
                     Some(true) => return Some(true),
                     Some(false) => {
                         assignment[v] = None;
@@ -723,10 +695,6 @@ impl SipSearch {
             }
         }
         Some(false)
-    }
-
-    fn pattern_degree(&self, v: usize) -> usize {
-        self.out_adj[v].len() + self.in_adj[v].len()
     }
 }
 
@@ -1058,5 +1026,125 @@ mod tests {
         assert!(out.cost <= opt.cost + 1e-12);
         let (_, shared_cost) = control.best().expect("control retains an incumbent");
         assert!((shared_cost - out.cost).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_dark_link_is_not_a_threshold_and_not_a_cluster() {
+        // One +∞ pair on m = 12 under the default clustered rounding: the
+        // clustering must skip it, the threshold list must not hold it,
+        // and the plan must avoid it.
+        let base = random_costs(12, 0);
+        let dark = |i, j| matches!((i, j), (2, 7) | (7, 2));
+        let costs =
+            Costs::from_fn(12, |i, j| if dark(i, j) { f64::INFINITY } else { base.get(i, j) });
+        let p = NodeDeployment::new(9, grid_edges(3, 3), costs);
+        let out = solve_llndp_cp(
+            &p,
+            &CpConfig { clusters: Some(5), budget: Budget::seconds(30.0), ..Default::default() },
+        );
+        assert!(p.is_valid(&out.deployment));
+        assert!(out.cost.is_finite(), "cost {}", out.cost);
+        assert_eq!(out.cost, p.longest_link(&out.deployment));
+    }
+
+    /// `(seed, clusters, explored, cost bits, deployment)` of default-trail
+    /// CP runs on the `batch_paper` shape — a bidirectional 10×10 mesh over
+    /// m = 110 instances of an EC2-like cloud, `Budget::nodes(50_000)`; the
+    /// coarse k = 3 run ends in a proof — recorded before the trail backend
+    /// went lazy and rank-labelled.
+    #[allow(clippy::type_complexity)]
+    const GOLDEN_TREES: [(u64, usize, u64, u64, &[u32]); 5] = [
+        (
+            1,
+            20,
+            50000,
+            0x3fdfa3052cfbd2c6,
+            &[
+                59, 54, 53, 4, 26, 25, 22, 14, 34, 62, 45, 102, 23, 64, 97, 52, 98, 24, 82, 92, 57,
+                100, 73, 96, 81, 17, 76, 41, 2, 30, 63, 13, 103, 72, 91, 105, 35, 94, 28, 38, 48,
+                15, 93, 43, 0, 11, 42, 74, 83, 68, 90, 7, 36, 84, 3, 95, 40, 6, 80, 10, 70, 20, 19,
+                78, 86, 33, 66, 58, 12, 50, 51, 99, 75, 47, 55, 69, 18, 77, 108, 8, 21, 61, 107,
+                104, 106, 27, 44, 1, 89, 5, 60, 32, 49, 37, 16, 31, 87, 79, 29, 88,
+            ],
+        ),
+        (
+            2,
+            20,
+            50000,
+            0x3fe1f8b1c78f40ac,
+            &[
+                91, 90, 72, 8, 83, 9, 38, 4, 69, 71, 102, 44, 87, 14, 95, 22, 75, 17, 21, 3, 0, 45,
+                77, 33, 23, 52, 74, 82, 51, 24, 81, 56, 30, 1, 36, 63, 26, 66, 16, 13, 11, 12, 40,
+                99, 106, 104, 97, 42, 60, 55, 10, 92, 57, 47, 67, 89, 2, 85, 58, 101, 86, 31, 61,
+                59, 93, 96, 7, 76, 41, 103, 49, 6, 100, 62, 15, 27, 84, 94, 70, 20, 54, 34, 18, 53,
+                108, 46, 28, 80, 25, 73, 37, 35, 5, 68, 29, 64, 105, 98, 50, 48,
+            ],
+        ),
+        (
+            3,
+            20,
+            50000,
+            0x3fdd198b566187c2,
+            &[
+                38, 83, 75, 21, 64, 72, 108, 97, 55, 68, 27, 91, 70, 19, 17, 48, 34, 8, 3, 69, 4,
+                53, 102, 50, 51, 92, 20, 16, 6, 24, 89, 95, 82, 71, 58, 94, 23, 18, 41, 77, 28, 33,
+                25, 93, 31, 103, 79, 26, 36, 44, 87, 60, 84, 100, 11, 105, 49, 45, 59, 66, 2, 12,
+                13, 99, 104, 81, 96, 29, 35, 86, 52, 46, 32, 39, 80, 65, 54, 101, 1, 62, 37, 43,
+                109, 14, 0, 10, 56, 22, 74, 63, 40, 76, 47, 106, 5, 73, 57, 42, 61, 9,
+            ],
+        ),
+        (
+            4,
+            20,
+            50000,
+            0x3fdd190c57531da2,
+            &[
+                39, 97, 25, 103, 37, 57, 19, 32, 76, 75, 40, 43, 90, 45, 100, 52, 12, 54, 93, 56,
+                95, 46, 96, 42, 9, 41, 107, 26, 84, 55, 108, 22, 16, 23, 48, 59, 104, 65, 0, 73,
+                20, 44, 1, 77, 72, 92, 82, 60, 8, 102, 69, 91, 35, 78, 58, 11, 74, 87, 13, 15, 51,
+                47, 38, 63, 85, 50, 88, 49, 86, 31, 101, 6, 68, 71, 14, 89, 99, 64, 83, 2, 18, 3,
+                98, 5, 67, 10, 28, 79, 81, 24, 105, 21, 70, 27, 36, 33, 17, 61, 7, 106,
+            ],
+        ),
+        (
+            1,
+            3,
+            1362,
+            0x3fdf086b6bc2a0d7,
+            &[
+                19, 34, 86, 11, 74, 12, 43, 14, 83, 10, 7, 23, 81, 4, 73, 97, 100, 25, 3, 62, 91,
+                102, 76, 64, 96, 17, 52, 105, 0, 48, 15, 54, 24, 98, 22, 53, 26, 28, 2, 70, 80, 82,
+                93, 94, 35, 103, 72, 13, 41, 16, 58, 20, 84, 78, 42, 95, 99, 36, 33, 38, 27, 6, 88,
+                18, 44, 47, 40, 77, 108, 51, 69, 31, 87, 106, 1, 104, 8, 66, 107, 29, 55, 5, 59,
+                89, 61, 37, 92, 50, 30, 57, 101, 75, 68, 90, 21, 49, 79, 60, 45, 63,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn search_trees_match_the_recorded_golden_runs() {
+        // Trail == clone cannot see a change both backends share (the
+        // value order, the rank relabelling), so pin the tree itself.
+        use cloudia_netsim::{Cloud, Provider};
+        for (seed, clusters, explored, cost_bits, deployment) in GOLDEN_TREES {
+            let mut cloud = Cloud::boot(Provider::ec2_like(), seed);
+            let alloc = cloud.allocate(110);
+            let costs = cloud.network(&alloc).mean_matrix();
+            let mut edges = grid_edges(10, 10);
+            edges.extend(grid_edges(10, 10).into_iter().map(|(a, b)| (b, a)));
+            let p = NodeDeployment::new(100, edges, costs);
+            let out = solve_llndp_cp(
+                &p,
+                &CpConfig {
+                    budget: Budget::nodes(50_000),
+                    clusters: Some(clusters),
+                    seed,
+                    ..CpConfig::default()
+                },
+            );
+            assert_eq!(out.explored, explored, "seed {seed}, k {clusters}");
+            assert_eq!(out.deployment, deployment, "seed {seed}, k {clusters}");
+            assert_eq!(out.cost.to_bits(), cost_bits, "seed {seed}, k {clusters}");
+        }
     }
 }

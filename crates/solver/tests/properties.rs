@@ -154,15 +154,41 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(50))]
 
     #[test]
-    fn trail_cp_matches_clone_cp_on_random_instances(costs in costs_strategy(8), seed in 0u64..1000) {
+    fn trail_cp_matches_clone_cp_on_random_instances(
+        costs in costs_strategy(8),
+        seed in 0u64..1000,
+        pins in proptest::collection::vec(0u32..24, 6),
+        lists in proptest::collection::vec(proptest::collection::vec(0u32..8, 1..6), 6),
+        restrict in 0u32..2,
+    ) {
         // 50 random instances: the trail-based backend must reproduce the
-        // clone-based backend's cost (and tree size) exactly.
+        // clone-based backend's cost (and tree size) exactly — with and
+        // without pins and candidate lists.
         let p = NodeDeployment::new(6, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)], costs);
+        // A pin below 8 fixes its node (an instance is pinned at most once).
+        let mut fixed: Vec<Option<u32>> = vec![None; 6];
+        for (v, &j) in pins.iter().enumerate() {
+            if j < 8 && !fixed.contains(&Some(j)) {
+                fixed[v] = Some(j);
+            }
+        }
+        // Every pinned instance is also a candidate of the next node, so
+        // another node may take it: the trail's lazy `taken` mask then has
+        // to empty the pinned node's live domain.
+        let candidates = (restrict == 1).then(|| {
+            let mut lists = lists;
+            for (v, j) in fixed.iter().enumerate() {
+                lists[(v + 1) % 6].extend(*j);
+            }
+            lists
+        });
         let config = |propagation| CpConfig {
             clusters: None,
             quantum: 0.0,
             seed,
             budget: Budget::seconds(30.0),
+            fixed: Some(fixed.clone()),
+            candidates: candidates.clone(),
             propagation,
             ..CpConfig::default()
         };
