@@ -12,29 +12,30 @@
 //! `run_onto` is now exactly that thin wrapper — so callers that do not
 //! care about streaming see no change.
 //!
-//! Streaming exists for one reason: **mid-sweep pruning**. A caller that
-//! can already tell from the partial quantiles that a pair will never
-//! matter (its endpoints sit outside every node's candidate pool) can
-//! drop that pair's remaining probes while the sweep is still in flight
-//! via [`SweepDriver::retain_pairs`]. The [`PruneRule`] trait packages
-//! that decision, and [`run_pruned`] is the standard loop: evaluate the
-//! rule between stages, drop what it condemns, keep stepping
+//! Streaming exists for one reason: **mid-sweep pruning**, and only stage
+//! schedules ([`crate::Staged`], [`crate::FocusedScheme`]) can be pruned.
+//! A caller that can already tell from the partial quantiles that a pair
+//! will never matter (its endpoints sit outside every node's candidate
+//! pool) can drop that pair's remaining probes while the sweep is still
+//! in flight via [`SweepDriver::retain_pairs`]. The [`PruneRule`] trait
+//! packages that decision, and [`run_pruned`] is the standard loop:
+//! evaluate the rule between stages, drop what it condemns, keep stepping
 //! ([`run_anytime`] adds a [`StopRule`] to the same loop). Rules must
 //! never condemn incumbent/pinned/deployed pairs — the concrete rule in
 //! `cloudia-solver` (`CandidatePruneRule`) enforces this with an explicit
 //! protected set.
+//!
+//! The two discrete-event schemes ([`crate::TokenPassing`],
+//! [`crate::Uncoordinated`]) can be stepped and inspected but not pruned:
+//! their drivers keep the schedule methods' defaults — nothing remaining,
+//! nothing to drop — so the rule loop never evaluates a rule on them and
+//! is exactly [`Scheme::run_onto`].
 
 use cloudia_netsim::Network;
 
 use crate::pairset::PairSet;
 use crate::scheme::{MeasureConfig, MeasurementReport, Scheme};
 use crate::stats::PairwiseStats;
-
-/// Canonical unordered-pair key `(low, high)` — how the drivers that
-/// list pairs by key (token, uncoordinated) spell one.
-pub(crate) fn norm_pair(a: u32, b: u32) -> (u32, u32) {
-    (a.min(b), a.max(b))
-}
 
 /// A resumable, stage-granular execution of one measurement run.
 ///
@@ -45,10 +46,12 @@ pub(crate) fn norm_pair(a: u32, b: u32) -> (u32, u32) {
 /// [`SweepDriver::finish`] produces the same [`MeasurementReport`] as
 /// [`Scheme::run_onto`] — interrupting, inspecting, and resuming never
 /// changes the measurement.
+///
+/// The three schedule methods ([`SweepDriver::remaining_pairs`],
+/// [`SweepDriver::planned_remaining`], [`SweepDriver::retain_pairs`])
+/// default to "nothing to prune"; only the stage schedules' driver
+/// overrides them.
 pub trait SweepDriver {
-    /// Short identifier of the scheme being driven.
-    fn scheme_name(&self) -> &'static str;
-
     /// Executes the next stage. Returns `false` once the schedule is
     /// exhausted or the configured duration limit has been reached (the
     /// driver is then permanently done; further calls keep returning
@@ -66,19 +69,27 @@ pub trait SweepDriver {
 
     /// The distinct unordered pairs still scheduled for future stages
     /// (pairs already dropped by [`SweepDriver::retain_pairs`] excluded).
-    fn remaining_pairs(&self) -> Vec<(u32, u32)>;
+    /// Default: none — the schedule cannot be pruned.
+    fn remaining_pairs(&self) -> Vec<(u32, u32)> {
+        Vec::new()
+    }
 
-    /// Estimated round trips the remaining schedule will spend, ignoring
-    /// any duration limit (an upper bound for schemes with randomized
-    /// destinations).
-    fn planned_remaining(&self) -> u64;
+    /// Round trips the remaining schedule will spend, ignoring any
+    /// duration limit. Default: 0, matching the empty
+    /// [`SweepDriver::remaining_pairs`].
+    fn planned_remaining(&self) -> u64 {
+        0
+    }
 
     /// Drops the future probes of every remaining pair for which `keep`
     /// returns `false`. Stages already executed are unaffected; a stage
     /// emptied entirely is skipped without paying its coordination
-    /// round. Returns the estimated round trips saved
-    /// (`planned_remaining` before − after).
-    fn retain_pairs(&mut self, keep: &mut dyn FnMut(u32, u32) -> bool) -> u64;
+    /// round. Returns the round trips saved (`planned_remaining` before −
+    /// after). Default: drops nothing and saves 0.
+    fn retain_pairs(&mut self, keep: &mut dyn FnMut(u32, u32) -> bool) -> u64 {
+        let _ = keep;
+        0
+    }
 
     /// Consumes the driver into the final report. Valid at any point —
     /// an interrupted run reports whatever it measured.
@@ -114,7 +125,8 @@ pub struct PrunedReport {
 
 /// Drives `scheme` to completion over `net`, evaluating `rule` between
 /// stages and dropping whatever it condemns. With a rule that never
-/// condemns anything this is bit-identical to [`Scheme::run_onto`].
+/// condemns anything — or a scheme whose schedule cannot be pruned —
+/// this is bit-identical to [`Scheme::run_onto`].
 pub fn run_pruned<S: Scheme + ?Sized>(
     scheme: &S,
     net: &Network,
@@ -190,11 +202,13 @@ pub fn run_anytime<S: Scheme + ?Sized>(
 /// The one between-stage loop behind [`run_pruned`] and [`run_anytime`]
 /// (and, with neither rule, [`Scheme::run_onto`] — the driver is stepped
 /// to completion and the schedule is never inspected). Before every stage
-/// with samples on record, `stop` is consulted first — once it fires, all
-/// remaining pairs except its [`StopRule::must_keep`] ones are dropped and
-/// no rule is evaluated again — and otherwise `rule`'s condemned pairs are
-/// dropped. Callers holding the rules as options (the online stream's
-/// epoch entry) call this directly.
+/// with samples on record and pairs still scheduled, `stop` is consulted
+/// first — once it fires, all remaining pairs except its
+/// [`StopRule::must_keep`] ones are dropped and no rule is evaluated
+/// again — and otherwise `rule`'s condemned pairs are dropped. A driver
+/// that never reports remaining pairs (token, uncoordinated) therefore
+/// never has a rule evaluated. Callers holding the rules as options (the
+/// online stream's epoch entry) call this directly.
 pub fn run_with_rules<S: Scheme + ?Sized>(
     scheme: &S,
     net: &Network,
@@ -269,6 +283,7 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
 /// round between stages. This is the single home of the sweep loop the
 /// two schemes used to duplicate.
 pub(crate) struct StageDriver<'n> {
+    /// The scheme's name, as the `sweep.run` span reports it.
     name: &'static str,
     net: &'n Network,
     cfg: MeasureConfig,
@@ -400,10 +415,6 @@ impl<'n> StageDriver<'n> {
 }
 
 impl SweepDriver for StageDriver<'_> {
-    fn scheme_name(&self) -> &'static str {
-        self.name
-    }
-
     fn step(&mut self) -> bool {
         if self.done {
             return false;
@@ -530,12 +541,7 @@ impl SweepDriver for StageDriver<'_> {
     }
 
     fn finish(self: Box<Self>) -> MeasurementReport {
-        MeasurementReport {
-            scheme: self.name,
-            elapsed_ms: self.now,
-            round_trips: self.round_trips,
-            stats: self.stats,
-        }
+        MeasurementReport { elapsed_ms: self.now, round_trips: self.round_trips, stats: self.stats }
     }
 }
 
@@ -699,13 +705,7 @@ mod tests {
         let cfg = MeasureConfig::default();
         for (n, sweeps) in [(6usize, 1usize), (7, 2), (8, 3)] {
             let net = network(n, n as u64);
-            let rounds = (n + n % 2) - 1;
-            let staged: Vec<Vec<(u32, u32, usize)>> = (0..rounds)
-                .map(|r| {
-                    let pairs = Staged::circle_pairs(n, r).into_iter();
-                    pairs.map(|(a, b)| (a as u32, b as u32, 2)).collect()
-                })
-                .collect();
+            let staged = Staged::tournament(n, |a, b| (a, b, 2));
             let mut plan = ProbePlan::new(n);
             plan.add_clique(&[0, 1, 2, 4]);
             plan.add_pair(3, 5);
@@ -737,12 +737,7 @@ mod tests {
         let n = 6;
         let net = with_instance_zero_dark(network(n, 9));
         let cfg = MeasureConfig::default();
-        let stages: Vec<Vec<(u32, u32, usize)>> = (0..n - 1)
-            .map(|r| {
-                let pairs = Staged::circle_pairs(n, r).into_iter();
-                pairs.map(|(a, b)| (a as u32, b as u32, 2)).collect()
-            })
-            .collect();
+        let stages = Staged::tournament(n, |a, b| (a, b, 2));
         let driver =
             || StageDriver::new("t", &net, &cfg, PairwiseStats::new(n), stages.clone(), 3, 0.3);
         // The strike happens: instance 0's first-stage pair leaves the
@@ -832,7 +827,44 @@ mod tests {
             true
         }
         fn must_keep(&self, a: u32, b: u32) -> bool {
-            norm_pair(a, b) == norm_pair(self.0, self.1)
+            (a, b) == (self.0, self.1) || (b, a) == (self.0, self.1)
+        }
+    }
+
+    #[test]
+    fn engine_schemes_ignore_prune_and_stop_rules() {
+        // Token passing and uncoordinated keep the schedule defaults, so
+        // neither a condemn-everything rule nor an always-stable stop
+        // changes one draw: the report is `run_onto`'s, bit for bit.
+        let net = network(6, 6);
+        let cfg = MeasureConfig { seed: 3, ..MeasureConfig::default() };
+        let schemes: [Box<dyn Scheme>; 2] =
+            [Box::new(crate::TokenPassing::new(3)), Box::new(crate::Uncoordinated::new(20))];
+        for scheme in &schemes {
+            let batch = scheme.run(&net, &cfg);
+            let stop = StopKeeping(0, 1);
+            for stop in [None, Some(&stop as &dyn StopRule)] {
+                let ruled = run_with_rules(
+                    &**scheme,
+                    &net,
+                    &cfg,
+                    PairwiseStats::new(6),
+                    Some(&DropAll),
+                    stop,
+                );
+                let name = scheme.name();
+                assert_eq!((ruled.dropped_pairs, ruled.saved_round_trips), (0, 0), "{name}");
+                assert!(!ruled.stopped_early, "{name}");
+                let report = ruled.report;
+                assert_eq!(report.round_trips, batch.round_trips, "{name}");
+                assert_eq!(report.elapsed_ms.to_bits(), batch.elapsed_ms.to_bits(), "{name}");
+                assert_eq!(report.stats.mean_vector(), batch.stats.mean_vector(), "{name}");
+                for (i, j) in (0..6).flat_map(|i| (0..6).map(move |j| (i, j))) {
+                    let (got, want) = (report.stats.link(i, j), batch.stats.link(i, j));
+                    assert_eq!(got.count(), want.count(), "{name}: link ({i},{j})");
+                    assert_eq!(got.attempts(), want.attempts(), "{name}: link ({i},{j})");
+                }
+            }
         }
     }
 

@@ -134,15 +134,7 @@ impl ProbePlan {
     /// stages for a K-clique.
     pub fn stages(&self) -> Vec<Vec<(u32, u32)>> {
         if self.is_full() && self.n >= 2 {
-            let rounds = (self.n + self.n % 2) - 1;
-            return (0..rounds)
-                .map(|r| {
-                    Staged::circle_pairs(self.n, r)
-                        .into_iter()
-                        .map(|(a, b)| (a as u32, b as u32))
-                        .collect()
-                })
-                .collect();
+            return Staged::tournament(self.n, |a, b| (a, b));
         }
         let mut remaining: Vec<(u32, u32)> = self.pairs.iter().copied().collect();
         let mut stages = Vec::new();

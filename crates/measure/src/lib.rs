@@ -22,10 +22,13 @@
 //! ([`driver`]): [`Scheme::driver`] returns a resumable [`SweepDriver`]
 //! whose stages can be stepped one at a time with the partial statistics
 //! inspectable in between, and [`Scheme::run_onto`] is a thin
-//! drive-to-completion wrapper over it. A [`PruneRule`] evaluated between
-//! stages ([`run_pruned`]) can drop pairs mid-sweep once their measured
-//! quantiles prove them irrelevant — the tournament shrinks while it is
-//! still in flight.
+//! drive-to-completion wrapper over it. Streaming and pruning are for the
+//! stage schedules ([`Staged`], [`FocusedScheme`]): a [`PruneRule`]
+//! evaluated between stages ([`run_pruned`]) can drop pairs mid-sweep once
+//! their measured quantiles prove them irrelevant — the tournament shrinks
+//! while it is still in flight. The engine schemes ([`TokenPassing`],
+//! [`Uncoordinated`], which serve the Fig. 4 comparison) can be stepped
+//! but not pruned; the rule loop leaves them exactly [`Scheme::run_onto`].
 //!
 //! Per-link summaries (mean via Welford, p99 via the P² algorithm) feed the
 //! three cost metrics of §3.2. [`approx`] holds the Appendix-2 IP-distance

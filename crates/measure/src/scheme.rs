@@ -75,8 +75,6 @@ impl Default for MeasureConfig {
 /// The result of one measurement run.
 #[derive(Debug, Clone)]
 pub struct MeasurementReport {
-    /// Which scheme produced this report.
-    pub scheme: &'static str,
     /// Per-link online summaries.
     pub stats: PairwiseStats,
     /// Total simulated time the measurement occupied (ms).

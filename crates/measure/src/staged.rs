@@ -69,6 +69,21 @@ impl Staged {
         }
         pairs
     }
+
+    /// The full round-robin tournament over `n` instances: one stage per
+    /// circle-method round ([`Staged::circle_pairs`]), each pair `(a, b)`
+    /// (`a < b`) mapped through `pair`. The circle method meets every
+    /// unordered pair in exactly one round, which is the
+    /// one-stage-per-pair invariant the stage driver checks.
+    pub(crate) fn tournament<T>(n: usize, pair: impl Fn(u32, u32) -> T) -> Vec<Vec<T>> {
+        let rounds = (n + n % 2) - 1;
+        (0..rounds)
+            .map(|r| {
+                let round = Self::circle_pairs(n, r).into_iter();
+                round.map(|(a, b)| pair(a as u32, b as u32)).collect()
+            })
+            .collect()
+    }
 }
 
 impl Scheme for Staged {
@@ -84,19 +99,9 @@ impl Scheme for Staged {
     ) -> Box<dyn SweepDriver + 'n> {
         let n = net.len();
         assert!(n >= 2, "need at least two instances to measure");
-        // The round-robin tournament: one stage per circle-method round,
-        // every pair sampled `ks` times per stage. The circle method meets
-        // each unordered pair in exactly one round, which is the
-        // one-stage-per-pair invariant `StageDriver::new` checks.
-        let rounds = (n + (n % 2)) - 1;
-        let stages = (0..rounds)
-            .map(|r| {
-                Self::circle_pairs(n, r)
-                    .into_iter()
-                    .map(|(a, b)| (a as u32, b as u32, self.ks))
-                    .collect()
-            })
-            .collect();
+        // The round-robin tournament, every pair sampled `ks` times per
+        // stage.
+        let stages = Self::tournament(n, |a, b| (a, b, self.ks));
         Box::new(StageDriver::new(
             "staged",
             net,

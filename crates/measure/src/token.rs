@@ -8,12 +8,9 @@
 //! time is proportional to the number of samples collected, which does not
 //! scale.
 
-use std::collections::HashMap;
-
 use cloudia_netsim::{InstanceId, MessageSpec, Network};
 
-use crate::driver::{norm_pair, SweepDriver};
-use crate::pairset::PairSet;
+use crate::driver::SweepDriver;
 use crate::scheme::{MeasureConfig, MeasurementReport, Scheme, KIND_PROBE, KIND_REPLY, KIND_TOKEN};
 use crate::stats::PairwiseStats;
 
@@ -50,10 +47,9 @@ impl Scheme for TokenPassing {
 
 /// Streaming driver of the token-passing scheme: one
 /// [`SweepDriver::step`] circulates the token once around the ring
-/// (`n` visits), so a caller can inspect or prune between circulations.
-/// Pruned visits skip the whole visit — probe, reply, *and* token
-/// handoff — modelling the coordinator striking the pair off the
-/// schedule it hands the token around with.
+/// (`n` visits), so a caller can inspect the partial statistics between
+/// circulations. The schedule cannot be pruned: the driver keeps the
+/// [`SweepDriver`] schedule defaults.
 struct TokenDriver<'n> {
     engine: cloudia_netsim::Engine<'n>,
     cfg: MeasureConfig,
@@ -64,12 +60,6 @@ struct TokenDriver<'n> {
     cursor: Vec<usize>,
     visit: usize,
     total_visits: usize,
-    /// Remaining visit count per unordered pair, decremented as the
-    /// schedule executes (pruned or not — skipped visits still consume
-    /// their cursor slot), so scheduling queries cost O(pairs) instead
-    /// of re-simulating the whole rotation.
-    visits_left: HashMap<(u32, u32), u64>,
-    pruned: PairSet,
     round_trips: u64,
     done: bool,
 }
@@ -84,16 +74,6 @@ impl<'n> TokenDriver<'n> {
         let n = net.len();
         assert!(n >= 2, "need at least two instances to measure");
         assert_eq!(stats.len(), n, "stats sized for {} instances, network has {n}", stats.len());
-        let total_visits = n * (n - 1) * samples_per_pair;
-        // Tally the schedule once: every ordered pair is visited
-        // `samples_per_pair` times, so each unordered pair gets twice
-        // that many visits.
-        let mut visits_left = HashMap::with_capacity(n * (n - 1) / 2);
-        for a in 0..n as u32 {
-            for b in a + 1..n as u32 {
-                visits_left.insert((a, b), 2 * samples_per_pair as u64);
-            }
-        }
         let mut engine = net.engine(cfg.nic, cfg.seed);
         engine.set_timeout_ms(cfg.timeout_ms);
         Self {
@@ -103,9 +83,7 @@ impl<'n> TokenDriver<'n> {
             n,
             cursor: vec![0usize; n],
             visit: 0,
-            total_visits,
-            visits_left,
-            pruned: PairSet::new(),
+            total_visits: n * (n - 1) * samples_per_pair,
             round_trips: 0,
             done: false,
         }
@@ -113,10 +91,6 @@ impl<'n> TokenDriver<'n> {
 }
 
 impl SweepDriver for TokenDriver<'_> {
-    fn scheme_name(&self) -> &'static str {
-        "token"
-    }
-
     fn step(&mut self) -> bool {
         if self.done || self.visit >= self.total_visits {
             self.done = true;
@@ -141,13 +115,6 @@ impl SweepDriver for TokenDriver<'_> {
                 }
             }
             self.visit += 1;
-            let pair = norm_pair(holder as u32, dst as u32);
-            if let Some(left) = self.visits_left.get_mut(&pair) {
-                *left -= 1;
-            }
-            if self.pruned.contains(pair.0, pair.1) {
-                continue;
-            }
 
             // Probe and wait for the reply — strictly serial, so the
             // next delivery is always ours, lost or not. A timeout
@@ -238,50 +205,8 @@ impl SweepDriver for TokenDriver<'_> {
         self.engine.now()
     }
 
-    fn remaining_pairs(&self) -> Vec<(u32, u32)> {
-        if self.done {
-            return Vec::new();
-        }
-        let mut out: Vec<(u32, u32)> = self
-            .visits_left
-            .iter()
-            .filter(|&(&(a, b), &left)| left > 0 && !self.pruned.contains(a, b))
-            .map(|(&pair, _)| pair)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    fn planned_remaining(&self) -> u64 {
-        if self.done {
-            return 0;
-        }
-        self.visits_left
-            .iter()
-            .filter(|(&(a, b), _)| !self.pruned.contains(a, b))
-            .map(|(_, &left)| left)
-            .sum()
-    }
-
-    fn retain_pairs(&mut self, keep: &mut dyn FnMut(u32, u32) -> bool) -> u64 {
-        // Every future visit of a newly condemned pair is a saved round
-        // trip.
-        if self.done {
-            return 0;
-        }
-        let mut saved = 0u64;
-        for (&(a, b), &left) in &self.visits_left {
-            if left > 0 && !self.pruned.contains(a, b) && !keep(a, b) {
-                self.pruned.insert(a, b);
-                saved += left;
-            }
-        }
-        saved
-    }
-
     fn finish(self: Box<Self>) -> MeasurementReport {
         MeasurementReport {
-            scheme: "token",
             elapsed_ms: self.engine.now(),
             round_trips: self.round_trips,
             stats: self.stats,

@@ -13,8 +13,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use cloudia_netsim::{InstanceId, MessageSpec, Network};
 
-use crate::driver::{norm_pair, SweepDriver};
-use crate::pairset::PairSet;
+use crate::driver::SweepDriver;
 use crate::scheme::{MeasureConfig, MeasurementReport, Scheme, KIND_PROBE, KIND_REPLY};
 use crate::stats::PairwiseStats;
 
@@ -54,9 +53,9 @@ impl Scheme for Uncoordinated {
 /// flight — so one [`SweepDriver::step`] drains the delivery queue until
 /// `n` further round trips have completed (or nothing is left in
 /// flight), giving callers a natural between-batches point to inspect
-/// partial statistics. Pruned pairs are skipped by the destination draw;
-/// an instance whose every destination is pruned stops probing and
-/// forfeits its remaining budget.
+/// partial statistics. Destinations are drawn at random, so there is no
+/// schedule to prune: the driver keeps the [`SweepDriver`] schedule
+/// defaults.
 struct UncoordinatedDriver<'n> {
     engine: cloudia_netsim::Engine<'n>,
     cfg: MeasureConfig,
@@ -73,7 +72,6 @@ struct UncoordinatedDriver<'n> {
     /// `cfg.retries_per_pair` on every fresh destination draw, burned
     /// by timeouts. When it runs out the launch is simply consumed.
     retry_left: Vec<u32>,
-    pruned: PairSet,
     round_trips: u64,
 }
 
@@ -100,7 +98,6 @@ impl<'n> UncoordinatedDriver<'n> {
             probe_dst: vec![0usize; n],
             issued: vec![0usize; n],
             retry_left: vec![0u32; n],
-            pruned: PairSet::new(),
             round_trips: 0,
         };
         // Everyone starts probing at t = 0 — the defining property of the
@@ -112,16 +109,9 @@ impl<'n> UncoordinatedDriver<'n> {
     }
 
     fn launch(&mut self, src: usize) {
-        // With pruning active the destination draw skips pruned pairs
-        // (the empty-set check keeps the draw sequence bit-identical to
-        // the unpruned path); when every destination of `src` is pruned
-        // the remaining budget is forfeited.
-        if !self.pruned.is_empty() && (0..self.n).all(|d| d == src || self.is_pruned(src, d)) {
-            return;
-        }
         let dst = loop {
             let d = self.rng.random_range(0..self.n);
-            if d != src && !self.is_pruned(src, d) {
+            if d != src {
                 break d;
             }
         };
@@ -129,10 +119,6 @@ impl<'n> UncoordinatedDriver<'n> {
         self.issued[src] += 1;
         self.retry_left[src] = self.cfg.retries_per_pair;
         self.send_probe(src);
-    }
-
-    fn is_pruned(&self, a: usize, b: usize) -> bool {
-        self.pruned.contains(a as u32, b as u32)
     }
 
     /// Issues (or re-issues) the probe of `src`'s current launch to the
@@ -151,10 +137,6 @@ impl<'n> UncoordinatedDriver<'n> {
 }
 
 impl SweepDriver for UncoordinatedDriver<'_> {
-    fn scheme_name(&self) -> &'static str {
-        "uncoordinated"
-    }
-
     fn step(&mut self) -> bool {
         let mut recorded = 0usize;
         let mut any = false;
@@ -222,50 +204,8 @@ impl SweepDriver for UncoordinatedDriver<'_> {
         self.engine.now()
     }
 
-    fn remaining_pairs(&self) -> Vec<(u32, u32)> {
-        // Destinations are drawn at random, so "still scheduled" means
-        // every unpruned pair one of the budget-holding instances could
-        // still draw.
-        let mut seen = PairSet::new();
-        let mut out = Vec::new();
-        for src in 0..self.n {
-            if self.issued[src] >= self.probes_per_instance {
-                continue;
-            }
-            for d in 0..self.n {
-                if d == src {
-                    continue;
-                }
-                if !self.is_pruned(src, d) && seen.insert(src as u32, d as u32) {
-                    out.push(norm_pair(src as u32, d as u32));
-                }
-            }
-        }
-        out
-    }
-
-    fn planned_remaining(&self) -> u64 {
-        (0..self.n)
-            .filter(|&src| (0..self.n).any(|d| d != src && !self.is_pruned(src, d)))
-            .map(|src| {
-                (self.probes_per_instance - self.issued[src].min(self.probes_per_instance)) as u64
-            })
-            .sum()
-    }
-
-    fn retain_pairs(&mut self, keep: &mut dyn FnMut(u32, u32) -> bool) -> u64 {
-        let before = self.planned_remaining();
-        for (a, b) in self.remaining_pairs() {
-            if !keep(a, b) {
-                self.pruned.insert(a, b);
-            }
-        }
-        before - self.planned_remaining()
-    }
-
     fn finish(self: Box<Self>) -> MeasurementReport {
         MeasurementReport {
-            scheme: "uncoordinated",
             elapsed_ms: self.engine.now(),
             round_trips: self.round_trips,
             stats: self.stats,

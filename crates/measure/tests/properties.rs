@@ -452,11 +452,11 @@ proptest! {
         let net = quiet_network(n, seed);
         let cfg = MeasureConfig { seed, ..MeasureConfig::default() };
         let reports = [
-            TokenPassing::new(1).run(&net, &cfg),
-            Staged::new(1, 2).run(&net, &cfg),
-            Uncoordinated::new(30 * (n - 1)).run(&net, &cfg),
+            ("token", TokenPassing::new(1).run(&net, &cfg)),
+            ("staged", Staged::new(1, 2).run(&net, &cfg)),
+            ("uncoordinated", Uncoordinated::new(30 * (n - 1)).run(&net, &cfg)),
         ];
-        for report in &reports {
+        for (scheme, report) in &reports {
             prop_assert!(report.round_trips > 0);
             prop_assert!(report.elapsed_ms > 0.0);
             for i in 0..n {
@@ -464,15 +464,15 @@ proptest! {
                     if i != j {
                         let l = report.stats.link(i, j);
                         if l.count() > 0 {
-                            prop_assert!(l.mean() > 0.0, "{}: link ({i},{j})", report.scheme);
+                            prop_assert!(l.mean() > 0.0, "{scheme}: link ({i},{j})");
                         }
                     }
                 }
             }
         }
         // Token and staged guarantee full coverage.
-        prop_assert_eq!(reports[0].stats.covered_links(), n * (n - 1));
-        prop_assert_eq!(reports[1].stats.covered_links(), n * (n - 1));
+        prop_assert_eq!(reports[0].1.stats.covered_links(), n * (n - 1));
+        prop_assert_eq!(reports[1].1.stats.covered_links(), n * (n - 1));
     }
 
     #[test]

@@ -336,15 +336,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                         let cp = parse_hex4(bytes, *pos + 1)?;
                         *pos += 4;
                         if (0xD800..0xDC00).contains(&cp) {
-                            // High surrogate: must be followed by \uXXXX low.
+                            // High surrogate: must be followed by a \uXXXX
+                            // low surrogate, DC00..=DFFF and nothing else.
                             if bytes.get(*pos + 1) == Some(&b'\\')
                                 && bytes.get(*pos + 2) == Some(&b'u')
                             {
                                 let low = parse_hex4(bytes, *pos + 3)?;
                                 *pos += 6;
-                                let combined = 0x10000
-                                    + ((cp - 0xD800) << 10)
-                                    + (low.wrapping_sub(0xDC00) & 0x3FF);
+                                if !(0xDC00..=0xDFFF).contains(&low) {
+                                    return Err(JsonError::at(*pos, "bad surrogate"));
+                                }
+                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
                                 out.push(
                                     char::from_u32(combined)
                                         .ok_or_else(|| JsonError::at(*pos, "bad surrogate"))?,
@@ -363,13 +365,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at(*pos, "invalid utf-8"))?;
-                let c = rest.chars().next().unwrap();
+            Some(&lead) => {
+                // Consume one UTF-8 scalar, validating only the width its
+                // leading byte gives, so a string parses in linear time.
+                let width = match lead {
+                    0x00..=0x7F => 1,
+                    0xC0..=0xDF => 2,
+                    0xE0..=0xEF => 3,
+                    _ => 4,
+                };
+                let c = bytes
+                    .get(*pos..*pos + width)
+                    .and_then(|scalar| std::str::from_utf8(scalar).ok())
+                    .and_then(|scalar| scalar.chars().next())
+                    .ok_or_else(|| JsonError::at(*pos, "invalid utf-8"))?;
                 out.push(c);
-                *pos += c.len_utf8();
+                *pos += width;
             }
         }
     }
@@ -487,6 +498,25 @@ mod tests {
         assert_eq!(v, Json::Str("aA\té".to_string()));
         let surrogate = Json::parse(r#""😀""#).unwrap();
         assert_eq!(surrogate, Json::Str("😀".to_string()));
+        let escaped = Json::parse(r#""\uD83D\uDE00 \uDBFF\uDFFF""#).unwrap();
+        assert_eq!(escaped, Json::Str("😀 \u{10ffff}".to_string()));
+    }
+
+    #[test]
+    fn a_high_surrogate_takes_only_a_low_surrogate() {
+        // A second escape outside DC00..=DFFF does not complete the pair.
+        for text in [r#""\uDBFF\uD800""#, r#""\uD83DA""#, r#""\uD83D\uE000""#] {
+            assert!(Json::parse(text).is_err(), "{text} parsed");
+        }
+        assert!(Json::parse(r#""\uDE00""#).is_err(), "lone low surrogate parsed");
+        assert!(Json::parse(r#""\uD83D""#).is_err(), "lone high surrogate parsed");
+    }
+
+    #[test]
+    fn long_multibyte_strings_decode_scalar_by_scalar() {
+        let text: String = "aé€😀".repeat(20_000);
+        let parsed = Json::parse(&Json::Str(text.clone()).encode()).unwrap();
+        assert_eq!(parsed, Json::Str(text));
     }
 
     #[test]

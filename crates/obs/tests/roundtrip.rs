@@ -1,8 +1,10 @@
 //! Round-trip property tests for the JSON plane and the trace format:
 //! random `Json` trees encode to text that parses back to an identical
-//! tree, and whole JSONL traces survive `RunRecorder` → `parse_trace`.
+//! tree, whole JSONL traces survive `RunRecorder` → `parse_trace`, and
+//! `parse_trace` answers `Ok` or `Err` — never a panic — on arbitrary
+//! text and on damaged real traces.
 
-use cloudia_obs::{parse_trace, Json, RunRecorder};
+use cloudia_obs::{parse_trace, Json, RunRecorder, TRACE_KINDS};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -65,8 +67,81 @@ fn normalize(v: &Json) -> Json {
     }
 }
 
+/// A record kind other than `meta` (which only the first record has).
+fn random_kind(rng: &mut StdRng) -> &'static str {
+    TRACE_KINDS[rng.random_range(1..TRACE_KINDS.len())]
+}
+
+/// Characters the parser branches on, drawn often so arbitrary text gets
+/// past the first byte: structure, escapes, literals, number syntax,
+/// surrogate halves and multi-byte scalars.
+const JSONISH: &[char] = &[
+    '{', '}', '[', ']', '"', ':', ',', '\\', 'u', 'D', '8', 'C', '0', '9', '-', '+', '.', 'e', 'n',
+    't', 'f', ' ', '\n', '\r', 'é', '😀',
+];
+
+/// Up to 200 characters: two in three from [`JSONISH`], the rest any
+/// scalar value.
+fn arbitrary_text(rng: &mut StdRng) -> String {
+    let n = rng.random_range(0..200usize);
+    (0..n)
+        .map(|_| match rng.random_range(0..3) {
+            0 => char::from_u32(rng.random_range(0..0x11_0000)).unwrap_or('\u{fffd}'),
+            _ => JSONISH[rng.random_range(0..JSONISH.len())],
+        })
+        .collect()
+}
+
+/// A real `RunRecorder` trace, then up to four damages: a truncation at
+/// any byte, a splice of random bytes or of a slice copied from elsewhere
+/// in the trace, or a dropped line. Bytes that no longer form UTF-8 are
+/// replaced, as reading a damaged file lossily would.
+fn damaged_trace(rng: &mut StdRng) -> String {
+    let (mut rec, buf) = RunRecorder::to_vec(Json::obj().field("run", "fuzz"));
+    for _ in 0..rng.random_range(1..6usize) {
+        rec.record(random_kind(rng), normalize(&random_json(rng, 3)));
+    }
+    rec.finish().unwrap();
+    let mut bytes = buf.lock().unwrap().clone();
+    for _ in 0..rng.random_range(0..5usize) {
+        let len = bytes.len();
+        let at = rng.random_range(0..=len);
+        match rng.random_range(0..4) {
+            0 => bytes.truncate(at),
+            1 => {
+                let end = (at + rng.random_range(0..8usize)).min(len);
+                let junk: Vec<u8> = (0..rng.random_range(0..8usize))
+                    .map(|_| rng.random_range(0..=u8::MAX))
+                    .collect();
+                bytes.splice(at..end, junk);
+            }
+            2 => {
+                let from = rng.random_range(0..=len);
+                let copy = bytes[from..(from + rng.random_range(0..40usize)).min(len)].to_vec();
+                bytes.splice(at..at, copy);
+            }
+            _ => {
+                let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+                lines.remove(rng.random_range(0..lines.len()));
+                bytes = lines.join(&b'\n');
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn parse_trace_never_panics(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for text in [arbitrary_text(&mut rng), damaged_trace(&mut rng)] {
+            // `Ok` or `Err` are both answers; only an unwind is a failure.
+            let answered = std::panic::catch_unwind(|| parse_trace(&text).is_ok());
+            prop_assert!(answered.is_ok(), "parse_trace panicked on {:?}", text);
+        }
+    }
 
     #[test]
     fn json_encode_parse_is_identity(seed in 0u64..u64::MAX) {
@@ -81,10 +156,9 @@ proptest! {
     fn jsonl_traces_round_trip(seed in 0u64..u64::MAX, records in 1usize..12) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (mut rec, buf) = RunRecorder::to_vec(Json::obj().field("run", "proptest"));
-        let kinds = ["event", "epoch", "metrics", "span", "bench", "note"];
         let mut expected = Vec::new();
         for _ in 0..records {
-            let kind = kinds[rng.random_range(0..kinds.len())];
+            let kind = random_kind(&mut rng);
             let payload = normalize(&random_json(&mut rng, 3));
             rec.record(kind, payload.clone());
             expected.push((kind.to_string(), payload));

@@ -946,7 +946,7 @@ impl OnlineAdvisor {
                     continue;
                 }
                 let (fwd, rev) = (self.store.link(i, j), self.store.link(j, i));
-                if fwd.attempts > 0 || rev.attempts > 0 {
+                if fwd.loss.count() > 0 || rev.loss.count() > 0 {
                     attempted += 1;
                     if fwd.is_dark() || rev.is_dark() {
                         unreachable += 1;

@@ -109,14 +109,10 @@ pub struct LinkOnline {
     pub ewma: EwmaVar,
     detector: ChangeDetector,
     /// EWMA of per-epoch loss rates (timeouts / attempts); only epochs
-    /// that attempted the link contribute.
+    /// that attempted the link contribute, so `loss.count() > 0` is "this
+    /// link was ever attempted". Cumulative attempt, timeout and sample
+    /// counts live in the stream's [`PairwiseStats`].
     pub loss: EwmaVar,
-    /// Probes attempted on this link across all epochs.
-    pub attempts: u64,
-    /// Probes that timed out on this link across all epochs.
-    pub timeouts: u64,
-    /// Raw samples accumulated across all epochs.
-    pub samples: u64,
     /// The last epoch that contributed samples to this link (`None` until
     /// the first observation) — the staleness input of focused probing.
     /// Deliberately *not* advanced by sampleless (dark) epochs, so a dark
@@ -178,9 +174,6 @@ impl OnlineStore {
             ewma: EwmaVar::new(alpha),
             detector: ChangeDetector::new(detector),
             loss: EwmaVar::new(alpha),
-            attempts: 0,
-            timeouts: 0,
-            samples: 0,
             last_epoch: None,
             dark_flagged: false,
         };
@@ -218,8 +211,6 @@ impl OnlineStore {
             let sampleless = d.count == 0 || !d.mean.is_finite();
             if d.attempts > 0 {
                 link.loss.observe(d.timeouts as f64 / d.attempts as f64);
-                link.attempts += d.attempts;
-                link.timeouts += d.timeouts;
                 if !link.dark_flagged && d.count == 0 && link.loss.mean() > DARK_LOSS_LEVEL {
                     link.dark_flagged = true;
                     changes.push(LinkChange {
@@ -247,7 +238,6 @@ impl OnlineStore {
             let baseline = if link.ewma.count() > 0 { link.ewma.mean() } else { d.mean };
             let z = standardized_residual(d.mean, &link.ewma);
             link.ewma.observe(d.mean);
-            link.samples += d.count;
             link.last_epoch = Some(m.epoch);
             let drift = link.detector.observe(z);
             if drift != Drift::None {
@@ -315,7 +305,7 @@ impl OnlineStore {
                     let l = self.link(i, j);
                     if l.ewma.count() > 0 {
                         stats.record(i, j, l.ewma.mean());
-                    } else if l.attempts > 0 {
+                    } else if l.loss.count() > 0 {
                         // Attempted but never answered (a dark link):
                         // surface the attempt so coverage-based consumers
                         // (candidate building) see "observed and dark",
@@ -445,7 +435,6 @@ mod tests {
             store.observe_epoch(&epoch(vec![delta(0, 1, 2.0), delta(1, 0, 3.0)], e));
         }
         assert_eq!(store.covered_links(), 2);
-        assert_eq!(store.link(0, 1).samples, 50);
         assert!((store.link(0, 1).ewma.mean() - 2.0).abs() < 1e-9);
         assert!((store.link(1, 0).ewma.mean() - 3.0).abs() < 1e-9);
         assert_eq!(store.link(0, 1).ewma.count(), 5);
@@ -611,9 +600,10 @@ mod tests {
         }
         let link = store.link(0, 1);
         assert_eq!((link.ewma.count(), link.ewma.mean()), (1, 2.0), "latency EWMA untouched");
-        assert_eq!((link.samples, link.last_epoch), (10, Some(0)), "staleness age untouched");
-        assert_eq!((link.attempts, link.timeouts), (30, 8), "the attempts still count");
-        assert_eq!(link.loss.count(), 3, "the loss EWMA still learns");
+        assert_eq!(link.last_epoch, Some(0), "staleness age untouched");
+        assert_eq!(link.loss.count(), 3, "the attempts still count: the loss EWMA still learns");
+        // Loss rates 0, 0.4, 0.4 folded at α = 0.3: 0 → 0.12 → 0.204.
+        assert!((link.loss.mean() - 0.204).abs() < 1e-12, "loss {}", link.loss.mean());
         // The next finite sample folds in as if the bad ones never came.
         store.observe_epoch(&epoch(vec![delta(0, 1, 2.0)], 3));
         assert_eq!(store.link(0, 1).ewma.mean(), 2.0);
