@@ -32,6 +32,14 @@
 //! assignment cleared from n − 1 domains, values found by scanning all m
 //! instances) reads 9.1–9.5× on a shared 2-vCPU Xeon; the
 //! lazy-`alldifferent`, rank-labelled one reads 18.0–18.9×.
+//!
+//! The sixth, `plan_pool`, holds the online loop's focused plan pool to
+//! its upkeep: at m = 200, with each epoch sampling one 25-instance
+//! clique (600 directed links, 1.5 % of them), re-pricing the store's
+//! kept [`PoolIndex`] from the epoch's deltas and ranking the pool off it
+//! must give the candidate lists the per-epoch rebuild gives —
+//! `OnlineStore::partial_stats` then `CandidateSet::build_partial` — and
+//! beat it by ≥ 4×.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -40,6 +48,7 @@ use std::time::Instant;
 use cloudia_core::CommGraph;
 use cloudia_measure::{MeasureConfig, PairwiseStats, PruneRule, Scheme, Staged};
 use cloudia_netsim::{Cloud, InstanceId, LossPlane, Provider};
+use cloudia_online::{DetectorConfig, EpochMeasurement, LinkDelta, OnlineStore};
 use cloudia_solver::candidates::PoolIndex;
 use cloudia_solver::cp::{solve_llndp_cp, CpConfig, Propagation};
 use cloudia_solver::kernels::scan_row_evidence;
@@ -358,6 +367,103 @@ fn assert_cp_search_wins() {
     assert!(speedup >= 13.0, "the trail must beat copy-domains by >= 13x, got {speedup:.2}x");
 }
 
+/// Races the kept plan pool against the per-epoch rebuild it replaced
+/// over 30 focused-shaped epochs at m = 200 (see the module doc); the two
+/// sides alternate which goes first.
+fn assert_plan_pool_wins() {
+    let (m, nodes, clique, epochs) = (200usize, 12usize, 25usize, 30u64);
+    let pool = CandidateConfig::fixed(40);
+    let incumbent: Vec<u32> = (0..nodes as u32).collect();
+    let mut rng = StdRng::seed_from_u64(37);
+    let mut epoch = |e: u64, members: &[u32]| {
+        let deltas = members
+            .iter()
+            .flat_map(|&src| {
+                members.iter().filter(move |&&dst| dst != src).map(move |&dst| (src, dst))
+            })
+            .map(|(src, dst)| LinkDelta {
+                src,
+                dst,
+                mean: rng.random_range(0.5..5.0),
+                count: 3,
+                attempts: 3,
+                timeouts: 0,
+            })
+            .collect();
+        EpochMeasurement {
+            epoch: e,
+            at_hours: e as f64,
+            elapsed_ms: 1.0,
+            round_trips: 0,
+            deltas,
+            pruned_pairs: 0,
+            saved_round_trips: 0,
+        }
+    };
+    let mut store = OnlineStore::new(m, 0.5, DetectorConfig::default());
+    let everyone: Vec<u32> = (0..m as u32).collect();
+    store.observe_epoch(&epoch(0, &everyone));
+    let mut index = PoolIndex::default();
+    store.sync_pool_index(&mut index, std::iter::empty());
+    let mut order = StdRng::seed_from_u64(41);
+    let (mut kept_s, mut rebuilt_s) = (0.0f64, 0.0f64);
+    for e in 1..=epochs {
+        let mut members = everyone.clone();
+        for i in 0..clique {
+            members.swap(i, order.random_range(i..m));
+        }
+        let measured = epoch(e, &members[..clique]);
+        store.observe_epoch(&measured);
+        let mut keep = || {
+            let touched = measured.deltas.iter().map(|d| d.src as usize * m + d.dst as usize);
+            store.sync_pool_index(&mut index, touched);
+            CandidateSet::from_index(
+                nodes,
+                &index,
+                &pool,
+                Some(&incumbent),
+                None,
+                CandidatePruneRule::DEFAULT_MIN_COVERAGE,
+            )
+        };
+        let mut rebuild = || {
+            CandidateSet::build_partial(
+                nodes,
+                &store.partial_stats(),
+                &pool,
+                Some(&incumbent),
+                None,
+                CandidatePruneRule::DEFAULT_MIN_COVERAGE,
+            )
+        };
+        let timed = |f: &mut dyn FnMut() -> CandidateSet| {
+            let t0 = Instant::now();
+            let out = black_box(f());
+            (t0.elapsed().as_secs_f64(), out)
+        };
+        let ((ks, kept), (rs, rebuilt)) = if e % 2 == 0 {
+            let kept = timed(&mut keep);
+            (kept, timed(&mut rebuild))
+        } else {
+            let rebuilt = timed(&mut rebuild);
+            (timed(&mut keep), rebuilt)
+        };
+        (kept_s, rebuilt_s) = (kept_s + ks, rebuilt_s + rs);
+        assert_eq!(kept.union(), rebuilt.union(), "the kept pool diverged at epoch {e}");
+        for v in 0..nodes {
+            assert_eq!(kept.node_candidates(v), rebuilt.node_candidates(v));
+        }
+    }
+    assert_eq!(index.rebuilds(), 1, "a 1.5 % epoch must re-price, not bulk-build");
+    let speedup = rebuilt_s / kept_s.max(1e-12);
+    println!(
+        "# plan_pool race: export + build_partial {:.3}ms, kept index {:.3}ms per epoch, speedup {speedup:.1}x",
+        rebuilt_s * 1e3 / epochs as f64,
+        kept_s * 1e3 / epochs as f64,
+    );
+    assert!(speedup >= 4.0, "the kept plan pool must beat the rebuild by >= 4x, got {speedup:.2}x");
+}
+
 fn main() {
     // `cargo bench` passes `--bench`; `cargo test` passes `--test` (the
     // criterion shim then runs each body exactly once). The timed
@@ -373,5 +479,6 @@ fn main() {
         assert_dark_strike_is_local();
         assert_protected_filter_wins();
         assert_cp_search_wins();
+        assert_plan_pool_wins();
     }
 }

@@ -5,11 +5,19 @@
 //! policy), so this module provides the smallest JSON kernel that
 //! round-trips: a [`Json`] tree with order-preserving objects, an
 //! encoder that writes numbers via Rust's shortest-exact `Display` for
-//! `f64`, and a recursive-descent parser. Non-finite floats have no
-//! JSON spelling and encode as `null`, which keeps every emitted line
-//! standards-parseable.
+//! `f64`, and a recursive-descent parser whose nesting is capped at
+//! [`MAX_DEPTH`], so no input line can exhaust the stack. Non-finite
+//! floats have no JSON spelling and encode as `null`, which keeps every
+//! emitted line standards-parseable.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts; one level more
+/// is a [`JsonError`]. Every record the trace plane writes nests a
+/// handful of levels, and each level costs the recursive descent a stack
+/// frame, so the cap turns a hostile line into an error instead of a
+/// stack overflow.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Object keys preserve insertion order so encoded
 /// records are byte-stable for the determinism tests.
@@ -107,12 +115,13 @@ impl Json {
     }
 
     /// Parses a JSON document (must consume the whole input, modulo
-    /// surrounding whitespace).
+    /// surrounding whitespace). Arrays and objects may nest 128 deep;
+    /// deeper input is an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
         skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::at(pos, "trailing characters after value"));
@@ -268,11 +277,13 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     match bytes.get(*pos) {
         None => Err(JsonError::at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonError::at(*pos, "nesting too deep")),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -395,7 +406,7 @@ fn parse_hex4(bytes: &[u8], pos: usize) -> Result<u32, JsonError> {
     u32::from_str_radix(text, 16).map_err(|_| JsonError::at(pos, "invalid \\u escape"))
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -405,7 +416,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     loop {
         skip_ws(bytes, pos);
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -418,7 +429,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '{'
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -438,7 +449,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -517,6 +528,26 @@ mod tests {
         let text: String = "aé€😀".repeat(20_000);
         let parsed = Json::parse(&Json::Str(text.clone()).encode()).unwrap();
         assert_eq!(parsed, Json::Str(text));
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("{\"k\":", "}", MAX_DEPTH).replace(":}", ":0}")).is_ok());
+        for text in [
+            nested("[", "]", MAX_DEPTH + 1),
+            nested("{\"k\":", "}", MAX_DEPTH + 1),
+            "[".repeat(100_000),
+            "[{\"a\":".repeat(50_000),
+        ] {
+            let err = Json::parse(&text).expect_err("over-deep input parsed");
+            assert_eq!(err.message, "nesting too deep");
+        }
+        // The error points at the first bracket past the cap.
+        assert_eq!(Json::parse(&"[".repeat(100_000)).unwrap_err().pos, MAX_DEPTH);
     }
 
     #[test]

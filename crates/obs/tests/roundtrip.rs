@@ -1,8 +1,9 @@
 //! Round-trip property tests for the JSON plane and the trace format:
 //! random `Json` trees encode to text that parses back to an identical
 //! tree, whole JSONL traces survive `RunRecorder` → `parse_trace`, and
-//! `parse_trace` answers `Ok` or `Err` — never a panic — on arbitrary
-//! text and on damaged real traces.
+//! `parse_trace` answers `Ok` or `Err` — never a panic, never a stack
+//! overflow — on arbitrary text, on damaged real traces and on lines
+//! nested far deeper than any record.
 
 use cloudia_obs::{parse_trace, Json, RunRecorder, TRACE_KINDS};
 use proptest::prelude::*;
@@ -130,13 +131,32 @@ fn damaged_trace(rng: &mut StdRng) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// A real trace with a run of 1 000 – 100 000 opening brackets (arrays,
+/// or objects opened up to their first value) spliced in at any byte, and
+/// sometimes closed again: the recursive descent must refuse the depth,
+/// not recurse into it.
+fn deeply_nested_trace(rng: &mut StdRng) -> String {
+    let trace = damaged_trace(rng);
+    let depth = rng.random_range(1_000..100_000usize);
+    let (open, close) = if rng.random::<bool>() { ("[", "]") } else { ("{\"k\":", "}") };
+    let mut nested = open.repeat(depth);
+    if rng.random::<bool>() {
+        nested.push_str(&format!("0{}", close.repeat(depth)));
+    }
+    let mut at = rng.random_range(0..=trace.len());
+    while !trace.is_char_boundary(at) {
+        at -= 1;
+    }
+    format!("{}{nested}{}", &trace[..at], &trace[at..])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     #[test]
     fn parse_trace_never_panics(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for text in [arbitrary_text(&mut rng), damaged_trace(&mut rng)] {
+        for text in [arbitrary_text(&mut rng), damaged_trace(&mut rng), deeply_nested_trace(&mut rng)] {
             // `Ok` or `Err` are both answers; only an unwind is a failure.
             let answered = std::panic::catch_unwind(|| parse_trace(&text).is_ok());
             prop_assert!(answered.is_ok(), "parse_trace panicked on {:?}", text);

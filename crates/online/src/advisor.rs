@@ -19,6 +19,7 @@ use cloudia_core::{
 use cloudia_measure::{FocusedScheme, ProbePlan, PruneRule, Scheme, StopRule};
 use cloudia_netsim::Network;
 use cloudia_obs::{RingLog, RunRecorder};
+use cloudia_solver::candidates::{PoolIndex, SharedIndex};
 use cloudia_solver::{
     AdaptivePool, CandidateConfig, CandidatePruneRule, CandidateSet, CiStopRule, PoolPolicy,
 };
@@ -121,10 +122,10 @@ pub struct OnlineAdvisorConfig {
     /// staleness refresh are never pruned; under-measured instances
     /// cannot be proven out. Works under both probe policies, and
     /// focused plans additionally build their candidate clique from the
-    /// mid-sweep quantiles ([`CandidateSet::build_partial`]) instead of
-    /// the worst-filled cost matrix. Round trips saved are re-invested
-    /// into deeper sampling of flagged links (`probe_ks` escalation)
-    /// rather than banked.
+    /// measured quantiles alone ([`CandidateSet::from_index`] over the
+    /// store's evidence) instead of the worst-filled cost matrix. Round
+    /// trips saved are re-invested into deeper sampling of flagged links
+    /// (`probe_ks` escalation) rather than banked.
     pub prune_during_sweep: bool,
     /// Staleness horizon (epochs) protecting pairs from mid-sweep
     /// pruning under [`ProbePolicy::Uniform`]: a pair unobserved longer
@@ -467,6 +468,17 @@ pub struct OnlineAdvisor {
     saved_round_trips_total: u64,
     /// Total extra round trips spent deepening flagged links.
     deep_probe_rounds: u64,
+    /// Focused + pruned loops only (no other setting reads it): the
+    /// focused plan's pool evidence over the store, re-priced in `ingest`
+    /// from each epoch's deltas instead of rebuilt per plan.
+    plan_index: Option<PoolIndex<1>>,
+    /// Focused + pruned loops without a confidence level only: the sweep
+    /// prune rule's point evidence over the stream's cumulative
+    /// statistics, handed to every epoch's rule. It syncs from the
+    /// statistics' touch log across epochs and rebuilds only where the
+    /// log overran or the statistics are another history (a clone).
+    /// Interval verdicts keep a per-epoch index.
+    rule_index: Option<SharedIndex<1>>,
 }
 
 impl OnlineAdvisor {
@@ -508,6 +520,14 @@ impl OnlineAdvisor {
             _ => None,
         };
         let events = RingLog::new(config.event_capacity);
+        let kept =
+            matches!(config.probe_policy, ProbePolicy::Focused { .. }) && config.prune_during_sweep;
+        let plan_index = kept.then(|| {
+            let mut index = PoolIndex::default();
+            store.sync_pool_index(&mut index, std::iter::empty());
+            index
+        });
+        let rule_index = (kept && config.confidence.is_none()).then(SharedIndex::default);
         Self {
             graph,
             config,
@@ -529,6 +549,8 @@ impl OnlineAdvisor {
             last_saved_round_trips: 0,
             saved_round_trips_total: 0,
             deep_probe_rounds: 0,
+            plan_index,
+            rule_index,
         }
     }
 
@@ -658,38 +680,11 @@ impl OnlineAdvisor {
         if self.recent_flags.len() > max_flagged {
             return Some(ProbePlan::full(m));
         }
-        let mut plan = ProbePlan::new(m);
-        // The candidate pool: where any repair could ever land. Probing
-        // its clique keeps every potential destination's costs fresh. The
-        // incumbent is force-included, so all deployed links stay covered.
-        // Without a candidates config, probe a default pool of 2n — the
-        // auto solver pool (max(4n, 48)) is sized for thousand-instance
-        // solves and would cover every instance at typical allocations,
-        // silently degrading focused probing to uniform sweeps.
-        let pool_config = self
-            .effective_candidates()
-            .unwrap_or_else(|| CandidateConfig::fixed(2 * self.graph.num_nodes()));
-        // With mid-sweep pruning the store's coverage is deliberately
-        // partial, so the pool comes from the measured quantiles alone
-        // (unobserved links exert no pull); otherwise score on the
-        // worst-filled cost matrix as before.
-        let pool = if self.config.prune_during_sweep {
-            CandidateSet::build_partial(
-                self.graph.num_nodes(),
-                &self.store.partial_stats(),
-                &pool_config,
-                Some(&self.deployment),
-                None,
-                CandidatePruneRule::DEFAULT_MIN_COVERAGE,
-            )
-        } else {
-            // No usable costs to rank a pool on: measure everything.
-            let Ok(costs) = self.search_costs() else {
-                return Some(ProbePlan::full(m));
-            };
-            let problem = self.graph.problem(costs);
-            CandidateSet::build(&problem, &pool_config, Some(&self.deployment), None)
+        // No usable costs to rank a pool on: measure everything.
+        let Some(pool) = self.probe_pool() else {
+            return Some(ProbePlan::full(m));
         };
+        let mut plan = ProbePlan::new(m);
         plan.add_clique(pool.union());
         // Detector-flagged links always re-enter the plan.
         for &(src, dst) in &self.recent_flags {
@@ -701,6 +696,45 @@ impl OnlineAdvisor {
             plan.add_pair(a, b);
         }
         Some(plan)
+    }
+
+    /// The candidate pool whose clique the next focused plan probes:
+    /// where any repair could ever land, so probing it keeps every
+    /// potential destination's costs fresh. The incumbent is
+    /// force-included, so all deployed links stay covered. `None` under
+    /// [`ProbePolicy::Uniform`], or when the store's estimates cannot be
+    /// turned into costs to rank a pool on.
+    ///
+    /// Without a candidates config the pool is a default `2n` — the auto
+    /// solver pool (max(4n, 48)) is sized for thousand-instance solves
+    /// and would cover every instance at typical allocations, silently
+    /// degrading focused probing to uniform sweeps.
+    pub fn probe_pool(&self) -> Option<CandidateSet> {
+        let ProbePolicy::Focused { .. } = self.config.probe_policy else {
+            return None;
+        };
+        let pool_config = self
+            .effective_candidates()
+            .unwrap_or_else(|| CandidateConfig::fixed(2 * self.graph.num_nodes()));
+        Some(match &self.plan_index {
+            // With mid-sweep pruning the store's coverage is deliberately
+            // partial, so the pool comes from the measured quantiles alone
+            // (unobserved links exert no pull), ranked off the index
+            // `ingest` keeps up to date.
+            Some(index) => CandidateSet::from_index(
+                self.graph.num_nodes(),
+                index,
+                &pool_config,
+                Some(&self.deployment),
+                None,
+                CandidatePruneRule::DEFAULT_MIN_COVERAGE,
+            ),
+            // Otherwise score on the worst-filled cost matrix.
+            None => {
+                let problem = self.graph.problem(self.search_costs().ok()?);
+                CandidateSet::build(&problem, &pool_config, Some(&self.deployment), None)
+            }
+        })
     }
 
     /// The scheme the next [`OnlineAdvisor::step_stream`] epoch will
@@ -727,7 +761,10 @@ impl OnlineAdvisor {
     /// separation at that level (a one-sample or dark link has an
     /// unbounded interval and can never be condemned) — and protects the
     /// deployed links, everything the detectors just flagged, and every
-    /// pair owed a staleness refresh.
+    /// pair owed a staleness refresh. Under focused probing without a
+    /// confidence level every such rule shares the point index the advisor
+    /// keeps for the whole run; evaluated on other statistics (a clone)
+    /// it rebuilds that index, with the same verdicts.
     pub fn sweep_prune_rule(&self) -> Option<CandidatePruneRule> {
         if !self.config.prune_during_sweep {
             return None;
@@ -743,6 +780,9 @@ impl OnlineAdvisor {
             // already concedes, so it may be settled rather than probed
             // forever.
             rule = rule.with_confidence(confidence).with_tolerance(1.0 - confidence);
+        }
+        if let Some(index) = &self.rule_index {
+            rule = rule.with_index(index);
         }
         // Deployed links are candidates by force-inclusion already, but
         // the never-pruned guarantee should not hinge on that.
@@ -1030,8 +1070,9 @@ impl OnlineAdvisor {
     }
 
     /// Ingest: charge the epoch's probe budget, log the pruning ledger,
-    /// and fold the deltas into the store. Returns the links whose
-    /// detectors or dark triage fired.
+    /// fold the deltas into the store, and re-price the links they touched
+    /// in the plan pool's index. Returns the links whose detectors or dark
+    /// triage fired.
     fn ingest(&mut self, m: &EpochMeasurement) -> Vec<LinkChange> {
         self.probe_round_trips += m.round_trips;
         self.planning_epoch = m.epoch + 1;
@@ -1044,7 +1085,13 @@ impl OnlineAdvisor {
                 saved_round_trips: m.saved_round_trips,
             });
         }
-        self.store.observe_epoch(m)
+        let changes = self.store.observe_epoch(m);
+        if let Some(index) = &mut self.plan_index {
+            let n = self.store.len();
+            let touched = m.deltas.iter().map(|d| d.src as usize * n + d.dst as usize);
+            self.store.sync_pool_index(index, touched);
+        }
+        changes
     }
 
     /// Triage: sort the epoch's alarms into darkness (confirmed with
@@ -1370,7 +1417,8 @@ impl OnlineAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::SimStream;
+    use crate::stream::{LinkDelta, SimStream};
+    use cloudia_measure::stats::TOUCH_LOG_PER_INSTANCE;
     use cloudia_measure::{MeasureConfig, Staged};
     use cloudia_netsim::{Cloud, Provider};
 
@@ -2144,5 +2192,77 @@ mod tests {
         advisor.run(&mut stream, 6);
         assert_eq!(advisor.events().dropped(), 0);
         assert!(advisor.events().len() >= 6);
+    }
+
+    #[test]
+    fn only_a_focused_pruned_loop_keeps_pool_indexes() {
+        let kept = |probe_policy, prune_during_sweep, confidence| {
+            let (graph, _, initial) = setup(4, 10, 3);
+            let config = OnlineAdvisorConfig {
+                probe_policy,
+                prune_during_sweep,
+                confidence,
+                ..fast_config()
+            };
+            let advisor = OnlineAdvisor::new(graph, 10, initial, config);
+            (advisor.plan_index.is_some(), advisor.rule_index.is_some())
+        };
+        let focused = ProbePolicy::Focused { refresh_every: 4, max_flagged: 100 };
+        assert_eq!(kept(focused, true, None), (true, true));
+        assert_eq!(
+            kept(focused, true, Some(0.95)),
+            (true, false),
+            "interval indexes are per epoch"
+        );
+        assert_eq!(kept(focused, false, None), (false, false));
+        assert_eq!(kept(ProbePolicy::Uniform, true, None), (false, false));
+    }
+
+    #[test]
+    fn the_plan_pool_reprices_small_epochs_and_bulk_builds_past_the_budget() {
+        let m = 12;
+        let (graph, net, initial) = setup(4, m, 5);
+        let config = OnlineAdvisorConfig {
+            probe_policy: ProbePolicy::Focused { refresh_every: 50, max_flagged: 1000 },
+            prune_during_sweep: true,
+            ..fast_config()
+        };
+        let mut advisor = OnlineAdvisor::new(graph, m, initial, config);
+        let links: Vec<(u32, u32)> = (0..m as u32)
+            .flat_map(|i| (0..m as u32).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect();
+        let mut epoch = 0;
+        let mut step = |advisor: &mut OnlineAdvisor, touched: &[(u32, u32)]| {
+            let deltas = touched
+                .iter()
+                .map(|&(src, dst)| LinkDelta {
+                    src,
+                    dst,
+                    mean: 1.0 + f64::from(src * 7 + dst) / 50.0 + epoch as f64 / 100.0,
+                    count: 3,
+                    attempts: 3,
+                    timeouts: 0,
+                })
+                .collect();
+            let measured = EpochMeasurement {
+                epoch,
+                at_hours: epoch as f64,
+                elapsed_ms: 1.0,
+                round_trips: 3 * touched.len() as u64,
+                deltas,
+                pruned_pairs: 0,
+                saved_round_trips: 0,
+            };
+            advisor.step(&measured, &net);
+            epoch += 1;
+            advisor.plan_index.as_ref().expect("kept").rebuilds()
+        };
+        assert_eq!(advisor.plan_index.as_ref().unwrap().rebuilds(), 1, "built at construction");
+        // The budget is the statistics' touch-log length: 4·m links.
+        let budget = TOUCH_LOG_PER_INSTANCE * m;
+        assert_eq!(step(&mut advisor, &links), 2, "a full epoch bulk-builds");
+        assert_eq!(step(&mut advisor, &links[..10]), 2, "a small epoch re-prices");
+        assert_eq!(step(&mut advisor, &links[..budget]), 2, "the budget itself re-prices");
+        assert_eq!(step(&mut advisor, &links[..budget + 1]), 3, "one link past it bulk-builds");
     }
 }

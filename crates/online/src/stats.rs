@@ -10,6 +10,7 @@
 use crate::detect::{ChangeDetector, DetectorConfig, Drift};
 use crate::stream::EpochMeasurement;
 use cloudia_measure::{t_critical, PairwiseStats};
+use cloudia_solver::candidates::PoolIndex;
 
 /// Exponentially weighted mean/variance of a scalar stream.
 #[derive(Debug, Clone, Copy)]
@@ -292,11 +293,13 @@ impl OnlineStore {
     /// Exports the store as partial [`PairwiseStats`]: one synthetic
     /// sample per *observed* link carrying its EWMA mean, never-observed
     /// links left empty. This is the shape
-    /// [`cloudia_solver::CandidateSet::build_partial`] consumes, so the
-    /// advisor can form candidate pools from measured quantiles even
-    /// while sweeps are being pruned and coverage is partial — without
-    /// the worst-seen-mean fill the advisor's repair search costs give
-    /// never-observed links.
+    /// [`cloudia_solver::CandidateSet::build_partial`] consumes — candidate
+    /// pools from measured quantiles alone, without the worst-seen-mean
+    /// fill the advisor's repair search costs give never-observed links.
+    /// An export and a test oracle: the advisor's own loop keeps its plan
+    /// pool in a [`PoolIndex`] instead ([`OnlineStore::sync_pool_index`]),
+    /// which holds exactly this evidence without an O(m²) rebuild per
+    /// plan.
     pub fn partial_stats(&self) -> PairwiseStats {
         let mut stats = PairwiseStats::new(self.n);
         for i in 0..self.n {
@@ -318,6 +321,33 @@ impl OnlineStore {
             }
         }
         stats
+    }
+
+    /// Brings `index` up to this store after an epoch whose deltas touched
+    /// `touched` (directed links `src * n + dst`): every link carries the
+    /// evidence [`OnlineStore::partial_stats`] would export for it — its
+    /// EWMA mean when sampled, `+∞` when only ever attempted (dark), none
+    /// otherwise — so a pool ranked off the index equals
+    /// [`cloudia_solver::CandidateSet::build_partial`] over the export.
+    /// Re-prices the touched links, or bulk-builds on the first call and
+    /// past the touch budget of [`PoolIndex::sync_touched`].
+    pub fn sync_pool_index(
+        &self,
+        index: &mut PoolIndex<1>,
+        touched: impl ExactSizeIterator<Item = usize>,
+    ) {
+        index.sync_touched(self.n, touched, |src, dst| {
+            let link = self.link(src, dst);
+            if link.ewma.count() > 0 {
+                // The export's one-sample Welford mean, `0 + (x − 0)/1`,
+                // which folds −0 into +0.
+                Some([link.ewma.mean() + 0.0])
+            } else if link.loss.count() > 0 {
+                Some([f64::INFINITY])
+            } else {
+                None
+            }
+        });
     }
 
     /// Half-width of the `confidence` CI around the link's smoothed
@@ -588,6 +618,34 @@ mod tests {
         assert_eq!(stats.link(1, 2).count(), 0);
         assert!(stats.link(1, 2).attempts() > 0, "dark link lost its attempted-ness");
         assert_eq!(stats.link(2, 0).attempts(), 0, "untouched link stays unattempted");
+    }
+
+    #[test]
+    fn the_pool_index_holds_the_exported_evidence_bit_for_bit() {
+        let n = 5;
+        let mut store = OnlineStore::new(n, 0.3, DetectorConfig::default());
+        let mut kept = PoolIndex::default();
+        store.sync_pool_index(&mut kept, std::iter::empty());
+        let epochs = [
+            vec![delta(0, 1, -0.0), delta(1, 0, 0.0), dark_delta(2, 3, 4), delta(3, 4, 2.5)],
+            vec![LinkDelta { count: 3, ..delta(0, 2, f64::NAN) }, delta(4, 0, -0.0)],
+            vec![delta(3, 4, 1.5), delta(2, 3, 0.5), dark_delta(1, 4, 2)],
+        ];
+        for (e, deltas) in epochs.into_iter().enumerate() {
+            let touched: Vec<usize> =
+                deltas.iter().map(|d| d.src as usize * n + d.dst as usize).collect();
+            store.observe_epoch(&epoch(deltas, e as u64));
+            store.sync_pool_index(&mut kept, touched.into_iter());
+            let mut export = PoolIndex::default();
+            export.sync_means(&store.partial_stats());
+            for j in 0..n {
+                for q in [0.0, 0.5, 1.0] {
+                    let bits =
+                        |index: &PoolIndex<1>| index.scores(j, q, 0.0).map(|[s]| s.to_bits());
+                    assert_eq!(bits(&kept), bits(&export), "instance {j}, quantile {q}, epoch {e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Focused-measurement satellites: the differential quality/budget
-//! contract (focused vs uniform probing on one recorded trajectory) and
-//! the detector→probe-plan soundness properties.
+//! contract (focused vs uniform probing on one recorded trajectory), the
+//! detector→probe-plan soundness properties, and the kept plan pool's
+//! equality with a rebuild from the store's export.
 
 use cloudia_core::{CommGraph, RedeployPolicy};
 use cloudia_netsim::{Cloud, Provider};
@@ -8,7 +9,7 @@ use cloudia_online::{
     DetectorConfig, EpochMeasurement, FocusScenario, LinkDelta, OnlineAdvisor, OnlineAdvisorConfig,
     OnlineEvent, ProbePolicy,
 };
-use cloudia_solver::CandidateConfig;
+use cloudia_solver::{CandidateConfig, CandidatePruneRule, CandidateSet};
 use proptest::prelude::*;
 
 /// Differential contract: on the identical recorded trajectory, focused
@@ -196,6 +197,79 @@ proptest! {
                     "pair ({skip_a}, {skip_b}) stale for {age} > {refresh_every} epochs \
                      missing from the plan"
                 );
+            }
+        }
+    }
+}
+
+/// One link's delta of a random epoch: sampled (a finite mean, now and
+/// then a signed zero), attempted but never answered (dark), or answered
+/// with a mean that is not finite (ingested as sampleless).
+fn random_delta(rng: &mut rand::rngs::StdRng, src: u32, dst: u32) -> LinkDelta {
+    use rand::Rng;
+    let attempts = rng.random_range(1..6u64);
+    let (mean, count) = match rng.random_range(0..8) {
+        0 => (0.0, 0),
+        1 => (f64::NAN, attempts),
+        2 => (if rng.random::<bool>() { 0.0 } else { -0.0 }, attempts),
+        _ => (rng.random_range(0.5..3.0), rng.random_range(1..=attempts)),
+    };
+    LinkDelta { src, dst, mean, count, attempts, timeouts: attempts - count }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The focused, pruned loop keeps its plan pool in an index it
+    // re-prices from each epoch's deltas (a full epoch's bulk-builds it).
+    // Whatever the deltas, the pool equals a rebuild from the store's
+    // export — the union and every node's list.
+    #[test]
+    fn the_kept_plan_pool_equals_a_rebuild_from_the_store_export(seed in 0u64..1_000) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool = CandidateConfig::fixed(4);
+        let config = OnlineAdvisorConfig {
+            solve_seconds: 0.05,
+            policy: RedeployPolicy { min_gain: 1e9, migration_cost_per_node: 1e9 },
+            // No alarms and no evacuations: the deltas alone move the pool.
+            detector: DetectorConfig { threshold: 1e9, ..Default::default() },
+            loss_aware: false,
+            candidates: Some(pool),
+            probe_policy: ProbePolicy::Focused { refresh_every: 4, max_flagged: 1000 },
+            prune_during_sweep: true,
+            ..Default::default()
+        };
+        let net = synthetic_net();
+        let mut advisor = OnlineAdvisor::new(CommGraph::ring(4), M, (0..4).collect(), config);
+        let links: Vec<(u32, u32)> = (0..M as u32)
+            .flat_map(|i| (0..M as u32).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect();
+        for e in 0..12u64 {
+            // A full epoch now and then, else up to 40 random links —
+            // past the 4·M = 32 incremental budget on some epochs too.
+            let touched: Vec<(u32, u32)> = if rng.random_range(0..5) == 0 {
+                links.clone()
+            } else {
+                (0..rng.random_range(1..=40usize))
+                    .map(|_| links[rng.random_range(0..links.len())])
+                    .collect()
+            };
+            let deltas = touched.iter().map(|&(src, dst)| random_delta(&mut rng, src, dst));
+            let m = EpochMeasurement { deltas: deltas.collect(), ..epoch_of(e, &[]) };
+            advisor.step(&m, &net);
+            let kept = advisor.probe_pool().expect("focused policy has a pool");
+            let export = CandidateSet::build_partial(
+                4,
+                &advisor.store().partial_stats(),
+                &pool,
+                Some(advisor.deployment()),
+                None,
+                CandidatePruneRule::DEFAULT_MIN_COVERAGE,
+            );
+            prop_assert_eq!(kept.union(), export.union(), "union at epoch {}", e);
+            for v in 0..4 {
+                prop_assert_eq!(kept.node_candidates(v), export.node_candidates(v));
             }
         }
     }
