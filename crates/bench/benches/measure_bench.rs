@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use cloudia_bench::baselines::{token_passing, uncoordinated};
 use cloudia_measure::stats::{P2Quantile, PairwiseStats, Welford};
-use cloudia_measure::{MeasureConfig, Scheme, Staged, TokenPassing, Uncoordinated};
+use cloudia_measure::{MeasureConfig, Scheme, Staged};
 use cloudia_netsim::{Cloud, Provider};
 
 fn network(n: usize) -> cloudia_netsim::Network {
@@ -20,10 +21,10 @@ fn bench_schemes(c: &mut Criterion) {
     let mut group = c.benchmark_group("schemes_20_instances");
     group.sample_size(10);
     group.bench_function("token_2_per_pair", |b| {
-        b.iter(|| TokenPassing::new(2).run(black_box(&net), &cfg))
+        b.iter(|| token_passing(black_box(&net), &cfg, PairwiseStats::new(20), 2))
     });
     group.bench_function("uncoordinated_40_per_instance", |b| {
-        b.iter(|| Uncoordinated::new(40).run(black_box(&net), &cfg))
+        b.iter(|| uncoordinated(black_box(&net), &cfg, PairwiseStats::new(20), 40))
     });
     group.bench_function("staged_ks2_sweeps2", |b| {
         b.iter(|| Staged::new(2, 2).run(black_box(&net), &cfg))

@@ -1,0 +1,225 @@
+//! The two measurement baselines of paper §5 that the staged scheme is
+//! compared against (Fig. 4): token passing and uncoordinated probing.
+//!
+//! Neither is a [`cloudia_measure::Scheme`]: the advisor only ever
+//! measures with the stage schedules, so these are plain batch loops over
+//! the network's discrete-event engine, whose endpoint queues are what
+//! make the uncoordinated scheme's interference visible.
+
+use cloudia_measure::{MeasureConfig, MeasurementReport, PairwiseStats};
+use cloudia_netsim::{Engine, InstanceId, MessageSpec, Network};
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Wire kind of a probe.
+const KIND_PROBE: u32 = 0;
+/// Wire kind of a reply; completes one round-trip observation.
+const KIND_REPLY: u32 = 1;
+/// Wire kind of a token handoff.
+const KIND_TOKEN: u32 = 2;
+
+/// An engine over `net` set up from `cfg`, after checking that `stats`
+/// fits the network.
+fn engine<'n>(net: &'n Network, cfg: &MeasureConfig, stats: &PairwiseStats) -> Engine<'n> {
+    let n = net.len();
+    assert!(n >= 2, "need at least two instances to measure");
+    assert_eq!(stats.len(), n, "stats sized for {} instances, network has {n}", stats.len());
+    let mut engine = net.engine(cfg.nic, cfg.seed);
+    engine.set_timeout_ms(cfg.timeout_ms);
+    engine
+}
+
+/// Sends a probe of `cfg`'s size from `src` to `dst`, counting the
+/// attempt; returns its send time.
+fn send_probe(
+    engine: &mut Engine<'_>,
+    stats: &mut PairwiseStats,
+    cfg: &MeasureConfig,
+    (src, dst): (usize, usize),
+    token: u64,
+) -> f64 {
+    stats.record_attempt(src, dst);
+    engine.send(MessageSpec {
+        src: InstanceId::from_index(src),
+        dst: InstanceId::from_index(dst),
+        size_kb: cfg.probe_size_kb,
+        kind: KIND_PROBE,
+        token,
+    })
+}
+
+/// Sends the reply to a delivered probe, from its destination back to
+/// its source.
+fn send_reply(engine: &mut Engine<'_>, cfg: &MeasureConfig, probe: &MessageSpec) {
+    engine.send(MessageSpec {
+        src: probe.dst,
+        dst: probe.src,
+        size_kb: cfg.probe_size_kb,
+        kind: KIND_REPLY,
+        token: probe.token,
+    });
+}
+
+/// Token passing (paper §5, approach 1): a unique token circulates among
+/// the instances; the holder probes one destination, waits for the reply
+/// and passes the token on, until every ordered pair holds
+/// `samples_per_pair` observations. At most one message is ever in
+/// flight, so no measurement interferes with another: this is Fig. 4's
+/// accuracy baseline, and its wall time grows with every sample.
+///
+/// Records into `stats` (possibly pre-accumulated). A lost probe or reply
+/// burns one of the visit's `cfg.retries_per_pair` retransmits; past them
+/// the holder moves on with the round trip unrecorded. No visit starts at
+/// or after `cfg.max_duration_ms`.
+///
+/// # Panics
+/// Panics if `samples_per_pair` is 0, the network has fewer than two
+/// instances, or `stats` was sized for a different instance count.
+pub fn token_passing(
+    net: &Network,
+    cfg: &MeasureConfig,
+    mut stats: PairwiseStats,
+    samples_per_pair: usize,
+) -> MeasurementReport {
+    assert!(samples_per_pair > 0, "need at least one sample per pair");
+    let mut engine = engine(net, cfg, &stats);
+    let n = net.len();
+    let limit = cfg.max_duration_ms.unwrap_or(f64::INFINITY);
+    let mut round_trips = 0u64;
+    for visit in 0..n * (n - 1) * samples_per_pair {
+        if engine.now() >= limit {
+            break;
+        }
+        // The c-th visit of a holder probes the c-th other instance
+        // (cyclically, skipping itself).
+        let (holder, c) = (visit % n, visit / n);
+        let dst = (holder + 1 + c % (n - 1)) % n;
+        let mut budget = cfg.retries_per_pair;
+        loop {
+            // Strictly serial, so the next delivery is always ours, lost
+            // or not.
+            let sent = send_probe(&mut engine, &mut stats, cfg, (holder, dst), visit as u64);
+            let probe = engine.next_delivery().expect("probe in flight");
+            let reply = (!probe.lost).then(|| {
+                send_reply(&mut engine, cfg, &probe.spec);
+                engine.next_delivery().expect("reply in flight")
+            });
+            if let Some(reply) = reply.filter(|reply| !reply.lost) {
+                stats.record(holder, dst, reply.delivered_at - sent);
+                round_trips += 1;
+                break;
+            }
+            stats.record_timeout(holder, dst);
+            if budget == 0 || engine.now() >= limit {
+                break;
+            }
+            budget -= 1;
+        }
+        // Pass the token on (a real small message). A lost handoff is
+        // retransmitted a bounded number of times; past that the ring's
+        // timeout-based token regeneration is assumed to restore
+        // circulation (the lost events already charged the waits).
+        for _ in 0..=cfg.retries_per_pair {
+            engine.send(MessageSpec {
+                src: InstanceId::from_index(holder),
+                dst: InstanceId::from_index((holder + 1) % n),
+                size_kb: 0.1,
+                kind: KIND_TOKEN,
+                token: visit as u64,
+            });
+            if !engine.next_delivery().expect("token in flight").lost {
+                break;
+            }
+        }
+    }
+    MeasurementReport { elapsed_ms: engine.now(), round_trips, stats }
+}
+
+/// One instance's current launch in [`uncoordinated`].
+struct Launch {
+    dst: usize,
+    /// Send time of the outstanding (re)transmission.
+    sent_at: f64,
+    /// Retransmits left to this launch.
+    retries_left: u32,
+    /// Launches this instance has issued, this one included.
+    issued: usize,
+}
+
+/// Uncoordinated probing (paper §5, approach 2): from t = 0 every
+/// instance independently probes a random destination, waits for the
+/// reply and repeats, `probes_per_instance` times. Up to `n` probes are
+/// in flight at once, so the scheme is fast, but replies and probes that
+/// converge on one endpoint queue there and inflate the round trips of
+/// whichever links collided: the long error tail of Fig. 4.
+///
+/// Records into `stats` (possibly pre-accumulated). A lost probe or reply
+/// is retransmitted to the same destination while the launch's
+/// `cfg.retries_per_pair` budget lasts; after that the launch is consumed.
+/// No launch or retransmit is issued at or after `cfg.max_duration_ms`.
+///
+/// # Panics
+/// Panics if `probes_per_instance` is 0, the network has fewer than two
+/// instances, or `stats` was sized for a different instance count.
+pub fn uncoordinated(
+    net: &Network,
+    cfg: &MeasureConfig,
+    mut stats: PairwiseStats,
+    probes_per_instance: usize,
+) -> MeasurementReport {
+    assert!(probes_per_instance > 0, "need at least one probe per instance");
+    let mut engine = engine(net, cfg, &stats);
+    let n = net.len();
+    let limit = cfg.max_duration_ms.unwrap_or(f64::INFINITY);
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
+    let draw = |rng: &mut StdRng, src: usize| loop {
+        let dst = rng.random_range(0..n);
+        if dst != src {
+            break dst;
+        }
+    };
+    let mut launches: Vec<Launch> = (0..n)
+        .map(|src| {
+            let dst = draw(&mut rng, src);
+            let sent_at = send_probe(&mut engine, &mut stats, cfg, (src, dst), src as u64);
+            Launch { dst, sent_at, retries_left: cfg.retries_per_pair, issued: 1 }
+        })
+        .collect();
+    let mut round_trips = 0u64;
+    while let Some(msg) = engine.next_delivery() {
+        match msg.spec.kind {
+            // Reply at once (queued behind whatever the destination is
+            // doing).
+            KIND_PROBE if !msg.lost => send_reply(&mut engine, cfg, &msg.spec),
+            KIND_PROBE | KIND_REPLY => {
+                let src = msg.spec.token as usize;
+                let under_limit = engine.now() < limit;
+                let launch = &mut launches[src];
+                if msg.lost {
+                    // The prober's timeout (lost probe or lost reply).
+                    stats.record_timeout(src, launch.dst);
+                    if launch.retries_left > 0 && under_limit {
+                        launch.retries_left -= 1;
+                        launch.sent_at =
+                            send_probe(&mut engine, &mut stats, cfg, (src, launch.dst), src as u64);
+                        continue;
+                    }
+                } else {
+                    stats.record(src, launch.dst, msg.delivered_at - launch.sent_at);
+                    round_trips += 1;
+                }
+                if launch.issued < probes_per_instance && under_limit {
+                    let dst = draw(&mut rng, src);
+                    let sent_at = send_probe(&mut engine, &mut stats, cfg, (src, dst), src as u64);
+                    *launch = Launch {
+                        dst,
+                        sent_at,
+                        retries_left: cfg.retries_per_pair,
+                        issued: launch.issued + 1,
+                    };
+                }
+            }
+            other => unreachable!("unexpected message kind {other}"),
+        }
+    }
+    MeasurementReport { elapsed_ms: engine.now(), round_trips, stats }
+}

@@ -3,10 +3,11 @@
 //! measurement schemes recover them, and which cheap proxies fail to
 //! predict them. Every figure here is a pure function of its seeds.
 
+use crate::baselines::{token_passing, uncoordinated};
 use crate::{standard_network, true_mean_vector, Fig, Scale};
 use cloudia_measure::approx::{inversion_rate, GroupedLink};
 use cloudia_measure::error::{cdf_at, normalized_relative_errors, pearson, quantile, rmse};
-use cloudia_measure::{MeasureConfig, PairwiseStats, Scheme, Staged, TokenPassing, Uncoordinated};
+use cloudia_measure::{MeasureConfig, PairwiseStats, Scheme, Staged};
 use cloudia_netsim::{InstanceId, Network, Provider};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -110,9 +111,9 @@ pub(super) fn fig04(fig: &mut Fig, scale: Scale) {
     let cfg = MeasureConfig::default();
 
     let samples_per_pair = scale.pick(24, 60);
-    let token = TokenPassing::new(samples_per_pair).run(&net, &cfg);
+    let token = token_passing(&net, &cfg, PairwiseStats::new(n), samples_per_pair);
     let staged = Staged::new(samples_per_pair / 2, 4).run(&net, &cfg);
-    let uncoord = Uncoordinated::new(samples_per_pair * (n - 1)).run(&net, &cfg);
+    let uncoord = uncoordinated(&net, &cfg, PairwiseStats::new(n), samples_per_pair * (n - 1));
 
     let baseline = token.mean_vector();
     let err_staged = normalized_relative_errors(&staged.mean_vector(), &baseline);

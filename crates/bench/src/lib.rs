@@ -13,7 +13,8 @@
 //! smokes with asserted acceptance criteria) and the Criterion
 //! micro-benchmarks (`benches/`) stand apart. This library holds the
 //! shared plumbing: standard experiment setups, the [`Fig`] reporter,
-//! and the scale switch.
+//! the scale switch, and the two §5 measurement baselines the staged
+//! scheme is compared against ([`baselines`]).
 //!
 //! ## Scale
 //!
@@ -24,6 +25,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod baselines;
 pub mod figures;
 
 use cloudia_core::{CostMatrix, LatencyMetric};

@@ -1,100 +1,30 @@
-//! Stage-granular streaming execution of measurement schemes.
+//! Stage-granular streaming execution of the stage schedules.
 //!
-//! [`crate::Scheme::run_onto`] historically ran a whole measurement as an
-//! opaque batch: the caller got statistics back only after every sweep
-//! finished. The [`SweepDriver`] splits the same measurement into a
-//! **resumable iterator of stages**: each [`SweepDriver::step`] executes
-//! one scheme-defined unit of work (a disjoint-pair stage for the
-//! staged/focused tournaments, one token circulation, one batch of
-//! uncoordinated replies) against a persistent event engine, and the
-//! partial [`PairwiseStats`] are inspectable between steps. Driving a
-//! fresh driver to completion is *bit-identical* to the old batch path —
-//! `run_onto` is now exactly that thin wrapper — so callers that do not
-//! care about streaming see no change.
+//! Every [`Scheme`] ([`crate::Staged`], [`crate::FocusedScheme`]) runs a
+//! fixed per-sweep schedule of endpoint-disjoint stages, and
+//! [`Scheme::driver`] hands that schedule out as a [`StageDriver`]: a
+//! **resumable iterator of stages**. Each [`StageDriver::step`] executes
+//! one stage, and the partial [`PairwiseStats`] are inspectable between
+//! steps. [`Scheme::run_onto`] is the thin drive-to-completion wrapper,
+//! so callers that do not care about streaming see a batch run.
 //!
-//! Streaming exists for one reason: **mid-sweep pruning**, and only stage
-//! schedules ([`crate::Staged`], [`crate::FocusedScheme`]) can be pruned.
-//! A caller that can already tell from the partial quantiles that a pair
-//! will never matter (its endpoints sit outside every node's candidate
-//! pool) can drop that pair's remaining probes while the sweep is still
-//! in flight via [`SweepDriver::retain_pairs`]. The [`PruneRule`] trait
-//! packages that decision, and [`run_pruned`] is the standard loop:
-//! evaluate the rule between stages, drop what it condemns, keep stepping
+//! Streaming exists for one reason: **mid-sweep pruning**. A caller that
+//! can already tell from the partial quantiles that a pair will never
+//! matter (its endpoints sit outside every node's candidate pool) can
+//! drop that pair's remaining probes while the sweep is still in flight
+//! via [`StageDriver::retain_pairs`]. The [`PruneRule`] trait packages
+//! that decision, and [`run_pruned`] is the standard loop: evaluate the
+//! rule between stages, drop what it condemns, keep stepping
 //! ([`run_anytime`] adds a [`StopRule`] to the same loop). Rules must
 //! never condemn incumbent/pinned/deployed pairs — the concrete rule in
 //! `cloudia-solver` (`CandidatePruneRule`) enforces this with an explicit
 //! protected set.
-//!
-//! The two discrete-event schemes ([`crate::TokenPassing`],
-//! [`crate::Uncoordinated`]) can be stepped and inspected but not pruned:
-//! their drivers keep the schedule methods' defaults — nothing remaining,
-//! nothing to drop — so the rule loop never evaluates a rule on them and
-//! is exactly [`Scheme::run_onto`].
 
 use cloudia_netsim::Network;
 
 use crate::pairset::PairSet;
 use crate::scheme::{MeasureConfig, MeasurementReport, Scheme};
 use crate::stats::PairwiseStats;
-
-/// A resumable, stage-granular execution of one measurement run.
-///
-/// Obtained from [`Scheme::driver`]. The driver owns the event engine and
-/// the accumulating statistics; [`SweepDriver::step`] executes the next
-/// stage and the accessors expose the partial state between stages.
-/// Stepping a driver to exhaustion and then calling
-/// [`SweepDriver::finish`] produces the same [`MeasurementReport`] as
-/// [`Scheme::run_onto`] — interrupting, inspecting, and resuming never
-/// changes the measurement.
-///
-/// The three schedule methods ([`SweepDriver::remaining_pairs`],
-/// [`SweepDriver::planned_remaining`], [`SweepDriver::retain_pairs`])
-/// default to "nothing to prune"; only the stage schedules' driver
-/// overrides them.
-pub trait SweepDriver {
-    /// Executes the next stage. Returns `false` once the schedule is
-    /// exhausted or the configured duration limit has been reached (the
-    /// driver is then permanently done; further calls keep returning
-    /// `false`).
-    fn step(&mut self) -> bool;
-
-    /// The statistics accumulated so far (partial while stages remain).
-    fn stats(&self) -> &PairwiseStats;
-
-    /// Round trips completed so far by this driver.
-    fn round_trips(&self) -> u64;
-
-    /// Simulated milliseconds elapsed so far.
-    fn elapsed_ms(&self) -> f64;
-
-    /// The distinct unordered pairs still scheduled for future stages
-    /// (pairs already dropped by [`SweepDriver::retain_pairs`] excluded).
-    /// Default: none — the schedule cannot be pruned.
-    fn remaining_pairs(&self) -> Vec<(u32, u32)> {
-        Vec::new()
-    }
-
-    /// Round trips the remaining schedule will spend, ignoring any
-    /// duration limit. Default: 0, matching the empty
-    /// [`SweepDriver::remaining_pairs`].
-    fn planned_remaining(&self) -> u64 {
-        0
-    }
-
-    /// Drops the future probes of every remaining pair for which `keep`
-    /// returns `false`. Stages already executed are unaffected; a stage
-    /// emptied entirely is skipped without paying its coordination
-    /// round. Returns the round trips saved (`planned_remaining` before −
-    /// after). Default: drops nothing and saves 0.
-    fn retain_pairs(&mut self, keep: &mut dyn FnMut(u32, u32) -> bool) -> u64 {
-        let _ = keep;
-        0
-    }
-
-    /// Consumes the driver into the final report. Valid at any point —
-    /// an interrupted run reports whatever it measured.
-    fn finish(self: Box<Self>) -> MeasurementReport;
-}
 
 /// A mid-sweep pruning policy, evaluated between stages by [`run_pruned`].
 ///
@@ -119,14 +49,13 @@ pub struct PrunedReport {
     /// Distinct unordered pairs dropped mid-sweep.
     pub dropped_pairs: usize,
     /// Estimated round trips the pruning saved (sum of
-    /// [`SweepDriver::retain_pairs`] returns).
+    /// [`StageDriver::retain_pairs`] returns).
     pub saved_round_trips: u64,
 }
 
 /// Drives `scheme` to completion over `net`, evaluating `rule` between
 /// stages and dropping whatever it condemns. With a rule that never
-/// condemns anything — or a scheme whose schedule cannot be pruned —
-/// this is bit-identical to [`Scheme::run_onto`].
+/// condemns anything this is bit-identical to [`Scheme::run_onto`].
 pub fn run_pruned<S: Scheme + ?Sized>(
     scheme: &S,
     net: &Network,
@@ -205,10 +134,9 @@ pub fn run_anytime<S: Scheme + ?Sized>(
 /// with samples on record and pairs still scheduled, `stop` is consulted
 /// first — once it fires, all remaining pairs except its
 /// [`StopRule::must_keep`] ones are dropped and no rule is evaluated
-/// again — and otherwise `rule`'s condemned pairs are dropped. A driver
-/// that never reports remaining pairs (token, uncoordinated) therefore
-/// never has a rule evaluated. Callers holding the rules as options (the
-/// online stream's epoch entry) call this directly.
+/// again — and otherwise `rule`'s condemned pairs are dropped. Callers
+/// holding the rules as options (the online stream's epoch entry) call
+/// this directly.
 pub fn run_with_rules<S: Scheme + ?Sized>(
     scheme: &S,
     net: &Network,
@@ -275,14 +203,19 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
     }
 }
 
-/// The shared driver of the stage-scheduled schemes ([`crate::Staged`]
-/// and [`crate::FocusedScheme`]): a fixed per-sweep schedule of
+/// A resumable, stage-granular execution of one measurement run, and the
+/// one driver of every [`Scheme`].
+///
+/// Obtained from [`Scheme::driver`]: a fixed per-sweep schedule of
 /// endpoint-disjoint stages, executed with the common stage protocol
 /// (every pair keeps one probe outstanding until its per-pair round-trip
 /// quota is met), directions alternating across sweeps, one coordinator
-/// round between stages. This is the single home of the sweep loop the
-/// two schemes used to duplicate.
-pub(crate) struct StageDriver<'n> {
+/// round between stages. [`StageDriver::step`] executes the next stage
+/// and the accessors expose the partial state between stages. Stepping a
+/// driver to exhaustion and then calling [`StageDriver::finish`] produces
+/// the same [`MeasurementReport`] as [`Scheme::run_onto`] —
+/// interrupting, inspecting, and resuming never changes the measurement.
+pub struct StageDriver<'n> {
     /// The scheme's name, as the `sweep.run` span reports it.
     name: &'static str,
     net: &'n Network,
@@ -412,10 +345,12 @@ impl<'n> StageDriver<'n> {
         let sweeps = self.end_sweep() - self.sweep;
         (sweeps - usize::from(sweeps > 0 && stage < self.stage)) as u64
     }
-}
 
-impl SweepDriver for StageDriver<'_> {
-    fn step(&mut self) -> bool {
+    /// Executes the next stage. Returns `false` once the schedule is
+    /// exhausted or the configured duration limit has been reached (the
+    /// driver is then permanently done; further calls keep returning
+    /// `false`).
+    pub fn step(&mut self) -> bool {
         if self.done {
             return false;
         }
@@ -492,19 +427,25 @@ impl SweepDriver for StageDriver<'_> {
         true
     }
 
-    fn stats(&self) -> &PairwiseStats {
+    /// The statistics accumulated so far (partial while stages remain).
+    pub fn stats(&self) -> &PairwiseStats {
         &self.stats
     }
 
-    fn round_trips(&self) -> u64 {
+    /// Round trips completed so far by this driver.
+    pub fn round_trips(&self) -> u64 {
         self.round_trips
     }
 
-    fn elapsed_ms(&self) -> f64 {
+    /// Simulated milliseconds elapsed so far.
+    pub fn elapsed_ms(&self) -> f64 {
         self.now
     }
 
-    fn remaining_pairs(&self) -> Vec<(u32, u32)> {
+    /// The distinct unordered pairs still scheduled for future stages
+    /// (pairs already dropped by [`StageDriver::retain_pairs`] or struck
+    /// dark excluded).
+    pub fn remaining_pairs(&self) -> Vec<(u32, u32)> {
         // Every sweep re-walks the same `stages` and a pair sits in
         // exactly one stage of it, so the distinct pairs of the remaining
         // schedule, in first-seen order, are the current sweep's tail
@@ -515,7 +456,9 @@ impl SweepDriver for StageDriver<'_> {
         tail.iter().chain(head).flatten().map(|&(a, b, _)| (a, b)).collect()
     }
 
-    fn planned_remaining(&self) -> u64 {
+    /// Round trips the remaining schedule will spend, ignoring any
+    /// duration limit.
+    pub fn planned_remaining(&self) -> u64 {
         self.stages
             .iter()
             .enumerate()
@@ -525,7 +468,12 @@ impl SweepDriver for StageDriver<'_> {
             .sum()
     }
 
-    fn retain_pairs(&mut self, keep: &mut dyn FnMut(u32, u32) -> bool) -> u64 {
+    /// Drops the future probes of every remaining pair for which `keep`
+    /// returns `false`. Stages already executed are unaffected; a stage
+    /// emptied entirely is skipped without paying its coordination
+    /// round. Returns the round trips saved (`planned_remaining` before −
+    /// after).
+    pub fn retain_pairs(&mut self, keep: &mut dyn FnMut(u32, u32) -> bool) -> u64 {
         let mut saved = 0u64;
         for s in 0..self.stages.len() {
             let runs = self.runs_left(s);
@@ -540,7 +488,9 @@ impl SweepDriver for StageDriver<'_> {
         saved
     }
 
-    fn finish(self: Box<Self>) -> MeasurementReport {
+    /// Consumes the driver into the final report. Valid at any point —
+    /// an interrupted run reports whatever it measured.
+    pub fn finish(self) -> MeasurementReport {
         MeasurementReport { elapsed_ms: self.now, round_trips: self.round_trips, stats: self.stats }
     }
 }
@@ -773,7 +723,7 @@ mod tests {
         let net = with_instance_zero_dark(cloud.network(&alloc));
         let cfg = MeasureConfig { seed: 5, ..MeasureConfig::default() };
         let mut d = Staged::new(ks, sweeps).driver(&net, &cfg, PairwiseStats::new(n));
-        let of_zero = |d: &dyn SweepDriver| {
+        let of_zero = |d: &StageDriver<'_>| {
             d.remaining_pairs().iter().filter(|&&(a, b)| a == 0 || b == 0).count()
         };
         let pairs = (n * (n - 1) / 2) as u64;
@@ -783,7 +733,7 @@ mod tests {
         // later sweeps included — the moment its stage returns.
         for stage in 1..n {
             assert!(d.step());
-            assert_eq!(of_zero(&*d), n - 1 - stage, "after stage {stage}");
+            assert_eq!(of_zero(&d), n - 1 - stage, "after stage {stage}");
             let run = (stage * (n / 2) * ks) as u64;
             let struck = (stage * ks * (sweeps - 1)) as u64;
             assert_eq!(d.planned_remaining(), pairs * (ks * sweeps) as u64 - run - struck);
@@ -828,43 +778,6 @@ mod tests {
         }
         fn must_keep(&self, a: u32, b: u32) -> bool {
             (a, b) == (self.0, self.1) || (b, a) == (self.0, self.1)
-        }
-    }
-
-    #[test]
-    fn engine_schemes_ignore_prune_and_stop_rules() {
-        // Token passing and uncoordinated keep the schedule defaults, so
-        // neither a condemn-everything rule nor an always-stable stop
-        // changes one draw: the report is `run_onto`'s, bit for bit.
-        let net = network(6, 6);
-        let cfg = MeasureConfig { seed: 3, ..MeasureConfig::default() };
-        let schemes: [Box<dyn Scheme>; 2] =
-            [Box::new(crate::TokenPassing::new(3)), Box::new(crate::Uncoordinated::new(20))];
-        for scheme in &schemes {
-            let batch = scheme.run(&net, &cfg);
-            let stop = StopKeeping(0, 1);
-            for stop in [None, Some(&stop as &dyn StopRule)] {
-                let ruled = run_with_rules(
-                    &**scheme,
-                    &net,
-                    &cfg,
-                    PairwiseStats::new(6),
-                    Some(&DropAll),
-                    stop,
-                );
-                let name = scheme.name();
-                assert_eq!((ruled.dropped_pairs, ruled.saved_round_trips), (0, 0), "{name}");
-                assert!(!ruled.stopped_early, "{name}");
-                let report = ruled.report;
-                assert_eq!(report.round_trips, batch.round_trips, "{name}");
-                assert_eq!(report.elapsed_ms.to_bits(), batch.elapsed_ms.to_bits(), "{name}");
-                assert_eq!(report.stats.mean_vector(), batch.stats.mean_vector(), "{name}");
-                for (i, j) in (0..6).flat_map(|i| (0..6).map(move |j| (i, j))) {
-                    let (got, want) = (report.stats.link(i, j), batch.stats.link(i, j));
-                    assert_eq!(got.count(), want.count(), "{name}: link ({i},{j})");
-                    assert_eq!(got.attempts(), want.attempts(), "{name}: link ({i},{j})");
-                }
-            }
         }
     }
 

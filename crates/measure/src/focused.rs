@@ -1,6 +1,6 @@
 //! Focused measurement: spend the probe budget where the signal is.
 //!
-//! The three paper schemes ([`crate::Staged`] et al.) sweep every ordered
+//! The paper's staged scheme ([`crate::Staged`]) sweeps every ordered
 //! pair — O(m²) probe pairs per round — even when the caller already knows
 //! which links matter. The online advisor knows a lot: the solver's
 //! candidate pool bounds where any deployment will ever land, the
@@ -18,7 +18,7 @@
 
 use cloudia_netsim::Network;
 
-use crate::driver::{StageDriver, SweepDriver};
+use crate::driver::StageDriver;
 use crate::scheme::{MeasureConfig, Scheme};
 use crate::staged::Staged;
 use crate::stats::PairwiseStats;
@@ -232,7 +232,7 @@ impl Scheme for FocusedScheme {
         net: &'n Network,
         cfg: &MeasureConfig,
         stats: PairwiseStats,
-    ) -> Box<dyn SweepDriver + 'n> {
+    ) -> StageDriver<'n> {
         let n = net.len();
         assert!(n >= 2, "need at least two instances to measure");
         assert_eq!(
@@ -249,15 +249,7 @@ impl Scheme for FocusedScheme {
             .into_iter()
             .map(|stage| stage.into_iter().map(|(a, b)| (a, b, self.pair_ks(a, b))).collect())
             .collect();
-        Box::new(StageDriver::new(
-            "focused",
-            net,
-            cfg,
-            stats,
-            stages,
-            self.sweeps,
-            self.coord_overhead_ms,
-        ))
+        StageDriver::new("focused", net, cfg, stats, stages, self.sweeps, self.coord_overhead_ms)
     }
 }
 

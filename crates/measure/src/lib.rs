@@ -3,32 +3,25 @@
 //! Implements §5 of the ClouDiA paper: before searching for a deployment,
 //! ClouDiA must estimate the mean round-trip latency of every ordered pair
 //! of allocated instances, quickly and without introducing measurement
-//! artifacts. Three schemes are provided, in increasing sophistication:
+//! artifacts. It does so with coordinator-scheduled stages of disjoint
+//! pairs, in two schedules:
 //!
-//! * [`TokenPassing`] — one probe in flight globally; perfectly clean but
-//!   serial (the accuracy baseline of paper Fig. 4);
-//! * [`Uncoordinated`] — every instance probes random destinations
-//!   independently; embarrassingly parallel but endpoint collisions inflate
-//!   some links' estimates;
-//! * [`Staged`] — a coordinator schedules disjoint pairs per stage
-//!   (round-robin tournament), giving token-level accuracy at
-//!   uncoordinated-level parallelism;
+//! * [`Staged`] — the paper's staged scheme: a round-robin tournament of
+//!   disjoint pairs per stage, giving token-passing-level accuracy at
+//!   uncoordinated-level parallelism (the two §5 baselines it is compared
+//!   against in Fig. 4 live in the `cloudia-bench` crate);
 //! * [`FocusedScheme`] — executes an explicit [`ProbePlan`] (candidate
 //!   cliques, detector-flagged links, staleness refreshes) with the staged
 //!   discipline: O(K² + flagged) probe pairs instead of O(m²), for callers
 //!   — like the online advisor — that already know where to look.
 //!
-//! Every scheme executes through the **stage-streaming driver layer**
-//! ([`driver`]): [`Scheme::driver`] returns a resumable [`SweepDriver`]
-//! whose stages can be stepped one at a time with the partial statistics
-//! inspectable in between, and [`Scheme::run_onto`] is a thin
-//! drive-to-completion wrapper over it. Streaming and pruning are for the
-//! stage schedules ([`Staged`], [`FocusedScheme`]): a [`PruneRule`]
-//! evaluated between stages ([`run_pruned`]) can drop pairs mid-sweep once
-//! their measured quantiles prove them irrelevant — the tournament shrinks
-//! while it is still in flight. The engine schemes ([`TokenPassing`],
-//! [`Uncoordinated`], which serve the Fig. 4 comparison) can be stepped
-//! but not pruned; the rule loop leaves them exactly [`Scheme::run_onto`].
+//! Both run through one driver type ([`driver`]): [`Scheme::driver`]
+//! returns a resumable [`StageDriver`] whose stages can be stepped one at
+//! a time with the partial statistics inspectable in between, and
+//! [`Scheme::run_onto`] is a thin drive-to-completion wrapper over it. A
+//! [`PruneRule`] evaluated between stages ([`run_pruned`]) can drop pairs
+//! mid-sweep once their measured quantiles prove them irrelevant — the
+//! tournament shrinks while it is still in flight.
 //!
 //! Per-link summaries (mean via Welford, p99 via the P² algorithm) feed the
 //! three cost metrics of §3.2. [`approx`] holds the Appendix-2 IP-distance
@@ -59,13 +52,11 @@ pub mod pool;
 pub mod scheme;
 pub mod staged;
 pub mod stats;
-pub mod token;
-pub mod uncoordinated;
 
 pub use ci::{t_critical, LinkCi};
 pub use driver::{
-    run_anytime, run_pruned, run_with_rules, AnytimeReport, PruneRule, PrunedReport, StopRule,
-    SweepDriver,
+    run_anytime, run_pruned, run_with_rules, AnytimeReport, PruneRule, PrunedReport, StageDriver,
+    StopRule,
 };
 pub use focused::{FocusedScheme, ProbePlan};
 pub use pairset::PairSet;
@@ -73,5 +64,3 @@ pub use pool::{PoolStats, SweepPool};
 pub use scheme::{MeasureConfig, MeasurementReport, Scheme};
 pub use staged::Staged;
 pub use stats::{LinkEstimate, P2Quantile, PairwiseStats, TouchCursor, Welford};
-pub use token::TokenPassing;
-pub use uncoordinated::Uncoordinated;

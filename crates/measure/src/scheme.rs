@@ -1,24 +1,18 @@
-//! Common driver types for the three measurement schemes of paper §5.
+//! The measurement scheme interface and the stage protocol behind it
+//! (paper §5's staged scheme).
 //!
-//! A scheme runs over a [`Network`]'s discrete-event engine, probing pairs
-//! of instances with small TCP-like messages and recording round-trip
-//! times into [`PairwiseStats`]. Schemes differ in *how* probes are
-//! scheduled — serially (token passing), independently at random
-//! (uncoordinated), or in coordinator-chosen disjoint pairs (staged) — and
-//! that scheduling determines both accuracy (interference) and wall-clock
-//! cost (parallelism).
+//! A scheme probes pairs of instances of a [`Network`] with small
+//! TCP-like messages and records round-trip times into
+//! [`PairwiseStats`]. Every scheme here runs coordinator-chosen stages of
+//! endpoint-disjoint pairs, so no two probes of a stage contend for an
+//! endpoint; the schemes differ only in which pairs they schedule (the
+//! full tournament of [`crate::Staged`], or the explicit plan of
+//! [`crate::FocusedScheme`]) and how deeply each pair is sampled.
 
 use cloudia_netsim::{Network, NicParams};
 
-use crate::driver::SweepDriver;
+use crate::driver::StageDriver;
 use crate::stats::PairwiseStats;
-
-/// Message kinds used by all schemes.
-pub(crate) const KIND_PROBE: u32 = 0;
-/// Reply to a probe; completes one RTT observation.
-pub(crate) const KIND_REPLY: u32 = 1;
-/// Token handoff (token-passing scheme only).
-pub(crate) const KIND_TOKEN: u32 = 2;
 
 /// Configuration shared by all measurement schemes.
 #[derive(Debug, Clone)]
@@ -27,7 +21,7 @@ pub struct MeasureConfig {
     pub probe_size_kb: f64,
     /// Endpoint handling parameters for the event engine.
     pub nic: NicParams,
-    /// RNG seed (probe jitter, destination choice).
+    /// RNG seed (probe jitter and loss draws).
     pub seed: u64,
     /// Ignored: every stage is simulated serially on the calling thread
     /// (README *Scale* has the race that decided it). Kept only because
@@ -41,11 +35,10 @@ pub struct MeasureConfig {
     /// Sender timeout (ms) after which a lost probe or reply is
     /// discovered and a retransmit may be issued.
     pub timeout_ms: f64,
-    /// Retransmit budget per scheduled pair (per stage / circulation
-    /// visit / launch): after this many timeouts the pair's remaining
-    /// quota is forfeited and its coverage recorded as attempted. On a
-    /// lossless network the budget is never consulted, so loss-awareness
-    /// is free when the network is clean.
+    /// Retransmit budget per scheduled pair and stage: after this many
+    /// timeouts the pair's remaining quota is forfeited and its coverage
+    /// recorded as attempted. On a lossless network the budget is never
+    /// consulted, so loss-awareness is free when the network is clean.
     pub retries_per_pair: u32,
     /// If set, spill the P² sketch of any link that has gone this many
     /// completed stages without a fresh sample
@@ -92,14 +85,15 @@ impl MeasurementReport {
 
 /// A pairwise latency measurement scheme.
 pub trait Scheme {
-    /// Short identifier ("token", "uncoordinated", "staged").
+    /// Short identifier ("staged", "focused"), as the `sweep.run` span
+    /// reports it.
     fn name(&self) -> &'static str;
 
     /// Builds a resumable stage-granular driver of this scheme over
     /// `net`, recording into the given (possibly pre-accumulated)
-    /// statistics — the streaming entry point (see
-    /// [`crate::driver::SweepDriver`]). Driving a fresh driver to
-    /// exhaustion is bit-identical to [`Scheme::run_onto`].
+    /// statistics — the streaming entry point (see [`StageDriver`]).
+    /// Driving a fresh driver to exhaustion is bit-identical to
+    /// [`Scheme::run_onto`].
     ///
     /// # Panics
     /// Panics if `stats` was sized for a different instance count.
@@ -108,7 +102,7 @@ pub trait Scheme {
         net: &'n Network,
         cfg: &MeasureConfig,
         stats: PairwiseStats,
-    ) -> Box<dyn SweepDriver + 'n>;
+    ) -> StageDriver<'n>;
 
     /// Runs the scheme over `net` from empty statistics and returns the
     /// collected estimates.

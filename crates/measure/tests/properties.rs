@@ -1,14 +1,11 @@
 //! Property-based tests for the measurement schemes: coverage, positivity,
 //! exactness on jitter-free networks, and the stage-streaming driver
-//! contracts — a pruning-disabled [`cloudia_measure::SweepDriver`] is
+//! contracts — a pruning-disabled [`cloudia_measure::StageDriver`] is
 //! bit-identical to the pre-refactor batch loops (kept below as the
 //! differential oracle), and a resumed driver equals an uninterrupted
 //! one.
 
-use cloudia_measure::{
-    FocusedScheme, MeasureConfig, PairwiseStats, ProbePlan, Scheme, Staged, TokenPassing,
-    Uncoordinated,
-};
+use cloudia_measure::{FocusedScheme, MeasureConfig, PairwiseStats, ProbePlan, Scheme, Staged};
 use cloudia_netsim::{Cloud, InstanceId, Provider};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -34,11 +31,10 @@ fn ec2_network(n: usize, seed: u64) -> cloudia_netsim::Network {
 /// pins the production path's closed-form pair simulation (including
 /// loss, retransmits, and dark-pair handling) against the actual engine
 /// arithmetic. Uses only public engine APIs; message kinds are the
-/// schemes' wire constants (0 = probe, 1 = reply, 2 = token).
+/// probe protocol's wire constants (0 = probe, 1 = reply).
 mod reference {
     use cloudia_measure::{MeasureConfig, PairwiseStats};
     use cloudia_netsim::{InstanceId, MessageSpec, Network};
-    use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::collections::HashSet;
 
     /// (stats, round_trips, elapsed_ms) of one batch run.
@@ -220,132 +216,6 @@ mod reference {
     ) -> BatchResult {
         run_stage_schedule(net, cfg, stats, &plan.stages(), ks, sweeps, 0.3)
     }
-
-    pub fn token(
-        net: &Network,
-        cfg: &MeasureConfig,
-        mut stats: PairwiseStats,
-        samples_per_pair: usize,
-    ) -> BatchResult {
-        let n = net.len();
-        let mut engine = net.engine(cfg.nic, cfg.seed);
-        let mut round_trips = 0u64;
-        let mut cursor = vec![0usize; n];
-        let total_visits = n * (n - 1) * samples_per_pair;
-        'outer: for visit in 0..total_visits {
-            let holder = visit % n;
-            let c = cursor[holder];
-            cursor[holder] += 1;
-            let dst = (holder + 1 + (c % (n - 1))) % n;
-            if let Some(limit) = cfg.max_duration_ms {
-                if engine.now() >= limit {
-                    break 'outer;
-                }
-            }
-            let sent = engine.send(MessageSpec {
-                src: InstanceId::from_index(holder),
-                dst: InstanceId::from_index(dst),
-                size_kb: cfg.probe_size_kb,
-                kind: 0,
-                token: visit as u64,
-            });
-            let probe = engine.next_delivery().expect("probe in flight");
-            engine.send(MessageSpec {
-                src: probe.spec.dst,
-                dst: probe.spec.src,
-                size_kb: cfg.probe_size_kb,
-                kind: 1,
-                token: probe.spec.token,
-            });
-            let reply = engine.next_delivery().expect("reply in flight");
-            stats.record(holder, dst, reply.delivered_at - sent);
-            round_trips += 1;
-            let next = (holder + 1) % n;
-            engine.send(MessageSpec {
-                src: InstanceId::from_index(holder),
-                dst: InstanceId::from_index(next),
-                size_kb: 0.1,
-                kind: 2,
-                token: visit as u64,
-            });
-            engine.next_delivery();
-        }
-        (stats, round_trips, engine.now())
-    }
-
-    pub fn uncoordinated(
-        net: &Network,
-        cfg: &MeasureConfig,
-        mut stats: PairwiseStats,
-        probes_per_instance: usize,
-    ) -> BatchResult {
-        let n = net.len();
-        let mut engine = net.engine(cfg.nic, cfg.seed);
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut round_trips = 0u64;
-        let mut probe_sent_at = vec![0.0f64; n];
-        let mut probe_dst = vec![0usize; n];
-        let mut issued = vec![0usize; n];
-
-        let launch = |src: usize,
-                      engine: &mut cloudia_netsim::Engine<'_>,
-                      rng: &mut StdRng,
-                      probe_sent_at: &mut [f64],
-                      probe_dst: &mut [usize],
-                      issued: &mut [usize]| {
-            let dst = loop {
-                let d = rng.random_range(0..n);
-                if d != src {
-                    break d;
-                }
-            };
-            let sent = engine.send(MessageSpec {
-                src: InstanceId::from_index(src),
-                dst: InstanceId::from_index(dst),
-                size_kb: cfg.probe_size_kb,
-                kind: 0,
-                token: src as u64,
-            });
-            probe_sent_at[src] = sent;
-            probe_dst[src] = dst;
-            issued[src] += 1;
-        };
-
-        for src in 0..n {
-            launch(src, &mut engine, &mut rng, &mut probe_sent_at, &mut probe_dst, &mut issued);
-        }
-        while let Some(msg) = engine.next_delivery() {
-            match msg.spec.kind {
-                0 => {
-                    engine.send(MessageSpec {
-                        src: msg.spec.dst,
-                        dst: msg.spec.src,
-                        size_kb: cfg.probe_size_kb,
-                        kind: 1,
-                        token: msg.spec.token,
-                    });
-                }
-                1 => {
-                    let src = msg.spec.token as usize;
-                    stats.record(src, probe_dst[src], msg.delivered_at - probe_sent_at[src]);
-                    round_trips += 1;
-                    let under_limit = cfg.max_duration_ms.is_none_or(|limit| engine.now() < limit);
-                    if issued[src] < probes_per_instance && under_limit {
-                        launch(
-                            src,
-                            &mut engine,
-                            &mut rng,
-                            &mut probe_sent_at,
-                            &mut probe_dst,
-                            &mut issued,
-                        );
-                    }
-                }
-                other => unreachable!("unexpected message kind {other}"),
-            }
-        }
-        (stats, round_trips, engine.now())
-    }
 }
 
 /// Bit-exact comparison of a driver-produced report against an oracle
@@ -374,26 +244,6 @@ fn assert_bit_identical(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn token_and_staged_agree_exactly_without_jitter(n in 3usize..9, seed in 0u64..200) {
-        // On a jitter-free network both clean schemes measure
-        // truth + constant overhead on every link.
-        let net = quiet_network(n, seed);
-        let cfg = MeasureConfig::default();
-        let token = TokenPassing::new(2).run(&net, &cfg);
-        let staged = Staged::new(2, 2).run(&net, &cfg);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j && staged.stats.link(i, j).count() > 0 {
-                    prop_assert!(
-                        (token.stats.link(i, j).mean() - staged.stats.link(i, j).mean()).abs() < 1e-9,
-                        "link ({i},{j})"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn t_intervals_cover_the_true_mean_on_at_least_90pct_of_links(
@@ -451,28 +301,26 @@ proptest! {
     fn all_schemes_cover_links_and_stay_positive(n in 3usize..8, seed in 0u64..100) {
         let net = quiet_network(n, seed);
         let cfg = MeasureConfig { seed, ..MeasureConfig::default() };
-        let reports = [
-            ("token", TokenPassing::new(1).run(&net, &cfg)),
-            ("staged", Staged::new(1, 2).run(&net, &cfg)),
-            ("uncoordinated", Uncoordinated::new(30 * (n - 1)).run(&net, &cfg)),
+        // The engine baselines' arms live with them in `cloudia-bench`.
+        let schemes: Vec<Box<dyn Scheme>> = vec![
+            Box::new(Staged::new(1, 2)),
+            Box::new(FocusedScheme::new(ProbePlan::full(n), 1, 2)),
         ];
-        for (scheme, report) in &reports {
+        for scheme in &schemes {
+            let report = scheme.run(&net, &cfg);
             prop_assert!(report.round_trips > 0);
             prop_assert!(report.elapsed_ms > 0.0);
+            // Both guarantee full coverage, every mean positive.
+            prop_assert_eq!(report.stats.covered_links(), n * (n - 1), "{}", scheme.name());
             for i in 0..n {
                 for j in 0..n {
                     if i != j {
-                        let l = report.stats.link(i, j);
-                        if l.count() > 0 {
-                            prop_assert!(l.mean() > 0.0, "{scheme}: link ({i},{j})");
-                        }
+                        let mean = report.stats.link(i, j).mean();
+                        prop_assert!(mean > 0.0, "{}: link ({i},{j})", scheme.name());
                     }
                 }
             }
         }
-        // Token and staged guarantee full coverage.
-        prop_assert_eq!(reports[0].1.stats.covered_links(), n * (n - 1));
-        prop_assert_eq!(reports[1].1.stats.covered_links(), n * (n - 1));
     }
 
     #[test]
@@ -503,15 +351,6 @@ proptest! {
         let report = FocusedScheme::new(plan.clone(), ks, sweeps.max(2)).run(&net, &cfg);
         let oracle = reference::focused(&net, &cfg, PairwiseStats::new(n), &plan, ks, sweeps.max(2));
         assert_bit_identical("focused", &report, &oracle);
-
-        let report = TokenPassing::new(ks).run(&net, &cfg);
-        let oracle = reference::token(&net, &cfg, PairwiseStats::new(n), ks);
-        assert_bit_identical("token", &report, &oracle);
-
-        let probes = 10 * (n - 1);
-        let report = Uncoordinated::new(probes).run(&net, &cfg);
-        let oracle = reference::uncoordinated(&net, &cfg, PairwiseStats::new(n), probes);
-        assert_bit_identical("uncoordinated", &report, &oracle);
     }
 
     #[test]
@@ -525,12 +364,6 @@ proptest! {
         let report = Staged::new(3, 50).run(&net, &cfg);
         let oracle = reference::staged(&net, &cfg, PairwiseStats::new(n), 3, 50);
         assert_bit_identical("staged+limit", &report, &oracle);
-        let report = TokenPassing::new(20).run(&net, &cfg);
-        let oracle = reference::token(&net, &cfg, PairwiseStats::new(n), 20);
-        assert_bit_identical("token+limit", &report, &oracle);
-        let report = Uncoordinated::new(500).run(&net, &cfg);
-        let oracle = reference::uncoordinated(&net, &cfg, PairwiseStats::new(n), 500);
-        assert_bit_identical("uncoordinated+limit", &report, &oracle);
     }
 
     #[test]
@@ -546,8 +379,6 @@ proptest! {
         let schemes: Vec<Box<dyn Scheme>> = vec![
             Box::new(Staged::new(2, 2)),
             Box::new(FocusedScheme::new(ProbePlan::full(n), 2, 2)),
-            Box::new(TokenPassing::new(2)),
-            Box::new(Uncoordinated::new(8 * (n - 1))),
         ];
         for scheme in &schemes {
             let uninterrupted = scheme.run(&net, &cfg);
@@ -657,8 +488,6 @@ proptest! {
         let schemes: Vec<Box<dyn Scheme>> = vec![
             Box::new(Staged::new(2, 3)),
             Box::new(FocusedScheme::new(plan, 2, 3)),
-            Box::new(TokenPassing::new(3)),
-            Box::new(Uncoordinated::new(6 * (n - 1))),
         ];
         for scheme in &schemes {
             // The ledger `run_with_rules` kept before `PairSet`: a hash
@@ -732,8 +561,6 @@ proptest! {
         let schemes: Vec<Box<dyn Scheme>> = vec![
             Box::new(Staged::new(50, 50)),
             Box::new(FocusedScheme::new(ProbePlan::full(n), 50, 50)),
-            Box::new(TokenPassing::new(200)),
-            Box::new(Uncoordinated::new(100_000)),
         ];
         for scheme in &schemes {
             let report = scheme.run(&net, &cfg);
@@ -757,8 +584,6 @@ proptest! {
         let schemes: Vec<Box<dyn Scheme>> = vec![
             Box::new(Staged::new(2, 2)),
             Box::new(FocusedScheme::new(ProbePlan::full(n), 2, 2)),
-            Box::new(TokenPassing::new(2)),
-            Box::new(Uncoordinated::new(10 * (n - 1))),
         ];
         for scheme in &schemes {
             let a = scheme.run(&net, &cfg);
@@ -781,7 +606,6 @@ proptest! {
         let full_coverage: Vec<Box<dyn Scheme>> = vec![
             Box::new(Staged::new(2, 2)),
             Box::new(FocusedScheme::new(ProbePlan::full(n), 2, 2)),
-            Box::new(TokenPassing::new(2)),
         ];
         for scheme in &full_coverage {
             let report = scheme.run(&net, &cfg);
@@ -797,9 +621,6 @@ proptest! {
                 }
             }
         }
-        let unc = Uncoordinated::new(20 * (n - 1)).run(&net, &cfg);
-        prop_assert!(unc.round_trips > 0, "uncoordinated: no round trips");
-        prop_assert!(unc.stats.total_attempts() >= unc.round_trips, "attempts undercounted");
     }
 
     #[test]
@@ -911,8 +732,6 @@ proptest! {
         let schemes: Vec<Box<dyn Scheme>> = vec![
             Box::new(Staged::new(2, 2)),
             Box::new(FocusedScheme::new(ProbePlan::full(n), 2, 2)),
-            Box::new(TokenPassing::new(2)),
-            Box::new(Uncoordinated::new(10 * (n - 1))),
         ];
         for scheme in &schemes {
             let a = scheme.run(&net, &serial);

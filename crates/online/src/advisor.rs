@@ -113,7 +113,7 @@ pub struct OnlineAdvisorConfig {
     /// Mid-sweep tournament pruning: epochs measured through
     /// [`OnlineAdvisor::step_stream`]/[`OnlineAdvisor::run`] execute
     /// stage by stage on the streaming driver
-    /// ([`cloudia_measure::SweepDriver`]), and between stages a
+    /// ([`cloudia_measure::StageDriver`]), and between stages a
     /// [`CandidatePruneRule`] drops pairs with an endpoint the partial
     /// statistics already place outside every node's candidate pool — by
     /// point quantiles, or by interval separation when `confidence` is

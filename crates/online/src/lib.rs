@@ -7,7 +7,7 @@
 //! application keeps serving traffic while conditions drift:
 //!
 //! * [`stream`] — [`MeasurementStream`]: per-epoch incremental
-//!   measurement rounds (staged/uncoordinated schemes via
+//!   measurement rounds (staged or focused schemes via
 //!   `Scheme::run_onto`) against a time-stepped drifting network, with
 //!   cumulative per-link statistics that survive across rounds;
 //! * [`stats`] — [`OnlineStore`]: EWMA mean/variance per link, so even
@@ -30,7 +30,7 @@
 //!   ([`cloudia_solver::PoolPolicy::Adaptive`]) the probe set and the
 //!   repair search domain shrink together on stationary stretches. With
 //!   `prune_during_sweep` epochs run on the stage-streaming measurement
-//!   driver ([`cloudia_measure::SweepDriver`]) and a
+//!   driver ([`cloudia_measure::StageDriver`]) and a
 //!   [`cloudia_solver::CandidatePruneRule`] drops pairs **mid-sweep**
 //!   once the measured quantiles (with `confidence`, the measured
 //!   intervals) prove them outside every node's candidate pool; saved

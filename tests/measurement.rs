@@ -1,14 +1,15 @@
 //! Cross-crate measurement integration tests: the schemes of §5 (plus
-//! the focused scheme) over realistic networks, their relative accuracy,
-//! and the metric pipeline into cost matrices.
+//! the focused scheme; the token-passing and uncoordinated baselines
+//! come from the bench crate) over realistic networks, their relative
+//! accuracy, and the metric pipeline into cost matrices.
 
 use cloudia::core::LatencyMetric;
 use cloudia::measure::error::{normalized_relative_errors, quantile};
 use cloudia::measure::{
-    FocusedScheme, MeasureConfig, PairwiseStats, ProbePlan, Scheme, Staged, TokenPassing,
-    Uncoordinated,
+    FocusedScheme, MeasureConfig, MeasurementReport, PairwiseStats, ProbePlan, Scheme, Staged,
 };
 use cloudia::netsim::{Cloud, Provider};
+use cloudia_bench::baselines::{token_passing, uncoordinated};
 
 fn ec2_network(n: usize, seed: u64) -> cloudia::netsim::Network {
     let mut cloud = Cloud::boot(Provider::ec2_like(), seed);
@@ -24,13 +25,13 @@ fn staged_is_more_accurate_than_uncoordinated() {
     let net = ec2_network(n, 1);
     let cfg = MeasureConfig::default();
     let samples = 16;
-    let token = TokenPassing::new(samples).run(&net, &cfg);
+    let token = token_passing(&net, &cfg, PairwiseStats::new(n), samples);
     let staged = Staged::new(samples / 2, 4).run(&net, &cfg);
-    let uncoordinated = Uncoordinated::new(samples * (n - 1)).run(&net, &cfg);
+    let unc = uncoordinated(&net, &cfg, PairwiseStats::new(n), samples * (n - 1));
 
     let base = token.mean_vector();
     let e_staged = normalized_relative_errors(&staged.mean_vector(), &base);
-    let e_unc = normalized_relative_errors(&uncoordinated.mean_vector(), &base);
+    let e_unc = normalized_relative_errors(&unc.mean_vector(), &base);
     assert!(
         quantile(&e_staged, 0.5) < quantile(&e_unc, 0.5),
         "median: staged {} vs uncoordinated {}",
@@ -49,7 +50,7 @@ fn staged_is_more_accurate_than_uncoordinated() {
 fn staged_is_far_faster_than_token_at_equal_coverage() {
     let net = ec2_network(30, 2);
     let cfg = MeasureConfig::default();
-    let token = TokenPassing::new(4).run(&net, &cfg);
+    let token = token_passing(&net, &cfg, PairwiseStats::new(30), 4);
     let staged = Staged::new(4, 2).run(&net, &cfg);
     // Both observe every ordered pair.
     assert_eq!(token.stats.covered_links(), 30 * 29);
@@ -75,33 +76,39 @@ fn all_schemes_agree_on_a_stationary_network() {
     let cfg = MeasureConfig::default();
     let samples = 24;
 
-    let two_rounds = |scheme: &dyn Scheme| {
-        let first = scheme.run(&net, &cfg);
-        let second = scheme.run_onto(&net, &cfg, first.stats);
+    /// Two rounds of `run`, the second onto the first's statistics.
+    fn two_rounds(
+        name: &str,
+        n: usize,
+        run: impl Fn(PairwiseStats) -> MeasurementReport,
+    ) -> Vec<f64> {
+        let first = run(PairwiseStats::new(n));
+        let second = run(first.stats);
         assert_eq!(
             second.stats.total_samples(),
             2 * second.round_trips,
-            "{}: accumulated totals must be exactly two rounds",
-            scheme.name()
+            "{name}: accumulated totals must be exactly two rounds"
         );
         second.stats.mean_vector()
-    };
+    }
 
-    let token = two_rounds(&TokenPassing::new(samples));
-    let staged = two_rounds(&Staged::new(samples / 2, 2));
-    let focused = two_rounds(&FocusedScheme::new(ProbePlan::full(n), samples / 2, 2));
-    let uncoordinated = two_rounds(&Uncoordinated::new(samples * (n - 1)));
+    let token = two_rounds("token", n, |stats| token_passing(&net, &cfg, stats, samples));
+    let staged =
+        two_rounds("staged", n, |stats| Staged::new(samples / 2, 2).run_onto(&net, &cfg, stats));
+    let focused = two_rounds("focused", n, |stats| {
+        FocusedScheme::new(ProbePlan::full(n), samples / 2, 2).run_onto(&net, &cfg, stats)
+    });
+    let unc =
+        two_rounds("uncoordinated", n, |stats| uncoordinated(&net, &cfg, stats, samples * (n - 1)));
 
     // Token passing is the interference-free baseline; staged and focused
     // schedule disjoint pairs, so all three agree tightly. Uncoordinated
     // suffers endpoint collisions (the paper's Fig. 4 tail) — a loose
     // median bound still catches an accumulation bug, which corrupts
     // every link, not just the collided few.
-    for (name, vector, p50_tol) in [
-        ("staged", &staged, 0.05),
-        ("focused", &focused, 0.05),
-        ("uncoordinated", &uncoordinated, 0.25),
-    ] {
+    for (name, vector, p50_tol) in
+        [("staged", &staged, 0.05), ("focused", &focused, 0.05), ("uncoordinated", &unc, 0.25)]
+    {
         let errs = normalized_relative_errors(vector, &token);
         let p50 = quantile(&errs, 0.5);
         assert!(p50 < p50_tol, "{name}: median deviation {p50} vs token exceeds {p50_tol}");
