@@ -18,11 +18,15 @@
 //! with one instance forced dark stays within 1.5× of the same sweep on
 //! the clean network (a strike that re-walks every stage per dark pair
 //! reads ~6×) — and `protected_filter` — one `prune` evaluation at
-//! m = 400 with 95 % of pairs protected and 170 instances out beats the
-//! `HashSet<(u32, u32)>` membership filter it replaced by ≥ 5×, same
-//! verdict (it reads 9–12× on the build host; the hash side's cost swings
-//! with how much of its 1.2 MB table the cache holds, so the gate sits
-//! where a return to hashing — 1× — fails and the weather does not).
+//! m = 400 with 95 % of pairs protected and 170 instances out beats a
+//! hash-set membership filter like the `HashSet<(u32, u32)>` it replaced
+//! by ≥ 3×, same verdict. The reference hashes each normalized pair
+//! packed into one `u64`, so no split two-`u32` store meets a merged
+//! 8-byte load on its lookup path whatever the inliner decides (the tuple
+//! key's cost swung 2× between builds on that store-forwarding stall
+//! alone). On a shared 2-vCPU Xeon it reads 3.5–4.5× over five runs on
+//! one build and 3.7–3.9× over five on another; the gate sits where a
+//! return to hashing — 1× — fails and the weather does not.
 //!
 //! The fifth, `cp_search`, holds the CP search's per-node cost: on the
 //! `batch_paper` shape (a 10×10 mesh over m = 110 EC2-like instances,
@@ -295,12 +299,14 @@ fn assert_protected_filter_wins() {
     }
     let remaining: Vec<(u32, u32)> =
         (0..m as u32).flat_map(|a| (a + 1..m as u32).map(move |b| (a, b))).collect();
+    // A normalized pair as one hash key.
+    let key = |a: u32, b: u32| u64::from(a.min(b)) << 32 | u64::from(a.max(b));
     let mut rule = CandidatePruneRule::new(nodes, pool);
     let mut hashed = std::collections::HashSet::new();
     for &(a, b) in &remaining {
         if rng.random::<f64>() < 0.95 {
             rule.protect_pair(a, b);
-            hashed.insert((a, b));
+            hashed.insert(key(a, b));
         }
     }
     let union = CandidateSet::build_partial(
@@ -320,9 +326,7 @@ fn assert_protected_filter_wins() {
         remaining
             .iter()
             .copied()
-            .filter(|&(a, b)| {
-                (out[a as usize] || out[b as usize]) && !hashed.contains(&(a.min(b), a.max(b)))
-            })
+            .filter(|&(a, b)| (out[a as usize] || out[b as usize]) && !hashed.contains(&key(a, b)))
             .collect::<Vec<_>>()
     };
     let ((set_s, condemned), (hash_s, reference)) =
@@ -336,7 +340,7 @@ fn assert_protected_filter_wins() {
         set_s * 1e6,
         condemned.len()
     );
-    assert!(speedup >= 5.0, "prune must beat the hash-set filter by >= 5x, got {speedup:.2}x");
+    assert!(speedup >= 3.0, "prune must beat the hash-set filter by >= 3x, got {speedup:.2}x");
 }
 
 /// Races the trail backend against the copy-domains oracle on the
@@ -471,14 +475,28 @@ fn main() {
     // test-mode sample is too noisy to gate on.
     kernels();
     if std::env::args().any(|a| a == "--bench") {
-        assert_kernel_wins();
-        assert_pool_index_wins::<1>("1 lane (mean)", PoolIndex::sync_means);
-        assert_pool_index_wins::<2>("2 lanes (ci)", |index, stats| {
-            index.sync_intervals(stats, 0.95)
-        });
-        assert_dark_strike_is_local();
-        assert_protected_filter_wins();
-        assert_cp_search_wins();
-        assert_plan_pool_wins();
+        // Every race runs, whichever fails: a failing race reports its
+        // panic and the run fails at the end, naming them all.
+        let races: [(&str, fn()); 7] = [
+            ("scan_row_evidence", assert_kernel_wins),
+            ("pool_index (1 lane)", || {
+                assert_pool_index_wins::<1>("1 lane (mean)", PoolIndex::sync_means)
+            }),
+            ("pool_index (2 lanes)", || {
+                assert_pool_index_wins::<2>("2 lanes (ci)", |index, stats| {
+                    index.sync_intervals(stats, 0.95)
+                })
+            }),
+            ("dark_strike", assert_dark_strike_is_local),
+            ("protected_filter", assert_protected_filter_wins),
+            ("cp_search", assert_cp_search_wins),
+            ("plan_pool", assert_plan_pool_wins),
+        ];
+        let failed: Vec<&str> = races
+            .into_iter()
+            .filter(|(_, race)| std::panic::catch_unwind(race).is_err())
+            .map(|(name, _)| name)
+            .collect();
+        assert!(failed.is_empty(), "kernel races failed: {}", failed.join(", "));
     }
 }

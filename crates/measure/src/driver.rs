@@ -77,9 +77,10 @@ pub fn run_pruned<S: Scheme + ?Sized>(
 /// candidate confidence interval separated from every non-candidate's —
 /// further probing cannot change any downstream verdict, so the sweep may
 /// stop and bank the remaining round trips. The concrete rule in
-/// `cloudia-solver` (`CiStopRule`) demands CI separation at a stated
-/// confidence, which is what bounds the realized error of acting on the
-/// truncated measurement.
+/// `cloudia-solver` (`CandidatePruneRule` with a confidence level, the
+/// same object as the sweep's prune rule) demands CI separation at a
+/// stated confidence, which is what bounds the realized error of acting
+/// on the truncated measurement.
 pub trait StopRule {
     /// True once the partial statistics make every remaining decision
     /// stable — additional samples can no longer flip a verdict at the

@@ -20,9 +20,7 @@ use cloudia_measure::{FocusedScheme, ProbePlan, PruneRule, Scheme, StopRule};
 use cloudia_netsim::Network;
 use cloudia_obs::{RingLog, RunRecorder};
 use cloudia_solver::candidates::{PoolIndex, SharedIndex};
-use cloudia_solver::{
-    AdaptivePool, CandidateConfig, CandidatePruneRule, CandidateSet, CiStopRule, PoolPolicy,
-};
+use cloudia_solver::{AdaptivePool, CandidateConfig, CandidatePruneRule, CandidateSet, PoolPolicy};
 
 use crate::detect::{DetectorConfig, Drift};
 use crate::repair::{evacuate_resolve, incremental_resolve, RepairConfig};
@@ -120,10 +118,7 @@ pub struct OnlineAdvisorConfig {
     /// set.
     /// Deployed links, detector-flagged links, and links owed a
     /// staleness refresh are never pruned; under-measured instances
-    /// cannot be proven out. Works under both probe policies, and
-    /// focused plans additionally build their candidate clique from the
-    /// measured quantiles alone ([`CandidateSet::from_index`] over the
-    /// store's evidence) instead of the worst-filled cost matrix. Round
+    /// cannot be proven out. Works under both probe policies. Round
     /// trips saved are re-invested into deeper sampling of flagged links
     /// (`probe_ks` escalation) rather than banked.
     pub prune_during_sweep: bool,
@@ -185,8 +180,8 @@ pub struct OnlineAdvisorConfig {
     /// Anytime sweeps (requires `confidence` and `prune_during_sweep`):
     /// epoch sweeps stop a stage early once every remaining prune/pool
     /// decision is CI-stable — each instance provably in or provably out
-    /// of every pool at the configured confidence (a [`CiStopRule`]
-    /// around the epoch's [`CandidatePruneRule`]; see
+    /// of every pool at the configured confidence (the epoch's
+    /// [`CandidatePruneRule`] is its stop rule too; see
     /// [`cloudia_measure::run_anytime`]). Rounds saved land in the same
     /// `saved_round_trips` ledger pruning uses. Off by default.
     pub anytime: bool,
@@ -468,17 +463,16 @@ pub struct OnlineAdvisor {
     saved_round_trips_total: u64,
     /// Total extra round trips spent deepening flagged links.
     deep_probe_rounds: u64,
-    /// Focused + pruned loops only (no other setting reads it): the
-    /// focused plan's pool evidence over the store, re-priced in `ingest`
-    /// from each epoch's deltas instead of rebuilt per plan.
+    /// Focused loops only (no other setting plans a pool): the focused
+    /// plan's pool evidence over the store, re-priced in `ingest` from
+    /// each epoch's deltas instead of rebuilt per plan.
     plan_index: Option<PoolIndex<1>>,
-    /// Focused + pruned loops without a confidence level only: the sweep
-    /// prune rule's point evidence over the stream's cumulative
-    /// statistics, handed to every epoch's rule. It syncs from the
-    /// statistics' touch log across epochs and rebuilds only where the
-    /// log overran or the statistics are another history (a clone).
-    /// Interval verdicts keep a per-epoch index.
-    rule_index: Option<SharedIndex<1>>,
+    /// Pruned loops only: the sweep rule's evidence over the stream's
+    /// cumulative statistics, point or interval, handed to every epoch's
+    /// rule. It syncs from the statistics' touch log across epochs and
+    /// rebuilds only where the log overran or the statistics are another
+    /// history (a clone).
+    rule_index: Option<SharedIndex>,
 }
 
 impl OnlineAdvisor {
@@ -520,14 +514,12 @@ impl OnlineAdvisor {
             _ => None,
         };
         let events = RingLog::new(config.event_capacity);
-        let kept =
-            matches!(config.probe_policy, ProbePolicy::Focused { .. }) && config.prune_during_sweep;
-        let plan_index = kept.then(|| {
+        let plan_index = matches!(config.probe_policy, ProbePolicy::Focused { .. }).then(|| {
             let mut index = PoolIndex::default();
             store.sync_pool_index(&mut index, std::iter::empty());
             index
         });
-        let rule_index = (kept && config.confidence.is_none()).then(SharedIndex::default);
+        let rule_index = config.prune_during_sweep.then(SharedIndex::default);
         Self {
             graph,
             config,
@@ -680,12 +672,8 @@ impl OnlineAdvisor {
         if self.recent_flags.len() > max_flagged {
             return Some(ProbePlan::full(m));
         }
-        // No usable costs to rank a pool on: measure everything.
-        let Some(pool) = self.probe_pool() else {
-            return Some(ProbePlan::full(m));
-        };
         let mut plan = ProbePlan::new(m);
-        plan.add_clique(pool.union());
+        plan.add_clique(self.probe_pool()?.union());
         // Detector-flagged links always re-enter the plan.
         for &(src, dst) in &self.recent_flags {
             plan.add_pair(src, dst);
@@ -702,39 +690,32 @@ impl OnlineAdvisor {
     /// where any repair could ever land, so probing it keeps every
     /// potential destination's costs fresh. The incumbent is
     /// force-included, so all deployed links stay covered. `None` under
-    /// [`ProbePolicy::Uniform`], or when the store's estimates cannot be
-    /// turned into costs to rank a pool on.
+    /// [`ProbePolicy::Uniform`].
+    ///
+    /// The pool comes from the measured quantiles alone (unobserved links
+    /// exert no pull; a dark link prices at +∞; an instance below
+    /// [`CandidatePruneRule::DEFAULT_MIN_COVERAGE`] is kept), ranked off
+    /// the index `ingest` keeps up to date from each epoch's deltas
+    /// ([`CandidateSet::from_index`]) — with or without mid-sweep pruning,
+    /// and on an epoch held for want of search costs alike.
     ///
     /// Without a candidates config the pool is a default `2n` — the auto
     /// solver pool (max(4n, 48)) is sized for thousand-instance solves
     /// and would cover every instance at typical allocations, silently
     /// degrading focused probing to uniform sweeps.
     pub fn probe_pool(&self) -> Option<CandidateSet> {
-        let ProbePolicy::Focused { .. } = self.config.probe_policy else {
-            return None;
-        };
+        let index = self.plan_index.as_ref()?;
         let pool_config = self
             .effective_candidates()
             .unwrap_or_else(|| CandidateConfig::fixed(2 * self.graph.num_nodes()));
-        Some(match &self.plan_index {
-            // With mid-sweep pruning the store's coverage is deliberately
-            // partial, so the pool comes from the measured quantiles alone
-            // (unobserved links exert no pull), ranked off the index
-            // `ingest` keeps up to date.
-            Some(index) => CandidateSet::from_index(
-                self.graph.num_nodes(),
-                index,
-                &pool_config,
-                Some(&self.deployment),
-                None,
-                CandidatePruneRule::DEFAULT_MIN_COVERAGE,
-            ),
-            // Otherwise score on the worst-filled cost matrix.
-            None => {
-                let problem = self.graph.problem(self.search_costs().ok()?);
-                CandidateSet::build(&problem, &pool_config, Some(&self.deployment), None)
-            }
-        })
+        Some(CandidateSet::from_index(
+            self.graph.num_nodes(),
+            index,
+            &pool_config,
+            Some(&self.deployment),
+            None,
+            CandidatePruneRule::DEFAULT_MIN_COVERAGE,
+        ))
     }
 
     /// The scheme the next [`OnlineAdvisor::step_stream`] epoch will
@@ -761,10 +742,12 @@ impl OnlineAdvisor {
     /// separation at that level (a one-sample or dark link has an
     /// unbounded interval and can never be condemned) — and protects the
     /// deployed links, everything the detectors just flagged, and every
-    /// pair owed a staleness refresh. Under focused probing without a
-    /// confidence level every such rule shares the point index the advisor
-    /// keeps for the whole run; evaluated on other statistics (a clone)
-    /// it rebuilds that index, with the same verdicts.
+    /// pair owed a staleness refresh. With `anytime` on, the same rule is
+    /// the epoch's stop rule ([`OnlineAdvisor::sweep_stop_rule`]), and
+    /// only deployed and flagged pairs keep probing after it fires. Every
+    /// such rule reads the evidence index the advisor keeps for the whole
+    /// run; evaluated on other statistics (a clone) it rebuilds that
+    /// index, with the same verdicts.
     pub fn sweep_prune_rule(&self) -> Option<CandidatePruneRule> {
         if !self.config.prune_during_sweep {
             return None;
@@ -783,6 +766,13 @@ impl OnlineAdvisor {
         }
         if let Some(index) = &self.rule_index {
             rule = rule.with_index(index);
+        }
+        if self.stops_early() {
+            // Stale pairs are not kept at depth after the stop: the
+            // plateau cannot fire before a sweep-equivalent of fresh
+            // samples — their refresh included — has landed.
+            let keep = self.deployed_links().chain(self.recent_flags.iter().copied());
+            rule = rule.with_must_keep(keep);
         }
         // Deployed links are candidates by force-inclusion already, but
         // the never-pruned guarantee should not hinge on that.
@@ -810,34 +800,21 @@ impl OnlineAdvisor {
     }
 
     /// The anytime stop rule for the next epoch, or `None` unless
-    /// `anytime`, `confidence`, and `prune_during_sweep` are all set:
-    /// the sweep may end a stage early only once every instance is
-    /// provably inside or outside every candidate pool at the configured
-    /// confidence — or a sweep-equivalent of fresh samples moved no
-    /// verdict ([`CiStopRule`]). After the stop fires, only deployed and
-    /// recently flagged links keep probing (they feed the change
-    /// detectors every epoch); pairs protected merely for *staleness*
-    /// are not kept at depth, because the plateau cannot fire before a
-    /// sweep-equivalent of fresh samples — their refresh included — has
-    /// already landed.
-    pub fn sweep_stop_rule(&self) -> Option<CiStopRule> {
-        // Checked here too: no stop rule, no reason to assemble a rule.
-        if !self.config.anytime {
-            return None;
-        }
-        self.stop_rule_around(&self.sweep_ci_prune_rule()?)
+    /// `anytime`, `confidence`, and `prune_during_sweep` are all set: the
+    /// epoch's [`OnlineAdvisor::sweep_prune_rule`], which as a
+    /// [`StopRule`] lets the sweep end a stage early only once every
+    /// instance is provably inside or outside every candidate pool at the
+    /// configured confidence — or a sweep-equivalent of fresh samples
+    /// moved no verdict. After the stop fires, only deployed and recently
+    /// flagged links keep probing (they feed the change detectors every
+    /// epoch).
+    pub fn sweep_stop_rule(&self) -> Option<CandidatePruneRule> {
+        self.sweep_prune_rule().filter(|_| self.stops_early())
     }
 
-    /// [`OnlineAdvisor::sweep_stop_rule`] around a clone of the epoch's
-    /// already-built prune rule — the protections are assembled once, and
-    /// the pair shares one pool index. `None` unless `anytime` is on and
-    /// the rule carries a confidence level.
-    fn stop_rule_around(&self, rule: &CandidatePruneRule) -> Option<CiStopRule> {
-        if !self.config.anytime || rule.confidence().is_none() {
-            return None;
-        }
-        let keep = self.deployed_links().chain(self.recent_flags.iter().copied());
-        Some(CiStopRule::new(rule.clone()).with_must_keep(keep))
+    /// Whether an epoch's prune rule is its anytime stop rule too.
+    fn stops_early(&self) -> bool {
+        self.config.anytime && self.config.confidence.is_some()
     }
 
     /// The widest *finite* CI half-width across the links the current
@@ -1377,14 +1354,13 @@ impl OnlineAdvisor {
     ///
     /// With `prune_during_sweep` the epoch executes on the streaming
     /// driver with [`OnlineAdvisor::sweep_prune_rule`] evaluated between
-    /// stages (at the configured `confidence`, if any), plus
-    /// [`OnlineAdvisor::sweep_stop_rule`]'s anytime early stop when
-    /// `anytime` is on; with `spot_check_probes > 0` degradation alarms
-    /// are confirmed against fresh single-link probes before they may
-    /// trigger.
+    /// stages (at the configured `confidence`, if any), the same object
+    /// doubling as the anytime stop rule when `anytime` is on; with
+    /// `spot_check_probes > 0` degradation alarms are confirmed against
+    /// fresh single-link probes before they may trigger.
     pub fn step_stream<S: MeasurementStream>(&mut self, stream: &mut S) -> EpochSummary {
         let rule = self.sweep_prune_rule();
-        let stop = rule.as_ref().and_then(|rule| self.stop_rule_around(rule));
+        let stop = rule.as_ref().filter(|_| self.stops_early());
         let mut scheme = self.next_probe_scheme();
         if let (Some(s), true) = (scheme.as_mut(), self.config.prune_during_sweep) {
             if !s.plan.is_full() {
@@ -1400,7 +1376,7 @@ impl OnlineAdvisor {
         let m = stream.epoch(
             scheme_ref,
             rule.as_ref().map(|r| r as &dyn PruneRule),
-            stop.as_ref().map(|s| s as &dyn StopRule),
+            stop.map(|s| s as &dyn StopRule),
         );
         let truth = stream.network().effective_mean_matrix(self.config.timeout_ms);
         let spot =
@@ -2195,7 +2171,7 @@ mod tests {
     }
 
     #[test]
-    fn only_a_focused_pruned_loop_keeps_pool_indexes() {
+    fn a_focused_loop_keeps_a_plan_index_and_a_pruned_loop_a_rule_index() {
         let kept = |probe_policy, prune_during_sweep, confidence| {
             let (graph, _, initial) = setup(4, 10, 3);
             let config = OnlineAdvisorConfig {
@@ -2208,14 +2184,17 @@ mod tests {
             (advisor.plan_index.is_some(), advisor.rule_index.is_some())
         };
         let focused = ProbePolicy::Focused { refresh_every: 4, max_flagged: 100 };
-        assert_eq!(kept(focused, true, None), (true, true));
-        assert_eq!(
-            kept(focused, true, Some(0.95)),
-            (true, false),
-            "interval indexes are per epoch"
-        );
-        assert_eq!(kept(focused, false, None), (false, false));
-        assert_eq!(kept(ProbePolicy::Uniform, true, None), (false, false));
+        for confidence in [None, Some(0.95)] {
+            for (policy, is_focused) in [(focused, true), (ProbePolicy::Uniform, false)] {
+                for pruned in [true, false] {
+                    assert_eq!(
+                        kept(policy, pruned, confidence),
+                        (is_focused, pruned),
+                        "{policy:?}, pruned {pruned}, confidence {confidence:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -220,12 +220,15 @@ fn random_delta(rng: &mut rand::rngs::StdRng, src: u32, dst: u32) -> LinkDelta {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The focused, pruned loop keeps its plan pool in an index it
+    // A focused loop, pruned or not, keeps its plan pool in an index it
     // re-prices from each epoch's deltas (a full epoch's bulk-builds it).
     // Whatever the deltas, the pool equals a rebuild from the store's
     // export — the union and every node's list.
     #[test]
-    fn the_kept_plan_pool_equals_a_rebuild_from_the_store_export(seed in 0u64..1_000) {
+    fn the_kept_plan_pool_equals_a_rebuild_from_the_store_export(
+        seed in 0u64..1_000,
+        prune_during_sweep in (0u8..2).prop_map(|b| b == 1),
+    ) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let pool = CandidateConfig::fixed(4);
@@ -237,7 +240,7 @@ proptest! {
             loss_aware: false,
             candidates: Some(pool),
             probe_policy: ProbePolicy::Focused { refresh_every: 4, max_flagged: 1000 },
-            prune_during_sweep: true,
+            prune_during_sweep,
             ..Default::default()
         };
         let net = synthetic_net();

@@ -39,10 +39,21 @@
 //! (frequent escalations) while shrinking it when the pruned result keeps
 //! sufficing — so a long stationary stretch converges to the cheapest pool
 //! that still answers correctly.
+//!
+//! Every pool is ranked by one routine, whatever holds the evidence: a
+//! dense cost matrix ([`CandidateSet::build`], repairs and batch solves),
+//! partial sweep statistics ([`CandidateSet::build_partial`]), or a
+//! [`PoolIndex`] kept current from touched links
+//! ([`CandidateSet::from_index`], the online loop's focused plan). The
+//! mid-sweep [`CandidatePruneRule`] evaluates the same ranking between
+//! measurement stages — with a confidence level as interval verdicts, and
+//! then as the sweep's anytime stop rule too — off an index a caller may
+//! keep for a whole run ([`CandidatePruneRule::with_index`]).
 
+use std::cell::{Cell, Ref, RefCell};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use cloudia_measure::{PairSet, PairwiseStats, PruneRule, TouchCursor};
+use cloudia_measure::{PairSet, PairwiseStats, PruneRule, StopRule, TouchCursor};
 
 use crate::problem::{CostMatrix, NodeDeployment};
 
@@ -283,47 +294,23 @@ impl CandidateSet {
         incumbent: Option<&[u32]>,
         fixed: Option<&[Option<u32>]>,
     ) -> Self {
-        let n = problem.num_nodes;
         let m = problem.num_instances();
-        assert!((0.0..=1.0).contains(&config.quantile), "quantile must be in [0, 1]");
-        if let Some(inc) = incumbent {
-            assert_eq!(inc.len(), n, "incumbent must cover every node");
-            assert!(inc.iter().all(|&j| (j as usize) < m), "incumbent instance out of range");
-        }
-        if let Some(f) = fixed {
-            assert_eq!(f.len(), n, "fixed assignments must cover every node");
-            assert!(f.iter().flatten().all(|&j| (j as usize) < m), "fixed instance out of range");
-        }
-
-        let pool_size = config.pool_size(n, m);
-        let pool: Vec<u32> = if pool_size >= m {
-            (0..m as u32).collect()
-        } else {
-            // Score every instance by the configured quantile of its
-            // incident link costs (both directions), then keep the
-            // cheapest `pool_size`. O(m²) total, once per solve.
-            let costs = &problem.costs;
-            let mut scored: Vec<(f64, u32)> = (0..m)
-                .map(|j| {
-                    let mut incident: Vec<f64> = Vec::with_capacity(2 * (m - 1));
-                    for l in 0..m {
-                        if l != j {
-                            incident.push(costs.get(j, l));
-                            incident.push(costs.get(l, j));
-                        }
-                    }
-                    let idx = ((incident.len() - 1) as f64 * config.quantile).round() as usize;
-                    let (_, q, _) = incident.select_nth_unstable_by(idx, f64::total_cmp);
-                    (*q, j as u32)
-                })
-                .collect();
-            scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut pool: Vec<u32> = scored[..pool_size].iter().map(|&(_, j)| j).collect();
-            pool.sort_unstable();
-            pool
-        };
-
-        Self::assemble(m, n, pool, incumbent, fixed)
+        let costs = &problem.costs;
+        Self::build_ranked(problem.num_nodes, m, config, incumbent, fixed, 0.0, |pool_size| {
+            // Every instance is scored by the configured quantile of its
+            // incident link costs (both directions), collected one
+            // instance at a time into one reused buffer: O(m) scratch,
+            // O(m²) work, once per solve.
+            let mut incident: Vec<f64> = Vec::with_capacity(2 * (m - 1));
+            Self::ranked_pool(m, pool_size, |j| {
+                incident.clear();
+                for l in (0..m).filter(|&l| l != j) {
+                    incident.extend([costs.get(j, l), costs.get(l, j)]);
+                }
+                let rank = quantile_rank(incident.len(), m, config.quantile, 0.0)?;
+                Some([*incident.select_nth_unstable_by(rank, f64::total_cmp).1])
+            })
+        })
     }
 
     /// Builds candidate lists from **partially measured** pairwise
@@ -374,8 +361,7 @@ impl CandidateSet {
     /// across epochs (the online advisor's focused plan) builds its pool.
     ///
     /// # Panics
-    /// As [`CandidateSet::build_partial`], on an index built over fewer
-    /// than two instances.
+    /// As [`CandidateSet::build_partial`].
     pub fn from_index(
         num_nodes: usize,
         index: &PoolIndex<1>,
@@ -390,9 +376,9 @@ impl CandidateSet {
         })
     }
 
-    /// The partial builders' shared frame: checks the inputs, takes every
-    /// instance when the pool size covers all `m`, and otherwise asks
-    /// `ranked` for the pool of that size.
+    /// The builders' shared frame: checks the inputs, takes every
+    /// instance when the pool size covers all `m` (always, below two
+    /// instances), and otherwise asks `ranked` for the pool of that size.
     fn build_ranked(
         n: usize,
         m: usize,
@@ -402,7 +388,6 @@ impl CandidateSet {
         min_coverage: f64,
         ranked: impl FnOnce(usize) -> Vec<u32>,
     ) -> Self {
-        assert!(m >= 2, "need at least two instances");
         assert!((0.0..=1.0).contains(&config.quantile), "quantile must be in [0, 1]");
         assert!((0.0..=1.0).contains(&min_coverage), "min_coverage must be in [0, 1]");
         if let Some(inc) = incumbent {
@@ -760,10 +745,10 @@ impl<const L: usize> IncidentPrices<L> {
 /// and a selection returns the element a sort puts at that rank.
 ///
 /// An index follows one statistics *history*: handed statistics of
-/// another lineage (a clone, another store) or ones whose log has
-/// overrun since the last sync, it rebuilds. Evidence kept outside a
-/// [`PairwiseStats`] — the online store's estimates — is followed the
-/// same way from an explicit list of touched links
+/// another lineage (a clone, another store), ones whose log has overrun
+/// since the last sync, or a new confidence level, it rebuilds. Evidence
+/// kept outside a [`PairwiseStats`] — the online store's estimates — is
+/// followed the same way from an explicit list of touched links
 /// ([`PoolIndex::sync_touched`]).
 ///
 /// Public for the online advisor, which keeps its indexes for a whole
@@ -775,6 +760,9 @@ pub struct PoolIndex<const L: usize> {
     /// `None` before the first build, or while it follows evidence
     /// outside a statistics history.
     cursor: Option<TouchCursor>,
+    /// The bits of the confidence level the lanes are priced at (0 for
+    /// means).
+    level: u64,
     m: usize,
     /// The lanes' price of directed link `src * m + dst` as it sits on
     /// both endpoints' lists; `None` = no evidence, on no list.
@@ -782,10 +770,6 @@ pub struct PoolIndex<const L: usize> {
     /// `lists[l][j]`: instance `j`'s incident prices on lane `l`,
     /// ascending under `f64::total_cmp`.
     lists: [Vec<Vec<f64>>; L],
-    /// The interval verdicts last derived from the lists, and where the
-    /// statistics' touch log stood then: the anytime pair asks for them
-    /// twice per stage (`stable`, then `prune`) and builds them once.
-    ci_scores: Option<(TouchCursor, Arc<CiScores>)>,
     rebuilds: u64,
 }
 
@@ -793,10 +777,10 @@ impl<const L: usize> Default for PoolIndex<L> {
     fn default() -> Self {
         Self {
             cursor: None,
+            level: 0,
             m: 0,
             price: Vec::new(),
             lists: std::array::from_fn(|_| Vec::new()),
-            ci_scores: None,
             rebuilds: 0,
         }
     }
@@ -805,15 +789,16 @@ impl<const L: usize> Default for PoolIndex<L> {
 impl PoolIndex<1> {
     /// Brings the point-pool index (lane: [`mean_price`]) up to `stats`.
     pub fn sync_means(&mut self, stats: &PairwiseStats) {
-        self.sync(stats, mean_price(stats));
+        self.sync(stats, 0, mean_price(stats));
     }
 }
 
 impl PoolIndex<2> {
     /// Brings the interval index (lanes: [`interval_price`] at
-    /// `confidence`) up to `stats`. One index, one confidence level.
+    /// `confidence`) up to `stats`; synced at another level before, it
+    /// rebuilds.
     pub fn sync_intervals(&mut self, stats: &PairwiseStats, confidence: f64) {
-        self.sync(stats, interval_price(stats, confidence));
+        self.sync(stats, confidence.to_bits(), interval_price(stats, confidence));
     }
 }
 
@@ -828,8 +813,16 @@ impl<const L: usize> PoolIndex<L> {
     /// it goes — so an index that outlives a sweep is visible mid-run. A
     /// healthy index rebuilds once per statistics history, and again only
     /// where more links moved between two syncs than the touch log keeps.
-    fn sync(&mut self, stats: &PairwiseStats, price: impl Fn(usize, usize, bool) -> [f64; L]) {
-        let synced = match self.cursor.and_then(|cursor| stats.touched_since(cursor)) {
+    /// `level` is what the prices depend on besides the statistics (the
+    /// bits of a confidence level).
+    fn sync(
+        &mut self,
+        stats: &PairwiseStats,
+        level: u64,
+        price: impl Fn(usize, usize, bool) -> [f64; L],
+    ) {
+        let cursor = self.cursor.filter(|_| self.level == level);
+        let synced = match cursor.and_then(|cursor| stats.touched_since(cursor)) {
             Some(touched) => {
                 let (count, attempts) = (stats.count_column(), stats.attempts_column());
                 let mut synced = 0u64;
@@ -858,7 +851,7 @@ impl<const L: usize> PoolIndex<L> {
                 None
             }
         };
-        self.cursor = Some(stats.touch_cursor());
+        (self.cursor, self.level) = (Some(stats.touch_cursor()), level);
         cloudia_obs::counters(&[
             ("sweep.rule.index_rebuilds", u64::from(synced.is_none())),
             ("sweep.rule.synced_links", synced.unwrap_or(0)),
@@ -970,37 +963,27 @@ impl<const L: usize> PoolIndex<L> {
     }
 }
 
-/// An index shared by a rule and its clones, so the anytime pair — the
-/// prune rule and the [`CiStopRule`] around its clone — syncs, and
-/// scores, once per stage, not twice; and, for point evidence, by every
-/// sweep's rule of a caller that keeps one for the whole run
-/// ([`CandidatePruneRule::with_index`]).
+/// The evidence a [`CandidatePruneRule`]'s verdicts read: point means, or
+/// CI bounds at one confidence level, each in its own [`PoolIndex`].
+/// Evidence only — pool size, incumbent, pins and protections stay the
+/// rule's — so any number of rules, whatever their parameters, may read
+/// one.
 #[doc(hidden)]
-pub type SharedIndex<const L: usize> = Arc<Mutex<PoolIndex<L>>>;
+#[derive(Debug, Default)]
+pub struct RuleIndex {
+    means: PoolIndex<1>,
+    intervals: PoolIndex<2>,
+}
 
-fn lock<const L: usize>(index: &SharedIndex<L>) -> MutexGuard<'_, PoolIndex<L>> {
+/// A [`RuleIndex`] that outlives the rules reading it: a caller that
+/// builds a fresh rule every sweep over one long-lived statistics history
+/// (the online advisor) keeps one for the whole run and hands it to each
+/// sweep's rule ([`CandidatePruneRule::with_index`]).
+#[doc(hidden)]
+pub type SharedIndex = Arc<Mutex<RuleIndex>>;
+
+fn lock(index: &SharedIndex) -> MutexGuard<'_, RuleIndex> {
     index.lock().expect("a pool index sync panicked")
-}
-
-/// The evidence a [`CandidatePruneRule`] demands, with the index that
-/// maintains it.
-#[derive(Debug, Clone)]
-enum Evidence {
-    /// Point-quantile rank.
-    Point(SharedIndex<1>),
-    /// CI separation at `confidence`.
-    Interval { confidence: f64, index: SharedIndex<2> },
-}
-
-impl Evidence {
-    /// Leaves the clone family: the interval scores cached on a shared
-    /// index are computed from the family's parameters, so a builder that
-    /// changes one continues on an index of its own.
-    fn detach(&mut self) {
-        if let Evidence::Interval { index, .. } = self {
-            *index = SharedIndex::default();
-        }
-    }
 }
 
 /// The mid-sweep tournament prune rule (implements
@@ -1043,26 +1026,72 @@ impl Evidence {
 ///   `min_coverage`) cannot be proven out, so early sweeps prune nothing
 ///   they might regret.
 ///
-/// Evaluation is incremental: the rule keeps a [`PoolIndex`] of the
+/// With a confidence level the same object is also the **anytime stop
+/// rule** (implements [`cloudia_measure::StopRule`]): it declares a sweep
+/// stable once every remaining prune/pool decision is CI-stable, on
+/// either of two criteria:
+///
+/// * **settled** — *every* instance's pool membership is decided at the
+///   configured confidence (provably in, provably out, or
+///   force-included), so further probing cannot change any downstream
+///   verdict beyond the indifference margin; or
+/// * **plateau** — at least one membership has been earned on evidence
+///   and a full re-measurement's worth of fresh samples (at least one
+///   per remaining pair) moved *no* verdict: the sweep's marginal
+///   samples have stopped moving decisions, so the rest of this
+///   schedule is spent information-free. Undecided instances keep
+///   accumulating evidence on later sweeps (and their stale pairs are
+///   re-protected on the refresh horizon), so the verdicts they still
+///   owe are deferred, not lost.
+///
+/// Under-covered instances veto both criteria, so an early sweep can
+/// never stop before the evidence threshold is met. A point rule never
+/// declares stability. The plateau criterion makes a rule **stateful
+/// across consecutive [`cloudia_measure::StopRule::stable`] calls**: it
+/// fingerprints the per-instance verdict vector and compares it with the
+/// previous evaluation's, so build a fresh rule per sweep (as
+/// `OnlineAdvisor` does each epoch). By default the protected pairs keep
+/// probing after the stop fires ([`cloudia_measure::StopRule::must_keep`]);
+/// [`CandidatePruneRule::with_must_keep`] narrows that set.
+///
+/// Evaluation is incremental: the rule reads a [`RuleIndex`] of the
 /// evidence behind interior mutability, bulk-built on the first
 /// evaluation and from then on re-priced only for the links the
 /// statistics' touch log says moved since the last one — O(touched
 /// links) per between-stage call instead of a pass over all m² columns,
 /// with the same verdicts. Evaluated on other statistics (a clone,
-/// another store) the index rebuilds. Clones of a rule share its index,
-/// and the interval scores last derived from it, until a `with_*` builder
-/// changes what the scores are computed from; a point index can also
-/// outlive the rule ([`CandidatePruneRule::with_index`]).
+/// another store) the index rebuilds. Clones of a rule read its index;
+/// the index can also outlive the rule
+/// ([`CandidatePruneRule::with_index`]). The interval scores a stage's
+/// `stable` and `prune` both read are built once and cached on the rule
+/// itself, never in the index, and dropped by every builder that changes
+/// what they are computed from, so they only ever answer for the
+/// parameters that built them.
 #[derive(Debug, Clone)]
 pub struct CandidatePruneRule {
     num_nodes: usize,
     config: CandidateConfig,
     min_coverage: f64,
-    evidence: Evidence,
+    /// The level of the CI separations demanded; `None`: point quantiles.
+    confidence: Option<f64>,
     tolerance: f64,
     incumbent: Option<Vec<u32>>,
     fixed: Option<Vec<Option<u32>>>,
     protected: PairSet,
+    /// Unordered pairs that keep probing after the stop fires; `None`:
+    /// the protected ones.
+    keep: Option<PairSet>,
+    index: SharedIndex,
+    /// The interval scores last derived, and where the statistics' touch
+    /// log stood then: a stage asks for them twice (`stable`, then
+    /// `prune`) and builds them once.
+    scores: RefCell<Option<(TouchCursor, CiScores)>>,
+    /// `(verdict fingerprint, total samples)` at the last plateau
+    /// checkpoint; `None` before the first evaluation (or after an
+    /// under-covered veto reset). A new checkpoint is only compared
+    /// once at least one fresh sample per remaining pair has landed
+    /// since it was recorded.
+    checkpoint: Cell<Option<(u64, u64)>>,
 }
 
 impl CandidatePruneRule {
@@ -1086,31 +1115,28 @@ impl CandidatePruneRule {
             num_nodes,
             config,
             min_coverage: Self::DEFAULT_MIN_COVERAGE,
-            evidence: Evidence::Point(SharedIndex::default()),
+            confidence: None,
             tolerance: 0.0,
             incumbent: None,
             fixed: None,
             protected: PairSet::new(),
+            keep: None,
+            index: SharedIndex::default(),
+            scores: RefCell::new(None),
+            checkpoint: Cell::new(None),
         }
     }
 
-    /// Evaluates the point verdicts on `index` instead of an index of the
-    /// rule's own. A caller that builds a fresh rule every sweep over one
+    /// Reads the evidence from `index` instead of an index of the rule's
+    /// own. A caller that builds a fresh rule every sweep over one
     /// long-lived statistics history (the online advisor) keeps one index
     /// for the whole run and hands it to each sweep's rule, so a sweep
     /// starts by syncing the links touched since the last evaluation
-    /// instead of rebuilding. The index holds evidence only — pool size,
-    /// incumbent, pins and protections stay the rule's — so rules with
-    /// different parameters may share it.
-    ///
-    /// # Panics
-    /// Panics on a rule with a confidence level: interval verdicts keep
-    /// an index per rule family.
-    pub fn with_index(mut self, index: &SharedIndex<1>) -> Self {
-        let Evidence::Point(own) = &mut self.evidence else {
-            panic!("only point evidence can be kept across rules");
-        };
-        *own = Arc::clone(index);
+    /// instead of rebuilding. Point or interval evidence alike: the index
+    /// holds evidence only, so rules with different parameters may share
+    /// it.
+    pub fn with_index(mut self, index: &SharedIndex) -> Self {
+        self.index = Arc::clone(index);
         self
     }
 
@@ -1119,13 +1145,12 @@ impl CandidatePruneRule {
     ///
     /// # Panics
     /// Panics if `confidence` is outside `(0, 1)`.
-    pub fn with_confidence(mut self, confidence: f64) -> Self {
+    pub fn with_confidence(self, confidence: f64) -> Self {
         assert!(
             confidence > 0.0 && confidence < 1.0,
             "confidence must be in (0,1), got {confidence}"
         );
-        self.evidence = Evidence::Interval { confidence, index: SharedIndex::default() };
-        self
+        Self { confidence: Some(confidence), ..self }.rescored()
     }
 
     /// Sets the relative indifference margin of the interval verdicts
@@ -1140,11 +1165,9 @@ impl CandidatePruneRule {
     ///
     /// # Panics
     /// Panics if `tolerance` is outside `[0, 1)`.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
+    pub fn with_tolerance(self, tolerance: f64) -> Self {
         assert!((0.0..1.0).contains(&tolerance), "tolerance must be in [0, 1)");
-        self.tolerance = tolerance;
-        self.evidence.detach();
-        self
+        Self { tolerance, ..self }.rescored()
     }
 
     /// Overrides the coverage threshold below which an instance cannot be
@@ -1152,29 +1175,29 @@ impl CandidatePruneRule {
     ///
     /// # Panics
     /// Panics if outside `[0, 1]`.
-    pub fn with_min_coverage(mut self, min_coverage: f64) -> Self {
+    pub fn with_min_coverage(self, min_coverage: f64) -> Self {
         assert!((0.0..=1.0).contains(&min_coverage), "min_coverage must be in [0, 1]");
-        self.min_coverage = min_coverage;
-        self.evidence.detach();
-        self
+        Self { min_coverage, ..self }.rescored()
     }
 
     /// Registers the incumbent deployment: its instances are never
     /// proven out, so deployed links are never condemned.
-    pub fn with_incumbent(mut self, incumbent: &[u32]) -> Self {
+    pub fn with_incumbent(self, incumbent: &[u32]) -> Self {
         assert_eq!(incumbent.len(), self.num_nodes, "incumbent must cover every node");
-        self.incumbent = Some(incumbent.to_vec());
-        self.evidence.detach();
-        self
+        Self { incumbent: Some(incumbent.to_vec()), ..self }.rescored()
     }
 
     /// Registers pinned assignments; pinned instances are protected like
     /// incumbents.
-    pub fn with_fixed(mut self, fixed: &[Option<u32>]) -> Self {
+    pub fn with_fixed(self, fixed: &[Option<u32>]) -> Self {
         assert_eq!(fixed.len(), self.num_nodes, "fixed assignments must cover every node");
-        self.fixed = Some(fixed.to_vec());
-        self.evidence.detach();
-        self
+        Self { fixed: Some(fixed.to_vec()), ..self }.rescored()
+    }
+
+    /// The rule with a scoring parameter changed: what it derived and
+    /// fingerprinted before answers for the old parameters.
+    fn rescored(self) -> Self {
+        Self { scores: RefCell::new(None), checkpoint: Cell::new(None), ..self }
     }
 
     /// Marks the unordered pair `{a, b}` as never prunable (flagged
@@ -1189,13 +1212,21 @@ impl CandidatePruneRule {
         self.protected.len()
     }
 
+    /// Replaces the set of pairs that keep probing after the stop fires
+    /// (normalized unordered; by default the protected pairs). Use this
+    /// to exempt pairs that are protected from *pruning* but don't need
+    /// post-stop depth — stale refreshes are already served before the
+    /// plateau can fire, while deployed/flagged links feed change
+    /// detectors every epoch and must keep their full sample stream.
+    pub fn with_must_keep<I: IntoIterator<Item = (u32, u32)>>(mut self, pairs: I) -> Self {
+        self.keep = Some(pairs.into_iter().collect());
+        self
+    }
+
     /// The confidence level separations are demanded at (`None`: the
     /// point-estimate pool).
     pub fn confidence(&self) -> Option<f64> {
-        match self.evidence {
-            Evidence::Point(_) => None,
-            Evidence::Interval { confidence, .. } => Some(confidence),
-        }
+        self.confidence
     }
 
     /// The relative indifference margin (0 unless overridden).
@@ -1207,13 +1238,10 @@ impl CandidatePruneRule {
     /// candidate pool on the evidence this rule demands.
     fn out_of_pool(&self, stats: &PairwiseStats) -> Vec<bool> {
         let m = stats.len();
-        let index = match &self.evidence {
-            Evidence::Point(index) => index,
-            Evidence::Interval { .. } => {
-                let scores = self.interval_scores(stats);
-                return (0..m).map(|j| scores.provably_out(j)).collect();
-            }
-        };
+        if let Some(confidence) = self.confidence {
+            let scores = self.interval_scores(stats, confidence);
+            return (0..m).map(|j| scores.provably_out(j)).collect();
+        }
         // Out = outside the candidate union `CandidateSet::build_partial`
         // forms from these statistics: the ranked pool plus the
         // incumbent and pinned instances.
@@ -1221,7 +1249,7 @@ impl CandidatePruneRule {
         if pool_size >= m {
             return vec![false; m];
         }
-        let mut index = lock(index);
+        let index = &mut lock(&self.index).means;
         index.sync_means(stats);
         let pool = CandidateSet::ranked_pool(m, pool_size, |j| {
             index.scores(j, self.config.quantile, self.min_coverage)
@@ -1234,26 +1262,21 @@ impl CandidatePruneRule {
         out
     }
 
-    /// The interval scores of `stats`, off the synced index — built once
-    /// per state of the statistics, however many of the rule's clones ask.
-    ///
-    /// # Panics
-    /// Panics without a confidence level.
-    fn interval_scores(&self, stats: &PairwiseStats) -> Arc<CiScores> {
-        let Evidence::Interval { confidence, index } = &self.evidence else {
-            panic!("interval verdicts need a confidence level");
-        };
-        let mut index = lock(index);
-        index.sync_intervals(stats, *confidence);
+    /// The interval scores of `stats` at `confidence`, off the synced
+    /// index — built once per state of the statistics, however often the
+    /// rule asks.
+    fn interval_scores(&self, stats: &PairwiseStats, confidence: f64) -> Ref<'_, CiScores> {
         let at = stats.touch_cursor();
-        if let Some((_, scores)) = index.ci_scores.as_ref().filter(|(built, _)| *built == at) {
-            return Arc::clone(scores);
+        let cached = self.scores.borrow().as_ref().is_some_and(|(built, _)| *built == at);
+        if !cached {
+            let index = &mut lock(&self.index).intervals;
+            index.sync_intervals(stats, confidence);
+            let scores = CiScores::build(self, stats.len(), |j| {
+                index.scores(j, self.config.quantile, self.min_coverage)
+            });
+            *self.scores.borrow_mut() = Some((at, scores));
         }
-        let scores = Arc::new(CiScores::build(self, stats.len(), |j| {
-            index.scores(j, self.config.quantile, self.min_coverage)
-        }));
-        index.ci_scores = Some((at, Arc::clone(&scores)));
-        scores
+        Ref::map(self.scores.borrow(), |cache| &cache.as_ref().expect("just built").1)
     }
 }
 
@@ -1278,9 +1301,73 @@ impl PruneRule for CandidatePruneRule {
     }
 }
 
+impl StopRule for CandidatePruneRule {
+    fn stable(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> bool {
+        let Some(confidence) = self.confidence else {
+            return false;
+        };
+        if stats.total_samples() == 0 || remaining.is_empty() {
+            return false;
+        }
+        let scores = self.interval_scores(stats, confidence);
+        let mut all_settled = true;
+        let mut any_earned = false;
+        let mut undercovered = false;
+        // FNV-1a over the per-instance verdict vector: 1 in, 2 out,
+        // 0 undecided (ε-ties canonicalize to "in").
+        let mut fingerprint: u64 = 0xcbf2_9ce4_8422_2325;
+        for j in 0..stats.len() {
+            undercovered |= scores.undercovered[j];
+            let verdict: u8 = if scores.provably_in(j) {
+                1
+            } else if scores.provably_out(j) {
+                2
+            } else {
+                0
+            };
+            if verdict == 0 {
+                all_settled = false;
+            } else if !scores.forced[j] {
+                any_earned = true;
+            }
+            fingerprint = (fingerprint ^ u64::from(verdict)).wrapping_mul(0x0100_0000_01b3);
+        }
+        if all_settled {
+            return true;
+        }
+        if undercovered {
+            self.checkpoint.set(None);
+            return false;
+        }
+        let samples = stats.total_samples();
+        match self.checkpoint.get() {
+            None => {
+                self.checkpoint.set(Some((fingerprint, samples)));
+                false
+            }
+            // Too little fresh evidence since the checkpoint to judge a
+            // plateau — keep measuring, keep the checkpoint.
+            Some((_, at)) if samples.saturating_sub(at) < remaining.len() as u64 => false,
+            // A sweep-equivalent of fresh samples moved no verdict and at
+            // least one verdict was earned (not forced): plateau — stop.
+            Some((recorded, _)) if recorded == fingerprint && any_earned => true,
+            // The evidence moved something (or nothing is earned yet):
+            // re-arm the checkpoint at the current state.
+            Some(_) => {
+                self.checkpoint.set(Some((fingerprint, samples)));
+                false
+            }
+        }
+    }
+
+    fn must_keep(&self, a: u32, b: u32) -> bool {
+        self.keep.as_ref().unwrap_or(&self.protected).contains(a, b)
+    }
+}
+
 /// Per-instance candidate-pool score *intervals*, derived from the
 /// per-link confidence intervals of the partial statistics — the evidence
-/// behind [`CandidatePruneRule`]'s interval verdicts and [`CiStopRule`].
+/// behind [`CandidatePruneRule`]'s interval verdicts and its anytime stop.
 ///
 /// Where the point-estimate pool scores an instance by the quantile of
 /// its incident mean costs, this scores it twice: once from the incident
@@ -1300,7 +1387,7 @@ impl PruneRule for CandidatePruneRule {
 /// clustered topologies whole racks share near-identical scores, so
 /// without the margin the rank test at the boundary can never settle and
 /// the anytime stop would never fire.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CiScores {
     /// Optimistic per-instance pool score (quantile of incident CI lower
     /// bounds); 0 for under-covered or force-included instances.
@@ -1393,145 +1480,6 @@ impl CiScores {
         let below = self.lo_sorted.partition_point(|&x| x < bar);
         let others = below - usize::from(self.lo[j] < bar);
         others < self.pool_size
-    }
-}
-
-/// The anytime stopping rule (implements [`cloudia_measure::StopRule`]):
-/// declares a sweep stable once every remaining prune/pool decision is
-/// CI-stable, on either of two criteria:
-///
-/// * **settled** — *every* instance's pool membership is decided at the
-///   configured confidence (provably in, provably out, or
-///   force-included), so further probing cannot change any downstream
-///   verdict beyond the wrapped rule's indifference margin; or
-/// * **plateau** — at least one membership has been earned on evidence
-///   and a full re-measurement's worth of fresh samples (at least one
-///   per remaining pair) moved *no* verdict: the sweep's marginal
-///   samples have stopped moving decisions, so the rest of this
-///   schedule is spent information-free. Undecided instances keep
-///   accumulating evidence on later sweeps (and their stale pairs are
-///   re-protected on the refresh horizon), so the verdicts they still
-///   owe are deferred, not lost.
-///
-/// Under-covered instances veto both criteria, so an early sweep can
-/// never stop before the evidence threshold is met.
-///
-/// The plateau criterion makes a rule instance **stateful across
-/// consecutive [`cloudia_measure::StopRule::stable`] calls**: it
-/// fingerprints the per-instance verdict vector and compares it with the
-/// previous evaluation's. Build a fresh rule per sweep (as
-/// `OnlineAdvisor` does each epoch) so one sweep's trajectory never
-/// leaks into the next.
-///
-/// Wraps a [`CandidatePruneRule`] that carries a confidence level,
-/// sharing its pool sizing, confidence, indifference margin, and
-/// protections; by default the rule's
-/// protected pairs are reported via
-/// [`cloudia_measure::StopRule::must_keep`] so deployed/flagged links
-/// keep probing even after the stop fires.
-/// [`CiStopRule::with_must_keep`] narrows that set — e.g. pairs
-/// protected only because they are *stale* don't need the remaining
-/// schedule's full depth, since the plateau cannot fire before a
-/// sweep-equivalent of fresh samples (their refresh included) has
-/// landed.
-#[derive(Debug, Clone)]
-pub struct CiStopRule {
-    rule: CandidatePruneRule,
-    /// Unordered pairs that keep probing after the stop fires.
-    keep: PairSet,
-    /// `(verdict fingerprint, total samples)` at the last plateau
-    /// checkpoint; `None` before the first evaluation (or after an
-    /// under-covered veto reset). A new checkpoint is only compared
-    /// once at least one fresh sample per remaining pair has landed
-    /// since it was recorded.
-    checkpoint: std::cell::Cell<Option<(u64, u64)>>,
-}
-
-impl CiStopRule {
-    /// Wraps `rule`; stability is judged with the rule's own pool
-    /// configuration, confidence, and indifference margin, and the
-    /// rule's protected pairs keep probing after the stop fires.
-    ///
-    /// # Panics
-    /// Panics if `rule` has no confidence level
-    /// ([`CandidatePruneRule::with_confidence`]): stability is an
-    /// interval verdict.
-    pub fn new(rule: CandidatePruneRule) -> Self {
-        assert!(rule.confidence().is_some(), "a stop rule needs a confidence level");
-        let keep = rule.protected.clone();
-        Self { rule, keep, checkpoint: std::cell::Cell::new(None) }
-    }
-
-    /// Replaces the set of pairs that keep probing after the stop fires
-    /// (normalized unordered). Use this to exempt pairs that are
-    /// protected from *pruning* but don't need post-stop depth — stale
-    /// refreshes are already served before the plateau can fire, while
-    /// deployed/flagged links feed change detectors every epoch and must
-    /// keep their full sample stream.
-    pub fn with_must_keep<I: IntoIterator<Item = (u32, u32)>>(mut self, pairs: I) -> Self {
-        self.keep = pairs.into_iter().collect();
-        self
-    }
-}
-
-impl cloudia_measure::StopRule for CiStopRule {
-    fn stable(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> bool {
-        if stats.total_samples() == 0 || remaining.is_empty() {
-            return false;
-        }
-        let scores = self.rule.interval_scores(stats);
-        let mut all_settled = true;
-        let mut any_earned = false;
-        let mut undercovered = false;
-        // FNV-1a over the per-instance verdict vector: 1 in, 2 out,
-        // 0 undecided (ε-ties canonicalize to "in").
-        let mut fingerprint: u64 = 0xcbf2_9ce4_8422_2325;
-        for j in 0..stats.len() {
-            undercovered |= scores.undercovered[j];
-            let verdict: u8 = if scores.provably_in(j) {
-                1
-            } else if scores.provably_out(j) {
-                2
-            } else {
-                0
-            };
-            if verdict == 0 {
-                all_settled = false;
-            } else if !scores.forced[j] {
-                any_earned = true;
-            }
-            fingerprint = (fingerprint ^ u64::from(verdict)).wrapping_mul(0x0100_0000_01b3);
-        }
-        if all_settled {
-            return true;
-        }
-        if undercovered {
-            self.checkpoint.set(None);
-            return false;
-        }
-        let samples = stats.total_samples();
-        match self.checkpoint.get() {
-            None => {
-                self.checkpoint.set(Some((fingerprint, samples)));
-                false
-            }
-            // Too little fresh evidence since the checkpoint to judge a
-            // plateau — keep measuring, keep the checkpoint.
-            Some((_, at)) if samples.saturating_sub(at) < remaining.len() as u64 => false,
-            // A sweep-equivalent of fresh samples moved no verdict and at
-            // least one verdict was earned (not forced): plateau — stop.
-            Some((recorded, _)) if recorded == fingerprint && any_earned => true,
-            // The evidence moved something (or nothing is earned yet):
-            // re-arm the checkpoint at the current state.
-            Some(_) => {
-                self.checkpoint.set(Some((fingerprint, samples)));
-                false
-            }
-        }
-    }
-
-    fn must_keep(&self, a: u32, b: u32) -> bool {
-        self.keep.contains(a, b)
     }
 }
 
@@ -1843,21 +1791,45 @@ mod tests {
     }
 
     #[test]
-    fn a_rule_and_its_clone_build_interval_scores_once_per_state_of_the_statistics() {
-        let mut stats = full_stats_ci(10, 7, 5);
-        let rule = CandidatePruneRule::new(3, CandidateConfig::fixed(4)).with_confidence(0.95);
-        let stop_side = rule.clone();
-        let first = rule.interval_scores(&stats);
-        assert!(Arc::ptr_eq(&first, &stop_side.interval_scores(&stats)), "the clone rebuilt");
-        // A clone whose scores are computed differently leaves the family.
-        let wider = rule.clone().with_tolerance(0.1);
-        assert_eq!(wider.interval_scores(&stats).tolerance, 0.1);
-        assert!(Arc::ptr_eq(&first, &rule.interval_scores(&stats)), "evicted by the stranger");
-        // One more sample anywhere and the scores are stale.
-        record_both(&mut stats, 0, 1, 9.0);
-        let fresh = stop_side.interval_scores(&stats);
-        assert!(!Arc::ptr_eq(&first, &fresh));
-        assert!(Arc::ptr_eq(&fresh, &rule.interval_scores(&stats)));
+    fn one_kept_interval_index_gives_each_rule_its_own_verdicts() {
+        // Rules with different incumbents or pool sizes read one index at
+        // one touch cursor: each scores on its own parameters, never on
+        // scores another rule derived from the same evidence.
+        let stats = full_stats_ci(12, 7, 5);
+        let remaining: Vec<(u32, u32)> =
+            (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
+        let index = SharedIndex::default();
+        let rule = |pool: usize| {
+            CandidatePruneRule::new(4, CandidateConfig::fixed(pool))
+                .with_confidence(0.95)
+                .with_index(&index)
+        };
+        let condemned = rule(6).prune(&stats, &remaining);
+        assert!(!condemned.is_empty(), "the congested instance was not proven out");
+        assert!(condemned.iter().all(|&(a, b)| a == 7 || b == 7));
+        let deployed = rule(6).with_incumbent(&[7, 0, 1, 2]);
+        assert!(deployed.prune(&stats, &remaining).is_empty(), "an incumbent was condemned");
+        assert!(rule(12).prune(&stats, &remaining).is_empty(), "a pool of all was pruned");
+        assert_eq!(rule(6).prune(&stats, &remaining), condemned);
+        assert_eq!(lock(&index).intervals.rebuilds(), 1, "the rules rebuilt the shared index");
+    }
+
+    #[test]
+    fn an_interval_index_synced_at_another_level_rebuilds() {
+        // Nothing was touched between the two syncs, yet every lane's
+        // price depends on the level: the index must not keep the old one.
+        let stats = tied_boundary_stats(2);
+        let scores = |index: &PoolIndex<2>| -> Vec<_> {
+            (0..12).map(|j| index.scores(j, 0.5, 0.5).map(|s| s.map(f64::to_bits))).collect()
+        };
+        let mut fresh = PoolIndex::default();
+        fresh.sync_intervals(&stats, 0.5);
+        let mut kept = PoolIndex::default();
+        kept.sync_intervals(&stats, 0.95);
+        assert_ne!(scores(&kept), scores(&fresh), "the two levels price alike");
+        kept.sync_intervals(&stats, 0.5);
+        assert_eq!(scores(&kept), scores(&fresh));
+        assert_eq!(kept.rebuilds(), 2);
     }
 
     #[test]
@@ -1895,12 +1867,10 @@ mod tests {
 
     #[test]
     fn ci_stop_rule_stabilizes_only_on_bounded_separated_intervals() {
-        use cloudia_measure::StopRule as _;
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
-        let mut inner = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
-        inner.protect_pair(2, 3);
-        let stop = CiStopRule::new(inner);
+        let mut stop = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
+        stop.protect_pair(2, 3);
         // No samples: never stable.
         assert!(!stop.stable(&PairwiseStats::new(12), &remaining));
         // One sample per direction: every interval unbounded, unstable.
@@ -1911,11 +1881,13 @@ mod tests {
         // Protected pairs survive the stop.
         assert!(stop.must_keep(2, 3) && stop.must_keep(3, 2));
         assert!(!stop.must_keep(0, 1));
+        // A point rule never declares stability.
+        let point = CandidatePruneRule::new(4, CandidateConfig::fixed(6));
+        assert!(!point.stable(&full_stats_ci(12, 7, 5), &remaining));
     }
 
     #[test]
     fn under_covered_instances_block_ci_stability() {
-        use cloudia_measure::StopRule as _;
         // Everyone well measured except instance 7, which has a single
         // covered direction: its pool membership cannot be settled yet.
         let m = 12;
@@ -1932,9 +1904,7 @@ mod tests {
         for _ in 0..5 {
             stats.record(7, 0, 50.0);
         }
-        let stop = CiStopRule::new(
-            CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95),
-        );
+        let stop = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
         assert!(!stop.stable(&stats, &remaining), "under-covered instance declared settled");
@@ -1963,7 +1933,6 @@ mod tests {
 
     #[test]
     fn indifference_margin_settles_boundary_ties_strictness_cannot() {
-        use cloudia_measure::StopRule as _;
         let stats = tied_boundary_stats(2);
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
@@ -1983,21 +1952,17 @@ mod tests {
         for &(a, b) in &condemned {
             assert!(a >= 4 || b >= 4, "cheap pair ({a},{b}) condemned");
         }
-        let stop = CiStopRule::new(tolerant);
-        assert!(stop.stable(&stats, &remaining), "settled verdicts not recognized as stable");
+        assert!(tolerant.stable(&stats, &remaining), "settled verdicts not recognized as stable");
     }
 
     #[test]
     fn plateau_fires_only_after_a_fresh_sweep_moves_no_verdict() {
-        use cloudia_measure::StopRule as _;
         let remaining: Vec<(u32, u32)> =
             (0..12u32).flat_map(|a| (a + 1..12).map(move |b| (a, b))).collect();
         // Strict rule: cheap instances are provably in (earned
         // verdicts), the tied cluster stays undecided forever — only the
         // plateau criterion can ever fire.
-        let stop = CiStopRule::new(
-            CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95),
-        );
+        let stop = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
         let stats = tied_boundary_stats(2);
         assert!(!stop.stable(&stats, &remaining), "stable with no checkpoint to compare against");
         assert!(!stop.stable(&stats, &remaining), "stable without any fresh evidence");
@@ -2007,9 +1972,7 @@ mod tests {
         assert!(stop.stable(&more, &remaining), "plateau after an unchanged sweep missed");
 
         // A verdict flip between checkpoints re-arms the rule instead.
-        let stop = CiStopRule::new(
-            CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95),
-        );
+        let stop = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
         assert!(!stop.stable(&stats, &remaining));
         let mut flipped = tied_boundary_stats(3);
         for j in 0..11usize {
@@ -2023,10 +1986,10 @@ mod tests {
         // prune protections.
         let mut rule = CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
         rule.protect_pair(0, 1);
-        let stop = CiStopRule::new(rule.clone()).with_must_keep([(2u32, 3u32)]);
+        assert!(rule.must_keep(0, 1), "default keeps lost the protections");
+        let stop = rule.with_must_keep([(2u32, 3u32)]);
         assert!(stop.must_keep(2, 3) && stop.must_keep(3, 2));
         assert!(!stop.must_keep(0, 1), "prune protection leaked into the stop keeps");
-        assert!(CiStopRule::new(rule).must_keep(0, 1), "default keeps lost the protections");
     }
 
     #[test]

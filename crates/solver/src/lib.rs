@@ -64,7 +64,7 @@ pub mod random;
 
 pub use candidates::{
     AdaptivePool, AdaptivePoolConfig, CandidateConfig, CandidatePruneRule, CandidateSet,
-    CiStopRule, PoolPolicy, PrunedProblem,
+    PoolPolicy, PrunedProblem,
 };
 pub use cluster::CostClusters;
 pub use control::SearchControl;

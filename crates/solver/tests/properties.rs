@@ -413,7 +413,7 @@ proptest! {
     ) {
         use cloudia_measure::{run_anytime, MeasureConfig, PairwiseStats, PruneRule, Scheme, Staged};
         use cloudia_netsim::{Cloud, Provider};
-        use cloudia_solver::{CandidateConfig, CandidatePruneRule, CiStopRule};
+        use cloudia_solver::{CandidateConfig, CandidatePruneRule};
 
         // Isolate the *early stop*: pruning is disabled, so the only way
         // the anytime run differs from the full run is the stop cutting
@@ -437,11 +437,10 @@ proptest! {
         // min_coverage 1.0: the stop may not fire until every incident
         // direction of every instance is measured; the indifference
         // margin lets near-tied clusters settle so it can actually fire.
-        let ci = CandidatePruneRule::new(nodes, pool)
+        let stop = CandidatePruneRule::new(nodes, pool)
             .with_confidence(0.95)
             .with_min_coverage(1.0)
             .with_tolerance(0.05);
-        let stop = CiStopRule::new(ci);
         let any = run_anytime(&scheme, &net, &cfg, PairwiseStats::new(m), &KeepAll, &stop);
         prop_assert!(any.report.round_trips <= full.round_trips);
 
@@ -534,7 +533,7 @@ proptest! {
 mod pool_index {
     use cloudia_measure::{PairwiseStats, PruneRule, StopRule};
     use cloudia_solver::candidates::PoolIndex;
-    use cloudia_solver::{CandidateConfig, CandidatePruneRule, CiStopRule};
+    use cloudia_solver::{CandidateConfig, CandidatePruneRule};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -634,11 +633,12 @@ mod pool_index {
     }
 
     /// A long-lived rule set next to the from-scratch twin it must agree
-    /// with, plus a bare index per lane count.
+    /// with, plus a bare index per lane count. The interval rules are also
+    /// evaluated as stop rules, as the online advisor's anytime epoch
+    /// evaluates its one rule.
     struct Harness {
         point: [CandidatePruneRule; 2],
         interval: [CandidatePruneRule; 2],
-        stop: [CiStopRule; 2],
         means: PoolIndex<1>,
         intervals: PoolIndex<2>,
         min_coverage: f64,
@@ -658,14 +658,9 @@ mod pool_index {
                     .with_incumbent(&[1, 2, 3])
             };
             let interval = || point().with_confidence(CONFIDENCE).with_tolerance(tolerance);
-            // The long-lived stop rule wraps a clone of the long-lived
-            // interval rule and so shares its index, as the online
-            // advisor's pair does.
-            let long_lived = interval();
             Self {
-                stop: [CiStopRule::new(long_lived.clone()), CiStopRule::new(interval())],
                 point: [point(), point()],
-                interval: [long_lived, interval()],
+                interval: [interval(), interval()],
                 means: PoolIndex::default(),
                 intervals: PoolIndex::default(),
                 min_coverage,
@@ -681,9 +676,10 @@ mod pool_index {
             let rem = &self.remaining;
             assert_eq!(self.point[0].prune(stats, rem), self.point[1].prune(&scratch, rem));
             assert_eq!(self.interval[0].prune(stats, rem), self.interval[1].prune(&scratch, rem));
-            // Both stop rules see every evaluation, so their plateau
+            // Both interval rules see every evaluation, so their plateau
             // checkpoints move in step.
-            assert_eq!(self.stop[0].stable(stats, rem), self.stop[1].stable(&scratch, rem));
+            let [long_lived, twin] = &self.interval;
+            assert_eq!(long_lived.stable(stats, rem), twin.stable(&scratch, rem));
             self.means.sync_means(stats);
             self.intervals.sync_intervals(stats, CONFIDENCE);
             let bits = |s: Option<[f64; 2]>| s.map(|s| s.map(f64::to_bits).to_vec());
@@ -764,6 +760,90 @@ mod pool_index {
             }
             h.check(&stats);
             prop_assert_eq!((h.means.rebuilds(), h.intervals.rebuilds()), (4, 4));
+        }
+    }
+}
+
+// --- The repair and batch pool: `CandidateSet::build` over a cost matrix
+// ranks through the one routine every pool shares, and must pick what
+// its own per-instance loop picked, ties, dark links and pins included.
+mod dense_pool {
+    use cloudia_solver::problem::{Costs, NodeDeployment};
+    use cloudia_solver::{CandidateConfig, CandidateSet, PoolPolicy};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The pool `CandidateSet::build` took before it ranked through
+    /// `ranked_pool`: every instance scored by the quantile of its
+    /// incident costs, the cheapest `pool_size` kept, ties by index.
+    fn transcribed_pool(problem: &NodeDeployment, config: &CandidateConfig) -> Vec<u32> {
+        let (n, m) = (problem.num_nodes, problem.num_instances());
+        let pool_size = config.pool_size(n, m);
+        if pool_size >= m {
+            return (0..m as u32).collect();
+        }
+        let costs = &problem.costs;
+        let mut scored: Vec<(f64, u32)> = (0..m)
+            .map(|j| {
+                let mut incident: Vec<f64> = Vec::with_capacity(2 * (m - 1));
+                for l in 0..m {
+                    if l != j {
+                        incident.push(costs.get(j, l));
+                        incident.push(costs.get(l, j));
+                    }
+                }
+                let idx = ((incident.len() - 1) as f64 * config.quantile).round() as usize;
+                let (_, q, _) = incident.select_nth_unstable_by(idx, f64::total_cmp);
+                (*q, j as u32)
+            })
+            .collect();
+        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut pool: Vec<u32> = scored[..pool_size].iter().map(|&(_, j)| j).collect();
+        pool.sort_unstable();
+        pool
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_dense_pool_equals_its_transcribed_loop(
+            seed in 0u64..100_000,
+            m in 1usize..24,
+            n in 1usize..6,
+            k in 0usize..16,
+            quantile in 0.0f64..1.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Few distinct prices (ties everywhere), signed zeros and
+            // dark (+∞) links.
+            let prices = [0.0, -0.0, 0.5, 1.0, 1.0, 2.5, f64::INFINITY];
+            let costs = Costs::from_fn(m, |_, _| prices[rng.random_range(0..prices.len())]);
+            let n = n.min(m);
+            let edges = (0..n as u32).zip(1..n as u32).collect();
+            let problem = NodeDeployment::new(n, edges, costs);
+            let incumbent: Vec<u32> = (0..n).map(|_| rng.random_range(0..m as u32)).collect();
+            let fixed: Vec<Option<u32>> = (0..n)
+                .map(|_| rng.random::<bool>().then(|| rng.random_range(0..m as u32)))
+                .collect();
+            let config = CandidateConfig { pool: PoolPolicy::Fixed(k), quantile, auto_escalate: true };
+            let pool = transcribed_pool(&problem, &config);
+            for (inc, fix) in [(None, None), (Some(&incumbent[..]), Some(&fixed[..]))] {
+                let built = CandidateSet::build(&problem, &config, inc, fix);
+                let mut union = pool.clone();
+                for v in 0..n {
+                    let extras = [inc.map(|i| i[v]), fix.and_then(|f| f[v])];
+                    let mut list = pool.clone();
+                    list.extend(extras.into_iter().flatten());
+                    list.sort_unstable();
+                    list.dedup();
+                    prop_assert_eq!(built.node_candidates(v), &list[..], "node {}", v);
+                    union.extend(list);
+                }
+                union.sort_unstable();
+                union.dedup();
+                prop_assert_eq!(built.union(), &union[..]);
+            }
         }
     }
 }

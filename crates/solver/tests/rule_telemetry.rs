@@ -4,7 +4,7 @@
 
 use cloudia_measure::{run_anytime, MeasureConfig, PairwiseStats, Staged};
 use cloudia_netsim::{Cloud, Provider};
-use cloudia_solver::{CandidateConfig, CandidatePruneRule, CiStopRule};
+use cloudia_solver::{CandidateConfig, CandidatePruneRule};
 
 #[test]
 fn a_healthy_sweep_rebuilds_each_index_once_and_syncs_the_rest() {
@@ -17,21 +17,20 @@ fn a_healthy_sweep_rebuilds_each_index_once_and_syncs_the_rest() {
     let counter = |name: &str| cloudia_obs::metrics().counter_value(name);
     let rule = || CandidatePruneRule::new(4, CandidateConfig::fixed(6)).with_confidence(0.95);
 
-    // The advisor's pair: the stop rule wraps a clone of the prune rule,
-    // so the two share one index.
-    let prune = rule();
-    let stop = CiStopRule::new(prune.clone());
-    run_anytime(&scheme, &net, &cfg, PairwiseStats::new(m), &prune, &stop);
+    // The advisor's anytime epoch: one rule object is both the prune and
+    // the stop rule, over one index.
+    let both = rule();
+    run_anytime(&scheme, &net, &cfg, PairwiseStats::new(m), &both, &both);
     // Counted as they happen, so an index that outlives the sweep — the
     // online advisor keeps one for a whole run — shows up mid-run.
     assert_eq!(counter("sweep.rule.index_rebuilds"), 1);
     let synced = counter("sweep.rule.synced_links");
     assert!(synced > 0, "every stage after the first evaluation is a delta sync");
-    drop((prune, stop));
+    drop(both);
     assert_eq!(counter("sweep.rule.index_rebuilds"), 1, "dropping the index reports nothing");
 
     // Separately built rules keep an index each.
-    let (prune, stop) = (rule(), CiStopRule::new(rule()));
+    let (prune, stop) = (rule(), rule());
     run_anytime(&scheme, &net, &cfg, PairwiseStats::new(m), &prune, &stop);
     assert_eq!(counter("sweep.rule.index_rebuilds"), 3);
     assert!(counter("sweep.rule.synced_links") > synced);
@@ -40,8 +39,7 @@ fn a_healthy_sweep_rebuilds_each_index_once_and_syncs_the_rest() {
     // workload's Ks = 10 a per-sample log (over 10 · m/2 entries a stage
     // against a 4 m tail) would overrun between evaluations and rebuild
     // every stage.
-    let prune = rule();
-    let stop = CiStopRule::new(prune.clone());
-    run_anytime(&Staged::new(10, 2), &net, &cfg, PairwiseStats::new(m), &prune, &stop);
+    let both = rule();
+    run_anytime(&Staged::new(10, 2), &net, &cfg, PairwiseStats::new(m), &both, &both);
     assert_eq!(counter("sweep.rule.index_rebuilds"), 4);
 }
