@@ -17,16 +17,13 @@
 //! that changed): `dark_strike` — an m = 300 `Staged::new(3, 2)` sweep
 //! with one instance forced dark stays within 1.5× of the same sweep on
 //! the clean network (a strike that re-walks every stage per dark pair
-//! reads ~6×) — and `protected_filter` — one `prune` evaluation at
-//! m = 400 with 95 % of pairs protected and 170 instances out beats a
-//! hash-set membership filter like the `HashSet<(u32, u32)>` it replaced
-//! by ≥ 3×, same verdict. The reference hashes each normalized pair
-//! packed into one `u64`, so no split two-`u32` store meets a merged
-//! 8-byte load on its lookup path whatever the inliner decides (the tuple
-//! key's cost swung 2× between builds on that store-forwarding stall
-//! alone). On a shared 2-vCPU Xeon it reads 3.5–4.5× over five runs on
-//! one build and 3.7–3.9× over five on another; the gate sits where a
-//! return to hashing — 1× — fails and the weather does not.
+//! reads ~6×) — and `refresh_look` — the same sweep from warm statistics
+//! under a point `CandidatePruneRule` with 95 % of pairs protected and
+//! 170 instances out stays within 3× of the bare sweep. Its 598 looks
+//! cost the pool verdict plus one pass over the slots of each instance
+//! condemned for the first time, and read 1.4–1.8× on a shared 2-vCPU
+//! Xeon; looks that walk every remaining pair (the pair-slice `prune`
+//! path) read 6.5–7.2×.
 //!
 //! The fifth, `cp_search`, holds the CP search's per-node cost: on the
 //! `batch_paper` shape (a 10×10 mesh over m = 110 EC2-like instances,
@@ -50,7 +47,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cloudia_core::CommGraph;
-use cloudia_measure::{MeasureConfig, PairwiseStats, PruneRule, Scheme, Staged};
+use cloudia_measure::{run_pruned, MeasureConfig, PairwiseStats, Scheme, Staged};
 use cloudia_netsim::{Cloud, InstanceId, LossPlane, Provider};
 use cloudia_online::{DetectorConfig, EpochMeasurement, LinkDelta, OnlineStore};
 use cloudia_solver::candidates::PoolIndex;
@@ -284,63 +281,56 @@ fn assert_dark_strike_is_local() {
     assert!(ratio <= 1.5, "a dark instance must not slow the sweep by > 1.5x, got {ratio:.2}x");
 }
 
-/// Races one `CandidatePruneRule::prune` evaluation — pool verdict plus
-/// the scan of all 79 800 remaining pairs against the rule's protected
-/// `PairSet` — against the scan alone as it was before: the verdict
-/// handed in for free, membership in a `HashSet<(u32, u32)>`. The sides
-/// alternate, so each runs on the cache the other left behind, as a rule
-/// evaluation does between two stages.
-fn assert_protected_filter_wins() {
-    let (m, nodes, pool) = (400usize, 12usize, CandidateConfig::fixed(230));
+/// Races a full m = 300 `Staged::new(3, 2)` sweep under a point
+/// `CandidatePruneRule` — 95 % of pairs protected, 170 instances out of
+/// the pool from the first look on warm statistics — against the same
+/// bare sweep. The pruned sweep takes 598 between-stage looks; each must
+/// cost the pool verdict and the strikes of newly condemned instances,
+/// not a walk over the ~40 k pairs still scheduled.
+fn assert_refresh_look_is_cheap() {
+    let (m, nodes, pool) = (300usize, 12usize, CandidateConfig::fixed(130));
+    let (scheme, cfg) = (Staged::new(3, 2), MeasureConfig::default());
+    let mut cloud = Cloud::boot(Provider::ec2_like(), 29);
+    let alloc = cloud.allocate(m);
+    let net = cloud.network(&alloc);
+    let warm = scheme.run(&net, &cfg).stats;
     let mut rng = StdRng::seed_from_u64(29);
-    let mut stats = PairwiseStats::new(m);
-    for round in 0..2 * (m - 1) {
-        record_stage(&mut stats, m, round % (m - 1), round >= m - 1, &mut rng);
-    }
-    let remaining: Vec<(u32, u32)> =
-        (0..m as u32).flat_map(|a| (a + 1..m as u32).map(move |b| (a, b))).collect();
-    // A normalized pair as one hash key.
-    let key = |a: u32, b: u32| u64::from(a.min(b)) << 32 | u64::from(a.max(b));
     let mut rule = CandidatePruneRule::new(nodes, pool);
-    let mut hashed = std::collections::HashSet::new();
-    for &(a, b) in &remaining {
-        if rng.random::<f64>() < 0.95 {
-            rule.protect_pair(a, b);
-            hashed.insert(key(a, b));
+    for a in 0..m as u32 {
+        for b in a + 1..m as u32 {
+            if rng.random::<f64>() < 0.95 {
+                rule.protect_pair(a, b);
+            }
         }
     }
     let union = CandidateSet::build_partial(
         nodes,
-        &stats,
+        &warm,
         &pool,
         None,
         None,
         CandidatePruneRule::DEFAULT_MIN_COVERAGE,
     );
-    let mut out = vec![true; m];
-    for &j in union.union() {
-        out[j as usize] = false;
-    }
-    assert_eq!(out.iter().filter(|&&o| o).count(), 170);
-    let hash_filter = || {
-        remaining
-            .iter()
-            .copied()
-            .filter(|&(a, b)| (out[a as usize] || out[b as usize]) && !hashed.contains(&key(a, b)))
-            .collect::<Vec<_>>()
-    };
-    let ((set_s, condemned), (hash_s, reference)) =
-        race(60, || rule.prune(&stats, &remaining), hash_filter);
-    assert_eq!(condemned, reference, "the bitset filter reached a different verdict");
-    assert!(!condemned.is_empty());
-    let speedup = hash_s / set_s.max(1e-12);
-    println!(
-        "# protected_filter race: hash filter {:.1}us, prune {:.1}us, speedup {speedup:.1}x ({} condemned)",
-        hash_s * 1e6,
-        set_s * 1e6,
-        condemned.len()
+    assert_eq!(m - union.union().len(), 170, "instances out of the pool");
+    let ((bare_s, bare), (pruned_s, pruned)) = race(
+        6,
+        || scheme.run_onto(&net, &cfg, warm.clone()),
+        || run_pruned(&scheme, &net, &cfg, warm.clone(), &rule),
     );
-    assert!(speedup >= 3.0, "prune must beat the hash-set filter by >= 3x, got {speedup:.2}x");
+    assert!(pruned.dropped_pairs > 0, "the rule condemned nothing");
+    assert_eq!(
+        pruned.report.round_trips + pruned.saved_round_trips,
+        bare.round_trips,
+        "pruned and bare sweeps planned different schedules"
+    );
+    let ratio = pruned_s / bare_s.max(1e-12);
+    println!(
+        "# refresh_look race: bare sweep {:.1}ms, pruned sweep {:.1}ms ({} pairs dropped), {ratio:.2}x",
+        bare_s * 1e3,
+        pruned_s * 1e3,
+        pruned.dropped_pairs
+    );
+    assert!(ratio <= 3.0, "a pruned sweep must stay within 3x the bare sweep, got {ratio:.2}x");
 }
 
 /// Races the trail backend against the copy-domains oracle on the
@@ -488,7 +478,7 @@ fn main() {
                 })
             }),
             ("dark_strike", assert_dark_strike_is_local),
-            ("protected_filter", assert_protected_filter_wins),
+            ("refresh_look", assert_refresh_look_is_cheap),
             ("cp_search", assert_cp_search_wins),
             ("plan_pool", assert_plan_pool_wins),
         ];

@@ -19,6 +19,14 @@
 //! never condemn incumbent/pinned/deployed pairs — the concrete rule in
 //! `cloudia-solver` (`CandidatePruneRule`) enforces this with an explicit
 //! protected set.
+//!
+//! Nothing between two stages walks the remaining pairs for a rule that
+//! judges instances ([`PruneRule::condemned_instances`]): the driver keeps
+//! each instance's scheduled slots and per-stage live counters, so a look
+//! costs the rule's verdict plus one pass over the slots of each instance
+//! condemned for the first time this sweep, and the stop look reads the
+//! remaining pair count ([`StopRule::stable_by_count`]). Struck pairs are
+//! tombstoned in place, so every stage keeps its pair order.
 
 use cloudia_netsim::Network;
 
@@ -33,11 +41,38 @@ use crate::stats::PairwiseStats;
 /// pair the caller still depends on (incumbent, pinned, or deployed
 /// links, links under active suspicion, links owed a staleness refresh) —
 /// the driver applies the verdict verbatim.
+///
+/// A rule judges either pairs or instances. A pair rule implements
+/// [`PruneRule::prune`] alone and is handed every remaining pair at every
+/// look. An instance rule also answers [`PruneRule::condemned_instances`]
+/// and [`PruneRule::protects`], and the driver strikes the unprotected
+/// pairs of each instance the first time it is condemned in a sweep. The
+/// two are the same verdict when `prune` condemns exactly the remaining
+/// pairs with a condemned endpoint that `protects` does not exempt, and
+/// the protected set is fixed for the sweep: a struck pair never returns,
+/// so an instance condemned again (or still) at a later look has nothing
+/// left to strike.
 pub trait PruneRule {
     /// Given the statistics measured so far and the unordered pairs still
     /// scheduled, returns the subset whose remaining probes may be
     /// dropped. An empty vector leaves the schedule untouched.
     fn prune(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> Vec<(u32, u32)>;
+
+    /// The per-instance verdict: `out[j]` where every unprotected pair of
+    /// instance `j` may be dropped. `None` (the default): the rule judges
+    /// pairs, and the driver asks [`PruneRule::prune`] instead.
+    fn condemned_instances(&self, stats: &PairwiseStats) -> Option<Vec<bool>> {
+        let _ = stats;
+        None
+    }
+
+    /// Whether the unordered pair `{a, b}` survives a condemned endpoint.
+    /// Read only for rules that answer
+    /// [`PruneRule::condemned_instances`]. Default: none.
+    fn protects(&self, a: u32, b: u32) -> bool {
+        let _ = (a, b);
+        false
+    }
 }
 
 /// What [`run_pruned`] produced: the ordinary report plus the pruning
@@ -48,8 +83,8 @@ pub struct PrunedReport {
     pub report: MeasurementReport,
     /// Distinct unordered pairs dropped mid-sweep.
     pub dropped_pairs: usize,
-    /// Estimated round trips the pruning saved (sum of
-    /// [`StageDriver::retain_pairs`] returns).
+    /// Estimated round trips the pruning saved: what the struck pairs
+    /// had left of [`StageDriver::planned_remaining`].
     pub saved_round_trips: u64,
 }
 
@@ -86,6 +121,15 @@ pub trait StopRule {
     /// stable — additional samples can no longer flip a verdict at the
     /// rule's confidence level.
     fn stable(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> bool;
+
+    /// [`StopRule::stable`] for a rule that reads only how many distinct
+    /// pairs remain, so the driver need not list them. `None` (the
+    /// default): the rule reads the pairs, and the driver asks
+    /// [`StopRule::stable`] instead.
+    fn stable_by_count(&self, stats: &PairwiseStats, remaining: usize) -> Option<bool> {
+        let _ = (stats, remaining);
+        None
+    }
 
     /// Whether the unordered pair `{a, b}` must keep probing even after
     /// stability fires (e.g. deployed links that feed change detectors).
@@ -135,9 +179,10 @@ pub fn run_anytime<S: Scheme + ?Sized>(
 /// with samples on record and pairs still scheduled, `stop` is consulted
 /// first — once it fires, all remaining pairs except its
 /// [`StopRule::must_keep`] ones are dropped and no rule is evaluated
-/// again — and otherwise `rule`'s condemned pairs are dropped. Callers
-/// holding the rules as options (the online stream's epoch entry) call
-/// this directly.
+/// again — and otherwise `rule`'s condemned pairs are dropped: the
+/// unprotected pairs of each instance it condemns for the first time, or
+/// the pairs it names. Callers holding the rules as options (the online
+/// stream's epoch entry) call this directly.
 pub fn run_with_rules<S: Scheme + ?Sized>(
     scheme: &S,
     net: &Network,
@@ -147,46 +192,45 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
     stop: Option<&dyn StopRule>,
 ) -> AnytimeReport {
     let mut driver = scheme.driver(net, cfg, stats);
-    // Every pair dropped so far: its size is the ledger's `dropped_pairs`,
-    // so a pair condemned at several evaluations counts once.
-    let mut dropped = PairSet::new();
+    // A struck pair leaves the schedule, so no pair is counted twice.
+    let mut dropped_pairs = 0usize;
     let mut saved_round_trips = 0u64;
     let mut stopped_early = false;
+    // Instances an instance verdict condemned at an earlier look: their
+    // unprotected pairs are gone already.
+    let mut condemned = Vec::new();
     let ruled = rule.is_some() || stop.is_some();
     loop {
-        let remaining = if ruled && !stopped_early && driver.stats().total_samples() > 0 {
-            driver.remaining_pairs()
-        } else {
-            Vec::new()
-        };
-        if !remaining.is_empty() {
-            stopped_early = stop.is_some_and(|stop| stop.stable(driver.stats(), &remaining));
-            // The remaining pairs whose future probes go.
-            let condemned: PairSet = match (stop, rule) {
+        if ruled
+            && !stopped_early
+            && driver.stats().total_samples() > 0
+            && driver.remaining_len() > 0
+        {
+            stopped_early = stop.is_some_and(|stop| {
+                stop.stable_by_count(driver.stats(), driver.remaining_len())
+                    .unwrap_or_else(|| stop.stable(driver.stats(), &driver.remaining_pairs()))
+            });
+            let struck = match (stop, rule) {
                 // Stability: every verdict is settled. Drop all
                 // non-essential probing and run out the skeleton.
                 (Some(stop), _) if stopped_early => {
-                    remaining.iter().copied().filter(|&(a, b)| !stop.must_keep(a, b)).collect()
+                    Some(driver.strike_pairs(&mut |a, b| stop.must_keep(a, b)))
                 }
-                (_, Some(rule)) => rule.prune(driver.stats(), &remaining).into_iter().collect(),
-                (_, None) => PairSet::new(),
+                (_, Some(rule)) => prune_look(&mut driver, rule, &mut condemned),
+                (_, None) => None,
             };
-            if stopped_early || !condemned.is_empty() {
-                let saved = driver.retain_pairs(&mut |a, b| !condemned.contains(a, b));
+            if let Some((pairs, saved)) = struck {
+                dropped_pairs += pairs;
                 saved_round_trips += saved;
-                let newly_dropped = remaining
-                    .iter()
-                    .filter(|&&(a, b)| condemned.contains(a, b) && dropped.insert(a, b))
-                    .count();
                 if stopped_early {
                     cloudia_obs::counters(&[
                         ("sweep.anytime.stopped_early", 1),
-                        ("sweep.anytime.dropped_pairs", newly_dropped as u64),
+                        ("sweep.anytime.dropped_pairs", pairs as u64),
                         ("sweep.anytime.saved_round_trips", saved),
                     ]);
                 } else {
                     cloudia_obs::counters(&[
-                        ("sweep.prune.dropped_pairs", newly_dropped as u64),
+                        ("sweep.prune.dropped_pairs", pairs as u64),
                         ("sweep.prune.saved_round_trips", saved),
                     ]);
                 }
@@ -196,12 +240,33 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
             break;
         }
     }
-    AnytimeReport {
-        report: driver.finish(),
-        dropped_pairs: dropped.len(),
-        saved_round_trips,
-        stopped_early,
+    AnytimeReport { report: driver.finish(), dropped_pairs, saved_round_trips, stopped_early }
+}
+
+/// One between-stage look of `rule`: strikes what it condemns and returns
+/// `(pairs, round trips)` dropped, or `None` when it condemned nothing.
+/// `condemned` carries the instances struck at earlier looks of this
+/// sweep, which are never walked again.
+fn prune_look(
+    driver: &mut StageDriver<'_>,
+    rule: &dyn PruneRule,
+    condemned: &mut Vec<bool>,
+) -> Option<(usize, u64)> {
+    let Some(out) = rule.condemned_instances(driver.stats()) else {
+        let named: PairSet =
+            rule.prune(driver.stats(), &driver.remaining_pairs()).into_iter().collect();
+        return (!named.is_empty()).then(|| driver.strike_pairs(&mut |a, b| !named.contains(a, b)));
+    };
+    condemned.resize(out.len(), false);
+    let (mut pairs, mut saved) = (0usize, 0u64);
+    for (j, (&out, seen)) in out.iter().zip(condemned.iter_mut()).enumerate() {
+        if out && !*seen {
+            *seen = true;
+            let (p, s) = driver.strike_instance(j as u32, &|a, b| rule.protects(a, b));
+            (pairs, saved) = (pairs + p, saved + s);
+        }
     }
+    (pairs > 0).then_some((pairs, saved))
 }
 
 /// A resumable, stage-granular execution of one measurement run, and the
@@ -225,8 +290,14 @@ pub struct StageDriver<'n> {
     /// One pair's round-trip times, reused by every pair of every stage.
     rtts: Vec<f64>,
     /// One sweep's schedule: unordered pairs with per-pair round trips,
-    /// each pair in exactly one stage.
+    /// each pair in exactly one stage. A struck pair stays in place with
+    /// a quota of 0, so every pair keeps its position and every stage its
+    /// order.
     stages: Vec<Vec<(u32, u32, usize)>>,
+    /// Per stage: its live pairs, and the round trips one run of it spends.
+    live: Vec<(usize, u64)>,
+    /// Each instance's slots, built at the first instance strike.
+    slots: Option<Slots>,
     sweeps: usize,
     coord_overhead_ms: f64,
     sweep: usize,
@@ -237,6 +308,42 @@ pub struct StageDriver<'n> {
     now: f64,
     done: bool,
     tally: StageTally,
+}
+
+/// Every instance's scheduled slots as `(stage, position)`: instance `j`'s
+/// are `at[start[j]..start[j + 1]]`. Stages are matchings, so an instance
+/// has at most one slot per stage.
+struct Slots {
+    start: Vec<usize>,
+    at: Vec<(u32, u32)>,
+}
+
+impl Slots {
+    fn build(n: usize, stages: &[Vec<(u32, u32, usize)>]) -> Self {
+        let mut start = vec![0usize; n + 1];
+        for &(a, b, _) in stages.iter().flatten() {
+            start[a as usize + 1] += 1;
+            start[b as usize + 1] += 1;
+        }
+        for j in 0..n {
+            start[j + 1] += start[j];
+        }
+        let mut next = start.clone();
+        let mut at = vec![(0, 0); start[n]];
+        for (s, stage) in stages.iter().enumerate() {
+            for (p, &(a, b, _)) in stage.iter().enumerate() {
+                for j in [a as usize, b as usize] {
+                    at[next[j]] = (s as u32, p as u32);
+                    next[j] += 1;
+                }
+            }
+        }
+        Self { start, at }
+    }
+
+    fn of(&self, j: usize) -> &[(u32, u32)] {
+        &self.at[self.start[j]..self.start[j + 1]]
+    }
 }
 
 /// Local telemetry accumulator for one driver run. Stages add plain
@@ -297,13 +404,18 @@ impl<'n> StageDriver<'n> {
         let n = net.len();
         assert!(n >= 2, "need at least two instances to measure");
         assert_eq!(stats.len(), n, "stats sized for {} instances, network has {n}", stats.len());
-        // One pass per driver, release builds included: `remaining_pairs`
-        // and the dark strike in `step` both rely on it.
+        // One pass per driver, release builds included: the live counters,
+        // `remaining_pairs` and every strike rely on it, and a quota of 0
+        // is how a struck pair is marked.
         let mut seen = PairSet::new();
         assert!(
-            stages.iter().flatten().all(|&(a, b, _)| seen.insert(a, b)),
-            "a pair sits in two stages (or pairs an instance with itself)"
+            stages.iter().flatten().all(|&(a, b, k)| k > 0 && seen.insert(a, b)),
+            "a pair sits in two stages (or pairs an instance with itself, or has no quota)"
         );
+        let live = stages
+            .iter()
+            .map(|stage| (stage.len(), stage.iter().map(|&(_, _, k)| k as u64).sum()))
+            .collect();
         Self {
             name,
             net,
@@ -311,6 +423,8 @@ impl<'n> StageDriver<'n> {
             stats,
             rtts: Vec::new(),
             stages,
+            live,
+            slots: None,
             sweeps,
             coord_overhead_ms,
             sweep: 0,
@@ -357,7 +471,7 @@ impl<'n> StageDriver<'n> {
         }
         // Stages emptied by pruning are skipped entirely: no probes, no
         // coordination round.
-        while self.sweep < self.sweeps && self.stages.get(self.stage).is_some_and(Vec::is_empty) {
+        while self.sweep < self.sweeps && self.live.get(self.stage).is_some_and(|l| l.0 == 0) {
             self.advance_position();
         }
         if self.stages.is_empty() || self.sweep >= self.sweeps {
@@ -410,17 +524,11 @@ impl<'n> StageDriver<'n> {
         // each sweep would burn the whole retry budget again for nothing,
         // and `remaining_pairs`/`planned_remaining` must report only work
         // that can still complete. A pair sits in exactly one stage — the
-        // one that just ran — so the strike is by pair id (ascending, as
-        // `run_stage` reports them) and touches no other stage. A fresh
-        // driver (the next epoch) re-attempts them.
-        if !outcome.dark.is_empty() {
-            let mut dark = outcome.dark.iter().peekable();
-            let mut pid = 0usize;
-            self.stages[self.stage].retain(|_| {
-                let struck = dark.next_if(|&&d| d == pid).is_some();
-                pid += 1;
-                !struck
-            });
+        // one that just ran — so the strike is by position (as `run_stage`
+        // reports them) and touches no other stage. A fresh driver (the
+        // next epoch) re-attempts them.
+        for &pid in &outcome.dark {
+            self.tombstone(self.stage, pid);
         }
         // Coordinator round before the next stage.
         self.now += self.coord_overhead_ms;
@@ -454,19 +562,19 @@ impl<'n> StageDriver<'n> {
         let end = self.end_sweep();
         let tail = if self.sweep < end { &self.stages[self.stage..] } else { &[] };
         let head = if self.sweep + 1 < end { &self.stages[..self.stage] } else { &[] };
-        tail.iter().chain(head).flatten().map(|&(a, b, _)| (a, b)).collect()
+        tail.iter().chain(head).flatten().filter(|e| e.2 > 0).map(|&(a, b, _)| (a, b)).collect()
+    }
+
+    /// How many distinct unordered pairs [`StageDriver::remaining_pairs`]
+    /// would list, read off the per-stage counters.
+    pub fn remaining_len(&self) -> usize {
+        self.live.iter().enumerate().filter(|&(s, _)| self.runs_left(s) > 0).map(|(_, l)| l.0).sum()
     }
 
     /// Round trips the remaining schedule will spend, ignoring any
     /// duration limit.
     pub fn planned_remaining(&self) -> u64 {
-        self.stages
-            .iter()
-            .enumerate()
-            .map(|(s, stage)| {
-                self.runs_left(s) * stage.iter().map(|&(_, _, k)| k as u64).sum::<u64>()
-            })
-            .sum()
+        self.live.iter().enumerate().map(|(s, l)| self.runs_left(s) * l.1).sum()
     }
 
     /// Drops the future probes of every remaining pair for which `keep`
@@ -475,18 +583,53 @@ impl<'n> StageDriver<'n> {
     /// round. Returns the round trips saved (`planned_remaining` before −
     /// after).
     pub fn retain_pairs(&mut self, keep: &mut dyn FnMut(u32, u32) -> bool) -> u64 {
-        let mut saved = 0u64;
+        self.strike_pairs(keep).1
+    }
+
+    /// [`StageDriver::retain_pairs`], also returning how many remaining
+    /// pairs it struck: `(pairs, round trips saved)`.
+    fn strike_pairs(&mut self, keep: &mut dyn FnMut(u32, u32) -> bool) -> (usize, u64) {
+        let (mut pairs, mut saved) = (0usize, 0u64);
         for s in 0..self.stages.len() {
             let runs = self.runs_left(s);
-            self.stages[s].retain(|&(a, b, k)| {
-                let kept = keep(a, b);
-                if !kept {
-                    saved += runs * k as u64;
+            if runs == 0 {
+                continue;
+            }
+            for p in 0..self.stages[s].len() {
+                let (a, b, k) = self.stages[s][p];
+                if k > 0 && !keep(a, b) {
+                    self.tombstone(s, p);
+                    (pairs, saved) = (pairs + 1, saved + runs * k as u64);
                 }
-                kept
-            });
+            }
         }
-        saved
+        (pairs, saved)
+    }
+
+    /// Strikes every remaining pair of instance `j` that `protects` does
+    /// not exempt, walking only `j`'s slots: `(pairs, round trips saved)`.
+    fn strike_instance(&mut self, j: u32, protects: &dyn Fn(u32, u32) -> bool) -> (usize, u64) {
+        let slots = self.slots.take().unwrap_or_else(|| Slots::build(self.net.len(), &self.stages));
+        let (mut pairs, mut saved) = (0usize, 0u64);
+        for &(s, p) in slots.of(j as usize) {
+            let (s, p) = (s as usize, p as usize);
+            let (a, b, k) = self.stages[s][p];
+            let runs = self.runs_left(s);
+            if k > 0 && runs > 0 && !protects(a, b) {
+                self.tombstone(s, p);
+                (pairs, saved) = (pairs + 1, saved + runs * k as u64);
+            }
+        }
+        self.slots = Some(slots);
+        (pairs, saved)
+    }
+
+    /// Takes the live pair at position `p` of stage `s` off the schedule.
+    fn tombstone(&mut self, s: usize, p: usize) {
+        let k = std::mem::take(&mut self.stages[s][p].2);
+        debug_assert!(k > 0, "pair struck twice");
+        self.live[s].0 -= 1;
+        self.live[s].1 -= k as u64;
     }
 
     /// Consumes the driver into the final report. Valid at any point —
@@ -607,14 +750,14 @@ mod tests {
     }
 
     /// The walk `remaining_pairs`/`planned_remaining` replaced: every
-    /// remaining `(sweep, stage)` position, pairs deduplicated in
+    /// remaining `(sweep, stage)` position, live pairs deduplicated in
     /// first-seen order through a hash set.
     fn hashed_remaining(d: &StageDriver<'_>) -> (Vec<(u32, u32)>, u64) {
         let end = if d.done { d.sweep } else { d.sweeps };
         let (mut seen, mut pairs, mut planned) = (HashSet::new(), Vec::new(), 0u64);
         for sweep in d.sweep..end {
             let start = if sweep == d.sweep { d.stage } else { 0 };
-            for &(a, b, k) in d.stages[start..].iter().flatten() {
+            for &(a, b, k) in d.stages[start..].iter().flatten().filter(|e| e.2 > 0) {
                 planned += k as u64;
                 if seen.insert((a, b)) {
                     pairs.push((a, b));
@@ -625,21 +768,44 @@ mod tests {
     }
 
     /// Steps `d` to exhaustion, comparing the schedule accessors with the
-    /// hashed walk at every position, and dropping the pairs `drop`
-    /// selects once `retain_at` stages have run.
+    /// hashed walk at every position. Once `retain_at` stages have run it
+    /// drops the pairs `drop` selects, then strikes instance 1 twice (the
+    /// second strike finds nothing) and instance 2, sparing the pairs whose
+    /// endpoints sum to a multiple of 3; one stage later it strikes
+    /// instance 3 the same way.
     fn walk_against_hashed(mut d: StageDriver<'_>, retain_at: usize, drop: fn(u32, u32) -> bool) {
         let check = |d: &StageDriver<'_>| {
             let (pairs, planned) = hashed_remaining(d);
             assert_eq!(d.remaining_pairs(), pairs, "sweep {} stage {}", d.sweep, d.stage);
+            assert_eq!(d.remaining_len(), pairs.len(), "sweep {} stage {}", d.sweep, d.stage);
             assert_eq!(d.planned_remaining(), planned, "sweep {} stage {}", d.sweep, d.stage);
-            planned
+            (pairs, planned)
         };
-        let mut steps = 0;
+        let spared = |a: u32, b: u32| (a + b).is_multiple_of(3);
+        let strike = |d: &mut StageDriver<'_>, j: u32| {
+            let (pairs, planned) = check(d);
+            let struck = d.strike_instance(j, &spared);
+            let (left, left_planned) = check(d);
+            let of_j = |pairs: &[(u32, u32)]| {
+                pairs.iter().filter(|&&(a, b)| (a == j || b == j) && !spared(a, b)).count()
+            };
+            assert_eq!(of_j(&left), 0, "instance {j} kept an unspared pair");
+            assert_eq!(struck, (of_j(&pairs), planned - left_planned), "instance {j}'s ledger");
+            assert_eq!(pairs.len() - left.len(), struck.0);
+            struck.0
+        };
+        let (mut steps, mut struck) = (0, 0);
         loop {
-            let before = check(&d);
+            let before = check(&d).1;
             if steps == retain_at {
                 let saved = d.retain_pairs(&mut |a, b| !drop(a, b));
-                assert_eq!(saved, before - check(&d), "retain_pairs miscounted its saving");
+                assert_eq!(saved, before - check(&d).1, "retain_pairs miscounted its saving");
+                struck += strike(&mut d, 1);
+                assert_eq!(strike(&mut d, 1), 0, "a second strike found pairs left");
+                struck += strike(&mut d, 2);
+            }
+            if steps == retain_at + 1 {
+                struck += strike(&mut d, 3);
             }
             if !d.step() {
                 break;
@@ -647,7 +813,8 @@ mod tests {
             steps += 1;
         }
         assert!(steps > retain_at, "schedule too short to exercise retain_pairs");
-        assert_eq!(check(&d), 0);
+        assert!(struck > 0, "no instance strike found a pair");
+        assert_eq!(check(&d).1, 0);
         assert!(d.remaining_pairs().is_empty());
     }
 

@@ -536,6 +536,99 @@ proptest! {
     }
 
     #[test]
+    fn instance_strikes_equal_the_pair_slice_verdict(
+        n in 5usize..11,
+        seed in 0u64..200,
+        share in 0.05f64..0.4,
+        protected_share in 0.0f64..0.8,
+        dark in 0u32..8,
+    ) {
+        use cloudia_measure::{run_pruned, PairSet, PruneRule};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        /// Condemns a fresh random `share` of the instances at every look,
+        /// so instances go out, come back in and go out again, and spares
+        /// a fixed random set of pairs.
+        struct Flicker {
+            share: f64,
+            rng: std::cell::RefCell<StdRng>,
+            protected: PairSet,
+        }
+        impl PruneRule for Flicker {
+            fn prune(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> Vec<(u32, u32)> {
+                let out = self.condemned_instances(stats).unwrap();
+                remaining
+                    .iter()
+                    .copied()
+                    .filter(|&(a, b)| (out[a as usize] || out[b as usize]) && !self.protects(a, b))
+                    .collect()
+            }
+            fn condemned_instances(&self, stats: &PairwiseStats) -> Option<Vec<bool>> {
+                let mut rng = self.rng.borrow_mut();
+                Some((0..stats.len()).map(|_| rng.random::<f64>() < self.share).collect())
+            }
+            fn protects(&self, a: u32, b: u32) -> bool {
+                self.protected.contains(a, b)
+            }
+        }
+        /// The same rule seen through `prune` alone, as a pair rule.
+        struct PairsOnly<'a>(&'a dyn PruneRule);
+        impl PruneRule for PairsOnly<'_> {
+            fn prune(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> Vec<(u32, u32)> {
+                self.0.prune(stats, remaining)
+            }
+        }
+
+        let mut pick = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let protected: PairSet = (0..n as u32)
+            .flat_map(|a| (a + 1..n as u32).map(move |b| (a, b)))
+            .filter(|_| pick.random::<f64>() < protected_share)
+            .collect();
+        let flicker = || Flicker {
+            share,
+            rng: std::cell::RefCell::new(StdRng::seed_from_u64(seed)),
+            protected: protected.clone(),
+        };
+        let mut net = ec2_network(n, seed);
+        // Instance `dark` is forced dark in five cases of eight.
+        if let Some(dark) = (dark < 5).then_some(dark) {
+            let mut loss = cloudia_netsim::LossPlane::clear(n);
+            for j in (0..n as u32).filter(|&j| j != dark) {
+                loss.set_drop_prob(InstanceId(dark), InstanceId(j), 1.0);
+                loss.set_drop_prob(InstanceId(j), InstanceId(dark), 1.0);
+            }
+            net.set_loss(loss);
+        }
+        let cfg = MeasureConfig { seed, ..MeasureConfig::default() };
+        // Warm statistics, so the first look comes before the first stage.
+        let warm = Staged::new(1, 1).run(&net, &cfg).stats;
+        let mut plan = ProbePlan::new(n);
+        plan.add_clique(&[0, 1, 2, 3]);
+        plan.add_pair(1, n as u32 - 1);
+        plan.add_pair(2, n as u32 - 2);
+        let schemes: Vec<Box<dyn Scheme>> = vec![
+            Box::new(Staged::new(2, 3)),
+            Box::new(FocusedScheme::new(plan, 2, 3)),
+        ];
+        for scheme in &schemes {
+            let name = scheme.name();
+            let strikes = run_pruned(scheme.as_ref(), &net, &cfg, warm.clone(), &flicker());
+            let walked =
+                run_pruned(scheme.as_ref(), &net, &cfg, warm.clone(), &PairsOnly(&flicker()));
+            prop_assert_eq!(strikes.dropped_pairs, walked.dropped_pairs, "{}: dropped pairs", name);
+            prop_assert_eq!(strikes.saved_round_trips, walked.saved_round_trips, "{}", name);
+            prop_assert_eq!(strikes.report.round_trips, walked.report.round_trips, "{}", name);
+            prop_assert_eq!(
+                strikes.report.elapsed_ms.to_bits(), walked.report.elapsed_ms.to_bits(), "{}", name
+            );
+            let bits = |r: &cloudia_measure::PrunedReport| -> Vec<u64> {
+                r.report.stats.mean_vector().iter().map(|x| x.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&strikes), bits(&walked), "{}: means", name);
+        }
+    }
+
+    #[test]
     fn no_probe_is_issued_at_or_after_the_deadline(
         n in 4usize..8,
         seed in 0u64..50,

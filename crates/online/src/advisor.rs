@@ -13,6 +13,8 @@
 //! log, and the ground-truth cost of the active plan is tracked as a cost
 //! curve.
 
+use std::cell::OnceCell;
+
 use cloudia_core::{
     CommGraph, CostError, CostMatrix, Deployment, NodeDeployment, Objective, RedeployPolicy,
 };
@@ -665,7 +667,13 @@ impl OnlineAdvisor {
     /// sweep every link is unobserved, hence infinitely stale, hence the
     /// first plan is always full.
     pub fn next_probe_plan(&self) -> Option<ProbePlan> {
-        let ProbePolicy::Focused { refresh_every, max_flagged } = self.config.probe_policy else {
+        self.probe_plan_with(&OnceCell::new())
+    }
+
+    /// [`OnlineAdvisor::next_probe_plan`], reading the stale pairs from
+    /// `stale` (filled on first use).
+    fn probe_plan_with(&self, stale: &OnceCell<Vec<(u32, u32)>>) -> Option<ProbePlan> {
+        let ProbePolicy::Focused { max_flagged, .. } = self.config.probe_policy else {
             return None;
         };
         let m = self.store.len();
@@ -680,10 +688,21 @@ impl OnlineAdvisor {
         }
         // Stale links re-enter too; skipped links age out together, so
         // this escalates to a periodic full refresh on its own.
-        for (a, b) in self.store.stale_pairs(self.planning_epoch, refresh_every) {
+        for &(a, b) in self.stale_pairs(stale) {
             plan.add_pair(a, b);
         }
         Some(plan)
+    }
+
+    /// The pairs owed a staleness refresh this epoch, scanned from the
+    /// store into `stale` on first use: the focused plan re-enters them
+    /// and the prune rule protects them, at one horizon.
+    fn stale_pairs<'a>(&self, stale: &'a OnceCell<Vec<(u32, u32)>>) -> &'a [(u32, u32)] {
+        let horizon = match self.config.probe_policy {
+            ProbePolicy::Focused { refresh_every, .. } => refresh_every,
+            ProbePolicy::Uniform => self.config.prune_refresh_every.max(1),
+        };
+        stale.get_or_init(|| self.store.stale_pairs(self.planning_epoch, horizon))
     }
 
     /// The candidate pool whose clique the next focused plan probes:
@@ -721,7 +740,12 @@ impl OnlineAdvisor {
     /// The scheme the next [`OnlineAdvisor::step_stream`] epoch will
     /// measure with, or `None` for the stream's own uniform sweep.
     pub fn next_probe_scheme(&self) -> Option<FocusedScheme> {
-        self.next_probe_plan()
+        self.probe_scheme_with(&OnceCell::new())
+    }
+
+    /// [`OnlineAdvisor::next_probe_scheme`] over `stale`.
+    fn probe_scheme_with(&self, stale: &OnceCell<Vec<(u32, u32)>>) -> Option<FocusedScheme> {
+        self.probe_plan_with(stale)
             .map(|plan| FocusedScheme::new(plan, self.config.probe_ks, self.config.probe_sweeps))
     }
 
@@ -749,6 +773,11 @@ impl OnlineAdvisor {
     /// run; evaluated on other statistics (a clone) it rebuilds that
     /// index, with the same verdicts.
     pub fn sweep_prune_rule(&self) -> Option<CandidatePruneRule> {
+        self.prune_rule_with(&OnceCell::new())
+    }
+
+    /// [`OnlineAdvisor::sweep_prune_rule`] over `stale`.
+    fn prune_rule_with(&self, stale: &OnceCell<Vec<(u32, u32)>>) -> Option<CandidatePruneRule> {
         if !self.config.prune_during_sweep {
             return None;
         }
@@ -782,11 +811,7 @@ impl OnlineAdvisor {
         for &(src, dst) in &self.recent_flags {
             rule.protect_pair(src, dst);
         }
-        let horizon = match self.config.probe_policy {
-            ProbePolicy::Focused { refresh_every, .. } => refresh_every,
-            ProbePolicy::Uniform => self.config.prune_refresh_every.max(1),
-        };
-        for (a, b) in self.store.stale_pairs(self.planning_epoch, horizon) {
+        for &(a, b) in self.stale_pairs(stale) {
             rule.protect_pair(a, b);
         }
         Some(rule)
@@ -1359,9 +1384,10 @@ impl OnlineAdvisor {
     /// `spot_check_probes > 0` degradation alarms are confirmed against
     /// fresh single-link probes before they may trigger.
     pub fn step_stream<S: MeasurementStream>(&mut self, stream: &mut S) -> EpochSummary {
-        let rule = self.sweep_prune_rule();
+        let stale = OnceCell::new();
+        let rule = self.prune_rule_with(&stale);
         let stop = rule.as_ref().filter(|_| self.stops_early());
-        let mut scheme = self.next_probe_scheme();
+        let mut scheme = self.probe_scheme_with(&stale);
         if let (Some(s), true) = (scheme.as_mut(), self.config.prune_during_sweep) {
             if !s.plan.is_full() {
                 self.deepen_flagged(s);

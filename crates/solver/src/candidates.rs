@@ -479,8 +479,12 @@ impl CandidateSet {
                 Some([score]) => scored.push((score, j as u32)),
             }
         }
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        // The `take` least under a strict order (ties by index): a
+        // selection finds the set a sort's prefix holds.
         let take = pool_size.min(scored.len());
+        if 0 < take && take < scored.len() {
+            scored.select_nth_unstable_by(take - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        }
         pool.extend(scored[..take].iter().map(|&(_, j)| j));
         pool.sort_unstable();
         pool
@@ -991,7 +995,10 @@ fn lock(index: &SharedIndex) -> MutexGuard<'_, RuleIndex> {
 /// from the **partial** statistics which instances are already out of
 /// every node's candidate pool, and condemns every remaining pair with
 /// such an endpoint — those links can never carry a deployment, so their
-/// remaining probes are wasted budget.
+/// remaining probes are wasted budget. It is an instance rule: the driver
+/// reads the verdict ([`cloudia_measure::PruneRule::condemned_instances`])
+/// and strikes the unprotected pairs of each instance the first time it
+/// is out, so a look never lists the remaining pairs.
 ///
 /// One rule, with the evidence it demands as a parameter
 /// ([`CandidatePruneRule::with_confidence`]):
@@ -1063,7 +1070,7 @@ fn lock(index: &SharedIndex) -> MutexGuard<'_, RuleIndex> {
 /// another store) the index rebuilds. Clones of a rule read its index;
 /// the index can also outlive the rule
 /// ([`CandidatePruneRule::with_index`]). The interval scores a stage's
-/// `stable` and `prune` both read are built once and cached on the rule
+/// `stable` and the verdict both read are built once and cached on the rule
 /// itself, never in the index, and dropped by every builder that changes
 /// what they are computed from, so they only ever answer for the
 /// parameters that built them.
@@ -1083,8 +1090,8 @@ pub struct CandidatePruneRule {
     keep: Option<PairSet>,
     index: SharedIndex,
     /// The interval scores last derived, and where the statistics' touch
-    /// log stood then: a stage asks for them twice (`stable`, then
-    /// `prune`) and builds them once.
+    /// log stood then: a stage asks for them twice (`stable`, then the
+    /// verdict) and builds them once.
     scores: RefCell<Option<(TouchCursor, CiScores)>>,
     /// `(verdict fingerprint, total samples)` at the last plateau
     /// checkpoint; `None` before the first evaluation (or after an
@@ -1280,12 +1287,12 @@ impl CandidatePruneRule {
     }
 }
 
+/// An instance rule: the driver strikes the unprotected pairs of each
+/// instance the first time it is out; `prune` is the same verdict over a
+/// pair list.
 impl PruneRule for CandidatePruneRule {
     fn prune(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> Vec<(u32, u32)> {
-        if stats.total_samples() == 0 {
-            return Vec::new();
-        }
-        let out = self.out_of_pool(stats);
+        let out = self.condemned_instances(stats).expect("an instance rule");
         // Nobody is out until coverage builds up (every evaluation of a
         // bootstrap's first ~m/2 stages): nothing to scan for.
         if !out.contains(&true) {
@@ -1294,19 +1301,45 @@ impl PruneRule for CandidatePruneRule {
         remaining
             .iter()
             .copied()
-            .filter(|&(a, b)| {
-                (out[a as usize] || out[b as usize]) && !self.protected.contains(a, b)
-            })
+            .filter(|&(a, b)| (out[a as usize] || out[b as usize]) && !self.protects(a, b))
             .collect()
+    }
+
+    fn condemned_instances(&self, stats: &PairwiseStats) -> Option<Vec<bool>> {
+        Some(if stats.total_samples() == 0 {
+            vec![false; stats.len()]
+        } else {
+            self.out_of_pool(stats)
+        })
+    }
+
+    fn protects(&self, a: u32, b: u32) -> bool {
+        self.protected.contains(a, b)
     }
 }
 
 impl StopRule for CandidatePruneRule {
     fn stable(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> bool {
+        self.settled(stats, remaining.len())
+    }
+
+    fn stable_by_count(&self, stats: &PairwiseStats, remaining: usize) -> Option<bool> {
+        Some(self.settled(stats, remaining))
+    }
+
+    fn must_keep(&self, a: u32, b: u32) -> bool {
+        self.keep.as_ref().unwrap_or(&self.protected).contains(a, b)
+    }
+}
+
+impl CandidatePruneRule {
+    /// [`StopRule::stable`] with `remaining` distinct pairs still
+    /// scheduled: the settled or plateau criterion.
+    fn settled(&self, stats: &PairwiseStats, remaining: usize) -> bool {
         let Some(confidence) = self.confidence else {
             return false;
         };
-        if stats.total_samples() == 0 || remaining.is_empty() {
+        if stats.total_samples() == 0 || remaining == 0 {
             return false;
         }
         let scores = self.interval_scores(stats, confidence);
@@ -1347,7 +1380,7 @@ impl StopRule for CandidatePruneRule {
             }
             // Too little fresh evidence since the checkpoint to judge a
             // plateau — keep measuring, keep the checkpoint.
-            Some((_, at)) if samples.saturating_sub(at) < remaining.len() as u64 => false,
+            Some((_, at)) if samples.saturating_sub(at) < remaining as u64 => false,
             // A sweep-equivalent of fresh samples moved no verdict and at
             // least one verdict was earned (not forced): plateau — stop.
             Some((recorded, _)) if recorded == fingerprint && any_earned => true,
@@ -1358,10 +1391,6 @@ impl StopRule for CandidatePruneRule {
                 false
             }
         }
-    }
-
-    fn must_keep(&self, a: u32, b: u32) -> bool {
-        self.keep.as_ref().unwrap_or(&self.protected).contains(a, b)
     }
 }
 
