@@ -19,11 +19,12 @@
 //! the clean network (a strike that re-walks every stage per dark pair
 //! reads ~6×) — and `refresh_look` — the same sweep from warm statistics
 //! under a point `CandidatePruneRule` with 95 % of pairs protected and
-//! 170 instances out stays within 3× of the bare sweep. Its 598 looks
+//! 170 instances out stays within 1.4× of the bare sweep. Its 598 looks
 //! cost the pool verdict plus one pass over the slots of each instance
-//! condemned for the first time, and read 1.4–1.8× on a shared 2-vCPU
-//! Xeon; looks that walk every remaining pair (the pair-slice `prune`
-//! path) read 6.5–7.2×.
+//! condemned for the first time, and read 1.19–1.30× on a shared 2-vCPU
+//! Xeon; a verdict that re-prices links in fully sorted incident lists
+//! reads 1.59–1.85×, and looks that walk every remaining pair (the
+//! pair-slice `prune` path) 6.5–7.2×.
 //!
 //! The fifth, `cp_search`, holds the CP search's per-node cost: on the
 //! `batch_paper` shape (a 10×10 mesh over m = 110 EC2-like instances,
@@ -40,7 +41,9 @@
 //! kept [`PoolIndex`] from the epoch's deltas and ranking the pool off it
 //! must give the candidate lists the per-epoch rebuild gives —
 //! `OnlineStore::partial_stats` then `CandidateSet::build_partial` — and
-//! beat it by ≥ 4×.
+//! beat it by ≥ 22×. Windowed scores read 26.6–28.8× on a shared 2-vCPU
+//! Xeon; an index keeping every instance's incident prices sorted read
+//! 17.0–18.2×.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -285,8 +288,8 @@ fn assert_dark_strike_is_local() {
 /// `CandidatePruneRule` — 95 % of pairs protected, 170 instances out of
 /// the pool from the first look on warm statistics — against the same
 /// bare sweep. The pruned sweep takes 598 between-stage looks; each must
-/// cost the pool verdict and the strikes of newly condemned instances,
-/// not a walk over the ~40 k pairs still scheduled.
+/// cost a windowed pool verdict and the strikes of newly condemned
+/// instances, not a walk over the ~40 k pairs still scheduled.
 fn assert_refresh_look_is_cheap() {
     let (m, nodes, pool) = (300usize, 12usize, CandidateConfig::fixed(130));
     let (scheme, cfg) = (Staged::new(3, 2), MeasureConfig::default());
@@ -313,7 +316,7 @@ fn assert_refresh_look_is_cheap() {
     );
     assert_eq!(m - union.union().len(), 170, "instances out of the pool");
     let ((bare_s, bare), (pruned_s, pruned)) = race(
-        6,
+        10,
         || scheme.run_onto(&net, &cfg, warm.clone()),
         || run_pruned(&scheme, &net, &cfg, warm.clone(), &rule),
     );
@@ -330,7 +333,7 @@ fn assert_refresh_look_is_cheap() {
         pruned_s * 1e3,
         pruned.dropped_pairs
     );
-    assert!(ratio <= 3.0, "a pruned sweep must stay within 3x the bare sweep, got {ratio:.2}x");
+    assert!(ratio <= 1.4, "a pruned sweep must stay within 1.4x the bare sweep, got {ratio:.2}x");
 }
 
 /// Races the trail backend against the copy-domains oracle on the
@@ -455,7 +458,10 @@ fn assert_plan_pool_wins() {
         rebuilt_s * 1e3 / epochs as f64,
         kept_s * 1e3 / epochs as f64,
     );
-    assert!(speedup >= 4.0, "the kept plan pool must beat the rebuild by >= 4x, got {speedup:.2}x");
+    assert!(
+        speedup >= 22.0,
+        "the kept plan pool must beat the rebuild by >= 22x, got {speedup:.2}x"
+    );
 }
 
 fn main() {

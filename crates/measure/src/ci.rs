@@ -64,6 +64,25 @@ impl LinkCi {
         timeouts: u64,
         confidence: f64,
     ) -> Self {
+        Self::with_critical(count, mean, m2, attempts, timeouts, confidence, |df| {
+            t_critical(confidence, df)
+        })
+    }
+
+    /// [`LinkCi::from_parts`] with the Student-t critical value supplied:
+    /// `critical(df)` must be [`t_critical`]`(confidence, df)`, and is
+    /// asked only when the interval is bounded. A caller pricing many
+    /// links at one level looks the value up instead of re-deriving it
+    /// per link; the interval has the same bits.
+    pub fn with_critical(
+        count: u64,
+        mean: f64,
+        m2: f64,
+        attempts: u64,
+        timeouts: u64,
+        confidence: f64,
+        critical: impl FnOnce(u64) -> f64,
+    ) -> Self {
         assert!(
             confidence > 0.0 && confidence < 1.0,
             "confidence must be in (0,1), got {confidence}"
@@ -76,7 +95,7 @@ impl LinkCi {
         }
         let variance = m2 / (count - 1) as f64;
         let se = (variance / count as f64).sqrt();
-        let mut half = t_critical(confidence, count - 1) * se;
+        let mut half = critical(count - 1) * se;
         if attempts > 0 && timeouts > 0 {
             let loss = (timeouts as f64 / attempts as f64).min(MAX_CENSOR_LOSS);
             half /= 1.0 - loss;

@@ -54,7 +54,7 @@
 
 use cloudia_netsim::cost::{CostError, CostMatrix};
 
-use crate::ci::LinkCi;
+use crate::ci::{t_critical, LinkCi};
 
 // The Welford and P² sketches moved to `cloudia-obs` (the telemetry
 // plane reuses them for histogram snapshots); re-exported here so the
@@ -624,14 +624,28 @@ impl PairwiseStats {
     /// widening from the probe ledger. Fewer than two samples yield an
     /// unbounded interval — see [`LinkCi`].
     pub fn ci(&self, src: usize, dst: usize, confidence: f64) -> LinkCi {
+        self.ci_with_critical(src, dst, confidence, |df| t_critical(confidence, df))
+    }
+
+    /// [`PairwiseStats::ci`] with the Student-t critical value supplied by
+    /// `critical(df)` (see [`LinkCi::with_critical`]): the same interval,
+    /// for a caller that keeps the values of its one level at hand.
+    pub fn ci_with_critical(
+        &self,
+        src: usize,
+        dst: usize,
+        confidence: f64,
+        critical: impl FnOnce(u64) -> f64,
+    ) -> LinkCi {
         let idx = self.idx(src, dst);
-        LinkCi::from_parts(
+        LinkCi::with_critical(
             self.count[idx],
             self.mean[idx],
             self.m2[idx],
             self.attempts[idx],
             self.timeouts[idx],
             confidence,
+            critical,
         )
     }
 

@@ -632,19 +632,51 @@ fn mean_price(stats: &PairwiseStats) -> impl Fn(usize, usize, bool) -> [f64; 1] 
 }
 
 /// The interval verdicts' two price lanes: an observed direction
-/// contributes its CI `[lower, upper]` at `confidence`; a dark direction
-/// is certain evidence of unreachability, `[+∞, +∞]`.
-fn interval_price(
-    stats: &PairwiseStats,
+/// contributes its CI `[lower, upper]` at `confidence` — the bits of
+/// [`PairwiseStats::ci`], its critical value looked up in `critical`; a
+/// dark direction is certain evidence of unreachability, `[+∞, +∞]`.
+fn interval_price<'a>(
+    stats: &'a PairwiseStats,
     confidence: f64,
-) -> impl Fn(usize, usize, bool) -> [f64; 2] + '_ {
+    critical: &'a mut CriticalValues,
+) -> impl FnMut(usize, usize, bool) -> [f64; 2] + 'a {
     move |src, dst, observed| {
         if observed {
-            let ci = stats.ci(src, dst, confidence);
+            let ci =
+                stats.ci_with_critical(src, dst, confidence, |df| critical.get(confidence, df));
             [ci.lower(), ci.upper()]
         } else {
             [f64::INFINITY; 2]
         }
+    }
+}
+
+/// Student-t critical values by degrees of freedom at one confidence
+/// level, each derived once: an interval index prices every touched link
+/// at its level on every look, and a link's sample count — its degrees
+/// of freedom — takes few distinct values.
+#[derive(Debug, Default)]
+struct CriticalValues(Vec<f64>);
+
+impl CriticalValues {
+    /// Degrees of freedom past which a value is derived, not kept.
+    const KEPT: u64 = 1 << 13;
+
+    /// [`cloudia_measure::t_critical`]`(confidence, df)`, bit for bit.
+    /// The table answers for one level: the index starts a new one when
+    /// its level changes.
+    fn get(&mut self, confidence: f64, df: u64) -> f64 {
+        if df >= Self::KEPT {
+            return cloudia_measure::t_critical(confidence, df);
+        }
+        let at = df as usize;
+        if at >= self.0.len() {
+            self.0.resize(at + 1, f64::NAN);
+        }
+        if self.0[at].is_nan() {
+            self.0[at] = cloudia_measure::t_critical(confidence, df);
+        }
+        self.0[at]
     }
 }
 
@@ -663,8 +695,9 @@ fn quantile_rank(len: usize, m: usize, quantile: f64, min_coverage: f64) -> Opti
 /// buffers: `L` parallel price lanes (one for the point pool, two for the
 /// CI lower/upper bounds) over one shared offset table — the single
 /// transcription of the evidence pass, behind the one-shot
-/// [`CandidateSet::build_partial`] and the bulk builds of a
-/// [`PoolIndex`].
+/// [`CandidateSet::build_partial`] and, with no lanes (the offsets
+/// alone count each instance's evidence), a [`PoolIndex`]'s bulk build
+/// from statistics.
 struct IncidentPrices<const L: usize> {
     /// `off[j]..off[j + 1]` indexes instance `j`'s incident prices.
     off: Vec<usize>,
@@ -693,15 +726,8 @@ impl<const L: usize> IncidentPrices<L> {
                 |dst, observed| hits.push((src as u32, dst as u32, price(src, dst, observed))),
             );
         }
-        Self::from_hits(m, &hits)
-    }
-
-    /// The incident lists of `m` instances from `hits`, one
-    /// `(src, dst, prices)` per directed link with evidence; each feeds
-    /// both endpoints.
-    fn from_hits(m: usize, hits: &[(u32, u32, [f64; L])]) -> Self {
         let mut off = vec![0usize; m + 1];
-        for &(src, dst, _) in hits {
+        for &(src, dst, _) in &hits {
             off[src as usize + 1] += 1;
             off[dst as usize + 1] += 1;
         }
@@ -710,7 +736,7 @@ impl<const L: usize> IncidentPrices<L> {
         }
         let mut cursor = off.clone();
         let mut lanes: [Vec<f64>; L] = std::array::from_fn(|_| vec![0.0f64; off[m]]);
-        for &(src, dst, prices) in hits {
+        for &(src, dst, prices) in &hits {
             for end in [src as usize, dst as usize] {
                 for (lane, &p) in lanes.iter_mut().zip(&prices) {
                     lane[cursor[end]] = p;
@@ -735,25 +761,158 @@ impl<const L: usize> IncidentPrices<L> {
     }
 }
 
-/// The rules' evidence, maintained instead of rescanned: every
-/// instance's incident prices **sorted** per lane, next to the price each
-/// directed link currently contributes. A rule is evaluated between
-/// every two stages of a sweep, and a stage changes at most `m / 2`
-/// links — so after one bulk build from the evidence pass,
+/// How many of one instance's incident prices a [`Window`] keeps sorted.
+const WINDOW: usize = 32;
+
+/// A sorted run of at most [`WINDOW`] of one instance's incident prices
+/// on one lane: the entries at ranks `below .. below + len` of its
+/// incident multiset (ascending under `f64::total_cmp`). Prices ranked
+/// outside the run are only counted, never kept in order. An empty run
+/// is stale: it tracks nothing until it is filled again.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    /// Incident prices ranked below the run.
+    below: usize,
+    /// The rank the run was last filled around: an overflowing run drops
+    /// the end farther from it.
+    centre: usize,
+    len: usize,
+    /// One slot past [`WINDOW`], for the entry an insertion pushes out.
+    run: [f64; WINDOW + 1],
+}
+
+impl Window {
+    const STALE: Self = Self { below: 0, centre: 0, len: 0, run: [0.0; WINDOW + 1] };
+
+    fn run(&self) -> &[f64] {
+        &self.run[..self.len]
+    }
+
+    /// True when the run holds the entry at `rank`.
+    fn covers(&self, rank: usize) -> bool {
+        self.below <= rank && rank < self.below + self.len
+    }
+
+    /// Takes one copy of `price` — an incident price of the instance —
+    /// out of the multiset. Copies are indistinguishable under
+    /// `total_cmp`, so taking one from the run or from outside it leaves
+    /// the same multiset and the same run.
+    fn remove(&mut self, price: f64) {
+        let Some((&first, &last)) = self.run().first().zip(self.run().last()) else {
+            return;
+        };
+        if price.total_cmp(&first).is_lt() {
+            self.below -= 1;
+        } else if price.total_cmp(&last).is_le() {
+            let at = self
+                .run()
+                .binary_search_by(|p| p.total_cmp(&price))
+                .expect("a price inside the run's range sits on the run");
+            self.run.copy_within(at + 1..self.len, at);
+            self.len -= 1;
+        }
+    }
+
+    /// Adds `price` to a multiset of `total` incident prices. A price
+    /// past either end of the run joins it only where the run reaches
+    /// that end of the multiset; an overflowing run drops the end
+    /// farther from its centre.
+    fn insert(&mut self, price: f64, total: usize) {
+        let Some((&first, &last)) = self.run().first().zip(self.run().last()) else {
+            return;
+        };
+        let at = if price.total_cmp(&first).is_lt() {
+            if self.below > 0 {
+                self.below += 1;
+                return;
+            }
+            0
+        } else if price.total_cmp(&last).is_gt() {
+            if self.below + self.len < total {
+                return;
+            }
+            self.len
+        } else {
+            self.run().partition_point(|p| p.total_cmp(&price).is_lt())
+        };
+        self.run.copy_within(at..self.len, at + 1);
+        self.run[at] = price;
+        self.len += 1;
+        if self.len > WINDOW {
+            let back = self.below + WINDOW;
+            if self.centre.abs_diff(self.below) > self.centre.abs_diff(back) {
+                self.run.copy_within(1..self.len, 0);
+                self.below += 1;
+            }
+            self.len = WINDOW;
+        }
+    }
+
+    /// Fills the run from `incident`, all of the instance's prices on
+    /// this lane (reordered in place), around `rank`: two selections
+    /// and a sort of at most [`WINDOW`] entries.
+    fn fill(&mut self, incident: &mut [f64], rank: usize) {
+        let n = incident.len();
+        let lo = rank.saturating_sub(WINDOW / 2).min(n.saturating_sub(WINDOW));
+        let hi = (lo + WINDOW).min(n);
+        if lo > 0 {
+            incident.select_nth_unstable_by(lo, f64::total_cmp);
+        }
+        let tail = &mut incident[lo..];
+        if hi < n {
+            tail.select_nth_unstable_by(hi - lo - 1, f64::total_cmp);
+        }
+        let run = &mut tail[..hi - lo];
+        run.sort_unstable_by(f64::total_cmp);
+        self.run[..run.len()].copy_from_slice(run);
+        (self.below, self.centre, self.len) = (lo, rank, run.len());
+    }
+}
+
+/// Every instance's windows, behind the index's interior mutability: a
+/// read that misses re-centres them.
+#[derive(Debug)]
+struct Windows<const L: usize> {
+    /// `runs[j][l]`: instance `j`'s window on lane `l`.
+    runs: Vec<[Window; L]>,
+    /// One lane's incident prices, gathered for a fill.
+    scratch: [Vec<f64>; L],
+    /// Windows filled so far.
+    fills: u64,
+}
+
+impl<const L: usize> Default for Windows<L> {
+    fn default() -> Self {
+        Self { runs: Vec::new(), scratch: std::array::from_fn(|_| Vec::new()), fills: 0 }
+    }
+}
+
+/// The rules' evidence, maintained instead of rescanned: the price each
+/// directed link currently contributes, every instance's count of
+/// incident prices, and per instance and lane a [`Window`] — a sorted
+/// run of the [`WINDOW`] incident prices ranked around the quantile last
+/// read. A rule is evaluated between every two stages of a sweep, and a
+/// stage changes at most `m / 2` links — so after one bulk build,
 /// [`PoolIndex::sync_means`] / [`PoolIndex::sync_intervals`] re-price
 /// only the links the statistics' touch log names
 /// ([`PairwiseStats::touched_since`]) and move their entries in both
-/// endpoints' lists; a score is then a read at the quantile's rank.
-/// Scores are bit-identical to a from-scratch evidence pass over the same
-/// statistics: the lists hold exactly the prices the pass would collect,
-/// and a selection returns the element a sort puts at that rank.
+/// endpoints' windows (or only the count below a window); a score is
+/// then a read inside the window at the quantile's rank. A read the
+/// window does not cover — its first, one after a bulk build, one at
+/// another quantile, or one after re-pricing drained or shifted the run
+/// — refills the instance's windows from the price cache around the
+/// rank. Scores are bit-identical to a from-scratch evidence pass over
+/// the same statistics: a window holds exactly the entries a sort of the
+/// pass's prices puts at its ranks, and a selection returns the element
+/// a sort puts at that rank.
 ///
 /// An index follows one statistics *history*: handed statistics of
 /// another lineage (a clone, another store), ones whose log has overrun
 /// since the last sync, or a new confidence level, it rebuilds. Evidence
 /// kept outside a [`PairwiseStats`] — the online store's estimates — is
 /// followed the same way from an explicit list of touched links
-/// ([`PoolIndex::sync_touched`]).
+/// ([`PoolIndex::sync_touched`]). A bulk build fills the price cache and
+/// the counts; windows fill on their first read.
 ///
 /// Public for the online advisor, which keeps its indexes for a whole
 /// run, and the `kernel_bench` races; not part of the API.
@@ -767,13 +926,15 @@ pub struct PoolIndex<const L: usize> {
     /// The bits of the confidence level the lanes are priced at (0 for
     /// means).
     level: u64,
+    /// The critical values of `level` (intervals only).
+    critical: CriticalValues,
     m: usize,
-    /// The lanes' price of directed link `src * m + dst` as it sits on
-    /// both endpoints' lists; `None` = no evidence, on no list.
+    /// The lanes' price of directed link `src * m + dst` as it sits in
+    /// both endpoints' multisets; `None` = no evidence.
     price: Vec<Option<[f64; L]>>,
-    /// `lists[l][j]`: instance `j`'s incident prices on lane `l`,
-    /// ascending under `f64::total_cmp`.
-    lists: [Vec<Vec<f64>>; L],
+    /// `count[j]`: instance `j`'s incident prices (per lane).
+    count: Vec<usize>,
+    windows: RefCell<Windows<L>>,
     rebuilds: u64,
 }
 
@@ -782,9 +943,11 @@ impl<const L: usize> Default for PoolIndex<L> {
         Self {
             cursor: None,
             level: 0,
+            critical: CriticalValues::default(),
             m: 0,
             price: Vec::new(),
-            lists: std::array::from_fn(|_| Vec::new()),
+            count: Vec::new(),
+            windows: RefCell::default(),
             rebuilds: 0,
         }
     }
@@ -802,7 +965,14 @@ impl PoolIndex<2> {
     /// `confidence`) up to `stats`; synced at another level before, it
     /// rebuilds.
     pub fn sync_intervals(&mut self, stats: &PairwiseStats, confidence: f64) {
-        self.sync(stats, confidence.to_bits(), interval_price(stats, confidence));
+        let level = confidence.to_bits();
+        let mut critical = if level == self.level {
+            std::mem::take(&mut self.critical)
+        } else {
+            CriticalValues::default()
+        };
+        self.sync(stats, level, interval_price(stats, confidence, &mut critical));
+        self.critical = critical;
     }
 }
 
@@ -810,6 +980,12 @@ impl<const L: usize> PoolIndex<L> {
     /// Times the index was bulk-built instead of re-priced link by link.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
+    }
+
+    /// Times a read filled an instance's windows instead of reading
+    /// inside them.
+    pub fn window_rebuilds(&self) -> u64 {
+        self.windows.borrow().fills
     }
 
     /// Brings the index up to `stats`, reporting how into the
@@ -823,7 +999,7 @@ impl<const L: usize> PoolIndex<L> {
         &mut self,
         stats: &PairwiseStats,
         level: u64,
-        price: impl Fn(usize, usize, bool) -> [f64; L],
+        mut price: impl FnMut(usize, usize, bool) -> [f64; L],
     ) {
         let cursor = self.cursor.filter(|_| self.level == level);
         let synced = match cursor.and_then(|cursor| stats.touched_since(cursor)) {
@@ -846,12 +1022,16 @@ impl<const L: usize> PoolIndex<L> {
                 let m = stats.len();
                 self.reset(m);
                 let cache = &mut self.price;
-                let incident = IncidentPrices::scan(stats, |src, dst, observed| {
-                    let prices = price(src, dst, observed);
-                    cache[src * m + dst] = Some(prices);
-                    prices
-                });
-                self.sort_lists(incident);
+                // The evidence pass with no lanes to collect: the cache
+                // takes the prices, the offsets give the counts.
+                let incident: IncidentPrices<0> =
+                    IncidentPrices::scan(stats, |src, dst, observed| {
+                        cache[src * m + dst] = Some(price(src, dst, observed));
+                        []
+                    });
+                for (count, w) in self.count.iter_mut().zip(incident.off.windows(2)) {
+                    *count = w[1] - w[0];
+                }
                 None
             }
         };
@@ -870,7 +1050,7 @@ impl<const L: usize> PoolIndex<L> {
     /// rebuilds from `price` over every link on the first call, after a
     /// sync from statistics, or past the statistics' own touch-log budget
     /// ([`cloudia_measure::stats::TOUCH_LOG_PER_INSTANCE`]` · m` links):
-    /// beyond that, one bulk build is the cheaper way to the same lists.
+    /// beyond that, one bulk build is the cheaper way to the same scores.
     pub fn sync_touched(
         &mut self,
         m: usize,
@@ -886,84 +1066,88 @@ impl<const L: usize> PoolIndex<L> {
             return;
         }
         self.reset(m);
-        let mut hits = Vec::new();
         for src in 0..m {
             for dst in (0..m).filter(|&dst| dst != src) {
                 if let Some(prices) = price(src, dst) {
                     self.price[src * m + dst] = Some(prices);
-                    hits.push((src as u32, dst as u32, prices));
+                    self.count[src] += 1;
+                    self.count[dst] += 1;
                 }
             }
         }
-        self.sort_lists(IncidentPrices::from_hits(m, &hits));
     }
 
-    /// Empties the index for a bulk build over `m` instances.
+    /// Empties the index for a bulk build over `m` instances: no prices,
+    /// zero counts, every window stale.
     fn reset(&mut self, m: usize) {
         self.m = m;
         self.rebuilds += 1;
         self.price.clear();
         self.price.resize(m * m, None);
-    }
-
-    /// Takes the bulk build's incident prices as the sorted lists.
-    fn sort_lists(&mut self, incident: IncidentPrices<L>) {
-        self.lists = incident.lanes.map(|lane| {
-            incident
-                .off
-                .windows(2)
-                .map(|w| {
-                    let mut list = lane[w[0]..w[1]].to_vec();
-                    list.sort_unstable_by(f64::total_cmp);
-                    list
-                })
-                .collect()
-        });
+        self.count.clear();
+        self.count.resize(m, 0);
+        let runs = &mut self.windows.get_mut().runs;
+        runs.clear();
+        runs.resize(m, [Window::STALE; L]);
     }
 
     /// Replaces what directed link `idx` contributes to its endpoints'
-    /// lists with `new`.
+    /// multisets with `new`.
     fn reprice(&mut self, idx: usize, new: Option<[f64; L]>) {
         let old = std::mem::replace(&mut self.price[idx], new);
         let bits = |p: Option<[f64; L]>| p.map(|p| p.map(f64::to_bits));
         if bits(old) == bits(new) {
             return;
         }
+        let runs = &mut self.windows.get_mut().runs;
         for end in [idx / self.m, idx % self.m] {
-            for (l, lists) in self.lists.iter_mut().enumerate() {
-                let list = &mut lists[end];
-                let from = old.map(|old| {
-                    list.binary_search_by(|p| p.total_cmp(&old[l]))
-                        .expect("a cached price sits on both endpoints' lists")
-                });
-                let to =
-                    new.map(|new| (list.partition_point(|p| p.total_cmp(&new[l]).is_lt()), new[l]));
-                match (from, to) {
-                    // A price usually moves a little: slide the entries
-                    // between its old and new rank instead of closing
-                    // one gap and opening another.
-                    (Some(from), Some((to, price))) if to > from => {
-                        list.copy_within(from + 1..to, from);
-                        list[to - 1] = price;
-                    }
-                    (Some(from), Some((to, price))) => {
-                        list.copy_within(to..from, to + 1);
-                        list[to] = price;
-                    }
-                    (Some(from), None) => drop(list.remove(from)),
-                    (None, Some((to, price))) => list.insert(to, price),
-                    (None, None) => {}
+            let (count, windows) = (&mut self.count[end], &mut runs[end]);
+            if let Some(old) = old {
+                *count -= 1;
+                for (window, &price) in windows.iter_mut().zip(&old) {
+                    window.remove(price);
                 }
+            }
+            if let Some(new) = new {
+                for (window, &price) in windows.iter_mut().zip(&new) {
+                    window.insert(price, *count);
+                }
+                *count += 1;
             }
         }
     }
 
     /// Instance `j`'s score per lane — the `quantile` of its incident
     /// prices — or `None` when it is under-covered (see
-    /// [`quantile_rank`]).
+    /// [`quantile_rank`]). Reads inside the instance's windows, filling
+    /// them around the rank first where one does not cover it.
     pub fn scores(&self, j: usize, quantile: f64, min_coverage: f64) -> Option<[f64; L]> {
-        let rank = quantile_rank(self.lists[0][j].len(), self.m, quantile, min_coverage)?;
-        Some(std::array::from_fn(|l| self.lists[l][j][rank]))
+        let rank = quantile_rank(self.count[j], self.m, quantile, min_coverage)?;
+        let mut state = self.windows.borrow_mut();
+        let Windows { runs, scratch, fills } = &mut *state;
+        if !runs[j].iter().all(|window| window.covers(rank)) {
+            self.gather(j, scratch);
+            for (window, incident) in runs[j].iter_mut().zip(scratch.iter_mut()) {
+                window.fill(incident, rank);
+            }
+            *fills += 1;
+        }
+        Some(std::array::from_fn(|l| runs[j][l].run[rank - runs[j][l].below]))
+    }
+
+    /// Instance `j`'s incident prices per lane, off its row and column of
+    /// the price cache.
+    fn gather(&self, j: usize, lanes: &mut [Vec<f64>; L]) {
+        lanes.iter_mut().for_each(Vec::clear);
+        let m = self.m;
+        let row = self.price[j * m..(j + 1) * m].iter();
+        let column = self.price.iter().skip(j).step_by(m);
+        for prices in row.chain(column).flatten() {
+            for (lane, &p) in lanes.iter_mut().zip(prices) {
+                lane.push(p);
+            }
+        }
+        debug_assert_eq!(lanes.first().map_or(self.count[j], Vec::len), self.count[j]);
     }
 }
 
@@ -971,7 +1155,9 @@ impl<const L: usize> PoolIndex<L> {
 /// CI bounds at one confidence level, each in its own [`PoolIndex`].
 /// Evidence only — pool size, incumbent, pins and protections stay the
 /// rule's — so any number of rules, whatever their parameters, may read
-/// one.
+/// one. Rules scoring at different quantiles read the same windows too,
+/// and only cost their re-centring: a window sits around the rank last
+/// read.
 #[doc(hidden)]
 #[derive(Debug, Default)]
 pub struct RuleIndex {
@@ -988,6 +1174,16 @@ pub type SharedIndex = Arc<Mutex<RuleIndex>>;
 
 fn lock(index: &SharedIndex) -> MutexGuard<'_, RuleIndex> {
     index.lock().expect("a pool index sync panicked")
+}
+
+/// Runs a look's reads of `index`, adding the windows they filled to the
+/// `sweep.rule.window_rebuilds` counter — beside the sync's own counters,
+/// so an index whose windows thrash shows up mid-run.
+fn report_window_rebuilds<const L: usize, T>(index: &PoolIndex<L>, look: impl FnOnce() -> T) -> T {
+    let before = index.window_rebuilds();
+    let out = look();
+    cloudia_obs::counter("sweep.rule.window_rebuilds", index.window_rebuilds() - before);
+    out
 }
 
 /// The mid-sweep tournament prune rule (implements
@@ -1258,8 +1454,10 @@ impl CandidatePruneRule {
         }
         let index = &mut lock(&self.index).means;
         index.sync_means(stats);
-        let pool = CandidateSet::ranked_pool(m, pool_size, |j| {
-            index.scores(j, self.config.quantile, self.min_coverage)
+        let pool = report_window_rebuilds(index, || {
+            CandidateSet::ranked_pool(m, pool_size, |j| {
+                index.scores(j, self.config.quantile, self.min_coverage)
+            })
         });
         let mut out = vec![true; m];
         let kept = self.incumbent.iter().flatten().chain(self.fixed.iter().flatten().flatten());
@@ -1278,8 +1476,10 @@ impl CandidatePruneRule {
         if !cached {
             let index = &mut lock(&self.index).intervals;
             index.sync_intervals(stats, confidence);
-            let scores = CiScores::build(self, stats.len(), |j| {
-                index.scores(j, self.config.quantile, self.min_coverage)
+            let scores = report_window_rebuilds(index, || {
+                CiScores::build(self, stats.len(), |j| {
+                    index.scores(j, self.config.quantile, self.min_coverage)
+                })
             });
             *self.scores.borrow_mut() = Some((at, scores));
         }
@@ -1470,10 +1670,11 @@ impl CiScores {
             }
         }
 
-        let mut hi_sorted = hi.clone();
-        hi_sorted.sort_by(f64::total_cmp);
-        let out_threshold =
-            if pool_size == 0 || pool_size > m { f64::INFINITY } else { hi_sorted[pool_size - 1] };
+        let out_threshold = if pool_size == 0 || pool_size > m {
+            f64::INFINITY
+        } else {
+            *hi.clone().select_nth_unstable_by(pool_size - 1, f64::total_cmp).1
+        };
         let mut lo_sorted = lo.clone();
         lo_sorted.sort_by(f64::total_cmp);
         let tolerance = rule.tolerance;
@@ -2019,6 +2220,182 @@ mod tests {
         let stop = rule.with_must_keep([(2u32, 3u32)]);
         assert!(stop.must_keep(2, 3) && stop.must_keep(3, 2));
         assert!(!stop.must_keep(0, 1), "prune protection leaked into the stop keeps");
+    }
+
+    /// A window over `model` (sorted) filled around `rank`.
+    fn window_over(model: &[f64], rank: usize) -> Window {
+        let mut window = Window::STALE;
+        window.fill(&mut model.to_vec(), rank);
+        window
+    }
+
+    /// The window holds exactly the entries a sort of `model` puts at its
+    /// ranks.
+    fn assert_window_matches(window: &Window, model: &[f64]) {
+        let held = &model[window.below..window.below + window.len];
+        assert_eq!(
+            window.run().iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            held.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            "window at {} over {model:?}",
+            window.below
+        );
+    }
+
+    #[test]
+    fn a_window_fills_with_the_ranks_around_the_centre() {
+        let model: Vec<f64> = (0..100).map(f64::from).collect();
+        for (rank, below) in [(0, 0), (10, 0), (16, 0), (50, 34), (90, 68), (99, 68)] {
+            let window = window_over(&model, rank);
+            assert_eq!((window.below, window.len, window.centre), (below, WINDOW, rank));
+            assert!(window.covers(rank));
+            assert_window_matches(&window, &model);
+        }
+        let short = [3.0, 1.0, 2.0];
+        let window = window_over(&short, 1);
+        assert_eq!(window.run(), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn window_edits_at_the_run_edges_keep_the_ranks() {
+        let mut model: Vec<f64> = (0..100).map(|x| f64::from(x) * 2.0).collect();
+        let mut window = window_over(&model, 50);
+        let (first, last) = (window.run[0], window.run[WINDOW - 1]);
+        let edit = |window: &mut Window, model: &mut Vec<f64>, insert: bool, price: f64| {
+            if insert {
+                window.insert(price, model.len());
+                let at = model.partition_point(|p| p.total_cmp(&price).is_lt());
+                model.insert(at, price);
+            } else {
+                window.remove(price);
+                let at = model.iter().position(|p| p.to_bits() == price.to_bits()).unwrap();
+                model.remove(at);
+            }
+            assert_window_matches(window, model);
+        };
+        // Just past either end: below the run moves it up a rank, above
+        // it leaves it alone.
+        edit(&mut window, &mut model, true, first - 1.0);
+        assert_eq!((window.below, window.len), (35, WINDOW));
+        edit(&mut window, &mut model, true, last + 1.0);
+        assert_eq!((window.below, window.len), (35, WINDOW));
+        // Equal to either end: joins the run, overflowing it; the end
+        // farther from the centre (50) goes.
+        edit(&mut window, &mut model, true, first);
+        edit(&mut window, &mut model, true, last);
+        assert_eq!(window.len, WINDOW);
+        // Removing the run's first and last entries shrinks it from the
+        // edges; removing outside it moves only the count below.
+        let (first, last) = (window.run[0], window.run[window.len - 1]);
+        edit(&mut window, &mut model, false, first);
+        edit(&mut window, &mut model, false, last);
+        assert_eq!(window.len, WINDOW - 2);
+        let below = window.below;
+        let (lowest, highest) = (model[0], model[model.len() - 1]);
+        edit(&mut window, &mut model, false, lowest);
+        assert_eq!(window.below, below - 1);
+        edit(&mut window, &mut model, false, highest);
+        assert_eq!(window.below, below - 1);
+        // Drained: the run goes stale and edits stop reaching it.
+        while window.len > 0 {
+            let price = window.run[window.len / 2];
+            edit(&mut window, &mut model, false, price);
+        }
+        window.insert(model[40], model.len());
+        window.remove(model[0]);
+        assert_eq!((window.len, window.covers(window.below)), (0, false));
+    }
+
+    #[test]
+    fn a_window_reaching_an_end_of_the_multiset_grows_past_it() {
+        let mut model = vec![1.0, 2.0, 3.0];
+        let mut window = window_over(&model, 1);
+        for price in [0.5, 4.0, 0.25, f64::INFINITY, -0.0, 0.0] {
+            window.insert(price, model.len());
+            let at = model.partition_point(|p| p.total_cmp(&price).is_lt());
+            model.insert(at, price);
+            assert_eq!(window.below, 0, "the run starts the multiset");
+            assert_window_matches(&window, &model);
+        }
+        assert_eq!(window.len, model.len());
+    }
+
+    #[test]
+    fn random_window_edits_match_a_sorted_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let palette = [0.0, 1.0, 1.0, 2.0, f64::INFINITY];
+        for _ in 0..200 {
+            let mut model: Vec<f64> = (0..rng.random_range(1..80))
+                .map(|_| palette[rng.random_range(0..5usize)])
+                .collect();
+            model.sort_by(f64::total_cmp);
+            let mut window = window_over(&model, rng.random_range(0..model.len()));
+            for _ in 0..200 {
+                if rng.random::<bool>() && !model.is_empty() {
+                    let price = model.remove(rng.random_range(0..model.len()));
+                    window.remove(price);
+                } else {
+                    let price = if rng.random::<bool>() {
+                        palette[rng.random_range(0..5usize)]
+                    } else {
+                        rng.random_range(0.0..3.0)
+                    };
+                    window.insert(price, model.len());
+                    let at = model.partition_point(|p| p.total_cmp(&price).is_lt());
+                    model.insert(at, price);
+                }
+                if window.len > 0 {
+                    assert_window_matches(&window, &model);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_critical_value_memo_answers_with_t_critical_bits() {
+        for confidence in [0.5, 0.9, 0.95, 0.99] {
+            let mut memo = CriticalValues::default();
+            // Descending, then ascending: the second pass reads what the
+            // first filled in.
+            for df in (1..=5000u64).rev().chain(1..=5000) {
+                let want = cloudia_measure::t_critical(confidence, df);
+                assert_eq!(memo.get(confidence, df).to_bits(), want.to_bits(), "df {df}");
+            }
+            assert_eq!(memo.0.len(), 5001);
+        }
+    }
+
+    #[test]
+    fn memo_priced_interval_lanes_equal_the_statistics_bounds() {
+        // Links with 0–40 samples (dark, one-sample unbounded, clamped
+        // lower bounds) and lossy ledgers, priced at four levels through
+        // one index: each lane's bits are `stats.ci`'s.
+        let m = 9;
+        let mut stats = PairwiseStats::new(m);
+        for src in 0..m {
+            for dst in (0..m).filter(|&dst| dst != src) {
+                let samples = (src * 7 + dst * 3) % 41;
+                let rtts: Vec<f64> = (0..samples).map(|k| 0.5 + ((k * 13) % 7) as f64).collect();
+                let attempts = samples as u64 + (src % 3) as u64;
+                stats.record_link(src, dst, attempts, (dst % 2) as u64, &rtts);
+            }
+        }
+        let mut index = PoolIndex::default();
+        for confidence in [0.5, 0.9, 0.95, 0.99, 0.5] {
+            index.sync_intervals(&stats, confidence);
+            for src in 0..m {
+                for dst in (0..m).filter(|&dst| dst != src) {
+                    let want = if stats.link(src, dst).count() > 0 {
+                        let ci = stats.ci(src, dst, confidence);
+                        [ci.lower(), ci.upper()]
+                    } else {
+                        [f64::INFINITY; 2]
+                    };
+                    let got = index.price[src * m + dst].expect("every link has evidence");
+                    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{src}->{dst}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -540,11 +540,24 @@ mod pool_index {
     const CONFIDENCE: f64 = 0.9;
     const QUANTILE: f64 = 0.5;
 
-    /// Instance `j`'s score per lane, recomputed link by link.
+    /// Instance `j`'s score per lane at [`QUANTILE`], recomputed link by
+    /// link.
     fn naive_scores(
         stats: &PairwiseStats,
         j: usize,
         confidence: Option<f64>,
+        min_coverage: f64,
+    ) -> Option<Vec<u64>> {
+        naive_scores_at(stats, j, confidence, QUANTILE, min_coverage)
+    }
+
+    /// Instance `j`'s score per lane at `quantile`, recomputed link by
+    /// link.
+    fn naive_scores_at(
+        stats: &PairwiseStats,
+        j: usize,
+        confidence: Option<f64>,
+        quantile: f64,
         min_coverage: f64,
     ) -> Option<Vec<u64>> {
         let m = stats.len();
@@ -566,11 +579,22 @@ mod pool_index {
                 }
             }
         }
+        naive_quantile(lanes, m, quantile, min_coverage)
+    }
+
+    /// The `quantile` of each lane of one instance's incident prices
+    /// among `m` instances, by a full sort; `None` when under-covered.
+    fn naive_quantile(
+        mut lanes: Vec<Vec<f64>>,
+        m: usize,
+        quantile: f64,
+        min_coverage: f64,
+    ) -> Option<Vec<u64>> {
         let len = lanes[0].len();
         if len == 0 || (len as f64 / (2 * (m - 1)) as f64) < min_coverage {
             return None;
         }
-        let rank = ((len - 1) as f64 * QUANTILE).round() as usize;
+        let rank = ((len - 1) as f64 * quantile).round() as usize;
         Some(
             lanes
                 .iter_mut()
@@ -629,6 +653,37 @@ mod pool_index {
                     stats.record_link(src, dst, attempts, timeouts, &rtts);
                 }
             }
+        }
+    }
+
+    /// One tie-heavy mutation of `stats`: one-sample links (unbounded
+    /// `+∞` upper bounds) at a handful of means, two-sample links spread
+    /// wide enough to clamp their lower bound to `0.0`, dark links, and
+    /// runs that re-price every link of one instance far above or below
+    /// the rest (draining its windows).
+    fn mutate_ties(stats: &mut PairwiseStats, rng: &mut StdRng) {
+        let m = stats.len();
+        let means = [1.0, 1.0, 2.0, 3.0];
+        let other = |rng: &mut StdRng, a: usize| loop {
+            let b = rng.random_range(0..m);
+            if b != a {
+                return b;
+            }
+        };
+        let a = rng.random_range(0..m);
+        let b = other(rng, a);
+        match rng.random_range(0..5u32) {
+            0 => stats.record(a, b, means[rng.random_range(0..means.len())]),
+            1 => stats.record_link(a, b, 2, 0, &[0.1, 9.0]),
+            2 => stats.record_attempts(a, b, 1),
+            3 => {
+                let rtt = if rng.random::<bool>() { 0.01 } else { 50.0 };
+                for b in (0..m).filter(|&b| b != a) {
+                    let (src, dst) = if rng.random::<bool>() { (a, b) } else { (b, a) };
+                    stats.record_link(src, dst, 3, 0, &[rtt; 3]);
+                }
+            }
+            _ => mutate(stats, rng),
         }
     }
 
@@ -700,8 +755,139 @@ mod pool_index {
         }
     }
 
+    /// Every instance's scores off `means` and `intervals`, synced to
+    /// `stats`, at each of `quantiles` in turn, against the link-by-link
+    /// recomputation.
+    fn check_quantiles(
+        means: &mut PoolIndex<1>,
+        intervals: &mut PoolIndex<2>,
+        stats: &PairwiseStats,
+        quantiles: [f64; 2],
+        min_coverage: f64,
+    ) {
+        means.sync_means(stats);
+        intervals.sync_intervals(stats, CONFIDENCE);
+        for q in quantiles {
+            for j in 0..stats.len() {
+                assert_eq!(
+                    means.scores(j, q, min_coverage).map(|[s]| vec![s.to_bits()]),
+                    naive_scores_at(stats, j, None, q, min_coverage),
+                    "mean score of instance {j} at quantile {q}"
+                );
+                assert_eq!(
+                    intervals.scores(j, q, min_coverage).map(|s| s.map(f64::to_bits).to_vec()),
+                    naive_scores_at(stats, j, Some(CONFIDENCE), q, min_coverage),
+                    "interval score of instance {j} at quantile {q}"
+                );
+            }
+        }
+    }
+
+    /// A touched link's evidence: none one time in five, else two lanes
+    /// of random prices mixed with a tie-heavy palette.
+    fn touched_price(rng: &mut StdRng) -> Option<[f64; 2]> {
+        let palette = [0.0, 1.0, 1.0, 2.0, f64::INFINITY];
+        let pick = |rng: &mut StdRng| {
+            if rng.random::<bool>() {
+                palette[rng.random_range(0..palette.len())]
+            } else {
+                rng.random_range(0.0..3.0)
+            }
+        };
+        (rng.random::<f64>() < 0.8).then(|| [pick(rng), pick(rng)])
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn windowed_scores_hold_under_ties_drains_and_two_quantiles(
+            seed in 0u64..10_000,
+            m in 18usize..40,
+            ops in 20usize..160,
+        ) {
+            // Over 17 instances an incident multiset outgrows a window,
+            // so reads land inside, past and across partial windows.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let min_coverage = [0.0, 0.5, 0.8][rng.random_range(0..3usize)];
+            let quantiles = [[0.5, 0.1], [0.0, 1.0], [0.5, 0.9]][rng.random_range(0..3usize)];
+            let mut stats = PairwiseStats::new(m);
+            let (mut means, mut intervals) = (PoolIndex::default(), PoolIndex::default());
+            for _ in 0..ops {
+                mutate_ties(&mut stats, &mut rng);
+                if rng.random::<f64>() < 0.3 {
+                    check_quantiles(&mut means, &mut intervals, &stats, quantiles, min_coverage);
+                }
+            }
+            check_quantiles(&mut means, &mut intervals, &stats, quantiles, min_coverage);
+        }
+
+        #[test]
+        fn a_touched_index_follows_evidence_that_appears_and_vanishes(
+            seed in 0u64..10_000,
+            m in 18usize..40,
+            epochs in 5usize..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let min_coverage = [0.0, 0.5, 0.8][rng.random_range(0..3usize)];
+            let quantiles = [rng.random::<f64>(), rng.random::<f64>()];
+            let mut evidence: Vec<Option<[f64; 2]>> =
+                (0..m * m).map(|idx| (idx / m != idx % m).then(|| touched_price(&mut rng)).flatten()).collect();
+            let mut index = PoolIndex::<2>::default();
+            let mut touched: Vec<usize> = Vec::new();
+            for _ in 0..epochs {
+                match rng.random_range(0..4u32) {
+                    // A long run re-pricing every link of one instance
+                    // past the rest of its prices: its windows drain.
+                    0 => {
+                        let j = rng.random_range(0..m);
+                        let far = if rng.random::<bool>() { -1.0 } else { 1e9 };
+                        for k in (0..m).filter(|&k| k != j) {
+                            for idx in [j * m + k, k * m + j] {
+                                evidence[idx] = Some([far + k as f64, far - k as f64]);
+                                touched.push(idx);
+                            }
+                        }
+                    }
+                    // More links than the budget: a bulk build.
+                    1 if rng.random::<f64>() < 0.3 => {
+                        for idx in 0..m * m {
+                            if idx / m != idx % m {
+                                evidence[idx] = touched_price(&mut rng);
+                                touched.push(idx);
+                            }
+                        }
+                    }
+                    // Scattered links gain, lose or change evidence;
+                    // some are named twice, some named but unchanged.
+                    _ => {
+                        for _ in 0..rng.random_range(1..3 * m) {
+                            let idx = rng.random_range(0..m * m);
+                            if idx / m != idx % m && rng.random::<f64>() < 0.9 {
+                                evidence[idx] = touched_price(&mut rng);
+                            }
+                            touched.push(idx);
+                        }
+                    }
+                }
+                index.sync_touched(m, touched.drain(..), |src, dst| evidence[src * m + dst]);
+                for (q, j) in quantiles.into_iter().cycle().zip(0..2 * m) {
+                    let j = j % m;
+                    let mut lanes = vec![Vec::new(); 2];
+                    for k in (0..m).filter(|&k| k != j) {
+                        for prices in [evidence[j * m + k], evidence[k * m + j]].into_iter().flatten() {
+                            lanes[0].push(prices[0]);
+                            lanes[1].push(prices[1]);
+                        }
+                    }
+                    prop_assert_eq!(
+                        index.scores(j, q, min_coverage).map(|s| s.map(f64::to_bits).to_vec()),
+                        naive_quantile(lanes, m, q, min_coverage),
+                        "instance {} at quantile {}", j, q
+                    );
+                }
+            }
+        }
 
         #[test]
         fn indexed_rules_equal_from_scratch_evaluation_under_any_interleaving(

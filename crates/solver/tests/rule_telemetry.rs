@@ -26,6 +26,10 @@ fn a_healthy_sweep_rebuilds_each_index_once_and_syncs_the_rest() {
     assert_eq!(counter("sweep.rule.index_rebuilds"), 1);
     let synced = counter("sweep.rule.synced_links");
     assert!(synced > 0, "every stage after the first evaluation is a delta sync");
+    // The bulk build leaves every window stale: the first look that can
+    // rank an instance fills its windows.
+    let filled = counter("sweep.rule.window_rebuilds");
+    assert!(filled > 0, "no look filled a window");
     drop(both);
     assert_eq!(counter("sweep.rule.index_rebuilds"), 1, "dropping the index reports nothing");
 
