@@ -30,10 +30,13 @@
 //! `batch_paper` shape (a 10×10 mesh over m = 110 EC2-like instances,
 //! k = 20 cost clusters) under one node budget, the trail backend must
 //! explore the copy-domains oracle's exact tree — equal `explored`, equal
-//! deployment — and beat it by ≥ 13×. The eager trail it replaced (every
-//! assignment cleared from n − 1 domains, values found by scanning all m
-//! instances) reads 9.1–9.5× on a shared 2-vCPU Xeon; the
-//! lazy-`alldifferent`, rank-labelled one reads 18.0–18.9×.
+//! deployment — and beat it by ≥ 25×. On a shared 2-vCPU Xeon the eager
+//! trail (every assignment cleared from n − 1 domains, values found by
+//! scanning all m instances) read 9.1–9.5×; the lazy-`alldifferent`,
+//! rank-labelled one whose MRV pick scans every node reads 18–25×
+//! (median 20×); the frontier pick (the frontier plus one fresh node per
+//! domain class) reads 23–38× (median 32×). The spread is the shared
+//! host's: rerun a failure on an idle machine before believing it.
 //!
 //! The sixth, `plan_pool`, holds the online loop's focused plan pool to
 //! its upkeep: at m = 200, with each epoch sampling one 25-instance
@@ -338,7 +341,7 @@ fn assert_refresh_look_is_cheap() {
 
 /// Races the trail backend against the copy-domains oracle on the
 /// `batch_paper` shape under a 50 k-node budget: same tree, and the trail
-/// wins by ≥ 13×.
+/// wins by ≥ 25×.
 fn assert_cp_search_wins() {
     let mut cloud = Cloud::boot(Provider::ec2_like(), 7);
     let alloc = cloud.allocate(110);
@@ -361,7 +364,7 @@ fn assert_cp_search_wins() {
         "# cp_search race: clone {clone_s:.4}s, trail {trail_s:.4}s over {} nodes, speedup {speedup:.1}x",
         trail.explored
     );
-    assert!(speedup >= 13.0, "the trail must beat copy-domains by >= 13x, got {speedup:.2}x");
+    assert!(speedup >= 25.0, "the trail must beat copy-domains by >= 25x, got {speedup:.2}x");
 }
 
 /// Races the kept plan pool against the per-epoch rebuild it replaced

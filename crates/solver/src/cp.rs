@@ -34,8 +34,15 @@
 //!   live domain of an unassigned node is `domain & !taken`, so assigning
 //!   an instance sets one bit where the oracle below clears it from
 //!   n − 1 domains, and the undo trail records only the words adjacency
-//!   intersections overwrite. A node costs O(degree · words) propagation plus an
-//!   O(n · words) MRV scan, with zero allocation;
+//!   intersections overwrite. The MRV pick prices only the *frontier*
+//!   (unassigned nodes with an assigned pattern neighbour) and one node
+//!   per class: a node with no assigned neighbour has had no adjacency
+//!   row intersected into it, so its live domain is its initial domain
+//!   `& !taken`, and grouping nodes once per SIP call by (initial domain,
+//!   pattern degree) makes every such *fresh* node of a class tie with
+//!   the class's lowest fresh id. A node costs O(degree · words)
+//!   propagation plus an O((frontier + classes) · words) pick, with zero
+//!   allocation;
 //! * [`Propagation::CloneDomains`] clones every domain bitset at every
 //!   branch and removes assigned instances eagerly (the original
 //!   implementation, kept for the ablation benchmark and as a
@@ -54,6 +61,8 @@
 //! cancellation inside the search hot loop — the hooks the parallel
 //! [`crate::portfolio`] runtime is built on.
 
+use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::time::Instant;
 
 use rand::{rngs::StdRng, SeedableRng};
@@ -216,6 +225,9 @@ pub fn solve_llndp_cp_with(
 
     let mut explored = 0u64;
     let mut proven_optimal = problem.edges.is_empty();
+    let pattern = Pattern::new(problem);
+    // `(iterations, nodes)` of the SIP calls ending SAT, UNSAT and timeout.
+    let mut outcomes = [(0u64, 0u64); 3];
 
     loop {
         // Cross-thread incumbent injection: adopt a better shared
@@ -264,7 +276,7 @@ pub fn solve_llndp_cp_with(
             break;
         }
 
-        let mut sip = SipSearch::new(&search_problem, threshold);
+        let mut sip = SipSearch::new(&search_problem, &pattern, threshold);
         let sip_result = sip.solve(
             config.propagation,
             config.degree_filter,
@@ -276,6 +288,12 @@ pub fn solve_llndp_cp_with(
             control,
         );
         explored += sip.nodes;
+        let tally = &mut outcomes[match sip_result {
+            Sip::Sat(_) => 0,
+            Sip::Unsat => 1,
+            Sip::Timeout => 2,
+        }];
+        *tally = (tally.0 + 1, tally.1 + sip.nodes);
         match sip_result {
             Sip::Sat(d) => {
                 incumbent_search_cost = search_problem.longest_link(&d);
@@ -297,20 +315,56 @@ pub fn solve_llndp_cp_with(
         }
     }
 
+    if cloudia_obs::enabled() {
+        let [(sat, sat_nodes), (unsat, unsat_nodes), (timeout, timeout_nodes)] = outcomes;
+        cloudia_obs::counters(&[
+            ("solver.cp.sat_iterations", sat),
+            ("solver.cp.sat_nodes", sat_nodes),
+            ("solver.cp.unsat_iterations", unsat),
+            ("solver.cp.unsat_nodes", unsat_nodes),
+            ("solver.cp.timeout_iterations", timeout),
+            ("solver.cp.timeout_nodes", timeout_nodes),
+        ]);
+    }
     control.offer(&result, result_cost);
     SolveOutcome { deployment: result, cost: result_cost, curve, proven_optimal, explored }
 }
 
+/// The pattern side of every SIP call of one solve: the communication
+/// graph's adjacency and each node's degree (the MRV tie-break). Only the
+/// good-link rows depend on the threshold, so this is built once.
+struct Pattern {
+    out_adj: Vec<Vec<usize>>,
+    in_adj: Vec<Vec<usize>>,
+    degree: Vec<usize>,
+}
+
+impl Pattern {
+    fn new(problem: &NodeDeployment) -> Self {
+        let n = problem.num_nodes;
+        let mut out_adj = vec![Vec::new(); n];
+        let mut in_adj = vec![Vec::new(); n];
+        for &(a, b) in &problem.edges {
+            out_adj[a as usize].push(b as usize);
+            in_adj[b as usize].push(a as usize);
+        }
+        let degree = (0..n).map(|v| out_adj[v].len() + in_adj[v].len()).collect();
+        Self { out_adj, in_adj, degree }
+    }
+
+    /// `v`'s pattern neighbours, with multiplicity over `out_adj ∪ in_adj`.
+    fn neighbours(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        self.out_adj[v].iter().chain(&self.in_adj[v]).copied()
+    }
+}
+
 /// One subgraph-isomorphism satisfaction search at a fixed threshold, in
 /// rank space: instance `instance[r]` is called `r`.
-struct SipSearch {
+struct SipSearch<'p> {
     n: usize,
     m: usize,
     words: usize,
-    /// Pattern adjacency, and each node's degree (MRV tie-break).
-    out_adj: Vec<Vec<usize>>,
-    in_adj: Vec<Vec<usize>>,
-    pattern_degree: Vec<usize>,
+    pattern: &'p Pattern,
     /// `row_out[r]`: bitset of ranks reachable from rank r via good links.
     row_out: Vec<Vec<u64>>,
     row_in: Vec<Vec<u64>>,
@@ -327,19 +381,155 @@ struct SipSearch {
 /// trail. A trail entry is `(slot, old_word)` where
 /// `slot = var * words + word_index`; undoing restores absolute values in
 /// reverse order, so repeated writes to one slot round-trip correctly.
+///
+/// It also files every unassigned node for the MRV pick.
+/// `assigned_nbrs[v]` counts `v`'s assigned pattern neighbours; a node
+/// with a positive count is in `frontier`, one with none is *fresh* and
+/// is in its class's `fresh` set. No adjacency row has been intersected
+/// into a fresh node, so its live domain is its class's initial domain
+/// `& !taken`.
 struct TrailState {
     words: usize,
     domains: Vec<u64>,
     taken: Vec<u64>,
     trail: Vec<(u32, u64)>,
     assignment: Vec<Option<u32>>,
+    assigned_nbrs: Vec<u32>,
+    /// Node bitsets, `node_words` words each.
+    node_words: usize,
+    frontier: Vec<u64>,
+    /// Node `v`'s class of equal (initial domain, pattern degree); class
+    /// `c`'s initial domain (`words` words at `c * words`), its degree, and
+    /// its fresh nodes (`node_words` words at `c * node_words`).
+    class_of: Vec<u32>,
+    class_domain: Vec<u64>,
+    class_degree: Vec<usize>,
+    fresh: Vec<u64>,
 }
 
 impl TrailState {
+    /// The search's start: nothing assigned, every node fresh in its class.
+    fn new(domains: &[Vec<u64>], pattern: &Pattern, words: usize) -> Self {
+        let n = domains.len();
+        let node_words = n.div_ceil(64);
+        let mut classes: HashMap<(&[u64], usize), u32> = HashMap::new();
+        let mut class_of = Vec::with_capacity(n);
+        let (mut class_domain, mut class_degree, mut fresh) = (Vec::new(), Vec::new(), Vec::new());
+        for (v, dom) in domains.iter().enumerate() {
+            let c = *classes.entry((dom, pattern.degree[v])).or_insert_with(|| {
+                class_domain.extend_from_slice(dom);
+                class_degree.push(pattern.degree[v]);
+                fresh.resize(fresh.len() + node_words, 0);
+                (class_degree.len() - 1) as u32
+            });
+            class_of.push(c);
+            fresh[c as usize * node_words + v / 64] |= 1u64 << (v % 64);
+        }
+        Self {
+            words,
+            domains: domains.concat(),
+            taken: vec![0; words],
+            trail: Vec::with_capacity(4 * n * words),
+            assignment: vec![None; n],
+            assigned_nbrs: vec![0; n],
+            node_words,
+            frontier: vec![0; node_words],
+            class_of,
+            class_domain,
+            class_degree,
+            fresh,
+        }
+    }
+
     /// Word `w` of node `v`'s live domain.
     #[inline]
     fn live(&self, v: usize, w: usize) -> u64 {
         self.domains[v * self.words + w] & !self.taken[w]
+    }
+
+    /// Live values in `domain`: the ones no assigned node holds.
+    #[inline]
+    fn masked_size(&self, domain: &[u64]) -> u32 {
+        domain.iter().zip(&self.taken).map(|(d, t)| (d & !t).count_ones()).sum()
+    }
+
+    fn live_size(&self, v: usize) -> u32 {
+        self.masked_size(&self.domains[v * self.words..][..self.words])
+    }
+
+    /// The most-constrained unassigned node, in [`SipSearch::pick_var`]'s
+    /// order — the least (live size, higher pattern degree, lower id) —
+    /// over the frontier and, per class with a fresh node, its lowest
+    /// fresh id at one masked popcount of the class domain.
+    fn pick(&self, degree: &[usize]) -> Option<usize> {
+        // That order as one integer, so the running minimum is a compare
+        // rather than a chain of branches.
+        let key = |size: u32, degree: usize, v: usize| {
+            (u128::from(size) << 96) | (u128::from(u32::MAX - degree as u32) << 64) | v as u128
+        };
+        let mut best = u128::MAX;
+        for (w, &word) in self.frontier.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                best = best.min(key(self.live_size(v), degree[v], v));
+            }
+        }
+        let classes = self.fresh.chunks_exact(self.node_words).zip(&self.class_degree);
+        for (c, (fresh, &class_degree)) in classes.enumerate() {
+            let Some(w) = fresh.iter().position(|&word| word != 0) else {
+                continue;
+            };
+            let v = w * 64 + fresh[w].trailing_zeros() as usize;
+            let size = self.masked_size(&self.class_domain[c * self.words..][..self.words]);
+            best = best.min(key(size, class_degree, v));
+        }
+        (best != u128::MAX).then_some(best as u64 as usize)
+    }
+
+    /// Moves unassigned node `u` between its class's fresh set and the
+    /// frontier.
+    #[inline]
+    fn refile(&mut self, u: usize) {
+        let (w, bit) = (u / 64, 1u64 << (u % 64));
+        self.fresh[self.class_of[u] as usize * self.node_words + w] ^= bit;
+        self.frontier[w] ^= bit;
+    }
+
+    /// Flips `v`'s bit in the set its neighbour count files it under.
+    #[inline]
+    fn toggle(&mut self, v: usize) {
+        let (w, bit) = (v / 64, 1u64 << (v % 64));
+        if self.assigned_nbrs[v] > 0 {
+            self.frontier[w] ^= bit;
+        } else {
+            self.fresh[self.class_of[v] as usize * self.node_words + w] ^= bit;
+        }
+    }
+
+    /// Takes picked node `v` out of the pick for its subtree: each of its
+    /// unassigned pattern neighbours gains an assigned neighbour, and
+    /// joins the frontier on its first.
+    fn enter(&mut self, pattern: &Pattern, v: usize) {
+        self.toggle(v);
+        for u in pattern.neighbours(v) {
+            self.assigned_nbrs[u] += 1;
+            if self.assigned_nbrs[u] == 1 && self.assignment[u].is_none() {
+                self.refile(u);
+            }
+        }
+    }
+
+    /// Undoes [`Self::enter`] once every value of `v` has failed.
+    fn leave(&mut self, pattern: &Pattern, v: usize) {
+        for u in pattern.neighbours(v) {
+            self.assigned_nbrs[u] -= 1;
+            if self.assigned_nbrs[u] == 0 && self.assignment[u].is_none() {
+                self.refile(u);
+            }
+        }
+        self.toggle(v);
     }
 
     /// Rolls the domains back to a trail mark.
@@ -368,19 +558,11 @@ impl TrailState {
     }
 }
 
-impl SipSearch {
-    fn new(problem: &NodeDeployment, threshold: f64) -> Self {
+impl<'p> SipSearch<'p> {
+    fn new(problem: &NodeDeployment, pattern: &'p Pattern, threshold: f64) -> Self {
         let n = problem.num_nodes;
         let m = problem.num_instances();
         let words = m.div_ceil(64);
-
-        let mut out_adj = vec![Vec::new(); n];
-        let mut in_adj = vec![Vec::new(); n];
-        for &(a, b) in &problem.edges {
-            out_adj[a as usize].push(b as usize);
-            in_adj[b as usize].push(a as usize);
-        }
-        let pattern_degree = (0..n).map(|v| out_adj[v].len() + in_adj[v].len()).collect();
 
         // Good links are counted once in instance space for the value
         // order, then laid down as rank-space rows; both passes are
@@ -396,7 +578,7 @@ impl SipSearch {
             degree[j] += out;
         }
         let mut instance: Vec<u32> = (0..m as u32).collect();
-        instance.sort_by_key(|&j| std::cmp::Reverse(degree[j as usize]));
+        instance.sort_by_key(|&j| Reverse(degree[j as usize]));
         let mut rank = vec![0u32; m];
         for (r, &j) in instance.iter().enumerate() {
             rank[j as usize] = r as u32;
@@ -412,19 +594,7 @@ impl SipSearch {
             }
         }
 
-        Self {
-            n,
-            m,
-            words,
-            out_adj,
-            in_adj,
-            pattern_degree,
-            row_out,
-            row_in,
-            instance,
-            rank,
-            nodes: 0,
-        }
+        Self { n, m, words, pattern, row_out, row_in, instance, rank, nodes: 0 }
     }
 
     /// Initial rank-space domains, optionally restricted to per-node
@@ -446,8 +616,8 @@ impl SipSearch {
                 dom[r / 64] |= 1u64 << (r % 64);
                 continue;
             }
-            let need_out = self.out_adj[v].len() as u32;
-            let need_in = self.in_adj[v].len() as u32;
+            let need_out = self.pattern.out_adj[v].len() as u32;
+            let need_in = self.pattern.in_adj[v].len() as u32;
             let mut admit = |r: usize| {
                 if !degree_filter
                     || (bitset_count(&self.row_out[r]) >= need_out
@@ -484,13 +654,7 @@ impl SipSearch {
         };
         let (found, assignment) = match propagation {
             Propagation::Trail => {
-                let mut st = TrailState {
-                    words: self.words,
-                    domains: domains.concat(),
-                    taken: vec![0; self.words],
-                    trail: Vec::with_capacity(4 * self.n * self.words),
-                    assignment: vec![None; self.n],
-                };
+                let mut st = TrailState::new(&domains, self.pattern, self.words);
                 (self.search_trail(&mut st, start, deadline_s, node_limit, control), st.assignment)
             }
             Propagation::CloneDomains => {
@@ -542,14 +706,16 @@ impl SipSearch {
 
     /// Most-constrained unassigned variable: smallest domain, ties broken
     /// by higher pattern degree, then lower id. `None` when all are
-    /// assigned.
+    /// assigned. A scan over every node: the copy-domains backend's pick,
+    /// and the oracle [`TrailState::pick`] is checked against in debug
+    /// builds.
     fn pick_var(&self, sizes: impl Fn(usize) -> u32, assignment: &[Option<u32>]) -> Option<usize> {
         let mut pick: Option<(usize, u32)> = None;
         for v in (0..self.n).filter(|&v| assignment[v].is_none()) {
             let size = sizes(v);
-            let better = pick.is_none_or(|(pv, ps)| {
-                size < ps || (size == ps && self.pattern_degree[v] > self.pattern_degree[pv])
-            });
+            let degree = &self.pattern.degree;
+            let better =
+                pick.is_none_or(|(pv, ps)| size < ps || (size == ps && degree[v] > degree[pv]));
             if better {
                 pick = Some((v, size));
             }
@@ -567,13 +733,15 @@ impl SipSearch {
         node_limit: u64,
         control: &SearchControl,
     ) -> Option<bool> {
-        let live_size = |v| (0..st.words).map(|w| st.live(v, w).count_ones()).sum::<u32>();
-        let Some(v) = self.pick_var(live_size, &st.assignment) else {
+        let pick = st.pick(&self.pattern.degree);
+        debug_assert_eq!(pick, self.pick_var(|v| st.live_size(v), &st.assignment));
+        let Some(v) = pick else {
             return Some(true); // all assigned
         };
         if !self.enter_node(start, deadline_s, node_limit, control) {
             return None;
         }
+        st.enter(self.pattern, v);
 
         // Ranks are the value order: walk the live bits upwards.
         for w in 0..self.words {
@@ -596,6 +764,7 @@ impl SipSearch {
                 st.undo(mark);
             }
         }
+        st.leave(self.pattern, v);
         Some(false)
     }
 
@@ -603,7 +772,8 @@ impl SipSearch {
     /// taken) to node `v`. Returns `false` on a detected wipeout (caller
     /// undoes).
     fn propagate_trail(&self, st: &mut TrailState, v: usize, j: u32) -> bool {
-        for (adj, rows) in [(&self.out_adj[v], &self.row_out), (&self.in_adj[v], &self.row_in)] {
+        let p = self.pattern;
+        for (adj, rows) in [(&p.out_adj[v], &self.row_out), (&p.in_adj[v], &self.row_in)] {
             let row = &rows[j as usize];
             for &u in adj {
                 let ok = match st.assignment[u] {
@@ -655,7 +825,7 @@ impl SipSearch {
             next[v].iter_mut().for_each(|x| *x = 0);
             next[v][w] = bit;
             // Adjacency forward checking.
-            for &u in &self.out_adj[v] {
+            for &u in &self.pattern.out_adj[v] {
                 if assignment[u].is_none() {
                     bitset_and(&mut next[u], &self.row_out[j as usize]);
                     if bitset_count(&next[u]) == 0 {
@@ -668,7 +838,7 @@ impl SipSearch {
                 }
             }
             if ok {
-                for &u in &self.in_adj[v] {
+                for &u in &self.pattern.in_adj[v] {
                     if assignment[u].is_none() {
                         bitset_and(&mut next[u], &self.row_in[j as usize]);
                         if bitset_count(&next[u]) == 0 {

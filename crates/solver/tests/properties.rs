@@ -199,6 +199,64 @@ proptest! {
         prop_assert_eq!(trail.explored, clone.explored);
         prop_assert_eq!(trail.proven_optimal, clone.proven_optimal);
     }
+
+    #[test]
+    fn trail_cp_matches_clone_cp_on_random_patterns(
+        n in 2usize..15,
+        extra in 0usize..5,
+        flat in proptest::collection::vec(0.1f64..2.0, 18 * 18),
+        arcs in proptest::collection::vec((0usize..14, 0usize..14, 0u32..3), 0..24),
+        seed in 0u64..1000,
+        filter in 0u32..2,
+        pins in proptest::collection::vec(0usize..54, 14),
+        lists in proptest::collection::vec(proptest::collection::vec(0usize..18, 1..8), 14),
+        restrict in 0u32..2,
+    ) {
+        // The 6-ring above gives every node one degree and, unpinned, one
+        // initial domain. Random directed patterns — one-way and two-way
+        // (sometimes repeated) edges, mixed degrees, isolated nodes — make
+        // the trail's frontier pick break ties between domain classes and
+        // frontier nodes. A node budget makes timeouts deterministic too.
+        let m = n + extra;
+        let costs = Costs::from_flat(m, flat[..m * m].to_vec());
+        let mut edges = Vec::new();
+        for (a, b, back) in arcs {
+            let (a, b) = ((a % n) as u32, (b % n) as u32);
+            if a != b {
+                edges.push((a, b));
+                if back == 0 {
+                    edges.push((b, a));
+                }
+            }
+        }
+        let p = NodeDeployment::new(n, edges, costs);
+        let mut fixed: Vec<Option<u32>> = vec![None; n];
+        for (v, &j) in pins[..n].iter().enumerate() {
+            if j < m && !fixed.contains(&Some(j as u32)) {
+                fixed[v] = Some(j as u32);
+            }
+        }
+        let candidates = (restrict == 1).then(|| {
+            lists[..n].iter().map(|l| l.iter().map(|&j| (j % m) as u32).collect()).collect()
+        });
+        let config = |propagation| CpConfig {
+            clusters: None,
+            quantum: 0.0,
+            seed,
+            budget: Budget::nodes(5_000),
+            fixed: Some(fixed.clone()),
+            candidates: candidates.clone(),
+            degree_filter: filter == 1,
+            propagation,
+            ..CpConfig::default()
+        };
+        let trail = solve_llndp_cp(&p, &config(Propagation::Trail));
+        let clone = solve_llndp_cp(&p, &config(Propagation::CloneDomains));
+        prop_assert_eq!(trail.cost, clone.cost);
+        prop_assert_eq!(trail.deployment, clone.deployment);
+        prop_assert_eq!(trail.explored, clone.explored);
+        prop_assert_eq!(trail.proven_optimal, clone.proven_optimal);
+    }
 }
 
 // Satellite: the adaptive-pool contract. Whatever observation sequence
