@@ -12,7 +12,7 @@ use cloudia_solver::{
     portfolio::{solve_portfolio, PortfolioConfig},
     problem::{Costs, NodeDeployment},
     random::solve_random_count,
-    Budget, Objective,
+    Budget, Objective, SolveHint,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -60,6 +60,8 @@ fn bench_portfolio(c: &mut Criterion) {
                 black_box(&problem),
                 Objective::LongestLink,
                 &PortfolioConfig { threads: 2, ..PortfolioConfig::deterministic(20_000, 7) },
+                &SolveHint::Cold,
+                None,
             )
         })
     });

@@ -11,7 +11,7 @@ use cloudia_netsim::Provider;
 use cloudia_solver::{
     solve_llndp_cp, solve_llndp_mip, solve_lpndp_mip, solve_portfolio, solve_random_budget,
     solve_random_count, Budget, CpConfig, GreedyVariant, MipConfig, NodeDeployment, Objective,
-    PortfolioConfig, Propagation, SolveOutcome,
+    PortfolioConfig, Propagation, SolveHint, SolveOutcome,
 };
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
@@ -389,7 +389,8 @@ pub(super) fn ext_portfolio(fig: &mut Fig, scale: Scale) {
             ..PortfolioConfig::default()
         };
         let t0 = Instant::now();
-        let out = solve_portfolio(&problem, Objective::LongestLink, &config);
+        let out =
+            solve_portfolio(&problem, Objective::LongestLink, &config, &SolveHint::Cold, None);
         let secs = t0.elapsed().as_secs_f64();
         // Earliest time the merged curve is at least as good as CP's final.
         let reach = out

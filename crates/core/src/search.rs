@@ -6,46 +6,27 @@
 //! both. [`SearchStrategy::recommended`] encodes the paper's choices
 //! (CP with k = 20 clusters for LLNDP, §6.3.2; MIP without clustering for
 //! LPNDP, §6.3.3).
+//!
+//! A strategy is configuration only. What one run starts from — a
+//! [`SolveHint`] and, under candidate pruning, the per-node candidate
+//! domains — is passed as an argument to the solver it dispatches to;
+//! [`SearchStrategy::run_with_hint`] adds the one rule the solvers do not
+//! all keep themselves: the result is never worse than the incumbent and
+//! never moves a pinned node.
 
 use cloudia_solver::{
     candidates::{CandidateConfig, CandidateSet},
-    cp::{solve_llndp_cp, CpConfig},
-    encodings::{solve_llndp_mip, solve_lpndp_mip, MipConfig},
-    greedy::{solve_greedy, GreedyVariant},
+    cp::{solve_llndp_cp_with, CpConfig},
+    encodings::{solve_llndp_mip_with, solve_lpndp_mip_with, MipConfig},
+    greedy::{solve_greedy, solve_greedy_fixed, GreedyVariant},
     portfolio::{solve_portfolio, PortfolioConfig},
     random::{solve_random_budget, solve_random_count},
-    Budget, NodeDeployment, Objective, SolveOutcome,
+    Budget, NodeDeployment, Objective, SearchControl, SolveOutcome,
 };
 
-/// Context a solver run can exploit beyond the problem itself.
-///
-/// A cold run starts from nothing; an incremental run (the online
-/// advisor's budgeted re-solve, or any re-deployment round) carries the
-/// incumbent plan as a warm start and, optionally, per-node pins that
-/// restrict the search to a repair neighbourhood.
-#[derive(Debug, Clone, Default)]
-pub enum SolveHint {
-    /// No prior context: solve from scratch.
-    #[default]
-    Cold,
-    /// Re-solve starting from a known-good incumbent.
-    Incremental {
-        /// The currently deployed plan; the run warm-starts from it and
-        /// [`SearchStrategy::run_with_hint`] guarantees the result is
-        /// never worse.
-        incumbent: crate::problem::Deployment,
-        /// Per-node pins: `fixed[v] = Some(j)` keeps node `v` on instance
-        /// `j`. An empty vector (or all `None`) means every node may move.
-        fixed: Vec<Option<u32>>,
-    },
-}
-
-impl SolveHint {
-    /// An incremental hint with no pins (pure warm start).
-    pub fn warm(incumbent: crate::problem::Deployment) -> Self {
-        SolveHint::Incremental { fixed: vec![None; incumbent.len()], incumbent }
-    }
-}
+/// The solver's hint type, re-exported: a cold start, or an incumbent
+/// plus pins for an incremental re-solve.
+pub use cloudia_solver::SolveHint;
 
 /// What a candidate-pruned run produced (see [`SearchStrategy::run_pruned`]).
 #[derive(Debug, Clone)]
@@ -65,11 +46,6 @@ pub struct PrunedSolve {
 }
 
 /// A search technique plus its configuration.
-// The config-heavy variants (CP/MIP/portfolio, which now carry optional
-// warm-start deployments and pin vectors) dwarf `Greedy`; strategies are
-// built a handful of times per run, so boxing would only complicate the
-// constructors callers already use.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum SearchStrategy {
     /// Constraint-programming threshold iteration (LLNDP only).
@@ -160,63 +136,7 @@ impl SearchStrategy {
         objective: Objective,
         hint: &SolveHint,
     ) -> SolveOutcome {
-        let SolveHint::Incremental { incumbent, fixed } = hint else {
-            return self.run(problem, objective);
-        };
-        assert!(problem.is_valid(incumbent), "hint incumbent is not a valid deployment");
-        let fixed = if fixed.is_empty() { vec![None; problem.num_nodes] } else { fixed.clone() };
-        assert_eq!(fixed.len(), problem.num_nodes, "hint pins must cover every node");
-        assert!(
-            fixed.iter().zip(incumbent).all(|(f, &d)| f.is_none_or(|j| j == d)),
-            "hint incumbent violates its own pins"
-        );
-        let pinned = fixed.iter().any(Option::is_some);
-
-        let mut strategy = self.clone();
-        match &mut strategy {
-            SearchStrategy::Cp(cfg) => {
-                cfg.initial = Some(incumbent.clone());
-                cfg.fixed = pinned.then(|| fixed.clone());
-            }
-            SearchStrategy::Mip(cfg) => {
-                cfg.initial = Some(incumbent.clone());
-                cfg.fixed = pinned.then(|| fixed.clone());
-            }
-            SearchStrategy::Portfolio(cfg) => {
-                cfg.initial = Some(incumbent.clone());
-                cfg.fixed = pinned.then(|| fixed.clone());
-            }
-            // Greedy and random searches have no warm-start notion; with
-            // pins the greedy variant still honours them below.
-            SearchStrategy::Greedy(_)
-            | SearchStrategy::RandomCount { .. }
-            | SearchStrategy::RandomBudget { .. } => {}
-        }
-
-        let mut out = match (&strategy, pinned) {
-            (SearchStrategy::Greedy(variant), true) => {
-                let mut out = cloudia_solver::solve_greedy_fixed(problem, *variant, &fixed);
-                out.cost = problem.cost(objective, &out.deployment);
-                out.curve = vec![(out.curve[0].0, out.cost)];
-                out
-            }
-            _ => strategy.run(problem, objective),
-        };
-
-        // Incremental contract: never return worse than the incumbent, and
-        // never return a plan violating the pins (random searches don't
-        // know about them — their result only counts when it both beats
-        // the incumbent and happens to respect the pins).
-        let incumbent_cost = problem.cost(objective, incumbent);
-        let respects_pins =
-            !pinned || fixed.iter().zip(&out.deployment).all(|(f, &d)| f.is_none_or(|j| j == d));
-        if incumbent_cost < out.cost || !respects_pins {
-            out.deployment = incumbent.clone();
-            out.cost = incumbent_cost;
-            // A proof under a different plan does not cover the incumbent.
-            out.proven_optimal = false;
-        }
-        out
+        self.run_hinted(problem, objective, hint, None)
     }
 
     /// Runs the strategy through the candidate-pruning layer (see
@@ -245,13 +165,7 @@ impl SearchStrategy {
         hint: &SolveHint,
         config: &CandidateConfig,
     ) -> PrunedSolve {
-        let (incumbent, fixed): (Option<&[u32]>, Option<&[Option<u32>]>) = match hint {
-            SolveHint::Cold => (None, None),
-            SolveHint::Incremental { incumbent, fixed } => {
-                (Some(incumbent.as_slice()), (!fixed.is_empty()).then_some(fixed.as_slice()))
-            }
-        };
-        let candidates = CandidateSet::build(problem, config, incumbent, fixed);
+        let candidates = CandidateSet::build(problem, config, hint.incumbent(), hint.pins());
         if candidates.is_exact() {
             return PrunedSolve {
                 outcome: self.run_with_hint(problem, objective, hint),
@@ -271,26 +185,13 @@ impl SearchStrategy {
                 incumbent: restricted
                     .to_sub_deployment(incumbent)
                     .expect("incumbent instances are candidates by construction"),
-                fixed: if fixed.is_empty() {
-                    Vec::new()
-                } else {
-                    restricted
-                        .to_sub_fixed(fixed)
-                        .expect("pinned instances are candidates by construction")
-                },
+                fixed: restricted
+                    .to_sub_fixed(fixed)
+                    .expect("pinned instances are candidates by construction"),
             },
         };
-        let mut strategy = self.clone();
-        match &mut strategy {
-            SearchStrategy::Cp(cfg) => cfg.candidates = Some(restricted.node_domains.clone()),
-            SearchStrategy::Portfolio(cfg) => {
-                cfg.cp.candidates = Some(restricted.node_domains.clone());
-            }
-            // MIP/greedy/random are bounded by the restriction itself.
-            _ => {}
-        }
-
-        let mut outcome = strategy.run_with_hint(&restricted.sub, objective, &sub_hint);
+        let mut outcome =
+            self.run_hinted(&restricted.sub, objective, &sub_hint, Some(&restricted.node_domains));
         let proven_in_pool = outcome.proven_optimal;
         outcome.deployment = restricted.to_original_deployment(&outcome.deployment);
         outcome.cost = problem.cost(objective, &outcome.deployment);
@@ -302,7 +203,7 @@ impl SearchStrategy {
             // dense run opens with a tight bound.
             let dense_hint = SolveHint::Incremental {
                 incumbent: outcome.deployment.clone(),
-                fixed: fixed.map(<[_]>::to_vec).unwrap_or_default(),
+                fixed: hint.pins().map(<[_]>::to_vec).unwrap_or_default(),
             };
             let dense = self.run_with_hint(problem, objective, &dense_hint);
             return PrunedSolve { outcome: dense, pruned: true, escalated: true, pool };
@@ -317,6 +218,61 @@ impl SearchStrategy {
     /// provides no CP formulation for LPNDP) or MIP/LPNDP gets a cyclic
     /// graph.
     pub fn run(&self, problem: &NodeDeployment, objective: Objective) -> SolveOutcome {
+        self.solve(problem, objective, &SolveHint::Cold, None)
+    }
+
+    /// [`SearchStrategy::run_with_hint`] over optional per-node candidate
+    /// domains: checks the hint, solves, and clamps the result to the
+    /// incumbent.
+    fn run_hinted(
+        &self,
+        problem: &NodeDeployment,
+        objective: Objective,
+        hint: &SolveHint,
+        candidates: Option<&[Vec<u32>]>,
+    ) -> SolveOutcome {
+        let SolveHint::Incremental { incumbent, fixed } = hint else {
+            return self.solve(problem, objective, hint, candidates);
+        };
+        assert!(problem.is_valid(incumbent), "hint incumbent is not a valid deployment");
+        assert!(
+            fixed.is_empty() || fixed.len() == problem.num_nodes,
+            "hint pins must cover every node"
+        );
+        assert!(
+            fixed.iter().zip(incumbent).all(|(f, &d)| f.is_none_or(|j| j == d)),
+            "hint incumbent violates its own pins"
+        );
+
+        let mut out = self.solve(problem, objective, hint, candidates);
+
+        // Incremental contract: never return worse than the incumbent, and
+        // never return a plan violating the pins (random searches don't
+        // know about them — their result only counts when it both beats
+        // the incumbent and happens to respect the pins).
+        let incumbent_cost = problem.cost(objective, incumbent);
+        let respects_pins =
+            fixed.iter().zip(&out.deployment).all(|(f, &d)| f.is_none_or(|j| j == d));
+        if incumbent_cost < out.cost || !respects_pins {
+            out.deployment = incumbent.clone();
+            out.cost = incumbent_cost;
+            // A proof under a different plan does not cover the incumbent.
+            out.proven_optimal = false;
+        }
+        out
+    }
+
+    /// Dispatches one solve: the hint and the candidate domains go to
+    /// every technique that takes them (candidate domains: CP and the
+    /// portfolio's CP prover; pins: greedy too).
+    fn solve(
+        &self,
+        problem: &NodeDeployment,
+        objective: Objective,
+        hint: &SolveHint,
+        candidates: Option<&[Vec<u32>]>,
+    ) -> SolveOutcome {
+        let control = SearchControl::new();
         match self {
             SearchStrategy::Cp(cfg) => {
                 assert_eq!(
@@ -324,27 +280,34 @@ impl SearchStrategy {
                     Objective::LongestLink,
                     "the CP formulation only supports longest link (paper §4.4)"
                 );
-                solve_llndp_cp(problem, cfg)
+                solve_llndp_cp_with(problem, cfg, hint, candidates, &control)
             }
             SearchStrategy::Mip(cfg) => match objective {
-                Objective::LongestLink => solve_llndp_mip(problem, cfg),
-                Objective::LongestPath => solve_lpndp_mip(problem, cfg),
+                Objective::LongestLink => solve_llndp_mip_with(problem, cfg, hint, &control),
+                Objective::LongestPath => solve_lpndp_mip_with(problem, cfg, hint, &control),
             },
             SearchStrategy::Greedy(variant) => {
                 // Greedy optimizes longest link; for LPNDP the mapping is
                 // reused as a heuristic (§4.5.2), so re-evaluate its cost.
-                let mut out = solve_greedy(problem, *variant);
+                let mut out = match hint.pins() {
+                    Some(fixed) => solve_greedy_fixed(problem, *variant, fixed),
+                    None => solve_greedy(problem, *variant),
+                };
                 out.cost = problem.cost(objective, &out.deployment);
                 out.curve = vec![(out.curve[0].0, out.cost)];
                 out
             }
+            // Random searches have no warm-start notion and ignore pins;
+            // `run_with_hint` races them against the incumbent.
             SearchStrategy::RandomCount { count, seed } => {
                 solve_random_count(problem, objective, *count, *seed)
             }
             SearchStrategy::RandomBudget { budget, threads, seed } => {
                 solve_random_budget(problem, objective, *budget, *threads, *seed)
             }
-            SearchStrategy::Portfolio(cfg) => solve_portfolio(problem, objective, cfg),
+            SearchStrategy::Portfolio(cfg) => {
+                solve_portfolio(problem, objective, cfg, hint, candidates)
+            }
         }
     }
 }
@@ -411,68 +374,98 @@ mod tests {
         }
     }
 
+    /// Every strategy the hint reaches, each on a deliberately small
+    /// budget: CP (longest link only), MIP, greedy, both random searches,
+    /// and the portfolio in deterministic and in racing mode.
+    fn hinted_strategies(objective: Objective, nodes: u64) -> Vec<SearchStrategy> {
+        let budget = Budget::nodes(nodes);
+        let mut strategies = vec![
+            SearchStrategy::Mip(MipConfig { budget, ..Default::default() }),
+            SearchStrategy::Greedy(GreedyVariant::G1),
+            SearchStrategy::Greedy(GreedyVariant::G2),
+            SearchStrategy::RandomCount { count: nodes, seed: 1 },
+            SearchStrategy::RandomBudget { budget, threads: 1, seed: 1 },
+            SearchStrategy::Portfolio(PortfolioConfig {
+                threads: 2,
+                ..PortfolioConfig::deterministic(nodes, 1)
+            }),
+            SearchStrategy::Portfolio(PortfolioConfig {
+                budget: Budget { time_limit_s: 2.0, node_limit: nodes },
+                threads: 2,
+                seed: 1,
+                ..Default::default()
+            }),
+        ];
+        if objective == Objective::LongestLink {
+            strategies.push(SearchStrategy::Cp(CpConfig { budget, ..Default::default() }));
+        }
+        strategies
+    }
+
     #[test]
     fn hint_never_returns_worse_than_incumbent() {
-        let p = problem(5, false);
-        let mut rng = StdRng::seed_from_u64(7);
-        // An already-excellent incumbent vs deliberately weak strategies.
-        let strong = SearchStrategy::Cp(CpConfig {
-            budget: Budget::seconds(5.0),
-            clusters: None,
-            quantum: 0.0,
-            ..Default::default()
-        })
-        .run(&p, Objective::LongestLink);
-        let hint = SolveHint::warm(strong.deployment.clone());
-        for s in [
-            SearchStrategy::Greedy(GreedyVariant::G1),
-            SearchStrategy::RandomCount { count: 10, seed: 1 },
-            SearchStrategy::Cp(CpConfig { budget: Budget::nodes(1), ..Default::default() }),
-        ] {
-            let out = s.run_with_hint(&p, Objective::LongestLink, &hint);
-            assert!(
-                out.cost <= strong.cost + 1e-12,
-                "{} returned {} worse than incumbent {}",
-                s.name(),
-                out.cost,
-                strong.cost
+        for (objective, dag) in [(Objective::LongestLink, false), (Objective::LongestPath, true)] {
+            let p = problem(5, dag);
+            let mut rng = StdRng::seed_from_u64(7);
+            // An already-excellent incumbent vs deliberately weak strategies.
+            let strong = match objective {
+                Objective::LongestLink => SearchStrategy::Cp(CpConfig {
+                    budget: Budget::seconds(5.0),
+                    clusters: None,
+                    quantum: 0.0,
+                    ..Default::default()
+                }),
+                Objective::LongestPath => SearchStrategy::RandomCount { count: 20_000, seed: 9 },
+            }
+            .run(&p, objective);
+            let hint = SolveHint::warm(strong.deployment.clone());
+            for s in hinted_strategies(objective, 1) {
+                let out = s.run_with_hint(&p, objective, &hint);
+                assert!(
+                    out.cost <= strong.cost + 1e-12,
+                    "{} ({}) returned {} worse than incumbent {}",
+                    s.name(),
+                    objective.name(),
+                    out.cost,
+                    strong.cost
+                );
+            }
+            // And a random incumbent is improvable.
+            let weak = p.random_deployment(&mut rng);
+            let weak_cost = p.cost(objective, &weak);
+            let out = SearchStrategy::recommended(objective, 2.0).run_with_hint(
+                &p,
+                objective,
+                &SolveHint::warm(weak),
             );
+            assert!(out.cost <= weak_cost + 1e-12, "{}", objective.name());
         }
-        // And a random incumbent is improvable.
-        let weak = p.random_deployment(&mut rng);
-        let weak_cost = p.longest_link(&weak);
-        let out = SearchStrategy::Cp(CpConfig::default()).run_with_hint(
-            &p,
-            Objective::LongestLink,
-            &SolveHint::warm(weak),
-        );
-        assert!(out.cost <= weak_cost + 1e-12);
     }
 
     #[test]
     fn hint_pins_are_always_respected() {
-        let p = problem(6, false);
-        let mut rng = StdRng::seed_from_u64(8);
-        let incumbent = p.random_deployment(&mut rng);
-        let fixed: Vec<Option<u32>> = incumbent
-            .iter()
-            .enumerate()
-            .map(|(v, &j)| if v < 4 { Some(j) } else { None })
-            .collect();
-        let hint = SolveHint::Incremental { incumbent: incumbent.clone(), fixed: fixed.clone() };
-        for s in [
-            SearchStrategy::Cp(CpConfig { budget: Budget::seconds(2.0), ..Default::default() }),
-            SearchStrategy::Greedy(GreedyVariant::G2),
-            SearchStrategy::RandomCount { count: 200, seed: 3 },
-        ] {
-            let out = s.run_with_hint(&p, Objective::LongestLink, &hint);
-            assert!(p.is_valid(&out.deployment), "{}", s.name());
-            for (v, f) in fixed.iter().enumerate() {
-                if let Some(j) = f {
-                    assert_eq!(out.deployment[v], *j, "{}: node {v} moved", s.name());
+        for (objective, dag) in [(Objective::LongestLink, false), (Objective::LongestPath, true)] {
+            let p = problem(6, dag);
+            let mut rng = StdRng::seed_from_u64(8);
+            let incumbent = p.random_deployment(&mut rng);
+            let fixed: Vec<Option<u32>> = incumbent
+                .iter()
+                .enumerate()
+                .map(|(v, &j)| if v < 4 { Some(j) } else { None })
+                .collect();
+            let hint =
+                SolveHint::Incremental { incumbent: incumbent.clone(), fixed: fixed.clone() };
+            for s in hinted_strategies(objective, 200) {
+                let out = s.run_with_hint(&p, objective, &hint);
+                let name = format!("{} ({})", s.name(), objective.name());
+                assert!(p.is_valid(&out.deployment), "{name}");
+                for (v, f) in fixed.iter().enumerate() {
+                    if let Some(j) = f {
+                        assert_eq!(out.deployment[v], *j, "{name}: node {v} moved");
+                    }
                 }
+                assert!(out.cost <= p.cost(objective, &incumbent) + 1e-12, "{name}");
             }
-            assert!(out.cost <= p.longest_link(&incumbent) + 1e-12, "{}", s.name());
         }
     }
 

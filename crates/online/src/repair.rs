@@ -10,7 +10,9 @@
 //!    freed nodes can move — and pins the rest to their incumbent
 //!    instances;
 //! 3. warm-starts the solver portfolio inside that neighbourhood, with
-//!    the incumbent as the initial bound.
+//!    the incumbent as the initial bound: the incumbent and pins form one
+//!    [`SolveHint`], which [`SearchStrategy::run_with_hint`] (or
+//!    `run_pruned`) hands straight to every portfolio worker.
 //!
 //! The search space shrinks from arranging `n` nodes to arranging `k`
 //! (over the `m − n + k` instances the pins leave reachable), which is why

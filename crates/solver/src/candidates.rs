@@ -19,10 +19,11 @@
 //! [`CandidateSet::restrict`] then slices the cost plane to the candidate
 //! union — an O(K²) [`CostMatrix::submatrix`] view of the m² arena — and
 //! remaps the problem onto it. Every downstream technique is bounded for
-//! free: CP bitset domains are seeded from the per-node lists (see
-//! [`crate::cp::CpConfig::candidates`]), the MIP encodings only generate
-//! `x_ij` columns for candidate instances (the restricted problem has no
-//! others), and greedy growth / random draws range over K instead of m.
+//! free: CP bitset domains are seeded from the per-node lists (the
+//! `candidates` argument of [`crate::cp::solve_llndp_cp_with`]), the MIP
+//! encodings only generate `x_ij` columns for candidate instances (the
+//! restricted problem has no others), and greedy growth / random draws
+//! range over K instead of m.
 //!
 //! Pruning is **heuristic**: a pruned run can never prove global
 //! optimality, and an over-tight pool can miss the optimum. The exact

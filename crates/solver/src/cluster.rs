@@ -11,6 +11,8 @@
 //! Values are first rounded to a fixed quantum (the paper rounds to
 //! 0.01 ms) to deduplicate near-identical measurements.
 
+use crate::problem::Costs;
+
 /// Result of clustering: boundaries and means of each cluster, plus a
 /// mapping function.
 #[derive(Debug, Clone)]
@@ -164,6 +166,20 @@ impl CostClusters {
     /// Total within-cluster sum of squared errors for the input values.
     pub fn within_sse(&self) -> f64 {
         self.values.iter().zip(&self.assignment).map(|(&v, &a)| (v - self.means[a]).powi(2)).sum()
+    }
+}
+
+/// The costs a prover searches on: every cost rounded to its mean over
+/// `clusters` k-means clusters, or — unclustered — to a multiple of
+/// `quantum` (a `quantum` of 0 keeps the measured costs).
+pub(crate) fn search_costs(costs: &Costs, clusters: Option<usize>, quantum: f64) -> Costs {
+    match clusters {
+        Some(k) => {
+            let clusters = CostClusters::compute(&costs.off_diagonal(), k, quantum);
+            costs.map(|c| clusters.round(c))
+        }
+        None if quantum > 0.0 => costs.map(|c| (c / quantum).round() * quantum),
+        None => costs.clone(),
     }
 }
 

@@ -67,10 +67,10 @@ use std::time::Instant;
 
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::cluster::CostClusters;
+use crate::cluster::search_costs;
 use crate::control::SearchControl;
-use crate::outcome::{Budget, SolveOutcome};
-use crate::problem::{Costs, NodeDeployment};
+use crate::outcome::{Budget, SolveHint, SolveOutcome};
+use crate::problem::NodeDeployment;
 
 /// Which propagation backend the SIP search uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -83,8 +83,14 @@ pub enum Propagation {
     CloneDomains,
 }
 
-/// Configuration of the CP driver.
-#[derive(Debug, Clone)]
+/// Random deployments drawn to bootstrap a cold CP or MIP search (paper
+/// §6.3: "randomly generate 10 node deployment plans and pick the best").
+pub(crate) const BOOTSTRAP_SAMPLES: usize = 10;
+
+/// Configuration of the CP driver. What one solve starts from — warm
+/// start, pins, candidate domains — is an argument of
+/// [`solve_llndp_cp_with`], not configuration.
+#[derive(Debug, Clone, Copy)]
 pub struct CpConfig {
     /// Wall-clock/node budget for the whole threshold iteration.
     pub budget: Budget,
@@ -94,24 +100,6 @@ pub struct CpConfig {
     pub quantum: f64,
     /// Seed for the bootstrap random deployments.
     pub seed: u64,
-    /// Number of random deployments used to bootstrap the search (paper
-    /// §6.3: "randomly generate 10 node deployment plans and pick the best").
-    pub bootstrap_samples: u64,
-    /// Optional externally-supplied initial deployment.
-    pub initial: Option<Vec<u32>>,
-    /// Optional per-node fixed assignments (`fixed[v] = Some(j)` pins node
-    /// `v` to instance `j`). The search then only explores deployments
-    /// honouring the pins — the incremental-repair mode, where all but a
-    /// budgeted set of nodes stay put. An UNSAT proof under fixings proves
-    /// optimality *within the repair neighbourhood*, not globally.
-    pub fixed: Option<Vec<Option<u32>>>,
-    /// Optional per-node candidate instance lists (see
-    /// [`crate::candidates`]): node `v`'s initial bitset domain is seeded
-    /// from `candidates[v]` instead of the full `0..m` range, so the SIP
-    /// search never touches non-candidate instances. An UNSAT proof under
-    /// candidate domains proves optimality *within the candidate sets*,
-    /// not globally — the pruning driver escalates accordingly.
-    pub candidates: Option<Vec<Vec<u32>>>,
     /// Enable degree-compatibility domain pre-filtering (the Zampelli-style
     /// labeling). On by default; exposed for the ablation benchmark.
     pub degree_filter: bool,
@@ -126,10 +114,6 @@ impl Default for CpConfig {
             clusters: Some(20),
             quantum: 0.01,
             seed: 0,
-            bootstrap_samples: 10,
-            initial: None,
-            fixed: None,
-            candidates: None,
             degree_filter: true,
             propagation: Propagation::Trail,
         }
@@ -144,42 +128,48 @@ enum Sip {
 }
 
 /// Solves the Longest Link Node Deployment Problem with the iterated-SIP
-/// CP approach.
+/// CP approach, from a cold start.
 pub fn solve_llndp_cp(problem: &NodeDeployment, config: &CpConfig) -> SolveOutcome {
-    solve_llndp_cp_with(problem, config, &SearchControl::new())
+    solve_llndp_cp_with(problem, config, &SolveHint::Cold, None, &SearchControl::new())
 }
 
-/// Like [`solve_llndp_cp`], cooperating with other workers through
-/// `control`: adopts a better shared incumbent between threshold
-/// iterations, publishes its own improvements, and stops early when
-/// cancelled.
+/// Like [`solve_llndp_cp`], with the solve's own inputs:
+///
+/// * `hint`: an incremental hint's incumbent replaces the random
+///   bootstrap, and its pins collapse each pinned node's domain to its
+///   instance — the incremental-repair mode, where all but a budgeted set
+///   of nodes stay put. An UNSAT proof under pins proves optimality
+///   *within the repair neighbourhood*, not globally;
+/// * `candidates`: per-node candidate instance lists (see
+///   [`crate::candidates`]) seed node `v`'s initial domain from
+///   `candidates[v]` instead of the full `0..m` range, so the SIP search
+///   never touches non-candidate instances. An UNSAT proof under
+///   candidate domains proves optimality *within the candidate sets*, not
+///   globally — the pruning driver escalates accordingly;
+/// * `control`: the solver adopts a better shared incumbent between
+///   threshold iterations, publishes its own improvements, and stops early
+///   when cancelled.
 pub fn solve_llndp_cp_with(
     problem: &NodeDeployment,
     config: &CpConfig,
+    hint: &SolveHint,
+    candidates: Option<&[Vec<u32>]>,
     control: &SearchControl,
 ) -> SolveOutcome {
     let start = Instant::now();
     let deadline = config.budget.time_limit_s;
 
-    // Cost rounding: cluster means (k-means) or raw costs.
-    let search_costs: Costs = match config.clusters {
-        Some(k) => {
-            let clusters = CostClusters::compute(&problem.costs.off_diagonal(), k, config.quantum);
-            problem.costs.map(|c| clusters.round(c))
-        }
-        None if config.quantum > 0.0 => {
-            problem.costs.map(|c| (c / config.quantum).round() * config.quantum)
-        }
-        None => problem.costs.clone(),
-    };
-    let search_problem =
-        NodeDeployment::new(problem.num_nodes, problem.edges.clone(), search_costs);
+    let search_problem = NodeDeployment::new(
+        problem.num_nodes,
+        problem.edges.clone(),
+        search_costs(&problem.costs, config.clusters, config.quantum),
+    );
 
-    let fixed = config.fixed.as_deref();
-    if let (Some(f), Some(init)) = (fixed, config.initial.as_deref()) {
+    let fixed = hint.pins();
+    if let (Some(f), Some(init)) = (fixed, hint.incumbent()) {
         debug_assert!(respects_fixed(init, f), "initial deployment violates fixed assignments");
     }
-    if let Some(c) = &config.candidates {
+    if let Some(c) = candidates {
         assert_eq!(c.len(), problem.num_nodes, "candidate lists must cover every node");
         let m = problem.num_instances();
         for (v, list) in c.iter().enumerate() {
@@ -190,22 +180,21 @@ pub fn solve_llndp_cp_with(
         }
     }
 
-    // Bootstrap incumbent (honouring fixed assignments, if any).
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut incumbent: Vec<u32> = config.initial.clone().unwrap_or_else(|| {
-        let mut best: Option<(Vec<u32>, f64)> = None;
-        for _ in 0..config.bootstrap_samples.max(1) {
-            let d = match fixed {
-                Some(f) => problem.random_deployment_with(f, &mut rng),
-                None => problem.random_deployment(&mut rng),
-            };
-            let c = search_problem.longest_link(&d);
-            if best.as_ref().is_none_or(|(_, bc)| c < *bc) {
-                best = Some((d, c));
-            }
+    // The warm start, or the best of the bootstrap samples.
+    let mut incumbent: Vec<u32> = match hint.incumbent() {
+        Some(init) => init.to_vec(),
+        None => {
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            (0..BOOTSTRAP_SAMPLES)
+                .map(|_| {
+                    let d = problem.random_deployment(&mut rng);
+                    (search_problem.longest_link(&d), d)
+                })
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("BOOTSTRAP_SAMPLES >= 1")
+                .1
         }
-        best.expect("bootstrap_samples >= 1").0
-    });
+    };
     let mut incumbent_search_cost = search_problem.longest_link(&incumbent);
     // The *returned* solution is tracked by original cost separately from
     // the search incumbent: under cost rounding, an adopted or newly found
@@ -281,7 +270,7 @@ pub fn solve_llndp_cp_with(
             config.propagation,
             config.degree_filter,
             fixed,
-            config.candidates.as_deref(),
+            candidates,
             start,
             deadline,
             config.budget.node_limit - explored,
@@ -894,6 +883,7 @@ fn bit_test(bits: &[u64], j: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Costs;
 
     fn random_costs(m: usize, seed: u64) -> Costs {
         Costs::random_uniform(m, seed)
@@ -951,6 +941,15 @@ mod tests {
         }
     }
 
+    /// An exact solve from `hint`, optionally over candidate domains.
+    fn solve_from(
+        p: &NodeDeployment,
+        hint: &SolveHint,
+        candidates: Option<&[Vec<u32>]>,
+    ) -> SolveOutcome {
+        solve_llndp_cp_with(p, &exact_config(), hint, candidates, &SearchControl::new())
+    }
+
     #[test]
     fn cp_finds_optimum_on_small_instances() {
         for seed in 0..5 {
@@ -1000,8 +999,9 @@ mod tests {
                 NodeDeployment::new(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)], random_costs(7, seed));
             // Pin nodes 0 and 2; only nodes 1, 3, 4 may move.
             let fixed = vec![Some(3u32), None, Some(0u32), None, None];
-            let config = CpConfig { fixed: Some(fixed.clone()), ..exact_config() };
-            let out = solve_llndp_cp(&p, &config);
+            let incumbent = p.random_deployment_with(&fixed, &mut StdRng::seed_from_u64(seed));
+            let out =
+                solve_from(&p, &SolveHint::Incremental { incumbent, fixed: fixed.clone() }, None);
             assert!(p.is_valid(&out.deployment), "seed {seed}");
             assert!(respects_fixed(&out.deployment, &fixed), "seed {seed}: pins moved");
             assert!(out.proven_optimal, "seed {seed} not proven within neighbourhood");
@@ -1014,7 +1014,8 @@ mod tests {
     fn cp_all_nodes_fixed_returns_the_pinned_plan() {
         let p = NodeDeployment::new(3, vec![(0, 1), (1, 2)], random_costs(5, 3));
         let pinned = vec![Some(4u32), Some(1), Some(2)];
-        let out = solve_llndp_cp(&p, &CpConfig { fixed: Some(pinned.clone()), ..exact_config() });
+        let hint = SolveHint::Incremental { incumbent: vec![4, 1, 2], fixed: pinned };
+        let out = solve_from(&p, &hint, None);
         assert_eq!(out.deployment, vec![4, 1, 2]);
         assert!(out.proven_optimal);
         assert_eq!(out.cost, p.longest_link(&out.deployment));
@@ -1056,7 +1057,7 @@ mod tests {
     fn respects_initial_solution() {
         let p = NodeDeployment::new(4, vec![(0, 1), (1, 2), (2, 3)], random_costs(6, 6));
         let init = p.default_deployment();
-        let out = solve_llndp_cp(&p, &CpConfig { initial: Some(init.clone()), ..exact_config() });
+        let out = solve_from(&p, &SolveHint::warm(init.clone()), None);
         assert!(out.cost <= p.longest_link(&init));
     }
 
@@ -1111,8 +1112,7 @@ mod tests {
         for seed in 0..4 {
             let p = NodeDeployment::new(3, vec![(0, 1), (1, 2)], random_costs(9, seed + 200));
             let cand: Vec<Vec<u32>> = vec![vec![0, 1, 2, 3, 4]; 3];
-            let out =
-                solve_llndp_cp(&p, &CpConfig { candidates: Some(cand.clone()), ..exact_config() });
+            let out = solve_from(&p, &SolveHint::Cold, Some(&cand));
             assert!(p.is_valid(&out.deployment), "seed {seed}");
             let sub =
                 NodeDeployment::new(3, vec![(0, 1), (1, 2)], p.costs.submatrix(&[0, 1, 2, 3, 4]));
@@ -1175,6 +1175,8 @@ mod tests {
         let out = solve_llndp_cp_with(
             &p,
             &CpConfig { clusters: None, quantum: 0.0, ..Default::default() },
+            &SolveHint::Cold,
+            None,
             &control,
         );
         // Cancelled before any threshold iteration: bootstrap incumbent,
@@ -1192,7 +1194,7 @@ mod tests {
         let opt = solve_llndp_cp(&p, &exact_config());
         let control = SearchControl::new();
         control.offer(&opt.deployment, opt.cost);
-        let out = solve_llndp_cp_with(&p, &exact_config(), &control);
+        let out = solve_llndp_cp_with(&p, &exact_config(), &SolveHint::Cold, None, &control);
         assert!(out.cost <= opt.cost + 1e-12);
         let (_, shared_cost) = control.best().expect("control retains an incumbent");
         assert!((shared_cost - out.cost).abs() < 1e-12);

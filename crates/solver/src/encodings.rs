@@ -17,14 +17,18 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::cluster::CostClusters;
+use crate::cluster::search_costs;
+use crate::control::SearchControl;
+use crate::cp::BOOTSTRAP_SAMPLES;
 use crate::lp::{Constraint, Lp, Sense};
-use crate::mip::{solve_mip_with, MipEngineConfig, MipHooks};
-use crate::outcome::{Budget, Objective, SolveOutcome};
-use crate::problem::{Costs, NodeDeployment};
+use crate::mip::{solve_mip_with, MipHooks};
+use crate::outcome::{Budget, Objective, SolveHint, SolveOutcome};
+use crate::problem::NodeDeployment;
 
-/// Configuration of the MIP drivers (mirrors [`crate::cp::CpConfig`]).
-#[derive(Debug, Clone)]
+/// Configuration of the MIP drivers (mirrors [`crate::cp::CpConfig`]; the
+/// warm start and pins are the [`SolveHint`] argument of the `_with`
+/// drivers).
+#[derive(Debug, Clone, Copy)]
 pub struct MipConfig {
     /// Overall budget.
     pub budget: Budget,
@@ -35,56 +39,26 @@ pub struct MipConfig {
     pub quantum: f64,
     /// Seed for bootstrap deployments.
     pub seed: u64,
-    /// Bootstrap random deployments (paper: 10).
-    pub bootstrap_samples: u64,
-    /// Optional externally-supplied initial deployment (warm start): the
-    /// bootstrap keeps it if nothing sampled beats it.
-    pub initial: Option<Vec<u32>>,
-    /// Optional per-node fixed assignments (`fixed[v] = Some(j)` pins node
-    /// `v` to instance `j`): encoded as `x_vj = 1` rows, so the
-    /// branch-and-bound only explores the repair neighbourhood.
-    pub fixed: Option<Vec<Option<u32>>>,
-    /// Engine knobs.
-    pub engine: MipEngineConfig,
 }
 
 impl Default for MipConfig {
     fn default() -> Self {
-        Self {
-            budget: Budget::seconds(10.0),
-            clusters: None,
-            quantum: 0.01,
-            seed: 0,
-            bootstrap_samples: 10,
-            initial: None,
-            fixed: None,
-            engine: MipEngineConfig::default(),
-        }
+        Self { budget: Budget::seconds(10.0), clusters: None, quantum: 0.01, seed: 0 }
     }
 }
 
-fn search_costs(problem: &NodeDeployment, config: &MipConfig) -> Costs {
-    match config.clusters {
-        Some(k) => {
-            let clusters = CostClusters::compute(&problem.costs.off_diagonal(), k, config.quantum);
-            problem.costs.map(|c| clusters.round(c))
-        }
-        None if config.quantum > 0.0 => {
-            problem.costs.map(|c| (c / config.quantum).round() * config.quantum)
-        }
-        None => problem.costs.clone(),
-    }
-}
-
+/// The branch-and-bound's starting incumbent: the best, under the search
+/// costs, of the hint's incumbent (kept unless something sampled beats
+/// it), the bootstrap samples and the G2 greedy — all honouring the pins.
 fn bootstrap(
     problem: &NodeDeployment,
     objective: Objective,
     config: &MipConfig,
-    enc: &Costs,
+    hint: &SolveHint,
+    search: &NodeDeployment,
 ) -> Vec<u32> {
-    let search = NodeDeployment::new(problem.num_nodes, problem.edges.clone(), enc.clone());
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let fixed = config.fixed.as_deref();
+    let fixed = hint.pins();
     let mut best: Option<(Vec<u32>, f64)> = None;
     let consider = |d: Vec<u32>, best: &mut Option<(Vec<u32>, f64)>| {
         let c = search.cost(objective, &d);
@@ -92,14 +66,14 @@ fn bootstrap(
             *best = Some((d, c));
         }
     };
-    if let Some(init) = &config.initial {
+    if let Some(init) = hint.incumbent() {
         // A warm start that moves a pinned node would bypass the x_ij = 1
         // rows via the incumbent path — only admit pin-respecting ones.
         if fixed.is_none_or(|f| crate::cp::respects_fixed(init, f)) {
-            consider(init.clone(), &mut best);
+            consider(init.to_vec(), &mut best);
         }
     }
-    for _ in 0..config.bootstrap_samples.max(1) {
+    for _ in 0..BOOTSTRAP_SAMPLES {
         let d = match fixed {
             Some(f) => problem.random_deployment_with(f, &mut rng),
             None => problem.random_deployment(&mut rng),
@@ -111,8 +85,8 @@ fn bootstrap(
     // same role in the paper's runs (for LPNDP this is the §4.5.2
     // greedy-as-heuristic reuse).
     let greedy = match fixed {
-        Some(f) => crate::greedy::solve_greedy_fixed(&search, crate::greedy::GreedyVariant::G2, f),
-        None => crate::greedy::solve_greedy(&search, crate::greedy::GreedyVariant::G2),
+        Some(f) => crate::greedy::solve_greedy_fixed(search, crate::greedy::GreedyVariant::G2, f),
+        None => crate::greedy::solve_greedy(search, crate::greedy::GreedyVariant::G2),
     };
     consider(greedy.deployment, &mut best);
     best.expect("at least one bootstrap sample").0
@@ -183,7 +157,7 @@ struct LlHooks<'a> {
     n: usize,
     m: usize,
     c_var: usize,
-    fixed: Option<Vec<Option<u32>>>,
+    fixed: Option<&'a [Option<u32>]>,
 }
 
 impl MipHooks for LlHooks<'_> {
@@ -229,7 +203,7 @@ impl MipHooks for LlHooks<'_> {
     }
 
     fn round(&self, x: &[f64]) -> Vec<u32> {
-        round_assignment(x, self.n, self.m, self.fixed.as_deref())
+        round_assignment(x, self.n, self.m, self.fixed)
     }
 
     fn encoded_cost(&self, d: &[u32]) -> f64 {
@@ -241,43 +215,41 @@ impl MipHooks for LlHooks<'_> {
     }
 
     fn accepts(&self, d: &[u32]) -> bool {
-        self.fixed.as_deref().is_none_or(|f| crate::cp::respects_fixed(d, f))
+        self.fixed.is_none_or(|f| crate::cp::respects_fixed(d, f))
     }
 }
 
-/// Solves LLNDP with the §4.1 MIP encoding.
+/// Solves LLNDP with the §4.1 MIP encoding, from a cold start.
 pub fn solve_llndp_mip(problem: &NodeDeployment, config: &MipConfig) -> SolveOutcome {
-    solve_llndp_mip_with(problem, config, &crate::control::SearchControl::new())
+    solve_llndp_mip_with(problem, config, &SolveHint::Cold, &SearchControl::new())
 }
 
-/// Like [`solve_llndp_mip`], cooperating with concurrent workers through
-/// `control` (cancellation, bound injection, incumbent publication — see
-/// [`solve_mip_with`]).
+/// Like [`solve_llndp_mip`], starting from `hint` — its incumbent joins the
+/// bootstrap and its pins become `x_vj = 1` rows, so the branch-and-bound
+/// only explores the repair neighbourhood — and cooperating with
+/// concurrent workers through `control` (cancellation, bound injection,
+/// incumbent publication — see [`solve_mip_with`]).
 pub fn solve_llndp_mip_with(
     problem: &NodeDeployment,
     config: &MipConfig,
-    control: &crate::control::SearchControl,
+    hint: &SolveHint,
+    control: &SearchControl,
 ) -> SolveOutcome {
     let n = problem.num_nodes;
     let m = problem.num_instances();
-    let enc_costs = search_costs(problem, config);
+    let fixed = hint.pins();
+    let enc_costs = search_costs(&problem.costs, config.clusters, config.quantum);
     let search = NodeDeployment::new(n, problem.edges.clone(), enc_costs);
 
     let c_var = n * m;
     let mut objective = vec![0.0; n * m + 1];
     objective[c_var] = 1.0;
-    let base = Lp {
-        num_vars: n * m + 1,
-        objective,
-        constraints: assignment_rows(n, m, config.fixed.as_deref()),
-    };
+    let base = Lp { num_vars: n * m + 1, objective, constraints: assignment_rows(n, m, fixed) };
     let binary_vars: Vec<usize> = (0..n * m).collect();
 
-    let initial = bootstrap(problem, Objective::LongestLink, config, &search.costs);
-    let hooks = LlHooks { problem, search, n, m, c_var, fixed: config.fixed.clone() };
-    let mut engine = config.engine;
-    engine.budget = config.budget;
-    solve_mip_with(&base, &binary_vars, &hooks, initial, &engine, control)
+    let initial = bootstrap(problem, Objective::LongestLink, config, hint, &search);
+    let hooks = LlHooks { problem, search, n, m, c_var, fixed };
+    solve_mip_with(&base, &binary_vars, &hooks, initial, config.budget, control)
 }
 
 // ---------------------------------------------------------------------
@@ -289,7 +261,7 @@ struct LpHooks<'a> {
     search: NodeDeployment,
     n: usize,
     m: usize,
-    fixed: Option<Vec<Option<u32>>>,
+    fixed: Option<&'a [Option<u32>]>,
 }
 
 impl LpHooks<'_> {
@@ -341,7 +313,7 @@ impl MipHooks for LpHooks<'_> {
     }
 
     fn round(&self, x: &[f64]) -> Vec<u32> {
-        round_assignment(x, self.n, self.m, self.fixed.as_deref())
+        round_assignment(x, self.n, self.m, self.fixed)
     }
 
     fn encoded_cost(&self, d: &[u32]) -> f64 {
@@ -353,34 +325,35 @@ impl MipHooks for LpHooks<'_> {
     }
 
     fn accepts(&self, d: &[u32]) -> bool {
-        self.fixed.as_deref().is_none_or(|f| crate::cp::respects_fixed(d, f))
+        self.fixed.is_none_or(|f| crate::cp::respects_fixed(d, f))
     }
 }
 
-/// Solves LPNDP with the §4.4 MIP encoding.
+/// Solves LPNDP with the §4.4 MIP encoding, from a cold start.
 ///
 /// # Panics
 /// Panics if the communication graph is not a DAG.
 pub fn solve_lpndp_mip(problem: &NodeDeployment, config: &MipConfig) -> SolveOutcome {
-    solve_lpndp_mip_with(problem, config, &crate::control::SearchControl::new())
+    solve_lpndp_mip_with(problem, config, &SolveHint::Cold, &SearchControl::new())
 }
 
-/// Like [`solve_lpndp_mip`], cooperating with concurrent workers through
-/// `control` (cancellation, bound injection, incumbent publication — see
-/// [`solve_mip_with`]).
+/// Like [`solve_lpndp_mip`], starting from `hint` and cooperating through
+/// `control` exactly as [`solve_llndp_mip_with`] does.
 ///
 /// # Panics
 /// Panics if the communication graph is not a DAG.
 pub fn solve_lpndp_mip_with(
     problem: &NodeDeployment,
     config: &MipConfig,
-    control: &crate::control::SearchControl,
+    hint: &SolveHint,
+    control: &SearchControl,
 ) -> SolveOutcome {
     assert!(problem.is_dag(), "LPNDP requires an acyclic communication graph");
     let n = problem.num_nodes;
     let m = problem.num_instances();
     let e = problem.edges.len();
-    let enc_costs = search_costs(problem, config);
+    let fixed = hint.pins();
+    let enc_costs = search_costs(&problem.costs, config.clusters, config.quantum);
     let search = NodeDeployment::new(n, problem.edges.clone(), enc_costs);
 
     // Variable layout: x (n·m) | c_e (e) | t_i (n) | t (1).
@@ -389,7 +362,7 @@ pub fn solve_lpndp_mip_with(
     let mut objective = vec![0.0; n * m + e + n + 1];
     objective[t_var] = 1.0;
 
-    let mut constraints = assignment_rows(n, m, config.fixed.as_deref());
+    let mut constraints = assignment_rows(n, m, fixed);
     for (ei, &(a, b)) in problem.edges.iter().enumerate() {
         // t_a + c_e − t_b ≤ 0.
         constraints.push(Constraint::new(
@@ -406,16 +379,15 @@ pub fn solve_lpndp_mip_with(
     let base = Lp { num_vars: n * m + e + n + 1, objective, constraints };
     let binary_vars: Vec<usize> = (0..n * m).collect();
 
-    let initial = bootstrap(problem, Objective::LongestPath, config, &search.costs);
-    let hooks = LpHooks { problem, search, n, m, fixed: config.fixed.clone() };
-    let mut engine = config.engine;
-    engine.budget = config.budget;
-    solve_mip_with(&base, &binary_vars, &hooks, initial, &engine, control)
+    let initial = bootstrap(problem, Objective::LongestPath, config, hint, &search);
+    let hooks = LpHooks { problem, search, n, m, fixed };
+    solve_mip_with(&base, &binary_vars, &hooks, initial, config.budget, control)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Costs;
 
     fn random_costs(m: usize, seed: u64) -> Costs {
         Costs::random_uniform(m, seed)
@@ -554,13 +526,20 @@ mod tests {
         best
     }
 
+    /// An incremental hint pinning `fixed`, its incumbent a random
+    /// pin-respecting deployment.
+    fn pinned_hint(p: &NodeDeployment, fixed: &[Option<u32>], seed: u64) -> SolveHint {
+        let incumbent = p.random_deployment_with(fixed, &mut StdRng::seed_from_u64(seed));
+        SolveHint::Incremental { incumbent, fixed: fixed.to_vec() }
+    }
+
     #[test]
     fn llndp_mip_honours_fixed_assignments() {
         for seed in 0..3 {
             let p = NodeDeployment::new(4, vec![(0, 1), (1, 2), (2, 3)], random_costs(6, seed));
             let fixed = vec![Some(1u32), None, Some(4u32), None];
-            let config = MipConfig { fixed: Some(fixed.clone()), ..exact_config(30.0) };
-            let out = solve_llndp_mip(&p, &config);
+            let hint = pinned_hint(&p, &fixed, seed);
+            let out = solve_llndp_mip_with(&p, &exact_config(30.0), &hint, &SearchControl::new());
             assert!(p.is_valid(&out.deployment), "seed {seed}");
             assert_eq!(out.deployment[0], 1, "seed {seed}");
             assert_eq!(out.deployment[2], 4, "seed {seed}");
@@ -575,8 +554,8 @@ mod tests {
         let edges = vec![(3, 1), (4, 2), (1, 0), (2, 0)];
         let p = NodeDeployment::new(5, edges, random_costs(6, 21));
         let fixed = vec![Some(0u32), None, None, Some(5u32), None];
-        let config = MipConfig { fixed: Some(fixed.clone()), ..exact_config(60.0) };
-        let out = solve_lpndp_mip(&p, &config);
+        let hint = pinned_hint(&p, &fixed, 21);
+        let out = solve_lpndp_mip_with(&p, &exact_config(60.0), &hint, &SearchControl::new());
         assert_eq!(out.deployment[0], 0);
         assert_eq!(out.deployment[3], 5);
         assert!(out.proven_optimal);
@@ -591,14 +570,9 @@ mod tests {
         let p = NodeDeployment::new(3, vec![(0, 1), (1, 2)], random_costs(5, 17));
         let fixed = vec![Some(4u32), None, None];
         let bad_initial = vec![0u32, 1, 2]; // node 0 off its pin
-        let config = MipConfig {
-            fixed: Some(fixed.clone()),
-            initial: Some(bad_initial),
-            budget: Budget::seconds(0.0),
-            quantum: 0.0,
-            ..Default::default()
-        };
-        let out = solve_llndp_mip(&p, &config);
+        let config = MipConfig { budget: Budget::seconds(0.0), quantum: 0.0, ..Default::default() };
+        let hint = SolveHint::Incremental { incumbent: bad_initial, fixed };
+        let out = solve_llndp_mip_with(&p, &config, &hint, &SearchControl::new());
         assert_eq!(out.deployment[0], 4, "pinned node moved via the warm-start path");
     }
 
@@ -609,13 +583,9 @@ mod tests {
         let p = NodeDeployment::new(4, vec![(0, 1), (1, 2), (2, 3)], random_costs(5, 9));
         let full = solve_llndp_mip(&p, &exact_config(30.0));
         assert!(full.proven_optimal);
-        let warm = MipConfig {
-            initial: Some(full.deployment.clone()),
-            budget: Budget::seconds(0.0),
-            quantum: 0.0,
-            ..Default::default()
-        };
-        let out = solve_llndp_mip(&p, &warm);
+        let warm = MipConfig { budget: Budget::seconds(0.0), quantum: 0.0, ..Default::default() };
+        let hint = SolveHint::warm(full.deployment.clone());
+        let out = solve_llndp_mip_with(&p, &warm, &hint, &SearchControl::new());
         assert_eq!(out.cost, full.cost);
     }
 

@@ -73,8 +73,8 @@ pub use encodings::{
     solve_llndp_mip, solve_llndp_mip_with, solve_lpndp_mip, solve_lpndp_mip_with, MipConfig,
 };
 pub use greedy::{solve_greedy, solve_greedy_fixed, GreedyVariant};
-pub use mip::{solve_mip, solve_mip_with, MipEngineConfig, MipHooks};
-pub use outcome::{Budget, Objective, SolveOutcome};
+pub use mip::{solve_mip, solve_mip_with, MipHooks};
+pub use outcome::{Budget, Objective, SolveHint, SolveOutcome};
 pub use portfolio::{solve_portfolio, PortfolioConfig};
 pub use problem::{CostBuilder, CostError, CostMatrix, Costs, NodeDeployment};
 pub use random::{solve_random_budget, solve_random_count};

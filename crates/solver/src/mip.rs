@@ -53,44 +53,26 @@ pub trait MipHooks {
     }
 }
 
-/// Engine tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct MipEngineConfig {
-    /// Overall budget (seconds and/or B&B nodes).
-    pub budget: Budget,
-    /// Max lazy constraints added per separation round.
-    pub lazy_cap: usize,
-    /// Max separation rounds per B&B node.
-    pub lazy_rounds: usize,
-    /// Simplex pivot limit per LP solve.
-    pub max_lp_iters: usize,
-    /// Hard cap on the accumulated cut pool.
-    pub max_pool: usize,
-}
-
-impl Default for MipEngineConfig {
-    fn default() -> Self {
-        Self {
-            budget: Budget::seconds(10.0),
-            lazy_cap: 200,
-            lazy_rounds: 8,
-            max_lp_iters: 20_000,
-            max_pool: 4_000,
-        }
-    }
-}
+/// Max lazy constraints added per separation round.
+const LAZY_CAP: usize = 200;
+/// Max separation rounds per B&B node.
+const LAZY_ROUNDS: usize = 8;
+/// Simplex pivot limit per LP solve.
+const MAX_LP_ITERS: usize = 20_000;
+/// Hard cap on the accumulated cut pool.
+const MAX_POOL: usize = 4_000;
 
 /// Runs branch-and-bound. `base` must contain the always-on constraints;
 /// `binary_vars` lists the variables branched to {0, 1}; `initial` seeds
-/// the incumbent.
+/// the incumbent; `budget` bounds the wall clock and the B&B nodes.
 pub fn solve_mip(
     base: &Lp,
     binary_vars: &[usize],
     hooks: &dyn MipHooks,
     initial: Vec<u32>,
-    config: &MipEngineConfig,
+    budget: Budget,
 ) -> SolveOutcome {
-    solve_mip_with(base, binary_vars, hooks, initial, config, &SearchControl::new())
+    solve_mip_with(base, binary_vars, hooks, initial, budget, &SearchControl::new())
 }
 
 /// Like [`solve_mip`], cooperating with concurrent workers through
@@ -109,7 +91,7 @@ pub fn solve_mip_with(
     binary_vars: &[usize],
     hooks: &dyn MipHooks,
     initial: Vec<u32>,
-    config: &MipEngineConfig,
+    budget: Budget,
     control: &SearchControl,
 ) -> SolveOutcome {
     let start = Instant::now();
@@ -143,8 +125,8 @@ pub fn solve_mip_with(
             complete = false;
             break;
         }
-        if start.elapsed().as_secs_f64() >= config.budget.time_limit_s
-            || nodes_explored >= config.budget.node_limit
+        if start.elapsed().as_secs_f64() >= budget.time_limit_s
+            || nodes_explored >= budget.node_limit
         {
             complete = false;
             break;
@@ -174,11 +156,11 @@ pub fn solve_mip_with(
         }
 
         let mut x_opt: Option<(Vec<f64>, f64)> = None;
-        for _round in 0..=config.lazy_rounds {
-            match lp_solve(&lp, config.max_lp_iters) {
+        for _round in 0..=LAZY_ROUNDS {
+            match lp_solve(&lp, MAX_LP_ITERS) {
                 LpResult::Optimal { x, objective } => {
-                    let cuts = if pool.len() < config.max_pool {
-                        hooks.lazy_cuts(&x, config.lazy_cap)
+                    let cuts = if pool.len() < MAX_POOL {
+                        hooks.lazy_cuts(&x, LAZY_CAP)
                     } else {
                         Vec::new()
                     };
@@ -306,13 +288,8 @@ mod tests {
 
     #[test]
     fn solves_knapsack_to_optimality() {
-        let out = solve_mip(
-            &knapsack_lp(),
-            &[0, 1, 2],
-            &Knapsack,
-            vec![0, 0, 0],
-            &MipEngineConfig::default(),
-        );
+        let out =
+            solve_mip(&knapsack_lp(), &[0, 1, 2], &Knapsack, vec![0, 0, 0], Budget::seconds(10.0));
         assert!(out.proven_optimal);
         assert_eq!(out.deployment, vec![1, 0, 1]);
         assert_eq!(out.cost, -8.0);
@@ -320,16 +297,15 @@ mod tests {
 
     #[test]
     fn budget_zero_returns_initial() {
-        let cfg = MipEngineConfig { budget: Budget::seconds(0.0), ..Default::default() };
-        let out = solve_mip(&knapsack_lp(), &[0, 1, 2], &Knapsack, vec![0, 0, 0], &cfg);
+        let out =
+            solve_mip(&knapsack_lp(), &[0, 1, 2], &Knapsack, vec![0, 0, 0], Budget::seconds(0.0));
         assert!(!out.proven_optimal);
         assert_eq!(out.deployment, vec![0, 0, 0]);
     }
 
     #[test]
     fn node_limit_respected() {
-        let cfg = MipEngineConfig { budget: Budget::nodes(1), ..Default::default() };
-        let out = solve_mip(&knapsack_lp(), &[0, 1, 2], &Knapsack, vec![0, 0, 0], &cfg);
+        let out = solve_mip(&knapsack_lp(), &[0, 1, 2], &Knapsack, vec![0, 0, 0], Budget::nodes(1));
         assert!(out.explored <= 1);
     }
 
@@ -342,7 +318,7 @@ mod tests {
             &[0, 1, 2],
             &Knapsack,
             vec![0, 0, 0],
-            &MipEngineConfig::default(),
+            Budget::seconds(10.0),
             &control,
         );
         assert!(!out.proven_optimal, "a cancelled run must not claim a proof");
@@ -384,7 +360,7 @@ mod tests {
             &[0, 1, 2],
             &ShiftedKnapsack,
             vec![0, 0, 0],
-            &MipEngineConfig::default(),
+            Budget::seconds(10.0),
             &control,
         );
         assert_eq!(out.cost, 0.0);
@@ -404,7 +380,7 @@ mod tests {
             &[0, 1, 2],
             &ShiftedKnapsack,
             vec![0, 0, 0],
-            &MipEngineConfig::default(),
+            Budget::seconds(10.0),
             &control,
         );
         // The engine must find the true optimum itself, not adopt garbage.
@@ -414,13 +390,8 @@ mod tests {
 
     #[test]
     fn curve_tracks_improvements() {
-        let out = solve_mip(
-            &knapsack_lp(),
-            &[0, 1, 2],
-            &Knapsack,
-            vec![0, 0, 0],
-            &MipEngineConfig::default(),
-        );
+        let out =
+            solve_mip(&knapsack_lp(), &[0, 1, 2], &Knapsack, vec![0, 0, 0], Budget::seconds(10.0));
         assert!(out.curve.len() >= 2);
         assert!(out.curve.windows(2).all(|w| w[1].1 <= w[0].1));
         assert_eq!(out.curve.last().unwrap().1, -8.0);

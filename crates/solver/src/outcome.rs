@@ -1,4 +1,4 @@
-//! Common result types shared by all search techniques.
+//! Common input and result types shared by all search techniques.
 
 /// Which deployment cost function is being minimized (paper §3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,6 +48,55 @@ impl SolveOutcome {
     /// (staircase interpolation); `None` before the first improvement.
     pub fn cost_at(&self, elapsed_s: f64) -> Option<f64> {
         self.curve.iter().take_while(|&&(t, _)| t <= elapsed_s).last().map(|&(_, c)| c)
+    }
+}
+
+/// What a solve starts from beyond the problem itself.
+///
+/// A cold run starts from nothing; an incremental run (the online
+/// advisor's budgeted re-solve, or any re-deployment round) carries the
+/// incumbent plan as a warm start and, optionally, per-node pins that
+/// restrict the search to a repair neighbourhood. The CP and MIP provers
+/// and the portfolio take it as an argument: the incumbent replaces or
+/// joins their bootstrap, and the pins bind every worker.
+#[derive(Debug, Clone, Default)]
+pub enum SolveHint {
+    /// No prior context: solve from scratch.
+    #[default]
+    Cold,
+    /// Re-solve starting from a known-good incumbent.
+    Incremental {
+        /// The currently deployed plan; the run warm-starts from it.
+        incumbent: Vec<u32>,
+        /// Per-node pins: `fixed[v] = Some(j)` keeps node `v` on instance
+        /// `j`. An empty vector (or all `None`) means every node may move.
+        fixed: Vec<Option<u32>>,
+    },
+}
+
+impl SolveHint {
+    /// An incremental hint with no pins (pure warm start).
+    pub fn warm(incumbent: Vec<u32>) -> Self {
+        SolveHint::Incremental { fixed: vec![None; incumbent.len()], incumbent }
+    }
+
+    /// The warm-start incumbent, if any.
+    pub fn incumbent(&self) -> Option<&[u32]> {
+        match self {
+            SolveHint::Cold => None,
+            SolveHint::Incremental { incumbent, .. } => Some(incumbent),
+        }
+    }
+
+    /// The pins, if the hint pins at least one node: a search treats an
+    /// empty or all-`None` pin vector exactly like no pins.
+    pub fn pins(&self) -> Option<&[Option<u32>]> {
+        match self {
+            SolveHint::Incremental { fixed, .. } if fixed.iter().any(Option::is_some) => {
+                Some(fixed)
+            }
+            _ => None,
+        }
     }
 }
 

@@ -21,6 +21,15 @@
 //! The result is a single merged anytime [`SolveOutcome`] whose curve is
 //! the portfolio-wide lower envelope.
 //!
+//! ## Warm start and pins
+//!
+//! What a run starts from is the [`SolveHint`] argument of
+//! [`solve_portfolio`], passed unchanged to every worker: the incumbent
+//! is everyone's starting bound (and the prover's warm start), and the
+//! pins restrict every worker — prover, greedy and sampler alike — to
+//! the repair neighbourhood. Candidate domains go to the CP prover the
+//! same way.
+//!
 //! ## Determinism
 //!
 //! With the `deterministic` flag set, workers run standalone (no
@@ -42,14 +51,15 @@ use crate::control::SearchControl;
 use crate::cp::{solve_llndp_cp_with, CpConfig};
 use crate::encodings::{solve_lpndp_mip_with, MipConfig};
 use crate::greedy::{solve_greedy, solve_greedy_fixed, GreedyVariant};
-use crate::outcome::{Budget, Objective, SolveOutcome};
+use crate::outcome::{Budget, Objective, SolveHint, SolveOutcome};
 use crate::problem::NodeDeployment;
 
 /// Configuration of the portfolio runtime.
 #[derive(Debug, Clone)]
 pub struct PortfolioConfig {
     /// Overall budget. The time limit is shared by all workers (they start
-    /// together); the node limit applies to each worker individually.
+    /// together); the node limit applies to each worker individually — the
+    /// sampling worker draws at most that many deployments.
     pub budget: Budget,
     /// Worker threads executing the technique queue (0 = one per available
     /// core). The portfolio always runs its full set of techniques; this
@@ -66,19 +76,8 @@ pub struct PortfolioConfig {
     /// Configuration of the embedded MIP prover, used for the longest-path
     /// objective (budget/seed overridden likewise).
     pub mip: MipConfig,
-    /// Random draws per sampling worker in deterministic mode (in racing
-    /// mode the sampler is bounded by the shared budget instead).
-    pub random_draws: u64,
     /// Thread-count-independent results (see module docs).
     pub deterministic: bool,
-    /// Warm-start incumbent: seeded into the shared control (racing mode)
-    /// and into the CP/MIP provers' bootstraps, so every worker starts
-    /// from the incumbent's bound instead of from scratch.
-    pub initial: Option<Vec<u32>>,
-    /// Per-node fixed assignments (`fixed[v] = Some(j)` pins node `v`):
-    /// every worker then searches only the repair neighbourhood — the
-    /// budgeted incremental re-solve mode.
-    pub fixed: Option<Vec<Option<u32>>>,
     /// Work-stealing restarts (racing mode with a finite time budget
     /// only): a worker that drains the technique queue before the wall
     /// clock runs out respawns as a random-sampling worker with a
@@ -95,10 +94,7 @@ impl Default for PortfolioConfig {
             seed: 0,
             cp: CpConfig::default(),
             mip: MipConfig::default(),
-            random_draws: 20_000,
             deterministic: false,
-            initial: None,
-            fixed: None,
             work_stealing: true,
         }
     }
@@ -109,13 +105,7 @@ impl PortfolioConfig {
     /// returned cost depends only on the problem and `seed`, never on the
     /// thread count or machine speed.
     pub fn deterministic(nodes: u64, seed: u64) -> Self {
-        Self {
-            budget: Budget::nodes(nodes),
-            seed,
-            random_draws: nodes,
-            deterministic: true,
-            ..Self::default()
-        }
+        Self { budget: Budget::nodes(nodes), seed, deterministic: true, ..Self::default() }
     }
 }
 
@@ -138,10 +128,19 @@ const TECHNIQUES: [Technique; 4] =
 
 /// Runs the portfolio on a problem under the given objective and returns
 /// the merged anytime outcome.
+///
+/// An incremental `hint` is every worker's starting point: its incumbent
+/// seeds the shared control (racing mode) and the merge (deterministic
+/// mode), and warm-starts the CP/MIP prover, so the portfolio never
+/// returns worse than it; its pins bind every worker to the repair
+/// neighbourhood. `candidates` seeds the CP prover's per-node domains
+/// (see [`solve_llndp_cp_with`]); the other workers ignore it.
 pub fn solve_portfolio(
     problem: &NodeDeployment,
     objective: Objective,
     config: &PortfolioConfig,
+    hint: &SolveHint,
+    candidates: Option<&[Vec<u32>]>,
 ) -> SolveOutcome {
     let start = Instant::now();
     let threads = if config.threads == 0 {
@@ -152,16 +151,16 @@ pub fn solve_portfolio(
 
     let control = SearchControl::with_start(start);
     // Warm start: the incumbent is everyone's starting bound.
-    let initial_outcome = config.initial.as_ref().map(|d| {
+    let initial_outcome = hint.incumbent().map(|d| {
         assert!(problem.is_valid(d), "warm-start incumbent is not a valid deployment");
         debug_assert!(
-            config.fixed.as_deref().is_none_or(|f| crate::cp::respects_fixed(d, f)),
+            hint.pins().is_none_or(|f| crate::cp::respects_fixed(d, f)),
             "warm-start incumbent violates the fixed assignments"
         );
         let c = problem.cost(objective, d);
         control.offer(d, c);
         SolveOutcome {
-            deployment: d.clone(),
+            deployment: d.to_vec(),
             cost: c,
             curve: vec![(0.0, c)],
             proven_optimal: false,
@@ -207,7 +206,8 @@ pub fn solve_portfolio(
                         }
                     };
                     let out = run_worker(
-                        problem, objective, config, technique, job as u64, &control, start,
+                        problem, objective, config, hint, candidates, technique, job as u64,
+                        &control, start,
                     );
                     if let Some(out) = out {
                         explored.fetch_add(out.explored, Ordering::Relaxed);
@@ -279,10 +279,13 @@ pub fn solve_portfolio(
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn run_worker(
     problem: &NodeDeployment,
     objective: Objective,
     config: &PortfolioConfig,
+    hint: &SolveHint,
+    candidates: Option<&[Vec<u32>]>,
     technique: Technique,
     job: u64,
     control: &SearchControl,
@@ -318,26 +321,14 @@ fn run_worker(
     let mut out = match technique {
         Technique::Prover => match objective {
             Objective::LongestLink => {
-                let cp = CpConfig {
-                    budget,
-                    seed: config.seed,
-                    initial: config.initial.clone().or_else(|| config.cp.initial.clone()),
-                    fixed: config.fixed.clone(),
-                    ..config.cp.clone()
-                };
-                solve_llndp_cp_with(problem, &cp, ctl)
+                let cp = CpConfig { budget, seed: config.seed, ..config.cp };
+                solve_llndp_cp_with(problem, &cp, hint, candidates, ctl)
             }
             Objective::LongestPath => {
-                let mip = MipConfig {
-                    budget,
-                    seed: config.seed,
-                    initial: config.initial.clone().or_else(|| config.mip.initial.clone()),
-                    fixed: config.fixed.clone(),
-                    ..config.mip.clone()
-                };
+                let mip = MipConfig { budget, seed: config.seed, ..config.mip };
                 // The MIP prover cooperates through the control like the CP
                 // one: cancellation, bound injection, and live publication.
-                solve_lpndp_mip_with(problem, &mip, ctl)
+                solve_lpndp_mip_with(problem, &mip, hint, ctl)
             }
         },
         Technique::GreedyG1 | Technique::GreedyG2 => {
@@ -346,7 +337,7 @@ fn run_worker(
             } else {
                 GreedyVariant::G2
             };
-            let mut out = match config.fixed.as_deref() {
+            let mut out = match hint.pins() {
                 Some(f) => solve_greedy_fixed(problem, variant, f),
                 None => solve_greedy(problem, variant),
             };
@@ -357,7 +348,9 @@ fn run_worker(
             ctl.offer(&out.deployment, out.cost);
             out
         }
-        Technique::Random => random_worker(problem, objective, config, job, budget, ctl, start),
+        Technique::Random => {
+            random_worker(problem, objective, config, hint.pins(), job, ctl, start)
+        }
     };
     for point in &mut out.curve {
         point.0 += worker_t0;
@@ -374,14 +367,15 @@ fn run_worker(
     Some(out)
 }
 
-/// A cancellable random-sampling worker: draws deployments until its
-/// budget runs out or the portfolio is cancelled, publishing improvements.
+/// A cancellable random-sampling worker: draws up to the budget's node
+/// limit of `fixed`-respecting deployments until the portfolio's clock
+/// runs out or it is cancelled, publishing improvements.
 fn random_worker(
     problem: &NodeDeployment,
     objective: Objective,
     config: &PortfolioConfig,
+    fixed: Option<&[Option<u32>]>,
     job: u64,
-    budget: Budget,
     control: &SearchControl,
     start: Instant,
 ) -> SolveOutcome {
@@ -398,19 +392,17 @@ fn random_worker(
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let local_start = Instant::now();
-    let draws = if config.deterministic { config.random_draws } else { budget.node_limit };
     let mut best: Option<(Vec<u32>, f64)> = None;
     let mut curve = Vec::new();
     let mut drawn = 0u64;
-    while drawn < draws {
+    while drawn < config.budget.node_limit {
         if drawn.is_multiple_of(64)
             && (control.is_cancelled()
-                || (!config.deterministic
-                    && start.elapsed().as_secs_f64() >= config.budget.time_limit_s))
+                || start.elapsed().as_secs_f64() >= config.budget.time_limit_s)
         {
             break;
         }
-        let d = match config.fixed.as_deref() {
+        let d = match fixed {
             Some(f) => problem.random_deployment_with(f, &mut rng),
             None => problem.random_deployment(&mut rng),
         };
@@ -426,7 +418,7 @@ fn random_worker(
     let (deployment, cost) = best.unwrap_or_else(|| {
         // Cancelled before the first draw: fall back to the identity map
         // (or any fixed-respecting deployment in repair mode).
-        let d = match config.fixed.as_deref() {
+        let d = match fixed {
             Some(f) => problem.random_deployment_with(f, &mut rng),
             None => problem.default_deployment(),
         };
@@ -453,6 +445,11 @@ mod tests {
         CpConfig { clusters: None, quantum: 0.0, ..CpConfig::default() }
     }
 
+    /// A cold portfolio run over the full instance set.
+    fn solve(p: &NodeDeployment, objective: Objective, config: &PortfolioConfig) -> SolveOutcome {
+        solve_portfolio(p, objective, config, &SolveHint::Cold, None)
+    }
+
     #[test]
     fn portfolio_solves_llndp_and_proves_optimality() {
         let p = random_problem(5, 7, path_edges(5), 1);
@@ -462,7 +459,7 @@ mod tests {
             cp: exact_cp(),
             ..PortfolioConfig::default()
         };
-        let out = solve_portfolio(&p, Objective::LongestLink, &config);
+        let out = solve(&p, Objective::LongestLink, &config);
         assert!(p.is_valid(&out.deployment));
         assert!(out.proven_optimal, "CP prover should close a 5-node instance");
         assert_eq!(out.cost, p.longest_link(&out.deployment));
@@ -478,7 +475,7 @@ mod tests {
             cp: exact_cp(),
             ..PortfolioConfig::default()
         };
-        let out = solve_portfolio(&p, Objective::LongestLink, &config);
+        let out = solve(&p, Objective::LongestLink, &config);
         assert!(!out.curve.is_empty());
         assert!(out.curve.windows(2).all(|w| w[1].1 < w[0].1), "{:?}", out.curve);
         assert_eq!(out.curve.last().unwrap().1, out.cost);
@@ -493,7 +490,7 @@ mod tests {
             threads: 2,
             ..PortfolioConfig::default()
         };
-        let out = solve_portfolio(&p, Objective::LongestPath, &config);
+        let out = solve(&p, Objective::LongestPath, &config);
         assert!(p.is_valid(&out.deployment));
         assert_eq!(out.cost, p.longest_path(&out.deployment));
     }
@@ -509,7 +506,7 @@ mod tests {
                     cp: exact_cp(),
                     ..PortfolioConfig::deterministic(3_000, 9)
                 };
-                solve_portfolio(&p, Objective::LongestLink, &config).cost
+                solve(&p, Objective::LongestLink, &config).cost
             })
             .collect();
         assert_eq!(costs[0], costs[1]);
@@ -526,13 +523,12 @@ mod tests {
             let config = PortfolioConfig {
                 budget: if deterministic { Budget::nodes(100) } else { Budget::seconds(1.0) },
                 threads: 2,
-                random_draws: 50,
                 deterministic,
-                initial: Some(incumbent.clone()),
                 cp: exact_cp(),
                 ..PortfolioConfig::default()
             };
-            let out = solve_portfolio(&p, Objective::LongestLink, &config);
+            let hint = SolveHint::warm(incumbent.clone());
+            let out = solve_portfolio(&p, Objective::LongestLink, &config, &hint, None);
             assert!(
                 out.cost <= incumbent_cost + 1e-12,
                 "deterministic={deterministic}: {} worse than incumbent {incumbent_cost}",
@@ -556,11 +552,10 @@ mod tests {
             budget: Budget::seconds(5.0),
             threads: 2,
             cp: exact_cp(),
-            initial: Some(incumbent.clone()),
-            fixed: Some(fixed.clone()),
             ..PortfolioConfig::default()
         };
-        let out = solve_portfolio(&p, Objective::LongestLink, &config);
+        let hint = SolveHint::Incremental { incumbent: incumbent.clone(), fixed: fixed.clone() };
+        let out = solve_portfolio(&p, Objective::LongestLink, &config, &hint, None);
         assert!(p.is_valid(&out.deployment));
         for (v, f) in fixed.iter().enumerate() {
             if let Some(j) = f {
@@ -591,7 +586,7 @@ mod tests {
                 work_stealing,
                 ..PortfolioConfig::default()
             };
-            solve_portfolio(&p, Objective::LongestLink, &config)
+            solve(&p, Objective::LongestLink, &config)
         };
         let without = run(false);
         assert!(
@@ -618,7 +613,7 @@ mod tests {
             cp: exact_cp(),
             ..PortfolioConfig::deterministic(5_000, 7)
         };
-        let out = solve_portfolio(&p, Objective::LongestLink, &config);
+        let out = solve(&p, Objective::LongestLink, &config);
         for variant in [GreedyVariant::G1, GreedyVariant::G2] {
             assert!(out.cost <= solve_greedy(&p, variant).cost + 1e-12, "{variant:?}");
         }

@@ -4,14 +4,15 @@
 
 use cloudia_solver::{
     cluster::CostClusters,
-    cp::{solve_llndp_cp, CpConfig, Propagation},
+    cp::{solve_llndp_cp, solve_llndp_cp_with, CpConfig, Propagation},
     greedy::{solve_greedy, GreedyVariant},
     lp::{solve as lp_solve, Constraint, Lp, LpResult, Sense},
     portfolio::{solve_portfolio, PortfolioConfig},
     problem::{Costs, NodeDeployment},
-    Budget, Objective,
+    Budget, Objective, SearchControl, SolveHint,
 };
 use proptest::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
 
 fn costs_strategy(m: usize) -> impl Strategy<Value = Costs> {
     // The flat constructor zeroes the diagonal itself.
@@ -37,6 +38,13 @@ fn brute_force_ll(problem: &NodeDeployment) -> f64 {
     let mut best = f64::INFINITY;
     rec(problem, &mut Vec::new(), &mut vec![false; problem.num_instances()], &mut best);
     best
+}
+
+/// An incremental hint pinning `fixed`, its incumbent the random
+/// pin-respecting deployment `seed` draws.
+fn pinned_hint(p: &NodeDeployment, fixed: &[Option<u32>], seed: u64) -> SolveHint {
+    let incumbent = p.random_deployment_with(fixed, &mut StdRng::seed_from_u64(seed));
+    SolveHint::Incremental { incumbent, fixed: fixed.to_vec() }
 }
 
 proptest! {
@@ -123,7 +131,7 @@ proptest! {
                 cp: CpConfig { clusters: None, quantum: 0.0, ..CpConfig::default() },
                 ..PortfolioConfig::deterministic(2_000, seed)
             };
-            solve_portfolio(&p, Objective::LongestLink, &config)
+            solve_portfolio(&p, Objective::LongestLink, &config, &SolveHint::Cold, None)
         };
         let one = run(1);
         let two = run(2);
@@ -138,13 +146,12 @@ proptest! {
     fn default_deployment_cost_is_an_upper_bound_for_cp(costs in costs_strategy(6)) {
         let p = NodeDeployment::new(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)], costs);
         let default_cost = p.longest_link(&p.default_deployment());
-        let out = solve_llndp_cp(
+        let out = solve_llndp_cp_with(
             &p,
-            &CpConfig {
-                initial: Some(p.default_deployment()),
-                budget: Budget::seconds(10.0),
-                ..Default::default()
-            },
+            &CpConfig { budget: Budget::seconds(10.0), ..Default::default() },
+            &SolveHint::warm(p.default_deployment()),
+            None,
+            &SearchControl::new(),
         );
         prop_assert!(out.cost <= default_cost + 1e-9);
     }
@@ -182,18 +189,20 @@ proptest! {
             }
             lists
         });
-        let config = |propagation| CpConfig {
-            clusters: None,
-            quantum: 0.0,
-            seed,
-            budget: Budget::seconds(30.0),
-            fixed: Some(fixed.clone()),
-            candidates: candidates.clone(),
-            propagation,
-            ..CpConfig::default()
+        let solve = |propagation| {
+            let config = CpConfig {
+                clusters: None,
+                quantum: 0.0,
+                seed,
+                budget: Budget::seconds(30.0),
+                propagation,
+                ..CpConfig::default()
+            };
+            let hint = pinned_hint(&p, &fixed, seed);
+            solve_llndp_cp_with(&p, &config, &hint, candidates.as_deref(), &SearchControl::new())
         };
-        let trail = solve_llndp_cp(&p, &config(Propagation::Trail));
-        let clone = solve_llndp_cp(&p, &config(Propagation::CloneDomains));
+        let trail = solve(Propagation::Trail);
+        let clone = solve(Propagation::CloneDomains);
         prop_assert_eq!(trail.cost, clone.cost);
         prop_assert_eq!(trail.deployment, clone.deployment);
         prop_assert_eq!(trail.explored, clone.explored);
@@ -236,26 +245,122 @@ proptest! {
                 fixed[v] = Some(j as u32);
             }
         }
-        let candidates = (restrict == 1).then(|| {
+        let candidates: Option<Vec<Vec<u32>>> = (restrict == 1).then(|| {
             lists[..n].iter().map(|l| l.iter().map(|&j| (j % m) as u32).collect()).collect()
         });
-        let config = |propagation| CpConfig {
-            clusters: None,
-            quantum: 0.0,
-            seed,
-            budget: Budget::nodes(5_000),
-            fixed: Some(fixed.clone()),
-            candidates: candidates.clone(),
-            degree_filter: filter == 1,
-            propagation,
-            ..CpConfig::default()
+        let solve = |propagation| {
+            let config = CpConfig {
+                clusters: None,
+                quantum: 0.0,
+                seed,
+                budget: Budget::nodes(5_000),
+                degree_filter: filter == 1,
+                propagation,
+            };
+            let hint = pinned_hint(&p, &fixed, seed);
+            solve_llndp_cp_with(&p, &config, &hint, candidates.as_deref(), &SearchControl::new())
         };
-        let trail = solve_llndp_cp(&p, &config(Propagation::Trail));
-        let clone = solve_llndp_cp(&p, &config(Propagation::CloneDomains));
+        let trail = solve(Propagation::Trail);
+        let clone = solve(Propagation::CloneDomains);
         prop_assert_eq!(trail.cost, clone.cost);
         prop_assert_eq!(trail.deployment, clone.deployment);
         prop_assert_eq!(trail.explored, clone.explored);
         prop_assert_eq!(trail.proven_optimal, clone.proven_optimal);
+    }
+}
+
+/// The cheapest deployment under `objective` that honours `fixed`
+/// (permutation enumeration; tiny sizes only).
+fn best_pinned_plan(p: &NodeDeployment, objective: Objective, fixed: &[Option<u32>]) -> Vec<u32> {
+    fn rec(
+        p: &NodeDeployment,
+        objective: Objective,
+        fixed: &[Option<u32>],
+        partial: &mut Vec<u32>,
+        best: &mut Option<(f64, Vec<u32>)>,
+    ) {
+        if partial.len() == p.num_nodes {
+            let c = p.cost(objective, partial);
+            if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
+                *best = Some((c, partial.clone()));
+            }
+            return;
+        }
+        let v = partial.len();
+        for j in 0..p.num_instances() as u32 {
+            // A pinned node takes its pin; a free one any instance no pin holds.
+            let allowed = match fixed[v] {
+                Some(f) => j == f,
+                None => !fixed.contains(&Some(j)),
+            };
+            if allowed && !partial.contains(&j) {
+                partial.push(j);
+                rec(p, objective, fixed, partial, best);
+                partial.pop();
+            }
+        }
+    }
+    let mut best = None;
+    rec(p, objective, fixed, &mut Vec::new(), &mut best);
+    best.expect("some deployment honours the pins").1
+}
+
+// The hint reaches each prover as an argument, with no clamp behind it
+// (`SearchStrategy::run_with_hint` clamps to the incumbent, so its tests
+// pass even when the wiring below is broken). The warm start is the best
+// plan inside the pins, so on one node a prover that dropped it returns
+// worse, and one that dropped the pins moves node 0.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn provers_keep_the_warm_start_and_the_pins_without_a_clamp(
+        costs in costs_strategy(6),
+        pin in 0u32..6,
+        seed in 0u64..1000,
+    ) {
+        use cloudia_solver::{solve_llndp_mip_with, solve_lpndp_mip_with, MipConfig};
+        // A path is a DAG, so both objectives apply.
+        let p = NodeDeployment::new(4, vec![(0, 1), (1, 2), (2, 3)], costs);
+        let fixed = vec![Some(pin), None, None, None];
+        let budget = Budget::nodes(1);
+        // Exact costs: under rounding a path's search cost is not monotone
+        // in its true cost, and the MIP keeps what is best on search costs.
+        let mip = MipConfig { budget, quantum: 0.0, seed, ..MipConfig::default() };
+        for objective in [Objective::LongestLink, Objective::LongestPath] {
+            let incumbent = best_pinned_plan(&p, objective, &fixed);
+            let warm_cost = p.cost(objective, &incumbent);
+            let hint = SolveHint::Incremental { incumbent, fixed: fixed.clone() };
+            let deterministic = PortfolioConfig {
+                threads: 2,
+                ..PortfolioConfig::deterministic(1, seed)
+            };
+            let racing = PortfolioConfig { budget, threads: 2, seed, ..PortfolioConfig::default() };
+            let control = SearchControl::new;
+            let mut outs = vec![
+                ("portfolio-det", solve_portfolio(&p, objective, &deterministic, &hint, None)),
+                ("portfolio-racing", solve_portfolio(&p, objective, &racing, &hint, None)),
+            ];
+            match objective {
+                Objective::LongestLink => {
+                    let cp = CpConfig { budget, seed, ..CpConfig::default() };
+                    outs.push(("cp", solve_llndp_cp_with(&p, &cp, &hint, None, &control())));
+                    outs.push(("llndp-mip", solve_llndp_mip_with(&p, &mip, &hint, &control())));
+                }
+                Objective::LongestPath => {
+                    outs.push(("lpndp-mip", solve_lpndp_mip_with(&p, &mip, &hint, &control())));
+                }
+            }
+            for (name, out) in outs {
+                prop_assert!(p.is_valid(&out.deployment), "{}", name);
+                prop_assert_eq!(out.deployment[0], pin, "{} moved the pinned node", name);
+                prop_assert!(
+                    out.cost <= warm_cost + 1e-12,
+                    "{} ({}) returned {} worse than the warm start {}",
+                    name, objective.name(), out.cost, warm_cost
+                );
+            }
+        }
     }
 }
 

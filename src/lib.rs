@@ -72,5 +72,5 @@ pub mod prelude {
     pub use cloudia_core::problem::{CommGraph, CostMatrix, Deployment, NodeId};
     pub use cloudia_core::search::SearchStrategy;
     pub use cloudia_netsim::{Cloud, InstanceId, Network, Provider};
-    pub use cloudia_solver::{solve_portfolio, PortfolioConfig, SolveOutcome};
+    pub use cloudia_solver::{solve_portfolio, PortfolioConfig, SolveHint, SolveOutcome};
 }

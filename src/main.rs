@@ -228,7 +228,11 @@ fn main() {
                 search_seconds = value().parse().unwrap_or_else(|_| {
                     eprintln!("bad seconds");
                     usage();
-                })
+                });
+                if !(search_seconds > 0.0 && search_seconds.is_finite()) {
+                    eprintln!("search seconds must be positive");
+                    usage();
+                }
             }
             "--seed" => {
                 seed = value().parse().unwrap_or_else(|_| {

@@ -5,7 +5,7 @@
 use cloudia::solver::{
     solve_greedy, solve_llndp_cp, solve_llndp_mip, solve_lpndp_mip, solve_portfolio,
     solve_random_count, Budget, Costs, CpConfig, GreedyVariant, MipConfig, NodeDeployment,
-    Objective, PortfolioConfig,
+    Objective, PortfolioConfig, SolveHint,
 };
 fn random_problem(n: usize, m: usize, edges: Vec<(u32, u32)>, seed: u64) -> NodeDeployment {
     NodeDeployment::new(n, edges, Costs::random_uniform(m, seed))
@@ -135,7 +135,7 @@ fn portfolio_matches_brute_force_on_tiny_instances() {
             cp: CpConfig { clusters: None, quantum: 0.0, ..CpConfig::default() },
             ..PortfolioConfig::default()
         };
-        let out = solve_portfolio(&p, Objective::LongestLink, &config);
+        let out = solve_portfolio(&p, Objective::LongestLink, &config, &SolveHint::Cold, None);
         assert!(p.is_valid(&out.deployment), "seed {seed}");
         assert!(out.proven_optimal, "seed {seed}: portfolio did not close the instance");
         assert!((out.cost - opt).abs() < 1e-9, "seed {seed}: portfolio {} vs {opt}", out.cost);
@@ -155,7 +155,8 @@ fn portfolio_never_exceeds_any_standalone_member() {
             cp: CpConfig { clusters: None, quantum: 0.0, ..CpConfig::default() },
             ..PortfolioConfig::deterministic(nodes, seed)
         };
-        let portfolio = solve_portfolio(&p, Objective::LongestLink, &config);
+        let portfolio =
+            solve_portfolio(&p, Objective::LongestLink, &config, &SolveHint::Cold, None);
         let cp = solve_llndp_cp(
             &p,
             &CpConfig {

@@ -144,7 +144,7 @@ fn cli_json_and_trace_round_trip() {
 /// of these are rejected before any measurement starts.
 #[test]
 fn cli_rejects_out_of_range_input_without_panicking() {
-    let cases: [&[&str]; 12] = [
+    let cases: [&[&str]; 14] = [
         &["--graph", "mesh:1x1"],
         &["--graph", "mesh3d:1x1x1"],
         &["--graph", "ring:2"],
@@ -156,6 +156,9 @@ fn cli_rejects_out_of_range_input_without_panicking() {
         &["--over-allocation", "1e9"],
         &["--online", "--epoch-hours", "0"],
         &["--online", "--epoch-hours", "-3"],
+        // A NaN deadline would switch off every solver clock check.
+        &["--search-seconds", "nan"],
+        &["--search-seconds", "-1"],
         // Removed flag: stages are simulated serially, so it is unknown.
         &["--stage-workers", "2"],
     ];
