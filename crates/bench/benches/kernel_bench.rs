@@ -47,13 +47,19 @@
 //! beat it by ≥ 22×. Windowed scores read 26.6–28.8× on a shared 2-vCPU
 //! Xeon; an index keeping every instance's incident prices sorted read
 //! 17.0–18.2×.
+//!
+//! The eighth, `plan_stages`, holds the focused scheme's stage matcher to
+//! O(pairs): on a 99 %-full plan at m = 300 (the shape of a refresh
+//! epoch's plan), first-fit [`ProbePlan::stages`] must give the stages
+//! the per-stage greedy matcher it replaced gives — one pass over the
+//! pairs left per stage, O(pairs × stages) — and beat it by ≥ 5×.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
 use cloudia_core::CommGraph;
-use cloudia_measure::{run_pruned, MeasureConfig, PairwiseStats, Scheme, Staged};
+use cloudia_measure::{run_pruned, MeasureConfig, PairwiseStats, ProbePlan, Scheme, Staged};
 use cloudia_netsim::{Cloud, InstanceId, LossPlane, Provider};
 use cloudia_online::{DetectorConfig, EpochMeasurement, LinkDelta, OnlineStore};
 use cloudia_solver::candidates::PoolIndex;
@@ -467,6 +473,59 @@ fn assert_plan_pool_wins() {
     );
 }
 
+/// The per-stage greedy matcher [`ProbePlan::stages`] ran before
+/// first-fit: one pass over the pairs left per stage, in plan order.
+fn greedy_stages(plan: &ProbePlan) -> Vec<Vec<(u32, u32)>> {
+    let mut remaining: Vec<(u32, u32)> = plan.pairs().collect();
+    let mut stages = Vec::new();
+    while !remaining.is_empty() {
+        let mut busy = vec![false; plan.num_instances()];
+        let mut stage = Vec::new();
+        let mut rest = Vec::new();
+        for (a, b) in remaining {
+            if !busy[a as usize] && !busy[b as usize] {
+                busy[a as usize] = true;
+                busy[b as usize] = true;
+                stage.push((a, b));
+            } else {
+                rest.push((a, b));
+            }
+        }
+        stages.push(stage);
+        remaining = rest;
+    }
+    stages
+}
+
+/// Races first-fit [`ProbePlan::stages`] against the per-stage greedy on
+/// a 99 %-full plan at m = 300: the same stages, and first-fit wins by
+/// ≥ 5×.
+fn assert_plan_stages_win() {
+    let m = 300u32;
+    let mut rng = StdRng::seed_from_u64(27);
+    let mut plan = ProbePlan::new(m as usize);
+    for a in 0..m {
+        for b in a + 1..m {
+            if rng.random::<f64>() < 0.99 {
+                plan.add_pair(a, b);
+            }
+        }
+    }
+    assert!(!plan.is_full(), "a full plan takes the tournament path");
+    let ((first_fit_s, first_fit), (greedy_s, greedy)) =
+        race(4, || plan.stages(), || greedy_stages(&plan));
+    assert_eq!(first_fit, greedy, "first-fit and the greedy built different stages");
+    let speedup = greedy_s / first_fit_s.max(1e-12);
+    println!(
+        "# plan_stages race: greedy {:.2}ms, first-fit {:.2}ms over {} pairs in {} stages, speedup {speedup:.1}x",
+        greedy_s * 1e3,
+        first_fit_s * 1e3,
+        plan.len(),
+        greedy.len()
+    );
+    assert!(speedup >= 5.0, "first-fit must beat the per-stage greedy by >= 5x, got {speedup:.2}x");
+}
+
 fn main() {
     // `cargo bench` passes `--bench`; `cargo test` passes `--test` (the
     // criterion shim then runs each body exactly once). The timed
@@ -476,7 +535,7 @@ fn main() {
     if std::env::args().any(|a| a == "--bench") {
         // Every race runs, whichever fails: a failing race reports its
         // panic and the run fails at the end, naming them all.
-        let races: [(&str, fn()); 7] = [
+        let races: [(&str, fn()); 8] = [
             ("scan_row_evidence", assert_kernel_wins),
             ("pool_index (1 lane)", || {
                 assert_pool_index_wins::<1>("1 lane (mean)", PoolIndex::sync_means)
@@ -490,6 +549,7 @@ fn main() {
             ("refresh_look", assert_refresh_look_is_cheap),
             ("cp_search", assert_cp_search_wins),
             ("plan_pool", assert_plan_pool_wins),
+            ("plan_stages", assert_plan_stages_win),
         ];
         let failed: Vec<&str> = races
             .into_iter()

@@ -129,30 +129,38 @@ impl ProbePlan {
     /// A full plan uses the round-robin tournament (circle method) —
     /// `n_eff − 1` optimal stages computed in O(n²), matching
     /// [`Staged`]'s schedule — so the periodic full-refresh epochs pay
-    /// neither extra coordination rounds nor the greedy matcher. Partial
-    /// plans use greedy matching over the deterministic pair order: `O(K)`
-    /// stages for a K-clique.
+    /// neither extra coordination rounds nor a matcher. Partial plans are
+    /// matched first-fit over the deterministic pair order: each pair
+    /// takes the lowest stage in which neither endpoint plays yet, found
+    /// from per-instance stage bitsets in O(stages / 64) per pair. That is
+    /// the schedule of greedy matching run one stage at a time over the
+    /// pairs left (each pair meets the same earlier pairs in both), at
+    /// O(pairs) instead of O(pairs × stages): `O(K)` stages for a
+    /// K-clique.
     pub fn stages(&self) -> Vec<Vec<(u32, u32)>> {
         if self.is_full() && self.n >= 2 {
             return Staged::tournament(self.n, |a, b| (a, b));
         }
-        let mut remaining: Vec<(u32, u32)> = self.pairs.iter().copied().collect();
-        let mut stages = Vec::new();
-        while !remaining.is_empty() {
-            let mut busy = vec![false; self.n];
-            let mut stage = Vec::new();
-            let mut rest = Vec::new();
-            for (a, b) in remaining {
-                if !busy[a as usize] && !busy[b as usize] {
-                    busy[a as usize] = true;
-                    busy[b as usize] = true;
-                    stage.push((a, b));
-                } else {
-                    rest.push((a, b));
-                }
+        // A pair meets at most n − 2 earlier pairs through each endpoint,
+        // so its stage index stays below 2n − 3 and `words` bits suffice.
+        let words = (2 * self.n).div_ceil(64).max(1);
+        let mut playing = vec![0u64; self.n * words];
+        let mut stages: Vec<Vec<(u32, u32)>> = Vec::new();
+        for (a, b) in self.pairs.iter().copied() {
+            let (ra, rb) = (a as usize * words, b as usize * words);
+            let stage = (0..words)
+                .find_map(|w| {
+                    let free = !(playing[ra + w] | playing[rb + w]);
+                    (free != 0).then(|| w * 64 + free.trailing_zeros() as usize)
+                })
+                .expect("a pair's stage index is below 2n");
+            let bit = 1u64 << (stage % 64);
+            playing[ra + stage / 64] |= bit;
+            playing[rb + stage / 64] |= bit;
+            if stage == stages.len() {
+                stages.push(Vec::new());
             }
-            stages.push(stage);
-            remaining = rest;
+            stages[stage].push((a, b));
         }
         stages
     }
@@ -315,6 +323,57 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), plan.len());
+    }
+
+    /// The per-stage greedy matcher first-fit replaced: one pass over the
+    /// pairs left per stage, in plan order.
+    fn greedy_stages(plan: &ProbePlan) -> Vec<Vec<(u32, u32)>> {
+        let mut remaining: Vec<(u32, u32)> = plan.pairs().collect();
+        let mut stages = Vec::new();
+        while !remaining.is_empty() {
+            let mut busy = vec![false; plan.num_instances()];
+            let (stage, rest): (Vec<_>, Vec<_>) = remaining.into_iter().partition(|&(a, b)| {
+                let free = !busy[a as usize] && !busy[b as usize];
+                if free {
+                    busy[a as usize] = true;
+                    busy[b as usize] = true;
+                }
+                free
+            });
+            stages.push(stage);
+            remaining = rest;
+        }
+        stages
+    }
+
+    #[test]
+    fn first_fit_stages_equal_the_per_stage_greedy() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(27);
+        for case in 0..300 {
+            let n = rng.random_range(2..70usize);
+            // Sparse plans through near-full ones (one pair short of the
+            // tournament path).
+            let density = [0.02, 0.2, 0.6, 0.95, 0.99][case % 5];
+            let mut plan = ProbePlan::new(n);
+            for a in 0..n as u32 {
+                for b in a + 1..n as u32 {
+                    if rng.random::<f64>() < density {
+                        plan.add_pair(a, b);
+                    }
+                }
+            }
+            if plan.is_full() {
+                let (a, b) = plan.pairs().next().expect("a full plan over n >= 2 has pairs");
+                plan.pairs.remove(&(a, b));
+            }
+            assert_eq!(plan.stages(), greedy_stages(&plan), "case {case}: n = {n}");
+        }
+        // A near-full plan with a wide instance set: stage indices past 64.
+        let mut plan = ProbePlan::full(150);
+        plan.pairs.remove(&(3, 77));
+        assert!(plan.stages().len() > 64);
+        assert_eq!(plan.stages(), greedy_stages(&plan));
     }
 
     #[test]

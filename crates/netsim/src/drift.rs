@@ -31,6 +31,28 @@ impl DriftParams {
     pub fn stationary_sd(&self) -> f64 {
         self.sigma_per_sqrt_hour / (2.0 * self.reversion_per_hour).sqrt()
     }
+
+    /// The exact OU transition over `dt_hours` as `(decay, sd)`: the
+    /// conditional distribution of `X_{t+dt}` given `X_t` is normal with
+    /// mean `X_t·decay`, `decay = e^{−θ·dt}`, and standard deviation
+    /// `sd = sqrt(σ²(1−decay²)/(2θ))`. Every link of one process family
+    /// shares it, so a network step computes it once.
+    ///
+    /// # Panics
+    /// Panics if `dt_hours` is negative.
+    pub fn transition(&self, dt_hours: f64) -> (f64, f64) {
+        assert!(dt_hours >= 0.0, "dt must be >= 0, got {dt_hours}");
+        let theta = self.reversion_per_hour;
+        let decay = (-theta * dt_hours).exp();
+        let var = self.sigma_per_sqrt_hour.powi(2) * (1.0 - decay * decay) / (2.0 * theta);
+        (decay, var.sqrt())
+    }
+}
+
+/// One OU transition of a log-multiplier under [`DriftParams::transition`]'s
+/// `(decay, sd)`.
+fn ou_step<R: Rng + ?Sized>(log_mult: f64, decay: f64, sd: f64, rng: &mut R) -> f64 {
+    log_mult * decay + sd * standard_normal(rng)
 }
 
 impl Default for DriftParams {
@@ -61,15 +83,10 @@ impl DriftProcess {
 
     /// Advances the process by `dt_hours` and returns the new multiplier.
     ///
-    /// Uses the exact OU transition: the conditional distribution of
-    /// `X_{t+dt}` given `X_t` is normal with mean `X_t·e^{−θ·dt}` and
-    /// variance `σ²(1−e^{−2θ·dt})/(2θ)`.
+    /// Uses the exact OU transition ([`DriftParams::transition`]).
     pub fn step<R: Rng + ?Sized>(&mut self, dt_hours: f64, rng: &mut R) -> f64 {
-        assert!(dt_hours >= 0.0, "dt must be >= 0, got {dt_hours}");
-        let theta = self.params.reversion_per_hour;
-        let decay = (-theta * dt_hours).exp();
-        let var = self.params.sigma_per_sqrt_hour.powi(2) * (1.0 - decay * decay) / (2.0 * theta);
-        self.log_mult = self.log_mult * decay + var.sqrt() * standard_normal(rng);
+        let (decay, sd) = self.params.transition(dt_hours);
+        self.log_mult = ou_step(self.log_mult, decay, sd, rng);
         self.multiplier()
     }
 
@@ -87,17 +104,21 @@ impl DriftProcess {
 /// process, so consecutive calls are independent snapshots; an online
 /// control loop instead needs the network at hour `t + dt` to be correlated
 /// with the network at hour `t`. `DriftingNetwork` keeps one persistent
-/// [`DriftProcess`] per directed link and advances all of them on every
-/// [`DriftingNetwork::step`], so a sequence of steps walks one continuous
-/// sample path of the drift process.
+/// OU state per directed link (a [`DriftProcess`]'s log-multiplier, in a
+/// flat column beside the one shared parameter set) and advances all of
+/// them on every [`DriftingNetwork::step`], so a sequence of steps walks
+/// one continuous sample path of the drift process.
 #[derive(Debug, Clone)]
 pub struct DriftingNetwork {
     net: Network,
     /// Immutable base profiles (the long-run means the OU processes revert
     /// towards), row-major over ordered pairs.
     base: Vec<LinkProfile>,
-    /// One OU state per directed link, row-major (diagonal entries unused).
-    processes: Vec<DriftProcess>,
+    /// The latency drift every link follows.
+    params: DriftParams,
+    /// One OU log-multiplier per directed link, row-major (diagonal
+    /// entries unused).
+    log_mult: Vec<f64>,
     hours: f64,
     rng: StdRng,
     /// Optional evolving fault process (per-link loss drift, blackouts,
@@ -110,8 +131,9 @@ pub struct DriftingNetwork {
 #[derive(Debug, Clone)]
 struct FaultState {
     params: FaultParams,
-    /// One loss OU state per directed link (loss = base · exp(X_t)).
-    processes: Vec<DriftProcess>,
+    /// One loss OU log-multiplier per directed link (loss = base ·
+    /// exp(X_t)), under `params.loss_drift`.
+    log_mult: Vec<f64>,
     /// Simulated hour each link's blackout ends (row-major; 0 = none).
     link_blackout_until: Vec<f64>,
     /// Simulated hour each instance's unresponsive window ends.
@@ -142,8 +164,16 @@ impl DriftingNetwork {
                 });
             }
         }
-        let processes = (0..n * n).map(|_| DriftProcess::at_equilibrium(params)).collect();
-        Self { net, base, processes, hours: 0.0, rng: StdRng::seed_from_u64(seed), faults: None }
+        // Every process starts at equilibrium: log-multiplier 0.
+        Self {
+            net,
+            base,
+            params,
+            log_mult: vec![0.0; n * n],
+            hours: 0.0,
+            rng: StdRng::seed_from_u64(seed),
+            faults: None,
+        }
     }
 
     /// Attaches an evolving fault process (builder style). The fault
@@ -154,9 +184,7 @@ impl DriftingNetwork {
         let n = self.net.len();
         self.faults = Some(FaultState {
             params,
-            processes: (0..n * n)
-                .map(|_| DriftProcess::at_equilibrium(params.loss_drift))
-                .collect(),
+            log_mult: vec![0.0; n * n],
             link_blackout_until: vec![0.0; n * n],
             instance_dark_until: vec![0.0; n],
             rng: StdRng::seed_from_u64(fault_seed ^ 0xfa_17_fa_17_fa_17_fa_17),
@@ -196,13 +224,15 @@ impl DriftingNetwork {
     /// and expire, and the network's loss plane is rewritten.
     pub fn step(&mut self, dt_hours: f64) -> &Network {
         let n = self.net.len();
+        let (decay, sd) = self.params.transition(dt_hours);
         for i in 0..n {
             for j in 0..n {
                 if i == j {
                     continue;
                 }
                 let idx = i * n + j;
-                let mult = self.processes[idx].step(dt_hours, &mut self.rng);
+                self.log_mult[idx] = ou_step(self.log_mult[idx], decay, sd, &mut self.rng);
+                let mult = self.log_mult[idx].exp();
                 let p = self.base[idx];
                 self.net.model_mut().set_profile(
                     i,
@@ -226,11 +256,14 @@ impl DriftingNetwork {
         let params = faults.params;
         let p_blackout = 1.0 - (-params.blackout_per_link_hour * dt_hours).exp();
         let p_dark = 1.0 - (-params.dark_instance_per_hour * dt_hours).exp();
+        // The new multipliers are read (one `exp` each) by
+        // `refresh_loss_plane`, so the step only moves the log states.
+        let (decay, sd) = params.loss_drift.transition(dt_hours);
         for idx in 0..n * n {
             if idx / n == idx % n {
                 continue;
             }
-            faults.processes[idx].step(dt_hours, &mut faults.rng);
+            faults.log_mult[idx] = ou_step(faults.log_mult[idx], decay, sd, &mut faults.rng);
             if p_blackout > 0.0 && faults.rng.random::<f64>() < p_blackout {
                 faults.link_blackout_until[idx] = self.hours + params.blackout_hours;
             }
@@ -243,13 +276,17 @@ impl DriftingNetwork {
         self.refresh_loss_plane();
     }
 
-    /// Rewrites the network's loss plane from the current fault state.
+    /// Rewrites the network's loss plane from the current fault state, in
+    /// place once installed.
     fn refresh_loss_plane(&mut self) {
         let n = self.net.len();
         let Some(faults) = self.faults.as_ref() else {
             return;
         };
-        let mut plane = LossPlane::clear(n);
+        if self.net.loss().is_none() {
+            self.net.set_loss(LossPlane::clear(n));
+        }
+        let plane = self.net.loss_mut().expect("the loss plane was installed above");
         for i in 0..n {
             for j in 0..n {
                 if i == j {
@@ -262,18 +299,17 @@ impl DriftingNetwork {
                 let p = if dark {
                     DARK_DROP
                 } else {
-                    (faults.params.base_loss * faults.processes[idx].multiplier()).clamp(0.0, 1.0)
+                    (faults.params.base_loss * faults.log_mult[idx].exp()).clamp(0.0, 1.0)
                 };
-                if p > 0.0 {
-                    plane.set_drop_prob(
-                        crate::InstanceId::from_index(i),
-                        crate::InstanceId::from_index(j),
-                        p,
-                    );
-                }
+                // Anything but a positive probability (a NaN from a
+                // degenerate multiplier included) leaves the link clear.
+                plane.set_drop_prob(
+                    crate::InstanceId::from_index(i),
+                    crate::InstanceId::from_index(j),
+                    if p > 0.0 { p } else { 0.0 },
+                );
             }
         }
-        self.net.set_loss(plane);
     }
 
     /// The current (drifted) network view.
@@ -535,6 +571,39 @@ mod tests {
             means
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn flat_drift_columns_step_like_one_process_per_link() {
+        // The oracle: one `DriftProcess` per directed link, stepped in
+        // row-major order on RNGs seeded as the network seeds its own.
+        let faults = FaultParams::drifting_loss(0.05);
+        let mut d = drifting_setup().with_faults(faults, 7);
+        let n = 6;
+        let base = d.clone();
+        let mut latency = vec![DriftProcess::at_equilibrium(base.params); n * n];
+        let mut loss = vec![DriftProcess::at_equilibrium(faults.loss_drift); n * n];
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut fault_rng = StdRng::seed_from_u64(7 ^ 0xfa_17_fa_17_fa_17_fa_17);
+        for dt in [2.0, 0.5, 6.0, 0.0, 1.0] {
+            d.step(dt);
+            let off_diagonal = (0..n * n).filter(|idx| idx / n != idx % n);
+            for idx in off_diagonal.clone() {
+                latency[idx].step(dt, &mut rng);
+            }
+            for idx in off_diagonal {
+                loss[idx].step(dt, &mut fault_rng);
+                let (a, b) = (
+                    crate::InstanceId::from_index(idx / n),
+                    crate::InstanceId::from_index(idx % n),
+                );
+                let p = base.base[idx];
+                let mean = LinkProfile { base_mean: p.base_mean * latency[idx].multiplier(), ..p };
+                assert_eq!(d.network().mean_rtt(a, b).to_bits(), mean.mean_rtt().to_bits());
+                let drop = (0.05 * loss[idx].multiplier()).clamp(0.0, 1.0);
+                assert_eq!(d.link_loss(a, b).to_bits(), drop.to_bits());
+            }
+        }
     }
 
     #[test]

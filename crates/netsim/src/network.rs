@@ -211,6 +211,11 @@ impl Network {
         self.loss = Some(plane);
     }
 
+    /// The installed loss plane, writable in place.
+    pub(crate) fn loss_mut(&mut self) -> Option<&mut LossPlane> {
+        self.loss.as_mut()
+    }
+
     /// Removes the loss plane (back to a lossless network).
     pub fn clear_loss(&mut self) {
         self.loss = None;
@@ -221,27 +226,34 @@ impl Network {
         self.loss.as_ref().map_or(0.0, |plane| plane.drop_prob(src, dst))
     }
 
-    /// Ground-truth *effective* mean RTT matrix under loss: the expected
-    /// completion time of one reliable request/reply exchange when every
-    /// failed attempt (probe or reply dropped) costs a `timeout_ms` wait
-    /// before the retransmit. With no loss plane (or a clear one) this
-    /// is exactly [`Network::mean_matrix`].
+    /// Ground-truth *effective* mean RTT of the directed link `src → dst`
+    /// under loss: the expected completion time of one reliable
+    /// request/reply exchange when every failed attempt (probe or reply
+    /// dropped) costs a `timeout_ms` wait before the retransmit. Without a
+    /// loss plane this is exactly [`Network::mean_rtt`].
     ///
-    /// The per-attempt success probability of the directed link `i → j`
-    /// is `(1 − p_fwd)(1 − p_rev)`, floored at 1% so a fully dark link
-    /// prices as ~99 timeouts rather than infinity.
-    pub fn effective_mean_matrix(&self, timeout_ms: f64) -> crate::cost::CostMatrix {
-        let means = self.model.mean_matrix();
+    /// The per-attempt success probability is `(1 − p_fwd)(1 − p_rev)`,
+    /// floored at 1% so a fully dark link prices as ~99 timeouts rather
+    /// than infinity.
+    pub fn effective_mean(&self, src: InstanceId, dst: InstanceId, timeout_ms: f64) -> f64 {
+        let mean = self.mean_rtt(src, dst);
         let Some(plane) = self.loss.as_ref() else {
-            return means;
+            return mean;
         };
+        let success =
+            ((1.0 - plane.drop_prob(src, dst)) * (1.0 - plane.drop_prob(dst, src))).max(0.01);
+        mean + (1.0 / success - 1.0) * timeout_ms
+    }
+
+    /// [`Network::effective_mean`] of every link, as a cost matrix
+    /// (diagonal 0). With no loss plane (or a clear one) this is exactly
+    /// [`Network::mean_matrix`].
+    pub fn effective_mean_matrix(&self, timeout_ms: f64) -> crate::cost::CostMatrix {
+        if self.loss.is_none() {
+            return self.model.mean_matrix();
+        }
         crate::cost::CostMatrix::from_fn(self.len(), |i, j| {
-            if i == j {
-                return 0.0;
-            }
-            let (a, b) = (InstanceId::from_index(i), InstanceId::from_index(j));
-            let success = ((1.0 - plane.drop_prob(a, b)) * (1.0 - plane.drop_prob(b, a))).max(0.01);
-            means.get(i, j) + (1.0 / success - 1.0) * timeout_ms
+            self.effective_mean(InstanceId::from_index(i), InstanceId::from_index(j), timeout_ms)
         })
     }
 
@@ -445,6 +457,12 @@ mod tests {
         net.set_loss(dark);
         let eff = net.effective_mean_matrix(50.0);
         assert!((eff.get(2, 3) - (means.get(2, 3) + 99.0 * 50.0)).abs() < 1e-6);
+        // The matrix is the per-link helper, bit for bit.
+        for (i, j) in (0..4u32).flat_map(|i| (0..4u32).map(move |j| (i, j))).filter(|(i, j)| i != j)
+        {
+            let link = net.effective_mean(InstanceId(i), InstanceId(j), 50.0);
+            assert_eq!(eff.get(i as usize, j as usize).to_bits(), link.to_bits());
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use cloudia_core::{
     CommGraph, CostError, CostMatrix, Deployment, NodeDeployment, Objective, RedeployPolicy,
 };
 use cloudia_measure::{FocusedScheme, ProbePlan, PruneRule, Scheme, StopRule};
-use cloudia_netsim::Network;
+use cloudia_netsim::{InstanceId, Network};
 use cloudia_obs::{RingLog, RunRecorder};
 use cloudia_solver::candidates::{PoolIndex, SharedIndex};
 use cloudia_solver::{AdaptivePool, CandidateConfig, CandidatePruneRule, CandidateSet, PoolPolicy};
@@ -926,46 +926,54 @@ impl OnlineAdvisor {
     /// Packet loss is priced in as *expected completion time*: a link
     /// with loss-rate EWMAs `p` (per direction) costs its mean plus the
     /// expected timeouts, `mean + (1/success − 1)·timeout_ms` — the same
-    /// shape [`Network::effective_mean_matrix`] gives the ground truth,
-    /// but from the store's own estimates. A dark link (loss → 1, success
-    /// floored at 1%) prices at ~99 timeouts, so ranking-based consumers
+    /// shape [`Network::effective_mean`] gives the ground truth, but from
+    /// the store's own estimates. A dark link (loss → 1, success floored
+    /// at 1%) prices at ~99 timeouts, so ranking-based consumers
     /// ([`select_free_nodes`](crate::repair::select_free_nodes), candidate
     /// pools, the evacuation re-solve) push away from dark instances on
     /// cost alone. Loss-free links are priced exactly as before.
     ///
-    /// The means are measurement values: one non-finite sample makes a
-    /// link's EWMA NaN for good, which the cost plane rejects — an
-    /// `Err` the caller holds the epoch on, not a panic.
+    /// Built in one pass over the store's columns (see [`OnlineStore`]),
+    /// never its records; only the unobserved links wait for the
+    /// worst-seen mean. The store ingests a non-finite sample as
+    /// sampleless, so its means stay finite; the means are still
+    /// measurement values, though, and a negative one (or an EWMA that
+    /// overflowed) is a cost the cost plane rejects — an `Err` the caller
+    /// holds the epoch on, not a panic.
     fn search_costs(&self) -> Result<CostMatrix, CostError> {
         let n = self.store.len();
+        let mean = self.store.mean_column();
+        let loss = self.store.loss_rate_column();
+        let sampled = self.store.sampled_column();
+        let price = |base: f64, i: usize, j: usize| {
+            let (fwd, rev) = if self.config.loss_aware {
+                (loss[i * n + j], loss[j * n + i])
+            } else {
+                (0.0, 0.0)
+            };
+            if fwd > 0.0 || rev > 0.0 {
+                let success = ((1.0 - fwd) * (1.0 - rev)).max(0.01);
+                base + (1.0 / success - 1.0) * self.config.timeout_ms
+            } else {
+                base
+            }
+        };
         let mut worst = 0.0f64;
+        let mut unobserved = Vec::new();
+        let mut b = CostMatrix::builder(n);
         for i in 0..n {
-            for j in 0..n {
-                if i != j && self.store.link(i, j).ewma.count() > 0 {
-                    worst = worst.max(self.store.link(i, j).ewma.mean());
+            for j in (0..n).filter(|&j| j != i) {
+                let idx = i * n + j;
+                if sampled[idx] == 0 {
+                    unobserved.push((i, j));
+                } else {
+                    worst = worst.max(mean[idx]);
+                    b.set(i, j, price(mean[idx], i, j));
                 }
             }
         }
-        let mut b = CostMatrix::builder(n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let link = self.store.link(i, j);
-                    let base = if link.ewma.count() > 0 { link.ewma.mean() } else { worst };
-                    let (fwd, rev) = if self.config.loss_aware {
-                        (link.loss_rate(), self.store.link(j, i).loss_rate())
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    let cost = if fwd > 0.0 || rev > 0.0 {
-                        let success = ((1.0 - fwd) * (1.0 - rev)).max(0.01);
-                        base + (1.0 / success - 1.0) * self.config.timeout_ms
-                    } else {
-                        base
-                    };
-                    b.set(i, j, cost);
-                }
-            }
+        for (i, j) in unobserved {
+            b.set(i, j, price(worst, i, j));
         }
         b.freeze()
     }
@@ -979,67 +987,89 @@ impl OnlineAdvisor {
     /// clause keeps a healthy instance that merely *borders* several dark
     /// instances from being condemned by association.
     fn dark_instances(&self) -> Vec<u32> {
-        let m = self.store.len();
-        let mut dark = Vec::new();
-        for i in 0..m {
-            let (mut attempted, mut unreachable) = (0usize, 0usize);
-            for j in 0..m {
-                if i == j {
-                    continue;
+        (0..self.store.len() as u32).filter(|&i| self.instance_dark(i)).collect()
+    }
+
+    /// Whether instance `i` is presumed dark (see
+    /// [`OnlineAdvisor::dark_instances`]): one O(m) walk over its links.
+    fn instance_dark(&self, i: u32) -> bool {
+        let i = i as usize;
+        let (mut attempted, mut unreachable) = (0usize, 0usize);
+        for j in (0..self.store.len()).filter(|&j| j != i) {
+            let (fwd, rev) = (self.store.link(i, j), self.store.link(j, i));
+            if fwd.loss.count() > 0 || rev.loss.count() > 0 {
+                attempted += 1;
+                if fwd.is_dark() || rev.is_dark() {
+                    unreachable += 1;
                 }
-                let (fwd, rev) = (self.store.link(i, j), self.store.link(j, i));
-                if fwd.loss.count() > 0 || rev.loss.count() > 0 {
-                    attempted += 1;
-                    if fwd.is_dark() || rev.is_dark() {
-                        unreachable += 1;
-                    }
-                }
-            }
-            if unreachable >= 2 && 2 * unreachable >= attempted {
-                dark.push(i as u32);
             }
         }
-        dark
+        unreachable >= 2 && 2 * unreachable >= attempted
+    }
+
+    /// Ground-truth cost of `deployment` on `net`, priced as expected
+    /// completion time under the configured timeout
+    /// ([`Network::effective_mean`]; plain means on a loss-free network):
+    /// the same bits as pricing it over
+    /// [`Network::effective_mean_matrix`], from the |D|×|D| links among
+    /// the deployed instances only.
+    fn true_cost(&self, net: &Network, deployment: &[u32]) -> f64 {
+        let timeout_ms = self.config.timeout_ms;
+        let among = CostMatrix::from_fn(deployment.len(), |x, y| {
+            net.effective_mean(InstanceId(deployment[x]), InstanceId(deployment[y]), timeout_ms)
+        });
+        let local: Vec<u32> = (0..deployment.len() as u32).collect();
+        self.graph.problem(among).cost(self.config.objective, &local)
     }
 
     /// Ingests one epoch and runs the control loop. `net` is the current
     /// ground-truth network, used only for the cost curve and event log —
-    /// priced as expected completion time under the configured timeout
-    /// ([`Network::effective_mean_matrix`]; plain means on a loss-free
-    /// network). Spot-check confirmation needs stream access and
-    /// therefore only runs through [`OnlineAdvisor::step_stream`].
+    /// the deployment priced as expected completion time under the
+    /// configured timeout ([`Network::effective_mean`]; plain means on a
+    /// loss-free network). Spot-check confirmation needs stream access
+    /// and therefore only runs through [`OnlineAdvisor::step_stream`].
     pub fn step(&mut self, m: &EpochMeasurement, net: &Network) -> EpochSummary {
-        self.step_core(m, net.effective_mean_matrix(self.config.timeout_ms), None)
+        let span = cloudia_obs::span!("online.step", epoch = m.epoch);
+        let (changes, alarms) = self.sense(m, None);
+        self.act(m, &changes, alarms, net, span)
     }
 
-    /// The control loop proper, as its phase sequence: ingest → triage →
-    /// decide → repair → account. `truth_costs` is the ground-truth cost
-    /// matrix (cost curve and event log only), `spot` the stream to draw
-    /// single-link confirmation probes (RTT and loss trials) from, if
-    /// spot checks are on.
-    fn step_core(
+    /// The control loop's first phases, ingest → triage. `spot` is the
+    /// stream to draw single-link confirmation probes (RTT and loss
+    /// trials) from, if spot checks are on; it is released before
+    /// [`Self::act`] reads the stream's ground truth.
+    fn sense(
         &mut self,
         m: &EpochMeasurement,
-        truth_costs: CostMatrix,
         spot: Option<&mut dyn MeasurementStream>,
+    ) -> (Vec<LinkChange>, Alarms) {
+        let changes = self.ingest(m);
+        let alarms = self.triage(m.epoch, &changes, spot);
+        (changes, alarms)
+    }
+
+    /// The rest of the control loop, decide → repair → account, closing
+    /// the epoch's `online.step` span. `truth` is the ground-truth network
+    /// (cost curve and event log only).
+    fn act(
+        &mut self,
+        m: &EpochMeasurement,
+        changes: &[LinkChange],
+        alarms: Alarms,
+        truth: &Network,
+        mut span: cloudia_obs::SpanGuard,
     ) -> EpochSummary {
         let epoch = m.epoch;
-        let mut span = cloudia_obs::span!("online.step", epoch = epoch);
-        let changes = self.ingest(m);
-        let alarms = self.triage(epoch, &changes, spot);
         let probe_escalated = matches!(
             self.config.probe_policy,
             ProbePolicy::Focused { max_flagged, .. } if changes.len() > max_flagged
         );
 
         let problem = self.search_costs().map(|costs| self.graph.problem(costs));
-        // One ground-truth problem per epoch (one flat-arena build),
-        // shared by the migration event and the epoch accounting below.
-        let truth_problem = self.graph.problem(truth_costs);
         let repaired = match &problem {
             Ok(problem) => {
                 let trigger = self.decide(epoch, alarms);
-                self.repair(epoch, trigger, problem, &truth_problem)
+                self.repair(epoch, trigger, problem, truth)
             }
             // Nothing to decide or repair on: hold the plan and say why.
             Err(error) => {
@@ -1047,8 +1077,7 @@ impl OnlineAdvisor {
                 Repaired::default()
             }
         };
-        let summary =
-            self.account(m, probe_escalated, &repaired, problem.as_ref().ok(), &truth_problem);
+        let summary = self.account(m, probe_escalated, &repaired, problem.as_ref().ok(), truth);
 
         // Control-loop telemetry at epoch grain: one span plus a handful
         // of counter bumps per step, nothing in the per-link loops.
@@ -1217,10 +1246,12 @@ impl OnlineAdvisor {
     /// is skipped on such an epoch (its trigger verdicts were formed on
     /// the same, now-evacuated plan); otherwise it runs when an alarm
     /// triggered and no re-solve ran this epoch yet.
+    ///
+    /// Only the deployed instances are tested for darkness; the full
+    /// [`Self::dark_instances`] list is built when one of them is dark.
     fn decide(&self, epoch: u64, alarms: Alarms) -> Option<Trigger> {
-        let dark = if self.config.loss_aware { self.dark_instances() } else { Vec::new() };
-        if self.deployment.iter().any(|j| dark.contains(j)) {
-            return Some(Trigger::Evacuate(dark));
+        if self.config.loss_aware && self.deployment.iter().any(|&j| self.instance_dark(j)) {
+            return Some(Trigger::Evacuate(self.dark_instances()));
         }
         let cooled = self.last_resolve.is_none_or(|last| epoch > last);
         ((alarms.degradation || alarms.opportunity) && cooled).then_some(Trigger::Alarm)
@@ -1234,7 +1265,7 @@ impl OnlineAdvisor {
         epoch: u64,
         trigger: Option<Trigger>,
         problem: &NodeDeployment,
-        truth_problem: &NodeDeployment,
+        truth: &Network,
     ) -> Repaired {
         let Some(trigger) = trigger else {
             return Repaired::default();
@@ -1292,8 +1323,8 @@ impl OnlineAdvisor {
         });
         let mut moved = 0;
         if accepted {
-            let before = truth_problem.cost(objective, &self.deployment);
-            let after = truth_problem.cost(objective, &repair.deployment);
+            let before = self.true_cost(truth, &self.deployment);
+            let after = self.true_cost(truth, &repair.deployment);
             self.deployment = repair.deployment;
             moved = repair.moved;
             self.moved_total += moved as u64;
@@ -1328,7 +1359,7 @@ impl OnlineAdvisor {
         probe_escalated: bool,
         repaired: &Repaired,
         problem: Option<&NodeDeployment>,
-        truth_problem: &NodeDeployment,
+        truth: &Network,
     ) -> EpochSummary {
         let epoch = m.epoch;
         // An epoch counts as an escalation when the probe plan had to
@@ -1346,7 +1377,7 @@ impl OnlineAdvisor {
         }
         let est_cost =
             problem.map_or(f64::NAN, |p| p.cost(self.config.objective, &self.deployment));
-        let true_cost = truth_problem.cost(self.config.objective, &self.deployment);
+        let true_cost = self.true_cost(truth, &self.deployment);
         self.total_true_cost += true_cost;
         self.cost_curve.push((m.at_hours, true_cost));
         self.push_event(OnlineEvent::Epoch {
@@ -1404,10 +1435,11 @@ impl OnlineAdvisor {
             rule.as_ref().map(|r| r as &dyn PruneRule),
             stop.map(|s| s as &dyn StopRule),
         );
-        let truth = stream.network().effective_mean_matrix(self.config.timeout_ms);
+        let span = cloudia_obs::span!("online.step", epoch = m.epoch);
         let spot =
             (self.config.spot_check_probes > 0).then_some(stream as &mut dyn MeasurementStream);
-        self.step_core(&m, truth, spot)
+        let (changes, alarms) = self.sense(&m, spot);
+        self.act(&m, &changes, alarms, stream.network(), span)
     }
 
     /// Drives the loop for `epochs` epochs of a stream.
@@ -2133,6 +2165,151 @@ mod tests {
             .any(|e| matches!(e, OnlineEvent::LinkDark { confirmed: true, .. })));
         assert!(advisor.events().iter().any(|e| matches!(e, OnlineEvent::Evacuate { .. })));
         assert!(advisor.deployment().iter().all(|&j| j != 1));
+    }
+
+    /// The two-pass record walk the column-built search costs replaced.
+    fn search_costs_from_records(advisor: &OnlineAdvisor) -> Result<CostMatrix, CostError> {
+        let (store, n) = (&advisor.store, advisor.store.len());
+        let mut worst = 0.0f64;
+        for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).filter(|(i, j)| i != j) {
+            if store.link(i, j).ewma.count() > 0 {
+                worst = worst.max(store.link(i, j).ewma.mean());
+            }
+        }
+        let mut b = CostMatrix::builder(n);
+        for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).filter(|(i, j)| i != j) {
+            let link = store.link(i, j);
+            let base = if link.ewma.count() > 0 { link.ewma.mean() } else { worst };
+            let (fwd, rev) = if advisor.config.loss_aware {
+                (link.loss_rate(), store.link(j, i).loss_rate())
+            } else {
+                (0.0, 0.0)
+            };
+            let cost = if fwd > 0.0 || rev > 0.0 {
+                let success = ((1.0 - fwd) * (1.0 - rev)).max(0.01);
+                base + (1.0 / success - 1.0) * advisor.config.timeout_ms
+            } else {
+                base
+            };
+            b.set(i, j, cost);
+        }
+        b.freeze()
+    }
+
+    /// The evacuation trigger as a full scan: every instance's darkness
+    /// from its records, then a test of the deployment against the list.
+    fn dark_trigger_by_full_scan(advisor: &OnlineAdvisor) -> Option<Vec<u32>> {
+        let (store, m) = (&advisor.store, advisor.store.len());
+        let dark: Vec<u32> = (0..m)
+            .filter(|&i| {
+                let (mut attempted, mut unreachable) = (0, 0);
+                for j in (0..m).filter(|&j| j != i) {
+                    let (fwd, rev) = (store.link(i, j), store.link(j, i));
+                    if fwd.loss.count() > 0 || rev.loss.count() > 0 {
+                        attempted += 1;
+                        unreachable += usize::from(fwd.is_dark() || rev.is_dark());
+                    }
+                }
+                unreachable >= 2 && 2 * unreachable >= attempted
+            })
+            .map(|i| i as u32)
+            .collect();
+        let deployed_dark = advisor.deployment.iter().any(|j| dark.contains(j));
+        (advisor.config.loss_aware && deployed_dark).then_some(dark)
+    }
+
+    /// Checks the column-built search costs and the deployed-only dark
+    /// trigger against their record-walking oracles.
+    fn assert_the_record_oracles_agree(advisor: &OnlineAdvisor) {
+        let bits = |costs: Result<CostMatrix, CostError>| {
+            costs.map(|c| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(advisor.search_costs()), bits(search_costs_from_records(advisor)));
+        let trigger = match advisor.decide(advisor.epoch, Alarms::default()) {
+            Some(Trigger::Evacuate(dark)) => Some(dark),
+            _ => None,
+        };
+        assert_eq!(trigger, dark_trigger_by_full_scan(advisor));
+    }
+
+    #[test]
+    fn column_costs_and_the_deployed_dark_trigger_match_the_record_walks() {
+        let mut evacuations = 0;
+        for (dark_from, loss_aware) in [(6, true), (0, true), (6, false), (0, false)] {
+            let (_, net, _) = setup(4, 6, 41);
+            // From epoch 0 the dark instance's links are never sampled:
+            // unobserved links that still carry loss take the worst fill.
+            let mut script = blackout_script(6, 12, dark_from, 1);
+            // A negative sample drives one EWMA negative: an `Err` epoch.
+            script[9].deltas[3].mean = -50.0;
+            let mut stream = ScriptedStream::new(net, script, None);
+            let mut advisor = blackout_advisor(0);
+            advisor.config.loss_aware = loss_aware;
+            assert_the_record_oracles_agree(&advisor);
+            for _ in 0..12 {
+                advisor.step_stream(&mut stream);
+                assert_the_record_oracles_agree(&advisor);
+            }
+            let held = advisor.events().iter().any(|e| matches!(e, OnlineEvent::Held { .. }));
+            assert!(held, "the negative sample never held an epoch");
+            evacuations += advisor
+                .events()
+                .iter()
+                .filter(|e| matches!(e, OnlineEvent::Evacuate { .. }))
+                .count();
+        }
+        assert!(evacuations > 0, "no scenario ever triggered an evacuation");
+        // A focused run over a drifting lossy network, loss-blind and not.
+        for loss_aware in [true, false] {
+            let (graph, net, initial) = setup(4, 12, 8);
+            let mut config = fast_config();
+            config.loss_aware = loss_aware;
+            config.probe_policy = ProbePolicy::Focused { max_flagged: 3, refresh_every: 4 };
+            config.candidates = Some(CandidateConfig::fixed(3));
+            let mut advisor = OnlineAdvisor::new(graph, 12, initial, config);
+            let mut stream = SimStream::with_faults(
+                net,
+                Staged::new(2, 2),
+                MeasureConfig::default(),
+                2.0,
+                9,
+                cloudia_netsim::FaultParams::drifting_loss(0.05),
+                0xfa11,
+            );
+            stream.force_instance_dark(2, 1e6);
+            for _ in 0..8 {
+                advisor.step_stream(&mut stream);
+                assert_the_record_oracles_agree(&advisor);
+            }
+        }
+    }
+
+    #[test]
+    fn the_deployment_priced_truth_equals_the_dense_truth_matrix() {
+        use cloudia_netsim::LossPlane;
+        let (_, clean, _) = setup(6, 10, 13);
+        let mut lossy = clean.clone();
+        let mut plane = LossPlane::uniform(10, 0.07);
+        plane.set_drop_prob(InstanceId(4), InstanceId(2), 1.0);
+        lossy.set_loss(plane);
+        // A DAG, so both objectives apply.
+        let graph = CommGraph::aggregation_tree(2, 2);
+        let nodes = graph.num_nodes();
+        for net in [&clean, &lossy] {
+            for objective in [Objective::LongestLink, Objective::LongestPath] {
+                let config = OnlineAdvisorConfig { objective, timeout_ms: 40.0, ..fast_config() };
+                let advisor =
+                    OnlineAdvisor::new(graph.clone(), 10, (0..nodes as u32).collect(), config);
+                let dense = graph.problem(net.effective_mean_matrix(40.0));
+                for deployment in [vec![0, 1, 2, 3, 4, 5, 6], vec![9, 4, 2, 7, 0, 3, 8]] {
+                    assert_eq!(
+                        advisor.true_cost(net, &deployment).to_bits(),
+                        dense.cost(objective, &deployment).to_bits(),
+                        "{objective:?} on {deployment:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -162,10 +162,26 @@ pub struct LinkChange {
 }
 
 /// Per-link online statistics over `n` instances.
+///
+/// The full state of a link is its [`LinkOnline`] record. The values the
+/// advisor reads for every link each epoch are also kept in three
+/// contiguous row-major columns, so its per-epoch passes (search costs,
+/// staleness) stream 8 bytes a link instead of walking the records:
+/// the latency-EWMA mean (0 while the link is unobserved), the loss-rate
+/// EWMA (0 until the link is first attempted) and the last epoch that
+/// contributed samples, stored `+ 1` so that 0 marks a never-sampled
+/// link and every column starts zeroed. [`OnlineStore::observe_epoch`] is
+/// the one writer of these values, records and columns alike.
 #[derive(Debug, Clone)]
 pub struct OnlineStore {
     n: usize,
     links: Vec<LinkOnline>,
+    /// `links[idx].ewma.mean()`.
+    mean: Vec<f64>,
+    /// `links[idx].loss_rate()`.
+    loss_rate: Vec<f64>,
+    /// `links[idx].last_epoch`, as `epoch + 1`, or 0 for `None`.
+    sampled: Vec<u64>,
 }
 
 impl OnlineStore {
@@ -178,7 +194,13 @@ impl OnlineStore {
             last_epoch: None,
             dark_flagged: false,
         };
-        Self { n, links: vec![proto; n * n] }
+        Self {
+            n,
+            links: vec![proto; n * n],
+            mean: vec![0.0; n * n],
+            loss_rate: vec![0.0; n * n],
+            sampled: vec![0; n * n],
+        }
     }
 
     /// Number of instances covered.
@@ -208,10 +230,12 @@ impl OnlineStore {
     pub fn observe_epoch(&mut self, m: &EpochMeasurement) -> Vec<LinkChange> {
         let mut changes = Vec::new();
         for d in &m.deltas {
-            let link = &mut self.links[d.src as usize * self.n + d.dst as usize];
+            let idx = d.src as usize * self.n + d.dst as usize;
+            let link = &mut self.links[idx];
             let sampleless = d.count == 0 || !d.mean.is_finite();
             if d.attempts > 0 {
                 link.loss.observe(d.timeouts as f64 / d.attempts as f64);
+                self.loss_rate[idx] = link.loss.mean();
                 if !link.dark_flagged && d.count == 0 && link.loss.mean() > DARK_LOSS_LEVEL {
                     link.dark_flagged = true;
                     changes.push(LinkChange {
@@ -240,6 +264,8 @@ impl OnlineStore {
             let z = standardized_residual(d.mean, &link.ewma);
             link.ewma.observe(d.mean);
             link.last_epoch = Some(m.epoch);
+            self.mean[idx] = link.ewma.mean();
+            self.sampled[idx] = m.epoch + 1;
             let drift = link.detector.observe(z);
             if drift != Drift::None {
                 changes.push(LinkChange {
@@ -261,33 +287,41 @@ impl OnlineStore {
         self.links.iter().filter(|l| l.ewma.count() > 0).count()
     }
 
-    /// Epochs since the link `src → dst` last got samples, as of the
-    /// epoch about to run: `now_epoch − last_epoch`, or `u64::MAX` for a
-    /// never-observed link (infinitely stale).
-    pub fn link_age(&self, src: usize, dst: usize, now_epoch: u64) -> u64 {
-        match self.link(src, dst).last_epoch {
-            Some(last) => now_epoch.saturating_sub(last),
-            None => u64::MAX,
-        }
-    }
-
     /// The unordered instance pairs whose estimate (in either direction)
     /// is older than `max_age` epochs as of `now_epoch` — the links a
-    /// focused probe plan must re-enter. Never-observed links are
-    /// infinitely stale, so before the first full sweep this is every
-    /// pair.
+    /// focused probe plan must re-enter. A link's age is
+    /// `now_epoch − last_epoch`; a never-observed link is infinitely stale
+    /// (age `u64::MAX`), so before the first full sweep this is every
+    /// pair. Reads the last-sampled column only.
     pub fn stale_pairs(&self, now_epoch: u64, max_age: u64) -> Vec<(u32, u32)> {
+        let age = |idx: usize| match self.sampled[idx] {
+            0 => u64::MAX,
+            at => now_epoch.saturating_sub(at - 1),
+        };
         let mut out = Vec::new();
         for i in 0..self.n {
             for j in i + 1..self.n {
-                if self.link_age(i, j, now_epoch) > max_age
-                    || self.link_age(j, i, now_epoch) > max_age
-                {
+                if age(i * self.n + j) > max_age || age(j * self.n + i) > max_age {
                     out.push((i as u32, j as u32));
                 }
             }
         }
         out
+    }
+
+    /// The latency-EWMA mean column, row-major (see [`OnlineStore`]).
+    pub(crate) fn mean_column(&self) -> &[f64] {
+        &self.mean
+    }
+
+    /// The loss-rate EWMA column, row-major.
+    pub(crate) fn loss_rate_column(&self) -> &[f64] {
+        &self.loss_rate
+    }
+
+    /// The last-sampled column, row-major: `epoch + 1`, 0 = never.
+    pub(crate) fn sampled_column(&self) -> &[u64] {
+        &self.sampled
     }
 
     /// Exports the store as partial [`PairwiseStats`]: one synthetic
@@ -477,9 +511,9 @@ mod tests {
         let both = |a: u32, b: u32| vec![delta(a, b, 2.0), delta(b, a, 2.0)];
         store.observe_epoch(&epoch(both(0, 1), 0));
         store.observe_epoch(&epoch([both(0, 1), both(1, 2)].concat(), 1));
-        assert_eq!(store.link_age(0, 1, 4), 3);
-        assert_eq!(store.link_age(1, 2, 4), 3);
-        assert_eq!(store.link_age(2, 0, 4), u64::MAX, "never-observed link must be max-stale");
+        assert_eq!(store.link(0, 1).last_epoch, Some(1));
+        assert_eq!(store.link(1, 2).last_epoch, Some(1));
+        assert_eq!(store.link(2, 0).last_epoch, None);
         // Age 3 is fresh under max_age 3; (0,2) was never observed at all.
         assert_eq!(store.stale_pairs(4, 3), vec![(0, 2)]);
         // Under max_age 2 every pair is stale.
@@ -488,6 +522,66 @@ mod tests {
         // ages are tracked independently.
         store.observe_epoch(&epoch(vec![delta(2, 0, 2.0)], 4));
         assert!(store.stale_pairs(5, 3).contains(&(0, 2)));
+    }
+
+    /// Staleness read off the records, as before the last-sampled column.
+    fn stale_pairs_from_records(store: &OnlineStore, now: u64, max_age: u64) -> Vec<(u32, u32)> {
+        let age = |i: usize, j: usize| {
+            store.link(i, j).last_epoch.map_or(u64::MAX, |last| now.saturating_sub(last))
+        };
+        let n = store.len();
+        (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| age(i, j) > max_age || age(j, i) > max_age)
+            .map(|(i, j)| (i as u32, j as u32))
+            .collect()
+    }
+
+    #[test]
+    fn the_columns_match_the_records_after_random_deltas() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 6;
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut store = OnlineStore::new(n, 0.3, DetectorConfig::default());
+        for e in 0..80u64 {
+            let mut deltas = Vec::new();
+            for (src, dst) in (0..n as u32).flat_map(|i| (0..n as u32).map(move |j| (i, j))) {
+                if src == dst || rng.random::<f64>() < 0.5 {
+                    continue;
+                }
+                let attempts = rng.random_range(1..6u64);
+                deltas.push(match rng.random_range(0..5) {
+                    0 => dark_delta(src, dst, attempts),
+                    1 => LinkDelta { count: 0, timeouts: 0, ..delta(src, dst, 0.0) },
+                    2 => LinkDelta {
+                        count: 2,
+                        ..delta(src, dst, [f64::NAN, f64::INFINITY][e as usize % 2])
+                    },
+                    _ => LinkDelta {
+                        count: attempts,
+                        attempts,
+                        ..delta(src, dst, 1.0 + rng.random::<f64>())
+                    },
+                });
+            }
+            store.observe_epoch(&epoch(deltas, e));
+            if rng.random::<f64>() < 0.2 {
+                store.clear_dark(rng.random_range(0..n), rng.random_range(0..n));
+            }
+            for idx in 0..n * n {
+                let link = &store.links[idx];
+                assert_eq!(store.mean_column()[idx].to_bits(), link.ewma.mean().to_bits());
+                assert_eq!(store.loss_rate_column()[idx].to_bits(), link.loss_rate().to_bits());
+                assert_eq!(store.sampled_column()[idx], link.last_epoch.map_or(0, |at| at + 1));
+            }
+            for max_age in [0, 1, 3, u64::MAX] {
+                let now = e + 1;
+                assert_eq!(
+                    store.stale_pairs(now, max_age),
+                    stale_pairs_from_records(&store, now, max_age)
+                );
+            }
+        }
     }
 
     #[test]

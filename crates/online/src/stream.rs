@@ -169,10 +169,24 @@ pub trait MeasurementStream {
     }
 }
 
+/// One link's cumulative `(sum, count, attempts, timeouts)` — the sum as
+/// `mean · count` — in the ledger a stream keeps of where each link stood
+/// at the end of its last epoch.
+type LinkTotals = (f64, u64, u64, u64);
+
 /// Runs one incremental measurement round and extracts the per-epoch
-/// deltas by differencing the cumulative statistics around it. The round
-/// runs on the stage-streaming driver, with `rule` and `stop` (when given)
-/// evaluated between stages.
+/// deltas by differencing the cumulative statistics against `ledger`, the
+/// per-link totals the previous epoch left behind (all zero before the
+/// first). The round runs on the stage-streaming driver, with `rule` and
+/// `stop` (when given) evaluated between stages.
+///
+/// Only the links the round touched are differenced and re-ledgered: the
+/// statistics' touch log names them
+/// ([`PairwiseStats::touched_since`]), sorted and deduplicated so the
+/// deltas keep their row-major order. When the log cannot answer — the
+/// round touched more links than it keeps, as a bootstrap, refresh,
+/// anytime or lossy sweep does — every link is walked instead, with the
+/// same deltas.
 #[allow(clippy::too_many_arguments)]
 fn measure_epoch<S: Scheme + ?Sized>(
     net: &Network,
@@ -183,15 +197,10 @@ fn measure_epoch<S: Scheme + ?Sized>(
     epoch: u64,
     at_hours: f64,
     cumulative: &mut PairwiseStats,
+    ledger: &mut [LinkTotals],
 ) -> EpochMeasurement {
     let n = net.len();
-    // Snapshot (sum, count, attempts, timeouts) per link before the round.
-    let before: Vec<(f64, u64, u64, u64)> = (0..n * n)
-        .map(|idx| {
-            let link = cumulative.link(idx / n, idx % n);
-            (link.mean() * link.count() as f64, link.count(), link.attempts(), link.timeouts())
-        })
-        .collect();
+    let cursor = cumulative.touch_cursor();
 
     // Per-epoch probe randomness: decorrelate epochs without touching the
     // caller's base seed.
@@ -201,34 +210,19 @@ fn measure_epoch<S: Scheme + ?Sized>(
     let swept = run_with_rules(scheme, net, &epoch_cfg, taken, rule, stop);
     let report = swept.report;
 
-    let mut deltas = Vec::new();
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let link = report.stats.link(i, j);
-            let (sum0, count0, attempts0, timeouts0) = before[i * n + j];
-            let dcount = link.count() - count0;
-            let dattempts = link.attempts() - attempts0;
-            // Emit a delta whenever the link was touched: samples update
-            // the latency EWMAs, attempts/timeouts feed the loss triage.
-            // A fully-dark link (attempts, zero samples) must not vanish
-            // from the epoch, or darkness would be indistinguishable from
-            // "not scheduled".
-            if dcount > 0 || dattempts > 0 {
-                let dsum = link.mean() * link.count() as f64 - sum0;
-                deltas.push(LinkDelta {
-                    src: i as u32,
-                    dst: j as u32,
-                    mean: if dcount > 0 { dsum / dcount as f64 } else { 0.0 },
-                    count: dcount,
-                    attempts: dattempts,
-                    timeouts: link.timeouts() - timeouts0,
-                });
-            }
+    let stats = &report.stats;
+    let deltas = match stats.touched_since(cursor) {
+        Some(touched) => {
+            let mut links: Vec<usize> = touched.collect();
+            links.sort_unstable();
+            links.dedup();
+            links.into_iter().filter_map(|idx| link_delta(stats, ledger, idx)).collect()
         }
-    }
+        None => (0..n * n)
+            .filter(|idx| idx / n != idx % n)
+            .filter_map(|idx| link_delta(stats, ledger, idx))
+            .collect(),
+    };
     *cumulative = report.stats;
     EpochMeasurement {
         epoch,
@@ -239,6 +233,28 @@ fn measure_epoch<S: Scheme + ?Sized>(
         pruned_pairs: swept.dropped_pairs,
         saved_round_trips: swept.saved_round_trips,
     }
+}
+
+/// Moves link `idx`'s ledger entry up to `stats` and returns what the
+/// epoch added to it, or `None` when the link was not touched. A delta is
+/// emitted whenever the link was touched: samples update the latency
+/// EWMAs, attempts/timeouts feed the loss triage. A fully-dark link
+/// (attempts, zero samples) must not vanish from the epoch, or darkness
+/// would be indistinguishable from "not scheduled".
+fn link_delta(stats: &PairwiseStats, ledger: &mut [LinkTotals], idx: usize) -> Option<LinkDelta> {
+    let n = stats.len();
+    let link = stats.link(idx / n, idx % n);
+    let now = (link.mean() * link.count() as f64, link.count(), link.attempts(), link.timeouts());
+    let (sum0, count0, attempts0, timeouts0) = std::mem::replace(&mut ledger[idx], now);
+    let (dcount, dattempts) = (now.1 - count0, now.2 - attempts0);
+    (dcount > 0 || dattempts > 0).then(|| LinkDelta {
+        src: (idx / n) as u32,
+        dst: (idx % n) as u32,
+        mean: if dcount > 0 { (now.0 - sum0) / dcount as f64 } else { 0.0 },
+        count: dcount,
+        attempts: dattempts,
+        timeouts: now.3 - timeouts0,
+    })
 }
 
 /// Mean of `probes` fresh single-link RTT samples plus the constant
@@ -294,6 +310,8 @@ pub struct SimStream<S: Scheme> {
     /// Hours of drift applied before each epoch's measurement.
     epoch_hours: f64,
     cumulative: PairwiseStats,
+    /// Every link's totals as the last epoch left them.
+    ledger: Vec<LinkTotals>,
     epoch: u64,
     /// RNG of the spot-check probes. Deliberately separate from the
     /// drifting network's own RNG: spot checks must not perturb the
@@ -321,6 +339,7 @@ impl<S: Scheme> SimStream<S> {
             config,
             epoch_hours,
             cumulative: PairwiseStats::new(n),
+            ledger: vec![(0.0, 0, 0, 0); n * n],
             epoch: 0,
             spot_rng,
         }
@@ -382,9 +401,10 @@ impl<S: Scheme> MeasurementStream for SimStream<S> {
         let at_hours = self.drifting.hours();
         // Borrow dance: measure against a clone-free reference by
         // splitting the struct fields.
-        let Self { drifting, scheme, config, cumulative, .. } = self;
+        let Self { drifting, scheme, config, cumulative, ledger, .. } = self;
         let chosen: &dyn Scheme = external.unwrap_or(scheme);
-        measure_epoch(drifting.network(), chosen, rule, stop, config, epoch, at_hours, cumulative)
+        let net = drifting.network();
+        measure_epoch(net, chosen, rule, stop, config, epoch, at_hours, cumulative, ledger)
     }
 
     fn spot_check(&mut self, src: u32, dst: u32, probes: usize) -> Option<f64> {
@@ -443,6 +463,8 @@ pub struct ReplayStream<S: Scheme> {
     scheme: S,
     config: MeasureConfig,
     cumulative: PairwiseStats,
+    /// Every link's totals as the last epoch left them.
+    ledger: Vec<LinkTotals>,
     epoch: u64,
     /// RNG of the spot-check probes (separate stream so spot checks never
     /// perturb the recorded measurement randomness).
@@ -469,6 +491,7 @@ impl<S: Scheme> ReplayStream<S> {
             scheme,
             config,
             cumulative: PairwiseStats::new(n),
+            ledger: vec![(0.0, 0, 0, 0); n * n],
             epoch: 0,
             spot_rng,
         }
@@ -510,18 +533,10 @@ impl<S: Scheme> MeasurementStream for ReplayStream<S> {
         let epoch = self.epoch;
         self.epoch += 1;
         let at_hours = self.epoch as f64 * self.epoch_hours;
-        let Self { snapshots, scheme, config, cumulative, .. } = self;
+        let Self { snapshots, scheme, config, cumulative, ledger, .. } = self;
         let chosen: &dyn Scheme = external.unwrap_or(scheme);
-        measure_epoch(
-            &snapshots[epoch as usize],
-            chosen,
-            rule,
-            stop,
-            config,
-            epoch,
-            at_hours,
-            cumulative,
-        )
+        let net = &snapshots[epoch as usize];
+        measure_epoch(net, chosen, rule, stop, config, epoch, at_hours, cumulative, ledger)
     }
 
     fn spot_check(&mut self, src: u32, dst: u32, probes: usize) -> Option<f64> {
@@ -550,6 +565,114 @@ mod tests {
         let mut cloud = Cloud::boot(Provider::ec2_like(), seed);
         let alloc = cloud.allocate(n);
         cloud.network(&alloc)
+    }
+
+    /// The full walk the ledger replaced: difference every link of `after`
+    /// against a snapshot of `before`.
+    fn full_walk_deltas(before: &PairwiseStats, after: &PairwiseStats) -> Vec<LinkDelta> {
+        let n = after.len();
+        let mut deltas = Vec::new();
+        for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).filter(|(i, j)| i != j) {
+            let (b, a) = (before.link(i, j), after.link(i, j));
+            let (dcount, dattempts) = (a.count() - b.count(), a.attempts() - b.attempts());
+            if dcount > 0 || dattempts > 0 {
+                let dsum = a.mean() * a.count() as f64 - b.mean() * b.count() as f64;
+                deltas.push(LinkDelta {
+                    src: i as u32,
+                    dst: j as u32,
+                    mean: if dcount > 0 { dsum / dcount as f64 } else { 0.0 },
+                    count: dcount,
+                    attempts: dattempts,
+                    timeouts: a.timeouts() - b.timeouts(),
+                });
+            }
+        }
+        deltas
+    }
+
+    fn delta_bits(deltas: &[LinkDelta]) -> Vec<(u32, u32, u64, u64, u64, u64)> {
+        deltas
+            .iter()
+            .map(|d| (d.src, d.dst, d.mean.to_bits(), d.count, d.attempts, d.timeouts))
+            .collect()
+    }
+
+    /// Drops every remaining pair with an endpoint at or past `from`.
+    struct PruneFrom(u32);
+
+    impl PruneRule for PruneFrom {
+        fn prune(&self, _: &PairwiseStats, remaining: &[(u32, u32)]) -> Vec<(u32, u32)> {
+            remaining.iter().copied().filter(|&(a, b)| a.max(b) >= self.0).collect()
+        }
+    }
+
+    /// Stable once any link has samples; keeps only pairs below `keep`.
+    struct StopAtOnce(u32);
+
+    impl StopRule for StopAtOnce {
+        fn stable(&self, stats: &PairwiseStats, _: &[(u32, u32)]) -> bool {
+            stats.total_samples() > 0
+        }
+
+        fn must_keep(&self, a: u32, b: u32) -> bool {
+            a.max(b) < self.0
+        }
+    }
+
+    /// Runs `epochs` on `stream` (bootstrap sweep, focused plans, pruned
+    /// and anytime sweeps), checking each against the full walk, and
+    /// returns how many epochs the touch log answered and how many
+    /// overran it.
+    fn check_against_the_full_walk<M: MeasurementStream>(stream: &mut M) -> (usize, usize) {
+        use cloudia_measure::{FocusedScheme, ProbePlan};
+        let n = stream.len() as u32;
+        let (mut sparse, mut overrun) = (0, 0);
+        for e in 0..8 {
+            let mut plan = ProbePlan::new(n as usize);
+            plan.add_clique(&[0, 2, 5]);
+            plan.add_pair(e % n, (e + 3) % n);
+            let focused = FocusedScheme::new(plan, 2, 2);
+            let before = stream.cumulative().clone();
+            let cursor = stream.cumulative().touch_cursor();
+            let m = match e {
+                0 | 5 => stream.next_epoch(),
+                1 | 3 | 7 => stream.next_epoch_with(&focused),
+                2 => stream.next_epoch_pruned(Some(&focused), &PruneFrom(4)),
+                4 => stream.next_epoch_pruned(None, &PruneFrom(6)),
+                _ => stream.next_epoch_anytime(None, &PruneFrom(9), &StopAtOnce(5)),
+            };
+            let answered = stream.cumulative().touched_since(cursor).is_some();
+            *if answered { &mut sparse } else { &mut overrun } += 1;
+            let oracle = full_walk_deltas(&before, stream.cumulative());
+            assert_eq!(delta_bits(&m.deltas), delta_bits(&oracle), "epoch {e}");
+        }
+        (sparse, overrun)
+    }
+
+    #[test]
+    fn ledger_deltas_equal_the_full_walk_bit_for_bit() {
+        use cloudia_netsim::FaultParams;
+        let mcfg = MeasureConfig::default();
+        let mut sim = SimStream::new(network(10, 4), Staged::new(2, 2), mcfg.clone(), 2.0, 7);
+        let mut lossy = SimStream::with_faults(
+            network(10, 5),
+            Staged::new(3, 2),
+            mcfg.clone(),
+            2.0,
+            7,
+            FaultParams::drifting_loss(0.2),
+            0xfa11,
+        );
+        lossy.force_instance_dark(3, 1e6);
+        let snapshots = record_trajectory(network(10, 6), 11, 4.0, 8);
+        let mut replay = ReplayStream::new(snapshots, Staged::new(2, 2), mcfg, 4.0);
+        for (name, (sparse, overrun)) in [
+            ("sim", check_against_the_full_walk(&mut sim)),
+            ("lossy", check_against_the_full_walk(&mut lossy)),
+            ("replay", check_against_the_full_walk(&mut replay)),
+        ] {
+            assert!(sparse > 0 && overrun > 0, "{name}: {sparse} sparse, {overrun} overrun epochs");
+        }
     }
 
     #[test]

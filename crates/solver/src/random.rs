@@ -67,7 +67,12 @@ pub fn solve_random_budget(
     std::thread::scope(|scope| {
         for t in 0..threads {
             let shared = &shared;
-            let per_thread_nodes = budget.node_limit / threads as u64;
+            // The first `node_limit % threads` threads take one draw of
+            // the remainder each, and thread 0 draws at least once, so a
+            // budget below the thread count still returns a deployment.
+            let (quota, rest) =
+                (budget.node_limit / threads as u64, budget.node_limit % threads as u64);
+            let per_thread_nodes = (quota + u64::from((t as u64) < rest)).max(u64::from(t == 0));
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9e37_79b9));
                 let mut local_best = f64::INFINITY;
@@ -163,6 +168,14 @@ mod tests {
         let out = solve_random_budget(&p, Objective::LongestLink, Budget::nodes(1000), 4, 2);
         // Each of 4 threads draws 250.
         assert_eq!(out.explored, 1000);
+        // A budget below the thread count: the remainder goes to the
+        // first threads, and at least one deployment is drawn.
+        for (nodes, threads, explored) in [(1, 2, 1), (5, 4, 5), (0, 2, 1)] {
+            let out =
+                solve_random_budget(&p, Objective::LongestLink, Budget::nodes(nodes), threads, 2);
+            assert_eq!(out.explored, explored, "{nodes} nodes on {threads} threads");
+            assert!(p.is_valid(&out.deployment));
+        }
     }
 
     #[test]
