@@ -175,7 +175,7 @@ fn main() {
         // stronger than the paper's stability figures, so the baseline
         // must track it or repair decisions go stale.
         ewma_alpha: 0.5,
-        detector: DetectorConfig { warmup: 3, threshold: 6.0, ..Default::default() },
+        detector: DetectorConfig { warmup: 3, threshold: 6.0 },
         ..Default::default()
     };
     let mut advisor = OnlineAdvisor::new(graph.clone(), m_instances, initial.clone(), config);

@@ -933,8 +933,8 @@ impl OnlineAdvisor {
     /// pools, the evacuation re-solve) push away from dark instances on
     /// cost alone. Loss-free links are priced exactly as before.
     ///
-    /// Built in one pass over the store's columns (see [`OnlineStore`]),
-    /// never its records; only the unobserved links wait for the
+    /// Built in one pass over three of the store's columns (see
+    /// [`OnlineStore`]); only the unobserved links wait for the
     /// worst-seen mean. The store ingests a non-finite sample as
     /// sampleless, so its means stay finite; the means are still
     /// measurement values, though, and a negative one (or an EWMA that
@@ -942,9 +942,7 @@ impl OnlineAdvisor {
     /// holds the epoch on, not a panic.
     fn search_costs(&self) -> Result<CostMatrix, CostError> {
         let n = self.store.len();
-        let mean = self.store.mean_column();
-        let loss = self.store.loss_rate_column();
-        let sampled = self.store.sampled_column();
+        let (mean, loss, sampled) = (&self.store.mean, &self.store.loss_rate, &self.store.sampled);
         let price = |base: f64, i: usize, j: usize| {
             let (fwd, rev) = if self.config.loss_aware {
                 (loss[i * n + j], loss[j * n + i])
@@ -991,19 +989,15 @@ impl OnlineAdvisor {
     }
 
     /// Whether instance `i` is presumed dark (see
-    /// [`OnlineAdvisor::dark_instances`]): one O(m) walk over its links.
+    /// [`OnlineAdvisor::dark_instances`]): one O(m) walk over two columns.
     fn instance_dark(&self, i: u32) -> bool {
-        let i = i as usize;
-        let (mut attempted, mut unreachable) = (0usize, 0usize);
-        for j in (0..self.store.len()).filter(|&j| j != i) {
-            let (fwd, rev) = (self.store.link(i, j), self.store.link(j, i));
-            if fwd.loss.count() > 0 || rev.loss.count() > 0 {
-                attempted += 1;
-                if fwd.is_dark() || rev.is_dark() {
-                    unreachable += 1;
-                }
-            }
-        }
+        let (n, i) = (self.store.len(), i as usize);
+        let (tried, dark) = (&self.store.attempted, &self.store.dark);
+        let (attempted, unreachable) = (0..n)
+            .filter(|&j| j != i)
+            .map(|j| (i * n + j, j * n + i))
+            .filter(|&(fwd, rev)| tried[fwd] > 0 || tried[rev] > 0)
+            .fold((0, 0), |(a, u), (fwd, rev)| (a + 1, u + usize::from(dark[fwd] || dark[rev])));
         unreachable >= 2 && 2 * unreachable >= attempted
     }
 
@@ -1469,7 +1463,7 @@ mod tests {
         OnlineAdvisorConfig {
             solve_seconds: 0.3,
             migration_budget: 2,
-            detector: DetectorConfig { warmup: 3, threshold: 6.0, ..Default::default() },
+            detector: DetectorConfig { warmup: 3, threshold: 6.0 },
             ..Default::default()
         }
     }
@@ -1560,7 +1554,7 @@ mod tests {
         let (graph, net, initial) = setup(5, 14, 8);
         let mut config = fast_config();
         // A high threshold keeps detectors quiet: pure stationary tail.
-        config.detector = DetectorConfig { warmup: 3, threshold: 50.0, ..Default::default() };
+        config.detector = DetectorConfig { warmup: 3, threshold: 50.0 };
         config.candidates =
             Some(cloudia_solver::CandidateConfig::adaptive(cloudia_solver::AdaptivePoolConfig {
                 initial: 12,
@@ -1710,7 +1704,7 @@ mod tests {
         let config = OnlineAdvisorConfig {
             solve_seconds: 0.05,
             policy: RedeployPolicy { min_gain: 0.0, migration_cost_per_node: 0.0 },
-            detector: DetectorConfig { warmup: 3, threshold: 4.0, ..Default::default() },
+            detector: DetectorConfig { warmup: 3, threshold: 4.0 },
             confidence,
             ..Default::default()
         };
@@ -1852,7 +1846,7 @@ mod tests {
             solve_seconds: 0.05,
             spot_check_probes: probes,
             policy: RedeployPolicy { min_gain: 0.0, migration_cost_per_node: 0.0 },
-            detector: DetectorConfig { warmup: 3, threshold: 4.0, ..Default::default() },
+            detector: DetectorConfig { warmup: 3, threshold: 4.0 },
             ..Default::default()
         };
         OnlineAdvisor::new(graph, 6, (0..4).collect(), config)
@@ -2006,7 +2000,7 @@ mod tests {
                 confidence,
                 anytime,
                 policy: RedeployPolicy { min_gain: 1e9, migration_cost_per_node: 1e9 },
-                detector: DetectorConfig { warmup: 3, threshold: 4.0, ..Default::default() },
+                detector: DetectorConfig { warmup: 3, threshold: 4.0 },
                 ..Default::default()
             };
             let mut advisor = OnlineAdvisor::new(graph, m, (0..4).collect(), config);
@@ -2167,8 +2161,8 @@ mod tests {
         assert!(advisor.deployment().iter().all(|&j| j != 1));
     }
 
-    /// The two-pass record walk the column-built search costs replaced.
-    fn search_costs_from_records(advisor: &OnlineAdvisor) -> Result<CostMatrix, CostError> {
+    /// The search costs as a two-pass walk over the store's link views.
+    fn search_costs_from_views(advisor: &OnlineAdvisor) -> Result<CostMatrix, CostError> {
         let (store, n) = (&advisor.store, advisor.store.len());
         let mut worst = 0.0f64;
         for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).filter(|(i, j)| i != j) {
@@ -2181,7 +2175,7 @@ mod tests {
             let link = store.link(i, j);
             let base = if link.ewma.count() > 0 { link.ewma.mean() } else { worst };
             let (fwd, rev) = if advisor.config.loss_aware {
-                (link.loss_rate(), store.link(j, i).loss_rate())
+                (link.loss_rate, store.link(j, i).loss_rate)
             } else {
                 (0.0, 0.0)
             };
@@ -2197,7 +2191,8 @@ mod tests {
     }
 
     /// The evacuation trigger as a full scan: every instance's darkness
-    /// from its records, then a test of the deployment against the list.
+    /// from its link views, then a test of the deployment against the
+    /// list.
     fn dark_trigger_by_full_scan(advisor: &OnlineAdvisor) -> Option<Vec<u32>> {
         let (store, m) = (&advisor.store, advisor.store.len());
         let dark: Vec<u32> = (0..m)
@@ -2205,9 +2200,9 @@ mod tests {
                 let (mut attempted, mut unreachable) = (0, 0);
                 for j in (0..m).filter(|&j| j != i) {
                     let (fwd, rev) = (store.link(i, j), store.link(j, i));
-                    if fwd.loss.count() > 0 || rev.loss.count() > 0 {
+                    if fwd.attempted_epochs > 0 || rev.attempted_epochs > 0 {
                         attempted += 1;
-                        unreachable += usize::from(fwd.is_dark() || rev.is_dark());
+                        unreachable += usize::from(fwd.dark || rev.dark);
                     }
                 }
                 unreachable >= 2 && 2 * unreachable >= attempted
@@ -2219,12 +2214,12 @@ mod tests {
     }
 
     /// Checks the column-built search costs and the deployed-only dark
-    /// trigger against their record-walking oracles.
-    fn assert_the_record_oracles_agree(advisor: &OnlineAdvisor) {
+    /// trigger against their view-walking oracles.
+    fn assert_the_view_oracles_agree(advisor: &OnlineAdvisor) {
         let bits = |costs: Result<CostMatrix, CostError>| {
             costs.map(|c| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
         };
-        assert_eq!(bits(advisor.search_costs()), bits(search_costs_from_records(advisor)));
+        assert_eq!(bits(advisor.search_costs()), bits(search_costs_from_views(advisor)));
         let trigger = match advisor.decide(advisor.epoch, Alarms::default()) {
             Some(Trigger::Evacuate(dark)) => Some(dark),
             _ => None,
@@ -2245,10 +2240,10 @@ mod tests {
             let mut stream = ScriptedStream::new(net, script, None);
             let mut advisor = blackout_advisor(0);
             advisor.config.loss_aware = loss_aware;
-            assert_the_record_oracles_agree(&advisor);
+            assert_the_view_oracles_agree(&advisor);
             for _ in 0..12 {
                 advisor.step_stream(&mut stream);
-                assert_the_record_oracles_agree(&advisor);
+                assert_the_view_oracles_agree(&advisor);
             }
             let held = advisor.events().iter().any(|e| matches!(e, OnlineEvent::Held { .. }));
             assert!(held, "the negative sample never held an epoch");
@@ -2279,7 +2274,7 @@ mod tests {
             stream.force_instance_dark(2, 1e6);
             for _ in 0..8 {
                 advisor.step_stream(&mut stream);
-                assert_the_record_oracles_agree(&advisor);
+                assert_the_view_oracles_agree(&advisor);
             }
         }
     }

@@ -10,18 +10,19 @@
 //!
 //! It is a two-sided **CUSUM**: it accumulates `z − k` excursions in each
 //! direction and fires when a sum exceeds `h` (`k` ≈ half the post-change
-//! mean shift in σ units).
+//! mean shift in σ units, fixed at 0.5).
 //!
 //! Under stationary drift, standardized residuals are ≈ N(0, 1), so the
 //! false-positive rate is controlled by `threshold` alone; the property
 //! tests pin it empirically.
 
+/// Slack per observation in σ units (CUSUM's `k`): drifts smaller than
+/// ~2·`SLACK` are absorbed.
+const SLACK: f64 = 0.5;
+
 /// Detector configuration, shared by every link.
 #[derive(Debug, Clone, Copy)]
 pub struct DetectorConfig {
-    /// Slack per observation in σ units (CUSUM's `k`): drifts smaller
-    /// than ~2·slack are absorbed.
-    pub slack: f64,
     /// Alarm threshold in σ units (CUSUM's `h`).
     /// Larger = fewer false positives, slower detection.
     pub threshold: f64,
@@ -32,7 +33,7 @@ pub struct DetectorConfig {
 
 impl Default for DetectorConfig {
     fn default() -> Self {
-        Self { slack: 0.5, threshold: 9.0, warmup: 8 }
+        Self { threshold: 9.0, warmup: 8 }
     }
 }
 
@@ -50,11 +51,11 @@ pub enum Drift {
 /// One link's change-point detector state.
 #[derive(Debug, Clone)]
 pub struct ChangeDetector {
-    config: DetectorConfig,
-    seen: u64,
+    pub(crate) config: DetectorConfig,
+    pub(crate) seen: u64,
     // CUSUM sums.
-    pos: f64,
-    neg: f64,
+    pub(crate) pos: f64,
+    pub(crate) neg: f64,
 }
 
 impl ChangeDetector {
@@ -79,8 +80,8 @@ impl ChangeDetector {
         if self.seen <= self.config.warmup {
             return Drift::None;
         }
-        self.pos = (self.pos + z - self.config.slack).max(0.0);
-        self.neg = (self.neg - z - self.config.slack).max(0.0);
+        self.pos = (self.pos + z - SLACK).max(0.0);
+        self.neg = (self.neg - z - SLACK).max(0.0);
         let drift = if self.pos > self.config.threshold {
             Drift::Up
         } else if self.neg > self.config.threshold {
@@ -92,11 +93,6 @@ impl ChangeDetector {
             self.reset();
         }
         drift
-    }
-
-    /// Number of observations consumed (including warmup).
-    pub fn seen(&self) -> u64 {
-        self.seen
     }
 
     fn reset(&mut self) {
@@ -163,6 +159,6 @@ mod tests {
         let mut d = ChangeDetector::new(DetectorConfig { warmup: 10, ..Default::default() });
         let verdicts = feed(&mut d, (0..10).map(|_| 100.0));
         assert!(verdicts.iter().all(|&v| v == Drift::None));
-        assert_eq!(d.seen(), 10);
+        assert_eq!(d.seen, 10);
     }
 }

@@ -255,7 +255,6 @@ impl BuiltFocusScenario {
             candidates: Some(CandidateConfig::adaptive(AdaptivePoolConfig {
                 initial: s.initial_k,
                 alpha: s.pool_alpha,
-                ..AdaptivePoolConfig::default()
             })),
             probe_policy: opts.probe_policy,
             probe_ks: s.probe_ks,
@@ -266,7 +265,7 @@ impl BuiltFocusScenario {
             confidence: opts.confidence,
             anytime: opts.anytime,
             ewma_alpha: 0.5,
-            detector: DetectorConfig { warmup: 3, threshold: 6.0, ..Default::default() },
+            detector: DetectorConfig { warmup: 3, threshold: 6.0 },
             ..Default::default()
         };
         let mut advisor =
@@ -466,7 +465,7 @@ impl BuiltLossScenario {
             spot_check_probes: 8,
             loss_aware,
             ewma_alpha: 0.5,
-            detector: DetectorConfig { warmup: 3, threshold: 6.0, ..Default::default() },
+            detector: DetectorConfig { warmup: 3, threshold: 6.0 },
             ..Default::default()
         };
         let mut advisor =

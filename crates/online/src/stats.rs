@@ -6,11 +6,21 @@
 //! measured** — the cross-round memory the paper's batch iteration lacks.
 //! Each observation is also standardized against the pre-update baseline
 //! and fed to the link's [`ChangeDetector`].
+//!
+//! [`OnlineStore`] is struct-of-arrays, like [`PairwiseStats`]: one
+//! row-major column per per-link value, indexed `src * n + dst`, and α and
+//! the [`DetectorConfig`] held once. [`OnlineStore::observe_epoch`], the
+//! one writer, loads a link's [`EwmaVar`] and [`ChangeDetector`] from the
+//! columns, runs their `observe` and writes the state back. [`LinkOnline`]
+//! is a by-value view. A link costs 73 bytes; the advisor's per-epoch
+//! passes (search costs, staleness, the dark trigger) stream only the
+//! columns they need.
 
 use crate::detect::{ChangeDetector, DetectorConfig, Drift};
 use crate::stream::EpochMeasurement;
 use cloudia_measure::{t_critical, PairwiseStats};
 use cloudia_solver::candidates::PoolIndex;
+use std::mem::size_of_val;
 
 /// Exponentially weighted mean/variance of a scalar stream.
 #[derive(Debug, Clone, Copy)]
@@ -103,37 +113,28 @@ pub fn standardized_residual(x: f64, baseline: &EwmaVar) -> f64 {
     (x - baseline.mean()) / baseline.sd().max(floor)
 }
 
-/// One link's online state.
-#[derive(Debug, Clone)]
+/// One link's online state: a copyable view of its columns in an
+/// [`OnlineStore`], materialised by [`OnlineStore::link`].
+#[derive(Debug, Clone, Copy)]
 pub struct LinkOnline {
     /// EWMA of per-epoch means.
     pub ewma: EwmaVar,
-    detector: ChangeDetector,
-    /// EWMA of per-epoch loss rates (timeouts / attempts); only epochs
-    /// that attempted the link contribute, so `loss.count() > 0` is "this
-    /// link was ever attempted". Cumulative attempt, timeout and sample
-    /// counts live in the stream's [`PairwiseStats`].
-    pub loss: EwmaVar,
+    /// EWMA of per-epoch loss rates (timeouts / attempts), over the
+    /// `attempted_epochs` epochs that attempted the link (0 before the
+    /// first). Cumulative attempt, timeout and sample counts live in the
+    /// stream's [`PairwiseStats`].
+    pub loss_rate: f64,
+    /// Epochs that attempted this link.
+    pub attempted_epochs: u64,
     /// The last epoch that contributed samples to this link (`None` until
     /// the first observation) — the staleness input of focused probing.
     /// Deliberately *not* advanced by sampleless (dark) epochs, so a dark
     /// link keeps re-entering focused plans and its recovery is noticed.
     pub last_epoch: Option<u64>,
-    dark_flagged: bool,
-}
-
-impl LinkOnline {
     /// True while the link is flagged dark: its loss-rate EWMA crossed
     /// [`DARK_LOSS_LEVEL`] on an epoch with attempts but no successes,
     /// and has not yet decayed below half that level.
-    pub fn is_dark(&self) -> bool {
-        self.dark_flagged
-    }
-
-    /// Smoothed loss rate (0 until the link is first attempted).
-    pub fn loss_rate(&self) -> f64 {
-        self.loss.mean()
-    }
+    pub dark: bool,
 }
 
 /// A change detected on one link during an epoch.
@@ -161,45 +162,56 @@ pub struct LinkChange {
     pub loss_rate: f64,
 }
 
-/// Per-link online statistics over `n` instances.
-///
-/// The full state of a link is its [`LinkOnline`] record. The values the
-/// advisor reads for every link each epoch are also kept in three
-/// contiguous row-major columns, so its per-epoch passes (search costs,
-/// staleness) stream 8 bytes a link instead of walking the records:
-/// the latency-EWMA mean (0 while the link is unobserved), the loss-rate
-/// EWMA (0 until the link is first attempted) and the last epoch that
-/// contributed samples, stored `+ 1` so that 0 marks a never-sampled
-/// link and every column starts zeroed. [`OnlineStore::observe_epoch`] is
-/// the one writer of these values, records and columns alike.
+/// Per-link online statistics over `n` instances, one row-major column
+/// per value (see the [module docs](self)). Never-observed links read 0
+/// everywhere, so every column starts zeroed.
 #[derive(Debug, Clone)]
 pub struct OnlineStore {
     n: usize,
-    links: Vec<LinkOnline>,
-    /// `links[idx].ewma.mean()`.
-    mean: Vec<f64>,
-    /// `links[idx].loss_rate()`.
-    loss_rate: Vec<f64>,
-    /// `links[idx].last_epoch`, as `epoch + 1`, or 0 for `None`.
-    sampled: Vec<u64>,
+    alpha: f64,
+    detector: DetectorConfig,
+    // The latency EWMA: mean (0 while the link is unobserved), variance
+    // and observation count.
+    pub(crate) mean: Vec<f64>,
+    var: Vec<f64>,
+    count: Vec<u64>,
+    // The loss-rate EWMA: mean (0 until the link is first attempted) and
+    // observation count, the epochs that attempted the link. Nothing reads
+    // the loss stream's variance, so it is not kept.
+    pub(crate) loss_rate: Vec<f64>,
+    pub(crate) attempted: Vec<u64>,
+    /// The last epoch that contributed samples, as `epoch + 1`; 0 = never.
+    pub(crate) sampled: Vec<u64>,
+    // The CUSUM state (see [`ChangeDetector`]).
+    cusum_seen: Vec<u64>,
+    cusum_pos: Vec<f64>,
+    cusum_neg: Vec<f64>,
+    /// The dark flag (see [`LinkOnline::dark`]).
+    pub(crate) dark: Vec<bool>,
 }
 
 impl OnlineStore {
     /// Empty store for `n` instances.
+    ///
+    /// # Panics
+    /// Panics if `alpha` is outside (0, 1] (see [`EwmaVar::new`]).
     pub fn new(n: usize, alpha: f64, detector: DetectorConfig) -> Self {
-        let proto = LinkOnline {
-            ewma: EwmaVar::new(alpha),
-            detector: ChangeDetector::new(detector),
-            loss: EwmaVar::new(alpha),
-            last_epoch: None,
-            dark_flagged: false,
-        };
+        EwmaVar::new(alpha);
+        let links = n * n;
         Self {
             n,
-            links: vec![proto; n * n],
-            mean: vec![0.0; n * n],
-            loss_rate: vec![0.0; n * n],
-            sampled: vec![0; n * n],
+            alpha,
+            detector,
+            mean: vec![0.0; links],
+            var: vec![0.0; links],
+            count: vec![0; links],
+            loss_rate: vec![0.0; links],
+            attempted: vec![0; links],
+            sampled: vec![0; links],
+            cusum_seen: vec![0; links],
+            cusum_pos: vec![0.0; links],
+            cusum_neg: vec![0.0; links],
+            dark: vec![false; links],
         }
     }
 
@@ -213,9 +225,35 @@ impl OnlineStore {
         self.n == 0
     }
 
+    /// Bytes held by the columns: 73 per directed link.
+    pub fn memory_bytes(&self) -> usize {
+        let floats = [&self.mean, &self.var, &self.loss_rate, &self.cusum_pos, &self.cusum_neg];
+        let counts = [&self.count, &self.attempted, &self.sampled, &self.cusum_seen];
+        floats.map(|c| size_of_val(&c[..])).iter().sum::<usize>()
+            + counts.map(|c| size_of_val(&c[..])).iter().sum::<usize>()
+            + size_of_val(&self.dark[..])
+    }
+
     /// One link's online state.
-    pub fn link(&self, src: usize, dst: usize) -> &LinkOnline {
-        &self.links[src * self.n + dst]
+    pub fn link(&self, src: usize, dst: usize) -> LinkOnline {
+        let idx = src * self.n + dst;
+        LinkOnline {
+            ewma: self.ewma(idx),
+            loss_rate: self.loss_rate[idx],
+            attempted_epochs: self.attempted[idx],
+            last_epoch: self.sampled[idx].checked_sub(1),
+            dark: self.dark[idx],
+        }
+    }
+
+    fn ewma(&self, idx: usize) -> EwmaVar {
+        let (mean, var, count) = (self.mean[idx], self.var[idx], self.count[idx]);
+        EwmaVar { alpha: self.alpha, mean, var, count }
+    }
+
+    fn detector(&self, idx: usize) -> ChangeDetector {
+        let (seen, pos, neg) = (self.cusum_seen[idx], self.cusum_pos[idx], self.cusum_neg[idx]);
+        ChangeDetector { config: self.detector, seen, pos, neg }
     }
 
     /// Ingests one epoch's deltas. Every attempted link updates its
@@ -231,26 +269,27 @@ impl OnlineStore {
         let mut changes = Vec::new();
         for d in &m.deltas {
             let idx = d.src as usize * self.n + d.dst as usize;
-            let link = &mut self.links[idx];
             let sampleless = d.count == 0 || !d.mean.is_finite();
             if d.attempts > 0 {
-                link.loss.observe(d.timeouts as f64 / d.attempts as f64);
-                self.loss_rate[idx] = link.loss.mean();
-                if !link.dark_flagged && d.count == 0 && link.loss.mean() > DARK_LOSS_LEVEL {
-                    link.dark_flagged = true;
+                let (mean, count) = (self.loss_rate[idx], self.attempted[idx]);
+                let mut loss = EwmaVar { alpha: self.alpha, mean, var: 0.0, count };
+                loss.observe(d.timeouts as f64 / d.attempts as f64);
+                (self.loss_rate[idx], self.attempted[idx]) = (loss.mean, loss.count);
+                if !self.dark[idx] && d.count == 0 && loss.mean > DARK_LOSS_LEVEL {
+                    self.dark[idx] = true;
                     changes.push(LinkChange {
                         src: d.src,
                         dst: d.dst,
                         drift: Drift::Up,
                         mean: 0.0,
-                        baseline: link.ewma.mean(),
+                        baseline: self.mean[idx],
                         dark: true,
-                        loss_rate: link.loss.mean(),
+                        loss_rate: loss.mean,
                     });
-                } else if link.dark_flagged && link.loss.mean() < DARK_LOSS_LEVEL / 2.0 {
+                } else if self.dark[idx] && loss.mean < DARK_LOSS_LEVEL / 2.0 {
                     // Recovered: successes are flowing again and the
                     // smoothed loss has decayed — re-arm the triage.
-                    link.dark_flagged = false;
+                    self.dark[idx] = false;
                 }
             }
             if sampleless {
@@ -260,13 +299,16 @@ impl OnlineStore {
                 continue;
             }
             // Standardize against the *pre-update* baseline.
-            let baseline = if link.ewma.count() > 0 { link.ewma.mean() } else { d.mean };
-            let z = standardized_residual(d.mean, &link.ewma);
-            link.ewma.observe(d.mean);
-            link.last_epoch = Some(m.epoch);
-            self.mean[idx] = link.ewma.mean();
+            let mut ewma = self.ewma(idx);
+            let baseline = if ewma.count > 0 { ewma.mean } else { d.mean };
+            let z = standardized_residual(d.mean, &ewma);
+            ewma.observe(d.mean);
+            (self.mean[idx], self.var[idx], self.count[idx]) = (ewma.mean, ewma.var, ewma.count);
             self.sampled[idx] = m.epoch + 1;
-            let drift = link.detector.observe(z);
+            let mut detector = self.detector(idx);
+            let drift = detector.observe(z);
+            (self.cusum_seen[idx], self.cusum_pos[idx], self.cusum_neg[idx]) =
+                (detector.seen, detector.pos, detector.neg);
             if drift != Drift::None {
                 changes.push(LinkChange {
                     src: d.src,
@@ -275,16 +317,11 @@ impl OnlineStore {
                     mean: d.mean,
                     baseline,
                     dark: false,
-                    loss_rate: link.loss.mean(),
+                    loss_rate: self.loss_rate[idx],
                 });
             }
         }
         changes
-    }
-
-    /// Number of links with at least one observation.
-    pub fn covered_links(&self) -> usize {
-        self.links.iter().filter(|l| l.ewma.count() > 0).count()
     }
 
     /// The unordered instance pairs whose estimate (in either direction)
@@ -309,21 +346,6 @@ impl OnlineStore {
         out
     }
 
-    /// The latency-EWMA mean column, row-major (see [`OnlineStore`]).
-    pub(crate) fn mean_column(&self) -> &[f64] {
-        &self.mean
-    }
-
-    /// The loss-rate EWMA column, row-major.
-    pub(crate) fn loss_rate_column(&self) -> &[f64] {
-        &self.loss_rate
-    }
-
-    /// The last-sampled column, row-major: `epoch + 1`, 0 = never.
-    pub(crate) fn sampled_column(&self) -> &[u64] {
-        &self.sampled
-    }
-
     /// Exports the store as partial [`PairwiseStats`]: one synthetic
     /// sample per *observed* link carrying its EWMA mean, never-observed
     /// links left empty. This is the shape
@@ -337,20 +359,17 @@ impl OnlineStore {
     pub fn partial_stats(&self) -> PairwiseStats {
         let mut stats = PairwiseStats::new(self.n);
         for i in 0..self.n {
-            for j in 0..self.n {
-                if i != j {
-                    let l = self.link(i, j);
-                    if l.ewma.count() > 0 {
-                        stats.record(i, j, l.ewma.mean());
-                    } else if l.loss.count() > 0 {
-                        // Attempted but never answered (a dark link):
-                        // surface the attempt so coverage-based consumers
-                        // (candidate building) see "observed and dark",
-                        // not "never measured" — a dark link must not be
-                        // force-included into candidate pools out of
-                        // caution.
-                        stats.record_attempt(i, j);
-                    }
+            for j in (0..self.n).filter(|&j| j != i) {
+                let idx = i * self.n + j;
+                if self.count[idx] > 0 {
+                    stats.record(i, j, self.mean[idx]);
+                } else if self.attempted[idx] > 0 {
+                    // Attempted but never answered (a dark link): surface
+                    // the attempt so coverage-based consumers (candidate
+                    // building) see "observed and dark", not "never
+                    // measured" — a dark link must not be force-included
+                    // into candidate pools out of caution.
+                    stats.record_attempt(i, j);
                 }
             }
         }
@@ -371,12 +390,12 @@ impl OnlineStore {
         touched: impl ExactSizeIterator<Item = usize>,
     ) {
         index.sync_touched(self.n, touched, |src, dst| {
-            let link = self.link(src, dst);
-            if link.ewma.count() > 0 {
+            let idx = src * self.n + dst;
+            if self.count[idx] > 0 {
                 // The export's one-sample Welford mean, `0 + (x − 0)/1`,
                 // which folds −0 into +0.
-                Some([link.ewma.mean() + 0.0])
-            } else if link.loss.count() > 0 {
+                Some([self.mean[idx] + 0.0])
+            } else if self.attempted[idx] > 0 {
                 Some([f64::INFINITY])
             } else {
                 None
@@ -391,7 +410,7 @@ impl OnlineStore {
     /// inside the interval is indistinguishable from sampling noise and
     /// must not trigger redeployment economics.
     pub fn mean_half_width(&self, src: usize, dst: usize, confidence: f64) -> f64 {
-        self.link(src, dst).ewma.half_width(confidence)
+        self.ewma(src * self.n + dst).half_width(confidence)
     }
 
     /// Clears a link's dark flag without waiting for the loss EWMA to
@@ -400,20 +419,7 @@ impl OnlineStore {
     /// immediately: another sampleless epoch above [`DARK_LOSS_LEVEL`]
     /// fires again.
     pub fn clear_dark(&mut self, src: usize, dst: usize) {
-        self.links[src * self.n + dst].dark_flagged = false;
-    }
-
-    /// Directed links currently flagged dark.
-    pub fn dark_links(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i != j && self.link(i, j).is_dark() {
-                    out.push((i as u32, j as u32));
-                }
-            }
-        }
-        out
+        self.dark[src * self.n + dst] = false;
     }
 }
 
@@ -498,7 +504,8 @@ mod tests {
         for e in 0..5 {
             store.observe_epoch(&epoch(vec![delta(0, 1, 2.0), delta(1, 0, 3.0)], e));
         }
-        assert_eq!(store.covered_links(), 2);
+        let covered = (0..9).filter(|&idx| store.link(idx / 3, idx % 3).ewma.count() > 0).count();
+        assert_eq!(covered, 2);
         assert!((store.link(0, 1).ewma.mean() - 2.0).abs() < 1e-9);
         assert!((store.link(1, 0).ewma.mean() - 3.0).abs() < 1e-9);
         assert_eq!(store.link(0, 1).ewma.count(), 5);
@@ -524,64 +531,162 @@ mod tests {
         assert!(store.stale_pairs(5, 3).contains(&(0, 2)));
     }
 
-    /// Staleness read off the records, as before the last-sampled column.
-    fn stale_pairs_from_records(store: &OnlineStore, now: u64, max_age: u64) -> Vec<(u32, u32)> {
-        let age = |i: usize, j: usize| {
-            store.link(i, j).last_epoch.map_or(u64::MAX, |last| now.saturating_sub(last))
-        };
-        let n = store.len();
-        (0..n)
-            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
-            .filter(|&(i, j)| age(i, j) > max_age || age(j, i) > max_age)
-            .map(|(i, j)| (i as u32, j as u32))
-            .collect()
+    /// One link as standalone values: the store's per-link model.
+    #[derive(Debug, Clone)]
+    struct ModelLink {
+        ewma: EwmaVar,
+        detector: ChangeDetector,
+        loss: EwmaVar,
+        last_epoch: Option<u64>,
+        dark: bool,
+    }
+
+    /// The store's contract, one link at a time: `observe_epoch` on a
+    /// map of standalone `EwmaVar`/`ChangeDetector` values.
+    fn model_epoch(links: &mut [ModelLink], n: usize, m: &EpochMeasurement) -> Vec<LinkChange> {
+        let mut changes = Vec::new();
+        for d in &m.deltas {
+            let link = &mut links[d.src as usize * n + d.dst as usize];
+            if d.attempts > 0 {
+                link.loss.observe(d.timeouts as f64 / d.attempts as f64);
+                let loss_rate = link.loss.mean();
+                if !link.dark && d.count == 0 && loss_rate > DARK_LOSS_LEVEL {
+                    link.dark = true;
+                    let baseline = link.ewma.mean();
+                    let (src, dst, drift) = (d.src, d.dst, Drift::Up);
+                    changes.push(LinkChange {
+                        src,
+                        dst,
+                        drift,
+                        mean: 0.0,
+                        baseline,
+                        dark: true,
+                        loss_rate,
+                    });
+                } else if link.dark && loss_rate < DARK_LOSS_LEVEL / 2.0 {
+                    link.dark = false;
+                }
+            }
+            if d.count == 0 || !d.mean.is_finite() {
+                continue;
+            }
+            let baseline = if link.ewma.count() > 0 { link.ewma.mean() } else { d.mean };
+            let z = standardized_residual(d.mean, &link.ewma);
+            link.ewma.observe(d.mean);
+            link.last_epoch = Some(m.epoch);
+            let drift = link.detector.observe(z);
+            if drift != Drift::None {
+                let (src, dst, mean, loss_rate) = (d.src, d.dst, d.mean, link.loss.mean());
+                changes.push(LinkChange {
+                    src,
+                    dst,
+                    drift,
+                    mean,
+                    baseline,
+                    dark: false,
+                    loss_rate,
+                });
+            }
+        }
+        changes
+    }
+
+    fn ewma_bits(e: &EwmaVar) -> [u64; 4] {
+        [e.alpha.to_bits(), e.mean.to_bits(), e.var.to_bits(), e.count]
+    }
+
+    fn change_bits(c: &LinkChange) -> (u32, u32, Drift, [u64; 3], bool) {
+        let bits = [c.mean.to_bits(), c.baseline.to_bits(), c.loss_rate.to_bits()];
+        (c.src, c.dst, c.drift, bits, c.dark)
     }
 
     #[test]
-    fn the_columns_match_the_records_after_random_deltas() {
+    fn the_store_matches_a_per_link_model_under_random_deltas() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let n = 6;
+        let (n, alpha) = (6, 0.3);
+        let cfg = DetectorConfig { warmup: 2, threshold: 3.0 };
         let mut rng = StdRng::seed_from_u64(27);
-        let mut store = OnlineStore::new(n, 0.3, DetectorConfig::default());
-        for e in 0..80u64 {
+        let mut store = OnlineStore::new(n, alpha, cfg);
+        let fresh = ModelLink {
+            ewma: EwmaVar::new(alpha),
+            detector: ChangeDetector::new(cfg),
+            loss: EwmaVar::new(alpha),
+            last_epoch: None,
+            dark: false,
+        };
+        let mut model = vec![fresh; n * n];
+        let (mut fired, mut darkened) = (0, 0);
+        for e in 0..120u64 {
             let mut deltas = Vec::new();
             for (src, dst) in (0..n as u32).flat_map(|i| (0..n as u32).map(move |j| (i, j))) {
                 if src == dst || rng.random::<f64>() < 0.5 {
                     continue;
                 }
                 let attempts = rng.random_range(1..6u64);
-                deltas.push(match rng.random_range(0..5) {
+                // A level shift at epoch 60 gives the detectors work.
+                let level = if e < 60 { 1.0 } else { 3.0 };
+                deltas.push(match rng.random_range(0..6) {
                     0 => dark_delta(src, dst, attempts),
                     1 => LinkDelta { count: 0, timeouts: 0, ..delta(src, dst, 0.0) },
                     2 => LinkDelta {
                         count: 2,
                         ..delta(src, dst, [f64::NAN, f64::INFINITY][e as usize % 2])
                     },
+                    3 if e % 7 == 0 => delta(src, dst, -rng.random::<f64>()),
                     _ => LinkDelta {
                         count: attempts,
                         attempts,
-                        ..delta(src, dst, 1.0 + rng.random::<f64>())
+                        ..delta(src, dst, level + rng.random::<f64>())
                     },
                 });
             }
-            store.observe_epoch(&epoch(deltas, e));
+            let m = epoch(deltas, e);
+            let got = store.observe_epoch(&m);
+            let want = model_epoch(&mut model, n, &m);
+            assert_eq!(
+                got.iter().map(change_bits).collect::<Vec<_>>(),
+                want.iter().map(change_bits).collect::<Vec<_>>(),
+                "epoch {e}"
+            );
+            fired += got.iter().filter(|c| !c.dark).count();
+            darkened += got.iter().filter(|c| c.dark).count();
             if rng.random::<f64>() < 0.2 {
-                store.clear_dark(rng.random_range(0..n), rng.random_range(0..n));
+                let (src, dst) = (rng.random_range(0..n), rng.random_range(0..n));
+                store.clear_dark(src, dst);
+                model[src * n + dst].dark = false;
             }
-            for idx in 0..n * n {
-                let link = &store.links[idx];
-                assert_eq!(store.mean_column()[idx].to_bits(), link.ewma.mean().to_bits());
-                assert_eq!(store.loss_rate_column()[idx].to_bits(), link.loss_rate().to_bits());
-                assert_eq!(store.sampled_column()[idx], link.last_epoch.map_or(0, |at| at + 1));
+            for (idx, want) in model.iter().enumerate() {
+                let got = store.link(idx / n, idx % n);
+                assert_eq!(ewma_bits(&got.ewma), ewma_bits(&want.ewma), "link {idx}");
+                let cusum = |d: &ChangeDetector| (d.seen, d.pos.to_bits(), d.neg.to_bits());
+                assert_eq!(cusum(&store.detector(idx)), cusum(&want.detector), "link {idx}");
+                assert_eq!(got.loss_rate.to_bits(), want.loss.mean().to_bits(), "link {idx}");
+                assert_eq!(got.attempted_epochs, want.loss.count(), "link {idx}");
+                assert_eq!((got.last_epoch, got.dark), (want.last_epoch, want.dark), "link {idx}");
             }
             for max_age in [0, 1, 3, u64::MAX] {
                 let now = e + 1;
-                assert_eq!(
-                    store.stale_pairs(now, max_age),
-                    stale_pairs_from_records(&store, now, max_age)
-                );
+                let age = |idx: usize| {
+                    model[idx].last_epoch.map_or(u64::MAX, |last| now.saturating_sub(last))
+                };
+                let stale: Vec<(u32, u32)> = (0..n)
+                    .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                    .filter(|&(i, j)| age(i * n + j) > max_age || age(j * n + i) > max_age)
+                    .map(|(i, j)| (i as u32, j as u32))
+                    .collect();
+                assert_eq!(store.stale_pairs(now, max_age), stale, "epoch {e}, max age {max_age}");
             }
         }
+        assert!(fired > 0 && darkened > 0, "the run must exercise both alarms");
+    }
+
+    #[test]
+    fn a_link_costs_at_most_88_bytes() {
+        for n in [0, 1, 7, 300] {
+            let store = OnlineStore::new(n, 0.3, DetectorConfig::default());
+            assert!(store.memory_bytes() <= 88 * n * n, "{} B at n = {n}", store.memory_bytes());
+        }
+        assert_eq!(OnlineStore::new(10, 0.3, DetectorConfig::default()).memory_bytes(), 7300);
     }
 
     #[test]
@@ -656,16 +761,18 @@ mod tests {
         assert_eq!((c.src, c.dst), (0, 1));
         assert!(c.loss_rate > DARK_LOSS_LEVEL);
         assert!(c.baseline > 0.0, "baseline carries the pre-darkness latency level");
-        assert!(store.link(0, 1).is_dark());
-        assert_eq!(store.dark_links(), vec![(0, 1)]);
+        let dark = |store: &OnlineStore| {
+            let links = (0..3).flat_map(|i| (0..3).map(move |j| (i, j)));
+            links.filter(|&(i, j)| store.link(i, j).dark).collect::<Vec<_>>()
+        };
+        assert_eq!(dark(&store), vec![(0, 1)]);
         // The latency EWMA never ingested the dark epochs.
         assert!((store.link(0, 1).ewma.mean() - 2.0).abs() < 1e-9);
         // Recovery: clean epochs decay the loss EWMA and clear the flag.
         for e in 12..30 {
             store.observe_epoch(&epoch(vec![delta(0, 1, 2.0)], e));
         }
-        assert!(!store.link(0, 1).is_dark(), "flag must clear after recovery");
-        assert!(store.dark_links().is_empty());
+        assert!(dark(&store).is_empty(), "flag must clear after recovery");
         // Re-arm: going dark again fires again.
         let mut refired = Vec::new();
         for e in 30..40 {
@@ -753,9 +860,12 @@ mod tests {
         let link = store.link(0, 1);
         assert_eq!((link.ewma.count(), link.ewma.mean()), (1, 2.0), "latency EWMA untouched");
         assert_eq!(link.last_epoch, Some(0), "staleness age untouched");
-        assert_eq!(link.loss.count(), 3, "the attempts still count: the loss EWMA still learns");
+        assert_eq!(
+            link.attempted_epochs, 3,
+            "the attempts still count: the loss EWMA still learns"
+        );
         // Loss rates 0, 0.4, 0.4 folded at α = 0.3: 0 → 0.12 → 0.204.
-        assert!((link.loss.mean() - 0.204).abs() < 1e-12, "loss {}", link.loss.mean());
+        assert!((link.loss_rate - 0.204).abs() < 1e-12, "loss {}", link.loss_rate);
         // The next finite sample folds in as if the bad ones never came.
         store.observe_epoch(&epoch(vec![delta(0, 1, 2.0)], 3));
         assert_eq!(store.link(0, 1).ewma.mean(), 2.0);
@@ -766,7 +876,7 @@ mod tests {
             let lossy = LinkDelta { count: 1, timeouts: 9, ..delta(0, 1, f64::NAN) };
             assert!(store.observe_epoch(&epoch(vec![lossy], e)).is_empty());
         }
-        assert!(store.link(0, 1).loss.mean() > DARK_LOSS_LEVEL);
+        assert!(store.link(0, 1).loss_rate > DARK_LOSS_LEVEL);
     }
 
     #[test]

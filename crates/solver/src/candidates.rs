@@ -124,59 +124,47 @@ impl CandidateConfig {
     }
 }
 
-/// Parameters of the adaptive pool-size controller.
+/// Escalation rate above which the adaptive pool grows.
+const GROW_ABOVE: f64 = 0.5;
+/// Escalation rate below which the adaptive pool shrinks.
+const SHRINK_BELOW: f64 = 0.15;
+/// Multiplicative growth step of the adaptive pool.
+const GROW_FACTOR: f64 = 1.5;
+/// Multiplicative shrink step of the adaptive pool.
+const SHRINK_FACTOR: f64 = 0.8;
+/// Observations before the adaptive pool starts adjusting `k` (lets the
+/// EWMA settle instead of reacting to the first epoch).
+const POOL_WARMUP: u64 = 3;
+
+/// Parameters of the adaptive pool-size controller. `k` moves between
+/// the node count and the instance count; the pool never loses
+/// incumbent/pinned instances regardless ([`CandidateSet::build`]
+/// force-includes them).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptivePoolConfig {
     /// Starting `k` (`0` = auto: `max(4·n, 48)`).
     pub initial: usize,
-    /// Floor for `k` (`0` = no explicit floor). The effective pool never
-    /// shrinks below the node count or loses incumbent/pinned instances
-    /// regardless — [`CandidateConfig::pool_size`] clamps to `n` and
-    /// [`CandidateSet::build`] force-includes incumbents and pins.
-    pub min: usize,
-    /// Ceiling for `k` (`0` = the instance count).
-    pub max: usize,
     /// EWMA smoothing factor of the escalation rate, in (0, 1].
     pub alpha: f64,
-    /// Escalation rate above which `k` grows.
-    pub grow_above: f64,
-    /// Escalation rate below which `k` shrinks.
-    pub shrink_below: f64,
-    /// Multiplicative growth step (> 1).
-    pub grow_factor: f64,
-    /// Multiplicative shrink step (in (0, 1)).
-    pub shrink_factor: f64,
-    /// Observations before the controller starts adjusting `k` (lets the
-    /// EWMA settle instead of reacting to the first epoch).
-    pub warmup: u64,
 }
 
 impl Default for AdaptivePoolConfig {
     fn default() -> Self {
-        Self {
-            initial: 0,
-            min: 0,
-            max: 0,
-            alpha: 0.3,
-            grow_above: 0.5,
-            shrink_below: 0.15,
-            grow_factor: 1.5,
-            shrink_factor: 0.8,
-            warmup: 3,
-        }
+        Self { initial: 0, alpha: 0.3 }
     }
 }
 
 impl AdaptivePoolConfig {
-    /// Resolves the auto/zero bounds for a problem with `n` nodes over
-    /// `m` instances: `(min_k, max_k, initial_k)` with the initial `k`
-    /// clamped into the bounds. Shared by [`AdaptivePool::new`] and
-    /// [`CandidateConfig::pool_size`], so one-shot solves and the live
-    /// controller always start from the same pool.
+    /// Resolves the bounds for a problem with `n` nodes over `m`
+    /// instances: `(min_k, max_k, initial_k)`, the node and instance
+    /// counts with the initial `k` clamped between them. Shared by
+    /// [`AdaptivePool::new`] and [`CandidateConfig::pool_size`], so
+    /// one-shot solves and the live controller always start from the
+    /// same pool.
     pub fn resolve(&self, n: usize, m: usize) -> (usize, usize, usize) {
         let initial = if self.initial == 0 { (4 * n).max(48) } else { self.initial };
-        let min_k = self.min.max(n).min(m).max(1);
-        let max_k = if self.max == 0 { m } else { self.max.min(m) }.max(min_k);
+        let min_k = n.min(m).max(1);
+        let max_k = m.max(min_k);
         (min_k, max_k, initial.clamp(min_k, max_k))
     }
 }
@@ -189,7 +177,7 @@ impl AdaptivePoolConfig {
 /// dense re-solve, the probe plan escalated to a full sweep, or a
 /// triggered repair found nothing inside the pool), `false` when the pool
 /// sufficed. The escalation-rate EWMA then drives `k` multiplicatively up
-/// or down between the configured bounds, and [`AdaptivePool::effective`]
+/// or down between the node and instance counts, and [`AdaptivePool::effective`]
 /// projects the current `k` into a concrete [`CandidateConfig`] for the
 /// next solve.
 #[derive(Debug, Clone)]
@@ -204,27 +192,17 @@ pub struct AdaptivePool {
 
 impl AdaptivePool {
     /// Creates a controller for problems with `n` nodes over `m`
-    /// instances, resolving the config's auto/zero bounds.
+    /// instances (see [`AdaptivePoolConfig::resolve`]).
     ///
     /// # Panics
-    /// Panics if `alpha` is outside (0, 1] or the thresholds/factors are
-    /// inconsistent.
+    /// Panics if `alpha` is outside (0, 1].
     pub fn new(config: AdaptivePoolConfig, n: usize, m: usize) -> Self {
         assert!(config.alpha > 0.0 && config.alpha <= 1.0, "alpha must be in (0, 1]");
-        assert!(config.grow_factor > 1.0, "grow_factor must exceed 1");
-        assert!(
-            config.shrink_factor > 0.0 && config.shrink_factor < 1.0,
-            "shrink_factor must be in (0, 1)"
-        );
-        assert!(
-            config.shrink_below <= config.grow_above,
-            "shrink_below must not exceed grow_above"
-        );
         let (min_k, max_k, k) = config.resolve(n, m);
         // The rate starts at the neutral point between the thresholds: the
         // controller is agnostic until the stream provides evidence, so a
         // fresh loop neither shrinks nor grows on its first few epochs.
-        let rate = 0.5 * (config.grow_above + config.shrink_below);
+        let rate = 0.5 * (GROW_ABOVE + SHRINK_BELOW);
         Self { config, min_k, max_k, k, rate, observations: 0 }
     }
 
@@ -250,12 +228,12 @@ impl AdaptivePool {
         let x = if escalated { 1.0 } else { 0.0 };
         self.rate += self.config.alpha * (x - self.rate);
         self.observations += 1;
-        if self.observations >= self.config.warmup {
-            if self.rate > self.config.grow_above {
-                self.k = ((self.k as f64 * self.config.grow_factor).ceil() as usize)
-                    .clamp(self.min_k, self.max_k);
-            } else if self.rate < self.config.shrink_below {
-                self.k = ((self.k as f64 * self.config.shrink_factor).floor() as usize)
+        if self.observations >= POOL_WARMUP {
+            if self.rate > GROW_ABOVE {
+                self.k =
+                    ((self.k as f64 * GROW_FACTOR).ceil() as usize).clamp(self.min_k, self.max_k);
+            } else if self.rate < SHRINK_BELOW {
+                self.k = ((self.k as f64 * SHRINK_FACTOR).floor() as usize)
                     .clamp(self.min_k, self.max_k);
             }
         }
@@ -1819,13 +1797,15 @@ mod tests {
     fn one_shot_pool_size_matches_the_live_controller() {
         // The same adaptive config must select the same opening pool in a
         // one-shot solve (pool_size) and in the online loop (AdaptivePool).
-        for cfg in [
-            AdaptivePoolConfig { initial: 0, max: 10, ..Default::default() },
-            AdaptivePoolConfig { initial: 3, min: 8, ..Default::default() },
-            AdaptivePoolConfig::default(),
-        ] {
-            let pool = AdaptivePool::new(cfg, 5, 200);
-            assert_eq!(CandidateConfig::adaptive(cfg).pool_size(5, 200), pool.k(), "{cfg:?}");
+        // Auto, below the node floor, inside, and above the instance
+        // ceiling.
+        for initial in [0, 3, 30, 500] {
+            let cfg = AdaptivePoolConfig { initial, ..Default::default() };
+            for (n, m) in [(5, 200), (8, 40), (12, 6)] {
+                let pool = AdaptivePool::new(cfg, n, m);
+                assert_eq!(CandidateConfig::adaptive(cfg).pool_size(n, m), pool.k(), "{cfg:?}");
+                assert!((n.min(m)..=m).contains(&pool.k()), "{cfg:?}, n {n}, m {m}");
+            }
         }
     }
 
@@ -1866,10 +1846,11 @@ mod tests {
 
     #[test]
     fn adaptive_pool_respects_bounds() {
+        // `k` moves between the node count (8) and the instance count (40).
         let mut pool = AdaptivePool::new(
-            AdaptivePoolConfig { initial: 20, min: 8, max: 40, ..AdaptivePoolConfig::default() },
-            4,
-            200,
+            AdaptivePoolConfig { initial: 20, ..AdaptivePoolConfig::default() },
+            8,
+            40,
         );
         for _ in 0..200 {
             pool.observe(true);
@@ -1879,13 +1860,13 @@ mod tests {
             pool.observe(false);
         }
         assert_eq!(pool.k(), 8);
-        // The floor never dips under the node count even if configured so.
+        // An initial `k` under the node count starts at the floor.
         let tight = AdaptivePool::new(
-            AdaptivePoolConfig { initial: 3, min: 1, ..AdaptivePoolConfig::default() },
+            AdaptivePoolConfig { initial: 3, ..AdaptivePoolConfig::default() },
             6,
             200,
         );
-        assert!(tight.k() >= 6);
+        assert_eq!(tight.k(), 6);
     }
 
     fn record_both(stats: &mut PairwiseStats, i: usize, j: usize, cost: f64) {

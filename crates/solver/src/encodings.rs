@@ -47,9 +47,12 @@ impl Default for MipConfig {
     }
 }
 
-/// The branch-and-bound's starting incumbent: the best, under the search
+/// The branch-and-bound's starting incumbent: the best, under the true
 /// costs, of the hint's incumbent (kept unless something sampled beats
 /// it), the bootstrap samples and the G2 greedy — all honouring the pins.
+/// Picked on true costs because the engine returns nothing worse than its
+/// start: under rounding, a plan best on search costs can cost more than
+/// the warm start.
 fn bootstrap(
     problem: &NodeDeployment,
     objective: Objective,
@@ -61,7 +64,7 @@ fn bootstrap(
     let fixed = hint.pins();
     let mut best: Option<(Vec<u32>, f64)> = None;
     let consider = |d: Vec<u32>, best: &mut Option<(Vec<u32>, f64)>| {
-        let c = search.cost(objective, &d);
+        let c = problem.cost(objective, &d);
         if best.as_ref().is_none_or(|(_, bc)| c < *bc) {
             *best = Some((d, c));
         }

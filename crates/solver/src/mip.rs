@@ -97,10 +97,15 @@ pub fn solve_mip_with(
     let start = Instant::now();
     let mut pool: Vec<Constraint> = Vec::new();
 
-    let mut incumbent = initial;
-    let mut incumbent_encoded = hooks.encoded_cost(&incumbent);
-    let mut incumbent_true = hooks.true_cost(&incumbent);
-    let mut curve = vec![(0.0, incumbent_true)];
+    // The search incumbent is best on the encoded (rounded or clustered)
+    // costs, which prune the tree; the returned plan is tracked apart by
+    // its true cost, as CP does: under rounding a lower encoded cost can
+    // be a higher true one, and the solver must never return worse than
+    // the best plan it ever held.
+    let mut incumbent_encoded = hooks.encoded_cost(&initial);
+    let mut result_cost = hooks.true_cost(&initial);
+    let mut result = initial;
+    let mut curve = vec![(0.0, result_cost)];
     // The shared control orders costs by f64 bit pattern, which only works
     // for non-negative values; deployment costs always are, but synthetic
     // encodings (tests) may not be — skip publication for those.
@@ -109,7 +114,7 @@ pub fn solve_mip_with(
             control.offer(d, c);
         }
     };
-    offer(&incumbent, incumbent_true);
+    offer(&result, result_cost);
 
     // DFS stack of nodes: each node is a set of variable fixings.
     #[derive(Clone)]
@@ -133,15 +138,17 @@ pub fn solve_mip_with(
         }
         // Cross-thread bound injection: adopt a better shared incumbent
         // (the lock-free bound read filters the common no-news case).
-        if control.bound() < incumbent_true {
+        if control.bound() < result_cost {
             if let Some((d, c)) = control.best() {
-                if c < incumbent_true && hooks.accepts(&d) {
-                    let enc = hooks.encoded_cost(&d);
-                    if enc < incumbent_encoded - 1e-12 {
-                        incumbent_encoded = enc;
-                        incumbent_true = hooks.true_cost(&d);
-                        curve.push((start.elapsed().as_secs_f64(), incumbent_true));
-                        incumbent = d;
+                if c < result_cost && hooks.accepts(&d) {
+                    // It tightens the pruning bound, and is kept when its
+                    // true cost beats the plan held.
+                    incumbent_encoded = incumbent_encoded.min(hooks.encoded_cost(&d));
+                    let cost = hooks.true_cost(&d);
+                    if cost < result_cost {
+                        result_cost = cost;
+                        curve.push((start.elapsed().as_secs_f64(), cost));
+                        result = d;
                     }
                 }
             }
@@ -198,10 +205,13 @@ pub fn solve_mip_with(
         let enc = hooks.encoded_cost(&rounded);
         if enc < incumbent_encoded - 1e-12 {
             incumbent_encoded = enc;
-            incumbent_true = hooks.true_cost(&rounded);
-            curve.push((start.elapsed().as_secs_f64(), incumbent_true));
-            incumbent = rounded;
-            offer(&incumbent, incumbent_true);
+            let cost = hooks.true_cost(&rounded);
+            if cost < result_cost {
+                result_cost = cost;
+                curve.push((start.elapsed().as_secs_f64(), cost));
+                result = rounded;
+                offer(&result, cost);
+            }
         }
 
         // Find the most fractional binary variable.
@@ -230,10 +240,10 @@ pub fn solve_mip_with(
         }
     }
 
-    offer(&incumbent, incumbent_true);
+    offer(&result, result_cost);
     SolveOutcome {
-        deployment: incumbent,
-        cost: incumbent_true,
+        deployment: result,
+        cost: result_cost,
         curve,
         proven_optimal: complete,
         explored: nodes_explored,
@@ -386,6 +396,40 @@ mod tests {
         // The engine must find the true optimum itself, not adopt garbage.
         assert_eq!(out.deployment, vec![1, 0, 1]);
         assert_eq!(out.cost, 0.0);
+    }
+
+    /// Knapsack hooks whose true costs disagree with the encoded ones on
+    /// the encoded optimum, the way rounding can make a plan look best on
+    /// search costs while it costs more than the start.
+    struct RoundedKnapsack;
+
+    impl MipHooks for RoundedKnapsack {
+        fn lazy_cuts(&self, _x: &[f64], _cap: usize) -> Vec<Constraint> {
+            Vec::new()
+        }
+        fn round(&self, x: &[f64]) -> Vec<u32> {
+            Knapsack.round(x)
+        }
+        fn encoded_cost(&self, d: &[u32]) -> f64 {
+            Knapsack.encoded_cost(d)
+        }
+        fn true_cost(&self, d: &[u32]) -> f64 {
+            if d == [1, 0, 1] {
+                1.0
+            } else {
+                Knapsack.encoded_cost(d)
+            }
+        }
+    }
+
+    #[test]
+    fn the_returned_plan_is_never_worse_than_the_start_on_true_costs() {
+        let start = vec![0, 1, 0];
+        let out =
+            solve_mip(&knapsack_lp(), &[0, 1, 2], &RoundedKnapsack, start, Budget::seconds(10.0));
+        assert_eq!(out.cost, RoundedKnapsack.true_cost(&out.deployment));
+        assert!(out.cost <= -4.0, "returned {} worse than the start's -4", out.cost);
+        assert!(out.curve.windows(2).all(|w| w[1].1 < w[0].1));
     }
 
     #[test]
