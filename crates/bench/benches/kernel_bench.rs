@@ -21,8 +21,9 @@
 //! under a point `CandidatePruneRule` with 95 % of pairs protected and
 //! 170 instances out stays within 1.4× of the bare sweep. Its 598 looks
 //! cost the pool verdict plus one pass over the slots of each instance
-//! condemned for the first time, and read 1.19–1.30× on a shared 2-vCPU
-//! Xeon; a verdict that re-prices links in fully sorted incident lists
+//! condemned for the first time, and read 1.32–1.34× on a shared 2-vCPU
+//! Xeon (1.19–1.30× before the pruned sweep folded its per-link deltas,
+//! which the bare sweep does not); a verdict that re-prices links in fully sorted incident lists
 //! reads 1.59–1.85×, and looks that walk every remaining pair (the
 //! pair-slice `prune` path) 6.5–7.2×.
 //!

@@ -6,8 +6,8 @@
 //! the network's discrete-event engine, whose endpoint queues are what
 //! make the uncoordinated scheme's interference visible.
 
-use cloudia_measure::{MeasureConfig, MeasurementReport, PairwiseStats};
-use cloudia_netsim::{Engine, InstanceId, MessageSpec, Network};
+use cloudia_measure::{MeasureConfig, MeasurementReport, PairwiseStats, PROBE_SIZE_KB};
+use cloudia_netsim::{Engine, InstanceId, MessageSpec, Network, NicParams};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Wire kind of a probe.
@@ -23,17 +23,16 @@ fn engine<'n>(net: &'n Network, cfg: &MeasureConfig, stats: &PairwiseStats) -> E
     let n = net.len();
     assert!(n >= 2, "need at least two instances to measure");
     assert_eq!(stats.len(), n, "stats sized for {} instances, network has {n}", stats.len());
-    let mut engine = net.engine(cfg.nic, cfg.seed);
+    let mut engine = net.engine(NicParams::default(), cfg.seed);
     engine.set_timeout_ms(cfg.timeout_ms);
     engine
 }
 
-/// Sends a probe of `cfg`'s size from `src` to `dst`, counting the
-/// attempt; returns its send time.
+/// Sends a probe from `src` to `dst`, counting the attempt; returns its
+/// send time.
 fn send_probe(
     engine: &mut Engine<'_>,
     stats: &mut PairwiseStats,
-    cfg: &MeasureConfig,
     (src, dst): (usize, usize),
     token: u64,
 ) -> f64 {
@@ -41,7 +40,7 @@ fn send_probe(
     engine.send(MessageSpec {
         src: InstanceId::from_index(src),
         dst: InstanceId::from_index(dst),
-        size_kb: cfg.probe_size_kb,
+        size_kb: PROBE_SIZE_KB,
         kind: KIND_PROBE,
         token,
     })
@@ -49,11 +48,11 @@ fn send_probe(
 
 /// Sends the reply to a delivered probe, from its destination back to
 /// its source.
-fn send_reply(engine: &mut Engine<'_>, cfg: &MeasureConfig, probe: &MessageSpec) {
+fn send_reply(engine: &mut Engine<'_>, probe: &MessageSpec) {
     engine.send(MessageSpec {
         src: probe.dst,
         dst: probe.src,
-        size_kb: cfg.probe_size_kb,
+        size_kb: PROBE_SIZE_KB,
         kind: KIND_REPLY,
         token: probe.token,
     });
@@ -97,10 +96,10 @@ pub fn token_passing(
         loop {
             // Strictly serial, so the next delivery is always ours, lost
             // or not.
-            let sent = send_probe(&mut engine, &mut stats, cfg, (holder, dst), visit as u64);
+            let sent = send_probe(&mut engine, &mut stats, (holder, dst), visit as u64);
             let probe = engine.next_delivery().expect("probe in flight");
             let reply = (!probe.lost).then(|| {
-                send_reply(&mut engine, cfg, &probe.spec);
+                send_reply(&mut engine, &probe.spec);
                 engine.next_delivery().expect("reply in flight")
             });
             if let Some(reply) = reply.filter(|reply| !reply.lost) {
@@ -180,7 +179,7 @@ pub fn uncoordinated(
     let mut launches: Vec<Launch> = (0..n)
         .map(|src| {
             let dst = draw(&mut rng, src);
-            let sent_at = send_probe(&mut engine, &mut stats, cfg, (src, dst), src as u64);
+            let sent_at = send_probe(&mut engine, &mut stats, (src, dst), src as u64);
             Launch { dst, sent_at, retries_left: cfg.retries_per_pair, issued: 1 }
         })
         .collect();
@@ -189,7 +188,7 @@ pub fn uncoordinated(
         match msg.spec.kind {
             // Reply at once (queued behind whatever the destination is
             // doing).
-            KIND_PROBE if !msg.lost => send_reply(&mut engine, cfg, &msg.spec),
+            KIND_PROBE if !msg.lost => send_reply(&mut engine, &msg.spec),
             KIND_PROBE | KIND_REPLY => {
                 let src = msg.spec.token as usize;
                 let under_limit = engine.now() < limit;
@@ -200,7 +199,7 @@ pub fn uncoordinated(
                     if launch.retries_left > 0 && under_limit {
                         launch.retries_left -= 1;
                         launch.sent_at =
-                            send_probe(&mut engine, &mut stats, cfg, (src, launch.dst), src as u64);
+                            send_probe(&mut engine, &mut stats, (src, launch.dst), src as u64);
                         continue;
                     }
                 } else {
@@ -209,7 +208,7 @@ pub fn uncoordinated(
                 }
                 if launch.issued < probes_per_instance && under_limit {
                     let dst = draw(&mut rng, src);
-                    let sent_at = send_probe(&mut engine, &mut stats, cfg, (src, dst), src as u64);
+                    let sent_at = send_probe(&mut engine, &mut stats, (src, dst), src as u64);
                     *launch = Launch {
                         dst,
                         sent_at,

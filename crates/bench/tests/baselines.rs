@@ -4,7 +4,9 @@
 //! bit-exact differential proptests against transcribed reference loops.
 
 use cloudia_bench::baselines::{token_passing, uncoordinated};
-use cloudia_measure::{MeasureConfig, MeasurementReport, PairwiseStats, Scheme, Staged};
+use cloudia_measure::{
+    probe_overhead_ms, MeasureConfig, MeasurementReport, PairwiseStats, Scheme, Staged,
+};
 use cloudia_netsim::{Cloud, InstanceId, LossPlane, Network, Provider};
 use proptest::prelude::*;
 
@@ -26,12 +28,6 @@ fn token(net: &Network, cfg: &MeasureConfig, samples_per_pair: usize) -> Measure
 
 fn unc(net: &Network, cfg: &MeasureConfig, probes_per_instance: usize) -> MeasurementReport {
     uncoordinated(net, cfg, PairwiseStats::new(net.len()), probes_per_instance)
-}
-
-/// The constant handling overhead of one round trip on a jitter-free
-/// network: four endpoint handling periods.
-fn overhead(cfg: &MeasureConfig) -> f64 {
-    4.0 * (cfg.nic.handle_ms + cfg.nic.serialize_ms_per_kb * cfg.probe_size_kb)
 }
 
 #[test]
@@ -60,7 +56,7 @@ fn estimates_match_truth_without_jitter() {
         for j in 0..4u32 {
             if i != j {
                 let est = report.stats.link(i as usize, j as usize).mean();
-                let truth = net.mean_rtt(InstanceId(i), InstanceId(j)) + overhead(&cfg);
+                let truth = net.mean_rtt(InstanceId(i), InstanceId(j)) + probe_overhead_ms();
                 assert!((est - truth).abs() < 1e-9, "({i},{j}): est {est}, truth {truth}");
             }
         }
@@ -128,7 +124,7 @@ fn interference_inflates_estimates() {
                 continue;
             }
             measured += 1;
-            let truth = net.mean_rtt(InstanceId(i), InstanceId(j)) + overhead(&cfg);
+            let truth = net.mean_rtt(InstanceId(i), InstanceId(j)) + probe_overhead_ms();
             if link.mean() > truth + 1e-9 {
                 inflated += 1;
             }
@@ -209,8 +205,8 @@ fn engine_schemes_replay_the_recorded_loss_path() {
 /// kinds are the baselines' wire constants (0 = probe, 1 = reply,
 /// 2 = token).
 mod reference {
-    use cloudia_measure::{MeasureConfig, PairwiseStats};
-    use cloudia_netsim::{InstanceId, MessageSpec, Network};
+    use cloudia_measure::{MeasureConfig, PairwiseStats, PROBE_SIZE_KB};
+    use cloudia_netsim::{InstanceId, MessageSpec, Network, NicParams};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// (stats, round_trips, elapsed_ms) of one batch run.
@@ -223,7 +219,7 @@ mod reference {
         samples_per_pair: usize,
     ) -> BatchResult {
         let n = net.len();
-        let mut engine = net.engine(cfg.nic, cfg.seed);
+        let mut engine = net.engine(NicParams::default(), cfg.seed);
         let mut round_trips = 0u64;
         let mut cursor = vec![0usize; n];
         let total_visits = n * (n - 1) * samples_per_pair;
@@ -240,7 +236,7 @@ mod reference {
             let sent = engine.send(MessageSpec {
                 src: InstanceId::from_index(holder),
                 dst: InstanceId::from_index(dst),
-                size_kb: cfg.probe_size_kb,
+                size_kb: PROBE_SIZE_KB,
                 kind: 0,
                 token: visit as u64,
             });
@@ -248,7 +244,7 @@ mod reference {
             engine.send(MessageSpec {
                 src: probe.spec.dst,
                 dst: probe.spec.src,
-                size_kb: cfg.probe_size_kb,
+                size_kb: PROBE_SIZE_KB,
                 kind: 1,
                 token: probe.spec.token,
             });
@@ -275,7 +271,7 @@ mod reference {
         probes_per_instance: usize,
     ) -> BatchResult {
         let n = net.len();
-        let mut engine = net.engine(cfg.nic, cfg.seed);
+        let mut engine = net.engine(NicParams::default(), cfg.seed);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
         let mut round_trips = 0u64;
         let mut probe_sent_at = vec![0.0f64; n];
@@ -297,7 +293,7 @@ mod reference {
             let sent = engine.send(MessageSpec {
                 src: InstanceId::from_index(src),
                 dst: InstanceId::from_index(dst),
-                size_kb: cfg.probe_size_kb,
+                size_kb: PROBE_SIZE_KB,
                 kind: 0,
                 token: src as u64,
             });
@@ -315,7 +311,7 @@ mod reference {
                     engine.send(MessageSpec {
                         src: msg.spec.dst,
                         dst: msg.spec.src,
-                        size_kb: cfg.probe_size_kb,
+                        size_kb: PROBE_SIZE_KB,
                         kind: 1,
                         token: msg.spec.token,
                     });
@@ -479,7 +475,7 @@ proptest! {
             .fold(0.0f64, f64::max);
         // At the cutoff each instance has at most one exchange in
         // flight; replies may queue behind each other at an endpoint.
-        let overhang = (n as f64) * (max_rtt + overhead(&cfg)) + 1.0;
+        let overhang = (n as f64) * (max_rtt + probe_overhead_ms()) + 1.0;
         for (scheme, report) in both(&net, &cfg, 200, 100_000) {
             prop_assert!(
                 report.elapsed_ms < limit + overhang,

@@ -27,6 +27,11 @@
 //! condemned for the first time this sweep, and the stop look reads the
 //! remaining pair count ([`StopRule::stable_by_count`]). Struck pairs are
 //! tombstoned in place, so every stage keeps its pair order.
+//!
+//! Under [`run_with_rules`] the driver journals each
+//! [`PairwiseStats::record_link`] call it makes into a row per source
+//! instance, and the journal is folded into the run's row-major
+//! [`LinkDelta`]s: what the run added, with no snapshot to difference.
 
 use cloudia_netsim::Network;
 
@@ -75,32 +80,18 @@ pub trait PruneRule {
     }
 }
 
-/// What [`run_pruned`] produced: the ordinary report plus the pruning
-/// ledger.
-#[derive(Debug, Clone)]
-pub struct PrunedReport {
-    /// The measurement report (identical in shape to a batch run's).
-    pub report: MeasurementReport,
-    /// Distinct unordered pairs dropped mid-sweep.
-    pub dropped_pairs: usize,
-    /// Estimated round trips the pruning saved: what the struck pairs
-    /// had left of [`StageDriver::planned_remaining`].
-    pub saved_round_trips: u64,
-}
-
 /// Drives `scheme` to completion over `net`, evaluating `rule` between
 /// stages and dropping whatever it condemns. With a rule that never
-/// condemns anything this is bit-identical to [`Scheme::run_onto`].
+/// condemns anything this is bit-identical to [`Scheme::run_onto`]. The
+/// report's `stopped_early` is always false.
 pub fn run_pruned<S: Scheme + ?Sized>(
     scheme: &S,
     net: &Network,
     cfg: &MeasureConfig,
     stats: PairwiseStats,
     rule: &dyn PruneRule,
-) -> PrunedReport {
-    let AnytimeReport { report, dropped_pairs, saved_round_trips, .. } =
-        run_with_rules(scheme, net, cfg, stats, Some(rule), None);
-    PrunedReport { report, dropped_pairs, saved_round_trips }
+) -> AnytimeReport {
+    run_with_rules(scheme, net, cfg, stats, Some(rule), None)
 }
 
 /// An anytime stopping policy, evaluated between stages by
@@ -140,12 +131,37 @@ pub trait StopRule {
     }
 }
 
-/// What [`run_anytime`] produced: the pruning ledger plus whether the
-/// stop rule fired before the schedule ran dry.
+/// One link's contribution from a single run: what the run's
+/// [`PairwiseStats::record_link`] calls on that directed link added.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkDelta {
+    /// Source instance index.
+    pub src: u32,
+    /// Destination instance index.
+    pub dst: u32,
+    /// Mean RTT over this run's samples (ms). Meaningless (0) when
+    /// `count` is 0 — a delta whose every probe timed out still gets
+    /// emitted so the loss triage sees the attempts; latency consumers
+    /// must check `count > 0` first.
+    pub mean: f64,
+    /// Number of samples this run contributed.
+    pub count: u64,
+    /// Probes issued on this link this run (successes + timeouts).
+    pub attempts: u64,
+    /// Probes that timed out on this link this run.
+    pub timeouts: u64,
+}
+
+/// What [`run_pruned`], [`run_anytime`] and [`run_with_rules`] produced:
+/// the measurement, its per-link deltas, the pruning ledger and whether
+/// the stop rule fired before the schedule ran dry.
 #[derive(Debug, Clone)]
 pub struct AnytimeReport {
     /// The measurement report (identical in shape to a batch run's).
     pub report: MeasurementReport,
+    /// One delta per link the run attempted, in row-major order; a link
+    /// that only timed out carries `count == 0` (see [`LinkDelta::mean`]).
+    pub deltas: Vec<LinkDelta>,
     /// Distinct unordered pairs dropped mid-sweep (pruned or stopped).
     pub dropped_pairs: usize,
     /// Estimated round trips saved by pruning plus the early stop.
@@ -183,6 +199,11 @@ pub fn run_anytime<S: Scheme + ?Sized>(
 /// unprotected pairs of each instance it condemns for the first time, or
 /// the pairs it names. Callers holding the rules as options (the online
 /// stream's epoch entry) call this directly.
+///
+/// The report's deltas are the driver's journal of what each
+/// [`PairwiseStats::record_link`] call added, folded: in row-major order,
+/// the repeats of sweeps ≥ 3 merged, and each link's RTT sum divided by
+/// its sample count.
 pub fn run_with_rules<S: Scheme + ?Sized>(
     scheme: &S,
     net: &Network,
@@ -192,6 +213,7 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
     stop: Option<&dyn StopRule>,
 ) -> AnytimeReport {
     let mut driver = scheme.driver(net, cfg, stats);
+    driver.journal = Some(reserve_journal(net.len(), &driver.stages, driver.sweeps));
     // A struck pair leaves the schedule, so no pair is counted twice.
     let mut dropped_pairs = 0usize;
     let mut saved_round_trips = 0u64;
@@ -240,7 +262,54 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
             break;
         }
     }
-    AnytimeReport { report: driver.finish(), dropped_pairs, saved_round_trips, stopped_early }
+    let deltas = fold_journal(driver.journal.take().unwrap_or_default());
+    let report = driver.finish();
+    AnytimeReport { report, deltas, dropped_pairs, saved_round_trips, stopped_early }
+}
+
+/// What a run's `record_link` calls added: one row per source instance,
+/// each in call order with the RTT sum in `mean`.
+pub(crate) type Journal = Vec<Vec<LinkDelta>>;
+
+/// An empty journal with room for every entry `sweeps` passes over
+/// `stages` write — pair `(a, b)` is recorded `a → b` on even sweeps and
+/// `b → a` on odd ones — so a push never reallocates.
+fn reserve_journal(n: usize, stages: &[Vec<(u32, u32, usize)>], sweeps: usize) -> Journal {
+    let mut sizes = vec![0usize; n];
+    for &(a, b, _) in stages.iter().flatten() {
+        sizes[a as usize] += sweeps.div_ceil(2);
+        sizes[b as usize] += sweeps / 2;
+    }
+    sizes.into_iter().map(Vec::with_capacity).collect()
+}
+
+/// Folds a journal into row-major deltas: each row walked in destination
+/// order through compact `(destination, position)` keys (its 40-byte
+/// entries move once, and repeats are summed in call order), each RTT sum
+/// divided by its sample count.
+fn fold_journal(journal: Journal) -> Vec<LinkDelta> {
+    let mut deltas: Vec<LinkDelta> = Vec::with_capacity(journal.iter().map(Vec::len).sum());
+    let mut keys = Vec::new();
+    for row in journal {
+        keys.clear();
+        keys.extend(row.iter().enumerate().map(|(at, d)| (u64::from(d.dst) << 32) | at as u64));
+        keys.sort_unstable();
+        for &key in &keys {
+            let d = row[key as u32 as usize];
+            match deltas.last_mut() {
+                Some(kept) if (kept.src, kept.dst) == (d.src, d.dst) => {
+                    (kept.mean, kept.count) = (kept.mean + d.mean, kept.count + d.count);
+                    (kept.attempts, kept.timeouts) =
+                        (kept.attempts + d.attempts, kept.timeouts + d.timeouts);
+                }
+                _ => deltas.push(d),
+            }
+        }
+    }
+    for d in &mut deltas {
+        d.mean = if d.count > 0 { d.mean / d.count as f64 } else { 0.0 };
+    }
+    deltas
 }
 
 /// One between-stage look of `rule`: strikes what it condemns and returns
@@ -289,6 +358,9 @@ pub struct StageDriver<'n> {
     stats: PairwiseStats,
     /// One pair's round-trip times, reused by every pair of every stage.
     rtts: Vec<f64>,
+    /// What each `record_link` call added — kept only under
+    /// [`run_with_rules`], which folds it into the run's deltas.
+    journal: Option<Journal>,
     /// One sweep's schedule: unordered pairs with per-pair round trips,
     /// each pair in exactly one stage. A struck pair stays in place with
     /// a quota of 0, so every pair keeps its position and every stage its
@@ -422,6 +494,7 @@ impl<'n> StageDriver<'n> {
             cfg: cfg.clone(),
             stats,
             rtts: Vec::new(),
+            journal: None,
             stages,
             live,
             slots: None,
@@ -495,6 +568,7 @@ impl<'n> StageDriver<'n> {
             &self.stages[self.stage],
             &mut self.stats,
             &mut self.rtts,
+            self.journal.as_mut(),
         );
         self.round_trips += outcome.round_trips;
         self.now = outcome.end;

@@ -55,12 +55,12 @@ pub mod stats;
 
 pub use ci::{t_critical, LinkCi};
 pub use driver::{
-    run_anytime, run_pruned, run_with_rules, AnytimeReport, PruneRule, PrunedReport, StageDriver,
+    run_anytime, run_pruned, run_with_rules, AnytimeReport, LinkDelta, PruneRule, StageDriver,
     StopRule,
 };
 pub use focused::{FocusedScheme, ProbePlan};
 pub use pairset::PairSet;
 pub use pool::{PoolStats, SweepPool};
-pub use scheme::{MeasureConfig, MeasurementReport, Scheme};
+pub use scheme::{probe_overhead_ms, MeasureConfig, MeasurementReport, Scheme, PROBE_SIZE_KB};
 pub use staged::Staged;
 pub use stats::{LinkEstimate, P2Quantile, PairwiseStats, TouchCursor, Welford};

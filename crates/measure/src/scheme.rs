@@ -11,16 +11,27 @@
 
 use cloudia_netsim::{Network, NicParams};
 
-use crate::driver::StageDriver;
+use crate::driver::{Journal, LinkDelta, StageDriver};
 use crate::stats::PairwiseStats;
+
+/// Probe payload size in KB (paper: 1 KB).
+pub const PROBE_SIZE_KB: f64 = 1.0;
+
+/// Milliseconds an endpoint is busy with one probe or reply message.
+fn probe_busy_ms() -> f64 {
+    let nic = NicParams::default();
+    nic.handle_ms + nic.serialize_ms_per_kb * PROBE_SIZE_KB
+}
+
+/// The fixed endpoint overhead one probe round trip adds to the network's
+/// RTT, `4·(handle + serialize·size)`: two endpoints busy per message.
+pub fn probe_overhead_ms() -> f64 {
+    4.0 * probe_busy_ms()
+}
 
 /// Configuration shared by all measurement schemes.
 #[derive(Debug, Clone)]
 pub struct MeasureConfig {
-    /// Probe payload size in KB (paper: 1 KB unless stated).
-    pub probe_size_kb: f64,
-    /// Endpoint handling parameters for the event engine.
-    pub nic: NicParams,
     /// RNG seed (probe jitter and loss draws).
     pub seed: u64,
     /// Ignored: every stage is simulated serially on the calling thread
@@ -53,8 +64,6 @@ pub struct MeasureConfig {
 impl Default for MeasureConfig {
     fn default() -> Self {
         Self {
-            probe_size_kb: 1.0,
-            nic: NicParams::default(),
             seed: 0,
             max_duration_ms: None,
             timeout_ms: cloudia_netsim::DEFAULT_TIMEOUT_MS,
@@ -231,7 +240,7 @@ fn simulate_pair(
     debug_assert!(k > 0, "every scheduled pair needs a positive quota");
     let (src_id, dst_id) = (InstanceId::from_index(src), InstanceId::from_index(dst));
     let limit = cfg.max_duration_ms.unwrap_or(f64::INFINITY);
-    let busy = cfg.nic.handle_ms + cfg.nic.serialize_ms_per_kb * cfg.probe_size_kb;
+    let busy = probe_busy_ms();
     let (drop_fwd, drop_rev) = (net.drop_prob(src_id, dst_id), net.drop_prob(dst_id, src_id));
     // The same latency/fault RNG split an `Engine` seeded with `seed`
     // would use — a pair's timeline here is bit-identical to running it
@@ -271,7 +280,7 @@ fn simulate_pair(
         // `((send + busy) + ow) + busy` in the last ULP.
         let probe_delivered = send
             + busy
-            + net.model().sample_one_way(src_id, dst_id, cfg.probe_size_kb, &mut lat)
+            + net.model().sample_one_way(src_id, dst_id, PROBE_SIZE_KB, &mut lat)
             + busy;
         out.delivered += 1;
         // Reply leg, issued by the destination the moment the probe
@@ -294,7 +303,7 @@ fn simulate_pair(
         }
         let reply_delivered = probe_delivered
             + busy
-            + net.model().sample_one_way(dst_id, src_id, cfg.probe_size_kb, &mut lat)
+            + net.model().sample_one_way(dst_id, src_id, PROBE_SIZE_KB, &mut lat)
             + busy;
         out.delivered += 1;
         out.end = reply_delivered;
@@ -320,7 +329,8 @@ fn simulate_pair(
 /// ([`substream_seed`]), simulate its whole timeline ([`simulate_pair`]:
 /// one outstanding probe, a reply triggers the next until the quota is
 /// done), and write the result into `stats` with one
-/// [`PairwiseStats::record_link`]. Shared by the staged and focused
+/// [`PairwiseStats::record_link`], journaled (RTT sum in `mean`) when the
+/// driver keeps a journal. Shared by the staged and focused
 /// schemes — the stage protocol is identical, only the pair schedule (and
 /// per-pair sampling depth) differs.
 ///
@@ -328,6 +338,7 @@ fn simulate_pair(
 /// means a surviving pair's timeline is the same no matter which *other*
 /// pairs a prune rule or dark strike removed from the stage — common
 /// random numbers across pruned and unpruned arms.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_stage(
     net: &Network,
     cfg: &MeasureConfig,
@@ -336,6 +347,7 @@ pub(crate) fn run_stage(
     pairs: &[(u32, u32, usize)],
     stats: &mut PairwiseStats,
     rtts: &mut Vec<f64>,
+    mut journal: Option<&mut Journal>,
 ) -> StageOutcome {
     let forward = sweep.is_multiple_of(2);
     let mut outcome = StageOutcome { end: t0, ..StageOutcome::default() };
@@ -347,6 +359,16 @@ pub(crate) fn run_stage(
         let seed = substream_seed(cfg.seed, sweep, stage, src, dst);
         let o = simulate_pair(net, cfg, t0, (src, dst), k, seed, rtts);
         stats.record_link(src, dst, o.attempts, o.timeouts, rtts);
+        if let Some(journal) = journal.as_deref_mut() {
+            journal[src].push(LinkDelta {
+                src: src as u32,
+                dst: dst as u32,
+                mean: rtts.iter().sum(),
+                count: rtts.len() as u64,
+                attempts: o.attempts,
+                timeouts: o.timeouts,
+            });
+        }
         outcome.round_trips += rtts.len() as u64;
         outcome.sent += o.sent;
         outcome.delivered += o.delivered;
@@ -357,15 +379,4 @@ pub(crate) fn run_stage(
         }
     }
     outcome
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_config_is_one_kb() {
-        let cfg = MeasureConfig::default();
-        assert_eq!(cfg.probe_size_kb, 1.0);
-    }
 }

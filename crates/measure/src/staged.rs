@@ -162,7 +162,7 @@ mod tests {
         let net = network(8, 2);
         let cfg = MeasureConfig::default();
         let report = Staged::new(3, 2).run(&net, &cfg);
-        let overhead = 4.0 * (cfg.nic.handle_ms + cfg.nic.serialize_ms_per_kb);
+        let overhead = crate::probe_overhead_ms();
         for i in 0..8u32 {
             for j in 0..8u32 {
                 if i == j {

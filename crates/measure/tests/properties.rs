@@ -33,8 +33,8 @@ fn ec2_network(n: usize, seed: u64) -> cloudia_netsim::Network {
 /// arithmetic. Uses only public engine APIs; message kinds are the
 /// probe protocol's wire constants (0 = probe, 1 = reply).
 mod reference {
-    use cloudia_measure::{MeasureConfig, PairwiseStats};
-    use cloudia_netsim::{InstanceId, MessageSpec, Network};
+    use cloudia_measure::{MeasureConfig, PairwiseStats, PROBE_SIZE_KB};
+    use cloudia_netsim::{InstanceId, MessageSpec, Network, NicParams};
     use std::collections::HashSet;
 
     /// (stats, round_trips, elapsed_ms) of one batch run.
@@ -57,13 +57,13 @@ mod reference {
         stats: &mut PairwiseStats,
     ) -> (u64, bool, f64) {
         let limit = cfg.max_duration_ms.unwrap_or(f64::INFINITY);
-        let mut engine = net.engine(cfg.nic, seed);
+        let mut engine = net.engine(NicParams::default(), seed);
         engine.set_timeout_ms(cfg.timeout_ms);
         engine.advance_to(t0);
         let probe = MessageSpec {
             src: InstanceId::from_index(src),
             dst: InstanceId::from_index(dst),
-            size_kb: cfg.probe_size_kb,
+            size_kb: PROBE_SIZE_KB,
             kind: 0,
             token: 0,
         };
@@ -80,7 +80,7 @@ mod reference {
                     engine.send(MessageSpec {
                         src: msg.spec.dst,
                         dst: msg.spec.src,
-                        size_kb: cfg.probe_size_kb,
+                        size_kb: PROBE_SIZE_KB,
                         kind: 1,
                         token: 0,
                     });
@@ -621,7 +621,7 @@ proptest! {
             prop_assert_eq!(
                 strikes.report.elapsed_ms.to_bits(), walked.report.elapsed_ms.to_bits(), "{}", name
             );
-            let bits = |r: &cloudia_measure::PrunedReport| -> Vec<u64> {
+            let bits = |r: &cloudia_measure::AnytimeReport| -> Vec<u64> {
                 r.report.stats.mean_vector().iter().map(|x| x.to_bits()).collect()
             };
             prop_assert_eq!(bits(&strikes), bits(&walked), "{}: means", name);
@@ -642,7 +642,7 @@ proptest! {
         // quota, which is what the pre-fix staged path would burn.
         let net = quiet_network(n, seed);
         let cfg = MeasureConfig { seed, max_duration_ms: Some(limit), ..MeasureConfig::default() };
-        let overhead = 4.0 * (cfg.nic.handle_ms + cfg.nic.serialize_ms_per_kb * cfg.probe_size_kb);
+        let overhead = cloudia_measure::probe_overhead_ms();
         let max_rtt = (0..n)
             .flat_map(|i| (0..n).map(move |j| (i, j)))
             .filter(|&(i, j)| i != j)

@@ -179,7 +179,8 @@ pub struct OnlineAdvisorConfig {
     /// *plus* the widest deployed-link half-width, so a migration is
     /// never bought with a gain the measurement error could explain.
     pub confidence: Option<f64>,
-    /// Anytime sweeps (requires `confidence` and `prune_during_sweep`):
+    /// Anytime sweeps (requires `confidence` and `prune_during_sweep`, or
+    /// [`OnlineAdvisor::new`] panics):
     /// epoch sweeps stop a stage early once every remaining prune/pool
     /// decision is CI-stable — each instance provably in or provably out
     /// of every pool at the configured confidence (the epoch's
@@ -483,8 +484,10 @@ impl OnlineAdvisor {
     ///
     /// # Panics
     /// Panics if the initial plan does not cover the graph, references
-    /// instances beyond the allocation, or a
-    /// [`ProbePolicy::Focused`] policy has `refresh_every == 0`.
+    /// instances beyond the allocation, a [`ProbePolicy::Focused`] policy
+    /// has `refresh_every == 0`, or `anytime` is set without both
+    /// `confidence` and `prune_during_sweep` (a sweep that can never stop
+    /// early).
     pub fn new(
         graph: CommGraph,
         instances: usize,
@@ -507,6 +510,10 @@ impl OnlineAdvisor {
         assert!(
             config.probe_ks > 0 && config.probe_sweeps > 0,
             "probe_ks and probe_sweeps must be positive"
+        );
+        assert!(
+            !config.anytime || (config.confidence.is_some() && config.prune_during_sweep),
+            "anytime needs both confidence and prune_during_sweep, or it never stops early"
         );
         let store = OnlineStore::new(instances, config.ewma_alpha, config.detector);
         let adaptive = match &config.candidates {
@@ -796,7 +803,7 @@ impl OnlineAdvisor {
         if let Some(index) = &self.rule_index {
             rule = rule.with_index(index);
         }
-        if self.stops_early() {
+        if self.config.anytime {
             // Stale pairs are not kept at depth after the stop: the
             // plateau cannot fire before a sweep-equivalent of fresh
             // samples — their refresh included — has landed.
@@ -825,21 +832,16 @@ impl OnlineAdvisor {
     }
 
     /// The anytime stop rule for the next epoch, or `None` unless
-    /// `anytime`, `confidence`, and `prune_during_sweep` are all set: the
-    /// epoch's [`OnlineAdvisor::sweep_prune_rule`], which as a
-    /// [`StopRule`] lets the sweep end a stage early only once every
-    /// instance is provably inside or outside every candidate pool at the
-    /// configured confidence — or a sweep-equivalent of fresh samples
-    /// moved no verdict. After the stop fires, only deployed and recently
-    /// flagged links keep probing (they feed the change detectors every
-    /// epoch).
+    /// `anytime` is set (which implies `confidence` and
+    /// `prune_during_sweep`): the epoch's
+    /// [`OnlineAdvisor::sweep_prune_rule`], which as a [`StopRule`] lets
+    /// the sweep end a stage early only once every instance is provably
+    /// inside or outside every candidate pool at the configured confidence
+    /// — or a sweep-equivalent of fresh samples moved no verdict. After the
+    /// stop fires, only deployed and recently flagged links keep probing
+    /// (they feed the change detectors every epoch).
     pub fn sweep_stop_rule(&self) -> Option<CandidatePruneRule> {
-        self.sweep_prune_rule().filter(|_| self.stops_early())
-    }
-
-    /// Whether an epoch's prune rule is its anytime stop rule too.
-    fn stops_early(&self) -> bool {
-        self.config.anytime && self.config.confidence.is_some()
+        self.sweep_prune_rule().filter(|_| self.config.anytime)
     }
 
     /// The widest *finite* CI half-width across the links the current
@@ -1411,7 +1413,7 @@ impl OnlineAdvisor {
     pub fn step_stream<S: MeasurementStream>(&mut self, stream: &mut S) -> EpochSummary {
         let stale = OnceCell::new();
         let rule = self.prune_rule_with(&stale);
-        let stop = rule.as_ref().filter(|_| self.stops_early());
+        let stop = rule.as_ref().filter(|_| self.config.anytime);
         let mut scheme = self.probe_scheme_with(&stale);
         if let (Some(s), true) = (scheme.as_mut(), self.config.prune_during_sweep) {
             if !s.plan.is_full() {
@@ -1668,6 +1670,32 @@ mod tests {
         config.anytime = true;
         let advisor = OnlineAdvisor::new(graph, 10, initial, config);
         assert!(advisor.sweep_stop_rule().is_some());
+    }
+
+    /// `fast_config` with `anytime` on and everything it needs except
+    /// what `strip` takes away.
+    fn anytime_advisor(strip: fn(&mut OnlineAdvisorConfig)) -> OnlineAdvisor {
+        let (graph, _, initial) = setup(4, 10, 31);
+        let mut config = OnlineAdvisorConfig {
+            prune_during_sweep: true,
+            confidence: Some(0.95),
+            anytime: true,
+            ..fast_config()
+        };
+        strip(&mut config);
+        OnlineAdvisor::new(graph, 10, initial, config)
+    }
+
+    #[test]
+    #[should_panic(expected = "anytime needs both confidence and prune_during_sweep")]
+    fn anytime_without_confidence_is_rejected() {
+        anytime_advisor(|c| c.confidence = None);
+    }
+
+    #[test]
+    #[should_panic(expected = "anytime needs both confidence and prune_during_sweep")]
+    fn anytime_without_sweep_pruning_is_rejected() {
+        anytime_advisor(|c| c.prune_during_sweep = false);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! The batch pipeline measures once and forgets; the online advisor
 //! instead consumes a [`MeasurementStream`]: every epoch it runs a
 //! (budget-limited) measurement round *into* the cumulative
-//! [`PairwiseStats`] via the incremental [`Scheme::run_onto`] API, and
-//! reports the per-epoch deltas — the mean of exactly the samples this
-//! epoch contributed per link. The deltas feed the EWMA/change-point
-//! store ([`crate::OnlineStore`]), the loop's cross-round memory.
+//! [`PairwiseStats`] ([`cloudia_measure::run_with_rules`]) and forwards
+//! the per-epoch deltas the sweep journaled as it recorded — the mean of
+//! exactly the samples this epoch contributed per link. Beyond those
+//! statistics a stream keeps no per-link state. The deltas feed the
+//! EWMA/change-point store ([`crate::OnlineStore`]), the loop's
+//! cross-round memory.
 //!
 //! Two implementations:
 //!
@@ -20,29 +22,12 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 
-use cloudia_measure::{run_with_rules, MeasureConfig, PairwiseStats, PruneRule, Scheme, StopRule};
+pub use cloudia_measure::LinkDelta;
+use cloudia_measure::{
+    probe_overhead_ms, run_with_rules, MeasureConfig, PairwiseStats, PruneRule, Scheme, StopRule,
+    PROBE_SIZE_KB,
+};
 use cloudia_netsim::{DriftingNetwork, FaultParams, InstanceId, Network};
-
-/// One link's contribution from a single epoch: the mean of the samples
-/// recorded this epoch only.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkDelta {
-    /// Source instance index.
-    pub src: u32,
-    /// Destination instance index.
-    pub dst: u32,
-    /// Mean RTT over this epoch's samples (ms). Meaningless (0) when
-    /// `count` is 0 — a delta whose every probe timed out still gets
-    /// emitted so the loss triage sees the attempts; latency consumers
-    /// must check `count > 0` first.
-    pub mean: f64,
-    /// Number of samples this epoch contributed.
-    pub count: u64,
-    /// Probes issued on this link this epoch (successes + timeouts).
-    pub attempts: u64,
-    /// Probes that timed out on this link this epoch.
-    pub timeouts: u64,
-}
 
 /// What one measurement epoch produced.
 #[derive(Debug, Clone)]
@@ -169,135 +154,102 @@ pub trait MeasurementStream {
     }
 }
 
-/// One link's cumulative `(sum, count, attempts, timeouts)` — the sum as
-/// `mean · count` — in the ledger a stream keeps of where each link stood
-/// at the end of its last epoch.
-type LinkTotals = (f64, u64, u64, u64);
-
-/// Runs one incremental measurement round and extracts the per-epoch
-/// deltas by differencing the cumulative statistics against `ledger`, the
-/// per-link totals the previous epoch left behind (all zero before the
-/// first). The round runs on the stage-streaming driver, with `rule` and
-/// `stop` (when given) evaluated between stages.
-///
-/// Only the links the round touched are differenced and re-ledgered: the
-/// statistics' touch log names them
-/// ([`PairwiseStats::touched_since`]), sorted and deduplicated so the
-/// deltas keep their row-major order. When the log cannot answer — the
-/// round touched more links than it keeps, as a bootstrap, refresh,
-/// anytime or lossy sweep does — every link is walked instead, with the
-/// same deltas.
-#[allow(clippy::too_many_arguments)]
-fn measure_epoch<S: Scheme + ?Sized>(
-    net: &Network,
-    scheme: &S,
-    rule: Option<&dyn PruneRule>,
-    stop: Option<&dyn StopRule>,
-    cfg: &MeasureConfig,
+/// What both streams measure with: the scheme, the cumulative statistics,
+/// the epoch counter and the spot-check RNG.
+#[derive(Debug)]
+struct Prober<S> {
+    scheme: S,
+    config: MeasureConfig,
+    cumulative: PairwiseStats,
     epoch: u64,
-    at_hours: f64,
-    cumulative: &mut PairwiseStats,
-    ledger: &mut [LinkTotals],
-) -> EpochMeasurement {
-    let n = net.len();
-    let cursor = cumulative.touch_cursor();
-
-    // Per-epoch probe randomness: decorrelate epochs without touching the
-    // caller's base seed.
-    let mut epoch_cfg = cfg.clone();
-    epoch_cfg.seed = cfg.seed ^ (epoch + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let taken = std::mem::replace(cumulative, PairwiseStats::new(0));
-    let swept = run_with_rules(scheme, net, &epoch_cfg, taken, rule, stop);
-    let report = swept.report;
-
-    let stats = &report.stats;
-    let deltas = match stats.touched_since(cursor) {
-        Some(touched) => {
-            let mut links: Vec<usize> = touched.collect();
-            links.sort_unstable();
-            links.dedup();
-            links.into_iter().filter_map(|idx| link_delta(stats, ledger, idx)).collect()
-        }
-        None => (0..n * n)
-            .filter(|idx| idx / n != idx % n)
-            .filter_map(|idx| link_delta(stats, ledger, idx))
-            .collect(),
-    };
-    *cumulative = report.stats;
-    EpochMeasurement {
-        epoch,
-        at_hours,
-        elapsed_ms: report.elapsed_ms,
-        round_trips: report.round_trips,
-        deltas,
-        pruned_pairs: swept.dropped_pairs,
-        saved_round_trips: swept.saved_round_trips,
-    }
+    /// RNG of the spot-check probes. Deliberately separate from the
+    /// measurement and drift RNGs: spot checks must not perturb the
+    /// trajectory, or arms with and without spot checking would diverge
+    /// onto different ground truths.
+    spot_rng: StdRng,
 }
 
-/// Moves link `idx`'s ledger entry up to `stats` and returns what the
-/// epoch added to it, or `None` when the link was not touched. A delta is
-/// emitted whenever the link was touched: samples update the latency
-/// EWMAs, attempts/timeouts feed the loss triage. A fully-dark link
-/// (attempts, zero samples) must not vanish from the epoch, or darkness
-/// would be indistinguishable from "not scheduled".
-fn link_delta(stats: &PairwiseStats, ledger: &mut [LinkTotals], idx: usize) -> Option<LinkDelta> {
-    let n = stats.len();
-    let link = stats.link(idx / n, idx % n);
-    let now = (link.mean() * link.count() as f64, link.count(), link.attempts(), link.timeouts());
-    let (sum0, count0, attempts0, timeouts0) = std::mem::replace(&mut ledger[idx], now);
-    let (dcount, dattempts) = (now.1 - count0, now.2 - attempts0);
-    (dcount > 0 || dattempts > 0).then(|| LinkDelta {
-        src: (idx / n) as u32,
-        dst: (idx % n) as u32,
-        mean: if dcount > 0 { (now.0 - sum0) / dcount as f64 } else { 0.0 },
-        count: dcount,
-        attempts: dattempts,
-        timeouts: now.3 - timeouts0,
-    })
-}
-
-/// Mean of `probes` fresh single-link RTT samples plus the constant
-/// endpoint-handling overhead schemes add — shared by both streams'
-/// [`MeasurementStream::spot_check`] implementations.
-fn spot_mean(probes: usize, cfg: &MeasureConfig, mut draw: impl FnMut() -> f64) -> Option<f64> {
-    if probes == 0 {
-        return None;
+impl<S: Scheme> Prober<S> {
+    fn new(n: usize, scheme: S, config: MeasureConfig, spot_seed: u64) -> Self {
+        let spot_rng = StdRng::seed_from_u64(config.seed ^ spot_seed ^ 0x5b07_c4ec);
+        Self { scheme, config, cumulative: PairwiseStats::new(n), epoch: 0, spot_rng }
     }
-    let overhead = 4.0 * (cfg.nic.handle_ms + cfg.nic.serialize_ms_per_kb * cfg.probe_size_kb);
-    let sum: f64 = (0..probes).map(|_| draw()).sum();
-    Some(sum / probes as f64 + overhead)
-}
 
-/// `(successes, attempts)` of `probes` single-probe exchanges on
-/// `src → dst` under `net`'s loss plane — shared by both streams'
-/// [`MeasurementStream::spot_check_loss`] implementations. An exchange
-/// succeeds when neither the probe (`src → dst`) nor the reply
-/// (`dst → src`) is dropped; the loss RNG is only consulted on links
-/// with nonzero drop probability, mirroring the engine's draw
-/// discipline.
-fn spot_loss(
-    probes: usize,
-    net: &Network,
-    src: u32,
-    dst: u32,
-    rng: &mut StdRng,
-) -> Option<(u64, u64)> {
-    use rand::Rng;
-    if probes == 0 {
-        return None;
-    }
-    let (src, dst) = (InstanceId(src), InstanceId(dst));
-    let (fwd, rev) = (net.drop_prob(src, dst), net.drop_prob(dst, src));
-    let mut successes = 0u64;
-    for _ in 0..probes {
-        let probe_lost = fwd > 0.0 && rng.random::<f64>() < fwd;
-        let reply_lost = !probe_lost && rev > 0.0 && rng.random::<f64>() < rev;
-        if !probe_lost && !reply_lost {
-            successes += 1;
+    /// Runs the next epoch's measurement round over `net` into the
+    /// cumulative statistics on the stage-streaming driver — with `scheme`
+    /// in place of the prober's own when given, and `rule` and `stop`
+    /// (when given) evaluated between stages — and forwards the round's
+    /// per-link deltas.
+    fn measure(
+        &mut self,
+        net: &Network,
+        scheme: Option<&dyn Scheme>,
+        rule: Option<&dyn PruneRule>,
+        stop: Option<&dyn StopRule>,
+        at_hours: f64,
+    ) -> EpochMeasurement {
+        let epoch = self.epoch;
+        self.epoch += 1;
+        // Per-epoch probe randomness: decorrelate epochs without touching
+        // the caller's base seed.
+        let mut epoch_cfg = self.config.clone();
+        epoch_cfg.seed = self.config.seed ^ (epoch + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let taken = std::mem::replace(&mut self.cumulative, PairwiseStats::new(0));
+        let scheme = scheme.unwrap_or(&self.scheme);
+        let swept = run_with_rules(scheme, net, &epoch_cfg, taken, rule, stop);
+        self.cumulative = swept.report.stats;
+        EpochMeasurement {
+            epoch,
+            at_hours,
+            elapsed_ms: swept.report.elapsed_ms,
+            round_trips: swept.report.round_trips,
+            deltas: swept.deltas,
+            pruned_pairs: swept.dropped_pairs,
+            saved_round_trips: swept.saved_round_trips,
         }
     }
-    Some((successes, probes as u64))
+
+    /// [`MeasurementStream::spot_check`] against `net`: the mean of
+    /// `probes` fresh single-link RTT samples plus the constant
+    /// endpoint-handling overhead schemes add.
+    fn spot_check(&mut self, net: &Network, src: u32, dst: u32, probes: usize) -> Option<f64> {
+        if probes == 0 {
+            return None;
+        }
+        let (src, dst, rng) = (InstanceId(src), InstanceId(dst), &mut self.spot_rng);
+        let sum: f64 =
+            (0..probes).map(|_| net.sample_rtt_sized(src, dst, PROBE_SIZE_KB, rng)).sum();
+        Some(sum / probes as f64 + probe_overhead_ms())
+    }
+
+    /// [`MeasurementStream::spot_check_loss`] against `net`'s loss plane:
+    /// an exchange succeeds when neither the probe (`src → dst`) nor the
+    /// reply (`dst → src`) is dropped; the loss RNG is only consulted on
+    /// links with nonzero drop probability, mirroring the engine's draw
+    /// discipline.
+    fn spot_check_loss(
+        &mut self,
+        net: &Network,
+        src: u32,
+        dst: u32,
+        probes: usize,
+    ) -> Option<(u64, u64)> {
+        use rand::Rng;
+        if probes == 0 {
+            return None;
+        }
+        let (src, dst) = (InstanceId(src), InstanceId(dst));
+        let (fwd, rev) = (net.drop_prob(src, dst), net.drop_prob(dst, src));
+        let mut successes = 0u64;
+        for _ in 0..probes {
+            let probe_lost = fwd > 0.0 && self.spot_rng.random::<f64>() < fwd;
+            let reply_lost = !probe_lost && rev > 0.0 && self.spot_rng.random::<f64>() < rev;
+            if !probe_lost && !reply_lost {
+                successes += 1;
+            }
+        }
+        Some((successes, probes as u64))
+    }
 }
 
 /// A closed-loop stream: drifts a simulated network between epochs and
@@ -305,19 +257,9 @@ fn spot_loss(
 #[derive(Debug)]
 pub struct SimStream<S: Scheme> {
     drifting: DriftingNetwork,
-    scheme: S,
-    config: MeasureConfig,
     /// Hours of drift applied before each epoch's measurement.
     epoch_hours: f64,
-    cumulative: PairwiseStats,
-    /// Every link's totals as the last epoch left them.
-    ledger: Vec<LinkTotals>,
-    epoch: u64,
-    /// RNG of the spot-check probes. Deliberately separate from the
-    /// drifting network's own RNG: spot checks must not perturb the
-    /// drift trajectory, or arms with and without spot checking would
-    /// diverge onto different ground truths.
-    spot_rng: StdRng,
+    probe: Prober<S>,
 }
 
 impl<S: Scheme> SimStream<S> {
@@ -331,18 +273,8 @@ impl<S: Scheme> SimStream<S> {
         drift_seed: u64,
     ) -> Self {
         assert!(epoch_hours > 0.0, "epoch_hours must be positive");
-        let n = net.len();
-        let spot_rng = StdRng::seed_from_u64(config.seed ^ drift_seed ^ 0x5b07_c4ec);
-        Self {
-            drifting: DriftingNetwork::new(net, drift_seed),
-            scheme,
-            config,
-            epoch_hours,
-            cumulative: PairwiseStats::new(n),
-            ledger: vec![(0.0, 0, 0, 0); n * n],
-            epoch: 0,
-            spot_rng,
-        }
+        let probe = Prober::new(net.len(), scheme, config, drift_seed);
+        Self { drifting: DriftingNetwork::new(net, drift_seed), epoch_hours, probe }
     }
 
     /// Like [`SimStream::new`], but the drifting network also carries a
@@ -377,7 +309,7 @@ impl<S: Scheme> SimStream<S> {
 
 impl<S: Scheme> MeasurementStream for SimStream<S> {
     fn len(&self) -> usize {
-        self.cumulative.len()
+        self.probe.cumulative.len()
     }
 
     fn network(&self) -> &Network {
@@ -385,7 +317,7 @@ impl<S: Scheme> MeasurementStream for SimStream<S> {
     }
 
     fn cumulative(&self) -> &PairwiseStats {
-        &self.cumulative
+        &self.probe.cumulative
     }
 
     /// Advances the drift, then measures the drifted state.
@@ -396,28 +328,16 @@ impl<S: Scheme> MeasurementStream for SimStream<S> {
         stop: Option<&dyn StopRule>,
     ) -> EpochMeasurement {
         self.drifting.step(self.epoch_hours);
-        let epoch = self.epoch;
-        self.epoch += 1;
         let at_hours = self.drifting.hours();
-        // Borrow dance: measure against a clone-free reference by
-        // splitting the struct fields.
-        let Self { drifting, scheme, config, cumulative, ledger, .. } = self;
-        let chosen: &dyn Scheme = external.unwrap_or(scheme);
-        let net = drifting.network();
-        measure_epoch(net, chosen, rule, stop, config, epoch, at_hours, cumulative, ledger)
+        self.probe.measure(self.drifting.network(), external, rule, stop, at_hours)
     }
 
     fn spot_check(&mut self, src: u32, dst: u32, probes: usize) -> Option<f64> {
-        let Self { drifting, config, spot_rng, .. } = self;
-        let net = drifting.network();
-        spot_mean(probes, config, || {
-            net.sample_rtt_sized(InstanceId(src), InstanceId(dst), config.probe_size_kb, spot_rng)
-        })
+        self.probe.spot_check(self.drifting.network(), src, dst, probes)
     }
 
     fn spot_check_loss(&mut self, src: u32, dst: u32, probes: usize) -> Option<(u64, u64)> {
-        let Self { drifting, spot_rng, .. } = self;
-        spot_loss(probes, drifting.network(), src, dst, spot_rng)
+        self.probe.spot_check_loss(self.drifting.network(), src, dst, probes)
     }
 }
 
@@ -460,15 +380,7 @@ pub fn record_trajectory_with(
 pub struct ReplayStream<S: Scheme> {
     snapshots: Vec<Network>,
     epoch_hours: f64,
-    scheme: S,
-    config: MeasureConfig,
-    cumulative: PairwiseStats,
-    /// Every link's totals as the last epoch left them.
-    ledger: Vec<LinkTotals>,
-    epoch: u64,
-    /// RNG of the spot-check probes (separate stream so spot checks never
-    /// perturb the recorded measurement randomness).
-    spot_rng: StdRng,
+    probe: Prober<S>,
 }
 
 impl<S: Scheme> ReplayStream<S> {
@@ -483,18 +395,8 @@ impl<S: Scheme> ReplayStream<S> {
         epoch_hours: f64,
     ) -> Self {
         assert!(!snapshots.is_empty(), "replay needs at least one snapshot");
-        let n = snapshots[0].len();
-        let spot_rng = StdRng::seed_from_u64(config.seed ^ 0x5b07_c4ec);
-        Self {
-            snapshots,
-            epoch_hours,
-            scheme,
-            config,
-            cumulative: PairwiseStats::new(n),
-            ledger: vec![(0.0, 0, 0, 0); n * n],
-            epoch: 0,
-            spot_rng,
-        }
+        let probe = Prober::new(snapshots[0].len(), scheme, config, 0);
+        Self { snapshots, epoch_hours, probe }
     }
 
     /// Total epochs available.
@@ -504,22 +406,27 @@ impl<S: Scheme> ReplayStream<S> {
 
     /// True if every snapshot has been consumed.
     pub fn exhausted(&self) -> bool {
-        self.epoch as usize >= self.snapshots.len()
+        self.probe.epoch as usize >= self.snapshots.len()
+    }
+
+    /// Index of the snapshot the last epoch measured (the first before
+    /// any).
+    fn last(&self) -> usize {
+        (self.probe.epoch as usize).min(self.snapshots.len()).saturating_sub(1)
     }
 }
 
 impl<S: Scheme> MeasurementStream for ReplayStream<S> {
     fn len(&self) -> usize {
-        self.cumulative.len()
+        self.probe.cumulative.len()
     }
 
     fn network(&self) -> &Network {
-        let last = (self.epoch as usize).min(self.snapshots.len()).saturating_sub(1);
-        &self.snapshots[last]
+        &self.snapshots[self.last()]
     }
 
     fn cumulative(&self) -> &PairwiseStats {
-        &self.cumulative
+        &self.probe.cumulative
     }
 
     /// Consumes the next snapshot and measures it.
@@ -530,28 +437,19 @@ impl<S: Scheme> MeasurementStream for ReplayStream<S> {
         stop: Option<&dyn StopRule>,
     ) -> EpochMeasurement {
         assert!(!self.exhausted(), "replay stream exhausted after {} epochs", self.epochs());
-        let epoch = self.epoch;
-        self.epoch += 1;
-        let at_hours = self.epoch as f64 * self.epoch_hours;
-        let Self { snapshots, scheme, config, cumulative, ledger, .. } = self;
-        let chosen: &dyn Scheme = external.unwrap_or(scheme);
-        let net = &snapshots[epoch as usize];
-        measure_epoch(net, chosen, rule, stop, config, epoch, at_hours, cumulative, ledger)
+        let epoch = self.probe.epoch as usize;
+        let at_hours = (epoch + 1) as f64 * self.epoch_hours;
+        self.probe.measure(&self.snapshots[epoch], external, rule, stop, at_hours)
     }
 
     fn spot_check(&mut self, src: u32, dst: u32, probes: usize) -> Option<f64> {
-        let last = (self.epoch as usize).min(self.snapshots.len()).saturating_sub(1);
-        let Self { snapshots, config, spot_rng, .. } = self;
-        let net = &snapshots[last];
-        spot_mean(probes, config, || {
-            net.sample_rtt_sized(InstanceId(src), InstanceId(dst), config.probe_size_kb, spot_rng)
-        })
+        let last = self.last();
+        self.probe.spot_check(&self.snapshots[last], src, dst, probes)
     }
 
     fn spot_check_loss(&mut self, src: u32, dst: u32, probes: usize) -> Option<(u64, u64)> {
-        let last = (self.epoch as usize).min(self.snapshots.len()).saturating_sub(1);
-        let Self { snapshots, spot_rng, .. } = self;
-        spot_loss(probes, &snapshots[last], src, dst, spot_rng)
+        let last = self.last();
+        self.probe.spot_check_loss(&self.snapshots[last], src, dst, probes)
     }
 }
 
@@ -567,8 +465,8 @@ mod tests {
         cloud.network(&alloc)
     }
 
-    /// The full walk the ledger replaced: difference every link of `after`
-    /// against a snapshot of `before`.
+    /// The full walk the journal replaced: difference every link of
+    /// `after` against a snapshot of `before`, in row-major order.
     fn full_walk_deltas(before: &PairwiseStats, after: &PairwiseStats) -> Vec<LinkDelta> {
         let n = after.len();
         let mut deltas = Vec::new();
@@ -590,11 +488,9 @@ mod tests {
         deltas
     }
 
-    fn delta_bits(deltas: &[LinkDelta]) -> Vec<(u32, u32, u64, u64, u64, u64)> {
-        deltas
-            .iter()
-            .map(|d| (d.src, d.dst, d.mean.to_bits(), d.count, d.attempts, d.timeouts))
-            .collect()
+    /// Each delta's `(src, dst, count, attempts, timeouts)`.
+    fn delta_keys(deltas: &[LinkDelta]) -> Vec<(u32, u32, u64, u64, u64)> {
+        deltas.iter().map(|d| (d.src, d.dst, d.count, d.attempts, d.timeouts)).collect()
     }
 
     /// Drops every remaining pair with an endpoint at or past `from`.
@@ -619,41 +515,52 @@ mod tests {
         }
     }
 
-    /// Runs `epochs` on `stream` (bootstrap sweep, focused plans, pruned
-    /// and anytime sweeps), checking each against the full walk, and
-    /// returns how many epochs the touch log answered and how many
-    /// overran it.
-    fn check_against_the_full_walk<M: MeasurementStream>(stream: &mut M) -> (usize, usize) {
+    /// Runs nine epochs on `stream` — uniform sweeps, focused plans,
+    /// pruned and anytime sweeps, and a three-sweep epoch whose third
+    /// sweep repeats every directed link of its first — checking each
+    /// against the full walk of the cumulative statistics.
+    fn check_against_the_full_walk<M: MeasurementStream>(stream: &mut M) {
         use cloudia_measure::{FocusedScheme, ProbePlan};
         let n = stream.len() as u32;
-        let (mut sparse, mut overrun) = (0, 0);
-        for e in 0..8 {
+        for e in 0..9 {
             let mut plan = ProbePlan::new(n as usize);
             plan.add_clique(&[0, 2, 5]);
             plan.add_pair(e % n, (e + 3) % n);
             let focused = FocusedScheme::new(plan, 2, 2);
             let before = stream.cumulative().clone();
-            let cursor = stream.cumulative().touch_cursor();
             let m = match e {
                 0 | 5 => stream.next_epoch(),
                 1 | 3 | 7 => stream.next_epoch_with(&focused),
                 2 => stream.next_epoch_pruned(Some(&focused), &PruneFrom(4)),
                 4 => stream.next_epoch_pruned(None, &PruneFrom(6)),
-                _ => stream.next_epoch_anytime(None, &PruneFrom(9), &StopAtOnce(5)),
+                6 => stream.next_epoch_anytime(None, &PruneFrom(9), &StopAtOnce(5)),
+                _ => {
+                    let m = stream.next_epoch_with(&Staged::new(2, 3));
+                    assert!(m.deltas.iter().any(|d| d.count > 2), "no link sampled by two sweeps");
+                    m
+                }
             };
-            let answered = stream.cumulative().touched_since(cursor).is_some();
-            *if answered { &mut sparse } else { &mut overrun } += 1;
             let oracle = full_walk_deltas(&before, stream.cumulative());
-            assert_eq!(delta_bits(&m.deltas), delta_bits(&oracle), "epoch {e}");
+            assert_eq!(delta_keys(&m.deltas), delta_keys(&oracle), "epoch {e}");
+            for (d, o) in m.deltas.iter().zip(&oracle) {
+                assert!(
+                    (d.mean - o.mean).abs() <= 1e-12 * o.mean,
+                    "epoch {e} ({}, {}): mean {} vs the walk's {}",
+                    d.src,
+                    d.dst,
+                    d.mean,
+                    o.mean
+                );
+            }
         }
-        (sparse, overrun)
     }
 
     #[test]
-    fn ledger_deltas_equal_the_full_walk_bit_for_bit() {
+    fn journaled_deltas_equal_the_full_walk() {
         use cloudia_netsim::FaultParams;
         let mcfg = MeasureConfig::default();
         let mut sim = SimStream::new(network(10, 4), Staged::new(2, 2), mcfg.clone(), 2.0, 7);
+        check_against_the_full_walk(&mut sim);
         let mut lossy = SimStream::with_faults(
             network(10, 5),
             Staged::new(3, 2),
@@ -664,15 +571,39 @@ mod tests {
             0xfa11,
         );
         lossy.force_instance_dark(3, 1e6);
-        let snapshots = record_trajectory(network(10, 6), 11, 4.0, 8);
+        check_against_the_full_walk(&mut lossy);
+        let snapshots = record_trajectory(network(10, 6), 11, 4.0, 9);
         let mut replay = ReplayStream::new(snapshots, Staged::new(2, 2), mcfg, 4.0);
-        for (name, (sparse, overrun)) in [
-            ("sim", check_against_the_full_walk(&mut sim)),
-            ("lossy", check_against_the_full_walk(&mut lossy)),
-            ("replay", check_against_the_full_walk(&mut replay)),
-        ] {
-            assert!(sparse > 0 && overrun > 0, "{name}: {sparse} sparse, {overrun} overrun epochs");
+        check_against_the_full_walk(&mut replay);
+    }
+
+    #[test]
+    fn long_horizons_keep_epoch_means_exact() {
+        // 10^5 six-sample epochs on one fixed network: however long the
+        // links' histories grow, an epoch's means are its own samples',
+        // as a rerun of the same epoch into fresh statistics measures them.
+        let net = network(2, 3);
+        let prober = || Prober::new(2, Staged::new(3, 2), MeasureConfig::default(), 0);
+        let mut long = prober();
+        let epochs = 100_000;
+        for epoch in 0..epochs {
+            let m = long.measure(&net, None, None, None, 0.0);
+            if epoch < epochs - 10 {
+                continue;
+            }
+            let rerun = Prober { epoch, ..prober() }.measure(&net, None, None, None, 0.0);
+            assert_eq!(delta_keys(&m.deltas), delta_keys(&rerun.deltas));
+            for (d, f) in m.deltas.iter().zip(&rerun.deltas) {
+                let rel = (d.mean - f.mean).abs() / f.mean;
+                assert!(
+                    rel <= 1e-14,
+                    "epoch {epoch} ({}, {}): relative error {rel:e}",
+                    d.src,
+                    d.dst
+                );
+            }
         }
+        assert_eq!(long.cumulative.link(0, 1).count(), 3 * epochs);
     }
 
     #[test]
@@ -762,13 +693,11 @@ mod tests {
 
     #[test]
     fn spot_checks_return_fresh_means_near_truth() {
-        use cloudia_netsim::NicParams;
         let mut stream =
             SimStream::new(network(5, 8), Staged::new(2, 2), MeasureConfig::default(), 2.0, 7);
         stream.next_epoch();
         let truth = stream.network().mean_rtt(InstanceId(0), InstanceId(1));
-        let nic = NicParams::default();
-        let overhead = 4.0 * (nic.handle_ms + nic.serialize_ms_per_kb);
+        let overhead = probe_overhead_ms();
         let spot = stream.spot_check(0, 1, 400).expect("sim streams support spot checks");
         assert!(
             (spot - (truth + overhead)).abs() / (truth + overhead) < 0.2,

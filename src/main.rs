@@ -46,7 +46,7 @@ fn usage() -> ! {
                                                intervals at level C; pruning, drift alarms and
                                                repair acceptance demand interval separation
                                                instead of point estimates)
-               [--anytime]                    (online: with --confidence and --prune-during-sweep,
+               [--anytime]                    (online, requires --confidence and --prune-during-sweep:
                                                end each sweep early once every remaining
                                                prune/pool decision is CI-stable)
                [--spot-check K]               (online: confirm a degradation alarm with K fresh
@@ -332,6 +332,11 @@ fn main() {
                 usage();
             }
         }
+    }
+
+    if anytime && (confidence.is_none() || !prune_during_sweep) {
+        eprintln!("--anytime needs both --confidence and --prune-during-sweep");
+        usage();
     }
 
     let provider = match provider_name.as_str() {
@@ -664,12 +669,6 @@ fn run_online(
         loss_aware: !loss_opts.blind,
         ..OnlineAdvisorConfig::default()
     };
-    if anytime && (confidence.is_none() || !prune_during_sweep) {
-        human!(
-            "note: --anytime needs both --confidence and --prune-during-sweep; the early stop \
-             stays off"
-        );
-    }
     let mut advisor = OnlineAdvisor::new(
         graph.clone(),
         outcome.network.len(),

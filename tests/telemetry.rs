@@ -144,7 +144,7 @@ fn cli_json_and_trace_round_trip() {
 /// of these are rejected before any measurement starts.
 #[test]
 fn cli_rejects_out_of_range_input_without_panicking() {
-    let cases: [&[&str]; 14] = [
+    let cases: [&[&str]; 16] = [
         &["--graph", "mesh:1x1"],
         &["--graph", "mesh3d:1x1x1"],
         &["--graph", "ring:2"],
@@ -161,6 +161,9 @@ fn cli_rejects_out_of_range_input_without_panicking() {
         &["--search-seconds", "-1"],
         // Removed flag: stages are simulated serially, so it is unknown.
         &["--stage-workers", "2"],
+        // An anytime sweep needs CI pruning to ever stop early.
+        &["--online", "--anytime", "--confidence", "0.9"],
+        &["--online", "--anytime", "--prune-during-sweep"],
     ];
     for args in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cloudia"))
