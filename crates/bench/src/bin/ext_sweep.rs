@@ -43,11 +43,21 @@ use cloudia_measure::{MeasureConfig, Scheme, Staged};
 use cloudia_obs::Json;
 use cloudia_online::{ArmOptions, FocusScenario, ProbePolicy};
 
+/// Minimum wall time of one arm's timed block in the telemetry race (s).
+const BLOCK_S: f64 = 0.02;
+/// Block pairs the telemetry race times (odd, so the median is one
+/// pair's ratio).
+const REPS: usize = 101;
+
 /// Telemetry-on vs telemetry-off wall-time ratio of identical staged
-/// sweeps over a scratch network. The two arms are *interleaved* rep by
-/// rep — each rep times both settings back to back under the same
-/// machine conditions — and each arm takes the minimum over all reps,
-/// so scheduler noise and frequency drift cannot inflate one side.
+/// sweeps over a scratch network, as the median over [`REPS`] reps of
+/// the ratio of two back-to-back timed blocks, one per arm. A block
+/// repeats the sweep for at least [`BLOCK_S`] of wall time (a run count
+/// calibrated once, up front), and reps alternate which arm runs first.
+/// A pair shares its host conditions, so a slow drift of the machine's
+/// speed cancels within each ratio and the alternation cancels what the
+/// first block leaves the second; a burst of host noise spoils only the
+/// few pairs it lands on, and the median discards them.
 fn telemetry_overhead_ratio() -> f64 {
     let net = cloudia_bench::standard_network(cloudia_netsim::Provider::test_quiet(), 24, 7);
     let cfg = MeasureConfig { seed: 7, ..MeasureConfig::default() };
@@ -60,16 +70,27 @@ fn telemetry_overhead_ratio() -> f64 {
         }
         t0.elapsed().as_secs_f64()
     };
-    // Warm both arms (allocator, caches, branch predictors).
+    // Warm both arms (allocator, caches, branch predictors), then size a
+    // block from the slower of two short calibration runs.
     time_runs(true, 3);
     time_runs(false, 3);
-    let (runs, reps) = (16, 5);
-    let (mut on, mut off) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        on = on.min(time_runs(true, runs));
-        off = off.min(time_runs(false, runs));
-    }
-    on / off.max(f64::MIN_POSITIVE)
+    let probe = 16;
+    let per_run = time_runs(true, probe).max(time_runs(false, probe)) / probe as f64;
+    let runs = ((BLOCK_S / per_run.max(1e-9)).ceil() as usize).max(probe);
+    let mut ratios: Vec<f64> = (0..REPS)
+        .map(|rep| {
+            let (on, off) = if rep % 2 == 0 {
+                let on = time_runs(true, runs);
+                (on, time_runs(false, runs))
+            } else {
+                let off = time_runs(false, runs);
+                (time_runs(true, runs), off)
+            };
+            on / off.max(f64::MIN_POSITIVE)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[REPS / 2]
 }
 
 fn main() {

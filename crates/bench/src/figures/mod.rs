@@ -11,8 +11,8 @@ mod advisor;
 mod network;
 mod solver;
 
+use crate::approx::{links_by_hop_count, links_by_ip_distance};
 use crate::{Fig, Scale};
-use cloudia_measure::approx::{links_by_hop_count, links_by_ip_distance};
 use cloudia_netsim::Provider;
 
 /// One regenerable figure.

@@ -3,9 +3,9 @@
 //! measurement schemes recover them, and which cheap proxies fail to
 //! predict them. Every figure here is a pure function of its seeds.
 
+use crate::approx::{inversion_rate, GroupedLink};
 use crate::baselines::{token_passing, uncoordinated};
 use crate::{standard_network, true_mean_vector, Fig, Scale};
-use cloudia_measure::approx::{inversion_rate, GroupedLink};
 use cloudia_measure::error::{cdf_at, normalized_relative_errors, pearson, quantile, rmse};
 use cloudia_measure::{MeasureConfig, PairwiseStats, Scheme, Staged};
 use cloudia_netsim::{InstanceId, Network, Provider};

@@ -13,8 +13,9 @@
 //! smokes with asserted acceptance criteria) and the Criterion
 //! micro-benchmarks (`benches/`) stand apart. This library holds the
 //! shared plumbing: standard experiment setups, the [`Fig`] reporter,
-//! the scale switch, and the two §5 measurement baselines the staged
-//! scheme is compared against ([`baselines`]).
+//! the scale switch, the two §5 measurement baselines the staged
+//! scheme is compared against ([`baselines`]), and the Appendix-2
+//! IP-distance and hop-count proxies behind Figs. 16–17 ([`approx`]).
 //!
 //! ## Scale
 //!
@@ -25,6 +26,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod approx;
 pub mod baselines;
 pub mod figures;
 

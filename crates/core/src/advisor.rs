@@ -262,13 +262,11 @@ impl Advisor {
         }
         drop(span);
 
-        // Evaluate default vs optimized on ground truth. `mean_matrix`
-        // builds one flat arena; everything downstream shares it.
-        let truth: CostMatrix = network.mean_matrix();
-        let truth_problem = graph.problem(truth);
-        let default_deployment = truth_problem.default_deployment();
-        let default_cost = truth_problem.cost(self.config.objective, &default_deployment);
-        let optimized_cost = truth_problem.cost(self.config.objective, &search.deployment);
+        // Evaluate default vs optimized on ground truth.
+        let truth = |deployment: &[u32]| self.true_cost(network, graph, deployment);
+        let default_deployment: Vec<u32> = (0..n as u32).collect();
+        let default_cost = truth(&default_deployment);
+        let optimized_cost = truth(&search.deployment);
 
         AdvisorOutcome {
             deployment: search.deployment.clone(),
@@ -280,6 +278,25 @@ impl Advisor {
             terminated: Vec::new(),
             network: network.clone(),
         }
+    }
+
+    /// Ground-truth cost of `deployment` on `network` under the configured
+    /// objective ([`crate::cost::ground_truth_cost`], loss priced at the
+    /// measurement timeout; the plain means on a lossless network).
+    pub(crate) fn true_cost(
+        &self,
+        network: &Network,
+        graph: &CommGraph,
+        deployment: &[u32],
+    ) -> f64 {
+        let timeout_ms = self.config.measurement.config.timeout_ms;
+        crate::cost::ground_truth_cost(
+            network,
+            graph,
+            self.config.objective,
+            deployment,
+            timeout_ms,
+        )
     }
 
     /// Runs only the measurement step (staged scheme).

@@ -3,6 +3,8 @@
 
 pub use cloudia_solver::Objective;
 
+use cloudia_netsim::{InstanceId, Network};
+
 use crate::problem::{CommGraph, CostMatrix, Deployment};
 
 /// Evaluates a deployment's cost for a communication graph under a cost
@@ -15,6 +17,28 @@ pub fn deployment_cost(
     deployment: &Deployment,
 ) -> f64 {
     graph.problem(costs.clone()).cost(objective, deployment)
+}
+
+/// Ground-truth cost of `deployment` on `network`: each link priced at its
+/// expected completion time under a `timeout_ms` sender timeout
+/// ([`Network::effective_mean`]; the plain mean on a lossless network),
+/// over the deployment's own links — a |D|×|D| matrix among the deployed
+/// instances, not the m×m one. The same bits as pricing it over
+/// [`Network::effective_mean_matrix`]: every objective reads only the
+/// deployment's links, in edge order either way.
+pub fn ground_truth_cost(
+    network: &Network,
+    graph: &CommGraph,
+    objective: Objective,
+    deployment: &[u32],
+    timeout_ms: f64,
+) -> f64 {
+    let among = CostMatrix::from_fn(deployment.len(), |x, y| {
+        let (a, b) = (InstanceId(deployment[x]), InstanceId(deployment[y]));
+        network.effective_mean(a, b, timeout_ms)
+    });
+    let local: Vec<u32> = (0..deployment.len() as u32).collect();
+    graph.problem(among).cost(objective, &local)
 }
 
 /// Relative improvement of `optimized` over `baseline` (e.g. 0.25 = 25 %

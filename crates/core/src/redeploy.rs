@@ -94,7 +94,6 @@ pub fn try_redeploy(
     policy: RedeployPolicy,
     seed: u64,
 ) -> Result<RedeployDecision, crate::problem::CostError> {
-    let objective = advisor.config().objective;
     let report = advisor.measure(network, seed);
     let costs = advisor.config().metric.try_cost_matrix(&report.stats)?;
     let hint = SolveHint::warm(current.clone());
@@ -102,8 +101,7 @@ pub fn try_redeploy(
     outcome.measurement_ms = report.elapsed_ms;
     outcome.measurement_round_trips = report.round_trips;
 
-    let problem = graph.problem(network.mean_matrix());
-    let keep_cost = problem.cost(objective, current);
+    let keep_cost = advisor.true_cost(network, graph, current);
 
     let moved_nodes =
         current.iter().zip(&outcome.deployment).filter(|(old, new)| old != new).count();

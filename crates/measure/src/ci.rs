@@ -103,13 +103,6 @@ impl LinkCi {
         Self { mean, lower: (mean - half).max(0.0), upper: mean + half, count, confidence }
     }
 
-    /// A degenerate zero-width interval pinned at `value` — the diagonal
-    /// entries of [`crate::PairwiseStats::ci_matrix`] (a node's latency
-    /// to itself is 0 by definition, not by measurement).
-    pub fn exact(value: f64, confidence: f64) -> Self {
-        Self { mean: value, lower: value, upper: value, count: u64::MAX, confidence }
-    }
-
     /// Point estimate of the mean RTT.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -148,18 +141,6 @@ impl LinkCi {
     /// True if `x` lies inside the interval.
     pub fn covers(&self, x: f64) -> bool {
         x >= self.lower && x <= self.upper
-    }
-
-    /// True when this link is *provably* slower than `other`: the whole
-    /// interval sits above `other`'s — the only evidence strong enough
-    /// to condemn a pair or alarm a detector.
-    pub fn provably_above(&self, other: &LinkCi) -> bool {
-        self.lower > other.upper
-    }
-
-    /// True when this link is provably faster than `other`.
-    pub fn provably_below(&self, other: &LinkCi) -> bool {
-        self.upper < other.lower
     }
 }
 
@@ -313,10 +294,6 @@ mod tests {
         assert!(!one.bounded());
         assert_eq!(one.mean(), 42.0);
         assert_eq!(one.lower(), 0.0);
-        // An unbounded link can never be provably above or below anything.
-        let tight = LinkCi::from_parts(100, 10.0, 9.0, 100, 0, 0.95);
-        assert!(!one.provably_above(&tight));
-        assert!(!one.provably_below(&tight));
     }
 
     #[test]
@@ -340,24 +317,5 @@ mod tests {
         // The widening factor caps at 1 / (1 − MAX_CENSOR_LOSS).
         let dark = LinkCi::from_parts(10, 5.0, 9.0, 1000, 999, 0.95);
         assert!((dark.half_width() - clean.half_width() * 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn separation_is_mutually_exclusive_and_strict() {
-        let low = LinkCi::from_parts(50, 5.0, 4.9, 50, 0, 0.95);
-        let high = LinkCi::from_parts(50, 9.0, 4.9, 50, 0, 0.95);
-        assert!(high.provably_above(&low));
-        assert!(low.provably_below(&high));
-        assert!(!low.provably_above(&high));
-        // Overlapping intervals separate in neither direction.
-        let mid = LinkCi::from_parts(4, 7.0, 48.0, 4, 0, 0.95);
-        assert!(!mid.provably_above(&low) && !mid.provably_below(&high));
-    }
-
-    #[test]
-    fn exact_interval_is_zero_width() {
-        let zero = LinkCi::exact(0.0, 0.95);
-        assert_eq!(zero.half_width(), 0.0);
-        assert!(zero.covers(0.0) && !zero.covers(0.1));
     }
 }

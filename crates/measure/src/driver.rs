@@ -39,6 +39,10 @@ use crate::pairset::PairSet;
 use crate::scheme::{MeasureConfig, MeasurementReport, Scheme};
 use crate::stats::PairwiseStats;
 
+/// Coordination overhead (ms) the coordinator's notify/ack round adds
+/// after every executed stage, for both schedules.
+pub const COORD_OVERHEAD_MS: f64 = 0.3;
+
 /// A mid-sweep pruning policy, evaluated between stages by [`run_pruned`].
 ///
 /// Implementations decide from the *partial* statistics which scheduled
@@ -371,7 +375,6 @@ pub struct StageDriver<'n> {
     /// Each instance's slots, built at the first instance strike.
     slots: Option<Slots>,
     sweeps: usize,
-    coord_overhead_ms: f64,
     sweep: usize,
     stage: usize,
     round_trips: u64,
@@ -471,7 +474,6 @@ impl<'n> StageDriver<'n> {
         stats: PairwiseStats,
         stages: Vec<Vec<(u32, u32, usize)>>,
         sweeps: usize,
-        coord_overhead_ms: f64,
     ) -> Self {
         let n = net.len();
         assert!(n >= 2, "need at least two instances to measure");
@@ -499,7 +501,6 @@ impl<'n> StageDriver<'n> {
             live,
             slots: None,
             sweeps,
-            coord_overhead_ms,
             sweep: 0,
             stage: 0,
             round_trips: 0,
@@ -605,7 +606,7 @@ impl<'n> StageDriver<'n> {
             self.tombstone(self.stage, pid);
         }
         // Coordinator round before the next stage.
-        self.now += self.coord_overhead_ms;
+        self.now += COORD_OVERHEAD_MS;
         self.advance_position();
         true
     }
@@ -915,8 +916,7 @@ mod tests {
                 for retain_at in [0, 1, stages.len() * (sweeps - 1) + 1] {
                     for drop in [(|a, _| a == 1) as fn(u32, u32) -> bool, |a, b| (a + b) % 2 == 1] {
                         let stats = PairwiseStats::new(n);
-                        let d =
-                            StageDriver::new("t", &net, &cfg, stats, stages.clone(), sweeps, 0.3);
+                        let d = StageDriver::new("t", &net, &cfg, stats, stages.clone(), sweeps);
                         walk_against_hashed(d, retain_at, drop);
                     }
                 }
@@ -930,8 +930,7 @@ mod tests {
         let net = with_instance_zero_dark(network(n, 9));
         let cfg = MeasureConfig::default();
         let stages = Staged::tournament(n, |a, b| (a, b, 2));
-        let driver =
-            || StageDriver::new("t", &net, &cfg, PairwiseStats::new(n), stages.clone(), 3, 0.3);
+        let driver = || StageDriver::new("t", &net, &cfg, PairwiseStats::new(n), stages.clone(), 3);
         // The strike happens: instance 0's first-stage pair leaves the
         // schedule although two more sweeps would have repeated it.
         let mut d = driver();
@@ -946,15 +945,7 @@ mod tests {
     fn a_schedule_that_repeats_a_pair_is_rejected_in_every_build() {
         let net = network(4, 1);
         let stages = vec![vec![(0, 1, 2), (2, 3, 2)], vec![(1, 0, 2)]];
-        StageDriver::new(
-            "t",
-            &net,
-            &MeasureConfig::default(),
-            PairwiseStats::new(4),
-            stages,
-            2,
-            0.3,
-        );
+        StageDriver::new("t", &net, &MeasureConfig::default(), PairwiseStats::new(4), stages, 2);
     }
 
     #[test]

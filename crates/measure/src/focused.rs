@@ -176,9 +176,6 @@ pub struct FocusedScheme {
     /// Sweeps over the plan; directions alternate between sweeps, so two
     /// sweeps cover both directions of every planned link.
     pub sweeps: usize,
-    /// Coordination overhead added between stages (ms), matching
-    /// [`crate::Staged`]'s coordinator notify/ack round.
-    pub coord_overhead_ms: f64,
     /// Per-pair Ks overrides (unordered, normalized `(low, high)` keys):
     /// pairs the caller wants sampled deeper than the base `ks` — e.g.
     /// detector-flagged links funded by round trips saved through
@@ -191,7 +188,7 @@ impl FocusedScheme {
     /// sweep count.
     pub fn new(plan: ProbePlan, ks: usize, sweeps: usize) -> Self {
         assert!(ks > 0 && sweeps > 0, "ks and sweeps must be positive");
-        Self { plan, ks, sweeps, coord_overhead_ms: 0.3, deep: BTreeMap::new() }
+        Self { plan, ks, sweeps, deep: BTreeMap::new() }
     }
 
     /// Raises the per-pair round-trip quota of the given planned pairs to
@@ -215,12 +212,6 @@ impl FocusedScheme {
     /// or its deepened override.
     pub fn pair_ks(&self, a: u32, b: u32) -> usize {
         self.deep.get(&(a.min(b), a.max(b))).copied().unwrap_or(self.ks)
-    }
-
-    /// Round trips one run of this scheme collects (barring a duration
-    /// limit): `sweeps × Σ pair_ks`.
-    pub fn planned_round_trips(&self) -> u64 {
-        self.sweeps as u64 * self.plan.pairs().map(|(a, b)| self.pair_ks(a, b) as u64).sum::<u64>()
     }
 
     /// Round trips the deepened overrides add beyond a uniform-`ks` run:
@@ -257,7 +248,7 @@ impl Scheme for FocusedScheme {
             .into_iter()
             .map(|stage| stage.into_iter().map(|(a, b)| (a, b, self.pair_ks(a, b))).collect())
             .collect();
-        StageDriver::new("focused", net, cfg, stats, stages, self.sweeps, self.coord_overhead_ms)
+        StageDriver::new("focused", net, cfg, stats, stages, self.sweeps)
     }
 }
 
@@ -488,13 +479,20 @@ mod tests {
         assert_eq!(report.stats.covered_links(), 0);
     }
 
+    /// Round trips one run of `scheme` collects barring a duration
+    /// limit: `sweeps × Σ pair_ks`.
+    fn planned_round_trips(scheme: &FocusedScheme) -> u64 {
+        let per_sweep = scheme.plan.pairs().map(|(a, b)| scheme.pair_ks(a, b) as u64).sum::<u64>();
+        scheme.sweeps as u64 * per_sweep
+    }
+
     #[test]
     fn duration_limit_stops_sweeps() {
         let net = network(8, 6);
         let cfg = MeasureConfig { max_duration_ms: Some(5.0), ..Default::default() };
         let scheme = FocusedScheme::new(ProbePlan::full(8), 5, 1000);
         let report = scheme.run(&net, &cfg);
-        assert!(report.round_trips < scheme.planned_round_trips());
+        assert!(report.round_trips < planned_round_trips(&scheme));
     }
 
     #[test]
@@ -503,14 +501,14 @@ mod tests {
         let mut plan = ProbePlan::new(8);
         plan.add_clique(&[0, 1, 2, 3]);
         let mut scheme = FocusedScheme::new(plan, 2, 2);
-        let base_planned = scheme.planned_round_trips();
+        let base_planned = planned_round_trips(&scheme);
         scheme.deepen(&[(0, 1), (2, 3)], 5);
         assert_eq!(scheme.pair_ks(1, 0), 5, "deepening is direction-agnostic");
         assert_eq!(scheme.pair_ks(0, 2), 2);
         assert_eq!(scheme.deep_extra_round_trips(), 2 * 2 * 3);
-        assert_eq!(scheme.planned_round_trips(), base_planned + scheme.deep_extra_round_trips());
+        assert_eq!(planned_round_trips(&scheme), base_planned + scheme.deep_extra_round_trips());
         let report = scheme.run(&net, &MeasureConfig::default());
-        assert_eq!(report.round_trips, scheme.planned_round_trips());
+        assert_eq!(report.round_trips, planned_round_trips(&scheme));
         // Two sweeps: each direction of a deepened pair sampled once at
         // the deepened quota.
         assert_eq!(report.stats.link(0, 1).count(), 5);

@@ -24,9 +24,8 @@
 //! tournament shrinks while it is still in flight.
 //!
 //! Per-link summaries (mean via Welford, p99 via the P² algorithm) feed the
-//! three cost metrics of §3.2. [`approx`] holds the Appendix-2 IP-distance
-//! and hop-count proxies (negative results), and [`error`] the vector
-//! comparison used to score scheme accuracy.
+//! three cost metrics of §3.2, and [`error`] holds the vector comparison
+//! used to score scheme accuracy.
 //!
 //! ```
 //! use cloudia_netsim::{Cloud, Provider};
@@ -42,7 +41,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod approx;
 pub mod ci;
 pub mod driver;
 pub mod error;
@@ -56,7 +54,7 @@ pub mod stats;
 pub use ci::{t_critical, LinkCi};
 pub use driver::{
     run_anytime, run_pruned, run_with_rules, AnytimeReport, LinkDelta, PruneRule, StageDriver,
-    StopRule,
+    StopRule, COORD_OVERHEAD_MS,
 };
 pub use focused::{FocusedScheme, ProbePlan};
 pub use pairset::PairSet;

@@ -26,16 +26,13 @@ pub struct Staged {
     /// Number of full tournament sweeps (each sweep measures every
     /// unordered pair once; direction alternates between sweeps).
     pub sweeps: usize,
-    /// Coordination overhead added between stages (ms) — the cost of the
-    /// coordinator's notify/ack round.
-    pub coord_overhead_ms: f64,
 }
 
 impl Staged {
     /// Creates a staged scheme with `Ks = ks` and the given sweep count.
     pub fn new(ks: usize, sweeps: usize) -> Self {
         assert!(ks > 0 && sweeps > 0, "ks and sweeps must be positive");
-        Self { ks, sweeps, coord_overhead_ms: 0.3 }
+        Self { ks, sweeps }
     }
 
     /// Round-robin tournament pairing (circle method) for `n` players,
@@ -102,7 +99,7 @@ impl Scheme for Staged {
         // The round-robin tournament, every pair sampled `ks` times per
         // stage.
         let stages = Self::tournament(n, |a, b| (a, b, self.ks));
-        StageDriver::new("staged", net, cfg, stats, stages, self.sweeps, self.coord_overhead_ms)
+        StageDriver::new("staged", net, cfg, stats, stages, self.sweeps)
     }
 }
 

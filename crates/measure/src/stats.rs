@@ -232,7 +232,6 @@ pub struct PairwiseStats {
     attempts_total: u64,
     timeouts_total: u64,
     covered: usize,
-    attempted: usize,
     touch_log: TouchLog,
 }
 
@@ -258,7 +257,6 @@ impl PairwiseStats {
             attempts_total: 0,
             timeouts_total: 0,
             covered: 0,
-            attempted: 0,
             touch_log: TouchLog::with_capacity(TOUCH_LOG_PER_INSTANCE * n),
         }
     }
@@ -339,9 +337,6 @@ impl PairwiseStats {
         let idx = src * n + dst;
         self.touch_page(idx);
         self.touch_log.push(idx);
-        if attempts > 0 && self.attempts[idx] == 0 {
-            self.attempted += 1;
-        }
         self.attempts[idx] += attempts;
         self.timeouts[idx] += timeouts;
         self.attempts_total += attempts;
@@ -382,17 +377,6 @@ impl PairwiseStats {
     /// Counts one timed-out probe on the directed link `src → dst`.
     pub fn record_timeout(&mut self, src: usize, dst: usize) {
         self.record_link(src, dst, 0, 1, &[]);
-    }
-
-    /// Counts `k` probes issued on the directed link `src → dst`; `k = 0`
-    /// is a no-op (in particular it does not mark the link attempted).
-    pub fn record_attempts(&mut self, src: usize, dst: usize, k: u64) {
-        self.record_link(src, dst, k, 0, &[]);
-    }
-
-    /// Counts `k` timed-out probes on the directed link `src → dst`.
-    pub fn record_timeouts(&mut self, src: usize, dst: usize, k: u64) {
-        self.record_link(src, dst, 0, k, &[]);
     }
 
     /// Current quiet-time tick (the stage counter spilling ages against).
@@ -472,14 +456,6 @@ impl PairwiseStats {
     pub fn total_timeouts(&self) -> u64 {
         debug_assert_eq!(self.timeouts_total, self.timeouts.iter().sum::<u64>());
         self.timeouts_total
-    }
-
-    /// Number of off-diagonal links probed at least once (successfully
-    /// or not) — under loss this can exceed
-    /// [`PairwiseStats::covered_links`].
-    pub fn attempted_links(&self) -> usize {
-        debug_assert_eq!(self.attempted, self.attempts.iter().filter(|&&a| a > 0).count());
-        self.attempted
     }
 
     /// The summary of one directed link, as a copyable view.
@@ -647,33 +623,6 @@ impl PairwiseStats {
             confidence,
             critical,
         )
-    }
-
-    /// Read-time CI matrix: one [`LinkCi`] per ordered pair, row-major
-    /// (`src * n + dst`), streamed straight from the columns. Diagonal
-    /// entries are the exact zero interval (a node's latency to itself
-    /// is 0 by definition, not by measurement).
-    pub fn ci_matrix(&self, confidence: f64) -> Vec<LinkCi> {
-        let mut out = Vec::with_capacity(self.n * self.n);
-        for i in 0..self.n {
-            let row = i * self.n;
-            for j in 0..self.n {
-                if i == j {
-                    out.push(LinkCi::exact(0.0, confidence));
-                } else {
-                    let idx = row + j;
-                    out.push(LinkCi::from_parts(
-                        self.count[idx],
-                        self.mean[idx],
-                        self.m2[idx],
-                        self.attempts[idx],
-                        self.timeouts[idx],
-                        confidence,
-                    ));
-                }
-            }
-        }
-        out
     }
 
     /// Builds a cost matrix by streaming a per-link-index function over
@@ -975,7 +924,7 @@ mod tests {
         // A fully dark link is attempted but never covered.
         s.record_attempt(1, 2);
         s.record_timeout(1, 2);
-        assert_eq!(s.attempted_links(), 2);
+        assert_eq!(s.attempts_column().iter().filter(|&&a| a > 0).count(), 2);
         assert_eq!(s.covered_links(), 1);
     }
 
@@ -1048,7 +997,7 @@ mod tests {
     }
 
     #[test]
-    fn ci_accessor_matches_columns_and_matrix() {
+    fn ci_accessor_matches_columns() {
         let mut s = PairwiseStats::new(3);
         for x in [4.0, 5.0, 6.0, 5.0, 4.5, 5.5] {
             s.record(0, 1, x);
@@ -1064,11 +1013,9 @@ mod tests {
         assert!(!s.ci(1, 0, 0.95).bounded());
         // Unprobed: unbounded with zero mean.
         assert!(!s.ci(2, 1, 0.95).bounded());
-        // The flat matrix agrees cell-for-cell and pins the diagonal.
-        let m = s.ci_matrix(0.95);
-        assert_eq!(m.len(), 9);
-        assert_eq!(m[1], ci);
-        assert_eq!(m[0], crate::ci::LinkCi::exact(0.0, 0.95));
+        // The interval is the one the Welford and probe columns give.
+        let (c, mean, m2, a, t) = (s.count[1], s.mean[1], s.m2[1], s.attempts[1], s.timeouts[1]);
+        assert_eq!(ci, crate::ci::LinkCi::from_parts(c, mean, m2, a, t, 0.95));
     }
 
     #[test]
@@ -1121,29 +1068,6 @@ mod tests {
         assert_eq!(s.total_attempts(), s.attempts.iter().sum::<u64>());
         assert_eq!(s.total_timeouts(), s.timeouts.iter().sum::<u64>());
         assert_eq!(s.covered_links(), s.count.iter().filter(|&&c| c > 0).count());
-        assert_eq!(s.attempted_links(), s.attempts.iter().filter(|&&a| a > 0).count());
-    }
-
-    #[test]
-    fn bulk_attempt_and_timeout_match_the_loop_forms() {
-        let mut bulk = PairwiseStats::new(4);
-        let mut looped = PairwiseStats::new(4);
-        bulk.record_attempts(0, 1, 5);
-        bulk.record_timeouts(0, 1, 2);
-        // k = 0 is a no-op and must not mark the link attempted.
-        bulk.record_attempts(2, 3, 0);
-        bulk.record_timeouts(2, 3, 0);
-        for _ in 0..5 {
-            looped.record_attempt(0, 1);
-        }
-        for _ in 0..2 {
-            looped.record_timeout(0, 1);
-        }
-        assert_eq!(bulk.link(0, 1).attempts(), looped.link(0, 1).attempts());
-        assert_eq!(bulk.link(0, 1).timeouts(), looped.link(0, 1).timeouts());
-        assert_eq!(bulk.total_attempts(), 5);
-        assert_eq!(bulk.total_timeouts(), 2);
-        assert_eq!(bulk.attempted_links(), 1);
     }
 
     // `record(0, n, x)` used to land in link 1→0's cells in release builds.
@@ -1155,8 +1079,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "bad link 2→2")]
-    fn record_attempts_rejects_the_diagonal() {
-        PairwiseStats::new(4).record_attempts(2, 2, 1);
+    fn record_attempt_rejects_the_diagonal() {
+        PairwiseStats::new(4).record_attempt(2, 2);
     }
 
     #[test]
@@ -1207,7 +1131,6 @@ mod tests {
         assert_eq!(merged.total_attempts(), serial.total_attempts());
         assert_eq!(merged.total_timeouts(), serial.total_timeouts());
         assert_eq!(merged.covered_links(), serial.covered_links());
-        assert_eq!(merged.attempted_links(), serial.attempted_links());
         for src in 0..n {
             for dst in 0..n {
                 if src != dst {
@@ -1230,9 +1153,9 @@ mod tests {
         let mut s = PairwiseStats::new(4);
         let c0 = s.touch_cursor();
         s.record(0, 1, 1.0);
-        s.record_attempts(2, 3, 2);
-        s.record_timeouts(2, 3, 1);
-        s.record_attempts(1, 0, 0); // k = 0 changes nothing, logs nothing
+        s.record_link(2, 3, 2, 0, &[]);
+        s.record_link(2, 3, 0, 1, &[]);
+        s.record_link(1, 0, 0, 0, &[]); // all-empty changes nothing, logs nothing
         let c1 = s.touch_cursor();
         s.record_link(0, 2, 0, 0, &[]); // all-empty changes nothing, logs nothing
         s.record_link(1, 2, 1, 0, &[]);

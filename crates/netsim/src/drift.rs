@@ -121,7 +121,7 @@ pub struct DriftingNetwork {
     log_mult: Vec<f64>,
     hours: f64,
     rng: StdRng,
-    /// Optional evolving fault process (per-link loss drift, blackouts,
+    /// Optional evolving fault process (per-link loss drift, scripted
     /// dark instances). Drawn from its own RNG so a fault schedule never
     /// perturbs the latency trajectory.
     faults: Option<FaultState>,
@@ -132,11 +132,9 @@ pub struct DriftingNetwork {
 struct FaultState {
     params: FaultParams,
     /// One loss OU log-multiplier per directed link (loss = base ·
-    /// exp(X_t)), under `params.loss_drift`.
+    /// exp(X_t)), under [`DriftParams::default`].
     log_mult: Vec<f64>,
-    /// Simulated hour each link's blackout ends (row-major; 0 = none).
-    link_blackout_until: Vec<f64>,
-    /// Simulated hour each instance's unresponsive window ends.
+    /// Simulated hour each instance's scripted unresponsive window ends.
     instance_dark_until: Vec<f64>,
     /// Dedicated fault RNG: the latency drift RNG stream is identical
     /// with faults on or off.
@@ -185,7 +183,6 @@ impl DriftingNetwork {
         self.faults = Some(FaultState {
             params,
             log_mult: vec![0.0; n * n],
-            link_blackout_until: vec![0.0; n * n],
             instance_dark_until: vec![0.0; n],
             rng: StdRng::seed_from_u64(fault_seed ^ 0xfa_17_fa_17_fa_17_fa_17),
         });
@@ -195,8 +192,8 @@ impl DriftingNetwork {
 
     /// Scripted fault injection: makes one instance unresponsive for
     /// `hours` of simulated time starting now (all its links dark in
-    /// both directions). Used by scenarios that need a reproducible
-    /// blackout at a known epoch rather than a Poisson draw.
+    /// both directions) — the one way an instance goes dark, so a
+    /// blackout lands at a known, reproducible epoch.
     ///
     /// # Panics
     /// Panics if no fault process is attached.
@@ -212,16 +209,10 @@ impl DriftingNetwork {
         self.faults.as_ref().is_some_and(|f| f.instance_dark_until[instance.index()] > self.hours)
     }
 
-    /// The current drop probability of one directed link (0 without
-    /// faults).
-    pub fn link_loss(&self, src: crate::InstanceId, dst: crate::InstanceId) -> f64 {
-        self.net.drop_prob(src, dst)
-    }
-
     /// Advances every link's drift process by `dt_hours` and returns the
     /// updated network view. With faults attached, the per-link loss OU
-    /// processes advance too, blackout/dark windows open by Poisson draw
-    /// and expire, and the network's loss plane is rewritten.
+    /// processes advance too, scripted dark windows expire, and the
+    /// network's loss plane is rewritten.
     pub fn step(&mut self, dt_hours: f64) -> &Network {
         let n = self.net.len();
         let (decay, sd) = self.params.transition(dt_hours);
@@ -253,25 +244,11 @@ impl DriftingNetwork {
         let Some(faults) = self.faults.as_mut() else {
             return;
         };
-        let params = faults.params;
-        let p_blackout = 1.0 - (-params.blackout_per_link_hour * dt_hours).exp();
-        let p_dark = 1.0 - (-params.dark_instance_per_hour * dt_hours).exp();
         // The new multipliers are read (one `exp` each) by
         // `refresh_loss_plane`, so the step only moves the log states.
-        let (decay, sd) = params.loss_drift.transition(dt_hours);
-        for idx in 0..n * n {
-            if idx / n == idx % n {
-                continue;
-            }
+        let (decay, sd) = DriftParams::default().transition(dt_hours);
+        for idx in (0..n * n).filter(|idx| idx / n != idx % n) {
             faults.log_mult[idx] = ou_step(faults.log_mult[idx], decay, sd, &mut faults.rng);
-            if p_blackout > 0.0 && faults.rng.random::<f64>() < p_blackout {
-                faults.link_blackout_until[idx] = self.hours + params.blackout_hours;
-            }
-        }
-        for i in 0..n {
-            if p_dark > 0.0 && faults.rng.random::<f64>() < p_dark {
-                faults.instance_dark_until[i] = self.hours + params.dark_instance_hours;
-            }
         }
         self.refresh_loss_plane();
     }
@@ -294,8 +271,7 @@ impl DriftingNetwork {
                 }
                 let idx = i * n + j;
                 let dark = faults.instance_dark_until[i] > self.hours
-                    || faults.instance_dark_until[j] > self.hours
-                    || faults.link_blackout_until[idx] > self.hours;
+                    || faults.instance_dark_until[j] > self.hours;
                 let p = if dark {
                     DARK_DROP
                 } else {
@@ -320,30 +296,6 @@ impl DriftingNetwork {
     /// Simulated hours elapsed since construction.
     pub fn hours(&self) -> f64 {
         self.hours
-    }
-
-    /// The current drifted mean RTT (ms) of one directed link — the
-    /// ground truth a focused probe of that link estimates.
-    pub fn link_mean(&self, src: crate::InstanceId, dst: crate::InstanceId) -> f64 {
-        self.net.mean_rtt(src, dst)
-    }
-
-    /// Draws one probe RTT sample (1 KB) of `src → dst` from the current
-    /// drifted truth, using the drifting network's own RNG stream — the
-    /// per-link spot-check API for callers that want to verify a single
-    /// suspicious link without scheduling a measurement round.
-    pub fn probe_rtt(&mut self, src: crate::InstanceId, dst: crate::InstanceId) -> f64 {
-        self.net.sample_rtt(src, dst, &mut self.rng)
-    }
-
-    /// Like [`DriftingNetwork::probe_rtt`] for a `size_kb`-KB message.
-    pub fn probe_rtt_sized(
-        &mut self,
-        src: crate::InstanceId,
-        dst: crate::InstanceId,
-        size_kb: f64,
-    ) -> f64 {
-        self.net.sample_rtt_sized(src, dst, size_kb, &mut self.rng)
     }
 }
 
@@ -516,33 +468,22 @@ mod tests {
     }
 
     #[test]
-    fn per_link_probes_track_the_drifted_truth() {
+    fn probes_of_the_drifted_view_track_the_drifted_truth() {
         let mut d = drifting_setup();
         d.step(5.0);
         let (a, b) = (crate::InstanceId(0), crate::InstanceId(2));
-        let truth = d.link_mean(a, b);
-        assert_eq!(truth, d.network().mean_rtt(a, b));
+        let truth = d.network().mean_rtt(a, b);
         // Probe samples average to the current drifted mean.
+        let mut rng = StdRng::seed_from_u64(5);
         let samples = 4000;
-        let avg: f64 = (0..samples).map(|_| d.probe_rtt(a, b)).sum::<f64>() / samples as f64;
+        let avg: f64 = (0..samples).map(|_| d.network().sample_rtt(a, b, &mut rng)).sum::<f64>()
+            / samples as f64;
         assert!((avg / truth - 1.0).abs() < 0.1, "probe avg {avg} vs truth {truth}");
         // Sized probes cost more than 1 KB probes on average.
-        let big: f64 = (0..500).map(|_| d.probe_rtt_sized(a, b, 64.0)).sum::<f64>() / 500.0;
+        let big: f64 =
+            (0..500).map(|_| d.network().sample_rtt_sized(a, b, 64.0, &mut rng)).sum::<f64>()
+                / 500.0;
         assert!(big > avg, "64 KB probe {big} not above 1 KB probe {avg}");
-    }
-
-    #[test]
-    fn probes_advance_the_drift_rng_deterministically() {
-        let mut cloud = crate::Cloud::boot(crate::Provider::ec2_like(), 7);
-        let alloc = cloud.allocate(4);
-        let net = cloud.network(&alloc);
-        let run = || {
-            let mut d = DriftingNetwork::new(net.clone(), 1);
-            let p = d.probe_rtt(crate::InstanceId(0), crate::InstanceId(1));
-            d.step(1.0);
-            (p, d.network().mean_rtt(crate::InstanceId(0), crate::InstanceId(1)))
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]
@@ -582,7 +523,7 @@ mod tests {
         let n = 6;
         let base = d.clone();
         let mut latency = vec![DriftProcess::at_equilibrium(base.params); n * n];
-        let mut loss = vec![DriftProcess::at_equilibrium(faults.loss_drift); n * n];
+        let mut loss = vec![DriftProcess::at_equilibrium(DriftParams::default()); n * n];
         let mut rng = StdRng::seed_from_u64(3);
         let mut fault_rng = StdRng::seed_from_u64(7 ^ 0xfa_17_fa_17_fa_17_fa_17);
         for dt in [2.0, 0.5, 6.0, 0.0, 1.0] {
@@ -601,7 +542,7 @@ mod tests {
                 let mean = LinkProfile { base_mean: p.base_mean * latency[idx].multiplier(), ..p };
                 assert_eq!(d.network().mean_rtt(a, b).to_bits(), mean.mean_rtt().to_bits());
                 let drop = (0.05 * loss[idx].multiplier()).clamp(0.0, 1.0);
-                assert_eq!(d.link_loss(a, b).to_bits(), drop.to_bits());
+                assert_eq!(d.network().drop_prob(a, b).to_bits(), drop.to_bits());
             }
         }
     }
@@ -614,7 +555,7 @@ mod tests {
         let steps = 500;
         for _ in 0..steps {
             d.step(1.0);
-            let p = d.link_loss(a, b);
+            let p = d.network().drop_prob(a, b);
             assert!(p > 0.0 && p < 0.5, "loss {p} out of band");
             acc += p;
         }
@@ -631,16 +572,16 @@ mod tests {
         assert!(d.instance_dark(victim));
         for j in 0..6u32 {
             if j != 2 {
-                assert_eq!(d.link_loss(victim, crate::InstanceId(j)), DARK_DROP);
-                assert_eq!(d.link_loss(crate::InstanceId(j), victim), DARK_DROP);
+                assert_eq!(d.network().drop_prob(victim, crate::InstanceId(j)), DARK_DROP);
+                assert_eq!(d.network().drop_prob(crate::InstanceId(j), victim), DARK_DROP);
             }
         }
         // Other links keep their drifting loss.
-        assert!(d.link_loss(crate::InstanceId(0), crate::InstanceId(1)) < 0.5);
+        assert!(d.network().drop_prob(crate::InstanceId(0), crate::InstanceId(1)) < 0.5);
         // The window expires with time.
         d.step(4.0);
         assert!(!d.instance_dark(victim));
-        assert!(d.link_loss(victim, crate::InstanceId(0)) < 0.5);
+        assert!(d.network().drop_prob(victim, crate::InstanceId(0)) < 0.5);
     }
 
     #[test]

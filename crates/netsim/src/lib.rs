@@ -63,7 +63,7 @@ pub use drift::{DriftParams, DriftProcess, DriftingNetwork, LinkTrace};
 pub use engine::{DeliveredMessage, Engine, MessageSpec, NicParams, DEFAULT_TIMEOUT_MS};
 pub use ids::{HostId, InstanceId, PodId, RackId};
 pub use latency::{LatencyModel, LinkProfile};
-pub use loss::{FaultParams, LossPlane, DARK_DROP};
+pub use loss::{loss_priced_mean, FaultParams, LossPlane, DARK_DROP};
 pub use network::{Cloud, Network};
 pub use provider::{Provider, ProviderKind};
 pub use tenancy::{Allocation, Occupancy};

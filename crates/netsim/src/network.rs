@@ -12,7 +12,7 @@ use crate::drift::{DriftParams, LinkTrace};
 use crate::engine::{Engine, NicParams};
 use crate::ids::InstanceId;
 use crate::latency::{LatencyModel, LinkProfile};
-use crate::loss::LossPlane;
+use crate::loss::{loss_priced_mean, LossPlane};
 use crate::provider::Provider;
 use crate::tenancy::{Allocation, Occupancy};
 use crate::topology::Topology;
@@ -216,11 +216,6 @@ impl Network {
         self.loss.as_mut()
     }
 
-    /// Removes the loss plane (back to a lossless network).
-    pub fn clear_loss(&mut self) {
-        self.loss = None;
-    }
-
     /// Per-directed-link drop probability (0 without a loss plane).
     pub fn drop_prob(&self, src: InstanceId, dst: InstanceId) -> f64 {
         self.loss.as_ref().map_or(0.0, |plane| plane.drop_prob(src, dst))
@@ -229,20 +224,16 @@ impl Network {
     /// Ground-truth *effective* mean RTT of the directed link `src → dst`
     /// under loss: the expected completion time of one reliable
     /// request/reply exchange when every failed attempt (probe or reply
-    /// dropped) costs a `timeout_ms` wait before the retransmit. Without a
-    /// loss plane this is exactly [`Network::mean_rtt`].
-    ///
-    /// The per-attempt success probability is `(1 − p_fwd)(1 − p_rev)`,
-    /// floored at 1% so a fully dark link prices as ~99 timeouts rather
-    /// than infinity.
+    /// dropped) costs a `timeout_ms` wait before the retransmit
+    /// ([`crate::loss::loss_priced_mean`] over the link's two drop
+    /// probabilities). On a lossless link, and without a loss plane, this
+    /// is exactly [`Network::mean_rtt`].
     pub fn effective_mean(&self, src: InstanceId, dst: InstanceId, timeout_ms: f64) -> f64 {
         let mean = self.mean_rtt(src, dst);
         let Some(plane) = self.loss.as_ref() else {
             return mean;
         };
-        let success =
-            ((1.0 - plane.drop_prob(src, dst)) * (1.0 - plane.drop_prob(dst, src))).max(0.01);
-        mean + (1.0 / success - 1.0) * timeout_ms
+        loss_priced_mean(mean, plane.drop_prob(src, dst), plane.drop_prob(dst, src), timeout_ms)
     }
 
     /// [`Network::effective_mean`] of every link, as a cost matrix
@@ -476,8 +467,6 @@ mod tests {
         assert_eq!(net.clone().drop_prob(InstanceId(1), InstanceId(2)), 0.3);
         let sub = net.prefix(4);
         assert_eq!(sub.drop_prob(InstanceId(1), InstanceId(2)), 0.3);
-        net.clear_loss();
-        assert!(net.loss().is_none());
     }
 
     #[test]

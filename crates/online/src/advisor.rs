@@ -10,16 +10,17 @@
 //! incumbent plan. A repair is only applied when its estimated gain
 //! clears the [`RedeployPolicy`] economics net of the per-node migration
 //! cost; every epoch, trigger, re-solve, and migration lands in the event
-//! log, and the ground-truth cost of the active plan is tracked as a cost
-//! curve.
+//! log, and the ground-truth cost of the active plan is booked every
+//! epoch ([`EpochSummary::true_cost`]).
 
 use std::cell::OnceCell;
 
 use cloudia_core::{
-    CommGraph, CostError, CostMatrix, Deployment, NodeDeployment, Objective, RedeployPolicy,
+    ground_truth_cost, CommGraph, CostError, CostMatrix, Deployment, NodeDeployment, Objective,
+    RedeployPolicy,
 };
 use cloudia_measure::{FocusedScheme, ProbePlan, PruneRule, Scheme, StopRule};
-use cloudia_netsim::{InstanceId, Network};
+use cloudia_netsim::{loss_priced_mean, Network};
 use cloudia_obs::{RingLog, RunRecorder};
 use cloudia_solver::candidates::{PoolIndex, SharedIndex};
 use cloudia_solver::{AdaptivePool, CandidateConfig, CandidatePruneRule, CandidateSet, PoolPolicy};
@@ -440,7 +441,6 @@ pub struct OnlineAdvisor {
     events: RingLog<OnlineEvent>,
     /// Optional JSONL sink streaming every event and epoch summary.
     recorder: Option<RunRecorder>,
-    cost_curve: Vec<(f64, f64)>,
     total_true_cost: f64,
     migration_cost_paid: f64,
     moved_total: u64,
@@ -538,7 +538,6 @@ impl OnlineAdvisor {
             last_resolve: None,
             events,
             recorder: None,
-            cost_curve: Vec::new(),
             total_true_cost: 0.0,
             migration_cost_paid: 0.0,
             moved_total: 0,
@@ -601,11 +600,6 @@ impl OnlineAdvisor {
             rec.record("event", trace::event_to_json(&event));
         }
         self.events.push(event);
-    }
-
-    /// Ground-truth cost of the active plan over time: `(hours, cost)`.
-    pub fn cost_curve(&self) -> &[(f64, f64)] {
-        &self.cost_curve
     }
 
     /// Recorded trigger instances (only with `record_triggers`).
@@ -794,11 +788,11 @@ impl OnlineAdvisor {
         let mut rule = CandidatePruneRule::new(self.graph.num_nodes(), pool_config)
             .with_incumbent(&self.deployment);
         if let Some(confidence) = self.config.confidence {
-            // The indifference margin mirrors the anytime error bound: an
-            // ε-tie at the pool boundary costs at most what the contract
-            // already concedes, so it may be settled rather than probed
-            // forever.
-            rule = rule.with_confidence(confidence).with_tolerance(1.0 - confidence);
+            // Its `1 − confidence` indifference margin mirrors the anytime
+            // error bound: an ε-tie at the pool boundary costs at most what
+            // the contract already concedes, so it may be settled rather
+            // than probed forever.
+            rule = rule.with_confidence(confidence);
         }
         if let Some(index) = &self.rule_index {
             rule = rule.with_index(index);
@@ -927,9 +921,9 @@ impl OnlineAdvisor {
     ///
     /// Packet loss is priced in as *expected completion time*: a link
     /// with loss-rate EWMAs `p` (per direction) costs its mean plus the
-    /// expected timeouts, `mean + (1/success − 1)·timeout_ms` — the same
-    /// shape [`Network::effective_mean`] gives the ground truth, but from
-    /// the store's own estimates. A dark link (loss → 1, success floored
+    /// expected timeouts ([`loss_priced_mean`]) — the rule
+    /// [`Network::effective_mean`] prices the ground truth by, fed the
+    /// store's own estimates. A dark link (loss → 1, success floored
     /// at 1%) prices at ~99 timeouts, so ranking-based consumers
     /// ([`select_free_nodes`](crate::repair::select_free_nodes), candidate
     /// pools, the evacuation re-solve) push away from dark instances on
@@ -946,14 +940,8 @@ impl OnlineAdvisor {
         let n = self.store.len();
         let (mean, loss, sampled) = (&self.store.mean, &self.store.loss_rate, &self.store.sampled);
         let price = |base: f64, i: usize, j: usize| {
-            let (fwd, rev) = if self.config.loss_aware {
-                (loss[i * n + j], loss[j * n + i])
-            } else {
-                (0.0, 0.0)
-            };
-            if fwd > 0.0 || rev > 0.0 {
-                let success = ((1.0 - fwd) * (1.0 - rev)).max(0.01);
-                base + (1.0 / success - 1.0) * self.config.timeout_ms
+            if self.config.loss_aware {
+                loss_priced_mean(base, loss[i * n + j], loss[j * n + i], self.config.timeout_ms)
             } else {
                 base
             }
@@ -1004,18 +992,11 @@ impl OnlineAdvisor {
     }
 
     /// Ground-truth cost of `deployment` on `net`, priced as expected
-    /// completion time under the configured timeout
-    /// ([`Network::effective_mean`]; plain means on a loss-free network):
-    /// the same bits as pricing it over
-    /// [`Network::effective_mean_matrix`], from the |D|×|D| links among
-    /// the deployed instances only.
+    /// completion time under the configured timeout over the deployment's
+    /// own links ([`ground_truth_cost`]).
     fn true_cost(&self, net: &Network, deployment: &[u32]) -> f64 {
-        let timeout_ms = self.config.timeout_ms;
-        let among = CostMatrix::from_fn(deployment.len(), |x, y| {
-            net.effective_mean(InstanceId(deployment[x]), InstanceId(deployment[y]), timeout_ms)
-        });
-        let local: Vec<u32> = (0..deployment.len() as u32).collect();
-        self.graph.problem(among).cost(self.config.objective, &local)
+        let (objective, timeout_ms) = (self.config.objective, self.config.timeout_ms);
+        ground_truth_cost(net, &self.graph, objective, deployment, timeout_ms)
     }
 
     /// Ingests one epoch and runs the control loop. `net` is the current
@@ -1375,7 +1356,6 @@ impl OnlineAdvisor {
             problem.map_or(f64::NAN, |p| p.cost(self.config.objective, &self.deployment));
         let true_cost = self.true_cost(truth, &self.deployment);
         self.total_true_cost += true_cost;
-        self.cost_curve.push((m.at_hours, true_cost));
         self.push_event(OnlineEvent::Epoch {
             epoch,
             at_hours: m.at_hours,
@@ -1450,7 +1430,7 @@ mod tests {
     use crate::stream::{LinkDelta, SimStream};
     use cloudia_measure::stats::TOUCH_LOG_PER_INSTANCE;
     use cloudia_measure::{MeasureConfig, Staged};
-    use cloudia_netsim::{Cloud, Provider};
+    use cloudia_netsim::{Cloud, InstanceId, Provider};
 
     fn setup(n_nodes: usize, instances: usize, seed: u64) -> (CommGraph, Network, Deployment) {
         let graph = CommGraph::ring(n_nodes);
@@ -1477,7 +1457,6 @@ mod tests {
         let mut stream = SimStream::new(net, Staged::new(2, 2), MeasureConfig::default(), 2.0, 9);
         let summaries = advisor.run(&mut stream, 6);
         assert_eq!(summaries.len(), 6);
-        assert_eq!(advisor.cost_curve().len(), 6);
         let epochs =
             advisor.events().iter().filter(|e| matches!(e, OnlineEvent::Epoch { .. })).count();
         assert_eq!(epochs, 6);
@@ -1658,7 +1637,6 @@ mod tests {
         let advisor = OnlineAdvisor::new(graph.clone(), 10, initial.clone(), config.clone());
         let rule = advisor.sweep_ci_prune_rule().expect("confidence + pruning yields the CI rule");
         assert_eq!(rule.confidence(), Some(0.95));
-        assert_eq!(rule.tolerance(), 1.0 - 0.95);
         // Confidence changes the evidence the rule demands, not what it
         // protects (deployed links, flags, staleness refreshes) — and it
         // is the rule the epoch evaluates.
@@ -2333,6 +2311,26 @@ mod tests {
                 }
             }
         }
+
+        // The batch advisor prices its plans the same way: a batch network
+        // carries no loss plane, so there the truth is the dense mean
+        // matrix, bit for bit — for the default and optimized plans of an
+        // advise and for the keep cost of a redeployment round.
+        let greedy = cloudia_core::SearchStrategy::Greedy(cloudia_solver::GreedyVariant::G2);
+        let batch = cloudia_core::AdvisorConfig { strategy: Some(greedy), ..Default::default() };
+        let advisor = cloudia_core::Advisor::new(batch);
+        let objective = advisor.config().objective;
+        let costs = clean.mean_matrix();
+        let dense = graph.problem(clean.mean_matrix());
+        let out = advisor.search_with_costs(&clean, &graph, costs, &cloudia_core::SolveHint::Cold);
+        let identity: Vec<u32> = (0..nodes as u32).collect();
+        assert_eq!(out.default_cost.to_bits(), dense.cost(objective, &identity).to_bits());
+        assert_eq!(out.optimized_cost.to_bits(), dense.cost(objective, &out.deployment).to_bits());
+        let current = vec![9, 4, 2, 7, 0, 3, 8];
+        let policy = RedeployPolicy::default();
+        let round = cloudia_core::try_redeploy(&advisor, &clean, &graph, &current, policy, 3)
+            .expect("a lossless sweep prices every link");
+        assert_eq!(round.keep_cost.to_bits(), dense.cost(objective, &current).to_bits());
     }
 
     #[test]

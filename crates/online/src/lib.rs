@@ -20,7 +20,7 @@
 //!   incumbent as a bound;
 //! * [`advisor`] — [`OnlineAdvisor`]: the loop itself, with migration
 //!   economics ([`cloudia_core::RedeployPolicy`]), an event log, and a
-//!   ground-truth cost curve. Its [`ProbePolicy`] decides how each
+//!   ground-truth cost booked every epoch. Its [`ProbePolicy`] decides how each
 //!   epoch's probe budget is spent: uniform O(m²) sweeps, or
 //!   trigger-driven **focused** rounds
 //!   ([`cloudia_measure::FocusedScheme`]) that probe only the candidate

@@ -43,12 +43,6 @@ impl SolveOutcome {
     pub fn heuristic(deployment: Vec<u32>, cost: f64, elapsed_s: f64, explored: u64) -> Self {
         Self { deployment, cost, curve: vec![(elapsed_s, cost)], proven_optimal: false, explored }
     }
-
-    /// The best cost at a given time according to the convergence curve
-    /// (staircase interpolation); `None` before the first improvement.
-    pub fn cost_at(&self, elapsed_s: f64) -> Option<f64> {
-        self.curve.iter().take_while(|&&(t, _)| t <= elapsed_s).last().map(|&(_, c)| c)
-    }
 }
 
 /// What a solve starts from beyond the problem itself.
@@ -130,20 +124,6 @@ mod tests {
     fn objective_names() {
         assert_eq!(Objective::LongestLink.name(), "longest-link");
         assert_eq!(Objective::LongestPath.name(), "longest-path");
-    }
-
-    #[test]
-    fn cost_at_staircase() {
-        let o = SolveOutcome {
-            deployment: vec![0],
-            cost: 1.0,
-            curve: vec![(0.0, 5.0), (1.0, 3.0), (2.0, 1.0)],
-            proven_optimal: false,
-            explored: 3,
-        };
-        assert_eq!(o.cost_at(0.5), Some(5.0));
-        assert_eq!(o.cost_at(1.5), Some(3.0));
-        assert_eq!(o.cost_at(10.0), Some(1.0));
     }
 
     #[test]

@@ -76,14 +76,13 @@ pub struct PortfolioConfig {
     /// Configuration of the embedded MIP prover, used for the longest-path
     /// objective (budget/seed overridden likewise).
     pub mip: MipConfig,
-    /// Thread-count-independent results (see module docs).
+    /// Thread-count-independent results (see module docs). Racing mode
+    /// (`false`) under a finite time budget steals work: a worker that
+    /// drains the technique queue before the wall clock runs out
+    /// respawns as a random-sampling worker with a perturbed seed
+    /// instead of idling. Deterministic mode never restarts (restarts
+    /// are inherently timing-dependent).
     pub deterministic: bool,
-    /// Work-stealing restarts (racing mode with a finite time budget
-    /// only): a worker that drains the technique queue before the wall
-    /// clock runs out respawns as a random-sampling worker with a
-    /// perturbed seed instead of idling. Deterministic mode ignores this
-    /// (restarts are inherently timing-dependent).
-    pub work_stealing: bool,
 }
 
 impl Default for PortfolioConfig {
@@ -95,7 +94,6 @@ impl Default for PortfolioConfig {
             cp: CpConfig::default(),
             mip: MipConfig::default(),
             deterministic: false,
-            work_stealing: true,
         }
     }
 }
@@ -180,8 +178,7 @@ pub fn solve_portfolio(
     // Restarts only make sense when the wall clock, not the job queue,
     // ends the run — and never in deterministic mode, where which worker
     // restarts when is inherently timing-dependent.
-    let restarts_allowed =
-        config.work_stealing && !config.deterministic && config.budget.time_limit_s.is_finite();
+    let restarts_allowed = !config.deterministic && config.budget.time_limit_s.is_finite();
 
     std::thread::scope(|scope| {
         for _ in 0..threads.min(TECHNIQUES.len()) {
@@ -572,28 +569,28 @@ mod tests {
         // An instance the CP prover cannot close in the budget, so the
         // wall clock ends the run. Greedy workers finish in microseconds;
         // with work stealing they respawn as samplers, so total
-        // exploration far exceeds the base four workers' own work. The
+        // exploration far exceeds the base four workers' own work — which
+        // is all a run gets when no wall clock ends it (no restarts). The
         // instance must stay unproven in *release* builds too — an
         // optimality proof cancels the run early and leaves the restarts
         // nothing to add — hence a tighter, larger instance than the
         // other tests (release CP closes a 10-node/14-instance path well
         // inside the budget).
         let p = random_problem(16, 20, path_edges(16), 12);
-        let run = |work_stealing: bool| {
+        let run = |time_limit_s: f64| {
             let config = PortfolioConfig {
-                budget: Budget { time_limit_s: 0.5, node_limit: 500 },
+                budget: Budget { time_limit_s, node_limit: 500 },
                 threads: 4,
-                work_stealing,
                 ..PortfolioConfig::default()
             };
             solve(&p, Objective::LongestLink, &config)
         };
-        let without = run(false);
+        let without = run(f64::INFINITY);
         assert!(
             !without.proven_optimal,
             "instance closed within the budget; pick a harder one for this test"
         );
-        let with = run(true);
+        let with = run(0.5);
         // Each base worker explores <= 500 nodes; restarts keep drawing
         // fresh 500-draw samplers until the clock runs out.
         assert!(without.explored <= 4 * 500);

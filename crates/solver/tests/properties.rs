@@ -490,8 +490,8 @@ proptest! {
             }
         }
 
-        // Random incumbent (distinct instances), random pins, a few
-        // random protected pairs.
+        // Random incumbent (distinct instances), random pins among its
+        // instances, a few random protected pairs.
         let mut ids: Vec<u32> = (0..m as u32).collect();
         for i in 0..n {
             let pick = rng.random_range(i..m);
@@ -502,9 +502,8 @@ proptest! {
             .iter()
             .map(|&j| if rng.random::<bool>() { Some(j) } else { None })
             .collect();
-        let mut rule = CandidatePruneRule::new(n, CandidateConfig::fixed(pool_k))
-            .with_incumbent(&incumbent)
-            .with_fixed(&fixed);
+        let mut rule =
+            CandidatePruneRule::new(n, CandidateConfig::fixed(pool_k)).with_incumbent(&incumbent);
         let mut protected = Vec::new();
         for _ in 0..5 {
             let a = rng.random_range(0..m as u32);
@@ -554,12 +553,12 @@ proptest! {
             prop_assert!(cs.union().contains(&j), "incumbent {j} fell out of the union");
         }
 
-        // The same rule with a confidence level — with or without the
-        // indifference margin — obeys the identical safety contract:
-        // protected pairs and incumbent/pinned endpoints are never
-        // condemned, whatever the partial evidence.
-        let tolerance = if rng.random::<bool>() { 0.05 } else { 0.0 };
-        let ci_rule = rule.with_confidence(0.95).with_tolerance(tolerance);
+        // The same rule with a confidence level — with a 5% or a near-zero
+        // (0.1%) indifference margin, `1 − confidence` — obeys the
+        // identical safety contract: protected pairs and incumbent/pinned
+        // endpoints are never condemned, whatever the partial evidence.
+        let confidence = if rng.random::<bool>() { 0.95 } else { 0.999 };
+        let ci_rule = rule.with_confidence(confidence);
         for &(a, b) in &ci_rule.prune(&stats, &remaining) {
             let key = (a.min(b), a.max(b));
             prop_assert!(!protected.contains(&key), "protected pair {key:?} CI-condemned");
@@ -575,7 +574,9 @@ proptest! {
         m in 8usize..14,
         seed in 0u64..200,
     ) {
-        use cloudia_measure::{run_anytime, MeasureConfig, PairwiseStats, PruneRule, Scheme, Staged};
+        use cloudia_measure::{
+            run_anytime, MeasureConfig, PairwiseStats, PruneRule, Scheme, Staged, StopRule,
+        };
         use cloudia_netsim::{Cloud, Provider};
         use cloudia_solver::{CandidateConfig, CandidatePruneRule};
 
@@ -588,6 +589,15 @@ proptest! {
                 Vec::new()
             }
         }
+        // The stop may not fire until every incident direction of every
+        // instance is measured.
+        struct FullCoverage(CandidatePruneRule);
+        impl StopRule for FullCoverage {
+            fn stable(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> bool {
+                let m = stats.len();
+                stats.covered_links() == m * (m - 1) && self.0.stable(stats, remaining)
+            }
+        }
 
         let mut cloud = Cloud::boot(Provider::test_quiet(), seed);
         let alloc = cloud.allocate(m);
@@ -598,13 +608,9 @@ proptest! {
         let pool = CandidateConfig::fixed((m / 2).max(nodes + 1));
 
         let full = scheme.run_onto(&net, &cfg, PairwiseStats::new(m));
-        // min_coverage 1.0: the stop may not fire until every incident
-        // direction of every instance is measured; the indifference
-        // margin lets near-tied clusters settle so it can actually fire.
-        let stop = CandidatePruneRule::new(nodes, pool)
-            .with_confidence(0.95)
-            .with_min_coverage(1.0)
-            .with_tolerance(0.05);
+        // Full coverage first; the 5% indifference margin lets near-tied
+        // clusters settle so the stop can actually fire.
+        let stop = FullCoverage(CandidatePruneRule::new(nodes, pool).with_confidence(0.95));
         let any = run_anytime(&scheme, &net, &cfg, PairwiseStats::new(m), &KeepAll, &stop);
         prop_assert!(any.report.round_trips <= full.round_trips);
 
@@ -788,18 +794,18 @@ mod pool_index {
             0 => {
                 let (a, b) = link(rng);
                 if a.min(b) == 0 {
-                    stats.record_attempts(a, b, 1);
+                    stats.record_link(a, b, 1, 0, &[]);
                 } else {
                     stats.record(a, b, rtt(rng));
                 }
             }
             1 => {
                 let (a, b) = link(rng);
-                stats.record_attempts(a, b, rng.random_range(0..3));
+                stats.record_link(a, b, rng.random_range(0..3), 0, &[]);
             }
             2 => {
                 let (a, b) = link(rng);
-                stats.record_timeouts(a, b, rng.random_range(0..3));
+                stats.record_link(a, b, 0, rng.random_range(0..3), &[]);
             }
             _ => {
                 // A stage: endpoint-disjoint pairs, one direction each.
@@ -839,7 +845,7 @@ mod pool_index {
         match rng.random_range(0..5u32) {
             0 => stats.record(a, b, means[rng.random_range(0..means.len())]),
             1 => stats.record_link(a, b, 2, 0, &[0.1, 9.0]),
-            2 => stats.record_attempts(a, b, 1),
+            2 => stats.record_link(a, b, 1, 0, &[]),
             3 => {
                 let rtt = if rng.random::<bool>() { 0.01 } else { 50.0 };
                 for b in (0..m).filter(|&b| b != a) {
@@ -868,15 +874,12 @@ mod pool_index {
         fn new(m: usize, rng: &mut StdRng) -> Self {
             let min_coverage = [0.2, 0.5, 0.8][rng.random_range(0..3usize)];
             let pool = CandidateConfig::fixed(rng.random_range(3..m));
-            let tolerance = if rng.random::<bool>() { 0.05 } else { 0.0 };
+            // A 10% or a near-zero (0.1%) indifference margin.
+            let confidence = if rng.random::<bool>() { CONFIDENCE } else { 0.999 };
             // Built twice, not cloned: clones share an index, and the
             // twin must not drag the long-lived rule onto its lineage.
-            let point = || {
-                CandidatePruneRule::new(3, pool)
-                    .with_min_coverage(min_coverage)
-                    .with_incumbent(&[1, 2, 3])
-            };
-            let interval = || point().with_confidence(CONFIDENCE).with_tolerance(tolerance);
+            let point = || CandidatePruneRule::new(3, pool).with_incumbent(&[1, 2, 3]);
+            let interval = || point().with_confidence(confidence);
             Self {
                 point: [point(), point()],
                 interval: [interval(), interval()],
@@ -1118,6 +1121,7 @@ mod pool_index {
 // ranks through the one routine every pool shares, and must pick what
 // its own per-instance loop picked, ties, dark links and pins included.
 mod dense_pool {
+    use cloudia_solver::candidates::POOL_QUANTILE;
     use cloudia_solver::problem::{Costs, NodeDeployment};
     use cloudia_solver::{CandidateConfig, CandidateSet, PoolPolicy};
     use proptest::prelude::*;
@@ -1142,7 +1146,7 @@ mod dense_pool {
                         incident.push(costs.get(l, j));
                     }
                 }
-                let idx = ((incident.len() - 1) as f64 * config.quantile).round() as usize;
+                let idx = ((incident.len() - 1) as f64 * POOL_QUANTILE).round() as usize;
                 let (_, q, _) = incident.select_nth_unstable_by(idx, f64::total_cmp);
                 (*q, j as u32)
             })
@@ -1162,7 +1166,6 @@ mod dense_pool {
             m in 1usize..24,
             n in 1usize..6,
             k in 0usize..16,
-            quantile in 0.0f64..1.0,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             // Few distinct prices (ties everywhere), signed zeros and
@@ -1176,7 +1179,7 @@ mod dense_pool {
             let fixed: Vec<Option<u32>> = (0..n)
                 .map(|_| rng.random::<bool>().then(|| rng.random_range(0..m as u32)))
                 .collect();
-            let config = CandidateConfig { pool: PoolPolicy::Fixed(k), quantile, auto_escalate: true };
+            let config = CandidateConfig { pool: PoolPolicy::Fixed(k), auto_escalate: true };
             let pool = transcribed_pool(&problem, &config);
             for (inc, fix) in [(None, None), (Some(&incumbent[..]), Some(&fixed[..]))] {
                 let built = CandidateSet::build(&problem, &config, inc, fix);

@@ -15,6 +15,9 @@
 use cloudia::core::LatencyMetric;
 use cloudia::prelude::*;
 
+/// The most `--threads` workers a run may ask for.
+const MAX_THREADS: usize = 256;
+
 fn usage() -> ! {
     eprintln!(
         "usage: cloudia [--graph mesh:RxC|mesh3d:XxYxZ|tree:FxL|bipartite:FxS|ring:N|star:N]
@@ -23,7 +26,7 @@ fn usage() -> ! {
                [--metric mean|mean+sd|p99]
                [--over-allocation FRACTION]   (default 0.1)
                [--search recommended|cp|mip|greedy-g1|greedy-g2|random-r1|random-r2|portfolio]
-               [--threads N]                  (portfolio/r2 workers; 0 = all cores)
+               [--threads N]                  (portfolio/r2 workers, at most 256; 0 = all cores)
                [--candidates auto|adaptive|K] (candidate-pruned search: K instances per node;
                                                auto = max(4n, 48); adaptive = escalation-driven
                                                pool sizing; omit for the dense search)
@@ -194,10 +197,16 @@ fn main() {
             }
             "--search" => search_name = value(),
             "--threads" => {
-                threads = Some(value().parse().unwrap_or_else(|_| {
+                let t: usize = value().parse().unwrap_or_else(|_| {
                     eprintln!("bad thread count");
                     usage();
-                }))
+                });
+                // R2 starts one OS thread per worker, uncapped.
+                if t > MAX_THREADS {
+                    eprintln!("--threads {t} is above the cap of {MAX_THREADS}");
+                    usage();
+                }
+                threads = Some(t);
             }
             "--candidates" => {
                 let v = value();

@@ -144,7 +144,7 @@ fn cli_json_and_trace_round_trip() {
 /// of these are rejected before any measurement starts.
 #[test]
 fn cli_rejects_out_of_range_input_without_panicking() {
-    let cases: [&[&str]; 16] = [
+    let cases: [&[&str]; 17] = [
         &["--graph", "mesh:1x1"],
         &["--graph", "mesh3d:1x1x1"],
         &["--graph", "ring:2"],
@@ -164,6 +164,8 @@ fn cli_rejects_out_of_range_input_without_panicking() {
         // An anytime sweep needs CI pruning to ever stop early.
         &["--online", "--anytime", "--confidence", "0.9"],
         &["--online", "--anytime", "--prune-during-sweep"],
+        // R2 would start one OS thread per worker: rejected while parsing.
+        &["--search", "random-r2", "--threads", "1000000"],
     ];
     for args in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cloudia"))
