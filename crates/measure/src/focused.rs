@@ -250,6 +250,13 @@ impl Scheme for FocusedScheme {
             .collect();
         StageDriver::new("focused", net, cfg, stats, stages, self.sweeps)
     }
+
+    /// The plan's pairs in both directions (a probe and its reply cross
+    /// both); a full plan probes every link.
+    fn probed_links(&self) -> Option<Vec<(u32, u32)>> {
+        (!self.plan.is_full())
+            .then(|| self.plan.pairs().flat_map(|(a, b)| [(a, b), (b, a)]).collect())
+    }
 }
 
 #[cfg(test)]

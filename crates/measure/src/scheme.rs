@@ -113,6 +113,15 @@ pub trait Scheme {
         stats: PairwiseStats,
     ) -> StageDriver<'n>;
 
+    /// The directed links a run of this scheme can probe, or `None` when
+    /// it can probe every link. A simulated stream brings exactly these
+    /// up to date before the run (lazy drift), so a scheme that probes
+    /// a few links does not pay for the drift of all of them. `None`, the
+    /// default, means every link, in one row-major pass.
+    fn probed_links(&self) -> Option<Vec<(u32, u32)>> {
+        None
+    }
+
     /// Runs the scheme over `net` from empty statistics and returns the
     /// collected estimates.
     fn run(&self, net: &Network, cfg: &MeasureConfig) -> MeasurementReport {

@@ -8,9 +8,9 @@
 //! reversion keeps excursions bounded (stability) while still producing the
 //! visible hour-scale wiggle.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::Rng;
 
-use crate::dist::standard_normal;
+use crate::dist::{keyed_normal, mix64, standard_normal};
 use crate::latency::LinkProfile;
 use crate::loss::{FaultParams, LossPlane, DARK_DROP};
 use crate::network::Network;
@@ -49,12 +49,6 @@ impl DriftParams {
     }
 }
 
-/// One OU transition of a log-multiplier under [`DriftParams::transition`]'s
-/// `(decay, sd)`.
-fn ou_step<R: Rng + ?Sized>(log_mult: f64, decay: f64, sd: f64, rng: &mut R) -> f64 {
-    log_mult * decay + sd * standard_normal(rng)
-}
-
 impl Default for DriftParams {
     fn default() -> Self {
         // ~5% stationary wiggle reverting on a ~10h timescale.
@@ -86,7 +80,7 @@ impl DriftProcess {
     /// Uses the exact OU transition ([`DriftParams::transition`]).
     pub fn step<R: Rng + ?Sized>(&mut self, dt_hours: f64, rng: &mut R) -> f64 {
         let (decay, sd) = self.params.transition(dt_hours);
-        self.log_mult = ou_step(self.log_mult, decay, sd, rng);
+        self.log_mult = self.log_mult * decay + sd * standard_normal(rng);
         self.multiplier()
     }
 
@@ -105,26 +99,51 @@ impl DriftProcess {
 /// control loop instead needs the network at hour `t + dt` to be correlated
 /// with the network at hour `t`. `DriftingNetwork` keeps one persistent
 /// OU state per directed link (a [`DriftProcess`]'s log-multiplier, in a
-/// flat column beside the one shared parameter set) and advances all of
-/// them on every [`DriftingNetwork::step`], so a sequence of steps walks
-/// one continuous sample path of the drift process.
+/// flat column beside the one shared parameter set), so a sequence of
+/// steps walks one continuous sample path of the drift process.
+///
+/// **Lazy drift.** The innovation a link draws at step `s` is a
+/// counter-keyed standard normal of `(seed, link, s)`, not the next draw
+/// of a shared sequential stream. So a link's path is a function of
+/// those three alone, and a link can be brought up to date when it is
+/// read: [`DriftingNetwork::step`] only logs the step's transition, and
+/// [`DriftingNetwork::advance`], [`DriftingNetwork::advance_instances`]
+/// and [`DriftingNetwork::advance_all`] replay a lagging link's missed
+/// steps in one loop, then write its profile and drop probability once.
+/// Whatever is advanced when, every link reads bit-identically to
+/// advancing every link on every step.
 #[derive(Debug, Clone)]
 pub struct DriftingNetwork {
     net: Network,
-    /// Immutable base profiles (the long-run means the OU processes revert
-    /// towards), row-major over ordered pairs.
-    base: Vec<LinkProfile>,
+    /// Each directed link's long-run base mean, the value its OU
+    /// multiplier scales (row-major; diagonal 0). The profile's other
+    /// fields never drift and stay in the model.
+    base_mean: Vec<f64>,
     /// The latency drift every link follows.
     params: DriftParams,
+    /// Key of the latency draws (the construction seed).
+    key: u64,
     /// One OU log-multiplier per directed link, row-major (diagonal
-    /// entries unused).
+    /// entries unused), as of the link's `at_step`.
     log_mult: Vec<f64>,
+    /// The step each link's processes (latency and, with faults, loss)
+    /// were last advanced to; 0 is construction.
+    at_step: Vec<u32>,
+    /// Every step so far: step `s` (counted from 1) is `steps[s − 1]`.
+    steps: Vec<Step>,
     hours: f64,
-    rng: StdRng,
     /// Optional evolving fault process (per-link loss drift, scripted
-    /// dark instances). Drawn from its own RNG so a fault schedule never
+    /// dark instances). Keyed by its own seed, so a fault schedule never
     /// perturbs the latency trajectory.
     faults: Option<FaultState>,
+}
+
+/// One logged [`DriftingNetwork::step`]: the OU transition `(decay, sd)`
+/// of the latency process and of the loss process over its `dt`.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    latency: (f64, f64),
+    loss: (f64, f64),
 }
 
 /// Evolving fault state of a [`DriftingNetwork`].
@@ -132,13 +151,30 @@ pub struct DriftingNetwork {
 struct FaultState {
     params: FaultParams,
     /// One loss OU log-multiplier per directed link (loss = base ·
-    /// exp(X_t)), under [`DriftParams::default`].
+    /// exp(X_t)), under [`DriftParams::default`], as of the link's
+    /// `at_step`.
     log_mult: Vec<f64>,
     /// Simulated hour each instance's scripted unresponsive window ends.
     instance_dark_until: Vec<f64>,
-    /// Dedicated fault RNG: the latency drift RNG stream is identical
-    /// with faults on or off.
-    rng: StdRng,
+    /// Key of the loss draws: the latency draws are identical with faults
+    /// on or off.
+    key: u64,
+}
+
+/// The draw stream of one directed link (row-major index `link`) under
+/// the process key `key`.
+fn link_key(key: u64, link: usize) -> u64 {
+    mix64(key ^ mix64(link as u64))
+}
+
+/// Replays one OU log-multiplier `x` over `missed` transitions, numbered
+/// from step `first`, on the link's draw stream `key`.
+#[inline]
+fn replay(mut x: f64, key: u64, first: u64, missed: impl Iterator<Item = (f64, f64)>) -> f64 {
+    for (s, (decay, sd)) in (first..).zip(missed) {
+        x = x * decay + sd * keyed_normal(key, s);
+    }
+    x
 }
 
 impl DriftingNetwork {
@@ -147,61 +183,69 @@ impl DriftingNetwork {
     pub fn new(net: Network, seed: u64) -> Self {
         let n = net.len();
         let params = net.drift_params();
-        let mut base = Vec::with_capacity(n * n);
-        for i in 0..n {
-            for j in 0..n {
-                base.push(if i == j {
-                    LinkProfile {
-                        base_mean: 0.0,
-                        jitter_sigma: 0.0,
-                        spike_prob: 0.0,
-                        spike_scale: 0.0,
-                    }
+        let base_mean = (0..n * n)
+            .map(|idx| {
+                let (i, j) = (idx / n, idx % n);
+                if i == j {
+                    0.0
                 } else {
-                    *net.profile(crate::InstanceId::from_index(i), crate::InstanceId::from_index(j))
-                });
-            }
-        }
+                    net.profile(crate::InstanceId::from_index(i), crate::InstanceId::from_index(j))
+                        .base_mean
+                }
+            })
+            .collect();
         // Every process starts at equilibrium: log-multiplier 0.
         Self {
             net,
-            base,
+            base_mean,
             params,
+            key: seed,
             log_mult: vec![0.0; n * n],
+            at_step: vec![0; n * n],
+            steps: Vec::new(),
             hours: 0.0,
-            rng: StdRng::seed_from_u64(seed),
             faults: None,
         }
     }
 
     /// Attaches an evolving fault process (builder style). The fault
-    /// schedule draws exclusively from `fault_seed`'s RNG, so two arms
-    /// sharing the drift seed walk the identical latency trajectory
-    /// whether or not either carries faults.
+    /// schedule draws exclusively from `fault_seed`'s keyed stream, so two
+    /// arms sharing the drift seed walk the identical latency trajectory
+    /// whether or not either carries faults. Every link's loss process
+    /// starts now, at equilibrium.
     pub fn with_faults(mut self, params: FaultParams, fault_seed: u64) -> Self {
         let n = self.net.len();
+        self.advance_all();
         self.faults = Some(FaultState {
             params,
             log_mult: vec![0.0; n * n],
             instance_dark_until: vec![0.0; n],
-            rng: StdRng::seed_from_u64(fault_seed ^ 0xfa_17_fa_17_fa_17_fa_17),
+            key: fault_seed ^ 0xfa_17_fa_17_fa_17_fa_17,
         });
-        self.refresh_loss_plane();
+        self.net.set_loss(LossPlane::clear(n));
+        for (i, j) in Self::links(n) {
+            self.write_loss(i, j);
+        }
         self
     }
 
     /// Scripted fault injection: makes one instance unresponsive for
     /// `hours` of simulated time starting now (all its links dark in
     /// both directions) — the one way an instance goes dark, so a
-    /// blackout lands at a known, reproducible epoch.
+    /// blackout lands at a known, reproducible epoch. Rewrites only the
+    /// instance's row and column of the loss plane.
     ///
     /// # Panics
     /// Panics if no fault process is attached.
     pub fn force_instance_dark(&mut self, instance: crate::InstanceId, hours: f64) {
         let now = self.hours;
         let faults = self.faults.as_mut().expect("no fault process attached");
-        faults.instance_dark_until[instance.index()] = now + hours;
-        self.refresh_loss_plane();
+        let i = instance.index();
+        faults.instance_dark_until[i] = now + hours;
+        for j in (0..self.net.len()).filter(|&j| j != i) {
+            self.write_loss(i, j);
+            self.write_loss(j, i);
+        }
     }
 
     /// True if the instance is currently inside an unresponsive window.
@@ -209,86 +253,118 @@ impl DriftingNetwork {
         self.faults.as_ref().is_some_and(|f| f.instance_dark_until[instance.index()] > self.hours)
     }
 
-    /// Advances every link's drift process by `dt_hours` and returns the
-    /// updated network view. With faults attached, the per-link loss OU
-    /// processes advance too, scripted dark windows expire, and the
-    /// network's loss plane is rewritten.
-    pub fn step(&mut self, dt_hours: f64) -> &Network {
-        let n = self.net.len();
-        let (decay, sd) = self.params.transition(dt_hours);
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let idx = i * n + j;
-                self.log_mult[idx] = ou_step(self.log_mult[idx], decay, sd, &mut self.rng);
-                let mult = self.log_mult[idx].exp();
-                let p = self.base[idx];
-                self.net.model_mut().set_profile(
-                    i,
-                    j,
-                    LinkProfile { base_mean: p.base_mean * mult, ..p },
-                );
-            }
-        }
+    /// Advances simulated time by `dt_hours`: every link's drift process
+    /// (and, with faults attached, its loss process) takes one step, and
+    /// scripted dark windows that end by then expire. O(1): the step's
+    /// transitions are logged, and a link replays them when it is next
+    /// advanced ([`DriftingNetwork::advance`] and its siblings), so until
+    /// then the network view still shows it as of its last advance.
+    ///
+    /// # Panics
+    /// Panics if `dt_hours` is negative.
+    pub fn step(&mut self, dt_hours: f64) {
+        assert!(self.steps.len() < u32::MAX as usize, "step counter exhausted");
+        self.steps.push(Step {
+            latency: self.params.transition(dt_hours),
+            loss: DriftParams::default().transition(dt_hours),
+        });
         self.hours += dt_hours;
-        self.step_faults(dt_hours);
-        &self.net
     }
 
-    /// Advances the fault process by `dt_hours` (already reflected in
-    /// `self.hours`) and rewrites the network's loss plane.
-    fn step_faults(&mut self, dt_hours: f64) {
+    /// Brings the directed links `pairs` up to date: each replays the
+    /// steps it missed and has its profile and drop probability written.
+    /// Self pairs are skipped.
+    pub fn advance(&mut self, pairs: impl IntoIterator<Item = (u32, u32)>) {
+        let links = pairs.into_iter().filter(|(i, j)| i != j);
+        self.advance_links(links.map(|(i, j)| (i as usize, j as usize)));
+    }
+
+    /// Brings every directed link among `instances` up to date — what
+    /// pricing a deployment on them reads.
+    pub fn advance_instances(&mut self, instances: &[u32]) {
+        self.advance(instances.iter().flat_map(|&i| instances.iter().map(move |&j| (i, j))));
+    }
+
+    /// Brings every link up to date, in one row-major pass.
+    pub fn advance_all(&mut self) {
+        self.advance_links(Self::links(self.net.len()));
+    }
+
+    /// Every directed link of an `n`-instance network, row-major.
+    fn links(n: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..n).flat_map(move |i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+    }
+
+    /// [`DriftingNetwork::advance`] over row/column indices, under a
+    /// `netsim.advance` span that counts the link-steps it replayed.
+    fn advance_links(&mut self, links: impl Iterator<Item = (usize, usize)>) {
+        let mut span = cloudia_obs::span!("netsim.advance");
+        let replayed: u64 = links.map(|(i, j)| self.catch_up(i, j)).sum();
+        span.attr("link_steps", replayed);
+        cloudia_obs::counter("netsim.drift_link_steps", replayed);
+    }
+
+    /// Replays the steps link `i → j` missed and writes it into the
+    /// network view; returns how many it replayed.
+    fn catch_up(&mut self, i: usize, j: usize) -> u64 {
         let n = self.net.len();
-        let Some(faults) = self.faults.as_mut() else {
-            return;
-        };
-        // The new multipliers are read (one `exp` each) by
-        // `refresh_loss_plane`, so the step only moves the log states.
-        let (decay, sd) = DriftParams::default().transition(dt_hours);
-        for idx in (0..n * n).filter(|idx| idx / n != idx % n) {
-            faults.log_mult[idx] = ou_step(faults.log_mult[idx], decay, sd, &mut faults.rng);
+        let idx = i * n + j;
+        let (from, now) = (self.at_step[idx] as usize, self.steps.len());
+        if from == now {
+            return 0;
         }
-        self.refresh_loss_plane();
+        let (missed, first) = (&self.steps[from..], from as u64 + 1);
+        let x = replay(
+            self.log_mult[idx],
+            link_key(self.key, idx),
+            first,
+            missed.iter().map(|s| s.latency),
+        );
+        self.log_mult[idx] = x;
+        self.net.model_mut().set_base_mean(i, j, self.base_mean[idx] * x.exp());
+        if let Some(faults) = self.faults.as_mut() {
+            faults.log_mult[idx] = replay(
+                faults.log_mult[idx],
+                link_key(faults.key, idx),
+                first,
+                missed.iter().map(|s| s.loss),
+            );
+        }
+        self.at_step[idx] = now as u32;
+        self.write_loss(i, j);
+        (now - from) as u64
     }
 
-    /// Rewrites the network's loss plane from the current fault state, in
-    /// place once installed.
-    fn refresh_loss_plane(&mut self) {
-        let n = self.net.len();
+    /// Writes link `i → j`'s drop probability from its fault state (a
+    /// no-op without a fault process).
+    fn write_loss(&mut self, i: usize, j: usize) {
         let Some(faults) = self.faults.as_ref() else {
             return;
         };
-        if self.net.loss().is_none() {
-            self.net.set_loss(LossPlane::clear(n));
-        }
-        let plane = self.net.loss_mut().expect("the loss plane was installed above");
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let idx = i * n + j;
-                let dark = faults.instance_dark_until[i] > self.hours
-                    || faults.instance_dark_until[j] > self.hours;
-                let p = if dark {
-                    DARK_DROP
-                } else {
-                    (faults.params.base_loss * faults.log_mult[idx].exp()).clamp(0.0, 1.0)
-                };
-                // Anything but a positive probability (a NaN from a
-                // degenerate multiplier included) leaves the link clear.
-                plane.set_drop_prob(
-                    crate::InstanceId::from_index(i),
-                    crate::InstanceId::from_index(j),
-                    if p > 0.0 { p } else { 0.0 },
-                );
-            }
-        }
+        let idx = i * self.net.len() + j;
+        let dark = faults.instance_dark_until[i] > self.hours
+            || faults.instance_dark_until[j] > self.hours;
+        let p = if dark {
+            DARK_DROP
+        } else {
+            (faults.params.base_loss * faults.log_mult[idx].exp()).clamp(0.0, 1.0)
+        };
+        // Anything but a positive probability (a NaN from a degenerate
+        // multiplier included) leaves the link clear.
+        let plane = self.net.loss_mut().expect("a fault process installs a loss plane");
+        plane.set_drop_prob(
+            crate::InstanceId::from_index(i),
+            crate::InstanceId::from_index(j),
+            if p > 0.0 { p } else { 0.0 },
+        );
     }
 
-    /// The current (drifted) network view.
+    /// The network view. Only *current* links — those advanced since the
+    /// last [`DriftingNetwork::step`] by [`DriftingNetwork::advance`],
+    /// [`DriftingNetwork::advance_instances`] or, for every link,
+    /// [`DriftingNetwork::advance_all`] — show the drifted truth; any
+    /// other link shows its profile and drop probability as of its last
+    /// advance.
     pub fn network(&self) -> &Network {
         &self.net
     }
@@ -424,8 +500,10 @@ mod tests {
         let b = crate::InstanceId(1);
         let m0 = d.network().mean_rtt(a, b);
         d.step(2.0);
+        d.advance([(0, 1)]);
         let m1 = d.network().mean_rtt(a, b);
         d.step(2.0);
+        d.advance([(0, 1)]);
         let m2 = d.network().mean_rtt(a, b);
         assert_ne!(m0, m1);
         assert_ne!(m1, m2);
@@ -447,6 +525,7 @@ mod tests {
         let steps = 2000;
         for _ in 0..steps {
             d.step(1.0);
+            d.advance([(2, 4)]);
             acc += d.network().mean_rtt(a, b);
         }
         let avg = acc / steps as f64;
@@ -461,6 +540,7 @@ mod tests {
         let run = |seed| {
             let mut d = DriftingNetwork::new(net.clone(), seed);
             d.step(3.0);
+            d.advance_all();
             d.network().mean_rtt(crate::InstanceId(0), crate::InstanceId(3))
         };
         assert_eq!(run(9), run(9));
@@ -471,6 +551,7 @@ mod tests {
     fn probes_of_the_drifted_view_track_the_drifted_truth() {
         let mut d = drifting_setup();
         d.step(5.0);
+        d.advance_all();
         let (a, b) = (crate::InstanceId(0), crate::InstanceId(2));
         let truth = d.network().mean_rtt(a, b);
         // Probe samples average to the current drifted mean.
@@ -514,37 +595,223 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    #[test]
-    fn flat_drift_columns_step_like_one_process_per_link() {
-        // The oracle: one `DriftProcess` per directed link, stepped in
-        // row-major order on RNGs seeded as the network seeds its own.
-        let faults = FaultParams::drifting_loss(0.05);
-        let mut d = drifting_setup().with_faults(faults, 7);
-        let n = 6;
-        let base = d.clone();
-        let mut latency = vec![DriftProcess::at_equilibrium(base.params); n * n];
-        let mut loss = vec![DriftProcess::at_equilibrium(DriftParams::default()); n * n];
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut fault_rng = StdRng::seed_from_u64(7 ^ 0xfa_17_fa_17_fa_17_fa_17);
-        for dt in [2.0, 0.5, 6.0, 0.0, 1.0] {
-            d.step(dt);
-            let off_diagonal = (0..n * n).filter(|idx| idx / n != idx % n);
-            for idx in off_diagonal.clone() {
-                latency[idx].step(dt, &mut rng);
-            }
-            for idx in off_diagonal {
-                loss[idx].step(dt, &mut fault_rng);
-                let (a, b) = (
-                    crate::InstanceId::from_index(idx / n),
-                    crate::InstanceId::from_index(idx % n),
-                );
-                let p = base.base[idx];
-                let mean = LinkProfile { base_mean: p.base_mean * latency[idx].multiplier(), ..p };
-                assert_eq!(d.network().mean_rtt(a, b).to_bits(), mean.mean_rtt().to_bits());
-                let drop = (0.05 * loss[idx].multiplier()).clamp(0.0, 1.0);
-                assert_eq!(d.network().drop_prob(a, b).to_bits(), drop.to_bits());
+    /// The eager oracle: every link's processes take every step, on the
+    /// keyed draws the lazy network replays.
+    struct Eager {
+        n: usize,
+        base: Vec<LinkProfile>,
+        params: DriftParams,
+        key: u64,
+        latency: Vec<f64>,
+        /// `(base_loss, key)` of the fault process, if one is attached.
+        faults: Option<(f64, u64)>,
+        loss: Vec<f64>,
+        dark_until: Vec<f64>,
+        hours: f64,
+        step: u64,
+    }
+
+    impl Eager {
+        /// The oracle of `DriftingNetwork::new(net, seed)`, with
+        /// `with_faults(FaultParams::drifting_loss(base_loss), fault_seed)`
+        /// when `faults` is `Some((base_loss, fault_seed))`.
+        fn new(net: &Network, seed: u64, faults: Option<(f64, u64)>) -> Self {
+            let n = net.len();
+            let unused = LinkProfile {
+                base_mean: 0.0,
+                jitter_sigma: 0.0,
+                spike_prob: 0.0,
+                spike_scale: 0.0,
+            };
+            let base = (0..n * n)
+                .map(|idx| match (idx / n, idx % n) {
+                    (i, j) if i == j => unused,
+                    (i, j) => *net.profile(
+                        crate::InstanceId::from_index(i),
+                        crate::InstanceId::from_index(j),
+                    ),
+                })
+                .collect();
+            Self {
+                n,
+                base,
+                params: net.drift_params(),
+                key: seed,
+                latency: vec![0.0; n * n],
+                faults: faults.map(|(p, s)| (p, s ^ 0xfa_17_fa_17_fa_17_fa_17)),
+                loss: vec![0.0; n * n],
+                dark_until: vec![0.0; n],
+                hours: 0.0,
+                step: 0,
             }
         }
+
+        fn step(&mut self, dt: f64) {
+            self.step += 1;
+            self.hours += dt;
+            let (decay, sd) = self.params.transition(dt);
+            let (loss_decay, loss_sd) = DriftParams::default().transition(dt);
+            for idx in (0..self.n * self.n).filter(|idx| idx / self.n != idx % self.n) {
+                let z = keyed_normal(link_key(self.key, idx), self.step);
+                self.latency[idx] = self.latency[idx] * decay + sd * z;
+                if let Some((_, key)) = self.faults {
+                    let z = keyed_normal(link_key(key, idx), self.step);
+                    self.loss[idx] = self.loss[idx] * loss_decay + loss_sd * z;
+                }
+            }
+        }
+
+        fn mean_rtt(&self, i: usize, j: usize) -> f64 {
+            let p = self.base[i * self.n + j];
+            LinkProfile { base_mean: p.base_mean * self.latency[i * self.n + j].exp(), ..p }
+                .mean_rtt()
+        }
+
+        fn drop_prob(&self, i: usize, j: usize) -> f64 {
+            let Some((base_loss, _)) = self.faults else {
+                return 0.0;
+            };
+            if self.dark_until[i] > self.hours || self.dark_until[j] > self.hours {
+                return DARK_DROP;
+            }
+            let p = (base_loss * self.loss[i * self.n + j].exp()).clamp(0.0, 1.0);
+            if p > 0.0 {
+                p
+            } else {
+                0.0
+            }
+        }
+
+        /// Asserts the lazy network reads link `i → j` bit-identically.
+        fn check(&self, d: &DriftingNetwork, i: usize, j: usize) {
+            let (a, b) = (crate::InstanceId::from_index(i), crate::InstanceId::from_index(j));
+            let (mean, drop) = (d.network().mean_rtt(a, b), d.network().drop_prob(a, b));
+            assert_eq!(mean.to_bits(), self.mean_rtt(i, j).to_bits(), "mean of {i} -> {j}");
+            assert_eq!(drop.to_bits(), self.drop_prob(i, j).to_bits(), "drop of {i} -> {j}");
+        }
+
+        fn check_all(&self, d: &DriftingNetwork) {
+            for (i, j) in DriftingNetwork::links(self.n) {
+                self.check(d, i, j);
+            }
+        }
+    }
+
+    #[test]
+    fn flat_drift_columns_step_like_one_process_per_link() {
+        // The keyed oracle advances every link on every step; the lazy
+        // network, advanced in full after each step, must read the same.
+        let faults = FaultParams::drifting_loss(0.05);
+        let mut d = drifting_setup().with_faults(faults, 7);
+        let mut eager = Eager::new(d.network(), 3, Some((0.05, 7)));
+        for dt in [2.0, 0.5, 6.0, 0.0, 1.0] {
+            d.step(dt);
+            eager.step(dt);
+            d.advance_all();
+            eager.check_all(&d);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn lazy_reads_are_bit_identical_to_eager_stepping(
+            faulty in 0u8..2,
+            ops in proptest::collection::vec((0u8..7, 0usize..6, 0usize..6, 0usize..4), 1..48),
+        ) {
+            // Random interleavings of steps (dt 0 included), single-link and
+            // instance-set advances, full advances and forced blackouts:
+            // every link the lazy network has brought up to date reads
+            // exactly as under eager stepping.
+            let dts = [0.0, 0.5, 2.0, 7.5];
+            let mut d = drifting_setup();
+            let mut eager = Eager::new(d.network(), 3, (faulty == 1).then_some((0.05, 7)));
+            if faulty == 1 {
+                d = d.with_faults(FaultParams::drifting_loss(0.05), 7);
+            }
+            for (kind, a, b, c) in ops {
+                match kind {
+                    0..=2 => {
+                        d.step(dts[c]);
+                        eager.step(dts[c]);
+                    }
+                    3 => {
+                        d.advance([(a as u32, b as u32)]);
+                        if a != b {
+                            eager.check(&d, a, b);
+                        }
+                    }
+                    4 => {
+                        let instances = [a as u32, b as u32, ((a + c) % 6) as u32];
+                        d.advance_instances(&instances);
+                        for (&i, &j) in instances.iter().flat_map(|i| instances.iter().map(move |j| (i, j))) {
+                            if i != j {
+                                eager.check(&d, i as usize, j as usize);
+                            }
+                        }
+                    }
+                    5 if faulty == 1 => {
+                        d.force_instance_dark(crate::InstanceId::from_index(a), dts[c]);
+                        eager.dark_until[a] = eager.hours + dts[c];
+                    }
+                    _ => {
+                        d.advance_all();
+                        eager.check_all(&d);
+                    }
+                }
+            }
+            d.advance_all();
+            eager.check_all(&d);
+        }
+    }
+
+    #[test]
+    fn keyed_drift_is_stationary_and_its_innovations_uncorrelated() {
+        let mut cloud = crate::Cloud::boot(crate::Provider::ec2_like(), 12);
+        let alloc = cloud.allocate(101);
+        let mut d = DriftingNetwork::new(cloud.network(&alloc), 5);
+        let n = d.net.len();
+        let links: Vec<usize> = DriftingNetwork::links(n).map(|(i, j)| i * n + j).collect();
+        let count = links.len() as f64;
+        assert!(count >= 1e4);
+        let snapshot = |d: &mut DriftingNetwork, dt: f64| {
+            d.step(dt);
+            d.advance_all();
+            links.iter().map(|&idx| d.log_mult[idx]).collect::<Vec<f64>>()
+        };
+        let mean_sd = |xs: &[f64]| {
+            let mean = xs.iter().sum::<f64>() / count;
+            (mean, (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / count).sqrt())
+        };
+        // 200 hours at θ = 0.1 forget the equilibrium start (decay e^{-20}):
+        // one draw from the stationary law per link.
+        let x0 = snapshot(&mut d, 200.0);
+        let (mean, sd) = mean_sd(&x0);
+        let stationary = d.params.stationary_sd();
+        assert!(mean.abs() < 4.0 * stationary / count.sqrt(), "mean {mean}");
+        assert!((sd / stationary - 1.0).abs() < 4.0 / (2.0 * count).sqrt(), "sd {sd}");
+        // Two more steps' standardized innovations.
+        let dt = 3.0;
+        let (decay, step_sd) = d.params.transition(dt);
+        let x1 = snapshot(&mut d, dt);
+        let x2 = snapshot(&mut d, dt);
+        let innovations = |before: &[f64], after: &[f64]| -> Vec<f64> {
+            before.iter().zip(after).map(|(x, y)| (y - decay * x) / step_sd).collect()
+        };
+        let (z1, z2) = (innovations(&x0, &x1), innovations(&x1, &x2));
+        let (m1, s1) = mean_sd(&z1);
+        assert!(m1.abs() < 4.0 / count.sqrt() && (s1 - 1.0).abs() < 0.05, "z ~ ({m1}, {s1})");
+        let corr = |a: &[f64], b: &[f64]| {
+            let ((ma, sa), (mb, sb)) = (mean_sd(a), mean_sd(b));
+            let cov = a.iter().zip(b).map(|(x, y)| (x - ma) * (y - mb)).sum::<f64>();
+            cov / a.len() as f64 / (sa * sb)
+        };
+        let bound = 4.0 / count.sqrt();
+        let across_steps = corr(&z1, &z2);
+        assert!(across_steps.abs() < bound, "lag-1 correlation across steps {across_steps}");
+        let across_links = corr(&z1[..z1.len() - 1], &z1[1..]);
+        assert!(across_links.abs() < bound, "lag-1 correlation across links {across_links}");
     }
 
     #[test]
@@ -555,6 +822,7 @@ mod tests {
         let steps = 500;
         for _ in 0..steps {
             d.step(1.0);
+            d.advance([(0, 1)]);
             let p = d.network().drop_prob(a, b);
             assert!(p > 0.0 && p < 0.5, "loss {p} out of band");
             acc += p;
@@ -567,6 +835,7 @@ mod tests {
     fn forced_dark_instance_blacks_out_its_links_then_recovers() {
         let mut d = drifting_setup().with_faults(FaultParams::drifting_loss(0.01), 5);
         d.step(1.0);
+        d.advance_all();
         let victim = crate::InstanceId(2);
         d.force_instance_dark(victim, 3.0);
         assert!(d.instance_dark(victim));
@@ -581,6 +850,7 @@ mod tests {
         // The window expires with time.
         d.step(4.0);
         assert!(!d.instance_dark(victim));
+        d.advance_instances(&[0, 2]);
         assert!(d.network().drop_prob(victim, crate::InstanceId(0)) < 0.5);
     }
 

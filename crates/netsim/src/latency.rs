@@ -297,6 +297,12 @@ impl LatencyModel {
         self.profiles[src * self.n + dst] = profile;
     }
 
+    /// Overwrites only the drifting field of one directed link's profile,
+    /// its jitter-free mean (by raw indices).
+    pub(crate) fn set_base_mean(&mut self, src: usize, dst: usize, base_mean: f64) {
+        self.profiles[src * self.n + dst].base_mean = base_mean;
+    }
+
     /// Clones the model restricted to its first `n` instances.
     pub fn clone_prefix(&self, n: usize) -> LatencyModel {
         assert!(n <= self.n, "prefix {n} larger than model {}", self.n);

@@ -12,8 +12,8 @@
 //!
 //! Fault *evolution* (loss drifting over hours, scripted dark-instance
 //! windows opening and closing) lives on [`crate::DriftingNetwork`],
-//! driven by a dedicated fault RNG so a fault schedule never perturbs
-//! the latency trajectory two arms of an experiment are compared on.
+//! drawn on its own key so a fault schedule never perturbs the latency
+//! trajectory two arms of an experiment are compared on.
 
 use crate::ids::InstanceId;
 

@@ -427,6 +427,24 @@ struct Repaired {
     unanswered: bool,
 }
 
+/// Where the accounting phases read ground truth: a network the caller
+/// passed in, or a stream that first brings the priced instances' links
+/// up to date ([`MeasurementStream::truth`]).
+enum Truth<'a> {
+    Network(&'a Network),
+    Stream(&'a mut dyn MeasurementStream),
+}
+
+impl Truth<'_> {
+    /// The ground truth with every link among `instances` current.
+    fn over(&mut self, instances: &[u32]) -> &Network {
+        match self {
+            Truth::Network(net) => net,
+            Truth::Stream(stream) => stream.truth(instances),
+        }
+    }
+}
+
 /// The continuous deployment advisor.
 #[derive(Debug)]
 pub struct OnlineAdvisor {
@@ -1008,7 +1026,7 @@ impl OnlineAdvisor {
     pub fn step(&mut self, m: &EpochMeasurement, net: &Network) -> EpochSummary {
         let span = cloudia_obs::span!("online.step", epoch = m.epoch);
         let (changes, alarms) = self.sense(m, None);
-        self.act(m, &changes, alarms, net, span)
+        self.act(m, &changes, alarms, Truth::Network(net), span)
     }
 
     /// The control loop's first phases, ingest → triage. `spot` is the
@@ -1026,14 +1044,15 @@ impl OnlineAdvisor {
     }
 
     /// The rest of the control loop, decide → repair → account, closing
-    /// the epoch's `online.step` span. `truth` is the ground-truth network
-    /// (cost curve and event log only).
+    /// the epoch's `online.step` span. `truth` is the ground truth (cost
+    /// curve and event log only), asked for once the repair solve has
+    /// settled which deployments it prices.
     fn act(
         &mut self,
         m: &EpochMeasurement,
         changes: &[LinkChange],
         alarms: Alarms,
-        truth: &Network,
+        mut truth: Truth<'_>,
         mut span: cloudia_obs::SpanGuard,
     ) -> EpochSummary {
         let epoch = m.epoch;
@@ -1046,7 +1065,7 @@ impl OnlineAdvisor {
         let repaired = match &problem {
             Ok(problem) => {
                 let trigger = self.decide(epoch, alarms);
-                self.repair(epoch, trigger, problem, truth)
+                self.repair(epoch, trigger, problem, &mut truth)
             }
             // Nothing to decide or repair on: hold the plan and say why.
             Err(error) => {
@@ -1054,7 +1073,8 @@ impl OnlineAdvisor {
                 Repaired::default()
             }
         };
-        let summary = self.account(m, probe_escalated, &repaired, problem.as_ref().ok(), truth);
+        let summary =
+            self.account(m, probe_escalated, &repaired, problem.as_ref().ok(), &mut truth);
 
         // Control-loop telemetry at epoch grain: one span plus a handful
         // of counter bumps per step, nothing in the per-link loops.
@@ -1242,7 +1262,7 @@ impl OnlineAdvisor {
         epoch: u64,
         trigger: Option<Trigger>,
         problem: &NodeDeployment,
-        truth: &Network,
+        truth: &mut Truth<'_>,
     ) -> Repaired {
         let Some(trigger) = trigger else {
             return Repaired::default();
@@ -1300,8 +1320,9 @@ impl OnlineAdvisor {
         });
         let mut moved = 0;
         if accepted {
-            let before = self.true_cost(truth, &self.deployment);
-            let after = self.true_cost(truth, &repair.deployment);
+            let net = truth.over(&[&self.deployment[..], &repair.deployment[..]].concat());
+            let before = self.true_cost(net, &self.deployment);
+            let after = self.true_cost(net, &repair.deployment);
             self.deployment = repair.deployment;
             moved = repair.moved;
             self.moved_total += moved as u64;
@@ -1336,7 +1357,7 @@ impl OnlineAdvisor {
         probe_escalated: bool,
         repaired: &Repaired,
         problem: Option<&NodeDeployment>,
-        truth: &Network,
+        truth: &mut Truth<'_>,
     ) -> EpochSummary {
         let epoch = m.epoch;
         // An epoch counts as an escalation when the probe plan had to
@@ -1354,7 +1375,7 @@ impl OnlineAdvisor {
         }
         let est_cost =
             problem.map_or(f64::NAN, |p| p.cost(self.config.objective, &self.deployment));
-        let true_cost = self.true_cost(truth, &self.deployment);
+        let true_cost = self.true_cost(truth.over(&self.deployment), &self.deployment);
         self.total_true_cost += true_cost;
         self.push_event(OnlineEvent::Epoch {
             epoch,
@@ -1415,7 +1436,7 @@ impl OnlineAdvisor {
         let spot =
             (self.config.spot_check_probes > 0).then_some(stream as &mut dyn MeasurementStream);
         let (changes, alarms) = self.sense(&m, spot);
-        self.act(&m, &changes, alarms, stream.network(), span)
+        self.act(&m, &changes, alarms, Truth::Stream(stream), span)
     }
 
     /// Drives the loop for `epochs` epochs of a stream.

@@ -65,7 +65,23 @@ pub trait MeasurementStream {
 
     /// The current ground-truth network (for cost evaluation/logging; a
     /// real deployment would not have this, the simulation does).
+    ///
+    /// A simulated stream drifts lazily ([`DriftingNetwork`]), so only
+    /// some links are current: the links the last epoch's scheme could
+    /// probe (every link after a full sweep), the links spot-checked
+    /// since, and every link among the instances last asked for through
+    /// [`MeasurementStream::truth`]. Any other link reads as of the last
+    /// time one of those brought it up to date.
     fn network(&self) -> &Network;
+
+    /// The ground-truth network with every link among `instances`
+    /// current — what pricing a deployment on them reads. The default is
+    /// [`MeasurementStream::network`], for streams whose every link is
+    /// always current.
+    fn truth(&mut self, instances: &[u32]) -> &Network {
+        let _ = instances;
+        self.network()
+    }
 
     /// The statistics accumulated over every epoch so far.
     fn cumulative(&self) -> &PairwiseStats;
@@ -278,9 +294,9 @@ impl<S: Scheme> SimStream<S> {
     }
 
     /// Like [`SimStream::new`], but the drifting network also carries a
-    /// fault process: per-link loss drifting around `faults.base_loss`,
-    /// plus whatever blackout/dark-instance rates the params specify.
-    /// The fault schedule runs on its own RNG (`fault_seed`), so two
+    /// fault process: per-link loss drifting around `faults.base_loss`;
+    /// instances go dark only through [`SimStream::force_instance_dark`].
+    /// The fault schedule draws on its own key (`fault_seed`), so two
     /// streams differing only in faults share the latency trajectory.
     pub fn with_faults(
         net: Network,
@@ -320,7 +336,9 @@ impl<S: Scheme> MeasurementStream for SimStream<S> {
         &self.probe.cumulative
     }
 
-    /// Advances the drift, then measures the drifted state.
+    /// Advances the drift, brings the links the epoch's scheme can probe
+    /// up to date (pruning only drops pairs from that set), then measures
+    /// the drifted state.
     fn epoch(
         &mut self,
         external: Option<&dyn Scheme>,
@@ -328,15 +346,27 @@ impl<S: Scheme> MeasurementStream for SimStream<S> {
         stop: Option<&dyn StopRule>,
     ) -> EpochMeasurement {
         self.drifting.step(self.epoch_hours);
+        match external.unwrap_or(&self.probe.scheme).probed_links() {
+            Some(links) => self.drifting.advance(links),
+            None => self.drifting.advance_all(),
+        }
         let at_hours = self.drifting.hours();
         self.probe.measure(self.drifting.network(), external, rule, stop, at_hours)
     }
 
+    fn truth(&mut self, instances: &[u32]) -> &Network {
+        self.drifting.advance_instances(instances);
+        self.drifting.network()
+    }
+
     fn spot_check(&mut self, src: u32, dst: u32, probes: usize) -> Option<f64> {
+        self.drifting.advance([(src, dst)]);
         self.probe.spot_check(self.drifting.network(), src, dst, probes)
     }
 
+    /// Brings both directions up to date: the reply crosses `dst → src`.
     fn spot_check_loss(&mut self, src: u32, dst: u32, probes: usize) -> Option<(u64, u64)> {
+        self.drifting.advance([(src, dst), (dst, src)]);
         self.probe.spot_check_loss(self.drifting.network(), src, dst, probes)
     }
 }
@@ -349,8 +379,7 @@ pub fn record_trajectory(
     epoch_hours: f64,
     epochs: usize,
 ) -> Vec<Network> {
-    let mut drifting = DriftingNetwork::new(net, drift_seed);
-    (0..epochs).map(|_| drifting.step(epoch_hours).clone()).collect()
+    record_trajectory_with(DriftingNetwork::new(net, drift_seed), epoch_hours, epochs, |_, _| {})
 }
 
 /// Records `epochs` snapshots of a caller-built [`DriftingNetwork`]
@@ -368,7 +397,9 @@ pub fn record_trajectory_with(
     (0..epochs)
         .map(|e| {
             on_epoch(e, &mut drifting);
-            drifting.step(epoch_hours).clone()
+            drifting.step(epoch_hours);
+            drifting.advance_all();
+            drifting.network().clone()
         })
         .collect()
 }
@@ -756,6 +787,160 @@ mod tests {
             means
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// A [`SimStream`] that keeps each epoch's deltas and counts its spot
+    /// checks. `eager` is the oracle of lazy drift: its network advances
+    /// every link right after every step, and it never asks the stream to
+    /// bring a link up to date.
+    struct Recording<S: Scheme> {
+        sim: SimStream<S>,
+        eager: bool,
+        deltas: Vec<Vec<LinkDelta>>,
+        spot_checks: usize,
+    }
+
+    impl<S: Scheme> MeasurementStream for Recording<S> {
+        fn len(&self) -> usize {
+            self.sim.len()
+        }
+
+        fn network(&self) -> &Network {
+            self.sim.network()
+        }
+
+        fn cumulative(&self) -> &PairwiseStats {
+            self.sim.cumulative()
+        }
+
+        fn epoch(
+            &mut self,
+            scheme: Option<&dyn Scheme>,
+            rule: Option<&dyn PruneRule>,
+            stop: Option<&dyn StopRule>,
+        ) -> EpochMeasurement {
+            let m = if self.eager {
+                let sim = &mut self.sim;
+                sim.drifting.step(sim.epoch_hours);
+                sim.drifting.advance_all();
+                let at_hours = sim.drifting.hours();
+                sim.probe.measure(sim.drifting.network(), scheme, rule, stop, at_hours)
+            } else {
+                self.sim.epoch(scheme, rule, stop)
+            };
+            self.deltas.push(m.deltas.clone());
+            m
+        }
+
+        fn truth(&mut self, instances: &[u32]) -> &Network {
+            if self.eager {
+                self.sim.network()
+            } else {
+                self.sim.truth(instances)
+            }
+        }
+
+        fn spot_check(&mut self, src: u32, dst: u32, probes: usize) -> Option<f64> {
+            self.spot_checks += 1;
+            if self.eager {
+                self.sim.probe.spot_check(self.sim.drifting.network(), src, dst, probes)
+            } else {
+                self.sim.spot_check(src, dst, probes)
+            }
+        }
+
+        fn spot_check_loss(&mut self, src: u32, dst: u32, probes: usize) -> Option<(u64, u64)> {
+            self.spot_checks += 1;
+            if self.eager {
+                self.sim.probe.spot_check_loss(self.sim.drifting.network(), src, dst, probes)
+            } else {
+                self.sim.spot_check_loss(src, dst, probes)
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_drift_runs_the_focused_loop_exactly_like_eager_drift() {
+        // A focused, loss-aware advisor over fast drift: bootstrap and
+        // periodic refresh sweeps, focused epochs, spot checks, and a
+        // deployed instance forced dark mid-run. Whatever links the lazy
+        // stream brings up to date, the loop must see exactly what it sees
+        // when every link advances on every step.
+        use crate::{OnlineAdvisor, OnlineAdvisorConfig, OnlineEvent, ProbePolicy};
+        use cloudia_core::CommGraph;
+        use cloudia_netsim::DriftParams;
+        use cloudia_solver::CandidateConfig;
+        let run = |eager: bool| {
+            let net = network(14, 21).with_drift_params(DriftParams {
+                reversion_per_hour: 0.05,
+                sigma_per_sqrt_hour: 0.2,
+            });
+            let config = OnlineAdvisorConfig {
+                solve_seconds: 0.2,
+                threads: 1,
+                migration_budget: 2,
+                spot_check_probes: 4,
+                probe_policy: ProbePolicy::Focused { max_flagged: 8, refresh_every: 6 },
+                candidates: Some(CandidateConfig::fixed(3)),
+                detector: crate::DetectorConfig { warmup: 3, threshold: 5.0 },
+                ..Default::default()
+            };
+            let mut advisor = OnlineAdvisor::new(CommGraph::ring(4), 14, (0..4).collect(), config);
+            let sim = SimStream::with_faults(
+                net,
+                Staged::new(2, 2),
+                MeasureConfig::default(),
+                2.0,
+                5,
+                FaultParams::drifting_loss(0.03),
+                0xfa11,
+            );
+            let mut stream = Recording { sim, eager, deltas: Vec::new(), spot_checks: 0 };
+            let (mut full, mut summaries) = (0, Vec::new());
+            for epoch in 0..18 {
+                if epoch == 9 {
+                    let victim = advisor.deployment()[0];
+                    stream.sim.force_instance_dark(victim, 1e6);
+                }
+                full += usize::from(advisor.next_probe_plan().is_some_and(|p| p.is_full()));
+                summaries.push(format!("{:?}", advisor.step_stream(&mut stream)));
+            }
+            // Repair solve times are wall-clock: everything else must match.
+            let events: Vec<String> = advisor
+                .events()
+                .iter()
+                .map(|e| match e {
+                    OnlineEvent::Resolve { .. } => {
+                        let mut e = e.clone();
+                        if let OnlineEvent::Resolve { solve_seconds, .. } = &mut e {
+                            *solve_seconds = 0.0;
+                        }
+                        format!("{e:?}")
+                    }
+                    e => format!("{e:?}"),
+                })
+                .collect();
+            // Each epoch's deltas, means as bits.
+            let deltas: Vec<String> = stream
+                .deltas
+                .iter()
+                .map(|ds| {
+                    let key = |d: &LinkDelta| (d.src, d.dst, d.count, d.attempts, d.timeouts);
+                    ds.iter().map(|d| format!("{:?} {:x};", key(d), d.mean.to_bits())).collect()
+                })
+                .collect();
+            (full, stream.spot_checks, summaries, events, deltas)
+        };
+        let (lazy, eager) = (run(false), run(true));
+        let (full, spot_checks, _, events, _) = &lazy;
+        assert!(*full >= 2, "no refresh sweep after the bootstrap ({full} full epochs)");
+        assert!(*full < 18, "no focused epoch");
+        assert!(*spot_checks > 0, "no spot check ran");
+        assert!(events.iter().any(|e| e.starts_with("LinkDark")), "the blackout went unseen");
+        assert_eq!(lazy.1, eager.1, "spot checks");
+        assert_eq!(lazy.2, eager.2, "epoch summaries");
+        assert_eq!(lazy.3, eager.3, "event logs");
+        assert_eq!(lazy.4, eager.4, "epoch deltas");
     }
 
     #[test]

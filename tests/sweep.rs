@@ -145,10 +145,11 @@ fn no_op_rule_keeps_streams_bit_identical() {
 /// time-averaged ground-truth cost within 2 %.
 ///
 /// Beside the thresholds, the seeded arms' probe ledgers are pinned as
-/// golden values (captured on the commit before the rule/loop/entry-point
-/// collapse): repairs here end by proof in milliseconds, far inside their
-/// wall-clock cap, so the counts are a function of the seed, and any
-/// refactor of the decision path is held to seeded identity in-tree.
+/// golden values (re-recorded when the drift moved to counter-keyed
+/// draws, which changed the trajectory): repairs here end by proof in
+/// milliseconds, far inside their wall-clock cap, so the counts are a
+/// function of the seed, and any refactor of the decision path is held
+/// to seeded identity in-tree.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full differential run; slow in debug — run with --release")]
 fn pruned_vs_uniform_differential_through_the_facade() {
@@ -186,6 +187,6 @@ fn pruned_vs_uniform_differential_through_the_facade() {
     });
     let ledger = |arm: &FocusArm| (arm.probes, arm.saved_round_trips);
     assert_eq!(ledger(&uniform), (295_680, 0), "uniform arm left its seeded trajectory");
-    assert_eq!(ledger(&pruned), (97_581, 198_099), "pruned arm left its seeded trajectory");
-    assert_eq!(ledger(&anytime), (27_765, 267_915), "CI + anytime arm left its seeded trajectory");
+    assert_eq!(ledger(&pruned), (85_806, 209_874), "pruned arm left its seeded trajectory");
+    assert_eq!(ledger(&anytime), (27_651, 268_029), "CI + anytime arm left its seeded trajectory");
 }
