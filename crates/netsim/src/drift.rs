@@ -129,8 +129,13 @@ pub struct DriftingNetwork {
     /// The step each link's processes (latency and, with faults, loss)
     /// were last advanced to; 0 is construction.
     at_step: Vec<u32>,
-    /// Every step so far: step `s` (counted from 1) is `steps[s − 1]`.
+    /// The steps taken since the last [`DriftingNetwork::advance_all`]
+    /// (which every link has replayed, so it drops them): step `s`
+    /// (counted from 1) is `steps[s − 1 − logged_from]`. Without an
+    /// `advance_all` the log grows by one entry per step.
     steps: Vec<Step>,
+    /// How many steps precede `steps[0]`.
+    logged_from: u32,
     hours: f64,
     /// Optional evolving fault process (per-link loss drift, scripted
     /// dark instances). Keyed by its own seed, so a fault schedule never
@@ -203,6 +208,7 @@ impl DriftingNetwork {
             log_mult: vec![0.0; n * n],
             at_step: vec![0; n * n],
             steps: Vec::new(),
+            logged_from: 0,
             hours: 0.0,
             faults: None,
         }
@@ -263,7 +269,7 @@ impl DriftingNetwork {
     /// # Panics
     /// Panics if `dt_hours` is negative.
     pub fn step(&mut self, dt_hours: f64) {
-        assert!(self.steps.len() < u32::MAX as usize, "step counter exhausted");
+        assert!(self.now() < u32::MAX as usize, "step counter exhausted");
         self.steps.push(Step {
             latency: self.params.transition(dt_hours),
             loss: DriftParams::default().transition(dt_hours),
@@ -285,9 +291,17 @@ impl DriftingNetwork {
         self.advance(instances.iter().flat_map(|&i| instances.iter().map(move |&j| (i, j))));
     }
 
-    /// Brings every link up to date, in one row-major pass.
+    /// Brings every link up to date, in one row-major pass, and drops
+    /// the logged steps, which no link needs any more.
     pub fn advance_all(&mut self) {
         self.advance_links(Self::links(self.net.len()));
+        self.logged_from = self.now() as u32;
+        self.steps.clear();
+    }
+
+    /// How many steps were taken since construction.
+    fn now(&self) -> usize {
+        self.logged_from as usize + self.steps.len()
     }
 
     /// Every directed link of an `n`-instance network, row-major.
@@ -309,11 +323,12 @@ impl DriftingNetwork {
     fn catch_up(&mut self, i: usize, j: usize) -> u64 {
         let n = self.net.len();
         let idx = i * n + j;
-        let (from, now) = (self.at_step[idx] as usize, self.steps.len());
+        let (from, now) = (self.at_step[idx] as usize, self.now());
         if from == now {
             return 0;
         }
-        let (missed, first) = (&self.steps[from..], from as u64 + 1);
+        let missed = &self.steps[from - self.logged_from as usize..];
+        let first = from as u64 + 1;
         let x = replay(
             self.log_mult[idx],
             link_key(self.key, idx),
@@ -580,6 +595,7 @@ mod tests {
             let mut means = Vec::new();
             for _ in 0..6 {
                 d.step(2.0);
+                d.advance_all();
                 for i in 0..5u32 {
                     for j in 0..5u32 {
                         if i != j {
@@ -758,6 +774,8 @@ mod tests {
                     _ => {
                         d.advance_all();
                         eager.check_all(&d);
+                        // Every link has replayed the log: it is dropped.
+                        proptest::prop_assert!(d.steps.is_empty());
                     }
                 }
             }

@@ -1023,6 +1023,17 @@ impl OnlineAdvisor {
     /// configured timeout ([`Network::effective_mean`]; plain means on a
     /// loss-free network). Spot-check confirmation needs stream access
     /// and therefore only runs through [`OnlineAdvisor::step_stream`].
+    ///
+    /// A simulated stream drifts lazily, so its
+    /// [`MeasurementStream::network`] is current only on the links the
+    /// epoch could probe (every link after a full sweep) and those
+    /// brought up to date through [`MeasurementStream::truth`]. A
+    /// migration can land the deployment on links neither covers, and
+    /// its target is unknown until this call returns, so `net` prices
+    /// exactly only after a full sweep. Otherwise drive a lazy stream
+    /// through [`OnlineAdvisor::step_stream`], which asks for the truth
+    /// over the deployment before and after a migration, once the
+    /// repair solve has picked it.
     pub fn step(&mut self, m: &EpochMeasurement, net: &Network) -> EpochSummary {
         let span = cloudia_obs::span!("online.step", epoch = m.epoch);
         let (changes, alarms) = self.sense(m, None);
