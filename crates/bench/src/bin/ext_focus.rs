@@ -16,11 +16,14 @@
 //! differential tests in `crates/online/tests/focused.rs` and
 //! `tests/focused.rs` so the asserted contract cannot fork.
 //!
-//! In `--smoke` mode the bin **asserts** the PR's acceptance criteria:
-//! focused probing spends ≤ 25 % of uniform's probe round trips, its
-//! time-averaged ground-truth cost stays within 2 % of uniform's, and the
-//! focused arm's adaptive `k` ends the quiet tail below its peak. Exits
-//! non-zero otherwise.
+//! The table comes from one scenario seed, which decides nothing about a
+//! 2 % cost contract. So in `--smoke` mode the bin also runs both arms on
+//! every seed of [`cloudia_online::CONTRACT_SEEDS`] and **asserts** the
+//! contract there: focused probing spends ≤ 25 % of uniform's probe round
+//! trips in total, the median time-averaged ground-truth cost gap stays
+//! within [`cloudia_online::MEDIAN_COST_GAP_BOUND`], and the focused
+//! arm's adaptive `k` ends the quiet tail below its peak on at least 7
+//! seeds in 8. Exits non-zero otherwise.
 //!
 //! `--trace PATH` streams the focused arm's full event history into a
 //! schema-versioned JSONL trace; the machine-readable arm comparison
@@ -28,7 +31,9 @@
 
 use cloudia_bench::{header, row, write_bench_json, ExtArgs};
 use cloudia_obs::Json;
-use cloudia_online::{ArmOptions, FocusScenario, ProbePolicy};
+use cloudia_online::{
+    ArmOptions, FocusScenario, ProbePolicy, CONTRACT_SEEDS, MEDIAN_COST_GAP_BOUND,
+};
 
 fn main() {
     let args = ExtArgs::parse();
@@ -59,13 +64,7 @@ fn main() {
     let uniform = built.run_arm(ProbePolicy::Uniform);
     // With `--trace` the focused arm streams its event history into the
     // JSONL trace as it runs.
-    let focused_opts = ArmOptions {
-        probe_policy: scenario.focused_policy(),
-        prune_during_sweep: false,
-        spot_check_probes: 0,
-        confidence: None,
-        anytime: false,
-    };
+    let focused_opts = ArmOptions::plain(scenario.focused_policy());
     let (focused, recorder) = match args.recorder("ext_focus") {
         Some(rec) => {
             let (arm, rec) = built.run_arm_traced(focused_opts, rec);
@@ -140,24 +139,33 @@ fn main() {
     }
 
     if smoke {
+        let cmp = scenario.against_uniform(CONTRACT_SEEDS, focused_opts);
+        let (gap, total_ratio, shrank) =
+            (cmp.median_cost_gap(), cmp.total_probe_ratio(), cmp.seeds_k_shrank());
+        let seeds = cmp.runs.len();
+        println!(
+            "# over {seeds} seeds: focused spends {:.1}% of uniform's probes, median cost gap \
+             {:+.2}%, adaptive k shrank on {shrank}",
+            total_ratio * 100.0,
+            gap * 100.0
+        );
         let mut failures = Vec::new();
-        if probe_ratio > 0.25 {
+        if total_ratio > 0.25 {
             failures.push(format!(
-                "focused probing used {:.1}% of uniform's round trips (> 25%)",
-                probe_ratio * 100.0
+                "focused probing used {:.1}% of uniform's round trips over {seeds} seeds (> 25%)",
+                total_ratio * 100.0
             ));
         }
-        if cost_ratio > 1.02 {
+        if gap > MEDIAN_COST_GAP_BOUND {
             failures.push(format!(
-                "focused time-averaged cost {:.4} is {:.2}% above uniform's {:.4} (> 2%)",
-                focused.avg_cost,
-                (cost_ratio - 1.0) * 100.0,
-                uniform.avg_cost
+                "focused median cost gap {:+.2}% over {seeds} seeds exceeds the {:.0}% bound",
+                gap * 100.0,
+                MEDIAN_COST_GAP_BOUND * 100.0
             ));
         }
-        if final_k >= peak_k {
+        if 8 * shrank < 7 * seeds {
             failures.push(format!(
-                "adaptive k never shrank on the quiet tail (peak {peak_k}, final {final_k})"
+                "adaptive k shrank on the quiet tail on only {shrank} of {seeds} seeds"
             ));
         }
         if !failures.is_empty() {
@@ -167,7 +175,9 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "# smoke OK: <= 25% probe budget, cost within 2%, adaptive k shrank on the quiet tail"
+            "# smoke OK: <= 25% probe budget, median cost gap within {:.0}%, adaptive k shrank on \
+             the quiet tail",
+            MEDIAN_COST_GAP_BOUND * 100.0
         );
     }
 }

@@ -35,10 +35,12 @@
 //!   array-of-structs walk (`build_partial_reference`) by ≥ 5× while
 //!   producing the identical candidate pool.
 //!
-//! A third section covers **adaptive sketch spilling** at m = 20000 with
-//! 2048 neighbours per instance: it asserts the materialised footprint
-//! ([`PairwiseStats::resident_bytes`]) stays ≤ 5 GB with spilling on,
-//! where keeping every sketch would pin ~8 GB of P² state alone.
+//! A third section fills the default (sketchless) stats plane at
+//! m = 20000 with 2048 neighbours per instance and asserts its
+//! materialised footprint ([`PairwiseStats::resident_bytes`]) stays
+//! ≤ 5 GB. It also reports what the same sweep would hold with the p99
+//! sketches ([`PairwiseStats::with_p99`]), ~7 GB more, without building
+//! them.
 //!
 //! The machine-readable race results always land in
 //! `BENCH_ext_scale.json`.
@@ -256,70 +258,59 @@ fn main() {
         );
     }
 
-    // --- Adaptive sketch spilling at m = 20000 -------------------------
+    // --- A sparse sweep at m = 20000 -----------------------------------
     //
-    // 2048 neighbours per instance is ~41 M covered links; keeping a P²
-    // sketch on every one of them forever would pin ~8 GB of sketch
-    // state alone. The sweep instead ages the clock once per source row
-    // and spills sketches quiet for 2 ticks, so only the last couple of
-    // rows' sketches are ever live and the free-list recycles the same
-    // few thousand table entries. The gate checks the materialised
-    // footprint (`resident_bytes`), which tracks touched pages plus live
-    // sketch state — the capacity-based 6 GB gate above is unchanged.
-    let spill_m = 20_000usize;
+    // 2048 neighbours per instance is ~41 M covered links. The default
+    // statistics keep no P² sketches, so only the touched column pages
+    // materialise. The gate checks that footprint (`resident_bytes`);
+    // the capacity-based 6 GB gate above is unchanged.
+    let sparse_m = 20_000usize;
     let fan = 2_048usize;
     let t0 = Instant::now();
-    let mut spill_stats = PairwiseStats::new(spill_m);
-    let mut spilled_total = 0u64;
-    for j in 0..spill_m {
+    let mut sparse = PairwiseStats::new(sparse_m);
+    for j in 0..sparse_m {
         for d in 1..=fan {
-            let dst = (j + d) % spill_m;
-            spill_stats.record_attempt(j, dst);
-            spill_stats.record(j, dst, 0.3 + ((j + d) % 17) as f64 * 0.05);
+            let dst = (j + d) % sparse_m;
+            sparse.record_attempt(j, dst);
+            sparse.record(j, dst, 0.3 + ((j + d) % 17) as f64 * 0.05);
         }
-        // One "stage" per source row: age the clock, spill quiet links.
-        spill_stats.advance_tick();
-        spilled_total += spill_stats.spill_quiet(2) as u64;
     }
-    let spill_populate_s = t0.elapsed().as_secs_f64();
-    let resident = spill_stats.resident_bytes();
-    let covered = (spill_m * fan) as u64;
-    // Rough no-spill counterfactual: every covered link keeps its inline
-    // P² sketch plus side-table entries for the whole run.
-    let no_spill_sketch_gb = covered as f64 * 192.0 / 1e9;
+    let sparse_populate_s = t0.elapsed().as_secs_f64();
+    let resident = sparse.resident_bytes();
+    let covered = sparse.covered_links();
+    // What `PairwiseStats::with_p99` would add: a P² sketch per covered
+    // link, and half a page of sketch slots per five touched column
+    // pages (a tenth of the column footprint).
+    let p99_extra = covered * std::mem::size_of::<cloudia_measure::P2Quantile>() + resident / 10;
+    let with_p99_gb = (resident + p99_extra) as f64 / 1e9;
     println!();
-    println!("spill_m\tfan\tpopulate_s\tresident_gb\tno_spill_sketch_gb\tlive_sketches\tspilled");
+    println!("sparse_m\tfan\tpopulate_s\tresident_gb\twith_p99_gb");
     row(&[
-        format!("{spill_m}"),
+        format!("{sparse_m}"),
         format!("{fan}"),
-        format!("{spill_populate_s:.3}"),
+        format!("{sparse_populate_s:.3}"),
         format!("{:.2}", resident as f64 / 1e9),
-        format!("{no_spill_sketch_gb:.2}"),
-        format!("{}", spill_stats.live_sketches()),
-        format!("{spilled_total}"),
+        format!("{with_p99_gb:.2}"),
     ]);
     if resident > 5_000_000_000 {
         failures.push(format!(
-            "spill@m={spill_m}: resident footprint {:.2} GB exceeds the 5 GB gate with \
-             spilling on",
+            "sparse@m={sparse_m}: resident footprint {:.2} GB exceeds the 5 GB gate",
             resident as f64 / 1e9
         ));
     }
-    let spill_json = Json::obj()
-        .field("m", spill_m)
+    let sparse_json = Json::obj()
+        .field("m", sparse_m)
         .field("fan", fan)
-        .field("populate_s", spill_populate_s)
+        .field("populate_s", sparse_populate_s)
         .field("resident_bytes", resident)
-        .field("no_spill_sketch_gb", no_spill_sketch_gb)
-        .field("live_sketches", spill_stats.live_sketches())
-        .field("spilled", spilled_total);
+        .field("with_p99_gb", with_p99_gb);
 
     match write_bench_json(
         "ext_scale",
         Json::obj()
             .field("races", races)
             .field("stats_plane", stat_arms)
-            .field("spill", spill_json),
+            .field("sparse", sparse_json),
     ) {
         Ok(path) => println!("# wrote {}", path.display()),
         Err(e) => {
@@ -339,6 +330,6 @@ fn main() {
         println!(
             "# smoke OK: stats plane <= 6 GB at m = 10000, columnar build_partial >= 5x at m = 5000"
         );
-        println!("# smoke OK: resident footprint <= 5 GB at m = 20000 with spilling on");
+        println!("# smoke OK: resident footprint <= 5 GB at m = 20000");
     }
 }

@@ -24,14 +24,18 @@
 //! [`cloudia_online::scenario::FocusScenario`], the same one `ext_focus`
 //! and the differential tests assert, so the contract cannot fork.
 //!
-//! In `--smoke` mode the bin **asserts** the PR's acceptance criteria:
-//! the pruned arm saves ≥ 30 % of uniform's probe round trips while its
-//! time-averaged ground-truth deployment cost stays within 2 % of
-//! uniform's; the anytime arm saves ≥ 20 % *additional* round trips over
-//! the pruned arm while its realized ground-truth cost stays within the
-//! stated error bound (`1 + (1 − confidence)` of uniform's); and the
-//! telemetry plane's overhead on the measurement hot path stays within
-//! 3 % of the `--no-metrics` baseline. Exits non-zero otherwise.
+//! In `--smoke` mode the bin **asserts** the PR's acceptance criteria.
+//! The pruning contract is judged on every seed of
+//! [`cloudia_online::CONTRACT_SEEDS`], since one seed decides nothing
+//! about a 2 % cost contract: the pruned arm saves ≥ 30 % of uniform's
+//! probe round trips on every seed, and the median of its time-averaged
+//! ground-truth cost gap to uniform stays within
+//! [`cloudia_online::MEDIAN_COST_GAP_BOUND`]. On the table's own seed,
+//! the anytime arm saves ≥ 20 % *additional* round trips over the pruned
+//! arm while its realized ground-truth cost stays within the stated
+//! error bound (`1 + (1 − confidence)` of uniform's). And the telemetry
+//! plane's overhead on the measurement hot path stays within 3 % of the
+//! `--no-metrics` baseline. Exits non-zero otherwise.
 //!
 //! `--trace PATH` streams the focused+pruned arm's full event history —
 //! plus the final metrics snapshot and span log — into a
@@ -41,7 +45,9 @@
 use cloudia_bench::{header, row, write_bench_json, ExtArgs};
 use cloudia_measure::{MeasureConfig, Scheme, Staged};
 use cloudia_obs::Json;
-use cloudia_online::{ArmOptions, FocusScenario, ProbePolicy};
+use cloudia_online::{
+    ArmOptions, FocusScenario, ProbePolicy, CONTRACT_SEEDS, MEDIAN_COST_GAP_BOUND,
+};
 
 /// Minimum wall time of one arm's timed block in the telemetry race (s).
 const BLOCK_S: f64 = 0.02;
@@ -120,31 +126,19 @@ fn main() {
 
     let built = scenario.build();
     let uniform = built.run_arm(ProbePolicy::Uniform);
-    let pruned = built.run_arm_with(ArmOptions {
-        probe_policy: ProbePolicy::Uniform,
-        prune_during_sweep: true,
-        spot_check_probes: 0,
-        confidence: None,
-        anytime: false,
-    });
+    let pruned_opts =
+        ArmOptions { prune_during_sweep: true, ..ArmOptions::plain(ProbePolicy::Uniform) };
+    let pruned = built.run_arm_with(pruned_opts);
     // The error-bounded arm: CI-backed pruning plus the anytime early
     // stop, at this confidence level. Its realized cost bound is
     // asserted against `1 + (1 - confidence)` under --smoke.
     let confidence = 0.95;
     let anytime = built.run_arm_with(ArmOptions {
-        probe_policy: ProbePolicy::Uniform,
-        prune_during_sweep: true,
-        spot_check_probes: 0,
         confidence: Some(confidence),
         anytime: true,
+        ..pruned_opts
     });
-    let focused_opts = ArmOptions {
-        probe_policy: scenario.focused_policy(),
-        prune_during_sweep: true,
-        spot_check_probes: 0,
-        confidence: None,
-        anytime: false,
-    };
+    let focused_opts = ArmOptions { probe_policy: scenario.focused_policy(), ..pruned_opts };
     // With `--trace` the focused+pruned arm streams its full event
     // history into the JSONL trace as it runs.
     let (focused_pruned, recorder) = match args.recorder("ext_sweep") {
@@ -245,23 +239,33 @@ fn main() {
     }
 
     if smoke {
+        let cmp = scenario.against_uniform(CONTRACT_SEEDS, pruned_opts);
+        let gap = cmp.median_cost_gap();
+        println!(
+            "# over {} seeds: pruned median cost gap {:+.2}%, least saving {:.1}%",
+            cmp.runs.len(),
+            gap * 100.0,
+            cmp.probe_ratios().map(|(_, r)| (1.0 - r) * 100.0).fold(f64::INFINITY, f64::min)
+        );
         let mut failures = Vec::new();
-        if savings < 0.30 {
+        for (seed, ratio) in cmp.probe_ratios() {
+            if ratio > 0.70 {
+                failures.push(format!(
+                    "seed {seed}: pruning saved only {:.1}% of uniform's round trips (< 30%)",
+                    (1.0 - ratio) * 100.0
+                ));
+            }
+        }
+        if gap > MEDIAN_COST_GAP_BOUND {
             failures.push(format!(
-                "pruning saved only {:.1}% of uniform's round trips (< 30%)",
-                savings * 100.0
+                "pruned median cost gap {:+.2}% over {} seeds exceeds the {:.0}% bound",
+                gap * 100.0,
+                cmp.runs.len(),
+                MEDIAN_COST_GAP_BOUND * 100.0
             ));
         }
-        if cost_ratio > 1.02 {
-            failures.push(format!(
-                "pruned time-averaged cost {:.4} is {:.2}% above uniform's {:.4} (> 2%)",
-                pruned.avg_cost,
-                (cost_ratio - 1.0) * 100.0,
-                uniform.avg_cost
-            ));
-        }
-        if pruned.saved_round_trips == 0 {
-            failures.push("the pruned arm never reported mid-sweep savings".to_string());
+        if let Some((seed, ..)) = cmp.runs.iter().find(|(_, _, arm)| arm.saved_round_trips == 0) {
+            failures.push(format!("seed {seed}: the pruned arm never reported mid-sweep savings"));
         }
         if anytime_extra < 0.20 {
             failures.push(format!(
@@ -292,8 +296,9 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "# smoke OK: >= 30% round trips saved, cost within 2% of full sweeps, anytime \
-             saves >= 20% more within its error bound, telemetry overhead within 3%"
+            "# smoke OK: >= 30% round trips saved, median cost gap within {:.0}% of full sweeps, \
+             anytime saves >= 20% more within its error bound, telemetry overhead within 3%",
+            MEDIAN_COST_GAP_BOUND * 100.0
         );
     }
 }

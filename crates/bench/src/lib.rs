@@ -284,8 +284,8 @@ pub fn measured_costs(
     sweeps: usize,
     seed: u64,
 ) -> CostMatrix {
-    let report =
-        Staged::new(ks, sweeps).run(net, &MeasureConfig { seed, ..MeasureConfig::default() });
+    let cfg = MeasureConfig { seed, ..MeasureConfig::default() };
+    let report = Staged::new(ks, sweeps).run_onto(net, &cfg, metric.empty_stats(net.len()));
     match metric.try_cost_matrix(&report.stats) {
         Ok(costs) => costs,
         Err(e) => {

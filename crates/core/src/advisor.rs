@@ -299,13 +299,15 @@ impl Advisor {
         )
     }
 
-    /// Runs only the measurement step (staged scheme).
+    /// Runs only the measurement step (staged scheme), into statistics
+    /// that keep p99 sketches only when the configured metric reads them.
     pub fn measure(&self, network: &Network, seed: u64) -> MeasurementReport {
         let plan = &self.config.measurement;
         let mut cfg = plan.config.clone();
         cfg.seed ^= seed;
         let mut span = cloudia_obs::span!("advisor.measure", instances = network.len());
-        let report = Staged::new(plan.ks, plan.sweeps).run(network, &cfg);
+        let stats = self.config.metric.empty_stats(network.len());
+        let report = Staged::new(plan.ks, plan.sweeps).run_onto(network, &cfg, stats);
         if cloudia_obs::enabled() {
             span.attr("round_trips", report.round_trips);
             span.attr("sim_ms", report.elapsed_ms);

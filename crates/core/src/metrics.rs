@@ -37,12 +37,25 @@ impl LatencyMetric {
         [LatencyMetric::Mean, LatencyMetric::MeanPlusSd, LatencyMetric::P99]
     }
 
+    /// Empty statistics for `n` instances that can answer this metric:
+    /// with P² sketches for p99, without them for the mean and mean+SD
+    /// (40 bytes per link, against 44 plus a 176-byte sketch per covered
+    /// link).
+    pub fn empty_stats(self, n: usize) -> PairwiseStats {
+        match self {
+            LatencyMetric::P99 => PairwiseStats::with_p99(n),
+            LatencyMetric::Mean | LatencyMetric::MeanPlusSd => PairwiseStats::new(n),
+        }
+    }
+
     /// Extracts the cost matrix under this metric from measurement
     /// statistics, reporting corrupt estimates (NaN/negative) as an error
     /// instead of aborting. An attempted-but-never-answered link prices
     /// as `+∞` (a legal cost every ranking pushes away from); a link that
     /// was never even attempted has no honest price at all and surfaces
-    /// as [`CostError::Unmeasured`].
+    /// as [`CostError::Unmeasured`]. P99 from statistics built without
+    /// sketches (see [`LatencyMetric::empty_stats`]) is
+    /// [`CostError::Untracked`], never a proxy.
     pub fn try_cost_matrix(self, stats: &PairwiseStats) -> Result<CostMatrix, CostError> {
         match self {
             LatencyMetric::Mean => stats.mean_matrix(),
@@ -74,7 +87,7 @@ mod tests {
     use super::*;
 
     fn stats_with_jitter() -> PairwiseStats {
-        let mut s = PairwiseStats::new(3);
+        let mut s = PairwiseStats::with_p99(3);
         // Link (0,1): stable around 1.0; link (0,2): jittery around 1.0.
         for i in 0..200 {
             s.record(0, 1, 1.0 + 0.01 * ((i % 3) as f64));
@@ -119,6 +132,26 @@ mod tests {
         assert!((mean.get(0, 1) - mean.get(0, 2)).abs() < 0.15);
         assert!(msd.get(0, 2) > msd.get(0, 1) + 0.3);
         assert!(p99.get(0, 2) > p99.get(0, 1) + 1.0);
+    }
+
+    #[test]
+    fn p99_of_sketchless_stats_is_an_error() {
+        let mut s = LatencyMetric::Mean.empty_stats(2);
+        s.record(0, 1, 1.0);
+        s.record(1, 0, 2.0);
+        assert!(LatencyMetric::Mean.try_cost_matrix(&s).is_ok());
+        assert!(LatencyMetric::MeanPlusSd.try_cost_matrix(&s).is_ok());
+        assert_eq!(
+            LatencyMetric::P99.try_cost_matrix(&s),
+            Err(CostError::Untracked { metric: "p99" })
+        );
+        // Each metric's own empty statistics answer it.
+        for metric in LatencyMetric::all() {
+            let mut s = metric.empty_stats(2);
+            s.record(0, 1, 1.0);
+            s.record(1, 0, 2.0);
+            assert_eq!(metric.cost_matrix(&s).get(0, 1), 1.0, "{}", metric.name());
+        }
     }
 
     #[test]

@@ -58,6 +58,13 @@ pub enum CostError {
         /// Column (destination instance).
         j: usize,
     },
+    /// The statistics do not track the requested metric at all — e.g.
+    /// p99 from statistics built without quantile sketches. Raised by
+    /// extractors instead of substituting another metric.
+    Untracked {
+        /// The metric asked for (`"p99"`).
+        metric: &'static str,
+    },
 }
 
 impl std::fmt::Display for CostError {
@@ -71,6 +78,9 @@ impl std::fmt::Display for CostError {
             }
             CostError::Unmeasured { i, j } => {
                 write!(f, "cost[{i}][{j}] was never attempted; no estimate exists")
+            }
+            CostError::Untracked { metric } => {
+                write!(f, "the statistics keep no {metric} estimates; build them for {metric}")
             }
         }
     }

@@ -175,7 +175,7 @@ pub fn t_critical(confidence: f64, df: u64) -> f64 {
     let mut y = x.powf(2.0 / n);
     if y > 0.05 + a {
         // Asymptotic inverse expansion about the normal quantile.
-        x = -inverse_normal_cdf(p * 0.5);
+        x = -cloudia_netsim::dist::inverse_normal_cdf(p * 0.5);
         y = x * x;
         if n < 5.0 {
             c += 0.3 * (n - 4.5) * (x + 0.6);
@@ -194,57 +194,6 @@ pub fn t_critical(confidence: f64, df: u64) -> f64 {
             + 1.0 / y;
     }
     (n * y).sqrt()
-}
-
-/// Acklam's rational approximation to the standard normal quantile
-/// (lower-tail probability `p` in `(0, 1)`; absolute error below
-/// 1.15e-9 over the whole range).
-fn inverse_normal_cdf(p: f64) -> f64 {
-    debug_assert!(p > 0.0 && p < 1.0);
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.38357751867269e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -((((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0))
-    }
 }
 
 #[cfg(test)]
@@ -276,6 +225,30 @@ mod tests {
         assert!((t_critical(0.99, 30) - 2.750).abs() < 0.01);
         // Large df converges on the normal quantile.
         assert!((t_critical(0.95, 1_000_000) - 1.959964).abs() < 1e-3);
+        // Bit-identical to the values before the inverse-normal CDF was
+        // shared with `cloudia_netsim::dist` (df 1 and 2 are closed forms;
+        // every df here but the low-confidence small-df corner goes
+        // through the normal quantile).
+        let dfs = [3, 4, 5, 7, 10, 30, 100, 1000];
+        #[rustfmt::skip]
+        let grid: [(f64, [f64; 8]); 5] = [
+            (0.8, [1.6380075197197177, 1.5332408053758364, 1.475891490222804, 1.4149247251506212,
+                1.3721837189892903, 1.310415023995735, 1.290074759921092, 1.2823984316233414]),
+            (0.9, [2.353379872846731, 2.132001719018138, 2.0150802895063906, 1.8945818377398398,
+                1.8124614289910015, 1.6972608849260127, 1.6602343242256954, 1.6463788154635244]),
+            (0.95, [3.182449116291139, 2.7769889858232184, 2.5706882812891623, 2.3646344220941917,
+                2.2281397828657474, 2.042272458889477, 1.9839715201545933, 1.9623390824115057]),
+            (0.99, [5.840909412547478, 4.604096737596949, 4.032158825486724, 3.4995673613395737,
+                3.169279618075511, 2.7499956623497734, 2.6258905244916897, 2.5807547009761493]),
+            (0.999, [12.923978736772895, 8.610301579848837, 6.86882715367751, 5.407897055638046,
+                4.5869531957995715, 3.645958667282014, 3.3904913076670815, 3.3002826451636684]),
+        ];
+        for (confidence, row) in grid {
+            for (df, expect) in dfs.into_iter().zip(row) {
+                let got = t_critical(confidence, df);
+                assert_eq!(got.to_bits(), expect.to_bits(), "t({confidence}, df={df}) = {got}");
+            }
+        }
     }
 
     #[test]

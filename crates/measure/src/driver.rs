@@ -436,8 +436,6 @@ struct StageTally {
     delivered: u64,
     lost: u64,
     dark: u64,
-    /// P² sketches spilled by the quiet-link horizon this run.
-    spilled: u64,
     /// Wall-time span from the first executed stage to driver drop;
     /// `None` until a stage runs (or while telemetry is disabled).
     span: Option<cloudia_obs::SpanGuard>,
@@ -460,7 +458,6 @@ impl Drop for StageTally {
                 ("sweep.messages_delivered", self.delivered),
                 ("sweep.messages_lost", self.lost),
                 ("sweep.dark_pairs", self.dark),
-                ("sweep.sketch_spills", self.spilled),
             ]);
         }
     }
@@ -584,15 +581,6 @@ impl<'n> StageDriver<'n> {
             self.tally.delivered += outcome.delivered;
             self.tally.lost += outcome.lost;
             self.tally.dark += outcome.dark.len() as u64;
-        }
-        // Age the stats plane's quiet-time clock — one tick per completed
-        // stage — and spill idle sketches if a horizon is configured.
-        self.stats.advance_tick();
-        if let Some(horizon) = self.cfg.sketch_spill_horizon {
-            let spilled = self.stats.spill_quiet(horizon);
-            if cloudia_obs::enabled() {
-                self.tally.spilled += spilled as u64;
-            }
         }
         // Pairs that went dark (retry budget exhausted without one
         // success) are struck from the schedule: re-probing a dead link

@@ -51,14 +51,6 @@ pub struct MeasureConfig {
     /// recorded as attempted. On a lossless network the budget is never
     /// consulted, so loss-awareness is free when the network is clean.
     pub retries_per_pair: u32,
-    /// If set, spill the P² sketch of any link that has gone this many
-    /// completed stages without a fresh sample
-    /// ([`crate::PairwiseStats::spill_quiet`]); spilled sketches
-    /// re-allocate on the link's next sample. Bounds the stats plane's
-    /// resident footprint on huge sparse sweeps, at the cost of a
-    /// temporary mean+SD p99 proxy on quiet links. `None` (default)
-    /// keeps every sketch forever.
-    pub sketch_spill_horizon: Option<u64>,
 }
 
 impl Default for MeasureConfig {
@@ -69,7 +61,6 @@ impl Default for MeasureConfig {
             timeout_ms: cloudia_netsim::DEFAULT_TIMEOUT_MS,
             retries_per_pair: 3,
             stage_workers: 0,
-            sketch_spill_horizon: None,
         }
     }
 }

@@ -10,34 +10,31 @@
 //! ## Columnar layout
 //!
 //! [`PairwiseStats`] is struct-of-arrays: one flat column per statistic
-//! (count/mean/M2/attempts/timeouts), indexed `src * n + dst`, plus a P²
-//! sketch side table allocated lazily only for links that ever record a
-//! sample. An empty link costs 44 bytes (five 8-byte columns plus a 4-byte
-//! sketch slot) instead of the ~200 of the old array-of-`LinkEstimate`
-//! layout, the hot score/matrix loops stream over contiguous slices, and
-//! the zero-initialised columns stay in untouched (lazily mapped) pages
-//! until a link is actually probed — at m = 10k the plane budgets ~4.4 GB
-//! logical instead of ~20 GB resident. [`LinkEstimate`] survives as a
-//! lightweight copyable view so per-link callers don't churn.
+//! (count/mean/M2/attempts/timeouts), indexed `src * n + dst`. An empty
+//! link costs 40 bytes (five 8-byte columns) instead of the ~200 of the
+//! old array-of-`LinkEstimate` layout, the hot score/matrix loops stream
+//! over contiguous slices, and the zero-initialised columns stay in
+//! untouched (lazily mapped) pages until a link is actually probed — at
+//! m = 10k the plane budgets ~4 GB logical instead of ~20 GB resident.
+//! [`LinkEstimate`] survives as a lightweight copyable view so per-link
+//! callers don't churn.
 //!
 //! The pre-refactor array-of-structs implementation is retained verbatim
 //! in [`aos`] as a differential-test oracle and bench baseline.
 //!
-//! ## Adaptive sketch spilling
+//! ## Sketches only where a p99 is read
 //!
-//! The Welford columns are dense and cheap; the P² sketches are the
-//! expensive part of a covered link (176 bytes each). Links often go
-//! quiet mid-run — pruned pairs, converged candidates, cold corners of a
-//! focused plan — so the store keeps a per-sketch last-seen tick and
-//! [`PairwiseStats::spill_quiet`] drops sketches idle past a horizon,
-//! recycling their slots through a free list (the side table stops
-//! growing once the working set stabilises). A spilled link's Welford
-//! columns are untouched — mean/SD/CI answers are exact forever — and
-//! its p99 falls back to the mean+SD proxy until a fresh sample
-//! re-allocates a sketch. [`PairwiseStats::resident_bytes`] reports the
-//! materialised footprint (touched column pages + live sketch table)
-//! that spilling actually bounds; `memory_bytes` stays the logical
-//! capacity view.
+//! The mean and mean+SD metrics come from the Welford columns alone; only
+//! the p99 metric needs a P² sketch per link (176 bytes each, more than
+//! four times a link's 40 bytes of columns). So the sketch group — a
+//! 4-byte slot column plus a table of sketches allocated on each link's
+//! first sample — is optional: [`PairwiseStats::new`] builds statistics
+//! without it, and only [`PairwiseStats::with_p99`] builds it, for
+//! callers that will read a p99. Sketchless statistics answer [`LinkEstimate::p99`] with
+//! `None` and [`PairwiseStats::p99_matrix`] with
+//! [`CostError::Untracked`]; they never substitute another metric. The
+//! sketches never touch the columns: every other answer is bit-identical
+//! with or without them.
 //!
 //! ## Touch log
 //!
@@ -114,16 +111,11 @@ impl LinkEstimate<'_> {
         self.mean() + self.sd()
     }
 
-    /// 99th-percentile estimate (paper's "99%" metric); 0 before the
-    /// first sample, like an empty sketch. A covered link whose sketch
-    /// was spilled ([`PairwiseStats::spill_quiet`]) reports the mean+SD
-    /// proxy until a fresh sample re-allocates its sketch.
-    pub fn p99(&self) -> f64 {
-        match self.p99 {
-            Some(sketch) => sketch.value(),
-            None if self.count > 0 => self.mean_plus_sd(),
-            None => 0.0,
-        }
+    /// 99th-percentile estimate (paper's "99%" metric), or `None` when
+    /// the link has no P² sketch: the statistics were built without one
+    /// ([`PairwiseStats::new`]), or the link has no sample yet.
+    pub fn p99(&self) -> Option<f64> {
+        self.p99.map(P2Quantile::value)
     }
 }
 
@@ -193,6 +185,43 @@ impl Clone for TouchLog {
 /// touched-page ledger behind [`PairwiseStats::resident_bytes`].
 const LINKS_PER_PAGE: usize = 512;
 
+/// The optional p99 column group of [`PairwiseStats`]: a sketch slot
+/// per link and the P² sketches of the links that recorded a sample.
+#[derive(Debug, Clone)]
+struct SketchTable {
+    /// `slot + 1` into `sketches`, 0 = no sample yet. The +1 bias keeps
+    /// the column all-zeroes at construction, so the allocator's lazily
+    /// mapped pages stay untouched until a link records.
+    slot: Vec<u32>,
+    /// One P² p99 sketch per link that recorded a sample, in order of
+    /// each link's first sample.
+    sketches: Vec<P2Quantile>,
+}
+
+impl SketchTable {
+    /// The sketch of link `idx`, if it recorded a sample.
+    fn get(&self, idx: usize) -> Option<&P2Quantile> {
+        match self.slot[idx] {
+            0 => None,
+            s => Some(&self.sketches[s as usize - 1]),
+        }
+    }
+
+    /// The sketch of link `idx`, allocated on its first sample.
+    fn get_or_alloc(&mut self, idx: usize) -> &mut P2Quantile {
+        let slot = match self.slot[idx] {
+            0 => {
+                self.sketches.push(P2Quantile::new(0.99));
+                self.slot[idx] =
+                    u32::try_from(self.sketches.len()).expect("more than u32::MAX covered links");
+                self.sketches.len()
+            }
+            s => s as usize,
+        };
+        &mut self.sketches[slot - 1]
+    }
+}
+
 /// Pairwise link summaries for `n` instances (diagonal unused), stored
 /// as flat per-statistic columns indexed `src * n + dst`.
 #[derive(Debug, Clone)]
@@ -203,24 +232,9 @@ pub struct PairwiseStats {
     m2: Vec<f64>,
     attempts: Vec<u64>,
     timeouts: Vec<u64>,
-    /// `slot + 1` into `sketches`, 0 = no sketch (never sampled, or
-    /// spilled). The +1 bias keeps the column all-zeroes at
-    /// construction, so the allocator's lazily mapped pages stay
-    /// untouched until a link records.
-    sketch_slot: Vec<u32>,
-    /// Lazily allocated P² p99 sketches, one per link that recorded a
-    /// sample since its last spill.
-    sketches: Vec<P2Quantile>,
-    /// Link index that owns each sketch slot (`u64::MAX` = freed by
-    /// spilling, awaiting reuse through `free_slots`).
-    sketch_link: Vec<u64>,
-    /// Quiet-time tick at which each slot last recorded a sample.
-    sketch_seen: Vec<u64>,
-    /// Spilled slots available for reuse, LIFO.
-    free_slots: Vec<u32>,
-    /// Quiet-time clock for spilling, advanced by `advance_tick` (one
-    /// tick per measurement stage when driven by `StageDriver`).
-    tick: u64,
+    /// The p99 sketches, present only when built by
+    /// [`PairwiseStats::with_p99`].
+    p99: Option<SketchTable>,
     /// Bitmap over [`LINKS_PER_PAGE`]-link column pages: a set bit means
     /// some link in that page was probed or sampled, i.e. its column
     /// pages are materialised. Feeds `resident_bytes`.
@@ -236,7 +250,8 @@ pub struct PairwiseStats {
 }
 
 impl PairwiseStats {
-    /// Creates empty statistics for `n` instances.
+    /// Creates empty statistics for `n` instances, without p99 sketches:
+    /// every metric but p99 can be read from them.
     pub fn new(n: usize) -> Self {
         Self {
             n,
@@ -245,12 +260,7 @@ impl PairwiseStats {
             m2: vec![0.0; n * n],
             attempts: vec![0; n * n],
             timeouts: vec![0; n * n],
-            sketch_slot: vec![0; n * n],
-            sketches: Vec::new(),
-            sketch_link: Vec::new(),
-            sketch_seen: Vec::new(),
-            free_slots: Vec::new(),
-            tick: 0,
+            p99: None,
             touched_pages: vec![0; (n * n).div_ceil(LINKS_PER_PAGE).div_ceil(64)],
             touched_page_count: 0,
             samples_total: 0,
@@ -259,6 +269,13 @@ impl PairwiseStats {
             covered: 0,
             touch_log: TouchLog::with_capacity(TOUCH_LOG_PER_INSTANCE * n),
         }
+    }
+
+    /// Creates empty statistics for `n` instances that also keep a P²
+    /// p99 sketch per covered link, for a caller that reads p99.
+    pub fn with_p99(n: usize) -> Self {
+        let sketches = SketchTable { slot: vec![0; n * n], sketches: Vec::new() };
+        Self { p99: Some(sketches), ..Self::new(n) }
     }
 
     /// Number of instances.
@@ -287,27 +304,6 @@ impl PairwiseStats {
             *word |= mask;
             self.touched_page_count += 1;
         }
-    }
-
-    /// Allocates (or reuses, via the spill free list) a sketch slot for
-    /// `idx`, records its ownership and last-seen tick, and writes the
-    /// `+1`-biased id into the slot column. Returns the unbiased slot.
-    fn alloc_sketch(&mut self, idx: usize) -> usize {
-        let slot = if let Some(free) = self.free_slots.pop() {
-            let slot = free as usize;
-            self.sketches[slot] = P2Quantile::new(0.99);
-            slot
-        } else {
-            self.sketches.push(P2Quantile::new(0.99));
-            self.sketch_link.push(0);
-            self.sketch_seen.push(0);
-            self.sketches.len() - 1
-        };
-        self.sketch_link[slot] = idx as u64;
-        self.sketch_seen[slot] = self.tick;
-        self.sketch_slot[idx] =
-            u32::try_from(slot + 1).expect("more than u32::MAX - 1 covered links");
-        slot
     }
 
     /// The one write into the columns: adds `attempts` issued probes,
@@ -348,19 +344,18 @@ impl PairwiseStats {
             self.covered += 1;
         }
         self.samples_total += rtts.len() as u64;
-        let slot = match self.sketch_slot[idx] {
-            0 => self.alloc_sketch(idx),
-            s => s as usize - 1,
-        };
-        self.sketch_seen[slot] = self.tick;
-        let sketch = &mut self.sketches[slot];
         // Same update arithmetic as the struct form, bit for bit.
         let mut w = Welford::from_parts(self.count[idx], self.mean[idx], self.m2[idx]);
         for &rtt in rtts {
             w.record(rtt);
-            sketch.record(rtt);
         }
         (self.count[idx], self.mean[idx], self.m2[idx]) = w.parts();
+        if let Some(table) = &mut self.p99 {
+            let sketch = table.get_or_alloc(idx);
+            for &rtt in rtts {
+                sketch.record(rtt);
+            }
+        }
     }
 
     /// Records one RTT observation for the directed link `src → dst`
@@ -377,17 +372,6 @@ impl PairwiseStats {
     /// Counts one timed-out probe on the directed link `src → dst`.
     pub fn record_timeout(&mut self, src: usize, dst: usize) {
         self.record_link(src, dst, 0, 1, &[]);
-    }
-
-    /// Current quiet-time tick (the stage counter spilling ages against).
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// Advances the quiet-time clock by one tick. Drivers call this once
-    /// per completed stage so sketch idleness is measured in stages.
-    pub fn advance_tick(&mut self) {
-        self.tick += 1;
     }
 
     /// The current end of this history's touch log: hand it back to
@@ -414,38 +398,6 @@ impl PairwiseStats {
         Some((cursor.at..log.head).map(move |p| log.ring[(p % cap) as usize]))
     }
 
-    /// Spills every P² sketch whose link has not recorded a sample for
-    /// at least `horizon` ticks (clamped to ≥ 1, so a sketch touched
-    /// this tick never spills), returning the number spilled. Spilled
-    /// slots go on a free list for reuse, which is what bounds the
-    /// sketch table: it stops growing once the per-tick working set
-    /// stabilises, instead of accumulating one 176-byte sketch per link
-    /// ever covered. The Welford columns are untouched — mean/SD/CI
-    /// answers stay exact — and only the link's p99 degrades, to the
-    /// mean+SD proxy, until a fresh sample re-allocates a sketch.
-    pub fn spill_quiet(&mut self, horizon: u64) -> usize {
-        let horizon = horizon.max(1);
-        let mut spilled = 0;
-        for slot in 0..self.sketches.len() {
-            let link = self.sketch_link[slot];
-            if link == u64::MAX {
-                continue; // already on the free list
-            }
-            if self.tick.saturating_sub(self.sketch_seen[slot]) >= horizon {
-                self.sketch_slot[link as usize] = 0;
-                self.sketch_link[slot] = u64::MAX;
-                self.free_slots.push(slot as u32);
-                spilled += 1;
-            }
-        }
-        spilled
-    }
-
-    /// Number of live (unspilled) P² sketches.
-    pub fn live_sketches(&self) -> usize {
-        self.sketches.len() - self.free_slots.len()
-    }
-
     /// Total probes issued across all links.
     pub fn total_attempts(&self) -> u64 {
         debug_assert_eq!(self.attempts_total, self.attempts.iter().sum::<u64>());
@@ -461,14 +413,13 @@ impl PairwiseStats {
     /// The summary of one directed link, as a copyable view.
     pub fn link(&self, src: usize, dst: usize) -> LinkEstimate<'_> {
         let idx = src * self.n + dst;
-        let slot = self.sketch_slot[idx];
         LinkEstimate {
             count: self.count[idx],
             mean: self.mean[idx],
             m2: self.m2[idx],
             attempts: self.attempts[idx],
             timeouts: self.timeouts[idx],
-            p99: (slot != 0).then(|| &self.sketches[slot as usize - 1]),
+            p99: self.p99.as_ref().and_then(|t| t.get(idx)),
         }
     }
 
@@ -506,39 +457,38 @@ impl PairwiseStats {
     /// asserts this stays within budget at m = 10k.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
+        let sketches = self.p99.as_ref().map_or(0, |t| {
+            t.slot.capacity() * size_of::<u32>() + t.sketches.capacity() * size_of::<P2Quantile>()
+        });
         size_of::<Self>()
             + self.count.capacity() * size_of::<u64>()
             + self.mean.capacity() * size_of::<f64>()
             + self.m2.capacity() * size_of::<f64>()
             + self.attempts.capacity() * size_of::<u64>()
             + self.timeouts.capacity() * size_of::<u64>()
-            + self.sketch_slot.capacity() * size_of::<u32>()
-            + self.sketches.capacity() * size_of::<P2Quantile>()
-            + self.sketch_link.capacity() * size_of::<u64>()
-            + self.sketch_seen.capacity() * size_of::<u64>()
-            + self.free_slots.capacity() * size_of::<u32>()
+            + sketches
             + self.touched_pages.capacity() * size_of::<u64>()
             + self.touch_log.ring.capacity() * size_of::<usize>()
     }
 
     /// Estimated bytes actually *materialised* by this store: column
     /// pages holding at least one touched link (five 8-byte columns — a
-    /// full 4 KB page each — plus half a page for the 4-byte sketch-slot
-    /// column) plus the sketch side tables. Untouched links cost nothing
-    /// because the zero-filled columns stay in lazily-mapped pages, so
-    /// this — unlike the capacity view of
-    /// [`PairwiseStats::memory_bytes`] — is the footprint that sketch
-    /// spilling bounds: the `ext_scale` m = 20k arm asserts it stays
-    /// under 5 GB with spilling on.
+    /// full 4 KB page each — plus, with p99 sketches, half a page of the
+    /// 4-byte slot column and the sketches themselves). Untouched links
+    /// cost nothing because the zero-filled columns stay in lazily-mapped
+    /// pages, so this — unlike the capacity view of
+    /// [`PairwiseStats::memory_bytes`] — is the footprint of a sparse
+    /// sweep: the `ext_scale` m = 20k arm asserts it stays under 5 GB.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         let page = 4096;
+        let (slot_page, sketches) = self
+            .p99
+            .as_ref()
+            .map_or((0, 0), |t| (page / 2, t.sketches.len() * size_of::<P2Quantile>()));
         size_of::<Self>()
-            + self.touched_page_count * (5 * page + page / 2)
-            + self.sketches.len() * size_of::<P2Quantile>()
-            + self.sketch_link.len() * size_of::<u64>()
-            + self.sketch_seen.len() * size_of::<u64>()
-            + self.free_slots.capacity() * size_of::<u32>()
+            + self.touched_page_count * (5 * page + slot_page)
+            + sketches
             + self.touched_pages.capacity() * size_of::<u64>()
             + self.touch_log.ring.len() * size_of::<usize>()
     }
@@ -579,20 +529,14 @@ impl PairwiseStats {
         })
     }
 
-    /// Matrix of p99 estimates (diagonal 0). A covered link whose sketch
-    /// was spilled prices as the mean+SD proxy, never a free `0.0`.
+    /// Matrix of p99 estimates (diagonal 0). Statistics built without
+    /// sketches ([`PairwiseStats::new`]) have no p99 to give and answer
+    /// [`CostError::Untracked`].
     pub fn p99_matrix(&self) -> Result<CostMatrix, CostError> {
-        self.matrix_from(|idx| {
-            let slot = self.sketch_slot[idx];
-            if slot == 0 {
-                // Only reachable for a covered link whose sketch was
-                // spilled: matrix_from consults us only when count > 0.
-                self.mean[idx]
-                    + Welford::from_parts(self.count[idx], self.mean[idx], self.m2[idx]).sd()
-            } else {
-                self.sketches[slot as usize - 1].value()
-            }
-        })
+        let table = self.p99.as_ref().ok_or(CostError::Untracked { metric: "p99" })?;
+        // matrix_from consults us only for covered links, and every
+        // covered link recorded into its sketch.
+        self.matrix_from(|idx| table.get(idx).expect("a covered link has a sketch").value())
     }
 
     /// The t-interval confidence bound on the mean of the directed link
@@ -930,14 +874,14 @@ mod tests {
 
     #[test]
     fn link_estimate_combines_metrics() {
-        let mut s = PairwiseStats::new(2);
+        let mut s = PairwiseStats::with_p99(2);
         for i in 0..1000 {
             s.record(0, 1, if i % 100 == 0 { 10.0 } else { 1.0 });
         }
         let l = s.link(0, 1);
         assert!(l.mean() > 1.0 && l.mean() < 1.2);
         assert!(l.mean_plus_sd() > l.mean());
-        assert!(l.p99() >= 1.0);
+        assert!(l.p99().unwrap() >= 1.0);
         assert_eq!(l.count(), 1000);
     }
 
@@ -993,7 +937,13 @@ mod tests {
         }
         // Same rule under the other metrics.
         assert_eq!(s.mean_plus_sd_matrix().unwrap().get(0, 2), f64::INFINITY);
-        assert_eq!(s.p99_matrix().unwrap().get(2, 1), f64::INFINITY);
+        let mut sketched = PairwiseStats::with_p99(3);
+        sketched.record(0, 1, 7.5);
+        sketched.record(1, 0, 9.0);
+        for (i, j) in [(0, 2), (2, 0), (1, 2), (2, 1)] {
+            sketched.record_attempt(i, j);
+        }
+        assert_eq!(sketched.p99_matrix().unwrap().get(2, 1), f64::INFINITY);
     }
 
     #[test]
@@ -1025,27 +975,46 @@ mod tests {
         assert_eq!(l.count(), 0);
         assert_eq!(l.mean(), 0.0);
         assert_eq!(l.sd(), 0.0);
-        assert_eq!(l.p99(), 0.0);
+        assert_eq!(l.p99(), None);
         assert_eq!(l.attempts(), 0);
         assert_eq!(l.loss_rate(), 0.0);
         // No sketch has been allocated for any link yet.
-        assert_eq!(s.sketches.len(), 0);
+        assert_eq!(PairwiseStats::with_p99(4).link(2, 3).p99(), None);
     }
 
     #[test]
     fn sketches_allocate_lazily_per_covered_link() {
-        let mut s = PairwiseStats::new(10);
-        assert_eq!(s.sketches.len(), 0);
+        let mut s = PairwiseStats::with_p99(10);
+        let sketches = |s: &PairwiseStats| s.p99.as_ref().unwrap().sketches.len();
+        assert_eq!(sketches(&s), 0);
         s.record(0, 1, 1.0);
         s.record(0, 1, 2.0);
         s.record(3, 4, 5.0);
         // One sketch per covered link, not per sample or per link slot.
-        assert_eq!(s.sketches.len(), 2);
+        assert_eq!(sketches(&s), 2);
         assert_eq!(s.covered_links(), 2);
+        assert_eq!(s.link(0, 1).p99(), Some(2.0));
         // Attempts alone never allocate a sketch.
         s.record_attempt(5, 6);
         s.record_timeout(5, 6);
-        assert_eq!(s.sketches.len(), 2);
+        assert_eq!(sketches(&s), 2);
+        assert_eq!(s.link(5, 6).p99(), None);
+    }
+
+    #[test]
+    fn p99_of_sketchless_stats_is_untracked_not_a_proxy() {
+        let mut s = PairwiseStats::new(2);
+        s.record(0, 1, 1.0);
+        s.record(0, 1, 3.0);
+        s.record(1, 0, 2.0);
+        assert_eq!(s.link(0, 1).p99(), None);
+        assert!(matches!(s.p99_matrix(), Err(CostError::Untracked { metric: "p99" })));
+        // The same samples with sketches price the link at its p99.
+        let mut sketched = PairwiseStats::with_p99(2);
+        sketched.record(0, 1, 1.0);
+        sketched.record(0, 1, 3.0);
+        sketched.record(1, 0, 2.0);
+        assert_eq!(sketched.p99_matrix().unwrap().get(0, 1), 3.0);
     }
 
     #[test]
@@ -1093,8 +1062,8 @@ mod tests {
     fn record_link_matches_serial_replay() {
         let n = 8;
         let mut rng = StdRng::seed_from_u64(42);
-        let mut serial = PairwiseStats::new(n);
-        let mut merged = PairwiseStats::new(n);
+        let mut serial = PairwiseStats::with_p99(n);
+        let mut merged = PairwiseStats::with_p99(n);
         for src in 0..n {
             for dst in 0..n {
                 if src == dst || rng.random::<f64>() < 0.3 {
@@ -1135,8 +1104,8 @@ mod tests {
             for dst in 0..n {
                 if src != dst {
                     assert_eq!(
-                        merged.link(src, dst).p99().to_bits(),
-                        serial.link(src, dst).p99().to_bits(),
+                        merged.link(src, dst).p99().map(f64::to_bits),
+                        serial.link(src, dst).p99().map(f64::to_bits),
                         "p99 {src}→{dst}"
                     );
                 }
@@ -1197,65 +1166,40 @@ mod tests {
     }
 
     #[test]
-    fn spilling_frees_slots_and_preserves_welford_columns() {
-        let mut s = PairwiseStats::new(6);
-        for i in 0..200 {
-            s.record(0, 1, 1.0 + (i % 7) as f64);
-        }
-        s.record(2, 3, 5.0);
-        let mean_before = s.link(0, 1).mean();
-        let count_before = s.link(0, 1).count();
-        assert_eq!(s.live_sketches(), 2);
-        s.advance_tick();
-        // Horizon 2: one tick of quiet is not old enough yet.
-        assert_eq!(s.spill_quiet(2), 0);
-        s.advance_tick();
-        assert_eq!(s.spill_quiet(2), 2);
-        assert_eq!(s.live_sketches(), 0);
-        // Welford answers unchanged; p99 degrades to the mean+SD proxy.
-        assert_eq!(s.link(0, 1).mean(), mean_before);
-        assert_eq!(s.link(0, 1).count(), count_before);
-        assert_eq!(s.link(0, 1).p99(), s.link(0, 1).mean_plus_sd());
-        assert!(s.link(0, 1).p99() > 0.0);
-        let m = s.p99_matrix();
-        // (0,1) is covered, so the matrix prices it as the proxy — the
-        // other links were never attempted, hence the Unmeasured error.
-        assert!(m.is_err());
-        // A fresh sample re-allocates through the free list: the table
-        // does not grow, and the new sketch starts from scratch.
-        let table = s.sketches.len();
-        s.record(0, 1, 3.0);
-        assert_eq!(s.sketches.len(), table);
-        assert_eq!(s.live_sketches(), 1);
-        assert_eq!(s.link(0, 1).p99(), 3.0);
-        assert_eq!(s.link(0, 1).count(), count_before + 1);
-    }
-
-    #[test]
     fn resident_bytes_counts_touched_pages_not_capacity() {
         let mut s = PairwiseStats::new(64);
         let empty = s.resident_bytes();
         assert!(empty < 4096, "empty plane should be near-free, got {empty}");
         // The logical view is the full columns regardless.
-        assert!(s.memory_bytes() >= 64 * 64 * 44);
+        assert!(s.memory_bytes() >= 64 * 64 * 40);
         s.record(0, 1, 1.0);
         let one = s.resident_bytes();
-        assert!(one >= empty + 5 * 4096 + 2048, "first touch materialises the page");
-        // A second link in the same 512-link page costs only its sketch.
+        assert!(one >= empty + 5 * 4096, "first touch materialises the page");
+        // A second link in the same 512-link page costs only its
+        // touch-log entry.
         s.record(0, 2, 1.0);
-        assert!(s.resident_bytes() - one < 1024);
+        let two = s.resident_bytes();
+        assert_eq!(two, one + std::mem::size_of::<usize>());
+        // With sketches the page also holds half a page of slots, and
+        // each covered link its sketch.
+        let mut sketched = PairwiseStats::with_p99(64);
+        sketched.record(0, 1, 1.0);
+        sketched.record(0, 2, 1.0);
+        let sketch = std::mem::size_of::<P2Quantile>();
+        assert_eq!(sketched.resident_bytes(), two + 2048 + 2 * sketch);
     }
 
     #[test]
     fn memory_accounting_stays_within_the_per_link_budget() {
         let n = 64;
-        let s = PairwiseStats::new(n);
-        // 5 × 8-byte columns + the 4-byte sketch slot = 44 bytes per link.
-        let per_link = 44;
-        assert!(s.memory_bytes() >= n * n * per_link);
-        assert!(s.memory_bytes() < n * n * per_link + 512, "unexpected overhead");
+        // 5 × 8-byte columns = 40 bytes per link; the 4-byte sketch slot
+        // only when p99 is kept.
+        for (s, per_link) in [(PairwiseStats::new(n), 40), (PairwiseStats::with_p99(n), 44)] {
+            assert!(s.memory_bytes() >= n * n * per_link);
+            assert!(s.memory_bytes() < n * n * per_link + 512, "unexpected overhead");
+        }
         // The old AoS layout pays ~4x more for the same empty plane.
         let aos_per_link = std::mem::size_of::<aos::LinkEstimate>();
-        assert!(aos_per_link > 3 * per_link, "aos link is {aos_per_link} bytes");
+        assert!(aos_per_link > 3 * 44, "aos link is {aos_per_link} bytes");
     }
 }

@@ -754,7 +754,7 @@ proptest! {
         // under an arbitrary interleaving of records, attempts, and
         // timeouts.
         use cloudia_measure::stats::aos;
-        let mut soa = PairwiseStats::new(n);
+        let mut soa = PairwiseStats::with_p99(n);
         let mut oracle = aos::PairwiseStats::new(n);
         for &(src, dst, kind, rtt) in &ops {
             let (src, dst) = (src % n, dst % n);
@@ -788,7 +788,8 @@ proptest! {
                 prop_assert_eq!(a.mean(), b.mean(), "({},{}) mean", i, j);
                 prop_assert_eq!(a.sd(), b.sd(), "({},{}) sd", i, j);
                 prop_assert_eq!(a.mean_plus_sd(), b.mean_plus_sd(), "({},{}) mean+sd", i, j);
-                prop_assert_eq!(a.p99(), b.p99(), "({},{}) p99", i, j);
+                // A link without samples has no sketch to read.
+                prop_assert_eq!(a.p99(), (b.count() > 0).then(|| b.p99()), "({},{}) p99", i, j);
                 prop_assert_eq!(a.attempts(), b.attempts(), "({},{}) attempts", i, j);
                 prop_assert_eq!(a.timeouts(), b.timeouts(), "({},{}) timeouts", i, j);
                 samples += b.count();
@@ -868,8 +869,8 @@ proptest! {
         // call per (link, stage) leaves every column — count, mean, M2,
         // attempts, timeouts — and every P² sketch bit-identical to
         // replaying the same stages through the per-sample record APIs.
-        let mut serial = PairwiseStats::new(n);
-        let mut merged = PairwiseStats::new(n);
+        let mut serial = PairwiseStats::with_p99(n);
+        let mut merged = PairwiseStats::with_p99(n);
         for stage in &stages {
             for &(src, dst, attempts, timeouts, ref rtts) in stage {
                 let (src, dst) = (src % n, dst % n);
@@ -902,7 +903,9 @@ proptest! {
                 prop_assert_eq!(a.count(), b.count(), "({},{}) count", i, j);
                 prop_assert_eq!(a.mean().to_bits(), b.mean().to_bits(), "({},{}) mean", i, j);
                 prop_assert_eq!(a.sd().to_bits(), b.sd().to_bits(), "({},{}) m2/sd", i, j);
-                prop_assert_eq!(a.p99().to_bits(), b.p99().to_bits(), "({},{}) p99", i, j);
+                prop_assert_eq!(
+                    a.p99().map(f64::to_bits), b.p99().map(f64::to_bits), "({},{}) p99", i, j
+                );
                 prop_assert_eq!(a.attempts(), b.attempts(), "({},{}) attempts", i, j);
                 prop_assert_eq!(a.timeouts(), b.timeouts(), "({},{}) timeouts", i, j);
             }
@@ -910,118 +913,55 @@ proptest! {
     }
 
     #[test]
-    fn sketch_spilling_never_perturbs_the_welford_columns(
+    fn sketches_never_perturb_the_columns(
         n in 2usize..7,
         ops in proptest::collection::vec(
             (0usize..6, 0usize..6, 0u8..3, 0.1f64..50.0),
             1..300,
         ),
-        spill_every in 1usize..6,
-        horizon in 1u64..4,
     ) {
-        // Spilling only ever drops P² sketches: interleaving
-        // advance_tick/spill_quiet at arbitrary cadence leaves every
-        // Welford-derived statistic (count/mean/sd/CI) and the probe
-        // ledger bit-identical to the unspilled run.
+        // The p99 sketches are a side group: one random schedule recorded
+        // into a sketched and a sketchless store leaves every column
+        // (count/mean/M2/attempts/timeouts), every running total and the
+        // touch log bit-identical.
+        let mut sketched = PairwiseStats::with_p99(n);
         let mut plain = PairwiseStats::new(n);
-        let mut spilled = PairwiseStats::new(n);
-        for (step, &(src, dst, kind, rtt)) in ops.iter().enumerate() {
+        let (c_sketched, c_plain) = (sketched.touch_cursor(), plain.touch_cursor());
+        for &(src, dst, kind, rtt) in &ops {
             let (src, dst) = (src % n, dst % n);
-            if src != dst {
+            if src == dst {
+                continue;
+            }
+            for s in [&mut sketched, &mut plain] {
                 match kind {
-                    0 => {
-                        plain.record(src, dst, rtt);
-                        spilled.record(src, dst, rtt);
-                    }
-                    1 => {
-                        plain.record_attempt(src, dst);
-                        spilled.record_attempt(src, dst);
-                    }
-                    _ => {
-                        plain.record_timeout(src, dst);
-                        spilled.record_timeout(src, dst);
-                    }
+                    0 => s.record(src, dst, rtt),
+                    1 => s.record_attempt(src, dst),
+                    _ => s.record_timeout(src, dst),
                 }
             }
-            if step % spill_every == 0 {
-                spilled.advance_tick();
-                spilled.spill_quiet(horizon);
-            }
         }
-        prop_assert_eq!(spilled.total_samples(), plain.total_samples());
-        prop_assert_eq!(spilled.covered_links(), plain.covered_links());
+        prop_assert_eq!(sketched.total_samples(), plain.total_samples());
+        prop_assert_eq!(sketched.total_attempts(), plain.total_attempts());
+        prop_assert_eq!(sketched.total_timeouts(), plain.total_timeouts());
+        prop_assert_eq!(sketched.covered_links(), plain.covered_links());
+        prop_assert_eq!(sketched.count_column(), plain.count_column());
+        prop_assert_eq!(sketched.attempts_column(), plain.attempts_column());
+        let touched = |s: &PairwiseStats, c| s.touched_since(c).map(Iterator::collect::<Vec<_>>);
+        prop_assert_eq!(touched(&sketched, c_sketched), touched(&plain, c_plain));
         for i in 0..n {
             for j in 0..n {
                 if i == j {
                     continue;
                 }
-                let (a, b) = (spilled.link(i, j), plain.link(i, j));
+                let (a, b) = (sketched.link(i, j), plain.link(i, j));
                 prop_assert_eq!(a.count(), b.count(), "({},{}) count", i, j);
                 prop_assert_eq!(a.mean().to_bits(), b.mean().to_bits(), "({},{}) mean", i, j);
-                prop_assert_eq!(a.sd().to_bits(), b.sd().to_bits(), "({},{}) sd", i, j);
+                prop_assert_eq!(a.sd().to_bits(), b.sd().to_bits(), "({},{}) M2", i, j);
                 prop_assert_eq!(a.attempts(), b.attempts(), "({},{}) attempts", i, j);
                 prop_assert_eq!(a.timeouts(), b.timeouts(), "({},{}) timeouts", i, j);
-                // A covered link never prices p99 as free, spilled or not.
-                if a.count() > 0 {
-                    prop_assert!(a.p99() > 0.0, "({},{}) spilled p99 priced free", i, j);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn p99_reconverges_after_a_respill(seed in 0u64..50) {
-        // After a spill erases a link's sketch, fresh samples rebuild it
-        // from scratch and the estimate converges to the true quantile
-        // of the post-spill stream — spilling costs accuracy only
-        // transiently.
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut s = PairwiseStats::new(2);
-        for _ in 0..200 {
-            s.record(0, 1, 100.0 + rng.random::<f64>());
-        }
-        s.advance_tick();
-        s.advance_tick();
-        prop_assert_eq!(s.spill_quiet(1), 1);
-        prop_assert_eq!(s.live_sketches(), 0);
-        for _ in 0..5000 {
-            s.record(0, 1, rng.random::<f64>());
-        }
-        prop_assert_eq!(s.live_sketches(), 1);
-        let p99 = s.link(0, 1).p99();
-        prop_assert!((p99 - 0.99).abs() < 0.05, "respilled p99 {} off uniform 0.99", p99);
-    }
-
-    #[test]
-    fn driver_level_spilling_is_worker_count_invariant(
-        n in 4usize..9,
-        seed in 0u64..50,
-        workers in 2usize..5,
-    ) {
-        // The spilling satellite must not break the fan-out contract:
-        // with a spill horizon configured, seeded sweeps stay
-        // byte-identical at every worker count (ticks advance per stage,
-        // which is the same schedule regardless of fan-out).
-        let net = ec2_network(n, seed);
-        let base = MeasureConfig { seed, sketch_spill_horizon: Some(1), ..MeasureConfig::default() };
-        let serial = MeasureConfig { stage_workers: 1, ..base.clone() };
-        let fanned = MeasureConfig { stage_workers: workers, ..base };
-        let scheme = Staged::new(2, 3);
-        let a = scheme.run(&net, &serial);
-        let b = scheme.run(&net, &fanned);
-        prop_assert_eq!(a.round_trips, b.round_trips);
-        prop_assert_eq!(a.elapsed_ms, b.elapsed_ms);
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let (x, y) = (a.stats.link(i, j), b.stats.link(i, j));
-                prop_assert_eq!(x.count(), y.count(), "({},{}) count", i, j);
-                prop_assert_eq!(x.mean().to_bits(), y.mean().to_bits(), "({},{}) mean", i, j);
-                prop_assert_eq!(x.p99().to_bits(), y.p99().to_bits(), "({},{}) p99", i, j);
-                prop_assert_eq!(x.attempts(), y.attempts(), "({},{}) attempts", i, j);
+                // Only the sketched store has a p99, on covered links.
+                prop_assert_eq!(a.p99().is_some(), a.count() > 0, "({},{}) p99", i, j);
+                prop_assert_eq!(b.p99(), None, "({},{}) sketchless p99", i, j);
             }
         }
     }

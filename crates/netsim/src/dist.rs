@@ -130,8 +130,9 @@ pub(crate) fn keyed_normal(key: u64, step: u64) -> f64 {
 /// Acklam's rational approximation of the standard normal quantile
 /// function (relative error below 1.15e-9 over (0, 1)): one rational
 /// polynomial in the central region `[0.02425, 0.97575]`, one in
-/// `sqrt(−2 ln p)` in each tail.
-pub(crate) fn inverse_normal_cdf(p: f64) -> f64 {
+/// `sqrt(−2 ln p)` in each tail. The measurement plane's Student-t
+/// critical values are built on this same function.
+pub fn inverse_normal_cdf(p: f64) -> f64 {
     const A: [f64; 6] = [
         -3.969_683_028_665_376e1,
         2.209_460_984_245_205e2,

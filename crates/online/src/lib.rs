@@ -81,7 +81,7 @@ pub use repair::{
 };
 pub use scenario::{
     ArmOptions, BuiltFocusScenario, BuiltLossScenario, FocusArm, FocusScenario, LossArm,
-    LossScenario,
+    LossScenario, SeedComparison, CONTRACT_SEEDS, MEDIAN_COST_GAP_BOUND,
 };
 pub use stats::{
     standardized_residual, EwmaVar, LinkChange, LinkOnline, OnlineStore, DARK_LOSS_LEVEL,

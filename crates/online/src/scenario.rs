@@ -1,17 +1,24 @@
 //! The shared focused-vs-uniform differential scenario.
 //!
-//! The PR 4 acceptance contract — focused probing spends ≤ 25 % of
+//! The focused-probing contract — focused probing spends ≤ 25 % of
 //! uniform's probe round trips while staying within 2 % of its
 //! time-averaged ground-truth cost, and the adaptive pool `k` shrinks on
-//! a stationary tail — is asserted in three places: the `ext_focus`
-//! bench smoke (CI), `crates/online/tests/focused.rs`, and the root
-//! `tests/focused.rs` integration case. All three build the *same*
-//! scenario through this module, so the contract cannot silently fork:
-//! a drifting **active head** (strong enough that triggers fire and
-//! plans go stale, mild enough that link order mostly persists — the
-//! paper's stability premise, and the regime where focusing is sound)
-//! followed by a **quiet tail** of near-zero volatility, replayed
-//! identically by every arm via [`ReplayStream`].
+//! a stationary tail — and its mid-sweep pruning sibling (≥ 30 % of the
+//! round trips saved, cost within 2 %) are asserted by the `ext_focus`
+//! and `ext_sweep` bench smokes (CI), `crates/online/tests/focused.rs`,
+//! and the root `tests/focused.rs` and `tests/sweep.rs` cases. All of
+//! them build the *same* scenario through this module, so the contract
+//! cannot silently fork: a drifting **active head** (strong enough that
+//! triggers fire and plans go stale, mild enough that link order mostly
+//! persists — the paper's stability premise, and the regime where
+//! focusing is sound) followed by a **quiet tail** of near-zero
+//! volatility, replayed identically by every arm via [`ReplayStream`].
+//!
+//! One trajectory decides nothing about a 2 % cost contract: a single
+//! seed's focused−uniform gap spreads with a standard deviation near
+//! 10 %. So the cost contract is judged by [`FocusScenario::against_uniform`]
+//! as a median over the scenario seeds [`CONTRACT_SEEDS`], fixed before
+//! any run, against [`MEDIAN_COST_GAP_BOUND`].
 
 use cloudia_core::{CommGraph, LatencyMetric, Objective, RedeployPolicy, SearchStrategy};
 use cloudia_measure::{MeasureConfig, Scheme, Staged};
@@ -112,6 +119,24 @@ impl FocusScenario {
         ProbePolicy::Focused { refresh_every: self.refresh_every, max_flagged: self.max_flagged() }
     }
 
+    /// Builds this scenario at each of `seeds` and runs uniform probing
+    /// and the arm `opts` on it — the input of the statistical contracts
+    /// (see [`MEDIAN_COST_GAP_BOUND`]).
+    pub fn against_uniform(
+        &self,
+        seeds: impl IntoIterator<Item = u64>,
+        opts: ArmOptions,
+    ) -> SeedComparison {
+        let runs = seeds
+            .into_iter()
+            .map(|seed| {
+                let built = FocusScenario { seed, ..self.clone() }.build();
+                (seed, built.run_arm(ProbePolicy::Uniform), built.run_arm_with(opts))
+            })
+            .collect();
+        SeedComparison { runs }
+    }
+
     /// Boots the cloud, solves the initial plan on hour-0 measurements,
     /// and records the head + tail trajectory every arm replays.
     pub fn build(&self) -> BuiltFocusScenario {
@@ -149,6 +174,81 @@ impl FocusScenario {
         ));
 
         BuiltFocusScenario { scenario: self.clone(), graph, initial, snapshots, measure_cfg }
+    }
+}
+
+/// The scenario seeds the statistical contracts are judged over, fixed
+/// before any run.
+pub const CONTRACT_SEEDS: std::ops::RangeInclusive<u64> = 1..=64;
+
+/// The bound on the median, over [`CONTRACT_SEEDS`], of an arm's relative
+/// time-averaged cost gap to uniform probing.
+///
+/// The per-arm contract is "within 2 % of uniform". Over scenario seeds
+/// 1–200 one seed's gap has a standard deviation of 9.6 % for focused
+/// probing and 6.5 % for pruned sweeps (medians +0.8 % and +0.2 %). The
+/// median of 64 seeds then has a standard error of about
+/// 1.25 · 9.6 % / √64 ≈ 1.5 % (resampling the 200 seeds gives 1.6 % and
+/// 0.8 %). The bound is the contract plus two standard errors of the
+/// noisier arm, 2 % + 2 · 1.5 % = 5 %: code whose true median gap sits
+/// at the 2 % contract fails about one trajectory re-draw in forty, and
+/// code at the measured ~1 % almost never.
+pub const MEDIAN_COST_GAP_BOUND: f64 = 0.05;
+
+/// One arm run against uniform probing on each of a set of scenario
+/// seeds — see [`FocusScenario::against_uniform`].
+#[derive(Debug, Clone)]
+pub struct SeedComparison {
+    /// Per seed, in order: the seed, the uniform arm, the compared arm.
+    pub runs: Vec<(u64, FocusArm, FocusArm)>,
+}
+
+impl SeedComparison {
+    /// The median over seeds of `arm.avg_cost / uniform.avg_cost − 1`
+    /// (the mean of the two middle values for an even count).
+    pub fn median_cost_gap(&self) -> f64 {
+        let mut gaps: Vec<f64> = self
+            .runs
+            .iter()
+            .map(|(_, uniform, arm)| arm.avg_cost / uniform.avg_cost.max(f64::MIN_POSITIVE) - 1.0)
+            .collect();
+        assert!(!gaps.is_empty(), "no seeds compared");
+        gaps.sort_by(f64::total_cmp);
+        let mid = gaps.len() / 2;
+        if gaps.len() % 2 == 1 {
+            gaps[mid]
+        } else {
+            0.5 * (gaps[mid - 1] + gaps[mid])
+        }
+    }
+
+    /// Each seed's probe round trips as a fraction of uniform's.
+    pub fn probe_ratios(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.runs
+            .iter()
+            .map(|(seed, uniform, arm)| (*seed, arm.probes as f64 / uniform.probes.max(1) as f64))
+    }
+
+    /// Seeds whose compared arm ended the quiet tail with its adaptive
+    /// `k` below its peak. Focused probing does on 95 % of seeds 1–200
+    /// (the rest escalate to full sweeps and hold `k`), so 64 seeds miss
+    /// 3.2 ± 1.7: at least 7 seeds in 8 is the contract, 2.7 sd out.
+    pub fn seeds_k_shrank(&self) -> usize {
+        self.runs
+            .iter()
+            .filter(|(_, _, arm)| {
+                let peak = arm.k_trace.iter().map(|&(_, k)| k).max();
+                arm.k_trace.last().is_some_and(|&(_, k)| Some(k) < peak)
+            })
+            .count()
+    }
+
+    /// The compared arm's probe round trips over all seeds, as a fraction
+    /// of uniform's.
+    pub fn total_probe_ratio(&self) -> f64 {
+        let (arm, uniform) =
+            self.runs.iter().fold((0, 0), |(a, u), (_, uni, arm)| (a + arm.probes, u + uni.probes));
+        arm as f64 / uniform.max(1) as f64
     }
 }
 
@@ -205,19 +305,27 @@ pub struct ArmOptions {
     pub anytime: bool,
 }
 
+impl ArmOptions {
+    /// `probe_policy` with pruning, spot checks, intervals and anytime
+    /// stops off.
+    pub fn plain(probe_policy: ProbePolicy) -> Self {
+        Self {
+            probe_policy,
+            prune_during_sweep: false,
+            spot_check_probes: 0,
+            confidence: None,
+            anytime: false,
+        }
+    }
+}
+
 impl BuiltFocusScenario {
     /// Runs one arm over the recorded trajectory under `probe_policy`
     /// with pruning and spot checks off. All arms share the adaptive
     /// candidates config, the detector settings, and the migration
     /// economics — only the probe policy differs.
     pub fn run_arm(&self, probe_policy: ProbePolicy) -> FocusArm {
-        self.run_arm_with(ArmOptions {
-            probe_policy,
-            prune_during_sweep: false,
-            spot_check_probes: 0,
-            confidence: None,
-            anytime: false,
-        })
+        self.run_arm_with(ArmOptions::plain(probe_policy))
     }
 
     /// Runs one arm over the recorded trajectory under the full option
@@ -525,6 +633,31 @@ mod tests {
         assert!(built.graph.num_nodes() == 4);
         assert_eq!(scenario.epochs(), 5);
         assert!(scenario.max_flagged() > 0);
+    }
+
+    #[test]
+    fn seed_comparison_reads_medians_and_ratios() {
+        let arm = |avg_cost, probes| FocusArm {
+            avg_cost,
+            probes,
+            resolves: 0,
+            migrations: 0,
+            k_trace: Vec::new(),
+            saved_round_trips: 0,
+            deep_probe_round_trips: 0,
+        };
+        let mut cmp = SeedComparison {
+            runs: vec![
+                (1, arm(1.0, 100), arm(1.10, 10)),
+                (2, arm(2.0, 100), arm(1.90, 30)),
+                (3, arm(1.0, 200), arm(1.02, 20)),
+            ],
+        };
+        assert!((cmp.median_cost_gap() - 0.02).abs() < 1e-12);
+        assert_eq!(cmp.probe_ratios().map(|(_, r)| r).collect::<Vec<_>>(), [0.1, 0.3, 0.1]);
+        assert!((cmp.total_probe_ratio() - 60.0 / 400.0).abs() < 1e-12);
+        cmp.runs.pop();
+        assert!((cmp.median_cost_gap() - 0.025).abs() < 1e-12, "even count: mean of the middle");
     }
 
     #[test]

@@ -656,6 +656,22 @@ mod tests {
     }
 
     #[test]
+    fn the_online_loops_statistics_keep_no_p99_sketches() {
+        // After a bootstrap sweep over every link at m = 200, the
+        // cumulative statistics are the five 8-byte columns and the
+        // bookkeeping around them: no sketch slot, no P² sketch.
+        let m = 200;
+        let mut stream =
+            SimStream::new(network(m, 2), Staged::new(1, 2), MeasureConfig::default(), 2.0, 5);
+        stream.next_epoch();
+        let stats = stream.cumulative();
+        assert_eq!(stats.covered_links(), m * (m - 1));
+        let per_link = stats.memory_bytes() as f64 / (m * m) as f64;
+        assert!(per_link <= 41.0, "{per_link:.2} B per directed link");
+        assert_eq!(stats.link(0, 1).p99(), None);
+    }
+
+    #[test]
     fn planned_epochs_accumulate_into_the_same_cumulative_store() {
         use cloudia_measure::{FocusedScheme, ProbePlan};
         let mut stream =

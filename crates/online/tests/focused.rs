@@ -6,15 +6,18 @@
 use cloudia_core::{CommGraph, RedeployPolicy};
 use cloudia_netsim::{Cloud, Provider};
 use cloudia_online::{
-    DetectorConfig, EpochMeasurement, FocusScenario, LinkDelta, OnlineAdvisor, OnlineAdvisorConfig,
-    OnlineEvent, ProbePolicy,
+    ArmOptions, DetectorConfig, EpochMeasurement, FocusScenario, LinkDelta, OnlineAdvisor,
+    OnlineAdvisorConfig, OnlineEvent, ProbePolicy, CONTRACT_SEEDS, MEDIAN_COST_GAP_BOUND,
 };
 use cloudia_solver::{CandidateConfig, CandidatePruneRule, CandidateSet};
 use proptest::prelude::*;
 
-/// Differential contract: on the identical recorded trajectory, focused
-/// probing reaches a time-averaged ground-truth cost within 2 % of
-/// uniform probing while spending at most 25 % of its probe round trips.
+/// Differential contract: on each scenario seed's recorded trajectory,
+/// focused probing runs against uniform probing. Over the seed set, the
+/// median time-averaged ground-truth cost gap stays within
+/// [`MEDIAN_COST_GAP_BOUND`] (whose comment derives it from the one-seed
+/// spread) and focused probing spends at most 25 % of uniform's probe
+/// round trips in total.
 ///
 /// The scenario is the shared [`FocusScenario`] — the same one the
 /// `ext_focus` CI smoke and the root `tests/focused.rs` case assert.
@@ -22,24 +25,18 @@ use proptest::prelude::*;
 #[cfg_attr(debug_assertions, ignore = "full differential run; slow in debug — run with --release")]
 fn focused_probing_matches_uniform_cost_at_a_quarter_of_the_probes() {
     let scenario = FocusScenario { solve_seconds: 0.1, ..FocusScenario::default() };
-    let built = scenario.build();
-    let uniform = built.run_arm(ProbePolicy::Uniform);
-    let focused = built.run_arm(scenario.focused_policy());
-    eprintln!("uniform: cost {}, probes {}", uniform.avg_cost, uniform.probes);
-    eprintln!("focused: cost {}, probes {}", focused.avg_cost, focused.probes);
-
+    let cmp =
+        scenario.against_uniform(CONTRACT_SEEDS, ArmOptions::plain(scenario.focused_policy()));
+    let gap = cmp.median_cost_gap();
+    eprintln!("focused: median cost gap {:+.2}%", gap * 100.0);
     assert!(
-        focused.probes as f64 <= 0.25 * uniform.probes as f64,
-        "focused probing spent {} round trips, more than 25% of uniform's {}",
-        focused.probes,
-        uniform.probes
+        gap <= MEDIAN_COST_GAP_BOUND,
+        "focused median cost gap {:+.2}% above the {:.0}% bound",
+        gap * 100.0,
+        MEDIAN_COST_GAP_BOUND * 100.0
     );
-    assert!(
-        focused.avg_cost <= uniform.avg_cost * 1.02,
-        "focused time-averaged cost {} more than 2% above uniform's {}",
-        focused.avg_cost,
-        uniform.avg_cost
-    );
+    let ratio = cmp.total_probe_ratio();
+    assert!(ratio <= 0.25, "focused probing spent {:.1}% of uniform's round trips", ratio * 100.0);
 }
 
 // ---------------------------------------------------------------------

@@ -31,10 +31,6 @@ fn usage() -> ! {
                                                auto = max(4n, 48); adaptive = escalation-driven
                                                pool sizing; omit for the dense search)
                [--search-seconds S]           (default 5)
-               [--sketch-spill H]             (drop per-link p99 sketches on links quiet for H
-                                               consecutive stages; freed slots are recycled, so
-                                               long sweeps stop growing the sketch table.
-                                               0 = keep every sketch forever, the default)
                [--seed N]                     (default 42)
                [--online]                     (run the continuous advisor after deploying)
                [--epochs N]                   (online epochs, default 24)
@@ -161,7 +157,6 @@ fn main() {
     let mut trace_path: Option<String> = None;
     let mut print_metrics = false;
     let mut json = false;
-    let mut sketch_spill: Option<u64> = None;
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -248,13 +243,6 @@ fn main() {
                     eprintln!("bad seed");
                     usage();
                 })
-            }
-            "--sketch-spill" => {
-                let h: u64 = value().parse().unwrap_or_else(|_| {
-                    eprintln!("bad sketch-spill horizon");
-                    usage();
-                });
-                sketch_spill = (h > 0).then_some(h);
             }
             "--online" => online = true,
             "--epochs" => {
@@ -449,7 +437,7 @@ fn main() {
         );
     }
 
-    let mut advisor_cfg = cloudia::core::AdvisorConfig {
+    let advisor_cfg = cloudia::core::AdvisorConfig {
         objective,
         metric,
         over_allocation,
@@ -462,7 +450,6 @@ fn main() {
         candidates,
         ..cloudia::core::AdvisorConfig::fast()
     };
-    advisor_cfg.measurement.config.sketch_spill_horizon = sketch_spill;
     let advisor = Advisor::new(advisor_cfg);
     let outcome = match advisor.try_run(provider, &graph, seed) {
         Ok(outcome) => outcome,
@@ -541,7 +528,6 @@ fn main() {
             candidates,
             seed,
             LossOptions { loss, retries, blackout, blind: loss_blind },
-            sketch_spill,
             json,
             recorder,
         );
@@ -600,7 +586,6 @@ fn run_online(
     candidates: Option<cloudia::solver::CandidateConfig>,
     seed: u64,
     loss_opts: LossOptions,
-    sketch_spill: Option<u64>,
     json: bool,
     recorder: Option<cloudia::obs::RunRecorder>,
 ) -> (cloudia::obs::Json, Option<cloudia::obs::RunRecorder>) {
@@ -689,7 +674,6 @@ fn run_online(
     }
     let measure_cfg = MeasureConfig {
         retries_per_pair: if loss_opts.blind { 0 } else { loss_opts.retries },
-        sketch_spill_horizon: sketch_spill,
         ..MeasureConfig::default()
     };
     let mut stream = if lossy {

@@ -6,7 +6,10 @@
 use cloudia::core::CommGraph;
 use cloudia::measure::{MeasureConfig, Staged};
 use cloudia::netsim::{Cloud, Provider};
-use cloudia::online::{FocusScenario, OnlineAdvisor, OnlineAdvisorConfig, ProbePolicy, SimStream};
+use cloudia::online::{
+    ArmOptions, FocusScenario, OnlineAdvisor, OnlineAdvisorConfig, ProbePolicy, SimStream,
+    CONTRACT_SEEDS, MEDIAN_COST_GAP_BOUND,
+};
 use cloudia::solver::CandidateConfig;
 
 #[test]
@@ -53,32 +56,30 @@ fn focused_loop_runs_end_to_end_with_bounded_probe_budget() {
 }
 
 /// The differential contract, driven through the public facade on the
-/// shared [`FocusScenario`] (same scenario as the `ext_focus` CI smoke
-/// and `crates/online/tests/focused.rs`): ≤ 25 % of uniform's probe
-/// round trips, time-averaged ground-truth cost within 2 %, and the
-/// adaptive `k` shrinking on the quiet tail.
+/// shared [`FocusScenario`] over the seed set [`CONTRACT_SEEDS`] (same
+/// helper as the `ext_focus` CI smoke and
+/// `crates/online/tests/focused.rs`): at most 25 % of uniform's probe
+/// round trips in total, a median time-averaged ground-truth cost gap
+/// within [`MEDIAN_COST_GAP_BOUND`], and the adaptive `k` shrinking on
+/// the quiet tail on at least 7 seeds in 8.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "full differential run; slow in debug — run with --release")]
 fn focused_vs_uniform_differential_through_the_facade() {
     let scenario = FocusScenario { solve_seconds: 0.1, ..FocusScenario::default() };
-    let built = scenario.build();
-    let uniform = built.run_arm(ProbePolicy::Uniform);
-    let focused = built.run_arm(scenario.focused_policy());
+    let cmp =
+        scenario.against_uniform(CONTRACT_SEEDS, ArmOptions::plain(scenario.focused_policy()));
 
+    let ratio = cmp.total_probe_ratio();
+    assert!(ratio <= 0.25, "focused spent {:.1}% of uniform's probes (> 25%)", ratio * 100.0);
+    let gap = cmp.median_cost_gap();
     assert!(
-        focused.probes as f64 <= 0.25 * uniform.probes as f64,
-        "focused {} probes exceed 25% of uniform's {}",
-        focused.probes,
-        uniform.probes
+        gap <= MEDIAN_COST_GAP_BOUND,
+        "focused median cost gap {:+.2}% above the {:.0}% bound",
+        gap * 100.0,
+        MEDIAN_COST_GAP_BOUND * 100.0
     );
-    assert!(
-        focused.avg_cost <= uniform.avg_cost * 1.02,
-        "focused cost {} more than 2% above uniform's {}",
-        focused.avg_cost,
-        uniform.avg_cost
-    );
-    // Adaptive k shrinks across the quiet tail.
-    let peak = focused.k_trace.iter().map(|&(_, k)| k).max().unwrap();
-    let last = focused.k_trace.last().unwrap().1;
-    assert!(last < peak, "adaptive k never shrank (peak {peak}, final {last})");
+    // Adaptive k shrinks across the quiet tail on 7 seeds in 8 (see
+    // `SeedComparison::seeds_k_shrank` for the derivation).
+    let shrank = cmp.seeds_k_shrank();
+    assert!(8 * shrank >= 7 * cmp.runs.len(), "adaptive k shrank on only {shrank} seeds");
 }

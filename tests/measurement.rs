@@ -128,7 +128,8 @@ fn all_schemes_agree_on_a_stationary_network() {
 #[test]
 fn all_metrics_produce_usable_cost_matrices() {
     let net = ec2_network(12, 3);
-    let report = Staged::new(10, 6).run(&net, &MeasureConfig::default());
+    let stats = PairwiseStats::with_p99(12);
+    let report = Staged::new(10, 6).run_onto(&net, &MeasureConfig::default(), stats);
     for metric in LatencyMetric::all() {
         let costs = metric.cost_matrix(&report.stats);
         assert_eq!(costs.len(), 12);
