@@ -23,9 +23,10 @@
 //! mid-sweep once their measured quantiles prove them irrelevant — the
 //! tournament shrinks while it is still in flight.
 //!
-//! Per-link summaries (mean via Welford, p99 via the P² algorithm) feed the
-//! three cost metrics of §3.2, and [`error`] holds the vector comparison
-//! used to score scheme accuracy.
+//! Per-link summaries (mean via Welford, p99 via the P² algorithm, kept
+//! only by statistics built [`PairwiseStats::with_p99`]) feed the three
+//! cost metrics of §3.2, and [`error`] holds the vector comparison used
+//! to score scheme accuracy.
 //!
 //! ```
 //! use cloudia_netsim::{Cloud, Provider};
