@@ -45,9 +45,12 @@
 //! kept [`PoolIndex`] from the epoch's deltas and ranking the pool off it
 //! must give the candidate lists the per-epoch rebuild gives —
 //! `OnlineStore::partial_stats` then `CandidateSet::build_partial` — and
-//! beat it by ≥ 22×. Windowed scores read 26.6–28.8× on a shared 2-vCPU
-//! Xeon; an index keeping every instance's incident prices sorted read
-//! 17.0–18.2×.
+//! beat it by ≥ 10×. Windowed scores read 26.6–28.8× on a shared 2-vCPU
+//! Xeon while the default statistics allocated a P² sketch per link (an
+//! index keeping every instance's incident prices sorted read
+//! 17.0–18.2×); without the sketches the rebuild costs 1.1–2.1 ms per
+//! epoch, not 3.6–3.8 ms, and eight runs on the same host read
+//! 12.5–14.3× against the kept index's 0.08–0.15 ms.
 //!
 //! The eighth, `plan_stages`, holds the focused scheme's stage matcher to
 //! O(pairs): on a 99 %-full plan at m = 300 (the shape of a refresh
@@ -469,8 +472,8 @@ fn assert_plan_pool_wins() {
         kept_s * 1e3 / epochs as f64,
     );
     assert!(
-        speedup >= 22.0,
-        "the kept plan pool must beat the rebuild by >= 22x, got {speedup:.2}x"
+        speedup >= 10.0,
+        "the kept plan pool must beat the rebuild by >= 10x, got {speedup:.2}x"
     );
 }
 
