@@ -30,10 +30,11 @@
 //! about a 2 % cost contract: the pruned arm saves ≥ 30 % of uniform's
 //! probe round trips on every seed, and the median of its time-averaged
 //! ground-truth cost gap to uniform stays within
-//! [`cloudia_online::MEDIAN_COST_GAP_BOUND`]. On the table's own seed,
-//! the anytime arm saves ≥ 20 % *additional* round trips over the pruned
-//! arm while its realized ground-truth cost stays within the stated
-//! error bound (`1 + (1 − confidence)` of uniform's). And the telemetry
+//! [`cloudia_online::MEDIAN_COST_GAP_BOUND`]. On the same seeds the
+//! anytime arm's realized ground-truth cost stays within the stated error
+//! bound (`1 + (1 − confidence)` of uniform's) on every seed, and the
+//! median of its *additional* saving over the pruned arm is ≥ 20 %. And
+//! the telemetry
 //! plane's overhead on the measurement hot path stays within 3 % of the
 //! `--no-metrics` baseline. Exits non-zero otherwise.
 //!
@@ -45,6 +46,7 @@
 use cloudia_bench::{header, row, write_bench_json, ExtArgs};
 use cloudia_measure::{MeasureConfig, Scheme, Staged};
 use cloudia_obs::Json;
+use cloudia_online::scenario::median;
 use cloudia_online::{
     ArmOptions, FocusScenario, ProbePolicy, CONTRACT_SEEDS, MEDIAN_COST_GAP_BOUND,
 };
@@ -133,11 +135,8 @@ fn main() {
     // stop, at this confidence level. Its realized cost bound is
     // asserted against `1 + (1 - confidence)` under --smoke.
     let confidence = 0.95;
-    let anytime = built.run_arm_with(ArmOptions {
-        confidence: Some(confidence),
-        anytime: true,
-        ..pruned_opts
-    });
+    let anytime_opts = ArmOptions { confidence: Some(confidence), anytime: true, ..pruned_opts };
+    let anytime = built.run_arm_with(anytime_opts);
     let focused_opts = ArmOptions { probe_policy: scenario.focused_policy(), ..pruned_opts };
     // With `--trace` the focused+pruned arm streams its full event
     // history into the JSONL trace as it runs.
@@ -267,20 +266,43 @@ fn main() {
         if let Some((seed, ..)) = cmp.runs.iter().find(|(_, _, arm)| arm.saved_round_trips == 0) {
             failures.push(format!("seed {seed}: the pruned arm never reported mid-sweep savings"));
         }
-        if anytime_extra < 0.20 {
-            failures.push(format!(
-                "anytime sweeps saved only {:.1}% additional round trips over pruned (< 20%)",
-                anytime_extra * 100.0
-            ));
+        let anytime_cmp = scenario.against_uniform(CONTRACT_SEEDS, anytime_opts);
+        for (seed, uniform, anytime) in &anytime_cmp.runs {
+            let ratio = anytime.avg_cost / uniform.avg_cost.max(f64::MIN_POSITIVE);
+            if ratio > error_bound {
+                failures.push(format!(
+                    "seed {seed}: anytime time-averaged cost is {:+.2}% of uniform's, outside \
+                     the {:.0}% error bound",
+                    (ratio - 1.0) * 100.0,
+                    (error_bound - 1.0) * 100.0
+                ));
+            }
         }
-        if anytime_cost_ratio > error_bound {
+        // One seed's extra saving over pruned spreads with a standard
+        // deviation of 18 % over scenario seeds 1–200 (median 36 %; 38 of
+        // the 200 fall below 20 %), so one seed decides nothing. The
+        // median of 64 seeds has a standard error of about
+        // 1.25 · 18 % / √64 ≈ 2.8 %, and the gate holds that median to the
+        // 20 % contract itself: the measured 36.6 % clears it by more
+        // than five standard errors.
+        let extra = median(
+            cmp.runs
+                .iter()
+                .zip(&anytime_cmp.runs)
+                .map(|((_, _, pruned), (_, _, anytime))| {
+                    1.0 - anytime.probes as f64 / pruned.probes.max(1) as f64
+                })
+                .collect(),
+        );
+        println!(
+            "# over {} seeds: anytime saves a median {:.1}% more than pruned",
+            cmp.runs.len(),
+            extra * 100.0
+        );
+        if extra < 0.20 {
             failures.push(format!(
-                "anytime time-averaged cost {:.4} is {:.2}% above uniform's {:.4}, outside the \
-                 {:.0}% error bound",
-                anytime.avg_cost,
-                (anytime_cost_ratio - 1.0) * 100.0,
-                uniform.avg_cost,
-                (error_bound - 1.0) * 100.0
+                "anytime sweeps saved a median {:.1}% additional round trips over pruned (< 20%)",
+                extra * 100.0
             ));
         }
         if overhead_ratio > 1.03 {
@@ -297,7 +319,8 @@ fn main() {
         }
         println!(
             "# smoke OK: >= 30% round trips saved, median cost gap within {:.0}% of full sweeps, \
-             anytime saves >= 20% more within its error bound, telemetry overhead within 3%",
+             anytime within its error bound on every seed and a median >= 20% cheaper than \
+             pruned, telemetry overhead within 3%",
             MEDIAN_COST_GAP_BOUND * 100.0
         );
     }

@@ -92,8 +92,9 @@ pub struct OnlineAdvisorConfig {
     /// pool is large. A [`PoolPolicy::Adaptive`] policy here instantiates
     /// a live [`AdaptivePool`] controller: `k` grows when escalations are
     /// frequent (full-sweep probe escalations, triggered repairs that find
-    /// nothing inside the pool) and shrinks on stationary stretches, and
-    /// the focused probe plan shrinks with it.
+    /// nothing inside the pool while an opportunity alarm points outside
+    /// it) and shrinks on stationary stretches, and the focused probe
+    /// plan shrinks with it.
     pub candidates: Option<CandidateConfig>,
     /// Probe budget policy: uniform full sweeps or trigger-driven
     /// focusing. Focusing only takes effect through
@@ -396,12 +397,12 @@ pub struct EpochSummary {
 }
 
 /// What the triage phase concluded from one epoch's alarms.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct Alarms {
     /// A confirmed, CI-separated upward shift on a deployed link.
     degradation: bool,
-    /// A CI-separated downward shift on an unused link.
-    opportunity: bool,
+    /// The unused links with a CI-separated downward shift.
+    opportunities: Vec<(u32, u32)>,
 }
 
 /// Why the repair phase runs.
@@ -410,8 +411,8 @@ enum Trigger {
     /// Free and re-place the nodes on these presumed-dark instances.
     Evacuate(Vec<u32>),
     /// A degradation or opportunity alarm (at most one re-solve per
-    /// epoch).
-    Alarm,
+    /// epoch), with the epoch's opportunity links.
+    Alarm(Vec<(u32, u32)>),
 }
 
 /// What the repair phase did.
@@ -423,7 +424,9 @@ struct Repaired {
     evacuated: bool,
     /// Nodes migrated (0 when nothing ran or the repair was declined).
     moved: usize,
-    /// The re-solve found no improving move inside the candidate pool.
+    /// The re-solve found no improving move inside the candidate pool,
+    /// though an opportunity alarm pointed outside it (or an evacuation
+    /// found nowhere to go).
     unanswered: bool,
 }
 
@@ -1189,7 +1192,9 @@ impl OnlineAdvisor {
                         alarms.degradation =
                             alarms.degradation || self.confirm(epoch, c, spot.as_deref_mut());
                     }
-                    Drift::Down if !on_deployed_link && separated => alarms.opportunity = true,
+                    Drift::Down if !on_deployed_link && separated => {
+                        alarms.opportunities.push((c.src, c.dst));
+                    }
                     _ => {}
                 }
             }
@@ -1262,7 +1267,8 @@ impl OnlineAdvisor {
             return Some(Trigger::Evacuate(self.dark_instances()));
         }
         let cooled = self.last_resolve.is_none_or(|last| epoch > last);
-        ((alarms.degradation || alarms.opportunity) && cooled).then_some(Trigger::Alarm)
+        let alarmed = alarms.degradation || !alarms.opportunities.is_empty();
+        (alarmed && cooled).then_some(Trigger::Alarm(alarms.opportunities))
     }
 
     /// Repair: run the triggered re-solve, log it, and migrate when it is
@@ -1291,7 +1297,7 @@ impl OnlineAdvisor {
             Trigger::Evacuate(dark) => {
                 evacuate_resolve(problem, objective, &self.deployment, dark, &repair_config)
             }
-            Trigger::Alarm => {
+            Trigger::Alarm(_) => {
                 if self.config.record_triggers {
                     self.triggers.push(TriggerInstance {
                         epoch,
@@ -1303,6 +1309,21 @@ impl OnlineAdvisor {
             }
         };
         cloudia_obs::observe("online.resolve_seconds", repair.solve_seconds);
+        // A repair that found no improving move says the pool was too
+        // tight only when a better destination was seen outside it: an
+        // opportunity on a link the pool-restricted search could not
+        // use. Otherwise the incumbent is simply locally optimal, and
+        // counting the detectors' noise fires as escalations would grow
+        // the pool, and with it the focused probe plan, on a quiet
+        // network. Repairs that found a gain but were declined by the
+        // migration economics are answered: the pool did its job.
+        let unanswered = repair.moved == 0
+            && match &trigger {
+                Trigger::Evacuate(_) => true,
+                Trigger::Alarm(opportunities) => {
+                    self.outside_pool(problem, repair_config.candidates.as_ref(), opportunities)
+                }
+            };
         let est_gain = repair.incumbent_cost - repair.cost;
         let amortized = self.config.policy.migration_cost_per_node * repair.moved as f64;
         let accepted = repair.moved > 0
@@ -1313,7 +1334,7 @@ impl OnlineAdvisor {
                 // migration is never bought with a gain the measurement
                 // error on the links being abandoned could explain. 0
                 // when disabled.
-                Trigger::Alarm => {
+                Trigger::Alarm(_) => {
                     est_gain
                         >= self.config.policy.min_gain
                             * repair.incumbent_cost.max(f64::MIN_POSITIVE)
@@ -1349,14 +1370,24 @@ impl OnlineAdvisor {
         if let Trigger::Evacuate(instances) = trigger {
             self.push_event(OnlineEvent::Evacuate { epoch, instances, moved });
         }
-        // A trigger the pool-restricted repair could not answer with any
-        // improving move: either the incumbent is genuinely locally
-        // optimal (pool fine) or every better destination sits outside
-        // the pool (pool too tight) — the adaptive controller reads a
-        // persistent pattern of these as "grow". Repairs that found a
-        // gain but were declined by the migration economics are answered
-        // triggers: the pool did its job.
-        Repaired { triggered: true, evacuated, moved, unanswered: repair.moved == 0 }
+        Repaired { triggered: true, evacuated, moved, unanswered }
+    }
+
+    /// Whether any of `links` has an endpoint outside the candidate pool
+    /// `candidates` builds on `problem` around the incumbent: an
+    /// opportunity the pool-restricted repair could not use.
+    fn outside_pool(
+        &self,
+        problem: &NodeDeployment,
+        candidates: Option<&CandidateConfig>,
+        links: &[(u32, u32)],
+    ) -> bool {
+        let Some(config) = candidates.filter(|_| !links.is_empty()) else {
+            return false;
+        };
+        let pool = CandidateSet::build(problem, config, Some(&self.deployment), None);
+        let inside = |j: u32| pool.union().binary_search(&j).is_ok();
+        links.iter().any(|&(a, b)| !inside(a) || !inside(b))
     }
 
     /// Account: feed the adaptive pool controller, then book the epoch
@@ -1374,8 +1405,8 @@ impl OnlineAdvisor {
         // An epoch counts as an escalation when the probe plan had to
         // fall back to a full sweep (the detectors fired too broadly for
         // the pool to contain the shift) or a triggered repair went
-        // unanswered inside the pool; quiet and profitably-repaired
-        // epochs are evidence the pool suffices.
+        // unanswered inside the pool while an opportunity lay outside it;
+        // every other epoch is evidence the pool suffices.
         if let Some(pool) = &mut self.adaptive {
             let before = pool.k();
             let after = pool.observe(probe_escalated || repaired.unanswered);
@@ -1584,6 +1615,31 @@ mod tests {
             .iter()
             .any(|e| matches!(e, OnlineEvent::PoolResize { from, to, .. } if to < from)));
         assert!(advisor.escalation_rate().unwrap() < 0.15);
+    }
+
+    #[test]
+    fn only_an_opportunity_outside_the_pool_makes_an_unanswered_repair_count() {
+        let (graph, net, initial) = setup(4, 14, 8);
+        let mut config = fast_config();
+        config.candidates = Some(CandidateConfig::fixed(6));
+        let mut advisor = OnlineAdvisor::new(graph.clone(), 14, initial, config);
+        // The incumbent's instances 0..4 are one cheap cluster, so no
+        // repair improves on it; instance 13 ranks last, outside the pool.
+        let costs = CostMatrix::from_fn(14, |i, j| match (i.max(j), i < 4 && j < 4) {
+            (_, true) => 1.0,
+            (13, _) => 9.0,
+            _ => 5.0,
+        });
+        let problem = graph.problem(costs);
+        let mut unanswered = |epoch, opportunities| {
+            let trigger = Some(Trigger::Alarm(opportunities));
+            let repaired = advisor.repair(epoch, trigger, &problem, &mut Truth::Network(&net));
+            assert_eq!((repaired.triggered, repaired.moved), (true, 0));
+            repaired.unanswered
+        };
+        assert!(!unanswered(0, vec![]), "a degradation alone says nothing about the pool");
+        assert!(!unanswered(1, vec![(0, 2), (3, 1)]), "the repair could use these links");
+        assert!(unanswered(2, vec![(0, 2), (13, 1)]), "instance 13 lies outside the pool");
     }
 
     #[test]

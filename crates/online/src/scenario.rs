@@ -207,19 +207,14 @@ impl SeedComparison {
     /// The median over seeds of `arm.avg_cost / uniform.avg_cost − 1`
     /// (the mean of the two middle values for an even count).
     pub fn median_cost_gap(&self) -> f64 {
-        let mut gaps: Vec<f64> = self
-            .runs
-            .iter()
-            .map(|(_, uniform, arm)| arm.avg_cost / uniform.avg_cost.max(f64::MIN_POSITIVE) - 1.0)
-            .collect();
-        assert!(!gaps.is_empty(), "no seeds compared");
-        gaps.sort_by(f64::total_cmp);
-        let mid = gaps.len() / 2;
-        if gaps.len() % 2 == 1 {
-            gaps[mid]
-        } else {
-            0.5 * (gaps[mid - 1] + gaps[mid])
-        }
+        median(
+            self.runs
+                .iter()
+                .map(|(_, uniform, arm)| {
+                    arm.avg_cost / uniform.avg_cost.max(f64::MIN_POSITIVE) - 1.0
+                })
+                .collect(),
+        )
     }
 
     /// Each seed's probe round trips as a fraction of uniform's.
@@ -230,25 +225,32 @@ impl SeedComparison {
     }
 
     /// Seeds whose compared arm ended the quiet tail with its adaptive
-    /// `k` below its peak. Focused probing does on 95 % of seeds 1–200
-    /// (the rest escalate to full sweeps and hold `k`), so 64 seeds miss
-    /// 3.2 ± 1.7: at least 7 seeds in 8 is the contract, 2.7 sd out.
-    pub fn seeds_k_shrank(&self) -> usize {
+    /// `k` still at its peak (or with no adaptive `k` at all).
+    pub fn seeds_where_k_held(&self) -> Vec<u64> {
         self.runs
             .iter()
             .filter(|(_, _, arm)| {
                 let peak = arm.k_trace.iter().map(|&(_, k)| k).max();
-                arm.k_trace.last().is_some_and(|&(_, k)| Some(k) < peak)
+                arm.k_trace.last().is_none_or(|&(_, k)| Some(k) >= peak)
             })
-            .count()
+            .map(|&(seed, _, _)| seed)
+            .collect()
     }
+}
 
-    /// The compared arm's probe round trips over all seeds, as a fraction
-    /// of uniform's.
-    pub fn total_probe_ratio(&self) -> f64 {
-        let (arm, uniform) =
-            self.runs.iter().fold((0, 0), |(a, u), (_, uni, arm)| (a + arm.probes, u + uni.probes));
-        arm as f64 / uniform.max(1) as f64
+/// The median of `values` (the mean of the two middle values for an even
+/// count).
+///
+/// # Panics
+/// Panics if `values` is empty.
+pub fn median(mut values: Vec<f64>) -> f64 {
+    assert!(!values.is_empty(), "median of nothing");
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        0.5 * (values[mid - 1] + values[mid])
     }
 }
 
@@ -655,7 +657,10 @@ mod tests {
         };
         assert!((cmp.median_cost_gap() - 0.02).abs() < 1e-12);
         assert_eq!(cmp.probe_ratios().map(|(_, r)| r).collect::<Vec<_>>(), [0.1, 0.3, 0.1]);
-        assert!((cmp.total_probe_ratio() - 60.0 / 400.0).abs() < 1e-12);
+        assert_eq!(cmp.seeds_where_k_held(), [1, 2, 3], "no k trace: nothing shrank");
+        cmp.runs[0].2.k_trace = vec![(0, 20), (1, 16)];
+        cmp.runs[1].2.k_trace = vec![(0, 20), (1, 30), (2, 30)];
+        assert_eq!(cmp.seeds_where_k_held(), [2, 3]);
         cmp.runs.pop();
         assert!((cmp.median_cost_gap() - 0.025).abs() < 1e-12, "even count: mean of the middle");
     }

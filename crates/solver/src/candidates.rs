@@ -176,7 +176,8 @@ impl AdaptivePoolConfig {
 /// Feed it one boolean per solve/epoch via [`AdaptivePool::observe`]:
 /// `true` when the pruned pool proved too tight (the solve escalated to a
 /// dense re-solve, the probe plan escalated to a full sweep, or a
-/// triggered repair found nothing inside the pool), `false` when the pool
+/// triggered repair found nothing inside the pool while a better link lay
+/// outside it), `false` when the pool
 /// sufficed. The escalation-rate EWMA then drives `k` multiplicatively up
 /// or down between the node and instance counts, and [`AdaptivePool::effective`]
 /// projects the current `k` into a concrete [`CandidateConfig`] for the

@@ -147,7 +147,10 @@ fn no_op_rule_keeps_streams_bit_identical() {
 ///
 /// Beside the contract, the seed-42 arms' probe ledgers are pinned as
 /// golden values (re-recorded when the drift moved to counter-keyed
-/// draws, which changed the trajectory): repairs here end by proof in
+/// draws, which changed the trajectory, and the anytime arm's again when
+/// unanswered repairs stopped growing the pool on in-pool alarms, which
+/// kept its pool from running away to every instance): repairs here end
+/// by proof in
 /// milliseconds, far inside their wall-clock cap, so the counts are a
 /// function of the seed, and any refactor of the decision path is held
 /// to seeded identity in-tree.
@@ -178,5 +181,5 @@ fn pruned_vs_uniform_differential_through_the_facade() {
     let ledger = |arm: &FocusArm| (arm.probes, arm.saved_round_trips);
     assert_eq!(ledger(&uniform), (295_680, 0), "uniform arm left its seeded trajectory");
     assert_eq!(ledger(&pruned), (85_806, 209_874), "pruned arm left its seeded trajectory");
-    assert_eq!(ledger(&anytime), (27_651, 268_029), "CI + anytime arm left its seeded trajectory");
+    assert_eq!(ledger(&anytime), (74_448, 221_232), "CI + anytime arm left its seeded trajectory");
 }
