@@ -816,7 +816,8 @@ proptest! {
         // deterministic completion-order merge make the worker count
         // invisible in the results — a seeded run is byte-identical at
         // every `stage_workers` value, including under loss (dark-pair
-        // strikes must replay identically too).
+        // strikes must replay identically too), with and without the
+        // P² sketches.
         let mut net = ec2_network(n, seed);
         net.set_loss(cloudia_netsim::LossPlane::uniform(n, 0.02));
         let serial = MeasureConfig { seed, stage_workers: 1, ..MeasureConfig::default() };
@@ -826,28 +827,40 @@ proptest! {
             Box::new(FocusedScheme::new(ProbePlan::full(n), 2, 2)),
         ];
         for scheme in &schemes {
-            let a = scheme.run(&net, &serial);
-            let b = scheme.run(&net, &fanned);
-            prop_assert_eq!(a.round_trips, b.round_trips, "{}: round trips", scheme.name());
-            prop_assert_eq!(a.elapsed_ms, b.elapsed_ms, "{}: elapsed", scheme.name());
-            for i in 0..n {
-                for j in 0..n {
-                    if i == j {
-                        continue;
+            for sketched in [false, true] {
+                let stats =
+                    || if sketched { PairwiseStats::with_p99(n) } else { PairwiseStats::new(n) };
+                let a = scheme.run_onto(&net, &serial, stats());
+                let b = scheme.run_onto(&net, &fanned, stats());
+                prop_assert_eq!(a.round_trips, b.round_trips, "{}: round trips", scheme.name());
+                prop_assert_eq!(a.elapsed_ms, b.elapsed_ms, "{}: elapsed", scheme.name());
+                for i in 0..n {
+                    for j in 0..n {
+                        if i == j {
+                            continue;
+                        }
+                        let (x, y) = (a.stats.link(i, j), b.stats.link(i, j));
+                        let name = scheme.name();
+                        prop_assert_eq!(x.count(), y.count(), "{}: ({},{}) count", name, i, j);
+                        prop_assert_eq!(x.mean(), y.mean(), "{}: ({},{}) mean", name, i, j);
+                        prop_assert_eq!(x.sd(), y.sd(), "{}: ({},{}) sd", name, i, j);
+                        prop_assert_eq!(
+                            x.p99().is_some(), sketched && x.count() > 0,
+                            "{}: ({},{}) p99 presence", name, i, j
+                        );
+                        prop_assert_eq!(
+                            x.p99().map(f64::to_bits), y.p99().map(f64::to_bits),
+                            "{}: ({},{}) p99", name, i, j
+                        );
+                        prop_assert_eq!(
+                            x.attempts(), y.attempts(),
+                            "{}: ({},{}) attempts", name, i, j
+                        );
+                        prop_assert_eq!(
+                            x.timeouts(), y.timeouts(),
+                            "{}: ({},{}) timeouts", name, i, j
+                        );
                     }
-                    let (x, y) = (a.stats.link(i, j), b.stats.link(i, j));
-                    prop_assert_eq!(x.count(), y.count(), "{}: ({},{}) count", scheme.name(), i, j);
-                    prop_assert_eq!(x.mean(), y.mean(), "{}: ({},{}) mean", scheme.name(), i, j);
-                    prop_assert_eq!(x.sd(), y.sd(), "{}: ({},{}) sd", scheme.name(), i, j);
-                    prop_assert_eq!(x.p99(), y.p99(), "{}: ({},{}) p99", scheme.name(), i, j);
-                    prop_assert_eq!(
-                        x.attempts(), y.attempts(),
-                        "{}: ({},{}) attempts", scheme.name(), i, j
-                    );
-                    prop_assert_eq!(
-                        x.timeouts(), y.timeouts(),
-                        "{}: ({},{}) timeouts", scheme.name(), i, j
-                    );
                 }
             }
         }
