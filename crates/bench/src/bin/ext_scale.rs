@@ -39,8 +39,9 @@
 //! m = 20000 with 2048 neighbours per instance and asserts its
 //! materialised footprint ([`PairwiseStats::resident_bytes`]) stays
 //! ≤ 5 GB. It also reports what the same sweep would hold with the p99
-//! sketches ([`PairwiseStats::with_p99`]), ~7 GB more, without building
-//! them.
+//! sketches ([`PairwiseStats::with_p99`]): the sketched and sketchless
+//! footprints of the sweep's first 64 source rows are measured, and
+//! their difference is scaled per covered link to the full sweep.
 //!
 //! The machine-readable race results always land in
 //! `BENCH_ext_scale.json`.
@@ -266,23 +267,31 @@ fn main() {
     // the capacity-based 6 GB gate above is unchanged.
     let sparse_m = 20_000usize;
     let fan = 2_048usize;
-    let t0 = Instant::now();
-    let mut sparse = PairwiseStats::new(sparse_m);
-    for j in 0..sparse_m {
-        for d in 1..=fan {
-            let dst = (j + d) % sparse_m;
-            sparse.record_attempt(j, dst);
-            sparse.record(j, dst, 0.3 + ((j + d) % 17) as f64 * 0.05);
+    let sweep = |mut stats: PairwiseStats, rows: usize| {
+        for j in 0..rows {
+            for d in 1..=fan {
+                let dst = (j + d) % sparse_m;
+                stats.record_attempt(j, dst);
+                stats.record(j, dst, 0.3 + ((j + d) % 17) as f64 * 0.05);
+            }
         }
-    }
+        stats
+    };
+    let t0 = Instant::now();
+    let sparse = sweep(PairwiseStats::new(sparse_m), sparse_m);
     let sparse_populate_s = t0.elapsed().as_secs_f64();
     let resident = sparse.resident_bytes();
     let covered = sparse.covered_links();
-    // What `PairwiseStats::with_p99` would add: a P² sketch per covered
-    // link, and half a page of sketch slots per five touched column
-    // pages (a tenth of the column footprint).
-    let p99_extra = covered * std::mem::size_of::<cloudia_measure::P2Quantile>() + resident / 10;
-    let with_p99_gb = (resident + p99_extra) as f64 / 1e9;
+    drop(sparse);
+    // What `PairwiseStats::with_p99` would hold: the sketch group's cost
+    // per covered link, measured on the sweep's first rows.
+    let slice_rows = 64;
+    let sketched = sweep(PairwiseStats::with_p99(sparse_m), slice_rows);
+    let plain = sweep(PairwiseStats::new(sparse_m), slice_rows);
+    let p99_bytes_per_link = (sketched.resident_bytes() - plain.resident_bytes()) as f64
+        / sketched.covered_links() as f64;
+    drop((sketched, plain));
+    let with_p99_gb = (resident as f64 + p99_bytes_per_link * covered as f64) / 1e9;
     println!();
     println!("sparse_m\tfan\tpopulate_s\tresident_gb\twith_p99_gb");
     row(&[
@@ -303,6 +312,7 @@ fn main() {
         .field("fan", fan)
         .field("populate_s", sparse_populate_s)
         .field("resident_bytes", resident)
+        .field("p99_bytes_per_link", p99_bytes_per_link)
         .field("with_p99_gb", with_p99_gb);
 
     match write_bench_json(
