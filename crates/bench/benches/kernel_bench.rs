@@ -57,19 +57,30 @@
 //! epoch's plan), first-fit [`ProbePlan::stages`] must give the stages
 //! the per-stage greedy matcher it replaced gives — one pass over the
 //! pairs left per stage, O(pairs × stages) — and beat it by ≥ 5×.
+//!
+//! The last, `kmeans`, holds cost clustering to O(k·N·log N): on the
+//! off-diagonal costs of a loss-priced repair over a 32-instance pool
+//! (N ≈ 700 distinct values at the 0.01 ms quantum, k = 20 — the shape
+//! of `online_lossy`'s repairs, which hold N = 400–700),
+//! [`CostClusters::compute`]'s divide-and-conquer fill must give the
+//! clusters, means, rounding and SSE of the O(k·N²) Ckmeans DP kept as
+//! [`ckmeans_quadratic`], bit for bit, and beat it by ≥ 10×.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
+use cloudia_bench::baselines::ckmeans_quadratic;
 use cloudia_core::CommGraph;
 use cloudia_measure::{run_pruned, MeasureConfig, PairwiseStats, ProbePlan, Scheme, Staged};
-use cloudia_netsim::{Cloud, InstanceId, LossPlane, Provider};
+use cloudia_netsim::{
+    loss_priced_mean, Cloud, InstanceId, LossPlane, Provider, DEFAULT_TIMEOUT_MS,
+};
 use cloudia_online::{DetectorConfig, EpochMeasurement, LinkDelta, OnlineStore};
 use cloudia_solver::candidates::PoolIndex;
 use cloudia_solver::cp::{solve_llndp_cp, CpConfig, Propagation};
 use cloudia_solver::kernels::scan_row_evidence;
-use cloudia_solver::{Budget, CandidateConfig, CandidatePruneRule, CandidateSet};
+use cloudia_solver::{Budget, CandidateConfig, CandidatePruneRule, CandidateSet, CostClusters};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The pre-kernel scalar walk, transcribed from the old `build_partial`
@@ -530,6 +541,60 @@ fn assert_plan_stages_win() {
     assert!(speedup >= 5.0, "first-fit must beat the per-stage greedy by >= 5x, got {speedup:.2}x");
 }
 
+/// Off-diagonal search costs of a loss-priced repair over a pool of `m`
+/// instances: a mean RTT in 0.3–1.5 ms, plus the expected timeouts
+/// ([`loss_priced_mean`]) of per-direction drop rates up to 15 %, drawn
+/// for nine directions in ten, at the default 50 ms timeout.
+fn loss_priced_pool(m: usize, seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let drop_rate = |rng: &mut StdRng| {
+        if rng.random::<f64>() < 0.1 {
+            0.0
+        } else {
+            rng.random_range(0.0..0.15)
+        }
+    };
+    (0..m * (m - 1))
+        .map(|_| {
+            let mean = rng.random_range(0.3..1.5);
+            let (fwd, rev) = (drop_rate(&mut rng), drop_rate(&mut rng));
+            loss_priced_mean(mean, fwd, rev, DEFAULT_TIMEOUT_MS)
+        })
+        .collect()
+}
+
+/// Races the divide-and-conquer k-means fill against the O(k·N²) scan it
+/// replaced on a loss-priced repair's costs (N ≈ 700 distinct values at
+/// the 0.01 ms quantum, k = 20): the same clusters, means, rounding and
+/// SSE bit for bit, and ≥ 10× faster.
+fn assert_kmeans_wins() {
+    let (k, quantum) = (20usize, 0.01);
+    let costs = loss_priced_pool(32, 43);
+    let ((fast_s, fast), (slow_s, slow)) = race(
+        8,
+        || CostClusters::compute(&costs, k, quantum),
+        || ckmeans_quadratic(&costs, k, quantum),
+    );
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(fast.means()), bits(slow.means()), "the fills found different clusters");
+    assert!(costs.iter().all(|&x| fast.round(x).to_bits() == slow.round(x).to_bits()));
+    assert_eq!(fast.within_sse().to_bits(), slow.within_sse().to_bits());
+    let mut distinct: Vec<f64> = costs.iter().map(|&c| (c / quantum).round() * quantum).collect();
+    distinct.sort_by(f64::total_cmp);
+    distinct.dedup();
+    let speedup = slow_s / fast_s.max(1e-12);
+    println!(
+        "# kmeans race: quadratic {:.2}ms, divide-and-conquer {:.3}ms over N = {} values, k = {k}, speedup {speedup:.1}x",
+        slow_s * 1e3,
+        fast_s * 1e3,
+        distinct.len()
+    );
+    assert!(
+        speedup >= 10.0,
+        "the divide-and-conquer fill must beat the quadratic DP by >= 10x, got {speedup:.2}x"
+    );
+}
+
 fn main() {
     // `cargo bench` passes `--bench`; `cargo test` passes `--test` (the
     // criterion shim then runs each body exactly once). The timed
@@ -539,7 +604,7 @@ fn main() {
     if std::env::args().any(|a| a == "--bench") {
         // Every race runs, whichever fails: a failing race reports its
         // panic and the run fails at the end, naming them all.
-        let races: [(&str, fn()); 8] = [
+        let races: [(&str, fn()); 9] = [
             ("scan_row_evidence", assert_kernel_wins),
             ("pool_index (1 lane)", || {
                 assert_pool_index_wins::<1>("1 lane (mean)", PoolIndex::sync_means)
@@ -554,6 +619,7 @@ fn main() {
             ("cp_search", assert_cp_search_wins),
             ("plan_pool", assert_plan_pool_wins),
             ("plan_stages", assert_plan_stages_win),
+            ("kmeans", assert_kmeans_wins),
         ];
         let failed: Vec<&str> = races
             .into_iter()

@@ -1,10 +1,13 @@
-//! The two measurement baselines of paper §5 that the staged scheme is
-//! compared against (Fig. 4): token passing and uncoordinated probing.
+//! The baselines the product is compared against: the two measurement
+//! baselines of paper §5 that the staged scheme is compared against
+//! (Fig. 4) — token passing and uncoordinated probing — and the O(k·N²)
+//! Ckmeans DP that cost clustering replaced ([`ckmeans_quadratic`]).
 //!
-//! Neither is a [`cloudia_measure::Scheme`]: the advisor only ever
-//! measures with the stage schedules, so these are plain batch loops over
-//! the network's discrete-event engine, whose endpoint queues are what
-//! make the uncoordinated scheme's interference visible.
+//! Neither measurement baseline is a [`cloudia_measure::Scheme`]: the
+//! advisor only ever measures with the stage schedules, so these are
+//! plain batch loops over the network's discrete-event engine, whose
+//! endpoint queues are what make the uncoordinated scheme's interference
+//! visible.
 
 use cloudia_measure::{MeasureConfig, MeasurementReport, PairwiseStats, PROBE_SIZE_KB};
 use cloudia_netsim::{Engine, InstanceId, MessageSpec, Network, NicParams};
@@ -221,4 +224,154 @@ pub fn uncoordinated(
         }
     }
     MeasurementReport { elapsed_ms: engine.now(), round_trips, stats }
+}
+
+/// Clusters `costs` as [`cloudia_solver::CostClusters::compute`] does —
+/// same rounding to `quantum`, same +∞ handling, same tie rule — but
+/// fills the DP with the O(k·N²) scan over every cut of every prefix
+/// that the product's divide-and-conquer fill replaced. The prefix sums,
+/// the SSE expression, the cut walk-back and the rounding are
+/// transcribed unchanged, so every mean and every assignment must match
+/// the product's bit for bit. This is the one copy of the quadratic
+/// fill, kept as the differential oracle and the `kmeans` race baseline.
+///
+/// # Panics
+/// Panics if `k == 0` or `costs` is empty.
+pub fn ckmeans_quadratic(costs: &[f64], k: usize, quantum: f64) -> QuadraticClusters {
+    assert!(k > 0, "k must be positive");
+    assert!(!costs.is_empty(), "cannot cluster zero costs");
+
+    let mut rounded: Vec<f64> = costs
+        .iter()
+        .filter(|c| c.is_finite())
+        .map(|&c| if quantum > 0.0 { (c / quantum).round() * quantum } else { c })
+        .collect();
+    rounded.sort_by(f64::total_cmp);
+    let mut values: Vec<f64> = Vec::new();
+    let mut weights: Vec<f64> = Vec::new();
+    for &v in &rounded {
+        if values.last().is_some_and(|&last| (last - v) == 0.0) {
+            *weights.last_mut().unwrap() += 1.0;
+        } else {
+            values.push(v);
+            weights.push(1.0);
+        }
+    }
+    let n = values.len();
+    if n == 0 {
+        return QuadraticClusters { values, assignment: Vec::new(), means: Vec::new() };
+    }
+    let k = k.min(n);
+
+    let mut pw = vec![0.0; n + 1];
+    let mut ps = vec![0.0; n + 1];
+    let mut pq = vec![0.0; n + 1];
+    for i in 0..n {
+        pw[i + 1] = pw[i] + weights[i];
+        ps[i + 1] = ps[i] + weights[i] * values[i];
+        pq[i + 1] = pq[i] + weights[i] * values[i] * values[i];
+    }
+    let sse = |a: usize, b: usize| -> f64 {
+        let w = pw[b + 1] - pw[a];
+        let s = ps[b + 1] - ps[a];
+        let q = pq[b + 1] - pq[a];
+        (q - s * s / w).max(0.0)
+    };
+
+    // dp[c * n + i] = min SSE of values[0..=i] in c+1 clusters, found by
+    // trying every first index j of the last cluster.
+    let mut dp = vec![f64::INFINITY; k * n];
+    let mut cut = vec![0usize; k * n];
+    for i in 0..n {
+        dp[i] = sse(0, i);
+    }
+    for c in 1..k {
+        for i in c..n {
+            for j in c..=i {
+                let cand = dp[(c - 1) * n + j - 1] + sse(j, i);
+                if cand < dp[c * n + i] {
+                    dp[c * n + i] = cand;
+                    cut[c * n + i] = j;
+                }
+            }
+        }
+    }
+
+    let mut assignment = vec![0usize; n];
+    let mut c = k - 1;
+    let mut hi = n - 1;
+    let mut bounds = Vec::new();
+    loop {
+        let lo = if c == 0 { 0 } else { cut[c * n + hi] };
+        bounds.push((lo, hi));
+        if c == 0 {
+            break;
+        }
+        hi = lo - 1;
+        c -= 1;
+    }
+    bounds.reverse();
+    let mut means = Vec::with_capacity(bounds.len());
+    for (ci, &(lo, hi)) in bounds.iter().enumerate() {
+        let w = pw[hi + 1] - pw[lo];
+        let s = ps[hi + 1] - ps[lo];
+        means.push(s / w);
+        for a in assignment.iter_mut().take(hi + 1).skip(lo) {
+            *a = ci;
+        }
+    }
+    QuadraticClusters { values, assignment, means }
+}
+
+/// The clustering [`ckmeans_quadratic`] found, read back through the same
+/// accessors as [`cloudia_solver::CostClusters`].
+#[derive(Debug, Clone)]
+pub struct QuadraticClusters {
+    values: Vec<f64>,
+    assignment: Vec<usize>,
+    means: Vec<f64>,
+}
+
+impl QuadraticClusters {
+    /// Number of clusters.
+    pub fn len(&self) -> usize {
+        self.means.len()
+    }
+
+    /// True if there are no clusters (every input cost was +∞).
+    pub fn is_empty(&self) -> bool {
+        self.means.is_empty()
+    }
+
+    /// The cluster means, ascending.
+    pub fn means(&self) -> &[f64] {
+        &self.means
+    }
+
+    /// `cost` rounded to its cluster's mean, by the product's rule: the
+    /// nearest distinct value's cluster, the lower one on a tie, and a
+    /// non-finite cost unchanged.
+    pub fn round(&self, cost: f64) -> f64 {
+        if !cost.is_finite() || self.values.is_empty() {
+            return cost;
+        }
+        let idx = match self.values.binary_search_by(|v| v.total_cmp(&cost)) {
+            Ok(i) => i,
+            Err(0) => 0,
+            Err(i) if i >= self.values.len() => self.values.len() - 1,
+            Err(i) => {
+                if (cost - self.values[i - 1]).abs() <= (self.values[i] - cost).abs() {
+                    i - 1
+                } else {
+                    i
+                }
+            }
+        };
+        self.means[self.assignment[idx]]
+    }
+
+    /// Total within-cluster sum of squared errors over the distinct values.
+    pub fn within_sse(&self) -> f64 {
+        self.values.iter().zip(&self.assignment).map(|(&v, &a)| (v - self.means[a]).powi(2)).sum()
+    }
 }

@@ -232,7 +232,7 @@ impl CostMatrix {
 
     /// Returns a copy with every off-diagonal cost replaced by `f(cost)`
     /// (used for cluster rounding). Allocates a fresh arena.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> CostMatrix {
+    pub fn map(&self, mut f: impl FnMut(f64) -> f64) -> CostMatrix {
         let mut data = self.data.to_vec();
         for i in 0..self.m {
             for j in 0..self.m {

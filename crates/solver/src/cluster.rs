@@ -3,10 +3,19 @@
 //! The CP approach iterates over *distinct* cost values, so rounding the
 //! measured costs to `k` cluster means directly bounds the number of
 //! iterations. Because link costs are one-dimensional, k-means can be
-//! solved *exactly* by dynamic programming over the sorted values (the
-//! paper cites an O(kN) DP; this implementation is the classic O(kN²)
-//! Ckmeans DP with prefix sums, which is exact and instantaneous at the
-//! paper's N ≲ a few hundred distinct values).
+//! solved *exactly* by dynamic programming over the sorted values: the
+//! Ckmeans DP with prefix sums, filled in O(k·N·log N) by divide and
+//! conquer over the monotone optimal cut (Grønlund et al., "Fast Exact
+//! k-Means, k-Medians and Bregman Divergence Clustering in 1D",
+//! arXiv:1701.07204). The plain O(k·N²) fill was thought instantaneous
+//! at the paper's N ≲ a few hundred distinct values, but loss-priced
+//! repair problems (pools of 23–32 instances, k = 20) hold N = 400–700,
+//! where it took 3–17 ms of a prover whose search explores a handful of
+//! nodes; this fill takes 0.3–0.9 ms there. The quadratic fill survives
+//! only as the bench crate's reference
+//! (`cloudia_bench::baselines::ckmeans_quadratic`), which this one
+//! matches bit for bit (see [`CostClusters::compute`] for the one regime
+//! where it cannot).
 //!
 //! Values are first rounded to a fixed quantum (the paper rounds to
 //! 0.01 ms) to deduplicate near-identical measurements.
@@ -27,9 +36,32 @@ pub struct CostClusters {
 
 impl CostClusters {
     /// Clusters the finite `costs` into at most `k` clusters after rounding
-    /// values to multiples of `quantum` (pass 0.0 to skip rounding). Exact
-    /// 1-D k-means via DP. A +∞ (dark-link) cost joins no cluster; if
-    /// every cost is +∞ there are no clusters.
+    /// values to multiples of `quantum` (pass 0.0 to skip rounding). A +∞
+    /// (dark-link) cost joins no cluster; if every cost is +∞ there are no
+    /// clusters.
+    ///
+    /// Exact 1-D k-means over the N distinct values in O(k·N·log N) time
+    /// and O(k·N) space. Layer `c` of the DP prices clustering the first
+    /// `i + 1` values into `c + 1` clusters by the first index `j` of the
+    /// last cluster. Within-cluster SSE obeys the quadrangle inequality,
+    /// so the smallest optimal `j` never decreases as `i` grows. Each
+    /// layer therefore solves its middle `i` by a full scan of the
+    /// admissible `j`, then the left half with `j` at most that cut and
+    /// the right half with `j` at least it: every `j` range holds the
+    /// smallest argmin, so each entry is the one a scan over all `j`
+    /// finds, and each of the log N recursion levels scans O(N)
+    /// candidates.
+    ///
+    /// That holds for the SSE as computed, `q − s²/w` over prefix sums,
+    /// while its rounding error stays below the gaps between cuts. Values
+    /// that agree to ~1e-5 of their magnitude, with no quantum to merge
+    /// them, cancel every digit of that difference: a full scan's optimal
+    /// cuts then stop being monotone, and the two fills may return
+    /// different clusterings whose SSEs agree to within ~10·ε·Σx². The
+    /// solvers cluster at the 0.01 ms quantum, where values stay at least
+    /// 2e-6 of their magnitude apart up to 5 s costs; on every clustering
+    /// of loopbench's four workloads (seeds 1–10) both fills agree on
+    /// every DP entry and cut.
     ///
     /// # Panics
     /// Panics if `k == 0` or `costs` is empty.
@@ -77,23 +109,17 @@ impl CostClusters {
             (q - s * s / w).max(0.0)
         };
 
-        // dp[c][i] = min SSE of clustering values[0..=i] into c+1 clusters.
-        let mut dp = vec![vec![f64::INFINITY; n]; k];
-        let mut cut = vec![vec![0usize; n]; k];
+        // dp[c * n + i] = min SSE of clustering values[0..=i] into c+1
+        // clusters; cut[c * n + i] = first index of its last cluster.
+        let mut dp = vec![f64::INFINITY; k * n];
+        let mut cut = vec![0usize; k * n];
         for i in 0..n {
-            dp[0][i] = sse(0, i);
+            dp[i] = sse(0, i);
         }
         for c in 1..k {
-            for i in c..n {
-                // First index of the last cluster is j in [c, i].
-                for j in c..=i {
-                    let cand = dp[c - 1][j - 1] + sse(j, i);
-                    if cand < dp[c][i] {
-                        dp[c][i] = cand;
-                        cut[c][i] = j;
-                    }
-                }
-            }
+            let (done, rest) = dp.split_at_mut(c * n);
+            let (prev, row) = (&done[(c - 1) * n..], &mut rest[..n]);
+            fill_layer(prev, &sse, row, &mut cut[c * n..(c + 1) * n], (c, n - 1), (c, n - 1));
         }
 
         // Recover assignment by walking cuts back from the full range.
@@ -102,7 +128,7 @@ impl CostClusters {
         let mut hi = n - 1;
         let mut bounds = Vec::new(); // (lo, hi) per cluster, reversed
         loop {
-            let lo = if c == 0 { 0 } else { cut[c][hi] };
+            let lo = if c == 0 { 0 } else { cut[c * n + hi] };
             bounds.push((lo, hi));
             if c == 0 {
                 break;
@@ -143,8 +169,14 @@ impl CostClusters {
     /// value-range membership; values outside the seen range snap to the
     /// closest end). A non-finite cost — a +∞ dark link — stays as it is.
     pub fn round(&self, cost: f64) -> f64 {
+        self.cluster_of(cost).map_or(cost, |a| self.means[a])
+    }
+
+    /// The cluster [`round`](Self::round) maps `cost` to, or `None` for a
+    /// non-finite cost or when there are no clusters.
+    fn cluster_of(&self, cost: f64) -> Option<usize> {
         if !cost.is_finite() || self.values.is_empty() {
-            return cost;
+            return None;
         }
         // Binary search the distinct values for the insertion point.
         let idx = match self.values.binary_search_by(|v| v.total_cmp(&cost)) {
@@ -160,7 +192,7 @@ impl CostClusters {
                 }
             }
         };
-        self.means[self.assignment[idx]]
+        Some(self.assignment[idx])
     }
 
     /// Total within-cluster sum of squared errors for the input values.
@@ -169,17 +201,76 @@ impl CostClusters {
     }
 }
 
+/// Fills `row[i]` and `cut[i]` of one DP layer for `i` in `lo..=hi` from
+/// the previous layer's optima `prev`, knowing that each smallest optimal
+/// cut lies in `j_lo..=j_hi`: solves the middle `i` by scanning its
+/// admissible cuts upward with a strict `<` (the smallest argmin), then
+/// each half inside the cut it found.
+fn fill_layer(
+    prev: &[f64],
+    sse: &impl Fn(usize, usize) -> f64,
+    row: &mut [f64],
+    cut: &mut [usize],
+    (lo, hi): (usize, usize),
+    (j_lo, j_hi): (usize, usize),
+) {
+    let i = lo + (hi - lo) / 2;
+    let (mut best, mut best_j) = (f64::INFINITY, j_lo);
+    for j in j_lo..=j_hi.min(i) {
+        let cand = prev[j - 1] + sse(j, i);
+        if cand < best {
+            best = cand;
+            best_j = j;
+        }
+    }
+    row[i] = best;
+    cut[i] = best_j;
+    if i > lo {
+        fill_layer(prev, sse, row, cut, (lo, i - 1), (j_lo, best_j));
+    }
+    if i < hi {
+        fill_layer(prev, sse, row, cut, (i + 1, hi), (best_j, j_hi));
+    }
+}
+
 /// The costs a prover searches on: every cost rounded to its mean over
 /// `clusters` k-means clusters, or — unclustered — to a multiple of
 /// `quantum` (a `quantum` of 0 keeps the measured costs).
-pub(crate) fn search_costs(costs: &Costs, clusters: Option<usize>, quantum: f64) -> Costs {
+///
+/// A clustered call also returns its thresholds: the ascending distinct
+/// cluster means the rounding wrote, which are exactly the distinct
+/// finite off-diagonal search costs, found without sorting the m(m−1)
+/// of them again. Unclustered, there are none to offer.
+pub(crate) fn search_costs(
+    costs: &Costs,
+    clusters: Option<usize>,
+    quantum: f64,
+) -> (Costs, Option<Vec<f64>>) {
     match clusters {
         Some(k) => {
+            let mut span = cloudia_obs::span!("solver.cluster");
             let clusters = CostClusters::compute(&costs.off_diagonal(), k, quantum);
-            costs.map(|c| clusters.round(c))
+            span.attr("values", clusters.values.len());
+            span.attr("clusters", clusters.len());
+            let mut written = vec![false; clusters.len()];
+            let rounded = costs.map(|c| match clusters.cluster_of(c) {
+                Some(a) => {
+                    written[a] = true;
+                    clusters.means[a]
+                }
+                None => c,
+            });
+            let mut thresholds: Vec<f64> =
+                clusters.means.iter().zip(&written).filter(|(_, &w)| w).map(|(&m, _)| m).collect();
+            // Means of adjacent clusters ascend, but each is a quotient of
+            // prefix-sum differences: order and deduplicate as a sort of
+            // the rounded costs would.
+            thresholds.sort_by(f64::total_cmp);
+            thresholds.dedup();
+            (rounded, Some(thresholds))
         }
-        None if quantum > 0.0 => costs.map(|c| (c / quantum).round() * quantum),
-        None => costs.clone(),
+        None if quantum > 0.0 => (costs.map(|c| (c / quantum).round() * quantum), None),
+        None => (costs.clone(), None),
     }
 }
 
@@ -283,5 +374,34 @@ mod tests {
         let distinct: std::collections::BTreeSet<u64> =
             costs.iter().map(|&v| c.round(v).to_bits()).collect();
         assert!(distinct.len() <= 20);
+    }
+
+    #[test]
+    fn clustered_thresholds_are_the_sorted_distinct_search_costs() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        for case in 0..60u64 {
+            let m = rng.random_range(2..40usize);
+            let costs = match case % 3 {
+                0 => Costs::random_uniform(m, case),
+                1 => Costs::random_clustered(m, 0.3, case),
+                // Dark links and a coarse grid of exact duplicates.
+                _ => Costs::from_fn(m, |_, _| match rng.random_range(0..10u32) {
+                    0 => f64::INFINITY,
+                    v => f64::from(v) * 0.25,
+                }),
+            };
+            let k = rng.random_range(1..25usize);
+            let quantum = if case % 2 == 0 { 0.01 } else { 0.0 };
+            let (rounded, thresholds) = search_costs(&costs, Some(k), quantum);
+            let mut expected = rounded.off_diagonal();
+            expected.retain(|c| c.is_finite());
+            expected.sort_by(f64::total_cmp);
+            expected.dedup();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let thresholds = thresholds.expect("a clustered call knows its thresholds");
+            assert_eq!(bits(&thresholds), bits(&expected), "case {case}: m = {m}, k = {k}");
+            assert!(search_costs(&costs, None, quantum).1.is_none());
+        }
     }
 }

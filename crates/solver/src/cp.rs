@@ -159,11 +159,8 @@ pub fn solve_llndp_cp_with(
     let start = Instant::now();
     let deadline = config.budget.time_limit_s;
 
-    let search_problem = NodeDeployment::new(
-        problem.num_nodes,
-        problem.edges.clone(),
-        search_costs(&problem.costs, config.clusters, config.quantum),
-    );
+    let (costs, thresholds) = search_costs(&problem.costs, config.clusters, config.quantum);
+    let search_problem = NodeDeployment::new(problem.num_nodes, problem.edges.clone(), costs);
 
     let fixed = hint.pins();
     if let (Some(f), Some(init)) = (fixed, hint.incumbent()) {
@@ -206,11 +203,14 @@ pub fn solve_llndp_cp_with(
     control.offer(&result, result_cost);
 
     // Distinct finite search-cost values, ascending: a +∞ (dark) link is
-    // never a threshold worth proving.
-    let mut distinct: Vec<f64> = search_problem.costs.off_diagonal();
-    distinct.retain(|c| c.is_finite());
-    distinct.sort_by(f64::total_cmp);
-    distinct.dedup();
+    // never a threshold worth proving. Clustering already knows them.
+    let distinct = thresholds.unwrap_or_else(|| {
+        let mut distinct = search_problem.costs.off_diagonal();
+        distinct.retain(|c| c.is_finite());
+        distinct.sort_by(f64::total_cmp);
+        distinct.dedup();
+        distinct
+    });
 
     let mut explored = 0u64;
     let mut proven_optimal = problem.edges.is_empty();

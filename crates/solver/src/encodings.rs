@@ -241,7 +241,7 @@ pub fn solve_llndp_mip_with(
     let n = problem.num_nodes;
     let m = problem.num_instances();
     let fixed = hint.pins();
-    let enc_costs = search_costs(&problem.costs, config.clusters, config.quantum);
+    let (enc_costs, _) = search_costs(&problem.costs, config.clusters, config.quantum);
     let search = NodeDeployment::new(n, problem.edges.clone(), enc_costs);
 
     let c_var = n * m;
@@ -356,7 +356,7 @@ pub fn solve_lpndp_mip_with(
     let m = problem.num_instances();
     let e = problem.edges.len();
     let fixed = hint.pins();
-    let enc_costs = search_costs(&problem.costs, config.clusters, config.quantum);
+    let (enc_costs, _) = search_costs(&problem.costs, config.clusters, config.quantum);
     let search = NodeDeployment::new(n, problem.edges.clone(), enc_costs);
 
     // Variable layout: x (n·m) | c_e (e) | t_i (n) | t (1).
