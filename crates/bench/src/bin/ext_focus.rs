@@ -1,8 +1,8 @@
 //! Extension: trigger-driven focused measurement vs uniform sweeps.
 //!
 //! Two online-advisor arms ride the **identical** drift trajectory and
-//! probe randomness (`ReplayStream` over recorded snapshots), differing
-//! only in probe policy:
+//! probe randomness (each arm's `SimStream` drifts the hour-0 network
+//! from the scenario's seeds), differing only in probe policy:
 //!
 //! * **uniform** — the stream's full staged tournament sweep every epoch
 //!   (O(m²) probe pairs, the PR 2 behaviour);

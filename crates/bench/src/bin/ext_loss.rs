@@ -1,9 +1,10 @@
 //! Extension: loss-aware vs loss-blind advisement on a lossy network.
 //!
-//! Two online-advisor arms ride the **identical** lossy trajectory
-//! (`ReplayStream` over recorded snapshots whose networks carry per-link
-//! drop probabilities, plus one forced instance blackout mid-run),
-//! differing only in whether they believe in packet loss:
+//! Two online-advisor arms ride the **identical** lossy trajectory (each
+//! arm's `SimStream` drifts the hour-0 network's latencies and per-link
+//! drop probabilities from the scenario's seeds, plus one forced instance
+//! blackout mid-run), differing only in whether they believe in packet
+//! loss:
 //!
 //! * **aware** — retransmit-budgeted sweeps, per-link loss-rate EWMAs,
 //!   `LinkDark` triage with spot-check confirmation, instance

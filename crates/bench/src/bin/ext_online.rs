@@ -1,8 +1,8 @@
 //! Extension: online advisor vs batch re-deploy vs never-migrate.
 //!
 //! Three policies ride the **identical** drift trajectory and measurement
-//! randomness (via `ReplayStream` over recorded network snapshots), at
-//! equal per-epoch measurement budget:
+//! randomness (each arm drifts the hour-0 network from the same seeds),
+//! at equal per-epoch measurement budget:
 //!
 //! * **never** — deploy once, never move (the paper's §2.2.1 baseline);
 //! * **batch** — the paper's re-deployment iteration: every epoch,
@@ -26,11 +26,11 @@ use std::time::Instant;
 use cloudia_bench::{header, row, write_bench_json, ExtArgs};
 use cloudia_core::{CommGraph, CostMatrix, Objective, RedeployPolicy, SearchStrategy};
 use cloudia_measure::{MeasureConfig, Scheme, Staged};
-use cloudia_netsim::{Cloud, DriftParams, Provider};
+use cloudia_netsim::{Cloud, DriftParams, DriftingNetwork, Network, Provider};
 use cloudia_obs::Json;
 use cloudia_online::{
-    incremental_resolve, record_trajectory, DetectorConfig, EpochMeasurement, MeasurementStream,
-    OnlineAdvisor, OnlineAdvisorConfig, OnlineEvent, RepairConfig, ReplayStream,
+    incremental_resolve, DetectorConfig, EpochMeasurement, MeasurementStream, OnlineAdvisor,
+    OnlineAdvisorConfig, OnlineEvent, RepairConfig, SimStream,
 };
 use cloudia_solver::{Budget, PortfolioConfig};
 
@@ -114,21 +114,29 @@ fn main() {
     .run(&initial_problem, Objective::LongestLink)
     .deployment;
 
-    // The shared trajectory.
-    let snapshots = record_trajectory(net, seed ^ 0xd21f7, epoch_hours, epochs as usize);
-    let truth_of = |e: usize, plan: &[u32]| {
-        let truth = snapshots[e].mean_matrix();
-        graph.problem(truth).cost(Objective::LongestLink, plan)
+    // The shared trajectory: every arm drifts the hour-0 network under
+    // this key, and prices its plan on the links it brought up to date.
+    let drift_seed = seed ^ 0xd21f7;
+    let new_stream =
+        || SimStream::new(net.clone(), scheme(), measure_cfg.clone(), epoch_hours, drift_seed);
+    let truth_of = |truth: &Network, plan: &[u32]| {
+        graph.problem(truth.mean_matrix()).cost(Objective::LongestLink, plan)
     };
 
     // Arm 1: never migrate.
-    let never_total: f64 = (0..epochs as usize).map(|e| truth_of(e, &initial)).sum();
+    let mut drifting = DriftingNetwork::new(net.clone(), drift_seed);
+    let never_total: f64 = (0..epochs)
+        .map(|_| {
+            drifting.step(epoch_hours);
+            drifting.advance_instances(&initial);
+            truth_of(drifting.network(), &initial)
+        })
+        .sum();
     let never = report("never", never_total, epochs, 0, 0, 0.0);
 
     // Arm 2: batch re-deploy — fresh estimates + cold full solve, every
     // epoch, same measurement and same solve budget as the online arm.
-    let mut stream =
-        ReplayStream::new(snapshots.clone(), scheme(), measure_cfg.clone(), epoch_hours);
+    let mut stream = new_stream();
     let mut plan = initial.clone();
     let mut batch_total = 0.0;
     let mut batch_migrations = 0usize;
@@ -146,23 +154,18 @@ fn main() {
         .run(&problem, Objective::LongestLink);
         let keep = problem.cost(Objective::LongestLink, &plan);
         let moved = plan.iter().zip(&out.deployment).filter(|(a, b)| a != b).count();
-        let gain = keep - out.cost;
-        if moved > 0
-            && gain >= policy.min_gain * keep.max(f64::MIN_POSITIVE)
-            && gain > policy.migration_cost_per_node * moved as f64
-        {
+        if policy.accepts(keep, keep - out.cost, moved, 0.0) {
             plan = out.deployment;
             batch_migrations += 1;
             batch_moved += moved as u64;
-            batch_paid += policy.migration_cost_per_node * moved as f64;
+            batch_paid += policy.migration_cost(moved);
         }
-        batch_total += truth_of(e, &plan);
+        batch_total += truth_of(stream.truth(&plan), &plan);
     }
     let batch = report("batch", batch_total, epochs, batch_migrations, batch_moved, batch_paid);
 
     // Arm 3: the online advisor.
-    let mut stream =
-        ReplayStream::new(snapshots.clone(), scheme(), measure_cfg.clone(), epoch_hours);
+    let mut stream = new_stream();
     let config = OnlineAdvisorConfig {
         objective: Objective::LongestLink,
         policy,

@@ -123,7 +123,7 @@ fn main() {
                 format!("{:.4}", arm.dense_cost),
                 format!("{:.3}", arm.pruned_s),
                 format!("{:.4}", arm.pruned.outcome.cost),
-                format!("{}", arm.pruned.pool),
+                format!("{}", arm.pruned.pool.len()),
                 format!("{speedup:.1}x"),
                 format!("{cost_ratio:.4}"),
             ]);
@@ -149,7 +149,7 @@ fn main() {
                     .field("dense_cost", arm.dense_cost)
                     .field("pruned_s", arm.pruned_s)
                     .field("pruned_cost", arm.pruned.outcome.cost)
-                    .field("pool", arm.pruned.pool)
+                    .field("pool", arm.pruned.pool.len())
                     .field("speedup", speedup)
                     .field("cost_ratio", cost_ratio),
             );

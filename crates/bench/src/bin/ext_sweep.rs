@@ -1,7 +1,8 @@
 //! Extension: stage-streaming sweeps with mid-sweep tournament pruning.
 //!
-//! Three online-advisor arms ride the **identical** drift trajectory and
-//! probe randomness (`ReplayStream` over recorded snapshots):
+//! The online-advisor arms ride the **identical** drift trajectory and
+//! probe randomness (each arm's `SimStream` drifts the hour-0 network
+//! from the scenario's seeds):
 //!
 //! * **uniform** — full staged tournament sweeps every epoch, run as an
 //!   opaque batch (the pre-streaming behaviour);

@@ -8,9 +8,8 @@ use cloudia_core::{
     SearchStrategy,
 };
 use cloudia_measure::{MeasureConfig, Scheme, Staged};
-use cloudia_netsim::{Cloud, Provider};
+use cloudia_netsim::{Cloud, DriftingNetwork, Provider};
 use cloudia_workloads::{AggregationQuery, BehavioralSim, KvStore, Workload};
-use rand::{rngs::StdRng, SeedableRng};
 
 /// The paper's three applications with the objective each optimizes:
 /// behavioral simulation, aggregation query, key-value store (§6.1).
@@ -237,14 +236,15 @@ pub(super) fn ext_placement_groups(fig: &mut Fig, scale: Scale) {
 /// Extension (paper §2.2.1): iterative re-deployment under drifting
 /// network conditions. The paper assumes stable means (Figure 2) but
 /// sketches re-deployment as iterations of measure → search → redeploy;
-/// this drifts the network for several simulated days and compares the
-/// longest-link cost of keeping the day-0 plan against re-running
-/// ClouDiA each epoch with a migration-aware policy.
+/// this drifts the network for several simulated days (one continuous OU
+/// path per link) and compares the longest-link cost of keeping the
+/// day-0 plan against re-running ClouDiA each epoch with a
+/// migration-aware policy.
 pub(super) fn ext_redeployment(fig: &mut Fig, scale: Scale) {
     let graph = CommGraph::mesh_2d(scale.pick(5, 8), scale.pick(5, 8));
     let n = graph.num_nodes();
-    let mut net = standard_network(Provider::ec2_like(), n + n / 10, 77);
-    let mut rng = StdRng::seed_from_u64(5);
+    let mut drifting =
+        DriftingNetwork::new(standard_network(Provider::ec2_like(), n + n / 10, 77), 5);
 
     let advisor = Advisor::new(AdvisorConfig {
         objective: Objective::LongestLink,
@@ -253,18 +253,23 @@ pub(super) fn ext_redeployment(fig: &mut Fig, scale: Scale) {
     });
     let policy = RedeployPolicy { min_gain: 0.05, migration_cost_per_node: 0.0 };
 
-    let static_plan = advisor.run_on_network(&net, &graph, 1).deployment;
+    let static_plan = advisor.run_on_network(drifting.network(), &graph, 1).deployment;
     let mut adaptive_plan = static_plan.clone();
 
     println!("epoch_h\tstatic_cost_ms\tadaptive_cost_ms\tmigrated\tmoved_nodes");
     let epochs = scale.pick(6, 12);
     let epoch_hours = 24.0;
     for e in 0..=epochs {
+        if e > 0 {
+            drifting.step(epoch_hours);
+            drifting.advance_all();
+        }
+        let net = drifting.network();
         let problem = graph.problem(net.mean_matrix());
         let static_cost = problem.longest_link(&static_plan);
 
         let (migrated, moved) = if e > 0 {
-            let decision = redeploy(&advisor, &net, &graph, &adaptive_plan, policy, 100 + e as u64);
+            let decision = redeploy(&advisor, net, &graph, &adaptive_plan, policy, 100 + e as u64);
             if decision.migrate {
                 adaptive_plan = decision.outcome.deployment;
             }
@@ -280,8 +285,6 @@ pub(super) fn ext_redeployment(fig: &mut Fig, scale: Scale) {
             format!("{migrated}"),
             format!("{moved}"),
         ]);
-
-        net = net.drifted(epoch_hours, &mut rng);
     }
     println!();
     println!("# re-deployment holds the cost near the per-epoch optimum as links drift");

@@ -39,6 +39,25 @@ impl Default for RedeployPolicy {
     }
 }
 
+impl RedeployPolicy {
+    /// The amortized cost of moving `moved` nodes.
+    pub fn migration_cost(&self, moved: usize) -> f64 {
+        self.migration_cost_per_node * moved as f64
+    }
+
+    /// The one migration-acceptance rule: moving `moved` nodes off a plan
+    /// costing `keep` for a gain of `gain` (both in the deployment-cost
+    /// unit) is worth it when something moves, the gain is at least
+    /// `min_gain · keep` plus `margin`, and it exceeds the migration cost.
+    /// `margin` is an extra gain the caller demands on top — the online
+    /// loop's measurement-error half-width, 0 elsewhere.
+    pub fn accepts(&self, keep: f64, gain: f64, moved: usize, margin: f64) -> bool {
+        moved > 0
+            && gain >= self.min_gain * keep.max(f64::MIN_POSITIVE) + margin
+            && gain > self.migration_cost(moved)
+    }
+}
+
 /// One re-deployment decision.
 #[derive(Debug, Clone)]
 pub struct RedeployDecision {
@@ -105,10 +124,7 @@ pub fn try_redeploy(
 
     let moved_nodes =
         current.iter().zip(&outcome.deployment).filter(|(old, new)| old != new).count();
-    let gain = (keep_cost - outcome.optimized_cost) / keep_cost.max(f64::MIN_POSITIVE);
-    let amortized_migration = policy.migration_cost_per_node * moved_nodes as f64;
-    let migrate =
-        gain >= policy.min_gain && (keep_cost - outcome.optimized_cost) > amortized_migration;
+    let migrate = policy.accepts(keep_cost, keep_cost - outcome.optimized_cost, moved_nodes, 0.0);
 
     Ok(RedeployDecision { outcome, keep_cost, moved_nodes, migrate })
 }
@@ -117,8 +133,7 @@ pub fn try_redeploy(
 mod tests {
     use super::*;
     use crate::advisor::AdvisorConfig;
-    use cloudia_netsim::{Cloud, Provider};
-    use rand::{rngs::StdRng, SeedableRng};
+    use cloudia_netsim::{Cloud, DriftingNetwork, Provider};
 
     fn setup() -> (Network, CommGraph, Advisor) {
         let graph = CommGraph::mesh_2d(3, 3);
@@ -127,6 +142,14 @@ mod tests {
         let net = cloud.network(&alloc);
         let advisor = Advisor::new(AdvisorConfig { search_time_s: 2.0, ..AdvisorConfig::fast() });
         (net, graph, advisor)
+    }
+
+    /// `net` after one `hours`-long step of a fresh drift keyed `seed`.
+    fn after_drift(net: &Network, hours: f64, seed: u64) -> Network {
+        let mut drifting = DriftingNetwork::new(net.clone(), seed);
+        drifting.step(hours);
+        drifting.advance_all();
+        drifting.network().clone()
     }
 
     #[test]
@@ -155,9 +178,8 @@ mod tests {
     fn redeploy_after_drift_never_recommends_a_worse_plan() {
         let (net, graph, advisor) = setup();
         let first = advisor.run_on_network(&net, &graph, 1);
-        let mut rng = StdRng::seed_from_u64(3);
         // Strong drift: several days.
-        let drifted = net.drifted(96.0, &mut rng);
+        let drifted = after_drift(&net, 96.0, 3);
         let decision =
             redeploy(&advisor, &drifted, &graph, &first.deployment, RedeployPolicy::default(), 4);
         if decision.migrate {
@@ -176,8 +198,7 @@ mod tests {
     fn migration_cost_vetoes_marginal_moves() {
         let (net, graph, advisor) = setup();
         let first = advisor.run_on_network(&net, &graph, 1);
-        let mut rng = StdRng::seed_from_u64(5);
-        let drifted = net.drifted(24.0, &mut rng);
+        let drifted = after_drift(&net, 24.0, 5);
         // Prohibitive migration cost: never migrate.
         let decision = redeploy(
             &advisor,
@@ -193,8 +214,7 @@ mod tests {
     #[test]
     fn drifted_network_changes_means_but_not_wildly() {
         let (net, _, _) = setup();
-        let mut rng = StdRng::seed_from_u64(7);
-        let drifted = net.drifted(48.0, &mut rng);
+        let drifted = after_drift(&net, 48.0, 7);
         let a = cloudia_netsim::InstanceId(0);
         let b = cloudia_netsim::InstanceId(1);
         let before = net.mean_rtt(a, b);

@@ -41,8 +41,9 @@ pub struct PrunedSolve {
     /// True if the driver re-solved densely after the pruned search
     /// proved optimality within its restricted pool.
     pub escalated: bool,
-    /// Instances in the candidate union the pruned search ran over.
-    pub pool: usize,
+    /// The sorted candidate union the search ran over, in original
+    /// instance ids (every instance on the exact fallback).
+    pub pool: Vec<u32>,
 }
 
 /// A search technique plus its configuration.
@@ -166,17 +167,17 @@ impl SearchStrategy {
         config: &CandidateConfig,
     ) -> PrunedSolve {
         let candidates = CandidateSet::build(problem, config, hint.incumbent(), hint.pins());
+        let pool = candidates.union().to_vec();
         if candidates.is_exact() {
             return PrunedSolve {
                 outcome: self.run_with_hint(problem, objective, hint),
                 pruned: false,
                 escalated: false,
-                pool: problem.num_instances(),
+                pool,
             };
         }
 
         let restricted = candidates.restrict(problem);
-        let pool = restricted.sub.num_instances();
         // Remap the hint into the restriction; `CandidateSet::build`
         // guarantees every incumbent/pinned instance is a candidate.
         let sub_hint = match hint {

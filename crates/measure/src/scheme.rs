@@ -9,6 +9,7 @@
 //! full tournament of [`crate::Staged`], or the explicit plan of
 //! [`crate::FocusedScheme`]) and how deeply each pair is sampled.
 
+use cloudia_netsim::dist::mix64;
 use cloudia_netsim::{Network, NicParams};
 
 use crate::driver::{Journal, LinkDelta, StageDriver};
@@ -143,8 +144,8 @@ pub trait Scheme {
 }
 
 /// Derives one scheduled pair's RNG substream seed from its schedule
-/// identity `(run seed, sweep, stage, src, dst)` — a SplitMix64
-/// finalizer folded over the components.
+/// identity `(run seed, sweep, stage, src, dst)` — the SplitMix64
+/// finalizer ([`mix64`]) folded over the components.
 ///
 /// Keying on identity instead of drawing sequentially from a master
 /// stream means a pair's seed does not depend on which *other* pairs the
@@ -154,15 +155,9 @@ pub trait Scheme {
 /// probes actually forgone, not a noise re-roll).
 /// The property suite pins the derivation via a transcribed copy.
 pub(crate) fn substream_seed(seed: u64, sweep: usize, stage: usize, src: usize, dst: usize) -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let mut z = mix(seed);
+    let mut z = mix64(seed);
     for v in [sweep as u64, stage as u64, src as u64, dst as u64] {
-        z = mix(z ^ v);
+        z = mix64(z ^ v);
     }
     z
 }

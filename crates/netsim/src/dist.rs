@@ -103,8 +103,11 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// The SplitMix64 finalizer: a bijective 64-bit mix.
-pub(crate) fn mix64(mut z: u64) -> u64 {
+/// The SplitMix64 finalizer: a bijective 64-bit mix — the one copy behind
+/// the keyed draws here and the measurement plane's per-pair substream
+/// seeds.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

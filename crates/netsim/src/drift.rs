@@ -56,51 +56,17 @@ impl Default for DriftParams {
     }
 }
 
-/// One link's OU drift state.
-#[derive(Debug, Clone)]
-pub struct DriftProcess {
-    params: DriftParams,
-    log_mult: f64,
-}
-
-impl DriftProcess {
-    /// Starts a drift process at its stationary distribution.
-    pub fn new<R: Rng + ?Sized>(params: DriftParams, rng: &mut R) -> Self {
-        let log_mult = params.stationary_sd() * standard_normal(rng);
-        Self { params, log_mult }
-    }
-
-    /// Starts a drift process exactly at the long-run mean (multiplier 1).
-    pub fn at_equilibrium(params: DriftParams) -> Self {
-        Self { params, log_mult: 0.0 }
-    }
-
-    /// Advances the process by `dt_hours` and returns the new multiplier.
-    ///
-    /// Uses the exact OU transition ([`DriftParams::transition`]).
-    pub fn step<R: Rng + ?Sized>(&mut self, dt_hours: f64, rng: &mut R) -> f64 {
-        let (decay, sd) = self.params.transition(dt_hours);
-        self.log_mult = self.log_mult * decay + sd * standard_normal(rng);
-        self.multiplier()
-    }
-
-    /// The current mean-latency multiplier `exp(X_t)`.
-    pub fn multiplier(&self) -> f64 {
-        self.log_mult.exp()
-    }
-}
-
 /// A network whose per-link mean latencies evolve **continuously** under
-/// the OU drift process — the time-stepped counterpart of
-/// [`Network::drifted`].
+/// the OU drift process — the one drift source of every simulated
+/// stream, experiment and figure.
 ///
-/// `Network::drifted(hours, ..)` draws each call from a *fresh* equilibrium
-/// process, so consecutive calls are independent snapshots; an online
-/// control loop instead needs the network at hour `t + dt` to be correlated
-/// with the network at hour `t`. `DriftingNetwork` keeps one persistent
-/// OU state per directed link (a [`DriftProcess`]'s log-multiplier, in a
-/// flat column beside the one shared parameter set), so a sequence of
-/// steps walks one continuous sample path of the drift process.
+/// An online control loop needs the network at hour `t + dt` to be
+/// correlated with the network at hour `t`, and its mean-reversion to
+/// hold however many steps it takes: `DriftingNetwork` keeps one
+/// persistent OU log-multiplier per directed link (in a flat column
+/// beside the one shared parameter set, over each link's fixed base
+/// mean), so a sequence of steps walks one continuous sample path of the
+/// drift process, whose spread stays at its stationary level.
 ///
 /// **Lazy drift.** The innovation a link draws at step `s` is a
 /// counter-keyed standard normal of `(seed, link, s)`, not the next draw
@@ -254,6 +220,21 @@ impl DriftingNetwork {
         }
     }
 
+    /// Scripted regime change: brings every link up to date, then restarts
+    /// the drift on the current means under `params` and the key `seed` —
+    /// exactly [`DriftingNetwork::new`] on the advanced network re-wrapped
+    /// with `params`, with the simulated hours carried over.
+    ///
+    /// # Panics
+    /// Panics if a fault process is attached: its loss paths would restart
+    /// on draws they already took.
+    pub fn rebase(&mut self, params: DriftParams, seed: u64) {
+        assert!(self.faults.is_none(), "cannot re-base a network with a fault process");
+        self.advance_all();
+        let net = self.net.clone().with_drift_params(params);
+        *self = Self { hours: self.hours, ..Self::new(net, seed) };
+    }
+
     /// True if the instance is currently inside an unresponsive window.
     pub fn instance_dark(&self, instance: crate::InstanceId) -> bool {
         self.faults.as_ref().is_some_and(|f| f.instance_dark_until[instance.index()] > self.hours)
@@ -403,7 +384,10 @@ pub struct LinkTrace {
 impl LinkTrace {
     /// Simulates `buckets` consecutive buckets of `bucket_hours` each. The
     /// observed bucket mean is the drifted true mean plus the sampling error
-    /// of averaging `probes_per_bucket` jittered probes.
+    /// of averaging `probes_per_bucket` jittered probes. The drift is the
+    /// keyed OU path a [`DriftingNetwork`] link replays, keyed by a draw
+    /// from `rng` and started at a stationary draw; `rng` also draws the
+    /// sampling error.
     pub fn simulate<R: Rng + ?Sized>(
         profile: &LinkProfile,
         drift: DriftParams,
@@ -413,13 +397,15 @@ impl LinkTrace {
         rng: &mut R,
     ) -> Self {
         assert!(probes_per_bucket > 0, "need at least one probe per bucket");
-        let mut process = DriftProcess::new(drift, rng);
+        let key: u64 = rng.random();
+        let mut log_mult = drift.stationary_sd() * standard_normal(rng);
+        let step = drift.transition(bucket_hours);
         let mut hours = Vec::with_capacity(buckets);
         let mut mean_rtt = Vec::with_capacity(buckets);
         let sample_sd = profile.sd_rtt() / (probes_per_bucket as f64).sqrt();
         for b in 0..buckets {
-            let mult = process.step(bucket_hours, rng);
-            let observed = profile.mean_rtt() * mult + sample_sd * standard_normal(rng);
+            log_mult = replay(log_mult, key, b as u64 + 1, std::iter::once(step));
+            let observed = profile.mean_rtt() * log_mult.exp() + sample_sd * standard_normal(rng);
             hours.push((b + 1) as f64 * bucket_hours);
             mean_rtt.push(observed.max(0.0));
         }
@@ -452,26 +438,25 @@ mod tests {
     }
 
     #[test]
-    fn equilibrium_start_is_unit_multiplier() {
-        let p = DriftProcess::at_equilibrium(DriftParams::default());
-        assert_eq!(p.multiplier(), 1.0);
-    }
-
-    #[test]
     fn ou_reverts_to_mean() {
         let params = DriftParams { reversion_per_hour: 2.0, sigma_per_sqrt_hour: 0.0 };
-        let mut p = DriftProcess { params, log_mult: 1.0 };
-        let mut rng = StdRng::seed_from_u64(0);
-        p.step(10.0, &mut rng);
-        assert!((p.multiplier() - 1.0).abs() < 0.01, "multiplier {}", p.multiplier());
+        let x = replay(1.0, 0, 1, std::iter::once(params.transition(10.0)));
+        assert!(x.abs() < 0.01, "log-multiplier {x}");
     }
 
     #[test]
-    fn stationary_spread_matches_theory() {
+    fn one_keyed_path_is_stationary_at_the_theoretical_spread() {
+        // One link's replayed path over 30 000 steps of 5 h: its spread
+        // over time is the stationary sd, however long it runs.
         let params = DriftParams::default();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut p = DriftProcess::new(params, &mut rng);
-        let xs: Vec<f64> = (0..30_000).map(|_| p.step(5.0, &mut rng).ln()).collect();
+        let step = params.transition(5.0);
+        let mut x = 0.0;
+        let xs: Vec<f64> = (1..=30_000u64)
+            .map(|s| {
+                x = replay(x, link_key(1, 7), s, std::iter::once(step));
+                x
+            })
+            .collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let sd = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64).sqrt();
         assert!((sd - params.stationary_sd()).abs() / params.stationary_sd() < 0.1, "sd {sd}");

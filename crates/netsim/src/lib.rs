@@ -59,7 +59,7 @@ pub mod tenancy;
 pub mod topology;
 
 pub use cost::{CostBuilder, CostError, CostMatrix};
-pub use drift::{DriftParams, DriftProcess, DriftingNetwork, LinkTrace};
+pub use drift::{DriftParams, DriftingNetwork, LinkTrace};
 pub use engine::{DeliveredMessage, Engine, MessageSpec, NicParams, DEFAULT_TIMEOUT_MS};
 pub use ids::{HostId, InstanceId, PodId, RackId};
 pub use latency::{LatencyModel, LinkProfile};

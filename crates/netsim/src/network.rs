@@ -153,7 +153,8 @@ impl Network {
 
     /// The same network under different drift parameters — scenario
     /// construction for drift studies (e.g. an active head followed by a
-    /// quiet tail: re-wrap the last snapshot with near-zero volatility).
+    /// quiet tail: [`crate::DriftingNetwork::rebase`] re-wraps the drifted
+    /// network with near-zero volatility).
     pub fn with_drift_params(mut self, drift: DriftParams) -> Network {
         self.drift = drift;
         self
@@ -285,34 +286,6 @@ impl Network {
             probes_per_bucket,
             rng,
         )
-    }
-
-    /// Evolves the network by `hours` of mean-latency drift and returns the
-    /// new view. Each link's mean moves by an independent draw from the OU
-    /// drift process (started at equilibrium); relative link order mostly
-    /// survives — which is the regime where re-deployment (paper §2.2.1)
-    /// is worthwhile at all.
-    pub fn drifted<R: Rng + ?Sized>(&self, hours: f64, rng: &mut R) -> Network {
-        let n = self.len();
-        let mut out = self.clone();
-        let mut model = crate::latency::LatencyModel::build_empty(n, self.model.per_kb_ms());
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let p = *self.model.profile(InstanceId::from_index(i), InstanceId::from_index(j));
-                let mut process = crate::drift::DriftProcess::at_equilibrium(self.drift);
-                let mult = process.step(hours, rng);
-                model.set_profile(
-                    i,
-                    j,
-                    crate::latency::LinkProfile { base_mean: p.base_mean * mult, ..p },
-                );
-            }
-        }
-        out.model = model;
-        out
     }
 
     /// Restricts the network view to the first `n` instances of the

@@ -499,6 +499,17 @@ pub struct OnlineAdvisor {
     rule_index: Option<SharedIndex>,
 }
 
+/// Whether any of `links` has an endpoint outside `pool`, the sorted
+/// candidate union a pool-restricted repair searched: an opportunity the
+/// repair could not use. A dense repair (`None`) has no outside.
+fn outside_pool(pool: Option<&[u32]>, links: &[(u32, u32)]) -> bool {
+    let Some(pool) = pool else {
+        return false;
+    };
+    let inside = |j: u32| pool.binary_search(&j).is_ok();
+    links.iter().any(|&(a, b)| !inside(a) || !inside(b))
+}
+
 impl OnlineAdvisor {
     /// Starts the loop with an already-deployed plan over `instances`
     /// instances.
@@ -1321,27 +1332,24 @@ impl OnlineAdvisor {
             && match &trigger {
                 Trigger::Evacuate(_) => true,
                 Trigger::Alarm(opportunities) => {
-                    self.outside_pool(problem, repair_config.candidates.as_ref(), opportunities)
+                    outside_pool(repair.pool.as_deref(), opportunities)
                 }
             };
         let est_gain = repair.incumbent_cost - repair.cost;
-        let amortized = self.config.policy.migration_cost_per_node * repair.moved as f64;
-        let accepted = repair.moved > 0
-            && match trigger {
-                Trigger::Evacuate(_) => true,
-                // With a confidence level set, the estimated gain must
-                // also clear the widest deployed-link CI half-width: a
-                // migration is never bought with a gain the measurement
-                // error on the links being abandoned could explain. 0
-                // when disabled.
-                Trigger::Alarm(_) => {
-                    est_gain
-                        >= self.config.policy.min_gain
-                            * repair.incumbent_cost.max(f64::MIN_POSITIVE)
-                            + self.deployed_ci_margin()
-                        && est_gain > amortized
-                }
-            };
+        let amortized = self.config.policy.migration_cost(repair.moved);
+        let accepted = match trigger {
+            Trigger::Evacuate(_) => repair.moved > 0,
+            // With a confidence level set, the estimated gain must also
+            // clear the widest deployed-link CI half-width: a migration
+            // is never bought with a gain the measurement error on the
+            // links being abandoned could explain. 0 when disabled.
+            Trigger::Alarm(_) => self.config.policy.accepts(
+                repair.incumbent_cost,
+                est_gain,
+                repair.moved,
+                self.deployed_ci_margin(),
+            ),
+        };
         self.push_event(OnlineEvent::Resolve {
             epoch,
             freed: repair.freed.clone(),
@@ -1371,23 +1379,6 @@ impl OnlineAdvisor {
             self.push_event(OnlineEvent::Evacuate { epoch, instances, moved });
         }
         Repaired { triggered: true, evacuated, moved, unanswered }
-    }
-
-    /// Whether any of `links` has an endpoint outside the candidate pool
-    /// `candidates` builds on `problem` around the incumbent: an
-    /// opportunity the pool-restricted repair could not use.
-    fn outside_pool(
-        &self,
-        problem: &NodeDeployment,
-        candidates: Option<&CandidateConfig>,
-        links: &[(u32, u32)],
-    ) -> bool {
-        let Some(config) = candidates.filter(|_| !links.is_empty()) else {
-            return false;
-        };
-        let pool = CandidateSet::build(problem, config, Some(&self.deployment), None);
-        let inside = |j: u32| pool.union().binary_search(&j).is_ok();
-        links.iter().any(|&(a, b)| !inside(a) || !inside(b))
     }
 
     /// Account: feed the adaptive pool controller, then book the epoch

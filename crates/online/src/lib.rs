@@ -86,8 +86,5 @@ pub use scenario::{
 pub use stats::{
     standardized_residual, EwmaVar, LinkChange, LinkOnline, OnlineStore, DARK_LOSS_LEVEL,
 };
-pub use stream::{
-    record_trajectory, record_trajectory_with, EpochMeasurement, LinkDelta, MeasurementStream,
-    ReplayStream, SimStream,
-};
+pub use stream::{EpochMeasurement, LinkDelta, MeasurementStream, SimStream};
 pub use trace::{drift_name, epoch_summary_to_json, event_to_json, link_change_to_json};

@@ -71,6 +71,9 @@ pub struct RepairOutcome {
     pub freed: Vec<u32>,
     /// The raw search outcome.
     pub solve: SolveOutcome,
+    /// The sorted candidate union a pool-restricted repair searched
+    /// ([`RepairConfig::candidates`]); `None` for a dense repair.
+    pub pool: Option<Vec<u32>>,
     /// Wall-clock seconds the search took.
     pub solve_seconds: f64,
 }
@@ -162,15 +165,16 @@ fn resolve_with_freed(
     let hint = SolveHint::Incremental { incumbent: incumbent.to_vec(), fixed };
 
     let t0 = Instant::now();
-    let solve = match &config.candidates {
+    let (solve, pool) = match &config.candidates {
         Some(cand) => {
             // See `RepairConfig::candidates`: repairs are best-effort and
             // budget-bound, so a pool-local proof must not trigger a
             // second, dense solve.
             let cand = CandidateConfig { auto_escalate: false, ..*cand };
-            strategy.run_pruned(problem, objective, &hint, &cand).outcome
+            let pruned = strategy.run_pruned(problem, objective, &hint, &cand);
+            (pruned.outcome, Some(pruned.pool))
         }
-        None => strategy.run_with_hint(problem, objective, &hint),
+        None => (strategy.run_with_hint(problem, objective, &hint), None),
     };
     let solve_seconds = t0.elapsed().as_secs_f64();
 
@@ -183,6 +187,7 @@ fn resolve_with_freed(
         moved,
         freed,
         solve,
+        pool,
         solve_seconds,
     }
 }
@@ -278,6 +283,37 @@ mod tests {
                 assert_eq!(out.deployment[v as usize], incumbent[v as usize]);
             }
         }
+    }
+
+    #[test]
+    fn a_pruned_repair_reports_the_pool_it_searched() {
+        // A repair's pins are incumbent instances, which every pool
+        // force-includes: the union it searched is the pool built around
+        // the incumbent alone — on the exact fallback too.
+        use cloudia_solver::CandidateSet;
+        let p = NodeDeployment::new(
+            8,
+            (0..7u32).map(|i| (i, i + 1)).collect(),
+            Costs::random_clustered(40, 0.3, 11),
+        );
+        let mut rng = StdRng::seed_from_u64(13);
+        for (trial, per_node) in [(0, 4), (1, 12), (2, 40)] {
+            let incumbent = p.random_deployment(&mut rng);
+            let cand = CandidateConfig::fixed(per_node);
+            let config = RepairConfig {
+                migration_budget: 3,
+                solve_seconds: 0.2,
+                threads: 1,
+                seed: trial,
+                candidates: Some(cand),
+            };
+            let out = incremental_resolve(&p, Objective::LongestLink, &incumbent, &config);
+            let built = CandidateSet::build(&p, &cand, Some(&incumbent), None);
+            assert_eq!(out.pool.as_deref(), Some(built.union()), "trial {trial}");
+        }
+        let dense = RepairConfig { solve_seconds: 0.2, threads: 1, ..Default::default() };
+        let incumbent = p.random_deployment(&mut rng);
+        assert_eq!(incremental_resolve(&p, Objective::LongestLink, &incumbent, &dense).pool, None);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! triggers fire and plans go stale, mild enough that link order mostly
 //! persists — the paper's stability premise, and the regime where
 //! focusing is sound) followed by a **quiet tail** of near-zero
-//! volatility, replayed identically by every arm via [`ReplayStream`].
+//! volatility. Every arm runs its own [`SimStream`] from the scenario's
+//! seeds, so all of them walk the identical trajectory.
 //!
 //! One trajectory decides nothing about a 2 % cost contract: a single
 //! seed's focused−uniform gap spreads with a standard deviation near
@@ -22,14 +23,12 @@
 
 use cloudia_core::{CommGraph, LatencyMetric, Objective, RedeployPolicy, SearchStrategy};
 use cloudia_measure::{MeasureConfig, Scheme, Staged};
-use cloudia_netsim::{
-    Cloud, DriftParams, DriftingNetwork, FaultParams, InstanceId, Network, Provider,
-};
+use cloudia_netsim::{Cloud, DriftParams, FaultParams, Network, Provider};
 use cloudia_solver::{AdaptivePoolConfig, Budget, CandidateConfig, PortfolioConfig};
 
 use crate::advisor::{OnlineAdvisor, OnlineAdvisorConfig, OnlineEvent, ProbePolicy};
 use crate::detect::DetectorConfig;
-use crate::stream::{record_trajectory, record_trajectory_with, ReplayStream};
+use crate::stream::SimStream;
 
 /// Parameters of the differential scenario. [`FocusScenario::default`]
 /// is the CI smoke configuration.
@@ -137,8 +136,9 @@ impl FocusScenario {
         SeedComparison { runs }
     }
 
-    /// Boots the cloud, solves the initial plan on hour-0 measurements,
-    /// and records the head + tail trajectory every arm replays.
+    /// Boots the cloud and solves the initial plan on hour-0
+    /// measurements; every arm then drifts the hour-0 network from the
+    /// scenario's seeds.
     pub fn build(&self) -> BuiltFocusScenario {
         let graph = CommGraph::mesh_2d(self.mesh.0, self.mesh.1);
         let mut provider = Provider::ec2_like();
@@ -161,19 +161,7 @@ impl FocusScenario {
         )
         .deployment;
 
-        let mut snapshots =
-            record_trajectory(net, self.seed ^ 0xf0c5, self.epoch_hours, self.head_epochs as usize);
-        let quiet = DriftParams { reversion_per_hour: 1.0, sigma_per_sqrt_hour: 1e-5 };
-        let tail_start =
-            snapshots.last().expect("head has epochs").clone().with_drift_params(quiet);
-        snapshots.extend(record_trajectory(
-            tail_start,
-            self.seed ^ 0x7a11,
-            self.epoch_hours,
-            self.tail_epochs as usize,
-        ));
-
-        BuiltFocusScenario { scenario: self.clone(), graph, initial, snapshots, measure_cfg }
+        BuiltFocusScenario { scenario: self.clone(), graph, initial, net, measure_cfg }
     }
 }
 
@@ -254,7 +242,7 @@ pub fn median(mut values: Vec<f64>) -> f64 {
     }
 }
 
-/// A built scenario: the shared trajectory plus everything an arm needs.
+/// A built scenario: everything an arm needs to run the shared trajectory.
 #[derive(Debug, Clone)]
 pub struct BuiltFocusScenario {
     /// The parameters this scenario was built from.
@@ -263,8 +251,8 @@ pub struct BuiltFocusScenario {
     pub graph: CommGraph,
     /// The hour-0 deployment every arm starts from.
     pub initial: Vec<u32>,
-    /// The recorded head + tail network trajectory.
-    pub snapshots: Vec<Network>,
+    /// The hour-0 network every arm drifts.
+    pub net: Network,
     /// Probe configuration shared by every arm.
     pub measure_cfg: MeasureConfig,
 }
@@ -321,8 +309,35 @@ impl ArmOptions {
     }
 }
 
+/// The drift of [`FocusScenario`]'s quiet tail: near-zero volatility.
+const QUIET_TAIL: DriftParams = DriftParams { reversion_per_hour: 1.0, sigma_per_sqrt_hour: 1e-5 };
+
 impl BuiltFocusScenario {
-    /// Runs one arm over the recorded trajectory under `probe_policy`
+    /// A fresh stream over the scenario's trajectory: the hour-0 network
+    /// under the head drift, keyed by the scenario seed, measured by the
+    /// uniform staged sweep. Run [`BuiltFocusScenario::script`] before
+    /// each epoch.
+    pub fn stream(&self) -> SimStream<Staged> {
+        let s = &self.scenario;
+        SimStream::new(
+            self.net.clone(),
+            Staged::new(s.probe_ks, s.probe_sweeps),
+            self.measure_cfg.clone(),
+            s.epoch_hours,
+            s.seed ^ 0xf0c5,
+        )
+    }
+
+    /// The scripted event due before epoch `epoch`: the first tail epoch
+    /// re-bases the drift onto the quiet tail, keyed afresh.
+    pub fn script(&self, stream: &mut SimStream<Staged>, epoch: u64) {
+        let s = &self.scenario;
+        if epoch == s.head_epochs {
+            stream.rebase_drift(QUIET_TAIL, s.seed ^ 0x7a11);
+        }
+    }
+
+    /// Runs one arm over the scenario's trajectory under `probe_policy`
     /// with pruning and spot checks off. All arms share the adaptive
     /// candidates config, the detector settings, and the migration
     /// economics — only the probe policy differs.
@@ -330,7 +345,7 @@ impl BuiltFocusScenario {
         self.run_arm_with(ArmOptions::plain(probe_policy))
     }
 
-    /// Runs one arm over the recorded trajectory under the full option
+    /// Runs one arm over the scenario's trajectory under the full option
     /// set, streaming every advisor event and epoch summary into
     /// `recorder` (which is returned, un-finished, so the caller can
     /// append metrics snapshots before closing the trace).
@@ -343,7 +358,7 @@ impl BuiltFocusScenario {
         (arm, rec.expect("recorder attached above"))
     }
 
-    /// Runs one arm over the recorded trajectory under the full option
+    /// Runs one arm over the scenario's trajectory under the full option
     /// set.
     pub fn run_arm_with(&self, opts: ArmOptions) -> FocusArm {
         self.run_arm_inner(opts, None).0
@@ -383,14 +398,10 @@ impl BuiltFocusScenario {
         if let Some(rec) = recorder {
             advisor.attach_recorder(rec);
         }
-        let mut stream = ReplayStream::new(
-            self.snapshots.clone(),
-            Staged::new(s.probe_ks, s.probe_sweeps),
-            self.measure_cfg.clone(),
-            s.epoch_hours,
-        );
+        let mut stream = self.stream();
         let mut k_trace = Vec::new();
-        for _ in 0..s.epochs() {
+        for epoch in 0..s.epochs() {
+            self.script(&mut stream, epoch);
             let summary = advisor.step_stream(&mut stream);
             if let Some(k) = advisor.adaptive_k() {
                 k_trace.push((summary.epoch, k));
@@ -415,7 +426,7 @@ impl BuiltFocusScenario {
 
 /// The shared loss-aware-vs-loss-blind differential scenario: ~5%
 /// per-link drifting packet loss throughout, plus a scripted permanent
-/// blackout of one *deployed* instance partway through. Both arms replay
+/// blackout of one *deployed* instance partway through. Both arms walk
 /// the identical trajectory (latencies, loss planes, and the blackout);
 /// they differ only in whether the measurement plane retransmits and the
 /// advisor believes in loss ([`OnlineAdvisorConfig::loss_aware`]). The
@@ -467,10 +478,10 @@ impl Default for LossScenario {
 }
 
 impl LossScenario {
-    /// Boots the cloud, solves the hour-0 plan, picks a deployed
-    /// instance as the blackout victim, and records the lossy trajectory
-    /// (drifting loss plane + the scripted permanent blackout) every arm
-    /// replays.
+    /// Boots the cloud, solves the hour-0 plan, and picks a deployed
+    /// instance as the blackout victim; every arm then drifts the hour-0
+    /// network, its loss plane and the scripted permanent blackout from
+    /// the scenario's seeds.
     pub fn build(&self) -> BuiltLossScenario {
         let graph = CommGraph::mesh_2d(self.mesh.0, self.mesh.1);
         let mut cloud = Cloud::boot(Provider::ec2_like(), self.seed);
@@ -492,33 +503,19 @@ impl LossScenario {
         .deployment;
         let dark_instance = initial[0];
 
-        let faults = FaultParams::drifting_loss(self.base_loss);
-        let drifting =
-            DriftingNetwork::new(net, self.seed ^ 0x10f5).with_faults(faults, self.seed ^ 0xfa11);
-        // The blackout outlives the run: a died-for-good instance, whose
-        // only repair is evacuation.
-        let forever = (self.epochs - self.blackout_epoch + 1) as f64 * self.epoch_hours;
-        let blackout_epoch = self.blackout_epoch;
-        let snapshots =
-            record_trajectory_with(drifting, self.epoch_hours, self.epochs as usize, |e, d| {
-                if e as u64 == blackout_epoch {
-                    d.force_instance_dark(InstanceId(dark_instance), forever);
-                }
-            });
-
         BuiltLossScenario {
             scenario: self.clone(),
             graph,
             initial,
             dark_instance,
-            snapshots,
+            net,
             measure_cfg,
         }
     }
 }
 
-/// A built loss scenario: the shared lossy trajectory plus everything an
-/// arm needs.
+/// A built loss scenario: everything an arm needs to run the shared lossy
+/// trajectory.
 #[derive(Debug, Clone)]
 pub struct BuiltLossScenario {
     /// The parameters this scenario was built from.
@@ -529,8 +526,8 @@ pub struct BuiltLossScenario {
     pub initial: Vec<u32>,
     /// The deployed instance the script blacks out.
     pub dark_instance: u32,
-    /// The recorded lossy trajectory (snapshots carry their loss planes).
-    pub snapshots: Vec<Network>,
+    /// The hour-0 network every arm drifts.
+    pub net: Network,
     /// Probe configuration shared by both arms (retries overridden
     /// per-arm).
     pub measure_cfg: MeasureConfig,
@@ -557,7 +554,7 @@ pub struct LossArm {
 }
 
 impl BuiltLossScenario {
-    /// Runs one arm over the recorded trajectory. `loss_aware` selects
+    /// Runs one arm over the scenario's trajectory. `loss_aware` selects
     /// the whole bundle: retransmit-budgeted sweeps, loss-priced search
     /// costs, darkness triage, and evacuation — versus the zero-retry,
     /// loss-blind baseline.
@@ -580,13 +577,22 @@ impl BuiltLossScenario {
         };
         let mut advisor =
             OnlineAdvisor::new(self.graph.clone(), s.instances, self.initial.clone(), config);
-        let mut stream = ReplayStream::new(
-            self.snapshots.clone(),
+        let mut stream = SimStream::with_faults(
+            self.net.clone(),
             Staged::new(s.probe_ks, s.probe_sweeps),
             measure_cfg,
             s.epoch_hours,
+            s.seed ^ 0x10f5,
+            FaultParams::drifting_loss(s.base_loss),
+            s.seed ^ 0xfa11,
         );
-        for _ in 0..s.epochs {
+        // The blackout outlives the run: a died-for-good instance, whose
+        // only repair is evacuation.
+        let forever = (s.epochs - s.blackout_epoch + 1) as f64 * s.epoch_hours;
+        for epoch in 0..s.epochs {
+            if epoch == s.blackout_epoch {
+                stream.force_instance_dark(self.dark_instance, forever);
+            }
             advisor.step_stream(&mut stream);
         }
         let link_dark_events =
@@ -620,7 +626,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn build_records_the_full_trajectory() {
+    fn build_solves_the_hour_0_plan() {
         let scenario = FocusScenario {
             instances: 10,
             mesh: (2, 2),
@@ -630,7 +636,7 @@ mod tests {
             ..Default::default()
         };
         let built = scenario.build();
-        assert_eq!(built.snapshots.len(), 5);
+        assert_eq!(built.net.len(), 10);
         assert_eq!(built.initial.len(), 4);
         assert!(built.graph.num_nodes() == 4);
         assert_eq!(scenario.epochs(), 5);
@@ -677,7 +683,6 @@ mod tests {
         };
         let built = scenario.build();
         assert!(built.initial.contains(&built.dark_instance), "victim must be deployed");
-        assert_eq!(built.snapshots.len(), 8);
         let aware = built.run_arm(true);
         let blind = built.run_arm(false);
         // The aware arm triages the blackout within a couple of epochs

@@ -11,14 +11,14 @@
 //! EWMA/change-point store ([`crate::OnlineStore`]), the loop's
 //! cross-round memory.
 //!
-//! Two implementations:
-//!
-//! * [`SimStream`] — owns a [`DriftingNetwork`] and advances it between
-//!   epochs: the closed-loop simulation the control loop runs against;
-//! * [`ReplayStream`] — walks a pre-recorded sequence of network
-//!   snapshots, so competing policies (online vs batch vs never-migrate)
-//!   can be compared on the *identical* drift trajectory and measurement
-//!   randomness.
+//! [`SimStream`] is the one implementation: it owns a
+//! [`DriftingNetwork`] and advances it between epochs — the closed-loop
+//! simulation the control loop runs against. Its drift is a pure function
+//! of the network and the stream's seeds, so competing policies (online
+//! vs batch vs never-migrate, focused vs uniform) are compared on the
+//! *identical* drift trajectory and measurement randomness by giving each
+//! arm its own stream built from the same seeds: a simulated trajectory
+//! is its seeds.
 
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -27,7 +27,7 @@ use cloudia_measure::{
     probe_overhead_ms, run_with_rules, MeasureConfig, PairwiseStats, PruneRule, Scheme, StopRule,
     PROBE_SIZE_KB,
 };
-use cloudia_netsim::{DriftingNetwork, FaultParams, InstanceId, Network};
+use cloudia_netsim::{DriftParams, DriftingNetwork, FaultParams, InstanceId, Network};
 
 /// What one measurement epoch produced.
 #[derive(Debug, Clone)]
@@ -170,10 +170,13 @@ pub trait MeasurementStream {
     }
 }
 
-/// What both streams measure with: the scheme, the cumulative statistics,
-/// the epoch counter and the spot-check RNG.
+/// A closed-loop stream: drifts a simulated network between epochs and
+/// measures the drifted state into cumulative statistics.
 #[derive(Debug)]
-struct Prober<S> {
+pub struct SimStream<S: Scheme> {
+    drifting: DriftingNetwork,
+    /// Hours of drift applied before each epoch's measurement.
+    epoch_hours: f64,
     scheme: S,
     config: MeasureConfig,
     cumulative: PairwiseStats,
@@ -185,102 +188,11 @@ struct Prober<S> {
     spot_rng: StdRng,
 }
 
-impl<S: Scheme> Prober<S> {
-    fn new(n: usize, scheme: S, config: MeasureConfig, spot_seed: u64) -> Self {
-        let spot_rng = StdRng::seed_from_u64(config.seed ^ spot_seed ^ 0x5b07_c4ec);
-        Self { scheme, config, cumulative: PairwiseStats::new(n), epoch: 0, spot_rng }
-    }
-
-    /// Runs the next epoch's measurement round over `net` into the
-    /// cumulative statistics on the stage-streaming driver — with `scheme`
-    /// in place of the prober's own when given, and `rule` and `stop`
-    /// (when given) evaluated between stages — and forwards the round's
-    /// per-link deltas.
-    fn measure(
-        &mut self,
-        net: &Network,
-        scheme: Option<&dyn Scheme>,
-        rule: Option<&dyn PruneRule>,
-        stop: Option<&dyn StopRule>,
-        at_hours: f64,
-    ) -> EpochMeasurement {
-        let epoch = self.epoch;
-        self.epoch += 1;
-        // Per-epoch probe randomness: decorrelate epochs without touching
-        // the caller's base seed.
-        let mut epoch_cfg = self.config.clone();
-        epoch_cfg.seed = self.config.seed ^ (epoch + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let taken = std::mem::replace(&mut self.cumulative, PairwiseStats::new(0));
-        let scheme = scheme.unwrap_or(&self.scheme);
-        let swept = run_with_rules(scheme, net, &epoch_cfg, taken, rule, stop);
-        self.cumulative = swept.report.stats;
-        EpochMeasurement {
-            epoch,
-            at_hours,
-            elapsed_ms: swept.report.elapsed_ms,
-            round_trips: swept.report.round_trips,
-            deltas: swept.deltas,
-            pruned_pairs: swept.dropped_pairs,
-            saved_round_trips: swept.saved_round_trips,
-        }
-    }
-
-    /// [`MeasurementStream::spot_check`] against `net`: the mean of
-    /// `probes` fresh single-link RTT samples plus the constant
-    /// endpoint-handling overhead schemes add.
-    fn spot_check(&mut self, net: &Network, src: u32, dst: u32, probes: usize) -> Option<f64> {
-        if probes == 0 {
-            return None;
-        }
-        let (src, dst, rng) = (InstanceId(src), InstanceId(dst), &mut self.spot_rng);
-        let sum: f64 =
-            (0..probes).map(|_| net.sample_rtt_sized(src, dst, PROBE_SIZE_KB, rng)).sum();
-        Some(sum / probes as f64 + probe_overhead_ms())
-    }
-
-    /// [`MeasurementStream::spot_check_loss`] against `net`'s loss plane:
-    /// an exchange succeeds when neither the probe (`src → dst`) nor the
-    /// reply (`dst → src`) is dropped; the loss RNG is only consulted on
-    /// links with nonzero drop probability, mirroring the engine's draw
-    /// discipline.
-    fn spot_check_loss(
-        &mut self,
-        net: &Network,
-        src: u32,
-        dst: u32,
-        probes: usize,
-    ) -> Option<(u64, u64)> {
-        use rand::Rng;
-        if probes == 0 {
-            return None;
-        }
-        let (src, dst) = (InstanceId(src), InstanceId(dst));
-        let (fwd, rev) = (net.drop_prob(src, dst), net.drop_prob(dst, src));
-        let mut successes = 0u64;
-        for _ in 0..probes {
-            let probe_lost = fwd > 0.0 && self.spot_rng.random::<f64>() < fwd;
-            let reply_lost = !probe_lost && rev > 0.0 && self.spot_rng.random::<f64>() < rev;
-            if !probe_lost && !reply_lost {
-                successes += 1;
-            }
-        }
-        Some((successes, probes as u64))
-    }
-}
-
-/// A closed-loop stream: drifts a simulated network between epochs and
-/// measures the drifted state.
-#[derive(Debug)]
-pub struct SimStream<S: Scheme> {
-    drifting: DriftingNetwork,
-    /// Hours of drift applied before each epoch's measurement.
-    epoch_hours: f64,
-    probe: Prober<S>,
-}
-
 impl<S: Scheme> SimStream<S> {
     /// Wraps a network in a drift process and measures it with `scheme`
-    /// every `epoch_hours` of simulated time.
+    /// every `epoch_hours` of simulated time. The drift is keyed by
+    /// `drift_seed` alone, so two streams built from the same network and
+    /// seeds walk the identical trajectory whatever they measure.
     pub fn new(
         net: Network,
         scheme: S,
@@ -289,8 +201,16 @@ impl<S: Scheme> SimStream<S> {
         drift_seed: u64,
     ) -> Self {
         assert!(epoch_hours > 0.0, "epoch_hours must be positive");
-        let probe = Prober::new(net.len(), scheme, config, drift_seed);
-        Self { drifting: DriftingNetwork::new(net, drift_seed), epoch_hours, probe }
+        let spot_rng = StdRng::seed_from_u64(config.seed ^ drift_seed ^ 0x5b07_c4ec);
+        Self {
+            cumulative: PairwiseStats::new(net.len()),
+            drifting: DriftingNetwork::new(net, drift_seed),
+            epoch_hours,
+            scheme,
+            config,
+            epoch: 0,
+            spot_rng,
+        }
     }
 
     /// Like [`SimStream::new`], but the drifting network also carries a
@@ -321,11 +241,56 @@ impl<S: Scheme> SimStream<S> {
     pub fn force_instance_dark(&mut self, instance: u32, hours: f64) {
         self.drifting.force_instance_dark(InstanceId(instance), hours);
     }
+
+    /// Scripted regime change: brings every link up to date and restarts
+    /// the drift on the current network under `params` and the key
+    /// `drift_seed`, carrying the simulated hours over (see
+    /// [`DriftingNetwork::rebase`]) — e.g. a drifting head followed by a
+    /// quiet tail.
+    ///
+    /// # Panics
+    /// Panics if the stream was built with faults.
+    pub fn rebase_drift(&mut self, params: DriftParams, drift_seed: u64) {
+        self.drifting.rebase(params, drift_seed);
+    }
+
+    /// Runs the next epoch's measurement round over the network as it
+    /// stands into the cumulative statistics on the stage-streaming
+    /// driver — with `scheme` in place of the stream's own when given,
+    /// and `rule` and `stop` (when given) evaluated between stages — and
+    /// forwards the round's per-link deltas.
+    fn measure(
+        &mut self,
+        scheme: Option<&dyn Scheme>,
+        rule: Option<&dyn PruneRule>,
+        stop: Option<&dyn StopRule>,
+    ) -> EpochMeasurement {
+        let epoch = self.epoch;
+        self.epoch += 1;
+        // Per-epoch probe randomness: decorrelate epochs without touching
+        // the caller's base seed.
+        let mut epoch_cfg = self.config.clone();
+        epoch_cfg.seed = self.config.seed ^ (epoch + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let taken = std::mem::replace(&mut self.cumulative, PairwiseStats::new(0));
+        let scheme = scheme.unwrap_or(&self.scheme);
+        let net = self.drifting.network();
+        let swept = run_with_rules(scheme, net, &epoch_cfg, taken, rule, stop);
+        self.cumulative = swept.report.stats;
+        EpochMeasurement {
+            epoch,
+            at_hours: self.drifting.hours(),
+            elapsed_ms: swept.report.elapsed_ms,
+            round_trips: swept.report.round_trips,
+            deltas: swept.deltas,
+            pruned_pairs: swept.dropped_pairs,
+            saved_round_trips: swept.saved_round_trips,
+        }
+    }
 }
 
 impl<S: Scheme> MeasurementStream for SimStream<S> {
     fn len(&self) -> usize {
-        self.probe.cumulative.len()
+        self.cumulative.len()
     }
 
     fn network(&self) -> &Network {
@@ -333,7 +298,7 @@ impl<S: Scheme> MeasurementStream for SimStream<S> {
     }
 
     fn cumulative(&self) -> &PairwiseStats {
-        &self.probe.cumulative
+        &self.cumulative
     }
 
     /// Advances the drift, brings the links the epoch's scheme can probe
@@ -346,12 +311,11 @@ impl<S: Scheme> MeasurementStream for SimStream<S> {
         stop: Option<&dyn StopRule>,
     ) -> EpochMeasurement {
         self.drifting.step(self.epoch_hours);
-        match external.unwrap_or(&self.probe.scheme).probed_links() {
+        match external.unwrap_or(&self.scheme).probed_links() {
             Some(links) => self.drifting.advance(links),
             None => self.drifting.advance_all(),
         }
-        let at_hours = self.drifting.hours();
-        self.probe.measure(self.drifting.network(), external, rule, stop, at_hours)
+        self.measure(external, rule, stop)
     }
 
     fn truth(&mut self, instances: &[u32]) -> &Network {
@@ -359,128 +323,41 @@ impl<S: Scheme> MeasurementStream for SimStream<S> {
         self.drifting.network()
     }
 
+    /// The mean of `probes` fresh single-link RTT samples plus the
+    /// constant endpoint-handling overhead schemes add.
     fn spot_check(&mut self, src: u32, dst: u32, probes: usize) -> Option<f64> {
         self.drifting.advance([(src, dst)]);
-        self.probe.spot_check(self.drifting.network(), src, dst, probes)
+        if probes == 0 {
+            return None;
+        }
+        let (net, rng) = (self.drifting.network(), &mut self.spot_rng);
+        let (src, dst) = (InstanceId(src), InstanceId(dst));
+        let sum: f64 =
+            (0..probes).map(|_| net.sample_rtt_sized(src, dst, PROBE_SIZE_KB, rng)).sum();
+        Some(sum / probes as f64 + probe_overhead_ms())
     }
 
     /// Brings both directions up to date: the reply crosses `dst → src`.
+    /// An exchange succeeds when neither the probe (`src → dst`) nor the
+    /// reply is dropped; the loss RNG is only consulted on links with
+    /// nonzero drop probability, mirroring the engine's draw discipline.
     fn spot_check_loss(&mut self, src: u32, dst: u32, probes: usize) -> Option<(u64, u64)> {
+        use rand::Rng;
         self.drifting.advance([(src, dst), (dst, src)]);
-        self.probe.spot_check_loss(self.drifting.network(), src, dst, probes)
-    }
-}
-
-/// Records `epochs` snapshots of a drifting network — the shared
-/// trajectory every arm of a policy comparison replays.
-pub fn record_trajectory(
-    net: Network,
-    drift_seed: u64,
-    epoch_hours: f64,
-    epochs: usize,
-) -> Vec<Network> {
-    record_trajectory_with(DriftingNetwork::new(net, drift_seed), epoch_hours, epochs, |_, _| {})
-}
-
-/// Records `epochs` snapshots of a caller-built [`DriftingNetwork`]
-/// (typically one carrying a fault process), invoking `on_epoch` before
-/// each step — the hook a scenario uses to script fault injection (e.g.
-/// [`DriftingNetwork::force_instance_dark`] at a known epoch). Snapshots
-/// carry the loss plane, so a [`ReplayStream`] over them replays losses
-/// and latencies alike.
-pub fn record_trajectory_with(
-    mut drifting: DriftingNetwork,
-    epoch_hours: f64,
-    epochs: usize,
-    mut on_epoch: impl FnMut(usize, &mut DriftingNetwork),
-) -> Vec<Network> {
-    (0..epochs)
-        .map(|e| {
-            on_epoch(e, &mut drifting);
-            drifting.step(epoch_hours);
-            drifting.advance_all();
-            drifting.network().clone()
-        })
-        .collect()
-}
-
-/// A replayed stream over pre-recorded network snapshots: every arm of a
-/// policy comparison sees the identical trajectory and (seeded) probe
-/// randomness.
-#[derive(Debug)]
-pub struct ReplayStream<S: Scheme> {
-    snapshots: Vec<Network>,
-    epoch_hours: f64,
-    probe: Prober<S>,
-}
-
-impl<S: Scheme> ReplayStream<S> {
-    /// Builds a stream replaying `snapshots` (one per epoch, in order).
-    ///
-    /// # Panics
-    /// Panics if `snapshots` is empty.
-    pub fn new(
-        snapshots: Vec<Network>,
-        scheme: S,
-        config: MeasureConfig,
-        epoch_hours: f64,
-    ) -> Self {
-        assert!(!snapshots.is_empty(), "replay needs at least one snapshot");
-        let probe = Prober::new(snapshots[0].len(), scheme, config, 0);
-        Self { snapshots, epoch_hours, probe }
-    }
-
-    /// Total epochs available.
-    pub fn epochs(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// True if every snapshot has been consumed.
-    pub fn exhausted(&self) -> bool {
-        self.probe.epoch as usize >= self.snapshots.len()
-    }
-
-    /// Index of the snapshot the last epoch measured (the first before
-    /// any).
-    fn last(&self) -> usize {
-        (self.probe.epoch as usize).min(self.snapshots.len()).saturating_sub(1)
-    }
-}
-
-impl<S: Scheme> MeasurementStream for ReplayStream<S> {
-    fn len(&self) -> usize {
-        self.probe.cumulative.len()
-    }
-
-    fn network(&self) -> &Network {
-        &self.snapshots[self.last()]
-    }
-
-    fn cumulative(&self) -> &PairwiseStats {
-        &self.probe.cumulative
-    }
-
-    /// Consumes the next snapshot and measures it.
-    fn epoch(
-        &mut self,
-        external: Option<&dyn Scheme>,
-        rule: Option<&dyn PruneRule>,
-        stop: Option<&dyn StopRule>,
-    ) -> EpochMeasurement {
-        assert!(!self.exhausted(), "replay stream exhausted after {} epochs", self.epochs());
-        let epoch = self.probe.epoch as usize;
-        let at_hours = (epoch + 1) as f64 * self.epoch_hours;
-        self.probe.measure(&self.snapshots[epoch], external, rule, stop, at_hours)
-    }
-
-    fn spot_check(&mut self, src: u32, dst: u32, probes: usize) -> Option<f64> {
-        let last = self.last();
-        self.probe.spot_check(&self.snapshots[last], src, dst, probes)
-    }
-
-    fn spot_check_loss(&mut self, src: u32, dst: u32, probes: usize) -> Option<(u64, u64)> {
-        let last = self.last();
-        self.probe.spot_check_loss(&self.snapshots[last], src, dst, probes)
+        if probes == 0 {
+            return None;
+        }
+        let (src, dst, net) = (InstanceId(src), InstanceId(dst), self.drifting.network());
+        let (fwd, rev) = (net.drop_prob(src, dst), net.drop_prob(dst, src));
+        let mut successes = 0u64;
+        for _ in 0..probes {
+            let probe_lost = fwd > 0.0 && self.spot_rng.random::<f64>() < fwd;
+            let reply_lost = !probe_lost && rev > 0.0 && self.spot_rng.random::<f64>() < rev;
+            if !probe_lost && !reply_lost {
+                successes += 1;
+            }
+        }
+        Some((successes, probes as u64))
     }
 }
 
@@ -595,7 +472,7 @@ mod tests {
         let mut lossy = SimStream::with_faults(
             network(10, 5),
             Staged::new(3, 2),
-            mcfg.clone(),
+            mcfg,
             2.0,
             7,
             FaultParams::drifting_loss(0.2),
@@ -603,26 +480,27 @@ mod tests {
         );
         lossy.force_instance_dark(3, 1e6);
         check_against_the_full_walk(&mut lossy);
-        let snapshots = record_trajectory(network(10, 6), 11, 4.0, 9);
-        let mut replay = ReplayStream::new(snapshots, Staged::new(2, 2), mcfg, 4.0);
-        check_against_the_full_walk(&mut replay);
     }
 
     #[test]
     fn long_horizons_keep_epoch_means_exact() {
-        // 10^5 six-sample epochs on one fixed network: however long the
-        // links' histories grow, an epoch's means are its own samples',
-        // as a rerun of the same epoch into fresh statistics measures them.
-        let net = network(2, 3);
-        let prober = || Prober::new(2, Staged::new(3, 2), MeasureConfig::default(), 0);
-        let mut long = prober();
+        // 10^5 six-sample epochs on a network that never drifts: however
+        // long the links' histories grow, an epoch's means are its own
+        // samples', as a rerun of the same epoch into fresh statistics
+        // measures them.
+        let still = DriftParams { reversion_per_hour: 1.0, sigma_per_sqrt_hour: 0.0 };
+        let stream = || {
+            let net = network(2, 3).with_drift_params(still);
+            SimStream::new(net, Staged::new(3, 2), MeasureConfig::default(), 1.0, 0)
+        };
+        let mut long = stream();
         let epochs = 100_000;
         for epoch in 0..epochs {
-            let m = long.measure(&net, None, None, None, 0.0);
+            let m = long.next_epoch();
             if epoch < epochs - 10 {
                 continue;
             }
-            let rerun = Prober { epoch, ..prober() }.measure(&net, None, None, None, 0.0);
+            let rerun = SimStream { epoch, ..stream() }.next_epoch();
             assert_eq!(delta_keys(&m.deltas), delta_keys(&rerun.deltas));
             for (d, f) in m.deltas.iter().zip(&rerun.deltas) {
                 let rel = (d.mean - f.mean).abs() / f.mean;
@@ -718,24 +596,95 @@ mod tests {
         }
     }
 
+    /// Every directed link among `instances` in `net`, as `(mean, drop)`
+    /// bits.
+    fn truth_bits(net: &Network, instances: &[u32]) -> Vec<(u64, u64)> {
+        let pairs = instances.iter().flat_map(|&a| instances.iter().map(move |&b| (a, b)));
+        pairs
+            .filter(|(a, b)| a != b)
+            .map(|(a, b)| {
+                let (a, b) = (InstanceId(a), InstanceId(b));
+                (net.mean_rtt(a, b).to_bits(), net.drop_prob(a, b).to_bits())
+            })
+            .collect()
+    }
+
     #[test]
-    fn replay_streams_are_identical_across_arms() {
-        let snapshots = record_trajectory(network(5, 3), 11, 4.0, 3);
-        let run = || {
-            let mut s = ReplayStream::new(
-                snapshots.clone(),
-                Staged::new(2, 2),
-                MeasureConfig::default(),
-                4.0,
-            );
-            let mut means = Vec::new();
-            while !s.exhausted() {
-                let m = s.next_epoch();
-                means.extend(m.deltas.iter().map(|d| d.mean));
+    fn streams_from_the_same_seeds_price_a_deployment_identically() {
+        // One arm sweeps uniformly, the other probes a focused plan and
+        // spot-checks heavily; with and without faults (and a scripted
+        // blackout), both read the deployment at the same truth every
+        // epoch: the trajectory is the seeds', not the measurements'.
+        use cloudia_measure::{FocusedScheme, ProbePlan};
+        use cloudia_netsim::FaultParams;
+        let deployment = [0u32, 3, 5, 6];
+        let build = |faulty: bool| {
+            let (net, mcfg) = (network(8, 3), MeasureConfig::default());
+            if faulty {
+                let faults = FaultParams::drifting_loss(0.1);
+                SimStream::with_faults(net, Staged::new(2, 2), mcfg, 4.0, 11, faults, 0xfa11)
+            } else {
+                SimStream::new(net, Staged::new(2, 2), mcfg, 4.0, 11)
             }
-            means
         };
-        assert_eq!(run(), run());
+        let mut plan = ProbePlan::new(8);
+        plan.add_clique(&[1, 2, 4]);
+        let focused_scheme = FocusedScheme::new(plan, 2, 2);
+        for faulty in [false, true] {
+            let (mut uniform, mut focused) = (build(faulty), build(faulty));
+            for e in 0..6 {
+                if faulty && e == 3 {
+                    uniform.force_instance_dark(5, 8.0);
+                    focused.force_instance_dark(5, 8.0);
+                }
+                uniform.next_epoch();
+                for _ in 0..5 {
+                    focused.spot_check(0, 7, 3);
+                    focused.spot_check_loss(2, 6, 3);
+                }
+                focused.next_epoch_with(&focused_scheme);
+                assert_eq!(
+                    truth_bits(uniform.truth(&deployment), &deployment),
+                    truth_bits(focused.truth(&deployment), &deployment),
+                    "epoch {e}, faults {faulty}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_scripted_rebase_is_a_fresh_drift_on_the_advanced_network() {
+        use cloudia_measure::{FocusedScheme, ProbePlan};
+        let quiet = DriftParams { reversion_per_hour: 1.0, sigma_per_sqrt_hour: 1e-3 };
+        let mcfg = MeasureConfig::default();
+        let mut stream = SimStream::new(network(6, 4), Staged::new(2, 2), mcfg, 3.0, 9);
+        let mut plan = ProbePlan::new(6);
+        plan.add_clique(&[0, 1, 2]);
+        let focused = FocusedScheme::new(plan, 2, 2);
+        // Focused epochs leave most links lagging before the re-base.
+        for _ in 0..3 {
+            stream.next_epoch_with(&focused);
+        }
+        stream.rebase_drift(quiet, 0x7a11);
+        // The oracle: the head advanced in full, re-wrapped and re-keyed.
+        let mut head = DriftingNetwork::new(network(6, 4), 9);
+        for _ in 0..3 {
+            head.step(3.0);
+        }
+        head.advance_all();
+        let mut tail =
+            DriftingNetwork::new(head.network().clone().with_drift_params(quiet), 0x7a11);
+        for _ in 0..4 {
+            stream.next_epoch_with(&focused);
+            tail.step(3.0);
+        }
+        tail.advance_all();
+        let all: Vec<u32> = (0..6).collect();
+        let net = stream.truth(&all);
+        assert_eq!(net.drift_params(), quiet);
+        assert_eq!(truth_bits(net, &all), truth_bits(tail.network(), &all));
+        // The simulated clock ran on through the re-base.
+        assert_eq!(stream.next_epoch().at_hours, 8.0 * 3.0);
     }
 
     #[test]
@@ -807,8 +756,8 @@ mod tests {
 
     /// A [`SimStream`] that keeps each epoch's deltas and counts its spot
     /// checks. `eager` is the oracle of lazy drift: its network advances
-    /// every link right after every step, and it never asks the stream to
-    /// bring a link up to date.
+    /// every link right after every step, so what the stream brings up to
+    /// date on a read has nothing left to replay.
     struct Recording<S: Scheme> {
         sim: SimStream<S>,
         eager: bool,
@@ -839,8 +788,7 @@ mod tests {
                 let sim = &mut self.sim;
                 sim.drifting.step(sim.epoch_hours);
                 sim.drifting.advance_all();
-                let at_hours = sim.drifting.hours();
-                sim.probe.measure(sim.drifting.network(), scheme, rule, stop, at_hours)
+                sim.measure(scheme, rule, stop)
             } else {
                 self.sim.epoch(scheme, rule, stop)
             };
@@ -849,29 +797,17 @@ mod tests {
         }
 
         fn truth(&mut self, instances: &[u32]) -> &Network {
-            if self.eager {
-                self.sim.network()
-            } else {
-                self.sim.truth(instances)
-            }
+            self.sim.truth(instances)
         }
 
         fn spot_check(&mut self, src: u32, dst: u32, probes: usize) -> Option<f64> {
             self.spot_checks += 1;
-            if self.eager {
-                self.sim.probe.spot_check(self.sim.drifting.network(), src, dst, probes)
-            } else {
-                self.sim.spot_check(src, dst, probes)
-            }
+            self.sim.spot_check(src, dst, probes)
         }
 
         fn spot_check_loss(&mut self, src: u32, dst: u32, probes: usize) -> Option<(u64, u64)> {
             self.spot_checks += 1;
-            if self.eager {
-                self.sim.probe.spot_check_loss(self.sim.drifting.network(), src, dst, probes)
-            } else {
-                self.sim.spot_check_loss(src, dst, probes)
-            }
+            self.sim.spot_check_loss(src, dst, probes)
         }
     }
 

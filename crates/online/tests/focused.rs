@@ -1,5 +1,5 @@
 //! Focused-measurement satellites: the differential quality/budget
-//! contract (focused vs uniform probing on one recorded trajectory), the
+//! contract (focused vs uniform probing on one keyed trajectory), the
 //! detector→probe-plan soundness properties, and the kept plan pool's
 //! equality with a rebuild from the store's export.
 
@@ -12,7 +12,7 @@ use cloudia_online::{
 use cloudia_solver::{CandidateConfig, CandidatePruneRule, CandidateSet};
 use proptest::prelude::*;
 
-/// Differential contract: on each scenario seed's recorded trajectory,
+/// Differential contract: on each scenario seed's keyed trajectory,
 /// focused probing runs against uniform probing. Over the seed set, the
 /// median time-averaged ground-truth cost gap stays within
 /// [`MEDIAN_COST_GAP_BOUND`] (whose comment derives it from the one-seed

@@ -3,10 +3,10 @@
 //! reads the rebuild counter of the global registry, which a concurrently
 //! evaluated rule would move.
 
-use cloudia_measure::{PairwiseStats, ProbePlan, PruneRule, Staged, StopRule};
+use cloudia_measure::{PairwiseStats, ProbePlan, PruneRule, StopRule};
 use cloudia_online::{
     BuiltFocusScenario, FocusScenario, MeasurementStream, OnlineAdvisor, OnlineAdvisorConfig,
-    ProbePolicy, ReplayStream,
+    ProbePolicy,
 };
 use cloudia_solver::CandidateConfig;
 
@@ -49,17 +49,13 @@ fn run(built: &BuiltFocusScenario, anytime: bool, shadow_at: Option<u64>) -> Run
     };
     let mut advisor =
         OnlineAdvisor::new(built.graph.clone(), s.instances, built.initial.clone(), config);
-    let mut stream = ReplayStream::new(
-        built.snapshots.clone(),
-        Staged::new(s.probe_ks, s.probe_sweeps),
-        built.measure_cfg.clone(),
-        s.epoch_hours,
-    );
+    let mut stream = built.stream();
     let pairs: Vec<(u32, u32)> = (0..s.instances as u32)
         .flat_map(|a| (a + 1..s.instances as u32).map(move |b| (a, b)))
         .collect();
     let mut out = Run { epochs: Vec::new(), rebuilt: Vec::new(), sweeping: Vec::new() };
     for epoch in 0..s.epochs() {
+        built.script(&mut stream, epoch);
         if shadow_at == Some(epoch) {
             let rule =
                 if anytime { advisor.sweep_ci_prune_rule() } else { advisor.sweep_prune_rule() }

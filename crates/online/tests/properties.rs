@@ -2,7 +2,7 @@
 //! contract and the change-point detector's operating characteristics.
 
 use cloudia_core::Objective;
-use cloudia_netsim::{DriftParams, DriftProcess};
+use cloudia_netsim::{DriftParams, LinkProfile, LinkTrace};
 use cloudia_online::{
     incremental_resolve, standardized_residual, ChangeDetector, DetectorConfig, Drift, EwmaVar,
     RepairConfig,
@@ -33,20 +33,13 @@ fn stream_fires(means: &[f64], config: DetectorConfig) -> bool {
     fired
 }
 
-/// A stationary OU epoch-mean trace with sampling noise, mirroring
-/// `LinkTrace::simulate`'s structure at the epoch level.
+/// A stationary OU epoch-mean trace with sampling noise: a
+/// [`LinkTrace`] over 4 h epochs of 400 probes each (~0.5% probe-averaging
+/// noise on top of the drifted mean).
 fn stationary_trace(epochs: usize, rng: &mut StdRng) -> Vec<f64> {
-    let params = DriftParams::default();
-    let mut process = DriftProcess::new(params, rng);
-    let base = 0.5 + rng.random::<f64>();
-    (0..epochs)
-        .map(|_| {
-            let mult = process.step(4.0, rng);
-            // Probe-averaging noise on top of the drifted mean (~0.5%).
-            let noise = 1.0 + 0.005 * cloudia_netsim::dist::standard_normal(rng);
-            base * mult * noise
-        })
-        .collect()
+    let base_mean = 0.5 + rng.random::<f64>();
+    let profile = LinkProfile { base_mean, jitter_sigma: 0.1, spike_prob: 0.0, spike_scale: 0.0 };
+    LinkTrace::simulate(&profile, DriftParams::default(), 4.0, epochs, 400, rng).mean_rtt
 }
 
 proptest! {

@@ -1,7 +1,8 @@
 //! Pinned hot-loop kernels for the candidate-scoring sweeps.
 //!
 //! The m ≥ 10k pool builders ([`crate::CandidateSet::build_partial`] and
-//! the CI scorer behind `build_partial_ci`) spend their time in one
+//! a [`crate::candidates::PoolIndex`]'s bulk build, whose interval lanes score the CI
+//! prune rule) spend their time in one
 //! scan: walk a 100k-entry row of the count and attempt columns and
 //! collect the handful of observed links. The natural loop carries two
 //! branches per element (`dst != src`, then the evidence test) and its

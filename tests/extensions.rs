@@ -2,9 +2,8 @@
 //! (paper footnote 1), network drift + re-deployment (§2.2.1).
 
 use cloudia::core::{redeploy, RedeployPolicy};
-use cloudia::netsim::{Cloud, InstanceId, Provider};
+use cloudia::netsim::{Cloud, DriftingNetwork, InstanceId, Provider};
 use cloudia::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
 
 #[test]
 fn placement_group_has_uniformly_low_latency() {
@@ -50,8 +49,10 @@ fn drift_preserves_rough_link_order() {
     let mut cloud = Cloud::boot(Provider::ec2_like(), 5);
     let alloc = cloud.allocate(20);
     let net = cloud.network(&alloc);
-    let mut rng = StdRng::seed_from_u64(1);
-    let drifted = net.drifted(24.0, &mut rng);
+    let mut drifting = DriftingNetwork::new(net.clone(), 1);
+    drifting.step(24.0);
+    drifting.advance_all();
+    let drifted = drifting.network();
 
     let mut before = Vec::new();
     let mut after = Vec::new();
@@ -72,20 +73,23 @@ fn redeploy_loop_tracks_drift() {
     let graph = CommGraph::mesh_2d(3, 3);
     let mut cloud = Cloud::boot(Provider::ec2_like(), 6);
     let alloc = cloud.allocate(10);
-    let mut net = cloud.network(&alloc);
+    let net = cloud.network(&alloc);
     let advisor = Advisor::new(AdvisorConfig { search_time_s: 1.5, ..AdvisorConfig::fast() });
 
     let initial = advisor.run_on_network(&net, &graph, 1);
     let static_plan = initial.deployment.clone();
     let mut adaptive = initial.deployment.clone();
 
-    let mut rng = StdRng::seed_from_u64(2);
+    // One continuous drift path across the epochs.
+    let mut drifting = DriftingNetwork::new(net, 2);
     let mut static_total = 0.0;
     let mut adaptive_total = 0.0;
     for epoch in 0..4 {
-        net = net.drifted(48.0, &mut rng);
+        drifting.step(48.0);
+        drifting.advance_all();
+        let net = drifting.network();
         let decision =
-            redeploy(&advisor, &net, &graph, &adaptive, RedeployPolicy::default(), 10 + epoch);
+            redeploy(&advisor, net, &graph, &adaptive, RedeployPolicy::default(), 10 + epoch);
         if decision.migrate {
             adaptive = decision.outcome.deployment.clone();
         }
