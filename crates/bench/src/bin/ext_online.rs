@@ -32,6 +32,7 @@ use cloudia_online::{
     incremental_resolve, DetectorConfig, EpochMeasurement, MeasurementStream, OnlineAdvisor,
     OnlineAdvisorConfig, OnlineEvent, RepairConfig, SimStream,
 };
+use cloudia_solver::candidates::PrunedProblem;
 use cloudia_solver::{Budget, PortfolioConfig};
 
 struct ArmReport {
@@ -270,10 +271,10 @@ fn main() {
             solve_seconds: solve_s,
             threads: 1,
             seed: seed ^ t.epoch,
-            ..Default::default()
         };
+        let dense = PrunedProblem::dense(problem.clone());
         let t0 = Instant::now();
-        let _ = incremental_resolve(&problem, Objective::LongestLink, &t.incumbent, &repair_config);
+        let _ = incremental_resolve(&dense, Objective::LongestLink, &t.incumbent, &repair_config);
         let inc_s = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
         let _ = SearchStrategy::Portfolio(PortfolioConfig {

@@ -15,7 +15,7 @@
 //! never moves a pinned node.
 
 use cloudia_solver::{
-    candidates::{CandidateConfig, CandidateSet},
+    candidates::{CandidateConfig, CandidateSet, PrunedProblem},
     cp::{solve_llndp_cp_with, CpConfig},
     encodings::{solve_llndp_mip_with, solve_lpndp_mip_with, MipConfig},
     greedy::{solve_greedy, solve_greedy_fixed, GreedyVariant},
@@ -41,6 +41,10 @@ pub struct PrunedSolve {
     /// True if the driver re-solved densely after the pruned search
     /// proved optimality within its restricted pool.
     pub escalated: bool,
+    /// True if the pruned search proved its result optimal within the
+    /// pool: a local proof, never a global one (false on the exact
+    /// fallback, whose `outcome` carries its own proof).
+    pub proven_in_pool: bool,
     /// The sorted candidate union the search ran over, in original
     /// instance ids (every instance on the exact fallback).
     pub pool: Vec<u32>,
@@ -142,10 +146,9 @@ impl SearchStrategy {
 
     /// Runs the strategy through the candidate-pruning layer (see
     /// [`cloudia_solver::candidates`]): the instance pool is cut to the
-    /// per-node candidate lists, the strategy runs on the restricted
-    /// problem (CP domains seeded per node, MIP columns and greedy/random
-    /// draws bounded by the restriction), and the result is mapped back to
-    /// original instance ids.
+    /// per-node candidate lists ranked off the dense costs
+    /// ([`CandidateSet::build`]), and the strategy runs on the restricted
+    /// problem ([`SearchStrategy::run_on_pool`]).
     ///
     /// The contract mirrors [`SearchStrategy::run_with_hint`] — the result
     /// is never worse than the hint's incumbent and always honours its
@@ -167,49 +170,78 @@ impl SearchStrategy {
         config: &CandidateConfig,
     ) -> PrunedSolve {
         let candidates = CandidateSet::build(problem, config, hint.incumbent(), hint.pins());
-        let pool = candidates.union().to_vec();
-        if candidates.is_exact() {
+        let restricted = if candidates.is_exact() {
+            PrunedProblem::dense(problem.clone())
+        } else {
+            candidates.restrict(problem)
+        };
+        let solve = self.run_on_pool(&restricted, objective, hint);
+        if config.auto_escalate && solve.proven_in_pool {
+            // The pruned search closed its neighbourhood; settle the full
+            // pool densely, warm-started from the pruned result so the
+            // dense run opens with a tight bound.
+            let dense_hint = SolveHint::Incremental {
+                incumbent: solve.outcome.deployment.clone(),
+                fixed: hint.pins().map(<[_]>::to_vec).unwrap_or_default(),
+            };
+            let dense = self.run_with_hint(problem, objective, &dense_hint);
+            return PrunedSolve { outcome: dense, escalated: true, ..solve };
+        }
+        solve
+    }
+
+    /// Runs the strategy on a problem already restricted to a candidate
+    /// pool, however the pool was ranked and the sub-problem's costs
+    /// gathered: the one solve path behind [`SearchStrategy::run_pruned`]
+    /// and the online repair, which ranks its pool off a kept index and
+    /// prices the sub-problem from its own store. `hint` is in original
+    /// instance ids; every incumbent and pinned instance must be in the
+    /// pool. CP domains are seeded from the per-node lists, the result is
+    /// mapped back to original ids and priced on the sub-problem (the
+    /// same costs, so the same bits as on the original), and a pool-local
+    /// proof is reported as [`PrunedSolve::proven_in_pool`], never as
+    /// `proven_optimal`. A pool that spans every instance
+    /// ([`PrunedProblem::is_exact`]) is the exact fallback:
+    /// `run_with_hint` on the whole problem.
+    ///
+    /// # Panics
+    /// As [`SearchStrategy::run_with_hint`], and if the hint uses an
+    /// instance outside the pool.
+    pub fn run_on_pool(
+        &self,
+        pool: &PrunedProblem,
+        objective: Objective,
+        hint: &SolveHint,
+    ) -> PrunedSolve {
+        let union = pool.to_original.clone();
+        if pool.is_exact() {
+            let outcome = self.run_with_hint(&pool.sub, objective, hint);
             return PrunedSolve {
-                outcome: self.run_with_hint(problem, objective, hint),
+                outcome,
                 pruned: false,
                 escalated: false,
-                pool,
+                proven_in_pool: false,
+                pool: union,
             };
         }
-
-        let restricted = candidates.restrict(problem);
-        // Remap the hint into the restriction; `CandidateSet::build`
-        // guarantees every incumbent/pinned instance is a candidate.
         let sub_hint = match hint {
             SolveHint::Cold => SolveHint::Cold,
             SolveHint::Incremental { incumbent, fixed } => SolveHint::Incremental {
-                incumbent: restricted
+                incumbent: pool
                     .to_sub_deployment(incumbent)
                     .expect("incumbent instances are candidates by construction"),
-                fixed: restricted
+                fixed: pool
                     .to_sub_fixed(fixed)
                     .expect("pinned instances are candidates by construction"),
             },
         };
         let mut outcome =
-            self.run_hinted(&restricted.sub, objective, &sub_hint, Some(&restricted.node_domains));
+            self.run_hinted(&pool.sub, objective, &sub_hint, Some(&pool.node_domains));
         let proven_in_pool = outcome.proven_optimal;
-        outcome.deployment = restricted.to_original_deployment(&outcome.deployment);
-        outcome.cost = problem.cost(objective, &outcome.deployment);
+        outcome.cost = pool.sub.cost(objective, &outcome.deployment);
+        outcome.deployment = pool.to_original_deployment(&outcome.deployment);
         outcome.proven_optimal = false; // a pruned proof is not global
-
-        if config.auto_escalate && proven_in_pool {
-            // The pruned search closed its neighbourhood; settle the full
-            // pool densely, warm-started from the pruned result so the
-            // dense run opens with a tight bound.
-            let dense_hint = SolveHint::Incremental {
-                incumbent: outcome.deployment.clone(),
-                fixed: hint.pins().map(<[_]>::to_vec).unwrap_or_default(),
-            };
-            let dense = self.run_with_hint(problem, objective, &dense_hint);
-            return PrunedSolve { outcome: dense, pruned: true, escalated: true, pool };
-        }
-        PrunedSolve { outcome, pruned: true, escalated: false, pool }
+        PrunedSolve { outcome, pruned: true, escalated: false, proven_in_pool, pool: union }
     }
 
     /// Runs the strategy on a problem.

@@ -23,35 +23,49 @@ use crate::scheme::{MeasureConfig, Scheme};
 use crate::staged::Staged;
 use crate::stats::PairwiseStats;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A set of unordered instance pairs to probe in one measurement round.
 ///
-/// Pairs are stored deduplicated and ordered, so plans built from the same
-/// ingredients are identical and the resulting probe schedule is
-/// deterministic.
+/// Pairs are stored deduplicated and ordered — one bit per unordered
+/// pair `(low, high)`, row-major over the upper triangle — so plans built
+/// from the same ingredients are identical, adding a pair is O(1), and
+/// the resulting probe schedule is deterministic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbePlan {
     n: usize,
-    pairs: BTreeSet<(u32, u32)>,
+    /// Bit `slot(a, b)` is set when the pair `{a, b}` is scheduled.
+    bits: Vec<u64>,
+    len: usize,
 }
 
 impl ProbePlan {
     /// An empty plan over `n` instances.
     pub fn new(n: usize) -> Self {
-        Self { n, pairs: BTreeSet::new() }
+        Self { n, bits: vec![0; Self::pair_count(n).div_ceil(64)], len: 0 }
     }
 
     /// The full plan: every unordered pair (the fallback tournament
     /// sweep).
     pub fn full(n: usize) -> Self {
-        let mut plan = Self::new(n);
-        for a in 0..n as u32 {
-            for b in a + 1..n as u32 {
-                plan.pairs.insert((a, b));
-            }
+        let all = Self::pair_count(n);
+        let mut bits = vec![u64::MAX; all / 64];
+        if !all.is_multiple_of(64) {
+            bits.push((1 << (all % 64)) - 1);
         }
-        plan
+        Self { n, bits, len: all }
+    }
+
+    /// Unordered pairs among `n` instances.
+    fn pair_count(n: usize) -> usize {
+        n * n.saturating_sub(1) / 2
+    }
+
+    /// The bit of the pair `(a, b)`, `a < b`: row `a` of the upper
+    /// triangle starts after the `n − 1 + … + n − a` pairs of the rows
+    /// above it.
+    fn slot(&self, a: usize, b: usize) -> usize {
+        a * (2 * self.n - a - 1) / 2 + (b - a - 1)
     }
 
     /// Number of instances the plan covers.
@@ -61,27 +75,27 @@ impl ProbePlan {
 
     /// Number of unordered pairs in the plan.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.len
     }
 
     /// True if the plan schedules no pairs.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.len == 0
     }
 
     /// True when every unordered pair is scheduled — the plan degenerates
     /// to a full tournament sweep.
     pub fn is_full(&self) -> bool {
-        self.pairs.len() == self.n * (self.n - 1) / 2
+        self.len == Self::pair_count(self.n)
     }
 
     /// Fraction of all unordered pairs the plan schedules (0 when `n < 2`).
     pub fn coverage(&self) -> f64 {
-        let all = self.n * (self.n - 1) / 2;
+        let all = Self::pair_count(self.n);
         if all == 0 {
             0.0
         } else {
-            self.pairs.len() as f64 / all as f64
+            self.len as f64 / all as f64
         }
     }
 
@@ -94,7 +108,10 @@ impl ProbePlan {
     pub fn add_pair(&mut self, a: u32, b: u32) {
         assert!((a as usize) < self.n && (b as usize) < self.n, "pair ({a}, {b}) out of range");
         if a != b {
-            self.pairs.insert((a.min(b), a.max(b)));
+            let slot = self.slot(a.min(b) as usize, a.max(b) as usize);
+            let (word, bit) = (&mut self.bits[slot / 64], 1u64 << (slot % 64));
+            self.len += usize::from(*word & bit == 0);
+            *word |= bit;
         }
     }
 
@@ -110,12 +127,35 @@ impl ProbePlan {
 
     /// True if the unordered pair `{a, b}` is scheduled.
     pub fn contains(&self, a: u32, b: u32) -> bool {
-        a != b && self.pairs.contains(&(a.min(b), a.max(b)))
+        let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
+        if a == b || hi >= self.n {
+            return false;
+        }
+        let slot = self.slot(lo, hi);
+        self.bits[slot / 64] & (1 << (slot % 64)) != 0
     }
 
-    /// The scheduled pairs, ordered `(low, high)` ascending.
+    /// The scheduled pairs, ordered `(low, high)` ascending: the set bits
+    /// in slot order, walked one row of the triangle at a time.
     pub fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.pairs.iter().copied()
+        let n = self.n;
+        // The row the walk is in and the slot its first pair takes.
+        let (mut row, mut start) = (0usize, 0usize);
+        let slots = self.bits.iter().enumerate().flat_map(|(w, &word)| {
+            let mut word = word;
+            std::iter::from_fn(move || {
+                let bit = (word != 0).then(|| w * 64 + word.trailing_zeros() as usize)?;
+                word &= word - 1;
+                Some(bit)
+            })
+        });
+        slots.map(move |slot| {
+            while slot >= start + (n - 1 - row) {
+                start += n - 1 - row;
+                row += 1;
+            }
+            (row as u32, (row + 1 + slot - start) as u32)
+        })
     }
 
     /// Partitions the plan into stages of endpoint-disjoint pairs. Within
@@ -146,7 +186,7 @@ impl ProbePlan {
         let words = (2 * self.n).div_ceil(64).max(1);
         let mut playing = vec![0u64; self.n * words];
         let mut stages: Vec<Vec<(u32, u32)>> = Vec::new();
-        for (a, b) in self.pairs.iter().copied() {
+        for (a, b) in self.pairs() {
             let (ra, rb) = (a as usize * words, b as usize * words);
             let stage = (0..words)
                 .find_map(|w| {
@@ -344,6 +384,15 @@ mod tests {
         stages
     }
 
+    /// `plan` less one of its pairs.
+    fn without(plan: &ProbePlan, pair: (u32, u32)) -> ProbePlan {
+        let mut rest = ProbePlan::new(plan.num_instances());
+        for (a, b) in plan.pairs().filter(|&p| p != pair) {
+            rest.add_pair(a, b);
+        }
+        rest
+    }
+
     #[test]
     fn first_fit_stages_equal_the_per_stage_greedy() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -362,14 +411,13 @@ mod tests {
                 }
             }
             if plan.is_full() {
-                let (a, b) = plan.pairs().next().expect("a full plan over n >= 2 has pairs");
-                plan.pairs.remove(&(a, b));
+                let first = plan.pairs().next().expect("a full plan over n >= 2 has pairs");
+                plan = without(&plan, first);
             }
             assert_eq!(plan.stages(), greedy_stages(&plan), "case {case}: n = {n}");
         }
         // A near-full plan with a wide instance set: stage indices past 64.
-        let mut plan = ProbePlan::full(150);
-        plan.pairs.remove(&(3, 77));
+        let plan = without(&ProbePlan::full(150), (3, 77));
         assert!(plan.stages().len() > 64);
         assert_eq!(plan.stages(), greedy_stages(&plan));
     }

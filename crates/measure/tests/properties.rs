@@ -446,6 +446,58 @@ proptest! {
     }
 
     #[test]
+    fn probe_plan_matches_a_btree_set_oracle(
+        ops in proptest::collection::vec((0u32..300, 0u32..300, 0u8..3), 0..400),
+        n in 2usize..300,
+        full in 0u8..8,
+    ) {
+        // The plan's contract as an ordered set of normalized pairs, and
+        // first-fit staging over that order: each pair takes the lowest
+        // stage neither endpoint plays in yet.
+        let mut plan = if full == 0 { ProbePlan::full(n) } else { ProbePlan::new(n) };
+        let mut oracle: std::collections::BTreeSet<(u32, u32)> = std::collections::BTreeSet::new();
+        if full == 0 {
+            oracle.extend((0..n as u32).flat_map(|a| (a + 1..n as u32).map(move |b| (a, b))));
+        }
+        for (a, b, op) in ops {
+            let (a, b) = (a % n as u32, b % n as u32);
+            match op {
+                0 | 1 => {
+                    plan.add_pair(a, b);
+                    if a != b {
+                        oracle.insert((a.min(b), a.max(b)));
+                    }
+                }
+                _ => {
+                    let key = (a.min(b), a.max(b));
+                    prop_assert_eq!(plan.contains(a, b), a != b && oracle.contains(&key));
+                    prop_assert_eq!(plan.contains(b, a), a != b && oracle.contains(&key));
+                }
+            }
+        }
+        prop_assert_eq!(plan.len(), oracle.len());
+        prop_assert_eq!(plan.is_empty(), oracle.is_empty());
+        prop_assert_eq!(plan.is_full(), oracle.len() == n * (n - 1) / 2);
+        prop_assert_eq!(plan.pairs().collect::<Vec<_>>(), oracle.iter().copied().collect::<Vec<_>>());
+        if !plan.is_full() {
+            let mut stages: Vec<Vec<(u32, u32)>> = Vec::new();
+            let mut playing: Vec<HashSet<u32>> = Vec::new();
+            for &(a, b) in &oracle {
+                let stage = (0..)
+                    .find(|&s| playing.get(s).is_none_or(|p| !p.contains(&a) && !p.contains(&b)))
+                    .expect("a free stage");
+                if stage == stages.len() {
+                    stages.push(Vec::new());
+                    playing.push(HashSet::new());
+                }
+                stages[stage].push((a, b));
+                playing[stage].extend([a, b]);
+            }
+            prop_assert_eq!(plan.stages(), stages);
+        }
+    }
+
+    #[test]
     fn pruning_ledger_counts_like_the_set_based_loop_under_overlapping_verdicts(
         n in 5usize..10,
         seed in 0u64..200,

@@ -16,18 +16,17 @@
 use std::cell::OnceCell;
 
 use cloudia_core::{
-    ground_truth_cost, CommGraph, CostError, CostMatrix, Deployment, NodeDeployment, Objective,
-    RedeployPolicy,
+    ground_truth_cost, CommGraph, CostError, CostMatrix, Deployment, Objective, RedeployPolicy,
 };
 use cloudia_measure::{FocusedScheme, ProbePlan, PruneRule, Scheme, StopRule};
-use cloudia_netsim::{loss_priced_mean, Network};
+use cloudia_netsim::Network;
 use cloudia_obs::{RingLog, RunRecorder};
-use cloudia_solver::candidates::{PoolIndex, SharedIndex};
+use cloudia_solver::candidates::{PoolIndex, PrunedProblem, SharedIndex};
 use cloudia_solver::{AdaptivePool, CandidateConfig, CandidatePruneRule, CandidateSet, PoolPolicy};
 
 use crate::detect::{DetectorConfig, Drift};
 use crate::repair::{evacuate_resolve, incremental_resolve, RepairConfig};
-use crate::stats::{LinkChange, OnlineStore};
+use crate::stats::{LinkChange, OnlineStore, Pricing, SearchCosts};
 use crate::stream::{EpochMeasurement, MeasurementStream};
 use crate::trace;
 
@@ -428,6 +427,10 @@ struct Repaired {
     /// though an opportunity alarm pointed outside it (or an evacuation
     /// found nowhere to go).
     unanswered: bool,
+    /// Instances in the re-solve's sub-problem (0 when nothing ran).
+    pool: usize,
+    /// m×m cost matrices built for the re-solve (0 or 1).
+    dense_costs: u32,
 }
 
 /// Where the accounting phases read ground truth: a network the caller
@@ -491,6 +494,10 @@ pub struct OnlineAdvisor {
     /// plan's pool evidence over the store, re-priced in `ingest` from
     /// each epoch's deltas instead of rebuilt per plan.
     plan_index: Option<PoolIndex<1>>,
+    /// The repair's search costs over the store, kept from each epoch's
+    /// deltas: what the epoch's hold verdict, estimated cost and repair
+    /// pool read, without a dense matrix per epoch.
+    costs: SearchCosts,
     /// Pruned loops only: the sweep rule's evidence over the stream's
     /// cumulative statistics, point or interval, handed to every epoch's
     /// rule. It syncs from the statistics' touch log across epochs and
@@ -500,12 +507,9 @@ pub struct OnlineAdvisor {
 }
 
 /// Whether any of `links` has an endpoint outside `pool`, the sorted
-/// candidate union a pool-restricted repair searched: an opportunity the
-/// repair could not use. A dense repair (`None`) has no outside.
-fn outside_pool(pool: Option<&[u32]>, links: &[(u32, u32)]) -> bool {
-    let Some(pool) = pool else {
-        return false;
-    };
+/// candidate union a repair searched: an opportunity the repair could not
+/// use. A dense repair's pool has no outside.
+fn outside_pool(pool: &[u32], links: &[(u32, u32)]) -> bool {
     let inside = |j: u32| pool.binary_search(&j).is_ok();
     links.iter().any(|&(a, b)| !inside(a) || !inside(b))
 }
@@ -561,6 +565,7 @@ impl OnlineAdvisor {
             index
         });
         let rule_index = config.prune_during_sweep.then(SharedIndex::default);
+        let costs = SearchCosts::new(config.candidates.is_some());
         Self {
             graph,
             config,
@@ -582,6 +587,7 @@ impl OnlineAdvisor {
             saved_round_trips_total: 0,
             deep_probe_rounds: 0,
             plan_index,
+            costs,
             rule_index,
         }
     }
@@ -947,55 +953,42 @@ impl OnlineAdvisor {
         (self.total_true_cost + self.migration_cost_paid) / self.epoch as f64
     }
 
-    /// Search costs from the store, with never-observed links defaulting
-    /// to the worst observed mean (pessimism keeps the solver away from
-    /// links it knows nothing about).
+    /// How the search costs price a link under the current configuration.
+    fn pricing(&self) -> Pricing {
+        Pricing { loss_aware: self.config.loss_aware, timeout_ms: self.config.timeout_ms }
+    }
+
+    /// The estimated cost of the active plan: the objective over the
+    /// search costs of the deployment's own links.
     ///
-    /// Packet loss is priced in as *expected completion time*: a link
-    /// with loss-rate EWMAs `p` (per direction) costs its mean plus the
-    /// expected timeouts ([`loss_priced_mean`]) — the rule
+    /// The search costs price a link at its EWMA mean, never-observed
+    /// links at the worst observed mean (pessimism keeps the solver away
+    /// from links it knows nothing about), and packet loss in as
+    /// *expected completion time*: a link with loss-rate EWMAs `p` (per
+    /// direction) costs its mean plus the expected timeouts
+    /// ([`cloudia_netsim::loss_priced_mean`]) — the rule
     /// [`Network::effective_mean`] prices the ground truth by, fed the
-    /// store's own estimates. A dark link (loss → 1, success floored
-    /// at 1%) prices at ~99 timeouts, so ranking-based consumers
+    /// store's own estimates. A dark link (loss → 1, success floored at
+    /// 1%) prices at ~99 timeouts, so ranking-based consumers
     /// ([`select_free_nodes`](crate::repair::select_free_nodes), candidate
     /// pools, the evacuation re-solve) push away from dark instances on
-    /// cost alone. Loss-free links are priced exactly as before.
-    ///
-    /// Built in one pass over three of the store's columns (see
-    /// [`OnlineStore`]); only the unobserved links wait for the
-    /// worst-seen mean. The store ingests a non-finite sample as
-    /// sampleless, so its means stay finite; the means are still
-    /// measurement values, though, and a negative one (or an EWMA that
-    /// overflowed) is a cost the cost plane rejects — an `Err` the caller
-    /// holds the epoch on, not a panic.
-    fn search_costs(&self) -> Result<CostMatrix, CostError> {
-        let n = self.store.len();
-        let (mean, loss, sampled) = (&self.store.mean, &self.store.loss_rate, &self.store.sampled);
-        let price = |base: f64, i: usize, j: usize| {
-            if self.config.loss_aware {
-                loss_priced_mean(base, loss[i * n + j], loss[j * n + i], self.config.timeout_ms)
-            } else {
-                base
-            }
-        };
-        let mut worst = 0.0f64;
-        let mut unobserved = Vec::new();
-        let mut b = CostMatrix::builder(n);
-        for i in 0..n {
-            for j in (0..n).filter(|&j| j != i) {
-                let idx = i * n + j;
-                if sampled[idx] == 0 {
-                    unobserved.push((i, j));
-                } else {
-                    worst = worst.max(mean[idx]);
-                    b.set(i, j, price(mean[idx], i, j));
-                }
-            }
-        }
-        for (i, j) in unobserved {
-            b.set(i, j, price(worst, i, j));
-        }
-        b.freeze()
+    /// cost alone. Loss-free links are priced exactly as before. The
+    /// store ingests a non-finite sample as sampleless, so its means stay
+    /// finite; the means are still measurement values, though, and a
+    /// negative one (or an EWMA that overflowed) is a cost the cost plane
+    /// rejects — an epoch the caller holds ([`SearchCosts::held`]), not a
+    /// panic.
+    fn deployment_cost(&self) -> f64 {
+        let costs = self.costs.matrix(&self.store, &self.deployment, self.pricing());
+        let identity: Vec<u32> = (0..self.deployment.len() as u32).collect();
+        self.graph.problem(costs).cost(self.config.objective, &identity)
+    }
+
+    /// The search costs as one dense m×m matrix: the repair problem of a
+    /// loop without candidates, and a recorded trigger's.
+    fn dense_costs(&self) -> CostMatrix {
+        let all: Vec<u32> = (0..self.store.len() as u32).collect();
+        self.costs.matrix(&self.store, &all, self.pricing())
     }
 
     /// Instances presumed dark: unreachable (a dark link in either
@@ -1086,11 +1079,11 @@ impl OnlineAdvisor {
             ProbePolicy::Focused { max_flagged, .. } if changes.len() > max_flagged
         );
 
-        let problem = self.search_costs().map(|costs| self.graph.problem(costs));
-        let repaired = match &problem {
-            Ok(problem) => {
+        let held = self.costs.held(&self.store, self.pricing());
+        let repaired = match &held {
+            Ok(()) => {
                 let trigger = self.decide(epoch, alarms);
-                self.repair(epoch, trigger, problem, &mut truth)
+                self.repair(epoch, trigger, &mut truth)
             }
             // Nothing to decide or repair on: hold the plan and say why.
             Err(error) => {
@@ -1098,8 +1091,7 @@ impl OnlineAdvisor {
                 Repaired::default()
             }
         };
-        let summary =
-            self.account(m, probe_escalated, &repaired, problem.as_ref().ok(), &mut truth);
+        let summary = self.account(m, probe_escalated, &repaired, held.is_ok(), &mut truth);
 
         // Control-loop telemetry at epoch grain: one span plus a handful
         // of counter bumps per step, nothing in the per-link loops.
@@ -1114,6 +1106,8 @@ impl OnlineAdvisor {
             span.attr("triggered", u64::from(summary.triggered));
             span.attr("moved", summary.moved);
             span.attr("true_cost", summary.true_cost);
+            span.attr("dense_costs", repaired.dense_costs);
+            span.attr("repair_pool", repaired.pool);
         }
         drop(span);
         if let Some(rec) = &mut self.recorder {
@@ -1124,8 +1118,8 @@ impl OnlineAdvisor {
 
     /// Ingest: charge the epoch's probe budget, log the pruning ledger,
     /// fold the deltas into the store, and re-price the links they touched
-    /// in the plan pool's index. Returns the links whose detectors or dark
-    /// triage fired.
+    /// in the plan pool's index and the search costs. Returns the links
+    /// whose detectors or dark triage fired.
     fn ingest(&mut self, m: &EpochMeasurement) -> Vec<LinkChange> {
         self.probe_round_trips += m.round_trips;
         self.planning_epoch = m.epoch + 1;
@@ -1142,8 +1136,11 @@ impl OnlineAdvisor {
         if let Some(index) = &mut self.plan_index {
             let n = self.store.len();
             let touched = m.deltas.iter().map(|d| d.src as usize * n + d.dst as usize);
+            let built = index.rebuilds();
             self.store.sync_pool_index(index, touched);
+            cloudia_obs::counter("online.plan_index_rebuilds", index.rebuilds() - built);
         }
+        self.costs.ingest(&self.store, &m.deltas, self.pricing());
         changes
     }
 
@@ -1282,16 +1279,24 @@ impl OnlineAdvisor {
         (alarmed && cooled).then_some(Trigger::Alarm(alarms.opportunities))
     }
 
+    /// The sub-problem a repair searches, and the m×m matrices built for
+    /// it: with candidates, the pool ranked off the kept search-cost index
+    /// around the incumbent, priced over the pool's links alone (m×m only
+    /// when the pool covers every instance); without, the dense costs.
+    fn repair_pool(&mut self) -> (PrunedProblem, u32) {
+        let Some(candidates) = self.effective_candidates() else {
+            return (PrunedProblem::dense(self.graph.problem(self.dense_costs())), 1);
+        };
+        let (nodes, pricing) = (self.graph.num_nodes(), self.pricing());
+        let set = self.costs.pool(&self.store, pricing, nodes, &candidates, &self.deployment);
+        let costs = self.costs.matrix(&self.store, set.union(), pricing);
+        (set.restrict_to(self.graph.problem(costs)), u32::from(set.is_exact()))
+    }
+
     /// Repair: run the triggered re-solve, log it, and migrate when it is
     /// accepted — always for an evacuation that moved anything, on the
     /// [`RedeployPolicy`] economics for an alarm-triggered repair.
-    fn repair(
-        &mut self,
-        epoch: u64,
-        trigger: Option<Trigger>,
-        problem: &NodeDeployment,
-        truth: &mut Truth<'_>,
-    ) -> Repaired {
+    fn repair(&mut self, epoch: u64, trigger: Option<Trigger>, truth: &mut Truth<'_>) -> Repaired {
         let Some(trigger) = trigger else {
             return Repaired::default();
         };
@@ -1301,22 +1306,25 @@ impl OnlineAdvisor {
             solve_seconds: self.config.solve_seconds,
             threads: self.config.threads,
             seed: self.config.seed ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            candidates: self.effective_candidates(),
         };
         let objective = self.config.objective;
+        let (pool, mut dense_costs) = self.repair_pool();
         let repair = match &trigger {
             Trigger::Evacuate(dark) => {
-                evacuate_resolve(problem, objective, &self.deployment, dark, &repair_config)
+                evacuate_resolve(&pool, objective, &self.deployment, dark, &repair_config)
             }
             Trigger::Alarm(_) => {
                 if self.config.record_triggers {
-                    self.triggers.push(TriggerInstance {
-                        epoch,
-                        costs: problem.costs.clone(),
-                        incumbent: self.deployment.clone(),
-                    });
+                    let costs = if pool.is_exact() {
+                        pool.sub.costs.clone()
+                    } else {
+                        dense_costs += 1;
+                        self.dense_costs()
+                    };
+                    let incumbent = self.deployment.clone();
+                    self.triggers.push(TriggerInstance { epoch, costs, incumbent });
                 }
-                incremental_resolve(problem, objective, &self.deployment, &repair_config)
+                incremental_resolve(&pool, objective, &self.deployment, &repair_config)
             }
         };
         cloudia_obs::observe("online.resolve_seconds", repair.solve_seconds);
@@ -1331,9 +1339,7 @@ impl OnlineAdvisor {
         let unanswered = repair.moved == 0
             && match &trigger {
                 Trigger::Evacuate(_) => true,
-                Trigger::Alarm(opportunities) => {
-                    outside_pool(repair.pool.as_deref(), opportunities)
-                }
+                Trigger::Alarm(opportunities) => outside_pool(&repair.pool, opportunities),
             };
         let est_gain = repair.incumbent_cost - repair.cost;
         let amortized = self.config.policy.migration_cost(repair.moved);
@@ -1378,18 +1384,19 @@ impl OnlineAdvisor {
         if let Trigger::Evacuate(instances) = trigger {
             self.push_event(OnlineEvent::Evacuate { epoch, instances, moved });
         }
-        Repaired { triggered: true, evacuated, moved, unanswered }
+        let pool = pool.to_original.len();
+        Repaired { triggered: true, evacuated, moved, unanswered, pool, dense_costs }
     }
 
     /// Account: feed the adaptive pool controller, then book the epoch
     /// under the plan that is active *after* any migration this epoch.
-    /// `problem` is `None` on a held epoch, whose estimated cost is NaN.
+    /// A held epoch (`priced` false) has a NaN estimated cost.
     fn account(
         &mut self,
         m: &EpochMeasurement,
         probe_escalated: bool,
         repaired: &Repaired,
-        problem: Option<&NodeDeployment>,
+        priced: bool,
         truth: &mut Truth<'_>,
     ) -> EpochSummary {
         let epoch = m.epoch;
@@ -1406,8 +1413,7 @@ impl OnlineAdvisor {
                 self.push_event(OnlineEvent::PoolResize { epoch, from: before, to: after, rate });
             }
         }
-        let est_cost =
-            problem.map_or(f64::NAN, |p| p.cost(self.config.objective, &self.deployment));
+        let est_cost = if priced { self.deployment_cost() } else { f64::NAN };
         let true_cost = self.true_cost(truth.over(&self.deployment), &self.deployment);
         self.total_true_cost += true_cost;
         self.push_event(OnlineEvent::Epoch {
@@ -1482,9 +1488,9 @@ impl OnlineAdvisor {
 mod tests {
     use super::*;
     use crate::stream::{LinkDelta, SimStream};
-    use cloudia_measure::stats::TOUCH_LOG_PER_INSTANCE;
     use cloudia_measure::{MeasureConfig, Staged};
     use cloudia_netsim::{Cloud, InstanceId, Provider};
+    use cloudia_solver::candidates::REPRICE_PER_INSTANCE;
 
     fn setup(n_nodes: usize, instances: usize, seed: u64) -> (CommGraph, Network, Deployment) {
         let graph = CommGraph::ring(n_nodes);
@@ -1613,7 +1619,7 @@ mod tests {
         let (graph, net, initial) = setup(4, 14, 8);
         let mut config = fast_config();
         config.candidates = Some(CandidateConfig::fixed(6));
-        let mut advisor = OnlineAdvisor::new(graph.clone(), 14, initial, config);
+        let mut advisor = OnlineAdvisor::new(graph, 14, initial, config);
         // The incumbent's instances 0..4 are one cheap cluster, so no
         // repair improves on it; instance 13 ranks last, outside the pool.
         let costs = CostMatrix::from_fn(14, |i, j| match (i.max(j), i < 4 && j < 4) {
@@ -1621,10 +1627,25 @@ mod tests {
             (13, _) => 9.0,
             _ => 5.0,
         });
-        let problem = graph.problem(costs);
+        let deltas = (0..14u32)
+            .flat_map(|src| (0..14u32).filter(move |&dst| dst != src).map(move |dst| (src, dst)))
+            .map(|(src, dst)| {
+                let mean = costs.get(src as usize, dst as usize);
+                LinkDelta { src, dst, mean, count: 1, attempts: 1, timeouts: 0 }
+            })
+            .collect();
+        advisor.ingest(&EpochMeasurement {
+            epoch: 0,
+            at_hours: 0.0,
+            elapsed_ms: 1.0,
+            round_trips: 182,
+            deltas,
+            pruned_pairs: 0,
+            saved_round_trips: 0,
+        });
         let mut unanswered = |epoch, opportunities| {
             let trigger = Some(Trigger::Alarm(opportunities));
-            let repaired = advisor.repair(epoch, trigger, &problem, &mut Truth::Network(&net));
+            let repaired = advisor.repair(epoch, trigger, &mut Truth::Network(&net));
             assert_eq!((repaired.triggered, repaired.moved), (true, 0));
             repaired.unanswered
         };
@@ -2246,6 +2267,45 @@ mod tests {
         assert!(advisor.deployment().iter().all(|&j| j != 1));
     }
 
+    /// The search costs as the dense matrix the loop once filled every
+    /// epoch, in one pass over three of the store's columns: the oracle
+    /// the kept costs are pinned to.
+    fn search_costs(advisor: &OnlineAdvisor) -> Result<CostMatrix, CostError> {
+        let n = advisor.store.len();
+        let (mean, loss, sampled) =
+            (&advisor.store.mean, &advisor.store.loss_rate, &advisor.store.sampled);
+        let price = |base: f64, i: usize, j: usize| {
+            if advisor.config.loss_aware {
+                cloudia_netsim::loss_priced_mean(
+                    base,
+                    loss[i * n + j],
+                    loss[j * n + i],
+                    advisor.config.timeout_ms,
+                )
+            } else {
+                base
+            }
+        };
+        let mut worst = 0.0f64;
+        let mut unobserved = Vec::new();
+        let mut b = CostMatrix::builder(n);
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                let idx = i * n + j;
+                if sampled[idx] == 0 {
+                    unobserved.push((i, j));
+                } else {
+                    worst = worst.max(mean[idx]);
+                    b.set(i, j, price(mean[idx], i, j));
+                }
+            }
+        }
+        for (i, j) in unobserved {
+            b.set(i, j, price(worst, i, j));
+        }
+        b.freeze()
+    }
+
     /// The search costs as a two-pass walk over the store's link views.
     fn search_costs_from_views(advisor: &OnlineAdvisor) -> Result<CostMatrix, CostError> {
         let (store, n) = (&advisor.store, advisor.store.len());
@@ -2304,7 +2364,10 @@ mod tests {
         let bits = |costs: Result<CostMatrix, CostError>| {
             costs.map(|c| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
         };
-        assert_eq!(bits(advisor.search_costs()), bits(search_costs_from_views(advisor)));
+        let oracle = bits(search_costs(advisor));
+        assert_eq!(oracle, bits(search_costs_from_views(advisor)));
+        let kept = advisor.costs.held(&advisor.store, advisor.pricing());
+        assert_eq!(oracle, bits(kept.map(|()| advisor.dense_costs())));
         let trigger = match advisor.decide(advisor.epoch, Alarms::default()) {
             Some(Trigger::Evacuate(dark)) => Some(dark),
             _ => None,
@@ -2362,6 +2425,122 @@ mod tests {
                 assert_the_view_oracles_agree(&advisor);
             }
         }
+    }
+
+    /// One random epoch over `m` instances: each link is measured with
+    /// probability `touch` (never, for the links in `never`), as a lossy
+    /// sample or a dark attempt, and with probability `bad` as a negative
+    /// mean, an EWMA-overflowing mean, or a non-finite one.
+    fn random_epoch(
+        rng: &mut rand::rngs::StdRng,
+        m: u32,
+        epoch: u64,
+        (touch, bad): (f64, f64),
+        never: &[(u32, u32)],
+    ) -> EpochMeasurement {
+        use rand::Rng;
+        let mut deltas = Vec::new();
+        for (src, dst) in (0..m).flat_map(|i| (0..m).filter(move |&j| j != i).map(move |j| (i, j)))
+        {
+            if never.contains(&(src, dst)) || rng.random::<f64>() >= touch {
+                continue;
+            }
+            let attempts = rng.random_range(1..6u64);
+            let lost = if rng.random::<f64>() < 0.3 { rng.random_range(0..=attempts) } else { 0 };
+            let mean = if rng.random::<f64>() < bad {
+                [-rng.random::<f64>(), 1e308, -1e308, f64::NAN][rng.random_range(0..4usize)]
+            } else {
+                1.0 + rng.random::<f64>()
+            };
+            let count = attempts - lost;
+            deltas.push(LinkDelta { src, dst, mean, count, attempts, timeouts: lost });
+        }
+        EpochMeasurement {
+            epoch,
+            at_hours: epoch as f64,
+            elapsed_ms: 1.0,
+            round_trips: deltas.iter().map(|d| d.attempts).sum(),
+            deltas,
+            pruned_pairs: 0,
+            saved_round_trips: 0,
+        }
+    }
+
+    #[test]
+    fn kept_search_costs_equal_the_dense_matrix_under_random_deltas() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let value = |held: Result<(), CostError>| {
+            held.map_err(|e| match e {
+                CostError::Value { i, j, value } => (i, j, value.to_bits()),
+                other => panic!("unexpected {other:?}"),
+            })
+        };
+        let bits = |c: &CostMatrix| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut held_epochs, mut reads, mut exact_reads, mut repairs) = (0, 0, 0, 0);
+        for case in 0..42u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            // The last cases sweep past the re-price budget in one epoch.
+            let m = if case < 36 { rng.random_range(5..14usize) } else { 70 };
+            let (graph, net, initial) = setup(4, m, case);
+            let config = OnlineAdvisorConfig {
+                loss_aware: case % 4 != 3,
+                timeout_ms: [40.0, 250.0][case as usize % 2],
+                candidates: Some(CandidateConfig::fixed(rng.random_range(4..=m))),
+                solve_seconds: 0.02,
+                threads: 1,
+                ..fast_config()
+            };
+            let objective = config.objective;
+            let mut advisor = OnlineAdvisor::new(graph.clone(), m, initial, config);
+            let rates = match case {
+                0..36 => {
+                    ([0.15, 0.5, 1.0][case as usize % 3], [0.0, 1e-3, 1e-2][case as usize / 12])
+                }
+                _ => (1.0, [0.0, 1e-4, 3e-5, 1e-5, 3e-4, 1e-5][case as usize - 36]),
+            };
+            let never: Vec<(u32, u32)> = (0..rng.random_range(0..4))
+                .map(|_| (rng.random_range(0..m as u32), rng.random_range(0..m as u32)))
+                .collect();
+            for epoch in 0..16 {
+                let measured = random_epoch(&mut rng, m as u32, epoch, rates, &never);
+                let summary = advisor.step(&measured, &net);
+                repairs += usize::from(summary.triggered);
+                let pricing = advisor.pricing();
+                let oracle = search_costs(&advisor);
+                let kept = advisor.costs.held(&advisor.store, pricing);
+                assert_eq!(
+                    value(kept),
+                    value(oracle.clone().map(|_| ())),
+                    "case {case} epoch {epoch}"
+                );
+                let Ok(dense) = oracle else {
+                    assert!(summary.est_cost.is_nan());
+                    held_epochs += 1;
+                    continue;
+                };
+                let problem = graph.problem(dense);
+                let est = problem.cost(objective, &advisor.deployment);
+                assert_eq!(summary.est_cost.to_bits(), est.to_bits(), "case {case} epoch {epoch}");
+                // The index syncs lazily: read it on some epochs only.
+                if rng.random::<f64>() < 0.5 {
+                    continue;
+                }
+                let cand = advisor.effective_candidates().expect("candidates configured");
+                let incumbent = advisor.deployment.clone();
+                let pool = advisor.costs.pool(&advisor.store, pricing, 4, &cand, &incumbent);
+                let built = CandidateSet::build(&problem, &cand, Some(&incumbent), None);
+                assert_eq!(pool.union(), built.union(), "case {case} epoch {epoch}");
+                for v in 0..4 {
+                    assert_eq!(pool.node_candidates(v), built.node_candidates(v));
+                }
+                let sub = advisor.costs.matrix(&advisor.store, pool.union(), pricing);
+                assert_eq!(bits(&sub), bits(&built.restrict(&problem).sub.costs));
+                reads += 1;
+                exact_reads += usize::from(pool.is_exact());
+            }
+        }
+        assert!(held_epochs > 0 && repairs > 0, "{held_epochs} held epochs, {repairs} repairs");
+        assert!(reads > exact_reads && exact_reads > 0, "{reads} reads, {exact_reads} exact");
     }
 
     #[test]
@@ -2502,7 +2681,9 @@ mod tests {
 
     #[test]
     fn the_plan_pool_reprices_small_epochs_and_bulk_builds_past_the_budget() {
-        let m = 12;
+        // Past the measured re-price/bulk-build crossover, which only an
+        // allocation above 64 instances can touch in one epoch.
+        let m = 80;
         let (graph, net, initial) = setup(4, m, 5);
         let config = OnlineAdvisorConfig {
             probe_policy: ProbePolicy::Focused { refresh_every: 50, max_flagged: 1000 },
@@ -2540,8 +2721,10 @@ mod tests {
             advisor.plan_index.as_ref().expect("kept").rebuilds()
         };
         assert_eq!(advisor.plan_index.as_ref().unwrap().rebuilds(), 1, "built at construction");
-        // The budget is the statistics' touch-log length: 4·m links.
-        let budget = TOUCH_LOG_PER_INSTANCE * m;
+        // The budget is `REPRICE_PER_INSTANCE · m` = 5120 of 6320 links.
+        let budget = PoolIndex::<1>::reprice_budget(m);
+        assert_eq!(budget, REPRICE_PER_INSTANCE * m);
+        assert!(budget < links.len());
         assert_eq!(step(&mut advisor, &links), 2, "a full epoch bulk-builds");
         assert_eq!(step(&mut advisor, &links[..10]), 2, "a small epoch re-prices");
         assert_eq!(step(&mut advisor, &links[..budget]), 2, "the budget itself re-prices");

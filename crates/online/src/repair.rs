@@ -11,19 +11,33 @@
 //!    instances;
 //! 3. warm-starts the solver portfolio inside that neighbourhood, with
 //!    the incumbent as the initial bound: the incumbent and pins form one
-//!    [`SolveHint`], which [`SearchStrategy::run_with_hint`] (or
-//!    `run_pruned`) hands straight to every portfolio worker.
+//!    [`SolveHint`], which [`SearchStrategy::run_on_pool`] hands straight
+//!    to every portfolio worker.
 //!
 //! The search space shrinks from arranging `n` nodes to arranging `k`
 //! (over the `m − n + k` instances the pins leave reachable), which is why
 //! incremental re-solves close in a fraction of a cold solve's time — and
 //! [`SearchStrategy::run_with_hint`]'s contract guarantees the result is
 //! never worse than the incumbent and moves at most `k` nodes.
+//!
+//! A repair searches the pool it is handed: a [`PrunedProblem`] over the
+//! candidate union the caller ranked (the online advisor ranks it off a
+//! kept index and prices only the union's links), or
+//! [`PrunedProblem::dense`] over every instance. Ranking the freed nodes,
+//! pricing the incumbent and pricing the result read only deployed links,
+//! so they run on the sub-problem too. The solve is
+//! [`SearchStrategy::run_on_pool`], the one candidate-restricted path the
+//! batch advisor's `run_pruned` also takes — minus its dense escalation:
+//! a repair is best-effort by contract (never worse than the incumbent,
+//! bounded by `solve_seconds`), and escalating to a dense re-solve would
+//! spend a second full budget chasing a proof the trigger loop does not
+//! need. Run a dense batch re-deployment when a proof matters.
 
 use std::time::Instant;
 
 use cloudia_core::{NodeDeployment, SearchStrategy, SolveHint};
-use cloudia_solver::{Budget, CandidateConfig, Objective, PortfolioConfig, SolveOutcome};
+use cloudia_solver::candidates::PrunedProblem;
+use cloudia_solver::{Budget, Objective, PortfolioConfig, SolveOutcome};
 
 /// Configuration of one incremental re-solve.
 #[derive(Debug, Clone)]
@@ -36,22 +50,11 @@ pub struct RepairConfig {
     pub threads: usize,
     /// RNG seed for the embedded searches.
     pub seed: u64,
-    /// Candidate pruning for the repair search: with `Some`, the freed
-    /// nodes only consider candidate instances (plus their incumbent),
-    /// so a repair over thousands of spare instances stays cheap.
-    ///
-    /// Repairs never auto-escalate regardless of
-    /// [`CandidateConfig::auto_escalate`]: an incremental re-solve is
-    /// best-effort by contract (never worse than the incumbent, bounded
-    /// by `solve_seconds`), and escalating to a dense re-solve would
-    /// spend a second full budget chasing a proof the trigger loop does
-    /// not need. Run a dense batch re-deployment when a proof matters.
-    pub candidates: Option<CandidateConfig>,
 }
 
 impl Default for RepairConfig {
     fn default() -> Self {
-        Self { migration_budget: 3, solve_seconds: 1.0, threads: 0, seed: 0, candidates: None }
+        Self { migration_budget: 3, solve_seconds: 1.0, threads: 0, seed: 0 }
     }
 }
 
@@ -71,9 +74,9 @@ pub struct RepairOutcome {
     pub freed: Vec<u32>,
     /// The raw search outcome.
     pub solve: SolveOutcome,
-    /// The sorted candidate union a pool-restricted repair searched
-    /// ([`RepairConfig::candidates`]); `None` for a dense repair.
-    pub pool: Option<Vec<u32>>,
+    /// The sorted candidate union the repair searched (every instance for
+    /// a dense pool).
+    pub pool: Vec<u32>,
     /// Wall-clock seconds the search took.
     pub solve_seconds: f64,
 }
@@ -96,58 +99,70 @@ pub fn select_free_nodes(problem: &NodeDeployment, incumbent: &[u32], k: usize) 
     order
 }
 
-/// Runs one budgeted incremental re-solve around `incumbent`.
+/// The incumbent (original instance ids) in the pool's sub-problem ids.
 ///
 /// # Panics
-/// Panics if the incumbent is not a valid deployment of `problem`.
+/// Panics if the incumbent is not a valid deployment inside the pool.
+fn incumbent_in(pool: &PrunedProblem, incumbent: &[u32]) -> Vec<u32> {
+    let sub = pool.to_sub_deployment(incumbent).filter(|sub| pool.sub.is_valid(sub));
+    sub.expect("repair incumbent is not a valid deployment inside the pool")
+}
+
+/// Runs one budgeted incremental re-solve around `incumbent` (original
+/// instance ids) inside `pool`.
+///
+/// # Panics
+/// Panics if the incumbent is not a valid deployment inside the pool.
 pub fn incremental_resolve(
-    problem: &NodeDeployment,
+    pool: &PrunedProblem,
     objective: Objective,
     incumbent: &[u32],
     config: &RepairConfig,
 ) -> RepairOutcome {
-    assert!(problem.is_valid(incumbent), "repair incumbent is not a valid deployment");
-    let n = problem.num_nodes;
-    let k = config.migration_budget.min(n);
-    let freed = select_free_nodes(problem, incumbent, k);
-    resolve_with_freed(problem, objective, incumbent, freed, config)
+    let sub_incumbent = incumbent_in(pool, incumbent);
+    let k = config.migration_budget.min(pool.sub.num_nodes);
+    let freed = select_free_nodes(&pool.sub, &sub_incumbent, k);
+    resolve_with_freed(pool, objective, incumbent, &sub_incumbent, freed, config)
 }
 
 /// Dark-instance evacuation: frees *exactly* the nodes the incumbent
 /// hosts on `instances` (presumed unresponsive) and re-solves their
-/// placement, pinning everyone else. Unlike [`incremental_resolve`] the
-/// freed set is dictated by the fault, not ranked by cost, and
-/// `config.migration_budget` is ignored — an evacuation moves however
-/// many nodes the dark instances host. The gain-vs-cost economics are
-/// the caller's to waive: darkness is an availability event, and the
-/// dark links' costs (priced as expected completion time, timeouts
-/// included) make any off-instance placement an improvement.
+/// placement inside `pool`, pinning everyone else. Unlike
+/// [`incremental_resolve`] the freed set is dictated by the fault, not
+/// ranked by cost, and `config.migration_budget` is ignored — an
+/// evacuation moves however many nodes the dark instances host. The
+/// gain-vs-cost economics are the caller's to waive: darkness is an
+/// availability event, and the dark links' costs (priced as expected
+/// completion time, timeouts included) make any off-instance placement an
+/// improvement.
 ///
 /// # Panics
-/// Panics if the incumbent is not a valid deployment of `problem`.
+/// Panics if the incumbent is not a valid deployment inside the pool.
 pub fn evacuate_resolve(
-    problem: &NodeDeployment,
+    pool: &PrunedProblem,
     objective: Objective,
     incumbent: &[u32],
     instances: &[u32],
     config: &RepairConfig,
 ) -> RepairOutcome {
-    assert!(problem.is_valid(incumbent), "evacuation incumbent is not a valid deployment");
+    let sub_incumbent = incumbent_in(pool, incumbent);
     let freed: Vec<u32> = incumbent
         .iter()
         .enumerate()
         .filter(|(_, j)| instances.contains(j))
         .map(|(v, _)| v as u32)
         .collect();
-    resolve_with_freed(problem, objective, incumbent, freed, config)
+    resolve_with_freed(pool, objective, incumbent, &sub_incumbent, freed, config)
 }
 
 /// The shared repair core: pins everything outside `freed`, warm-starts
-/// the portfolio around the incumbent, and packages the outcome.
+/// the portfolio around the incumbent inside the pool, and packages the
+/// outcome.
 fn resolve_with_freed(
-    problem: &NodeDeployment,
+    pool: &PrunedProblem,
     objective: Objective,
     incumbent: &[u32],
+    sub_incumbent: &[u32],
     freed: Vec<u32>,
     config: &RepairConfig,
 ) -> RepairOutcome {
@@ -165,20 +180,11 @@ fn resolve_with_freed(
     let hint = SolveHint::Incremental { incumbent: incumbent.to_vec(), fixed };
 
     let t0 = Instant::now();
-    let (solve, pool) = match &config.candidates {
-        Some(cand) => {
-            // See `RepairConfig::candidates`: repairs are best-effort and
-            // budget-bound, so a pool-local proof must not trigger a
-            // second, dense solve.
-            let cand = CandidateConfig { auto_escalate: false, ..*cand };
-            let pruned = strategy.run_pruned(problem, objective, &hint, &cand);
-            (pruned.outcome, Some(pruned.pool))
-        }
-        None => (strategy.run_with_hint(problem, objective, &hint), None),
-    };
+    let solved = strategy.run_on_pool(pool, objective, &hint);
     let solve_seconds = t0.elapsed().as_secs_f64();
 
-    let incumbent_cost = problem.cost(objective, incumbent);
+    let solve = solved.outcome;
+    let incumbent_cost = pool.sub.cost(objective, sub_incumbent);
     let moved = incumbent.iter().zip(&solve.deployment).filter(|(a, b)| a != b).count();
     RepairOutcome {
         deployment: solve.deployment.clone(),
@@ -187,7 +193,7 @@ fn resolve_with_freed(
         moved,
         freed,
         solve,
-        pool,
+        pool: solved.pool,
         solve_seconds,
     }
 }
@@ -195,7 +201,7 @@ fn resolve_with_freed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudia_solver::Costs;
+    use cloudia_solver::{CandidateConfig, CandidateSet, Costs};
     use rand::{rngs::StdRng, SeedableRng};
 
     fn random_problem(n: usize, m: usize, seed: u64) -> NodeDeployment {
@@ -231,14 +237,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         for trial in 0..5 {
             let incumbent = p.random_deployment(&mut rng);
-            let config = RepairConfig {
-                migration_budget: 2,
-                solve_seconds: 2.0,
-                threads: 1,
-                seed: trial,
-                ..Default::default()
-            };
-            let out = incremental_resolve(&p, Objective::LongestLink, &incumbent, &config);
+            let config =
+                RepairConfig { migration_budget: 2, solve_seconds: 2.0, threads: 1, seed: trial };
+            let dense = PrunedProblem::dense(p.clone());
+            let out = incremental_resolve(&dense, Objective::LongestLink, &incumbent, &config);
             assert!(p.is_valid(&out.deployment), "trial {trial}");
             assert!(out.moved <= 2, "trial {trial}: moved {}", out.moved);
             assert!(
@@ -267,14 +269,10 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(12);
         let incumbent = p.random_deployment(&mut rng);
-        let config = RepairConfig {
-            migration_budget: 3,
-            solve_seconds: 1.0,
-            threads: 1,
-            seed: 5,
-            candidates: Some(CandidateConfig::fixed(12)),
-        };
-        let out = incremental_resolve(&p, Objective::LongestLink, &incumbent, &config);
+        let config = RepairConfig { migration_budget: 3, solve_seconds: 1.0, threads: 1, seed: 5 };
+        let pool = CandidateSet::build(&p, &CandidateConfig::fixed(12), Some(&incumbent), None)
+            .restrict(&p);
+        let out = incremental_resolve(&pool, Objective::LongestLink, &incumbent, &config);
         assert!(p.is_valid(&out.deployment));
         assert!(out.moved <= 3, "moved {}", out.moved);
         assert!(out.cost <= out.incumbent_cost + 1e-12);
@@ -286,34 +284,32 @@ mod tests {
     }
 
     #[test]
-    fn a_pruned_repair_reports_the_pool_it_searched() {
-        // A repair's pins are incumbent instances, which every pool
-        // force-includes: the union it searched is the pool built around
-        // the incumbent alone — on the exact fallback too.
-        use cloudia_solver::CandidateSet;
+    fn a_repair_reports_the_pool_it_searched() {
+        // The union of a pool ranked around the incumbent — every
+        // instance on the exact fallback and for a dense pool.
         let p = NodeDeployment::new(
             8,
             (0..7u32).map(|i| (i, i + 1)).collect(),
             Costs::random_clustered(40, 0.3, 11),
         );
         let mut rng = StdRng::seed_from_u64(13);
-        for (trial, per_node) in [(0, 4), (1, 12), (2, 40)] {
+        let config = RepairConfig { migration_budget: 3, solve_seconds: 0.2, threads: 1, seed: 0 };
+        for per_node in [4, 12, 40] {
             let incumbent = p.random_deployment(&mut rng);
-            let cand = CandidateConfig::fixed(per_node);
-            let config = RepairConfig {
-                migration_budget: 3,
-                solve_seconds: 0.2,
-                threads: 1,
-                seed: trial,
-                candidates: Some(cand),
-            };
-            let out = incremental_resolve(&p, Objective::LongestLink, &incumbent, &config);
-            let built = CandidateSet::build(&p, &cand, Some(&incumbent), None);
-            assert_eq!(out.pool.as_deref(), Some(built.union()), "trial {trial}");
+            let built =
+                CandidateSet::build(&p, &CandidateConfig::fixed(per_node), Some(&incumbent), None);
+            let out = incremental_resolve(
+                &built.restrict(&p),
+                Objective::LongestLink,
+                &incumbent,
+                &config,
+            );
+            assert_eq!(out.pool, built.union(), "{per_node} per node");
         }
-        let dense = RepairConfig { solve_seconds: 0.2, threads: 1, ..Default::default() };
         let incumbent = p.random_deployment(&mut rng);
-        assert_eq!(incremental_resolve(&p, Objective::LongestLink, &incumbent, &dense).pool, None);
+        let dense = PrunedProblem::dense(p.clone());
+        let out = incremental_resolve(&dense, Objective::LongestLink, &incumbent, &config);
+        assert_eq!(out.pool, (0..40).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -323,7 +319,8 @@ mod tests {
         let incumbent = p.random_deployment(&mut rng);
         let dark = vec![incumbent[2], incumbent[4]];
         let config = RepairConfig { solve_seconds: 0.5, threads: 1, seed: 9, ..Default::default() };
-        let out = evacuate_resolve(&p, Objective::LongestLink, &incumbent, &dark, &config);
+        let dense = PrunedProblem::dense(p.clone());
+        let out = evacuate_resolve(&dense, Objective::LongestLink, &incumbent, &dark, &config);
         assert!(p.is_valid(&out.deployment));
         assert!(out.cost <= out.incumbent_cost + 1e-12);
         for v in 0..6u32 {
@@ -345,7 +342,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let incumbent = p.random_deployment(&mut rng);
         let config = RepairConfig { migration_budget: 0, solve_seconds: 0.2, ..Default::default() };
-        let out = incremental_resolve(&p, Objective::LongestLink, &incumbent, &config);
+        let dense = PrunedProblem::dense(p.clone());
+        let out = incremental_resolve(&dense, Objective::LongestLink, &incumbent, &config);
         assert_eq!(out.deployment, incumbent);
         assert_eq!(out.moved, 0);
     }

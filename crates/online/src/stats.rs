@@ -13,13 +13,19 @@
 //! one writer, loads a link's [`EwmaVar`] and [`ChangeDetector`] from the
 //! columns, runs their `observe` and writes the state back. [`LinkOnline`]
 //! is a by-value view. A link costs 73 bytes; the advisor's per-epoch
-//! passes (search costs, staleness, the dark trigger) stream only the
-//! columns they need.
+//! passes (staleness, the dark trigger) stream only the columns they
+//! need, and its repair search costs are kept from each epoch's deltas
+//! (`SearchCosts`) rather than rebuilt as a dense matrix.
 
 use crate::detect::{ChangeDetector, DetectorConfig, Drift};
-use crate::stream::EpochMeasurement;
+use crate::stream::{EpochMeasurement, LinkDelta};
+use cloudia_core::{CostError, CostMatrix};
 use cloudia_measure::{t_critical, PairwiseStats};
+use cloudia_netsim::loss_priced_mean;
 use cloudia_solver::candidates::PoolIndex;
+use cloudia_solver::{CandidateConfig, CandidateSet};
+use std::cell::OnceCell;
+use std::collections::BTreeSet;
 use std::mem::size_of_val;
 
 /// Exponentially weighted mean/variance of a scalar stream.
@@ -188,6 +194,8 @@ pub struct OnlineStore {
     cusum_neg: Vec<f64>,
     /// The dark flag (see [`LinkOnline::dark`]).
     pub(crate) dark: Vec<bool>,
+    /// Directed links (self links aside) that never contributed a sample.
+    pub(crate) unsampled: usize,
 }
 
 impl OnlineStore {
@@ -212,6 +220,7 @@ impl OnlineStore {
             cusum_pos: vec![0.0; links],
             cusum_neg: vec![0.0; links],
             dark: vec![false; links],
+            unsampled: n * n.saturating_sub(1),
         }
     }
 
@@ -304,6 +313,9 @@ impl OnlineStore {
             let z = standardized_residual(d.mean, &ewma);
             ewma.observe(d.mean);
             (self.mean[idx], self.var[idx], self.count[idx]) = (ewma.mean, ewma.var, ewma.count);
+            if self.sampled[idx] == 0 && d.src != d.dst {
+                self.unsampled -= 1;
+            }
             self.sampled[idx] = m.epoch + 1;
             let mut detector = self.detector(idx);
             let drift = detector.observe(z);
@@ -420,6 +432,223 @@ impl OnlineStore {
     /// fires again.
     pub fn clear_dark(&mut self, src: usize, dst: usize) {
         self.dark[src * self.n + dst] = false;
+    }
+}
+
+/// How the advisor prices a link for its repair search: its EWMA mean
+/// (the worst-seen mean for a never-sampled link), loss-priced as expected
+/// completion time ([`loss_priced_mean`]) when the advisor is loss-aware.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pricing {
+    /// Price the loss EWMAs in.
+    pub(crate) loss_aware: bool,
+    /// Sender timeout of the loss pricing (ms).
+    pub(crate) timeout_ms: f64,
+}
+
+impl Pricing {
+    /// Link `i → j`'s cost with `base` as its mean.
+    fn priced(self, store: &OnlineStore, base: f64, i: usize, j: usize) -> f64 {
+        if !self.loss_aware {
+            return base;
+        }
+        let (n, loss) = (store.n, &store.loss_rate);
+        loss_priced_mean(base, loss[i * n + j], loss[j * n + i], self.timeout_ms)
+    }
+
+    /// Link `i → j`'s search cost, reading the worst-seen mean from
+    /// `worst` (filled on first use) only for a never-sampled link.
+    fn cost(self, store: &OnlineStore, worst: &OnceCell<f64>, i: usize, j: usize) -> f64 {
+        let idx = i * store.n + j;
+        let base = match store.sampled[idx] {
+            0 => *worst.get_or_init(|| worst_seen_mean(store)),
+            _ => store.mean[idx],
+        };
+        self.priced(store, base, i, j)
+    }
+}
+
+/// Whether link `i → j`'s search cost may be one the cost plane rejects
+/// (NaN or negative): a sampled link's is; a never-sampled link's may be
+/// when its loss surcharge is, the worst-seen mean being ≥ 0.
+fn suspect(store: &OnlineStore, pricing: Pricing, i: usize, j: usize) -> bool {
+    let idx = i * store.n + j;
+    let base = if store.sampled[idx] == 0 { 0.0 } else { store.mean[idx] };
+    let cost = pricing.priced(store, base, i, j);
+    cost.is_nan() || cost < 0.0
+}
+
+/// The largest mean over every sampled link, folded in row-major order
+/// from 0 (a NaN mean never wins).
+fn worst_seen_mean(store: &OnlineStore) -> f64 {
+    let n = store.n;
+    let mut worst = 0.0f64;
+    for i in 0..n {
+        for idx in (i * n..(i + 1) * n).filter(|&idx| idx != i * n + i) {
+            if store.sampled[idx] != 0 {
+                worst = worst.max(store.mean[idx]);
+            }
+        }
+    }
+    worst
+}
+
+/// The repair's search costs over an [`OnlineStore`], kept from each
+/// epoch's deltas instead of filled as a dense m×m matrix every epoch
+/// (the [`Pricing`] rule). A quiet epoch reads only the deployment's
+/// links; a repair ranks its pool off a kept index and prices only the
+/// pool's links. Everything that spans every link stays exact:
+///
+/// - validity: the cost plane rejects a NaN or negative cost, reporting
+///   the first in row-major order. A sampled link's cost depends on its
+///   own mean and the pair's loss EWMAs, so each delta re-checks its link
+///   both ways; a never-sampled link costs the worst-seen mean (≥ 0) plus
+///   its loss surcharge, valid at any worst unless the surcharge is NaN or
+///   negative. The links that may be invalid are kept in row-major order
+///   and checked when read.
+/// - the worst-seen mean: one fold over the mean column, on the first read
+///   after an ingest — on an epoch that prices a never-sampled link.
+#[derive(Debug)]
+pub(crate) struct SearchCosts {
+    /// Sampled links whose cost is NaN or negative, and never-sampled ones
+    /// whose loss surcharge is.
+    suspects: BTreeSet<usize>,
+    /// The worst-seen mean as of the last ingest, once read.
+    worst: OnceCell<f64>,
+    /// The repair pool's evidence: every directed link at its search
+    /// cost, so an instance's score is the median of all its incident
+    /// costs, as [`CandidateSet::build`] ranks the dense matrix (only with
+    /// candidates configured).
+    index: Option<PoolIndex<1>>,
+    /// Links whose cost moved since `index` last synced, while re-pricing
+    /// them is cheaper than a bulk build ([`PoolIndex::reprice_budget`]).
+    touched: Option<Vec<usize>>,
+    /// The worst-seen mean `index` prices never-sampled links at (bits).
+    index_worst: u64,
+}
+
+impl SearchCosts {
+    /// Search costs over an empty store; `pooled` keeps the repair pool's
+    /// index.
+    pub(crate) fn new(pooled: bool) -> Self {
+        Self {
+            suspects: BTreeSet::new(),
+            worst: OnceCell::new(),
+            index: pooled.then(PoolIndex::default),
+            touched: Some(Vec::new()),
+            index_worst: 0,
+        }
+    }
+
+    /// Brings the costs up to `store` after it ingested `deltas`.
+    pub(crate) fn ingest(&mut self, store: &OnlineStore, deltas: &[LinkDelta], pricing: Pricing) {
+        self.worst = OnceCell::new();
+        let n = store.n;
+        let budget = PoolIndex::<1>::reprice_budget(n);
+        // A delta moves its link's mean and loss EWMA: both directions'
+        // costs read the loss.
+        let links = deltas
+            .iter()
+            .filter(|d| d.src != d.dst)
+            .flat_map(|d| [(d.src as usize, d.dst as usize), (d.dst as usize, d.src as usize)]);
+        if deltas.len() > budget {
+            // A sweep's deltas land all over the columns: past the budget,
+            // one row-major pass over every link finds the same suspects
+            // at a fraction of the cache misses.
+            let every = (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)));
+            let suspects = every.filter(|&(i, j)| suspect(store, pricing, i, j));
+            self.suspects = suspects.map(|(i, j)| i * n + j).collect();
+        } else {
+            for (i, j) in links.clone() {
+                if suspect(store, pricing, i, j) {
+                    self.suspects.insert(i * n + j);
+                } else if !self.suspects.is_empty() {
+                    self.suspects.remove(&(i * n + j));
+                }
+            }
+        }
+        if let (Some(_), Some(touched)) = (&self.index, &mut self.touched) {
+            if touched.len() + 2 * deltas.len() > budget {
+                self.touched = None;
+            } else {
+                touched.extend(links.map(|(i, j)| i * n + j));
+            }
+        }
+    }
+
+    /// The error the cost plane reports on the full matrix, if any.
+    pub(crate) fn held(&self, store: &OnlineStore, pricing: Pricing) -> Result<(), CostError> {
+        let n = store.n;
+        for (i, j) in self.suspects.iter().map(|&idx| (idx / n, idx % n)) {
+            let value = pricing.cost(store, &self.worst, i, j);
+            if value.is_nan() || value < 0.0 {
+                return Err(CostError::Value { i, j, value });
+            }
+        }
+        Ok(())
+    }
+
+    /// The costs among `instances`: entry `(a, b)` is the cost of link
+    /// `instances[a] → instances[b]`.
+    ///
+    /// # Panics
+    /// Panics on an epoch [`SearchCosts::held`] rejects.
+    pub(crate) fn matrix(
+        &self,
+        store: &OnlineStore,
+        instances: &[u32],
+        pricing: Pricing,
+    ) -> CostMatrix {
+        let mut b = CostMatrix::builder(instances.len());
+        for (a, &i) in instances.iter().enumerate() {
+            for (c, &j) in instances.iter().enumerate().filter(|&(c, _)| c != a) {
+                b.set(a, c, pricing.cost(store, &self.worst, i as usize, j as usize));
+            }
+        }
+        b.freeze().expect("only a held epoch has costs the plane rejects")
+    }
+
+    /// The repair pool ranked off the kept index, synced first from the
+    /// links touched since the last read: the pool [`CandidateSet::build`]
+    /// ranks over the dense matrix of these costs with `incumbent`.
+    ///
+    /// # Panics
+    /// Panics without the pool index (no candidates configured).
+    pub(crate) fn pool(
+        &mut self,
+        store: &OnlineStore,
+        pricing: Pricing,
+        num_nodes: usize,
+        config: &CandidateConfig,
+        incumbent: &[u32],
+    ) -> CandidateSet {
+        let n = store.n;
+        let (index, worst) = (self.index.as_mut().expect("a pooled advisor"), &self.worst);
+        let mut touched = self.touched.take();
+        if store.unsampled > 0 {
+            // Every never-sampled link's cost moves with the worst-seen mean.
+            let bits = worst.get_or_init(|| worst_seen_mean(store)).to_bits();
+            if bits != std::mem::replace(&mut self.index_worst, bits) {
+                let budget = PoolIndex::<1>::reprice_budget(n);
+                touched = touched.filter(|list| list.len() + store.unsampled <= budget);
+                if let Some(list) = &mut touched {
+                    let never = (0..n * n).filter(|&idx| store.sampled[idx] == 0);
+                    list.extend(never.filter(|&idx| idx / n != idx % n));
+                }
+            }
+        }
+        let price = |i: usize, j: usize| Some([pricing.cost(store, worst, i, j)]);
+        match touched {
+            Some(mut list) => {
+                index.sync_touched(n, list.drain(..), price);
+                self.touched = Some(list);
+            }
+            None => {
+                index.rebuild(n, price);
+                self.touched = Some(Vec::new());
+            }
+        }
+        CandidateSet::from_index(num_nodes, index, config, Some(incumbent), None, 0.0)
     }
 }
 

@@ -7,6 +7,7 @@ use cloudia_online::{
     incremental_resolve, standardized_residual, ChangeDetector, DetectorConfig, Drift, EwmaVar,
     RepairConfig,
 };
+use cloudia_solver::candidates::PrunedProblem;
 use cloudia_solver::{Costs, NodeDeployment};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -57,14 +58,9 @@ proptest! {
         let p = random_problem(6, 9, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdead_beef);
         let incumbent = p.random_deployment(&mut rng);
-        let config = RepairConfig {
-            migration_budget: k,
-            solve_seconds: 0.5,
-            threads: 1,
-            seed,
-            ..Default::default()
-        };
-        let out = incremental_resolve(&p, Objective::LongestLink, &incumbent, &config);
+        let config = RepairConfig { migration_budget: k, solve_seconds: 0.5, threads: 1, seed };
+        let dense = PrunedProblem::dense(p.clone());
+        let out = incremental_resolve(&dense, Objective::LongestLink, &incumbent, &config);
         prop_assert!(p.is_valid(&out.deployment));
         prop_assert!(out.moved <= k);
         // The plan itself is never worse than the incumbent...

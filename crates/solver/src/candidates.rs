@@ -42,10 +42,12 @@
 //! that still answers correctly.
 //!
 //! Every pool is ranked by one routine, whatever holds the evidence: a
-//! dense cost matrix ([`CandidateSet::build`], repairs and batch solves),
-//! partial sweep statistics ([`CandidateSet::build_partial`]), or a
-//! [`PoolIndex`] kept current from touched links
-//! ([`CandidateSet::from_index`], the online loop's focused plan). The
+//! dense cost matrix ([`CandidateSet::build`], batch solves), partial
+//! sweep statistics ([`CandidateSet::build_partial`]), or a [`PoolIndex`]
+//! kept current from touched links ([`CandidateSet::from_index`], the
+//! online loop's focused plan and, off an index of every link at its
+//! search cost, its repairs — which restrict a sub-problem they price
+//! themselves, [`CandidateSet::restrict_to`]). The
 //! mid-sweep [`CandidatePruneRule`] evaluates the same ranking between
 //! measurement stages — with a confidence level as interval verdicts, and
 //! then as the sweep's anytime stop rule too — off an index a caller may
@@ -538,7 +540,19 @@ impl CandidateSet {
     pub fn restrict(&self, problem: &NodeDeployment) -> PrunedProblem {
         assert_eq!(problem.num_instances(), self.m, "candidate set built for another problem");
         let sub_costs: CostMatrix = problem.costs.submatrix(&self.union);
-        let sub = NodeDeployment::new(problem.num_nodes, problem.edges.clone(), sub_costs);
+        self.restrict_to(NodeDeployment::new(problem.num_nodes, problem.edges.clone(), sub_costs))
+    }
+
+    /// [`CandidateSet::restrict`] onto a sub-problem the caller built
+    /// itself: `sub`'s instance `a` must be original instance
+    /// `union()[a]` — its costs the original costs between union
+    /// members — so a caller holding its costs elsewhere than in a dense
+    /// matrix never builds one.
+    ///
+    /// # Panics
+    /// Panics if `sub` does not span exactly the candidate union.
+    pub fn restrict_to(&self, sub: NodeDeployment) -> PrunedProblem {
+        assert_eq!(sub.num_instances(), self.union.len(), "sub-problem spans another union");
         let mut to_sub = vec![u32::MAX; self.m];
         for (a, &j) in self.union.iter().enumerate() {
             to_sub[j as usize] = a as u32;
@@ -568,6 +582,21 @@ pub struct PrunedProblem {
 }
 
 impl PrunedProblem {
+    /// `problem` over every instance, unrestricted: the identity maps and
+    /// full domains of a pool that covers all of it.
+    pub fn dense(problem: NodeDeployment) -> Self {
+        let m = problem.num_instances() as u32;
+        let identity: Vec<u32> = (0..m).collect();
+        let node_domains = vec![identity.clone(); problem.num_nodes];
+        Self { sub: problem, to_original: identity.clone(), to_sub: identity, node_domains }
+    }
+
+    /// True when the sub-problem spans every original instance: solving
+    /// it is solving the original problem.
+    pub fn is_exact(&self) -> bool {
+        self.to_original.len() == self.to_sub.len()
+    }
+
     /// Maps a sub-problem deployment back to original instance ids.
     pub fn to_original_deployment(&self, d: &[u32]) -> Vec<u32> {
         d.iter().map(|&a| self.to_original[a as usize]).collect()
@@ -743,6 +772,15 @@ impl<const L: usize> IncidentPrices<L> {
 /// How many of one instance's incident prices a [`Window`] keeps sorted.
 const WINDOW: usize = 32;
 
+/// Touched links per instance up to which [`PoolIndex::sync_touched`]
+/// re-prices instead of bulk-building ([`PoolIndex::reprice_budget`]).
+/// Re-pricing `t` random links and reading every score, against a bulk
+/// build and the same reads (one 2-vCPU host, fastest of 5–15 trials),
+/// breaks even near `t = 96·m` at m = 200 (0.7 ms each), `160·m` at
+/// m = 500 and `190·m` at m = 1000; at `64·m` re-pricing costs 0.72,
+/// 0.40 and 0.37 of the build.
+pub const REPRICE_PER_INSTANCE: usize = 64;
+
 /// A sorted run of at most [`WINDOW`] of one instance's incident prices
 /// on one lane: the entries at ranks `below .. below + len` of its
 /// incident multiset (ascending under `f64::total_cmp`). Prices ranked
@@ -858,11 +896,19 @@ struct Windows<const L: usize> {
     scratch: [Vec<f64>; L],
     /// Windows filled so far.
     fills: u64,
+    /// Set by [`PoolIndex::rebuild`], cleared by the next re-price: a
+    /// read that misses then selects its score from the gathered prices
+    /// and leaves the window stale. A caller whose every read follows a
+    /// bulk build (a loop of whole sweeps) would otherwise fill every
+    /// window for nothing; the fill waits for a read after a re-price,
+    /// whose window the next re-prices maintain.
+    select_once: bool,
 }
 
 impl<const L: usize> Default for Windows<L> {
     fn default() -> Self {
-        Self { runs: Vec::new(), scratch: std::array::from_fn(|_| Vec::new()), fills: 0 }
+        let scratch = std::array::from_fn(|_| Vec::new());
+        Self { runs: Vec::new(), scratch, fills: 0, select_once: false }
     }
 }
 
@@ -891,7 +937,8 @@ impl<const L: usize> Default for Windows<L> {
 /// kept outside a [`PairwiseStats`] — the online store's estimates — is
 /// followed the same way from an explicit list of touched links
 /// ([`PoolIndex::sync_touched`]). A bulk build fills the price cache and
-/// the counts; windows fill on their first read.
+/// the counts; windows fill on their first read — after
+/// [`PoolIndex::rebuild`], on the first read after a re-price.
 ///
 /// Public for the online advisor, which keeps its indexes for a whole
 /// run, and the `kernel_bench` races; not part of the API.
@@ -1026,9 +1073,8 @@ impl<const L: usize> PoolIndex<L> {
     /// (`src * m + dst`) whose evidence may have changed since the last
     /// call, `price(src, dst)` is a link's evidence now (`None`: none;
     /// self links never have any). Re-prices the touched links — or
-    /// rebuilds from `price` over every link on the first call, after a
-    /// sync from statistics, or past the statistics' own touch-log budget
-    /// ([`cloudia_measure::stats::TOUCH_LOG_PER_INSTANCE`]` · m` links):
+    /// rebuilds ([`PoolIndex::rebuild`]) on the first call, after a sync
+    /// from statistics, or past [`PoolIndex::reprice_budget`] links:
     /// beyond that, one bulk build is the cheaper way to the same scores.
     pub fn sync_touched(
         &mut self,
@@ -1037,14 +1083,31 @@ impl<const L: usize> PoolIndex<L> {
         price: impl Fn(usize, usize) -> Option<[f64; L]>,
     ) {
         let current = self.cursor.take().is_none() && self.price.len() == m * m;
-        if current && touched.len() <= cloudia_measure::stats::TOUCH_LOG_PER_INSTANCE * m {
-            for idx in touched {
-                let (src, dst) = (idx / m, idx % m);
-                self.reprice(idx, if src == dst { None } else { price(src, dst) });
-            }
-            return;
+        if !current || touched.len() > Self::reprice_budget(m) {
+            return self.rebuild(m, price);
         }
+        for idx in touched {
+            let (src, dst) = (idx / m, idx % m);
+            self.reprice(idx, if src == dst { None } else { price(src, dst) });
+        }
+    }
+
+    /// The most touched links [`PoolIndex::sync_touched`] re-prices one
+    /// by one over `m` instances. A re-price moves a link's entry in two
+    /// windows; a bulk build writes all m² prices and leaves every window
+    /// stale, so the reads that follow refill all m of them, O(m) each
+    /// (measured in [`REPRICE_PER_INSTANCE`]).
+    pub fn reprice_budget(m: usize) -> usize {
+        REPRICE_PER_INSTANCE * m
+    }
+
+    /// Bulk-builds the index from `price` over every directed link of `m`
+    /// instances (see [`PoolIndex::sync_touched`]). Reads select their
+    /// scores from the price cache until the next re-price; windows fill
+    /// on the first read after it.
+    pub fn rebuild(&mut self, m: usize, price: impl Fn(usize, usize) -> Option<[f64; L]>) {
         self.reset(m);
+        self.windows.get_mut().select_once = true;
         for src in 0..m {
             for dst in (0..m).filter(|&dst| dst != src) {
                 if let Some(prices) = price(src, dst) {
@@ -1065,14 +1128,16 @@ impl<const L: usize> PoolIndex<L> {
         self.price.resize(m * m, None);
         self.count.clear();
         self.count.resize(m, 0);
-        let runs = &mut self.windows.get_mut().runs;
-        runs.clear();
-        runs.resize(m, [Window::STALE; L]);
+        let windows = self.windows.get_mut();
+        windows.runs.clear();
+        windows.runs.resize(m, [Window::STALE; L]);
+        windows.select_once = false;
     }
 
     /// Replaces what directed link `idx` contributes to its endpoints'
     /// multisets with `new`.
     fn reprice(&mut self, idx: usize, new: Option<[f64; L]>) {
+        self.windows.get_mut().select_once = false;
         let old = std::mem::replace(&mut self.price[idx], new);
         let bits = |p: Option<[f64; L]>| p.map(|p| p.map(f64::to_bits));
         if bits(old) == bits(new) {
@@ -1103,9 +1168,14 @@ impl<const L: usize> PoolIndex<L> {
     pub fn scores(&self, j: usize, quantile: f64, min_coverage: f64) -> Option<[f64; L]> {
         let rank = quantile_rank(self.count[j], self.m, quantile, min_coverage)?;
         let mut state = self.windows.borrow_mut();
-        let Windows { runs, scratch, fills } = &mut *state;
+        let Windows { runs, scratch, fills, select_once } = &mut *state;
         if !runs[j].iter().all(|window| window.covers(rank)) {
             self.gather(j, scratch);
+            if *select_once {
+                return Some(std::array::from_fn(|l| {
+                    *scratch[l].select_nth_unstable_by(rank, f64::total_cmp).1
+                }));
+            }
             for (window, incident) in runs[j].iter_mut().zip(scratch.iter_mut()) {
                 window.fill(incident, rank);
             }
