@@ -521,9 +521,9 @@ impl OnlineAdvisor {
     /// # Panics
     /// Panics if the initial plan does not cover the graph, references
     /// instances beyond the allocation, a [`ProbePolicy::Focused`] policy
-    /// has `refresh_every == 0`, or `anytime` is set without both
+    /// has `refresh_every == 0`, `anytime` is set without both
     /// `confidence` and `prune_during_sweep` (a sweep that can never stop
-    /// early).
+    /// early), or `timeout_ms` is negative or not finite.
     pub fn new(
         graph: CommGraph,
         instances: usize,
@@ -551,6 +551,10 @@ impl OnlineAdvisor {
             !config.anytime || (config.confidence.is_some() && config.prune_during_sweep),
             "anytime needs both confidence and prune_during_sweep, or it never stops early"
         );
+        assert!(
+            (0.0..f64::INFINITY).contains(&config.timeout_ms),
+            "timeout_ms must be finite and non-negative"
+        );
         let store = OnlineStore::new(instances, config.ewma_alpha, config.detector);
         let adaptive = match &config.candidates {
             Some(CandidateConfig { pool: PoolPolicy::Adaptive(acfg), .. }) => {
@@ -565,7 +569,8 @@ impl OnlineAdvisor {
             index
         });
         let rule_index = config.prune_during_sweep.then(SharedIndex::default);
-        let costs = SearchCosts::new(config.candidates.is_some());
+        let pricing = Pricing { loss_aware: config.loss_aware, timeout_ms: config.timeout_ms };
+        let costs = SearchCosts::new(config.candidates.is_some(), pricing);
         Self {
             graph,
             config,
@@ -953,11 +958,6 @@ impl OnlineAdvisor {
         (self.total_true_cost + self.migration_cost_paid) / self.epoch as f64
     }
 
-    /// How the search costs price a link under the current configuration.
-    fn pricing(&self) -> Pricing {
-        Pricing { loss_aware: self.config.loss_aware, timeout_ms: self.config.timeout_ms }
-    }
-
     /// The estimated cost of the active plan: the objective over the
     /// search costs of the deployment's own links.
     ///
@@ -979,7 +979,7 @@ impl OnlineAdvisor {
     /// rejects — an epoch the caller holds ([`SearchCosts::held`]), not a
     /// panic.
     fn deployment_cost(&self) -> f64 {
-        let costs = self.costs.matrix(&self.store, &self.deployment, self.pricing());
+        let costs = self.costs.matrix(&self.store, &self.deployment);
         let identity: Vec<u32> = (0..self.deployment.len() as u32).collect();
         self.graph.problem(costs).cost(self.config.objective, &identity)
     }
@@ -988,7 +988,7 @@ impl OnlineAdvisor {
     /// loop without candidates, and a recorded trigger's.
     fn dense_costs(&self) -> CostMatrix {
         let all: Vec<u32> = (0..self.store.len() as u32).collect();
-        self.costs.matrix(&self.store, &all, self.pricing())
+        self.costs.matrix(&self.store, &all)
     }
 
     /// Instances presumed dark: unreachable (a dark link in either
@@ -1079,7 +1079,7 @@ impl OnlineAdvisor {
             ProbePolicy::Focused { max_flagged, .. } if changes.len() > max_flagged
         );
 
-        let held = self.costs.held(&self.store, self.pricing());
+        let held = self.costs.held(&self.store);
         let repaired = match &held {
             Ok(()) => {
                 let trigger = self.decide(epoch, alarms);
@@ -1140,7 +1140,7 @@ impl OnlineAdvisor {
             self.store.sync_pool_index(index, touched);
             cloudia_obs::counter("online.plan_index_rebuilds", index.rebuilds() - built);
         }
-        self.costs.ingest(&self.store, &m.deltas, self.pricing());
+        self.costs.ingest(&self.store, &m.deltas);
         changes
     }
 
@@ -1287,9 +1287,9 @@ impl OnlineAdvisor {
         let Some(candidates) = self.effective_candidates() else {
             return (PrunedProblem::dense(self.graph.problem(self.dense_costs())), 1);
         };
-        let (nodes, pricing) = (self.graph.num_nodes(), self.pricing());
-        let set = self.costs.pool(&self.store, pricing, nodes, &candidates, &self.deployment);
-        let costs = self.costs.matrix(&self.store, set.union(), pricing);
+        let nodes = self.graph.num_nodes();
+        let set = self.costs.pool(&self.store, nodes, &candidates, &self.deployment);
+        let costs = self.costs.matrix(&self.store, set.union());
         (set.restrict_to(self.graph.problem(costs)), u32::from(set.is_exact()))
     }
 
@@ -1774,6 +1774,16 @@ mod tests {
     #[should_panic(expected = "anytime needs both confidence and prune_during_sweep")]
     fn anytime_without_sweep_pruning_is_rejected() {
         anytime_advisor(|c| c.prune_during_sweep = false);
+    }
+
+    #[test]
+    fn a_timeout_that_is_negative_or_not_finite_is_rejected() {
+        for timeout_ms in [-1.0, f64::NAN, f64::INFINITY] {
+            let (graph, _, initial) = setup(4, 6, 1);
+            let config = OnlineAdvisorConfig { timeout_ms, ..fast_config() };
+            let built = std::panic::catch_unwind(|| OnlineAdvisor::new(graph, 6, initial, config));
+            assert!(built.is_err(), "timeout_ms {timeout_ms} was accepted");
+        }
     }
 
     #[test]
@@ -2366,7 +2376,7 @@ mod tests {
         };
         let oracle = bits(search_costs(advisor));
         assert_eq!(oracle, bits(search_costs_from_views(advisor)));
-        let kept = advisor.costs.held(&advisor.store, advisor.pricing());
+        let kept = advisor.costs.held(&advisor.store);
         assert_eq!(oracle, bits(kept.map(|()| advisor.dense_costs())));
         let trigger = match advisor.decide(advisor.epoch, Alarms::default()) {
             Some(Trigger::Evacuate(dark)) => Some(dark),
@@ -2386,8 +2396,9 @@ mod tests {
             // A negative sample drives one EWMA negative: an `Err` epoch.
             script[9].deltas[3].mean = -50.0;
             let mut stream = ScriptedStream::new(net, script, None);
-            let mut advisor = blackout_advisor(0);
-            advisor.config.loss_aware = loss_aware;
+            let mut config = blackout_advisor(0).config;
+            config.loss_aware = loss_aware;
+            let mut advisor = OnlineAdvisor::new(CommGraph::ring(4), 6, (0..4).collect(), config);
             assert_the_view_oracles_agree(&advisor);
             for _ in 0..12 {
                 advisor.step_stream(&mut stream);
@@ -2430,7 +2441,9 @@ mod tests {
     /// One random epoch over `m` instances: each link is measured with
     /// probability `touch` (never, for the links in `never`), as a lossy
     /// sample or a dark attempt, and with probability `bad` as a negative
-    /// mean, an EWMA-overflowing mean, or a non-finite one.
+    /// mean, an EWMA-overflowing mean, or a non-finite one, and apart from
+    /// that as a malformed delta with more timeouts than attempts (a loss
+    /// rate past 1).
     fn random_epoch(
         rng: &mut rand::rngs::StdRng,
         m: u32,
@@ -2453,7 +2466,8 @@ mod tests {
                 1.0 + rng.random::<f64>()
             };
             let count = attempts - lost;
-            deltas.push(LinkDelta { src, dst, mean, count, attempts, timeouts: lost });
+            let timeouts = if rng.random::<f64>() < bad { 40 * attempts } else { lost };
+            deltas.push(LinkDelta { src, dst, mean, count, attempts, timeouts });
         }
         EpochMeasurement {
             epoch,
@@ -2505,9 +2519,8 @@ mod tests {
                 let measured = random_epoch(&mut rng, m as u32, epoch, rates, &never);
                 let summary = advisor.step(&measured, &net);
                 repairs += usize::from(summary.triggered);
-                let pricing = advisor.pricing();
                 let oracle = search_costs(&advisor);
-                let kept = advisor.costs.held(&advisor.store, pricing);
+                let kept = advisor.costs.held(&advisor.store);
                 assert_eq!(
                     value(kept),
                     value(oracle.clone().map(|_| ())),
@@ -2527,13 +2540,13 @@ mod tests {
                 }
                 let cand = advisor.effective_candidates().expect("candidates configured");
                 let incumbent = advisor.deployment.clone();
-                let pool = advisor.costs.pool(&advisor.store, pricing, 4, &cand, &incumbent);
+                let pool = advisor.costs.pool(&advisor.store, 4, &cand, &incumbent);
                 let built = CandidateSet::build(&problem, &cand, Some(&incumbent), None);
                 assert_eq!(pool.union(), built.union(), "case {case} epoch {epoch}");
                 for v in 0..4 {
                     assert_eq!(pool.node_candidates(v), built.node_candidates(v));
                 }
-                let sub = advisor.costs.matrix(&advisor.store, pool.union(), pricing);
+                let sub = advisor.costs.matrix(&advisor.store, pool.union());
                 assert_eq!(bits(&sub), bits(&built.restrict(&problem).sub.costs));
                 reads += 1;
                 exact_reads += usize::from(pool.is_exact());

@@ -196,6 +196,9 @@ pub struct OnlineStore {
     pub(crate) dark: Vec<bool>,
     /// Directed links (self links aside) that never contributed a sample.
     pub(crate) unsampled: usize,
+    /// Directed links (self links aside) that are not
+    /// [regular](OnlineStore::regular).
+    pub(crate) irregular: BTreeSet<usize>,
 }
 
 impl OnlineStore {
@@ -221,6 +224,7 @@ impl OnlineStore {
             cusum_neg: vec![0.0; links],
             dark: vec![false; links],
             unsampled: n * n.saturating_sub(1),
+            irregular: BTreeSet::new(),
         }
     }
 
@@ -301,39 +305,59 @@ impl OnlineStore {
                     self.dark[idx] = false;
                 }
             }
-            if sampleless {
-                // A sampleless delta carries no latency information:
-                // leave the EWMA, detector, and staleness age untouched
-                // (the link stays stale, so it keeps being re-attempted).
+            // A sampleless delta carries no latency information: it leaves
+            // the EWMA, detector, and staleness age untouched (the link
+            // stays stale, so it keeps being re-attempted).
+            if !sampleless {
+                // Standardize against the *pre-update* baseline.
+                let mut ewma = self.ewma(idx);
+                let baseline = if ewma.count > 0 { ewma.mean } else { d.mean };
+                let z = standardized_residual(d.mean, &ewma);
+                ewma.observe(d.mean);
+                (self.mean[idx], self.var[idx], self.count[idx]) =
+                    (ewma.mean, ewma.var, ewma.count);
+                if self.sampled[idx] == 0 && d.src != d.dst {
+                    self.unsampled -= 1;
+                }
+                self.sampled[idx] = m.epoch + 1;
+                let mut detector = self.detector(idx);
+                let drift = detector.observe(z);
+                (self.cusum_seen[idx], self.cusum_pos[idx], self.cusum_neg[idx]) =
+                    (detector.seen, detector.pos, detector.neg);
+                if drift != Drift::None {
+                    changes.push(LinkChange {
+                        src: d.src,
+                        dst: d.dst,
+                        drift,
+                        mean: d.mean,
+                        baseline,
+                        dark: false,
+                        loss_rate: self.loss_rate[idx],
+                    });
+                }
+            }
+            if d.src == d.dst {
                 continue;
             }
-            // Standardize against the *pre-update* baseline.
-            let mut ewma = self.ewma(idx);
-            let baseline = if ewma.count > 0 { ewma.mean } else { d.mean };
-            let z = standardized_residual(d.mean, &ewma);
-            ewma.observe(d.mean);
-            (self.mean[idx], self.var[idx], self.count[idx]) = (ewma.mean, ewma.var, ewma.count);
-            if self.sampled[idx] == 0 && d.src != d.dst {
-                self.unsampled -= 1;
-            }
-            self.sampled[idx] = m.epoch + 1;
-            let mut detector = self.detector(idx);
-            let drift = detector.observe(z);
-            (self.cusum_seen[idx], self.cusum_pos[idx], self.cusum_neg[idx]) =
-                (detector.seen, detector.pos, detector.neg);
-            if drift != Drift::None {
-                changes.push(LinkChange {
-                    src: d.src,
-                    dst: d.dst,
-                    drift,
-                    mean: d.mean,
-                    baseline,
-                    dark: false,
-                    loss_rate: self.loss_rate[idx],
-                });
+            if !self.regular(idx) {
+                self.irregular.insert(idx);
+            } else if !self.irregular.is_empty() {
+                self.irregular.remove(&idx);
             }
         }
         changes
+    }
+
+    /// Whether link `idx`'s search cost is valid (≥ 0, not NaN; see
+    /// `SearchCosts`) whatever the other links' estimates: its mean is ≥ 0
+    /// — a never-sampled link is priced at the worst-seen mean, ≥ 0 — and
+    /// its loss rate is at most 1. Every loss rate is ≥ 0 (an EWMA of
+    /// timeout fractions), so the success probability `(1 − p)(1 − p′)`
+    /// is then at most 1, and the loss surcharge finite and ≥ 0 under a
+    /// finite timeout ≥ 0.
+    fn regular(&self, idx: usize) -> bool {
+        (self.sampled[idx] == 0 || self.mean[idx] >= 0.0)
+            && (0.0..=1.0).contains(&self.loss_rate[idx])
     }
 
     /// The unordered instance pairs whose estimate (in either direction)
@@ -447,35 +471,20 @@ pub(crate) struct Pricing {
 }
 
 impl Pricing {
-    /// Link `i → j`'s cost with `base` as its mean.
-    fn priced(self, store: &OnlineStore, base: f64, i: usize, j: usize) -> f64 {
-        if !self.loss_aware {
-            return base;
-        }
-        let (n, loss) = (store.n, &store.loss_rate);
-        loss_priced_mean(base, loss[i * n + j], loss[j * n + i], self.timeout_ms)
-    }
-
     /// Link `i → j`'s search cost, reading the worst-seen mean from
     /// `worst` (filled on first use) only for a never-sampled link.
     fn cost(self, store: &OnlineStore, worst: &OnceCell<f64>, i: usize, j: usize) -> f64 {
-        let idx = i * store.n + j;
+        let (n, idx) = (store.n, i * store.n + j);
         let base = match store.sampled[idx] {
             0 => *worst.get_or_init(|| worst_seen_mean(store)),
             _ => store.mean[idx],
         };
-        self.priced(store, base, i, j)
+        if !self.loss_aware {
+            return base;
+        }
+        let loss = &store.loss_rate;
+        loss_priced_mean(base, loss[idx], loss[j * n + i], self.timeout_ms)
     }
-}
-
-/// Whether link `i → j`'s search cost may be one the cost plane rejects
-/// (NaN or negative): a sampled link's is; a never-sampled link's may be
-/// when its loss surcharge is, the worst-seen mean being ≥ 0.
-fn suspect(store: &OnlineStore, pricing: Pricing, i: usize, j: usize) -> bool {
-    let idx = i * store.n + j;
-    let base = if store.sampled[idx] == 0 { 0.0 } else { store.mean[idx] };
-    let cost = pricing.priced(store, base, i, j);
-    cost.is_nan() || cost < 0.0
 }
 
 /// The largest mean over every sampled link, folded in row-major order
@@ -500,19 +509,15 @@ fn worst_seen_mean(store: &OnlineStore) -> f64 {
 /// pool's links. Everything that spans every link stays exact:
 ///
 /// - validity: the cost plane rejects a NaN or negative cost, reporting
-///   the first in row-major order. A sampled link's cost depends on its
-///   own mean and the pair's loss EWMAs, so each delta re-checks its link
-///   both ways; a never-sampled link costs the worst-seen mean (≥ 0) plus
-///   its loss surcharge, valid at any worst unless the surcharge is NaN or
-///   negative. The links that may be invalid are kept in row-major order
-///   and checked when read.
+///   the first in row-major order. Only a link that is not
+///   [regular](OnlineStore::regular) can have such a cost: the store
+///   lists the irregular links in row-major order as it ingests, and a
+///   read checks them.
 /// - the worst-seen mean: one fold over the mean column, on the first read
 ///   after an ingest — on an epoch that prices a never-sampled link.
 #[derive(Debug)]
 pub(crate) struct SearchCosts {
-    /// Sampled links whose cost is NaN or negative, and never-sampled ones
-    /// whose loss surcharge is.
-    suspects: BTreeSet<usize>,
+    pricing: Pricing,
     /// The worst-seen mean as of the last ingest, once read.
     worst: OnceCell<f64>,
     /// The repair pool's evidence: every directed link at its search
@@ -525,62 +530,48 @@ pub(crate) struct SearchCosts {
     touched: Option<Vec<usize>>,
     /// The worst-seen mean `index` prices never-sampled links at (bits).
     index_worst: u64,
+    /// A superset of the never-sampled links, listed when the worst-seen
+    /// mean first moves under the index and trimmed on each later move: a
+    /// link never returns to never-sampled.
+    never: Option<Vec<usize>>,
 }
 
 impl SearchCosts {
-    /// Search costs over an empty store; `pooled` keeps the repair pool's
-    /// index.
-    pub(crate) fn new(pooled: bool) -> Self {
+    /// Search costs over an empty store under `pricing`; `pooled` keeps the
+    /// repair pool's index.
+    pub(crate) fn new(pooled: bool, pricing: Pricing) -> Self {
         Self {
-            suspects: BTreeSet::new(),
+            pricing,
             worst: OnceCell::new(),
             index: pooled.then(PoolIndex::default),
             touched: Some(Vec::new()),
             index_worst: 0,
+            never: None,
         }
     }
 
     /// Brings the costs up to `store` after it ingested `deltas`.
-    pub(crate) fn ingest(&mut self, store: &OnlineStore, deltas: &[LinkDelta], pricing: Pricing) {
+    pub(crate) fn ingest(&mut self, store: &OnlineStore, deltas: &[LinkDelta]) {
         self.worst = OnceCell::new();
         let n = store.n;
-        let budget = PoolIndex::<1>::reprice_budget(n);
-        // A delta moves its link's mean and loss EWMA: both directions'
-        // costs read the loss.
-        let links = deltas
-            .iter()
-            .filter(|d| d.src != d.dst)
-            .flat_map(|d| [(d.src as usize, d.dst as usize), (d.dst as usize, d.src as usize)]);
-        if deltas.len() > budget {
-            // A sweep's deltas land all over the columns: past the budget,
-            // one row-major pass over every link finds the same suspects
-            // at a fraction of the cache misses.
-            let every = (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)));
-            let suspects = every.filter(|&(i, j)| suspect(store, pricing, i, j));
-            self.suspects = suspects.map(|(i, j)| i * n + j).collect();
-        } else {
-            for (i, j) in links.clone() {
-                if suspect(store, pricing, i, j) {
-                    self.suspects.insert(i * n + j);
-                } else if !self.suspects.is_empty() {
-                    self.suspects.remove(&(i * n + j));
-                }
-            }
-        }
         if let (Some(_), Some(touched)) = (&self.index, &mut self.touched) {
-            if touched.len() + 2 * deltas.len() > budget {
+            if touched.len() + 2 * deltas.len() > PoolIndex::<1>::reprice_budget(n) {
                 self.touched = None;
             } else {
-                touched.extend(links.map(|(i, j)| i * n + j));
+                // A delta moves its link's mean and loss EWMA: both
+                // directions' costs read the loss.
+                let links = deltas.iter().filter(|d| d.src != d.dst);
+                let links = links.map(|d| (d.src as usize, d.dst as usize));
+                touched.extend(links.flat_map(|(i, j)| [i * n + j, j * n + i]));
             }
         }
     }
 
     /// The error the cost plane reports on the full matrix, if any.
-    pub(crate) fn held(&self, store: &OnlineStore, pricing: Pricing) -> Result<(), CostError> {
+    pub(crate) fn held(&self, store: &OnlineStore) -> Result<(), CostError> {
         let n = store.n;
-        for (i, j) in self.suspects.iter().map(|&idx| (idx / n, idx % n)) {
-            let value = pricing.cost(store, &self.worst, i, j);
+        for (i, j) in store.irregular.iter().map(|&idx| (idx / n, idx % n)) {
+            let value = self.pricing.cost(store, &self.worst, i, j);
             if value.is_nan() || value < 0.0 {
                 return Err(CostError::Value { i, j, value });
             }
@@ -593,16 +584,11 @@ impl SearchCosts {
     ///
     /// # Panics
     /// Panics on an epoch [`SearchCosts::held`] rejects.
-    pub(crate) fn matrix(
-        &self,
-        store: &OnlineStore,
-        instances: &[u32],
-        pricing: Pricing,
-    ) -> CostMatrix {
+    pub(crate) fn matrix(&self, store: &OnlineStore, instances: &[u32]) -> CostMatrix {
         let mut b = CostMatrix::builder(instances.len());
         for (a, &i) in instances.iter().enumerate() {
             for (c, &j) in instances.iter().enumerate().filter(|&(c, _)| c != a) {
-                b.set(a, c, pricing.cost(store, &self.worst, i as usize, j as usize));
+                b.set(a, c, self.pricing.cost(store, &self.worst, i as usize, j as usize));
             }
         }
         b.freeze().expect("only a held epoch has costs the plane rejects")
@@ -617,7 +603,6 @@ impl SearchCosts {
     pub(crate) fn pool(
         &mut self,
         store: &OnlineStore,
-        pricing: Pricing,
         num_nodes: usize,
         config: &CandidateConfig,
         incumbent: &[u32],
@@ -629,14 +614,17 @@ impl SearchCosts {
             // Every never-sampled link's cost moves with the worst-seen mean.
             let bits = worst.get_or_init(|| worst_seen_mean(store)).to_bits();
             if bits != std::mem::replace(&mut self.index_worst, bits) {
-                let budget = PoolIndex::<1>::reprice_budget(n);
-                touched = touched.filter(|list| list.len() + store.unsampled <= budget);
                 if let Some(list) = &mut touched {
-                    let never = (0..n * n).filter(|&idx| store.sampled[idx] == 0);
-                    list.extend(never.filter(|&idx| idx / n != idx % n));
+                    let never = self.never.get_or_insert_with(|| {
+                        let links = (0..n * n).filter(|&idx| idx / n != idx % n);
+                        links.filter(|&idx| store.sampled[idx] == 0).collect()
+                    });
+                    never.retain(|&idx| store.sampled[idx] == 0);
+                    list.extend_from_slice(never);
                 }
             }
         }
+        let pricing = self.pricing;
         let price = |i: usize, j: usize| Some([pricing.cost(store, worst, i, j)]);
         match touched {
             Some(mut list) => {
