@@ -11,7 +11,11 @@
 //! [`PoolIndex`] from one stage's touch-log delta and reading every
 //! instance's score must beat rebuilding it from the evidence scan by
 //! ≥ 3×, on both lane counts, with bit-identical scores — an index that
-//! silently falls back to rebuilding every stage fails here.
+//! silently falls back to rebuilding every stage fails here. It reads
+//! 32–33× on the mean lane and 26–27× on the interval lanes: a rebuild's
+//! reads now lay every instance's prices out in one row-major pass and
+//! select on integer keys, which took the mean lane's rebuild from
+//! ~0.6 s to ~0.33 s over the 60 stages (it read 40–76× before).
 //!
 //! Two more hold the sweep plane's between-stage bookkeeping to O(pairs
 //! that changed): `dark_strike` — an m = 300 `Staged::new(3, 2)` sweep
@@ -21,11 +25,15 @@
 //! under a point `CandidatePruneRule` with 95 % of pairs protected and
 //! 170 instances out stays within 1.4× of the bare sweep. Its 598 looks
 //! cost the pool verdict plus one pass over the slots of each instance
-//! condemned for the first time, and read 1.32–1.34× on a shared 2-vCPU
-//! Xeon (1.19–1.30× before the pruned sweep folded its per-link deltas,
-//! which the bare sweep does not); a verdict that re-prices links in fully sorted incident lists
-//! reads 1.59–1.85×, and looks that walk every remaining pair (the
-//! pair-slice `prune` path) 6.5–7.2×.
+//! condemned for the first time. Ten consecutive runs on a shared 2-vCPU
+//! Xeon read 1.23–1.36×: a look re-prices the stage's links and re-ranks
+//! from the last look's order, 7–11 µs at m = 300. Before that (every look
+//! re-reading all 300 windows with float rank math, a `select_nth`, four
+//! fresh `Vec`s, and the touch log's per-entry modulo) it read 1.45–1.69×;
+//! 1.19–1.30× before the pruned sweep folded its per-link deltas (the
+//! bare sweep keeps no journal); a verdict that re-prices links in fully
+//! sorted incident lists 1.59–1.85×, and looks that walk every remaining
+//! pair (the pair-slice `prune` path) 6.5–7.2×.
 //!
 //! The fifth, `cp_search`, holds the CP search's per-node cost: on the
 //! `batch_paper` shape (a 10×10 mesh over m = 110 EC2-like instances,
@@ -49,8 +57,10 @@
 //! Xeon while the default statistics allocated a P² sketch per link (an
 //! index keeping every instance's incident prices sorted read
 //! 17.0–18.2×); without the sketches the rebuild costs 1.1–2.1 ms per
-//! epoch, not 3.6–3.8 ms, and eight runs on the same host read
-//! 12.5–14.3× against the kept index's 0.08–0.15 ms.
+//! epoch, not 3.6–3.8 ms, and the kept index 0.08–0.16 ms. Ten
+//! consecutive runs read 12.4–14.4× now that a read re-scores only the
+//! ~25 instances an epoch touched (9.9–12× when every read re-ranked all
+//! 200 windows).
 //!
 //! The eighth, `plan_stages`, holds the focused scheme's stage matcher to
 //! O(pairs): on a 99 %-full plan at m = 300 (the shape of a refresh
@@ -216,7 +226,7 @@ fn record_stage(
 /// agree bit for bit and the delta sync wins by ≥ 3×.
 fn assert_pool_index_wins<const L: usize>(
     lanes: &str,
-    sync: impl Fn(&mut PoolIndex<L>, &PairwiseStats),
+    sync: impl Fn(&mut PoolIndex<L>, &PairwiseStats) -> Option<u64>,
 ) {
     let (m, stages) = (400usize, 60usize);
     let mut rng = StdRng::seed_from_u64(13);

@@ -33,6 +33,8 @@
 //! instance, and the journal is folded into the run's row-major
 //! [`LinkDelta`]s: what the run added, with no snapshot to difference.
 
+use std::time::{Duration, Instant};
+
 use cloudia_netsim::Network;
 
 use crate::pairset::PairSet;
@@ -67,12 +69,14 @@ pub trait PruneRule {
     /// dropped. An empty vector leaves the schedule untouched.
     fn prune(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> Vec<(u32, u32)>;
 
-    /// The per-instance verdict: `out[j]` where every unprotected pair of
-    /// instance `j` may be dropped. `None` (the default): the rule judges
-    /// pairs, and the driver asks [`PruneRule::prune`] instead.
-    fn condemned_instances(&self, stats: &PairwiseStats) -> Option<Vec<bool>> {
-        let _ = stats;
-        None
+    /// The per-instance verdict: sets `out` to one flag per instance,
+    /// `out[j]` where every unprotected pair of instance `j` may be
+    /// dropped, and returns `true`. The driver hands every look of a run
+    /// the same buffer. `false` (the default, `out` untouched): the rule
+    /// judges pairs, and the driver asks [`PruneRule::prune`] instead.
+    fn condemned_instances(&self, stats: &PairwiseStats, out: &mut Vec<bool>) -> bool {
+        let _ = (stats, out);
+        false
     }
 
     /// Whether the unordered pair `{a, b}` survives a condemned endpoint.
@@ -82,6 +86,18 @@ pub trait PruneRule {
         let _ = (a, b);
         false
     }
+
+    /// A look of an instance rule the driver skipped: no pair still
+    /// scheduled is unprotected, so no verdict could strike anything. A
+    /// rule that keeps evidence from look to look catches up with `stats`
+    /// here, so its next look starts from a short delta. Default: nothing.
+    fn look_skipped(&self, stats: &PairwiseStats) {
+        let _ = stats;
+    }
+
+    /// The run that consulted the rule ended: a rule that tallies its
+    /// looks reports them here. Default: nothing.
+    fn sweep_ended(&self) {}
 }
 
 /// Drives `scheme` to completion over `net`, evaluating `rule` between
@@ -133,6 +149,10 @@ pub trait StopRule {
         let _ = (a, b);
         false
     }
+
+    /// The run that consulted the rule ended (see
+    /// [`PruneRule::sweep_ended`]). Default: nothing.
+    fn sweep_ended(&self) {}
 }
 
 /// One link's contribution from a single run: what the run's
@@ -201,8 +221,11 @@ pub fn run_anytime<S: Scheme + ?Sized>(
 /// [`StopRule::must_keep`] ones are dropped and no rule is evaluated
 /// again — and otherwise `rule`'s condemned pairs are dropped: the
 /// unprotected pairs of each instance it condemns for the first time, or
-/// the pairs it names. Callers holding the rules as options (the online
-/// stream's epoch entry) call this directly.
+/// the pairs it names. Once no pair still scheduled is unprotected, an
+/// instance rule's looks could strike nothing: the driver skips them and
+/// tells the rule ([`PruneRule::look_skipped`]). When the run ends, both
+/// rules hear so (`sweep_ended`). Callers holding the rules as options
+/// (the online stream's epoch entry) call this directly.
 ///
 /// The report's deltas are the driver's journal of what each
 /// [`PairwiseStats::record_link`] call added, folded: in row-major order,
@@ -222,9 +245,10 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
     let mut dropped_pairs = 0usize;
     let mut saved_round_trips = 0u64;
     let mut stopped_early = false;
-    // Instances an instance verdict condemned at an earlier look: their
-    // unprotected pairs are gone already.
-    let mut condemned = Vec::new();
+    // The verdict every instance look writes, and the instances it
+    // condemned at an earlier look: their unprotected pairs are gone
+    // already.
+    let (mut verdict, mut condemned) = (Vec::new(), Vec::new());
     let ruled = rule.is_some() || stop.is_some();
     loop {
         if ruled
@@ -232,6 +256,7 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
             && driver.stats().total_samples() > 0
             && driver.remaining_len() > 0
         {
+            let started = cloudia_obs::enabled().then(Instant::now);
             stopped_early = stop.is_some_and(|stop| {
                 stop.stable_by_count(driver.stats(), driver.remaining_len())
                     .unwrap_or_else(|| stop.stable(driver.stats(), &driver.remaining_pairs()))
@@ -242,9 +267,12 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
                 (Some(stop), _) if stopped_early => {
                     Some(driver.strike_pairs(&mut |a, b| stop.must_keep(a, b)))
                 }
-                (_, Some(rule)) => prune_look(&mut driver, rule, &mut condemned),
+                (_, Some(rule)) => prune_look(&mut driver, rule, &mut verdict, &mut condemned),
                 (_, None) => None,
             };
+            if let Some(started) = started {
+                driver.tally.looks += started.elapsed();
+            }
             if let Some((pairs, saved)) = struck {
                 dropped_pairs += pairs;
                 saved_round_trips += saved;
@@ -266,6 +294,8 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
             break;
         }
     }
+    rule.inspect(|rule| rule.sweep_ended());
+    stop.inspect(|stop| stop.sweep_ended());
     let deltas = fold_journal(driver.journal.take().unwrap_or_default());
     let report = driver.finish();
     AnytimeReport { report, deltas, dropped_pairs, saved_round_trips, stopped_early }
@@ -287,26 +317,32 @@ fn reserve_journal(n: usize, stages: &[Vec<(u32, u32, usize)>], sweeps: usize) -
     sizes.into_iter().map(Vec::with_capacity).collect()
 }
 
-/// Folds a journal into row-major deltas: each row walked in destination
-/// order through compact `(destination, position)` keys (its 40-byte
-/// entries move once, and repeats are summed in call order), each RTT sum
+/// Folds a journal into row-major deltas: each row's entries chained by
+/// destination in call order, the chains walked in destination order (an
+/// entry moves once, repeats are summed in call order), each RTT sum
 /// divided by its sample count.
 fn fold_journal(journal: Journal) -> Vec<LinkDelta> {
     let mut deltas: Vec<LinkDelta> = Vec::with_capacity(journal.iter().map(Vec::len).sum());
-    let mut keys = Vec::new();
-    for row in journal {
-        keys.clear();
-        keys.extend(row.iter().enumerate().map(|(at, d)| (u64::from(d.dst) << 32) | at as u64));
-        keys.sort_unstable();
-        for &key in &keys {
-            let d = row[key as u32 as usize];
-            match deltas.last_mut() {
-                Some(kept) if (kept.src, kept.dst) == (d.src, d.dst) => {
-                    (kept.mean, kept.count) = (kept.mean + d.mean, kept.count + d.count);
-                    (kept.attempts, kept.timeouts) =
-                        (kept.attempts + d.attempts, kept.timeouts + d.timeouts);
-                }
-                _ => deltas.push(d),
+    // `first[dst]`: the row's earliest entry for `dst`; `after[at]`: its
+    // next one after entry `at` (`NONE`: none).
+    const NONE: u32 = u32::MAX;
+    let (mut first, mut after) = (vec![NONE; journal.len()], Vec::new());
+    for row in journal.iter().filter(|row| !row.is_empty()) {
+        after.clear();
+        after.resize(row.len(), NONE);
+        for (at, d) in row.iter().enumerate().rev() {
+            after[at] = std::mem::replace(&mut first[d.dst as usize], at as u32);
+        }
+        for head in &mut first {
+            let mut at = std::mem::replace(head, NONE);
+            let Some(&d) = row.get(at as usize) else { continue };
+            deltas.push(d);
+            let kept = deltas.last_mut().expect("just pushed");
+            while let Some(&d) = row.get(after[at as usize] as usize) {
+                at = after[at as usize];
+                (kept.mean, kept.count) = (kept.mean + d.mean, kept.count + d.count);
+                (kept.attempts, kept.timeouts) =
+                    (kept.attempts + d.attempts, kept.timeouts + d.timeouts);
             }
         }
     }
@@ -318,27 +354,37 @@ fn fold_journal(journal: Journal) -> Vec<LinkDelta> {
 
 /// One between-stage look of `rule`: strikes what it condemns and returns
 /// `(pairs, round trips)` dropped, or `None` when it condemned nothing.
+/// `verdict` is the buffer an instance rule writes its verdict to, and
 /// `condemned` carries the instances struck at earlier looks of this
-/// sweep, which are never walked again.
+/// sweep, which are never walked again. After an instance rule's first
+/// look the driver counts the unprotected pairs still scheduled, and
+/// skips the look once none is left.
 fn prune_look(
     driver: &mut StageDriver<'_>,
     rule: &dyn PruneRule,
+    verdict: &mut Vec<bool>,
     condemned: &mut Vec<bool>,
 ) -> Option<(usize, u64)> {
-    let Some(out) = rule.condemned_instances(driver.stats()) else {
+    let protects = |a, b| rule.protects(a, b);
+    if driver.unprotected_left(&protects) == Some(0) {
+        rule.look_skipped(driver.stats());
+        return None;
+    }
+    if !rule.condemned_instances(driver.stats(), verdict) {
         let named: PairSet =
             rule.prune(driver.stats(), &driver.remaining_pairs()).into_iter().collect();
         return (!named.is_empty()).then(|| driver.strike_pairs(&mut |a, b| !named.contains(a, b)));
-    };
-    condemned.resize(out.len(), false);
+    }
+    condemned.resize(verdict.len(), false);
     let (mut pairs, mut saved) = (0usize, 0u64);
-    for (j, (&out, seen)) in out.iter().zip(condemned.iter_mut()).enumerate() {
+    for (j, (&out, seen)) in verdict.iter().zip(condemned.iter_mut()).enumerate() {
         if out && !*seen {
             *seen = true;
-            let (p, s) = driver.strike_instance(j as u32, &|a, b| rule.protects(a, b));
+            let (p, s) = driver.strike_instance(j as u32, &protects);
             (pairs, saved) = (pairs + p, saved + s);
         }
     }
+    driver.count_unprotected(&protects);
     (pairs > 0).then_some((pairs, saved))
 }
 
@@ -374,6 +420,13 @@ pub struct StageDriver<'n> {
     live: Vec<(usize, u64)>,
     /// Each instance's slots, built at the first instance strike.
     slots: Option<Slots>,
+    /// The live pairs of the schedule an instance rule's protections do
+    /// not cover — counted after the rule's first look, and kept by every
+    /// strike after it — so a look that can strike nothing is skipped.
+    unprotected: Option<usize>,
+    /// Pairs struck dark since the last look while `unprotected` is kept:
+    /// the next look discounts the unprotected ones.
+    struck_dark: Vec<(u32, u32)>,
     sweeps: usize,
     sweep: usize,
     stage: usize,
@@ -436,6 +489,8 @@ struct StageTally {
     delivered: u64,
     lost: u64,
     dark: u64,
+    /// Wall time spent in between-stage rule looks (telemetry only).
+    looks: Duration,
     /// Wall-time span from the first executed stage to driver drop;
     /// `None` until a stage runs (or while telemetry is disabled).
     span: Option<cloudia_obs::SpanGuard>,
@@ -449,6 +504,7 @@ impl Drop for StageTally {
             span.attr("sent", self.sent);
             span.attr("lost", self.lost);
             span.attr("dark_pairs", self.dark);
+            span.attr("looks_ms", self.looks.as_secs_f64() * 1e3);
         }
         if self.stages > 0 {
             cloudia_obs::counters(&[
@@ -497,6 +553,8 @@ impl<'n> StageDriver<'n> {
             stages,
             live,
             slots: None,
+            unprotected: None,
+            struck_dark: Vec::new(),
             sweeps,
             sweep: 0,
             stage: 0,
@@ -592,6 +650,10 @@ impl<'n> StageDriver<'n> {
         // next epoch) re-attempts them.
         for &pid in &outcome.dark {
             self.tombstone(self.stage, pid);
+            if self.unprotected.is_some() {
+                let (a, b, _) = self.stages[self.stage][pid];
+                self.struck_dark.push((a, b));
+            }
         }
         // Coordinator round before the next stage.
         self.now += COORD_OVERHEAD_MS;
@@ -669,6 +731,27 @@ impl<'n> StageDriver<'n> {
         (pairs, saved)
     }
 
+    /// How many live pairs of the schedule `protects` does not exempt,
+    /// once [`StageDriver::count_unprotected`] has counted them (`None`
+    /// before). Stages the last sweep passed still count theirs: zero
+    /// means no pair still scheduled is unprotected.
+    fn unprotected_left(&mut self, protects: &dyn Fn(u32, u32) -> bool) -> Option<usize> {
+        let unprotected = self.unprotected.as_mut()?;
+        for (a, b) in self.struck_dark.drain(..) {
+            *unprotected -= usize::from(!protects(a, b));
+        }
+        Some(*unprotected)
+    }
+
+    /// Counts the live pairs `protects` does not exempt, once: from then
+    /// on [`StageDriver::strike_instance`] and dark strikes keep the count.
+    fn count_unprotected(&mut self, protects: &dyn Fn(u32, u32) -> bool) {
+        if self.unprotected.is_none() {
+            let live = self.stages.iter().flatten().filter(|&&(a, b, k)| k > 0 && !protects(a, b));
+            self.unprotected = Some(live.count());
+        }
+    }
+
     /// Strikes every remaining pair of instance `j` that `protects` does
     /// not exempt, walking only `j`'s slots: `(pairs, round trips saved)`.
     fn strike_instance(&mut self, j: u32, protects: &dyn Fn(u32, u32) -> bool) -> (usize, u64) {
@@ -680,6 +763,9 @@ impl<'n> StageDriver<'n> {
             let runs = self.runs_left(s);
             if k > 0 && runs > 0 && !protects(a, b) {
                 self.tombstone(s, p);
+                if let Some(unprotected) = &mut self.unprotected {
+                    *unprotected -= 1;
+                }
                 (pairs, saved) = (pairs + 1, saved + runs * k as u64);
             }
         }
@@ -1052,5 +1138,53 @@ mod tests {
         assert!(report.stats.total_samples() > 0);
         let full = scheme.run(&net, &cfg);
         assert!(report.round_trips < full.round_trips);
+    }
+
+    #[test]
+    fn a_journal_folds_like_a_sort_of_each_row() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..50 {
+            let n = rng.random_range(2..40usize);
+            // Rows from empty to several entries per destination, with
+            // repeats a fold sums in call order.
+            let journal: Journal = (0..n as u32)
+                .map(|src| {
+                    (0..rng.random_range(0..4 * n))
+                        .map(|_| LinkDelta {
+                            src,
+                            dst: rng.random_range(0..n as u32),
+                            mean: rng.random_range(0.0..9.0),
+                            count: rng.random_range(0..4),
+                            attempts: rng.random_range(0..5),
+                            timeouts: rng.random_range(0..2),
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut sorted: Vec<LinkDelta> = Vec::new();
+            for row in &journal {
+                let mut keyed: Vec<(u32, usize)> =
+                    row.iter().enumerate().map(|(at, d)| (d.dst, at)).collect();
+                keyed.sort_unstable();
+                for d in keyed.into_iter().map(|(_, at)| row[at]) {
+                    match sorted.last_mut() {
+                        Some(kept) if (kept.src, kept.dst) == (d.src, d.dst) => {
+                            (kept.mean, kept.count) = (kept.mean + d.mean, kept.count + d.count);
+                            (kept.attempts, kept.timeouts) =
+                                (kept.attempts + d.attempts, kept.timeouts + d.timeouts);
+                        }
+                        _ => sorted.push(d),
+                    }
+                }
+            }
+            for d in &mut sorted {
+                d.mean = if d.count > 0 { d.mean / d.count as f64 } else { 0.0 };
+            }
+            let fields =
+                |d: &LinkDelta| (d.src, d.dst, d.mean.to_bits(), d.count, d.attempts, d.timeouts);
+            let folded: Vec<_> = fold_journal(journal).iter().map(fields).collect();
+            assert_eq!(folded, sorted.iter().map(fields).collect::<Vec<_>>(), "n = {n}");
+        }
     }
 }

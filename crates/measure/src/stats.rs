@@ -137,17 +137,20 @@ pub struct TouchCursor {
     at: u64,
 }
 
-/// The bounded tail of link indices `record_link` changed, in order.
+/// The bounded tail of links `record_link` changed, in order, each as
+/// `(src, dst)`.
 #[derive(Debug)]
 struct TouchLog {
     /// Identifies this history; cursors of another lineage are rejected.
     lineage: u64,
     /// Entry `p` (counted from the start of the history) lives at
     /// `p % cap` while `head - p <= cap`. Allocated on first touch.
-    ring: Vec<usize>,
+    ring: Vec<(u32, u32)>,
     cap: usize,
     /// Entries appended over the whole history.
     head: u64,
+    /// `head % cap`: where the next entry goes.
+    next: usize,
 }
 
 impl TouchLog {
@@ -155,20 +158,25 @@ impl TouchLog {
     fn with_capacity(cap: usize) -> Self {
         // Relaxed: the id is only ever compared for equality.
         let lineage = NEXT_LINEAGE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Self { lineage, ring: Vec::new(), cap, head: 0 }
+        Self { lineage, ring: Vec::new(), cap, head: 0, next: 0 }
     }
 
     #[inline]
-    fn push(&mut self, idx: usize) {
+    fn push(&mut self, src: usize, dst: usize) {
+        let link = (src as u32, dst as u32);
         if self.ring.len() < self.cap {
             if self.ring.is_empty() {
                 self.ring.reserve_exact(self.cap);
             }
-            self.ring.push(idx);
+            self.ring.push(link);
         } else {
-            self.ring[(self.head % self.cap as u64) as usize] = idx;
+            self.ring[self.next] = link;
         }
         self.head += 1;
+        self.next += 1;
+        if self.next == self.cap {
+            self.next = 0;
+        }
     }
 }
 
@@ -332,7 +340,7 @@ impl PairwiseStats {
         }
         let idx = src * n + dst;
         self.touch_page(idx);
-        self.touch_log.push(idx);
+        self.touch_log.push(src, dst);
         self.attempts[idx] += attempts;
         self.timeouts[idx] += timeouts;
         self.attempts_total += attempts;
@@ -381,21 +389,29 @@ impl PairwiseStats {
         TouchCursor { lineage: self.touch_log.lineage, at: self.touch_log.head }
     }
 
-    /// The link indices (`src * n + dst`, oldest first, repeats
-    /// included) whose count/mean/M2/attempt/timeout cells changed since
-    /// `cursor` was taken — or `None` when that cannot be answered and
-    /// the reader must rebuild from the columns: the cursor belongs to
-    /// another history (a different store, or the other side of a
-    /// `clone`), or more than [`TOUCH_LOG_PER_INSTANCE`]` · n` touches
-    /// have been logged since and the oldest fell off the tail.
-    pub fn touched_since(&self, cursor: TouchCursor) -> Option<impl Iterator<Item = usize> + '_> {
+    /// The links, as `(src, dst)` (oldest first, repeats included), whose
+    /// count/mean/M2/attempt/timeout cells changed since `cursor` was
+    /// taken — or `None` when that cannot be answered and the reader must
+    /// rebuild from the columns: the cursor belongs to another history (a
+    /// different store, or the other side of a `clone`), or more than
+    /// [`TOUCH_LOG_PER_INSTANCE`]` · n` touches have been logged since and
+    /// the oldest fell off the tail.
+    pub fn touched_since(
+        &self,
+        cursor: TouchCursor,
+    ) -> Option<impl Iterator<Item = (usize, usize)> + '_> {
         let log = &self.touch_log;
-        let cap = log.cap as u64;
         // Within one lineage `head` only grows, so `at <= head`.
-        if cursor.lineage != log.lineage || log.head - cursor.at > cap {
+        if cursor.lineage != log.lineage || log.head - cursor.at > log.cap as u64 {
             return None;
         }
-        Some((cursor.at..log.head).map(move |p| log.ring[(p % cap) as usize]))
+        let len = log.head - cursor.at;
+        // The entries run from the cursor's slot to the end of the ring,
+        // then on from its start.
+        let start = (cursor.at % log.cap.max(1) as u64) as usize;
+        let tail = (len as usize).min(log.cap - start);
+        let (tail, head) = (&log.ring[start..start + tail], &log.ring[..len as usize - tail]);
+        Some(tail.iter().chain(head).map(|&(src, dst)| (src as usize, dst as usize)))
     }
 
     /// Total probes issued across all links.
@@ -468,7 +484,7 @@ impl PairwiseStats {
             + self.timeouts.capacity() * size_of::<u64>()
             + sketches
             + self.touched_pages.capacity() * size_of::<u64>()
-            + self.touch_log.ring.capacity() * size_of::<usize>()
+            + self.touch_log.ring.capacity() * size_of::<(u32, u32)>()
     }
 
     /// Estimated bytes actually *materialised* by this store: column
@@ -490,7 +506,7 @@ impl PairwiseStats {
             + self.touched_page_count * (5 * page + slot_page)
             + sketches
             + self.touched_pages.capacity() * size_of::<u64>()
-            + self.touch_log.ring.len() * size_of::<usize>()
+            + self.touch_log.ring.len() * size_of::<(u32, u32)>()
     }
 
     /// Flattened vector of mean estimates over all ordered pairs (i ≠ j),
@@ -1114,7 +1130,7 @@ mod tests {
     }
 
     fn touched(s: &PairwiseStats, cursor: TouchCursor) -> Option<Vec<usize>> {
-        s.touched_since(cursor).map(Iterator::collect)
+        s.touched_since(cursor).map(|links| links.map(|(src, dst)| src * s.len() + dst).collect())
     }
 
     #[test]
@@ -1163,6 +1179,29 @@ mod tests {
         assert!(touched(&PairwiseStats::new(n), cursor).is_none());
         let moved = s;
         assert_eq!(touched(&moved, cursor).unwrap(), []);
+    }
+
+    #[test]
+    fn a_touch_log_answers_across_the_ring_seam() {
+        // Cursors taken all along three laps of the ring: each sees the
+        // links recorded since, in order, while they are on the tail.
+        let n = 3;
+        let cap = TOUCH_LOG_PER_INSTANCE * n;
+        let mut s = PairwiseStats::new(n);
+        let links = [(0, 1), (1, 2), (2, 0), (1, 0), (0, 2)];
+        let mut cursors = Vec::new();
+        let mut recorded = Vec::new();
+        for k in 0..3 * cap {
+            cursors.push((s.touch_cursor(), recorded.len()));
+            let (src, dst) = links[k % links.len()];
+            s.record(src, dst, 1.0);
+            recorded.push(src * n + dst);
+            for &(cursor, at) in &cursors {
+                let since = &recorded[at..];
+                let answer = touched(&s, cursor);
+                assert_eq!(answer.as_deref(), (since.len() <= cap).then_some(since), "k {k}");
+            }
+        }
     }
 
     #[test]

@@ -608,16 +608,19 @@ proptest! {
         }
         impl PruneRule for Flicker {
             fn prune(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> Vec<(u32, u32)> {
-                let out = self.condemned_instances(stats).unwrap();
+                let mut out = Vec::new();
+                assert!(self.condemned_instances(stats, &mut out));
                 remaining
                     .iter()
                     .copied()
                     .filter(|&(a, b)| (out[a as usize] || out[b as usize]) && !self.protects(a, b))
                     .collect()
             }
-            fn condemned_instances(&self, stats: &PairwiseStats) -> Option<Vec<bool>> {
+            fn condemned_instances(&self, stats: &PairwiseStats, out: &mut Vec<bool>) -> bool {
                 let mut rng = self.rng.borrow_mut();
-                Some((0..stats.len()).map(|_| rng.random::<f64>() < self.share).collect())
+                out.clear();
+                out.extend((0..stats.len()).map(|_| rng.random::<f64>() < self.share));
+                true
             }
             fn protects(&self, a: u32, b: u32) -> bool {
                 self.protected.contains(a, b)

@@ -337,6 +337,29 @@ mod tests {
     }
 
     #[test]
+    fn an_evacuation_over_a_pool_priced_at_infinity_returns_the_incumbent() {
+        // Every link prices at +∞ (every instance dark under an unbounded
+        // timeout): no deployment the search reaches is worth offering, and
+        // the solve returns its warm start at +∞, unproven.
+        let p = NodeDeployment::new(
+            6,
+            (0..5u32).map(|i| (i, i + 1)).collect(),
+            Costs::from_fn(16, |_, _| f64::INFINITY),
+        );
+        let mut rng = StdRng::seed_from_u64(14);
+        let incumbent = p.random_deployment(&mut rng);
+        let pool = CandidateSet::build(&p, &CandidateConfig::fixed(6), Some(&incumbent), None)
+            .restrict(&p);
+        assert!(!pool.is_exact(), "the solve must go through a pool-sized sub-problem");
+        let dark = vec![incumbent[1], incumbent[3]];
+        let config = RepairConfig { solve_seconds: 0.1, threads: 2, seed: 3, ..Default::default() };
+        let out = evacuate_resolve(&pool, Objective::LongestLink, &incumbent, &dark, &config);
+        assert_eq!(out.deployment, incumbent);
+        assert_eq!((out.cost, out.incumbent_cost), (f64::INFINITY, f64::INFINITY));
+        assert!(!out.solve.proven_optimal);
+    }
+
+    #[test]
     fn zero_budget_repair_is_a_noop() {
         let p = random_problem(5, 7, 5);
         let mut rng = StdRng::seed_from_u64(6);

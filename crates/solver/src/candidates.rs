@@ -355,7 +355,8 @@ impl CandidateSet {
     ) -> Self {
         let m = index.m;
         Self::build_ranked(num_nodes, m, config, incumbent, fixed, min_coverage, |pool_size| {
-            Self::ranked_pool(m, pool_size, |j| index.scores(j, POOL_QUANTILE, min_coverage))
+            let scores = index.all_scores(POOL_QUANTILE, min_coverage);
+            Self::ranked_pool(m, pool_size, |j| scores[j])
         })
     }
 
@@ -775,17 +776,20 @@ const WINDOW: usize = 32;
 /// Touched links per instance up to which [`PoolIndex::sync_touched`]
 /// re-prices instead of bulk-building ([`PoolIndex::reprice_budget`]).
 /// Re-pricing `t` random links and reading every score, against a bulk
-/// build and the same reads (one 2-vCPU host, fastest of 5–15 trials),
-/// breaks even near `t = 96·m` at m = 200 (0.7 ms each), `160·m` at
-/// m = 500 and `190·m` at m = 1000; at `64·m` re-pricing costs 0.72,
-/// 0.40 and 0.37 of the build.
+/// build and the same reads (one 2-vCPU host, fastest of 6 trials),
+/// breaks even near `t = 45·m` at m = 200 and past `64·m` from m = 500:
+/// at `64·m` re-pricing costs 1.4, 0.75 and 0.35 of the build at
+/// m = 200, 500 and 1000. The budget decides only how the index gets
+/// there: either way the scores are the same.
 pub const REPRICE_PER_INSTANCE: usize = 64;
 
 /// A sorted run of at most [`WINDOW`] of one instance's incident prices
 /// on one lane: the entries at ranks `below .. below + len` of its
-/// incident multiset (ascending under `f64::total_cmp`). Prices ranked
+/// incident multiset (ascending under `f64::total_cmp`), kept as their
+/// [`order_key`]s, so every comparison is an integer one. Prices ranked
 /// outside the run are only counted, never kept in order. An empty run
-/// is stale: it tracks nothing until it is filled again.
+/// is stale: it tracks nothing until it is filled again. Edits name a
+/// price by its key.
 #[derive(Debug, Clone, Copy)]
 struct Window {
     /// Incident prices ranked below the run.
@@ -795,13 +799,13 @@ struct Window {
     centre: usize,
     len: usize,
     /// One slot past [`WINDOW`], for the entry an insertion pushes out.
-    run: [f64; WINDOW + 1],
+    run: [i64; WINDOW + 1],
 }
 
 impl Window {
-    const STALE: Self = Self { below: 0, centre: 0, len: 0, run: [0.0; WINDOW + 1] };
+    const STALE: Self = Self { below: 0, centre: 0, len: 0, run: [0; WINDOW + 1] };
 
-    fn run(&self) -> &[f64] {
+    fn run(&self) -> &[i64] {
         &self.run[..self.len]
     }
 
@@ -810,50 +814,55 @@ impl Window {
         self.below <= rank && rank < self.below + self.len
     }
 
-    /// Takes one copy of `price` — an incident price of the instance —
-    /// out of the multiset. Copies are indistinguishable under
-    /// `total_cmp`, so taking one from the run or from outside it leaves
-    /// the same multiset and the same run.
-    fn remove(&mut self, price: f64) {
+    /// The price at `rank`, which the run covers.
+    fn at(&self, rank: usize) -> f64 {
+        from_order_key(self.run[rank - self.below])
+    }
+
+    /// Takes one copy of the price keyed `key` — an incident price of the
+    /// instance — out of the multiset. Copies are indistinguishable, so
+    /// taking one from the run or from outside it leaves the same
+    /// multiset and the same run.
+    fn remove(&mut self, key: i64) {
         let Some((&first, &last)) = self.run().first().zip(self.run().last()) else {
             return;
         };
-        if price.total_cmp(&first).is_lt() {
+        if key < first {
             self.below -= 1;
-        } else if price.total_cmp(&last).is_le() {
+        } else if key <= last {
             let at = self
                 .run()
-                .binary_search_by(|p| p.total_cmp(&price))
+                .binary_search(&key)
                 .expect("a price inside the run's range sits on the run");
             self.run.copy_within(at + 1..self.len, at);
             self.len -= 1;
         }
     }
 
-    /// Adds `price` to a multiset of `total` incident prices. A price
-    /// past either end of the run joins it only where the run reaches
-    /// that end of the multiset; an overflowing run drops the end
-    /// farther from its centre.
-    fn insert(&mut self, price: f64, total: usize) {
+    /// Adds the price keyed `key` to a multiset of `total` incident
+    /// prices. A price past either end of the run joins it only where the
+    /// run reaches that end of the multiset; an overflowing run drops the
+    /// end farther from its centre.
+    fn insert(&mut self, key: i64, total: usize) {
         let Some((&first, &last)) = self.run().first().zip(self.run().last()) else {
             return;
         };
-        let at = if price.total_cmp(&first).is_lt() {
+        let at = if key < first {
             if self.below > 0 {
                 self.below += 1;
                 return;
             }
             0
-        } else if price.total_cmp(&last).is_gt() {
+        } else if key > last {
             if self.below + self.len < total {
                 return;
             }
             self.len
         } else {
-            self.run().partition_point(|p| p.total_cmp(&price).is_lt())
+            self.run().partition_point(|&k| k < key)
         };
         self.run.copy_within(at..self.len, at + 1);
-        self.run[at] = price;
+        self.run[at] = key;
         self.len += 1;
         if self.len > WINDOW {
             let back = self.below + WINDOW;
@@ -865,35 +874,106 @@ impl Window {
         }
     }
 
-    /// Fills the run from `incident`, all of the instance's prices on
-    /// this lane (reordered in place), around `rank`: two selections
-    /// and a sort of at most [`WINDOW`] entries.
-    fn fill(&mut self, incident: &mut [f64], rank: usize) {
+    /// [`Window::remove`] of `old`, then [`Window::insert`] of `new` into
+    /// the `total` prices left: the same run, but where `old` sits on the
+    /// run and `new` joins it, one shift of the entries between the two
+    /// places instead of one to close the gap and one to open another.
+    fn replace(&mut self, old: i64, new: i64, total: usize) {
+        let run = self.run();
+        if run.len() < 2 || old < run[0] || old > run[run.len() - 1] {
+            self.remove(old);
+            return self.insert(new, total);
+        }
+        let hole = run.binary_search(&old).expect("a price inside the run's range sits on the run");
+        // The run without the hole: its ends, and where `new` ranks in it.
+        let last = self.len - 1;
+        let first = run[usize::from(hole == 0)];
+        let end = run[if hole == last { last - 1 } else { last }];
+        if (new < first && self.below > 0) || (new > end && self.below + last < total) {
+            // `new` ranks past an end the run does not reach: counted
+            // below it, or not at all.
+            self.below += usize::from(new < first);
+            self.run.copy_within(hole + 1..self.len, hole);
+            self.len -= 1;
+            return;
+        }
+        let ahead = run.partition_point(|&k| k < new);
+        let at = ahead - usize::from(hole < ahead);
+        if at <= hole {
+            self.run.copy_within(at..hole, at + 1);
+        } else {
+            self.run.copy_within(hole + 1..at + 1, hole);
+        }
+        self.run[at] = new;
+    }
+
+    /// Fills the run from `incident`, the keys of all of the instance's
+    /// prices on this lane (reordered in place), around `rank`: two
+    /// selections and a sort of at most [`WINDOW`] entries.
+    fn fill(&mut self, incident: &mut [i64], rank: usize) {
         let n = incident.len();
         let lo = rank.saturating_sub(WINDOW / 2).min(n.saturating_sub(WINDOW));
         let hi = (lo + WINDOW).min(n);
         if lo > 0 {
-            incident.select_nth_unstable_by(lo, f64::total_cmp);
+            incident.select_nth_unstable(lo);
         }
         let tail = &mut incident[lo..];
         if hi < n {
-            tail.select_nth_unstable_by(hi - lo - 1, f64::total_cmp);
+            tail.select_nth_unstable(hi - lo - 1);
         }
         let run = &mut tail[..hi - lo];
-        run.sort_unstable_by(f64::total_cmp);
+        run.sort_unstable();
         self.run[..run.len()].copy_from_slice(run);
         (self.below, self.centre, self.len) = (lo, rank, run.len());
     }
 }
 
-/// Every instance's windows, behind the index's interior mutability: a
-/// read that misses re-centres them.
+/// `price` as an integer that orders as [`f64::total_cmp`] orders prices
+/// — the key `total_cmp` compares — so selections and sorts over
+/// gathered prices run on plain integer comparisons.
+fn order_key(price: f64) -> i64 {
+    let bits = price.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The price whose [`order_key`] is `key` (the map is its own inverse).
+fn from_order_key(key: i64) -> f64 {
+    f64::from_bits(order_key(f64::from_bits(key as u64)) as u64)
+}
+
+/// Misses per instance below which a read gathers each missing instance's
+/// prices off its row and column of the price cache, and at or above
+/// which one row-major pass over the cache gathers them all: a column is
+/// `m` strided reads, a pass `m²` contiguous ones.
+const BATCH_GATHER: usize = 8;
+
+/// Every instance's windows and kept scores, behind the index's interior
+/// mutability: a read refreshes the scores of the instances a re-price
+/// touched since the last read, and re-centres the windows that miss.
 #[derive(Debug)]
 struct Windows<const L: usize> {
     /// `runs[j][l]`: instance `j`'s window on lane `l`.
     runs: Vec<[Window; L]>,
-    /// One lane's incident prices, gathered for a fill.
-    scratch: [Vec<f64>; L],
+    /// The quantile and coverage (bits) `scores` answer for; `None`
+    /// before the first read and after a bulk build.
+    read: Option<(u64, u64)>,
+    /// [`quantile_rank`] at `read` by an instance's count of incident
+    /// prices.
+    ranks: Vec<Option<u32>>,
+    /// `scores[j]`: instance `j`'s scores at `read`, unless `stale[j]`.
+    scores: Vec<Option<[f64; L]>>,
+    stale: Vec<bool>,
+    /// The stale instances, each listed once.
+    touched: Vec<u32>,
+    /// Stale instances whose windows miss their rank: `(instance, rank)`.
+    misses: Vec<(u32, u32)>,
+    /// The misses' incident prices per lane, as [`order_key`]s,
+    /// `misses[i]`'s at `off[i]..off[i + 1]`.
+    off: Vec<usize>,
+    lanes: [Vec<i64>; L],
+    /// During a row-major gather, `slot[j]` is instance `j`'s place in
+    /// `misses` (`u32::MAX`: not a miss).
+    slot: Vec<u32>,
     /// Windows filled so far.
     fills: u64,
     /// Set by [`PoolIndex::rebuild`], cleared by the next re-price: a
@@ -907,29 +987,98 @@ struct Windows<const L: usize> {
 
 impl<const L: usize> Default for Windows<L> {
     fn default() -> Self {
-        let scratch = std::array::from_fn(|_| Vec::new());
-        Self { runs: Vec::new(), scratch, fills: 0, select_once: false }
+        Self {
+            runs: Vec::new(),
+            read: None,
+            ranks: Vec::new(),
+            scores: Vec::new(),
+            stale: Vec::new(),
+            touched: Vec::new(),
+            misses: Vec::new(),
+            off: Vec::new(),
+            lanes: std::array::from_fn(|_| Vec::new()),
+            slot: Vec::new(),
+            fills: 0,
+            select_once: false,
+        }
+    }
+}
+
+impl<const L: usize> Windows<L> {
+    /// Marks instance `j`'s score stale.
+    fn touch(&mut self, j: usize) {
+        if !std::mem::replace(&mut self.stale[j], true) {
+            self.touched.push(j as u32);
+        }
+    }
+}
+
+/// Every directed link's price per lane, at `src * m + dst`: the lanes
+/// in one flat column and a bit per link for whether it has evidence — a
+/// link costs `8·L` bytes and a bit, where an `Option` per link cost
+/// `8·L + 8`.
+#[derive(Debug, Default)]
+struct Prices<const L: usize> {
+    lanes: Vec<[f64; L]>,
+    /// Bit `idx % 64` of word `idx / 64`: link `idx` has evidence.
+    evidence: Vec<u64>,
+}
+
+impl<const L: usize> Prices<L> {
+    /// `links` links, none with evidence (a lane is read only where its
+    /// link has evidence, so the old lanes may stay).
+    fn reset(&mut self, links: usize) {
+        self.lanes.resize(links, [0.0; L]);
+        self.evidence.clear();
+        self.evidence.resize(links.div_ceil(64), 0);
+    }
+
+    fn len(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Link `idx`'s price, `None` without evidence.
+    fn get(&self, idx: usize) -> Option<[f64; L]> {
+        (self.evidence[idx / 64] >> (idx % 64) & 1 != 0).then(|| self.lanes[idx])
+    }
+
+    /// Sets link `idx`'s price, returning the one it replaces.
+    fn set(&mut self, idx: usize, price: Option<[f64; L]>) -> Option<[f64; L]> {
+        let old = self.get(idx);
+        let bit = 1u64 << (idx % 64);
+        match price {
+            Some(price) => {
+                self.lanes[idx] = price;
+                self.evidence[idx / 64] |= bit;
+            }
+            None => self.evidence[idx / 64] &= !bit,
+        }
+        old
     }
 }
 
 /// The rules' evidence, maintained instead of rescanned: the price each
 /// directed link currently contributes, every instance's count of
-/// incident prices, and per instance and lane a [`Window`] — a sorted
-/// run of the [`WINDOW`] incident prices ranked around the quantile last
-/// read. A rule is evaluated between every two stages of a sweep, and a
-/// stage changes at most `m / 2` links — so after one bulk build,
-/// [`PoolIndex::sync_means`] / [`PoolIndex::sync_intervals`] re-price
-/// only the links the statistics' touch log names
-/// ([`PairwiseStats::touched_since`]) and move their entries in both
-/// endpoints' windows (or only the count below a window); a score is
-/// then a read inside the window at the quantile's rank. A read the
-/// window does not cover — its first, one after a bulk build, one at
-/// another quantile, or one after re-pricing drained or shifted the run
-/// — refills the instance's windows from the price cache around the
-/// rank. Scores are bit-identical to a from-scratch evidence pass over
-/// the same statistics: a window holds exactly the entries a sort of the
-/// pass's prices puts at its ranks, and a selection returns the element
-/// a sort puts at that rank.
+/// incident prices, per instance and lane a [`Window`] — a sorted run of
+/// the [`WINDOW`] incident prices ranked around the quantile last read —
+/// and every instance's score as last read. A rule is evaluated between
+/// every two stages of a sweep, and a stage changes at most `m / 2`
+/// links — so after one bulk build, [`PoolIndex::sync_means`] /
+/// [`PoolIndex::sync_intervals`] re-price only the links the statistics'
+/// touch log names ([`PairwiseStats::touched_since`]) and move their
+/// entries in both endpoints' windows (or only the count below a window).
+/// A read ([`PoolIndex::all_scores`]) then re-scores only the instances
+/// those links touched, each a read inside its window at the quantile's
+/// rank. A window that does not cover the rank — its first read, one
+/// after a bulk build, one at another quantile, or one after re-pricing
+/// drained or shifted the run — refills from the instance's incident
+/// prices around the rank. A few misses gather their prices off the price
+/// cache's row and column; many (every instance, after a bulk build) lay
+/// them all out contiguously in one row-major pass over the cache, as the
+/// evidence pass does over the statistics. Scores are bit-identical to a
+/// from-scratch evidence pass over the same statistics: a window holds
+/// exactly the entries a sort of the pass's prices puts at its ranks, and
+/// a selection returns the element a sort puts at that rank.
 ///
 /// An index follows one statistics *history*: handed statistics of
 /// another lineage (a clone, another store), ones whose log has overrun
@@ -955,9 +1104,9 @@ pub struct PoolIndex<const L: usize> {
     /// The critical values of `level` (intervals only).
     critical: CriticalValues,
     m: usize,
-    /// The lanes' price of directed link `src * m + dst` as it sits in
-    /// both endpoints' multisets; `None` = no evidence.
-    price: Vec<Option<[f64; L]>>,
+    /// The lanes' price of each directed link as it sits in both
+    /// endpoints' multisets.
+    price: Prices<L>,
     /// `count[j]`: instance `j`'s incident prices (per lane).
     count: Vec<usize>,
     windows: RefCell<Windows<L>>,
@@ -971,7 +1120,7 @@ impl<const L: usize> Default for PoolIndex<L> {
             level: 0,
             critical: CriticalValues::default(),
             m: 0,
-            price: Vec::new(),
+            price: Prices::default(),
             count: Vec::new(),
             windows: RefCell::default(),
             rebuilds: 0,
@@ -981,24 +1130,26 @@ impl<const L: usize> Default for PoolIndex<L> {
 
 impl PoolIndex<1> {
     /// Brings the point-pool index (lane: [`mean_price`]) up to `stats`.
-    pub fn sync_means(&mut self, stats: &PairwiseStats) {
-        self.sync(stats, 0, mean_price(stats));
+    /// Returns how: `None` for a bulk build, else the links re-priced.
+    pub fn sync_means(&mut self, stats: &PairwiseStats) -> Option<u64> {
+        self.sync(stats, 0, mean_price(stats))
     }
 }
 
 impl PoolIndex<2> {
     /// Brings the interval index (lanes: [`interval_price`] at
     /// `confidence`) up to `stats`; synced at another level before, it
-    /// rebuilds.
-    pub fn sync_intervals(&mut self, stats: &PairwiseStats, confidence: f64) {
+    /// rebuilds. Returns how, as [`PoolIndex::sync_means`].
+    pub fn sync_intervals(&mut self, stats: &PairwiseStats, confidence: f64) -> Option<u64> {
         let level = confidence.to_bits();
         let mut critical = if level == self.level {
             std::mem::take(&mut self.critical)
         } else {
             CriticalValues::default()
         };
-        self.sync(stats, level, interval_price(stats, confidence, &mut critical));
+        let synced = self.sync(stats, level, interval_price(stats, confidence, &mut critical));
         self.critical = critical;
+        synced
     }
 }
 
@@ -1014,32 +1165,28 @@ impl<const L: usize> PoolIndex<L> {
         self.windows.borrow().fills
     }
 
-    /// Brings the index up to `stats`, reporting how into the
-    /// `sweep.rule.index_rebuilds` / `sweep.rule.synced_links` counters as
-    /// it goes — so an index that outlives a sweep is visible mid-run. A
-    /// healthy index rebuilds once per statistics history, and again only
-    /// where more links moved between two syncs than the touch log keeps.
-    /// `level` is what the prices depend on besides the statistics (the
-    /// bits of a confidence level).
+    /// Brings the index up to `stats`: re-prices the links touched since
+    /// the last sync (returning how many), or — on the first sync, on
+    /// another history, past an overrun log or at another `level` (what
+    /// the prices depend on besides the statistics: the bits of a
+    /// confidence level) — bulk-builds (returning `None`).
     fn sync(
         &mut self,
         stats: &PairwiseStats,
         level: u64,
         mut price: impl FnMut(usize, usize, bool) -> [f64; L],
-    ) {
+    ) -> Option<u64> {
         let cursor = self.cursor.filter(|_| self.level == level);
         let synced = match cursor.and_then(|cursor| stats.touched_since(cursor)) {
             Some(touched) => {
                 let (count, attempts) = (stats.count_column(), stats.attempts_column());
                 let mut synced = 0u64;
-                for idx in touched {
+                for (src, dst) in touched {
                     // The evidence test of `scan_row_evidence`.
+                    let idx = src * self.m + dst;
                     let observed = count[idx] > 0;
                     let evidence = observed || attempts[idx] > 0;
-                    self.reprice(
-                        idx,
-                        evidence.then(|| price(idx / self.m, idx % self.m, observed)),
-                    );
+                    self.reprice(src, dst, evidence.then(|| price(src, dst, observed)));
                     synced += 1;
                 }
                 Some(synced)
@@ -1052,7 +1199,7 @@ impl<const L: usize> PoolIndex<L> {
                 // takes the prices, the offsets give the counts.
                 let incident: IncidentPrices<0> =
                     IncidentPrices::scan(stats, |src, dst, observed| {
-                        cache[src * m + dst] = Some(price(src, dst, observed));
+                        cache.set(src * m + dst, Some(price(src, dst, observed)));
                         []
                     });
                 for (count, w) in self.count.iter_mut().zip(incident.off.windows(2)) {
@@ -1062,10 +1209,7 @@ impl<const L: usize> PoolIndex<L> {
             }
         };
         (self.cursor, self.level) = (Some(stats.touch_cursor()), level);
-        cloudia_obs::counters(&[
-            ("sweep.rule.index_rebuilds", u64::from(synced.is_none())),
-            ("sweep.rule.synced_links", synced.unwrap_or(0)),
-        ]);
+        synced
     }
 
     /// Brings the index up to evidence kept outside a [`PairwiseStats`]
@@ -1088,7 +1232,7 @@ impl<const L: usize> PoolIndex<L> {
         }
         for idx in touched {
             let (src, dst) = (idx / m, idx % m);
-            self.reprice(idx, if src == dst { None } else { price(src, dst) });
+            self.reprice(src, dst, if src == dst { None } else { price(src, dst) });
         }
     }
 
@@ -1103,15 +1247,15 @@ impl<const L: usize> PoolIndex<L> {
 
     /// Bulk-builds the index from `price` over every directed link of `m`
     /// instances (see [`PoolIndex::sync_touched`]). Reads select their
-    /// scores from the price cache until the next re-price; windows fill
-    /// on the first read after it.
+    /// scores from the prices laid out contiguously until the next
+    /// re-price; windows fill on the first read after it.
     pub fn rebuild(&mut self, m: usize, price: impl Fn(usize, usize) -> Option<[f64; L]>) {
         self.reset(m);
         self.windows.get_mut().select_once = true;
         for src in 0..m {
             for dst in (0..m).filter(|&dst| dst != src) {
                 if let Some(prices) = price(src, dst) {
-                    self.price[src * m + dst] = Some(prices);
+                    self.price.set(src * m + dst, Some(prices));
                     self.count[src] += 1;
                     self.count[dst] += 1;
                 }
@@ -1120,83 +1264,207 @@ impl<const L: usize> PoolIndex<L> {
     }
 
     /// Empties the index for a bulk build over `m` instances: no prices,
-    /// zero counts, every window stale.
+    /// zero counts, every window stale and no score kept.
     fn reset(&mut self, m: usize) {
         self.m = m;
         self.rebuilds += 1;
-        self.price.clear();
-        self.price.resize(m * m, None);
+        self.price.reset(m * m);
         self.count.clear();
         self.count.resize(m, 0);
         let windows = self.windows.get_mut();
         windows.runs.clear();
         windows.runs.resize(m, [Window::STALE; L]);
+        windows.read = None;
+        windows.scores.clear();
+        windows.scores.resize(m, None);
+        windows.stale.clear();
+        windows.stale.resize(m, false);
+        windows.touched.clear();
         windows.select_once = false;
     }
 
-    /// Replaces what directed link `idx` contributes to its endpoints'
-    /// multisets with `new`.
-    fn reprice(&mut self, idx: usize, new: Option<[f64; L]>) {
-        self.windows.get_mut().select_once = false;
-        let old = std::mem::replace(&mut self.price[idx], new);
+    /// Replaces what directed link `src → dst` contributes to its
+    /// endpoints' multisets with `new`: moves its entries in both
+    /// endpoints' windows and counts, and marks their scores stale.
+    fn reprice(&mut self, src: usize, dst: usize, new: Option<[f64; L]>) {
+        let windows = self.windows.get_mut();
+        windows.select_once = false;
+        let old = self.price.set(src * self.m + dst, new);
         let bits = |p: Option<[f64; L]>| p.map(|p| p.map(f64::to_bits));
         if bits(old) == bits(new) {
             return;
         }
-        let runs = &mut self.windows.get_mut().runs;
-        for end in [idx / self.m, idx % self.m] {
-            let (count, windows) = (&mut self.count[end], &mut runs[end]);
-            if let Some(old) = old {
-                *count -= 1;
-                for (window, &price) in windows.iter_mut().zip(&old) {
-                    window.remove(price);
+        for end in [src, dst] {
+            windows.touch(end);
+            let (count, runs) = (&mut self.count[end], &mut windows.runs[end]);
+            match (old, new) {
+                (Some(old), Some(new)) => {
+                    for ((window, &old), &new) in runs.iter_mut().zip(&old).zip(&new) {
+                        window.replace(order_key(old), order_key(new), *count - 1);
+                    }
                 }
-            }
-            if let Some(new) = new {
-                for (window, &price) in windows.iter_mut().zip(&new) {
-                    window.insert(price, *count);
+                (Some(old), None) => {
+                    *count -= 1;
+                    for (window, &price) in runs.iter_mut().zip(&old) {
+                        window.remove(order_key(price));
+                    }
                 }
-                *count += 1;
+                (None, Some(new)) => {
+                    for (window, &price) in runs.iter_mut().zip(&new) {
+                        window.insert(order_key(price), *count);
+                    }
+                    *count += 1;
+                }
+                (None, None) => {}
             }
         }
     }
 
     /// Instance `j`'s score per lane — the `quantile` of its incident
     /// prices — or `None` when it is under-covered (see
-    /// [`quantile_rank`]). Reads inside the instance's windows, filling
-    /// them around the rank first where one does not cover it.
+    /// [`quantile_rank`]): [`PoolIndex::all_scores`]' entry for `j`.
     pub fn scores(&self, j: usize, quantile: f64, min_coverage: f64) -> Option<[f64; L]> {
-        let rank = quantile_rank(self.count[j], self.m, quantile, min_coverage)?;
-        let mut state = self.windows.borrow_mut();
-        let Windows { runs, scratch, fills, select_once } = &mut *state;
-        if !runs[j].iter().all(|window| window.covers(rank)) {
-            self.gather(j, scratch);
-            if *select_once {
-                return Some(std::array::from_fn(|l| {
-                    *scratch[l].select_nth_unstable_by(rank, f64::total_cmp).1
-                }));
-            }
-            for (window, incident) in runs[j].iter_mut().zip(scratch.iter_mut()) {
-                window.fill(incident, rank);
-            }
-            *fills += 1;
-        }
-        Some(std::array::from_fn(|l| runs[j][l].run[rank - runs[j][l].below]))
+        self.all_scores(quantile, min_coverage)[j]
     }
 
-    /// Instance `j`'s incident prices per lane, off its row and column of
-    /// the price cache.
-    fn gather(&self, j: usize, lanes: &mut [Vec<f64>; L]) {
-        lanes.iter_mut().for_each(Vec::clear);
+    /// Every instance's score per lane at `quantile` and `min_coverage`
+    /// (as [`PoolIndex::scores`]). Re-scores only the instances whose
+    /// incident prices moved since the last read at the same quantile and
+    /// coverage, each inside its windows, filling those that miss the
+    /// rank first.
+    pub fn all_scores(&self, quantile: f64, min_coverage: f64) -> Ref<'_, [Option<[f64; L]>]> {
+        self.refresh(quantile, min_coverage);
+        Ref::map(self.windows.borrow(), |windows| &windows.scores[..])
+    }
+
+    /// Brings every kept score up to the index at `quantile` and
+    /// `min_coverage`.
+    fn refresh(&self, quantile: f64, min_coverage: f64) {
+        let mut state = self.windows.borrow_mut();
+        let windows = &mut *state;
+        let key = (quantile.to_bits(), min_coverage.to_bits());
+        if windows.read != Some(key) {
+            windows.read = Some(key);
+            let m = self.m;
+            let most = 2 * m.saturating_sub(1);
+            windows.ranks.clear();
+            windows.ranks.extend(
+                (0..=most).map(|len| Some(quantile_rank(len, m, quantile, min_coverage)? as u32)),
+            );
+            (0..m).for_each(|j| windows.touch(j));
+        }
+        let Windows {
+            runs,
+            ranks,
+            scores,
+            stale,
+            touched,
+            misses,
+            off,
+            lanes,
+            slot,
+            fills,
+            select_once,
+            ..
+        } = windows;
+        misses.clear();
+        for j in touched.drain(..).map(|j| j as usize) {
+            stale[j] = false;
+            scores[j] = match ranks[self.count[j]].map(|rank| rank as usize) {
+                Some(rank) if runs[j].iter().all(|window| window.covers(rank)) => {
+                    Some(std::array::from_fn(|l| runs[j][l].at(rank)))
+                }
+                Some(rank) => {
+                    misses.push((j as u32, rank as u32));
+                    None
+                }
+                None => None,
+            };
+        }
+        if misses.is_empty() {
+            return;
+        }
+        self.gather(misses, off, lanes, slot);
+        for (i, &(j, rank)) in misses.iter().enumerate() {
+            let (j, rank, span) = (j as usize, rank as usize, off[i]..off[i + 1]);
+            if *select_once {
+                scores[j] = Some(std::array::from_fn(|l| {
+                    from_order_key(*lanes[l][span.clone()].select_nth_unstable(rank).1)
+                }));
+                continue;
+            }
+            for (window, lane) in runs[j].iter_mut().zip(lanes.iter_mut()) {
+                window.fill(&mut lane[span.clone()], rank);
+            }
+            *fills += 1;
+            scores[j] = Some(std::array::from_fn(|l| runs[j][l].at(rank)));
+        }
+        // A gather after a bulk build holds every incident price once
+        // more: let it go rather than keep it resident.
+        if lanes.first().is_some_and(|lane| lane.capacity() > 2 * BATCH_GATHER * self.m) {
+            *lanes = std::array::from_fn(|_| Vec::new());
+        }
+    }
+
+    /// Lays the incident prices of every instance in `misses` out per
+    /// lane, `misses[i]`'s at `off[i]..off[i + 1]`: off each one's row and
+    /// column of the price cache while they are few, in one row-major
+    /// pass over the cache for all of them once they are many.
+    fn gather(
+        &self,
+        misses: &[(u32, u32)],
+        off: &mut Vec<usize>,
+        lanes: &mut [Vec<i64>; L],
+        slot: &mut Vec<u32>,
+    ) {
         let m = self.m;
-        let row = self.price[j * m..(j + 1) * m].iter();
-        let column = self.price.iter().skip(j).step_by(m);
-        for prices in row.chain(column).flatten() {
+        off.clear();
+        off.push(0);
+        for &(j, _) in misses {
+            off.push(off[off.len() - 1] + self.count[j as usize]);
+        }
+        let total = off[misses.len()];
+        for lane in lanes.iter_mut() {
+            lane.clear();
+            lane.resize(total, 0);
+        }
+        // `off[i]` is `misses[i]`'s write cursor: it ends where `i + 1`
+        // starts, and shifting the table back restores it.
+        let mut put = |off: &mut [usize], i: usize, prices: &[f64; L]| {
             for (lane, &p) in lanes.iter_mut().zip(prices) {
-                lane.push(p);
+                lane[off[i]] = order_key(p);
+            }
+            off[i] += 1;
+        };
+        if misses.len() * BATCH_GATHER < m {
+            for (i, &(j, _)) in misses.iter().enumerate() {
+                let j = j as usize;
+                let (row, column) = ((j * m..(j + 1) * m), (j..m * m).step_by(m));
+                for prices in row.chain(column).filter_map(|idx| self.price.get(idx)) {
+                    put(off, i, &prices);
+                }
+            }
+        } else {
+            slot.clear();
+            slot.resize(m, u32::MAX);
+            for (i, &(j, _)) in misses.iter().enumerate() {
+                slot[j as usize] = i as u32;
+            }
+            for src in 0..m {
+                let from = slot[src];
+                for dst in 0..m {
+                    let Some(prices) = self.price.get(src * m + dst) else { continue };
+                    for end in [from, slot[dst]] {
+                        if end != u32::MAX {
+                            put(off, end as usize, &prices);
+                        }
+                    }
+                }
             }
         }
-        debug_assert_eq!(lanes.first().map_or(self.count[j], Vec::len), self.count[j]);
+        off.copy_within(0..misses.len(), 1);
+        off[0] = 0;
+        debug_assert_eq!(off[misses.len()], total);
     }
 }
 
@@ -1225,14 +1493,56 @@ fn lock(index: &SharedIndex) -> MutexGuard<'_, RuleIndex> {
     index.lock().expect("a pool index sync panicked")
 }
 
-/// Runs a look's reads of `index`, adding the windows they filled to the
-/// `sweep.rule.window_rebuilds` counter — beside the sync's own counters,
-/// so an index whose windows thrash shows up mid-run.
-fn report_window_rebuilds<const L: usize, T>(index: &PoolIndex<L>, look: impl FnOnce() -> T) -> T {
-    let before = index.window_rebuilds();
-    let out = look();
-    cloudia_obs::counter("sweep.rule.window_rebuilds", index.window_rebuilds() - before);
-    out
+/// What a rule's looks did to the index they read, tallied on the rule
+/// and reported to the `sweep.rule.index_rebuilds` /
+/// `sweep.rule.synced_links` / `sweep.rule.window_rebuilds` counters
+/// under one registry lock: when the sweep that made the looks ends
+/// ([`cloudia_measure::PruneRule::sweep_ended`]), after a look the rule
+/// was asked for directly (`prune`, `stable`), and when the rule drops.
+/// A clone starts a tally of its own.
+#[derive(Debug, Default)]
+struct LookTally {
+    rebuilds: Cell<u64>,
+    synced: Cell<u64>,
+    fills: Cell<u64>,
+}
+
+impl LookTally {
+    /// Adds one sync's outcome (see [`PoolIndex::sync_means`]).
+    fn synced(&self, synced: Option<u64>) {
+        match synced {
+            None => self.rebuilds.set(self.rebuilds.get() + 1),
+            Some(links) => self.synced.set(self.synced.get() + links),
+        }
+    }
+
+    /// Runs a look's reads of `index`, adding the windows they filled.
+    fn reads<const L: usize, T>(&self, index: &PoolIndex<L>, read: impl FnOnce() -> T) -> T {
+        let before = index.window_rebuilds();
+        let out = read();
+        self.fills.set(self.fills.get() + index.window_rebuilds() - before);
+        out
+    }
+
+    fn report(&self) {
+        cloudia_obs::counters(&[
+            ("sweep.rule.index_rebuilds", self.rebuilds.take()),
+            ("sweep.rule.synced_links", self.synced.take()),
+            ("sweep.rule.window_rebuilds", self.fills.take()),
+        ]);
+    }
+}
+
+impl Clone for LookTally {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl Drop for LookTally {
+    fn drop(&mut self) {
+        self.report();
+    }
 }
 
 /// The mid-sweep tournament prune rule (implements
@@ -1314,10 +1624,13 @@ fn report_window_rebuilds<const L: usize, T>(index: &PoolIndex<L>, look: impl Fn
 /// with the same verdicts. Evaluated on other statistics (a clone,
 /// another store) the index rebuilds. Clones of a rule read its index;
 /// the index can also outlive the rule
-/// ([`CandidatePruneRule::with_index`]). The interval scores a stage's
-/// `stable` and the verdict both read are built once and cached on the rule
-/// itself, never in the index, and dropped by every builder that changes
-/// what they are computed from, so they only ever answer for the
+/// ([`CandidatePruneRule::with_index`]). A look re-scores only the
+/// instances the re-priced links touched ([`PoolIndex::all_scores`]), and
+/// re-ranks from the order the rule's last look left: the point ranking,
+/// or the interval scores' optimistic order. The interval scores a
+/// stage's `stable` and the verdict both read are built once and cached on
+/// the rule itself, never in the index, and dropped by every builder that
+/// changes what they are computed from, so they only ever answer for the
 /// parameters that built them.
 #[derive(Debug, Clone)]
 pub struct CandidatePruneRule {
@@ -1331,16 +1644,55 @@ pub struct CandidatePruneRule {
     /// the protected ones.
     keep: Option<PairSet>,
     index: SharedIndex,
-    /// The interval scores last derived, and where the statistics' touch
-    /// log stood then: a stage asks for them twice (`stable`, then the
-    /// verdict) and builds them once.
-    scores: RefCell<Option<(TouchCursor, CiScores)>>,
+    /// What one look leaves the next.
+    look: RefCell<Look>,
     /// `(verdict fingerprint, total samples)` at the last plateau
     /// checkpoint; `None` before the first evaluation (or after an
     /// under-covered veto reset). A new checkpoint is only compared
     /// once at least one fresh sample per remaining pair has landed
     /// since it was recorded.
     checkpoint: Cell<Option<(u64, u64)>>,
+    tally: LookTally,
+}
+
+/// What a [`CandidatePruneRule`]'s look keeps for the next one.
+#[derive(Debug, Clone, Default)]
+struct Look {
+    /// Where the statistics' touch log stood when `ci` was derived: a
+    /// stage asks for the interval scores twice (`stable`, then the
+    /// verdict) and builds them once. `None`: not derived yet.
+    at: Option<TouchCursor>,
+    ci: CiScores,
+    /// Every instance as the last point look ranked it: under-covered
+    /// first, then by score, ties by index.
+    order: Vec<u32>,
+}
+
+/// Sorts `order` by `cmp` from the order it holds — a permutation of
+/// `0..len` kept from the last sort: by insertion, linear in `len` plus
+/// how far entries move, while the moves stay within a few passes; by a
+/// full sort when they outgrow that, or when `order` is not yet a
+/// permutation of `0..len`.
+fn resort(order: &mut Vec<u32>, len: usize, cmp: impl Fn(u32, u32) -> std::cmp::Ordering) {
+    if order.len() != len {
+        order.clear();
+        order.extend(0..len as u32);
+        return order.sort_unstable_by(|&a, &b| cmp(a, b));
+    }
+    let mut moves = 0;
+    for i in 1..len {
+        let entry = order[i];
+        let mut at = i;
+        while at > 0 && cmp(entry, order[at - 1]).is_lt() {
+            order[at] = order[at - 1];
+            at -= 1;
+        }
+        order[at] = entry;
+        moves += i - at;
+        if moves > 8 * len {
+            return order.sort_unstable_by(|&a, &b| cmp(a, b));
+        }
+    }
 }
 
 impl CandidatePruneRule {
@@ -1364,8 +1716,9 @@ impl CandidatePruneRule {
             protected: PairSet::new(),
             keep: None,
             index: SharedIndex::default(),
-            scores: RefCell::new(None),
+            look: RefCell::default(),
             checkpoint: Cell::new(None),
+            tally: LookTally::default(),
         }
     }
 
@@ -1411,7 +1764,7 @@ impl CandidatePruneRule {
     /// The rule with a scoring parameter changed: what it derived and
     /// fingerprinted before answers for the old parameters.
     fn rescored(self) -> Self {
-        Self { scores: RefCell::new(None), checkpoint: Cell::new(None), ..self }
+        Self { look: RefCell::default(), checkpoint: Cell::new(None), ..self }
     }
 
     /// Marks the unordered pair `{a, b}` as never prunable (flagged
@@ -1449,52 +1802,60 @@ impl CandidatePruneRule {
         self.confidence.map_or(0.0, |confidence| 1.0 - confidence)
     }
 
-    /// Per-instance verdict: `true` where the instance is out of every
-    /// candidate pool on the evidence this rule demands.
-    fn out_of_pool(&self, stats: &PairwiseStats) -> Vec<bool> {
+    /// Writes the per-instance verdict into `out`: `true` where the
+    /// instance is out of every candidate pool on the evidence this rule
+    /// demands.
+    fn out_of_pool(&self, stats: &PairwiseStats, out: &mut Vec<bool>) {
         let m = stats.len();
+        out.clear();
         if let Some(confidence) = self.confidence {
             let scores = self.interval_scores(stats, confidence);
-            return (0..m).map(|j| scores.provably_out(j)).collect();
+            return out.extend((0..m).map(|j| scores.provably_out(j)));
         }
         // Out = outside the candidate union `CandidateSet::build_partial`
         // forms from these statistics: the ranked pool plus the
         // incumbent instances.
         let pool_size = self.config.pool_size(self.num_nodes, m);
         if pool_size >= m {
-            return vec![false; m];
+            return out.resize(m, false);
         }
-        let index = &mut lock(&self.index).means;
-        index.sync_means(stats);
-        let pool = report_window_rebuilds(index, || {
-            CandidateSet::ranked_pool(m, pool_size, |j| {
-                index.scores(j, POOL_QUANTILE, Self::DEFAULT_MIN_COVERAGE)
-            })
+        let mut index = lock(&self.index);
+        self.tally.synced(index.means.sync_means(stats));
+        let index = &index.means;
+        let scores =
+            self.tally.reads(index, || index.all_scores(POOL_QUANTILE, Self::DEFAULT_MIN_COVERAGE));
+        // The pool `CandidateSet::ranked_pool` takes: every instance it
+        // cannot rank, then the `pool_size` cheapest, ties by index.
+        let order = &mut self.look.borrow_mut().order;
+        resort(order, m, |a, b| match (scores[a as usize], scores[b as usize]) {
+            (Some([x]), Some([y])) => x.total_cmp(&y).then(a.cmp(&b)),
+            (x, y) => x.is_some().cmp(&y.is_some()).then(a.cmp(&b)),
         });
-        let mut out = vec![true; m];
-        for &j in pool.iter().chain(self.incumbent.iter().flatten()) {
+        let forced = order.partition_point(|&j| scores[j as usize].is_none());
+        let take = forced + pool_size.min(m - forced);
+        out.resize(m, true);
+        for &j in order[..take].iter().chain(self.incumbent.iter().flatten()) {
             out[j as usize] = false;
         }
-        out
     }
 
     /// The interval scores of `stats` at `confidence`, off the synced
-    /// index — built once per state of the statistics, however often the
-    /// rule asks.
+    /// index — derived once per state of the statistics, however often the
+    /// rule asks, in place of the last ones.
     fn interval_scores(&self, stats: &PairwiseStats, confidence: f64) -> Ref<'_, CiScores> {
         let at = stats.touch_cursor();
-        let cached = self.scores.borrow().as_ref().is_some_and(|(built, _)| *built == at);
-        if !cached {
-            let index = &mut lock(&self.index).intervals;
-            index.sync_intervals(stats, confidence);
-            let scores = report_window_rebuilds(index, || {
-                CiScores::build(self, stats.len(), |j| {
-                    index.scores(j, POOL_QUANTILE, Self::DEFAULT_MIN_COVERAGE)
-                })
+        if self.look.borrow().at != Some(at) {
+            let mut index = lock(&self.index);
+            self.tally.synced(index.intervals.sync_intervals(stats, confidence));
+            let index = &index.intervals;
+            let mut look = self.look.borrow_mut();
+            self.tally.reads(index, || {
+                let scores = index.all_scores(POOL_QUANTILE, Self::DEFAULT_MIN_COVERAGE);
+                look.ci.derive(self, &scores);
             });
-            *self.scores.borrow_mut() = Some((at, scores));
+            look.at = Some(at);
         }
-        Ref::map(self.scores.borrow(), |cache| &cache.as_ref().expect("just built").1)
+        Ref::map(self.look.borrow(), |look| &look.ci)
     }
 }
 
@@ -1503,7 +1864,9 @@ impl CandidatePruneRule {
 /// pair list.
 impl PruneRule for CandidatePruneRule {
     fn prune(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> Vec<(u32, u32)> {
-        let out = self.condemned_instances(stats).expect("an instance rule");
+        let mut out = Vec::new();
+        self.condemned_instances(stats, &mut out);
+        self.tally.report();
         // Nobody is out until coverage builds up (every evaluation of a
         // bootstrap's first ~m/2 stages): nothing to scan for.
         if !out.contains(&true) {
@@ -1516,22 +1879,46 @@ impl PruneRule for CandidatePruneRule {
             .collect()
     }
 
-    fn condemned_instances(&self, stats: &PairwiseStats) -> Option<Vec<bool>> {
-        Some(if stats.total_samples() == 0 {
-            vec![false; stats.len()]
+    fn condemned_instances(&self, stats: &PairwiseStats, out: &mut Vec<bool>) -> bool {
+        if stats.total_samples() == 0 {
+            out.clear();
+            out.resize(stats.len(), false);
         } else {
-            self.out_of_pool(stats)
-        })
+            self.out_of_pool(stats, out);
+        }
+        true
     }
 
     fn protects(&self, a: u32, b: u32) -> bool {
         self.protected.contains(a, b)
     }
+
+    /// Syncs the index a look would read, so the next look starts from a
+    /// short delta instead of an overrun log.
+    fn look_skipped(&self, stats: &PairwiseStats) {
+        let m = stats.len();
+        if stats.total_samples() == 0 {
+            return;
+        }
+        let mut index = lock(&self.index);
+        let synced = match self.confidence {
+            Some(confidence) => index.intervals.sync_intervals(stats, confidence),
+            None if self.config.pool_size(self.num_nodes, m) < m => index.means.sync_means(stats),
+            None => return,
+        };
+        self.tally.synced(synced);
+    }
+
+    fn sweep_ended(&self) {
+        self.tally.report();
+    }
 }
 
 impl StopRule for CandidatePruneRule {
     fn stable(&self, stats: &PairwiseStats, remaining: &[(u32, u32)]) -> bool {
-        self.settled(stats, remaining.len())
+        let stable = self.settled(stats, remaining.len());
+        self.tally.report();
+        stable
     }
 
     fn stable_by_count(&self, stats: &PairwiseStats, remaining: usize) -> Option<bool> {
@@ -1540,6 +1927,10 @@ impl StopRule for CandidatePruneRule {
 
     fn must_keep(&self, a: u32, b: u32) -> bool {
         self.keep.as_ref().unwrap_or(&self.protected).contains(a, b)
+    }
+
+    fn sweep_ended(&self) {
+        self.tally.report();
     }
 }
 
@@ -1627,16 +2018,15 @@ impl CandidatePruneRule {
 /// clustered topologies whole racks share near-identical scores, so
 /// without the margin the rank test at the boundary can never settle and
 /// the anytime stop would never fire.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct CiScores {
     /// Optimistic per-instance pool score (quantile of incident CI lower
-    /// bounds); 0 for under-covered or force-included instances.
+    /// bounds); 0 for under-covered instances.
     lo: Vec<f64>,
     /// Pessimistic per-instance pool score (quantile of incident CI
     /// upper bounds); `+∞` for under-covered instances.
     hi: Vec<f64>,
-    /// Instances that can never be proven out (incumbent,
-    /// under-covered).
+    /// Instances that can never be proven out (incumbent).
     forced: Vec<bool>,
     /// Instances with incident coverage below the evidence threshold.
     undercovered: Vec<bool>,
@@ -1644,6 +2034,10 @@ struct CiScores {
     /// `pool_size`-th smallest pessimistic score: an instance whose
     /// optimistic score exceeds this is provably out.
     out_threshold: f64,
+    /// Every instance by optimistic and by pessimistic score, as the last
+    /// derivation sorted them: the next one re-sorts from here.
+    lo_order: Vec<u32>,
+    hi_order: Vec<u32>,
     /// All optimistic scores, ascending, for the provably-in rank test.
     lo_sorted: Vec<f64>,
     /// Relative indifference margin; 0 demands strict interval
@@ -1652,41 +2046,37 @@ struct CiScores {
 }
 
 impl CiScores {
-    /// Scores `m` instances for `rule`; `score(j)` is instance `j`'s
-    /// quantile of incident CI lower and upper bounds, `None` when it is
-    /// under-covered.
-    fn build(
-        rule: &CandidatePruneRule,
-        m: usize,
-        score: impl Fn(usize) -> Option<[f64; 2]>,
-    ) -> Self {
-        let pool_size = rule.config.pool_size(rule.num_nodes, m);
-        let mut forced = vec![false; m];
+    /// Re-derives the scores of `scores.len()` instances for `rule` in
+    /// place; `scores[j]` is instance `j`'s quantile of incident CI lower
+    /// and upper bounds, `None` when it is under-covered.
+    fn derive(&mut self, rule: &CandidatePruneRule, scores: &[Option<[f64; 2]>]) {
+        let m = scores.len();
+        self.pool_size = rule.config.pool_size(rule.num_nodes, m);
+        self.tolerance = rule.tolerance();
+        self.forced.clear();
+        self.forced.resize(m, false);
         for &j in rule.incumbent.iter().flatten() {
-            forced[j as usize] = true;
+            self.forced[j as usize] = true;
         }
+        // Not enough evidence either way: optimistic 0 (never provably
+        // out), pessimistic ∞ (displaces nobody).
+        let (lo, hi) = (&mut self.lo, &mut self.hi);
+        lo.clear();
+        lo.extend(scores.iter().map(|score| score.map_or(0.0, |[q_lo, _]| q_lo)));
+        hi.clear();
+        hi.extend(scores.iter().map(|score| score.map_or(f64::INFINITY, |[_, q_hi]| q_hi)));
+        self.undercovered.clear();
+        self.undercovered.extend(scores.iter().map(Option::is_none));
 
-        let mut lo = vec![0.0f64; m];
-        let mut hi = vec![f64::INFINITY; m];
-        let mut undercovered = vec![false; m];
-        for j in 0..m {
-            match score(j) {
-                // Not enough evidence either way: optimistic 0 (never
-                // provably out), pessimistic ∞ (displaces nobody).
-                None => undercovered[j] = true,
-                Some([q_lo, q_hi]) => (lo[j], hi[j]) = (q_lo, q_hi),
-            }
-        }
-
-        let out_threshold = if pool_size == 0 || pool_size > m {
+        resort(&mut self.hi_order, m, |a, b| hi[a as usize].total_cmp(&hi[b as usize]));
+        self.out_threshold = if self.pool_size == 0 || self.pool_size > m {
             f64::INFINITY
         } else {
-            *hi.clone().select_nth_unstable_by(pool_size - 1, f64::total_cmp).1
+            hi[self.hi_order[self.pool_size - 1] as usize]
         };
-        let mut lo_sorted = lo.clone();
-        lo_sorted.sort_by(f64::total_cmp);
-        let tolerance = rule.tolerance();
-        Self { lo, hi, forced, undercovered, pool_size, out_threshold, lo_sorted, tolerance }
+        resort(&mut self.lo_order, m, |a, b| lo[a as usize].total_cmp(&lo[b as usize]));
+        self.lo_sorted.clear();
+        self.lo_sorted.extend(self.lo_order.iter().map(|&j| lo[j as usize]));
     }
 
     /// True when instance `j` provably sits outside every candidate
@@ -2256,7 +2646,7 @@ mod tests {
     /// A window over `model` (sorted) filled around `rank`.
     fn window_over(model: &[f64], rank: usize) -> Window {
         let mut window = Window::STALE;
-        window.fill(&mut model.to_vec(), rank);
+        window.fill(&mut model.iter().map(|&p| order_key(p)).collect::<Vec<_>>(), rank);
         window
     }
 
@@ -2265,7 +2655,7 @@ mod tests {
     fn assert_window_matches(window: &Window, model: &[f64]) {
         let held = &model[window.below..window.below + window.len];
         assert_eq!(
-            window.run().iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            window.run().iter().map(|&k| from_order_key(k).to_bits()).collect::<Vec<_>>(),
             held.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
             "window at {} over {model:?}",
             window.below
@@ -2283,21 +2673,21 @@ mod tests {
         }
         let short = [3.0, 1.0, 2.0];
         let window = window_over(&short, 1);
-        assert_eq!(window.run(), &[1.0, 2.0, 3.0]);
+        assert_eq!(window.run(), &[1.0, 2.0, 3.0].map(order_key));
     }
 
     #[test]
     fn window_edits_at_the_run_edges_keep_the_ranks() {
         let mut model: Vec<f64> = (0..100).map(|x| f64::from(x) * 2.0).collect();
         let mut window = window_over(&model, 50);
-        let (first, last) = (window.run[0], window.run[WINDOW - 1]);
+        let (first, last) = (window.at(window.below), window.at(window.below + WINDOW - 1));
         let edit = |window: &mut Window, model: &mut Vec<f64>, insert: bool, price: f64| {
             if insert {
-                window.insert(price, model.len());
+                window.insert(order_key(price), model.len());
                 let at = model.partition_point(|p| p.total_cmp(&price).is_lt());
                 model.insert(at, price);
             } else {
-                window.remove(price);
+                window.remove(order_key(price));
                 let at = model.iter().position(|p| p.to_bits() == price.to_bits()).unwrap();
                 model.remove(at);
             }
@@ -2316,7 +2706,7 @@ mod tests {
         assert_eq!(window.len, WINDOW);
         // Removing the run's first and last entries shrinks it from the
         // edges; removing outside it moves only the count below.
-        let (first, last) = (window.run[0], window.run[window.len - 1]);
+        let (first, last) = (window.at(window.below), window.at(window.below + window.len - 1));
         edit(&mut window, &mut model, false, first);
         edit(&mut window, &mut model, false, last);
         assert_eq!(window.len, WINDOW - 2);
@@ -2328,11 +2718,11 @@ mod tests {
         assert_eq!(window.below, below - 1);
         // Drained: the run goes stale and edits stop reaching it.
         while window.len > 0 {
-            let price = window.run[window.len / 2];
+            let price = window.at(window.below + window.len / 2);
             edit(&mut window, &mut model, false, price);
         }
-        window.insert(model[40], model.len());
-        window.remove(model[0]);
+        window.insert(order_key(model[40]), model.len());
+        window.remove(order_key(model[0]));
         assert_eq!((window.len, window.covers(window.below)), (0, false));
     }
 
@@ -2341,7 +2731,7 @@ mod tests {
         let mut model = vec![1.0, 2.0, 3.0];
         let mut window = window_over(&model, 1);
         for price in [0.5, 4.0, 0.25, f64::INFINITY, -0.0, 0.0] {
-            window.insert(price, model.len());
+            window.insert(order_key(price), model.len());
             let at = model.partition_point(|p| p.total_cmp(&price).is_lt());
             model.insert(at, price);
             assert_eq!(window.below, 0, "the run starts the multiset");
@@ -2351,7 +2741,7 @@ mod tests {
     }
 
     #[test]
-    fn random_window_edits_match_a_sorted_model() {
+    fn random_window_edits_and_replacements_match_a_sorted_model() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         let palette = [0.0, 1.0, 1.0, 2.0, f64::INFINITY];
@@ -2362,18 +2752,35 @@ mod tests {
             model.sort_by(f64::total_cmp);
             let mut window = window_over(&model, rng.random_range(0..model.len()));
             for _ in 0..200 {
-                if rng.random::<bool>() && !model.is_empty() {
-                    let price = model.remove(rng.random_range(0..model.len()));
-                    window.remove(price);
-                } else {
-                    let price = if rng.random::<bool>() {
+                let draw = |rng: &mut StdRng| {
+                    if rng.random::<bool>() {
                         palette[rng.random_range(0..5usize)]
                     } else {
                         rng.random_range(0.0..3.0)
-                    };
-                    window.insert(price, model.len());
-                    let at = model.partition_point(|p| p.total_cmp(&price).is_lt());
-                    model.insert(at, price);
+                    }
+                };
+                let (old, new) = match rng.random_range(0..3u32) {
+                    0 if !model.is_empty() => (Some(model[rng.random_range(0..model.len())]), None),
+                    1 if !model.is_empty() => {
+                        (Some(model[rng.random_range(0..model.len())]), Some(draw(&mut rng)))
+                    }
+                    _ => (None, Some(draw(&mut rng))),
+                };
+                if let Some(old) = old {
+                    let at = model.iter().position(|p| p.to_bits() == old.to_bits()).unwrap();
+                    model.remove(at);
+                }
+                match (old, new) {
+                    (Some(old), Some(new)) => {
+                        window.replace(order_key(old), order_key(new), model.len())
+                    }
+                    (Some(old), None) => window.remove(order_key(old)),
+                    (None, Some(new)) => window.insert(order_key(new), model.len()),
+                    (None, None) => {}
+                }
+                if let Some(new) = new {
+                    let at = model.partition_point(|p| p.total_cmp(&new).is_lt());
+                    model.insert(at, new);
                 }
                 if window.len > 0 {
                     assert_window_matches(&window, &model);
@@ -2422,7 +2829,7 @@ mod tests {
                     } else {
                         [f64::INFINITY; 2]
                     };
-                    let got = index.price[src * m + dst].expect("every link has evidence");
+                    let got = index.price.get(src * m + dst).expect("every link has evidence");
                     assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{src}->{dst}");
                 }
             }

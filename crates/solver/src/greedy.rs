@@ -113,8 +113,9 @@ fn seed(
         problem.edges.iter().find(|&&(a, b)| d[a as usize].is_none() && d[b as usize].is_none());
     match edge {
         Some(&(x, y)) => {
-            // Cheapest pair of free instances.
-            let mut best = (f64::INFINITY, 0usize, 0usize);
+            // Cheapest pair of free instances (the first free pair when
+            // every one costs +∞).
+            let mut best: Option<(f64, usize, usize)> = None;
             for u in 0..m {
                 if d_inv[u].is_some() {
                     continue;
@@ -124,12 +125,12 @@ fn seed(
                         continue;
                     }
                     let c = problem.costs.get(u, v);
-                    if c < best.0 {
-                        best = (c, u, v);
+                    if best.is_none_or(|(b, _, _)| c < b) {
+                        best = Some((c, u, v));
                     }
                 }
             }
-            let (_, u0, v0) = best;
+            let (_, u0, v0) = best.expect("two free instances for an unplaced edge");
             d[x as usize] = Some(u0 as u32);
             d_inv[u0] = Some(x);
             d[y as usize] = Some(v0 as u32);

@@ -226,7 +226,9 @@ pub fn solve_portfolio(
     let proven_cost = f64::from_bits(proven_cost_bits.load(Ordering::Acquire));
     // The proof covers the returned deployment only if nothing beat the
     // proven cost (the merge takes the min, so `<=` means equality here).
-    let covered_by_proof = |cost: f64| proven_cost <= cost + 1e-12;
+    // No proof stands behind a +∞ cost: every deployment reachable may be
+    // unusable, and the cost plane cannot tell them apart.
+    let covered_by_proof = |cost: f64| cost.is_finite() && proven_cost <= cost + 1e-12;
 
     if config.deterministic {
         // Merge by (cost, technique priority): independent of which worker
@@ -264,8 +266,15 @@ pub fn solve_portfolio(
             explored,
         }
     } else {
-        let (deployment, cost) =
-            control.best().expect("at least one technique always offers a deployment");
+        // The control keeps only offers below +∞. When every deployment
+        // reachable costs +∞ nothing is kept: return the warm start, or the
+        // first technique's deployment, at +∞.
+        let (deployment, cost) = control.best().unwrap_or_else(|| {
+            let fallback = initial_outcome
+                .or_else(|| results.iter().find_map(|cell| cell.lock().take()))
+                .expect("at least one technique always completes");
+            (fallback.deployment, fallback.cost)
+        });
         SolveOutcome {
             deployment,
             cost,
@@ -445,6 +454,28 @@ mod tests {
     /// A cold portfolio run over the full instance set.
     fn solve(p: &NodeDeployment, objective: Objective, config: &PortfolioConfig) -> SolveOutcome {
         solve_portfolio(p, objective, config, &SolveHint::Cold, None)
+    }
+
+    #[test]
+    fn a_problem_priced_at_infinity_returns_a_deployment_unproven() {
+        // Every link costs +∞: no offer is ever kept, racing or merged.
+        let p = NodeDeployment::new(4, path_edges(4), Costs::from_fn(6, |_, _| f64::INFINITY));
+        for deterministic in [false, true] {
+            let config = PortfolioConfig {
+                budget: if deterministic { Budget::nodes(200) } else { Budget::seconds(0.05) },
+                threads: 2,
+                deterministic,
+                ..PortfolioConfig::default()
+            };
+            let out = solve(&p, Objective::LongestLink, &config);
+            assert!(
+                p.is_valid(&out.deployment),
+                "deterministic: {deterministic}: {:?}",
+                out.deployment
+            );
+            assert_eq!(out.cost, f64::INFINITY);
+            assert!(!out.proven_optimal, "a +∞ cost proves nothing");
+        }
     }
 
     #[test]

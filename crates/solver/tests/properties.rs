@@ -702,7 +702,7 @@ proptest! {
 // the evidence pass.
 mod pool_index {
     use cloudia_measure::{PairwiseStats, PruneRule, StopRule};
-    use cloudia_solver::candidates::PoolIndex;
+    use cloudia_solver::candidates::{PoolIndex, SharedIndex};
     use cloudia_solver::{CandidateConfig, CandidatePruneRule};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -860,14 +860,23 @@ mod pool_index {
     /// A long-lived rule set next to the from-scratch twin it must agree
     /// with, plus a bare index per lane count. The interval rules are also
     /// evaluated as stop rules, as the online advisor's anytime epoch
-    /// evaluates its one rule.
+    /// evaluates its one rule. The long-lived point and interval rules
+    /// read one shared index, as the advisor's rules do, and carry their
+    /// look state (kept scores, rankings, buffers) from check to check;
+    /// every check also compares them with rules built afresh for it.
     struct Harness {
         point: [CandidatePruneRule; 2],
         interval: [CandidatePruneRule; 2],
+        pool: CandidateConfig,
+        incumbent: Vec<u32>,
+        confidence: f64,
         means: PoolIndex<1>,
         intervals: PoolIndex<2>,
         min_coverage: f64,
         remaining: Vec<(u32, u32)>,
+        /// The long-lived rules' verdict buffer, reused across checks as
+        /// the sweep driver reuses its own.
+        verdict: Vec<bool>,
     }
 
     impl Harness {
@@ -876,26 +885,73 @@ mod pool_index {
             let pool = CandidateConfig::fixed(rng.random_range(3..m));
             // A 10% or a near-zero (0.1%) indifference margin.
             let confidence = if rng.random::<bool>() { CONFIDENCE } else { 0.999 };
-            // Built twice, not cloned: clones share an index, and the
-            // twin must not drag the long-lived rule onto its lineage.
-            let point = || CandidatePruneRule::new(3, pool).with_incumbent(&[1, 2, 3]);
-            let interval = || point().with_confidence(confidence);
+            let incumbent = vec![1, 2, 3];
+            let index = SharedIndex::default();
+            let (point, interval) = Self::rules(pool, &incumbent, confidence);
+            let (long_point, long_interval) = Self::rules(pool, &incumbent, confidence);
             Self {
-                point: [point(), point()],
-                interval: [interval(), interval()],
+                point: [long_point.with_index(&index), point],
+                interval: [long_interval.with_index(&index), interval],
+                pool,
+                incumbent,
+                confidence,
                 means: PoolIndex::default(),
                 intervals: PoolIndex::default(),
                 min_coverage,
                 remaining: (0..m as u32)
                     .flat_map(|a| (a + 1..m as u32).map(move |b| (a, b)))
                     .collect(),
+                verdict: Vec::new(),
             }
+        }
+
+        /// A point and an interval rule with these parameters, each with
+        /// an index and look state of its own.
+        fn rules(
+            pool: CandidateConfig,
+            incumbent: &[u32],
+            confidence: f64,
+        ) -> (CandidatePruneRule, CandidatePruneRule) {
+            let point = || CandidatePruneRule::new(3, pool).with_incumbent(incumbent);
+            (point(), point().with_confidence(confidence))
+        }
+
+        /// Rebuilds the rules with another incumbent or confidence level:
+        /// the long-lived ones from their clones, over the shared index
+        /// (another level rebuilds its interval index), the twins afresh.
+        fn rebuild_rules(&mut self, m: usize, rng: &mut StdRng) {
+            if rng.random::<bool>() {
+                self.incumbent = (0..3).map(|_| rng.random_range(0..m as u32)).collect();
+                for rule in [&mut self.point[0], &mut self.interval[0]] {
+                    *rule = rule.clone().with_incumbent(&self.incumbent);
+                }
+            } else {
+                self.confidence = [CONFIDENCE, 0.999, 0.8][rng.random_range(0..3usize)];
+                self.interval[0] = self.interval[0].clone().with_confidence(self.confidence);
+            }
+            (self.point[1], self.interval[1]) =
+                Self::rules(self.pool, &self.incumbent, self.confidence);
         }
 
         /// Evaluates everything on `stats` and on a from-scratch basis.
         fn check(&mut self, stats: &PairwiseStats) {
             let scratch = stats.clone();
             let rem = &self.remaining;
+            // As a sweep looks: the stop rule's count look, then the
+            // instance verdict into the driver's buffer, against rules
+            // built afresh for this look over a clone.
+            let (point, interval) = Self::rules(self.pool, &self.incumbent, self.confidence);
+            let [long_lived, twin] = &self.interval;
+            assert_eq!(
+                long_lived.stable_by_count(stats, rem.len()),
+                twin.stable_by_count(&scratch, rem.len())
+            );
+            for (kept, fresh) in [(&self.point[0], point), (long_lived, interval)] {
+                let mut expected = Vec::new();
+                assert!(kept.condemned_instances(stats, &mut self.verdict));
+                assert!(fresh.condemned_instances(&scratch, &mut expected));
+                assert_eq!(self.verdict, expected, "verdict of {:?}", kept.confidence());
+            }
             assert_eq!(self.point[0].prune(stats, rem), self.point[1].prune(&scratch, rem));
             assert_eq!(self.interval[0].prune(stats, rem), self.interval[1].prune(&scratch, rem));
             // Both interval rules see every evaluation, so their plateau
@@ -1075,6 +1131,100 @@ mod pool_index {
             // One history, evaluated often enough to stay on the log's
             // tail: each index was built once and synced ever after.
             prop_assert!(h.means.rebuilds() <= 1 + ops as u64 / (4 * m as u64));
+        }
+
+        #[test]
+        fn scores_read_after_a_bulk_build_equal_the_one_shot_pool(
+            seed in 0u64..10_000,
+            m in 3usize..40,
+            ops in 1usize..200,
+            k in 1usize..40,
+        ) {
+            use cloudia_solver::CandidateSet;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stats = PairwiseStats::new(m);
+            for _ in 0..ops {
+                mutate_ties(&mut stats, &mut rng);
+            }
+            let min_coverage = [0.0, 0.5, 0.8][rng.random_range(0..3usize)];
+            let n = 1 + k % m.min(4);
+            let config = CandidateConfig::fixed(k);
+            let incumbent: Vec<u32> = (0..n).map(|_| rng.random_range(0..m as u32)).collect();
+            // The evidence `build_partial` reads: a link's mean when
+            // sampled, +∞ when only attempted, none otherwise.
+            let (count, attempts, mean) =
+                (stats.count_column(), stats.attempts_column(), stats.mean_column());
+            let evidence = |src: usize, dst: usize| {
+                let idx = src * m + dst;
+                if count[idx] > 0 {
+                    Some([mean[idx]])
+                } else {
+                    (attempts[idx] > 0).then_some([f64::INFINITY])
+                }
+            };
+            let one_shot = CandidateSet::build_partial(
+                n, &stats, &config, Some(&incumbent), None, min_coverage,
+            );
+            // Bulk-built directly, and by a touched sync past its budget
+            // over an index that followed other evidence before.
+            let mut rebuilt = PoolIndex::<1>::default();
+            rebuilt.rebuild(m, evidence);
+            let mut synced = PoolIndex::<1>::default();
+            synced.sync_touched(m, std::iter::empty(), |_, _| Some([1.0]));
+            let _ = synced.all_scores(QUANTILE, min_coverage);
+            let budget = PoolIndex::<1>::reprice_budget(m);
+            let touched: Vec<usize> = (0..m * m).cycle().take(budget + 1).collect();
+            synced.sync_touched(m, touched.into_iter(), evidence);
+            prop_assert_eq!(synced.rebuilds(), 2, "past the budget a sync bulk-builds");
+            for index in [&rebuilt, &synced] {
+                let pool = CandidateSet::from_index(
+                    n, index, &config, Some(&incumbent), None, min_coverage,
+                );
+                prop_assert_eq!(pool.union(), one_shot.union());
+                for v in 0..n {
+                    prop_assert_eq!(pool.node_candidates(v), one_shot.node_candidates(v));
+                }
+                for j in 0..m {
+                    prop_assert_eq!(
+                        index.scores(j, QUANTILE, min_coverage).map(|[s]| vec![s.to_bits()]),
+                        naive_scores(&stats, j, None, min_coverage),
+                        "instance {}", j
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn carried_look_state_survives_overruns_rebuilt_rules_and_new_levels(
+            seed in 0u64..10_000,
+            m in 6usize..13,
+            ops in 20usize..120,
+        ) {
+            // What a look keeps for the next (kept scores, rankings, the
+            // threshold's and verdict's buffers) against fresh rules at
+            // every check, while the touch log overruns between two looks
+            // and the rules are rebuilt with another incumbent or level
+            // over their shared index.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stats = PairwiseStats::new(m);
+            let mut h = Harness::new(m, &mut rng);
+            for _ in 0..ops {
+                mutate(&mut stats, &mut rng);
+                match rng.random_range(0..10u32) {
+                    0 => {
+                        let cursor = stats.touch_cursor();
+                        while stats.touched_since(cursor).is_some() {
+                            mutate(&mut stats, &mut rng);
+                        }
+                    }
+                    1 => h.rebuild_rules(m, &mut rng),
+                    _ => {}
+                }
+                if rng.random::<f64>() < 0.5 {
+                    h.check(&stats);
+                }
+            }
+            h.check(&stats);
         }
 
         #[test]

@@ -1,6 +1,7 @@
-//! The pool index reports how it kept up with a sweep, sync by sync. One
-//! test, in a process of its own: the counters live in the global
-//! registry, where a concurrently evaluated rule would move them.
+//! The pool index reports how it kept up with a sweep: its looks tally
+//! locally, and each sweep reports them once. One test, in a process of
+//! its own: the counters and spans live in the global registry, where a
+//! concurrently evaluated rule would move them.
 
 use cloudia_measure::{run_anytime, MeasureConfig, PairwiseStats, Staged};
 use cloudia_netsim::{Cloud, Provider};
@@ -20,9 +21,10 @@ fn a_healthy_sweep_rebuilds_each_index_once_and_syncs_the_rest() {
     // The advisor's anytime epoch: one rule object is both the prune and
     // the stop rule, over one index.
     let both = rule();
+    cloudia_obs::take_spans();
     run_anytime(&scheme, &net, &cfg, PairwiseStats::new(m), &both, &both);
-    // Counted as they happen, so an index that outlives the sweep — the
-    // online advisor keeps one for a whole run — shows up mid-run.
+    // Reported when the sweep ends, so an index that outlives it — the
+    // online advisor keeps one for a whole run — shows up sweep by sweep.
     assert_eq!(counter("sweep.rule.index_rebuilds"), 1);
     let synced = counter("sweep.rule.synced_links");
     assert!(synced > 0, "every stage after the first evaluation is a delta sync");
@@ -30,6 +32,15 @@ fn a_healthy_sweep_rebuilds_each_index_once_and_syncs_the_rest() {
     // rank an instance fills its windows.
     let filled = counter("sweep.rule.window_rebuilds");
     assert!(filled > 0, "no look filled a window");
+    // The sweep's span carries the time its looks took.
+    let spans = cloudia_obs::take_spans();
+    let sweep = spans.iter().find(|span| span.name == "sweep.run").expect("a sweep span");
+    let looks = sweep.attrs.iter().find(|(key, _)| *key == "looks_ms").map(|&(_, v)| v);
+    assert!(
+        matches!(looks, Some(cloudia_obs::AttrValue::Num(ms)) if ms > 0.0 && ms <= sweep.wall_ms),
+        "looks_ms {looks:?} of a {} ms sweep",
+        sweep.wall_ms
+    );
     drop(both);
     assert_eq!(counter("sweep.rule.index_rebuilds"), 1, "dropping the index reports nothing");
 
