@@ -12,7 +12,7 @@
 //! instance's score must beat rebuilding it from the evidence scan by
 //! ≥ 3×, on both lane counts, with bit-identical scores — an index that
 //! silently falls back to rebuilding every stage fails here. It reads
-//! 32–33× on the mean lane and 26–27× on the interval lanes: a rebuild's
+//! 28–40× on the mean lane and 24–28× on the interval lanes: a rebuild's
 //! reads now lay every instance's prices out in one row-major pass and
 //! select on integer keys, which took the mean lane's rebuild from
 //! ~0.6 s to ~0.33 s over the 60 stages (it read 40–76× before).
@@ -25,8 +25,8 @@
 //! under a point `CandidatePruneRule` with 95 % of pairs protected and
 //! 170 instances out stays within 1.4× of the bare sweep. Its 598 looks
 //! cost the pool verdict plus one pass over the slots of each instance
-//! condemned for the first time. Ten consecutive runs on a shared 2-vCPU
-//! Xeon read 1.23–1.36×: a look re-prices the stage's links and re-ranks
+//! condemned for the first time. Two sets of ten consecutive runs on a
+//! shared 2-vCPU Xeon read 1.12–1.36×: a look re-prices the stage's links and re-ranks
 //! from the last look's order, 7–11 µs at m = 300. Before that (every look
 //! re-reading all 300 windows with float rank math, a `select_nth`, four
 //! fresh `Vec`s, and the touch log's per-entry modulo) it read 1.45–1.69×;
@@ -57,8 +57,8 @@
 //! Xeon while the default statistics allocated a P² sketch per link (an
 //! index keeping every instance's incident prices sorted read
 //! 17.0–18.2×); without the sketches the rebuild costs 1.1–2.1 ms per
-//! epoch, not 3.6–3.8 ms, and the kept index 0.08–0.16 ms. Ten
-//! consecutive runs read 12.4–14.4× now that a read re-scores only the
+//! epoch, not 3.6–3.8 ms, and the kept index 0.08–0.16 ms. Two sets of
+//! ten consecutive runs read 12.4–14.4× now that a read re-scores only the
 //! ~25 instances an epoch touched (9.9–12× when every read re-ranked all
 //! 200 windows).
 //!

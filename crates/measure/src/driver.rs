@@ -366,7 +366,7 @@ fn prune_look(
     condemned: &mut Vec<bool>,
 ) -> Option<(usize, u64)> {
     let protects = |a, b| rule.protects(a, b);
-    if driver.unprotected_left(&protects) == Some(0) {
+    if driver.unprotected == Some(0) {
         rule.look_skipped(driver.stats());
         return None;
     }
@@ -421,12 +421,11 @@ pub struct StageDriver<'n> {
     /// Each instance's slots, built at the first instance strike.
     slots: Option<Slots>,
     /// The live pairs of the schedule an instance rule's protections do
-    /// not cover — counted after the rule's first look, and kept by every
-    /// strike after it — so a look that can strike nothing is skipped.
+    /// not cover — counted after the rule's first look, and kept by its
+    /// instance strikes after it — so a look that can strike nothing is
+    /// skipped. Other strikes (dark pairs, named pairs) leave it an
+    /// over-count, which only skips fewer looks.
     unprotected: Option<usize>,
-    /// Pairs struck dark since the last look while `unprotected` is kept:
-    /// the next look discounts the unprotected ones.
-    struck_dark: Vec<(u32, u32)>,
     sweeps: usize,
     sweep: usize,
     stage: usize,
@@ -554,7 +553,6 @@ impl<'n> StageDriver<'n> {
             live,
             slots: None,
             unprotected: None,
-            struck_dark: Vec::new(),
             sweeps,
             sweep: 0,
             stage: 0,
@@ -650,10 +648,6 @@ impl<'n> StageDriver<'n> {
         // next epoch) re-attempts them.
         for &pid in &outcome.dark {
             self.tombstone(self.stage, pid);
-            if self.unprotected.is_some() {
-                let (a, b, _) = self.stages[self.stage][pid];
-                self.struck_dark.push((a, b));
-            }
         }
         // Coordinator round before the next stage.
         self.now += COORD_OVERHEAD_MS;
@@ -731,20 +725,10 @@ impl<'n> StageDriver<'n> {
         (pairs, saved)
     }
 
-    /// How many live pairs of the schedule `protects` does not exempt,
-    /// once [`StageDriver::count_unprotected`] has counted them (`None`
-    /// before). Stages the last sweep passed still count theirs: zero
-    /// means no pair still scheduled is unprotected.
-    fn unprotected_left(&mut self, protects: &dyn Fn(u32, u32) -> bool) -> Option<usize> {
-        let unprotected = self.unprotected.as_mut()?;
-        for (a, b) in self.struck_dark.drain(..) {
-            *unprotected -= usize::from(!protects(a, b));
-        }
-        Some(*unprotected)
-    }
-
     /// Counts the live pairs `protects` does not exempt, once: from then
-    /// on [`StageDriver::strike_instance`] and dark strikes keep the count.
+    /// on [`StageDriver::strike_instance`] keeps the count. Stages the
+    /// last sweep passed still count theirs, so zero means no pair still
+    /// scheduled is unprotected.
     fn count_unprotected(&mut self, protects: &dyn Fn(u32, u32) -> bool) {
         if self.unprotected.is_none() {
             let live = self.stages.iter().flatten().filter(|&&(a, b, k)| k > 0 && !protects(a, b));

@@ -2734,7 +2734,7 @@ mod tests {
             advisor.plan_index.as_ref().expect("kept").rebuilds()
         };
         assert_eq!(advisor.plan_index.as_ref().unwrap().rebuilds(), 1, "built at construction");
-        // The budget is `REPRICE_PER_INSTANCE · m` = 5120 of 6320 links.
+        // The budget is `REPRICE_PER_INSTANCE · m` = 3200 of 6320 links.
         let budget = PoolIndex::<1>::reprice_budget(m);
         assert_eq!(budget, REPRICE_PER_INSTANCE * m);
         assert!(budget < links.len());

@@ -776,12 +776,13 @@ const WINDOW: usize = 32;
 /// Touched links per instance up to which [`PoolIndex::sync_touched`]
 /// re-prices instead of bulk-building ([`PoolIndex::reprice_budget`]).
 /// Re-pricing `t` random links and reading every score, against a bulk
-/// build and the same reads (one 2-vCPU host, fastest of 6 trials),
-/// breaks even near `t = 45·m` at m = 200 and past `64·m` from m = 500:
-/// at `64·m` re-pricing costs 1.4, 0.75 and 0.35 of the build at
-/// m = 200, 500 and 1000. The budget decides only how the index gets
-/// there: either way the scores are the same.
-pub const REPRICE_PER_INSTANCE: usize = 64;
+/// build and the same reads (one 2-vCPU host, fastest of 12 trials),
+/// breaks even between `t = 40·m` and `48·m` at m = 200 and 300 and near
+/// `56·m` at m = 500; at `64·m` re-pricing costs 1.1–1.6× the build at
+/// all three. The budget sits at the crossover of the smallest of them.
+/// It decides only how the index gets there: either way the scores are
+/// the same.
+pub const REPRICE_PER_INSTANCE: usize = 40;
 
 /// A sorted run of at most [`WINDOW`] of one instance's incident prices
 /// on one lane: the entries at ranks `below .. below + len` of its
@@ -941,11 +942,16 @@ fn from_order_key(key: i64) -> f64 {
     f64::from_bits(order_key(f64::from_bits(key as u64)) as u64)
 }
 
-/// Misses per instance below which a read gathers each missing instance's
+/// Instances per miss below which a read gathers each missing instance's
 /// prices off its row and column of the price cache, and at or above
 /// which one row-major pass over the cache gathers them all: a column is
-/// `m` strided reads, a pass `m²` contiguous ones.
-const BATCH_GATHER: usize = 8;
+/// `m` strided reads, a pass `m²` contiguous ones plus a test per link.
+/// Timed on one 2-vCPU host (fastest of 15 trials, random prices), the
+/// two break even between `m / 3` and `m / 2` misses on a full cache
+/// (m = 200 and 300, one or two lanes) and near `2m / 3` on a cache 40 %
+/// full; at `m / 8` misses the row-major pass costs 2–4× the columns, at
+/// `m` misses 0.5–0.8× of them.
+const BATCH_GATHER: usize = 2;
 
 /// Every instance's windows and kept scores, behind the index's interior
 /// mutability: a read refreshes the scores of the instances a re-price
@@ -1073,9 +1079,10 @@ impl<const L: usize> Prices<L> {
 /// after a bulk build, one at another quantile, or one after re-pricing
 /// drained or shifted the run — refills from the instance's incident
 /// prices around the rank. A few misses gather their prices off the price
-/// cache's row and column; many (every instance, after a bulk build) lay
-/// them all out contiguously in one row-major pass over the cache, as the
-/// evidence pass does over the statistics. Scores are bit-identical to a
+/// cache's row and column; many (half the instances or more, as every
+/// instance after a bulk build) lay them all out contiguously in one
+/// row-major pass over the cache, as the evidence pass does over the
+/// statistics. Scores are bit-identical to a
 /// from-scratch evidence pass over the same statistics: a window holds
 /// exactly the entries a sort of the pass's prices puts at its ranks, and
 /// a selection returns the element a sort puts at that rank.
@@ -1384,7 +1391,8 @@ impl<const L: usize> PoolIndex<L> {
         if misses.is_empty() {
             return;
         }
-        self.gather(misses, off, lanes, slot);
+        let row_major = misses.len() * BATCH_GATHER >= self.m;
+        self.gather(misses, row_major, off, lanes, slot);
         for (i, &(j, rank)) in misses.iter().enumerate() {
             let (j, rank, span) = (j as usize, rank as usize, off[i]..off[i + 1]);
             if *select_once {
@@ -1399,20 +1407,21 @@ impl<const L: usize> PoolIndex<L> {
             *fills += 1;
             scores[j] = Some(std::array::from_fn(|l| runs[j][l].at(rank)));
         }
-        // A gather after a bulk build holds every incident price once
-        // more: let it go rather than keep it resident.
-        if lanes.first().is_some_and(|lane| lane.capacity() > 2 * BATCH_GATHER * self.m) {
+        // A row-major gather holds most incident prices once more (every
+        // one after a bulk build): let it go rather than keep it resident.
+        if row_major {
             *lanes = std::array::from_fn(|_| Vec::new());
         }
     }
 
     /// Lays the incident prices of every instance in `misses` out per
     /// lane, `misses[i]`'s at `off[i]..off[i + 1]`: off each one's row and
-    /// column of the price cache while they are few, in one row-major
-    /// pass over the cache for all of them once they are many.
+    /// column of the price cache, or in one row-major pass over the cache
+    /// for all of them ([`BATCH_GATHER`]).
     fn gather(
         &self,
         misses: &[(u32, u32)],
+        row_major: bool,
         off: &mut Vec<usize>,
         lanes: &mut [Vec<i64>; L],
         slot: &mut Vec<u32>,
@@ -1436,7 +1445,7 @@ impl<const L: usize> PoolIndex<L> {
             }
             off[i] += 1;
         };
-        if misses.len() * BATCH_GATHER < m {
+        if !row_major {
             for (i, &(j, _)) in misses.iter().enumerate() {
                 let j = j as usize;
                 let (row, column) = ((j * m..(j + 1) * m), (j..m * m).step_by(m));
@@ -1668,11 +1677,17 @@ struct Look {
     order: Vec<u32>,
 }
 
+/// Entry moves per entry past which [`resort`] gives up inserting and
+/// sorts. Timed on one 2-vCPU host (fastest of 30 trials, 200 or 300
+/// entries with some of their scores moved), insertion costs 0.1–0.5× a
+/// full sort up to 5 moves per entry and breaks even between 9 and 13.
+const RESORT_MOVES: usize = 10;
+
 /// Sorts `order` by `cmp` from the order it holds — a permutation of
 /// `0..len` kept from the last sort: by insertion, linear in `len` plus
-/// how far entries move, while the moves stay within a few passes; by a
-/// full sort when they outgrow that, or when `order` is not yet a
-/// permutation of `0..len`.
+/// how far entries move, while the moves stay within [`RESORT_MOVES`]
+/// per entry; by a full sort when they outgrow that, or when `order` is
+/// not yet a permutation of `0..len`.
 fn resort(order: &mut Vec<u32>, len: usize, cmp: impl Fn(u32, u32) -> std::cmp::Ordering) {
     if order.len() != len {
         order.clear();
@@ -1689,7 +1704,7 @@ fn resort(order: &mut Vec<u32>, len: usize, cmp: impl Fn(u32, u32) -> std::cmp::
         }
         order[at] = entry;
         moves += i - at;
-        if moves > 8 * len {
+        if moves > RESORT_MOVES * len {
             return order.sort_unstable_by(|&a, &b| cmp(a, b));
         }
     }
