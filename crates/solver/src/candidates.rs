@@ -1407,8 +1407,9 @@ impl<const L: usize> PoolIndex<L> {
             *fills += 1;
             scores[j] = Some(std::array::from_fn(|l| runs[j][l].at(rank)));
         }
-        // A row-major gather holds most incident prices once more (every
-        // one after a bulk build): let it go rather than keep it resident.
+        // A row-major gather holds half the incident prices or more once
+        // more (all after a bulk build): let it go rather than keep it
+        // resident.
         if row_major {
             *lanes = std::array::from_fn(|_| Vec::new());
         }
