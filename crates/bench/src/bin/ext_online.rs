@@ -32,7 +32,6 @@ use cloudia_online::{
     incremental_resolve, DetectorConfig, EpochMeasurement, MeasurementStream, OnlineAdvisor,
     OnlineAdvisorConfig, OnlineEvent, RepairConfig, SimStream,
 };
-use cloudia_solver::candidates::PrunedProblem;
 use cloudia_solver::{Budget, PortfolioConfig};
 
 struct ArmReport {
@@ -265,16 +264,14 @@ fn main() {
     let mut cold_total = 0.0;
     println!("trigger_epoch\tincremental_s\tcold_s\tspeedup");
     for t in triggers {
-        let problem = graph.problem(t.costs.clone());
         let repair_config = RepairConfig {
             migration_budget: k,
             solve_seconds: solve_s,
             threads: 1,
             seed: seed ^ t.epoch,
         };
-        let dense = PrunedProblem::dense(problem.clone());
         let t0 = Instant::now();
-        let _ = incremental_resolve(&dense, Objective::LongestLink, &t.incumbent, &repair_config);
+        let _ = incremental_resolve(&t.pool, Objective::LongestLink, &t.incumbent, &repair_config);
         let inc_s = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
         let _ = SearchStrategy::Portfolio(PortfolioConfig {
@@ -283,7 +280,7 @@ fn main() {
             seed: seed ^ t.epoch,
             ..PortfolioConfig::default()
         })
-        .run(&problem, Objective::LongestLink);
+        .run(&t.pool.sub, Objective::LongestLink);
         let cold_s = t0.elapsed().as_secs_f64();
         inc_total += inc_s;
         cold_total += cold_s;

@@ -13,10 +13,11 @@
 //! * final deployment cost of each path;
 //! * the pruned pool size.
 //!
-//! Auto-escalation is deliberately disabled here so the timing isolates
-//! the pruned search itself (an escalated run is "pruned + dense" by
-//! definition); the escalation contract has its own coverage in the
-//! `cloudia-core` proptests.
+//! The pruned arm ranks the pool `run_pruned` ranks and solves it through
+//! `SearchStrategy::run_on_pool`, skipping `run_pruned`'s dense
+//! escalation so the timing isolates the pruned search itself (an
+//! escalated run is "pruned + dense" by definition); the escalation
+//! contract has its own coverage in the `cloudia-core` proptests.
 //!
 //! In `--smoke` mode the bin **asserts** the PR's acceptance criterion at
 //! m = 2000: the pruned solve completes ≥ 5× faster than the dense one
@@ -68,12 +69,13 @@ fn race(
     name: &'static str,
     problem: &cloudia_core::NodeDeployment,
 ) -> Arm {
-    // No escalation: time the pruned search alone (see module docs).
-    let cand = CandidateConfig { auto_escalate: false, ..CandidateConfig::default() };
-    // Pruned first: if it were run second, a warm file cache/allocator
-    // would flatter it.
+    // The pool `run_pruned` ranks, solved without its dense escalation
+    // (see module docs). Pruned first: if it were run second, a warm file
+    // cache/allocator would flatter it.
     let t0 = Instant::now();
-    let pruned = strategy.run_pruned(problem, Objective::LongestLink, &SolveHint::Cold, &cand);
+    let pool = CandidateSet::build(problem, &CandidateConfig::default(), None, None);
+    let pruned =
+        strategy.run_on_pool(&pool.restrict(problem), Objective::LongestLink, &SolveHint::Cold);
     let pruned_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
     let dense = strategy.run(problem, Objective::LongestLink);

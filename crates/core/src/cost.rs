@@ -5,19 +5,7 @@ pub use cloudia_solver::Objective;
 
 use cloudia_netsim::{InstanceId, Network};
 
-use crate::problem::{CommGraph, CostMatrix, Deployment};
-
-/// Evaluates a deployment's cost for a communication graph under a cost
-/// matrix and objective (convenience wrapper over
-/// [`cloudia_solver::NodeDeployment::cost`]).
-pub fn deployment_cost(
-    graph: &CommGraph,
-    costs: &CostMatrix,
-    objective: Objective,
-    deployment: &Deployment,
-) -> f64 {
-    graph.problem(costs.clone()).cost(objective, deployment)
-}
+use crate::problem::{CommGraph, CostMatrix};
 
 /// Ground-truth cost of `deployment` on `network`: each link priced at its
 /// expected completion time under a `timeout_ms` sender timeout
@@ -57,14 +45,6 @@ mod tests {
         assert!((relative_improvement(2.0, 1.0) - 0.5).abs() < 1e-12);
         assert!(relative_improvement(1.0, 1.5) < 0.0);
         assert_eq!(relative_improvement(1.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn cost_wrapper_matches_solver() {
-        let g = CommGraph::new(2, vec![(0, 1)]);
-        let c = CostMatrix::from_flat(3, vec![0.0, 2.0, 1.0, 2.0, 0.0, 3.0, 1.0, 3.0, 0.0]);
-        assert_eq!(deployment_cost(&g, &c, Objective::LongestLink, &vec![0, 1]), 2.0);
-        assert_eq!(deployment_cost(&g, &c, Objective::LongestLink, &vec![0, 2]), 1.0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod redeploy;
 pub mod search;
 
 pub use advisor::{Advisor, AdvisorConfig, AdvisorOutcome, MeasurementPlan};
-pub use cost::{deployment_cost, ground_truth_cost, relative_improvement, Objective};
+pub use cost::{ground_truth_cost, relative_improvement, Objective};
 pub use metrics::LatencyMetric;
 pub use problem::{
     CommGraph, CostBuilder, CostError, CostMatrix, Deployment, NodeDeployment, NodeId,

@@ -158,10 +158,9 @@ impl SearchStrategy {
     ///   **exact fallback**: the call degenerates to `run_with_hint`
     ///   bit-for-bit;
     /// * a pruned run never claims `proven_optimal` — when the pruned
-    ///   search *does* close its restricted neighbourhood and
-    ///   `auto_escalate` is set, the driver re-solves densely
-    ///   (warm-started from the pruned result) instead of passing the
-    ///   local proof off as a global one.
+    ///   search *does* close its restricted neighbourhood, the driver
+    ///   re-solves densely (warm-started from the pruned result) instead
+    ///   of passing the local proof off as a global one.
     pub fn run_pruned(
         &self,
         problem: &NodeDeployment,
@@ -176,7 +175,7 @@ impl SearchStrategy {
             candidates.restrict(problem)
         };
         let solve = self.run_on_pool(&restricted, objective, hint);
-        if config.auto_escalate && solve.proven_in_pool {
+        if solve.proven_in_pool {
             // The pruned search closed its neighbourhood; settle the full
             // pool densely, warm-started from the pruned result so the
             // dense run opens with a tight bound.
@@ -584,14 +583,14 @@ mod tests {
             &p,
             Objective::LongestLink,
             &hint,
-            &cloudia_solver::CandidateConfig {
-                auto_escalate: false,
-                ..cloudia_solver::CandidateConfig::fixed(6)
-            },
+            &cloudia_solver::CandidateConfig::fixed(6),
         );
         let out = &pruned.outcome;
         assert!(p.is_valid(&out.deployment));
-        assert!(!out.proven_optimal, "pruned run must not claim a global proof");
+        assert!(
+            pruned.escalated || !out.proven_optimal,
+            "a pruned run claims a global proof only from its dense escalation"
+        );
         for (v, f) in fixed.iter().enumerate() {
             if let Some(j) = f {
                 assert_eq!(out.deployment[v], *j, "node {v} moved off its pin");

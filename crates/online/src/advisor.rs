@@ -16,7 +16,7 @@
 use std::cell::OnceCell;
 
 use cloudia_core::{
-    ground_truth_cost, CommGraph, CostError, CostMatrix, Deployment, Objective, RedeployPolicy,
+    ground_truth_cost, CommGraph, CostError, Deployment, Objective, RedeployPolicy,
 };
 use cloudia_measure::{FocusedScheme, ProbePlan, PruneRule, Scheme, StopRule};
 use cloudia_netsim::Network;
@@ -49,7 +49,8 @@ pub enum ProbePolicy {
     ///
     /// The probe pool comes from the advisor's candidates config (the
     /// adaptive controller's current `k` when one is live); without a
-    /// candidates config a default pool of `2·n` instances is used. When
+    /// candidates config — repairs then search every instance — the probe
+    /// pool is a default `2·n` instances. When
     /// the pool covers every instance — small allocations, or `k` near
     /// `m` — the plan degenerates to a full sweep: still correct, just
     /// not cheaper than [`ProbePolicy::Uniform`].
@@ -93,7 +94,9 @@ pub struct OnlineAdvisorConfig {
     /// frequent (full-sweep probe escalations, triggered repairs that find
     /// nothing inside the pool while an opportunity alarm points outside
     /// it) and shrinks on stationary stretches, and the focused probe
-    /// plan shrinks with it.
+    /// plan shrinks with it. `None` repairs over every instance (the exact
+    /// pool, [`CandidateConfig::fixed`] at the instance count) while
+    /// focused probing and mid-sweep pruning still rank a `2·n` pool.
     pub candidates: Option<CandidateConfig>,
     /// Probe budget policy: uniform full sweeps or trigger-driven
     /// focusing. Focusing only takes effect through
@@ -146,7 +149,7 @@ pub struct OnlineAdvisorConfig {
     /// path; [`OnlineAdvisor::step`] (no stream access) always behaves
     /// as if it were 0.
     pub spot_check_probes: usize,
-    /// Record every trigger's (costs, incumbent) so a harness can replay
+    /// Record every trigger's (pool, incumbent) so a harness can replay
     /// the same instances against a cold solver (timing comparisons).
     pub record_triggers: bool,
     /// Sender timeout (ms) used to price packet loss into costs: both
@@ -367,8 +370,9 @@ pub enum OnlineEvent {
 pub struct TriggerInstance {
     /// Epoch index of the trigger.
     pub epoch: u64,
-    /// The estimated costs the re-solve searched on.
-    pub costs: CostMatrix,
+    /// The sub-problem the re-solve searched: the repair pool, priced
+    /// at the estimated costs.
+    pub pool: PrunedProblem,
     /// The incumbent at trigger time.
     pub incumbent: Deployment,
 }
@@ -429,8 +433,6 @@ struct Repaired {
     unanswered: bool,
     /// Instances in the re-solve's sub-problem (0 when nothing ran).
     pool: usize,
-    /// m×m cost matrices built for the re-solve (0 or 1).
-    dense_costs: u32,
 }
 
 /// Where the accounting phases read ground truth: a network the caller
@@ -508,7 +510,7 @@ pub struct OnlineAdvisor {
 
 /// Whether any of `links` has an endpoint outside `pool`, the sorted
 /// candidate union a repair searched: an opportunity the repair could not
-/// use. A dense repair's pool has no outside.
+/// use. A pool of every instance has no outside.
 fn outside_pool(pool: &[u32], links: &[(u32, u32)]) -> bool {
     let inside = |j: u32| pool.binary_search(&j).is_ok();
     links.iter().any(|&(a, b)| !inside(a) || !inside(b))
@@ -557,7 +559,7 @@ impl OnlineAdvisor {
         );
         let store = OnlineStore::new(instances, config.ewma_alpha, config.detector);
         let adaptive = match &config.candidates {
-            Some(CandidateConfig { pool: PoolPolicy::Adaptive(acfg), .. }) => {
+            Some(CandidateConfig { pool: PoolPolicy::Adaptive(acfg) }) => {
                 Some(AdaptivePool::new(*acfg, graph.num_nodes(), instances))
             }
             _ => None,
@@ -570,7 +572,7 @@ impl OnlineAdvisor {
         });
         let rule_index = config.prune_during_sweep.then(SharedIndex::default);
         let pricing = Pricing { loss_aware: config.loss_aware, timeout_ms: config.timeout_ms };
-        let costs = SearchCosts::new(config.candidates.is_some(), pricing);
+        let costs = SearchCosts::new(pricing);
         Self {
             graph,
             config,
@@ -688,13 +690,21 @@ impl OnlineAdvisor {
     }
 
     /// The candidate configuration the next re-solve will run with: the
-    /// adaptive controller's current `k` projected onto the configured
-    /// base, or the base itself.
-    fn effective_candidates(&self) -> Option<CandidateConfig> {
-        match (&self.adaptive, &self.config.candidates) {
-            (Some(pool), Some(base)) => Some(pool.effective(base)),
-            (None, base) => *base,
-            (Some(_), None) => unreachable!("adaptive controller without a candidates config"),
+    /// adaptive controller's current `k`, the configured pool, or — with
+    /// none configured — every instance.
+    fn effective_candidates(&self) -> CandidateConfig {
+        match &self.adaptive {
+            Some(pool) => pool.effective(),
+            None => self.config.candidates.unwrap_or(CandidateConfig::fixed(self.store.len())),
+        }
+    }
+
+    /// The pool size focused probing and mid-sweep pruning rank: the
+    /// repair's, or a default `2n` without a candidates config.
+    fn probe_candidates(&self) -> CandidateConfig {
+        match self.config.candidates {
+            Some(_) => self.effective_candidates(),
+            None => CandidateConfig::fixed(2 * self.graph.num_nodes()),
         }
     }
 
@@ -768,13 +778,10 @@ impl OnlineAdvisor {
     /// degrading focused probing to uniform sweeps.
     pub fn probe_pool(&self) -> Option<CandidateSet> {
         let index = self.plan_index.as_ref()?;
-        let pool_config = self
-            .effective_candidates()
-            .unwrap_or_else(|| CandidateConfig::fixed(2 * self.graph.num_nodes()));
         Some(CandidateSet::from_index(
             self.graph.num_nodes(),
             index,
-            &pool_config,
+            &self.probe_candidates(),
             Some(&self.deployment),
             None,
             CandidatePruneRule::DEFAULT_MIN_COVERAGE,
@@ -825,10 +832,7 @@ impl OnlineAdvisor {
         if !self.config.prune_during_sweep {
             return None;
         }
-        let pool_config = self
-            .effective_candidates()
-            .unwrap_or_else(|| CandidateConfig::fixed(2 * self.graph.num_nodes()));
-        let mut rule = CandidatePruneRule::new(self.graph.num_nodes(), pool_config)
+        let mut rule = CandidatePruneRule::new(self.graph.num_nodes(), self.probe_candidates())
             .with_incumbent(&self.deployment);
         if let Some(confidence) = self.config.confidence {
             // Its `1 − confidence` indifference margin mirrors the anytime
@@ -984,13 +988,6 @@ impl OnlineAdvisor {
         self.graph.problem(costs).cost(self.config.objective, &identity)
     }
 
-    /// The search costs as one dense m×m matrix: the repair problem of a
-    /// loop without candidates, and a recorded trigger's.
-    fn dense_costs(&self) -> CostMatrix {
-        let all: Vec<u32> = (0..self.store.len() as u32).collect();
-        self.costs.matrix(&self.store, &all)
-    }
-
     /// Instances presumed dark: unreachable (a dark link in either
     /// direction) from **two or more distinct neighbours**, and from **a
     /// majority of the neighbours ever attempted**. A single dark pair
@@ -1106,7 +1103,6 @@ impl OnlineAdvisor {
             span.attr("triggered", u64::from(summary.triggered));
             span.attr("moved", summary.moved);
             span.attr("true_cost", summary.true_cost);
-            span.attr("dense_costs", repaired.dense_costs);
             span.attr("repair_pool", repaired.pool);
         }
         drop(span);
@@ -1279,18 +1275,14 @@ impl OnlineAdvisor {
         (alarmed && cooled).then_some(Trigger::Alarm(alarms.opportunities))
     }
 
-    /// The sub-problem a repair searches, and the m×m matrices built for
-    /// it: with candidates, the pool ranked off the kept search-cost index
-    /// around the incumbent, priced over the pool's links alone (m×m only
-    /// when the pool covers every instance); without, the dense costs.
-    fn repair_pool(&mut self) -> (PrunedProblem, u32) {
-        let Some(candidates) = self.effective_candidates() else {
-            return (PrunedProblem::dense(self.graph.problem(self.dense_costs())), 1);
-        };
-        let nodes = self.graph.num_nodes();
+    /// The sub-problem a repair searches: the pool ranked off the kept
+    /// search-cost index around the incumbent (every instance without a
+    /// candidates config), priced over the pool's links alone.
+    fn repair_pool(&mut self) -> PrunedProblem {
+        let (candidates, nodes) = (self.effective_candidates(), self.graph.num_nodes());
         let set = self.costs.pool(&self.store, nodes, &candidates, &self.deployment);
         let costs = self.costs.matrix(&self.store, set.union());
-        (set.restrict_to(self.graph.problem(costs)), u32::from(set.is_exact()))
+        set.restrict_to(self.graph.problem(costs))
     }
 
     /// Repair: run the triggered re-solve, log it, and migrate when it is
@@ -1308,21 +1300,15 @@ impl OnlineAdvisor {
             seed: self.config.seed ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         };
         let objective = self.config.objective;
-        let (pool, mut dense_costs) = self.repair_pool();
+        let pool = self.repair_pool();
         let repair = match &trigger {
             Trigger::Evacuate(dark) => {
                 evacuate_resolve(&pool, objective, &self.deployment, dark, &repair_config)
             }
             Trigger::Alarm(_) => {
                 if self.config.record_triggers {
-                    let costs = if pool.is_exact() {
-                        pool.sub.costs.clone()
-                    } else {
-                        dense_costs += 1;
-                        self.dense_costs()
-                    };
                     let incumbent = self.deployment.clone();
-                    self.triggers.push(TriggerInstance { epoch, costs, incumbent });
+                    self.triggers.push(TriggerInstance { epoch, pool: pool.clone(), incumbent });
                 }
                 incremental_resolve(&pool, objective, &self.deployment, &repair_config)
             }
@@ -1385,7 +1371,7 @@ impl OnlineAdvisor {
             self.push_event(OnlineEvent::Evacuate { epoch, instances, moved });
         }
         let pool = pool.to_original.len();
-        Repaired { triggered: true, evacuated, moved, unanswered, pool, dense_costs }
+        Repaired { triggered: true, evacuated, moved, unanswered, pool }
     }
 
     /// Account: feed the adaptive pool controller, then book the epoch
@@ -1488,6 +1474,7 @@ impl OnlineAdvisor {
 mod tests {
     use super::*;
     use crate::stream::{LinkDelta, SimStream};
+    use cloudia_core::CostMatrix;
     use cloudia_measure::{MeasureConfig, Staged};
     use cloudia_netsim::{Cloud, InstanceId, Provider};
     use cloudia_solver::candidates::REPRICE_PER_INSTANCE;
@@ -2377,7 +2364,8 @@ mod tests {
         let oracle = bits(search_costs(advisor));
         assert_eq!(oracle, bits(search_costs_from_views(advisor)));
         let kept = advisor.costs.held(&advisor.store);
-        assert_eq!(oracle, bits(kept.map(|()| advisor.dense_costs())));
+        let every: Vec<u32> = (0..advisor.store.len() as u32).collect();
+        assert_eq!(oracle, bits(kept.map(|()| advisor.costs.matrix(&advisor.store, &every))));
         let trigger = match advisor.decide(advisor.epoch, Alarms::default()) {
             Some(Trigger::Evacuate(dark)) => Some(dark),
             _ => None,
@@ -2538,7 +2526,7 @@ mod tests {
                 if rng.random::<f64>() < 0.5 {
                     continue;
                 }
-                let cand = advisor.effective_candidates().expect("candidates configured");
+                let cand = advisor.effective_candidates();
                 let incumbent = advisor.deployment.clone();
                 let pool = advisor.costs.pool(&advisor.store, 4, &cand, &incumbent);
                 let built = CandidateSet::build(&problem, &cand, Some(&incumbent), None);
@@ -2616,6 +2604,8 @@ mod tests {
         let resolves =
             advisor.events().iter().filter(|e| matches!(e, OnlineEvent::Resolve { .. })).count();
         assert_eq!(advisor.trigger_instances().len(), resolves);
+        // Without candidates each recorded pool is every instance.
+        assert!(advisor.trigger_instances().iter().all(|t| t.pool.is_exact()));
     }
 
     #[test]

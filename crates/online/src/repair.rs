@@ -22,8 +22,9 @@
 //!
 //! A repair searches the pool it is handed: a [`PrunedProblem`] over the
 //! candidate union the caller ranked (the online advisor ranks it off a
-//! kept index and prices only the union's links), or
-//! [`PrunedProblem::dense`] over every instance. Ranking the freed nodes,
+//! kept index, takes every instance when no candidates are configured,
+//! and prices only the union's links), or [`PrunedProblem::dense`] over
+//! every instance. Ranking the freed nodes,
 //! pricing the incumbent and pricing the result read only deployed links,
 //! so they run on the sub-problem too. The solve is
 //! [`SearchStrategy::run_on_pool`], the one candidate-restricted path the

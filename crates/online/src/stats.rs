@@ -522,9 +522,9 @@ pub(crate) struct SearchCosts {
     worst: OnceCell<f64>,
     /// The repair pool's evidence: every directed link at its search
     /// cost, so an instance's score is the median of all its incident
-    /// costs, as [`CandidateSet::build`] ranks the dense matrix (only with
-    /// candidates configured).
-    index: Option<PoolIndex<1>>,
+    /// costs, as [`CandidateSet::build`] ranks the dense matrix. Built on
+    /// the first read of a pool smaller than every instance.
+    index: PoolIndex<1>,
     /// Links whose cost moved since `index` last synced, while re-pricing
     /// them is cheaper than a bulk build ([`PoolIndex::reprice_budget`]).
     touched: Option<Vec<usize>>,
@@ -537,13 +537,12 @@ pub(crate) struct SearchCosts {
 }
 
 impl SearchCosts {
-    /// Search costs over an empty store under `pricing`; `pooled` keeps the
-    /// repair pool's index.
-    pub(crate) fn new(pooled: bool, pricing: Pricing) -> Self {
+    /// Search costs over an empty store under `pricing`.
+    pub(crate) fn new(pricing: Pricing) -> Self {
         Self {
             pricing,
             worst: OnceCell::new(),
-            index: pooled.then(PoolIndex::default),
+            index: PoolIndex::default(),
             touched: Some(Vec::new()),
             index_worst: 0,
             never: None,
@@ -554,7 +553,7 @@ impl SearchCosts {
     pub(crate) fn ingest(&mut self, store: &OnlineStore, deltas: &[LinkDelta]) {
         self.worst = OnceCell::new();
         let n = store.n;
-        if let (Some(_), Some(touched)) = (&self.index, &mut self.touched) {
+        if let Some(touched) = &mut self.touched {
             if touched.len() + 2 * deltas.len() > PoolIndex::<1>::reprice_budget(n) {
                 self.touched = None;
             } else {
@@ -596,10 +595,9 @@ impl SearchCosts {
 
     /// The repair pool ranked off the kept index, synced first from the
     /// links touched since the last read: the pool [`CandidateSet::build`]
-    /// ranks over the dense matrix of these costs with `incumbent`.
-    ///
-    /// # Panics
-    /// Panics without the pool index (no candidates configured).
+    /// ranks over the dense matrix of these costs with `incumbent`. A
+    /// pool of every instance ranks nothing, so it leaves the index as
+    /// it is.
     pub(crate) fn pool(
         &mut self,
         store: &OnlineStore,
@@ -608,7 +606,11 @@ impl SearchCosts {
         incumbent: &[u32],
     ) -> CandidateSet {
         let n = store.n;
-        let (index, worst) = (self.index.as_mut().expect("a pooled advisor"), &self.worst);
+        if config.pool_size(num_nodes, n) >= n {
+            return CandidateSet::every_instance(num_nodes, n, incumbent);
+        }
+        let (index, worst) = (&mut self.index, &self.worst);
+        let built = index.rebuilds();
         let mut touched = self.touched.take();
         if store.unsampled > 0 {
             // Every never-sampled link's cost moves with the worst-seen mean.
@@ -636,6 +638,7 @@ impl SearchCosts {
                 self.touched = Some(Vec::new());
             }
         }
+        cloudia_obs::counter("online.cost_index_rebuilds", index.rebuilds() - built);
         CandidateSet::from_index(num_nodes, index, config, Some(incumbent), None, 0.0)
     }
 }

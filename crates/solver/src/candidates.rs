@@ -84,30 +84,23 @@ pub const POOL_QUANTILE: f64 = 0.5;
 pub struct CandidateConfig {
     /// Pool sizing policy (fixed `k` or escalation-adaptive).
     pub pool: PoolPolicy,
-    /// Re-solve densely (warm-started from the pruned result) when the
-    /// pruned search proves optimality within its domain — the proof does
-    /// not extend to the full instance pool, so without escalation the
-    /// caller would get a silently weaker answer.
-    pub auto_escalate: bool,
 }
 
 impl Default for CandidateConfig {
     fn default() -> Self {
-        Self { pool: PoolPolicy::Fixed(0), auto_escalate: true }
+        Self::fixed(0)
     }
 }
 
 impl CandidateConfig {
-    /// A fixed pool of `per_node` candidates (`0` = auto) with the default
-    /// escalation setting.
+    /// A fixed pool of `per_node` candidates (`0` = auto).
     pub fn fixed(per_node: usize) -> Self {
-        Self { pool: PoolPolicy::Fixed(per_node), ..Self::default() }
+        Self { pool: PoolPolicy::Fixed(per_node) }
     }
 
-    /// An adaptive pool under `config` with the default escalation
-    /// setting.
+    /// An adaptive pool under `config`.
     pub fn adaptive(config: AdaptivePoolConfig) -> Self {
-        Self { pool: PoolPolicy::Adaptive(config), ..Self::default() }
+        Self { pool: PoolPolicy::Adaptive(config) }
     }
 
     /// The pool size this configuration selects for a problem with `n`
@@ -244,11 +237,10 @@ impl AdaptivePool {
         self.k
     }
 
-    /// Projects the controller's current `k` onto `base`, producing the
-    /// concrete fixed-pool configuration the next solve should run with
-    /// (quantile/escalation settings are taken from `base`).
-    pub fn effective(&self, base: &CandidateConfig) -> CandidateConfig {
-        CandidateConfig { pool: PoolPolicy::Fixed(self.k), ..*base }
+    /// The concrete fixed-pool configuration the next solve should run
+    /// with: the controller's current `k`.
+    pub fn effective(&self) -> CandidateConfig {
+        CandidateConfig::fixed(self.k)
     }
 }
 
@@ -358,6 +350,13 @@ impl CandidateSet {
             let scores = index.all_scores(POOL_QUANTILE, min_coverage);
             Self::ranked_pool(m, pool_size, |j| scores[j])
         })
+    }
+
+    /// The pool of every one of `m` instances around `incumbent`: what
+    /// each builder returns for a pool size `>= m`, for a caller that
+    /// holds no evidence to rank.
+    pub fn every_instance(num_nodes: usize, m: usize, incumbent: &[u32]) -> Self {
+        Self::assemble(m, num_nodes, (0..m as u32).collect(), Some(incumbent), None)
     }
 
     /// The builders' shared frame: checks the inputs, takes every
@@ -2854,17 +2853,11 @@ mod tests {
 
     #[test]
     fn adaptive_effective_projects_current_k() {
-        let base = CandidateConfig {
-            auto_escalate: false,
-            ..CandidateConfig::adaptive(AdaptivePoolConfig::default())
-        };
         let pool = AdaptivePool::new(
             AdaptivePoolConfig { initial: 17, ..AdaptivePoolConfig::default() },
             4,
             100,
         );
-        let eff = pool.effective(&base);
-        assert_eq!(eff.pool, PoolPolicy::Fixed(17));
-        assert!(!eff.auto_escalate);
+        assert_eq!(pool.effective().pool, PoolPolicy::Fixed(17));
     }
 }

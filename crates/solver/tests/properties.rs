@@ -403,7 +403,7 @@ proptest! {
         observations in proptest::collection::vec((0u8..2).prop_map(|x| x == 1), 0..60),
         seed in 0u64..500,
     ) {
-        use cloudia_solver::{AdaptivePool, AdaptivePoolConfig, CandidateConfig, CandidateSet};
+        use cloudia_solver::{AdaptivePool, AdaptivePoolConfig, CandidateSet};
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let n = 6usize;
         let p = NodeDeployment::new(
@@ -417,10 +417,6 @@ proptest! {
             .iter()
             .map(|&j| if rng.random::<bool>() { Some(j) } else { None })
             .collect();
-        let base = CandidateConfig::adaptive(AdaptivePoolConfig {
-            initial: 12,
-            ..AdaptivePoolConfig::default()
-        });
         let mut pool = AdaptivePool::new(
             AdaptivePoolConfig { initial: 12, ..AdaptivePoolConfig::default() },
             n,
@@ -431,7 +427,7 @@ proptest! {
         // shrunk endpoint.
         for &esc in observations.iter().chain([false; 40].iter()) {
             pool.observe(esc);
-            let cs = CandidateSet::build(&p, &pool.effective(&base), Some(&incumbent), Some(&fixed));
+            let cs = CandidateSet::build(&p, &pool.effective(), Some(&incumbent), Some(&fixed));
             prop_assert!(cs.union().len() >= n);
             for (v, &j) in incumbent.iter().enumerate() {
                 prop_assert!(
@@ -1329,7 +1325,7 @@ mod dense_pool {
             let fixed: Vec<Option<u32>> = (0..n)
                 .map(|_| rng.random::<bool>().then(|| rng.random_range(0..m as u32)))
                 .collect();
-            let config = CandidateConfig { pool: PoolPolicy::Fixed(k), auto_escalate: true };
+            let config = CandidateConfig { pool: PoolPolicy::Fixed(k) };
             let pool = transcribed_pool(&problem, &config);
             for (inc, fix) in [(None, None), (Some(&incumbent[..]), Some(&fixed[..]))] {
                 let built = CandidateSet::build(&problem, &config, inc, fix);
