@@ -48,19 +48,25 @@
 //! host's: rerun a failure on an idle machine before believing it.
 //!
 //! The sixth, `plan_pool`, holds the online loop's focused plan pool to
-//! its upkeep: at m = 200, with each epoch sampling one 25-instance
-//! clique (600 directed links, 1.5 % of them), re-pricing the store's
-//! kept [`PoolIndex`] from the epoch's deltas and ranking the pool off it
-//! must give the candidate lists the per-epoch rebuild gives —
-//! `OnlineStore::partial_stats` then `CandidateSet::build_partial` — and
-//! beat it by ≥ 10×. Windowed scores read 26.6–28.8× on a shared 2-vCPU
-//! Xeon while the default statistics allocated a P² sketch per link (an
-//! index keeping every instance's incident prices sorted read
-//! 17.0–18.2×); without the sketches the rebuild costs 1.1–2.1 ms per
-//! epoch, not 3.6–3.8 ms, and the kept index 0.08–0.16 ms. Two sets of
-//! ten consecutive runs read 12.4–14.4× now that a read re-scores only the
-//! ~25 instances an epoch touched (9.9–12× when every read re-ranked all
-//! 200 windows).
+//! its upkeep: at m = 200, a focused advisor with its alarms off steps
+//! through epochs that each sample one 25-instance clique (600 directed
+//! links, 1.5 % of them), and its `probe_pool()` — re-pricing the one
+//! [`PoolIndex`] its search costs keep from the links the epoch touched
+//! and ranking the pool off it — must give the candidate lists the
+//! per-epoch rebuild gives — `OnlineStore::partial_stats` then
+//! `CandidateSet::build_partial` — beat it by ≥ 10×, and bulk-build the
+//! index once (`online.cost_index_rebuilds`). Windowed scores read
+//! 26.6–28.8× on a shared 2-vCPU Xeon while the default statistics
+//! allocated a P² sketch per link (an index keeping every instance's
+//! incident prices sorted read 17.0–18.2×); without the sketches the
+//! rebuild costs 1.1–2.1 ms per epoch, not 3.6–3.8 ms, and the kept index
+//! 0.08–0.16 ms. Two sets of ten consecutive runs read 12.4–14.4× once a
+//! read re-scored only the ~25 instances an epoch touched (9.9–12× when
+//! every read re-ranked all 200 windows), on a plan index of its own. On
+//! the advisor's one index ten runs read 11.1–12.2× (9.2–12.0× while a
+//! clique epoch listed each link twice): after the one bulk build a read
+//! fills only the windows its epoch touched, where a plan index of its
+//! own filled all 200 in the first timed read.
 //!
 //! The eighth, `plan_stages`, holds the focused scheme's stage matcher to
 //! O(pairs): on a 99 %-full plan at m = 300 (the shape of a refresh
@@ -86,7 +92,9 @@ use cloudia_measure::{run_pruned, MeasureConfig, PairwiseStats, ProbePlan, Schem
 use cloudia_netsim::{
     loss_priced_mean, Cloud, InstanceId, LossPlane, Provider, DEFAULT_TIMEOUT_MS,
 };
-use cloudia_online::{DetectorConfig, EpochMeasurement, LinkDelta, OnlineStore};
+use cloudia_online::{
+    DetectorConfig, EpochMeasurement, LinkDelta, OnlineAdvisor, OnlineAdvisorConfig, ProbePolicy,
+};
 use cloudia_solver::candidates::PoolIndex;
 use cloudia_solver::cp::{solve_llndp_cp, CpConfig, Propagation};
 use cloudia_solver::kernels::scan_row_evidence;
@@ -236,7 +244,7 @@ fn assert_pool_index_wins<const L: usize>(
     }
     assert_eq!(stats.covered_links(), m * (m - 1), "the race runs on full coverage");
     let scores = |index: &PoolIndex<L>| -> Vec<[u64; L]> {
-        (0..m).map(|j| index.scores(j, 0.5, 0.5).expect("covered").map(f64::to_bits)).collect()
+        (0..m).map(|j| index.scores(j, 0.5).expect("covered").map(f64::to_bits)).collect()
     };
     let mut kept = PoolIndex::<L>::default();
     sync(&mut kept, &stats);
@@ -398,13 +406,13 @@ fn assert_cp_search_wins() {
     assert!(speedup >= 25.0, "the trail must beat copy-domains by >= 25x, got {speedup:.2}x");
 }
 
-/// Races the kept plan pool against the per-epoch rebuild it replaced
-/// over 30 focused-shaped epochs at m = 200 (see the module doc); the two
-/// sides alternate which goes first.
+/// Races the focused plan pool, ranked off the advisor's one kept index,
+/// against the per-epoch rebuild it replaced over 30 focused-shaped
+/// epochs at m = 200 (see the module doc); the two sides alternate which
+/// goes first.
 fn assert_plan_pool_wins() {
     let (m, nodes, clique, epochs) = (200usize, 12usize, 25usize, 30u64);
     let pool = CandidateConfig::fixed(40);
-    let incumbent: Vec<u32> = (0..nodes as u32).collect();
     let mut rng = StdRng::seed_from_u64(37);
     let mut epoch = |e: u64, members: &[u32]| {
         let deltas = members
@@ -431,11 +439,27 @@ fn assert_plan_pool_wins() {
             saved_round_trips: 0,
         }
     };
-    let mut store = OnlineStore::new(m, 0.5, DetectorConfig::default());
+    // A focused loop with its alarms off: no repair reads the index, so
+    // the timed read alone syncs it.
+    let config = OnlineAdvisorConfig {
+        ewma_alpha: 0.5,
+        detector: DetectorConfig { threshold: 1e9, ..Default::default() },
+        candidates: Some(pool),
+        probe_policy: ProbePolicy::Focused { refresh_every: u64::MAX, max_flagged: usize::MAX },
+        ..Default::default()
+    };
+    let mut advisor =
+        OnlineAdvisor::new(CommGraph::ring(nodes), m, (0..nodes as u32).collect(), config);
+    let mut cloud = Cloud::boot(Provider::ec2_like(), 37);
+    let alloc = cloud.allocate(m);
+    let net = cloud.network(&alloc);
+    let tracing = cloudia_obs::enabled();
+    cloudia_obs::set_enabled(true);
+    let bulk_builds = || cloudia_obs::metrics().counter_value("online.cost_index_rebuilds");
+    let built = bulk_builds();
     let everyone: Vec<u32> = (0..m as u32).collect();
-    store.observe_epoch(&epoch(0, &everyone));
-    let mut index = PoolIndex::default();
-    store.sync_pool_index(&mut index, std::iter::empty());
+    advisor.step(&epoch(0, &everyone), &net);
+    let _ = advisor.probe_pool();
     let mut order = StdRng::seed_from_u64(41);
     let (mut kept_s, mut rebuilt_s) = (0.0f64, 0.0f64);
     for e in 1..=epochs {
@@ -443,41 +467,29 @@ fn assert_plan_pool_wins() {
         for i in 0..clique {
             members.swap(i, order.random_range(i..m));
         }
-        let measured = epoch(e, &members[..clique]);
-        store.observe_epoch(&measured);
-        let mut keep = || {
-            let touched = measured.deltas.iter().map(|d| d.src as usize * m + d.dst as usize);
-            store.sync_pool_index(&mut index, touched);
-            CandidateSet::from_index(
-                nodes,
-                &index,
-                &pool,
-                Some(&incumbent),
-                None,
-                CandidatePruneRule::DEFAULT_MIN_COVERAGE,
-            )
-        };
-        let mut rebuild = || {
+        advisor.step(&epoch(e, &members[..clique]), &net);
+        let keep = || advisor.probe_pool().expect("a focused loop plans a pool");
+        let rebuild = || {
             CandidateSet::build_partial(
                 nodes,
-                &store.partial_stats(),
+                &advisor.store().partial_stats(),
                 &pool,
-                Some(&incumbent),
+                Some(advisor.deployment()),
                 None,
                 CandidatePruneRule::DEFAULT_MIN_COVERAGE,
             )
         };
-        let timed = |f: &mut dyn FnMut() -> CandidateSet| {
+        let timed = |f: &dyn Fn() -> CandidateSet| {
             let t0 = Instant::now();
             let out = black_box(f());
             (t0.elapsed().as_secs_f64(), out)
         };
         let ((ks, kept), (rs, rebuilt)) = if e % 2 == 0 {
-            let kept = timed(&mut keep);
-            (kept, timed(&mut rebuild))
+            let kept = timed(&keep);
+            (kept, timed(&rebuild))
         } else {
-            let rebuilt = timed(&mut rebuild);
-            (timed(&mut keep), rebuilt)
+            let rebuilt = timed(&rebuild);
+            (timed(&keep), rebuilt)
         };
         (kept_s, rebuilt_s) = (kept_s + ks, rebuilt_s + rs);
         assert_eq!(kept.union(), rebuilt.union(), "the kept pool diverged at epoch {e}");
@@ -485,7 +497,10 @@ fn assert_plan_pool_wins() {
             assert_eq!(kept.node_candidates(v), rebuilt.node_candidates(v));
         }
     }
-    assert_eq!(index.rebuilds(), 1, "a 1.5 % epoch must re-price, not bulk-build");
+    let built = bulk_builds() - built;
+    cloudia_obs::take_spans();
+    cloudia_obs::set_enabled(tracing);
+    assert_eq!(built, 1, "a 1.5 % epoch must re-price, not bulk-build");
     let speedup = rebuilt_s / kept_s.max(1e-12);
     println!(
         "# plan_pool race: export + build_partial {:.3}ms, kept index {:.3}ms per epoch, speedup {speedup:.1}x",

@@ -21,7 +21,7 @@ use cloudia_core::{
 use cloudia_measure::{FocusedScheme, ProbePlan, PruneRule, Scheme, StopRule};
 use cloudia_netsim::Network;
 use cloudia_obs::{RingLog, RunRecorder};
-use cloudia_solver::candidates::{PoolIndex, PrunedProblem, SharedIndex};
+use cloudia_solver::candidates::{PrunedProblem, SharedIndex};
 use cloudia_solver::{AdaptivePool, CandidateConfig, CandidatePruneRule, CandidateSet, PoolPolicy};
 
 use crate::detect::{DetectorConfig, Drift};
@@ -492,13 +492,9 @@ pub struct OnlineAdvisor {
     saved_round_trips_total: u64,
     /// Total extra round trips spent deepening flagged links.
     deep_probe_rounds: u64,
-    /// Focused loops only (no other setting plans a pool): the focused
-    /// plan's pool evidence over the store, re-priced in `ingest` from
-    /// each epoch's deltas instead of rebuilt per plan.
-    plan_index: Option<PoolIndex<1>>,
-    /// The repair's search costs over the store, kept from each epoch's
-    /// deltas: what the epoch's hold verdict, estimated cost and repair
-    /// pool read, without a dense matrix per epoch.
+    /// The search costs over the store, kept from each epoch's deltas:
+    /// what the epoch's hold verdict, estimated cost, focused plan pool
+    /// and repair pool read, without a dense matrix per epoch.
     costs: SearchCosts,
     /// Pruned loops only: the sweep rule's evidence over the stream's
     /// cumulative statistics, point or interval, handed to every epoch's
@@ -565,11 +561,6 @@ impl OnlineAdvisor {
             _ => None,
         };
         let events = RingLog::new(config.event_capacity);
-        let plan_index = matches!(config.probe_policy, ProbePolicy::Focused { .. }).then(|| {
-            let mut index = PoolIndex::default();
-            store.sync_pool_index(&mut index, std::iter::empty());
-            index
-        });
         let rule_index = config.prune_during_sweep.then(SharedIndex::default);
         let pricing = Pricing { loss_aware: config.loss_aware, timeout_ms: config.timeout_ms };
         let costs = SearchCosts::new(pricing);
@@ -593,7 +584,6 @@ impl OnlineAdvisor {
             last_saved_round_trips: 0,
             saved_round_trips_total: 0,
             deep_probe_rounds: 0,
-            plan_index,
             costs,
             rule_index,
         }
@@ -765,27 +755,24 @@ impl OnlineAdvisor {
     /// force-included, so all deployed links stay covered. `None` under
     /// [`ProbePolicy::Uniform`].
     ///
-    /// The pool comes from the measured quantiles alone (unobserved links
-    /// exert no pull; a dark link prices at +∞; an instance below
-    /// [`CandidatePruneRule::DEFAULT_MIN_COVERAGE`] is kept), ranked off
-    /// the index `ingest` keeps up to date from each epoch's deltas
-    /// ([`CandidateSet::from_index`]) — with or without mid-sweep pruning,
-    /// and on an epoch held for want of search costs alike.
+    /// The pool is ranked as a repair ranks its own, off the one index the
+    /// advisor keeps over its search costs: every link at its EWMA mean
+    /// (the worst-seen mean while never sampled), loss-priced when the
+    /// advisor is loss-aware, re-priced from the links touched since the
+    /// last read — with or without mid-sweep pruning, and on an epoch held
+    /// for want of search costs alike. Every link has evidence there, so
+    /// no instance is kept for want of coverage.
     ///
     /// Without a candidates config the pool is a default `2n` — the auto
     /// solver pool (max(4n, 48)) is sized for thousand-instance solves
     /// and would cover every instance at typical allocations, silently
     /// degrading focused probing to uniform sweeps.
     pub fn probe_pool(&self) -> Option<CandidateSet> {
-        let index = self.plan_index.as_ref()?;
-        Some(CandidateSet::from_index(
-            self.graph.num_nodes(),
-            index,
-            &self.probe_candidates(),
-            Some(&self.deployment),
-            None,
-            CandidatePruneRule::DEFAULT_MIN_COVERAGE,
-        ))
+        let ProbePolicy::Focused { .. } = self.config.probe_policy else {
+            return None;
+        };
+        let (candidates, nodes) = (self.probe_candidates(), self.graph.num_nodes());
+        Some(self.costs.pool(&self.store, nodes, &candidates, &self.deployment))
     }
 
     /// The scheme the next [`OnlineAdvisor::step_stream`] epoch will
@@ -1113,9 +1100,9 @@ impl OnlineAdvisor {
     }
 
     /// Ingest: charge the epoch's probe budget, log the pruning ledger,
-    /// fold the deltas into the store, and re-price the links they touched
-    /// in the plan pool's index and the search costs. Returns the links
-    /// whose detectors or dark triage fired.
+    /// fold the deltas into the store, and note the links they touched in
+    /// the search costs. Returns the links whose detectors or dark triage
+    /// fired.
     fn ingest(&mut self, m: &EpochMeasurement) -> Vec<LinkChange> {
         self.probe_round_trips += m.round_trips;
         self.planning_epoch = m.epoch + 1;
@@ -1129,13 +1116,6 @@ impl OnlineAdvisor {
             });
         }
         let changes = self.store.observe_epoch(m);
-        if let Some(index) = &mut self.plan_index {
-            let n = self.store.len();
-            let touched = m.deltas.iter().map(|d| d.src as usize * n + d.dst as usize);
-            let built = index.rebuilds();
-            self.store.sync_pool_index(index, touched);
-            cloudia_obs::counter("online.plan_index_rebuilds", index.rebuilds() - built);
-        }
         self.costs.ingest(&self.store, &m.deltas);
         changes
     }
@@ -1278,7 +1258,7 @@ impl OnlineAdvisor {
     /// The sub-problem a repair searches: the pool ranked off the kept
     /// search-cost index around the incumbent (every instance without a
     /// candidates config), priced over the pool's links alone.
-    fn repair_pool(&mut self) -> PrunedProblem {
+    fn repair_pool(&self) -> PrunedProblem {
         let (candidates, nodes) = (self.effective_candidates(), self.graph.num_nodes());
         let set = self.costs.pool(&self.store, nodes, &candidates, &self.deployment);
         let costs = self.costs.matrix(&self.store, set.union());
@@ -1477,7 +1457,7 @@ mod tests {
     use cloudia_core::CostMatrix;
     use cloudia_measure::{MeasureConfig, Staged};
     use cloudia_netsim::{Cloud, InstanceId, Provider};
-    use cloudia_solver::candidates::REPRICE_PER_INSTANCE;
+    use cloudia_solver::candidates::{PoolIndex, REPRICE_PER_INSTANCE};
 
     fn setup(n_nodes: usize, instances: usize, seed: u64) -> (CommGraph, Network, Deployment) {
         let graph = CommGraph::ring(n_nodes);
@@ -2656,7 +2636,7 @@ mod tests {
     }
 
     #[test]
-    fn a_focused_loop_keeps_a_plan_index_and_a_pruned_loop_a_rule_index() {
+    fn a_focused_plan_reads_the_search_cost_index_and_a_pruned_loop_keeps_a_rule_index() {
         let kept = |probe_policy, prune_during_sweep, confidence| {
             let (graph, _, initial) = setup(4, 10, 3);
             let config = OnlineAdvisorConfig {
@@ -2666,15 +2646,17 @@ mod tests {
                 ..fast_config()
             };
             let advisor = OnlineAdvisor::new(graph, 10, initial, config);
-            (advisor.plan_index.is_some(), advisor.rule_index.is_some())
+            assert_eq!(advisor.costs.rebuilds(), 0, "nothing is built before a read");
+            let _ = advisor.next_probe_plan();
+            (advisor.costs.rebuilds(), advisor.rule_index.is_some())
         };
         let focused = ProbePolicy::Focused { refresh_every: 4, max_flagged: 100 };
         for confidence in [None, Some(0.95)] {
-            for (policy, is_focused) in [(focused, true), (ProbePolicy::Uniform, false)] {
+            for (policy, builds) in [(focused, 1), (ProbePolicy::Uniform, 0)] {
                 for pruned in [true, false] {
                     assert_eq!(
                         kept(policy, pruned, confidence),
-                        (is_focused, pruned),
+                        (builds, pruned),
                         "{policy:?}, pruned {pruned}, confidence {confidence:?}"
                     );
                 }
@@ -2684,8 +2666,9 @@ mod tests {
 
     #[test]
     fn the_plan_pool_reprices_small_epochs_and_bulk_builds_past_the_budget() {
-        // Past the measured re-price/bulk-build crossover, which only an
-        // allocation above 64 instances can touch in one epoch.
+        // Past the measured re-price/bulk-build crossover of 40·m touched
+        // links. A delta touches both directions of its link, so a full
+        // epoch's 2·m(m − 1) links cross it above 21 instances.
         let m = 80;
         let (graph, net, initial) = setup(4, m, 5);
         let config = OnlineAdvisorConfig {
@@ -2721,16 +2704,21 @@ mod tests {
             };
             advisor.step(&measured, &net);
             epoch += 1;
-            advisor.plan_index.as_ref().expect("kept").rebuilds()
+            let _ = advisor.probe_pool();
+            advisor.costs.rebuilds()
         };
-        assert_eq!(advisor.plan_index.as_ref().unwrap().rebuilds(), 1, "built at construction");
-        // The budget is `REPRICE_PER_INSTANCE · m` = 3200 of 6320 links.
+        let _ = advisor.probe_pool();
+        assert_eq!(advisor.costs.rebuilds(), 1, "built on the first read");
+        // The budget is `REPRICE_PER_INSTANCE · m` = 3200 touched links of
+        // 6320, and each delta counts both directions of its link: 1600
+        // deltas.
         let budget = PoolIndex::<1>::reprice_budget(m);
         assert_eq!(budget, REPRICE_PER_INSTANCE * m);
         assert!(budget < links.len());
+        let deltas = budget / 2;
         assert_eq!(step(&mut advisor, &links), 2, "a full epoch bulk-builds");
         assert_eq!(step(&mut advisor, &links[..10]), 2, "a small epoch re-prices");
-        assert_eq!(step(&mut advisor, &links[..budget]), 2, "the budget itself re-prices");
-        assert_eq!(step(&mut advisor, &links[..budget + 1]), 3, "one link past it bulk-builds");
+        assert_eq!(step(&mut advisor, &links[..deltas]), 2, "the budget itself re-prices");
+        assert_eq!(step(&mut advisor, &links[..deltas + 1]), 3, "one delta past it bulk-builds");
     }
 }

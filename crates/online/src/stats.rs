@@ -24,7 +24,7 @@ use cloudia_measure::{t_critical, PairwiseStats};
 use cloudia_netsim::loss_priced_mean;
 use cloudia_solver::candidates::PoolIndex;
 use cloudia_solver::{CandidateConfig, CandidateSet};
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeSet;
 use std::mem::size_of_val;
 
@@ -196,6 +196,9 @@ pub struct OnlineStore {
     pub(crate) dark: Vec<bool>,
     /// Directed links (self links aside) that never contributed a sample.
     pub(crate) unsampled: usize,
+    /// Links whose loss rate is not 0: while there are none, a loss-aware
+    /// search cost is the mean alone.
+    pub(crate) lossy: usize,
     /// Directed links (self links aside) that are not
     /// [regular](OnlineStore::regular).
     pub(crate) irregular: BTreeSet<usize>,
@@ -224,6 +227,7 @@ impl OnlineStore {
             cusum_neg: vec![0.0; links],
             dark: vec![false; links],
             unsampled: n * n.saturating_sub(1),
+            lossy: 0,
             irregular: BTreeSet::new(),
         }
     }
@@ -287,6 +291,8 @@ impl OnlineStore {
                 let (mean, count) = (self.loss_rate[idx], self.attempted[idx]);
                 let mut loss = EwmaVar { alpha: self.alpha, mean, var: 0.0, count };
                 loss.observe(d.timeouts as f64 / d.attempts as f64);
+                self.lossy += usize::from(loss.mean != 0.0);
+                self.lossy -= usize::from(mean != 0.0);
                 (self.loss_rate[idx], self.attempted[idx]) = (loss.mean, loss.count);
                 if !self.dark[idx] && d.count == 0 && loss.mean > DARK_LOSS_LEVEL {
                     self.dark[idx] = true;
@@ -387,11 +393,10 @@ impl OnlineStore {
     /// links left empty. This is the shape
     /// [`cloudia_solver::CandidateSet::build_partial`] consumes — candidate
     /// pools from measured quantiles alone, without the worst-seen-mean
-    /// fill the advisor's repair search costs give never-observed links.
-    /// An export and a test oracle: the advisor's own loop keeps its plan
-    /// pool in a [`PoolIndex`] instead ([`OnlineStore::sync_pool_index`]),
-    /// which holds exactly this evidence without an O(m²) rebuild per
-    /// plan.
+    /// fill the advisor's search costs give never-observed links.
+    /// An export and a test oracle only: the advisor's own loop ranks its
+    /// pools off the search costs it keeps over the store, which give
+    /// every link evidence.
     pub fn partial_stats(&self) -> PairwiseStats {
         let mut stats = PairwiseStats::new(self.n);
         for i in 0..self.n {
@@ -410,33 +415,6 @@ impl OnlineStore {
             }
         }
         stats
-    }
-
-    /// Brings `index` up to this store after an epoch whose deltas touched
-    /// `touched` (directed links `src * n + dst`): every link carries the
-    /// evidence [`OnlineStore::partial_stats`] would export for it — its
-    /// EWMA mean when sampled, `+∞` when only ever attempted (dark), none
-    /// otherwise — so a pool ranked off the index equals
-    /// [`cloudia_solver::CandidateSet::build_partial`] over the export.
-    /// Re-prices the touched links, or bulk-builds on the first call and
-    /// past the touch budget of [`PoolIndex::sync_touched`].
-    pub fn sync_pool_index(
-        &self,
-        index: &mut PoolIndex<1>,
-        touched: impl ExactSizeIterator<Item = usize>,
-    ) {
-        index.sync_touched(self.n, touched, |src, dst| {
-            let idx = src * self.n + dst;
-            if self.count[idx] > 0 {
-                // The export's one-sample Welford mean, `0 + (x − 0)/1`,
-                // which folds −0 into +0.
-                Some([self.mean[idx] + 0.0])
-            } else if self.attempted[idx] > 0 {
-                Some([f64::INFINITY])
-            } else {
-                None
-            }
-        });
     }
 
     /// Half-width of the `confidence` CI around the link's smoothed
@@ -479,7 +457,8 @@ impl Pricing {
             0 => *worst.get_or_init(|| worst_seen_mean(store)),
             _ => store.mean[idx],
         };
-        if !self.loss_aware {
+        // `loss_priced_mean` returns the mean itself at zero loss.
+        if !self.loss_aware || store.lossy == 0 {
             return base;
         }
         let loss = &store.loss_rate;
@@ -502,11 +481,13 @@ fn worst_seen_mean(store: &OnlineStore) -> f64 {
     worst
 }
 
-/// The repair's search costs over an [`OnlineStore`], kept from each
+/// The advisor's search costs over an [`OnlineStore`], kept from each
 /// epoch's deltas instead of filled as a dense m×m matrix every epoch
-/// (the [`Pricing`] rule). A quiet epoch reads only the deployment's
-/// links; a repair ranks its pool off a kept index and prices only the
-/// pool's links. Everything that spans every link stays exact:
+/// (the [`Pricing`] rule), and its one pool index. A quiet epoch reads
+/// only the deployment's links; the focused plan's clique and a repair's
+/// pool are ranked off the kept index ([`SearchCosts::pool`]), and a
+/// repair prices only its pool's links. Everything that spans every link
+/// stays exact:
 ///
 /// - validity: the cost plane rejects a NaN or negative cost, reporting
 ///   the first in row-major order. Only a link that is not
@@ -520,14 +501,27 @@ pub(crate) struct SearchCosts {
     pricing: Pricing,
     /// The worst-seen mean as of the last ingest, once read.
     worst: OnceCell<f64>,
-    /// The repair pool's evidence: every directed link at its search
-    /// cost, so an instance's score is the median of all its incident
-    /// costs, as [`CandidateSet::build`] ranks the dense matrix. Built on
-    /// the first read of a pool smaller than every instance.
+    /// The pool index and its upkeep, synced lazily by the reads.
+    kept: RefCell<KeptIndex>,
+}
+
+/// The pool evidence [`SearchCosts::pool`] ranks: every directed link at
+/// its search cost, so an instance's score is the median of all its
+/// incident costs, as [`CandidateSet::build`] ranks the dense matrix.
+/// Built on the first read of a pool smaller than every instance.
+#[derive(Debug, Default)]
+struct KeptIndex {
     index: PoolIndex<1>,
     /// Links whose cost moved since `index` last synced, while re-pricing
-    /// them is cheaper than a bulk build ([`PoolIndex::reprice_budget`]).
+    /// them is cheaper than a bulk build ([`PoolIndex::reprice_budget`]);
+    /// `None` before the first build and past the budget.
     touched: Option<Vec<usize>>,
+    /// Bit `idx % 64` of word `idx / 64`: a delta listed link `idx` in
+    /// `touched`, so the next delta to touch it does not. An epoch that
+    /// measured both directions of a pair names each of its links twice,
+    /// and a re-price that finds its price unchanged still costs its
+    /// reads.
+    listed: Vec<u64>,
     /// The worst-seen mean `index` prices never-sampled links at (bits).
     index_worst: u64,
     /// A superset of the never-sampled links, listed when the worst-seen
@@ -539,29 +533,31 @@ pub(crate) struct SearchCosts {
 impl SearchCosts {
     /// Search costs over an empty store under `pricing`.
     pub(crate) fn new(pricing: Pricing) -> Self {
-        Self {
-            pricing,
-            worst: OnceCell::new(),
-            index: PoolIndex::default(),
-            touched: Some(Vec::new()),
-            index_worst: 0,
-            never: None,
-        }
+        Self { pricing, worst: OnceCell::new(), kept: RefCell::default() }
     }
 
     /// Brings the costs up to `store` after it ingested `deltas`.
     pub(crate) fn ingest(&mut self, store: &OnlineStore, deltas: &[LinkDelta]) {
         self.worst = OnceCell::new();
         let n = store.n;
-        if let Some(touched) = &mut self.touched {
+        let KeptIndex { touched: kept, listed, .. } = self.kept.get_mut();
+        if let Some(touched) = kept {
             if touched.len() + 2 * deltas.len() > PoolIndex::<1>::reprice_budget(n) {
-                self.touched = None;
+                *kept = None;
+                listed.clear();
             } else {
                 // A delta moves its link's mean and loss EWMA: both
                 // directions' costs read the loss.
+                listed.resize((n * n).div_ceil(64), 0);
                 let links = deltas.iter().filter(|d| d.src != d.dst);
                 let links = links.map(|d| (d.src as usize, d.dst as usize));
-                touched.extend(links.flat_map(|(i, j)| [i * n + j, j * n + i]));
+                for idx in links.flat_map(|(i, j)| [i * n + j, j * n + i]) {
+                    let (word, bit) = (&mut listed[idx / 64], 1u64 << (idx % 64));
+                    if *word & bit == 0 {
+                        *word |= bit;
+                        touched.push(idx);
+                    }
+                }
             }
         }
     }
@@ -593,13 +589,15 @@ impl SearchCosts {
         b.freeze().expect("only a held epoch has costs the plane rejects")
     }
 
-    /// The repair pool ranked off the kept index, synced first from the
-    /// links touched since the last read: the pool [`CandidateSet::build`]
-    /// ranks over the dense matrix of these costs with `incumbent`. A
-    /// pool of every instance ranks nothing, so it leaves the index as
-    /// it is.
+    /// The pool ranked off the kept index around `incumbent`, synced
+    /// first from the links touched since the last read: the pool
+    /// [`CandidateSet::build`] ranks over the dense matrix of these costs
+    /// with `incumbent`. The focused plan reads its clique here and a
+    /// repair its pool, both through `&self`: the index syncs behind
+    /// interior mutability, as [`PoolIndex`] keeps its windows. A pool of
+    /// every instance ranks nothing, so it leaves the index as it is.
     pub(crate) fn pool(
-        &mut self,
+        &self,
         store: &OnlineStore,
         num_nodes: usize,
         config: &CandidateConfig,
@@ -609,15 +607,15 @@ impl SearchCosts {
         if config.pool_size(num_nodes, n) >= n {
             return CandidateSet::every_instance(num_nodes, n, incumbent);
         }
-        let (index, worst) = (&mut self.index, &self.worst);
-        let built = index.rebuilds();
-        let mut touched = self.touched.take();
+        let mut kept = self.kept.borrow_mut();
+        let KeptIndex { index, touched, listed, index_worst, never } = &mut *kept;
+        let (worst, built) = (&self.worst, index.rebuilds());
         if store.unsampled > 0 {
             // Every never-sampled link's cost moves with the worst-seen mean.
             let bits = worst.get_or_init(|| worst_seen_mean(store)).to_bits();
-            if bits != std::mem::replace(&mut self.index_worst, bits) {
-                if let Some(list) = &mut touched {
-                    let never = self.never.get_or_insert_with(|| {
+            if bits != std::mem::replace(index_worst, bits) {
+                if let Some(list) = touched {
+                    let never = never.get_or_insert_with(|| {
                         let links = (0..n * n).filter(|&idx| idx / n != idx % n);
                         links.filter(|&idx| store.sampled[idx] == 0).collect()
                     });
@@ -629,13 +627,15 @@ impl SearchCosts {
         let pricing = self.pricing;
         let price = |i: usize, j: usize| Some([pricing.cost(store, worst, i, j)]);
         match touched {
-            Some(mut list) => {
+            Some(list) => {
+                for &idx in list.iter() {
+                    listed[idx / 64] &= !(1u64 << (idx % 64));
+                }
                 index.sync_touched(n, list.drain(..), price);
-                self.touched = Some(list);
             }
             None => {
                 index.rebuild(n, price);
-                self.touched = Some(Vec::new());
+                *touched = Some(Vec::new());
             }
         }
         cloudia_obs::counter("online.cost_index_rebuilds", index.rebuilds() - built);
@@ -647,6 +647,13 @@ impl SearchCosts {
 mod tests {
     use super::*;
     use crate::stream::LinkDelta;
+
+    impl SearchCosts {
+        /// Bulk builds of the pool index so far.
+        pub(crate) fn rebuilds(&self) -> u64 {
+            self.kept.borrow().index.rebuilds()
+        }
+    }
 
     fn epoch(deltas: Vec<LinkDelta>, e: u64) -> EpochMeasurement {
         EpochMeasurement {
@@ -875,6 +882,8 @@ mod tests {
                 store.clear_dark(src, dst);
                 model[src * n + dst].dark = false;
             }
+            let lossy = model.iter().filter(|link| link.loss.mean() != 0.0).count();
+            assert_eq!(store.lossy, lossy, "epoch {e}");
             for (idx, want) in model.iter().enumerate() {
                 let got = store.link(idx / n, idx % n);
                 assert_eq!(ewma_bits(&got.ewma), ewma_bits(&want.ewma), "link {idx}");
@@ -1039,34 +1048,6 @@ mod tests {
         assert_eq!(stats.link(1, 2).count(), 0);
         assert!(stats.link(1, 2).attempts() > 0, "dark link lost its attempted-ness");
         assert_eq!(stats.link(2, 0).attempts(), 0, "untouched link stays unattempted");
-    }
-
-    #[test]
-    fn the_pool_index_holds_the_exported_evidence_bit_for_bit() {
-        let n = 5;
-        let mut store = OnlineStore::new(n, 0.3, DetectorConfig::default());
-        let mut kept = PoolIndex::default();
-        store.sync_pool_index(&mut kept, std::iter::empty());
-        let epochs = [
-            vec![delta(0, 1, -0.0), delta(1, 0, 0.0), dark_delta(2, 3, 4), delta(3, 4, 2.5)],
-            vec![LinkDelta { count: 3, ..delta(0, 2, f64::NAN) }, delta(4, 0, -0.0)],
-            vec![delta(3, 4, 1.5), delta(2, 3, 0.5), dark_delta(1, 4, 2)],
-        ];
-        for (e, deltas) in epochs.into_iter().enumerate() {
-            let touched: Vec<usize> =
-                deltas.iter().map(|d| d.src as usize * n + d.dst as usize).collect();
-            store.observe_epoch(&epoch(deltas, e as u64));
-            store.sync_pool_index(&mut kept, touched.into_iter());
-            let mut export = PoolIndex::default();
-            export.sync_means(&store.partial_stats());
-            for j in 0..n {
-                for q in [0.0, 0.5, 1.0] {
-                    let bits =
-                        |index: &PoolIndex<1>| index.scores(j, q, 0.0).map(|[s]| s.to_bits());
-                    assert_eq!(bits(&kept), bits(&export), "instance {j}, quantile {q}, epoch {e}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -813,9 +813,10 @@ mod tests {
 
     #[test]
     fn lazy_drift_runs_the_focused_loop_exactly_like_eager_drift() {
-        // A focused, loss-aware advisor over fast drift: bootstrap and
-        // periodic refresh sweeps, focused epochs, spot checks, and a
-        // deployed instance forced dark mid-run. Whatever links the lazy
+        // A focused, loss-aware advisor over fast drift: a bootstrap sweep,
+        // staleness refreshes, focused epochs, spot checks, a deployed
+        // instance forced dark mid-run and a full sweep after the flags it
+        // raises escalate (`max_flagged` 6). Whatever links the lazy
         // stream brings up to date, the loop must see exactly what it sees
         // when every link advances on every step.
         use crate::{OnlineAdvisor, OnlineAdvisorConfig, OnlineEvent, ProbePolicy};
@@ -832,7 +833,7 @@ mod tests {
                 threads: 1,
                 migration_budget: 2,
                 spot_check_probes: 4,
-                probe_policy: ProbePolicy::Focused { max_flagged: 8, refresh_every: 6 },
+                probe_policy: ProbePolicy::Focused { max_flagged: 6, refresh_every: 6 },
                 candidates: Some(CandidateConfig::fixed(3)),
                 detector: crate::DetectorConfig { warmup: 3, threshold: 5.0 },
                 ..Default::default()
@@ -885,7 +886,7 @@ mod tests {
         };
         let (lazy, eager) = (run(false), run(true));
         let (full, spot_checks, _, events, _) = &lazy;
-        assert!(*full >= 2, "no refresh sweep after the bootstrap ({full} full epochs)");
+        assert!(*full >= 2, "no full sweep after the bootstrap ({full} full epochs)");
         assert!(*full < 18, "no focused epoch");
         assert!(*spot_checks > 0, "no spot check ran");
         assert!(events.iter().any(|e| e.starts_with("LinkDark")), "the blackout went unseen");

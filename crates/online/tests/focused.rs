@@ -1,15 +1,16 @@
 //! Focused-measurement satellites: the differential quality/budget
 //! contract (focused vs uniform probing on one keyed trajectory), the
 //! detector→probe-plan soundness properties, and the kept plan pool's
-//! equality with a rebuild from the store's export.
+//! equality with a build over the dense search costs.
 
-use cloudia_core::{CommGraph, RedeployPolicy};
-use cloudia_netsim::{Cloud, Provider};
+use cloudia_core::{CommGraph, CostMatrix, RedeployPolicy};
+use cloudia_netsim::{loss_priced_mean, Cloud, Provider};
 use cloudia_online::{
     ArmOptions, DetectorConfig, EpochMeasurement, FocusScenario, LinkDelta, OnlineAdvisor,
-    OnlineAdvisorConfig, OnlineEvent, ProbePolicy, CONTRACT_SEEDS, MEDIAN_COST_GAP_BOUND,
+    OnlineAdvisorConfig, OnlineEvent, OnlineStore, ProbePolicy, CONTRACT_SEEDS,
+    MEDIAN_COST_GAP_BOUND,
 };
-use cloudia_solver::{CandidateConfig, CandidatePruneRule, CandidateSet};
+use cloudia_solver::{CandidateConfig, CandidateSet};
 use proptest::prelude::*;
 
 /// Differential contract: on each scenario seed's keyed trajectory,
@@ -219,17 +220,39 @@ fn random_delta(rng: &mut rand::rngs::StdRng, src: u32, dst: u32) -> LinkDelta {
     LinkDelta { src, dst, mean, count, attempts, timeouts: attempts - count }
 }
 
+/// The search costs a repair prices the store at, as a dense matrix
+/// transcribed from the store's public view: a link's EWMA mean once
+/// sampled, else the worst mean any sampled link holds (folded from 0),
+/// loss-priced ([`loss_priced_mean`]) when `timeout_ms` is given.
+fn dense_search_costs(store: &OnlineStore, timeout_ms: Option<f64>) -> CostMatrix {
+    let m = store.len();
+    let links = || (0..m).flat_map(|i| (0..m).filter(move |&j| j != i).map(move |j| (i, j)));
+    let sampled = |i, j| store.link(i, j).last_epoch.is_some();
+    let worst = links()
+        .filter(|&(i, j)| sampled(i, j))
+        .fold(0.0f64, |worst, (i, j)| worst.max(store.link(i, j).ewma.mean()));
+    let mut b = CostMatrix::builder(m);
+    for (i, j) in links() {
+        let base = if sampled(i, j) { store.link(i, j).ewma.mean() } else { worst };
+        let (fwd, rev) = (store.link(i, j).loss_rate, store.link(j, i).loss_rate);
+        b.set(i, j, timeout_ms.map_or(base, |t| loss_priced_mean(base, fwd, rev, t)));
+    }
+    b.freeze().expect("the random deltas price no link below 0 or at NaN")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // A focused loop, pruned or not, keeps its plan pool in an index it
-    // re-prices from each epoch's deltas (a full epoch's bulk-builds it).
-    // Whatever the deltas, the pool equals a rebuild from the store's
-    // export — the union and every node's list.
+    // A focused loop, pruned or not, loss-aware or not, ranks its plan
+    // pool off the one index it keeps over its search costs, re-priced
+    // from the links each epoch touched (a full epoch's bulk-builds it).
+    // Whatever the deltas, the pool equals `CandidateSet::build` over the
+    // dense search costs — the union and every node's list.
     #[test]
-    fn the_kept_plan_pool_equals_a_rebuild_from_the_store_export(
+    fn the_kept_plan_pool_equals_a_build_over_the_dense_search_costs(
         seed in 0u64..1_000,
         prune_during_sweep in (0u8..2).prop_map(|b| b == 1),
+        loss_aware in (0u8..2).prop_map(|b| b == 1),
     ) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -237,22 +260,27 @@ proptest! {
         let config = OnlineAdvisorConfig {
             solve_seconds: 0.05,
             policy: RedeployPolicy { min_gain: 1e9, migration_cost_per_node: 1e9 },
-            // No alarms and no evacuations: the deltas alone move the pool.
+            // No alarms: the deltas alone move the pool (and, loss-aware,
+            // an evacuation off an instance they darken).
             detector: DetectorConfig { threshold: 1e9, ..Default::default() },
-            loss_aware: false,
+            loss_aware,
             candidates: Some(pool),
             probe_policy: ProbePolicy::Focused { refresh_every: 4, max_flagged: 1000 },
             prune_during_sweep,
             ..Default::default()
         };
+        let timeout_ms = loss_aware.then_some(config.timeout_ms);
         let net = synthetic_net();
-        let mut advisor = OnlineAdvisor::new(CommGraph::ring(4), M, (0..4).collect(), config);
+        let graph = CommGraph::ring(4);
+        let mut advisor = OnlineAdvisor::new(graph.clone(), M, (0..4).collect(), config);
         let links: Vec<(u32, u32)> = (0..M as u32)
             .flat_map(|i| (0..M as u32).filter(move |&j| j != i).map(move |j| (i, j)))
             .collect();
         for e in 0..12u64 {
-            // A full epoch now and then, else up to 40 random links —
-            // past the 4·M = 32 incremental budget on some epochs too.
+            // A full epoch now and then, else up to 40 random links. Each
+            // touches both directions of at most 56 links, inside the
+            // 40·M = 320 re-price budget: the index re-prices after the
+            // first read's build.
             let touched: Vec<(u32, u32)> = if rng.random_range(0..5) == 0 {
                 links.clone()
             } else {
@@ -264,17 +292,12 @@ proptest! {
             let m = EpochMeasurement { deltas: deltas.collect(), ..epoch_of(e, &[]) };
             advisor.step(&m, &net);
             let kept = advisor.probe_pool().expect("focused policy has a pool");
-            let export = CandidateSet::build_partial(
-                4,
-                &advisor.store().partial_stats(),
-                &pool,
-                Some(advisor.deployment()),
-                None,
-                CandidatePruneRule::DEFAULT_MIN_COVERAGE,
-            );
-            prop_assert_eq!(kept.union(), export.union(), "union at epoch {}", e);
+            let costs = dense_search_costs(advisor.store(), timeout_ms);
+            let dense =
+                CandidateSet::build(&graph.problem(costs), &pool, Some(advisor.deployment()), None);
+            prop_assert_eq!(kept.union(), dense.union(), "union at epoch {}", e);
             for v in 0..4 {
-                prop_assert_eq!(kept.node_candidates(v), export.node_candidates(v));
+                prop_assert_eq!(kept.node_candidates(v), dense.node_candidates(v));
             }
         }
     }

@@ -44,10 +44,10 @@
 //! Every pool is ranked by one routine, whatever holds the evidence: a
 //! dense cost matrix ([`CandidateSet::build`], batch solves), partial
 //! sweep statistics ([`CandidateSet::build_partial`]), or a [`PoolIndex`]
-//! kept current from touched links ([`CandidateSet::from_index`], the
-//! online loop's focused plan and, off an index of every link at its
-//! search cost, its repairs — which restrict a sub-problem they price
-//! themselves, [`CandidateSet::restrict_to`]). The
+//! kept current from touched links ([`CandidateSet::from_index`]: the
+//! online loop's one index, every link at its search cost, ranks its
+//! focused plan's clique and its repairs' pools — which restrict a
+//! sub-problem they price themselves, [`CandidateSet::restrict_to`]). The
 //! mid-sweep [`CandidatePruneRule`] evaluates the same ranking between
 //! measurement stages — with a confidence level as interval verdicts, and
 //! then as the sweep's anytime stop rule too — off an index a caller may
@@ -282,7 +282,7 @@ impl CandidateSet {
                 for l in (0..m).filter(|&l| l != j) {
                     incident.extend([costs.get(j, l), costs.get(l, j)]);
                 }
-                let rank = quantile_rank(incident.len(), m, POOL_QUANTILE, 0.0)?;
+                let rank = quantile_rank(incident.len(), m, 0.0)?;
                 Some([*incident.select_nth_unstable_by(rank, f64::total_cmp).1])
             })
         })
@@ -325,7 +325,7 @@ impl CandidateSet {
             // is invisible: the quantile and the coverage fraction are
             // order-independent.
             let mut incident = IncidentPrices::scan(stats, mean_price(stats));
-            Self::ranked_pool(m, pool_size, |j| incident.scores(j, POOL_QUANTILE, min_coverage))
+            Self::ranked_pool(m, pool_size, |j| incident.scores(j, min_coverage))
         })
     }
 
@@ -333,7 +333,8 @@ impl CandidateSet {
     /// already holds the evidence — the same candidate lists, read at
     /// each instance's quantile rank instead of re-collected by an m²
     /// evidence pass. This is how a caller that keeps an index up to date
-    /// across epochs (the online advisor's focused plan) builds its pool.
+    /// across epochs (the online advisor, for its focused plan and its
+    /// repairs) builds its pool.
     ///
     /// # Panics
     /// As [`CandidateSet::build_partial`].
@@ -347,7 +348,7 @@ impl CandidateSet {
     ) -> Self {
         let m = index.m;
         Self::build_ranked(num_nodes, m, config, incumbent, fixed, min_coverage, |pool_size| {
-            let scores = index.all_scores(POOL_QUANTILE, min_coverage);
+            let scores = index.all_scores(min_coverage);
             Self::ranked_pool(m, pool_size, |j| scores[j])
         })
     }
@@ -688,15 +689,15 @@ impl CriticalValues {
     }
 }
 
-/// Where the `quantile` sits among `len` ascending incident prices of one
-/// of `m` instances — or `None` when the instance's incident coverage
+/// Where [`POOL_QUANTILE`] sits among `len` ascending incident prices of
+/// one of `m` instances — or `None` when the instance's incident coverage
 /// (fraction of its `2(m−1)` directed links with evidence) is below
 /// `min_coverage`: not enough evidence to rank it either way.
-fn quantile_rank(len: usize, m: usize, quantile: f64, min_coverage: f64) -> Option<usize> {
+fn quantile_rank(len: usize, m: usize, min_coverage: f64) -> Option<usize> {
     if len == 0 || (len as f64 / (2 * (m - 1)) as f64) < min_coverage {
         return None;
     }
-    Some(((len - 1) as f64 * quantile).round() as usize)
+    Some(((len - 1) as f64 * POOL_QUANTILE).round() as usize)
 }
 
 /// The incident evidence of every instance, CSR-style in flat scratch
@@ -755,14 +756,14 @@ impl<const L: usize> IncidentPrices<L> {
         Self { off, lanes }
     }
 
-    /// Instance `j`'s score per lane — the `quantile` of its incident
-    /// prices — or `None` when it is under-covered (see
+    /// Instance `j`'s score per lane — the [`POOL_QUANTILE`] of its
+    /// incident prices — or `None` when it is under-covered (see
     /// [`quantile_rank`]). Reorders the lanes in place (selection, not
     /// sort).
-    fn scores(&mut self, j: usize, quantile: f64, min_coverage: f64) -> Option<[f64; L]> {
+    fn scores(&mut self, j: usize, min_coverage: f64) -> Option<[f64; L]> {
         let m = self.off.len() - 1;
         let (start, end) = (self.off[j], self.off[j + 1]);
-        let rank = quantile_rank(end - start, m, quantile, min_coverage)?;
+        let rank = quantile_rank(end - start, m, min_coverage)?;
         Some(std::array::from_fn(|l| {
             *self.lanes[l][start..end].select_nth_unstable_by(rank, f64::total_cmp).1
         }))
@@ -959,9 +960,9 @@ const BATCH_GATHER: usize = 2;
 struct Windows<const L: usize> {
     /// `runs[j][l]`: instance `j`'s window on lane `l`.
     runs: Vec<[Window; L]>,
-    /// The quantile and coverage (bits) `scores` answer for; `None`
-    /// before the first read and after a bulk build.
-    read: Option<(u64, u64)>,
+    /// The coverage (bits) `scores` answer for; `None` before the first
+    /// read and after a bulk build.
+    read: Option<u64>,
     /// [`quantile_rank`] at `read` by an instance's count of incident
     /// prices.
     ranks: Vec<Option<u32>>,
@@ -1065,19 +1066,19 @@ impl<const L: usize> Prices<L> {
 /// The rules' evidence, maintained instead of rescanned: the price each
 /// directed link currently contributes, every instance's count of
 /// incident prices, per instance and lane a [`Window`] — a sorted run of
-/// the [`WINDOW`] incident prices ranked around the quantile last read —
-/// and every instance's score as last read. A rule is evaluated between
+/// the [`WINDOW`] incident prices ranked around the median — and every
+/// instance's score as last read. A rule is evaluated between
 /// every two stages of a sweep, and a stage changes at most `m / 2`
 /// links — so after one bulk build, [`PoolIndex::sync_means`] /
 /// [`PoolIndex::sync_intervals`] re-price only the links the statistics'
 /// touch log names ([`PairwiseStats::touched_since`]) and move their
 /// entries in both endpoints' windows (or only the count below a window).
 /// A read ([`PoolIndex::all_scores`]) then re-scores only the instances
-/// those links touched, each a read inside its window at the quantile's
+/// those links touched, each a read inside its window at the median's
 /// rank. A window that does not cover the rank — its first read, one
-/// after a bulk build, one at another quantile, or one after re-pricing
-/// drained or shifted the run — refills from the instance's incident
-/// prices around the rank. A few misses gather their prices off the price
+/// after a bulk build, or one after re-pricing drained or shifted the
+/// run — refills from the instance's incident prices around the rank.
+/// A few misses gather their prices off the price
 /// cache's row and column; many (half the instances or more, as every
 /// instance after a bulk build) lay them all out contiguously in one
 /// row-major pass over the cache, as the evidence pass does over the
@@ -1326,37 +1327,35 @@ impl<const L: usize> PoolIndex<L> {
         }
     }
 
-    /// Instance `j`'s score per lane — the `quantile` of its incident
-    /// prices — or `None` when it is under-covered (see
+    /// Instance `j`'s score per lane — the [`POOL_QUANTILE`] of its
+    /// incident prices — or `None` when it is under-covered (see
     /// [`quantile_rank`]): [`PoolIndex::all_scores`]' entry for `j`.
-    pub fn scores(&self, j: usize, quantile: f64, min_coverage: f64) -> Option<[f64; L]> {
-        self.all_scores(quantile, min_coverage)[j]
+    pub fn scores(&self, j: usize, min_coverage: f64) -> Option<[f64; L]> {
+        self.all_scores(min_coverage)[j]
     }
 
-    /// Every instance's score per lane at `quantile` and `min_coverage`
-    /// (as [`PoolIndex::scores`]). Re-scores only the instances whose
-    /// incident prices moved since the last read at the same quantile and
-    /// coverage, each inside its windows, filling those that miss the
-    /// rank first.
-    pub fn all_scores(&self, quantile: f64, min_coverage: f64) -> Ref<'_, [Option<[f64; L]>]> {
-        self.refresh(quantile, min_coverage);
+    /// Every instance's score per lane at `min_coverage` (as
+    /// [`PoolIndex::scores`]). Re-scores only the instances whose incident
+    /// prices moved since the last read at the same coverage, each inside
+    /// its windows, filling those that miss the rank first.
+    pub fn all_scores(&self, min_coverage: f64) -> Ref<'_, [Option<[f64; L]>]> {
+        self.refresh(min_coverage);
         Ref::map(self.windows.borrow(), |windows| &windows.scores[..])
     }
 
-    /// Brings every kept score up to the index at `quantile` and
-    /// `min_coverage`.
-    fn refresh(&self, quantile: f64, min_coverage: f64) {
+    /// Brings every kept score up to the index at `min_coverage`.
+    fn refresh(&self, min_coverage: f64) {
         let mut state = self.windows.borrow_mut();
         let windows = &mut *state;
-        let key = (quantile.to_bits(), min_coverage.to_bits());
+        let key = min_coverage.to_bits();
         if windows.read != Some(key) {
             windows.read = Some(key);
             let m = self.m;
             let most = 2 * m.saturating_sub(1);
             windows.ranks.clear();
-            windows.ranks.extend(
-                (0..=most).map(|len| Some(quantile_rank(len, m, quantile, min_coverage)? as u32)),
-            );
+            windows
+                .ranks
+                .extend((0..=most).map(|len| Some(quantile_rank(len, m, min_coverage)? as u32)));
             (0..m).for_each(|j| windows.touch(j));
         }
         let Windows {
@@ -1481,9 +1480,7 @@ impl<const L: usize> PoolIndex<L> {
 /// CI bounds at one confidence level, each in its own [`PoolIndex`].
 /// Evidence only — pool size, incumbent, pins and protections stay the
 /// rule's — so any number of rules, whatever their parameters, may read
-/// one. Rules scoring at different quantiles read the same windows too,
-/// and only cost their re-centring: a window sits around the rank last
-/// read.
+/// one.
 #[doc(hidden)]
 #[derive(Debug, Default)]
 pub struct RuleIndex {
@@ -1711,11 +1708,10 @@ fn resort(order: &mut Vec<u32>, len: usize, cmp: impl Fn(u32, u32) -> std::cmp::
 }
 
 impl CandidatePruneRule {
-    /// Default incident-coverage fraction below which an instance cannot
-    /// be proven uncompetitive — shared by every caller that builds
-    /// partial pools (the rule itself, and the online advisor's
-    /// mid-sweep probe-plan cliques), so plan and prune agree on the
-    /// evidence threshold.
+    /// Incident-coverage fraction below which an instance cannot be
+    /// proven uncompetitive. The rule alone reads it: the online
+    /// advisor's probe-plan clique ranks its search costs, which give
+    /// every link evidence, so no coverage threshold applies there.
     pub const DEFAULT_MIN_COVERAGE: f64 = 0.5;
 
     /// A point-estimate rule for problems with `num_nodes` application
@@ -1837,8 +1833,7 @@ impl CandidatePruneRule {
         let mut index = lock(&self.index);
         self.tally.synced(index.means.sync_means(stats));
         let index = &index.means;
-        let scores =
-            self.tally.reads(index, || index.all_scores(POOL_QUANTILE, Self::DEFAULT_MIN_COVERAGE));
+        let scores = self.tally.reads(index, || index.all_scores(Self::DEFAULT_MIN_COVERAGE));
         // The pool `CandidateSet::ranked_pool` takes: every instance it
         // cannot rank, then the `pool_size` cheapest, ties by index.
         let order = &mut self.look.borrow_mut().order;
@@ -1865,7 +1860,7 @@ impl CandidatePruneRule {
             let index = &index.intervals;
             let mut look = self.look.borrow_mut();
             self.tally.reads(index, || {
-                let scores = index.all_scores(POOL_QUANTILE, Self::DEFAULT_MIN_COVERAGE);
+                let scores = index.all_scores(Self::DEFAULT_MIN_COVERAGE);
                 look.ci.derive(self, &scores);
             });
             look.at = Some(at);
@@ -2484,7 +2479,7 @@ mod tests {
         // price depends on the level: the index must not keep the old one.
         let stats = tied_boundary_stats(2);
         let scores = |index: &PoolIndex<2>| -> Vec<_> {
-            (0..12).map(|j| index.scores(j, 0.5, 0.5).map(|s| s.map(f64::to_bits))).collect()
+            (0..12).map(|j| index.scores(j, 0.5).map(|s| s.map(f64::to_bits))).collect()
         };
         let mut fresh = PoolIndex::default();
         fresh.sync_intervals(&stats, 0.5);

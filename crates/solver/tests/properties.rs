@@ -704,26 +704,13 @@ mod pool_index {
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     const CONFIDENCE: f64 = 0.9;
-    const QUANTILE: f64 = 0.5;
 
-    /// Instance `j`'s score per lane at [`QUANTILE`], recomputed link by
+    /// Instance `j`'s score per lane (the median), recomputed link by
     /// link.
     fn naive_scores(
         stats: &PairwiseStats,
         j: usize,
         confidence: Option<f64>,
-        min_coverage: f64,
-    ) -> Option<Vec<u64>> {
-        naive_scores_at(stats, j, confidence, QUANTILE, min_coverage)
-    }
-
-    /// Instance `j`'s score per lane at `quantile`, recomputed link by
-    /// link.
-    fn naive_scores_at(
-        stats: &PairwiseStats,
-        j: usize,
-        confidence: Option<f64>,
-        quantile: f64,
         min_coverage: f64,
     ) -> Option<Vec<u64>> {
         let m = stats.len();
@@ -745,22 +732,17 @@ mod pool_index {
                 }
             }
         }
-        naive_quantile(lanes, m, quantile, min_coverage)
+        naive_median(lanes, m, min_coverage)
     }
 
-    /// The `quantile` of each lane of one instance's incident prices
-    /// among `m` instances, by a full sort; `None` when under-covered.
-    fn naive_quantile(
-        mut lanes: Vec<Vec<f64>>,
-        m: usize,
-        quantile: f64,
-        min_coverage: f64,
-    ) -> Option<Vec<u64>> {
+    /// The median of each lane of one instance's incident prices among
+    /// `m` instances, by a full sort; `None` when under-covered.
+    fn naive_median(mut lanes: Vec<Vec<f64>>, m: usize, min_coverage: f64) -> Option<Vec<u64>> {
         let len = lanes[0].len();
         if len == 0 || (len as f64 / (2 * (m - 1)) as f64) < min_coverage {
             return None;
         }
-        let rank = ((len - 1) as f64 * quantile).round() as usize;
+        let rank = ((len - 1) as f64 * 0.5).round() as usize;
         Some(
             lanes
                 .iter_mut()
@@ -959,13 +941,13 @@ mod pool_index {
             let bits = |s: Option<[f64; 2]>| s.map(|s| s.map(f64::to_bits).to_vec());
             for j in 0..stats.len() {
                 assert_eq!(
-                    self.means.scores(j, QUANTILE, self.min_coverage).map(|[s]| vec![s.to_bits()]),
+                    self.means.scores(j, self.min_coverage).map(|[s]| vec![s.to_bits()]),
                     naive_scores(stats, j, None, self.min_coverage),
                     "mean score of instance {}",
                     j
                 );
                 assert_eq!(
-                    bits(self.intervals.scores(j, QUANTILE, self.min_coverage)),
+                    bits(self.intervals.scores(j, self.min_coverage)),
                     naive_scores(stats, j, Some(CONFIDENCE), self.min_coverage),
                     "interval score of instance {}",
                     j
@@ -975,31 +957,35 @@ mod pool_index {
     }
 
     /// Every instance's scores off `means` and `intervals`, synced to
-    /// `stats`, at each of `quantiles` in turn, against the link-by-link
+    /// `stats`, at each of `coverages` in turn, against the link-by-link
     /// recomputation.
-    fn check_quantiles(
+    fn check_coverages(
         means: &mut PoolIndex<1>,
         intervals: &mut PoolIndex<2>,
         stats: &PairwiseStats,
-        quantiles: [f64; 2],
-        min_coverage: f64,
+        coverages: [f64; 2],
     ) {
         means.sync_means(stats);
         intervals.sync_intervals(stats, CONFIDENCE);
-        for q in quantiles {
+        for c in coverages {
             for j in 0..stats.len() {
                 assert_eq!(
-                    means.scores(j, q, min_coverage).map(|[s]| vec![s.to_bits()]),
-                    naive_scores_at(stats, j, None, q, min_coverage),
-                    "mean score of instance {j} at quantile {q}"
+                    means.scores(j, c).map(|[s]| vec![s.to_bits()]),
+                    naive_scores(stats, j, None, c),
+                    "mean score of instance {j} at coverage {c}"
                 );
                 assert_eq!(
-                    intervals.scores(j, q, min_coverage).map(|s| s.map(f64::to_bits).to_vec()),
-                    naive_scores_at(stats, j, Some(CONFIDENCE), q, min_coverage),
-                    "interval score of instance {j} at quantile {q}"
+                    intervals.scores(j, c).map(|s| s.map(f64::to_bits).to_vec()),
+                    naive_scores(stats, j, Some(CONFIDENCE), c),
+                    "interval score of instance {j} at coverage {c}"
                 );
             }
         }
+    }
+
+    /// A coverage threshold the rules' reads might use.
+    fn coverage(rng: &mut StdRng) -> f64 {
+        [0.0, 0.5, 0.8][rng.random_range(0..3usize)]
     }
 
     /// A touched link's evidence: none one time in five, else two lanes
@@ -1020,7 +1006,7 @@ mod pool_index {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn windowed_scores_hold_under_ties_drains_and_two_quantiles(
+        fn windowed_scores_hold_under_ties_drains_and_two_coverages(
             seed in 0u64..10_000,
             m in 18usize..40,
             ops in 20usize..160,
@@ -1028,17 +1014,16 @@ mod pool_index {
             // Over 17 instances an incident multiset outgrows a window,
             // so reads land inside, past and across partial windows.
             let mut rng = StdRng::seed_from_u64(seed);
-            let min_coverage = [0.0, 0.5, 0.8][rng.random_range(0..3usize)];
-            let quantiles = [[0.5, 0.1], [0.0, 1.0], [0.5, 0.9]][rng.random_range(0..3usize)];
+            let coverages = [coverage(&mut rng), coverage(&mut rng)];
             let mut stats = PairwiseStats::new(m);
             let (mut means, mut intervals) = (PoolIndex::default(), PoolIndex::default());
             for _ in 0..ops {
                 mutate_ties(&mut stats, &mut rng);
                 if rng.random::<f64>() < 0.3 {
-                    check_quantiles(&mut means, &mut intervals, &stats, quantiles, min_coverage);
+                    check_coverages(&mut means, &mut intervals, &stats, coverages);
                 }
             }
-            check_quantiles(&mut means, &mut intervals, &stats, quantiles, min_coverage);
+            check_coverages(&mut means, &mut intervals, &stats, coverages);
         }
 
         #[test]
@@ -1048,8 +1033,7 @@ mod pool_index {
             epochs in 5usize..40,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let min_coverage = [0.0, 0.5, 0.8][rng.random_range(0..3usize)];
-            let quantiles = [rng.random::<f64>(), rng.random::<f64>()];
+            let coverages = [coverage(&mut rng), coverage(&mut rng)];
             let mut evidence: Vec<Option<[f64; 2]>> =
                 (0..m * m).map(|idx| (idx / m != idx % m).then(|| touched_price(&mut rng)).flatten()).collect();
             let mut index = PoolIndex::<2>::default();
@@ -1090,7 +1074,7 @@ mod pool_index {
                     }
                 }
                 index.sync_touched(m, touched.drain(..), |src, dst| evidence[src * m + dst]);
-                for (q, j) in quantiles.into_iter().cycle().zip(0..2 * m) {
+                for (c, j) in coverages.into_iter().cycle().zip(0..2 * m) {
                     let j = j % m;
                     let mut lanes = vec![Vec::new(); 2];
                     for k in (0..m).filter(|&k| k != j) {
@@ -1100,9 +1084,9 @@ mod pool_index {
                         }
                     }
                     prop_assert_eq!(
-                        index.scores(j, q, min_coverage).map(|s| s.map(f64::to_bits).to_vec()),
-                        naive_quantile(lanes, m, q, min_coverage),
-                        "instance {} at quantile {}", j, q
+                        index.scores(j, c).map(|s| s.map(f64::to_bits).to_vec()),
+                        naive_median(lanes, m, c),
+                        "instance {} at coverage {}", j, c
                     );
                 }
             }
@@ -1167,7 +1151,7 @@ mod pool_index {
             rebuilt.rebuild(m, evidence);
             let mut synced = PoolIndex::<1>::default();
             synced.sync_touched(m, std::iter::empty(), |_, _| Some([1.0]));
-            let _ = synced.all_scores(QUANTILE, min_coverage);
+            let _ = synced.all_scores(min_coverage);
             let budget = PoolIndex::<1>::reprice_budget(m);
             let touched: Vec<usize> = (0..m * m).cycle().take(budget + 1).collect();
             synced.sync_touched(m, touched.into_iter(), evidence);
@@ -1182,7 +1166,7 @@ mod pool_index {
                 }
                 for j in 0..m {
                     prop_assert_eq!(
-                        index.scores(j, QUANTILE, min_coverage).map(|[s]| vec![s.to_bits()]),
+                        index.scores(j, min_coverage).map(|[s]| vec![s.to_bits()]),
                         naive_scores(&stats, j, None, min_coverage),
                         "instance {}", j
                     );
