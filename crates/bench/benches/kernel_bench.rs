@@ -31,7 +31,7 @@
 //! re-reading all 300 windows with float rank math, a `select_nth`, four
 //! fresh `Vec`s, and the touch log's per-entry modulo) it read 1.45–1.69×;
 //! 1.19–1.30× before the pruned sweep folded its per-link deltas (the
-//! bare sweep keeps no journal); a verdict that re-prices links in fully
+//! bare sweep keeps no deltas); a verdict that re-prices links in fully
 //! sorted incident lists 1.59–1.85×, and looks that walk every remaining
 //! pair (the pair-slice `prune` path) 6.5–7.2×.
 //!

@@ -162,10 +162,10 @@ pub(super) fn fig05(fig: &mut Fig, scale: Scale) {
     // A stage is a few simulated ms, so reading the estimates at the first
     // stage boundary past each grid point is on the grid to plotting
     // precision.
-    let mut driver = Staged::new(10, 1_000_000).driver(&net, &cfg, PairwiseStats::new(n));
+    let mut driver = Staged::new(10, 1_000_000).driver(&cfg, PairwiseStats::new(n));
     let mut series: Vec<(f64, Vec<f64>)> = Vec::new();
     let mut next_at = every_ms;
-    while driver.step() {
+    while driver.step(&net) {
         while driver.elapsed_ms() >= next_at {
             series.push((next_at, driver.stats().mean_vector()));
             next_at += every_ms;

@@ -28,14 +28,25 @@
 //! remaining pair count ([`StopRule::stable_by_count`]). Struck pairs are
 //! tombstoned in place, so every stage keeps its pair order.
 //!
-//! Under [`run_with_rules`] the driver journals each
-//! [`PairwiseStats::record_link`] call it makes into a row per source
-//! instance, and the journal is folded into the run's row-major
-//! [`LinkDelta`]s: what the run added, with no snapshot to difference.
+//! Under [`run_with_rules`] the driver ranks the directed links its
+//! schedule can probe once, in row-major order (a bitset with a running
+//! count per word, or the closed form for a full tournament), and adds
+//! each [`PairwiseStats::record_link`] call it makes into its link's slot:
+//! repeats of a link sum in call order, and one in-place compaction of
+//! the slots leaves the run's row-major [`LinkDelta`]s — what the run
+//! added, with no snapshot to difference.
+//!
+//! The same run names the links it is about to read to its
+//! [`StageNetwork`], so a lazily drifting network replays only what is
+//! probed. A run that can stop early brings each stage's live pairs up to
+//! date, in both directions, just before the stage runs: pairs the prune
+//! rule or the stop drop are never replayed. A run that cannot stop early
+//! brings its whole schedule up to date first, in one row-major pass,
+//! which reads memory in order where a stage's pairs are scattered.
 
 use std::time::{Duration, Instant};
 
-use cloudia_netsim::Network;
+use cloudia_netsim::{DriftingNetwork, Network};
 
 use crate::pairset::PairSet;
 use crate::scheme::{MeasureConfig, MeasurementReport, Scheme};
@@ -44,6 +55,46 @@ use crate::stats::PairwiseStats;
 /// Coordination overhead (ms) the coordinator's notify/ack round adds
 /// after every executed stage, for both schedules.
 pub const COORD_OVERHEAD_MS: f64 = 0.3;
+
+/// The network a run probes, asked to bring links up to date before the
+/// run reads them. A [`DriftingNetwork`] replays a link's missed drift
+/// steps only when it is advanced, so [`run_with_rules`] names every link
+/// before its first read; a plain [`Network`] is always current and
+/// ignores the names.
+pub trait StageNetwork {
+    /// The network as it stands.
+    fn network(&self) -> &Network;
+
+    /// Brings the directed links `links` up to date.
+    fn advance(&mut self, links: impl Iterator<Item = (u32, u32)>);
+
+    /// Brings every directed link up to date.
+    fn advance_all(&mut self);
+}
+
+impl StageNetwork for &Network {
+    fn network(&self) -> &Network {
+        self
+    }
+
+    fn advance(&mut self, _: impl Iterator<Item = (u32, u32)>) {}
+
+    fn advance_all(&mut self) {}
+}
+
+impl StageNetwork for DriftingNetwork {
+    fn network(&self) -> &Network {
+        DriftingNetwork::network(self)
+    }
+
+    fn advance(&mut self, links: impl Iterator<Item = (u32, u32)>) {
+        DriftingNetwork::advance(self, links);
+    }
+
+    fn advance_all(&mut self) {
+        DriftingNetwork::advance_all(self);
+    }
+}
 
 /// A mid-sweep pruning policy, evaluated between stages by [`run_pruned`].
 ///
@@ -111,7 +162,7 @@ pub fn run_pruned<S: Scheme + ?Sized>(
     stats: PairwiseStats,
     rule: &dyn PruneRule,
 ) -> AnytimeReport {
-    run_with_rules(scheme, net, cfg, stats, Some(rule), None)
+    run_with_rules(scheme, &mut { net }, cfg, stats, Some(rule), None)
 }
 
 /// An anytime stopping policy, evaluated between stages by
@@ -210,7 +261,7 @@ pub fn run_anytime<S: Scheme + ?Sized>(
     rule: &dyn PruneRule,
     stop: &dyn StopRule,
 ) -> AnytimeReport {
-    run_with_rules(scheme, net, cfg, stats, Some(rule), Some(stop))
+    run_with_rules(scheme, &mut { net }, cfg, stats, Some(rule), Some(stop))
 }
 
 /// The one between-stage loop behind [`run_pruned`] and [`run_anytime`]
@@ -227,20 +278,36 @@ pub fn run_anytime<S: Scheme + ?Sized>(
 /// rules hear so (`sweep_ended`). Callers holding the rules as options
 /// (the online stream's epoch entry) call this directly.
 ///
-/// The report's deltas are the driver's journal of what each
-/// [`PairwiseStats::record_link`] call added, folded: in row-major order,
-/// the repeats of sweeps ≥ 3 merged, and each link's RTT sum divided by
-/// its sample count.
-pub fn run_with_rules<S: Scheme + ?Sized>(
+/// `net` is asked to bring up to date every link the run reads, before
+/// it reads it. With a `stop` rule, each stage of the first sweep names
+/// its live pairs in both directions (a probe and its reply cross both)
+/// just before it runs — every later sweep repeats a subset of them — so
+/// pairs struck before their stage are never named. Without one, the run
+/// names its whole schedule first, in row-major order (a full tournament
+/// as [`StageNetwork::advance_all`]).
+///
+/// The report's deltas are what the driver's
+/// [`PairwiseStats::record_link`] calls added, link by link: in row-major
+/// order, the repeats of sweeps ≥ 3 summed in call order, and each link's
+/// RTT sum divided by its sample count.
+pub fn run_with_rules<S: Scheme + ?Sized, N: StageNetwork>(
     scheme: &S,
-    net: &Network,
+    net: &mut N,
     cfg: &MeasureConfig,
     stats: PairwiseStats,
     rule: Option<&dyn PruneRule>,
     stop: Option<&dyn StopRule>,
 ) -> AnytimeReport {
-    let mut driver = scheme.driver(net, cfg, stats);
-    driver.journal = Some(reserve_journal(net.len(), &driver.stages, driver.sweeps));
+    let mut driver = scheme.driver(cfg, stats);
+    let n = driver.stats.len();
+    let ranks = LinkRanks::of(n, &driver.stages);
+    if stop.is_none() {
+        match ranks.links() {
+            Some(links) => net.advance(links),
+            None => net.advance_all(),
+        }
+    }
+    driver.deltas = Some(DeltaSlots::new(ranks));
     // A struck pair leaves the schedule, so no pair is counted twice.
     let mut dropped_pairs = 0usize;
     let mut saved_round_trips = 0u64;
@@ -290,66 +357,133 @@ pub fn run_with_rules<S: Scheme + ?Sized>(
                 }
             }
         }
-        if !driver.step() {
+        if stop.is_some() {
+            if let Some(s) = driver.upcoming().filter(|_| driver.sweep == 0) {
+                let live = driver.stages[s].iter().filter(|e| e.2 > 0);
+                net.advance(live.flat_map(|&(a, b, _)| [(a, b), (b, a)]));
+            }
+        }
+        if !driver.step(net.network()) {
             break;
         }
     }
     rule.inspect(|rule| rule.sweep_ended());
     stop.inspect(|stop| stop.sweep_ended());
-    let deltas = fold_journal(driver.journal.take().unwrap_or_default());
+    let deltas = driver.deltas.take().map_or_else(Vec::new, DeltaSlots::into_deltas);
     let report = driver.finish();
     AnytimeReport { report, deltas, dropped_pairs, saved_round_trips, stopped_early }
 }
 
-/// What a run's `record_link` calls added: one row per source instance,
-/// each in call order with the RTT sum in `mean`.
-pub(crate) type Journal = Vec<Vec<LinkDelta>>;
-
-/// An empty journal with room for every entry `sweeps` passes over
-/// `stages` write — pair `(a, b)` is recorded `a → b` on even sweeps and
-/// `b → a` on odd ones — so a push never reallocates.
-fn reserve_journal(n: usize, stages: &[Vec<(u32, u32, usize)>], sweeps: usize) -> Journal {
-    let mut sizes = vec![0usize; n];
-    for &(a, b, _) in stages.iter().flatten() {
-        sizes[a as usize] += sweeps.div_ceil(2);
-        sizes[b as usize] += sweeps / 2;
-    }
-    sizes.into_iter().map(Vec::with_capacity).collect()
+/// The directed links a run's schedule can probe — both directions of
+/// every scheduled pair — ranked in row-major order: a bitset over the
+/// `n × n` links, each 64-link word beside the count of links set in the
+/// words before it, or, for a schedule of every pair, the closed form.
+struct LinkRanks {
+    n: usize,
+    /// The bitset; `None` when every link is ranked.
+    words: Option<Vec<(u64, usize)>>,
 }
 
-/// Folds a journal into row-major deltas: each row's entries chained by
-/// destination in call order, the chains walked in destination order (an
-/// entry moves once, repeats are summed in call order), each RTT sum
-/// divided by its sample count.
-fn fold_journal(journal: Journal) -> Vec<LinkDelta> {
-    let mut deltas: Vec<LinkDelta> = Vec::with_capacity(journal.iter().map(Vec::len).sum());
-    // `first[dst]`: the row's earliest entry for `dst`; `after[at]`: its
-    // next one after entry `at` (`NONE`: none).
-    const NONE: u32 = u32::MAX;
-    let (mut first, mut after) = (vec![NONE; journal.len()], Vec::new());
-    for row in journal.iter().filter(|row| !row.is_empty()) {
-        after.clear();
-        after.resize(row.len(), NONE);
-        for (at, d) in row.iter().enumerate().rev() {
-            after[at] = std::mem::replace(&mut first[d.dst as usize], at as u32);
+impl LinkRanks {
+    fn of(n: usize, stages: &[Vec<(u32, u32, usize)>]) -> Self {
+        // The driver holds each pair once, so counting them tells a full
+        // tournament apart.
+        if stages.iter().map(Vec::len).sum::<usize>() == n * (n - 1) / 2 {
+            return Self { n, words: None };
         }
-        for head in &mut first {
-            let mut at = std::mem::replace(head, NONE);
-            let Some(&d) = row.get(at as usize) else { continue };
-            deltas.push(d);
-            let kept = deltas.last_mut().expect("just pushed");
-            while let Some(&d) = row.get(after[at as usize] as usize) {
-                at = after[at as usize];
-                (kept.mean, kept.count) = (kept.mean + d.mean, kept.count + d.count);
-                (kept.attempts, kept.timeouts) =
-                    (kept.attempts + d.attempts, kept.timeouts + d.timeouts);
+        let mut words = vec![(0u64, 0usize); (n * n).div_ceil(64)];
+        for &(a, b, _) in stages.iter().flatten() {
+            for idx in [a as usize * n + b as usize, b as usize * n + a as usize] {
+                words[idx / 64].0 |= 1 << (idx % 64);
+            }
+        }
+        let mut before = 0;
+        for (bits, rank) in &mut words {
+            *rank = before;
+            before += bits.count_ones() as usize;
+        }
+        Self { n, words: Some(words) }
+    }
+
+    /// How many links are ranked.
+    fn len(&self) -> usize {
+        match &self.words {
+            None => self.n * (self.n - 1),
+            Some(words) => {
+                words.last().map_or(0, |&(bits, before)| before + bits.count_ones() as usize)
             }
         }
     }
-    for d in &mut deltas {
-        d.mean = if d.count > 0 { d.mean / d.count as f64 } else { 0.0 };
+
+    /// Link `src → dst`'s position among the ranked links, in row-major
+    /// order. The link must be ranked.
+    fn rank(&self, src: usize, dst: usize) -> usize {
+        let Some(words) = &self.words else {
+            return src * (self.n - 1) + dst - usize::from(dst > src);
+        };
+        let idx = src * self.n + dst;
+        let (bits, before) = words[idx / 64];
+        debug_assert!(bits >> (idx % 64) & 1 == 1, "link {src} → {dst} is not scheduled");
+        before + (bits & ((1 << (idx % 64)) - 1)).count_ones() as usize
     }
-    deltas
+
+    /// The ranked links, in row-major order, of a schedule that leaves
+    /// some link out (`None` when it ranks every link).
+    fn links(&self) -> Option<impl Iterator<Item = (u32, u32)> + '_> {
+        let n = self.n;
+        let words = self.words.as_ref()?;
+        Some(words.iter().enumerate().flat_map(move |(w, &(bits, _))| {
+            let set = std::iter::successors(Some(bits), |&b| Some(b & b.wrapping_sub(1)));
+            set.take_while(|&b| b != 0).map(move |b| {
+                let idx = w * 64 + b.trailing_zeros() as usize;
+                ((idx / n) as u32, (idx % n) as u32)
+            })
+        }))
+    }
+}
+
+/// What a run's [`PairwiseStats::record_link`] calls added: one slot per
+/// ranked link, at its rank, each record added into its link's slot (the
+/// RTT sum in `mean`), so a link's repeats sum in call order and the
+/// slots stay row-major.
+pub(crate) struct DeltaSlots {
+    ranks: LinkRanks,
+    slots: Vec<LinkDelta>,
+}
+
+impl DeltaSlots {
+    fn new(ranks: LinkRanks) -> Self {
+        // A sum starts at -0.0, the additive identity of every float, so
+        // a slot holds its records' sum bit for bit.
+        let empty = LinkDelta { src: 0, dst: 0, mean: -0.0, count: 0, attempts: 0, timeouts: 0 };
+        Self { slots: vec![empty; ranks.len()], ranks }
+    }
+
+    /// Adds one `record_link` call on link `src → dst`.
+    pub(crate) fn add(
+        &mut self,
+        (src, dst): (usize, usize),
+        rtts: &[f64],
+        attempts: u64,
+        timeouts: u64,
+    ) {
+        let d = &mut self.slots[self.ranks.rank(src, dst)];
+        (d.src, d.dst) = (src as u32, dst as u32);
+        d.mean += rtts.iter().sum::<f64>();
+        d.count += rtts.len() as u64;
+        (d.attempts, d.timeouts) = (d.attempts + attempts, d.timeouts + timeouts);
+    }
+
+    /// The slots of the links the run attempted, compacted in place, each
+    /// RTT sum divided by its sample count.
+    fn into_deltas(self) -> Vec<LinkDelta> {
+        let mut deltas = self.slots;
+        deltas.retain_mut(|d| {
+            d.mean = if d.count > 0 { d.mean / d.count as f64 } else { 0.0 };
+            d.attempts > 0
+        });
+        deltas
+    }
 }
 
 /// One between-stage look of `rule`: strikes what it condemns and returns
@@ -360,7 +494,7 @@ fn fold_journal(journal: Journal) -> Vec<LinkDelta> {
 /// look the driver counts the unprotected pairs still scheduled, and
 /// skips the look once none is left.
 fn prune_look(
-    driver: &mut StageDriver<'_>,
+    driver: &mut StageDriver,
     rule: &dyn PruneRule,
     verdict: &mut Vec<bool>,
     condemned: &mut Vec<bool>,
@@ -400,17 +534,16 @@ fn prune_look(
 /// driver to exhaustion and then calling [`StageDriver::finish`] produces
 /// the same [`MeasurementReport`] as [`Scheme::run_onto`] —
 /// interrupting, inspecting, and resuming never changes the measurement.
-pub struct StageDriver<'n> {
+pub struct StageDriver {
     /// The scheme's name, as the `sweep.run` span reports it.
     name: &'static str,
-    net: &'n Network,
     cfg: MeasureConfig,
     stats: PairwiseStats,
     /// One pair's round-trip times, reused by every pair of every stage.
     rtts: Vec<f64>,
-    /// What each `record_link` call added — kept only under
-    /// [`run_with_rules`], which folds it into the run's deltas.
-    journal: Option<Journal>,
+    /// What the `record_link` calls added, link by link — kept only under
+    /// [`run_with_rules`], which compacts it into the run's deltas.
+    deltas: Option<DeltaSlots>,
     /// One sweep's schedule: unordered pairs with per-pair round trips,
     /// each pair in exactly one stage. A struck pair stays in place with
     /// a quota of 0, so every pair keeps its position and every stage its
@@ -518,18 +651,17 @@ impl Drop for StageTally {
     }
 }
 
-impl<'n> StageDriver<'n> {
+impl StageDriver {
+    /// A driver of `sweeps` passes over `stages`, recording into `stats`,
+    /// which are sized for the network every step measures.
     pub(crate) fn new(
         name: &'static str,
-        net: &'n Network,
         cfg: &MeasureConfig,
         stats: PairwiseStats,
         stages: Vec<Vec<(u32, u32, usize)>>,
         sweeps: usize,
     ) -> Self {
-        let n = net.len();
-        assert!(n >= 2, "need at least two instances to measure");
-        assert_eq!(stats.len(), n, "stats sized for {} instances, network has {n}", stats.len());
+        assert!(stats.len() >= 2, "need at least two instances to measure");
         // One pass per driver, release builds included: the live counters,
         // `remaining_pairs` and every strike rely on it, and a quota of 0
         // is how a struck pair is marked.
@@ -544,11 +676,10 @@ impl<'n> StageDriver<'n> {
             .collect();
         Self {
             name,
-            net,
             cfg: cfg.clone(),
             stats,
             rtts: Vec::new(),
-            journal: None,
+            deltas: None,
             stages,
             live,
             slots: None,
@@ -588,41 +719,49 @@ impl<'n> StageDriver<'n> {
         (sweeps - usize::from(sweeps > 0 && stage < self.stage)) as u64
     }
 
-    /// Executes the next stage. Returns `false` once the schedule is
-    /// exhausted or the configured duration limit has been reached (the
-    /// driver is then permanently done; further calls keep returning
-    /// `false`).
-    pub fn step(&mut self) -> bool {
+    /// Moves past the stages pruning emptied and returns the index of the
+    /// stage [`StageDriver::step`] runs next, or `None` once the schedule
+    /// is exhausted or the duration limit reached (the driver is then
+    /// done).
+    fn upcoming(&mut self) -> Option<usize> {
         if self.done {
-            return false;
+            return None;
         }
         // Stages emptied by pruning are skipped entirely: no probes, no
         // coordination round.
         while self.sweep < self.sweeps && self.live.get(self.stage).is_some_and(|l| l.0 == 0) {
             self.advance_position();
         }
-        if self.stages.is_empty() || self.sweep >= self.sweeps {
-            self.done = true;
+        let timed_out = self.cfg.max_duration_ms.is_some_and(|limit| self.now >= limit);
+        self.done = self.stages.is_empty() || self.sweep >= self.sweeps || timed_out;
+        (!self.done).then_some(self.stage)
+    }
+
+    /// Executes the next stage over `net`. Returns `false` once the
+    /// schedule is exhausted or the configured duration limit has been
+    /// reached (the driver is then permanently done; further calls keep
+    /// returning `false`).
+    ///
+    /// # Panics
+    /// Panics if `net` does not cover the statistics' instances.
+    pub fn step(&mut self, net: &Network) -> bool {
+        let Some(stage) = self.upcoming() else {
             return false;
-        }
-        if let Some(limit) = self.cfg.max_duration_ms {
-            if self.now >= limit {
-                self.done = true;
-                return false;
-            }
-        }
+        };
+        let n = self.stats.len();
+        assert_eq!(net.len(), n, "stats sized for {n} instances, network has {}", net.len());
         if cloudia_obs::enabled() && self.tally.span.is_none() {
             self.tally.span = Some(cloudia_obs::span!("sweep.run", scheme = self.name));
         }
         let outcome = crate::scheme::run_stage(
-            self.net,
+            net,
             &self.cfg,
             self.now,
-            (self.sweep, self.stage),
-            &self.stages[self.stage],
+            (self.sweep, stage),
+            &self.stages[stage],
             &mut self.stats,
             &mut self.rtts,
-            self.journal.as_mut(),
+            self.deltas.as_mut(),
         );
         self.round_trips += outcome.round_trips;
         self.now = outcome.end;
@@ -739,7 +878,8 @@ impl<'n> StageDriver<'n> {
     /// Strikes every remaining pair of instance `j` that `protects` does
     /// not exempt, walking only `j`'s slots: `(pairs, round trips saved)`.
     fn strike_instance(&mut self, j: u32, protects: &dyn Fn(u32, u32) -> bool) -> (usize, u64) {
-        let slots = self.slots.take().unwrap_or_else(|| Slots::build(self.net.len(), &self.stages));
+        let slots =
+            self.slots.take().unwrap_or_else(|| Slots::build(self.stats.len(), &self.stages));
         let (mut pairs, mut saved) = (0usize, 0u64);
         for &(s, p) in slots.of(j as usize) {
             let (s, p) = (s as usize, p as usize);
@@ -818,9 +958,9 @@ mod tests {
         let cfg = MeasureConfig::default();
         let scheme = Staged::new(3, 2);
         let batch = scheme.run(&net, &cfg);
-        let mut driver = scheme.driver(&net, &cfg, PairwiseStats::new(8));
+        let mut driver = scheme.driver(&cfg, PairwiseStats::new(8));
         let mut steps = 0;
-        while driver.step() {
+        while driver.step(&net) {
             steps += 1;
             assert!(driver.round_trips() > 0);
         }
@@ -869,14 +1009,14 @@ mod tests {
         let mut plan = ProbePlan::new(6);
         plan.add_clique(&[0, 1, 2, 3]);
         let scheme = FocusedScheme::new(plan, 2, 2);
-        let mut driver = scheme.driver(&net, &cfg, PairwiseStats::new(6));
+        let mut driver = scheme.driver(&cfg, PairwiseStats::new(6));
         let before = driver.planned_remaining();
         assert_eq!(before, 6 * 2 * 2);
         let saved = driver.retain_pairs(&mut |a, b| !(a == 0 && b == 1));
         assert_eq!(saved, 2 * 2, "pair (0,1): ks 2 over 2 sweeps");
         assert_eq!(driver.planned_remaining(), before - saved);
         assert!(!driver.remaining_pairs().contains(&(0, 1)));
-        while driver.step() {}
+        while driver.step(&net) {}
         let report = driver.finish();
         assert_eq!(report.stats.link(0, 1).count() + report.stats.link(1, 0).count(), 0);
         assert!(report.stats.link(0, 2).count() > 0);
@@ -885,7 +1025,7 @@ mod tests {
     /// The walk `remaining_pairs`/`planned_remaining` replaced: every
     /// remaining `(sweep, stage)` position, live pairs deduplicated in
     /// first-seen order through a hash set.
-    fn hashed_remaining(d: &StageDriver<'_>) -> (Vec<(u32, u32)>, u64) {
+    fn hashed_remaining(d: &StageDriver) -> (Vec<(u32, u32)>, u64) {
         let end = if d.done { d.sweep } else { d.sweeps };
         let (mut seen, mut pairs, mut planned) = (HashSet::new(), Vec::new(), 0u64);
         for sweep in d.sweep..end {
@@ -906,8 +1046,13 @@ mod tests {
     /// second strike finds nothing) and instance 2, sparing the pairs whose
     /// endpoints sum to a multiple of 3; one stage later it strikes
     /// instance 3 the same way.
-    fn walk_against_hashed(mut d: StageDriver<'_>, retain_at: usize, drop: fn(u32, u32) -> bool) {
-        let check = |d: &StageDriver<'_>| {
+    fn walk_against_hashed(
+        net: &Network,
+        mut d: StageDriver,
+        retain_at: usize,
+        drop: fn(u32, u32) -> bool,
+    ) {
+        let check = |d: &StageDriver| {
             let (pairs, planned) = hashed_remaining(d);
             assert_eq!(d.remaining_pairs(), pairs, "sweep {} stage {}", d.sweep, d.stage);
             assert_eq!(d.remaining_len(), pairs.len(), "sweep {} stage {}", d.sweep, d.stage);
@@ -915,7 +1060,7 @@ mod tests {
             (pairs, planned)
         };
         let spared = |a: u32, b: u32| (a + b).is_multiple_of(3);
-        let strike = |d: &mut StageDriver<'_>, j: u32| {
+        let strike = |d: &mut StageDriver, j: u32| {
             let (pairs, planned) = check(d);
             let struck = d.strike_instance(j, &spared);
             let (left, left_planned) = check(d);
@@ -940,7 +1085,7 @@ mod tests {
             if steps == retain_at + 1 {
                 struck += strike(&mut d, 3);
             }
-            if !d.step() {
+            if !d.step(net) {
                 break;
             }
             steps += 1;
@@ -974,8 +1119,8 @@ mod tests {
                 for retain_at in [0, 1, stages.len() * (sweeps - 1) + 1] {
                     for drop in [(|a, _| a == 1) as fn(u32, u32) -> bool, |a, b| (a + b) % 2 == 1] {
                         let stats = PairwiseStats::new(n);
-                        let d = StageDriver::new("t", &net, &cfg, stats, stages.clone(), sweeps);
-                        walk_against_hashed(d, retain_at, drop);
+                        let d = StageDriver::new("t", &cfg, stats, stages.clone(), sweeps);
+                        walk_against_hashed(&net, d, retain_at, drop);
                     }
                 }
             }
@@ -988,22 +1133,21 @@ mod tests {
         let net = with_instance_zero_dark(network(n, 9));
         let cfg = MeasureConfig::default();
         let stages = Staged::tournament(n, |a, b| (a, b, 2));
-        let driver = || StageDriver::new("t", &net, &cfg, PairwiseStats::new(n), stages.clone(), 3);
+        let driver = || StageDriver::new("t", &cfg, PairwiseStats::new(n), stages.clone(), 3);
         // The strike happens: instance 0's first-stage pair leaves the
         // schedule although two more sweeps would have repeated it.
         let mut d = driver();
         let struck = *d.stages[0].iter().find(|&&(a, b, _)| a == 0 || b == 0).unwrap();
-        assert!(d.step());
+        assert!(d.step(&net));
         assert!(!d.remaining_pairs().contains(&(struck.0, struck.1)));
-        walk_against_hashed(driver(), 2, |a, b| a + b == 7);
+        walk_against_hashed(&net, driver(), 2, |a, b| a + b == 7);
     }
 
     #[test]
     #[should_panic(expected = "a pair sits in two stages")]
     fn a_schedule_that_repeats_a_pair_is_rejected_in_every_build() {
-        let net = network(4, 1);
         let stages = vec![vec![(0, 1, 2), (2, 3, 2)], vec![(1, 0, 2)]];
-        StageDriver::new("t", &net, &MeasureConfig::default(), PairwiseStats::new(4), stages, 2);
+        StageDriver::new("t", &MeasureConfig::default(), PairwiseStats::new(4), stages, 2);
     }
 
     #[test]
@@ -1013,8 +1157,8 @@ mod tests {
         let alloc = cloud.allocate(n);
         let net = with_instance_zero_dark(cloud.network(&alloc));
         let cfg = MeasureConfig { seed: 5, ..MeasureConfig::default() };
-        let mut d = Staged::new(ks, sweeps).driver(&net, &cfg, PairwiseStats::new(n));
-        let of_zero = |d: &StageDriver<'_>| {
+        let mut d = Staged::new(ks, sweeps).driver(&cfg, PairwiseStats::new(n));
+        let of_zero = |d: &StageDriver| {
             d.remaining_pairs().iter().filter(|&&(a, b)| a == 0 || b == 0).count()
         };
         let pairs = (n * (n - 1) / 2) as u64;
@@ -1023,13 +1167,13 @@ mod tests {
         // pair is gone — from the pair list and from the plan, its two
         // later sweeps included — the moment its stage returns.
         for stage in 1..n {
-            assert!(d.step());
+            assert!(d.step(&net));
             assert_eq!(of_zero(&d), n - 1 - stage, "after stage {stage}");
             let run = (stage * (n / 2) * ks) as u64;
             let struck = (stage * ks * (sweeps - 1)) as u64;
             assert_eq!(d.planned_remaining(), pairs * (ks * sweeps) as u64 - run - struck);
         }
-        while d.step() {}
+        while d.step(&net) {}
         let report = d.finish();
         for j in 1..n {
             let (out, back) = (report.stats.link(0, j), report.stats.link(j, 0));
@@ -1113,9 +1257,9 @@ mod tests {
         let net = network(8, 5);
         let cfg = MeasureConfig::default();
         let scheme = Staged::new(2, 2);
-        let mut driver = scheme.driver(&net, &cfg, PairwiseStats::new(8));
-        assert!(driver.step());
-        assert!(driver.step());
+        let mut driver = scheme.driver(&cfg, PairwiseStats::new(8));
+        assert!(driver.step(&net));
+        assert!(driver.step(&net));
         let partial = driver.round_trips();
         let report = driver.finish();
         assert_eq!(report.round_trips, partial);
@@ -1124,51 +1268,104 @@ mod tests {
         assert!(report.round_trips < full.round_trips);
     }
 
-    #[test]
-    fn a_journal_folds_like_a_sort_of_each_row() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..50 {
-            let n = rng.random_range(2..40usize);
-            // Rows from empty to several entries per destination, with
-            // repeats a fold sums in call order.
-            let journal: Journal = (0..n as u32)
-                .map(|src| {
-                    (0..rng.random_range(0..4 * n))
-                        .map(|_| LinkDelta {
-                            src,
-                            dst: rng.random_range(0..n as u32),
-                            mean: rng.random_range(0.0..9.0),
-                            count: rng.random_range(0..4),
-                            attempts: rng.random_range(0..5),
-                            timeouts: rng.random_range(0..2),
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut sorted: Vec<LinkDelta> = Vec::new();
-            for row in &journal {
-                let mut keyed: Vec<(u32, usize)> =
-                    row.iter().enumerate().map(|(at, d)| (d.dst, at)).collect();
-                keyed.sort_unstable();
-                for d in keyed.into_iter().map(|(_, at)| row[at]) {
-                    match sorted.last_mut() {
-                        Some(kept) if (kept.src, kept.dst) == (d.src, d.dst) => {
-                            (kept.mean, kept.count) = (kept.mean + d.mean, kept.count + d.count);
-                            (kept.attempts, kept.timeouts) =
-                                (kept.attempts + d.attempts, kept.timeouts + d.timeouts);
-                        }
-                        _ => sorted.push(d),
-                    }
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The ranked slots against a per-link reference: each stage the
+        /// driver runs is simulated again from its schedule identity, call
+        /// by call as `run_stage` records, and the calls are summed per
+        /// link in call order and listed row-major. Sweeps 1–4 repeat
+        /// links; an instance strike and a dropped pair between stages, a
+        /// dark instance and a duration cut leave links partly recorded or
+        /// never recorded.
+        #[test]
+        fn ranked_slot_deltas_sum_each_link_in_call_order(
+            shape in (4usize..11, 1usize..5, 1usize..4, 0u8..2),
+            strike in (0usize..30, 0u32..11, 0u8..2),
+            cut in (0u8..2, 1u64..8, 0u64..1000),
+        ) {
+            use crate::scheme::{simulate_pair, substream_seed};
+            let ((n, sweeps, ks, focused), (strike_at, struck, dark), (cut, eighths, seed)) =
+                (shape, strike, cut);
+            let net = network(n, seed);
+            let net = if dark == 1 { with_instance_zero_dark(net) } else { net };
+            let scheme: Box<dyn Scheme> = if focused == 1 {
+                let mut plan = ProbePlan::new(n);
+                plan.add_clique(&[0, 2, 3]);
+                plan.add_pair(1, n as u32 - 1);
+                plan.add_pair(0, n as u32 - 2);
+                Box::new(FocusedScheme::new(plan, ks, sweeps))
+            } else {
+                Box::new(Staged::new(ks, sweeps))
+            };
+            let mut cfg = MeasureConfig { seed, ..MeasureConfig::default() };
+            if cut == 1 {
+                let whole = scheme.run(&net, &cfg).elapsed_ms;
+                cfg.max_duration_ms = Some(whole * eighths as f64 / 8.0);
+            }
+            let mut d = scheme.driver(&cfg, PairwiseStats::new(n));
+            let ranks = LinkRanks::of(n, &d.stages);
+            let mut scheduled: Vec<(u32, u32)> =
+                d.stages.iter().flatten().flat_map(|&(a, b, _)| [(a, b), (b, a)]).collect();
+            scheduled.sort_unstable();
+            let full = (0..n as u32).flat_map(|a| (0..n as u32).map(move |b| (a, b)));
+            let ranked = match ranks.links() {
+                Some(links) => links.collect::<Vec<_>>(),
+                None => full.filter(|(a, b)| a != b).collect(),
+            };
+            proptest::prop_assert_eq!(ranked, scheduled);
+            for (at, &(src, dst)) in scheduled.iter().enumerate() {
+                proptest::prop_assert_eq!(ranks.rank(src as usize, dst as usize), at);
+            }
+            d.deltas = Some(DeltaSlots::new(ranks));
+            let (mut calls, mut rtts) = (Vec::new(), Vec::new());
+            for step in 0.. {
+                if step == strike_at {
+                    d.strike_instance(struck % n as u32, &|a, b| (a + b).is_multiple_of(3));
+                    d.retain_pairs(&mut |a, b| (a, b) != (0, 2));
+                }
+                let Some(s) = d.upcoming() else { break };
+                let (t0, sweep) = (d.now, d.sweep);
+                let live: Vec<_> = d.stages[s].iter().copied().filter(|e| e.2 > 0).collect();
+                proptest::prop_assert!(d.step(&net));
+                for (a, b, k) in live {
+                    let (a, b) = (a as usize, b as usize);
+                    let (src, dst) = if sweep % 2 == 0 { (a, b) } else { (b, a) };
+                    let seed = substream_seed(cfg.seed, sweep, s, src, dst);
+                    let o = simulate_pair(&net, &cfg, t0, (src, dst), k, seed, &mut rtts);
+                    calls.push(LinkDelta {
+                        src: src as u32,
+                        dst: dst as u32,
+                        mean: rtts.iter().sum(),
+                        count: rtts.len() as u64,
+                        attempts: o.attempts,
+                        timeouts: o.timeouts,
+                    });
                 }
             }
-            for d in &mut sorted {
-                d.mean = if d.count > 0 { d.mean / d.count as f64 } else { 0.0 };
+            // A stable sort keeps each link's calls in call order.
+            calls.sort_by_key(|d| (d.src, d.dst));
+            let mut reference: Vec<LinkDelta> = Vec::new();
+            for c in calls {
+                match reference.last_mut() {
+                    Some(r) if (r.src, r.dst) == (c.src, c.dst) => {
+                        (r.mean, r.count) = (r.mean + c.mean, r.count + c.count);
+                        (r.attempts, r.timeouts) = (r.attempts + c.attempts, r.timeouts + c.timeouts);
+                    }
+                    _ => reference.push(c),
+                }
+            }
+            for r in &mut reference {
+                r.mean = if r.count > 0 { r.mean / r.count as f64 } else { 0.0 };
             }
             let fields =
                 |d: &LinkDelta| (d.src, d.dst, d.mean.to_bits(), d.count, d.attempts, d.timeouts);
-            let folded: Vec<_> = fold_journal(journal).iter().map(fields).collect();
-            assert_eq!(folded, sorted.iter().map(fields).collect::<Vec<_>>(), "n = {n}");
+            let deltas = d.deltas.take().expect("slots were kept").into_deltas();
+            proptest::prop_assert_eq!(
+                deltas.iter().map(fields).collect::<Vec<_>>(),
+                reference.iter().map(fields).collect::<Vec<_>>()
+            );
+            proptest::prop_assert_eq!(deltas.iter().map(|d| d.count).sum::<u64>(), d.round_trips());
         }
     }
 }

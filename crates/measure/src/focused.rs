@@ -16,8 +16,6 @@
 //! full tournament sweep, so one scheme serves both the focused rounds and
 //! the periodic refresh.
 
-use cloudia_netsim::Network;
-
 use crate::driver::StageDriver;
 use crate::scheme::{MeasureConfig, Scheme};
 use crate::staged::Staged;
@@ -266,18 +264,13 @@ impl Scheme for FocusedScheme {
         "focused"
     }
 
-    fn driver<'n>(
-        &self,
-        net: &'n Network,
-        cfg: &MeasureConfig,
-        stats: PairwiseStats,
-    ) -> StageDriver<'n> {
-        let n = net.len();
+    fn driver(&self, cfg: &MeasureConfig, stats: PairwiseStats) -> StageDriver {
+        let n = stats.len();
         assert!(n >= 2, "need at least two instances to measure");
         assert_eq!(
             self.plan.num_instances(),
             n,
-            "plan sized for {} instances, network has {n}",
+            "plan sized for {} instances, statistics for {n}",
             self.plan.num_instances()
         );
         // Same stage protocol as `Staged` (one shared driver); only the
@@ -288,14 +281,7 @@ impl Scheme for FocusedScheme {
             .into_iter()
             .map(|stage| stage.into_iter().map(|(a, b)| (a, b, self.pair_ks(a, b))).collect())
             .collect();
-        StageDriver::new("focused", net, cfg, stats, stages, self.sweeps)
-    }
-
-    /// The plan's pairs in both directions (a probe and its reply cross
-    /// both); a full plan probes every link.
-    fn probed_links(&self) -> Option<Vec<(u32, u32)>> {
-        (!self.plan.is_full())
-            .then(|| self.plan.pairs().flat_map(|(a, b)| [(a, b), (b, a)]).collect())
+        StageDriver::new("focused", cfg, stats, stages, self.sweeps)
     }
 }
 
@@ -303,7 +289,7 @@ impl Scheme for FocusedScheme {
 mod tests {
     use super::*;
     use crate::staged::Staged;
-    use cloudia_netsim::{Cloud, Provider};
+    use cloudia_netsim::{Cloud, Network, Provider};
     use std::collections::HashSet;
 
     fn network(n: usize, seed: u64) -> Network {

@@ -55,7 +55,7 @@ pub mod stats;
 pub use ci::{t_critical, LinkCi};
 pub use driver::{
     run_anytime, run_pruned, run_with_rules, AnytimeReport, LinkDelta, PruneRule, StageDriver,
-    StopRule, COORD_OVERHEAD_MS,
+    StageNetwork, StopRule, COORD_OVERHEAD_MS,
 };
 pub use focused::{FocusedScheme, ProbePlan};
 pub use pairset::PairSet;

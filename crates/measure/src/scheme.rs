@@ -12,7 +12,7 @@
 use cloudia_netsim::dist::mix64;
 use cloudia_netsim::{Network, NicParams};
 
-use crate::driver::{Journal, LinkDelta, StageDriver};
+use crate::driver::{DeltaSlots, StageDriver};
 use crate::stats::PairwiseStats;
 
 /// Probe payload size in KB (paper: 1 KB).
@@ -90,29 +90,15 @@ pub trait Scheme {
     /// reports it.
     fn name(&self) -> &'static str;
 
-    /// Builds a resumable stage-granular driver of this scheme over
-    /// `net`, recording into the given (possibly pre-accumulated)
-    /// statistics — the streaming entry point (see [`StageDriver`]).
-    /// Driving a fresh driver to exhaustion is bit-identical to
-    /// [`Scheme::run_onto`].
+    /// Builds a resumable stage-granular driver of this scheme, recording
+    /// into the given (possibly pre-accumulated) statistics, which are
+    /// sized for the network its steps measure — the streaming entry
+    /// point (see [`StageDriver`]). Driving a fresh driver to exhaustion
+    /// is bit-identical to [`Scheme::run_onto`].
     ///
     /// # Panics
-    /// Panics if `stats` was sized for a different instance count.
-    fn driver<'n>(
-        &self,
-        net: &'n Network,
-        cfg: &MeasureConfig,
-        stats: PairwiseStats,
-    ) -> StageDriver<'n>;
-
-    /// The directed links a run of this scheme can probe, or `None` when
-    /// it can probe every link. A simulated stream brings exactly these
-    /// up to date before the run (lazy drift), so a scheme that probes
-    /// a few links does not pay for the drift of all of them. `None`, the
-    /// default, means every link, in one row-major pass.
-    fn probed_links(&self) -> Option<Vec<(u32, u32)>> {
-        None
-    }
+    /// Panics if the scheme cannot measure `stats`' instance count.
+    fn driver(&self, cfg: &MeasureConfig, stats: PairwiseStats) -> StageDriver;
 
     /// Runs the scheme over `net` from empty statistics and returns the
     /// collected estimates.
@@ -137,8 +123,8 @@ pub trait Scheme {
         cfg: &MeasureConfig,
         stats: PairwiseStats,
     ) -> MeasurementReport {
-        let mut driver = self.driver(net, cfg, stats);
-        while driver.step() {}
+        let mut driver = self.driver(cfg, stats);
+        while driver.step(net) {}
         driver.finish()
     }
 }
@@ -185,9 +171,9 @@ pub(crate) struct StageOutcome {
 /// One pair's probe ledger within a stage, simulated in isolation (see
 /// [`simulate_pair`], which hands the round-trip times back separately).
 #[derive(Debug, Default)]
-struct PairOutcome {
-    attempts: u64,
-    timeouts: u64,
+pub(crate) struct PairOutcome {
+    pub(crate) attempts: u64,
+    pub(crate) timeouts: u64,
     sent: u64,
     delivered: u64,
     lost: u64,
@@ -221,7 +207,7 @@ struct PairOutcome {
 /// inliner, the loop's skip of struck pairs tipped it out of line, which
 /// cost ~10 % of a 5 %-loss m = 300 sweep.
 #[inline(always)]
-fn simulate_pair(
+pub(crate) fn simulate_pair(
     net: &Network,
     cfg: &MeasureConfig,
     t0: f64,
@@ -324,8 +310,8 @@ fn simulate_pair(
 /// ([`substream_seed`]), simulate its whole timeline ([`simulate_pair`]:
 /// one outstanding probe, a reply triggers the next until the quota is
 /// done), and write the result into `stats` with one
-/// [`PairwiseStats::record_link`], journaled (RTT sum in `mean`) when the
-/// driver keeps a journal. Shared by the staged and focused
+/// [`PairwiseStats::record_link`], added into the link's delta slot when
+/// the driver keeps them. Shared by the staged and focused
 /// schemes — the stage protocol is identical, only the pair schedule (and
 /// per-pair sampling depth) differs.
 ///
@@ -342,7 +328,7 @@ pub(crate) fn run_stage(
     pairs: &[(u32, u32, usize)],
     stats: &mut PairwiseStats,
     rtts: &mut Vec<f64>,
-    mut journal: Option<&mut Journal>,
+    mut deltas: Option<&mut DeltaSlots>,
 ) -> StageOutcome {
     let forward = sweep.is_multiple_of(2);
     let mut outcome = StageOutcome { end: t0, ..StageOutcome::default() };
@@ -354,15 +340,8 @@ pub(crate) fn run_stage(
         let seed = substream_seed(cfg.seed, sweep, stage, src, dst);
         let o = simulate_pair(net, cfg, t0, (src, dst), k, seed, rtts);
         stats.record_link(src, dst, o.attempts, o.timeouts, rtts);
-        if let Some(journal) = journal.as_deref_mut() {
-            journal[src].push(LinkDelta {
-                src: src as u32,
-                dst: dst as u32,
-                mean: rtts.iter().sum(),
-                count: rtts.len() as u64,
-                attempts: o.attempts,
-                timeouts: o.timeouts,
-            });
+        if let Some(deltas) = deltas.as_deref_mut() {
+            deltas.add((src, dst), rtts, o.attempts, o.timeouts);
         }
         outcome.round_trips += rtts.len() as u64;
         outcome.sent += o.sent;

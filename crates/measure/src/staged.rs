@@ -12,8 +12,6 @@
 //! Staged therefore combines token-passing's accuracy with uncoordinated's
 //! parallelism, at the cost of a per-stage coordination overhead.
 
-use cloudia_netsim::Network;
-
 use crate::driver::StageDriver;
 use crate::scheme::{MeasureConfig, Scheme};
 use crate::stats::PairwiseStats;
@@ -88,25 +86,20 @@ impl Scheme for Staged {
         "staged"
     }
 
-    fn driver<'n>(
-        &self,
-        net: &'n Network,
-        cfg: &MeasureConfig,
-        stats: PairwiseStats,
-    ) -> StageDriver<'n> {
-        let n = net.len();
+    fn driver(&self, cfg: &MeasureConfig, stats: PairwiseStats) -> StageDriver {
+        let n = stats.len();
         assert!(n >= 2, "need at least two instances to measure");
         // The round-robin tournament, every pair sampled `ks` times per
         // stage.
         let stages = Self::tournament(n, |a, b| (a, b, self.ks));
-        StageDriver::new("staged", net, cfg, stats, stages, self.sweeps)
+        StageDriver::new("staged", cfg, stats, stages, self.sweeps)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudia_netsim::{Cloud, InstanceId, Provider};
+    use cloudia_netsim::{Cloud, InstanceId, Network, Provider};
     use std::collections::HashSet;
 
     fn network(n: usize, seed: u64) -> Network {

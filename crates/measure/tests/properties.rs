@@ -382,9 +382,9 @@ proptest! {
         ];
         for scheme in &schemes {
             let uninterrupted = scheme.run(&net, &cfg);
-            let mut driver = scheme.driver(&net, &cfg, PairwiseStats::new(n));
+            let mut driver = scheme.driver(&cfg, PairwiseStats::new(n));
             let mut paused = 0;
-            while driver.step() {
+            while driver.step(&net) {
                 paused += 1;
                 if paused == pause_after {
                     // The pause: read every piece of partial state.
@@ -546,7 +546,7 @@ proptest! {
             // set of normalized condemned pairs per evaluation, and the
             // size of a per-run hash set of dropped ones.
             let rule = scatter();
-            let mut driver = scheme.driver(&net, &cfg, PairwiseStats::new(n));
+            let mut driver = scheme.driver(&cfg, PairwiseStats::new(n));
             let mut dropped: HashSet<(u32, u32)> = HashSet::new();
             let mut saved = 0u64;
             loop {
@@ -570,7 +570,7 @@ proptest! {
                         }
                     }
                 }
-                if !driver.step() {
+                if !driver.step(&net) {
                     break;
                 }
             }

@@ -1017,7 +1017,8 @@ impl OnlineAdvisor {
     ///
     /// A simulated stream drifts lazily, so its
     /// [`MeasurementStream::network`] is current only on the links the
-    /// epoch could probe (every link after a full sweep) and those
+    /// epoch brought up to date (see [`MeasurementStream::epoch`]; every
+    /// link after a full sweep without an anytime stop) and those
     /// brought up to date through [`MeasurementStream::truth`]. A
     /// migration can land the deployment on links neither covers, and
     /// its target is unknown until this call returns, so `net` prices

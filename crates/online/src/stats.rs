@@ -14,8 +14,10 @@
 //! columns, runs their `observe` and writes the state back. [`LinkOnline`]
 //! is a by-value view. A link costs 73 bytes; the advisor's per-epoch
 //! passes (staleness, the dark trigger) stream only the columns they
-//! need, and its repair search costs are kept from each epoch's deltas
-//! (`SearchCosts`) rather than rebuilt as a dense matrix.
+//! need — the staleness scan only when a count of links per last-sampled
+//! epoch says a link can be stale — and its repair search costs are kept
+//! from each epoch's deltas (`SearchCosts`) rather than rebuilt as a
+//! dense matrix.
 
 use crate::detect::{ChangeDetector, DetectorConfig, Drift};
 use crate::stream::{EpochMeasurement, LinkDelta};
@@ -25,7 +27,7 @@ use cloudia_netsim::loss_priced_mean;
 use cloudia_solver::candidates::PoolIndex;
 use cloudia_solver::{CandidateConfig, CandidateSet};
 use std::cell::{OnceCell, RefCell};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::mem::size_of_val;
 
 /// Exponentially weighted mean/variance of a scalar stream.
@@ -196,6 +198,12 @@ pub struct OnlineStore {
     pub(crate) dark: Vec<bool>,
     /// Directed links (self links aside) that never contributed a sample.
     pub(crate) unsampled: usize,
+    /// The other directed links (self links aside) by last-sampled epoch:
+    /// `by_sampled[k]` counts those whose `sampled` is `sampled_from + k`.
+    /// The front is kept nonzero, so `sampled_from` is the oldest sample
+    /// while any link has one.
+    by_sampled: VecDeque<usize>,
+    sampled_from: u64,
     /// Links whose loss rate is not 0: while there are none, a loss-aware
     /// search cost is the mean alone.
     pub(crate) lossy: usize,
@@ -227,6 +235,8 @@ impl OnlineStore {
             cusum_neg: vec![0.0; links],
             dark: vec![false; links],
             unsampled: n * n.saturating_sub(1),
+            by_sampled: VecDeque::new(),
+            sampled_from: 0,
             lossy: 0,
             irregular: BTreeSet::new(),
         }
@@ -322,8 +332,8 @@ impl OnlineStore {
                 ewma.observe(d.mean);
                 (self.mean[idx], self.var[idx], self.count[idx]) =
                     (ewma.mean, ewma.var, ewma.count);
-                if self.sampled[idx] == 0 && d.src != d.dst {
-                    self.unsampled -= 1;
+                if d.src != d.dst {
+                    self.resample(self.sampled[idx], m.epoch + 1);
                 }
                 self.sampled[idx] = m.epoch + 1;
                 let mut detector = self.detector(idx);
@@ -366,13 +376,50 @@ impl OnlineStore {
             && (0.0..=1.0).contains(&self.loss_rate[idx])
     }
 
+    /// Moves one link's count from last-sampled value `from` (0: never
+    /// sampled) to `to`.
+    fn resample(&mut self, from: u64, to: u64) {
+        if from == to {
+            return;
+        }
+        if self.by_sampled.is_empty() {
+            self.sampled_from = to;
+        }
+        while to < self.sampled_from {
+            self.by_sampled.push_front(0);
+            self.sampled_from -= 1;
+        }
+        let k = (to - self.sampled_from) as usize;
+        if k >= self.by_sampled.len() {
+            self.by_sampled.resize(k + 1, 0);
+        }
+        self.by_sampled[k] += 1;
+        match from {
+            0 => self.unsampled -= 1,
+            _ => self.by_sampled[(from - self.sampled_from) as usize] -= 1,
+        }
+        while self.by_sampled.front() == Some(&0) {
+            self.by_sampled.pop_front();
+            self.sampled_from += 1;
+        }
+    }
+
     /// The unordered instance pairs whose estimate (in either direction)
     /// is older than `max_age` epochs as of `now_epoch` — the links a
     /// focused probe plan must re-enter. A link's age is
     /// `now_epoch − last_epoch`; a never-observed link is infinitely stale
     /// (age `u64::MAX`), so before the first full sweep this is every
-    /// pair. Reads the last-sampled column only.
+    /// pair. While every link has been sampled and the oldest sample is
+    /// inside the horizon, no pair is stale and nothing is scanned;
+    /// otherwise the last-sampled column is scanned (counted by
+    /// `online.stale_scans`).
     pub fn stale_pairs(&self, now_epoch: u64, max_age: u64) -> Vec<(u32, u32)> {
+        let oldest_age = now_epoch.saturating_sub(self.sampled_from.saturating_sub(1));
+        let none_unsampled_stale = self.unsampled == 0 || max_age == u64::MAX;
+        if none_unsampled_stale && (self.by_sampled.is_empty() || oldest_age <= max_age) {
+            return Vec::new();
+        }
+        cloudia_obs::counter("online.stale_scans", 1);
         let age = |idx: usize| match self.sampled[idx] {
             0 => u64::MAX,
             at => now_epoch.saturating_sub(at - 1),
@@ -737,6 +784,70 @@ mod tests {
         assert!((store.link(1, 0).ewma.mean() - 3.0).abs() < 1e-9);
         assert_eq!(store.link(0, 1).ewma.count(), 5);
         assert_eq!(store.link(2, 0).ewma.count(), 0);
+    }
+
+    /// The pairs [`OnlineStore::stale_pairs`] names, found by scanning
+    /// every pair's two ages: the oracle of the kept per-epoch counts.
+    fn scanned_stale_pairs(store: &OnlineStore, now: u64, max_age: u64) -> Vec<(u32, u32)> {
+        let n = store.len();
+        let age = |i, j| store.link(i, j).last_epoch.map_or(u64::MAX, |at| now.saturating_sub(at));
+        (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| age(i, j) > max_age || age(j, i) > max_age)
+            .map(|(i, j)| (i as u32, j as u32))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Random observe sequences — epochs that repeat or skip numbers,
+        /// sampleless (dark) and self-link deltas, links that are never
+        /// sampled, and now and then a sweep of every link — read the same
+        /// stale pairs from the kept counts as from a scan of every pair,
+        /// at horizons 1–12 and several ages of "now".
+        #[test]
+        fn kept_staleness_counts_equal_the_full_scan(
+            n in 2usize..9,
+            epochs in proptest::collection::vec(
+                (0u64..3, 0u8..4, proptest::collection::vec((0u32..9, 0u32..9, 0u8..4), 0..30)),
+                1..16,
+            ),
+        ) {
+            let mut store = OnlineStore::new(n, 0.3, DetectorConfig::default());
+            let mut e = 0;
+            for (gap, sweep, links) in epochs {
+                e += gap;
+                let mut deltas: Vec<LinkDelta> = links
+                    .into_iter()
+                    .map(|(a, b, kind)| {
+                        let (a, b) = (a % n as u32, b % n as u32);
+                        if kind == 0 { dark_delta(a, b, 3) } else { delta(a, b, f64::from(kind)) }
+                    })
+                    .collect();
+                if sweep == 0 {
+                    let every = (0..n as u32).flat_map(|a| (0..n as u32).map(move |b| (a, b)));
+                    deltas.extend(every.filter(|(a, b)| a != b).map(|(a, b)| delta(a, b, 2.0)));
+                }
+                store.observe_epoch(&epoch(deltas, e));
+                let links = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).filter(|(i, j)| i != j);
+                let last: Vec<u64> = links.filter_map(|(i, j)| store.link(i, j).last_epoch).collect();
+                proptest::prop_assert_eq!(store.by_sampled.iter().sum::<usize>(), last.len());
+                proptest::prop_assert_eq!(store.unsampled, n * (n - 1) - last.len());
+                if let Some(&oldest) = last.iter().min() {
+                    proptest::prop_assert_eq!(store.sampled_from, oldest + 1);
+                }
+                for now in [e, e + 1, e + 4, e + 13] {
+                    for max_age in 1..=12 {
+                        proptest::prop_assert_eq!(
+                            store.stale_pairs(now, max_age),
+                            scanned_stale_pairs(&store, now, max_age),
+                            "epoch {}, now {}, max age {}", e, now, max_age
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

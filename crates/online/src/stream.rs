@@ -5,15 +5,16 @@
 //! instead consumes a [`MeasurementStream`]: every epoch it runs a
 //! (budget-limited) measurement round *into* the cumulative
 //! [`PairwiseStats`] ([`cloudia_measure::run_with_rules`]) and forwards
-//! the per-epoch deltas the sweep journaled as it recorded — the mean of
+//! the per-epoch deltas the sweep added up as it recorded — the mean of
 //! exactly the samples this epoch contributed per link. Beyond those
 //! statistics a stream keeps no per-link state. The deltas feed the
 //! EWMA/change-point store ([`crate::OnlineStore`]), the loop's
 //! cross-round memory.
 //!
 //! [`SimStream`] is the one implementation: it owns a
-//! [`DriftingNetwork`] and advances it between epochs — the closed-loop
-//! simulation the control loop runs against. Its drift is a pure function
+//! [`DriftingNetwork`], steps it between epochs and replays a link's
+//! drift only when the sweep (or a spot check, or a truth read) reaches
+//! it — the closed-loop simulation the control loop runs against. Its drift is a pure function
 //! of the network and the stream's seeds, so competing policies (online
 //! vs batch vs never-migrate, focused vs uniform) are compared on the
 //! *identical* drift trajectory and measurement randomness by giving each
@@ -67,11 +68,12 @@ pub trait MeasurementStream {
     /// real deployment would not have this, the simulation does).
     ///
     /// A simulated stream drifts lazily ([`DriftingNetwork`]), so only
-    /// some links are current: the links the last epoch's scheme could
-    /// probe (every link after a full sweep), the links spot-checked
+    /// some links are current: the links the last epoch brought up to
+    /// date (see [`MeasurementStream::epoch`]), the links spot-checked
     /// since, and every link among the instances last asked for through
     /// [`MeasurementStream::truth`]. Any other link reads as of the last
-    /// time one of those brought it up to date.
+    /// time one of those brought it up to date. Read ground truth through
+    /// [`MeasurementStream::truth`].
     fn network(&self) -> &Network;
 
     /// The ground-truth network with every link among `instances`
@@ -106,6 +108,13 @@ pub trait MeasurementStream {
     ///
     /// A stream without stage streaming may ignore `rule` and `stop` — it
     /// loses only the savings, never correctness.
+    ///
+    /// A lazily drifting stream brings up to date only what the epoch
+    /// probes. Without `stop`, that is the whole schedule of the epoch's
+    /// scheme, both directions of every scheduled pair (every link for a
+    /// full sweep), before the first stage runs. With `stop`, it is the
+    /// pairs each stage still holds when it runs, in both directions:
+    /// pairs the prune rule or the stop drop first stay as they were.
     fn epoch(
         &mut self,
         scheme: Option<&dyn Scheme>,
@@ -254,11 +263,11 @@ impl<S: Scheme> SimStream<S> {
         self.drifting.rebase(params, drift_seed);
     }
 
-    /// Runs the next epoch's measurement round over the network as it
-    /// stands into the cumulative statistics on the stage-streaming
-    /// driver — with `scheme` in place of the stream's own when given,
-    /// and `rule` and `stop` (when given) evaluated between stages — and
-    /// forwards the round's per-link deltas.
+    /// Runs the next epoch's measurement round into the cumulative
+    /// statistics on the stage-streaming driver — with `scheme` in place
+    /// of the stream's own when given, and `rule` and `stop` (when given)
+    /// evaluated between stages — bringing up to date the links it probes
+    /// before it reads them, and forwards the round's per-link deltas.
     fn measure(
         &mut self,
         scheme: Option<&dyn Scheme>,
@@ -273,8 +282,7 @@ impl<S: Scheme> SimStream<S> {
         epoch_cfg.seed = self.config.seed ^ (epoch + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let taken = std::mem::replace(&mut self.cumulative, PairwiseStats::new(0));
         let scheme = scheme.unwrap_or(&self.scheme);
-        let net = self.drifting.network();
-        let swept = run_with_rules(scheme, net, &epoch_cfg, taken, rule, stop);
+        let swept = run_with_rules(scheme, &mut self.drifting, &epoch_cfg, taken, rule, stop);
         self.cumulative = swept.report.stats;
         EpochMeasurement {
             epoch,
@@ -301,9 +309,8 @@ impl<S: Scheme> MeasurementStream for SimStream<S> {
         &self.cumulative
     }
 
-    /// Advances the drift, brings the links the epoch's scheme can probe
-    /// up to date (pruning only drops pairs from that set), then measures
-    /// the drifted state.
+    /// Advances the drift, then measures the drifted state, replaying the
+    /// drift of the links the sweep probes as it goes.
     fn epoch(
         &mut self,
         external: Option<&dyn Scheme>,
@@ -311,10 +318,6 @@ impl<S: Scheme> MeasurementStream for SimStream<S> {
         stop: Option<&dyn StopRule>,
     ) -> EpochMeasurement {
         self.drifting.step(self.epoch_hours);
-        match external.unwrap_or(&self.scheme).probed_links() {
-            Some(links) => self.drifting.advance(links),
-            None => self.drifting.advance_all(),
-        }
         self.measure(external, rule, stop)
     }
 
@@ -373,8 +376,8 @@ mod tests {
         cloud.network(&alloc)
     }
 
-    /// The full walk the journal replaced: difference every link of
-    /// `after` against a snapshot of `before`, in row-major order.
+    /// The full walk the sweep's own deltas replaced: difference every
+    /// link of `after` against a snapshot of `before`, in row-major order.
     fn full_walk_deltas(before: &PairwiseStats, after: &PairwiseStats) -> Vec<LinkDelta> {
         let n = after.len();
         let mut deltas = Vec::new();
@@ -464,7 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn journaled_deltas_equal_the_full_walk() {
+    fn epoch_deltas_equal_the_full_walk() {
         use cloudia_netsim::FaultParams;
         let mcfg = MeasureConfig::default();
         let mut sim = SimStream::new(network(10, 4), Staged::new(2, 2), mcfg.clone(), 2.0, 7);
@@ -582,7 +585,7 @@ mod tests {
             stream.next_epoch();
         }
         let m = stream.next_epoch();
-        let net = stream.network();
+        let net = stream.truth(&[0, 1, 2, 3]);
         for d in &m.deltas {
             let truth = net.mean_rtt(InstanceId(d.src), InstanceId(d.dst));
             // Probe overhead adds a constant; just sanity-band the ratio.
@@ -692,7 +695,7 @@ mod tests {
         let mut stream =
             SimStream::new(network(5, 8), Staged::new(2, 2), MeasureConfig::default(), 2.0, 7);
         stream.next_epoch();
-        let truth = stream.network().mean_rtt(InstanceId(0), InstanceId(1));
+        let truth = stream.truth(&[0, 1]).mean_rtt(InstanceId(0), InstanceId(1));
         let overhead = probe_overhead_ms();
         let spot = stream.spot_check(0, 1, 400).expect("sim streams support spot checks");
         assert!(
@@ -894,6 +897,125 @@ mod tests {
         assert_eq!(lazy.2, eager.2, "epoch summaries");
         assert_eq!(lazy.3, eager.3, "event logs");
         assert_eq!(lazy.4, eager.4, "epoch deltas");
+    }
+
+    /// Stable from its `at`-th look of an epoch on (a fresh rule per
+    /// epoch); keeps the pairs below `keep` probing after it fires.
+    struct StopAt {
+        at: usize,
+        looks: std::cell::Cell<usize>,
+        keep: u32,
+    }
+
+    impl StopRule for StopAt {
+        fn stable(&self, _: &PairwiseStats, _: &[(u32, u32)]) -> bool {
+            let looks = self.looks.get();
+            self.looks.set(looks + 1);
+            looks >= self.at
+        }
+
+        fn must_keep(&self, a: u32, b: u32) -> bool {
+            a.max(b) < self.keep
+        }
+    }
+
+    /// A stream built like `build(faulty)` and its eager twin's epochs:
+    /// `lazy` replays drift as its sweeps reach links, `eager` replays
+    /// every link before each epoch.
+    fn lazy_and_eager(n: usize, faulty: bool, seed: u64) -> (SimStream<Staged>, SimStream<Staged>) {
+        let build = || {
+            let (net, mcfg) =
+                (network(n, seed), MeasureConfig { seed, ..MeasureConfig::default() });
+            let net = net.with_drift_params(DriftParams {
+                reversion_per_hour: 0.05,
+                sigma_per_sqrt_hour: 0.2,
+            });
+            if faulty {
+                let faults = FaultParams::drifting_loss(0.1);
+                SimStream::with_faults(net, Staged::new(2, 2), mcfg, 3.0, seed ^ 1, faults, 0xfa11)
+            } else {
+                SimStream::new(net, Staged::new(2, 2), mcfg, 3.0, seed ^ 1)
+            }
+        };
+        (build(), build())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Per-stage drift replay against replaying every link before each
+        /// epoch: uniform and focused epochs, with and without mid-sweep
+        /// pruning (at random instances) and an anytime stop (at random
+        /// looks, keeping random pairs), with faults and a deployed-style
+        /// instance forced dark at a random epoch. Every epoch's deltas and
+        /// round trips match bit for bit, every link the epoch attempted
+        /// reads current, and after `advance_all` every link's truth does.
+        #[test]
+        fn per_stage_drift_replay_measures_like_replaying_every_link_first(
+            setup in (5usize..10, 0u8..2, 0u64..6, 0u64..500),
+            epochs in proptest::collection::vec((0u8..4, 2u32..10, 0usize..14, 0u32..5), 1..7),
+        ) {
+            use cloudia_measure::{FocusedScheme, ProbePlan};
+            let (n, faulty, dark_at, seed) = setup;
+            let (mut lazy, mut eager) = lazy_and_eager(n, faulty == 1, seed);
+            let all: Vec<u32> = (0..n as u32).collect();
+            let mut plan = ProbePlan::new(n);
+            plan.add_clique(&[0, 1, 3]);
+            plan.add_pair(2, n as u32 - 1);
+            let focused = FocusedScheme::new(plan, 3, 2);
+            for (e, (kind, prune_from, stop_at, keep)) in epochs.into_iter().enumerate() {
+                if faulty == 1 && e as u64 == dark_at {
+                    lazy.force_instance_dark(1, 1e6);
+                    eager.force_instance_dark(1, 1e6);
+                }
+                let prune = PruneFrom(prune_from);
+                let stop = || StopAt { at: stop_at, looks: Default::default(), keep };
+                let scheme = (kind == 3).then_some(&focused as &dyn Scheme);
+                let rule = (kind >= 1).then_some(&prune as &dyn PruneRule);
+                let (lazy_stop, eager_stop) = (stop(), stop());
+                let stops = (kind >= 2).then_some((&lazy_stop, &eager_stop));
+                let m = lazy.epoch(scheme, rule, stops.map(|s| s.0 as &dyn StopRule));
+                eager.drifting.step(eager.epoch_hours);
+                eager.drifting.advance_all();
+                let want = eager.measure(scheme, rule, stops.map(|s| s.1 as &dyn StopRule));
+                let bits = |m: &EpochMeasurement| {
+                    let deltas = m.deltas.iter().map(|d| {
+                        (d.src, d.dst, d.mean.to_bits(), d.count, d.attempts, d.timeouts)
+                    });
+                    (m.round_trips, m.saved_round_trips, deltas.collect::<Vec<_>>())
+                };
+                proptest::prop_assert_eq!(bits(&m), bits(&want), "epoch {}", e);
+                for d in &m.deltas {
+                    let pair = [d.src, d.dst];
+                    proptest::prop_assert_eq!(
+                        truth_bits(lazy.network(), &pair),
+                        truth_bits(eager.network(), &pair),
+                        "epoch {} left ({}, {}) behind", e, d.src, d.dst
+                    );
+                }
+            }
+            lazy.drifting.advance_all();
+            proptest::prop_assert_eq!(truth_bits(lazy.network(), &all), truth_bits(eager.network(), &all));
+        }
+    }
+
+    #[test]
+    fn an_epoch_that_stops_early_leaves_the_pairs_it_dropped_unreplayed() {
+        let (mut lazy, mut eager) = lazy_and_eager(12, false, 3);
+        for e in 0..2 {
+            let stop = StopAt { at: 2, looks: Default::default(), keep: 4 };
+            let m = lazy.next_epoch_anytime(None, &PruneFrom(12), &stop);
+            assert!(m.saved_round_trips > 0, "epoch {e}: the stop never fired");
+            eager.next_epoch();
+        }
+        // The uniform twin replayed every link; the lazy stream only the
+        // pairs its first stages and the kept pairs reached.
+        let all: Vec<u32> = (0..12).collect();
+        let (lazy_bits, eager_bits) =
+            (truth_bits(lazy.network(), &all), truth_bits(eager.network(), &all));
+        let lagging = lazy_bits.iter().zip(&eager_bits).filter(|(l, e)| l != e).count();
+        assert!(lagging > 0 && lagging < lazy_bits.len(), "{lagging} links lag");
+        assert_eq!(truth_bits(lazy.truth(&all), &all), eager_bits);
     }
 
     #[test]

@@ -153,11 +153,11 @@ fn convergence_snapshots_reduce_rmse_over_time() {
     // Fig. 5 as a regression: RMSE against the final estimate decreases.
     let net = ec2_network(16, 4);
     let cfg = MeasureConfig { max_duration_ms: Some(30_000.0), ..MeasureConfig::default() };
-    let mut driver = Staged::new(10, 100_000).driver(&net, &cfg, PairwiseStats::new(16));
+    let mut driver = Staged::new(10, 100_000).driver(&cfg, PairwiseStats::new(16));
     // The estimates at the first stage boundary past each 2 s grid point.
     let mut series = Vec::new();
     let mut next_at = 2_000.0;
-    while driver.step() {
+    while driver.step(&net) {
         while driver.elapsed_ms() >= next_at {
             series.push(driver.stats().mean_vector());
             next_at += 2_000.0;
