@@ -1219,78 +1219,137 @@ mod tests {
         assert_eq!(out.cost, p.longest_link(&out.deployment));
     }
 
-    /// `(seed, clusters, explored, cost bits, deployment)` of default-trail
-    /// CP runs on the `batch_paper` shape — a bidirectional 10×10 mesh over
-    /// m = 110 instances of an EC2-like cloud, `Budget::nodes(50_000)`; the
-    /// coarse k = 3 run ends in a proof — recorded before the trail backend
-    /// went lazy and rank-labelled.
-    #[allow(clippy::type_complexity)]
-    const GOLDEN_TREES: [(u64, usize, u64, u64, &[u32]); 5] = [
-        (
-            1,
-            20,
-            50000,
-            0x3fdfa3052cfbd2c6,
-            &[
+    /// One recorded default-trail CP run: a bidirectional `rows × cols`
+    /// mesh over `m` instances of an EC2-like cloud booted from `seed`,
+    /// `Budget::nodes(50_000)`, `clusters` cost clusters.
+    struct Golden {
+        mesh: (u32, u32),
+        m: usize,
+        seed: u64,
+        clusters: usize,
+        explored: u64,
+        cost_bits: u64,
+        deployment: &'static [u32],
+    }
+
+    /// The first five run the `batch_paper` shape (a 10×10 mesh over
+    /// m = 110, two domain words); the coarse k = 3 run ends in a proof.
+    /// They were recorded before the trail backend went lazy and
+    /// rank-labelled. The last three cover one domain word (the smoke
+    /// batch shape, a 6×9 mesh over m = 60) and five (the online shape, a
+    /// 3×4 mesh over m = 300 that ends in a proof, and a 4×5 one that runs
+    /// out of nodes); they were recorded before the fused two-way rows and
+    /// the packed-key pick.
+    const GOLDEN_TREES: [Golden; 8] = [
+        Golden {
+            mesh: (10, 10),
+            m: 110,
+            seed: 1,
+            clusters: 20,
+            explored: 50000,
+            cost_bits: 0x3fdfa3052cfbd2c6,
+            deployment: &[
                 59, 54, 53, 4, 26, 25, 22, 14, 34, 62, 45, 102, 23, 64, 97, 52, 98, 24, 82, 92, 57,
                 100, 73, 96, 81, 17, 76, 41, 2, 30, 63, 13, 103, 72, 91, 105, 35, 94, 28, 38, 48,
                 15, 93, 43, 0, 11, 42, 74, 83, 68, 90, 7, 36, 84, 3, 95, 40, 6, 80, 10, 70, 20, 19,
                 78, 86, 33, 66, 58, 12, 50, 51, 99, 75, 47, 55, 69, 18, 77, 108, 8, 21, 61, 107,
                 104, 106, 27, 44, 1, 89, 5, 60, 32, 49, 37, 16, 31, 87, 79, 29, 88,
             ],
-        ),
-        (
-            2,
-            20,
-            50000,
-            0x3fe1f8b1c78f40ac,
-            &[
+        },
+        Golden {
+            mesh: (10, 10),
+            m: 110,
+            seed: 2,
+            clusters: 20,
+            explored: 50000,
+            cost_bits: 0x3fe1f8b1c78f40ac,
+            deployment: &[
                 91, 90, 72, 8, 83, 9, 38, 4, 69, 71, 102, 44, 87, 14, 95, 22, 75, 17, 21, 3, 0, 45,
                 77, 33, 23, 52, 74, 82, 51, 24, 81, 56, 30, 1, 36, 63, 26, 66, 16, 13, 11, 12, 40,
                 99, 106, 104, 97, 42, 60, 55, 10, 92, 57, 47, 67, 89, 2, 85, 58, 101, 86, 31, 61,
                 59, 93, 96, 7, 76, 41, 103, 49, 6, 100, 62, 15, 27, 84, 94, 70, 20, 54, 34, 18, 53,
                 108, 46, 28, 80, 25, 73, 37, 35, 5, 68, 29, 64, 105, 98, 50, 48,
             ],
-        ),
-        (
-            3,
-            20,
-            50000,
-            0x3fdd198b566187c2,
-            &[
+        },
+        Golden {
+            mesh: (10, 10),
+            m: 110,
+            seed: 3,
+            clusters: 20,
+            explored: 50000,
+            cost_bits: 0x3fdd198b566187c2,
+            deployment: &[
                 38, 83, 75, 21, 64, 72, 108, 97, 55, 68, 27, 91, 70, 19, 17, 48, 34, 8, 3, 69, 4,
                 53, 102, 50, 51, 92, 20, 16, 6, 24, 89, 95, 82, 71, 58, 94, 23, 18, 41, 77, 28, 33,
                 25, 93, 31, 103, 79, 26, 36, 44, 87, 60, 84, 100, 11, 105, 49, 45, 59, 66, 2, 12,
                 13, 99, 104, 81, 96, 29, 35, 86, 52, 46, 32, 39, 80, 65, 54, 101, 1, 62, 37, 43,
                 109, 14, 0, 10, 56, 22, 74, 63, 40, 76, 47, 106, 5, 73, 57, 42, 61, 9,
             ],
-        ),
-        (
-            4,
-            20,
-            50000,
-            0x3fdd190c57531da2,
-            &[
+        },
+        Golden {
+            mesh: (10, 10),
+            m: 110,
+            seed: 4,
+            clusters: 20,
+            explored: 50000,
+            cost_bits: 0x3fdd190c57531da2,
+            deployment: &[
                 39, 97, 25, 103, 37, 57, 19, 32, 76, 75, 40, 43, 90, 45, 100, 52, 12, 54, 93, 56,
                 95, 46, 96, 42, 9, 41, 107, 26, 84, 55, 108, 22, 16, 23, 48, 59, 104, 65, 0, 73,
                 20, 44, 1, 77, 72, 92, 82, 60, 8, 102, 69, 91, 35, 78, 58, 11, 74, 87, 13, 15, 51,
                 47, 38, 63, 85, 50, 88, 49, 86, 31, 101, 6, 68, 71, 14, 89, 99, 64, 83, 2, 18, 3,
                 98, 5, 67, 10, 28, 79, 81, 24, 105, 21, 70, 27, 36, 33, 17, 61, 7, 106,
             ],
-        ),
-        (
-            1,
-            3,
-            1362,
-            0x3fdf086b6bc2a0d7,
-            &[
+        },
+        Golden {
+            mesh: (10, 10),
+            m: 110,
+            seed: 1,
+            clusters: 3,
+            explored: 1362,
+            cost_bits: 0x3fdf086b6bc2a0d7,
+            deployment: &[
                 19, 34, 86, 11, 74, 12, 43, 14, 83, 10, 7, 23, 81, 4, 73, 97, 100, 25, 3, 62, 91,
                 102, 76, 64, 96, 17, 52, 105, 0, 48, 15, 54, 24, 98, 22, 53, 26, 28, 2, 70, 80, 82,
                 93, 94, 35, 103, 72, 13, 41, 16, 58, 20, 84, 78, 42, 95, 99, 36, 33, 38, 27, 6, 88,
                 18, 44, 47, 40, 77, 108, 51, 69, 31, 87, 106, 1, 104, 8, 66, 107, 29, 55, 5, 59,
                 89, 61, 37, 92, 50, 30, 57, 101, 75, 68, 90, 21, 49, 79, 60, 45, 63,
             ],
-        ),
+        },
+        Golden {
+            mesh: (6, 9),
+            m: 60,
+            seed: 42,
+            clusters: 20,
+            explored: 50000,
+            cost_bits: 0x3fe0c0aad21dc871,
+            deployment: &[
+                19, 7, 21, 34, 50, 47, 29, 59, 20, 15, 41, 32, 40, 13, 58, 54, 36, 5, 31, 46, 0, 9,
+                11, 14, 12, 49, 2, 56, 55, 18, 16, 33, 6, 17, 24, 52, 3, 45, 39, 30, 27, 10, 35,
+                44, 53, 48, 42, 43, 37, 25, 26, 1, 28, 23,
+            ],
+        },
+        Golden {
+            mesh: (3, 4),
+            m: 300,
+            seed: 42,
+            clusters: 20,
+            explored: 125,
+            cost_bits: 0x3fd196cdda8f4950,
+            deployment: &[14, 16, 247, 18, 11, 9, 13, 10, 15, 17, 7, 6],
+        },
+        Golden {
+            mesh: (4, 5),
+            m: 300,
+            seed: 2,
+            clusters: 20,
+            explored: 50000,
+            cost_bits: 0x3fd5ff1aa2a98999,
+            deployment: &[
+                94, 270, 109, 113, 99, 254, 108, 72, 73, 175, 91, 141, 76, 75, 174, 14, 64, 44, 42,
+                2,
+            ],
+        },
     ];
 
     #[test]
@@ -1298,25 +1357,27 @@ mod tests {
         // Trail == clone cannot see a change both backends share (the
         // value order, the rank relabelling), so pin the tree itself.
         use cloudia_netsim::{Cloud, Provider};
-        for (seed, clusters, explored, cost_bits, deployment) in GOLDEN_TREES {
-            let mut cloud = Cloud::boot(Provider::ec2_like(), seed);
-            let alloc = cloud.allocate(110);
+        for g in &GOLDEN_TREES {
+            let (rows, cols) = g.mesh;
+            let mut cloud = Cloud::boot(Provider::ec2_like(), g.seed);
+            let alloc = cloud.allocate(g.m);
             let costs = cloud.network(&alloc).mean_matrix();
-            let mut edges = grid_edges(10, 10);
-            edges.extend(grid_edges(10, 10).into_iter().map(|(a, b)| (b, a)));
-            let p = NodeDeployment::new(100, edges, costs);
+            let mut edges = grid_edges(rows, cols);
+            edges.extend(grid_edges(rows, cols).into_iter().map(|(a, b)| (b, a)));
+            let p = NodeDeployment::new((rows * cols) as usize, edges, costs);
             let out = solve_llndp_cp(
                 &p,
                 &CpConfig {
                     budget: Budget::nodes(50_000),
-                    clusters: Some(clusters),
-                    seed,
+                    clusters: Some(g.clusters),
+                    seed: g.seed,
                     ..CpConfig::default()
                 },
             );
-            assert_eq!(out.explored, explored, "seed {seed}, k {clusters}");
-            assert_eq!(out.deployment, deployment, "seed {seed}, k {clusters}");
-            assert_eq!(out.cost.to_bits(), cost_bits, "seed {seed}, k {clusters}");
+            let at = format!("{rows}x{cols} over m = {}, seed {}, k {}", g.m, g.seed, g.clusters);
+            assert_eq!(out.explored, g.explored, "{at}");
+            assert_eq!(out.deployment, g.deployment, "{at}");
+            assert_eq!(out.cost.to_bits(), g.cost_bits, "{at}");
         }
     }
 }

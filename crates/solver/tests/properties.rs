@@ -269,6 +269,78 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn trail_cp_matches_clone_cp_on_wide_domains(
+        m in 40usize..201,
+        n in 2usize..25,
+        cost_seed in 0u64..1_000_000,
+        clusters in 0usize..24,
+        arcs in proptest::collection::vec((0usize..24, 0usize..24, 0u32..4), 0..48),
+        seed in 0u64..1000,
+        filter in 0u32..2,
+        pins in proptest::collection::vec(0usize..400, 24),
+        lists in proptest::collection::vec(proptest::collection::vec(0usize..200, 1..40), 24),
+        restrict in 0u32..2,
+    ) {
+        // The patterns above stop at m = 18: one domain word. Here domains
+        // span 1 to 4 words and cross the 64- and 128-instance boundaries,
+        // so every per-word loop of the trail backend (propagation, undo,
+        // the pick's popcount) meets its last partial word. Arcs are
+        // one-way, two-way, repeated one-way, or two-way with a repeat.
+        let costs = Costs::random_uniform(m, cost_seed);
+        let mut edges = Vec::new();
+        for (a, b, kind) in arcs {
+            let (a, b) = ((a % n) as u32, (b % n) as u32);
+            if a == b {
+                continue;
+            }
+            edges.push((a, b));
+            match kind {
+                1 => edges.push((b, a)),
+                2 => edges.push((a, b)),
+                3 => edges.extend([(b, a), (a, b)]),
+                _ => {}
+            }
+        }
+        let p = NodeDeployment::new(n, edges, costs);
+        let mut fixed: Vec<Option<u32>> = vec![None; n];
+        for (v, &j) in pins[..n].iter().enumerate() {
+            if j < m && !fixed.contains(&Some(j as u32)) {
+                fixed[v] = Some(j as u32);
+            }
+        }
+        let candidates: Option<Vec<Vec<u32>>> = (restrict == 1).then(|| {
+            let mut lists: Vec<Vec<u32>> =
+                lists[..n].iter().map(|l| l.iter().map(|&j| (j % m) as u32).collect()).collect();
+            for (v, j) in fixed.iter().enumerate() {
+                lists[(v + 1) % n].extend(*j);
+            }
+            lists
+        });
+        let solve = |propagation| {
+            let config = CpConfig {
+                clusters: (clusters > 0).then_some(clusters),
+                quantum: 0.0,
+                seed,
+                budget: Budget::nodes(2_000),
+                degree_filter: filter == 1,
+                propagation,
+            };
+            let hint = pinned_hint(&p, &fixed, seed);
+            solve_llndp_cp_with(&p, &config, &hint, candidates.as_deref(), &SearchControl::new())
+        };
+        let trail = solve(Propagation::Trail);
+        let clone = solve(Propagation::CloneDomains);
+        prop_assert_eq!(trail.cost, clone.cost);
+        prop_assert_eq!(trail.deployment, clone.deployment);
+        prop_assert_eq!(trail.explored, clone.explored);
+        prop_assert_eq!(trail.proven_optimal, clone.proven_optimal);
+    }
+}
+
 /// The cheapest deployment under `objective` that honours `fixed`
 /// (permutation enumeration; tiny sizes only).
 fn best_pinned_plan(p: &NodeDeployment, objective: Objective, fixed: &[Option<u32>]) -> Vec<u32> {
