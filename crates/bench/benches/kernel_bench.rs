@@ -44,8 +44,12 @@
 //! scanning all m instances) read 9.1–9.5×; the lazy-`alldifferent`,
 //! rank-labelled one whose MRV pick scans every node reads 18–25×
 //! (median 20×); the frontier pick (the frontier plus one fresh node per
-//! domain class) reads 23–38× (median 32×). The spread is the shared
-//! host's: rerun a failure on an idle machine before believing it.
+//! domain class) reads 23–38× (median 32×); with one fused row per
+//! two-way pattern neighbour, a packed `u64` pick key and every per-word
+//! loop at a word count fixed per SIP call it reads 45–63× (median 50×,
+//! against 23–31× on the code before it, seven runs a side). The spread
+//! is the shared host's: rerun a failure on an idle machine before
+//! believing it.
 //!
 //! The sixth, `plan_pool`, holds the online loop's focused plan pool to
 //! its upkeep: at m = 200, a focused advisor with its alarms off steps

@@ -16,9 +16,10 @@
 //!   instance leaves every other domain;
 //! * adjacency is enforced by intersecting neighbor domains with the
 //!   assigned instance's allowed-row bitsets;
-//! * domains are pre-filtered by degree compatibility — a node with
-//!   out-degree d can only map to an instance with ≥ d outgoing good links
-//!   (the degree-labeling idea of Zampelli et al. cited by the paper);
+//! * domains are pre-filtered by degree compatibility — a node with d
+//!   distinct out-neighbours can only map to an instance with ≥ d
+//!   outgoing good links, and likewise inwards (the degree-labeling idea
+//!   of Zampelli et al. cited by the paper);
 //! * variable order is dynamic most-constrained-first (smallest domain,
 //!   ties broken by higher pattern degree, then lower node id); values are
 //!   tried by descending good-degree, ties by ascending instance id.
@@ -42,7 +43,22 @@
 //!   pattern degree) makes every such *fresh* node of a class tie with
 //!   the class's lowest fresh id. A node costs O(degree · words)
 //!   propagation plus an O((frontier + classes) · words) pick, with zero
-//!   allocation;
+//!   allocation:
+//!   - propagation walks each *distinct* pattern neighbour once. One
+//!     linked both ways takes one intersection with the rank's fused
+//!     `row_out & row_in` row, built once per SIP call, so a bidirectional
+//!     mesh costs one row per neighbour, not two; `enter`/`leave` update
+//!     each neighbour's assigned count once;
+//!   - the pick is a running minimum of one `u64` key per candidate,
+//!     `live size << size_shift | (max_degree − degree) << id_bits | id`:
+//!     `id_bits` holds `n`, the degree field holds the pattern's largest
+//!     degree and the size field `m`, and the node's low half (its
+//!     `Pattern` tie) is built once per solve. On a mesh a pick prices
+//!     the frontier and the mesh's three degree classes;
+//!   - every per-word loop of a node — the pick's popcounts, the value
+//!     walk, the row intersections — runs over a word count fixed per SIP
+//!     call: the search is instantiated for 1 to 5 words (m ≤ 320) and
+//!     reads the width at run time above that;
 //! * [`Propagation::CloneDomains`] clones every domain bitset at every
 //!   branch and removes assigned instances eagerly (the original
 //!   implementation, kept for the ablation benchmark and as a
@@ -158,6 +174,9 @@ pub fn solve_llndp_cp_with(
 ) -> SolveOutcome {
     let start = Instant::now();
     let deadline = config.budget.time_limit_s;
+    // Inert unless telemetry is on: the solve's wall time, with its node
+    // count, SIP calls and proof, so a trace reads nodes per second.
+    let mut span = cloudia_obs::span!("solver.cp");
 
     let (costs, thresholds) = search_costs(&problem.costs, config.clusters, config.quantum);
     let search_problem = NodeDeployment::new(problem.num_nodes, problem.edges.clone(), costs);
@@ -306,6 +325,9 @@ pub fn solve_llndp_cp_with(
 
     if cloudia_obs::enabled() {
         let [(sat, sat_nodes), (unsat, unsat_nodes), (timeout, timeout_nodes)] = outcomes;
+        span.attr("explored", explored);
+        span.attr("sip_calls", sat + unsat + timeout);
+        span.attr("proven", u32::from(proven_optimal));
         cloudia_obs::counters(&[
             ("solver.cp.sat_iterations", sat),
             ("solver.cp.sat_nodes", sat_nodes),
@@ -320,12 +342,26 @@ pub fn solve_llndp_cp_with(
 }
 
 /// The pattern side of every SIP call of one solve: the communication
-/// graph's adjacency and each node's degree (the MRV tie-break). Only the
-/// good-link rows depend on the threshold, so this is built once.
+/// graph's adjacency, each node's degree (the MRV tie-break) and the low
+/// half of its pick key. Only the good-link rows depend on the threshold,
+/// so this is built once.
 struct Pattern {
+    /// Arcs with multiplicity, as the edge list gives them: the
+    /// copy-domains oracle walks these.
     out_adj: Vec<Vec<usize>>,
     in_adj: Vec<Vec<usize>>,
     degree: Vec<usize>,
+    /// Node `v`'s distinct neighbours are `adj[span[v][0]..span[v][3]]`:
+    /// the ones it links to both ways, up to `span[v][1]`, then out-only,
+    /// up to `span[v][2]`, then in-only. The trail backend walks these.
+    adj: Vec<u32>,
+    span: Vec<[u32; 4]>,
+    /// `tie[v] = (max_degree − degree[v]) << id_bits | v`: below a live
+    /// size shifted up by `size_shift`, it orders nodes as
+    /// [`SipSearch::pick_var`] does; `id_mask` reads `v` back.
+    tie: Vec<u64>,
+    size_shift: u32,
+    id_mask: u64,
 }
 
 impl Pattern {
@@ -337,13 +373,67 @@ impl Pattern {
             out_adj[a as usize].push(b as usize);
             in_adj[b as usize].push(a as usize);
         }
-        let degree = (0..n).map(|v| out_adj[v].len() + in_adj[v].len()).collect();
-        Self { out_adj, in_adj, degree }
+        let degree: Vec<usize> = (0..n).map(|v| out_adj[v].len() + in_adj[v].len()).collect();
+
+        let distinct = |list: &[usize]| {
+            let mut list = list.to_vec();
+            list.sort_unstable();
+            list.dedup();
+            list
+        };
+        let (mut adj, mut span) = (Vec::new(), Vec::with_capacity(n));
+        for v in 0..n {
+            let (out, into) = (distinct(&out_adj[v]), distinct(&in_adj[v]));
+            let start = adj.len() as u32;
+            adj.extend(out.iter().filter(|u| into.binary_search(u).is_ok()).map(|&u| u as u32));
+            let both = adj.len() as u32;
+            adj.extend(out.iter().filter(|u| into.binary_search(u).is_err()).map(|&u| u as u32));
+            let out_only = adj.len() as u32;
+            adj.extend(into.iter().filter(|u| out.binary_search(u).is_err()).map(|&u| u as u32));
+            span.push([start, both, out_only, adj.len() as u32]);
+        }
+
+        let bits = |x: usize| usize::BITS - x.leading_zeros();
+        let max_degree = degree.iter().copied().max().unwrap_or(0);
+        let id_bits = bits(n);
+        // A key's live size is at most m; below 2^63, no key is the
+        // pick's `u64::MAX` "none".
+        let key_bits = bits(problem.num_instances()) + bits(max_degree) + id_bits;
+        assert!(key_bits < 64, "a {key_bits}-bit pick key does not fit a u64");
+        let tie =
+            (0..n).map(|v| (((max_degree - degree[v]) as u64) << id_bits) | v as u64).collect();
+        Self {
+            out_adj,
+            in_adj,
+            degree,
+            adj,
+            span,
+            tie,
+            size_shift: id_bits + bits(max_degree),
+            id_mask: (1 << id_bits) - 1,
+        }
     }
 
-    /// `v`'s pattern neighbours, with multiplicity over `out_adj ∪ in_adj`.
-    fn neighbours(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        self.out_adj[v].iter().chain(&self.in_adj[v]).copied()
+    /// `v`'s distinct pattern neighbours.
+    #[inline]
+    fn neighbours(&self, v: usize) -> &[u32] {
+        let [start, _, _, end] = self.span[v];
+        &self.adj[start as usize..end as usize]
+    }
+
+    /// What the degree filter asks of `v`'s instance: as many good out-
+    /// and in-links as `v` has distinct out- and in-neighbours.
+    fn needs(&self, v: usize) -> [u32; 2] {
+        let [start, both, out, end] = self.span[v];
+        [out - start, both - start + end - out]
+    }
+
+    /// `v`'s distinct neighbours split by direction: linked both ways,
+    /// out-only, in-only.
+    #[inline]
+    fn sides(&self, v: usize) -> [&[u32]; 3] {
+        let [start, both, out, end] = self.span[v].map(|i| i as usize);
+        [&self.adj[start..both], &self.adj[both..out], &self.adj[out..end]]
     }
 }
 
@@ -354,9 +444,14 @@ struct SipSearch<'p> {
     m: usize,
     words: usize,
     pattern: &'p Pattern,
-    /// `row_out[r]`: bitset of ranks reachable from rank r via good links.
+    /// `row_out[r]`: bitset of ranks reachable from rank r via good links;
+    /// `row_in[r]`: of ranks reaching it; `row_both[r]`: their
+    /// intersection, what a neighbour linked both ways may take.
     row_out: Vec<Vec<u64>>,
     row_in: Vec<Vec<u64>>,
+    row_both: Vec<Vec<u64>>,
+    /// `good[r]`: rank `r`'s good out- and in-degree.
+    good: Vec<[u32; 2]>,
     /// The value order: `instance[r]` is the instance of rank `r`
     /// (descending good-degree, ties by ascending id); `rank` inverts it.
     instance: Vec<u32>,
@@ -372,9 +467,9 @@ struct SipSearch<'p> {
 /// reverse order, so repeated writes to one slot round-trip correctly.
 ///
 /// It also files every unassigned node for the MRV pick.
-/// `assigned_nbrs[v]` counts `v`'s assigned pattern neighbours; a node
-/// with a positive count is in `frontier`, one with none is *fresh* and
-/// is in its class's `fresh` set. No adjacency row has been intersected
+/// `assigned_nbrs[v]` counts `v`'s assigned distinct pattern neighbours;
+/// a node with a positive count is in `frontier`, one with none is
+/// *fresh* and is in its class's `fresh` set. No adjacency row has been intersected
 /// into a fresh node, so its live domain is its class's initial domain
 /// `& !taken`.
 struct TrailState {
@@ -388,11 +483,10 @@ struct TrailState {
     node_words: usize,
     frontier: Vec<u64>,
     /// Node `v`'s class of equal (initial domain, pattern degree); class
-    /// `c`'s initial domain (`words` words at `c * words`), its degree, and
-    /// its fresh nodes (`node_words` words at `c * node_words`).
+    /// `c`'s initial domain (`words` words at `c * words`) and its fresh
+    /// nodes (`node_words` words at `c * node_words`).
     class_of: Vec<u32>,
     class_domain: Vec<u64>,
-    class_degree: Vec<usize>,
     fresh: Vec<u64>,
 }
 
@@ -403,13 +497,12 @@ impl TrailState {
         let node_words = n.div_ceil(64);
         let mut classes: HashMap<(&[u64], usize), u32> = HashMap::new();
         let mut class_of = Vec::with_capacity(n);
-        let (mut class_domain, mut class_degree, mut fresh) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut class_domain, mut fresh) = (Vec::new(), Vec::new());
         for (v, dom) in domains.iter().enumerate() {
             let c = *classes.entry((dom, pattern.degree[v])).or_insert_with(|| {
                 class_domain.extend_from_slice(dom);
-                class_degree.push(pattern.degree[v]);
                 fresh.resize(fresh.len() + node_words, 0);
-                (class_degree.len() - 1) as u32
+                (fresh.len() / node_words - 1) as u32
             });
             class_of.push(c);
             fresh[c as usize * node_words + v / 64] |= 1u64 << (v % 64);
@@ -425,56 +518,69 @@ impl TrailState {
             frontier: vec![0; node_words],
             class_of,
             class_domain,
-            class_degree,
             fresh,
+        }
+    }
+
+    /// The domain width in words: `W` in a search instantiated for it (see
+    /// [`SipSearch::solve`]), `self.words` read at run time when `W == 0`.
+    #[inline(always)]
+    fn width<const W: usize>(&self) -> usize {
+        if W == 0 {
+            self.words
+        } else {
+            W
         }
     }
 
     /// Word `w` of node `v`'s live domain.
     #[inline]
-    fn live(&self, v: usize, w: usize) -> u64 {
-        self.domains[v * self.words + w] & !self.taken[w]
+    fn live<const W: usize>(&self, v: usize, w: usize) -> u64 {
+        self.domains[v * self.width::<W>() + w] & !self.taken[w]
     }
 
     /// Live values in `domain`: the ones no assigned node holds.
     #[inline]
-    fn masked_size(&self, domain: &[u64]) -> u32 {
-        domain.iter().zip(&self.taken).map(|(d, t)| (d & !t).count_ones()).sum()
+    fn masked_size<const W: usize>(&self, domain: &[u64]) -> u32 {
+        let words = self.width::<W>();
+        let (domain, taken) = (&domain[..words], &self.taken[..words]);
+        domain.iter().zip(taken).map(|(d, t)| (d & !t).count_ones()).sum()
     }
 
-    fn live_size(&self, v: usize) -> u32 {
-        self.masked_size(&self.domains[v * self.words..][..self.words])
+    #[inline]
+    fn live_size<const W: usize>(&self, v: usize) -> u32 {
+        let words = self.width::<W>();
+        self.masked_size::<W>(&self.domains[v * words..][..words])
     }
 
     /// The most-constrained unassigned node, in [`SipSearch::pick_var`]'s
     /// order — the least (live size, higher pattern degree, lower id) —
     /// over the frontier and, per class with a fresh node, its lowest
-    /// fresh id at one masked popcount of the class domain.
-    fn pick(&self, degree: &[usize]) -> Option<usize> {
-        // That order as one integer, so the running minimum is a compare
-        // rather than a chain of branches.
-        let key = |size: u32, degree: usize, v: usize| {
-            (u128::from(size) << 96) | (u128::from(u32::MAX - degree as u32) << 64) | v as u128
-        };
-        let mut best = u128::MAX;
+    /// fresh id at one masked popcount of the class domain. That order is
+    /// one `u64` key, the live size above the node's [`Pattern::tie`], so
+    /// the running minimum is one compare.
+    fn pick<const W: usize>(&self, pattern: &Pattern) -> Option<usize> {
+        let key = |size: u32, v: usize| (u64::from(size) << pattern.size_shift) | pattern.tie[v];
+        let mut best = u64::MAX;
         for (w, &word) in self.frontier.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let v = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                best = best.min(key(self.live_size(v), degree[v], v));
+                best = best.min(key(self.live_size::<W>(v), v));
             }
         }
-        let classes = self.fresh.chunks_exact(self.node_words).zip(&self.class_degree);
-        for (c, (fresh, &class_degree)) in classes.enumerate() {
+        let domains = self.class_domain.chunks_exact(self.width::<W>());
+        for (fresh, domain) in self.fresh.chunks_exact(self.node_words).zip(domains) {
             let Some(w) = fresh.iter().position(|&word| word != 0) else {
                 continue;
             };
+            // Every fresh node of a class has the class's degree, so the
+            // lowest one's tie is the class's.
             let v = w * 64 + fresh[w].trailing_zeros() as usize;
-            let size = self.masked_size(&self.class_domain[c * self.words..][..self.words]);
-            best = best.min(key(size, class_degree, v));
+            best = best.min(key(self.masked_size::<W>(domain), v));
         }
-        (best != u128::MAX).then_some(best as u64 as usize)
+        (best != u64::MAX).then_some((best & pattern.id_mask) as usize)
     }
 
     /// Moves unassigned node `u` between its class's fresh set and the
@@ -502,7 +608,8 @@ impl TrailState {
     /// joins the frontier on its first.
     fn enter(&mut self, pattern: &Pattern, v: usize) {
         self.toggle(v);
-        for u in pattern.neighbours(v) {
+        for &u in pattern.neighbours(v) {
+            let u = u as usize;
             self.assigned_nbrs[u] += 1;
             if self.assigned_nbrs[u] == 1 && self.assignment[u].is_none() {
                 self.refile(u);
@@ -512,7 +619,8 @@ impl TrailState {
 
     /// Undoes [`Self::enter`] once every value of `v` has failed.
     fn leave(&mut self, pattern: &Pattern, v: usize) {
-        for u in pattern.neighbours(v) {
+        for &u in pattern.neighbours(v) {
+            let u = u as usize;
             self.assigned_nbrs[u] -= 1;
             if self.assigned_nbrs[u] == 0 && self.assignment[u].is_none() {
                 self.refile(u);
@@ -531,10 +639,11 @@ impl TrailState {
     /// Intersects `u`'s domain with an adjacency row on the trail; `false`
     /// if no live value is left.
     #[inline]
-    fn intersect_row(&mut self, u: usize, row: &[u64]) -> bool {
+    fn intersect_row<const W: usize>(&mut self, u: usize, row: &[u64]) -> bool {
+        let words = self.width::<W>();
         let mut live = 0;
-        for (w, &rw) in row.iter().enumerate() {
-            let slot = u * self.words + w;
+        for (w, &rw) in row[..words].iter().enumerate() {
+            let slot = u * words + w;
             let cur = self.domains[slot];
             let next = cur & rw;
             if next != cur {
@@ -557,17 +666,17 @@ impl<'p> SipSearch<'p> {
         // order, then laid down as rank-space rows; both passes are
         // branch-free, as the first thresholds make half the links good.
         let good = |j: usize, jp: usize, c: f64| ((j != jp) & (c <= threshold)) as u32;
-        let mut degree = vec![0u32; m];
+        let mut degree = vec![[0u32; 2]; m];
         for j in 0..m {
             let mut out = 0;
             for (jp, (&c, d)) in problem.costs.row(j).iter().zip(&mut degree).enumerate() {
                 out += good(j, jp, c);
-                *d += good(j, jp, c);
+                d[1] += good(j, jp, c);
             }
-            degree[j] += out;
+            degree[j][0] = out;
         }
         let mut instance: Vec<u32> = (0..m as u32).collect();
-        instance.sort_by_key(|&j| Reverse(degree[j as usize]));
+        instance.sort_by_key(|&j| Reverse(degree[j as usize][0] + degree[j as usize][1]));
         let mut rank = vec![0u32; m];
         for (r, &j) in instance.iter().enumerate() {
             rank[j as usize] = r as u32;
@@ -582,8 +691,12 @@ impl<'p> SipSearch<'p> {
                 row_in[rp][r / 64] |= g << (r % 64);
             }
         }
+        let row_both = (row_out.iter().zip(&row_in))
+            .map(|(out, into)| out.iter().zip(into).map(|(o, i)| o & i).collect())
+            .collect();
+        let good = instance.iter().map(|&j| degree[j as usize]).collect();
 
-        Self { n, m, words, pattern, row_out, row_in, instance, rank, nodes: 0 }
+        Self { n, m, words, pattern, row_out, row_in, row_both, good, instance, rank, nodes: 0 }
     }
 
     /// Initial rank-space domains, optionally restricted to per-node
@@ -605,13 +718,10 @@ impl<'p> SipSearch<'p> {
                 dom[r / 64] |= 1u64 << (r % 64);
                 continue;
             }
-            let need_out = self.pattern.out_adj[v].len() as u32;
-            let need_in = self.pattern.in_adj[v].len() as u32;
+            let [need_out, need_in] = self.pattern.needs(v);
             let mut admit = |r: usize| {
-                if !degree_filter
-                    || (bitset_count(&self.row_out[r]) >= need_out
-                        && bitset_count(&self.row_in[r]) >= need_in)
-                {
+                let [out, into] = self.good[r];
+                if !degree_filter || (out >= need_out && into >= need_in) {
                     dom[r / 64] |= 1u64 << (r % 64);
                 }
             };
@@ -643,8 +753,19 @@ impl<'p> SipSearch<'p> {
         };
         let (found, assignment) = match propagation {
             Propagation::Trail => {
-                let mut st = TrailState::new(&domains, self.pattern, self.words);
-                (self.search_trail(&mut st, start, deadline_s, node_limit, control), st.assignment)
+                // The search at a word count fixed per SIP call: every
+                // per-word loop of a node unrolls for the widths up to
+                // m = 320 and reads `words` at run time above.
+                let st = &mut TrailState::new(&domains, self.pattern, self.words);
+                let found = match self.words {
+                    1 => self.search_trail::<1>(st, start, deadline_s, node_limit, control),
+                    2 => self.search_trail::<2>(st, start, deadline_s, node_limit, control),
+                    3 => self.search_trail::<3>(st, start, deadline_s, node_limit, control),
+                    4 => self.search_trail::<4>(st, start, deadline_s, node_limit, control),
+                    5 => self.search_trail::<5>(st, start, deadline_s, node_limit, control),
+                    _ => self.search_trail::<0>(st, start, deadline_s, node_limit, control),
+                };
+                (found, std::mem::take(&mut st.assignment))
             }
             Propagation::CloneDomains => {
                 let (mut domains, mut assignment) = (domains, vec![None; self.n]);
@@ -714,7 +835,7 @@ impl<'p> SipSearch<'p> {
 
     /// Trail-based search. Returns Some(true) on SAT (assignment filled
     /// in), Some(false) on UNSAT, None on timeout/cancellation.
-    fn search_trail(
+    fn search_trail<const W: usize>(
         &mut self,
         st: &mut TrailState,
         start: Instant,
@@ -722,8 +843,8 @@ impl<'p> SipSearch<'p> {
         node_limit: u64,
         control: &SearchControl,
     ) -> Option<bool> {
-        let pick = st.pick(&self.pattern.degree);
-        debug_assert_eq!(pick, self.pick_var(|v| st.live_size(v), &st.assignment));
+        let pick = st.pick::<W>(self.pattern);
+        debug_assert_eq!(pick, self.pick_var(|v| st.live_size::<W>(v), &st.assignment));
         let Some(v) = pick else {
             return Some(true); // all assigned
         };
@@ -733,17 +854,17 @@ impl<'p> SipSearch<'p> {
         st.enter(self.pattern, v);
 
         // Ranks are the value order: walk the live bits upwards.
-        for w in 0..self.words {
-            let mut live = st.live(v, w);
+        for w in 0..st.width::<W>() {
+            let mut live = st.live::<W>(v, w);
             while live != 0 {
                 let bit = live & live.wrapping_neg();
                 live ^= bit;
                 let j = (w * 64) as u32 + bit.trailing_zeros();
                 let mark = st.trail.len();
                 st.taken[w] |= bit;
-                if self.propagate_trail(st, v, j) {
+                if self.propagate_trail::<W>(st, v, j) {
                     st.assignment[v] = Some(j);
-                    match self.search_trail(st, start, deadline_s, node_limit, control) {
+                    match self.search_trail::<W>(st, start, deadline_s, node_limit, control) {
                         Some(true) => return Some(true),
                         Some(false) => st.assignment[v] = None,
                         None => return None,
@@ -759,14 +880,16 @@ impl<'p> SipSearch<'p> {
 
     /// Forward-checks adjacency after assigning rank `j` (already marked
     /// taken) to node `v`. Returns `false` on a detected wipeout (caller
-    /// undoes).
-    fn propagate_trail(&self, st: &mut TrailState, v: usize, j: u32) -> bool {
-        let p = self.pattern;
-        for (adj, rows) in [(&p.out_adj[v], &self.row_out), (&p.in_adj[v], &self.row_in)] {
-            let row = &rows[j as usize];
-            for &u in adj {
+    /// undoes). A neighbour linked both ways takes one intersection with the fused
+    /// row, not one per direction.
+    fn propagate_trail<const W: usize>(&self, st: &mut TrailState, v: usize, j: u32) -> bool {
+        let j = j as usize;
+        let rows = [&self.row_both[j], &self.row_out[j], &self.row_in[j]];
+        for (nbrs, row) in self.pattern.sides(v).into_iter().zip(rows) {
+            for &u in nbrs {
+                let u = u as usize;
                 let ok = match st.assignment[u] {
-                    None => st.intersect_row(u, row),
+                    None => st.intersect_row::<W>(u, row),
                     Some(a) => bit_test(row, a),
                 };
                 if !ok {
@@ -1100,6 +1223,26 @@ mod tests {
                 with.cost,
                 without.cost
             );
+        }
+    }
+
+    #[test]
+    fn a_repeated_arc_asks_the_degree_filter_for_one_link() {
+        // Only the links between instances 0 and 1 are cheap. Node 0 has
+        // one distinct out-neighbour however often the edge list repeats
+        // the arc, so instances 0 and 1 (one good out-link each) must stay
+        // in its domain, or the search "proves" the warm start optimal.
+        let cheap = |i, j| matches!((i, j), (0, 1) | (1, 0));
+        let costs = Costs::from_fn(8, |i, j| if cheap(i, j) { 0.1 } else { 1.0 });
+        for edges in [vec![(0, 1)], vec![(0, 1), (0, 1)], vec![(0, 1), (1, 0), (0, 1)]] {
+            let p = NodeDeployment::new(2, edges.clone(), costs.clone());
+            for propagation in [Propagation::Trail, Propagation::CloneDomains] {
+                let config = CpConfig { propagation, ..exact_config() };
+                let hint = SolveHint::warm(vec![2, 3]);
+                let out = solve_llndp_cp_with(&p, &config, &hint, None, &SearchControl::new());
+                assert_eq!(out.cost, 0.1, "{edges:?}, {propagation:?}");
+                assert!(out.proven_optimal, "{edges:?}, {propagation:?}");
+            }
         }
     }
 
